@@ -4,9 +4,11 @@
 // It reproduces the system behind Ferreira, Widener, Levy, Arnold and
 // Hoefler's SC 2014 study: a LogGOPS discrete-event simulator that executes
 // message-passing applications expressed as GOAL dependency graphs, with
-// checkpointing protocols (coordinated, uncoordinated with message logging,
-// and hierarchical), OS-noise injection, node-failure injection with two
-// recovery disciplines, and the Young/Daly analytic models as baselines.
+// eight resilience protocols (coordinated, uncoordinated with message
+// logging, hierarchical, non-blocking, partner, two-level, replication and
+// communication-induced checkpointing), OS-noise injection, node-failure
+// injection with rollback, replay and takeover recovery, and the Young/Daly
+// analytic models as baselines.
 //
 // # Quick start
 //
@@ -29,17 +31,12 @@
 package checkpointsim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strconv"
-
-	"checkpointsim/internal/cache"
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/noise"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/storage"
@@ -247,314 +244,39 @@ func NewBuilder(numRanks int) *Builder { return goal.NewBuilder(numRanks) }
 // NewEngine validates a configuration and builds a simulation engine.
 func NewEngine(cfg SimConfig) (*Engine, error) { return sim.New(cfg) }
 
-// ProtoKind selects a checkpointing protocol in RunConfig.
-type ProtoKind string
+// The one-call study-point API, aliased from internal/run and
+// internal/checkpoint, which own run assembly and protocol construction.
+type (
+	// RunConfig is the one-call configuration for a complete study point
+	// (see run.Config for every field).
+	RunConfig = run.Config
+	// RunResult bundles the simulation result with the protocol and
+	// injector state of a Run.
+	RunResult = run.Result
+	// ProtocolConfig describes the checkpointing strategy of a Run.
+	ProtocolConfig = checkpoint.Config
+	// ProtoKind selects a checkpointing protocol in ProtocolConfig.
+	ProtoKind = checkpoint.Kind
+)
 
 // Protocol kinds.
 const (
-	ProtoNone          ProtoKind = "none"
-	ProtoCoordinated   ProtoKind = "coordinated"
-	ProtoUncoordinated ProtoKind = "uncoordinated"
-	ProtoHierarchical  ProtoKind = "hierarchical"
-	ProtoNonBlocking   ProtoKind = "nonblocking"
-	ProtoPartner       ProtoKind = "partner"
-	ProtoTwoLevel      ProtoKind = "twolevel"
+	ProtoNone          = checkpoint.KindNone
+	ProtoCoordinated   = checkpoint.KindCoordinated
+	ProtoUncoordinated = checkpoint.KindUncoordinated
+	ProtoHierarchical  = checkpoint.KindHierarchical
+	ProtoNonBlocking   = checkpoint.KindNonBlocking
+	ProtoPartner       = checkpoint.KindPartner
+	ProtoTwoLevel      = checkpoint.KindTwoLevel
 	// ProtoReplication runs replication-based resilience: the Ranks
 	// application ranks are embedded in a machine of
 	// Ranks·(ReplicaDegree+1) simulated nodes whose extra ranks mirror the
 	// primaries (Run widens the program automatically). Pair with
 	// RecoverTakeover failures.
-	ProtoReplication ProtoKind = "replication"
+	ProtoReplication = checkpoint.KindReplication
 	// ProtoCIC runs index-based communication-induced checkpointing.
-	ProtoCIC ProtoKind = "cic"
+	ProtoCIC = checkpoint.KindCIC
 )
-
-// ProtocolConfig describes the checkpointing strategy of a Run.
-type ProtocolConfig struct {
-	// Kind selects the protocol (default ProtoNone).
-	Kind ProtoKind
-	// Interval is the checkpoint interval τ.
-	Interval Duration
-	// Write is the per-rank checkpoint write time δ.
-	Write Duration
-	// Offset selects the uncoordinated timer policy: "aligned",
-	// "staggered" (default), or "random".
-	Offset string
-	// Logging is the sender-based message-logging tax (uncoordinated and
-	// hierarchical protocols).
-	Logging LogParams
-	// ClusterSize is the hierarchical protocol's cluster size.
-	ClusterSize int
-	// Incremental, when FullEvery > 1, switches the uncoordinated protocol
-	// to incremental writes.
-	Incremental IncrementalParams
-	// Window and Slowdown configure the non-blocking protocol's background
-	// write (ProtoNonBlocking).
-	Window   Duration
-	Slowdown float64
-	// CkptBytes is the image size shipped by the partner protocol
-	// (ProtoPartner); Write is reused as its serialize time.
-	CkptBytes int64
-	// Bytes is the checkpoint image size drained through the shared store
-	// (RunConfig.Storage); zero derives it from Write at the store's
-	// lone-writer rate, so uncontended writes keep the legacy duration.
-	Bytes int64
-	// TwoLevel configures ProtoTwoLevel (Interval/Write above are ignored
-	// for that kind).
-	TwoLevel TwoLevelParams
-	// ReplicaDegree is the replication protocol's replicas per application
-	// rank (ProtoReplication; default 1).
-	ReplicaDegree int
-	// HeartbeatPeriod and HeartbeatBytes configure replication failure
-	// detection (ProtoReplication; defaults 1ms / 64 B).
-	HeartbeatPeriod Duration
-	HeartbeatBytes  int64
-	// TakeoverCost is the replica-promotion cost after detection
-	// (ProtoReplication; default 500µs).
-	TakeoverCost Duration
-	// CICLag is the CIC index-lag threshold that forces a checkpoint
-	// (ProtoCIC; default 1 = the Z-path-free rule).
-	CICLag int
-}
-
-// build constructs the configured protocol, routing writes through st when
-// one is configured. Globally-writing protocols drain the global tier; the
-// partner serialize step and the two-level local level use the node tier.
-func (pc ProtocolConfig) build(st *storage.Store) (checkpoint.Protocol, error) {
-	params := checkpoint.Params{Interval: pc.Interval, Write: pc.Write,
-		Bytes: pc.Bytes, Store: st}
-	switch pc.Kind {
-	case "", ProtoNone:
-		return checkpoint.None{}, nil
-	case ProtoCoordinated:
-		return checkpoint.NewCoordinated(params)
-	case ProtoUncoordinated:
-		off := checkpoint.Staggered
-		if pc.Offset != "" {
-			var err error
-			off, err = checkpoint.ParseOffsetPolicy(pc.Offset)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if pc.Incremental.FullEvery > 1 {
-			return checkpoint.NewUncoordinatedIncremental(params, off, pc.Logging, pc.Incremental)
-		}
-		return checkpoint.NewUncoordinated(params, off, pc.Logging)
-	case ProtoHierarchical:
-		return checkpoint.NewHierarchical(params, pc.ClusterSize, pc.Logging)
-	case ProtoNonBlocking:
-		return checkpoint.NewNonBlockingCoordinated(checkpoint.NonBlockingParams{
-			Params: params, Window: pc.Window, Slowdown: pc.Slowdown})
-	case ProtoTwoLevel:
-		tl := pc.TwoLevel
-		if tl.Store == nil {
-			tl.Store = st
-		}
-		return checkpoint.NewTwoLevel(tl)
-	case ProtoPartner:
-		off := checkpoint.Staggered
-		if pc.Offset != "" {
-			var err error
-			off, err = checkpoint.ParseOffsetPolicy(pc.Offset)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return checkpoint.NewPartner(checkpoint.PartnerParams{
-			Interval:      pc.Interval,
-			SerializeTime: pc.Write,
-			CkptBytes:     pc.CkptBytes,
-			Offsets:       off,
-			Store:         st,
-		})
-	case ProtoReplication:
-		return checkpoint.NewReplication(checkpoint.ReplicationParams{
-			Degree:          pc.ReplicaDegree,
-			HeartbeatPeriod: pc.HeartbeatPeriod,
-			HeartbeatBytes:  pc.HeartbeatBytes,
-			TakeoverCost:    pc.TakeoverCost,
-		})
-	case ProtoCIC:
-		off := checkpoint.Staggered
-		if pc.Offset != "" {
-			var err error
-			off, err = checkpoint.ParseOffsetPolicy(pc.Offset)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return checkpoint.NewCIC(params, pc.CICLag, off)
-	}
-	return nil, fmt.Errorf("checkpointsim: unknown protocol kind %q", pc.Kind)
-}
-
-// RunConfig is the one-call configuration for a complete study point.
-type RunConfig struct {
-	// Workload names a built-in generator: one of Workloads().
-	Workload string
-	// Program, when non-nil, is the application to execute directly — an
-	// ingested GOAL trace rather than a generated workload. The workload
-	// shape fields (Workload, Ranks, Iterations, Compute, Jitter, MsgBytes)
-	// are ignored; everything else (protocol, storage, noise, failures,
-	// seed) applies unchanged.
-	Program *Program
-	// Ranks is the number of MPI ranks.
-	Ranks int
-	// Iterations is the number of outer timesteps.
-	Iterations int
-	// Compute is the mean per-rank computation per iteration.
-	Compute Duration
-	// Jitter is the relative stddev of per-iteration compute (0 = none).
-	Jitter float64
-	// MsgBytes is the dominant message size of the workload.
-	MsgBytes int64
-	// Net is the LogGOPS parameter set (zero value = DefaultNetwork()).
-	Net NetworkParams
-	// Storage, when non-zero, models the checkpoint storage system: the
-	// protocol's writes drain through a fair-share store built from these
-	// parameters instead of taking fixed durations. An unconstrained
-	// parameter set reproduces the legacy results byte-identically.
-	Storage StorageParams
-	// Protocol selects and configures checkpointing.
-	Protocol ProtocolConfig
-	// Noise, if non-nil, injects OS noise.
-	Noise *NoiseConfig
-	// Failures, if non-nil, injects failures with the configured recovery.
-	Failures *FailureConfig
-	// Trace, when non-nil, receives one record per completed CPU job (see
-	// SimConfig.Trace).
-	Trace func(TraceEvent)
-	// Seed makes the run reproducible; equal configs and seeds give
-	// bit-identical results.
-	Seed uint64
-	// MaxTime aborts runs whose virtual time exceeds this (0 = unlimited);
-	// useful with failure rates the machine cannot outrun.
-	MaxTime Time
-	// SnapshotEvery, when > 0, captures a snapshot of the complete
-	// simulator state roughly every that many events, at the next safe
-	// boundary, and delivers each to OnSnapshot. Snapshotting is a pure
-	// observer: results are byte-identical with or without it.
-	SnapshotEvery int64
-	// OnSnapshot receives each captured snapshot, synchronously on the
-	// simulation loop. Required when SnapshotEvery > 0.
-	OnSnapshot func(Snapshot)
-	// ResumeFrom, when non-nil, restores the engine from a snapshot blob
-	// before running. The run executes only the remainder after the
-	// snapshot's boundary, and its result is byte-identical to the
-	// uninterrupted run's — provided the rest of this config matches the
-	// run that took the snapshot (enforced via a config digest embedded in
-	// the blob).
-	ResumeFrom []byte
-}
-
-// RunResult bundles the simulation result with the protocol and injector
-// state of a Run.
-type RunResult struct {
-	*Result
-	// Protocol is the protocol instance, exposing Stats and recovery lines.
-	Protocol Protocol
-	// Store is the shared-storage arbiter of the run (nil unless
-	// RunConfig.Storage was set), exposing drain statistics.
-	Store *Store
-	// FailureEvents holds the injected failures (nil without Failures).
-	FailureEvents []failure.Event
-}
-
-// CacheFields renders the result-determining configuration of this study
-// point as a flat field set for content addressing (cache.Key with a code
-// version tag): equal field sets guarantee bit-identical Run results. It
-// covers the declarative configuration — workload shape, resolved network
-// parameters, storage model, protocol knobs including nested
-// logging/incremental/two-level parameters, noise, failures, seed, and the
-// time cap. Several members are deliberately outside the address space:
-// Trace, SnapshotEvery and OnSnapshot (pure observers that cannot change
-// results), ResumeFrom (mechanism — a resumed run reproduces the full
-// run's result by construction), and a live *Store injected directly into
-// Protocol.TwoLevel.Store (runtime state, not configuration — stores built
-// from RunConfig.Storage are covered via the storage fields). Callers
-// caching by these fields must configure storage declaratively.
-func (cfg RunConfig) CacheFields() []cache.Field {
-	net := cfg.Net
-	if (net == NetworkParams{}) {
-		net = DefaultNetwork()
-	}
-	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	dur := func(d Duration) string { return strconv.FormatInt(int64(d), 10) }
-	i64 := func(v int64) string { return strconv.FormatInt(v, 10) }
-	fields := []cache.Field{
-		cache.F("workload", cfg.Workload),
-		cache.F("ranks", strconv.Itoa(cfg.Ranks)),
-		cache.F("iterations", strconv.Itoa(cfg.Iterations)),
-		cache.F("compute", dur(cfg.Compute)),
-		cache.F("jitter", f64(cfg.Jitter)),
-		cache.F("msg_bytes", i64(cfg.MsgBytes)),
-		cache.F("seed", strconv.FormatUint(cfg.Seed, 10)),
-		cache.F("max_time", i64(int64(cfg.MaxTime))),
-		cache.F("net.latency", dur(net.Latency)),
-		cache.F("net.overhead", dur(net.Overhead)),
-		cache.F("net.gap", dur(net.Gap)),
-		cache.F("net.gap_per_byte", f64(net.GapPerByte)),
-		cache.F("net.overhead_per_byte", f64(net.OverheadPerByte)),
-		cache.F("net.rendezvous", i64(net.RendezvousThreshold)),
-		cache.F("net.bisection_bps", f64(net.BisectionBytesPerSec)),
-		cache.F("storage.aggregate_bps", f64(cfg.Storage.AggregateBytesPerSec)),
-		cache.F("storage.per_writer_bps", f64(cfg.Storage.PerWriterBytesPerSec)),
-		cache.F("storage.node_bps", f64(cfg.Storage.NodeBytesPerSec)),
-		cache.F("storage.ranks_per_node", strconv.Itoa(cfg.Storage.RanksPerNode)),
-		cache.F("proto.kind", string(cfg.Protocol.Kind)),
-		cache.F("proto.interval", dur(cfg.Protocol.Interval)),
-		cache.F("proto.write", dur(cfg.Protocol.Write)),
-		cache.F("proto.offset", cfg.Protocol.Offset),
-		cache.F("proto.log.alpha", dur(cfg.Protocol.Logging.Alpha)),
-		cache.F("proto.log.beta", f64(cfg.Protocol.Logging.BetaNsPerByte)),
-		cache.F("proto.cluster", strconv.Itoa(cfg.Protocol.ClusterSize)),
-		cache.F("proto.incr.full_every", strconv.Itoa(cfg.Protocol.Incremental.FullEvery)),
-		cache.F("proto.incr.fraction", f64(cfg.Protocol.Incremental.Fraction)),
-		cache.F("proto.window", dur(cfg.Protocol.Window)),
-		cache.F("proto.slowdown", f64(cfg.Protocol.Slowdown)),
-		cache.F("proto.ckpt_bytes", i64(cfg.Protocol.CkptBytes)),
-		cache.F("proto.bytes", i64(cfg.Protocol.Bytes)),
-		cache.F("proto.2l.local_interval", dur(cfg.Protocol.TwoLevel.LocalInterval)),
-		cache.F("proto.2l.local_write", dur(cfg.Protocol.TwoLevel.LocalWrite)),
-		cache.F("proto.2l.global_interval", dur(cfg.Protocol.TwoLevel.GlobalInterval)),
-		cache.F("proto.2l.global_write", dur(cfg.Protocol.TwoLevel.GlobalWrite)),
-		cache.F("proto.2l.ctl_bytes", i64(cfg.Protocol.TwoLevel.CtlBytes)),
-		cache.F("proto.2l.local_bytes", i64(cfg.Protocol.TwoLevel.LocalBytes)),
-		cache.F("proto.2l.global_bytes", i64(cfg.Protocol.TwoLevel.GlobalBytes)),
-		cache.F("proto.rep.degree", strconv.Itoa(cfg.Protocol.ReplicaDegree)),
-		cache.F("proto.rep.hb_period", dur(cfg.Protocol.HeartbeatPeriod)),
-		cache.F("proto.rep.hb_bytes", i64(cfg.Protocol.HeartbeatBytes)),
-		cache.F("proto.rep.takeover", dur(cfg.Protocol.TakeoverCost)),
-		cache.F("proto.cic.lag", strconv.Itoa(cfg.Protocol.CICLag)),
-	}
-	if cfg.Program != nil {
-		// An ingested trace replaces the workload shape in the address: the
-		// digest of the canonical serialization identifies the program, so
-		// two byte-different files that parse identically still share a key.
-		sum := sha256.Sum256([]byte(goal.WriteString(cfg.Program)))
-		fields = append(fields, cache.F("program.digest", hex.EncodeToString(sum[:])))
-	}
-	if cfg.Noise != nil {
-		fields = append(fields,
-			cache.F("noise.period", dur(cfg.Noise.Period)),
-			cache.F("noise.duration", dur(cfg.Noise.Duration)),
-			cache.F("noise.poisson", strconv.FormatBool(cfg.Noise.Poisson)),
-		)
-	}
-	if cfg.Failures != nil {
-		fields = append(fields,
-			cache.F("fail.mtbf", dur(cfg.Failures.MTBF)),
-			cache.F("fail.shape", f64(cfg.Failures.Shape)),
-			cache.F("fail.restart", dur(cfg.Failures.Restart)),
-			cache.F("fail.replay_speedup", f64(cfg.Failures.ReplaySpeedup)),
-			cache.F("fail.kind", strconv.Itoa(int(cfg.Failures.Kind))),
-			cache.F("fail.local_coverage", f64(cfg.Failures.LocalCoverage)),
-			cache.F("fail.local_restart", dur(cfg.Failures.LocalRestart)),
-		)
-	}
-	return fields
-}
 
 // Workloads returns the names accepted by RunConfig.Workload.
 func Workloads() []string { return workload.Names() }
@@ -564,94 +286,4 @@ func DescribeWorkload(name string) string { return workload.Describe(name) }
 
 // Run executes one study point end to end: build the workload, attach the
 // protocol and injectors, simulate, and return the results.
-func Run(cfg RunConfig) (*RunResult, error) {
-	net := cfg.Net
-	if (net == NetworkParams{}) {
-		net = DefaultNetwork()
-	}
-	prog := cfg.Program
-	if prog == nil {
-		var err error
-		prog, err = workload.FromName(cfg.Workload, workload.CommonConfig{
-			Base: workload.Base{
-				Ranks:      cfg.Ranks,
-				Iterations: cfg.Iterations,
-				Compute:    cfg.Compute,
-				Jitter:     cfg.Jitter,
-				Seed:       cfg.Seed,
-			},
-			Bytes: cfg.MsgBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Protocol.Kind == ProtoReplication {
-		// The configured ranks are the application; widen the machine so
-		// each primary's replicas are real simulated nodes.
-		d := cfg.Protocol.ReplicaDegree
-		if d <= 0 {
-			d = 1
-		}
-		var err error
-		prog, err = goal.Widen(prog, prog.NumRanks*(d+1))
-		if err != nil {
-			return nil, err
-		}
-	}
-	var err error
-	var st *storage.Store
-	if (cfg.Storage != StorageParams{}) {
-		st, err = storage.New(cfg.Storage)
-		if err != nil {
-			return nil, err
-		}
-	}
-	proto, err := cfg.Protocol.build(st)
-	if err != nil {
-		return nil, err
-	}
-	agents := []sim.Agent{proto}
-	if cfg.Noise != nil {
-		inj, err := noise.NewInjector(*cfg.Noise)
-		if err != nil {
-			return nil, err
-		}
-		agents = append(agents, inj)
-	}
-	var finj *failure.Injector
-	if cfg.Failures != nil {
-		finj, err = failure.NewInjector(*cfg.Failures, proto)
-		if err != nil {
-			return nil, err
-		}
-		agents = append(agents, finj)
-	}
-	eng, err := sim.New(sim.Config{
-		Net:           net,
-		Program:       prog,
-		Agents:        agents,
-		Seed:          cfg.Seed,
-		MaxTime:       cfg.MaxTime,
-		Trace:         cfg.Trace,
-		SnapshotEvery: cfg.SnapshotEvery,
-		OnSnapshot:    cfg.OnSnapshot,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ResumeFrom != nil {
-		if err := eng.Restore(cfg.ResumeFrom); err != nil {
-			return nil, err
-		}
-	}
-	res, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	out := &RunResult{Result: res, Protocol: proto, Store: st}
-	if finj != nil {
-		out.FailureEvents = finj.Events()
-	}
-	return out, nil
-}
+func Run(cfg RunConfig) (*RunResult, error) { return run.Run(cfg) }

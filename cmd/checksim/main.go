@@ -301,28 +301,8 @@ func run(args []string, out io.Writer) error {
 		return snapErr
 	}
 	if chk != nil {
-		if verr := chk.Finish(res.Result); verr != nil {
+		if verr := chk.FinishRun(res.Result, res.Store, res.Protocol); verr != nil {
 			return verr
-		}
-		if s := res.Store; s != nil {
-			if verr := chk.CheckStorage(s.Stats()); verr != nil {
-				return verr
-			}
-		}
-		if tl, ok := res.Protocol.(validate.TaxedLogger); ok {
-			if verr := chk.CheckLogging(tl); verr != nil {
-				return verr
-			}
-		}
-		if rm, ok := res.Protocol.(validate.ReplicaMirror); ok {
-			if verr := chk.CheckReplication(rm); verr != nil {
-				return verr
-			}
-		}
-		if ci, ok := res.Protocol.(validate.CICIntrospect); ok {
-			if verr := chk.CheckCIC(ci); verr != nil {
-				return verr
-			}
 		}
 	}
 	if cfg.Program != nil {

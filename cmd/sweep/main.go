@@ -73,14 +73,14 @@ func run(args []string, out io.Writer) error {
 	o.Seed = *seed
 	o.Jobs = *jobs
 	o.Validate = *validate
-	if *storeAgg < 0 || *storeWriter < 0 || *storeNode < 0 {
-		return fmt.Errorf("negative storage bandwidth")
-	}
 	o.Storage = storage.Params{
 		AggregateBytesPerSec: *storeAgg * 1e9,
 		PerWriterBytesPerSec: *storeWriter * 1e9,
 		NodeBytesPerSec:      *storeNode * 1e9,
 		RanksPerNode:         *ranksPerNode,
+	}
+	if err := o.Storage.Validate(); err != nil {
+		return err
 	}
 	switch *netPre {
 	case "default":

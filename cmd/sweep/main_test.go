@@ -32,7 +32,9 @@ func TestListExperiments(t *testing.T) {
 }
 
 // The storage flags feed Options.Storage: E17 run with an explicit writer
-// cap must still work, and invalid bandwidths must be rejected.
+// cap must still work, and invalid parameters — negative, NaN or infinite
+// bandwidths, negative ranks per node — must be rejected, not silently
+// mapped to "no storage".
 func TestStorageFlags(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-exp", "E1", "-quick", "-store-agg", "8",
@@ -46,6 +48,9 @@ func TestStorageFlags(t *testing.T) {
 		{"-exp", "E1", "-quick", "-store-agg", "-1"},
 		{"-exp", "E1", "-quick", "-store-writer", "-2"},
 		{"-exp", "E1", "-quick", "-store-node", "-3"},
+		{"-exp", "E19", "-quick", "-store-agg", "NaN"},
+		{"-exp", "E19", "-quick", "-store-writer", "+Inf"},
+		{"-exp", "E1", "-quick", "-ranks-per-node", "-4"},
 	} {
 		if err := run(c, &sb); err == nil {
 			t.Errorf("args %v accepted", c)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -124,15 +125,24 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func(ctx contex
 	c.misses++
 	c.mu.Unlock()
 
+	// The release runs deferred so a panicking fn still frees the key: the
+	// waiting followers get an error, nothing is stored, the next request
+	// computes afresh, and the panic continues up the leader's stack.
+	returned := false
+	defer func() {
+		if !returned {
+			cl.val, cl.err = nil, fmt.Errorf("cache: computation for key %q panicked", key)
+		}
+		close(cl.done)
+		c.mu.Lock()
+		if cl.err == nil {
+			c.store.Put(key, cl.val)
+		}
+		delete(c.calls, key)
+		c.mu.Unlock()
+	}()
 	cl.val, cl.err = fn(ctx)
-	close(cl.done)
-
-	c.mu.Lock()
-	if cl.err == nil {
-		c.store.Put(key, cl.val)
-	}
-	delete(c.calls, key)
-	c.mu.Unlock()
+	returned = true
 	return cl.val, Computed, cl.err
 }
 

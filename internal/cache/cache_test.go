@@ -236,6 +236,53 @@ func TestFollowerContextCancellation(t *testing.T) {
 	}
 }
 
+// A panicking computation releases its key: a follower already waiting on
+// it gets an error instead of a nil value, the panic reaches the leader's
+// caller, nothing is stored, and the next request on the key computes
+// afresh instead of joining the dead call until its context expires.
+func TestPanickingComputeReleasesKey(t *testing.T) {
+	c := New(1 << 20)
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) {
+			close(leaderIn)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-leaderIn
+	followerErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, _, err := c.GetOrCompute(ctx, "k", compute("never"))
+		followerErr <- err
+	}()
+	for c.Stats().Shared == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("leader recovered %v, want the original panic", p)
+	}
+	if err := <-followerErr; err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("follower of a panicking leader: err = %v, want a panic error", err)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("panicking computation left a value in the store")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	val, src, err := c.GetOrCompute(ctx, "k", compute("fresh"))
+	if err != nil || src != Computed || string(val) != "fresh" {
+		t.Fatalf("after panic: val=%q src=%v err=%v, want a fresh compute", val, src, err)
+	}
+}
+
 // Hammer the cache from many goroutines across overlapping keys under a
 // tight budget — the race detector's playground.
 func TestConcurrentChurn(t *testing.T) {

@@ -4,20 +4,17 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/failure"
-	"checkpointsim/internal/goal"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/noise"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/rng"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/storage"
-	"checkpointsim/internal/validate"
 	"checkpointsim/internal/workload"
 )
 
@@ -279,7 +276,7 @@ func (s CampaignSpace) point(seed uint64, i int) Scenario {
 // Fixed scenario simulation parameters. Scenarios vary along the sampled
 // axes only; everything else is pinned so results stay comparable across a
 // campaign and cheap enough for soak loops. Derived values (failure rates,
-// storage bandwidths) are spelled out in scenarioConfig.
+// storage bandwidths) are spelled out in Scenario.config.
 const (
 	scenarioIters   = 30
 	scenarioCompute = 200 * simtime.Microsecond
@@ -300,139 +297,112 @@ const (
 	scenarioMaxTime = simtime.Time(5 * simtime.Second)
 )
 
-// scenarioConfig materializes the scenario's protocol, storage, noise, and
-// failure configuration. st is the run's store (nil for tier "none").
-type scenarioConfig struct {
-	store *storage.Store
-	proto checkpoint.Protocol
-	inj   *failure.Injector
-	noise *noise.Injector
+// scenarioProtocols is the campaign's protocol table: each protocol axis
+// value's checkpoint configuration and the recovery discipline its
+// failures use — replay from logs where logging exists, cluster rollback
+// for the hierarchical protocol, two-level dispatch for the two-level one,
+// replica takeover for replication, global rollback otherwise.
+var scenarioProtocols = map[string]scenarioProtocol{
+	"none": {checkpoint.Config{Kind: checkpoint.KindNone}, failure.RollbackGlobal},
+	"coordinated": {checkpoint.Config{Kind: checkpoint.KindCoordinated,
+		Interval: scenarioTau, Write: scenarioDelta}, failure.RollbackGlobal},
+	"uncoord-aligned": {checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+		Interval: scenarioTau, Write: scenarioDelta, Offset: "aligned", Logging: scenarioLog},
+		failure.ReplayLocal},
+	"uncoord-staggered": {checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+		Interval: scenarioTau, Write: scenarioDelta, Offset: "staggered", Logging: scenarioLog},
+		failure.ReplayLocal},
+	"uncoord-random": {checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+		Interval: scenarioTau, Write: scenarioDelta, Offset: "random", Logging: scenarioLog},
+		failure.ReplayLocal},
+	"hierarchical": {checkpoint.Config{Kind: checkpoint.KindHierarchical,
+		Interval: scenarioTau, Write: scenarioDelta, ClusterSize: 4, Logging: scenarioLog},
+		failure.RollbackCluster},
+	"nonblocking": {checkpoint.Config{Kind: checkpoint.KindNonBlocking,
+		Interval: scenarioTau, Write: scenarioDelta, Window: 4 * scenarioDelta, Slowdown: 1.05},
+		failure.RollbackGlobal},
+	"partner": {checkpoint.Config{Kind: checkpoint.KindPartner,
+		Interval: scenarioTau, Write: scenarioDelta, CkptBytes: 256 * 1024, Offset: "staggered"},
+		failure.RollbackGlobal},
+	"twolevel": {checkpoint.Config{Kind: checkpoint.KindTwoLevel,
+		TwoLevel: checkpoint.TwoLevelParams{
+			LocalInterval: scenarioTau / 3, LocalWrite: scenarioDelta / 10,
+			GlobalInterval: scenarioTau, GlobalWrite: scenarioDelta}},
+		failure.RecoverTwoLevel},
+	// Degree 1, heartbeats at τ/2 so detection latency stays well under the
+	// failure interarrival time at every campaign scale.
+	"replication": {checkpoint.Config{Kind: checkpoint.KindReplication,
+		HeartbeatPeriod: scenarioTau / 2}, failure.TakeoverReplica},
+	"cic": {checkpoint.Config{Kind: checkpoint.KindCIC,
+		Interval: scenarioTau, Write: scenarioDelta, CICLag: 1, Offset: "staggered"},
+		failure.RollbackGlobal},
 }
 
-// build constructs the agents for one run of the scenario. Agents are
-// single-simulation, so every run needs a fresh build.
-func (sc Scenario) build() (*scenarioConfig, error) {
-	var cfg scenarioConfig
-	switch sc.Storage {
-	case "none":
-	case "pfs":
-		// A deliberately tight parallel filesystem: the whole machine
-		// shares 2 GB/s, so coordinated rounds contend hard.
-		st, err := storage.New(storage.Params{AggregateBytesPerSec: 2e9})
-		if err != nil {
-			return nil, err
-		}
-		cfg.store = st
-	case "burst":
-		// Node-local burst buffers, four ranks per node, plus the same
-		// shared PFS behind them for the global tier.
-		st, err := storage.New(storage.Params{
-			AggregateBytesPerSec: 2e9, NodeBytesPerSec: 4e9, RanksPerNode: 4})
-		if err != nil {
-			return nil, err
-		}
-		cfg.store = st
-	default:
-		return nil, fmt.Errorf("campaign: unknown storage tier %q", sc.Storage)
-	}
+// scenarioLog is the sender-based logging tax of the logging protocols.
+var scenarioLog = checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.05}
 
-	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.05}
-	params := checkpoint.Params{Interval: scenarioTau, Write: scenarioDelta, Store: cfg.store}
-	var err error
-	switch sc.Protocol {
-	case "none":
-		cfg.proto = checkpoint.None{}
-	case "coordinated":
-		cfg.proto, err = checkpoint.NewCoordinated(params)
-	case "uncoord-aligned":
-		cfg.proto, err = checkpoint.NewUncoordinated(params, checkpoint.Aligned, logp)
-	case "uncoord-staggered":
-		cfg.proto, err = checkpoint.NewUncoordinated(params, checkpoint.Staggered, logp)
-	case "uncoord-random":
-		cfg.proto, err = checkpoint.NewUncoordinated(params, checkpoint.Random, logp)
-	case "hierarchical":
-		cfg.proto, err = checkpoint.NewHierarchical(params, 4, logp)
-	case "nonblocking":
-		cfg.proto, err = checkpoint.NewNonBlockingCoordinated(checkpoint.NonBlockingParams{
-			Params: params, Window: 4 * scenarioDelta, Slowdown: 1.05})
-	case "partner":
-		cfg.proto, err = checkpoint.NewPartner(checkpoint.PartnerParams{
-			Interval: scenarioTau, SerializeTime: scenarioDelta,
-			CkptBytes: 256 * 1024, Offsets: checkpoint.Staggered, Store: cfg.store})
-	case "twolevel":
-		cfg.proto, err = checkpoint.NewTwoLevel(checkpoint.TwoLevelParams{
-			LocalInterval: scenarioTau / 3, LocalWrite: scenarioDelta / 10,
-			GlobalInterval: scenarioTau, GlobalWrite: scenarioDelta,
-			Store: cfg.store})
-	case "replication":
-		// Degree 1, heartbeats at τ/2 so detection latency stays well under
-		// the failure interarrival time at every campaign scale.
-		cfg.proto, err = checkpoint.NewReplication(checkpoint.ReplicationParams{
-			HeartbeatPeriod: scenarioTau / 2})
-	case "cic":
-		cfg.proto, err = checkpoint.NewCIC(params, 1, checkpoint.Staggered)
-	default:
-		return nil, fmt.Errorf("campaign: unknown protocol %q", sc.Protocol)
-	}
-	if err != nil {
-		return nil, err
-	}
+// scenarioProtocol is one row of scenarioProtocols.
+type scenarioProtocol struct {
+	cfg      checkpoint.Config
+	recovery failure.RecoveryKind
+}
 
+// scenarioStorage maps each storage-tier axis value to its store
+// parameters: "pfs" is a deliberately tight parallel filesystem (the whole
+// machine shares 2 GB/s, so coordinated rounds contend hard); "burst" adds
+// node-local burst buffers, four ranks per node, in front of the same PFS.
+var scenarioStorage = map[string]storage.Params{
+	"none":  {},
+	"pfs":   {AggregateBytesPerSec: 2e9},
+	"burst": {AggregateBytesPerSec: 2e9, NodeBytesPerSec: 4e9, RanksPerNode: 4},
+}
+
+// config describes the scenario as a run configuration; it is a pure
+// function of the (validated) scenario and the network.
+func (sc Scenario) config(net network.Params) run.Config {
+	proto := scenarioProtocols[sc.Protocol]
+	cfg := run.Config{
+		Workload:   sc.Workload,
+		Ranks:      sc.Ranks,
+		Iterations: scenarioIters,
+		Compute:    scenarioCompute,
+		Jitter:     scenarioJitter,
+		MsgBytes:   scenarioBytes,
+		Net:        net,
+		Storage:    scenarioStorage[sc.Storage],
+		Protocol:   proto.cfg,
+		Seed:       sc.Seed,
+		MaxTime:    scenarioMaxTime,
+	}
+	if proto.cfg.Kind == checkpoint.KindReplication {
+		// Replication dedicates half the machine to replicas: the
+		// application runs on Ranks/2 ranks for twice the iterations (equal
+		// total work), and the assembler widens it back to Ranks.
+		cfg.Ranks, cfg.Iterations = sc.Ranks/2, 2*scenarioIters
+	}
 	if sc.FailureLaw != "none" {
 		// Per-node MTBF scales with ranks so the system failure rate is
 		// scale-invariant: θ_sys = 10ms against τ = 2ms keeps Young's
 		// overhead moderate — failure-rich but always able to outrun.
-		fcfg := failure.Config{
+		f := &failure.Config{
 			MTBF:    simtime.Duration(sc.Ranks) * 10 * simtime.Millisecond,
 			Restart: simtime.Millisecond,
-			Kind:    scenarioRecovery(sc.Protocol),
+			Kind:    proto.recovery,
 		}
 		if sc.FailureLaw == "weibull" {
-			fcfg.Shape = 0.7 // infant mortality, as the study's failure logs show
+			f.Shape = 0.7 // infant mortality, as the study's failure logs show
 		}
-		if fcfg.Kind == failure.RecoverTwoLevel {
-			fcfg.LocalCoverage = 0.8
-			fcfg.LocalRestart = fcfg.Restart / 10
+		if f.Kind == failure.RecoverTwoLevel {
+			f.LocalCoverage = 0.8
+			f.LocalRestart = f.Restart / 10
 		}
-		cfg.inj, err = failure.NewInjector(fcfg, cfg.proto)
-		if err != nil {
-			return nil, err
-		}
+		cfg.Failures = f
 	}
-
-	switch sc.Noise {
-	case "none":
-	case "periodic":
-		cfg.noise, err = noise.NewInjector(noise.Config{
-			Period: simtime.Millisecond, Duration: 25 * simtime.Microsecond})
-	case "poisson":
-		cfg.noise, err = noise.NewInjector(noise.Config{
-			Period: simtime.Millisecond, Duration: 25 * simtime.Microsecond, Poisson: true})
-	default:
-		return nil, fmt.Errorf("campaign: unknown noise level %q", sc.Noise)
+	if sc.Noise != "none" {
+		cfg.Noise = &noise.Config{Period: simtime.Millisecond,
+			Duration: 25 * simtime.Microsecond, Poisson: sc.Noise == "poisson"}
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &cfg, nil
-}
-
-// scenarioRecovery maps a protocol to the recovery discipline its failures
-// use: replay from logs where logging exists, cluster rollback for the
-// hierarchical protocol, two-level dispatch for the two-level one, global
-// rollback otherwise.
-func scenarioRecovery(protocol string) failure.RecoveryKind {
-	switch protocol {
-	case "uncoord-aligned", "uncoord-staggered", "uncoord-random":
-		return failure.ReplayLocal
-	case "hierarchical":
-		return failure.RollbackCluster
-	case "twolevel":
-		return failure.RecoverTwoLevel
-	case "replication":
-		return failure.TakeoverReplica
-	}
-	return failure.RollbackGlobal
+	return cfg
 }
 
 // Run executes the scenario through the full stack — workload, protocol,
@@ -444,152 +414,17 @@ func (sc Scenario) Run(o Options) ([]*report.Table, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	net := o.net()
-	// Replication dedicates half the machine to replicas: the application
-	// runs on Ranks/2 ranks for twice the iterations (equal total work),
-	// embedded in the full Ranks-wide machine.
-	appRanks, appIters := sc.Ranks, scenarioIters
-	if sc.Protocol == "replication" {
-		appRanks, appIters = sc.Ranks/2, 2*scenarioIters
-	}
-	prog, err := workload.FromName(sc.Workload, workload.CommonConfig{
-		Base: workload.Base{
-			Ranks:      appRanks,
-			Iterations: appIters,
-			Compute:    scenarioCompute,
-			Jitter:     scenarioJitter,
-			Seed:       sc.Seed,
-		},
-		Bytes: scenarioBytes,
-	})
+	a, err := sc.config(o.net()).Assemble()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", sc.ID(), err)
 	}
-	if appRanks != sc.Ranks {
-		prog, err = goal.Widen(prog, sc.Ranks)
-		if err != nil {
-			return nil, err
-		}
-	}
-	cfg, err := sc.build()
+	o.Validate = true
+	res, err := execute(o, a.Sim, a.Store)
 	if err != nil {
-		return nil, err
-	}
-	agents := []sim.Agent{cfg.proto}
-	if cfg.noise != nil {
-		agents = append(agents, cfg.noise)
-	}
-	if cfg.inj != nil {
-		agents = append(agents, cfg.inj)
-	}
-	scfg := sim.Config{
-		Net: net, Program: prog, Agents: agents,
-		Seed: sc.Seed, MaxTime: scenarioMaxTime,
-	}
-	var res *sim.Result
-	switch {
-	case o.ResumeFrom != nil:
-		// Resume mode: restore the blob and execute only the remainder.
-		// The conformance checker needs the trace from t=0, so the suffix
-		// is not re-validated; determinism (proven by the crash–resume
-		// harness in CI) transfers the uninterrupted run's verdict. The run
-		// keeps snapshotting when configured, so a second interruption
-		// resumes from even later.
-		if o.SnapshotEvery > 0 && o.OnSnapshot != nil {
-			scfg.SnapshotEvery, scfg.OnSnapshot = o.SnapshotEvery, o.OnSnapshot
-			if o.Snapshots != nil {
-				inner := scfg.OnSnapshot
-				n := o.Snapshots
-				scfg.OnSnapshot = func(s sim.Snapshot) { atomic.AddInt64(n, 1); inner(s) }
-			}
-		}
-		eng, nerr := sim.New(scfg)
-		if nerr != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), nerr)
-		}
-		if rerr := eng.Restore(o.ResumeFrom); rerr != nil {
-			return nil, fmt.Errorf("%s: resume: %w", sc.ID(), rerr)
-		}
-		res, err = eng.Run()
-		if res != nil && o.Events != nil {
-			atomic.AddInt64(o.Events, res.Events)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), err)
-		}
-	case o.SnapshotEvery > 0 && o.OnSnapshot != nil:
-		// Streaming mode: persist snapshots, validate as usual, no replay.
-		chk := validate.New(net)
-		scfg.Trace = chk.Hook(nil)
-		scfg.SnapshotEvery = o.SnapshotEvery
-		n := o.Snapshots
-		scfg.OnSnapshot = func(s sim.Snapshot) {
-			if n != nil {
-				atomic.AddInt64(n, 1)
-			}
-			o.OnSnapshot(s)
-		}
-		eng, nerr := sim.New(scfg)
-		if nerr != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), nerr)
-		}
-		res, err = eng.Run()
-		if res != nil && o.Events != nil {
-			atomic.AddInt64(o.Events, res.Events)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), err)
-		}
-		if verr := sc.check(chk, res, cfg); verr != nil {
-			return nil, verr
-		}
-	case o.SnapshotEvery > 0:
-		// Self-verifying mode: snapshot, validate, then replay the
-		// remainder from every snapshot and require byte-identity.
-		chk := validate.New(net)
-		var full []sim.TraceEvent
-		var snaps []sim.Snapshot
-		inner := chk.Hook(nil)
-		scfg.Trace = func(ev sim.TraceEvent) { full = append(full, ev); inner(ev) }
-		scfg.SnapshotEvery = o.SnapshotEvery
-		scfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
-		eng, nerr := sim.New(scfg)
-		if nerr != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), nerr)
-		}
-		res, err = eng.Run()
-		if res != nil && o.Events != nil {
-			atomic.AddInt64(o.Events, res.Events)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), err)
-		}
-		if verr := sc.check(chk, res, cfg); verr != nil {
-			return nil, verr
-		}
-		if verr := verifyResume(scfg, snaps, full, res, nil, o.Snapshots); verr != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), verr)
-		}
-	default:
-		chk := validate.New(net)
-		scfg.Trace = chk.Hook(nil)
-		eng, nerr := sim.New(scfg)
-		if nerr != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), nerr)
-		}
-		res, err = eng.Run()
-		if res != nil && o.Events != nil {
-			atomic.AddInt64(o.Events, res.Events)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.ID(), err)
-		}
-		if verr := sc.check(chk, res, cfg); verr != nil {
-			return nil, verr
-		}
+		return nil, fmt.Errorf("%s: %w", sc.ID(), err)
 	}
 
-	st := cfg.proto.Stats()
+	st := a.Protocol.Stats()
 	t := report.NewTable("Campaign "+sc.ID(), "metric", "value")
 	t.AddRow("makespan_ns", strconv.FormatInt(int64(res.Makespan), 10))
 	t.AddRow("events", strconv.FormatInt(res.Events, 10))
@@ -602,47 +437,18 @@ func (sc Scenario) Run(o Options) ([]*report.Table, error) {
 	t.AddRow("mirrored_messages", strconv.FormatInt(st.MirroredMessages, 10))
 	t.AddRow("heartbeats", strconv.FormatInt(st.Heartbeats, 10))
 	t.AddRow("takeovers", strconv.FormatInt(st.Takeovers, 10))
-	if cfg.store != nil {
-		ss := cfg.store.Stats()
+	if a.Store != nil {
+		ss := a.Store.Stats()
 		t.AddRow("storage_writes", strconv.FormatInt(ss.Writes, 10))
 		t.AddRow("storage_bytes", strconv.FormatInt(ss.Bytes, 10))
 	}
 	failures := 0
-	if cfg.inj != nil {
-		failures = len(cfg.inj.Events())
+	if a.Failures != nil {
+		failures = len(a.Failures.Events())
 	}
 	t.AddRow("failures", strconv.Itoa(failures))
 	t.AddRow("validate", "ok")
 	return []*report.Table{t}, nil
-}
-
-// check runs the full post-run conformance sweep for one completed
-// scenario simulation.
-func (sc Scenario) check(chk *validate.Checker, res *sim.Result, cfg *scenarioConfig) error {
-	if verr := chk.Finish(res); verr != nil {
-		return fmt.Errorf("%s: %w", sc.ID(), verr)
-	}
-	if cfg.store != nil {
-		if verr := chk.CheckStorage(cfg.store.Stats()); verr != nil {
-			return fmt.Errorf("%s: %w", sc.ID(), verr)
-		}
-	}
-	if tl, ok := cfg.proto.(validate.TaxedLogger); ok {
-		if verr := chk.CheckLogging(tl); verr != nil {
-			return fmt.Errorf("%s: %w", sc.ID(), verr)
-		}
-	}
-	if rm, ok := cfg.proto.(validate.ReplicaMirror); ok {
-		if verr := chk.CheckReplication(rm); verr != nil {
-			return fmt.Errorf("%s: %w", sc.ID(), verr)
-		}
-	}
-	if ci, ok := cfg.proto.(validate.CICIntrospect); ok {
-		if verr := chk.CheckCIC(ci); verr != nil {
-			return fmt.Errorf("%s: %w", sc.ID(), verr)
-		}
-	}
-	return nil
 }
 
 // CacheFields renders everything that determines the scenario's tables —

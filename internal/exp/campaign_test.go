@@ -349,3 +349,38 @@ func TestCampaignResilienceScenariosRun(t *testing.T) {
 		t.Error("CIC scenario forced no checkpoints on the all-to-all workload")
 	}
 }
+
+// The protocol and storage tables are the campaign axes: every axis value
+// has exactly one row, and every row assembles into a runnable simulation.
+func TestScenarioTablesCoverAxes(t *testing.T) {
+	if len(scenarioProtocols) != len(CampaignProtocols) {
+		t.Errorf("%d protocol rows for %d axis values", len(scenarioProtocols), len(CampaignProtocols))
+	}
+	if len(scenarioStorage) != len(CampaignStorageTiers) {
+		t.Errorf("%d storage rows for %d axis values", len(scenarioStorage), len(CampaignStorageTiers))
+	}
+	for _, p := range CampaignProtocols {
+		if _, ok := scenarioProtocols[p]; !ok {
+			t.Errorf("protocol %q has no table row", p)
+			continue
+		}
+		for _, tier := range CampaignStorageTiers {
+			if _, ok := scenarioStorage[tier]; !ok {
+				t.Fatalf("storage tier %q has no table row", tier)
+			}
+			sc := Scenario{Workload: "stencil2d", Ranks: 16, Protocol: p,
+				FailureLaw: "weibull", Storage: tier, Noise: "poisson", Seed: 1}
+			if p == "none" {
+				sc.FailureLaw = "none"
+			}
+			a, err := sc.config(DefaultOptions().Net).Assemble()
+			if err != nil {
+				t.Errorf("%s: %v", sc.ID(), err)
+				continue
+			}
+			if got := a.Sim.Program.NumRanks; got != sc.Ranks {
+				t.Errorf("%s: machine spans %d ranks, want %d", sc.ID(), got, sc.Ranks)
+			}
+		}
+	}
+}

@@ -32,6 +32,9 @@ type e19Cell struct {
 // rule. Runs are failure-free — the experiment isolates the protocol's
 // overhead, not its recovery.
 func E19CIC(o Options) ([]*report.Table, error) {
+	if err := o.Storage.Validate(); err != nil {
+		return nil, errf("E19", err)
+	}
 	cells, err := e19Grid(o)
 	if err != nil {
 		return nil, err

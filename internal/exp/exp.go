@@ -199,56 +199,88 @@ func buildProg(name string, ranks, iters int, compute simtime.Duration, bytes in
 	})
 }
 
-// simulate runs one configuration to completion. With o.Validate set, the
-// run streams through a trace-conformance checker and any invariant
-// violation is returned as an error; capped runs (ErrCapExceeded) are
-// passed through unvalidated — there is no result to reconcile.
+// simulate runs one experiment point through execute. An experiment sweep
+// runs many simulations, so it cannot resume from one blob, and it always
+// self-verifies its snapshots rather than streaming them.
 func simulate(o Options, net network.Params, prog *goal.Program, seed uint64, maxTime simtime.Time, agents ...sim.Agent) (*sim.Result, error) {
 	if o.ResumeFrom != nil {
 		return nil, fmt.Errorf("exp: ResumeFrom applies to single-simulation scenario runs, not experiment sweeps")
 	}
-	cfg := sim.Config{Net: net, Program: prog, Agents: agents,
-		Seed: seed, MaxTime: maxTime}
+	o.OnSnapshot = nil
+	return execute(o, sim.Config{Net: net, Program: prog, Agents: agents,
+		Seed: seed, MaxTime: maxTime}, nil)
+}
+
+// execute is the one executor behind every simulation this package runs —
+// experiment points through simulate, campaign scenarios directly. The
+// options pick the mode:
+//
+//   - ResumeFrom set: restore the blob and run only the remainder. The
+//     conformance checker needs the trace from t=0, so the suffix is not
+//     validated; determinism (proven by the crash–resume harness) transfers
+//     the uninterrupted run's verdict. Snapshots keep streaming when
+//     configured, so a second interruption resumes from even later.
+//   - SnapshotEvery with OnSnapshot: stream every snapshot to OnSnapshot.
+//   - SnapshotEvery alone: self-verify — record the trace and every
+//     snapshot, then replay the remainder from each (verifyResume).
+//
+// With o.Validate set the run streams through a trace-conformance checker
+// and FinishRun reconciles it against the result, st (nil for none) and
+// every agent; any violation is returned as an error. Capped runs
+// (ErrCapExceeded) carry no result and are passed through unvalidated.
+func execute(o Options, cfg sim.Config, st *storage.Store) (*sim.Result, error) {
 	var chk *validate.Checker
-	if o.Validate {
-		chk = validate.New(net)
-		cfg.Trace = chk.Hook(nil)
+	if o.Validate && o.ResumeFrom == nil {
+		chk = validate.New(cfg.Net)
+		cfg.Trace = chk.Hook(cfg.Trace)
 	}
-	if o.SnapshotEvery > 0 {
-		return simulateVerified(o, cfg, chk)
+	var full []sim.TraceEvent
+	var snaps []sim.Snapshot
+	replay := o.SnapshotEvery > 0 && o.OnSnapshot == nil && o.ResumeFrom == nil
+	switch {
+	case o.SnapshotEvery > 0 && o.OnSnapshot != nil:
+		cfg.SnapshotEvery = o.SnapshotEvery
+		cfg.OnSnapshot = func(s sim.Snapshot) {
+			if o.Snapshots != nil {
+				atomic.AddInt64(o.Snapshots, 1)
+			}
+			o.OnSnapshot(s)
+		}
+	case replay:
+		inner := cfg.Trace
+		cfg.Trace = func(ev sim.TraceEvent) {
+			full = append(full, ev)
+			if inner != nil {
+				inner(ev)
+			}
+		}
+		cfg.SnapshotEvery = o.SnapshotEvery
+		cfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
 	}
-	e, err := sim.New(cfg)
+	eng, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.Run()
+	if o.ResumeFrom != nil {
+		if err := eng.Restore(o.ResumeFrom); err != nil {
+			return nil, fmt.Errorf("resume: %w", err)
+		}
+	}
+	res, runErr := eng.Run()
 	if res != nil && o.Events != nil {
 		atomic.AddInt64(o.Events, res.Events)
 	}
-	if err != nil || chk == nil {
-		return res, err
-	}
-	if verr := chk.Finish(res); verr != nil {
-		return nil, verr
-	}
-	for _, a := range agents {
-		if tl, ok := a.(validate.TaxedLogger); ok {
-			if verr := chk.CheckLogging(tl); verr != nil {
-				return nil, verr
-			}
-		}
-		if rm, ok := a.(validate.ReplicaMirror); ok {
-			if verr := chk.CheckReplication(rm); verr != nil {
-				return nil, verr
-			}
-		}
-		if ci, ok := a.(validate.CICIntrospect); ok {
-			if verr := chk.CheckCIC(ci); verr != nil {
-				return nil, verr
-			}
+	if runErr == nil && chk != nil {
+		if err := chk.FinishRun(res, st, cfg.Agents...); err != nil {
+			return nil, err
 		}
 	}
-	return res, nil
+	if replay {
+		if err := verifyResume(cfg, snaps, full, res, runErr, o.Snapshots); err != nil {
+			return nil, err
+		}
+	}
+	return res, runErr
 }
 
 // overheadPct computes the relative makespan increase in percent.

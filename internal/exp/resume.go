@@ -1,8 +1,8 @@
 package exp
 
 // Crash–resume differential verification (Options.SnapshotEvery): every
-// simulation proves its own snapshots. The monolithic run records its full
-// trace and every snapshot taken at a safe boundary; then, for each
+// simulation proves its own snapshots. The monolithic run (execute) records
+// its full trace and every snapshot taken at a safe boundary; then, for each
 // snapshot, a fresh engine restores the blob and runs the remainder. The
 // resumed run must reproduce the monolithic run byte-for-byte from the
 // boundary on: identical Result.CanonicalBytes, an event-for-event
@@ -17,59 +17,7 @@ import (
 	"sync/atomic"
 
 	"checkpointsim/internal/sim"
-	"checkpointsim/internal/validate"
 )
-
-// simulateVerified is simulate's SnapshotEvery > 0 path: run once
-// monolithically (validating as configured), then re-run the remainder from
-// every snapshot and compare.
-func simulateVerified(o Options, cfg sim.Config, chk *validate.Checker) (*sim.Result, error) {
-	var full []sim.TraceEvent
-	var snaps []sim.Snapshot
-	inner := cfg.Trace
-	cfg.Trace = func(ev sim.TraceEvent) {
-		full = append(full, ev)
-		if inner != nil {
-			inner(ev)
-		}
-	}
-	cfg.SnapshotEvery = o.SnapshotEvery
-	cfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
-	e, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, runErr := e.Run()
-	if res != nil && o.Events != nil {
-		atomic.AddInt64(o.Events, res.Events)
-	}
-	if runErr == nil && chk != nil {
-		if verr := chk.Finish(res); verr != nil {
-			return nil, verr
-		}
-		for _, a := range cfg.Agents {
-			if tl, ok := a.(validate.TaxedLogger); ok {
-				if verr := chk.CheckLogging(tl); verr != nil {
-					return nil, verr
-				}
-			}
-			if rm, ok := a.(validate.ReplicaMirror); ok {
-				if verr := chk.CheckReplication(rm); verr != nil {
-					return nil, verr
-				}
-			}
-			if ci, ok := a.(validate.CICIntrospect); ok {
-				if verr := chk.CheckCIC(ci); verr != nil {
-					return nil, verr
-				}
-			}
-		}
-	}
-	if verr := verifyResume(cfg, snaps, full, res, runErr, o.Snapshots); verr != nil {
-		return nil, verr
-	}
-	return res, runErr
-}
 
 // verifyResume replays the run's remainder from each snapshot and compares
 // it against the monolithic run. cfg must be the monolithic run's config

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,5 +42,32 @@ func TestUnlimitedStoreMatchesGoldens(t *testing.T) {
 					id, path, got, want)
 			}
 		})
+	}
+}
+
+// Every experiment that routes writes through Options.Storage rejects an
+// invalid parameter set up front. An invalid set would otherwise reach
+// storeFor, which maps it to a nil store, and the run would silently
+// report storage-free tables under a storage banner.
+func TestInvalidStorageRejected(t *testing.T) {
+	paths := corpusTraces(t)
+	prog, name, digest, err := LoadTraceFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func(Options) error{
+		"trace": func(o Options) error { _, err := TraceExperiment(name, prog, digest).Run(o); return err },
+	}
+	for _, id := range []string{"E4", "E8", "E17", "E19"} {
+		e, _ := ByID(id)
+		runs[id] = func(o Options) error { _, err := e.Run(o); return err }
+	}
+	for id, run := range runs {
+		o := DefaultOptions()
+		o.Quick = true
+		o.Storage = storage.Params{AggregateBytesPerSec: math.NaN()}
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "bad bandwidth") {
+			t.Errorf("%s with NaN aggregate bandwidth: err = %v, want a storage validation error", id, err)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
-	"checkpointsim/internal/storage"
 )
 
 // Trace ingest: the study drove its simulator with recorded application
@@ -104,6 +103,9 @@ func traceInterval(makespan simtime.Time) (tau, delta simtime.Duration) {
 }
 
 func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, error) {
+	if err := o.Storage.Validate(); err != nil {
+		return nil, errf(id, err)
+	}
 	net := o.net()
 	base, err := simulate(o, net, prog, o.Seed, 0)
 	if err != nil {
@@ -115,46 +117,37 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 	t := report.NewTable("Trace "+name+": protocol suite",
 		"protocol", "makespan", "overhead%", "rounds", "writes", "logged")
 
-	// Each point builds its protocol fresh (agents are single-simulation)
-	// and its own store (stores arbitrate within one engine).
+	// The baseline row reuses the run above; every other point builds its
+	// protocol fresh (agents are single-simulation) over its own store
+	// (stores arbitrate within one engine).
 	type pt struct {
-		name  string
-		build func(st *storageStore) (checkpoint.Protocol, error)
+		name string
+		cfg  checkpoint.Config
 	}
 	points := []pt{
-		{"baseline", nil},
-		{"coordinated", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewCoordinated(st.params(tau, delta))
-		}},
-		{"uncoord-aligned", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewUncoordinated(st.params(tau, delta), checkpoint.Aligned, logp)
-		}},
-		{"uncoord-staggered", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewUncoordinated(st.params(tau, delta), checkpoint.Staggered, logp)
-		}},
-		{"hierarchical-c4", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewHierarchical(st.params(tau, delta), 4, logp)
-		}},
-		{"nonblocking", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewNonBlockingCoordinated(checkpoint.NonBlockingParams{
-				Params: st.params(tau, delta), Window: 4 * delta, Slowdown: 1.05})
-		}},
-		{"partner", func(st *storageStore) (checkpoint.Protocol, error) {
-			return checkpoint.NewPartner(checkpoint.PartnerParams{
-				Interval: tau, SerializeTime: delta, CkptBytes: 256 * 1024,
-				Offsets: checkpoint.Staggered, Store: st.store()})
-		}},
+		{"baseline", checkpoint.Config{}},
+		{"coordinated", checkpoint.Config{Kind: checkpoint.KindCoordinated,
+			Interval: tau, Write: delta}},
+		{"uncoord-aligned", checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+			Interval: tau, Write: delta, Offset: "aligned", Logging: logp}},
+		{"uncoord-staggered", checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+			Interval: tau, Write: delta, Offset: "staggered", Logging: logp}},
+		{"hierarchical-c4", checkpoint.Config{Kind: checkpoint.KindHierarchical,
+			Interval: tau, Write: delta, ClusterSize: 4, Logging: logp}},
+		{"nonblocking", checkpoint.Config{Kind: checkpoint.KindNonBlocking,
+			Interval: tau, Write: delta, Window: 4 * delta, Slowdown: 1.05}},
+		{"partner", checkpoint.Config{Kind: checkpoint.KindPartner,
+			Interval: tau, Write: delta, CkptBytes: 256 * 1024}},
 	}
 
 	err = sweep(t, o, id, points, func(i int, p pt) (rows, error) {
 		var rs rows
-		if p.build == nil {
+		if p.cfg.Kind == "" {
 			rs.add("baseline", simtime.Duration(base.Makespan).String(), 0.0,
 				int64(0), int64(0), int64(0))
 			return rs, nil
 		}
-		st := &storageStore{o: o}
-		proto, err := p.build(st)
+		proto, err := p.cfg.New(storeFor(o))
 		if err != nil {
 			return nil, err
 		}
@@ -174,25 +167,4 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 	t.AddNote(fmt.Sprintf("τ = makespan/8 = %v, δ = τ/10 = %v; logging α=%v β=%gns/B",
 		tau, delta, logp.Alpha, logp.BetaNsPerByte))
 	return []*report.Table{t}, nil
-}
-
-// storageStore builds one simulation's store lazily from the run options,
-// so a sweep point constructs at most one store (stores arbitrate within a
-// single engine and must never be shared across points).
-type storageStore struct {
-	o     Options
-	built bool
-	st    *storage.Store
-}
-
-func (s *storageStore) store() *storage.Store {
-	if !s.built {
-		s.st = storeFor(s.o)
-		s.built = true
-	}
-	return s.st
-}
-
-func (s *storageStore) params(tau, delta simtime.Duration) checkpoint.Params {
-	return checkpoint.Params{Interval: tau, Write: delta, Store: s.store()}
 }

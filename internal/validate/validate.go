@@ -805,3 +805,36 @@ func (c *Checker) CheckCIC(p CICIntrospect) error {
 	}
 	return c.Err()
 }
+
+// FinishRun is the complete post-run conformance check: Finish against the
+// engine's result, CheckStorage when st is non-nil, then CheckLogging,
+// CheckReplication and CheckCIC for every agent exposing the matching
+// introspection surface. It returns the first failing step's error.
+func (c *Checker) FinishRun(res *sim.Result, st *storage.Store, agents ...sim.Agent) error {
+	if err := c.Finish(res); err != nil {
+		return err
+	}
+	if st != nil {
+		if err := c.CheckStorage(st.Stats()); err != nil {
+			return err
+		}
+	}
+	for _, a := range agents {
+		if tl, ok := a.(TaxedLogger); ok {
+			if err := c.CheckLogging(tl); err != nil {
+				return err
+			}
+		}
+		if rm, ok := a.(ReplicaMirror); ok {
+			if err := c.CheckReplication(rm); err != nil {
+				return err
+			}
+		}
+		if ci, ok := a.(CICIntrospect); ok {
+			if err := c.CheckCIC(ci); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
