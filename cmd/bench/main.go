@@ -1,5 +1,5 @@
 // Command bench is the benchmark-regression harness: it runs the
-// experiment suite (E1–E17) under testing.Benchmark, emits a BENCH.json
+// experiment suite (E1–E19) under testing.Benchmark, emits a BENCH.json
 // snapshot (ns/op, allocs/op, bytes/op, events/sec per experiment), and —
 // given a previous snapshot via -compare — fails when any experiment
 // regressed beyond the tolerance. CI runs a quick subset on every push and

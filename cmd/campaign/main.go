@@ -104,15 +104,9 @@ func run(args []string, out io.Writer) error {
 		netName: *netPre, version: *version, server: strings.TrimSuffix(*server, "/"),
 		summary: *summary,
 	}
-	switch *netPre {
-	case "default":
-		cfg.net = network.DefaultParams()
-	case "capability":
-		cfg.net = network.CapabilityClassParams()
-	case "ethernet":
-		cfg.net = network.EthernetClassParams()
-	default:
-		return fmt.Errorf("unknown network preset %q", *netPre)
+	var err error
+	if cfg.net, err = network.Preset(*netPre); err != nil {
+		return err
 	}
 	cfg.space = exp.DefaultCampaignSpace()
 	if err := overrideSpace(&cfg.space, *workloads, *scales, *protocols, *laws, *tiers, *noises); err != nil {

@@ -142,16 +142,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var netParams checkpointsim.NetworkParams
-	switch *netPreset {
-	case "default":
-		netParams = network.DefaultParams()
-	case "capability":
-		netParams = network.CapabilityClassParams()
-	case "ethernet":
-		netParams = network.EthernetClassParams()
-	default:
-		return fmt.Errorf("unknown network preset %q", *netPreset)
+	netParams, err := network.Preset(*netPreset)
+	if err != nil {
+		return err
 	}
 	if *bisection < 0 {
 		return fmt.Errorf("negative bisection bandwidth")

@@ -1,4 +1,4 @@
-// Command sweep regenerates the reproduction experiments (E1–E17, see
+// Command sweep regenerates the reproduction experiments (E1–E19, see
 // DESIGN.md §4) and prints their tables.
 //
 // Usage:
@@ -82,15 +82,9 @@ func run(args []string, out io.Writer) error {
 	if err := o.Storage.Validate(); err != nil {
 		return err
 	}
-	switch *netPre {
-	case "default":
-		o.Net = network.DefaultParams()
-	case "capability":
-		o.Net = network.CapabilityClassParams()
-	case "ethernet":
-		o.Net = network.EthernetClassParams()
-	default:
-		return fmt.Errorf("unknown network preset %q", *netPre)
+	var err error
+	if o.Net, err = network.Preset(*netPre); err != nil {
+		return err
 	}
 
 	var selected []exp.Experiment

@@ -1,4 +1,4 @@
-// Command sweepd serves the reproduction experiments (E1–E17) as a
+// Command sweepd serves the reproduction experiments (E1–E19) as a
 // long-running HTTP service: sweep jobs over a bounded queue and worker
 // pool, fronted by a content-addressed result cache so identical requests
 // — the dominant pattern in parameter-sweep studies — simulate once and

@@ -414,17 +414,18 @@ func (sc Scenario) Run(o Options) ([]*report.Table, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	a, err := sc.config(o.net()).Assemble()
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", sc.ID(), err)
+	cfg := sc.config(o.net())
+	cfg.ResumeFrom = o.ResumeFrom
+	if o.SnapshotEvery > 0 && o.OnSnapshot != nil {
+		cfg.SnapshotEvery, cfg.OnSnapshot = o.SnapshotEvery, o.OnSnapshot
 	}
 	o.Validate = true
-	res, err := execute(o, a.Sim, a.Store)
+	res, err := execute(o, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", sc.ID(), err)
 	}
 
-	st := a.Protocol.Stats()
+	st := res.Protocol.Stats()
 	t := report.NewTable("Campaign "+sc.ID(), "metric", "value")
 	t.AddRow("makespan_ns", strconv.FormatInt(int64(res.Makespan), 10))
 	t.AddRow("events", strconv.FormatInt(res.Events, 10))
@@ -437,16 +438,12 @@ func (sc Scenario) Run(o Options) ([]*report.Table, error) {
 	t.AddRow("mirrored_messages", strconv.FormatInt(st.MirroredMessages, 10))
 	t.AddRow("heartbeats", strconv.FormatInt(st.Heartbeats, 10))
 	t.AddRow("takeovers", strconv.FormatInt(st.Takeovers, 10))
-	if a.Store != nil {
-		ss := a.Store.Stats()
+	if res.Store != nil {
+		ss := res.Store.Stats()
 		t.AddRow("storage_writes", strconv.FormatInt(ss.Writes, 10))
 		t.AddRow("storage_bytes", strconv.FormatInt(ss.Bytes, 10))
 	}
-	failures := 0
-	if a.Failures != nil {
-		failures = len(a.Failures.Events())
-	}
-	t.AddRow("failures", strconv.Itoa(failures))
+	t.AddRow("failures", strconv.Itoa(len(res.FailureEvents)))
 	t.AddRow("validate", "ok")
 	return []*report.Table{t}, nil
 }

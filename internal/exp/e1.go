@@ -5,6 +5,7 @@ import (
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -29,7 +30,7 @@ func E1Validation(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := simulate(o, net, prog, pointSeed(o, "E1a", i), 0)
+		r, err := execute(o, run.Config{Net: net, Program: prog, Seed: pointSeed(o, "E1a", i)})
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +86,7 @@ func E1Validation(o Options) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := simulate(o, net, prog, pointSeed(o, "E1b", i), 0)
+			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: pointSeed(o, "E1b", i)})
 			if err != nil {
 				return nil, err
 			}

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -18,7 +18,6 @@ func E10Hierarchical(o Options) ([]*report.Table, error) {
 	iters := pick(o, 60, 20)
 	clusters := pick(o, []int{1, 4, 8, 16, 64}, []int{1, 4, 16})
 	workloads := pick(o, []string{"stencil2d", "transpose"}, []string{"stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond}
 	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.2}
 
 	t := report.NewTable("E10: hierarchical cluster-size sweep (τ=10ms, δ=1ms, log β=0.2)",
@@ -29,7 +28,7 @@ func E10Hierarchical(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
@@ -38,16 +37,15 @@ func E10Hierarchical(o Options) ([]*report.Table, error) {
 			if c > ranks {
 				continue
 			}
-			hp, err := checkpoint.NewHierarchical(params, c, logp)
-			if err != nil {
-				return nil, err
-			}
 			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(hp))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Protocol: checkpoint.Config{Kind: checkpoint.KindHierarchical,
+					Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond,
+					ClusterSize: c, Logging: logp}})
 			if err != nil {
 				return nil, err
 			}
-			st := hp.Stats()
+			st := r.Protocol.Stats()
 			frac := 0.0
 			if r.Metrics.AppMessages > 0 {
 				frac = float64(st.LoggedMessages) / float64(r.Metrics.AppMessages)

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -19,7 +19,7 @@ func E11NonBlocking(o Options) ([]*report.Table, error) {
 	ranks := pick(o, 64, 16)
 	iters := pick(o, 60, 25)
 	workloads := pick(o, []string{"stencil2d", "cg"}, []string{"stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
+	const tau, delta = 10 * simtime.Millisecond, 2 * simtime.Millisecond
 
 	t := report.NewTable("E11: blocking vs non-blocking coordinated (τ=10ms, δ=2ms)",
 		"workload", "protocol", "window", "slowdown", "overhead%", "rounds")
@@ -29,23 +29,20 @@ func E11NonBlocking(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
 
-		// Blocking reference.
-		cp, err := checkpoint.NewCoordinated(params)
-		if err != nil {
-			return nil, err
-		}
-		// Same spec and seed as base: reuse the immutable program.
-		r, err := simulate(o, net, base, sd, 0, sim.Agent(cp))
+		// Blocking reference. Same spec and seed as base: reuse the
+		// immutable program.
+		r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: delta}})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		rs.add(w, "blocking", "-", "-", overheadPct(r, rBase), cp.Stats().Rounds)
+		rs.add(w, "blocking", "-", "-", overheadPct(r, rBase), r.Protocol.Stats().Rounds)
 
 		type variant struct {
 			window   simtime.Duration
@@ -60,17 +57,14 @@ func E11NonBlocking(o Options) ([]*report.Table, error) {
 			},
 			[]variant{{4 * simtime.Millisecond, 1.25}})
 		for _, v := range variants {
-			nb, err := checkpoint.NewNonBlockingCoordinated(checkpoint.NonBlockingParams{
-				Params: params, Window: v.window, Slowdown: v.slowdown})
-			if err != nil {
-				return nil, err
-			}
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(nb))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Protocol: checkpoint.Config{Kind: checkpoint.KindNonBlocking, Interval: tau,
+					Write: delta, Window: v.window, Slowdown: v.slowdown}})
 			if err != nil {
 				return nil, err
 			}
 			rs.add(w, "non-blocking", v.window.String(), v.slowdown,
-				overheadPct(r, rBase), nb.Stats().Rounds)
+				overheadPct(r, rBase), r.Protocol.Stats().Rounds)
 		}
 		return rs, nil
 	})

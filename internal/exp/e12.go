@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -34,7 +34,7 @@ func E12Partner(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
@@ -42,36 +42,26 @@ func E12Partner(o Options) ([]*report.Table, error) {
 		for _, size := range sizes {
 			writeDur := simtime.FromSeconds(float64(size) / fsBytesPerSec)
 
-			// Local write: exclusive seizure sized by PFS bandwidth.
-			up, err := checkpoint.NewUncoordinated(
-				checkpoint.Params{Interval: interval, Write: writeDur},
-				checkpoint.Staggered, checkpoint.LogParams{})
+			// Local write: exclusive seizure sized by PFS bandwidth. Same
+			// spec and seed as base: reuse the immutable program.
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+					Interval: interval, Write: writeDur}})
 			if err != nil {
 				return nil, err
 			}
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
-			if err != nil {
-				return nil, err
-			}
-			rs.add(w, size, "local-write", overheadPct(r, rBase), up.Stats().Writes, 0.0)
+			rs.add(w, size, "local-write", overheadPct(r, rBase), r.Protocol.Stats().Writes, 0.0)
 
-			// Partner: short serialize seizure + real network transfer.
-			pt, err := checkpoint.NewPartner(checkpoint.PartnerParams{
-				Interval:      interval,
-				SerializeTime: writeDur / 10, // memcpy is ~10x the PFS rate
-				CkptBytes:     size,
-				Offsets:       checkpoint.Staggered,
-			})
+			// Partner: short serialize seizure (memcpy is ~10x the PFS rate)
+			// + real network transfer.
+			r2, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Protocol: checkpoint.Config{Kind: checkpoint.KindPartner,
+					Interval: interval, Write: writeDur / 10, CkptBytes: size}})
 			if err != nil {
 				return nil, err
 			}
-			r2, err := simulate(o, net, base, sd, 0, sim.Agent(pt))
-			if err != nil {
-				return nil, err
-			}
-			shipped, _ := pt.Shipped()
-			rs.add(w, size, "partner", overheadPct(r2, rBase), pt.Stats().Writes,
+			shipped, _ := r2.Protocol.(*checkpoint.Partner).Shipped()
+			rs.add(w, size, "partner", overheadPct(r2, rBase), r2.Protocol.Stats().Writes,
 				float64(shipped)/(1<<20))
 		}
 		return rs, nil

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/workload"
 )
@@ -20,43 +20,39 @@ func E13Straggler(o Options) ([]*report.Table, error) {
 	ranks := pick(o, 64, 16)
 	iters := pick(o, 60, 25)
 	factors := pick(o, []float64{1.0, 1.5, 2.0, 4.0}, []float64{1.0, 2.0})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
-
-	run := func(factor float64, seed uint64, agents ...sim.Agent) (*sim.Result, error) {
-		p, err := workload.Straggler(workload.StragglerConfig{
-			Base: workload.Base{Ranks: ranks, Iterations: iters,
-				Compute: simtime.Millisecond, Seed: seed},
-			HaloBytes: 4096,
-			Factor:    factor,
-			SlowRank:  ranks / 2,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return simulate(o, net, p, seed, 0, agents...)
+	const tau, delta = 10 * simtime.Millisecond, 2 * simtime.Millisecond
+	protos := []checkpoint.Config{
+		{Kind: checkpoint.KindCoordinated, Interval: tau, Write: delta},
+		{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta, Offset: "aligned"},
+		{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta, Offset: "staggered"},
 	}
 
 	t := report.NewTable("E13: checkpointing under a straggler (τ=10ms, δ=2ms)",
 		"straggler-x", "protocol", "makespan", "overhead-vs-own-baseline%")
 	err := sweep(t, o, "E13", factors, func(i int, f float64) (rows, error) {
 		sd := pointSeed(o, "E13", i)
-		rBase, err := run(f, sd)
+		// One program serves the baseline and every protocol run.
+		prog, err := workload.Straggler(workload.StragglerConfig{
+			Base: workload.Base{Ranks: ranks, Iterations: iters,
+				Compute: simtime.Millisecond, Seed: sd},
+			HaloBytes: 4096,
+			Factor:    f,
+			SlowRank:  ranks / 2,
+		})
 		if err != nil {
 			return nil, err
 		}
-		protos := func() []checkpoint.Protocol {
-			cp, _ := checkpoint.NewCoordinated(params)
-			ua, _ := checkpoint.NewUncoordinated(params, checkpoint.Aligned, checkpoint.LogParams{})
-			us, _ := checkpoint.NewUncoordinated(params, checkpoint.Staggered, checkpoint.LogParams{})
-			return []checkpoint.Protocol{cp, ua, us}
-		}()
+		rBase, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd})
+		if err != nil {
+			return nil, err
+		}
 		var rs rows
 		for _, proto := range protos {
-			r, err := run(f, sd, sim.Agent(proto))
+			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd, Protocol: proto})
 			if err != nil {
 				return nil, err
 			}
-			rs.add(f, proto.Name(), simtime.Duration(r.Makespan).String(),
+			rs.add(f, r.Protocol.Name(), simtime.Duration(r.Makespan).String(),
 				overheadPct(r, rBase))
 		}
 		return rs, nil

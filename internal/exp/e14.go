@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -40,21 +40,17 @@ func E14Fabric(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 
-		// Local writes: no extra fabric traffic.
-		up, err := checkpoint.NewUncoordinated(
-			checkpoint.Params{Interval: interval, Write: writeDur},
-			checkpoint.Staggered, checkpoint.LogParams{})
-		if err != nil {
-			return nil, err
-		}
-		// Same spec and seed as base: reuse the immutable program.
-		r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
+		// Local writes: no extra fabric traffic. Same spec and seed as base:
+		// reuse the immutable program.
+		r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+				Interval: interval, Write: writeDur}})
 		if err != nil {
 			return nil, err
 		}
@@ -62,16 +58,9 @@ func E14Fabric(o Options) ([]*report.Table, error) {
 			overheadPct(r, rBase), r.Metrics.FabricBusy.String())
 
 		// Partner: images compete for the bisection.
-		pt, err := checkpoint.NewPartner(checkpoint.PartnerParams{
-			Interval:      interval,
-			SerializeTime: writeDur / 10,
-			CkptBytes:     image,
-			Offsets:       checkpoint.Staggered,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r2, err := simulate(o, net, base, sd, 0, sim.Agent(pt))
+		r2, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			Protocol: checkpoint.Config{Kind: checkpoint.KindPartner,
+				Interval: interval, Write: writeDur / 10, CkptBytes: image}})
 		if err != nil {
 			return nil, err
 		}

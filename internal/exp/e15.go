@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/noise"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -33,19 +33,16 @@ func E15Resonance(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		for _, period := range periods {
 			dur := period.Scale(duty)
-			inj, err := noise.NewInjector(noise.Config{Period: period, Duration: dur})
-			if err != nil {
-				return nil, err
-			}
 			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(inj))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Noise: &noise.Config{Period: period, Duration: dur}})
 			if err != nil {
 				return nil, err
 			}

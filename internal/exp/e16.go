@@ -5,7 +5,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -37,7 +37,7 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, errf("E16", err)
 	}
-	rBase, err := simulate(o, net, base, o.Seed, 0)
+	rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: o.Seed})
 	if err != nil {
 		return nil, errf("E16", err)
 	}
@@ -53,30 +53,24 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 
 	err = sweep(t, o, "E16", points, func(i int, p pt) (rows, error) {
 		sd := pointSeed(o, "E16", i)
+		prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
+		if err != nil {
+			return nil, err
+		}
+		cfg := run.Config{Net: net, Program: prog, Seed: sd, MaxTime: simtime.Time(300 * simtime.Second)}
 		var rs rows
 		if p.single {
 			// Single-level reference: coordinated at the Daly-optimal interval.
-			cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tauG, Write: globalWrite})
+			cfg.Protocol = checkpoint.Config{Kind: checkpoint.KindCoordinated,
+				Interval: tauG, Write: globalWrite}
+			cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}
+			rG, err := execute(o, cfg)
 			if err != nil {
 				return nil, err
 			}
-			injG, err := failure.NewInjector(failure.Config{
-				MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-			if err != nil {
-				return nil, err
-			}
-			prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
-			if err != nil {
-				return nil, err
-			}
-			rG, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-				sim.Agent(cp), sim.Agent(injG))
-			if err != nil {
-				return nil, err
-			}
-			rs.add("-", "single-level", "-/"+tauG.String(), len(injG.Events()),
+			rs.add("-", "single-level", "-/"+tauG.String(), len(rG.FailureEvents),
 				simtime.Duration(rG.Makespan).String(), overheadPct(rG, rBase),
-				report.Cell(cp.Stats().Writes))
+				report.Cell(rG.Protocol.Stats().Writes))
 			return rs, nil
 		}
 
@@ -85,31 +79,20 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 		tl0, tg0 := model.TwoLevelIntervals(localWrite.Seconds(), globalWrite.Seconds(), sys, p.cov)
 		tauL := simtime.FromSeconds(tl0)
 		tauGL := simtime.FromSeconds(tg0)
-		tl, err := checkpoint.NewTwoLevel(checkpoint.TwoLevelParams{
-			LocalInterval: tauL, LocalWrite: localWrite,
-			GlobalInterval: tauGL, GlobalWrite: globalWrite,
-		})
-		if err != nil {
-			return nil, err
-		}
-		inj, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart,
+		cfg.Protocol = checkpoint.Config{Kind: checkpoint.KindTwoLevel,
+			TwoLevel: checkpoint.TwoLevelParams{
+				LocalInterval: tauL, LocalWrite: localWrite,
+				GlobalInterval: tauGL, GlobalWrite: globalWrite,
+			}}
+		cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart,
 			LocalRestart: restart / 10, LocalCoverage: p.cov,
-			Kind: failure.RecoverTwoLevel}, tl)
+			Kind: failure.RecoverTwoLevel}
+		r, err := execute(o, cfg)
 		if err != nil {
 			return nil, err
 		}
-		prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
-		if err != nil {
-			return nil, err
-		}
-		r, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(tl), sim.Agent(inj))
-		if err != nil {
-			return nil, err
-		}
-		local, global := tl.LevelWrites()
-		rs.add(p.cov, "two-level", tauL.String()+"/"+tauGL.String(), len(inj.Events()),
+		local, global := r.Protocol.(*checkpoint.TwoLevel).LevelWrites()
+		rs.add(p.cov, "two-level", tauL.String()+"/"+tauGL.String(), len(r.FailureEvents),
 			simtime.Duration(r.Makespan).String(), overheadPct(r, rBase),
 			report.Cell(local)+"/"+report.Cell(global))
 		return rs, nil

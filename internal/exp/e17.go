@@ -5,10 +5,9 @@ import (
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
-	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
-	"checkpointsim/internal/storage"
 )
 
 // e17Cell is one measured grid cell of the contention map; e17Grid returns
@@ -60,9 +59,22 @@ func e17Grid(o Options) ([][]e17Cell, error) {
 	if writerCap <= 0 {
 		writerCap = 1e9
 	}
-	const image = int64(2e5)
-	params := checkpoint.Params{Interval: 20 * simtime.Millisecond,
-		Write: 200 * simtime.Microsecond, Bytes: image, Tier: storage.TierGlobal}
+	const (
+		tau   = 20 * simtime.Millisecond
+		delta = 200 * simtime.Microsecond
+		image = int64(2e5)
+	)
+	protos := []struct {
+		name string
+		cfg  checkpoint.Config
+	}{
+		{"coordinated", checkpoint.Config{Kind: checkpoint.KindCoordinated,
+			Interval: tau, Write: delta, Bytes: image}},
+		{"uncoord-staggered", checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+			Interval: tau, Write: delta, Bytes: image, Offset: "staggered"}},
+		{"uncoord-random", checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+			Interval: tau, Write: delta, Bytes: image, Offset: "random"}},
+	}
 
 	type point struct {
 		p   int
@@ -77,60 +89,34 @@ func e17Grid(o Options) ([][]e17Cell, error) {
 
 	return runner.MapCtx(o.ctx(), o.Jobs, points, func(i int, pt point) ([]e17Cell, error) {
 		sd := pointSeed(o, "E17", i)
-		mkStore := func() (*storage.Store, error) {
-			sp := o.Storage
-			sp.AggregateBytesPerSec = pt.agg
-			sp.PerWriterBytesPerSec = writerCap
-			return storage.New(sp)
-		}
 		base, err := buildProg("ep", pt.p, iters, grain, 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
-
-		builds := []struct {
-			name  string
-			build func(p checkpoint.Params) (checkpoint.Protocol, error)
-		}{
-			{"coordinated", func(p checkpoint.Params) (checkpoint.Protocol, error) {
-				return checkpoint.NewCoordinated(p)
-			}},
-			{"uncoord-staggered", func(p checkpoint.Params) (checkpoint.Protocol, error) {
-				return checkpoint.NewUncoordinated(p, checkpoint.Staggered, checkpoint.LogParams{})
-			}},
-			{"uncoord-random", func(p checkpoint.Params) (checkpoint.Protocol, error) {
-				return checkpoint.NewUncoordinated(p, checkpoint.Random, checkpoint.LogParams{})
-			}},
-		}
-		cells := make([]e17Cell, 0, len(builds))
-		for _, b := range builds {
-			st, err := mkStore()
-			if err != nil {
-				return nil, err
-			}
-			p := params
-			p.Store = st
-			proto, err := b.build(p)
-			if err != nil {
-				return nil, err
-			}
+		// Every protocol run gets a fresh store from this cell's template.
+		sp := o.Storage
+		sp.AggregateBytesPerSec = pt.agg
+		sp.PerWriterBytesPerSec = writerCap
+		cells := make([]e17Cell, 0, len(protos))
+		for _, proto := range protos {
 			// Identical spec and seed — the base program serves every
 			// protocol variant of this cell.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(proto))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Storage: sp, Protocol: proto.cfg})
 			if err != nil {
 				return nil, err
 			}
 			cells = append(cells, e17Cell{
 				P:        pt.p,
 				Agg:      pt.agg,
-				Protocol: b.name,
+				Protocol: proto.name,
 				Overhead: overheadPct(r, rBase),
 				IOWait:   r.SeizedTime[checkpoint.ReasonIOWait],
-				Writes:   proto.Stats().Writes,
+				Writes:   r.Protocol.Stats().Writes,
 			})
 		}
 		return cells, nil

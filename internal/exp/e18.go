@@ -1,15 +1,12 @@
 package exp
 
 import (
-	"errors"
-
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/failure"
-	"checkpointsim/internal/goal"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
-	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
 
@@ -55,8 +52,8 @@ func E18Replication(o Options) ([]*report.Table, error) {
 		"P", "node-MTBF", "τ", "failures", "coord-makespan", "uncoord-makespan", "repl-makespan", "winner")
 	for _, c := range cells {
 		t.AddRow(c.ranks, c.mtbf.String(), c.tau.String(), c.failures,
-			e18CellStr(c.coord, c.capC), e18CellStr(c.uncoord, c.capU),
-			e18CellStr(c.repl, c.capR), c.winner)
+			cappedCell(c.coord, c.capC), cappedCell(c.uncoord, c.capU),
+			cappedCell(c.repl, c.capR), c.winner)
 	}
 	t.AddNote("replication: P/2 app ranks × 2× iterations widened to P (degree 1); no rollback, heartbeat detection + takeover per failure")
 	t.AddNote("same seed per cell: all three protocols see identical failure clocks")
@@ -96,9 +93,10 @@ func e18Grid(o Options) ([]e18Cell, error) {
 		}
 
 		// The checkpointing protocols run the full-width application; the
-		// replication run embeds a half-width application doing 2× the
-		// iterations in the same machine. Programs are immutable and shared
-		// across their runs.
+		// replication runs embed a half-width application doing 2× the
+		// iterations in the same machine (the assembler widens it to p).
+		// Programs are immutable and shared across their runs. A run that
+		// hits the time cap is a capped cell, not a failed sweep.
 		prog, err := buildProg("stencil2d", p, iters, ms(1), 4096, sd)
 		if err != nil {
 			return e18Cell{}, err
@@ -107,78 +105,44 @@ func e18Grid(o Options) ([]e18Cell, error) {
 		if err != nil {
 			return e18Cell{}, err
 		}
-		wide, err := goal.Widen(half, p)
-		if err != nil {
-			return e18Cell{}, err
-		}
-
 		cell := e18Cell{ranks: p, mtbf: pt.mtbf, tau: tau}
-		run := func(pr *goal.Program, agents ...sim.Agent) (simtime.Time, bool, error) {
-			r, err := simulate(o, net, pr, sd, e18Cap, agents...)
-			if errors.Is(err, sim.ErrCapExceeded) {
-				return e18Cap, true, nil
-			}
-			if err != nil {
-				return 0, false, err
-			}
-			return r.Makespan, false, nil
-		}
+		replication := checkpoint.Config{Kind: checkpoint.KindReplication}
 
 		// Failure-free replication layout: the duplication and heartbeat
 		// overhead alone. Every replication run with failures must finish at
 		// or above this floor (oracle bound for the tests).
-		rpb, err := checkpoint.NewReplication(checkpoint.ReplicationParams{})
-		if err != nil {
-			return e18Cell{}, err
-		}
-		cell.replBase, _, err = run(wide, sim.Agent(rpb))
+		cell.replBase, _, _, err = executeCapped(o, run.Config{Net: net, Program: half, Seed: sd,
+			MaxTime: e18Cap, Protocol: replication})
 		if err != nil {
 			return e18Cell{}, err
 		}
 
 		// Coordinated + global rollback.
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
+		var rC *run.Result
+		cell.coord, cell.capC, rC, err = executeCapped(o, run.Config{Net: net, Program: prog, Seed: sd,
+			MaxTime:  e18Cap,
+			Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: write},
+			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart, Kind: failure.RollbackGlobal}})
 		if err != nil {
 			return e18Cell{}, err
 		}
-		injG, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		cell.coord, cell.capC, err = run(prog, sim.Agent(cp), sim.Agent(injG))
-		if err != nil {
-			return e18Cell{}, err
-		}
-		cell.failures = len(injG.Events())
+		cell.failures = len(rC.FailureEvents)
 
 		// Uncoordinated + local replay.
-		up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: write},
-			checkpoint.Staggered, logp)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		injL, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		cell.uncoord, cell.capU, err = run(prog, sim.Agent(up), sim.Agent(injL))
+		cell.uncoord, cell.capU, _, err = executeCapped(o, run.Config{Net: net, Program: prog, Seed: sd,
+			MaxTime: e18Cap,
+			Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: tau,
+				Write: write, Logging: logp},
+			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart, ReplaySpeedup: 2,
+				Kind: failure.ReplayLocal}})
 		if err != nil {
 			return e18Cell{}, err
 		}
 
 		// Replication: replica takeover instead of rollback.
-		rp, err := checkpoint.NewReplication(checkpoint.ReplicationParams{})
-		if err != nil {
-			return e18Cell{}, err
-		}
-		injR, err := failure.NewInjector(failure.Config{
-			MTBF: pt.mtbf, Restart: restart, Kind: failure.TakeoverReplica}, rp)
-		if err != nil {
-			return e18Cell{}, err
-		}
-		cell.repl, cell.capR, err = run(wide, sim.Agent(rp), sim.Agent(injR))
+		cell.repl, cell.capR, _, err = executeCapped(o, run.Config{Net: net, Program: half, Seed: sd,
+			MaxTime: e18Cap, Protocol: replication,
+			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart, Kind: failure.TakeoverReplica}})
 		if err != nil {
 			return e18Cell{}, err
 		}
@@ -218,12 +182,4 @@ func e18Winner(c e18Cell) string {
 		return "none (all capped)"
 	}
 	return cands[best].name
-}
-
-// e18CellStr renders one makespan cell, marking diverged runs.
-func e18CellStr(mk simtime.Time, capped bool) string {
-	if capped {
-		return ">" + simtime.Duration(e18Cap).String() + " (capped)"
-	}
-	return simtime.Duration(mk).String()
 }

@@ -5,8 +5,8 @@ import (
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
-	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
 
@@ -77,7 +77,7 @@ func e19Grid(o Options) ([]e19Cell, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, prog, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
@@ -91,16 +91,13 @@ func e19Grid(o Options) ([]e19Cell, error) {
 
 		var cells []e19Cell
 		for _, lag := range lags {
-			cic, err := checkpoint.NewCIC(checkpoint.Params{Interval: tau, Write: write,
-				Store: storeFor(o)}, lag, checkpoint.Staggered)
+			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd, Storage: o.Storage,
+				Protocol: checkpoint.Config{Kind: checkpoint.KindCIC, Interval: tau, Write: write,
+					CICLag: lag}})
 			if err != nil {
 				return nil, err
 			}
-			r, err := simulate(o, net, prog, sd, 0, sim.Agent(cic))
-			if err != nil {
-				return nil, err
-			}
-			st := cic.Stats()
+			st := r.Protocol.Stats()
 			cells = append(cells, e19Cell{
 				workload:   wl,
 				lag:        lag,

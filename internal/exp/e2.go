@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/noise"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -35,7 +35,7 @@ func E2Propagation(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
@@ -43,19 +43,13 @@ func E2Propagation(o Options) ([]*report.Table, error) {
 		for _, duty := range duties {
 			// The program is a pure function of its spec and immutable once
 			// built: reuse base instead of rebuilding it per duty cycle.
-			inj, err := noise.NewInjector(noise.Config{
-				Period:   period,
-				Duration: period.Scale(duty),
-			})
-			if err != nil {
-				return nil, err
-			}
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(inj))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Noise: &noise.Config{Period: period, Duration: period.Scale(duty)}})
 			if err != nil {
 				return nil, err
 			}
 			ov := overheadPct(r, rBase)
-			rs.add(w, duty*100, r.Slowdown(rBase), ov, ov/(duty*100))
+			rs.add(w, duty*100, r.Slowdown(rBase.Result), ov, ov/(duty*100))
 		}
 		return rs, nil
 	})

@@ -4,7 +4,7 @@ import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -16,7 +16,8 @@ import (
 func E3Coordination(o Options) ([]*report.Table, error) {
 	net := o.net()
 	scales := pick(o, []int{16, 64, 256, 1024}, []int{16, 64})
-	params := checkpoint.Params{Interval: 5 * simtime.Millisecond, Write: 500 * simtime.Microsecond}
+	proto := checkpoint.Config{Kind: checkpoint.KindCoordinated,
+		Interval: 5 * simtime.Millisecond, Write: 500 * simtime.Microsecond}
 
 	t := report.NewTable("E3: coordinated round cost vs scale (stencil2d, 0.5ms ops)",
 		"P", "rounds", "quiesce/round", "tree-model", "sync-idle", "span/round", "ctl-msgs")
@@ -26,27 +27,21 @@ func E3Coordination(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp, err := checkpoint.NewCoordinated(params)
-		if err != nil {
-			return nil, err
-		}
-		r, err := simulate(o, net, prog, sd, 0, sim.Agent(cp))
+		r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd, Protocol: proto})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		st := cp.Stats()
+		st := r.Protocol.Stats()
 		if st.Rounds == 0 {
 			rs.add(p, 0, "-", "-", "-", "-", r.Metrics.CtlMessages)
 			return rs, nil
 		}
 		quiesce := st.CoordDelay / simtime.Duration(st.Rounds)
 		span := st.RoundSpan / simtime.Duration(st.Rounds)
-		// The REQ+ACK sweep covers 2·depth hops on an idle machine.
-		treeModel := simtime.FromSeconds(model.CoordinationDelay(p, net, params.CtlBytes))
-		if params.CtlBytes == 0 {
-			treeModel = simtime.FromSeconds(model.CoordinationDelay(p, net, 64))
-		}
+		// The REQ+ACK sweep covers 2·depth hops of default-size (64 B)
+		// control messages on an idle machine.
+		treeModel := simtime.FromSeconds(model.CoordinationDelay(p, net, 64))
 		idle := quiesce - treeModel
 		rs.add(p, st.Rounds, quiesce.String(), treeModel.String(), idle.String(),
 			span.String(), r.Metrics.CtlMessages)

@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -19,8 +19,14 @@ func E4WeakScaling(o Options) ([]*report.Table, error) {
 	net := o.net()
 	scales := pick(o, []int{16, 64, 256, 1024}, []int{16, 64})
 	workloads := pick(o, []string{"stencil2d", "cg"}, []string{"stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond}
+	const tau, delta = 10 * simtime.Millisecond, simtime.Millisecond
 	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.1}
+	protos := []checkpoint.Config{
+		{Kind: checkpoint.KindCoordinated, Interval: tau, Write: delta},
+		{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta, Offset: "aligned", Logging: logp},
+		{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta, Offset: "staggered", Logging: logp},
+		{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta, Offset: "random", Logging: logp},
+	}
 	iters := pick(o, 40, 15)
 
 	type cell struct {
@@ -42,35 +48,21 @@ func E4WeakScaling(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		rs.add(c.w, c.p, "none", simtime.Duration(rBase.Makespan).String(), 0.0, 0)
-
-		// Each protocol simulates separately, so each gets its own store
-		// (nil under the default zero storage parameters).
-		withStore := func() checkpoint.Params {
-			p := params
-			p.Store = storeFor(o)
-			return p
-		}
-		protos := func() []checkpoint.Protocol {
-			cp, _ := checkpoint.NewCoordinated(withStore())
-			ua, _ := checkpoint.NewUncoordinated(withStore(), checkpoint.Aligned, logp)
-			us, _ := checkpoint.NewUncoordinated(withStore(), checkpoint.Staggered, logp)
-			ur, _ := checkpoint.NewUncoordinated(withStore(), checkpoint.Random, logp)
-			return []checkpoint.Protocol{cp, ua, us, ur}
-		}()
 		for _, proto := range protos {
 			// Identical spec and seed — reuse the base program per protocol.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(proto))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Storage: o.Storage, Protocol: proto})
 			if err != nil {
 				return nil, err
 			}
-			rs.add(c.w, c.p, proto.Name(), simtime.Duration(r.Makespan).String(),
-				overheadPct(r, rBase), proto.Stats().Writes)
+			rs.add(c.w, c.p, r.Protocol.Name(), simtime.Duration(r.Makespan).String(),
+				overheadPct(r, rBase), r.Protocol.Stats().Writes)
 		}
 		return rs, nil
 	})

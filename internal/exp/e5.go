@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -26,7 +26,6 @@ func E5Logging(o Options) ([]*report.Table, error) {
 		[]wl{{"cg", 512}, {"stencil2d", 8192}})
 	alphas := []simtime.Duration{0, simtime.Microsecond}
 	betas := pick(o, []float64{0, 0.1, 0.3, 1.0}, []float64{0, 0.3})
-	idle := checkpoint.Params{Interval: simtime.Hour, Write: 0}
 
 	t := report.NewTable("E5: message-logging overhead (no checkpoint writes)",
 		"workload", "msg-bytes", "alpha", "beta(ns/B)", "overhead%", "logged-msgs", "logged-MB")
@@ -36,7 +35,7 @@ func E5Logging(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
@@ -46,17 +45,14 @@ func E5Logging(o Options) ([]*report.Table, error) {
 				if a == 0 && b == 0 {
 					continue
 				}
-				up, err := checkpoint.NewUncoordinated(idle, checkpoint.Staggered,
-					checkpoint.LogParams{Alpha: a, BetaNsPerByte: b})
-				if err != nil {
-					return nil, err
-				}
 				// Same spec and seed as base: reuse the immutable program.
-				r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
+				r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+					Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+						Interval: simtime.Hour, Logging: checkpoint.LogParams{Alpha: a, BetaNsPerByte: b}}})
 				if err != nil {
 					return nil, err
 				}
-				st := up.Stats()
+				st := r.Protocol.Stats()
 				rs.add(w.name, w.bytes, a.String(), b, overheadPct(r, rBase),
 					st.LoggedMessages, float64(st.LoggedBytes)/(1<<20))
 			}

@@ -7,7 +7,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/stats"
 )
@@ -48,7 +48,7 @@ func E6Interval(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, errf("E6", err)
 	}
-	rBase, err := simulate(o, net, base, o.Seed, 0)
+	rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: o.Seed})
 	if err != nil {
 		return nil, errf("E6", err)
 	}
@@ -60,25 +60,21 @@ func E6Interval(o Options) ([]*report.Table, error) {
 		var roundSpanSum simtime.Duration
 		var roundCount int64
 		for _, seed := range seeds {
-			cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
-			if err != nil {
-				return nil, err
-			}
-			inj, err := failure.NewInjector(failure.Config{
-				MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-			if err != nil {
-				return nil, err
-			}
 			// The program depends only on o.Seed, not the replication seed:
 			// every replication of every factor reuses the base build.
-			r, err := simulate(o, net, base, seed, simtime.Time(120*simtime.Second),
-				sim.Agent(cp), sim.Agent(inj))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: seed,
+				MaxTime: simtime.Time(120 * simtime.Second),
+				Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated,
+					Interval: tau, Write: write},
+				Failures: &failure.Config{MTBF: nodeMTBF, Restart: restart,
+					Kind: failure.RollbackGlobal}})
 			if err != nil {
 				return nil, err
 			}
+			st := r.Protocol.Stats()
 			spans = append(spans, simtime.Duration(r.Makespan).Seconds())
-			roundSpanSum += cp.Stats().RoundSpan
-			roundCount += cp.Stats().Rounds
+			roundSpanSum += st.RoundSpan
+			roundCount += st.Rounds
 		}
 		mean := stats.Mean(spans)
 		ci := stats.CI95(spans)

@@ -5,7 +5,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -38,7 +38,7 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, errf("E7", err)
 	}
-	rBase, err := simulate(o, net, base, o.Seed, 0)
+	rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: o.Seed})
 	if err != nil {
 		return nil, errf("E7", err)
 	}
@@ -50,72 +50,41 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 		if tau <= 0 {
 			tau = write * 2
 		}
-		var rs rows
-
-		// Coordinated + global rollback.
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
-		if err != nil {
-			return nil, err
-		}
-		injG, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-		if err != nil {
-			return nil, err
-		}
 		// One program serves all three protocol runs of this point: the spec
 		// and seed are identical and engines never mutate a program.
 		prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rG, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(cp), sim.Agent(injG))
-		if err != nil {
-			return nil, err
+		protos := []struct {
+			label    string
+			proto    checkpoint.Config
+			recovery failure.RecoveryKind
+		}{
+			{"coordinated+rollback", checkpoint.Config{Kind: checkpoint.KindCoordinated,
+				Interval: tau, Write: write}, failure.RollbackGlobal},
+			{"uncoordinated+replay", checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+				Interval: tau, Write: write, Logging: logp}, failure.ReplayLocal},
+			// Hierarchical + cluster rollback: the middle ground.
+			{"hierarchical+cluster", checkpoint.Config{Kind: checkpoint.KindHierarchical,
+				Interval: tau, Write: write, ClusterSize: ranks / 8, Logging: logp}, failure.RollbackCluster},
 		}
-		rs.add(mtbf.String(), "coordinated+rollback", tau.String(), len(injG.Events()),
-			simtime.Duration(rG.Makespan).String(), overheadPct(rG, rBase),
-			injG.TotalLost().String())
-
-		// Uncoordinated + local replay.
-		up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: write},
-			checkpoint.Staggered, logp)
-		if err != nil {
-			return nil, err
+		var rs rows
+		for _, p := range protos {
+			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd,
+				MaxTime: simtime.Time(300 * simtime.Second), Protocol: p.proto,
+				Failures: &failure.Config{MTBF: mtbf, Restart: restart,
+					ReplaySpeedup: 2, Kind: p.recovery}})
+			if err != nil {
+				return nil, err
+			}
+			var lost simtime.Duration
+			for _, ev := range r.FailureEvents {
+				lost += ev.LostWork
+			}
+			rs.add(mtbf.String(), p.label, tau.String(), len(r.FailureEvents),
+				simtime.Duration(r.Makespan).String(), overheadPct(r, rBase), lost.String())
 		}
-		injL, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
-		if err != nil {
-			return nil, err
-		}
-		rL, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(up), sim.Agent(injL))
-		if err != nil {
-			return nil, err
-		}
-		rs.add(mtbf.String(), "uncoordinated+replay", tau.String(), len(injL.Events()),
-			simtime.Duration(rL.Makespan).String(), overheadPct(rL, rBase),
-			injL.TotalLost().String())
-
-		// Hierarchical + cluster rollback: the middle ground.
-		hp, err := checkpoint.NewHierarchical(checkpoint.Params{Interval: tau, Write: write},
-			ranks/8, logp)
-		if err != nil {
-			return nil, err
-		}
-		injC, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.RollbackCluster}, hp)
-		if err != nil {
-			return nil, err
-		}
-		rC, err := simulate(o, net, prog, sd, simtime.Time(300*simtime.Second),
-			sim.Agent(hp), sim.Agent(injC))
-		if err != nil {
-			return nil, err
-		}
-		rs.add(mtbf.String(), "hierarchical+cluster", tau.String(), len(injC.Events()),
-			simtime.Duration(rC.Makespan).String(), overheadPct(rC, rBase),
-			injC.TotalLost().String())
 		return rs, nil
 	})
 	if err != nil {

@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"errors"
-
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -56,53 +54,23 @@ func E8Crossover(o Options) ([]*report.Table, error) {
 			return nil, err
 		}
 
-		// run simulates one protocol variant at this scale under the
-		// point's seed, treating a cap abort as a diverged (capped) run.
-		run := func(agents ...sim.Agent) (makespan simtime.Time, capped bool, err error) {
-			r, err := simulate(o, net, prog, sd, capT, agents...)
-			if errors.Is(err, sim.ErrCapExceeded) {
-				return capT, true, nil
-			}
-			if err != nil {
-				return 0, false, err
-			}
-			return r.Makespan, false, nil
-		}
-		cellStr := func(mk simtime.Time, capped bool) string {
-			if capped {
-				return ">" + simtime.Duration(capT).String() + " (capped)"
-			}
-			return simtime.Duration(mk).String()
-		}
-
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write,
-			Store: storeFor(o)})
-		if err != nil {
-			return nil, err
-		}
-		injG, err := failure.NewInjector(failure.Config{
-			MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-		if err != nil {
-			return nil, err
-		}
-		mkC, capC, err := run(sim.Agent(cp), sim.Agent(injG))
+		// A run that hits the time cap is a capped cell, not a failed sweep.
+		mkC, capC, _, err := executeCapped(o, run.Config{Net: net, Program: prog, Seed: sd,
+			MaxTime: capT, Storage: o.Storage,
+			Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: write},
+			Failures: &failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}})
 		if err != nil {
 			return nil, err
 		}
 
 		var rs rows
 		for _, beta := range betas {
-			up, err := checkpoint.NewUncoordinated(checkpoint.Params{Interval: tau, Write: write,
-				Store: storeFor(o)}, checkpoint.Staggered, checkpoint.LogParams{BetaNsPerByte: beta})
-			if err != nil {
-				return nil, err
-			}
-			injL, err := failure.NewInjector(failure.Config{
-				MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: failure.ReplayLocal}, up)
-			if err != nil {
-				return nil, err
-			}
-			mkU, capU, err := run(sim.Agent(up), sim.Agent(injL))
+			mkU, capU, _, err := executeCapped(o, run.Config{Net: net, Program: prog, Seed: sd,
+				MaxTime: capT, Storage: o.Storage,
+				Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: tau,
+					Write: write, Logging: checkpoint.LogParams{BetaNsPerByte: beta}},
+				Failures: &failure.Config{MTBF: mtbf, Restart: restart, ReplaySpeedup: 2,
+					Kind: failure.ReplayLocal}})
 			if err != nil {
 				return nil, err
 			}
@@ -117,7 +85,7 @@ func E8Crossover(o Options) ([]*report.Table, error) {
 			case mkU < mkC:
 				winner = "uncoordinated"
 			}
-			rs.add(p, beta, cellStr(mkC, capC), cellStr(mkU, capU), winner)
+			rs.add(p, beta, cappedCell(mkC, capC), cappedCell(mkU, capU), winner)
 		}
 		return rs, nil
 	})

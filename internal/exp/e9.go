@@ -3,7 +3,7 @@ package exp
 import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -18,7 +18,6 @@ func E9Stagger(o Options) ([]*report.Table, error) {
 	iters := pick(o, 60, 20)
 	workloads := pick(o, []string{"ep", "stencil2d", "stencil3d", "cg"},
 		[]string{"ep", "stencil2d"})
-	params := checkpoint.Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
 
 	t := report.NewTable("E9: uncoordinated offset policy ablation (δ/τ = 20%, no logging)",
 		"workload", "policy", "overhead%", "writes")
@@ -28,22 +27,20 @@ func E9Stagger(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := simulate(o, net, base, sd, 0)
+		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		for _, pol := range []checkpoint.OffsetPolicy{checkpoint.Aligned, checkpoint.Staggered, checkpoint.Random} {
-			up, err := checkpoint.NewUncoordinated(params, pol, checkpoint.LogParams{})
-			if err != nil {
-				return nil, err
-			}
+		for _, pol := range []string{"aligned", "staggered", "random"} {
 			// Same spec and seed as base: reuse the immutable program.
-			r, err := simulate(o, net, base, sd, 0, sim.Agent(up))
+			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+					Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond, Offset: pol}})
 			if err != nil {
 				return nil, err
 			}
-			rs.add(w, pol.String(), overheadPct(r, rBase), up.Stats().Writes)
+			rs.add(w, pol, overheadPct(r, rBase), r.Protocol.Stats().Writes)
 		}
 		return rs, nil
 	})

@@ -1,4 +1,4 @@
-// Package exp defines the reproduction experiments E1–E17: one function
+// Package exp defines the reproduction experiments E1–E19: one function
 // per table/figure of the study, each returning report tables that
 // cmd/sweep prints and bench_test.go exercises. DESIGN.md carries the
 // experiment index; EXPERIMENTS.md records measured outputs.
@@ -13,6 +13,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -22,6 +23,7 @@ import (
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/rng"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
@@ -160,22 +162,6 @@ func All() []Experiment {
 	}
 }
 
-// storeFor builds one simulation's store from the run's storage parameters,
-// or nil for the zero value (the legacy fixed-duration path). Stores
-// arbitrate within a single engine, so every simulate call needs a fresh
-// one; sweep points running on parallel workers must never share a store.
-// Callers validate o.Storage up front (an invalid set maps to nil here).
-func storeFor(o Options) *storage.Store {
-	if o.Storage == (storage.Params{}) {
-		return nil
-	}
-	st, err := storage.New(o.Storage)
-	if err != nil {
-		return nil
-	}
-	return st
-}
-
 // ByID finds an experiment by its ID (e.g. "E4").
 func ByID(id string) (Experiment, bool) {
 	for _, e := range All() {
@@ -199,70 +185,69 @@ func buildProg(name string, ranks, iters int, compute simtime.Duration, bytes in
 	})
 }
 
-// simulate runs one experiment point through execute. An experiment sweep
-// runs many simulations, so it cannot resume from one blob, and it always
-// self-verifies its snapshots rather than streaming them.
-func simulate(o Options, net network.Params, prog *goal.Program, seed uint64, maxTime simtime.Time, agents ...sim.Agent) (*sim.Result, error) {
-	if o.ResumeFrom != nil {
-		return nil, fmt.Errorf("exp: ResumeFrom applies to single-simulation scenario runs, not experiment sweeps")
-	}
-	o.OnSnapshot = nil
-	return execute(o, sim.Config{Net: net, Program: prog, Agents: agents,
-		Seed: seed, MaxTime: maxTime}, nil)
-}
-
-// execute is the one executor behind every simulation this package runs —
-// experiment points through simulate, campaign scenarios directly. The
-// options pick the mode:
+// execute is the one executor behind every simulation this package runs:
+// it assembles cfg and runs it in the mode cfg and o select.
 //
-//   - ResumeFrom set: restore the blob and run only the remainder. The
+//   - cfg.ResumeFrom set: restore the blob and run only the remainder. The
 //     conformance checker needs the trace from t=0, so the suffix is not
 //     validated; determinism (proven by the crash–resume harness) transfers
 //     the uninterrupted run's verdict. Snapshots keep streaming when
 //     configured, so a second interruption resumes from even later.
-//   - SnapshotEvery with OnSnapshot: stream every snapshot to OnSnapshot.
-//   - SnapshotEvery alone: self-verify — record the trace and every
+//   - cfg.OnSnapshot set: stream every snapshot to it.
+//   - o.SnapshotEvery alone: self-verify — record the trace and every
 //     snapshot, then replay the remainder from each (verifyResume).
 //
+// Only Scenario.Run sets cfg's snapshot and resume fields. An experiment
+// sweep runs many simulations, so it cannot resume from one blob: its
+// points reject o.ResumeFrom, ignore o.OnSnapshot and always self-verify.
+//
 // With o.Validate set the run streams through a trace-conformance checker
-// and FinishRun reconciles it against the result, st (nil for none) and
-// every agent; any violation is returned as an error. Capped runs
-// (ErrCapExceeded) carry no result and are passed through unvalidated.
-func execute(o Options, cfg sim.Config, st *storage.Store) (*sim.Result, error) {
+// and FinishRun reconciles it against the result, the assembled store and
+// every agent; any violation is returned as an error. A capped run
+// (sim.ErrCapExceeded) is not validated: its error comes back with a
+// Result whose sim.Result is nil but whose protocol and failures are
+// readable.
+func execute(o Options, cfg run.Config) (*run.Result, error) {
+	if o.ResumeFrom != nil && cfg.ResumeFrom == nil {
+		return nil, fmt.Errorf("exp: ResumeFrom applies to single-simulation scenario runs, not experiment sweeps")
+	}
+	a, err := cfg.Assemble()
+	if err != nil {
+		return nil, err
+	}
+	scfg := a.Sim
 	var chk *validate.Checker
-	if o.Validate && o.ResumeFrom == nil {
-		chk = validate.New(cfg.Net)
-		cfg.Trace = chk.Hook(cfg.Trace)
+	if o.Validate && cfg.ResumeFrom == nil {
+		chk = validate.New(scfg.Net)
+		scfg.Trace = chk.Hook(scfg.Trace)
 	}
 	var full []sim.TraceEvent
 	var snaps []sim.Snapshot
-	replay := o.SnapshotEvery > 0 && o.OnSnapshot == nil && o.ResumeFrom == nil
+	replay := o.SnapshotEvery > 0 && scfg.OnSnapshot == nil && cfg.ResumeFrom == nil
 	switch {
-	case o.SnapshotEvery > 0 && o.OnSnapshot != nil:
-		cfg.SnapshotEvery = o.SnapshotEvery
-		cfg.OnSnapshot = func(s sim.Snapshot) {
-			if o.Snapshots != nil {
-				atomic.AddInt64(o.Snapshots, 1)
-			}
-			o.OnSnapshot(s)
+	case scfg.OnSnapshot != nil && o.Snapshots != nil:
+		stream := scfg.OnSnapshot
+		scfg.OnSnapshot = func(s sim.Snapshot) {
+			atomic.AddInt64(o.Snapshots, 1)
+			stream(s)
 		}
 	case replay:
-		inner := cfg.Trace
-		cfg.Trace = func(ev sim.TraceEvent) {
+		inner := scfg.Trace
+		scfg.Trace = func(ev sim.TraceEvent) {
 			full = append(full, ev)
 			if inner != nil {
 				inner(ev)
 			}
 		}
-		cfg.SnapshotEvery = o.SnapshotEvery
-		cfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
+		scfg.SnapshotEvery = o.SnapshotEvery
+		scfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
 	}
-	eng, err := sim.New(cfg)
+	eng, err := sim.New(scfg)
 	if err != nil {
 		return nil, err
 	}
-	if o.ResumeFrom != nil {
-		if err := eng.Restore(o.ResumeFrom); err != nil {
+	if cfg.ResumeFrom != nil {
+		if err := eng.Restore(cfg.ResumeFrom); err != nil {
 			return nil, fmt.Errorf("resume: %w", err)
 		}
 	}
@@ -271,21 +256,43 @@ func execute(o Options, cfg sim.Config, st *storage.Store) (*sim.Result, error) 
 		atomic.AddInt64(o.Events, res.Events)
 	}
 	if runErr == nil && chk != nil {
-		if err := chk.FinishRun(res, st, cfg.Agents...); err != nil {
+		if err := chk.FinishRun(res, a.Store, scfg.Agents...); err != nil {
 			return nil, err
 		}
 	}
 	if replay {
-		if err := verifyResume(cfg, snaps, full, res, runErr, o.Snapshots); err != nil {
+		if err := verifyResume(scfg, snaps, full, res, runErr, o.Snapshots); err != nil {
 			return nil, err
 		}
 	}
-	return res, runErr
+	return a.Result(res), runErr
+}
+
+// executeCapped runs cfg through execute, treating a run aborted by its
+// cfg.MaxTime cap as data (a protocol that diverged under its failure
+// regime): the makespan is reported as the cap, with capped set.
+func executeCapped(o Options, cfg run.Config) (makespan simtime.Time, capped bool, r *run.Result, err error) {
+	r, err = execute(o, cfg)
+	if errors.Is(err, sim.ErrCapExceeded) {
+		return cfg.MaxTime, true, r, nil
+	}
+	if err != nil {
+		return 0, false, nil, err
+	}
+	return r.Makespan, false, r, nil
+}
+
+// cappedCell renders a makespan from executeCapped, marking capped runs.
+func cappedCell(makespan simtime.Time, capped bool) string {
+	if capped {
+		return ">" + simtime.Duration(makespan).String() + " (capped)"
+	}
+	return simtime.Duration(makespan).String()
 }
 
 // overheadPct computes the relative makespan increase in percent.
-func overheadPct(r, base *sim.Result) float64 {
-	return r.OverheadPercent(base)
+func overheadPct(r, base *run.Result) float64 {
+	return r.OverheadPercent(base.Result)
 }
 
 // pick returns quick when o.Quick, else full.

@@ -5,7 +5,7 @@ import (
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/goal"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -58,18 +58,13 @@ func TestMakespanRankRelabelInvariance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(shift int, withProto bool) simtime.Time {
 				prog := rotatedRing(t, ranks, iters, shift, tc.bytes, 50*simtime.Microsecond)
-				var agents []sim.Agent
+				cfg := run.Config{Net: o.net(), Program: prog, Seed: 1}
 				if withProto {
-					cp, err := checkpoint.NewUncoordinated(checkpoint.Params{
-						Interval: 300 * simtime.Microsecond,
-						Write:    100 * simtime.Microsecond,
-					}, checkpoint.Aligned, checkpoint.LogParams{Alpha: 500, BetaNsPerByte: 0.01})
-					if err != nil {
-						t.Fatal(err)
-					}
-					agents = append(agents, cp)
+					cfg.Protocol = checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+						Interval: 300 * simtime.Microsecond, Write: 100 * simtime.Microsecond,
+						Offset: "aligned", Logging: checkpoint.LogParams{Alpha: 500, BetaNsPerByte: 0.01}}
 				}
-				r, err := simulate(o, o.net(), prog, 1, 0, agents...)
+				r, err := execute(o, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +97,7 @@ func TestOverheadMonotonicInWriteDuration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := simulate(o, o.net(), prog, 1, 0)
+	base, err := execute(o, run.Config{Net: o.net(), Program: prog, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,17 +111,13 @@ func TestOverheadMonotonicInWriteDuration(t *testing.T) {
 	}
 	prev := base.Makespan
 	for _, w := range writes {
-		cp, err := checkpoint.NewCoordinated(checkpoint.Params{
-			Interval: 5 * simtime.Millisecond, Write: w,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		prog, err := buildProg("stencil2d", 8, 30, ms(1), 4096, o.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := simulate(o, o.net(), prog, 1, 0, cp)
+		r, err := execute(o, run.Config{Net: o.net(), Program: prog, Seed: 1,
+			Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated,
+				Interval: 5 * simtime.Millisecond, Write: w}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/model"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/stats"
 )
@@ -30,7 +30,7 @@ func TestPointToPointMatchesLogGOPS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := simulate(o, net, prog, 1, 0)
+		r, err := execute(o, run.Config{Net: net, Program: prog, Seed: 1})
 		if err != nil {
 			t.Fatalf("%d bytes: %v", s, err)
 		}
@@ -75,7 +75,7 @@ func TestCollectivesWithinDepthBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := simulate(o, net, prog, 1, 0)
+			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: 1})
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", m.name, p, err)
 			}
@@ -135,27 +135,20 @@ func TestSimulatedOptimumNearDaly(t *testing.T) {
 		var roundSpanSum simtime.Duration
 		var roundCount int64
 		for _, seed := range seeds {
-			cp, err := checkpoint.NewCoordinated(checkpoint.Params{Interval: tau, Write: write})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj, err := failure.NewInjector(failure.Config{
-				MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}, cp)
-			if err != nil {
-				t.Fatal(err)
-			}
 			prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := simulate(o, net, prog, seed, simtime.Time(300*simtime.Second),
-				sim.Agent(cp), sim.Agent(inj))
+			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: seed,
+				MaxTime:  simtime.Time(300 * simtime.Second),
+				Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: write},
+				Failures: &failure.Config{MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			spans = append(spans, simtime.Duration(r.Makespan).Seconds())
-			roundSpanSum += cp.Stats().RoundSpan
-			roundCount += cp.Stats().Rounds
+			roundSpanSum += r.Protocol.Stats().RoundSpan
+			roundCount += r.Protocol.Stats().Rounds
 		}
 		if roundCount == 0 {
 			t.Fatalf("factor %.2f: no completed rounds", f)

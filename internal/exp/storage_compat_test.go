@@ -14,8 +14,9 @@ import (
 // explicitly built but unconstrained store — the Unlimited path, as opposed
 // to the nil store the zero Options take — must reproduce the committed
 // seed-42 quick tables byte-for-byte. This pins the whole store-routed write
-// plumbing (Options.Storage → storeFor → Params.Store → storeWrite) to the
-// legacy fixed-duration results whenever no tier is bandwidth-limited.
+// plumbing (Options.Storage → run.Config.Storage → Assemble → Params.Store
+// → storeWrite) to the legacy fixed-duration results whenever no tier is
+// bandwidth-limited.
 func TestUnlimitedStoreMatchesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs quick experiments")
@@ -46,9 +47,8 @@ func TestUnlimitedStoreMatchesGoldens(t *testing.T) {
 }
 
 // Every experiment that routes writes through Options.Storage rejects an
-// invalid parameter set up front. An invalid set would otherwise reach
-// storeFor, which maps it to a nil store, and the run would silently
-// report storage-free tables under a storage banner.
+// invalid parameter set with a storage validation error, never with
+// storage-free tables under a storage banner.
 func TestInvalidStorageRejected(t *testing.T) {
 	paths := corpusTraces(t)
 	prog, name, digest, err := LoadTraceFile(paths[0])

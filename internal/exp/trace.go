@@ -12,7 +12,7 @@ import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/report"
-	"checkpointsim/internal/sim"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/simtime"
 )
 
@@ -20,7 +20,7 @@ import (
 // traces rather than synthetic kernels. TraceExperiment closes that gap —
 // any external GOAL program (cmd/tracegen output, a LogGOPSim trace, a
 // hand-written file) runs through the same protocol/storage/validator
-// stack as E1–E17, and the experiment ID carries a content digest so the
+// stack as E1–E19, and the experiment ID carries a content digest so the
 // sweepd cache addresses the trace bytes, not just a filename.
 
 // TraceDigestLen is the length of the hex digest embedded in a trace
@@ -107,7 +107,7 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 		return nil, errf(id, err)
 	}
 	net := o.net()
-	base, err := simulate(o, net, prog, o.Seed, 0)
+	base, err := execute(o, run.Config{Net: net, Program: prog, Seed: o.Seed})
 	if err != nil {
 		return nil, errf(id, err)
 	}
@@ -147,15 +147,12 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 				int64(0), int64(0), int64(0))
 			return rs, nil
 		}
-		proto, err := p.cfg.New(storeFor(o))
-		if err != nil {
-			return nil, err
-		}
-		r, err := simulate(o, net, prog, pointSeed(o, id, i), 0, sim.Agent(proto))
+		r, err := execute(o, run.Config{Net: net, Program: prog, Seed: pointSeed(o, id, i),
+			Storage: o.Storage, Protocol: p.cfg})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
-		s := proto.Stats()
+		s := r.Protocol.Stats()
 		rs.add(p.name, simtime.Duration(r.Makespan).String(), overheadPct(r, base),
 			s.Rounds, s.Writes, s.LoggedMessages)
 		return rs, nil

@@ -183,3 +183,17 @@ func EthernetClassParams() Params {
 		RendezvousThreshold: 16 * 1024,
 	}
 }
+
+// Preset returns the parameter set named by a CLI or request preset:
+// "default", "capability" or "ethernet".
+func Preset(name string) (Params, error) {
+	switch name {
+	case "default":
+		return DefaultParams(), nil
+	case "capability":
+		return CapabilityClassParams(), nil
+	case "ethernet":
+		return EthernetClassParams(), nil
+	}
+	return Params{}, fmt.Errorf("unknown network preset %q", name)
+}

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,27 @@ func TestPresetsAreOrdered(t *testing.T) {
 	}
 	if !(cap.GapPerByte < def.GapPerByte && def.GapPerByte < eth.GapPerByte) {
 		t.Error("bandwidth ordering wrong")
+	}
+}
+
+func TestPreset(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Params
+	}{
+		{"default", DefaultParams()},
+		{"capability", CapabilityClassParams()},
+		{"ethernet", EthernetClassParams()},
+	} {
+		got, err := Preset(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("Preset(%q) = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, name := range []string{"", "bogus", "Default"} {
+		if _, err := Preset(name); err == nil || err.Error() != fmt.Sprintf("unknown network preset %q", name) {
+			t.Errorf("Preset(%q) error = %v, want unknown network preset", name, err)
+		}
 	}
 }
 

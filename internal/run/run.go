@@ -2,8 +2,8 @@
 // the assembly of a Config into a sim.Config (workload, replication
 // widening, store, protocol, noise and failure injectors) and the cache
 // identity of that Config. The root checkpointsim facade re-exports it, and
-// the campaign scenarios in internal/exp describe themselves as Configs, so
-// every entry point builds a run the same way.
+// every simulation in internal/exp (experiment points and campaign
+// scenarios) is a Config, so every entry point builds a run the same way.
 package run
 
 import (
@@ -201,11 +201,18 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return a.Result(res), nil
+}
+
+// Result bundles an engine result with the assembly's protocol, store and
+// injected failures. res may be nil (a run aborted by its cap): the agents'
+// state stays readable.
+func (a *Assembly) Result(res *sim.Result) *Result {
 	out := &Result{Result: res, Protocol: a.Protocol, Store: a.Store}
 	if a.Failures != nil {
 		out.FailureEvents = a.Failures.Events()
 	}
-	return out, nil
+	return out
 }
 
 // CacheFields renders the result-determining configuration of this study

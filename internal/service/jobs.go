@@ -128,9 +128,9 @@ func (j *Job) resultBytes() ([]byte, bool) {
 
 // JobStatus is the wire form of a job's state.
 type JobStatus struct {
-	ID        string   `json:"id"`
-	Exp       string   `json:"exp"`
-	State     JobState `json:"state"`
+	ID    string   `json:"id"`
+	Exp   string   `json:"exp"`
+	State JobState `json:"state"`
 	// Cached is true when the result came from the cache (hit) or from an
 	// identical concurrent computation (shared) rather than a fresh run.
 	Cached bool `json:"cached"`

@@ -28,7 +28,7 @@ import (
 // /api/v1/run. Zero values mean "the default the CLI would use": seed 42,
 // full scale, default network preset, no storage model, no validation.
 type SweepRequest struct {
-	// Exp is the experiment ID (E1..E17). Required unless Scenario is set.
+	// Exp is the experiment ID (E1–E19). Required unless Scenario is set.
 	Exp string `json:"exp,omitempty"`
 	// Scenario, when non-nil, runs one campaign scenario (internal/exp
 	// Scenario) instead of a named experiment. A scenario carries its whole
@@ -132,14 +132,12 @@ func (req SweepRequest) resolve() (exp.Experiment, exp.Options, error) {
 	}
 	o.Quick = req.Quick
 	o.Validate = req.Validate
-	switch req.Net {
-	case "", "default":
-		o.Net = network.DefaultParams()
-	case "capability":
-		o.Net = network.CapabilityClassParams()
-	case "ethernet":
-		o.Net = network.EthernetClassParams()
-	default:
+	net := req.Net
+	if net == "" {
+		net = "default"
+	}
+	var err error
+	if o.Net, err = network.Preset(net); err != nil {
 		return exp.Experiment{}, exp.Options{}, badf("unknown network preset %q", req.Net)
 	}
 	if st := req.Storage; st != nil {
