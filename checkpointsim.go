@@ -27,7 +27,7 @@
 //
 // The lower-level pieces — goal.Builder graphs, collective generators, the
 // sim engine, protocol agents — are exposed through type aliases below for
-// users who need full control; see the examples/ directory.
+// users who need full control; see the examples in example_test.go.
 package checkpointsim
 
 import (

@@ -29,6 +29,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -253,9 +254,11 @@ func verifyServer(cfg config, client *http.Client, sc exp.Scenario, local []byte
 // postScenario runs one scenario synchronously on the sweepd at base and
 // returns the response body and its X-Sweepd-Source ("computed"/"hit").
 func postScenario(client *http.Client, base, netName string, sc exp.Scenario) ([]byte, string, error) {
-	body := fmt.Sprintf(`{"scenario":{"workload":%q,"ranks":%d,"protocol":%q,"failure_law":%q,"storage":%q,"noise":%q,"seed":%d},"net":%q}`,
-		sc.Workload, sc.Ranks, sc.Protocol, sc.FailureLaw, sc.Storage, sc.Noise, sc.Seed, netName)
-	resp, err := client.Post(base+"/api/v1/run", "application/json", strings.NewReader(body))
+	body, err := json.Marshal(service.SweepRequest{Scenario: &sc, Net: netName})
+	if err != nil {
+		return nil, "", err
+	}
+	resp, err := client.Post(base+"/api/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, "", err
 	}

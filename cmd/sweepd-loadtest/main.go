@@ -135,7 +135,10 @@ func run(args []string, out io.Writer) error {
 	start := time.Now()
 	results, err := runner.Map(*concurrency, schedule, func(i int, sc exp.Scenario) (verdict, error) {
 		var v verdict
-		body := fmt.Sprintf(`{"scenario":%s}`, scenarioJSON(sc))
+		body, err := json.Marshal(service.SweepRequest{Scenario: &sc})
+		if err != nil {
+			return v, err
+		}
 		for pass, wantSrc := range []string{"", "hit"} {
 			code, src, got, err := post(client, base+"/api/v1/run", body, &retries429, lat.Observe)
 			switch {
@@ -197,10 +200,10 @@ func run(args []string, out io.Writer) error {
 // backpressure, and reports the final status, result source, and body.
 // Only the accepted attempt's latency is observed — 429 turnarounds
 // measure the queue's mood, not a result's cost.
-func post(client *http.Client, url, body string, retries *stats.Counter, observe func(float64)) (code int, source string, respBody []byte, err error) {
+func post(client *http.Client, url string, body []byte, retries *stats.Counter, observe func(float64)) (code int, source string, respBody []byte, err error) {
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
-		resp, err := client.Post(url, "application/json", strings.NewReader(body))
+		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			return 0, "", nil, err
 		}
@@ -224,13 +227,6 @@ func post(client *http.Client, url, body string, retries *stats.Counter, observe
 		observe(time.Since(start).Seconds())
 		return resp.StatusCode, resp.Header.Get("X-Sweepd-Source"), b, nil
 	}
-}
-
-// scenarioJSON renders the scenario request fragment (the wire form of
-// exp.Scenario, matching its JSON tags).
-func scenarioJSON(sc exp.Scenario) string {
-	b, _ := json.Marshal(sc)
-	return string(b)
 }
 
 func splitCSV(v string) []string {

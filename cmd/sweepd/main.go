@@ -52,6 +52,23 @@ import (
 	"checkpointsim/internal/service"
 )
 
+// Listener deadlines, the same for both roles. A client that never
+// finishes its request headers holds a connection for at most
+// headerTimeout; a healthy client sends them in well under a second. Idle
+// keep-alive connections close after idleTimeout, longer than the Go
+// client's 90 s default so that the client side normally closes first.
+// There is deliberately no write timeout: synchronous /api/v1/run calls
+// and SSE job streams legitimately stay open for minutes.
+const (
+	headerTimeout = 5 * time.Second
+	idleTimeout   = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in a server with the listener deadlines.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
@@ -133,7 +150,7 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	logger := log.New(out, "sweepd: ", log.LstdFlags)
 	logger.Printf("serving on %s (workers=%d queue=%d cache=%dMiB timeout=%s)",
 		ln.Addr(), *workers, *queue, *cacheMB, *timeout)
@@ -208,7 +225,7 @@ func runCoordinator(addr, workerURLs, version string, dlqAttempts int, retryBase
 		coord.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: coord.Handler()}
+	httpSrv := newHTTPServer(coord.Handler())
 	logger := log.New(out, "sweepd: ", log.LstdFlags)
 	logger.Printf("coordinating %d workers on %s (dlq-attempts=%d retry-base=%s)",
 		len(urls), ln.Addr(), dlqAttempts, retryBase)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -312,5 +314,35 @@ func TestSnapshotPublisherShipsBlobs(t *testing.T) {
 		}
 	default:
 		t.Fatal("no blob arrived at the coordinator endpoint")
+	}
+}
+
+// A client that sends only part of its request headers is disconnected
+// once headerTimeout passes, instead of holding the connection forever.
+func TestPartialHeaderConnectionClosed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header deadline")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /api/v1/run HTTP/1.1\r\nHost: sweepd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(headerTimeout + 5*time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection with an unfinished header still open after %v", headerTimeout+5*time.Second)
 	}
 }

@@ -7,31 +7,93 @@
 // The key side is deliberately generic: a configuration is a flat set of
 // (name, value) fields, canonicalized independently of the order the
 // caller assembled them in and hashed together with a code-version tag.
-// internal/exp owns the mapping from experiment Options to fields (it
-// knows which knobs change results and which — worker count, telemetry
-// hooks — provably do not); this package owns the guarantee that distinct
-// field sets can never collide into one canonical form.
+// Fields derives that set from a config struct by reflection, so every
+// exported knob is keyed unless its declaration opts out with a
+// `cache:"-"` tag and a reason; this package owns the guarantee that
+// distinct field sets can never collide into one canonical form.
 package cache
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // Field is one named configuration value contributing to a cache key.
-// Values are pre-rendered strings: the caller formats each knob exactly
-// once (floats via strconv 'g' with full precision, durations as integer
-// nanoseconds, and so on), so two configs share a key exactly when every
-// rendered field matches.
+// Values are pre-rendered strings, each knob formatted exactly once (see
+// Fields), so two configs share a key exactly when every rendered field
+// matches.
 type Field struct {
 	Name, Value string
 }
 
 // F is a shorthand Field constructor.
 func F(name, value string) Field { return Field{Name: name, Value: value} }
+
+// Fields renders every exported field of the struct v as one Field per
+// leaf, named by its dotted Go path (Protocol.TwoLevel.LocalInterval).
+// Integers render in base 10, floats via strconv 'g' with full precision,
+// bools and strings as they are. A nil struct pointer renders as "nil" and
+// a non-nil one contributes its fields, so absent and zero-valued
+// sub-configs key differently. A field tagged `cache:"-"` is skipped.
+//
+// Anything else panics: a func, slice, map, chan or interface field, a
+// pointer to a non-struct, or an unexported field. Those have no canonical
+// rendering, and a knob that cannot be keyed must be rejected at its first
+// test rather than silently left out of the address.
+func Fields(v any) []Field {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Struct {
+		panic(fmt.Sprintf("cache: Fields wants a struct, got %T", v))
+	}
+	return appendStruct(nil, "", rv)
+}
+
+func appendStruct(out []Field, prefix string, v reflect.Value) []Field {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if sf.Tag.Get("cache") == "-" {
+			continue
+		}
+		name := prefix + sf.Name
+		if !sf.IsExported() {
+			panic(fmt.Sprintf("cache: unexported field %s of %s cannot be keyed; tag it `cache:\"-\"` if it cannot change results", name, t))
+		}
+		out = appendValue(out, name, v.Field(i))
+	}
+	return out
+}
+
+func appendValue(out []Field, name string, v reflect.Value) []Field {
+	switch v.Kind() {
+	case reflect.Struct:
+		return appendStruct(out, name+".", v)
+	case reflect.Pointer:
+		if v.Type().Elem().Kind() != reflect.Struct {
+			break
+		}
+		if v.IsNil() {
+			return append(out, F(name, "nil"))
+		}
+		return appendStruct(out, name+".", v.Elem())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return append(out, F(name, strconv.FormatInt(v.Int(), 10)))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return append(out, F(name, strconv.FormatUint(v.Uint(), 10)))
+	case reflect.Float32, reflect.Float64:
+		return append(out, F(name, strconv.FormatFloat(v.Float(), 'g', -1, 64)))
+	case reflect.Bool:
+		return append(out, F(name, strconv.FormatBool(v.Bool())))
+	case reflect.String:
+		return append(out, F(name, v.String()))
+	}
+	panic(fmt.Sprintf("cache: field %s of type %s has no canonical rendering; tag it `cache:\"-\"` if it cannot change results", name, v.Type()))
+}
 
 // Canonical renders a field set into its canonical encoding: fields sorted
 // by (name, value), each name and value length-prefixed. The

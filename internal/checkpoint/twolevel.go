@@ -28,8 +28,10 @@ type TwoLevelParams struct {
 	// model: local writes drain through the node-local burst buffer
 	// (TierNode), global rounds through the parallel filesystem
 	// (TierGlobal). Nil — or an unconstrained tier — keeps the legacy fixed
-	// durations for that level.
-	Store *storage.Store
+	// durations for that level. It is runtime state, not configuration, so
+	// cache keys leave it out: key the storage parameters the store was
+	// built from instead.
+	Store *storage.Store `cache:"-"`
 	// LocalBytes and GlobalBytes size the per-level images; zero derives
 	// each from the level's write duration at the tier's lone-writer rate.
 	LocalBytes  int64

@@ -3,12 +3,15 @@ package exp
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/network"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/storage"
+	"checkpointsim/internal/workload"
 )
 
 func keyOf(id string, o Options) string { return cache.Key("test", o.CacheFields(id)) }
@@ -114,4 +117,136 @@ func TestExperimentContextTimeout(t *testing.T) {
 	if _, err := E8Crossover(o); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
+}
+
+// keyLeaf is one reachable field of a config struct: a keyed leaf, or a
+// member tagged `cache:"-"` (which the walk does not descend into).
+type keyLeaf struct {
+	name   string
+	path   []int
+	tagged bool
+}
+
+// keyLeaves lists every reachable leaf of t, descending into nested structs
+// and struct pointers the way cache.Fields does.
+func keyLeaves(t reflect.Type, prefix string, path []int) []keyLeaf {
+	var out []keyLeaf
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		l := keyLeaf{name: prefix + sf.Name, path: append(append([]int(nil), path...), i),
+			tagged: sf.Tag.Get("cache") == "-"}
+		ft := sf.Type
+		if ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct {
+			ft = ft.Elem()
+		}
+		if !l.tagged && ft.Kind() == reflect.Struct {
+			out = append(out, keyLeaves(ft, l.name+".", l.path)...)
+			continue
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// leafAt returns the settable field at path, allocating the struct
+// pointers on the way.
+func leafAt(v reflect.Value, path []int) reflect.Value {
+	for _, i := range path {
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				v.Set(reflect.New(v.Type().Elem()))
+			}
+			v = v.Elem()
+		}
+		v = v.Field(i)
+	}
+	return v
+}
+
+// nonZero builds a non-zero value of type t.
+func nonZero(t *testing.T, typ reflect.Type) reflect.Value {
+	switch typ.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return reflect.ValueOf(int64(1)).Convert(typ)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return reflect.ValueOf(uint64(1)).Convert(typ)
+	case reflect.Float32, reflect.Float64:
+		return reflect.ValueOf(0.5).Convert(typ)
+	case reflect.Bool:
+		return reflect.ValueOf(true)
+	case reflect.String:
+		return reflect.ValueOf("x").Convert(typ)
+	case reflect.Pointer:
+		return reflect.New(typ.Elem())
+	case reflect.Slice:
+		return reflect.MakeSlice(typ, 1, 1)
+	case reflect.Func:
+		return reflect.MakeFunc(typ, func([]reflect.Value) []reflect.Value { return nil })
+	case reflect.Interface:
+		if ctx := reflect.ValueOf(context.Background()); ctx.Type().Implements(typ) {
+			return ctx
+		}
+	}
+	t.Fatalf("no non-zero value for %s", typ)
+	return reflect.Value{}
+}
+
+// checkKeyExact sets every reachable leaf of T, one at a time, on a value
+// whose struct pointers are all allocated: each keyed leaf must move the
+// key and each `cache:"-"` member must not, except those listed in set,
+// which supplies their value and whose keys must move. The tagged members
+// must be exactly unkeyed, so leaving a knob out of the key is a visible
+// change to this test.
+func checkKeyExact[T any](t *testing.T, key func(T) string, unkeyed []string, set map[string]any) {
+	t.Helper()
+	leaves := keyLeaves(reflect.TypeFor[T](), "", nil)
+	var tagged []string
+	for _, l := range leaves {
+		if l.tagged {
+			tagged = append(tagged, l.name)
+		}
+	}
+	if !reflect.DeepEqual(tagged, unkeyed) {
+		t.Errorf("%s: members tagged cache:\"-\" are %q, want %q", reflect.TypeFor[T](), tagged, unkeyed)
+	}
+	fresh := func() reflect.Value {
+		v := reflect.New(reflect.TypeFor[T]()).Elem()
+		for _, l := range leaves {
+			leafAt(v, l.path)
+		}
+		return v
+	}
+	ref := key(fresh().Interface().(T))
+	for _, l := range leaves {
+		v := fresh()
+		f := leafAt(v, l.path)
+		val, special := set[l.name]
+		if special {
+			f.Set(reflect.ValueOf(val))
+		} else {
+			f.Set(nonZero(t, f.Type()))
+		}
+		moved := key(v.Interface().(T)) != ref
+		switch {
+		case (!l.tagged || special) && !moved:
+			t.Errorf("setting %s did not change the cache key", l.name)
+		case l.tagged && !special && moved:
+			t.Errorf("setting %s (tagged cache:\"-\") changed the cache key", l.name)
+		}
+	}
+}
+
+// No setting escapes the key: every exported leaf of run.Config and
+// exp.Options either moves the key or is declared out of it.
+func TestCacheKeyCoversEveryLeaf(t *testing.T) {
+	prog, err := workload.FromName("stencil2d", workload.CommonConfig{
+		Base: workload.Base{Ranks: 4, Iterations: 2, Compute: ms(1)}, Bytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKeyExact(t, func(c run.Config) string { return cache.Key("v", c.CacheFields()) },
+		[]string{"Program", "Protocol.TwoLevel.Store", "Trace", "SnapshotEvery", "OnSnapshot", "ResumeFrom"},
+		map[string]any{"Program": prog})
+	checkKeyExact(t, func(o Options) string { return keyOf("E1", o) },
+		[]string{"Jobs", "Events", "Ctx", "Snapshots", "OnSnapshot", "ResumeFrom"}, nil)
 }

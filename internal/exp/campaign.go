@@ -457,21 +457,8 @@ func (sc Scenario) CacheFields(net network.Params) []cache.Field {
 	if (net == network.Params{}) {
 		net = network.DefaultParams()
 	}
-	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return []cache.Field{
-		cache.F("scenario.workload", sc.Workload),
-		cache.F("scenario.ranks", strconv.Itoa(sc.Ranks)),
-		cache.F("scenario.protocol", sc.Protocol),
-		cache.F("scenario.failure_law", sc.FailureLaw),
-		cache.F("scenario.storage", sc.Storage),
-		cache.F("scenario.noise", sc.Noise),
-		cache.F("scenario.seed", strconv.FormatUint(sc.Seed, 10)),
-		cache.F("net.latency", strconv.FormatInt(int64(net.Latency), 10)),
-		cache.F("net.overhead", strconv.FormatInt(int64(net.Overhead), 10)),
-		cache.F("net.gap", strconv.FormatInt(int64(net.Gap), 10)),
-		cache.F("net.gap_per_byte", f64(net.GapPerByte)),
-		cache.F("net.overhead_per_byte", f64(net.OverheadPerByte)),
-		cache.F("net.rendezvous", strconv.FormatInt(net.RendezvousThreshold, 10)),
-		cache.F("net.bisection_bps", f64(net.BisectionBytesPerSec)),
-	}
+	return cache.Fields(struct {
+		Scenario Scenario
+		Net      network.Params
+	}{sc, net})
 }

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"checkpointsim/internal/cache"
@@ -45,8 +44,8 @@ type Options struct {
 	// across; 0 (the default) uses runtime.GOMAXPROCS. Results are
 	// bit-for-bit identical for every value: each point derives its RNG
 	// stream from the sweep seed and its own index, never from worker
-	// identity or completion order.
-	Jobs int
+	// identity or completion order, so it is not keyed.
+	Jobs int `cache:"-"`
 	// Storage configures the shared-storage model the checkpoint protocols
 	// write through. The zero value keeps the legacy fixed-duration write
 	// path (no store); any non-zero parameter set routes protocol writes
@@ -61,20 +60,25 @@ type Options struct {
 	// against the full event stream, and any violation fails the
 	// experiment. Runs aborted by an event/time cap carry no result and
 	// are not validated (E8 treats capped cells as data). Costs extra per
-	// run; meant for CI and debugging, not timing studies.
+	// run; meant for CI and debugging, not timing studies. It is keyed
+	// although it adds no rows: a validated run can fail where an
+	// unvalidated one succeeds, and a cache must not launder a result
+	// across that distinction.
 	Validate bool
 	// Events, when non-nil, accumulates the simulation events processed by
 	// every run the experiment performs (atomically — sweep points run on
-	// parallel workers). cmd/bench uses it to report events/sec.
-	Events *int64
+	// parallel workers). cmd/bench uses it to report events/sec. Telemetry,
+	// so it is not keyed.
+	Events *int64 `cache:"-"`
 	// Ctx, when non-nil, cancels the experiment cooperatively: once it is
 	// done, the sweep worker pool stops dequeuing points and the experiment
 	// returns Ctx.Err(). Points already in flight run to completion, so
 	// cancellation never yields a half-executed point — it yields no result
 	// at all. cmd/sweepd threads per-request timeouts and client
 	// disconnects through here. Like Jobs and Events, Ctx can never change
-	// the rows of a completed run, only whether the run completes.
-	Ctx context.Context
+	// the rows of a completed run, only whether the run completes, so it is
+	// not keyed: a re-request at a different timeout still hits.
+	Ctx context.Context `cache:"-"`
 	// SnapshotEvery, when > 0, snapshots the complete state of every
 	// simulation at the first safe event boundary after every SnapshotEvery
 	// events. For experiment sweeps (and for scenarios without OnSnapshot)
@@ -83,18 +87,19 @@ type Options struct {
 	// run re-executes from the blob, and its result and trace suffix must be
 	// byte-identical to the uninterrupted run's — any divergence or decode
 	// failure fails the run. Verification multiplies work by roughly the
-	// snapshot count; meant for CI and debugging, not timing studies.
+	// snapshot count; meant for CI and debugging, not timing studies. Keyed
+	// for the same reason as Validate: a self-verifying run can fail.
 	SnapshotEvery int64
 	// Snapshots, when non-nil, accumulates the snapshots taken (atomically —
-	// sweep points run on parallel workers).
-	Snapshots *int64
+	// sweep points run on parallel workers). Telemetry, so it is not keyed.
+	Snapshots *int64 `cache:"-"`
 	// OnSnapshot, with SnapshotEvery > 0, switches single-simulation runs
 	// (Scenario.Run) from self-verification to streaming: each snapshot blob
 	// is handed to the callback for persistence, and the run is not
 	// re-executed. cmd/sweepd uses this to checkpoint long scenario jobs so
 	// a killed worker resumes instead of recomputing. Experiment sweeps
-	// ignore it and always self-verify.
-	OnSnapshot func(sim.Snapshot)
+	// ignore it and always self-verify. Mechanism, so it is not keyed.
+	OnSnapshot func(sim.Snapshot) `cache:"-"`
 	// ResumeFrom, when non-nil, starts a Scenario.Run from a snapshot blob
 	// instead of from scratch: the engine restores the blob and executes
 	// only the remainder. Determinism makes the completed result
@@ -102,8 +107,9 @@ type Options struct {
 	// experiments and campaign scenarios), so the resumed run inherits the
 	// full run's trace-conformance verdict; the suffix alone cannot be
 	// re-validated, since the checker needs the stream from t=0.
-	// Experiment sweeps (many simulations per run) reject it.
-	ResumeFrom []byte
+	// Experiment sweeps (many simulations per run) reject it. Mechanism,
+	// so it is not keyed.
+	ResumeFrom []byte `cache:"-"`
 }
 
 // ctx returns the run's context, defaulting to Background.
@@ -343,44 +349,14 @@ func pointSeed(o Options, id string, i int) uint64 {
 
 // CacheFields renders the result-determining configuration of experiment
 // id under these options as a flat field set for content addressing
-// (cache.Key). The contract is exactness in both directions:
-//
-//   - Every knob that can change a completed run's tables is included,
-//     with Net resolved through the same default the run itself uses — two
-//     option values that produce different rows must produce different
-//     fields.
-//   - Nothing else is: Jobs (determinism guarantee: tables are
-//     bit-identical at any worker count), Events (telemetry), and Ctx
-//     (cancellation) are deliberately absent, so a re-request at different
-//     parallelism or timeout still hits.
-//
-// Validate is included even though it adds no rows: a validated run can
-// fail where an unvalidated one succeeds, and a cache must not launder a
-// result across that distinction. SnapshotEvery is included for the same
-// reason — a self-verifying run fails on any resume divergence — while
-// Snapshots, OnSnapshot, and ResumeFrom are mechanism, not configuration,
-// and stay out.
+// (cache.Key): the experiment id plus cache.Fields over the options with
+// Net resolved through the same default the run itself uses. Two option
+// values that produce different rows produce different fields; the members
+// tagged `cache:"-"` provably cannot change a completed run's rows, so a
+// re-request at different parallelism or timeout still hits.
 func (o Options) CacheFields(id string) []cache.Field {
-	net := o.net()
-	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return []cache.Field{
-		cache.F("exp", id),
-		cache.F("seed", strconv.FormatUint(o.Seed, 10)),
-		cache.F("quick", strconv.FormatBool(o.Quick)),
-		cache.F("validate", strconv.FormatBool(o.Validate)),
-		cache.F("snapshot_every", strconv.FormatInt(o.SnapshotEvery, 10)),
-		cache.F("net.latency", strconv.FormatInt(int64(net.Latency), 10)),
-		cache.F("net.overhead", strconv.FormatInt(int64(net.Overhead), 10)),
-		cache.F("net.gap", strconv.FormatInt(int64(net.Gap), 10)),
-		cache.F("net.gap_per_byte", f64(net.GapPerByte)),
-		cache.F("net.overhead_per_byte", f64(net.OverheadPerByte)),
-		cache.F("net.rendezvous", strconv.FormatInt(net.RendezvousThreshold, 10)),
-		cache.F("net.bisection_bps", f64(net.BisectionBytesPerSec)),
-		cache.F("storage.aggregate_bps", f64(o.Storage.AggregateBytesPerSec)),
-		cache.F("storage.per_writer_bps", f64(o.Storage.PerWriterBytesPerSec)),
-		cache.F("storage.node_bps", f64(o.Storage.NodeBytesPerSec)),
-		cache.F("storage.ranks_per_node", strconv.Itoa(o.Storage.RanksPerNode)),
-	}
+	o.Net = o.net()
+	return append(cache.Fields(o), cache.F("exp", id))
 }
 
 // ms is a shorthand constructor.

@@ -9,7 +9,6 @@ package run
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"strconv"
 
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/checkpoint"
@@ -31,8 +30,9 @@ type Config struct {
 	// ingested GOAL trace rather than a generated workload. The workload
 	// shape fields (Workload, Ranks, Iterations, Compute, Jitter, MsgBytes)
 	// are ignored; everything else (protocol, storage, noise, failures,
-	// seed) applies unchanged.
-	Program *goal.Program
+	// seed) applies unchanged. The cache key covers it through the digest
+	// of its canonical serialization, not field by field.
+	Program *goal.Program `cache:"-"`
 	// Ranks is the number of MPI ranks.
 	Ranks int
 	// Iterations is the number of outer timesteps.
@@ -57,8 +57,8 @@ type Config struct {
 	// Failures, if non-nil, injects failures with the configured recovery.
 	Failures *failure.Config
 	// Trace, when non-nil, receives every trace record of the run (see
-	// sim.Config.Trace).
-	Trace func(sim.TraceEvent)
+	// sim.Config.Trace). A pure observer, so it is not keyed.
+	Trace func(sim.TraceEvent) `cache:"-"`
 	// Seed makes the run reproducible; equal configs and seeds give
 	// bit-identical results.
 	Seed uint64
@@ -68,18 +68,20 @@ type Config struct {
 	// SnapshotEvery, when > 0, captures a snapshot of the complete
 	// simulator state roughly every that many events, at the next safe
 	// boundary, and delivers each to OnSnapshot. Snapshotting is a pure
-	// observer: results are byte-identical with or without it.
-	SnapshotEvery int64
+	// observer: results are byte-identical with or without it, so it is
+	// not keyed.
+	SnapshotEvery int64 `cache:"-"`
 	// OnSnapshot receives each captured snapshot, synchronously on the
-	// simulation loop. Required when SnapshotEvery > 0.
-	OnSnapshot func(sim.Snapshot)
+	// simulation loop. Required when SnapshotEvery > 0. Not keyed, like
+	// SnapshotEvery.
+	OnSnapshot func(sim.Snapshot) `cache:"-"`
 	// ResumeFrom, when non-nil, restores the engine from a snapshot blob
 	// before running. The run executes only the remainder after the
 	// snapshot's boundary, and its result is byte-identical to the
 	// uninterrupted run's — provided the rest of this config matches the
 	// run that took the snapshot (enforced via a config digest embedded in
-	// the blob).
-	ResumeFrom []byte
+	// the blob). It is mechanism, not configuration, so it is not keyed.
+	ResumeFrom []byte `cache:"-"`
 }
 
 // Result bundles the simulation result with the protocol and injector
@@ -217,95 +219,21 @@ func (a *Assembly) Result(res *sim.Result) *Result {
 
 // CacheFields renders the result-determining configuration of this study
 // point as a flat field set for content addressing (cache.Key with a code
-// version tag): equal field sets guarantee bit-identical Run results. It
-// covers the declarative configuration — workload shape, resolved network
-// parameters, storage model, protocol knobs including nested
-// logging/incremental/two-level parameters, noise, failures, seed, and the
-// time cap. Several members are deliberately outside the address space:
-// Trace, SnapshotEvery and OnSnapshot (pure observers that cannot change
-// results), ResumeFrom (mechanism — a resumed run reproduces the full
-// run's result by construction), and a live *Store injected directly into
-// Protocol.TwoLevel.Store (runtime state, not configuration — stores built
-// from Config.Storage are covered via the storage fields). Callers
-// caching by these fields must configure storage declaratively.
+// version tag): equal field sets guarantee bit-identical Run results. It is
+// cache.Fields over the config with Net resolved to its default, plus the
+// digest of Program when one is set. Members tagged `cache:"-"` stay out of
+// the address for the reason given where they are declared. A live store
+// injected into Protocol.TwoLevel.Store is runtime state, not configuration,
+// so callers caching by these fields must configure storage declaratively.
 func (cfg Config) CacheFields() []cache.Field {
-	net := cfg.Net
-	if (net == network.Params{}) {
-		net = network.DefaultParams()
+	if (cfg.Net == network.Params{}) {
+		cfg.Net = network.DefaultParams()
 	}
-	f64 := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	dur := func(d simtime.Duration) string { return strconv.FormatInt(int64(d), 10) }
-	i64 := func(v int64) string { return strconv.FormatInt(v, 10) }
-	fields := []cache.Field{
-		cache.F("workload", cfg.Workload),
-		cache.F("ranks", strconv.Itoa(cfg.Ranks)),
-		cache.F("iterations", strconv.Itoa(cfg.Iterations)),
-		cache.F("compute", dur(cfg.Compute)),
-		cache.F("jitter", f64(cfg.Jitter)),
-		cache.F("msg_bytes", i64(cfg.MsgBytes)),
-		cache.F("seed", strconv.FormatUint(cfg.Seed, 10)),
-		cache.F("max_time", i64(int64(cfg.MaxTime))),
-		cache.F("net.latency", dur(net.Latency)),
-		cache.F("net.overhead", dur(net.Overhead)),
-		cache.F("net.gap", dur(net.Gap)),
-		cache.F("net.gap_per_byte", f64(net.GapPerByte)),
-		cache.F("net.overhead_per_byte", f64(net.OverheadPerByte)),
-		cache.F("net.rendezvous", i64(net.RendezvousThreshold)),
-		cache.F("net.bisection_bps", f64(net.BisectionBytesPerSec)),
-		cache.F("storage.aggregate_bps", f64(cfg.Storage.AggregateBytesPerSec)),
-		cache.F("storage.per_writer_bps", f64(cfg.Storage.PerWriterBytesPerSec)),
-		cache.F("storage.node_bps", f64(cfg.Storage.NodeBytesPerSec)),
-		cache.F("storage.ranks_per_node", strconv.Itoa(cfg.Storage.RanksPerNode)),
-		cache.F("proto.kind", string(cfg.Protocol.Kind)),
-		cache.F("proto.interval", dur(cfg.Protocol.Interval)),
-		cache.F("proto.write", dur(cfg.Protocol.Write)),
-		cache.F("proto.offset", cfg.Protocol.Offset),
-		cache.F("proto.log.alpha", dur(cfg.Protocol.Logging.Alpha)),
-		cache.F("proto.log.beta", f64(cfg.Protocol.Logging.BetaNsPerByte)),
-		cache.F("proto.cluster", strconv.Itoa(cfg.Protocol.ClusterSize)),
-		cache.F("proto.incr.full_every", strconv.Itoa(cfg.Protocol.Incremental.FullEvery)),
-		cache.F("proto.incr.fraction", f64(cfg.Protocol.Incremental.Fraction)),
-		cache.F("proto.window", dur(cfg.Protocol.Window)),
-		cache.F("proto.slowdown", f64(cfg.Protocol.Slowdown)),
-		cache.F("proto.ckpt_bytes", i64(cfg.Protocol.CkptBytes)),
-		cache.F("proto.bytes", i64(cfg.Protocol.Bytes)),
-		cache.F("proto.2l.local_interval", dur(cfg.Protocol.TwoLevel.LocalInterval)),
-		cache.F("proto.2l.local_write", dur(cfg.Protocol.TwoLevel.LocalWrite)),
-		cache.F("proto.2l.global_interval", dur(cfg.Protocol.TwoLevel.GlobalInterval)),
-		cache.F("proto.2l.global_write", dur(cfg.Protocol.TwoLevel.GlobalWrite)),
-		cache.F("proto.2l.ctl_bytes", i64(cfg.Protocol.TwoLevel.CtlBytes)),
-		cache.F("proto.2l.local_bytes", i64(cfg.Protocol.TwoLevel.LocalBytes)),
-		cache.F("proto.2l.global_bytes", i64(cfg.Protocol.TwoLevel.GlobalBytes)),
-		cache.F("proto.rep.degree", strconv.Itoa(cfg.Protocol.ReplicaDegree)),
-		cache.F("proto.rep.hb_period", dur(cfg.Protocol.HeartbeatPeriod)),
-		cache.F("proto.rep.hb_bytes", i64(cfg.Protocol.HeartbeatBytes)),
-		cache.F("proto.rep.takeover", dur(cfg.Protocol.TakeoverCost)),
-		cache.F("proto.cic.lag", strconv.Itoa(cfg.Protocol.CICLag)),
-	}
+	fields := cache.Fields(cfg)
 	if cfg.Program != nil {
-		// An ingested trace replaces the workload shape in the address: the
-		// digest of the canonical serialization identifies the program, so
-		// two byte-different files that parse identically still share a key.
+		// Two byte-different trace files that parse identically share a key.
 		sum := sha256.Sum256([]byte(goal.WriteString(cfg.Program)))
 		fields = append(fields, cache.F("program.digest", hex.EncodeToString(sum[:])))
-	}
-	if cfg.Noise != nil {
-		fields = append(fields,
-			cache.F("noise.period", dur(cfg.Noise.Period)),
-			cache.F("noise.duration", dur(cfg.Noise.Duration)),
-			cache.F("noise.poisson", strconv.FormatBool(cfg.Noise.Poisson)),
-		)
-	}
-	if cfg.Failures != nil {
-		fields = append(fields,
-			cache.F("fail.mtbf", dur(cfg.Failures.MTBF)),
-			cache.F("fail.shape", f64(cfg.Failures.Shape)),
-			cache.F("fail.restart", dur(cfg.Failures.Restart)),
-			cache.F("fail.replay_speedup", f64(cfg.Failures.ReplaySpeedup)),
-			cache.F("fail.kind", strconv.Itoa(int(cfg.Failures.Kind))),
-			cache.F("fail.local_coverage", f64(cfg.Failures.LocalCoverage)),
-			cache.F("fail.local_restart", dur(cfg.Failures.LocalRestart)),
-		)
 	}
 	return fields
 }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"checkpointsim/internal/cache"
-	"checkpointsim/internal/exp"
 	"checkpointsim/internal/stats"
 )
 
@@ -62,9 +61,7 @@ type Coordinator struct {
 	wg         sync.WaitGroup
 
 	// metrics
-	reqMu         sync.Mutex
-	reqCounts     map[string]*stats.Counter
-	httpLat       *stats.LatencyHist
+	reqs          *httpMetrics
 	dispatches    map[string]*stats.Counter // worker name → proxied requests
 	failovers     stats.Counter             // dispatches that left the first-choice worker
 	dlqEntered    stats.Counter
@@ -188,8 +185,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		blobs:      make(map[string][]byte),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		reqCounts:  make(map[string]*stats.Counter),
-		httpLat:    stats.NewLatencyHist(1e-6, 3600, 240),
+		reqs:       newHTTPMetrics(),
 		dispatches: make(map[string]*stats.Counter),
 		started:    time.Now(),
 	}
@@ -305,23 +301,6 @@ func (c *Coordinator) pickAlive(key string) *workerState {
 	return c.workerByName(name)
 }
 
-// --- key addressing ---
-
-// keyFor computes the exact cache key the dispatched worker will compute
-// for this request, plus a human-readable spec for DLQ listings. This is
-// the sharding address: same request → same key → same worker, so
-// repeats and concurrent duplicates land where the cache is warm.
-func (c *Coordinator) keyFor(req SweepRequest) (key, spec string, err error) {
-	e, opts, err := req.resolve()
-	if err != nil {
-		return "", "", err
-	}
-	if sc := req.Scenario; sc != nil {
-		return ScenarioCacheKey(c.cfg.Version, *sc, opts.Net), sc.ID(), nil
-	}
-	return cache.Key(c.cfg.Version, opts.CacheFields(e.ID)), e.ID, nil
-}
-
 // --- proxying ---
 
 // proxyResult is a fully buffered worker response: status, the header
@@ -403,11 +382,11 @@ func retryableCode(code int) bool {
 func (c *Coordinator) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	h := func(pattern string, fn http.HandlerFunc) {
-		mux.Handle(pattern, c.instrument(pattern, fn))
+		mux.Handle(pattern, c.reqs.instrument(pattern, fn))
 	}
 	h("GET /healthz", c.handleHealthz)
 	h("GET /metrics", c.handleMetrics)
-	h("GET /api/v1/experiments", c.handleExperiments)
+	h("GET /api/v1/experiments", handleExperiments)
 	h("GET /api/v1/workers", c.handleWorkers)
 	h("POST /api/v1/run", c.handleRunSync)
 	h("POST /api/v1/jobs", c.handleSubmit)
@@ -420,26 +399,6 @@ func (c *Coordinator) buildMux() *http.ServeMux {
 	h("POST /api/v1/snapshots/{key}", c.handleSnapshotPut)
 	h("GET /api/v1/snapshots/{key}", c.handleSnapshotGet)
 	return mux
-}
-
-// instrument mirrors the worker's request accounting so cluster and
-// single-process metrics read the same way.
-func (c *Coordinator) instrument(pattern string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(rec, r)
-		c.httpLat.Observe(time.Since(start).Seconds())
-		key := pattern + "|" + strconv.Itoa(rec.code)
-		c.reqMu.Lock()
-		cnt, ok := c.reqCounts[key]
-		if !ok {
-			cnt = new(stats.Counter)
-			c.reqCounts[key] = cnt
-		}
-		c.reqMu.Unlock()
-		cnt.Inc()
-	})
 }
 
 // CoordHealth is the coordinator's /healthz body: cluster liveness plus
@@ -494,38 +453,6 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleExperiments serves the catalog locally — it is a property of the
-// build, not of any worker, and must answer even with the cluster down.
-func (c *Coordinator) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	type expInfo struct {
-		ID    string `json:"id"`
-		Title string `json:"title"`
-		Desc  string `json:"desc"`
-		Bench string `json:"bench"`
-	}
-	var out []expInfo
-	for _, e := range exp.All() {
-		out = append(out, expInfo{ID: e.ID, Title: e.Title, Desc: e.Desc, Bench: e.Bench})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// writeRequestError maps local validation failures (the coordinator
-// validates before dispatching, so a garbage request never ties up a
-// shard) onto the same codes a worker would return.
-func writeRequestError(w http.ResponseWriter, err error) {
-	var bad *badRequestError
-	var unknown *unknownExpError
-	switch {
-	case errors.As(err, &unknown):
-		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-	case errors.As(err, &bad):
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-	}
-}
-
 // retryAfterSeconds is the cluster-wide version of the worker estimate:
 // total backlog over total workers, at the slowest live shard's mean job
 // latency, clamped like the worker's to integer [1, 60] seconds. Using
@@ -575,7 +502,10 @@ func (c *Coordinator) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	key, spec, err := c.keyFor(req)
+	// The sharding address is the worker's cache key: same request → same
+	// key → same worker, so repeats and concurrent duplicates land where
+	// the cache is warm. The experiment ID doubles as the DLQ listing spec.
+	point, _, key, err := req.address(c.cfg.Version)
 	if err != nil {
 		writeRequestError(w, err)
 		return
@@ -605,7 +535,7 @@ func (c *Coordinator) handleRunSync(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Retryable failure (or no live worker at all): dead-letter the point.
-	e, created := c.q.enter(key, spec, req, time.Now())
+	e, created := c.q.enter(key, point.ID, req, time.Now())
 	if created {
 		c.dlqEntered.Inc()
 		c.wg.Add(1)
@@ -729,7 +659,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	key, _, err := c.keyFor(req)
+	_, _, key, err := req.address(c.cfg.Version)
 	if err != nil {
 		writeRequestError(w, err)
 		return
@@ -996,30 +926,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE sweepd_coord_queue_capacity gauge\n")
 	p("sweepd_coord_queue_capacity %d\n", h.QueueCapacity)
 
-	p("# HELP sweepd_coord_requests_total HTTP requests by route and status code.\n")
-	p("# TYPE sweepd_coord_requests_total counter\n")
-	c.reqMu.Lock()
-	keys := make([]string, 0, len(c.reqCounts))
-	for k := range c.reqCounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type kv struct {
-		key string
-		n   int64
-	}
-	rows := make([]kv, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, kv{k, c.reqCounts[k].Value()})
-	}
-	c.reqMu.Unlock()
-	for _, row := range rows {
-		var route, code string
-		if i := strings.LastIndexByte(row.key, '|'); i >= 0 {
-			route, code = row.key[:i], row.key[i+1:]
-		}
-		p("sweepd_coord_requests_total{route=%q,code=%q} %d\n", route, code, row.n)
-	}
+	c.reqs.writeRequests(p, "sweepd_coord_requests_total")
 
 	p("# HELP sweepd_coord_dispatches_total Requests proxied to each worker shard.\n")
 	p("# TYPE sweepd_coord_dispatches_total counter\n")
@@ -1056,16 +963,5 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE sweepd_coord_snapshot_blobs gauge\n")
 	p("sweepd_coord_snapshot_blobs %d\n", nblobs)
 
-	writeLatency := func(name string, lh *stats.LatencyHist) {
-		p("# HELP %s Latency quantiles (log-binned histogram).\n", name)
-		p("# TYPE %s summary\n", name)
-		if lh.Count() > 0 {
-			for _, q := range []float64{0.5, 0.9, 0.99} {
-				p("%s{quantile=\"%g\"} %.6g\n", name, q, lh.Quantile(q))
-			}
-		}
-		p("%s_sum %.6g\n", name, lh.Sum())
-		p("%s_count %d\n", name, lh.Count())
-	}
-	writeLatency("sweepd_coord_http_request_duration_seconds", c.httpLat)
+	writeLatency(p, "sweepd_coord_http_request_duration_seconds", c.reqs.lat)
 }

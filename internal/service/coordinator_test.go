@@ -6,9 +6,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"checkpointsim/internal/cache"
+	"checkpointsim/internal/exp"
 )
 
 // fakeWorker mounts just enough of the worker API for coordinator unit
@@ -493,5 +497,94 @@ func TestCoordinatorSubmitAllShardsFail(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// keyRecorder is a cache store that remembers the key of every Put.
+type keyRecorder struct {
+	cache.Store
+	mu   sync.Mutex
+	puts []string
+}
+
+func (s *keyRecorder) Put(key string, val []byte) {
+	s.mu.Lock()
+	s.puts = append(s.puts, key)
+	s.mu.Unlock()
+	s.Store.Put(key, val)
+}
+
+func (s *keyRecorder) last() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.puts) == 0 {
+		return ""
+	}
+	return s.puts[len(s.puts)-1]
+}
+
+// TestCoordinatorShardKeyIsWorkerCacheKey: the key a coordinator shards a
+// request by — listed on its dead-letter entry — is the key the worker
+// stores the result under, for experiments, scenarios and a non-default
+// network preset alike. A drift between the two would scatter repeats
+// across shards and miss every warm cache.
+func TestCoordinatorShardKeyIsWorkerCacheKey(t *testing.T) {
+	rec := &keyRecorder{Store: cache.NewMemStore(64 << 20)}
+	srv := New(Config{Version: "test", Timeout: time.Minute, CacheStore: rec})
+	t.Cleanup(srv.Close)
+	var failing atomic.Bool
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/run" && failing.Load() {
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "synthetic worker failure"})
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(worker.Close)
+	_, ts := newTestCoordinator(t, CoordinatorConfig{
+		Workers:     []string{worker.URL},
+		RetryBase:   5 * time.Millisecond,
+		MaxAttempts: 1,
+	})
+
+	sc := exp.Scenario{Workload: "stencil2d", Ranks: 8, Protocol: "coordinated",
+		FailureLaw: "none", Storage: "none", Noise: "none", Seed: 3}
+	for name, req := range map[string]SweepRequest{
+		"experiment":        {Exp: "E1", Quick: true},
+		"scenario":          {Scenario: &sc},
+		"scenario ethernet": {Scenario: &sc, Net: "ethernet"},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A failing worker parks the point, exposing the coordinator's key.
+		failing.Store(true)
+		resp := postJSON(t, ts.URL+"/api/v1/run", string(body))
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusBadGateway {
+			t.Fatalf("%s: status %d, want 502 (parked)", name, resp.StatusCode)
+		}
+		entries := clusterDLQ(t, ts.URL)
+		if len(entries) != 1 {
+			t.Fatalf("%s: DLQ entries = %d, want 1", name, len(entries))
+		}
+		// Requeued against a healed worker, the point is computed and stored.
+		failing.Store(false)
+		resp = postJSON(t, ts.URL+"/api/v1/dlq/"+entries[0].ID+"/requeue", "")
+		readBody(t, resp)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: requeue status %d", name, resp.StatusCode)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for len(clusterDLQ(t, ts.URL)) != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: DLQ did not drain after requeue", name)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if got := rec.last(); got != entries[0].Key {
+			t.Errorf("%s: worker stored under %q, coordinator sharded by %q", name, got, entries[0].Key)
+		}
 	}
 }

@@ -98,7 +98,7 @@ func decodeRequest(r io.Reader) (SweepRequest, error) {
 // resolve validates the request and builds the experiment and fully
 // resolved options it describes (Jobs/Events/Ctx are the server's to set).
 // Scenario requests resolve to a synthetic experiment wrapping
-// Scenario.Run; runJob addresses them by Scenario.CacheFields instead of
+// Scenario.Run; address keys them by Scenario.CacheFields instead of
 // Options.CacheFields.
 func (req SweepRequest) resolve() (exp.Experiment, exp.Options, error) {
 	var e exp.Experiment
@@ -157,6 +157,22 @@ func (req SweepRequest) resolve() (exp.Experiment, exp.Options, error) {
 	return e, o, nil
 }
 
+// address resolves the request and returns its experiment, options and
+// cache key: the key a worker stores the result under, and so the key the
+// coordinator shards by. A scenario is addressed by its axes, seed and the
+// resolved network preset; resolve pins every other Options field to its
+// default for scenarios, so nothing result-determining escapes the key.
+func (req SweepRequest) address(version string) (exp.Experiment, exp.Options, string, error) {
+	e, o, err := req.resolve()
+	if err != nil {
+		return e, o, "", err
+	}
+	if sc := req.Scenario; sc != nil {
+		return e, o, ScenarioCacheKey(version, *sc, o.Net), nil
+	}
+	return e, o, cache.Key(version, o.CacheFields(e.ID)), nil
+}
+
 // timeout returns the per-job timeout the request asks for, defaulting to
 // and capped by the server default (a client may shorten the leash, never
 // lengthen it).
@@ -183,7 +199,7 @@ func ScenarioExperiment(sc exp.Scenario) exp.Experiment {
 	}
 }
 
-// ScenarioCacheKey is the content address runJob computes for a scenario
+// ScenarioCacheKey is the content address a worker computes for a scenario
 // request: exported so cmd/campaign can derive the exact key a sweepd with
 // the same version would use, and print it for reproduction.
 func ScenarioCacheKey(version string, sc exp.Scenario, net network.Params) string {

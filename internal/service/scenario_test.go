@@ -2,7 +2,7 @@ package service
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,8 +12,44 @@ import (
 )
 
 func scenarioBody(sc exp.Scenario) string {
-	return fmt.Sprintf(`{"scenario":{"workload":%q,"ranks":%d,"protocol":%q,"failure_law":%q,"storage":%q,"noise":%q,"seed":%d}}`,
-		sc.Workload, sc.Ranks, sc.Protocol, sc.FailureLaw, sc.Storage, sc.Noise, sc.Seed)
+	b, err := json.Marshal(SweepRequest{Scenario: &sc})
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+// The wire form clients marshal from SweepRequest decodes and resolves
+// back to the same scenario and network preset.
+func TestScenarioRequestWireForm(t *testing.T) {
+	sched, err := exp.DefaultCampaignSpace().Schedule(5, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range sched {
+		net := []string{"", "default", "capability", "ethernet"}[i%4]
+		body, err := json.Marshal(SweepRequest{Scenario: &sc, Net: net})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := decodeRequest(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("decode %s: %v", body, err)
+		}
+		e, o, err := req.resolve()
+		if err != nil {
+			t.Fatalf("resolve %s: %v", body, err)
+		}
+		if req.Scenario == nil || *req.Scenario != sc || e.ID != sc.ID() {
+			t.Errorf("%s resolved to scenario %+v (%s), want %+v", body, req.Scenario, e.ID, sc)
+		}
+		if net == "" {
+			net = "default"
+		}
+		if want, _ := network.Preset(net); o.Net != want {
+			t.Errorf("%s resolved to network %+v, want preset %q", body, o.Net, net)
+		}
+	}
 }
 
 // The campaign's core consistency property, asserted at the service

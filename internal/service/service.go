@@ -119,9 +119,7 @@ type Server struct {
 	nextID atomic.Int64
 
 	// metrics
-	reqMu       sync.Mutex
-	reqCounts   map[string]*stats.Counter // "path|code" → count
-	httpLat     *stats.LatencyHist
+	reqs        *httpMetrics
 	jobLat      *stats.LatencyHist
 	jobsByEnd   map[JobState]*stats.Counter
 	queueDepth  stats.Gauge
@@ -149,8 +147,7 @@ func New(cfg Config) *Server {
 		queue:      make(chan *Job, cfg.Queue),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		reqCounts:  make(map[string]*stats.Counter),
-		httpLat:    stats.NewLatencyHist(1e-6, 3600, 240),
+		reqs:       newHTTPMetrics(),
 		jobLat:     stats.NewLatencyHist(1e-6, 3600, 240),
 		jobsByEnd: map[JobState]*stats.Counter{
 			StateDone:     new(stats.Counter),
@@ -273,19 +270,11 @@ func (s *Server) runJob(job *Job) {
 	job.setRunning()
 	start := time.Now()
 
-	e, opts, err := job.Req.resolve()
+	e, opts, key, err := job.Req.address(s.cfg.Version)
 	if err != nil { // unreachable: submit resolved once already
 		job.finish(StateFailed, nil, cache.Computed, err)
 		s.jobsByEnd[StateFailed].Inc()
 		return
-	}
-	key := cache.Key(s.cfg.Version, opts.CacheFields(e.ID))
-	if sc := job.Req.Scenario; sc != nil {
-		// Scenarios are self-describing: the axis assignment and seed are
-		// the address, plus the resolved network preset. Options fields
-		// are pinned to defaults for scenario requests (resolve enforces
-		// it), so nothing result-determining escapes the key.
-		key = ScenarioCacheKey(s.cfg.Version, *sc, opts.Net)
 	}
 	val, src, err := s.cache.GetOrCompute(job.ctx, key, func(ctx context.Context) ([]byte, error) {
 		var events int64
@@ -407,11 +396,11 @@ func (s *Server) ColdRetries() int64 { return s.coldRetries.Value() }
 func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	h := func(pattern string, fn http.HandlerFunc) {
-		mux.Handle(pattern, s.instrument(pattern, fn))
+		mux.Handle(pattern, s.reqs.instrument(pattern, fn))
 	}
 	h("GET /healthz", s.handleHealthz)
 	h("GET /metrics", s.handleMetrics)
-	h("GET /api/v1/experiments", s.handleExperiments)
+	h("GET /api/v1/experiments", handleExperiments)
 	h("POST /api/v1/jobs", s.handleSubmit)
 	h("GET /api/v1/jobs", s.handleListJobs)
 	h("GET /api/v1/jobs/{id}", s.handleJobStatus)
@@ -445,23 +434,78 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// instrument counts requests by (route, status) and observes latency.
-func (s *Server) instrument(pattern string, next http.Handler) http.Handler {
+// httpMetrics counts HTTP requests by (route, status) and observes their
+// latency. The worker and the coordinator each keep one, so cluster and
+// single-process metrics read the same way.
+type httpMetrics struct {
+	mu     sync.Mutex
+	counts map[string]*stats.Counter // "route|code" → count
+	lat    *stats.LatencyHist
+}
+
+func newHTTPMetrics() *httpMetrics {
+	return &httpMetrics{counts: make(map[string]*stats.Counter), lat: stats.NewLatencyHist(1e-6, 3600, 240)}
+}
+
+// instrument wraps the handler for route pattern with the accounting.
+func (m *httpMetrics) instrument(pattern string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, r)
-		s.httpLat.Observe(time.Since(start).Seconds())
+		m.lat.Observe(time.Since(start).Seconds())
 		key := pattern + "|" + strconv.Itoa(rec.code)
-		s.reqMu.Lock()
-		c, ok := s.reqCounts[key]
+		m.mu.Lock()
+		c, ok := m.counts[key]
 		if !ok {
 			c = new(stats.Counter)
-			s.reqCounts[key] = c
+			m.counts[key] = c
 		}
-		s.reqMu.Unlock()
+		m.mu.Unlock()
 		c.Inc()
 	})
+}
+
+// writeRequests renders the request counters as the counter family name,
+// sorted by route and code.
+func (m *httpMetrics) writeRequests(p func(string, ...any), name string) {
+	p("# HELP %s HTTP requests by route and status code.\n", name)
+	p("# TYPE %s counter\n", name)
+	m.mu.Lock()
+	keys := make([]string, 0, len(m.counts))
+	for k := range m.counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	type kv struct {
+		key string
+		n   int64
+	}
+	rows := make([]kv, 0, len(keys))
+	for _, k := range keys {
+		rows = append(rows, kv{k, m.counts[k].Value()})
+	}
+	m.mu.Unlock()
+	for _, row := range rows {
+		var route, code string
+		if i := strings.LastIndexByte(row.key, '|'); i >= 0 {
+			route, code = row.key[:i], row.key[i+1:]
+		}
+		p("%s{route=%q,code=%q} %d\n", name, route, code, row.n)
+	}
+}
+
+// writeLatency renders a latency histogram as a summary named name.
+func writeLatency(p func(string, ...any), name string, h *stats.LatencyHist) {
+	p("# HELP %s Latency quantiles (log-binned histogram).\n", name)
+	p("# TYPE %s summary\n", name)
+	if h.Count() > 0 {
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			p("%s{quantile=\"%g\"} %.6g\n", name, q, h.Quantile(q))
+		}
+	}
+	p("%s_sum %.6g\n", name, h.Sum())
+	p("%s_count %d\n", name, h.Count())
 }
 
 // writeJSON writes v with the given status.
@@ -478,8 +522,11 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeSubmitError maps submit/validation errors onto status codes.
-func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
+// writeRequestError maps request validation failures onto status codes:
+// 404 for an unknown experiment, 400 for a bad request, 500 otherwise.
+// The coordinator validates before dispatching with the same mapping, so
+// a garbage request gets a worker's answer without tying up a shard.
+func writeRequestError(w http.ResponseWriter, err error) {
 	var bad *badRequestError
 	var unknown *unknownExpError
 	switch {
@@ -487,13 +534,22 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
 	case errors.As(err, &bad):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+	default:
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+	}
+}
+
+// writeSubmitError adds the queue's refusals to writeRequestError: 429
+// with Retry-After when the queue is full, 503 while draining.
+func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 	case errors.Is(err, errDraining):
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		writeRequestError(w, err)
 	}
 }
 
@@ -536,7 +592,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
+// handleExperiments serves the experiment catalog. It is a property of the
+// build, so a coordinator answers it locally even with every shard down.
+func handleExperiments(w http.ResponseWriter, r *http.Request) {
 	type expInfo struct {
 		ID    string `json:"id"`
 		Title string `json:"title"`
@@ -738,30 +796,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE sweepd_uptime_seconds counter\n")
 	p("sweepd_uptime_seconds %.3f\n", time.Since(s.started).Seconds())
 
-	p("# HELP sweepd_requests_total HTTP requests by route and status code.\n")
-	p("# TYPE sweepd_requests_total counter\n")
-	s.reqMu.Lock()
-	keys := make([]string, 0, len(s.reqCounts))
-	for k := range s.reqCounts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	type kv struct {
-		key string
-		n   int64
-	}
-	rows := make([]kv, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, kv{k, s.reqCounts[k].Value()})
-	}
-	s.reqMu.Unlock()
-	for _, row := range rows {
-		var route, code string
-		if i := strings.LastIndexByte(row.key, '|'); i >= 0 {
-			route, code = row.key[:i], row.key[i+1:]
-		}
-		p("sweepd_requests_total{route=%q,code=%q} %d\n", route, code, row.n)
-	}
+	s.reqs.writeRequests(p, "sweepd_requests_total")
 
 	p("# HELP sweepd_jobs_total Jobs by terminal state.\n")
 	p("# TYPE sweepd_jobs_total counter\n")
@@ -818,17 +853,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE sweepd_cache_disk_corrupt_total counter\n")
 	p("sweepd_cache_disk_corrupt_total %d\n", cs.Corrupt)
 
-	writeLatency := func(name string, h *stats.LatencyHist) {
-		p("# HELP %s Latency quantiles (log-binned histogram).\n", name)
-		p("# TYPE %s summary\n", name)
-		if h.Count() > 0 {
-			for _, q := range []float64{0.5, 0.9, 0.99} {
-				p("%s{quantile=\"%g\"} %.6g\n", name, q, h.Quantile(q))
-			}
-		}
-		p("%s_sum %.6g\n", name, h.Sum())
-		p("%s_count %d\n", name, h.Count())
-	}
-	writeLatency("sweepd_job_duration_seconds", s.jobLat)
-	writeLatency("sweepd_http_request_duration_seconds", s.httpLat)
+	writeLatency(p, "sweepd_job_duration_seconds", s.jobLat)
+	writeLatency(p, "sweepd_http_request_duration_seconds", s.reqs.lat)
 }
