@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"checkpointsim/internal/exp"
@@ -209,5 +210,49 @@ func TestExperimentJobsNotSnapshotted(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(dir, "*"))
 	if len(files) != 0 {
 		t.Errorf("experiment sweep wrote files to the snapshot dir: %v", files)
+	}
+}
+
+// A panic inside a scenario run fails only its own job: the request gets
+// a 500 naming the panic, and the single worker survives to serve the
+// next request — here a resubmission of the same scenario, which the
+// cache computes afresh because the panicking leader released its key.
+func TestPanickingRunFailsOnlyItsJob(t *testing.T) {
+	var panicked atomic.Bool
+	_, ts := newTestServer(t, Config{Workers: 1, SnapshotEvery: resumeCadence,
+		PublishSnapshot: func(string, []byte) {
+			if panicked.CompareAndSwap(false, true) {
+				panic("publish failed")
+			}
+		}})
+
+	resp := postJSON(t, ts.URL+"/api/v1/run", scenarioBody(resumeScenario))
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking run: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "failed") || !strings.Contains(string(body), "publish failed") {
+		t.Errorf("500 body %s does not report the failed job's panic", body)
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after panic: %d %s", resp.StatusCode, body)
+	}
+
+	got := runScenarioSync(t, ts.URL, resumeScenario)
+	tables, err := resumeScenario.Run(exp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeScenarioResult(resumeScenario, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("follow-up run after the panic differs from a local run")
 	}
 }

@@ -259,11 +259,17 @@ func (s *Server) worker() {
 
 // runJob executes one job through the cache: hit → stored bytes, miss →
 // run the experiment with the job's context threaded into the sweep
-// worker pool, concurrent identical request → wait and share.
+// worker pool, concurrent identical request → wait and share. A panic in
+// the run fails only its job: the cache has already released the key, the
+// job ends failed with the panic text, and the worker goes on serving.
 func (s *Server) runJob(job *Job) {
 	s.inFlight.Add(1)
 	s.running.Add(1)
 	defer func() {
+		if r := recover(); r != nil {
+			job.finish(StateFailed, nil, cache.Computed, fmt.Errorf("run panicked: %v", r))
+			s.jobsByEnd[StateFailed].Inc()
+		}
 		s.running.Add(-1)
 		s.inFlight.Done()
 	}()

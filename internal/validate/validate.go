@@ -21,8 +21,10 @@
 //     recomputed from the trace equal the engine's Result accounting
 //     exactly; all occupancies lie inside [0, makespan] and the makespan
 //     is attained; every injected message arrives (in-flight control
-//     messages at exit excepted); every application message is matched to
-//     exactly one receive, and no receive matches twice; message counters
+//     messages at exit excepted); messages are injected once each, numbered
+//     1, 2, 3... in injection order; every application message is matched
+//     to exactly one receive, no receive matches twice, and a rendezvous
+//     payload readies only a receive its request matched; message counters
 //     (app/ctl/rendezvous/matches) recomputed from the stream equal
 //     Result.Metrics; storage bytes drained equal bytes begun (per-rank
 //     FIFO pairing, in-flight writes at exit excepted).
@@ -46,7 +48,14 @@
 // A Checker is single-run state: build one per simulation with New, feed
 // it every trace event (Hook adapts it to sim.Config.Trace), then call
 // Finish with the run's Result. Violations accumulate (capped) and are
-// reported together by Err.
+// reported together by Err in the order found — streaming checks in
+// stream order, end-of-run scans in rank and ID order — so replaying a
+// stream reports the same violations.
+//
+// The state is dense, indexed by the IDs the engine hands out: messages
+// by MsgID and receives by OpID in paged tables, channels in a per-sender
+// slice by destination. Checking allocates no memory per message beyond
+// one page per 1024 messages or ops.
 package validate
 
 import (
@@ -65,28 +74,91 @@ import (
 // maxViolations caps the violations retained; further ones only count.
 const maxViolations = 20
 
-type chanKey struct{ src, dst int }
+// msgKind is a message kind, resolved from its trace label once at
+// injection.
+type msgKind uint8
 
-// ready is a receive whose message is available for final processing.
-type ready struct {
-	at    simtime.Time
-	bytes int64
+const (
+	kindOther msgKind = iota // a label the engine never emits
+	kindEager
+	kindRTS
+	kindCTS
+	kindData
+	kindCtl
+)
+
+// kindNames holds the engine's label for each known kind.
+var kindNames = [...]string{kindEager: "eager", kindRTS: "rts", kindCTS: "cts", kindData: "data", kindCtl: "ctl"}
+
+// parseKind resolves an injection's trace label.
+func parseKind(label string) msgKind {
+	switch label {
+	case "eager":
+		return kindEager
+	case "rts":
+		return kindRTS
+	case "cts":
+		return kindCTS
+	case "data":
+		return kindData
+	case "ctl":
+		return kindCtl
+	}
+	return kindOther
 }
 
 // msgState tracks one wire traversal from injection to match.
 type msgState struct {
-	kind        string
-	src, dst    int
-	bytes, wire int64
-	arriveAt    simtime.Time // scheduled arrival (TraceInject.End)
-	arrived     bool
-	matched     bool
+	arriveAt simtime.Time // scheduled arrival (TraceInject.End)
+	bytes    int64
+	src, dst int32
+	kind     msgKind
+	arrived  bool
+	matched  bool
 }
 
-// appSend is one application send op (for logging reconciliation).
-type appSend struct {
-	src, dst int
-	bytes    int64
+// matchable reports whether m is an application send — an eager message
+// or a rendezvous request — which a receive must match.
+func (m *msgState) matchable() bool { return m.kind == kindEager || m.kind == kindRTS }
+
+// recvState is one receive op's matching state.
+type recvState struct {
+	at    simtime.Time // when the matched message became available
+	bytes int64        // its payload
+	ready bool         // available and not yet completed
+	seen  bool         // an application message matched this receive
+}
+
+// pageBits sizes the pages of the checker's ID-indexed tables: 1024
+// entries each.
+const pageBits = 10
+
+// paged is a table indexed by dense non-negative IDs. A page is allocated
+// the first time one of its IDs is touched, so growing the table copies
+// only the page directory, never the entries.
+type paged[T any] struct {
+	dir []*[1 << pageBits]T
+}
+
+// at returns entry i (i >= 0), allocating its page on first touch.
+func (t *paged[T]) at(i int) *T {
+	p := i >> pageBits
+	for len(t.dir) <= p {
+		t.dir = append(t.dir, nil)
+	}
+	if t.dir[p] == nil {
+		t.dir[p] = new([1 << pageBits]T)
+	}
+	return &t.dir[p][i&(1<<pageBits-1)]
+}
+
+// get returns entry i, or nil when its page was never touched.
+func (t *paged[T]) get(i int) *T {
+	p := i >> pageBits
+	if i < 0 || p >= len(t.dir) || t.dir[p] == nil {
+		return nil
+	}
+	return &t.dir[p][i&(1<<pageBits-1)]
 }
 
 // rankState is the per-rank streaming state.
@@ -117,19 +189,26 @@ type rankState struct {
 
 	// FIFO of in-flight shared-storage writes (bytes), begin-to-end.
 	storeQ []int64
+
+	// chanLast[dst] is the latest arrival on the channel from this rank
+	// to dst.
+	chanLast []simtime.Time
 }
 
 // Checker verifies trace conformance for one simulation run.
 type Checker struct {
 	net network.Params
 
-	ranks     []rankState
-	msgs      map[int64]*msgState
-	chanLast  map[chanKey]simtime.Time
-	recvReady map[goal.OpID]ready
-	recvSeen  map[goal.OpID]bool
-	appSends  []appSend
-	clock     simtime.Time
+	ranks []rankState
+	// msgs holds message id at entry id-1: the engine numbers injections
+	// 1, 2, 3..., and nMsgs have been injected so far.
+	msgs  paged[msgState]
+	nMsgs int64
+	// otherKinds keeps the label of each message injected with an unknown
+	// kind, for violation texts.
+	otherKinds map[int64]string
+	recvs      paged[recvState] // by OpID
+	clock      simtime.Time
 
 	// Stream-derived counters, reconciled against Result.Metrics.
 	nMatches, nApp, nCtl, nRndzv int64
@@ -150,13 +229,7 @@ type Checker struct {
 
 // New builds a checker for one run under the given network parameters.
 func New(net network.Params) *Checker {
-	return &Checker{
-		net:       net,
-		msgs:      make(map[int64]*msgState),
-		chanLast:  make(map[chanKey]simtime.Time),
-		recvReady: make(map[goal.OpID]ready),
-		recvSeen:  make(map[goal.OpID]bool),
-	}
+	return &Checker{net: net}
 }
 
 // Hook returns a sim.Config.Trace callback feeding the checker and then
@@ -164,7 +237,7 @@ func New(net network.Params) *Checker {
 // existing trace consumer such as the timeline collector.
 func (c *Checker) Hook(next func(sim.TraceEvent)) func(sim.TraceEvent) {
 	return func(ev sim.TraceEvent) {
-		c.Add(ev)
+		c.add(&ev)
 		if next != nil {
 			next(ev)
 		}
@@ -224,7 +297,26 @@ func class(kind string) string {
 
 // Add consumes one trace event (in emission order — pass events in the
 // exact sequence the engine produced them).
-func (c *Checker) Add(ev sim.TraceEvent) {
+func (c *Checker) Add(ev sim.TraceEvent) { c.add(&ev) }
+
+// msg returns the state of message id, or nil when no injection record
+// named it.
+func (c *Checker) msg(id int64) *msgState {
+	if id < 1 || id > c.nMsgs {
+		return nil
+	}
+	return c.msgs.get(int(id - 1))
+}
+
+// kindName is the trace label message id was injected with.
+func (c *Checker) kindName(id int64, m *msgState) string {
+	if m.kind == kindOther {
+		return c.otherKinds[id]
+	}
+	return kindNames[m.kind]
+}
+
+func (c *Checker) add(ev *sim.TraceEvent) {
 	if ev.Rank < 0 {
 		c.fail("event with negative rank %d", ev.Rank)
 		return
@@ -276,7 +368,7 @@ func (c *Checker) Add(ev sim.TraceEvent) {
 	}
 }
 
-func (c *Checker) addGrant(ev sim.TraceEvent) {
+func (c *Checker) addGrant(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
 	if st.running {
 		c.fail("rank %d: grant of %q at %v while %q granted at %v has not completed",
@@ -304,7 +396,7 @@ func (c *Checker) addGrant(ev sim.TraceEvent) {
 	st.grantTime = ev.Start
 }
 
-func (c *Checker) addCPU(ev sim.TraceEvent) {
+func (c *Checker) addCPU(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
 	if ev.End < ev.Start {
 		c.fail("rank %d: CPU event %q with End %v < Start %v", ev.Rank, ev.Kind, ev.End, ev.Start)
@@ -359,14 +451,14 @@ func (c *Checker) addCPU(ev sim.TraceEvent) {
 // checkRecvDone verifies the receive-completion lower bound: the final
 // processing starts no earlier than the message became available and lasts
 // at least o + (s-1)·O.
-func (c *Checker) checkRecvDone(ev sim.TraceEvent) {
-	r, ok := c.recvReady[ev.Op]
-	if !ok {
+func (c *Checker) checkRecvDone(ev *sim.TraceEvent) {
+	r := c.recvs.get(int(ev.Op))
+	if r == nil || !r.ready {
 		c.fail("rank %d: recv op %d completed at %v with no matched message",
 			ev.Rank, ev.Op, ev.End)
 		return
 	}
-	delete(c.recvReady, ev.Op)
+	r.ready = false
 	if ev.Start < r.at {
 		c.fail("rank %d: recv op %d processing starts %v before its message was available at %v",
 			ev.Rank, ev.Op, ev.Start, r.at)
@@ -377,7 +469,7 @@ func (c *Checker) checkRecvDone(ev sim.TraceEvent) {
 	}
 }
 
-func (c *Checker) addNIC(ev sim.TraceEvent) {
+func (c *Checker) addNIC(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
 	if ev.Start < st.nicEnd {
 		c.fail("rank %d: NIC window [%v,%v] overlaps previous window ending %v",
@@ -390,41 +482,54 @@ func (c *Checker) addNIC(ev sim.TraceEvent) {
 	st.nicEnd = ev.End
 }
 
-func (c *Checker) addInject(ev sim.TraceEvent) {
-	if _, dup := c.msgs[ev.MsgID]; dup {
+func (c *Checker) addInject(ev *sim.TraceEvent) {
+	next := c.nMsgs + 1
+	if ev.MsgID >= 1 && ev.MsgID < next {
 		c.fail("msg %d injected twice", ev.MsgID)
+		return
+	}
+	if ev.MsgID != next {
+		c.fail("msg %d injected out of sequence: the next message is %d", ev.MsgID, next)
+		return
+	}
+	if ev.Src < 0 || ev.Dst < 0 || ev.Src > math.MaxInt32 || ev.Dst > math.MaxInt32 {
+		c.fail("msg %d (%s %d->%d): endpoint is not a rank", ev.MsgID, ev.Kind, ev.Src, ev.Dst)
 		return
 	}
 	if floor := ev.Start.Add(c.net.Wire(ev.Wire)); ev.End < floor {
 		c.fail("msg %d (%s %d->%d): arrival %v beats wire lower bound %v (depart %v + L+(s-1)G)",
 			ev.MsgID, ev.Kind, ev.Src, ev.Dst, ev.End, floor, ev.Start)
 	}
-	c.msgs[ev.MsgID] = &msgState{
-		kind: ev.Kind, src: ev.Src, dst: ev.Dst,
-		bytes: ev.Bytes, wire: ev.Wire, arriveAt: ev.End,
+	kind := parseKind(ev.Kind)
+	*c.msgs.at(int(c.nMsgs)) = msgState{
+		arriveAt: ev.End, bytes: ev.Bytes,
+		src: int32(ev.Src), dst: int32(ev.Dst), kind: kind,
 	}
-	switch ev.Kind {
-	case "eager":
+	c.nMsgs++
+	switch kind {
+	case kindEager:
 		c.nApp++
 		c.appBytes += ev.Bytes
-		c.appSends = append(c.appSends, appSend{src: ev.Src, dst: ev.Dst, bytes: ev.Bytes})
-	case "data":
+	case kindData:
 		c.nApp++
 		c.appBytes += ev.Bytes
-	case "rts":
+	case kindRTS:
 		c.nRndzv++
-		c.appSends = append(c.appSends, appSend{src: ev.Src, dst: ev.Dst, bytes: ev.Bytes})
-	case "ctl", "cts":
+	case kindCtl, kindCTS:
 		c.nCtl++
 		c.ctlBytes += ev.Wire
 	default:
+		if c.otherKinds == nil {
+			c.otherKinds = make(map[int64]string)
+		}
+		c.otherKinds[ev.MsgID] = ev.Kind
 		c.fail("msg %d injected with unknown kind %q", ev.MsgID, ev.Kind)
 	}
 }
 
-func (c *Checker) addArrive(ev sim.TraceEvent) {
-	m, ok := c.msgs[ev.MsgID]
-	if !ok {
+func (c *Checker) addArrive(ev *sim.TraceEvent) {
+	m := c.msg(ev.MsgID)
+	if m == nil {
 		c.fail("msg %d arrived at %v without an injection record", ev.MsgID, ev.Start)
 		return
 	}
@@ -435,30 +540,33 @@ func (c *Checker) addArrive(ev sim.TraceEvent) {
 	m.arrived = true
 	if ev.Start != m.arriveAt {
 		c.fail("msg %d (%s %d->%d): arrived at %v, injection scheduled %v",
-			ev.MsgID, m.kind, m.src, m.dst, ev.Start, m.arriveAt)
+			ev.MsgID, c.kindName(ev.MsgID, m), m.src, m.dst, ev.Start, m.arriveAt)
 	}
-	if ev.Rank != m.dst {
-		c.fail("msg %d (%s %d->%d): arrived on rank %d", ev.MsgID, m.kind, m.src, m.dst, ev.Rank)
+	if ev.Rank != int(m.dst) {
+		c.fail("msg %d (%s %d->%d): arrived on rank %d", ev.MsgID, c.kindName(ev.MsgID, m), m.src, m.dst, ev.Rank)
 	}
-	key := chanKey{m.src, m.dst}
-	if last, ok := c.chanLast[key]; ok && ev.Start < last {
+	sender := c.rank(int(m.src))
+	if d := int(m.dst); d >= len(sender.chanLast) {
+		n := max(d+1, len(c.ranks))
+		sender.chanLast = append(sender.chanLast, make([]simtime.Time, n-len(sender.chanLast))...)
+	}
+	if last := sender.chanLast[m.dst]; ev.Start < last {
 		c.fail("channel %d->%d: overtaking: msg %d arrives %v after a %v arrival",
 			m.src, m.dst, ev.MsgID, ev.Start, last)
 	}
-	c.chanLast[key] = ev.Start
-	if m.kind == "data" {
+	sender.chanLast[m.dst] = ev.Start
+	if m.kind == kindData {
 		// Rendezvous payload: the receive can complete once the data is in.
-		if _, dup := c.recvReady[ev.RecvOp]; dup {
-			c.fail("recv op %d readied twice (data msg %d)", ev.RecvOp, ev.MsgID)
+		if r := c.recvOf(ev); r != nil {
+			c.readyRecv(ev, m, r)
 		}
-		c.recvReady[ev.RecvOp] = ready{at: ev.Start, bytes: m.bytes}
 	}
 }
 
-func (c *Checker) addMatch(ev sim.TraceEvent) {
+func (c *Checker) addMatch(ev *sim.TraceEvent) {
 	c.nMatches++
-	m, ok := c.msgs[ev.MsgID]
-	if !ok {
+	m := c.msg(ev.MsgID)
+	if m == nil {
 		c.fail("match of unknown msg %d at %v", ev.MsgID, ev.Start)
 		return
 	}
@@ -470,26 +578,50 @@ func (c *Checker) addMatch(ev sim.TraceEvent) {
 		return
 	}
 	m.matched = true
-	if m.kind != "eager" && m.kind != "rts" {
-		c.fail("msg %d: match of non-matchable kind %q", ev.MsgID, m.kind)
+	if !m.matchable() {
+		c.fail("msg %d: match of non-matchable kind %q", ev.MsgID, c.kindName(ev.MsgID, m))
 		return
 	}
 	if ev.Start < m.arriveAt {
 		c.fail("msg %d matched at %v before its arrival %v", ev.MsgID, ev.Start, m.arriveAt)
 	}
-	if c.recvSeen[ev.RecvOp] {
+	r := c.recvOf(ev)
+	if r == nil {
+		return
+	}
+	if r.seen {
 		c.fail("recv op %d matched a second message (msg %d)", ev.RecvOp, ev.MsgID)
 	}
-	c.recvSeen[ev.RecvOp] = true
-	if m.kind == "eager" {
-		if _, dup := c.recvReady[ev.RecvOp]; dup {
-			c.fail("recv op %d readied twice (eager msg %d)", ev.RecvOp, ev.MsgID)
-		}
-		c.recvReady[ev.RecvOp] = ready{at: ev.Start, bytes: m.bytes}
+	r.seen = true
+	if m.kind == kindEager {
+		c.readyRecv(ev, m, r)
 	}
 }
 
-func (c *Checker) addPhase(ev sim.TraceEvent) {
+// recvOf returns the state of the receive ev names, or nil (flagged) when
+// ev names no valid op.
+func (c *Checker) recvOf(ev *sim.TraceEvent) *recvState {
+	if ev.RecvOp < 0 {
+		c.fail("msg %d names invalid recv op %d", ev.MsgID, ev.RecvOp)
+		return nil
+	}
+	return c.recvs.at(int(ev.RecvOp))
+}
+
+// readyRecv records that receive r, the one ev names, can complete:
+// message m, whose arrival or match ev is, became available at ev.Start.
+// Only a matched receive can be readied.
+func (c *Checker) readyRecv(ev *sim.TraceEvent, m *msgState, r *recvState) {
+	if !r.seen {
+		c.fail("recv op %d readied by %s msg %d, but no message matched it", ev.RecvOp, kindNames[m.kind], ev.MsgID)
+	}
+	if r.ready {
+		c.fail("recv op %d readied twice (%s msg %d)", ev.RecvOp, kindNames[m.kind], ev.MsgID)
+	}
+	r.at, r.bytes, r.ready = ev.Start, m.bytes, true
+}
+
+func (c *Checker) addPhase(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
 	switch ev.Kind {
 	case "hold":
@@ -653,19 +785,22 @@ func (c *Checker) Finish(res *sim.Result) error {
 	if sawApp && maxApp != res.Makespan {
 		c.fail("last app occupancy ends %v, makespan is %v", maxApp, res.Makespan)
 	}
-	for id, m := range c.msgs {
+	for id := int64(1); id <= c.nMsgs; id++ {
+		m := c.msgs.get(int(id - 1))
 		if !m.arrived {
-			if m.kind != "ctl" {
-				c.fail("msg %d (%s %d->%d) never arrived", id, m.kind, m.src, m.dst)
+			if m.kind != kindCtl {
+				c.fail("msg %d (%s %d->%d) never arrived", id, c.kindName(id, m), m.src, m.dst)
 			}
 			continue
 		}
-		if (m.kind == "eager" || m.kind == "rts") && !m.matched {
-			c.fail("orphan: msg %d (%s %d->%d) arrived but never matched", id, m.kind, m.src, m.dst)
+		if m.matchable() && !m.matched {
+			c.fail("orphan: msg %d (%s %d->%d) arrived but never matched", id, c.kindName(id, m), m.src, m.dst)
 		}
 	}
-	for op := range c.recvReady {
-		c.fail("recv op %d matched a message but never completed", op)
+	for op := 0; op < len(c.recvs.dir)<<pageBits; op++ {
+		if r := c.recvs.get(op); r != nil && r.ready {
+			c.fail("recv op %d matched a message but never completed", op)
+		}
 	}
 	mt := res.Metrics
 	if c.nApp != mt.AppMessages || c.appBytes != mt.AppBytes {
@@ -719,8 +854,9 @@ func (c *Checker) CheckLogging(p TaxedLogger) error {
 	lp := p.LogConfig()
 	var nMsgs, nBytes int64
 	var penalty simtime.Duration
-	for _, s := range c.appSends {
-		if !p.Taxed(s.src, s.dst) {
+	for i := 0; i < int(c.nMsgs); i++ {
+		s := c.msgs.get(i)
+		if !s.matchable() || !p.Taxed(int(s.src), int(s.dst)) {
 			continue
 		}
 		nMsgs++
@@ -761,8 +897,9 @@ func (c *Checker) CheckReplication(p ReplicaMirror) error {
 	d := int64(p.Degree())
 	app := p.AppRanks()
 	var nMsgs, nBytes int64
-	for _, s := range c.appSends {
-		if s.src >= app || s.dst >= app {
+	for i := 0; i < int(c.nMsgs); i++ {
+		s := c.msgs.get(i)
+		if !s.matchable() || int(s.src) >= app || int(s.dst) >= app {
 			continue
 		}
 		nMsgs += d

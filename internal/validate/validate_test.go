@@ -1,6 +1,8 @@
 package validate_test
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -206,6 +208,16 @@ func TestCorruptedTraceRejected(t *testing.T) {
 			evs[0].Rank = -1
 			return evs
 		}},
+		{"renumber-injection", "out of sequence", func(evs []sim.TraceEvent) []sim.TraceEvent {
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceInject && ev.MsgID > 1 })
+			evs[i].MsgID += 1000
+			return evs
+		}},
+		{"reuse-injection-id", "injected twice", func(evs []sim.TraceEvent) []sim.TraceEvent {
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceInject && ev.MsgID > 1 })
+			evs[i].MsgID = 1
+			return evs
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -220,6 +232,42 @@ func TestCorruptedTraceRejected(t *testing.T) {
 				t.Errorf("violation %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// Finish scans messages and receives in ID order, so a stream with more
+// violations than the checker retains reports the same ones, in the same
+// order, on every replay. Dropping every clear-to-send arrival breaks only
+// the end-of-run scan (a CTS is neither matched nor readies a receive), and
+// the coordinated ring sends enough rendezvous messages to overflow the cap.
+func TestViolationOrderStable(t *testing.T) {
+	base, res := coordinatedScenario(t)
+	var events []sim.TraceEvent
+	for _, ev := range base {
+		if ev.Type == sim.TraceArrive && ev.Kind == "cts" {
+			continue
+		}
+		events = append(events, ev)
+	}
+	first := replay(network.DefaultParams(), events, res)
+	if first == nil {
+		t.Fatal("trace without CTS arrivals accepted")
+	}
+	if !strings.Contains(first.Error(), "more") {
+		t.Fatalf("scenario does not overflow the violation cap: %v", first)
+	}
+	for i := 0; i < 5; i++ {
+		if again := replay(network.DefaultParams(), events, res); again.Error() != first.Error() {
+			t.Fatalf("violations differ between replays:\n%v\n---\n%v", first, again)
+		}
+	}
+	last := int64(0)
+	for _, m := range regexp.MustCompile(`msg (\d+) `).FindAllStringSubmatch(first.Error(), -1) {
+		id, _ := strconv.ParseInt(m[1], 10, 64)
+		if id <= last {
+			t.Fatalf("msg %d reported after msg %d: scan is not in ID order:\n%v", id, last, first)
+		}
+		last = id
 	}
 }
 
@@ -357,7 +405,8 @@ var fuzzBase struct {
 // an invariant by construction, and asserts the checker rejects every one.
 // The mutation classes map to the violation families: conservation
 // (stretched occupancies, inflated payloads, dropped grants/matches),
-// causality (early arrivals, dropped arrivals).
+// causality (early arrivals, dropped arrivals), and identity (a
+// renumbered injection or a match naming another receive).
 func FuzzValidateTrace(f *testing.F) {
 	net := network.DefaultParams()
 	base := func(t *testing.T) ([]sim.TraceEvent, *sim.Result) {
@@ -369,7 +418,7 @@ func FuzzValidateTrace(f *testing.F) {
 		}
 		return fuzzBase.events, fuzzBase.res
 	}
-	for mode := uint8(0); mode < 6; mode++ {
+	for mode := uint8(0); mode < 7; mode++ {
 		f.Add(mode, uint16(0), int64(1))
 		f.Add(mode, uint16(37), int64(999))
 	}
@@ -385,7 +434,7 @@ func FuzzValidateTrace(f *testing.F) {
 		// to events where the corruption is guaranteed detectable (e.g.
 		// dropped control-message arrivals are legal truncation at exit, so
 		// arrival drops only target application-class kinds).
-		mode %= 6
+		mode %= 7
 		var cands []int
 		for i, ev := range events {
 			ok := false
@@ -403,6 +452,8 @@ func FuzzValidateTrace(f *testing.F) {
 				ok = ev.Type == sim.TraceInject && (ev.Kind == "eager" || ev.Kind == "data")
 			case 5: // shift an arrival off its scheduled time: causality breaks
 				ok = ev.Type == sim.TraceArrive
+			case 6: // renumber an injection, or repoint a match at another receive
+				ok = ev.Type == sim.TraceInject || ev.Type == sim.TraceMatch
 			}
 			if ok {
 				cands = append(cands, i)
@@ -421,6 +472,12 @@ func FuzzValidateTrace(f *testing.F) {
 			events[i].Bytes += d
 		case 5:
 			events[i].Start += simtime.Time(d)
+		case 6:
+			if events[i].Type == sim.TraceInject {
+				events[i].MsgID += d
+			} else {
+				events[i].RecvOp += goal.OpID(d)
+			}
 		}
 		if err := replay(net, events, res); err == nil {
 			t.Fatalf("corrupted trace accepted (mode %d, event %d, delta %d)", mode, i, d)
