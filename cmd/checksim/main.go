@@ -83,7 +83,7 @@ func run(args []string, out io.Writer) error {
 		ranksPerNode = fs.Int("ranks-per-node", 0, "ranks per node for the node storage tier (0 = 1)")
 		imageBytes   = fs.Int64("image-bytes", 0, "checkpoint image size drained through the store (0 = derive from -write)")
 		validateRun  = fs.Bool("validate", false, "run the simulation under the trace-conformance checker (internal/validate); invariant violations are fatal")
-		snapEvery    = fs.Int64("snapshot-every", 0, "snapshot the complete simulator state every N events at a safe boundary (0 = off; requires -snapshot-dir)")
+		snapEvery    = fs.Int64("snapshot-every", 0, "snapshot the complete simulator state after every N events (0 = off; requires -snapshot-dir)")
 		snapDir      = fs.String("snapshot-dir", "", "directory receiving snapshot blobs (snap-<events>.ckpt, written atomically)")
 		resumeFile   = fs.String("resume", "", "resume from this snapshot blob instead of starting from t=0 (config must match the snapshotting run)")
 		timelineCSV  = fs.String("timeline", "", "write a per-job CPU timeline CSV to this file")

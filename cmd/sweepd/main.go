@@ -146,6 +146,11 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	}
 	srv := service.New(cfg)
 
+	// Catch shutdown signals before listening: a signal that lands once
+	// ready is announced must drain the server, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -165,9 +170,6 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case err := <-errc:
 		srv.Close()
@@ -220,6 +222,10 @@ func runCoordinator(addr, workerURLs, version string, dlqAttempts int, retryBase
 		return err
 	}
 
+	// As in run: the signal handler is in place before ready is announced.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		coord.Close()
@@ -240,9 +246,6 @@ func runCoordinator(addr, workerURLs, version string, dlqAttempts int, retryBase
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	select {
 	case err := <-errc:
 		coord.Close()

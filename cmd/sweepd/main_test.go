@@ -145,6 +145,21 @@ func drainAll(t *testing.T, errcs ...chan error) {
 	}
 }
 
+// TestSIGTERMRightAfterReady: a SIGTERM sent the instant a server reports
+// ready must drain it, in both roles, rather than kill the process — the
+// signal handler is registered before the listener is announced.
+func TestSIGTERMRightAfterReady(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		args := []string{"-addr", "127.0.0.1:0", "-workers", "1", "-version", "test"}
+		if i%2 == 1 {
+			args = []string{"-addr", "127.0.0.1:0", "-coordinator",
+				"-worker-urls", "http://127.0.0.1:1", "-version", "test"}
+		}
+		_, errc := startRun(t, args...)
+		drainAll(t, errc)
+	}
+}
+
 // TestRunDiskCacheSurvivesRestart drives the -cache-dir flag end to end:
 // a result computed before SIGTERM is served byte-identical as a disk
 // hit by a freshly started process on the same directory.

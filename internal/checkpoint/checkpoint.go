@@ -97,31 +97,27 @@ func (p Params) Validate() error {
 }
 
 // storeWrite performs one rank's checkpoint write, routed through the shared
-// storage model when one is configured. Without a store — or when the target
-// tier is unconstrained — it issues the exact legacy fixed-duration seizure,
-// so pre-storage results reproduce byte-identically. With a bandwidth-limited
-// tier, the rank's CPU is seized open-endedly while the image drains under
-// fair-share arbitration: the lone-writer portion of the occupancy is
+// storage model when one is configured, and runs done when it completes.
+// Without a store — or when the target tier is unconstrained — it issues the
+// exact legacy fixed-duration seizure, so pre-storage results reproduce
+// byte-identically. With a bandwidth-limited tier, the rank's CPU is seized
+// open-endedly while the image drains under fair-share arbitration
+// (storage.Store.Write): the lone-writer portion of the occupancy is
 // accounted as ReasonWrite, the contention-induced excess as ReasonIOWait.
 func storeWrite(ctx *sim.Context, st *storage.Store, tier storage.Tier, rank int,
-	fixed simtime.Duration, bytes int64, done func(end simtime.Time)) {
+	fixed simtime.Duration, bytes int64, done sim.Call) {
 	if st == nil || !st.TierLimited(tier) {
 		ctx.SeizeCPU(rank, fixed, ReasonWrite, done)
 		return
 	}
-	st.Bind(ctx)
-	b := bytes
-	if b <= 0 {
-		b = st.BytesFor(tier, fixed)
+	if bytes <= 0 {
+		bytes = st.BytesFor(tier, fixed)
 	}
-	ctx.SeizeCPUDynamic(rank, st.LoneDuration(tier, b), ReasonWrite, ReasonIOWait,
-		func(start simtime.Time, release func()) {
-			st.Begin(rank, tier, b, func(simtime.Time) { release() })
-		}, done)
+	st.Write(ctx, rank, tier, bytes, ReasonWrite, ReasonIOWait, done)
 }
 
 // write routes one checkpoint write through p's store configuration.
-func (p Params) write(ctx *sim.Context, rank int, done func(end simtime.Time)) {
+func (p Params) write(ctx *sim.Context, rank int, done sim.Call) {
 	storeWrite(ctx, p.Store, p.Tier, rank, p.Write, p.Bytes, done)
 }
 

@@ -40,10 +40,22 @@ type CIC struct {
 	stats  Stats
 	ctx    *sim.Context
 	idx    []int64
+	fired  []simtime.Time // when each rank's in-flight basic checkpoint fired
 	last   []simtime.Time
 	busyAt []simtime.Duration
 	queues map[cicChan][]int64
 }
+
+// Work kinds. A write's argument packs the checkpoint index into the high
+// half and the rank into the low half (cicArg).
+const (
+	cicFire          uint8 = iota // the rank's basic checkpoint is due; arg = rank
+	cicBasicWritten               // a basic write completed
+	cicForcedWritten              // a forced write completed
+)
+
+// cicArg packs a checkpoint index and a rank into one work argument.
+func cicArg(v int64, rank int) int64 { return v<<32 | int64(rank) }
 
 // NewCIC builds the protocol. lag is the index-lag threshold (default 1);
 // policy staggers the basic-checkpoint timers.
@@ -68,6 +80,7 @@ func (c *CIC) Init(ctx *sim.Context) {
 	c.ctx = ctx
 	n := ctx.NumRanks()
 	c.idx = make([]int64, n)
+	c.fired = make([]simtime.Time, n)
 	c.last = make([]simtime.Time, n)
 	c.busyAt = make([]simtime.Duration, n)
 	for r := 0; r < n; r++ {
@@ -80,41 +93,49 @@ func (c *CIC) Init(ctx *sim.Context) {
 		case Random:
 			off = simtime.Duration(ctx.Rand().Intn(int(c.p.Interval)))
 		}
-		ctx.AtOwned(simtime.Time(0).Add(c.p.Interval+off), c, 0, int64(r))
+		ctx.AtOwned(simtime.Time(0).Add(c.p.Interval+off), c, cicFire, int64(r))
 	}
 }
 
-// OnTimer implements sim.TimerOwner: arg is the rank whose basic-checkpoint
-// timer fired.
-func (c *CIC) OnTimer(_ uint8, arg int64) { c.fire(int(arg)) }
-
-// fire takes one basic checkpoint: increment the rank's index and write.
-func (c *CIC) fire(rank int) {
-	fired := c.ctx.Now()
-	c.idx[rank]++
-	v := c.idx[rank]
-	c.p.write(c.ctx, rank, func(end simtime.Time) {
+// OnTimer implements sim.TimerOwner.
+func (c *CIC) OnTimer(kind uint8, arg int64) {
+	switch kind {
+	case cicFire:
+		// One basic checkpoint: increment the rank's index and write.
+		rank := int(arg)
+		c.fired[rank] = c.ctx.Now()
+		c.idx[rank]++
+		c.p.write(c.ctx, rank, sim.Call{Owner: c, Kind: cicBasicWritten, Arg: cicArg(c.idx[rank], rank)})
+	case cicBasicWritten:
+		v, rank := arg>>32, int(uint32(arg))
+		end := c.ctx.Now()
 		c.stats.Writes++
 		c.last[rank] = end
 		c.busyAt[rank] = c.ctx.RankBusy(rank)
 		c.ctx.Mark(rank, "cic-basic", v)
-		next := simtime.Max(fired.Add(c.p.Interval), end)
-		c.ctx.AtOwned(next, c, 0, int64(rank))
-	})
+		next := simtime.Max(c.fired[rank].Add(c.p.Interval), end)
+		c.ctx.AtOwned(next, c, cicFire, int64(rank))
+	case cicForcedWritten:
+		m, dst := arg>>32, int(uint32(arg))
+		c.stats.Writes++
+		c.stats.Forced++
+		c.last[dst] = c.ctx.Now()
+		c.busyAt[dst] = c.ctx.RankBusy(dst)
+		c.ctx.Mark(dst, "cic-forced", m)
+	}
 }
 
-// Quiesced implements sim.Resumable: in-flight writes block the boundary
-// through the engine's job scans; store-queued writes block here.
-func (c *CIC) Quiesced() bool { return storeQuiesced(c.p.Store) }
-
-// EncodeState implements sim.Resumable. The per-channel piggyback queues can
-// be non-empty at a boundary (indices of sent-but-unmatched messages); they
-// are emitted in (src,dst) order for determinism.
-func (c *CIC) EncodeState(enc *snapshot.Encoder) {
-	encodeStats(enc, &c.stats)
-	snapshot.EncodeI64Slice(enc, c.idx)
-	snapshot.EncodeI64Slice(enc, c.last)
-	snapshot.EncodeI64Slice(enc, c.busyAt)
+// SnapshotState implements sim.Resumable. The per-channel piggyback queues
+// can be non-empty at any event (indices of sent-but-unmatched messages);
+// they are walked in (src,dst) order for determinism.
+func (c *CIC) SnapshotState(ctx *sim.Context, sc *snapshot.Codec) {
+	c.ctx = ctx
+	n := ctx.NumRanks()
+	codeStats(sc, &c.stats)
+	snapshot.Slice(sc, &c.idx, n)
+	snapshot.Slice(sc, &c.fired, n)
+	snapshot.Slice(sc, &c.last, n)
+	snapshot.Slice(sc, &c.busyAt, n)
 	keys := make([]cicChan, 0, len(c.queues))
 	for k := range c.queues {
 		keys = append(keys, k)
@@ -125,43 +146,21 @@ func (c *CIC) EncodeState(enc *snapshot.Encoder) {
 		}
 		return keys[i].dst < keys[j].dst
 	})
-	enc.Int(len(keys))
+	if nq := sc.Len(len(keys)); sc.Decoding() {
+		keys = make([]cicChan, nq)
+		c.queues = make(map[cicChan][]int64, nq)
+	}
 	for _, k := range keys {
-		enc.Int(int(k.src))
-		enc.Int(int(k.dst))
-		snapshot.EncodeI64Slice(enc, c.queues[k])
-	}
-	encodeStore(enc, c.p.Store)
-}
-
-// DecodeState implements sim.Resumable.
-func (c *CIC) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
-	c.ctx = ctx
-	n := ctx.NumRanks()
-	decodeStats(dec, &c.stats)
-	c.idx = snapshot.DecodeI64Slice[int64](dec, n)
-	c.last = snapshot.DecodeI64Slice[simtime.Time](dec, n)
-	c.busyAt = snapshot.DecodeI64Slice[simtime.Duration](dec, n)
-	nq := dec.Int()
-	if nq < 0 || nq > dec.Remaining() {
-		dec.Failf("cic queue count %d", nq)
-		return dec.Err()
-	}
-	c.queues = make(map[cicChan][]int64, nq)
-	for i := 0; i < nq; i++ {
-		src, dst := dec.Int(), dec.Int()
-		q := snapshot.DecodeI64Slice[int64](dec, -1)
-		if dec.Err() != nil {
-			return dec.Err()
+		q := c.queues[k]
+		snapshot.Int(sc, &k.src)
+		snapshot.Int(sc, &k.dst)
+		snapshot.Slice(sc, &q, -1)
+		if k.src < 0 || int(k.src) >= n || k.dst < 0 || int(k.dst) >= n {
+			sc.Failf("cic channel %d->%d out of range", k.src, k.dst)
 		}
-		if src < 0 || src >= n || dst < 0 || dst >= n {
-			dec.Failf("cic channel %d->%d out of range", src, dst)
-			return dec.Err()
-		}
-		c.queues[cicChan{int32(src), int32(dst)}] = q
+		c.queues[k] = q
 	}
-	decodeStore(ctx, dec, c.p.Store)
-	return dec.Err()
+	codeStore(ctx, sc, c.p.Store)
 }
 
 // SendPenalty implements sim.SendHook: record the sender's index for the
@@ -191,13 +190,7 @@ func (c *CIC) MessageMatched(src, dst int, bytes int64) {
 	}
 	c.idx[dst] = m
 	c.ctx.Mark(dst, "cic-force-due", m)
-	c.p.write(c.ctx, dst, func(end simtime.Time) {
-		c.stats.Writes++
-		c.stats.Forced++
-		c.last[dst] = end
-		c.busyAt[dst] = c.ctx.RankBusy(dst)
-		c.ctx.Mark(dst, "cic-forced", m)
-	})
+	c.p.write(c.ctx, dst, sim.Call{Owner: c, Kind: cicForcedWritten, Arg: cicArg(m, dst)})
 }
 
 // LagThreshold returns the configured index-lag threshold (see

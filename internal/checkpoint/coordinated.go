@@ -47,50 +47,38 @@ func (c *Coordinated) Init(ctx *sim.Context) {
 }
 
 // setup wires the coordinator without scheduling its first round, so that
-// DecodeState can rebuild it while the pending tick is restored from the
-// snapshotted event queue.
+// a restoring SnapshotState can rebuild it while the pending tick is
+// restored from the snapshotted event queue.
 func (c *Coordinated) setup(ctx *sim.Context) {
 	members := make([]int, ctx.NumRanks())
 	for i := range members {
 		members[i] = i
 	}
-	c.coord = newCoordinator(ctx, c.p, members, &c.stats, nil,
+	c.coord = newCoordinator(ctx, c.p, c, 0, members, &c.stats,
 		func(tick, end simtime.Time) {
 			c.lastLine = end
 			c.lineStart = tick
 			c.rounds = append(c.rounds, RoundRecord{Start: tick, End: end})
 		})
-	c.coord.arm = func(t simtime.Time) { ctx.AtOwned(t, c, 0, 0) }
 }
 
-// OnTimer implements sim.TimerOwner: the only timer is the round tick.
-func (c *Coordinated) OnTimer(uint8, int64) { c.coord.tick() }
-
-// Quiesced implements sim.Resumable: snapshots wait for rounds to complete.
-func (c *Coordinated) Quiesced() bool {
-	return (c.coord == nil || !c.coord.active) && storeQuiesced(c.p.Store)
+// OnTimer implements sim.TimerOwner: all pending work is the coordinator's.
+func (c *Coordinated) OnTimer(kind uint8, arg int64) {
+	_, i := coordArg(arg)
+	c.coord.onTimer(kind, i)
 }
 
-// EncodeState implements sim.Resumable.
-func (c *Coordinated) EncodeState(enc *snapshot.Encoder) {
-	encodeStats(enc, &c.stats)
-	enc.Time(c.lastLine)
-	enc.Time(c.lineStart)
-	encodeRounds(enc, c.rounds)
-	c.coord.encodeState(enc)
-	encodeStore(enc, c.p.Store)
-}
-
-// DecodeState implements sim.Resumable.
-func (c *Coordinated) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
-	c.setup(ctx)
-	decodeStats(dec, &c.stats)
-	c.lastLine = dec.Time()
-	c.lineStart = dec.Time()
-	c.rounds = decodeRounds(dec)
-	c.coord.decodeState(dec)
-	decodeStore(ctx, dec, c.p.Store)
-	return dec.Err()
+// SnapshotState implements sim.Resumable.
+func (c *Coordinated) SnapshotState(ctx *sim.Context, sc *snapshot.Codec) {
+	if sc.Decoding() {
+		c.setup(ctx)
+	}
+	codeStats(sc, &c.stats)
+	snapshot.Int(sc, &c.lastLine)
+	snapshot.Int(sc, &c.lineStart)
+	codeRounds(sc, &c.rounds)
+	c.coord.snapshotState(sc)
+	codeStore(ctx, sc, c.p.Store)
 }
 
 // Name implements Protocol.

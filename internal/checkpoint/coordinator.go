@@ -20,19 +20,21 @@ import (
 // All sweeps are control messages through the simulated network. Rounds
 // never overlap: the next round starts Interval after the previous round's
 // start, or immediately after the previous round ends, whichever is later.
+//
+// Every pending step of a round is owned work of the embedding protocol
+// (owner): its OnTimer routes the coordinator kinds below back to onTimer,
+// with the group in the argument's high half and the member index in the
+// low half. The in-flight round itself is the data in the fields, so a
+// snapshot can be taken mid-round.
 type coordinator struct {
 	ctx     *sim.Context
 	p       Params
+	owner   sim.TimerOwner
+	group   int64
 	members []int // actual rank ids; members[0] is the root
 	stats   *Stats
-	// onWrite records a completed write for one member rank.
-	onWrite func(rank int, end simtime.Time)
 	// onRound runs when a round fully completes.
 	onRound func(tick, end simtime.Time)
-	// arm schedules the next tick. The owning protocol supplies a
-	// defunctionalized timer (Context.AtOwned) so the pending tick
-	// serializes into snapshots; nil falls back to a closure timer.
-	arm func(t simtime.Time)
 
 	// per-round state
 	active       bool
@@ -40,7 +42,7 @@ type coordinator struct {
 	pendingDelay simtime.Duration // coordination delay of the in-flight round
 	acksLeft     []int
 	donesLeft    []int
-	release      []func()
+	holds        []sim.Handle // each member's application gate while closed
 	// pendingBusy snapshots each member's application progress at its write;
 	// committedBusy is the snapshot of the last *completed* round — the
 	// progress a rollback of this group restores.
@@ -48,16 +50,58 @@ type coordinator struct {
 	committedBusy []simtime.Duration
 }
 
-func newCoordinator(ctx *sim.Context, p Params, members []int, stats *Stats,
-	onWrite func(int, simtime.Time), onRound func(tick, end simtime.Time)) *coordinator {
+// Coordinator work kinds. Protocols embedding a coordinator route kinds
+// below coordKinds to coordinator.onTimer and number their own from
+// coordKinds.
+const (
+	coordTick    uint8 = iota // the next round starts
+	coordReq                  // a REQ reached member i
+	coordAck                  // an ACK from a child reached member i
+	coordCommit               // a COMMIT reached member i
+	coordWritten              // member i's checkpoint write completed
+	coordDone                 // a DONE from a child reached member i
+	coordKinds
+)
+
+func newCoordinator(ctx *sim.Context, p Params, owner sim.TimerOwner, group int, members []int,
+	stats *Stats, onRound func(tick, end simtime.Time)) *coordinator {
 	return &coordinator{
-		ctx: ctx, p: p, members: members, stats: stats,
-		onWrite: onWrite, onRound: onRound,
+		ctx: ctx, p: p, owner: owner, group: int64(group), members: members, stats: stats,
+		onRound:       onRound,
 		acksLeft:      make([]int, len(members)),
 		donesLeft:     make([]int, len(members)),
-		release:       make([]func(), len(members)),
+		holds:         make([]sim.Handle, len(members)),
 		pendingBusy:   make([]simtime.Duration, len(members)),
 		committedBusy: make([]simtime.Duration, len(members)),
+	}
+}
+
+// coordArg splits an owned-work argument into (group, member index).
+func coordArg(arg int64) (group, i int) { return int(arg >> 32), int(uint32(arg)) }
+
+// call is the owned work of kind for member i.
+func (c *coordinator) call(kind uint8, i int) sim.Call {
+	return sim.Call{Owner: c.owner, Kind: kind, Arg: c.group<<32 | int64(i)}
+}
+
+// onTimer runs one step of the coordinator's pending work.
+func (c *coordinator) onTimer(kind uint8, i int) {
+	switch kind {
+	case coordTick:
+		c.tick()
+	case coordReq:
+		c.handleReq(i)
+	case coordAck:
+		c.acksLeft[i]--
+		if c.acksLeft[i] == 0 {
+			c.ackReady(i)
+		}
+	case coordCommit:
+		c.handleCommit(i)
+	case coordWritten:
+		c.written(i)
+	case coordDone:
+		c.doneReady(i)
 	}
 }
 
@@ -78,31 +122,23 @@ func (c *coordinator) children(i int) []int {
 // parent returns the virtual index of i's binomial-tree parent.
 func (c *coordinator) parent(i int) int { return i - (i & -i) }
 
-// schedule arms the periodic rounds; call once from the protocol's Init.
-func (c *coordinator) schedule(first simtime.Time) {
-	c.armAt(first)
+// schedule arms the next round's tick.
+func (c *coordinator) schedule(t simtime.Time) {
+	c.ctx.AtOwned(t, c.owner, coordTick, c.group<<32)
 }
 
-func (c *coordinator) armAt(t simtime.Time) {
-	if c.arm != nil {
-		c.arm(t)
-		return
-	}
-	c.ctx.At(t, c.tick)
-}
-
-// encodeState serializes the coordinator's cross-round state. Per-round
-// fields (acksLeft, donesLeft, release, pendingBusy, pendingDelay,
-// tickTime) are live only while active, and snapshots require !active.
-func (c *coordinator) encodeState(enc *snapshot.Encoder) {
-	if c.active {
-		panic("checkpoint: encoding coordinator mid-round")
-	}
-	snapshot.EncodeI64Slice(enc, c.committedBusy)
-}
-
-func (c *coordinator) decodeState(dec *snapshot.Decoder) {
-	c.committedBusy = snapshot.DecodeI64Slice[simtime.Duration](dec, len(c.members))
+// snapshotState walks the coordinator's state, any round in flight
+// included.
+func (c *coordinator) snapshotState(sc *snapshot.Codec) {
+	n := len(c.members)
+	sc.Bool(&c.active)
+	snapshot.Int(sc, &c.tickTime)
+	snapshot.Int(sc, &c.pendingDelay)
+	snapshot.Slice(sc, &c.acksLeft, n)
+	snapshot.Slice(sc, &c.donesLeft, n)
+	snapshot.Slice(sc, &c.holds, n)
+	snapshot.Slice(sc, &c.pendingBusy, n)
+	snapshot.Slice(sc, &c.committedBusy, n)
 }
 
 func (c *coordinator) tick() {
@@ -119,13 +155,11 @@ func (c *coordinator) tick() {
 
 func (c *coordinator) handleReq(i int) {
 	rank := c.members[i]
-	c.release[i] = c.ctx.HoldApp(rank, ReasonCoord)
+	c.holds[i] = c.ctx.HoldApp(rank, ReasonCoord)
 	kids := c.children(i)
 	c.acksLeft[i] = len(kids)
 	for _, j := range kids {
-		j := j
-		c.ctx.SendControl(rank, c.members[j], c.p.ctlBytes(),
-			func(simtime.Time) { c.handleReq(j) })
+		c.ctx.SendControl(rank, c.members[j], c.p.ctlBytes(), c.call(coordReq, j))
 	}
 	if len(kids) == 0 {
 		c.ackReady(i)
@@ -141,13 +175,7 @@ func (c *coordinator) ackReady(i int) {
 		return
 	}
 	p := c.parent(i)
-	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(),
-		func(simtime.Time) {
-			c.acksLeft[p]--
-			if c.acksLeft[p] == 0 {
-				c.ackReady(p)
-			}
-		})
+	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(), c.call(coordAck, p))
 }
 
 func (c *coordinator) handleCommit(i int) {
@@ -155,20 +183,19 @@ func (c *coordinator) handleCommit(i int) {
 	kids := c.children(i)
 	c.donesLeft[i] = len(kids) + 1 // children subtrees + own write
 	for _, j := range kids {
-		j := j
-		c.ctx.SendControl(rank, c.members[j], c.p.ctlBytes(),
-			func(simtime.Time) { c.handleCommit(j) })
+		c.ctx.SendControl(rank, c.members[j], c.p.ctlBytes(), c.call(coordCommit, j))
 	}
-	c.p.write(c.ctx, rank, func(end simtime.Time) {
-		c.stats.Writes++
-		c.pendingBusy[i] = c.ctx.RankBusy(rank)
-		c.release[i]()
-		c.release[i] = nil
-		if c.onWrite != nil {
-			c.onWrite(rank, end)
-		}
-		c.doneReady(i)
-	})
+	c.p.write(c.ctx, rank, c.call(coordWritten, i))
+}
+
+// written runs when member i's checkpoint write completes: reopen its gate
+// and report the subtree's progress.
+func (c *coordinator) written(i int) {
+	c.stats.Writes++
+	c.pendingBusy[i] = c.ctx.RankBusy(c.members[i])
+	c.ctx.Release(c.holds[i])
+	c.holds[i] = 0
+	c.doneReady(i)
 }
 
 // doneReady decrements subtree i's outstanding-done counter.
@@ -188,11 +215,9 @@ func (c *coordinator) doneReady(i int) {
 		if c.onRound != nil {
 			c.onRound(c.tickTime, end)
 		}
-		next := simtime.Max(c.tickTime.Add(c.p.Interval), end)
-		c.armAt(next)
+		c.schedule(simtime.Max(c.tickTime.Add(c.p.Interval), end))
 		return
 	}
 	p := c.parent(i)
-	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(),
-		func(simtime.Time) { c.doneReady(p) })
+	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(), c.call(coordDone, p))
 }

@@ -56,7 +56,7 @@ func (h *Hierarchical) Init(ctx *sim.Context) {
 }
 
 // setup builds the per-cluster coordinators without scheduling their rounds,
-// for both Init and DecodeState.
+// for both Init and a restoring SnapshotState.
 func (h *Hierarchical) setup(ctx *sim.Context) {
 	h.numRanks = ctx.NumRanks()
 	numClusters := (h.numRanks + h.clusterSize - 1) / h.clusterSize
@@ -73,51 +73,33 @@ func (h *Hierarchical) setup(ctx *sim.Context) {
 		for i := range members {
 			members[i] = lo + i
 		}
-		k := k
-		h.coords[k] = newCoordinator(ctx, h.p, members, &h.stats, nil,
+		h.coords[k] = newCoordinator(ctx, h.p, h, k, members, &h.stats,
 			func(tick, end simtime.Time) {
 				h.lastLine[k] = end
 				h.lineStart[k] = tick
 			})
-		h.coords[k].arm = func(t simtime.Time) { ctx.AtOwned(t, h, 0, int64(k)) }
 	}
 }
 
-// OnTimer implements sim.TimerOwner: arg is the cluster whose round ticks.
-func (h *Hierarchical) OnTimer(_ uint8, arg int64) { h.coords[arg].tick() }
-
-// Quiesced implements sim.Resumable: every cluster round must be complete.
-func (h *Hierarchical) Quiesced() bool {
-	for _, c := range h.coords {
-		if c.active {
-			return false
-		}
-	}
-	return storeQuiesced(h.p.Store)
+// OnTimer implements sim.TimerOwner: all pending work belongs to the
+// coordinator of the cluster named in the argument.
+func (h *Hierarchical) OnTimer(kind uint8, arg int64) {
+	k, i := coordArg(arg)
+	h.coords[k].onTimer(kind, i)
 }
 
-// EncodeState implements sim.Resumable.
-func (h *Hierarchical) EncodeState(enc *snapshot.Encoder) {
-	encodeStats(enc, &h.stats)
-	snapshot.EncodeI64Slice(enc, h.lastLine)
-	snapshot.EncodeI64Slice(enc, h.lineStart)
-	for _, c := range h.coords {
-		c.encodeState(enc)
+// SnapshotState implements sim.Resumable.
+func (h *Hierarchical) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
+	if c.Decoding() {
+		h.setup(ctx)
 	}
-	encodeStore(enc, h.p.Store)
-}
-
-// DecodeState implements sim.Resumable.
-func (h *Hierarchical) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
-	h.setup(ctx)
-	decodeStats(dec, &h.stats)
-	h.lastLine = snapshot.DecodeI64Slice[simtime.Time](dec, len(h.coords))
-	h.lineStart = snapshot.DecodeI64Slice[simtime.Time](dec, len(h.coords))
-	for _, c := range h.coords {
-		c.decodeState(dec)
+	codeStats(c, &h.stats)
+	snapshot.Slice(c, &h.lastLine, len(h.coords))
+	snapshot.Slice(c, &h.lineStart, len(h.coords))
+	for _, k := range h.coords {
+		k.snapshotState(c)
 	}
-	decodeStore(ctx, dec, h.p.Store)
-	return dec.Err()
+	codeStore(ctx, c, h.p.Store)
 }
 
 // SendPenalty implements sim.SendHook: only inter-cluster messages are

@@ -56,15 +56,29 @@ type NonBlockingCoordinated struct {
 	stats Stats
 	ctx   *sim.Context
 
+	// The round in flight, all plain data so a snapshot can be taken at
+	// any event: per rank, the outstanding completions of its background
+	// write (the window, plus the drain when a store is limited) and the
+	// CPU scale it imposes.
 	active    bool
 	tickTime  simtime.Time
 	tree      coordinator // used only for its children/parent shape
 	donesLeft []int
+	arrivals  []int
+	scales    []sim.Handle
 	// pendingBusy/committedBusy mirror coordinator's line bookkeeping.
 	pendingBusy   []simtime.Duration
 	committedBusy []simtime.Duration
 	lastLine      simtime.Time
 }
+
+// Work kinds; arg is a rank except for the tick.
+const (
+	nbTick    uint8 = iota // the next round starts
+	nbTrigger              // the start marker reached rank arg
+	nbArrive               // one completion of rank arg's background write
+	nbDone                 // a completion report reached rank arg
+)
 
 // NewNonBlockingCoordinated builds the protocol.
 func NewNonBlockingCoordinated(p NonBlockingParams) (*NonBlockingCoordinated, error) {
@@ -77,21 +91,39 @@ func NewNonBlockingCoordinated(p NonBlockingParams) (*NonBlockingCoordinated, er
 // Init implements sim.Agent.
 func (n *NonBlockingCoordinated) Init(ctx *sim.Context) {
 	n.setup(ctx)
-	ctx.AtOwned(simtime.Time(0).Add(n.p.Interval), n, 0, 0)
+	ctx.AtOwned(simtime.Time(0).Add(n.p.Interval), n, nbTick, 0)
 }
 
-// setup allocates run state without scheduling, for Init and DecodeState.
+// setup allocates run state without scheduling, for Init and a restoring
+// SnapshotState.
 func (n *NonBlockingCoordinated) setup(ctx *sim.Context) {
 	n.ctx = ctx
 	p := ctx.NumRanks()
 	n.tree = coordinator{members: make([]int, p)}
 	n.donesLeft = make([]int, p)
+	n.arrivals = make([]int, p)
+	n.scales = make([]sim.Handle, p)
 	n.pendingBusy = make([]simtime.Duration, p)
 	n.committedBusy = make([]simtime.Duration, p)
 }
 
-// OnTimer implements sim.TimerOwner: the only timer is the round tick.
-func (n *NonBlockingCoordinated) OnTimer(uint8, int64) { n.tick() }
+// OnTimer implements sim.TimerOwner.
+func (n *NonBlockingCoordinated) OnTimer(kind uint8, arg int64) {
+	i := int(arg)
+	switch kind {
+	case nbTick:
+		n.tick()
+	case nbTrigger:
+		n.trigger(i)
+	case nbArrive:
+		n.arrivals[i]--
+		if n.arrivals[i] == 0 {
+			n.finish(i)
+		}
+	case nbDone:
+		n.done(i)
+	}
+}
 
 // children/parent reuse the binomial shape over virtual ranks 0..P-1.
 func (n *NonBlockingCoordinated) children(i int) []int { return n.tree.children(i) }
@@ -113,23 +145,16 @@ func (n *NonBlockingCoordinated) trigger(i int) {
 	kids := n.children(i)
 	n.donesLeft[i] = len(kids) + 1
 	for _, j := range kids {
-		j := j
-		n.ctx.SendControl(i, j, n.p.ctlBytes(),
-			func(simtime.Time) { n.trigger(j) })
+		n.ctx.SendControl(i, j, n.p.ctlBytes(), sim.Call{Owner: n, Kind: nbTrigger, Arg: int64(j)})
 	}
-	restore := func() {}
 	if n.p.Slowdown > 1 {
-		restore = n.ctx.ScaleCPU(i, n.p.Slowdown)
+		n.scales[i] = n.ctx.ScaleCPU(i, n.p.Slowdown)
 	}
-	finish := func() {
-		restore()
-		n.stats.Writes++
-		n.pendingBusy[i] = n.ctx.RankBusy(i)
-		n.done(i)
-	}
+	arrive := sim.Call{Owner: n, Kind: nbArrive, Arg: int64(i)}
 	st := n.p.Store
 	if st == nil || !st.TierLimited(n.p.Tier) {
-		n.ctx.After(n.p.Window, finish)
+		n.arrivals[i] = 1
+		n.ctx.AfterOwned(n.p.Window, n, arrive.Kind, arrive.Arg)
 		return
 	}
 	// Bandwidth-limited store: the background writer drains the same bytes a
@@ -142,15 +167,18 @@ func (n *NonBlockingCoordinated) trigger(i int) {
 	if b <= 0 {
 		b = st.BytesFor(n.p.Tier, n.p.Write)
 	}
-	pending := 2
-	arrive := func() {
-		pending--
-		if pending == 0 {
-			finish()
-		}
-	}
-	st.Begin(i, n.p.Tier, b, func(simtime.Time) { arrive() })
-	n.ctx.After(n.p.Window, arrive)
+	n.arrivals[i] = 2
+	st.Begin(i, n.p.Tier, b, arrive)
+	n.ctx.AfterOwned(n.p.Window, n, arrive.Kind, arrive.Arg)
+}
+
+// finish ends rank i's background write: lift its interference and report.
+func (n *NonBlockingCoordinated) finish(i int) {
+	n.ctx.Release(n.scales[i])
+	n.scales[i] = 0
+	n.stats.Writes++
+	n.pendingBusy[i] = n.ctx.RankBusy(i)
+	n.done(i)
 }
 
 func (n *NonBlockingCoordinated) done(i int) {
@@ -165,12 +193,11 @@ func (n *NonBlockingCoordinated) done(i int) {
 		copy(n.committedBusy, n.pendingBusy)
 		n.lastLine = end
 		n.active = false
-		n.ctx.AtOwned(simtime.Max(n.tickTime.Add(n.p.Interval), end), n, 0, 0)
+		n.ctx.AtOwned(simtime.Max(n.tickTime.Add(n.p.Interval), end), n, nbTick, 0)
 		return
 	}
 	p := n.parent(i)
-	n.ctx.SendControl(i, p, n.p.ctlBytes(),
-		func(simtime.Time) { n.done(p) })
+	n.ctx.SendControl(i, p, n.p.ctlBytes(), sim.Call{Owner: n, Kind: nbDone, Arg: int64(p)})
 }
 
 // Name implements Protocol.
@@ -192,32 +219,22 @@ func (n *NonBlockingCoordinated) ProgressAtCheckpoint(rank int) simtime.Duration
 	return n.committedBusy[rank]
 }
 
-// Quiesced implements sim.Resumable: snapshots wait for rounds (and their
-// background writes) to complete.
-func (n *NonBlockingCoordinated) Quiesced() bool {
-	return !n.active && storeQuiesced(n.p.Store)
-}
-
-// EncodeState implements sim.Resumable. Per-round fields (donesLeft,
-// pendingBusy, tickTime) are live only while active.
-func (n *NonBlockingCoordinated) EncodeState(enc *snapshot.Encoder) {
-	if n.active {
-		panic("checkpoint: encoding non-blocking round mid-flight")
+// SnapshotState implements sim.Resumable, round in flight included.
+func (n *NonBlockingCoordinated) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
+	if c.Decoding() {
+		n.setup(ctx)
 	}
-	encodeStats(enc, &n.stats)
-	snapshot.EncodeI64Slice(enc, n.committedBusy)
-	enc.Time(n.lastLine)
-	encodeStore(enc, n.p.Store)
-}
-
-// DecodeState implements sim.Resumable.
-func (n *NonBlockingCoordinated) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
-	n.setup(ctx)
-	decodeStats(dec, &n.stats)
-	n.committedBusy = snapshot.DecodeI64Slice[simtime.Duration](dec, ctx.NumRanks())
-	n.lastLine = dec.Time()
-	decodeStore(ctx, dec, n.p.Store)
-	return dec.Err()
+	p := ctx.NumRanks()
+	codeStats(c, &n.stats)
+	c.Bool(&n.active)
+	snapshot.Int(c, &n.tickTime)
+	snapshot.Slice(c, &n.donesLeft, p)
+	snapshot.Slice(c, &n.arrivals, p)
+	snapshot.Slice(c, &n.scales, p)
+	snapshot.Slice(c, &n.pendingBusy, p)
+	snapshot.Slice(c, &n.committedBusy, p)
+	snapshot.Int(c, &n.lastLine)
+	codeStore(ctx, c, n.p.Store)
 }
 
 var (

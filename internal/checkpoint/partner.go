@@ -70,11 +70,22 @@ type Partner struct {
 	stats Stats
 	ctx   *sim.Context
 
+	// fired and progress hold each rank's checkpoint in flight: when its
+	// timer fired, and its application progress when serialized.
+	fired     []simtime.Time
+	progress  []simtime.Duration
 	last      []simtime.Time
 	busyAt    []simtime.Duration
 	shipped   int64 // total checkpoint bytes shipped
 	transfers int64
 }
+
+// Work kinds; arg is the rank.
+const (
+	ptFire       uint8 = iota // the rank's checkpoint is due
+	ptSerialized              // the rank's state is serialized
+	ptShipped                 // the partner has received the rank's image
+)
 
 // NewPartner builds the protocol.
 func NewPartner(p PartnerParams) (*Partner, error) {
@@ -101,6 +112,8 @@ func (pt *Partner) partner(rank int) int {
 func (pt *Partner) Init(ctx *sim.Context) {
 	pt.ctx = ctx
 	n := ctx.NumRanks()
+	pt.fired = make([]simtime.Time, n)
+	pt.progress = make([]simtime.Duration, n)
 	pt.last = make([]simtime.Time, n)
 	pt.busyAt = make([]simtime.Duration, n)
 	for r := 0; r < n; r++ {
@@ -113,67 +126,56 @@ func (pt *Partner) Init(ctx *sim.Context) {
 		case Random:
 			off = simtime.Duration(ctx.Rand().Intn(int(pt.p.Interval)))
 		}
-		ctx.AtOwned(simtime.Time(0).Add(pt.p.Interval+off), pt, 0, int64(r))
+		ctx.AtOwned(simtime.Time(0).Add(pt.p.Interval+off), pt, ptFire, int64(r))
 	}
 }
 
-// OnTimer implements sim.TimerOwner: arg is the rank whose timer fired.
-func (pt *Partner) OnTimer(_ uint8, arg int64) { pt.fire(int(arg)) }
-
-func (pt *Partner) fire(rank int) {
-	fired := pt.ctx.Now()
-	buddy := pt.partner(rank)
-	storeWrite(pt.ctx, pt.p.Store, storage.TierNode, rank, pt.p.SerializeTime, pt.p.CkptBytes,
-		func(end simtime.Time) {
-			progress := pt.ctx.RankBusy(rank)
-			if buddy == rank {
-				// Degenerate single-rank case: the local copy is the line.
-				pt.commit(rank, end, progress, fired)
-				return
-			}
-			pt.ctx.SendControl(rank, buddy, pt.p.CkptBytes, func(at simtime.Time) {
-				pt.shipped += pt.p.CkptBytes
-				pt.transfers++
-				pt.commit(rank, at, progress, fired)
-			})
-		})
+// OnTimer implements sim.TimerOwner.
+func (pt *Partner) OnTimer(kind uint8, arg int64) {
+	rank := int(arg)
+	switch kind {
+	case ptFire:
+		pt.fired[rank] = pt.ctx.Now()
+		storeWrite(pt.ctx, pt.p.Store, storage.TierNode, rank, pt.p.SerializeTime, pt.p.CkptBytes,
+			sim.Call{Owner: pt, Kind: ptSerialized, Arg: arg})
+	case ptSerialized:
+		pt.progress[rank] = pt.ctx.RankBusy(rank)
+		buddy := pt.partner(rank)
+		if buddy == rank {
+			// Degenerate single-rank case: the local copy is the line.
+			pt.commit(rank)
+			return
+		}
+		pt.ctx.SendControl(rank, buddy, pt.p.CkptBytes, sim.Call{Owner: pt, Kind: ptShipped, Arg: arg})
+	case ptShipped:
+		pt.shipped += pt.p.CkptBytes
+		pt.transfers++
+		pt.commit(rank)
+	}
 }
 
-// commit finalizes one checkpoint and arms the next timer.
-func (pt *Partner) commit(rank int, at simtime.Time, progress simtime.Duration, fired simtime.Time) {
+// commit finalizes the rank's checkpoint in flight and arms the next timer.
+func (pt *Partner) commit(rank int) {
+	at := pt.ctx.Now()
 	pt.stats.Writes++
 	pt.last[rank] = at
-	pt.busyAt[rank] = progress
-	next := simtime.Max(fired.Add(pt.p.Interval), at)
-	pt.ctx.AtOwned(next, pt, 0, int64(rank))
+	pt.busyAt[rank] = pt.progress[rank]
+	next := simtime.Max(pt.fired[rank].Add(pt.p.Interval), at)
+	pt.ctx.AtOwned(next, pt, ptFire, int64(rank))
 }
 
-// Quiesced implements sim.Resumable: in-flight serializations and partner
-// transfers block the boundary through the engine's job and message scans;
-// store-queued writes block here.
-func (pt *Partner) Quiesced() bool { return storeQuiesced(pt.p.Store) }
-
-// EncodeState implements sim.Resumable.
-func (pt *Partner) EncodeState(enc *snapshot.Encoder) {
-	encodeStats(enc, &pt.stats)
-	snapshot.EncodeI64Slice(enc, pt.last)
-	snapshot.EncodeI64Slice(enc, pt.busyAt)
-	enc.I64(pt.shipped)
-	enc.I64(pt.transfers)
-	encodeStore(enc, pt.p.Store)
-}
-
-// DecodeState implements sim.Resumable.
-func (pt *Partner) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
+// SnapshotState implements sim.Resumable.
+func (pt *Partner) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	pt.ctx = ctx
 	n := ctx.NumRanks()
-	decodeStats(dec, &pt.stats)
-	pt.last = snapshot.DecodeI64Slice[simtime.Time](dec, n)
-	pt.busyAt = snapshot.DecodeI64Slice[simtime.Duration](dec, n)
-	pt.shipped = dec.I64()
-	pt.transfers = dec.I64()
-	decodeStore(ctx, dec, pt.p.Store)
-	return dec.Err()
+	codeStats(c, &pt.stats)
+	snapshot.Slice(c, &pt.fired, n)
+	snapshot.Slice(c, &pt.progress, n)
+	snapshot.Slice(c, &pt.last, n)
+	snapshot.Slice(c, &pt.busyAt, n)
+	snapshot.Int(c, &pt.shipped)
+	snapshot.Int(c, &pt.transfers)
+	codeStore(ctx, c, pt.p.Store)
 }
 
 // Name implements Protocol.

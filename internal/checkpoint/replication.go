@@ -133,37 +133,26 @@ func (rp *Replication) beat(rank int) {
 	}
 	for k := 1; k <= rp.p.degree(); k++ {
 		rp.stats.Heartbeats++
-		rp.ctx.SendControl(rank, rank+k*rp.app, rp.p.hbBytes(), nil)
+		rp.ctx.SendControl(rank, rank+k*rp.app, rp.p.hbBytes(), sim.Call{})
 	}
 	next := rp.ctx.Now().Add(rp.p.period())
 	rp.nextBeat[rank] = next
 	rp.ctx.AtOwned(next, rp, 0, int64(rank))
 }
 
-// Quiesced implements sim.Resumable: heartbeats and mirrored sends carry no
-// delivery callbacks, so the protocol never blocks a boundary.
-func (rp *Replication) Quiesced() bool { return true }
-
-// EncodeState implements sim.Resumable.
-func (rp *Replication) EncodeState(enc *snapshot.Encoder) {
-	encodeStats(enc, &rp.stats)
-	snapshot.EncodeI64Slice(enc, rp.nextBeat)
-}
-
-// DecodeState implements sim.Resumable. The primary/replica layout is a
-// pure function of the configuration, so it is recomputed, not decoded.
-func (rp *Replication) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
+// SnapshotState implements sim.Resumable. The primary/replica layout is a
+// pure function of the configuration, so it is recomputed, not walked.
+func (rp *Replication) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	rp.ctx = ctx
 	n := ctx.NumRanks()
 	g := rp.p.degree() + 1
 	if n%g != 0 {
-		dec.Failf("replication degree %d with %d ranks", rp.p.degree(), n)
-		return dec.Err()
+		c.Failf("replication degree %d with %d ranks", rp.p.degree(), n)
+		return
 	}
 	rp.app = n / g
-	decodeStats(dec, &rp.stats)
-	rp.nextBeat = snapshot.DecodeI64Slice[simtime.Time](dec, rp.app)
-	return dec.Err()
+	codeStats(c, &rp.stats)
+	snapshot.Slice(c, &rp.nextBeat, rp.app)
 }
 
 // SendPenalty implements sim.SendHook: every application send between
@@ -178,7 +167,7 @@ func (rp *Replication) SendPenalty(src, dst int, bytes int64) simtime.Duration {
 	for k := 1; k <= rp.p.degree(); k++ {
 		rp.stats.MirroredMessages++
 		rp.stats.MirroredBytes += bytes
-		rp.ctx.SendControl(src, dst+k*rp.app, bytes, nil)
+		rp.ctx.SendControl(src, dst+k*rp.app, bytes, sim.Call{})
 	}
 	return 0
 }

@@ -4,7 +4,7 @@ package checkpoint
 // counterpart of internal/sim/snapshot_fields_test.go for the engine).
 // Every field of every Resumable protocol — plus the coordinator and the
 // shared storage arbiter their state embeds — must have an entry saying
-// how EncodeState/DecodeState handles it. A field added without snapshot
+// how SnapshotState handles it. A field added without snapshot
 // handling fails here until it is wired up (or its exclusion documented).
 
 import (
@@ -22,7 +22,7 @@ func requireFields(t *testing.T, typ reflect.Type, handled map[string]string) {
 		inStruct[name] = true
 		if _, ok := handled[name]; !ok {
 			t.Errorf("%s.%s has no snapshot-handling entry: wire it into "+
-				"EncodeState/DecodeState (or document the exclusion) and record it here", typ, name)
+				"SnapshotState (or document the exclusion) and record it here", typ, name)
 		}
 	}
 	for name := range handled {
@@ -50,10 +50,11 @@ func TestSnapshotCoversUncoordinatedFields(t *testing.T) {
 		"log":     "immutable parameters",
 		"inc":     "immutable parameters",
 		"stats":   "serialized",
+		"fired":   "serialized (the fire time of each rank's write in flight)",
 		"last":    "serialized",
 		"busyAt":  "serialized",
 		"nwrites": "serialized",
-		"ctx":     "rebound in DecodeState",
+		"ctx":     "rebound when restoring",
 	})
 }
 
@@ -74,12 +75,14 @@ func TestSnapshotCoversNonBlockingFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(NonBlockingCoordinated{}), map[string]string{
 		"p":             "immutable parameters (Store state rides in the agent section)",
 		"stats":         "serialized",
-		"ctx":           "rebound in DecodeState (setup)",
-		"active":        "must be false at a safe boundary (Quiesced); EncodeState panics otherwise",
-		"tickTime":      "per-round state, live only while active",
+		"ctx":           "rebound when restoring (setup)",
+		"active":        "serialized (a round may be in flight)",
+		"tickTime":      "serialized",
 		"tree":          "rebuilt by setup (shape is a pure function of rank count)",
-		"donesLeft":     "per-round state, reallocated by setup",
-		"pendingBusy":   "per-round state, reallocated by setup",
+		"donesLeft":     "serialized",
+		"arrivals":      "serialized (outstanding window/drain completions per rank)",
+		"scales":        "serialized (CPU-scale handles of the writes in flight)",
+		"pendingBusy":   "serialized",
 		"committedBusy": "serialized",
 		"lastLine":      "serialized",
 	})
@@ -91,8 +94,9 @@ func TestSnapshotCoversCICFields(t *testing.T) {
 		"lag":    "immutable configuration",
 		"policy": "immutable configuration",
 		"stats":  "serialized",
-		"ctx":    "rebound in DecodeState",
+		"ctx":    "rebound when restoring",
 		"idx":    "serialized",
+		"fired":  "serialized (the fire time of each rank's basic write in flight)",
 		"last":   "serialized",
 		"busyAt": "serialized",
 		"queues": "serialized in sorted channel order (map iteration must not leak into bytes)",
@@ -103,7 +107,9 @@ func TestSnapshotCoversPartnerFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Partner{}), map[string]string{
 		"p":         "immutable parameters (Store state rides in the agent section)",
 		"stats":     "serialized",
-		"ctx":       "rebound in DecodeState",
+		"ctx":       "rebound when restoring",
+		"fired":     "serialized (the fire time of each rank's checkpoint in flight)",
+		"progress":  "serialized (each in-flight checkpoint's saved progress)",
 		"last":      "serialized",
 		"busyAt":    "serialized",
 		"shipped":   "serialized",
@@ -115,8 +121,8 @@ func TestSnapshotCoversReplicationFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Replication{}), map[string]string{
 		"p":        "immutable parameters",
 		"stats":    "serialized",
-		"ctx":      "rebound in DecodeState",
-		"app":      "recomputed in DecodeState (pure function of the configuration)",
+		"ctx":      "rebound when restoring",
+		"app":      "recomputed when restoring (pure function of the configuration)",
 		"nextBeat": "serialized",
 	})
 }
@@ -125,8 +131,9 @@ func TestSnapshotCoversTwoLevelFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(TwoLevel{}), map[string]string{
 		"p":            "immutable parameters (Store state rides in the agent section)",
 		"stats":        "serialized",
-		"ctx":          "rebound in DecodeState (setup)",
-		"coord":        "rebuilt by setup; cross-round state serialized via coordinator.encodeState",
+		"ctx":          "rebound when restoring (setup)",
+		"coord":        "rebuilt by setup; its state serialized via coordinator.encodeState",
+		"localFired":   "serialized (the fire time of each rank's local write in flight)",
 		"localLast":    "serialized",
 		"localBusyAt":  "serialized",
 		"globalLast":   "serialized",
@@ -136,25 +143,24 @@ func TestSnapshotCoversTwoLevelFields(t *testing.T) {
 	})
 }
 
-// TestSnapshotCoversCoordinatorFields: the shared round engine. Per-round
-// fields are live only while a round is active, and snapshots require
-// !active (Quiesced), so only the committed line survives serialization.
+// TestSnapshotCoversCoordinatorFields: the shared round engine. A round may
+// be in flight at any snapshot, so its per-round state serializes too.
 func TestSnapshotCoversCoordinatorFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(coordinator{}), map[string]string{
 		"ctx":           "rebound when the owning protocol's setup rebuilds the coordinator",
 		"p":             "immutable parameters",
+		"owner":         "re-wired by setup (the protocol routing the coordinator's work)",
+		"group":         "re-wired by setup",
 		"members":       "rebuilt by the owning protocol's setup",
 		"stats":         "points into the owning protocol's serialized Stats",
-		"onWrite":       "re-wired by setup",
 		"onRound":       "re-wired by setup",
-		"arm":           "re-wired by setup",
-		"active":        "must be false at a safe boundary; encodeState panics otherwise",
-		"tickTime":      "per-round state, live only while active",
-		"pendingDelay":  "per-round state, live only while active",
-		"acksLeft":      "per-round state, live only while active",
-		"donesLeft":     "per-round state, live only while active",
-		"release":       "per-round closures, live only while active",
-		"pendingBusy":   "per-round state, live only while active",
+		"active":        "serialized",
+		"tickTime":      "serialized",
+		"pendingDelay":  "serialized",
+		"acksLeft":      "serialized",
+		"donesLeft":     "serialized",
+		"holds":         "serialized (hold-gate handles of the round in flight)",
+		"pendingBusy":   "serialized",
 		"committedBusy": "serialized (the committed recovery line)",
 	})
 }
@@ -177,33 +183,30 @@ func TestSnapshotCoversStatsFields(t *testing.T) {
 }
 
 // TestSnapshotCoversStorageFields: the shared arbiter rides inside its
-// owning protocol's agent section; in-flight writes carry closures and
-// block the boundary (Store.Quiesced), so only durable counters travel.
+// owning protocol's agent section, in-flight drains included.
 func TestSnapshotCoversStorageFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(storage.Store{}), map[string]string{
 		"p":           "immutable parameters",
-		"sched":       "rebound in RestoreState",
-		"writes":      "must be empty at a safe boundary (Quiesced); EncodeState panics otherwise",
-		"nodeCount":   "membership cache, empty at quiescence; rebuilt as writes join",
-		"globalCount": "membership cache, zero at quiescence",
-		"lastAt":      "reset to the restoring engine's now in RestoreState",
+		"sched":       "rebound when restoring",
+		"writes":      "serialized write-by-write",
+		"waiting":     "serialized (rank, tier, bytes) in request order",
+		"nodeCount":   "membership cache, rebuilt from the restored writes",
+		"globalCount": "membership cache, rebuilt from the restored writes",
+		"lastAt":      "serialized (drains advance from it)",
 		"gen":         "serialized (invalidates superseded completion timers)",
-		"stats":       "serialized field-by-field in EncodeState",
+		"stats":       "serialized field-by-field",
 	})
-	// The write struct itself never serializes — it always carries the
-	// drained closure — but pin its shape so a new field prompts a fresh
-	// look at the quiescence argument.
 	wr, ok := reflect.TypeOf(storage.Store{}).FieldByName("writes")
 	if !ok {
 		t.Fatal("storage.Store lost its writes field")
 	}
 	requireFields(t, wr.Type.Elem().Elem(), map[string]string{
-		"rank":      "never serialized: writes block the snapshot boundary",
-		"node":      "never serialized: writes block the snapshot boundary",
-		"tier":      "never serialized: writes block the snapshot boundary",
-		"remaining": "never serialized: writes block the snapshot boundary",
-		"bytes":     "never serialized: writes block the snapshot boundary",
-		"start":     "never serialized: writes block the snapshot boundary",
-		"drained":   "completion closure — the reason writes block the boundary",
+		"rank":      "serialized; bounds-checked on restore",
+		"node":      "derived from rank on restore",
+		"tier":      "serialized; bounds-checked on restore",
+		"remaining": "serialized bit-exact (float64 bits); range-checked on restore",
+		"bytes":     "serialized",
+		"start":     "serialized",
+		"drained":   "serialized as a Call (sim.Context.SnapshotCall)",
 	})
 }

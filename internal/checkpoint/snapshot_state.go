@@ -2,9 +2,10 @@ package checkpoint
 
 // Shared snapshot-state helpers for the protocol implementations (see
 // sim.Resumable and DESIGN.md S25). Every protocol serializes its full
-// Stats, its recovery-line bookkeeping, and — when it owns one — the shared
-// storage arbiter's state; pending periodic timers are not serialized here
-// because they live, defunctionalized, in the engine's event queue.
+// Stats, its recovery-line bookkeeping, its checkpoints and rounds in
+// flight, and — when it owns one — the shared storage arbiter's state;
+// pending timers and callbacks are not serialized here because they live,
+// as owned work, in the engine's event queue, jobs and messages.
 
 import (
 	"checkpointsim/internal/sim"
@@ -12,101 +13,48 @@ import (
 	"checkpointsim/internal/storage"
 )
 
-func encodeStats(enc *snapshot.Encoder, s *Stats) {
-	enc.I64(s.Rounds)
-	enc.I64(s.Writes)
-	enc.Dur(s.CoordDelay)
-	enc.Dur(s.RoundSpan)
-	enc.I64(s.LoggedMessages)
-	enc.I64(s.LoggedBytes)
-	enc.Dur(s.LogPenalty)
-	enc.I64(s.Forced)
-	enc.I64(s.MirroredMessages)
-	enc.I64(s.MirroredBytes)
-	enc.I64(s.Heartbeats)
-	enc.I64(s.Takeovers)
+func codeStats(c *snapshot.Codec, s *Stats) {
+	snapshot.Int(c, &s.Rounds)
+	snapshot.Int(c, &s.Writes)
+	snapshot.Int(c, &s.CoordDelay)
+	snapshot.Int(c, &s.RoundSpan)
+	snapshot.Int(c, &s.LoggedMessages)
+	snapshot.Int(c, &s.LoggedBytes)
+	snapshot.Int(c, &s.LogPenalty)
+	snapshot.Int(c, &s.Forced)
+	snapshot.Int(c, &s.MirroredMessages)
+	snapshot.Int(c, &s.MirroredBytes)
+	snapshot.Int(c, &s.Heartbeats)
+	snapshot.Int(c, &s.Takeovers)
 }
 
-func decodeStats(dec *snapshot.Decoder, s *Stats) {
-	s.Rounds = dec.I64()
-	s.Writes = dec.I64()
-	s.CoordDelay = dec.Dur()
-	s.RoundSpan = dec.Dur()
-	s.LoggedMessages = dec.I64()
-	s.LoggedBytes = dec.I64()
-	s.LogPenalty = dec.Dur()
-	s.Forced = dec.I64()
-	s.MirroredMessages = dec.I64()
-	s.MirroredBytes = dec.I64()
-	s.Heartbeats = dec.I64()
-	s.Takeovers = dec.I64()
-}
-
-// storeQuiesced reports whether an optionally-configured store has no
-// in-flight writes. Store-internal write queues are invisible to the
-// engine's safe-boundary scans, so every protocol that owns a store must
-// fold this into its own Quiesced.
-func storeQuiesced(st *storage.Store) bool { return st == nil || st.Quiesced() }
-
-// encodeStore serializes an optionally-configured shared store. Each store
-// is owned by exactly one protocol per simulation, so its state rides in
-// that protocol's agent section.
-func encodeStore(enc *snapshot.Encoder, st *storage.Store) {
-	enc.Bool(st != nil)
-	if st != nil {
-		st.EncodeState(enc)
+// codeStore walks an optionally-configured shared store. Each store is
+// owned by exactly one protocol per simulation, so its state rides in that
+// protocol's agent section; restoring rebinds it to the restoring engine.
+func codeStore(ctx *sim.Context, c *snapshot.Codec, st *storage.Store) {
+	has := st != nil
+	c.Bool(&has)
+	if has != (st != nil) {
+		c.Failf("store presence mismatch")
+	} else if st != nil {
+		st.SnapshotState(ctx, c)
 	}
 }
 
-// decodeStore restores an optionally-configured shared store, rebinding it
-// to the restoring engine's context.
-func decodeStore(ctx *sim.Context, dec *snapshot.Decoder, st *storage.Store) {
-	had := dec.Bool()
-	if dec.Err() != nil {
-		return
+// codeRounds walks completed-round records.
+func codeRounds(c *snapshot.Codec, rounds *[]RoundRecord) {
+	if n := c.Len(len(*rounds)); c.Decoding() {
+		*rounds = make([]RoundRecord, n)
 	}
-	if had != (st != nil) {
-		dec.Failf("store presence mismatch")
-		return
+	for i := range *rounds {
+		snapshot.Int(c, &(*rounds)[i].Start)
+		snapshot.Int(c, &(*rounds)[i].End)
 	}
-	if st != nil {
-		if err := st.RestoreState(ctx, dec); err != nil {
-			dec.Failf("store: %v", err)
-		}
-	}
-}
-
-// encodeRounds/decodeRounds serialize completed-round records.
-func encodeRounds(enc *snapshot.Encoder, rounds []RoundRecord) {
-	enc.Int(len(rounds))
-	for _, r := range rounds {
-		enc.Time(r.Start)
-		enc.Time(r.End)
-	}
-}
-
-func decodeRounds(dec *snapshot.Decoder) []RoundRecord {
-	n := dec.Int()
-	if n < 0 || n > dec.Remaining() {
-		dec.Failf("round count %d", n)
-		return nil
-	}
-	out := make([]RoundRecord, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, RoundRecord{Start: dec.Time(), End: dec.Time()})
-	}
-	return out
 }
 
 // None has no mutable state at all.
 
-// Quiesced implements sim.Resumable.
-func (None) Quiesced() bool { return true }
-
-// EncodeState implements sim.Resumable.
-func (None) EncodeState(*snapshot.Encoder) {}
-
-// DecodeState implements sim.Resumable.
-func (None) DecodeState(*sim.Context, *snapshot.Decoder) error { return nil }
+// SnapshotState implements sim.Resumable.
+func (None) SnapshotState(*sim.Context, *snapshot.Codec) {}
 
 var _ sim.Resumable = None{}

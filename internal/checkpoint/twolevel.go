@@ -75,6 +75,7 @@ type TwoLevel struct {
 	coord *coordinator // the global level
 
 	// local level
+	localFired  []simtime.Time // when each rank's in-flight local write fired
 	localLast   []simtime.Time
 	localBusyAt []simtime.Duration
 	// global level (committed lines)
@@ -92,10 +93,11 @@ func NewTwoLevel(p TwoLevelParams) (*TwoLevel, error) {
 	return &TwoLevel{p: p}, nil
 }
 
-// Timer kinds for the defunctionalized two-level timers.
+// Work kinds of the local level (arg = rank); kinds below coordKinds are
+// the global level's coordinator.
 const (
-	tlTimerLocal  uint8 = 0 // arg = rank
-	tlTimerGlobal uint8 = 1 // the coordinated round tick
+	tlTimerLocal   = coordKinds + iota // the rank's local checkpoint is due
+	tlLocalWritten                     // the rank's local write completed
 )
 
 // Init implements sim.Agent.
@@ -110,10 +112,11 @@ func (tl *TwoLevel) Init(ctx *sim.Context) {
 }
 
 // setup allocates the per-rank state and wires the global coordinator
-// without scheduling anything, for both Init and DecodeState.
+// without scheduling anything, for both Init and a restoring SnapshotState.
 func (tl *TwoLevel) setup(ctx *sim.Context) {
 	tl.ctx = ctx
 	n := ctx.NumRanks()
+	tl.localFired = make([]simtime.Time, n)
 	tl.localLast = make([]simtime.Time, n)
 	tl.localBusyAt = make([]simtime.Duration, n)
 	tl.globalBusyAt = make([]simtime.Duration, n)
@@ -125,69 +128,52 @@ func (tl *TwoLevel) setup(ctx *sim.Context) {
 	}
 	gp := Params{Interval: tl.p.GlobalInterval, Write: tl.p.GlobalWrite, CtlBytes: tl.p.CtlBytes,
 		Store: tl.p.Store, Tier: storage.TierGlobal, Bytes: tl.p.GlobalBytes}
-	tl.coord = newCoordinator(ctx, gp, members, &tl.stats, nil,
+	tl.coord = newCoordinator(ctx, gp, tl, 0, members, &tl.stats,
 		func(tick, end simtime.Time) {
 			tl.globalLast = end
 			copy(tl.globalBusyAt, tl.coord.committedBusy)
 			tl.globalWrites += int64(n)
 		})
-	tl.coord.arm = func(t simtime.Time) { ctx.AtOwned(t, tl, tlTimerGlobal, 0) }
 }
 
 // OnTimer implements sim.TimerOwner.
 func (tl *TwoLevel) OnTimer(kind uint8, arg int64) {
-	if kind == tlTimerLocal {
-		tl.fireLocal(int(arg))
-		return
+	switch kind {
+	case tlTimerLocal:
+		rank := int(arg)
+		tl.localFired[rank] = tl.ctx.Now()
+		storeWrite(tl.ctx, tl.p.Store, storage.TierNode, rank, tl.p.LocalWrite, tl.p.LocalBytes,
+			sim.Call{Owner: tl, Kind: tlLocalWritten, Arg: arg})
+	case tlLocalWritten:
+		rank, end := int(arg), tl.ctx.Now()
+		tl.stats.Writes++
+		tl.localWrites++
+		tl.localLast[rank] = end
+		tl.localBusyAt[rank] = tl.ctx.RankBusy(rank)
+		next := simtime.Max(tl.localFired[rank].Add(tl.p.LocalInterval), end)
+		tl.ctx.AtOwned(next, tl, tlTimerLocal, arg)
+	default:
+		_, i := coordArg(arg)
+		tl.coord.onTimer(kind, i)
 	}
-	tl.coord.tick()
 }
 
-func (tl *TwoLevel) fireLocal(rank int) {
-	fired := tl.ctx.Now()
-	storeWrite(tl.ctx, tl.p.Store, storage.TierNode, rank, tl.p.LocalWrite, tl.p.LocalBytes,
-		func(end simtime.Time) {
-			tl.stats.Writes++
-			tl.localWrites++
-			tl.localLast[rank] = end
-			tl.localBusyAt[rank] = tl.ctx.RankBusy(rank)
-			next := simtime.Max(fired.Add(tl.p.LocalInterval), end)
-			tl.ctx.AtOwned(next, tl, tlTimerLocal, int64(rank))
-		})
-}
-
-// Quiesced implements sim.Resumable.
-func (tl *TwoLevel) Quiesced() bool {
-	return (tl.coord == nil || !tl.coord.active) && storeQuiesced(tl.p.Store)
-}
-
-// EncodeState implements sim.Resumable.
-func (tl *TwoLevel) EncodeState(enc *snapshot.Encoder) {
-	encodeStats(enc, &tl.stats)
-	snapshot.EncodeI64Slice(enc, tl.localLast)
-	snapshot.EncodeI64Slice(enc, tl.localBusyAt)
-	enc.Time(tl.globalLast)
-	snapshot.EncodeI64Slice(enc, tl.globalBusyAt)
-	enc.I64(tl.localWrites)
-	enc.I64(tl.globalWrites)
-	tl.coord.encodeState(enc)
-	encodeStore(enc, tl.p.Store)
-}
-
-// DecodeState implements sim.Resumable.
-func (tl *TwoLevel) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
-	tl.setup(ctx)
+// SnapshotState implements sim.Resumable.
+func (tl *TwoLevel) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
+	if c.Decoding() {
+		tl.setup(ctx)
+	}
 	n := ctx.NumRanks()
-	decodeStats(dec, &tl.stats)
-	tl.localLast = snapshot.DecodeI64Slice[simtime.Time](dec, n)
-	tl.localBusyAt = snapshot.DecodeI64Slice[simtime.Duration](dec, n)
-	tl.globalLast = dec.Time()
-	tl.globalBusyAt = snapshot.DecodeI64Slice[simtime.Duration](dec, n)
-	tl.localWrites = dec.I64()
-	tl.globalWrites = dec.I64()
-	tl.coord.decodeState(dec)
-	decodeStore(ctx, dec, tl.p.Store)
-	return dec.Err()
+	codeStats(c, &tl.stats)
+	snapshot.Slice(c, &tl.localFired, n)
+	snapshot.Slice(c, &tl.localLast, n)
+	snapshot.Slice(c, &tl.localBusyAt, n)
+	snapshot.Int(c, &tl.globalLast)
+	snapshot.Slice(c, &tl.globalBusyAt, n)
+	snapshot.Int(c, &tl.localWrites)
+	snapshot.Int(c, &tl.globalWrites)
+	tl.coord.snapshotState(c)
+	codeStore(ctx, c, tl.p.Store)
 }
 
 // Name implements Protocol.

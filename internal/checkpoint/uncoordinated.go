@@ -91,11 +91,18 @@ type Uncoordinated struct {
 	// NewUncoordinatedIncremental).
 	inc     IncrementalParams
 	stats   Stats
+	fired   []simtime.Time // when each rank's in-flight write fired
 	last    []simtime.Time
 	busyAt  []simtime.Duration
 	nwrites []int64
 	ctx     *sim.Context
 }
+
+// Work kinds; arg is the rank.
+const (
+	ucFire    uint8 = iota // the rank's checkpoint is due
+	ucWritten              // the rank's write completed
+)
 
 // NewUncoordinated builds the protocol.
 func NewUncoordinated(p Params, policy OffsetPolicy, log LogParams) (*Uncoordinated, error) {
@@ -115,6 +122,7 @@ func NewUncoordinated(p Params, policy OffsetPolicy, log LogParams) (*Uncoordina
 func (u *Uncoordinated) Init(ctx *sim.Context) {
 	u.ctx = ctx
 	n := ctx.NumRanks()
+	u.fired = make([]simtime.Time, n)
 	u.last = make([]simtime.Time, n)
 	u.busyAt = make([]simtime.Duration, n)
 	u.nwrites = make([]int64, n)
@@ -128,50 +136,41 @@ func (u *Uncoordinated) Init(ctx *sim.Context) {
 		case Random:
 			off = simtime.Duration(ctx.Rand().Intn(int(u.p.Interval)))
 		}
-		ctx.AtOwned(simtime.Time(0).Add(u.p.Interval+off), u, 0, int64(r))
+		ctx.AtOwned(simtime.Time(0).Add(u.p.Interval+off), u, ucFire, int64(r))
 	}
 }
 
-// OnTimer implements sim.TimerOwner: arg is the rank whose local timer fired.
-func (u *Uncoordinated) OnTimer(_ uint8, arg int64) { u.fire(int(arg)) }
-
-func (u *Uncoordinated) fire(rank int) {
-	fired := u.ctx.Now()
-	u.nwrites[rank]++
-	n := u.nwrites[rank]
-	storeWrite(u.ctx, u.p.Store, u.p.Tier, rank, u.writeDuration(n), u.writeBytes(n), func(end simtime.Time) {
+// OnTimer implements sim.TimerOwner.
+func (u *Uncoordinated) OnTimer(kind uint8, arg int64) {
+	rank := int(arg)
+	switch kind {
+	case ucFire:
+		u.fired[rank] = u.ctx.Now()
+		u.nwrites[rank]++
+		n := u.nwrites[rank]
+		storeWrite(u.ctx, u.p.Store, u.p.Tier, rank, u.writeDuration(n), u.writeBytes(n),
+			sim.Call{Owner: u, Kind: ucWritten, Arg: arg})
+	case ucWritten:
+		end := u.ctx.Now()
 		u.stats.Writes++
 		u.last[rank] = end
 		u.busyAt[rank] = u.ctx.RankBusy(rank)
-		next := simtime.Max(fired.Add(u.p.Interval), end)
-		u.ctx.AtOwned(next, u, 0, int64(rank))
-	})
+		next := simtime.Max(u.fired[rank].Add(u.p.Interval), end)
+		u.ctx.AtOwned(next, u, ucFire, arg)
+	}
 }
 
-// Quiesced implements sim.Resumable. In-flight direct writes block the
-// boundary through the engine's job scans; store-queued writes block here.
-func (u *Uncoordinated) Quiesced() bool { return storeQuiesced(u.p.Store) }
-
-// EncodeState implements sim.Resumable.
-func (u *Uncoordinated) EncodeState(enc *snapshot.Encoder) {
-	encodeStats(enc, &u.stats)
-	snapshot.EncodeI64Slice(enc, u.last)
-	snapshot.EncodeI64Slice(enc, u.busyAt)
-	snapshot.EncodeI64Slice(enc, u.nwrites)
-	encodeStore(enc, u.p.Store)
-}
-
-// DecodeState implements sim.Resumable. The pending per-rank timers are
-// restored with the event queue, so no rescheduling happens here.
-func (u *Uncoordinated) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
+// SnapshotState implements sim.Resumable. The pending per-rank timers and
+// writes live in the engine, so restoring reschedules nothing.
+func (u *Uncoordinated) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	u.ctx = ctx
 	n := ctx.NumRanks()
-	decodeStats(dec, &u.stats)
-	u.last = snapshot.DecodeI64Slice[simtime.Time](dec, n)
-	u.busyAt = snapshot.DecodeI64Slice[simtime.Duration](dec, n)
-	u.nwrites = snapshot.DecodeI64Slice[int64](dec, n)
-	decodeStore(ctx, dec, u.p.Store)
-	return dec.Err()
+	codeStats(c, &u.stats)
+	snapshot.Slice(c, &u.fired, n)
+	snapshot.Slice(c, &u.last, n)
+	snapshot.Slice(c, &u.busyAt, n)
+	snapshot.Slice(c, &u.nwrites, n)
+	codeStore(ctx, c, u.p.Store)
 }
 
 // SendPenalty implements sim.SendHook: the sender-based logging tax.

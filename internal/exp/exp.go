@@ -80,13 +80,13 @@ type Options struct {
 	// not keyed: a re-request at a different timeout still hits.
 	Ctx context.Context `cache:"-"`
 	// SnapshotEvery, when > 0, snapshots the complete state of every
-	// simulation at the first safe event boundary after every SnapshotEvery
-	// events. For experiment sweeps (and for scenarios without OnSnapshot)
-	// this turns every run into its own crash–resume differential harness:
-	// each snapshot is restored into a fresh engine, the remainder of the
-	// run re-executes from the blob, and its result and trace suffix must be
-	// byte-identical to the uninterrupted run's — any divergence or decode
-	// failure fails the run. Verification multiplies work by roughly the
+	// simulation after every SnapshotEvery-th event. For experiment sweeps
+	// (and for scenarios without OnSnapshot) this turns every run into its
+	// own crash–resume differential harness: each snapshot is restored into
+	// a fresh engine, the remainder of the run re-executes from the blob,
+	// and its result and trace suffix must be byte-identical to the
+	// uninterrupted run's — any divergence or decode failure fails the
+	// run. Verification multiplies work by roughly the
 	// snapshot count; meant for CI and debugging, not timing studies. Keyed
 	// for the same reason as Validate: a self-verifying run can fail.
 	SnapshotEvery int64

@@ -2,12 +2,13 @@ package exp
 
 // Crash–resume differential verification (Options.SnapshotEvery): every
 // simulation proves its own snapshots. The monolithic run (execute) records
-// its full trace and every snapshot taken at a safe boundary; then, for each
-// snapshot, a fresh engine restores the blob and runs the remainder. The
-// resumed run must reproduce the monolithic run byte-for-byte from the
-// boundary on: identical Result.CanonicalBytes, an event-for-event
-// identical trace suffix, and — when the monolithic run was aborted by an
-// event/time cap — the identical error. Any divergence is a correctness
+// its full trace and every snapshot (one after every SnapshotEvery-th
+// event — any event boundary can be snapshotted, mid-round included); then,
+// for each snapshot, a fresh engine restores the blob and runs the
+// remainder. The resumed run must reproduce the monolithic run
+// byte-for-byte from the snapshot on: identical Result.CanonicalBytes, an
+// event-for-event identical trace suffix, and — when the monolithic run was
+// aborted by an event/time cap — the identical error. Any divergence is a correctness
 // bug in snapshot coverage (state not serialized, or serialized wrong) and
 // fails the run.
 
@@ -21,10 +22,10 @@ import (
 
 // verifyResume replays the run's remainder from each snapshot and compares
 // it against the monolithic run. cfg must be the monolithic run's config
-// (its Agents are reused: DecodeState fully reinitializes them). A capped
-// monolithic run (runErr != nil, res == nil) is verified up to the cap: the
-// resumed run must fail with the identical error after emitting the
-// identical trace suffix.
+// (its Agents are reused: a restoring SnapshotState fully reinitializes
+// them). A capped monolithic run (runErr != nil, res == nil) is verified up
+// to the cap: the resumed run must fail with the identical error after
+// emitting the identical trace suffix.
 func verifyResume(cfg sim.Config, snaps []sim.Snapshot, full []sim.TraceEvent,
 	res *sim.Result, runErr error, counter *int64) error {
 	if counter != nil && len(snaps) > 0 {

@@ -4,7 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"checkpointsim/internal/checkpoint"
+	"checkpointsim/internal/failure"
+	"checkpointsim/internal/noise"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
+	"checkpointsim/internal/simtime"
+	"checkpointsim/internal/storage"
 )
 
 // renderTables flattens tables to one string for byte comparison.
@@ -121,6 +127,112 @@ func TestCrashResumeCampaign(t *testing.T) {
 			}
 			t.Logf("point %d (%s): %d snapshots verified (cadence %d over %d events)",
 				i, sc.ID(), snaps, cadence, events)
+		})
+	}
+}
+
+// TestResumeAtEveryEvent is the crash–resume harness at its finest grain:
+// one small run per protocol family, with the store both unconstrained and
+// bandwidth-limited (plus one run with failures and noise), snapshotted
+// after every single event — mid coordination round, mid control message,
+// mid storage drain — and every remainder replayed byte-identically from
+// its snapshot (verifyResume).
+func TestResumeAtEveryEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash–resume differential suite is not short")
+	}
+	const us = simtime.Microsecond
+	ck := checkpoint.Config{Interval: 150 * us, Write: 30 * us}
+	with := func(f func(*checkpoint.Config)) checkpoint.Config {
+		c := ck
+		f(&c)
+		return c
+	}
+	families := []struct {
+		name  string
+		proto checkpoint.Config
+	}{
+		{"none", checkpoint.Config{Kind: checkpoint.KindNone}},
+		{"coordinated", with(func(c *checkpoint.Config) { c.Kind = checkpoint.KindCoordinated })},
+		{"uncoordinated", with(func(c *checkpoint.Config) {
+			c.Kind = checkpoint.KindUncoordinated
+			c.Logging = checkpoint.LogParams{Alpha: us}
+		})},
+		{"hierarchical", with(func(c *checkpoint.Config) {
+			c.Kind = checkpoint.KindHierarchical
+			c.ClusterSize = 4
+			c.Logging = checkpoint.LogParams{Alpha: us}
+		})},
+		{"nonblocking", with(func(c *checkpoint.Config) {
+			c.Kind = checkpoint.KindNonBlocking
+			c.Window = 80 * us
+			c.Slowdown = 1.3
+		})},
+		{"partner", with(func(c *checkpoint.Config) {
+			c.Kind = checkpoint.KindPartner
+			c.CkptBytes = 64 << 10
+		})},
+		{"twolevel", checkpoint.Config{Kind: checkpoint.KindTwoLevel, TwoLevel: checkpoint.TwoLevelParams{
+			LocalInterval: 100 * us, LocalWrite: 10 * us, GlobalInterval: 250 * us, GlobalWrite: 30 * us}}},
+		{"replication", checkpoint.Config{Kind: checkpoint.KindReplication, HeartbeatPeriod: 100 * us}},
+		{"cic", with(func(c *checkpoint.Config) { c.Kind = checkpoint.KindCIC })},
+	}
+	stores := []struct {
+		name string
+		p    storage.Params
+	}{
+		{"unlimited", storage.Params{RanksPerNode: 2}},
+		{"limited", storage.Params{AggregateBytesPerSec: 2e9, PerWriterBytesPerSec: 1e9,
+			NodeBytesPerSec: 1e9, RanksPerNode: 2}},
+	}
+	base := run.Config{Workload: "stencil2d", Ranks: 8, Iterations: 3,
+		Compute: 150 * us, Jitter: 0.1, MsgBytes: 4096, Seed: 7}
+	type point struct {
+		name string
+		cfg  run.Config
+	}
+	var points []point
+	for _, f := range families {
+		for _, st := range stores {
+			cfg := base
+			cfg.Protocol, cfg.Storage = f.proto, st.p
+			if f.proto.Kind == checkpoint.KindReplication {
+				cfg.Ranks = 4 // widened to 8 simulated nodes
+			}
+			points = append(points, point{f.name + "/" + st.name, cfg})
+		}
+	}
+	faulty := base
+	faulty.Protocol = with(func(c *checkpoint.Config) { c.Kind = checkpoint.KindCoordinated })
+	faulty.Storage = stores[1].p
+	faulty.Noise = &noise.Config{Period: 200 * us, Duration: 5 * us, Poisson: true}
+	faulty.Failures = &failure.Config{MTBF: 8 * 500 * us, Restart: 20 * us, Kind: failure.RollbackGlobal}
+	faulty.MaxTime = simtime.Time(simtime.Second)
+	points = append(points, point{"coordinated/failures+noise", faulty})
+
+	for _, pt := range points {
+		pt := pt
+		t.Run(pt.name, func(t *testing.T) {
+			t.Parallel()
+			var events, snaps int64
+			o := DefaultOptions()
+			o.Validate = true
+			o.SnapshotEvery = 1
+			o.Events = &events
+			o.Snapshots = &snaps
+			res, err := execute(o, pt.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pt.cfg.Failures != nil && len(res.FailureEvents) == 0 {
+				t.Error("no failure injected; the run does not cover recovery")
+			}
+			// One snapshot after every event but the last: no instant is
+			// off limits.
+			if snaps != events-1 {
+				t.Errorf("%d snapshots over %d events, want %d", snaps, events, events-1)
+			}
+			t.Logf("%d events, every remainder byte-identical", events)
 		})
 	}
 }

@@ -254,40 +254,20 @@ func (f *Injector) scheduleNext() {
 // OnTimer implements sim.TimerOwner: the only timer is the next failure.
 func (f *Injector) OnTimer(uint8, int64) { f.fail() }
 
-// Quiesced implements sim.Resumable: recovery seizures carry no callbacks,
-// so the injector never blocks a boundary.
-func (f *Injector) Quiesced() bool { return true }
-
-// EncodeState implements sim.Resumable.
-func (f *Injector) EncodeState(enc *snapshot.Encoder) {
-	enc.Int(len(f.evts))
-	for _, e := range f.evts {
-		enc.Time(e.Time)
-		enc.Int(e.Rank)
-		enc.Dur(e.LostWork)
-		enc.Dur(e.Recovery)
-	}
-}
-
-// DecodeState implements sim.Resumable. The pending failure timer is
-// restored with the event queue.
-func (f *Injector) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
+// SnapshotState implements sim.Resumable. The pending failure timer lives
+// in the engine.
+func (f *Injector) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	f.ctx = ctx
-	n := dec.Int()
-	if n < 0 || n > dec.Remaining() {
-		dec.Failf("failure event count %d", n)
-		return dec.Err()
+	if n := c.Len(len(f.evts)); c.Decoding() {
+		f.evts = make([]Event, n)
 	}
-	f.evts = make([]Event, 0, n)
-	for i := 0; i < n; i++ {
-		f.evts = append(f.evts, Event{
-			Time:     dec.Time(),
-			Rank:     dec.Int(),
-			LostWork: dec.Dur(),
-			Recovery: dec.Dur(),
-		})
+	for i := range f.evts {
+		e := &f.evts[i]
+		snapshot.Int(c, &e.Time)
+		snapshot.Int(c, &e.Rank)
+		snapshot.Int(c, &e.LostWork)
+		snapshot.Int(c, &e.Recovery)
 	}
-	return dec.Err()
 }
 
 // rework returns the application progress rank must re-execute after
@@ -315,7 +295,7 @@ func (f *Injector) fail() {
 			}
 		}
 		for r := 0; r < f.ctx.NumRanks(); r++ {
-			f.ctx.SeizeCPU(r, f.cfg.Restart+f.rework(r), Reason, nil)
+			f.ctx.SeizeCPU(r, f.cfg.Restart+f.rework(r), Reason, sim.Call{})
 		}
 		f.evts = append(f.evts, Event{Time: now, Rank: victim,
 			LostWork: maxRework, Recovery: f.cfg.Restart + maxRework})
@@ -325,7 +305,7 @@ func (f *Injector) fail() {
 		lost := f.rework(victim)
 		rec := f.cfg.Restart + lost.Scale(1/f.cfg.speedup())
 		f.evts = append(f.evts, Event{Time: now, Rank: victim, LostWork: lost, Recovery: rec})
-		f.ctx.SeizeCPU(victim, rec, Reason, nil)
+		f.ctx.SeizeCPU(victim, rec, Reason, sim.Call{})
 	case RollbackCluster:
 		// The victim's whole cluster rolls back to its cluster line and
 		// re-executes together, replaying inter-cluster messages from logs.
@@ -337,7 +317,7 @@ func (f *Injector) fail() {
 			}
 		}
 		for _, r := range members {
-			f.ctx.SeizeCPU(r, f.cfg.Restart+f.rework(r).Scale(1/f.cfg.speedup()), Reason, nil)
+			f.ctx.SeizeCPU(r, f.cfg.Restart+f.rework(r).Scale(1/f.cfg.speedup()), Reason, sim.Call{})
 		}
 		f.evts = append(f.evts, Event{Time: now, Rank: victim,
 			LostWork: maxRework, Recovery: f.cfg.Restart + maxRework.Scale(1/f.cfg.speedup())})
@@ -354,7 +334,7 @@ func (f *Injector) fail() {
 				}
 			}
 			for r := 0; r < n; r++ {
-				f.ctx.SeizeCPU(r, f.cfg.localRestart()+f.rework(r), Reason, nil)
+				f.ctx.SeizeCPU(r, f.cfg.localRestart()+f.rework(r), Reason, sim.Call{})
 			}
 			f.evts = append(f.evts, Event{Time: now, Rank: victim,
 				LostWork: maxRework, Recovery: f.cfg.localRestart() + maxRework})
@@ -369,7 +349,7 @@ func (f *Injector) fail() {
 				}
 			}
 			for r := 0; r < n; r++ {
-				f.ctx.SeizeCPU(r, f.cfg.Restart+reworkG(r), Reason, nil)
+				f.ctx.SeizeCPU(r, f.cfg.Restart+reworkG(r), Reason, sim.Call{})
 			}
 			f.evts = append(f.evts, Event{Time: now, Rank: victim,
 				LostWork: maxRework, Recovery: f.cfg.Restart + maxRework})
@@ -381,7 +361,7 @@ func (f *Injector) fail() {
 		f.ctx.Mark(victim, "rep-failure", int64(victim))
 		rank, cost, stalls := f.proto.(ReplicaProtocol).Takeover(victim, now)
 		if stalls {
-			f.ctx.SeizeCPU(rank, cost, Reason, nil)
+			f.ctx.SeizeCPU(rank, cost, Reason, sim.Call{})
 			f.evts = append(f.evts, Event{Time: now, Rank: victim, Recovery: cost})
 		} else {
 			f.evts = append(f.evts, Event{Time: now, Rank: victim})

@@ -84,7 +84,7 @@ func (n *Injector) OnTimer(_ uint8, arg int64) { n.fire(int(arg)) }
 func (n *Injector) fire(rank int) {
 	n.events++
 	n.stolen += n.cfg.Duration
-	n.ctx.SeizeCPU(rank, n.cfg.Duration, Reason, nil)
+	n.ctx.SeizeCPU(rank, n.cfg.Duration, Reason, sim.Call{})
 	var gap simtime.Duration
 	if n.cfg.Poisson {
 		gap = simtime.Duration(n.ctx.Rand().Exp(float64(n.cfg.Period)))
@@ -97,21 +97,11 @@ func (n *Injector) fire(rank int) {
 	n.ctx.AfterOwned(gap, n, 0, int64(rank))
 }
 
-// Quiesced implements sim.Resumable: noise seizures carry no callbacks.
-func (n *Injector) Quiesced() bool { return true }
-
-// EncodeState implements sim.Resumable.
-func (n *Injector) EncodeState(enc *snapshot.Encoder) {
-	enc.I64(n.events)
-	enc.Dur(n.stolen)
-}
-
-// DecodeState implements sim.Resumable.
-func (n *Injector) DecodeState(ctx *sim.Context, dec *snapshot.Decoder) error {
+// SnapshotState implements sim.Resumable.
+func (n *Injector) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	n.ctx = ctx
-	n.events = dec.I64()
-	n.stolen = dec.Dur()
-	return dec.Err()
+	snapshot.Int(c, &n.events)
+	snapshot.Int(c, &n.stolen)
 }
 
 // Events returns the number of noise events injected.

@@ -66,8 +66,8 @@ type Config struct {
 	// useful with failure rates the machine cannot outrun.
 	MaxTime simtime.Time
 	// SnapshotEvery, when > 0, captures a snapshot of the complete
-	// simulator state roughly every that many events, at the next safe
-	// boundary, and delivers each to OnSnapshot. Snapshotting is a pure
+	// simulator state after every that many events and delivers each to
+	// OnSnapshot. Snapshotting is a pure
 	// observer: results are byte-identical with or without it, so it is
 	// not keyed.
 	SnapshotEvery int64 `cache:"-"`

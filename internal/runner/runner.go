@@ -9,6 +9,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -90,12 +91,15 @@ func MapCtx[P, R any](ctx context.Context, workers int, points []P, fn func(i in
 	return results, nil
 }
 
+// ErrPanicked marks the error of a point whose fn panicked (errors.Is).
+var ErrPanicked = errors.New("panicked")
+
 // runPoint executes one point, converting a panic into an error that names
-// the point.
+// the point and wraps ErrPanicked.
 func runPoint[P, R any](i int, p P, fn func(int, P) (R, error), out *R) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("runner: point %d panicked: %v\n%s", i, r, debug.Stack())
+			err = fmt.Errorf("runner: point %d %w: %v\n%s", i, ErrPanicked, r, debug.Stack())
 		}
 	}()
 	*out, err = fn(i, p)

@@ -34,7 +34,8 @@ type clusterWorker struct {
 }
 
 // newTestCluster builds the cluster. workerCfg seeds every worker's
-// config (Version, snapshot cadence, and the publish hook are wired here);
+// config (Version, snapshot cadence, and the publish hook are wired here;
+// a PublishSnapshot in workerCfg runs before each publish);
 // coordCfg seeds the coordinator's (Workers and Version are wired here).
 func newTestCluster(t *testing.T, n int, workerCfg Config, coordCfg CoordinatorConfig) *testCluster {
 	t.Helper()
@@ -44,7 +45,11 @@ func newTestCluster(t *testing.T, n int, workerCfg Config, coordCfg CoordinatorC
 	// the coordinator URL late — same shape as a real worker flagging
 	// -coordinator-url before the coordinator finishes booting.
 	var coordURL atomic.Value
+	hook := workerCfg.PublishSnapshot
 	publish := func(key string, blob []byte) {
+		if hook != nil {
+			hook(key, blob)
+		}
 		u, _ := coordURL.Load().(string)
 		if u == "" {
 			return
@@ -310,6 +315,40 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 		if !bytes.Equal(body, ref) {
 			t.Fatalf("%s after kill: bytes differ from local run", sc.ID())
 		}
+	}
+}
+
+// TestClusterPanickingRunNotRetried: a run that panics panics on every
+// worker — it is the request's fault, not the shard's — so the coordinator
+// relays the worker's final 500 after one dispatch instead of
+// dead-lettering the point and re-running the panic on every survivor.
+func TestClusterPanickingRunNotRetried(t *testing.T) {
+	var runs atomic.Int64
+	c := newTestCluster(t, 2, Config{SnapshotEvery: resumeCadence,
+		PublishSnapshot: func(string, []byte) {
+			runs.Add(1)
+			panic("publish failed")
+		}}, CoordinatorConfig{})
+
+	resp := postJSON(t, c.url()+"/api/v1/run", scenarioBody(resumeScenario))
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking run: status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "publish failed") {
+		t.Errorf("relayed body %s does not report the panic", body)
+	}
+	if got := resp.Header.Get(retryableHeader); got != "false" {
+		t.Errorf("%s = %q, want false", retryableHeader, got)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("panicking run dispatched %d times, want 1", n)
+	}
+	if entries := clusterDLQ(t, c.url()); len(entries) != 0 {
+		t.Errorf("panicking run left DLQ entries: %+v", entries)
+	}
+	if metrics := scrape(t, c.url()+"/metrics"); !strings.Contains(metrics, "sweepd_coord_dlq_entered_total 0") {
+		t.Error("panicking run entered the dead-letter queue")
 	}
 }
 

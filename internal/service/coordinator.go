@@ -346,7 +346,7 @@ func (c *Coordinator) forward(ctx context.Context, ws *workerState, method, path
 // relayHeaders is the response-header subset a proxy passes through.
 var relayHeaders = []string{
 	"Content-Type", "Retry-After",
-	"X-Sweepd-Job", "X-Sweepd-Source", "X-Sweepd-Elapsed-Ms",
+	"X-Sweepd-Job", "X-Sweepd-Source", "X-Sweepd-Elapsed-Ms", retryableHeader,
 }
 
 // relay writes a buffered worker response to the client, tagging which
@@ -364,15 +364,15 @@ func relay(w http.ResponseWriter, res *proxyResult) {
 	w.Write(res.body)
 }
 
-// retryableCode reports whether a worker status means "another worker
-// (or a later attempt) could still produce this result": server-side
-// failures and drain refusals, never the 4xx verdicts a request has
-// earned on its own merits.
-func retryableCode(code int) bool {
-	switch code {
+// retryable reports whether a worker response means "another worker (or a
+// later attempt) could still produce this result": server-side failures
+// and drain refusals, never the 4xx verdicts a request has earned on its
+// own merits, nor a failure the worker marked final (a run that panicked).
+func (res *proxyResult) retryable() bool {
+	switch res.code {
 	case http.StatusInternalServerError, http.StatusBadGateway,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
+		return res.header.Get(retryableHeader) != "false"
 	}
 	return false
 }
@@ -519,7 +519,7 @@ func (c *Coordinator) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.DispatchTimeout)
 		res, ferr := c.forward(ctx, ws, http.MethodPost, path, body)
 		cancel()
-		if ferr == nil && !retryableCode(res.code) {
+		if ferr == nil && !res.retryable() {
 			if res.code == http.StatusTooManyRequests {
 				res.header.Set("Retry-After", strconv.Itoa(c.retryAfterSeconds()))
 			}
@@ -604,7 +604,7 @@ func (c *Coordinator) retryLoop(e *dlqEntry) {
 			e.noteError(err.Error())
 			continue
 		}
-		if retryableCode(res.code) || res.code == http.StatusTooManyRequests {
+		if res.retryable() || res.code == http.StatusTooManyRequests {
 			// 429 is terminal for a direct client (its contract is "back
 			// off yourself") but the DLQ *is* the backoff — absorb it.
 			e.noteError(fmt.Sprintf("worker %s: status %d: %s", ws.name, res.code, strings.TrimSpace(string(res.body))))
@@ -676,7 +676,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			lastErr = ferr.Error()
 			continue
 		}
-		if retryableCode(res.code) {
+		if res.retryable() {
 			lastErr = fmt.Sprintf("worker %s: status %d", ws.name, res.code)
 			continue
 		}

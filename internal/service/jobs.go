@@ -2,11 +2,13 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"checkpointsim/internal/cache"
+	"checkpointsim/internal/runner"
 )
 
 // JobState is the lifecycle of a submitted sweep.
@@ -91,6 +93,22 @@ func (j *Job) finish(state JobState, result []byte, src cache.Source, err error)
 	j.mu.Unlock()
 	j.cancel()
 	close(j.done)
+}
+
+// errRunPanicked marks a job whose run panicked. A panic is a property of
+// the request, not of the worker, so such a failure is not retryable.
+var errRunPanicked = errors.New("run panicked")
+
+// retryableHeader, set to "false" on a failed run's response, tells a
+// coordinator that re-dispatching the request cannot succeed.
+const retryableHeader = "X-Sweepd-Retryable"
+
+// panicked reports whether the job failed because its run panicked, in the
+// job's own goroutine or in one of its sweep points.
+func (j *Job) panicked() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return errors.Is(j.err, errRunPanicked) || errors.Is(j.err, runner.ErrPanicked)
 }
 
 // snapshot returns a consistent view for status rendering.

@@ -267,7 +267,7 @@ func (s *Server) runJob(job *Job) {
 	s.running.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
-			job.finish(StateFailed, nil, cache.Computed, fmt.Errorf("run panicked: %v", r))
+			job.finish(StateFailed, nil, cache.Computed, fmt.Errorf("%w: %v", errRunPanicked, r))
 			s.jobsByEnd[StateFailed].Inc()
 		}
 		s.running.Add(-1)
@@ -778,6 +778,11 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		code := http.StatusInternalServerError
 		if st.State == StateRejected {
 			code = http.StatusServiceUnavailable
+		}
+		if job.panicked() {
+			// The same request would panic again anywhere: tell a
+			// coordinator not to retry it on another shard.
+			w.Header().Set(retryableHeader, "false")
 		}
 		writeJSON(w, code, errorBody{Error: fmt.Sprintf("job %s %s: %s", job.ID, st.State, st.Error)})
 		return

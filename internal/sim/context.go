@@ -22,50 +22,32 @@ func (c *Context) NumRanks() int { return c.eng.prog.NumRanks }
 // the total event order makes consumption deterministic.
 func (c *Context) Rand() *rng.Source { return c.eng.rand }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would silently reorder causality.
-func (c *Context) At(t simtime.Time, fn func()) {
-	if t < c.eng.now {
-		panic(fmt.Sprintf("sim: At(%v) is in the past (now %v)", t, c.eng.now))
-	}
-	c.eng.queue.Push(t, event{kind: evTimer, fn: fn})
-}
-
-// After schedules fn to run d from now. Negative d panics.
-func (c *Context) After(d simtime.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: After(%v) negative", d))
-	}
-	c.At(c.eng.now.Add(d), fn)
-}
-
-// OwnTimers registers o as a timer owner under a stable string key, enabling
-// AtOwned. Agents are registered automatically at New under "agent:<index>";
-// subsystems that are not agents (the shared storage arbiter) register
-// themselves when they bind to the simulation. Registration is idempotent
-// for the same (key, owner) pair; reusing a key for a different owner
-// panics — keys are the identity snapshots serialize.
+// OwnTimers registers o as a timer owner under a stable string key, so that
+// it can own timers and Calls. Agents are registered automatically at New
+// under "agent:<index>"; subsystems that are not agents (the shared storage
+// arbiter) register themselves when they bind to the simulation.
+// Registration is idempotent for the same (key, owner) pair; reusing a key
+// for a different owner panics — keys are the identity snapshots check.
 func (c *Context) OwnTimers(key string, o TimerOwner) {
 	c.eng.registerOwner(key, o)
 }
 
-// AtOwned schedules a defunctionalized timer: at absolute time t, o.OnTimer
-// (kind, arg) runs. Unlike At, the pending timer is pure data — it
-// serializes into snapshots and survives Restore with its exact queue
-// position. o must have been registered via OwnTimers (agents are
-// registered automatically). Scheduling in the past panics.
+// AtOwned schedules a timer: at absolute time t, o.OnTimer(kind, arg) runs.
+// The pending timer is pure data — it serializes into snapshots and
+// survives Restore with its exact queue position. o must have been
+// registered via OwnTimers (agents are registered automatically).
+// Scheduling in the past panics: it would silently reorder causality.
 func (c *Context) AtOwned(t simtime.Time, o TimerOwner, kind uint8, arg int64) {
 	if t < c.eng.now {
 		panic(fmt.Sprintf("sim: AtOwned(%v) is in the past (now %v)", t, c.eng.now))
 	}
-	id, ok := c.eng.ownerIDs[o]
-	if !ok {
-		panic(fmt.Sprintf("sim: AtOwned on unregistered TimerOwner %T", o))
+	if o == nil {
+		panic("sim: AtOwned with nil TimerOwner")
 	}
-	c.eng.queue.Push(t, event{kind: evTimer, owner: id, tkind: kind, targ: arg})
+	c.eng.queue.Push(t, event{kind: evTimer, work: c.eng.own(Call{Owner: o, Kind: kind, Arg: arg})})
 }
 
-// AfterOwned schedules a defunctionalized timer d from now (see AtOwned).
+// AfterOwned schedules a timer d from now (see AtOwned). Negative d panics.
 func (c *Context) AfterOwned(d simtime.Duration, o TimerOwner, kind uint8, arg int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: AfterOwned(%v) negative", d))
@@ -82,7 +64,7 @@ func (c *Context) AfterOwned(d simtime.Duration, o TimerOwner, kind uint8, arg i
 // This is the primitive behind checkpoint writes, recovery rework, and
 // injected noise: the rank stops making application progress and the
 // resulting delay reaches other ranks only through message dependencies.
-func (c *Context) SeizeCPU(rank int, d simtime.Duration, reason string, done func(end simtime.Time)) {
+func (c *Context) SeizeCPU(rank int, d simtime.Duration, reason string, done Call) {
 	if rank < 0 || rank >= len(c.eng.ranks) {
 		panic(fmt.Sprintf("sim: SeizeCPU rank %d out of range", rank))
 	}
@@ -90,39 +72,54 @@ func (c *Context) SeizeCPU(rank int, d simtime.Duration, reason string, done fun
 		panic(fmt.Sprintf("sim: SeizeCPU negative duration %v", d))
 	}
 	st := &c.eng.ranks[rank]
-	st.seizeQ.push(job{kind: jobSeize, cost: d, reason: c.eng.internReason(reason), fn: done})
+	st.seizeQ.push(job{kind: jobSeize, cost: d, reason: c.eng.internReason(reason), done: c.eng.own(done)})
 	c.eng.dispatch(rank)
 }
 
 // SeizeCPUDynamic requests exclusive use of rank's CPU for an open-ended
 // duration: the seizure queues and dispatches exactly like SeizeCPU, but
-// instead of a fixed cost, granted runs when the CPU is acquired and
-// receives a release function; the seizure ends when release is called
-// (from inside a later event callback — release is idempotent). This is the
-// primitive behind shared-storage checkpoint writes, whose duration depends
-// on how many other ranks are writing concurrently (see internal/storage).
+// instead of a fixed cost, granted runs when the CPU is acquired, and the
+// seizure lasts until ReleaseSeizure(rank) is called from a later event.
+// This is the primitive behind shared-storage checkpoint writes, whose
+// duration depends on how many other ranks are writing concurrently (see
+// internal/storage).
 //
 // Accounting splits the occupancy at the nominal boundary: the first
 // nominal of the seizure — what a contention-free writer would pay — is
 // charged under reason, any excess under waitReason (e.g. "io-wait"). Trace
-// consumers see up to two events, one per component. done, if non-nil, runs
-// with the completion time.
+// consumers see up to two events, one per component. done runs at the
+// completion time (the zero Call for none).
 func (c *Context) SeizeCPUDynamic(rank int, nominal simtime.Duration, reason, waitReason string,
-	granted func(start simtime.Time, release func()), done func(end simtime.Time)) {
+	granted, done Call) {
 	if rank < 0 || rank >= len(c.eng.ranks) {
 		panic(fmt.Sprintf("sim: SeizeCPUDynamic rank %d out of range", rank))
 	}
 	if nominal < 0 {
 		panic(fmt.Sprintf("sim: SeizeCPUDynamic negative nominal %v", nominal))
 	}
-	if granted == nil {
-		panic("sim: SeizeCPUDynamic nil granted")
+	if granted.Owner == nil {
+		panic("sim: SeizeCPUDynamic without a granted Call")
 	}
 	st := &c.eng.ranks[rank]
-	st.seizeQ.push(job{kind: jobSeizeOpen, nominal: nominal,
+	st.seizeQ.push(job{kind: jobSeizeOpen, cost: nominal,
 		reason: c.eng.internReason(reason), waitReason: c.eng.internReason(waitReason),
-		granted: granted, fn: done})
+		granted: c.eng.own(granted), done: c.eng.own(done)})
 	c.eng.dispatch(rank)
+}
+
+// ReleaseSeizure ends the open-ended seizure (SeizeCPUDynamic) holding
+// rank's CPU, at the current time. It is a no-op when no such seizure runs
+// or it was already released.
+func (c *Context) ReleaseSeizure(rank int) {
+	if rank < 0 || rank >= len(c.eng.ranks) {
+		panic(fmt.Sprintf("sim: ReleaseSeizure rank %d out of range", rank))
+	}
+	st := &c.eng.ranks[rank]
+	if !st.running || st.runningJob.kind != jobSeizeOpen || st.releasing {
+		return
+	}
+	st.releasing = true
+	c.eng.queue.Push(c.eng.now, event{kind: evJobDone, rank: int32(rank)})
 }
 
 // Mark emits a TracePhase record on the trace channel (a no-op when no
@@ -138,37 +135,36 @@ func (c *Context) Mark(rank int, name string, detail int64) {
 		Start: c.eng.now, End: c.eng.now, Op: goal.NoOp, Detail: detail})
 }
 
+// Handle names one open HoldApp gate or ScaleCPU factor. It is plain data
+// — agents keep it in their state and serialize it as an int64 — and is
+// handed back with Context.Release. The zero Handle names nothing.
+type Handle int64
+
+// handle packs (rank, slot, kind) so that the zero Handle is never issued.
+func handle(rank, slot int, scale bool) Handle {
+	h := Handle(rank)<<32 | Handle(slot+1)<<1
+	if scale {
+		h |= 1
+	}
+	return h
+}
+
 // HoldApp closes a gate on rank's application progress: no new application
 // job (compute, send, receive processing) is granted the CPU until the
-// returned release function is called. Control traffic and seizures still
-// flow — this models a checkpoint daemon quiescing the application while
-// the MPI progress engine keeps servicing protocol messages. Holds nest;
-// release is idempotent. Held time is accounted in Result.HeldTime under
-// the given reason, measured from hold to release.
-func (c *Context) HoldApp(rank int, reason string) (release func()) {
+// returned Handle is released. Control traffic and seizures still flow —
+// this models a checkpoint daemon quiescing the application while the MPI
+// progress engine keeps servicing protocol messages. Holds nest. Held time
+// is accounted in Result.HeldTime under the given reason, measured from
+// hold to release.
+func (c *Context) HoldApp(rank int, reason string) Handle {
 	if rank < 0 || rank >= len(c.eng.ranks) {
 		panic(fmt.Sprintf("sim: HoldApp rank %d out of range", rank))
 	}
 	st := &c.eng.ranks[rank]
-	id := c.eng.internReason(reason)
+	st.holds = append(st.holds, hold{start: c.eng.now, reason: c.eng.internReason(reason), open: true})
 	st.held++
 	c.Mark(rank, "hold", int64(st.held))
-	start := c.eng.now
-	released := false
-	return func() {
-		if released {
-			return
-		}
-		released = true
-		st.held--
-		if st.held < 0 {
-			panic("sim: HoldApp release underflow")
-		}
-		c.Mark(rank, "hold-release", int64(st.held))
-		c.eng.heldTime[id] += c.eng.now.Sub(start)
-		c.eng.heldCnt[id]++
-		c.eng.dispatch(rank)
-	}
+	return handle(rank, len(st.holds)-1, false)
 }
 
 // ScaleCPU slows rank's CPU by the given factor (> 1): every job granted
@@ -176,10 +172,10 @@ func (c *Context) HoldApp(rank int, reason string) (release func()) {
 // seizures (whose durations are absolute). This models background
 // interference — copy-on-write faults and I/O from an asynchronous
 // checkpoint write, a polluted cache, a co-scheduled daemon — as opposed to
-// SeizeCPU's full interruptions. Scales nest multiplicatively; the returned
-// restore function removes this contribution (idempotent). The extra time
-// is accounted per rank in Result.RankScaledExtra.
-func (c *Context) ScaleCPU(rank int, factor float64) (restore func()) {
+// SeizeCPU's full interruptions. Scales nest multiplicatively; releasing
+// the returned Handle removes this contribution. The extra time is
+// accounted per rank in Result.RankScaledExtra.
+func (c *Context) ScaleCPU(rank int, factor float64) Handle {
 	if rank < 0 || rank >= len(c.eng.ranks) {
 		panic(fmt.Sprintf("sim: ScaleCPU rank %d out of range", rank))
 	}
@@ -188,29 +184,54 @@ func (c *Context) ScaleCPU(rank int, factor float64) (restore func()) {
 	}
 	st := &c.eng.ranks[rank]
 	st.scales = append(st.scales, factor)
-	idx := len(st.scales) - 1
-	removed := false
-	return func() {
-		if removed {
+	return handle(rank, len(st.scales)-1, true)
+}
+
+// Release reopens the HoldApp gate or removes the ScaleCPU factor h names.
+// Releasing the zero Handle, or one already released, is a no-op; a Handle
+// must not be released after a later HoldApp/ScaleCPU on the same rank
+// could have reused its slot, so owners zero their copy on release.
+func (c *Context) Release(h Handle) {
+	rank, slot := int(h>>32), int(uint32(h)>>1)-1
+	if rank < 0 || rank >= len(c.eng.ranks) || slot < 0 {
+		return
+	}
+	st := &c.eng.ranks[rank]
+	if h&1 == 1 {
+		if slot >= len(st.scales) {
 			return
 		}
-		removed = true
-		// Neutralize rather than delete: later restores hold later indices.
-		st.scales[idx] = 1
+		// Neutralize rather than delete: later handles hold later slots.
 		// Compact fully-neutral tails so long runs don't accumulate slots.
+		st.scales[slot] = 1
 		for len(st.scales) > 0 && st.scales[len(st.scales)-1] == 1 {
 			st.scales = st.scales[:len(st.scales)-1]
 		}
+		return
 	}
+	if slot >= len(st.holds) || !st.holds[slot].open {
+		return
+	}
+	hd := st.holds[slot]
+	st.holds[slot].open = false
+	for len(st.holds) > 0 && !st.holds[len(st.holds)-1].open {
+		st.holds = st.holds[:len(st.holds)-1]
+	}
+	st.held--
+	c.Mark(rank, "hold-release", int64(st.held))
+	c.eng.heldTime[hd.reason] += c.eng.now.Sub(hd.start)
+	c.eng.heldCnt[hd.reason]++
+	c.eng.dispatch(rank)
 }
 
 // SendControl sends a protocol control message of the given size from src
 // to dst. The message costs SendCPU(bytes) on the sender, traverses the
 // network under the same LogGOPS parameters as application traffic, and
-// costs RecvCPU(bytes) on the receiver before deliver runs (with the
-// delivery completion time). Control messages contend with application work
-// for both CPUs and the sender NIC — coordination is never free.
-func (c *Context) SendControl(src, dst int, bytes int64, deliver func(at simtime.Time)) {
+// costs RecvCPU(bytes) on the receiver before deliver runs (at the delivery
+// completion time; the zero Call for none). Control messages contend with
+// application work for both CPUs and the sender NIC — coordination is never
+// free.
+func (c *Context) SendControl(src, dst int, bytes int64, deliver Call) {
 	n := len(c.eng.ranks)
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		panic(fmt.Sprintf("sim: SendControl %d->%d out of range", src, dst))
@@ -223,7 +244,7 @@ func (c *Context) SendControl(src, dst int, bytes int64, deliver func(at simtime
 	}
 	m := c.eng.newMsg()
 	*m = message{kind: msgCtl, src: int32(src), dst: int32(dst), bytes: bytes,
-		wire: bytes, deliver: deliver}
+		wire: bytes, deliver: c.eng.own(deliver)}
 	st := &c.eng.ranks[src]
 	st.ctlQ.push(job{kind: jobCtlSend, cost: c.eng.net.SendCPU(bytes), msg: m})
 	c.eng.dispatch(src)

@@ -59,41 +59,77 @@ func randomProgram(r *rng.Source) *goal.Program {
 }
 
 // chaosAgent applies random (but deterministic, seeded) perturbations:
-// seizures, app gates, CPU scaling, and control chatter.
+// seizures, app gates, CPU scaling, and control chatter. Each perturbation
+// is one planned action, started and ended by the agent's own owned work.
 type chaosAgent struct {
-	seed uint64
+	seed    uint64
+	ctx     *Context
+	actions []chaosAction
 }
 
+type chaosAction struct {
+	kind uint8 // chaosSeize..chaosControl
+	when simtime.Time
+	rank int
+	dst  int              // chaosControl
+	d    simtime.Duration // seizure length, or how long a hold/scale lasts
+	f    float64          // chaosScale factor
+	h    Handle           // the open hold or scale
+}
+
+// chaosAgent action kinds; OnTimer kind chaosEnd ends action arg's hold or
+// scale.
+const (
+	chaosSeize uint8 = iota
+	chaosHold
+	chaosScale
+	chaosControl
+	chaosEnd
+)
+
 func (a *chaosAgent) Init(ctx *Context) {
+	a.ctx = ctx
 	r := rng.New(a.seed)
 	n := ctx.NumRanks()
+	a.actions = nil
 	for i := 0; i < 10; i++ {
-		rank := r.Intn(n)
-		when := simtime.Time(r.Intn(1000000))
-		switch r.Intn(4) {
-		case 0:
-			d := simtime.Duration(r.Intn(50000))
-			ctx.At(when, func() { ctx.SeizeCPU(rank, d, "chaos", nil) })
-		case 1:
-			hold := simtime.Duration(r.Intn(50000) + 1)
-			ctx.At(when, func() {
-				release := ctx.HoldApp(rank, "chaos")
-				ctx.After(hold, release)
-			})
-		case 2:
-			f := 1 + r.Float64()
-			span := simtime.Duration(r.Intn(50000) + 1)
-			ctx.At(when, func() {
-				restore := ctx.ScaleCPU(rank, f)
-				ctx.After(span, restore)
-			})
-		case 3:
+		act := chaosAction{rank: r.Intn(n), when: simtime.Time(r.Intn(1000000))}
+		act.kind = uint8(r.Intn(4))
+		switch act.kind {
+		case chaosSeize:
+			act.d = simtime.Duration(r.Intn(50000))
+		case chaosHold:
+			act.d = simtime.Duration(r.Intn(50000) + 1)
+		case chaosScale:
+			act.f = 1 + r.Float64()
+			act.d = simtime.Duration(r.Intn(50000) + 1)
+		case chaosControl:
 			if n < 2 {
 				continue
 			}
-			dst := (rank + 1 + r.Intn(n-1)) % n
-			ctx.At(when, func() { ctx.SendControl(rank, dst, 32, nil) })
+			act.dst = (act.rank + 1 + r.Intn(n-1)) % n
 		}
+		a.actions = append(a.actions, act)
+		ctx.AtOwned(act.when, a, act.kind, int64(len(a.actions)-1))
+	}
+}
+
+func (a *chaosAgent) OnTimer(kind uint8, arg int64) {
+	act := &a.actions[arg]
+	switch kind {
+	case chaosSeize:
+		a.ctx.SeizeCPU(act.rank, act.d, "chaos", Call{})
+	case chaosHold:
+		act.h = a.ctx.HoldApp(act.rank, "chaos")
+		a.ctx.AfterOwned(act.d, a, chaosEnd, arg)
+	case chaosScale:
+		act.h = a.ctx.ScaleCPU(act.rank, act.f)
+		a.ctx.AfterOwned(act.d, a, chaosEnd, arg)
+	case chaosControl:
+		a.ctx.SendControl(act.rank, act.dst, 32, Call{})
+	case chaosEnd:
+		a.ctx.Release(act.h)
+		act.h = 0
 	}
 }
 

@@ -16,13 +16,13 @@ func TestSeizeCPUDynamicBasic(t *testing.T) {
 	var end simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
 		ctx.SeizeCPUDynamic(0, 1000, "write", "wait",
-			func(start simtime.Time, release func()) {
-				if start != 0 {
-					t.Errorf("granted at %v, want 0", start)
+			call(ctx, func() {
+				if ctx.Now() != 0 {
+					t.Errorf("granted at %v, want 0", ctx.Now())
 				}
-				ctx.After(1500, func() { release() })
-			},
-			func(e simtime.Time) { end = e })
+				after(ctx, 1500, func() { ctx.ReleaseSeizure(0) })
+			}),
+			call(ctx, func() { end = ctx.Now() }))
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if end != 1500 {
@@ -48,9 +48,9 @@ func TestSeizeCPUDynamicNoWait(t *testing.T) {
 	b.Calc(0, 100)
 	a := &fnAgent{init: func(ctx *Context) {
 		ctx.SeizeCPUDynamic(0, 1000, "write", "wait",
-			func(start simtime.Time, release func()) {
-				ctx.After(1000, func() { release() })
-			}, nil)
+			call(ctx, func() {
+				after(ctx, 1000, func() { ctx.ReleaseSeizure(0) })
+			}), Call{})
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if r.SeizedTime["write"] != 1000 {
@@ -67,11 +67,11 @@ func TestSeizeCPUDynamicReleaseIdempotent(t *testing.T) {
 	var ends int
 	a := &fnAgent{init: func(ctx *Context) {
 		ctx.SeizeCPUDynamic(0, 0, "write", "wait",
-			func(start simtime.Time, release func()) {
-				ctx.After(200, func() { release(); release() })
-				ctx.After(700, release)
-			},
-			func(simtime.Time) { ends++ })
+			call(ctx, func() {
+				after(ctx, 200, func() { ctx.ReleaseSeizure(0); ctx.ReleaseSeizure(0) })
+				after(ctx, 700, func() { ctx.ReleaseSeizure(0) })
+			}),
+			call(ctx, func() { ends++ }))
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if ends != 1 {
@@ -91,12 +91,12 @@ func TestSeizeCPUDynamicQueuesBehindRunningJob(t *testing.T) {
 	s.Calc(1000)
 	var grantedAt simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
-		ctx.After(500, func() {
+		after(ctx, 500, func() {
 			ctx.SeizeCPUDynamic(0, 100, "write", "wait",
-				func(start simtime.Time, release func()) {
-					grantedAt = start
-					ctx.After(300, release)
-				}, nil)
+				call(ctx, func() {
+					grantedAt = ctx.Now()
+					after(ctx, 300, func() { ctx.ReleaseSeizure(0) })
+				}), Call{})
 		})
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
@@ -116,9 +116,9 @@ func TestSeizeCPUDynamicTraceSplit(t *testing.T) {
 	var events []TraceEvent
 	a := &fnAgent{init: func(ctx *Context) {
 		ctx.SeizeCPUDynamic(0, 1000, "write", "wait",
-			func(start simtime.Time, release func()) {
-				ctx.After(1500, release)
-			}, nil)
+			call(ctx, func() {
+				after(ctx, 1500, func() { ctx.ReleaseSeizure(0) })
+			}), Call{})
 	}}
 	e, err := New(Config{Net: testNet(), Program: b.MustBuild(),
 		Agents: []Agent{a}, Seed: 1,
@@ -149,19 +149,21 @@ func TestSeizeCPUDynamicTraceSplit(t *testing.T) {
 func TestSeizeCPUDynamicValidation(t *testing.T) {
 	b := goal.NewBuilder(1)
 	b.Calc(0, 100)
-	for name, call := range map[string]func(ctx *Context){
-		"rank":    func(ctx *Context) { ctx.SeizeCPUDynamic(9, 0, "w", "x", func(simtime.Time, func()) {}, nil) },
-		"nominal": func(ctx *Context) { ctx.SeizeCPUDynamic(0, -1, "w", "x", func(simtime.Time, func()) {}, nil) },
-		"granted": func(ctx *Context) { ctx.SeizeCPUDynamic(0, 0, "w", "x", nil, nil) },
+	noop := func(ctx *Context) Call { return call(ctx, func() {}) }
+	for name, bad := range map[string]func(ctx *Context){
+		"rank":    func(ctx *Context) { ctx.SeizeCPUDynamic(9, 0, "w", "x", noop(ctx), Call{}) },
+		"nominal": func(ctx *Context) { ctx.SeizeCPUDynamic(0, -1, "w", "x", noop(ctx), Call{}) },
+		"granted": func(ctx *Context) { ctx.SeizeCPUDynamic(0, 0, "w", "x", Call{}, Call{}) },
+		"release": func(ctx *Context) { ctx.ReleaseSeizure(9) },
 	} {
-		call := call
+		bad := bad
 		t.Run(name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Error("bad call did not panic")
 				}
 			}()
-			a := &fnAgent{init: func(ctx *Context) { call(ctx) }}
+			a := &fnAgent{init: func(ctx *Context) { bad(ctx) }}
 			run(t, testNet(), b.MustBuild(), a)
 		})
 	}

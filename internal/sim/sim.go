@@ -100,10 +100,10 @@ type Config struct {
 	// MaxTime aborts simulations that pass this virtual time; 0 = no cap.
 	MaxTime simtime.Time
 	// SnapshotEvery, when > 0, asks the engine to capture a snapshot of its
-	// complete state at the first safe event boundary after every
-	// SnapshotEvery processed events (see Engine.Restore for the
-	// determinism contract). Requires OnSnapshot and that every agent
-	// implements Resumable.
+	// complete state after every SnapshotEvery-th processed event (see
+	// Engine.Restore for the determinism contract). Every instant between
+	// two events is snapshot-able, so the cadence is exact. Requires
+	// OnSnapshot and that every agent implements Resumable.
 	SnapshotEvery int64
 	// OnSnapshot receives each captured snapshot, synchronously on the
 	// simulation loop. Required when SnapshotEvery > 0.
@@ -222,16 +222,21 @@ const (
 
 type event struct {
 	kind evKind
-	// tkind/owner/targ carry a defunctionalized timer (see TimerOwner): the
-	// event is data, not a closure, so it serializes into snapshots with its
-	// exact (time, priority, sequence) ordering key. fn is the legacy
-	// closure form; a timer uses exactly one of the two (fn == nil ⇒ owned).
-	tkind uint8
-	rank  int32
+	rank int32 // evJobDone
+	work owned // evTimer
+	msg  *message
+}
+
+// owned is one piece of pending agent work as plain data: a Call bound to
+// its owner's registration ID. Running it invokes
+// owners[owner-1].OnTimer(kind, arg); the zero value (owner 0) is "no
+// work". Timers, completion callbacks, control-message deliveries and
+// seizure grants all take this one form, so every instant between two
+// events serializes.
+type owned struct {
 	owner int32
-	targ  int64
-	msg   *message
-	fn    func()
+	kind  uint8
+	arg   int64
 }
 
 type msgKind uint8
@@ -250,11 +255,11 @@ type message struct {
 	id       int64 // trace identity, assigned at injection
 	src, dst int32
 	tag      int32
-	bytes    int64              // payload size (app size carried for RTS/CTS bookkeeping)
-	wire     int64              // bytes that actually occupy NIC and wire
-	op       goal.OpID          // originating send op (app messages)
-	recvOp   goal.OpID          // matched recv op (CTS/data)
-	deliver  func(simtime.Time) // control-message delivery callback
+	bytes    int64     // payload size (app size carried for RTS/CTS bookkeeping)
+	wire     int64     // bytes that actually occupy NIC and wire
+	op       goal.OpID // originating send op (app messages)
+	recvOp   goal.OpID // matched recv op (CTS/data)
+	deliver  owned     // control messages: runs after receive processing
 }
 
 type jobKind uint8
@@ -277,18 +282,28 @@ const (
 // string-keyed map updates; Result re-expands IDs to strings at the end.
 type reasonID int32
 
-// job is a unit of CPU occupancy on one rank.
+// job is a unit of CPU occupancy on one rank. For an open-ended seizure
+// (jobSeizeOpen) cost is the nominal portion accounted under reason; the
+// occupancy lasts until Context.ReleaseSeizure and any excess is accounted
+// under waitReason.
 type job struct {
 	kind   jobKind
 	cost   simtime.Duration
 	op     goal.OpID
 	msg    *message
-	reason reasonID           // seizures: interned accounting key
-	fn     func(simtime.Time) // seizures/control: completion callback
+	reason reasonID // seizures: interned accounting key
+	done   owned    // seizures: runs at completion
 	// Open-ended seizures (jobSeizeOpen) only:
-	nominal    simtime.Duration // portion accounted under reason; excess goes to waitReason
 	waitReason reasonID
-	granted    func(start simtime.Time, release func())
+	granted    owned // runs when the CPU is granted
+}
+
+// hold is one HoldApp gate: its reason and the time it closed, so that the
+// held time is accounted at release.
+type hold struct {
+	start  simtime.Time
+	reason reasonID
+	open   bool
 }
 
 // postedRecv is a receive waiting for a matching message.
@@ -306,12 +321,18 @@ type rankState struct {
 	seizeQ fifo[job]
 	ctlQ   fifo[job]
 	appQ   fifo[job]
-	// held counts open HoldApp gates; application jobs are not granted the
-	// CPU while held > 0.
-	held int
-	// scales holds active ScaleCPU factors; their product multiplies the
-	// cost of every non-seizure job at grant time.
-	scales      []float64
+	// holds are the HoldApp gates, indexed by Handle slot; held counts the
+	// open ones, and application jobs are not granted the CPU while
+	// held > 0.
+	holds []hold
+	held  int
+	// scales holds active ScaleCPU factors, indexed by Handle slot
+	// (released slots are neutral 1s); their product multiplies the cost of
+	// every non-seizure job at grant time.
+	scales []float64
+	// releasing is set once the running open-ended seizure has been
+	// released: its completion event is queued.
+	releasing   bool
 	scaledExtra simtime.Duration
 	nicFreeAt   simtime.Time
 	posted      []postedRecv
@@ -387,15 +408,17 @@ type Engine struct {
 	// steady-state engine loop allocates none.
 	msgFree []*message
 	ran     bool
-	// Snapshot/restore machinery (snapshot.go). owners maps dense timer-owner
-	// IDs to their handlers; ownerKeys holds the stable string key per ID so
-	// snapshots reference owners by name, not by registration order.
+	// Owner registry (snapshot.go): owned work names its owner by a dense
+	// ID (index+1 into owners); ownerKeys holds each ID's stable string key
+	// so a snapshot's IDs are checked against the restoring engine's.
 	owners     []TimerOwner
 	ownerKeys  []string
 	ownerIDs   map[TimerOwner]int32
 	traceCount int64 // trace records emitted so far (resume suffix index)
-	snapAt     int64 // event count at the last snapshot
 	restored   bool  // Run must skip Init/activation: state came from Restore
+	// ctx is the one Context agents see, at Init, snapshot and restore
+	// alike, so identity checks on it (storage.Store.Bind) hold.
+	ctx Context
 }
 
 // Metrics accumulates global counters during a run.
@@ -437,6 +460,7 @@ func New(cfg Config) (*Engine, error) {
 		rand:      rng.New(cfg.Seed),
 		reasonIDs: make(map[string]reasonID),
 	}
+	e.ctx.eng = e
 	if cfg.SnapshotEvery > 0 && cfg.OnSnapshot == nil {
 		return nil, fmt.Errorf("sim: SnapshotEvery set without OnSnapshot")
 	}
@@ -517,9 +541,8 @@ func (e *Engine) Run() (*Result, error) {
 	e.ran = true
 
 	if !e.restored {
-		ctx := &Context{eng: e}
 		for _, a := range e.cfg.Agents {
-			a.Init(ctx)
+			a.Init(&e.ctx)
 		}
 		// Activate all initially-ready operations.
 		for i := range e.prog.Ops {
@@ -556,14 +579,10 @@ func (e *Engine) Run() (*Result, error) {
 		case evArrive:
 			e.arrive(ev.msg)
 		case evTimer:
-			if ev.fn != nil {
-				ev.fn()
-			} else {
-				e.owners[ev.owner].OnTimer(ev.tkind, ev.targ)
-			}
+			e.run(ev.work)
 		}
-		if e.cfg.SnapshotEvery > 0 && e.events-e.snapAt >= e.cfg.SnapshotEvery && e.opsLeft > 0 {
-			e.maybeSnapshot()
+		if e.cfg.SnapshotEvery > 0 && e.events%e.cfg.SnapshotEvery == 0 && e.opsLeft > 0 {
+			e.snapshot()
 		}
 	}
 	return e.buildResult(), nil
@@ -637,19 +656,10 @@ func (e *Engine) dispatch(rank int) {
 			Start: e.now, End: e.now, Op: op, Detail: int64(st.held)})
 	}
 	if j.kind == jobSeizeOpen {
-		// Open-ended seizure: the CPU is held until the agent calls release
-		// (typically when a shared-storage drain completes); no completion
-		// is scheduled up front. release is idempotent and must be invoked
-		// from inside an event callback.
-		released := false
-		r32 := int32(rank)
-		j.granted(e.now, func() {
-			if released {
-				return
-			}
-			released = true
-			e.queue.Push(e.now, event{kind: evJobDone, rank: r32})
-		})
+		// Open-ended seizure: the CPU is held until the agent calls
+		// ReleaseSeizure (typically when a shared-storage drain completes);
+		// no completion is scheduled up front.
+		e.run(j.granted)
 		return
 	}
 	cost := j.cost
@@ -672,12 +682,13 @@ func (e *Engine) jobDone(rank int) {
 	st := &e.ranks[rank]
 	j := st.runningJob
 	st.running = false
+	st.releasing = false
 	dur := e.now.Sub(st.jobStart)
 	if e.cfg.Trace != nil {
 		if j.kind == jobSeizeOpen {
 			// Split the occupancy at the nominal boundary: the part any lone
 			// writer would pay, then the contention-induced wait.
-			split := st.jobStart.Add(simtime.MinDuration(j.nominal, dur))
+			split := st.jobStart.Add(simtime.MinDuration(j.cost, dur))
 			e.emitTrace(TraceEvent{Rank: rank, Kind: e.seizeLabels[j.reason],
 				Start: st.jobStart, End: split, Op: goal.NoOp})
 			if split < e.now {
@@ -732,29 +743,23 @@ func (e *Engine) jobDone(rank int) {
 		e.metrics.CtlBytes += j.msg.wire
 	case jobCtlRecv:
 		st.ctlBusy += dur
-		if j.msg.deliver != nil {
-			j.msg.deliver(e.now)
-		}
+		e.run(j.msg.deliver)
 		e.freeMsg(j.msg)
 	case jobSeize:
 		st.seizedBusy += dur
 		e.seizeTime[j.reason] += dur
 		e.seizeCnt[j.reason]++
-		if j.fn != nil {
-			j.fn(e.now)
-		}
+		e.run(j.done)
 	case jobSeizeOpen:
 		st.seizedBusy += dur
-		nominal := simtime.MinDuration(j.nominal, dur)
+		nominal := simtime.MinDuration(j.cost, dur)
 		e.seizeTime[j.reason] += nominal
 		e.seizeCnt[j.reason]++
 		if wait := dur - nominal; wait > 0 {
 			e.seizeTime[j.waitReason] += wait
 			e.seizeCnt[j.waitReason]++
 		}
-		if j.fn != nil {
-			j.fn(e.now)
-		}
+		e.run(j.done)
 	}
 	e.dispatch(rank)
 }

@@ -367,6 +367,41 @@ type fnAgent struct {
 
 func (a *fnAgent) Init(ctx *Context) { a.init(ctx) }
 
+// closures is a test-only TimerOwner running registered funcs, so tests can
+// drive the engine's data-only API (timers, Calls) with inline closures.
+type closures struct{ fns []func() }
+
+func (c *closures) OnTimer(_ uint8, arg int64) { c.fns[arg]() }
+
+// call registers fn with the engine's closure owner and returns it as a
+// Call.
+func call(ctx *Context, fn func()) Call {
+	var c *closures
+	for i, k := range ctx.eng.ownerKeys {
+		if k == "test:closures" {
+			c = ctx.eng.owners[i].(*closures)
+		}
+	}
+	if c == nil {
+		c = &closures{}
+		ctx.OwnTimers("test:closures", c)
+	}
+	c.fns = append(c.fns, fn)
+	return Call{Owner: c, Arg: int64(len(c.fns) - 1)}
+}
+
+// at runs fn at absolute time t.
+func at(ctx *Context, t simtime.Time, fn func()) {
+	c := call(ctx, fn)
+	ctx.AtOwned(t, c.Owner, c.Kind, c.Arg)
+}
+
+// after runs fn d from now.
+func after(ctx *Context, d simtime.Duration, fn func()) {
+	c := call(ctx, fn)
+	ctx.AfterOwned(d, c.Owner, c.Kind, c.Arg)
+}
+
 type penaltyAgent struct {
 	per simtime.Duration
 }
@@ -381,7 +416,7 @@ func TestSeizeCPUDelaysWork(t *testing.T) {
 	b.Calc(0, 100)
 	var end simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
-		ctx.SeizeCPU(0, 1000, "test", func(e simtime.Time) { end = e })
+		ctx.SeizeCPU(0, 1000, "test", call(ctx, func() { end = ctx.Now() }))
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if r.Makespan != 1100 {
@@ -407,8 +442,8 @@ func TestSeizeIsNonPreemptiveButPriority(t *testing.T) {
 	s.Calc(1000)
 	var end simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
-		ctx.After(500, func() {
-			ctx.SeizeCPU(0, 300, "ck", func(e simtime.Time) { end = e })
+		after(ctx, 500, func() {
+			ctx.SeizeCPU(0, 300, "ck", call(ctx, func() { end = ctx.Now() }))
 		})
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
@@ -430,7 +465,7 @@ func TestSeizeWhileIdle(t *testing.T) {
 	s0.Send(1, 0, 1)
 	b.Recv(1, 0, 0, 1)
 	a := &fnAgent{init: func(ctx *Context) {
-		ctx.At(0, func() { ctx.SeizeCPU(1, 50000, "ck", nil) })
+		at(ctx, 0, func() { ctx.SeizeCPU(1, 50000, "ck", Call{}) })
 	}}
 	r := run(t, net, b.MustBuild(), a)
 	// Message arrives ~ 10000+SendCPU+Wire < 50000; recv CPU must wait for
@@ -464,7 +499,7 @@ func TestSendControlRoundTrip(t *testing.T) {
 	b.Calc(1, 1)
 	var delivered simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
-		ctx.SendControl(0, 1, 4, func(at simtime.Time) { delivered = at })
+		ctx.SendControl(0, 1, 4, call(ctx, func() { delivered = ctx.Now() }))
 	}}
 	run(t, net, b.MustBuild(), a)
 	// The receiver's 1ns calc finishes long before the control message
@@ -480,8 +515,8 @@ func TestTimers(t *testing.T) {
 	b.Calc(0, 10000)
 	var fired []simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
-		ctx.At(500, func() { fired = append(fired, ctx.Now()) })
-		ctx.After(200, func() { fired = append(fired, ctx.Now()) })
+		at(ctx, 500, func() { fired = append(fired, ctx.Now()) })
+		after(ctx, 200, func() { fired = append(fired, ctx.Now()) })
 	}}
 	run(t, testNet(), b.MustBuild(), a)
 	if len(fired) != 2 || fired[0] != 200 || fired[1] != 500 {
@@ -494,13 +529,16 @@ func TestContextPanics(t *testing.T) {
 	b.Calc(0, 10)
 	b.Calc(1, 10)
 	cases := []func(ctx *Context){
-		func(ctx *Context) { ctx.After(1, func() { ctx.At(0, nil) }) },
-		func(ctx *Context) { ctx.After(-1, nil) },
-		func(ctx *Context) { ctx.SeizeCPU(5, 1, "x", nil) },
-		func(ctx *Context) { ctx.SeizeCPU(0, -1, "x", nil) },
-		func(ctx *Context) { ctx.SendControl(0, 0, 1, nil) },
-		func(ctx *Context) { ctx.SendControl(0, 9, 1, nil) },
-		func(ctx *Context) { ctx.SendControl(0, 1, -1, nil) },
+		func(ctx *Context) { after(ctx, 1, func() { at(ctx, 0, func() {}) }) },
+		func(ctx *Context) { after(ctx, -1, func() {}) },
+		func(ctx *Context) { ctx.AtOwned(1, nil, 0, 0) },
+		func(ctx *Context) { ctx.AtOwned(1, &closures{}, 0, 0) }, // unregistered owner
+		func(ctx *Context) { ctx.SeizeCPU(0, 1, "x", Call{Owner: &closures{}}) },
+		func(ctx *Context) { ctx.SeizeCPU(5, 1, "x", Call{}) },
+		func(ctx *Context) { ctx.SeizeCPU(0, -1, "x", Call{}) },
+		func(ctx *Context) { ctx.SendControl(0, 0, 1, Call{}) },
+		func(ctx *Context) { ctx.SendControl(0, 9, 1, Call{}) },
+		func(ctx *Context) { ctx.SendControl(0, 1, -1, Call{}) },
 	}
 	for i, f := range cases {
 		f := f
@@ -530,7 +568,7 @@ func TestContextIntrospection(t *testing.T) {
 	var nr int
 	a := &fnAgent{init: func(ctx *Context) {
 		nr = ctx.NumRanks()
-		ctx.At(250, func() {
+		at(ctx, 250, func() {
 			ops = ctx.OpsRemaining()
 			if ctx.RankProgress(0) != 100 {
 				t.Errorf("RankProgress(0) = %v", ctx.RankProgress(0))
@@ -553,7 +591,7 @@ func TestResultString(t *testing.T) {
 	b := goal.NewBuilder(2)
 	b.Send(0, 1, 0, 8)
 	b.Recv(1, 0, 0, 8)
-	a := &fnAgent{init: func(ctx *Context) { ctx.SeizeCPU(0, 10, "ck", nil) }}
+	a := &fnAgent{init: func(ctx *Context) { ctx.SeizeCPU(0, 10, "ck", Call{}) }}
 	r := run(t, testNet(), b.MustBuild(), a)
 	s := r.String()
 	for _, want := range []string{"makespan", "messages", "seized[ck]"} {
@@ -665,12 +703,11 @@ func TestScaleCPUSlowsJobs(t *testing.T) {
 	s := b.Seq(0)
 	s.Calc(1000)
 	s.Calc(1000)
-	var restore func()
 	a := &fnAgent{init: func(ctx *Context) {
-		restore = ctx.ScaleCPU(0, 2.0)
+		h := ctx.ScaleCPU(0, 2.0)
 		// Restore after the first op has been granted (at t=0) and before
 		// the second is granted: the first costs 2000, the second 1000.
-		ctx.At(2000, func() { restore() })
+		at(ctx, 2000, func() { ctx.Release(h) })
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if r.Makespan != 3000 {
@@ -699,7 +736,7 @@ func TestScaleCPUDoesNotAffectSeizures(t *testing.T) {
 	b.Calc(0, 100)
 	a := &fnAgent{init: func(ctx *Context) {
 		ctx.ScaleCPU(0, 10)
-		ctx.SeizeCPU(0, 500, "ck", nil)
+		ctx.SeizeCPU(0, 500, "ck", Call{})
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	// Seizure runs first (priority): 500 absolute, then calc at 10x: 1000.
@@ -713,9 +750,10 @@ func TestScaleCPURestoreIdempotent(t *testing.T) {
 	s := b.Seq(0)
 	s.Calc(1000)
 	a := &fnAgent{init: func(ctx *Context) {
-		r1 := ctx.ScaleCPU(0, 2)
-		r1()
-		r1() // double restore must not underflow or panic
+		h := ctx.ScaleCPU(0, 2)
+		ctx.Release(h)
+		ctx.Release(h) // double restore must not underflow or panic
+		ctx.Release(0) // the zero Handle names nothing
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if r.Makespan != 1000 {
@@ -755,9 +793,9 @@ func TestHoldAppGatesOnlyAppWork(t *testing.T) {
 	b.Calc(1, 1000000)
 	var delivered simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
-		release := ctx.HoldApp(0, "gate")
-		ctx.SendControl(1, 0, 4, func(at simtime.Time) { delivered = at })
-		ctx.At(500000, release)
+		h := ctx.HoldApp(0, "gate")
+		ctx.SendControl(1, 0, 4, call(ctx, func() { delivered = ctx.Now() }))
+		at(ctx, 500000, func() { ctx.Release(h) })
 	}}
 	r := run(t, net, b.MustBuild(), a)
 	want := simtime.Time(0).Add(net.SendCPU(4)).Add(net.Wire(4)).Add(net.RecvCPU(4))
@@ -780,10 +818,10 @@ func TestHoldAppNests(t *testing.T) {
 	b := goal.NewBuilder(1)
 	b.Calc(0, 100)
 	a := &fnAgent{init: func(ctx *Context) {
-		r1 := ctx.HoldApp(0, "a")
-		r2 := ctx.HoldApp(0, "b")
-		ctx.At(1000, r1)
-		ctx.At(2000, r2)
+		h1 := ctx.HoldApp(0, "a")
+		h2 := ctx.HoldApp(0, "b")
+		at(ctx, 1000, func() { ctx.Release(h1) })
+		at(ctx, 2000, func() { ctx.Release(h2); ctx.Release(h1) })
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if r.Makespan != 2100 {

@@ -2,16 +2,12 @@ package sim
 
 // Snapshot/restore of complete mid-run engine state (DESIGN.md S25).
 //
-// The engine pauses only at *safe event boundaries*: instants between two
-// events where no live state is a Go closure. Most of the simulator is
-// already data (the queue, rank state, messages, interned accounting), but
-// three kinds of closures can be pending: agent timers, control-message
-// delivery callbacks, and seizure completion callbacks. Periodic agent
-// timers are defunctionalized (TimerOwner) so they serialize in place with
-// their exact ordering key; the rest are bounded — a write or coordination
-// round in flight holds closures only until it completes — so the boundary
-// scan simply declines to snapshot until the engine drains back to a
-// closure-free instant, and retries after the next event.
+// Every piece of pending work is plain data: timers, seizure completions
+// and grants, control-message deliveries are all owned records (owner,
+// kind, arg) that OnTimer dispatches, and hold gates and CPU scales are
+// rank data named by Handles. So every instant between two events can be
+// snapshotted — mid coordination round, mid storage drain — with no
+// special cases.
 //
 // A snapshot is byte-exact: restoring it into a fresh engine built from an
 // identical Config reproduces the remainder of the run bit-for-bit —
@@ -26,6 +22,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"checkpointsim/internal/goal"
@@ -34,34 +32,40 @@ import (
 	"checkpointsim/internal/snapshot"
 )
 
-// TimerOwner receives defunctionalized timer callbacks. A timer scheduled
-// with Context.AtOwned fires as OnTimer(kind, arg) at exactly its scheduled
-// time (so the owner reads the firing time from Context.Now); because the
-// pending timer is plain data, it survives snapshot/restore in its exact
-// queue position, unlike a closure scheduled with Context.At.
+// TimerOwner receives an agent's pending work. A timer scheduled with
+// Context.AtOwned fires as OnTimer(kind, arg) at exactly its scheduled time,
+// and a Call runs the same way when its event completes, so the owner reads
+// the time from Context.Now. Because pending work is plain data, it
+// survives snapshot/restore in its exact queue position.
 type TimerOwner interface {
 	OnTimer(kind uint8, arg int64)
 }
 
+// Call is one piece of pending agent work, held as plain data: running it
+// invokes Owner.OnTimer(Kind, Arg) at the current simulated time. Every
+// completion callback (SeizeCPU, SeizeCPUDynamic, SendControl, storage
+// writes) takes a Call; the zero Call does nothing. Owner must be
+// registered (agents are registered automatically; see OwnTimers).
+type Call struct {
+	Owner TimerOwner
+	Kind  uint8
+	Arg   int64
+}
+
 // Resumable is implemented by agents that participate in snapshot/restore.
-// Config.SnapshotEvery requires every agent to implement it.
+// Config.SnapshotEvery requires every agent to implement it. All of an
+// agent's state is data — in-flight rounds included — so it can be
+// encoded at any event boundary.
 type Resumable interface {
 	Agent
-	// Quiesced reports whether the agent currently holds no
-	// closure-bearing in-flight state (an active coordination round, a
-	// pending window timer scheduled with Context.After). The engine only
-	// snapshots when every agent is quiesced.
-	Quiesced() bool
-	// EncodeState serializes the agent's complete mutable state.
-	EncodeState(enc *snapshot.Encoder)
-	// DecodeState fully reinitializes the agent from a stream produced by
-	// EncodeState: every mutable field is overwritten, none carried over,
-	// so the same agent object can be restored into a different engine.
-	// ctx is the restoring engine's context; the agent must stash it (and
-	// re-register any non-agent timer owners it manages) exactly as Init
-	// would, but must not schedule anything — pending timers live in the
-	// restored event queue.
-	DecodeState(ctx *Context, dec *snapshot.Decoder) error
+	// SnapshotState walks the agent's complete mutable state through c:
+	// written into a snapshot, or — when c.Decoding() — read back, every
+	// mutable field overwritten and none carried over, so the same agent
+	// object can be restored into a different engine. ctx is the engine's
+	// context; on restore the agent must stash it (and re-register any
+	// non-agent timer owners it manages) exactly as Init would, but must
+	// not schedule anything — pending work lives in the restored engine.
+	SnapshotState(ctx *Context, c *snapshot.Codec)
 }
 
 // Snapshot is one captured engine state, ready to persist or resume.
@@ -69,11 +73,11 @@ type Snapshot struct {
 	// Blob is the sealed, versioned, digest-tagged serialized state; feed
 	// it to Engine.Restore on an engine built from an identical Config.
 	Blob []byte
-	// Time is the simulated time of the boundary.
+	// Time is the simulated time of the snapshot.
 	Time simtime.Time
 	// Events is the number of events processed when the snapshot was taken.
 	Events int64
-	// TraceEvents counts trace records emitted before the boundary: a
+	// TraceEvents counts trace records emitted before the snapshot: a
 	// resumed run emits exactly the monolithic trace stream's suffix
 	// starting at this index.
 	TraceEvents int64
@@ -93,106 +97,85 @@ func (e *Engine) emitTrace(ev TraceEvent) {
 
 // registerOwner binds a TimerOwner to its stable string key. Idempotent for
 // the same pair; a key collision or re-keying panics — the key is the
-// identity snapshots serialize, so it must be unique and stable.
+// identity snapshots check, so it must be unique and stable. A key that a
+// restored snapshot reserved (Restore) is claimed by its owner here.
 func (e *Engine) registerOwner(key string, o TimerOwner) {
 	if id, ok := e.ownerIDs[o]; ok {
-		if e.ownerKeys[id] != key {
-			panic(fmt.Sprintf("sim: TimerOwner already registered as %q, re-registered as %q", e.ownerKeys[id], key))
+		if e.ownerKeys[id-1] != key {
+			panic(fmt.Sprintf("sim: TimerOwner already registered as %q, re-registered as %q", e.ownerKeys[id-1], key))
 		}
 		return
-	}
-	for _, k := range e.ownerKeys {
-		if k == key {
-			panic(fmt.Sprintf("sim: timer-owner key %q already registered to a different owner", key))
-		}
 	}
 	if e.ownerIDs == nil {
 		e.ownerIDs = make(map[TimerOwner]int32)
 	}
-	e.ownerIDs[o] = int32(len(e.owners))
+	for i, k := range e.ownerKeys {
+		if k == key {
+			if e.owners[i] != nil {
+				panic(fmt.Sprintf("sim: timer-owner key %q already registered to a different owner", key))
+			}
+			e.owners[i] = o
+			e.ownerIDs[o] = int32(i + 1)
+			return
+		}
+	}
 	e.owners = append(e.owners, o)
 	e.ownerKeys = append(e.ownerKeys, key)
+	e.ownerIDs[o] = int32(len(e.owners))
 }
 
-func (e *Engine) ownerByKey(key string) (int32, bool) {
-	for id, k := range e.ownerKeys {
-		if k == key {
-			return int32(id), true
-		}
+// own binds a Call to its owner's registration ID.
+func (e *Engine) own(c Call) owned {
+	if c.Owner == nil {
+		return owned{}
 	}
-	return 0, false
-}
-
-// jobSerializable reports whether a job carries no closures: completion and
-// grant callbacks empty, and any attached message free of a delivery
-// closure. Seizures with done callbacks (checkpoint writes awaiting their
-// re-arm) and open-ended storage seizures block the boundary; plain
-// seizures (noise, recovery) and all application jobs pass.
-func jobSerializable(j *job) bool {
-	return j.fn == nil && j.granted == nil && (j.msg == nil || j.msg.deliver == nil)
-}
-
-func fifoSerializable(f *fifo[job]) bool {
-	for i := f.head; i < len(f.items); i++ {
-		if !jobSerializable(&f.items[i]) {
-			return false
-		}
+	id, ok := e.ownerIDs[c.Owner]
+	if !ok {
+		panic(fmt.Sprintf("sim: Call on unregistered TimerOwner %T", c.Owner))
 	}
-	return true
+	return owned{owner: id, kind: c.Kind, arg: c.Arg}
 }
 
-func eventSerializable(ev *event) bool {
-	switch ev.kind {
-	case evArrive:
-		return ev.msg.deliver == nil
-	case evTimer:
-		return ev.fn == nil
+// run executes a piece of owned work now; the zero owned does nothing.
+func (e *Engine) run(w owned) {
+	if w.owner != 0 {
+		e.owners[w.owner-1].OnTimer(w.kind, w.arg)
 	}
-	return true
 }
 
-// safeBoundary reports whether the current instant is snapshot-safe: every
-// agent quiesced, no hold gates or CPU scales active, and no closure live
-// in any queued or running job, in-flight message, or pending timer.
-// Checks run cheapest-first so the common "round in flight" case returns
-// after the O(agents) scan.
-func (e *Engine) safeBoundary() bool {
-	for _, a := range e.cfg.Agents {
-		if !a.(Resumable).Quiesced() {
-			return false
-		}
+// codeOwned walks owned work, checking its owner against the owner table
+// (which precedes everything that references it).
+func (e *Engine) codeOwned(c *snapshot.Codec, w *owned) {
+	snapshot.Int(c, &w.owner)
+	c.U8(&w.kind)
+	snapshot.Int(c, &w.arg)
+	if w.owner < 0 || int(w.owner) > len(e.ownerKeys) {
+		c.Failf("work owner %d out of range", w.owner)
+		*w = owned{}
 	}
-	for i := range e.ranks {
-		st := &e.ranks[i]
-		if st.held != 0 || len(st.scales) != 0 {
-			return false
-		}
-		if st.running && !jobSerializable(&st.runningJob) {
-			return false
-		}
-		if !fifoSerializable(&st.seizeQ) || !fifoSerializable(&st.ctlQ) || !fifoSerializable(&st.appQ) {
-			return false
-		}
-	}
-	ok := true
-	e.queue.Items(func(_ simtime.Time, _ int, _ uint64, ev event) bool {
-		if !eventSerializable(&ev) {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
 }
 
-// maybeSnapshot captures a snapshot if the current instant is safe; if not,
-// the caller retries after the next event (the cadence counter only resets
-// on success, so a due snapshot is taken at the first safe boundary).
-func (e *Engine) maybeSnapshot() {
-	if !e.safeBoundary() {
+// SnapshotCall walks a Call held in an agent's state (a pending storage
+// drain, say), naming its owner by registration. On restore the owner must
+// already be registered (agents always are).
+func (c *Context) SnapshotCall(sc *snapshot.Codec, call *Call) {
+	w := c.eng.own(*call)
+	c.eng.codeOwned(sc, &w)
+	if !sc.Decoding() {
 		return
 	}
-	e.snapAt = e.events
+	*call = Call{}
+	if w.owner != 0 {
+		if o := c.eng.owners[w.owner-1]; o != nil {
+			*call = Call{Owner: o, Kind: w.kind, Arg: w.arg}
+		} else {
+			sc.Failf("call owner %q not registered yet", c.eng.ownerKeys[w.owner-1])
+		}
+	}
+}
+
+// snapshot captures the engine's complete state for OnSnapshot.
+func (e *Engine) snapshot() {
 	e.cfg.OnSnapshot(Snapshot{
 		Blob:        e.encodeSnapshot(),
 		Time:        e.now,
@@ -262,272 +245,349 @@ func (e *Engine) configDigest() [sha256.Size]byte {
 	return sha256.Sum256(enc.Bytes())
 }
 
-func encodeMsg(enc *snapshot.Encoder, m *message) {
-	if m.deliver != nil {
-		panic("sim: encoding message with delivery closure")
-	}
-	enc.U8(uint8(m.kind))
-	enc.I64(m.id)
-	enc.I64(int64(m.src))
-	enc.I64(int64(m.dst))
-	enc.I64(int64(m.tag))
-	enc.I64(m.bytes)
-	enc.I64(m.wire)
-	enc.I64(int64(m.op))
-	enc.I64(int64(m.recvOp))
-}
-
-func (e *Engine) decodeMsg(dec *snapshot.Decoder) *message {
-	m := &message{
-		kind:   msgKind(dec.U8()),
-		id:     dec.I64(),
-		src:    int32(dec.I64()),
-		dst:    int32(dec.I64()),
-		tag:    int32(dec.I64()),
-		bytes:  dec.I64(),
-		wire:   dec.I64(),
-		op:     goal.OpID(dec.I64()),
-		recvOp: goal.OpID(dec.I64()),
-	}
-	if dec.Err() != nil {
-		return nil
-	}
+// codeMsg walks a message.
+func (e *Engine) codeMsg(c *snapshot.Codec, m *message) {
+	c.U8((*uint8)(&m.kind))
+	snapshot.Int(c, &m.id)
+	snapshot.Int(c, &m.src)
+	snapshot.Int(c, &m.dst)
+	snapshot.Int(c, &m.tag)
+	snapshot.Int(c, &m.bytes)
+	snapshot.Int(c, &m.wire)
+	snapshot.Int(c, &m.op)
+	snapshot.Int(c, &m.recvOp)
+	e.codeOwned(c, &m.deliver)
 	n := int32(len(e.ranks))
-	nOps := goal.OpID(len(e.prog.Ops))
 	if m.kind > msgCtl || m.src < 0 || m.src >= n || m.dst < 0 || m.dst >= n ||
-		(m.op != goal.NoOp && (m.op < 0 || m.op >= nOps)) ||
-		(m.recvOp != goal.NoOp && (m.recvOp < 0 || m.recvOp >= nOps)) {
-		dec.Failf("message fields out of range")
-		return nil
-	}
-	return m
-}
-
-func (e *Engine) encodeJob(enc *snapshot.Encoder, j *job) {
-	if j.fn != nil || j.granted != nil {
-		panic("sim: encoding job with closure")
-	}
-	enc.U8(uint8(j.kind))
-	enc.Dur(j.cost)
-	enc.I64(int64(j.op))
-	enc.I64(int64(j.reason))
-	enc.Dur(j.nominal)
-	enc.I64(int64(j.waitReason))
-	enc.Bool(j.msg != nil)
-	if j.msg != nil {
-		encodeMsg(enc, j.msg)
+		!e.validOp(m.op, true) || !e.validOp(m.recvOp, true) ||
+		(m.kind != msgCtl && m.deliver.owner != 0) {
+		c.Failf("message fields out of range")
 	}
 }
 
-func (e *Engine) decodeJob(dec *snapshot.Decoder) job {
-	j := job{
-		kind:       jobKind(dec.U8()),
-		cost:       dec.Dur(),
-		op:         goal.OpID(dec.I64()),
-		reason:     reasonID(dec.I64()),
-		nominal:    dec.Dur(),
-		waitReason: reasonID(dec.I64()),
-	}
-	if dec.Bool() {
-		j.msg = e.decodeMsg(dec)
-	}
-	if dec.Err() != nil {
-		return j
-	}
-	nOps := goal.OpID(len(e.prog.Ops))
-	nReasons := reasonID(len(e.reasons))
-	switch {
-	case j.kind > jobSeizeOpen,
-		j.op != goal.NoOp && (j.op < 0 || j.op >= nOps),
-		j.reason < 0 || j.reason >= nReasons && j.reason != 0,
-		j.waitReason < 0 || j.waitReason >= nReasons && j.waitReason != 0,
-		j.kind == jobSeizeOpen, // open seizures always carry a grant closure
-		(j.kind == jobSendData || j.kind == jobCtlSend || j.kind == jobCtlRecv) && j.msg == nil:
-		dec.Failf("job fields out of range")
-	}
-	return j
+// validOp reports whether id names an op of the program (or NoOp, when
+// allowed).
+func (e *Engine) validOp(id goal.OpID, noOp bool) bool {
+	return noOp && id == goal.NoOp || id >= 0 && int(id) < len(e.prog.Ops)
 }
 
-func (e *Engine) encodeFifo(enc *snapshot.Encoder, f *fifo[job]) {
-	enc.Int(len(f.items) - f.head)
-	for i := f.head; i < len(f.items); i++ {
-		e.encodeJob(enc, &f.items[i])
+// validReason reports whether id names an interned reason.
+func (e *Engine) validReason(id reasonID) bool { return id >= 0 && int(id) < len(e.reasons) }
+
+// codeJob walks a job, its message inline.
+func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
+	c.U8((*uint8)(&j.kind))
+	snapshot.Int(c, &j.cost)
+	snapshot.Int(c, &j.op)
+	snapshot.Int(c, &j.reason)
+	e.codeOwned(c, &j.done)
+	snapshot.Int(c, &j.waitReason)
+	e.codeOwned(c, &j.granted)
+	hasMsg := j.msg != nil
+	c.Bool(&hasMsg)
+	if hasMsg {
+		if c.Decoding() {
+			j.msg = &message{}
+		}
+		e.codeMsg(c, j.msg)
+	}
+	if j.kind > jobSeizeOpen || !e.validOp(j.op, true) ||
+		!e.validReason(j.reason) && j.reason != 0 || !e.validReason(j.waitReason) && j.waitReason != 0 ||
+		(j.kind == jobSendData || j.kind == jobCtlSend || j.kind == jobCtlRecv) && j.msg == nil {
+		c.Failf("job fields out of range")
 	}
 }
 
-func (e *Engine) decodeFifo(dec *snapshot.Decoder) fifo[job] {
-	n := dec.Int()
-	if n < 0 || n > dec.Remaining() {
-		dec.Failf("fifo length %d", n)
-		return fifo[job]{}
+func (e *Engine) codeFifo(c *snapshot.Codec, f *fifo[job]) {
+	n := c.Len(len(f.items) - f.head)
+	if c.Decoding() {
+		*f = fifo[job]{items: make([]job, n)}
 	}
-	var f fifo[job]
-	for i := 0; i < n; i++ {
-		f.push(e.decodeJob(dec))
+	for i := f.head; i < f.head+n; i++ {
+		e.codeJob(c, &f.items[i])
 	}
-	return f
 }
 
-func (e *Engine) encodeRank(enc *snapshot.Encoder, st *rankState) {
-	if st.held != 0 || len(st.scales) != 0 {
-		panic("sim: encoding rank with live hold/scale state")
+// codeRank walks one rank's state; restoring derives held from the open
+// holds.
+func (e *Engine) codeRank(c *snapshot.Codec, st *rankState) {
+	if c.Decoding() {
+		*st = rankState{}
 	}
-	enc.Bool(st.running)
+	c.Bool(&st.running)
 	if st.running {
-		e.encodeJob(enc, &st.runningJob)
-		enc.Time(st.jobStart)
+		e.codeJob(c, &st.runningJob)
+		snapshot.Int(c, &st.jobStart)
+		c.Bool(&st.releasing)
 	}
-	e.encodeFifo(enc, &st.seizeQ)
-	e.encodeFifo(enc, &st.ctlQ)
-	e.encodeFifo(enc, &st.appQ)
-	enc.Dur(st.scaledExtra)
-	enc.Time(st.nicFreeAt)
-	enc.Int(len(st.posted))
+	if st.jobStart > e.now || st.releasing && st.runningJob.kind != jobSeizeOpen {
+		c.Failf("running job out of range")
+	}
+	e.codeFifo(c, &st.seizeQ)
+	e.codeFifo(c, &st.ctlQ)
+	e.codeFifo(c, &st.appQ)
+	if n := c.Len(len(st.holds)); c.Decoding() {
+		st.holds = make([]hold, n)
+	}
+	for i := range st.holds {
+		h := &st.holds[i]
+		snapshot.Int(c, &h.start)
+		snapshot.Int(c, &h.reason)
+		c.Bool(&h.open)
+		if h.start > e.now || !e.validReason(h.reason) {
+			c.Failf("hold out of range")
+		}
+		if c.Decoding() && h.open {
+			st.held++
+		}
+	}
+	if n := c.Len(len(st.scales)); c.Decoding() {
+		st.scales = make([]float64, n)
+	}
+	for i := range st.scales {
+		if c.F64(&st.scales[i]); !(st.scales[i] >= 1) || math.IsInf(st.scales[i], 1) {
+			c.Failf("scale factor %v out of range", st.scales[i])
+		}
+	}
+	snapshot.Int(c, &st.scaledExtra)
+	snapshot.Int(c, &st.nicFreeAt)
+	if n := c.Len(len(st.posted)); c.Decoding() {
+		st.posted = make([]postedRecv, n)
+	}
 	for i := range st.posted {
-		enc.I64(int64(st.posted[i].op))
+		if snapshot.Int(c, &st.posted[i].op); !e.validOp(st.posted[i].op, false) {
+			c.Failf("posted op out of range")
+		}
 	}
-	enc.Int(len(st.unexpected))
+	if n := c.Len(len(st.unexpected)); c.Decoding() {
+		st.unexpected = make([]*message, n)
+		for i := range st.unexpected {
+			st.unexpected[i] = &message{}
+		}
+	}
 	for _, m := range st.unexpected {
-		encodeMsg(enc, m)
+		e.codeMsg(c, m)
 	}
-	enc.Bool(st.lastArrival != nil)
-	if st.lastArrival != nil {
-		snapshot.EncodeI64Slice(enc, st.lastArrival)
+	hasArrivals := st.lastArrival != nil
+	if c.Bool(&hasArrivals); hasArrivals {
+		snapshot.Slice(c, &st.lastArrival, len(e.ranks))
 	}
-	enc.Time(st.finish)
-	enc.Dur(st.busy)
-	enc.Dur(st.ctlBusy)
-	enc.Dur(st.seizedBusy)
+	snapshot.Int(c, &st.finish)
+	snapshot.Int(c, &st.busy)
+	snapshot.Int(c, &st.ctlBusy)
+	snapshot.Int(c, &st.seizedBusy)
 }
 
-func (e *Engine) decodeRank(dec *snapshot.Decoder, st *rankState) {
-	*st = rankState{}
-	st.running = dec.Bool()
-	if st.running {
-		st.runningJob = e.decodeJob(dec)
-		st.jobStart = dec.Time()
-	}
-	st.seizeQ = e.decodeFifo(dec)
-	st.ctlQ = e.decodeFifo(dec)
-	st.appQ = e.decodeFifo(dec)
-	st.scaledExtra = dec.Dur()
-	st.nicFreeAt = dec.Time()
-	nOps := goal.OpID(len(e.prog.Ops))
-	np := dec.Int()
-	if np < 0 || np > dec.Remaining() {
-		dec.Failf("posted length %d", np)
-		return
-	}
-	for i := 0; i < np; i++ {
-		op := goal.OpID(dec.I64())
-		if op < 0 || op >= nOps {
-			dec.Failf("posted op out of range")
-			return
+// codeEvent walks one queued event with its ordering key.
+func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, prio *int, seq *uint64, ev *event) {
+	snapshot.Int(c, t)
+	snapshot.Int(c, prio)
+	c.U64(seq)
+	c.U8((*uint8)(&ev.kind))
+	switch ev.kind {
+	case evJobDone:
+		if snapshot.Int(c, &ev.rank); ev.rank < 0 || int(ev.rank) >= len(e.ranks) {
+			c.Failf("jobDone rank out of range")
 		}
-		st.posted = append(st.posted, postedRecv{op: op})
-	}
-	nu := dec.Int()
-	if nu < 0 || nu > dec.Remaining() {
-		dec.Failf("unexpected length %d", nu)
-		return
-	}
-	for i := 0; i < nu; i++ {
-		m := e.decodeMsg(dec)
-		if m == nil {
-			return
+	case evArrive:
+		if c.Decoding() {
+			ev.msg = &message{}
 		}
-		st.unexpected = append(st.unexpected, m)
+		e.codeMsg(c, ev.msg)
+	case evTimer:
+		if e.codeOwned(c, &ev.work); ev.work.owner == 0 {
+			c.Failf("timer without an owner")
+		}
+	default:
+		c.Failf("event kind out of range")
 	}
-	if dec.Bool() {
-		st.lastArrival = snapshot.DecodeI64Slice[simtime.Time](dec, len(e.ranks))
-	}
-	st.finish = dec.Time()
-	st.busy = dec.Dur()
-	st.ctlBusy = dec.Dur()
-	st.seizedBusy = dec.Dur()
 }
 
-// encodeSnapshot serializes the complete engine state. Only call at a safe
-// boundary (see safeBoundary); closure-bearing state panics.
+// walk runs the complete engine state, after the config digest, through c:
+// scalars, RNG, metrics, dependency counters, the reason table with its
+// accounting, the owner key table, every rank, one length-prefixed section
+// per agent, and the event queue with each event's exact ordering key.
 //
 // The msgFree recycling pool is deliberately not serialized: it holds only
 // zeroed structs awaiting reuse, so a restored engine rebuilds it empty
 // with no observable effect (allocation count differs, simulation does
 // not). The exhaustive-field test in snapshot_fields_test.go documents
 // this exclusion.
+func (e *Engine) walk(c *snapshot.Codec) error {
+	snapshot.Int(c, &e.now)
+	snapshot.Int(c, &e.events)
+	snapshot.Int(c, &e.nextMsgID)
+	snapshot.Int(c, &e.opsLeft)
+	snapshot.Int(c, &e.fabricFree)
+	snapshot.Int(c, &e.traceCount)
+	rs := e.rand.State()
+	for i := range rs {
+		c.Fix64(&rs[i])
+	}
+	if c.Decoding() && c.Err() == nil {
+		r, err := rng.FromState(rs)
+		if err != nil {
+			c.Failf("%v", err)
+		} else {
+			e.rand = r
+		}
+	}
+	m := &e.metrics
+	snapshot.Int(c, &m.AppMessages)
+	snapshot.Int(c, &m.AppBytes)
+	snapshot.Int(c, &m.CtlMessages)
+	snapshot.Int(c, &m.CtlBytes)
+	snapshot.Int(c, &m.Rendezvous)
+	snapshot.Int(c, &m.Matches)
+	snapshot.Int(c, &m.UnexpectedMax)
+	snapshot.Int(c, &m.PostedMax)
+	snapshot.Int(c, &m.FabricBusy)
+	snapshot.Slice(c, &e.depsLeft, len(e.prog.Ops))
+	open := 0
+	for _, d := range e.depsLeft {
+		if d >= 0 {
+			open++
+		} else if d != -1 {
+			c.Failf("depsLeft out of range")
+		}
+	}
+	if open != e.opsLeft || e.opsLeft == 0 || e.events < 0 || e.now < 0 {
+		c.Failf("inconsistent progress counters")
+	}
+	e.walkReasons(c)
+	e.walkOwnerKeys(c)
+	for i := range e.ranks {
+		e.codeRank(c, &e.ranks[i])
+	}
+	if err := e.walkAgents(c); err != nil {
+		return err
+	}
+	qseq := e.queue.Seq()
+	c.U64(&qseq)
+	qn := c.Len(e.queue.Len())
+	if !c.Decoding() {
+		e.queue.Items(func(t simtime.Time, prio int, seq uint64, ev event) bool {
+			e.codeEvent(c, &t, &prio, &seq, &ev)
+			return true
+		})
+		return nil
+	}
+	e.queue.Clear()
+	for i := 0; i < qn && c.Err() == nil; i++ {
+		var t simtime.Time
+		var prio int
+		var seq uint64
+		var ev event
+		if e.codeEvent(c, &t, &prio, &seq, &ev); t < e.now || seq >= qseq {
+			c.Failf("queue item key out of range")
+		}
+		if c.Err() == nil {
+			e.queue.Load(t, prio, seq, ev)
+		}
+	}
+	e.queue.SetSeq(qseq)
+	return nil
+}
+
+// walkReasons runs the interned reason table, with its accumulated
+// accounting, in ID order so restored jobs' and holds' reasonIDs keep
+// meaning.
+func (e *Engine) walkReasons(c *snapshot.Codec) {
+	n := c.Len(len(e.reasons))
+	if c.Decoding() {
+		e.reasons = make([]string, n)
+		e.seizeTime = make([]simtime.Duration, n)
+		e.seizeCnt = make([]int64, n)
+		e.heldTime = make([]simtime.Duration, n)
+		e.heldCnt = make([]int64, n)
+	}
+	for id := range e.reasons {
+		c.Str(&e.reasons[id])
+		snapshot.Int(c, &e.seizeTime[id])
+		snapshot.Int(c, &e.seizeCnt[id])
+		snapshot.Int(c, &e.heldTime[id])
+		snapshot.Int(c, &e.heldCnt[id])
+	}
+	if !c.Decoding() {
+		return
+	}
+	e.reasonIDs = make(map[string]reasonID, n)
+	e.seizeLabels = make([]string, n)
+	for id, reason := range e.reasons {
+		if _, dup := e.reasonIDs[reason]; dup {
+			c.Failf("duplicate reason %q", reason)
+		}
+		e.reasonIDs[reason] = reasonID(id)
+		e.seizeLabels[id] = "seize:" + reason
+	}
+}
+
+// walkOwnerKeys runs the owner key table in ID order: every piece of owned
+// work after it names its owner by ID. On restore the owners New
+// registered (the agents) must match the blob's prefix; keys past it are
+// reserved for owners that register while the agents decode (the shared
+// store), so the blob's owner IDs are this engine's.
+func (e *Engine) walkOwnerKeys(c *snapshot.Codec) {
+	keys := e.ownerKeys
+	n := c.Len(len(keys))
+	if c.Decoding() {
+		keys = make([]string, n)
+	}
+	for i := range keys {
+		c.Str(&keys[i])
+	}
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	if n < len(e.ownerKeys) {
+		c.Failf("snapshot has %d timer owners, engine registered %d", n, len(e.ownerKeys))
+		return
+	}
+	for i, key := range keys {
+		switch {
+		case i < len(e.ownerKeys):
+			if e.ownerKeys[i] != key {
+				c.Failf("timer owner %d is %q in the snapshot, %q here", i, key, e.ownerKeys[i])
+			}
+		case slices.Contains(e.ownerKeys, key):
+			c.Failf("duplicate timer owner %q", key)
+		default:
+			e.owners = append(e.owners, nil)
+			e.ownerKeys = append(e.ownerKeys, key)
+		}
+	}
+}
+
+// walkAgents runs one length-prefixed section per agent in stack order. A
+// restore checks each section is consumed exactly, and that every owner
+// key reserved by walkOwnerKeys was claimed.
+func (e *Engine) walkAgents(c *snapshot.Codec) error {
+	if n := c.Len(len(e.cfg.Agents)); n != len(e.cfg.Agents) {
+		c.Failf("agent count %d, engine has %d", n, len(e.cfg.Agents))
+	}
+	for i, a := range e.cfg.Agents {
+		if c.Err() != nil {
+			return nil
+		}
+		if err := c.Section(func(sc *snapshot.Codec) { a.(Resumable).SnapshotState(&e.ctx, sc) }); err != nil {
+			return fmt.Errorf("sim: agent %d (%T) restore: %w", i, a, err)
+		}
+	}
+	for i, o := range e.owners {
+		if o == nil {
+			c.Failf("timer owner %q not registered in restoring engine", e.ownerKeys[i])
+		}
+	}
+	return nil
+}
+
+// encodeSnapshot serializes the complete engine state at the current event
+// boundary.
 func (e *Engine) encodeSnapshot() []byte {
 	var enc snapshot.Encoder
 	digest := e.configDigest()
 	enc.Raw(digest[:])
-	// Engine scalars.
-	enc.Time(e.now)
-	enc.I64(e.events)
-	enc.I64(e.nextMsgID)
-	enc.Int(e.opsLeft)
-	enc.Time(e.fabricFree)
-	enc.I64(e.traceCount)
-	for _, w := range e.rand.State() {
-		enc.Fix64(w)
-	}
-	m := &e.metrics
-	enc.I64(m.AppMessages)
-	enc.I64(m.AppBytes)
-	enc.I64(m.CtlMessages)
-	enc.I64(m.CtlBytes)
-	enc.I64(m.Rendezvous)
-	enc.I64(m.Matches)
-	enc.Int(m.UnexpectedMax)
-	enc.Int(m.PostedMax)
-	enc.Dur(m.FabricBusy)
-	snapshot.EncodeI64Slice(&enc, e.depsLeft)
-	// Interned reason table with its accumulated accounting, in ID order so
-	// restored jobs' reasonIDs keep meaning.
-	enc.Int(len(e.reasons))
-	for id, reason := range e.reasons {
-		enc.Str(reason)
-		enc.Dur(e.seizeTime[id])
-		enc.I64(e.seizeCnt[id])
-		enc.Dur(e.heldTime[id])
-		enc.I64(e.heldCnt[id])
-	}
-	// Per-rank state.
-	for i := range e.ranks {
-		e.encodeRank(&enc, &e.ranks[i])
-	}
-	// Agent state, one length-prefixed section per agent in stack order.
-	enc.Int(len(e.cfg.Agents))
-	for _, a := range e.cfg.Agents {
-		enc.Section(a.(Resumable).EncodeState)
-	}
-	// Timer-owner key table (ID order), then the event queue with each
-	// event's exact ordering key; owned timers reference owners by table
-	// index so the restoring engine can rebind by key.
-	enc.Int(len(e.ownerKeys))
-	for _, k := range e.ownerKeys {
-		enc.Str(k)
-	}
-	enc.U64(e.queue.Seq())
-	enc.Int(e.queue.Len())
-	e.queue.Items(func(t simtime.Time, prio int, seq uint64, ev event) bool {
-		enc.Time(t)
-		enc.Int(prio)
-		enc.U64(seq)
-		enc.U8(uint8(ev.kind))
-		switch ev.kind {
-		case evJobDone:
-			enc.I64(int64(ev.rank))
-		case evArrive:
-			encodeMsg(&enc, ev.msg)
-		case evTimer:
-			if ev.fn != nil {
-				panic("sim: encoding closure timer")
-			}
-			enc.Int(int(ev.owner))
-			enc.U8(ev.tkind)
-			enc.I64(ev.targ)
-		}
-		return true
-	})
+	e.walk(snapshot.Writer(&enc))
 	return snapshot.Seal(snapshot.FormatVersion, enc.Bytes())
 }
 
@@ -572,161 +632,12 @@ func (e *Engine) Restore(blob []byte) (err error) {
 	if got := dec.Raw(sha256.Size); dec.Err() == nil && !bytes.Equal(got, want[:]) {
 		return ErrConfigMismatch
 	}
-	// Engine scalars.
-	e.now = dec.Time()
-	e.events = dec.I64()
-	e.nextMsgID = dec.I64()
-	e.opsLeft = dec.Int()
-	e.fabricFree = dec.Time()
-	e.traceCount = dec.I64()
-	var rs [4]uint64
-	for i := range rs {
-		rs[i] = dec.Fix64()
+	if err := e.walk(snapshot.Reader(dec)); err != nil {
+		return err
 	}
-	if dec.Err() == nil {
-		r, rerr := rng.FromState(rs)
-		if rerr != nil {
-			dec.Failf("%v", rerr)
-		} else {
-			e.rand = r
-		}
-	}
-	m := &e.metrics
-	m.AppMessages = dec.I64()
-	m.AppBytes = dec.I64()
-	m.CtlMessages = dec.I64()
-	m.CtlBytes = dec.I64()
-	m.Rendezvous = dec.I64()
-	m.Matches = dec.I64()
-	m.UnexpectedMax = dec.Int()
-	m.PostedMax = dec.Int()
-	m.FabricBusy = dec.Dur()
-	e.depsLeft = snapshot.DecodeI64Slice[int32](dec, len(e.prog.Ops))
-	open := 0
-	for _, d := range e.depsLeft {
-		if d >= 0 {
-			open++
-		} else if d != -1 {
-			dec.Failf("depsLeft out of range")
-			break
-		}
-	}
-	if dec.Err() == nil && (open != e.opsLeft || e.opsLeft == 0 || e.events < 0 || e.now < 0) {
-		dec.Failf("inconsistent progress counters")
-	}
-	// Interned reason table.
-	nr := dec.Int()
-	if nr < 0 || nr > dec.Remaining() {
-		dec.Failf("reason count %d", nr)
-	}
-	e.reasonIDs = make(map[string]reasonID, nr)
-	e.reasons = e.reasons[:0]
-	e.seizeLabels = e.seizeLabels[:0]
-	e.seizeTime = e.seizeTime[:0]
-	e.seizeCnt = e.seizeCnt[:0]
-	e.heldTime = e.heldTime[:0]
-	e.heldCnt = e.heldCnt[:0]
-	for id := 0; id < nr && dec.Err() == nil; id++ {
-		reason := dec.Str()
-		if _, dup := e.reasonIDs[reason]; dup {
-			dec.Failf("duplicate reason %q", reason)
-			break
-		}
-		e.reasonIDs[reason] = reasonID(id)
-		e.reasons = append(e.reasons, reason)
-		e.seizeLabels = append(e.seizeLabels, "seize:"+reason)
-		e.seizeTime = append(e.seizeTime, dec.Dur())
-		e.seizeCnt = append(e.seizeCnt, dec.I64())
-		e.heldTime = append(e.heldTime, dec.Dur())
-		e.heldCnt = append(e.heldCnt, dec.I64())
-	}
-	// Per-rank state.
-	for i := range e.ranks {
-		if dec.Err() != nil {
-			break
-		}
-		e.decodeRank(dec, &e.ranks[i])
-	}
-	// Agent state.
-	ctx := &Context{eng: e}
-	na := dec.Int()
-	if dec.Err() == nil && na != len(e.cfg.Agents) {
-		dec.Failf("agent count %d, engine has %d", na, len(e.cfg.Agents))
-	}
-	for i := 0; i < len(e.cfg.Agents) && dec.Err() == nil; i++ {
-		sub := dec.Section()
-		if dec.Err() != nil {
-			break
-		}
-		if aerr := e.cfg.Agents[i].(Resumable).DecodeState(ctx, sub); aerr != nil {
-			return fmt.Errorf("sim: agent %d (%T) restore: %w", i, e.cfg.Agents[i], aerr)
-		}
-		if aerr := sub.Finish(); aerr != nil {
-			return fmt.Errorf("sim: agent %d (%T) restore: %w", i, e.cfg.Agents[i], aerr)
-		}
-	}
-	// Timer-owner table: map the blob's owner IDs to this engine's by key.
-	nk := dec.Int()
-	if nk < 0 || nk > dec.Remaining() {
-		dec.Failf("owner key count %d", nk)
-	}
-	ownerMap := make([]int32, 0, max(nk, 0))
-	for i := 0; i < nk && dec.Err() == nil; i++ {
-		key := dec.Str()
-		id, ok := e.ownerByKey(key)
-		if !ok {
-			dec.Failf("timer owner %q not registered in restoring engine", key)
-			break
-		}
-		ownerMap = append(ownerMap, id)
-	}
-	// Event queue.
-	e.queue.Clear()
-	qseq := dec.U64()
-	qn := dec.Int()
-	if qn < 0 || qn > dec.Remaining() {
-		dec.Failf("queue length %d", qn)
-	}
-	for i := 0; i < qn && dec.Err() == nil; i++ {
-		t := dec.Time()
-		prio := dec.Int()
-		seq := dec.U64()
-		if t < e.now || seq >= qseq {
-			dec.Failf("queue item key out of range")
-			break
-		}
-		var ev event
-		ev.kind = evKind(dec.U8())
-		switch ev.kind {
-		case evJobDone:
-			r := dec.I64()
-			if r < 0 || r >= int64(len(e.ranks)) {
-				dec.Failf("jobDone rank out of range")
-			}
-			ev.rank = int32(r)
-		case evArrive:
-			ev.msg = e.decodeMsg(dec)
-		case evTimer:
-			o := dec.Int()
-			if o < 0 || o >= len(ownerMap) {
-				dec.Failf("timer owner index out of range")
-				break
-			}
-			ev.owner = ownerMap[o]
-			ev.tkind = dec.U8()
-			ev.targ = dec.I64()
-		default:
-			dec.Failf("event kind out of range")
-		}
-		if dec.Err() == nil {
-			e.queue.Load(t, prio, seq, ev)
-		}
-	}
-	e.queue.SetSeq(qseq)
-	if ferr := dec.Finish(); ferr != nil {
-		return ferr
+	if err := dec.Finish(); err != nil {
+		return err
 	}
 	e.restored = true
-	e.snapAt = e.events
 	return nil
 }

@@ -64,13 +64,14 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"msgFree": "deliberately NOT serialized: the recycling pool holds only zeroed " +
 			"structs awaiting reuse; a restored engine rebuilds it empty with no " +
 			"observable effect on the simulation (see encodeSnapshot)",
-		"ran":        "runtime guard, not simulation state; doubles as the restore-failure poison",
-		"owners":     "rebuilt at New/registration; snapshots reference owners by key, not index",
-		"ownerKeys":  "serialized as the owner key table; restore rebinds by key",
+		"ran": "runtime guard, not simulation state; doubles as the restore-failure poison",
+		"owners": "rebuilt at New/registration; restore reserves the blob's extra keys " +
+			"and checks every one was claimed by the time the agents decode",
+		"ownerKeys":  "serialized as the owner key table; restore checks the registered prefix",
 		"ownerIDs":   "rebuilt at New/registration",
 		"traceCount": "serialized scalar (anchors the resume trace suffix)",
-		"snapAt":     "reset to the restored event count (cadence restarts at the boundary)",
 		"restored":   "runtime guard: tells Run to skip Init/activation",
+		"ctx":        "points back at the engine itself",
 	})
 }
 
@@ -82,8 +83,10 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 		"seizeQ":      "serialized job-by-job",
 		"ctlQ":        "serialized job-by-job",
 		"appQ":        "serialized job-by-job",
-		"held":        "must be zero at a safe boundary (open holds carry closures); encodeRank panics otherwise",
-		"scales":      "must be empty at a safe boundary (restores carry closures); encodeRank panics otherwise",
+		"holds":       "serialized (start, reason, open); reasons bounds-checked",
+		"held":        "recomputed on restore from the open holds",
+		"scales":      "serialized bit-exact; factors bounds-checked",
+		"releasing":   "serialized when running; only valid on an open-ended seizure",
 		"scaledExtra": "serialized",
 		"nicFreeAt":   "serialized",
 		"posted":      "serialized (op IDs)",
@@ -98,15 +101,14 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 
 func TestSnapshotCoversJobFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(job{}), map[string]string{
-		"kind":       "serialized; jobSeizeOpen rejected on decode (always closure-bearing)",
+		"kind":       "serialized; bounds-checked on decode",
 		"cost":       "serialized",
 		"op":         "serialized; bounds-checked on decode",
 		"msg":        "serialized inline when present",
 		"reason":     "serialized; bounds-checked against the restored reason table",
-		"fn":         "closure: jobSerializable blocks the snapshot boundary while set",
-		"nominal":    "serialized",
+		"done":       "serialized owned work; owner bounds-checked against the owner table",
 		"waitReason": "serialized; bounds-checked against the restored reason table",
-		"granted":    "closure: jobSerializable blocks the snapshot boundary while set",
+		"granted":    "serialized owned work; owner bounds-checked against the owner table",
 	})
 }
 
@@ -121,19 +123,16 @@ func TestSnapshotCoversMessageFields(t *testing.T) {
 		"wire":    "serialized",
 		"op":      "serialized; bounds-checked on decode",
 		"recvOp":  "serialized; bounds-checked on decode",
-		"deliver": "closure: eventSerializable/jobSerializable block the boundary while set",
+		"deliver": "serialized owned work; only control messages may carry one",
 	})
 }
 
 func TestSnapshotCoversEventFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(event{}), map[string]string{
-		"kind":  "serialized; unknown kinds rejected on decode",
-		"tkind": "serialized for owned timers",
-		"rank":  "serialized for evJobDone; bounds-checked on decode",
-		"owner": "serialized as an owner-table index; rebound by key on restore",
-		"targ":  "serialized for owned timers",
-		"msg":   "serialized for evArrive",
-		"fn":    "legacy closure timer: eventSerializable blocks the boundary while set",
+		"kind": "serialized; unknown kinds rejected on decode",
+		"rank": "serialized for evJobDone; bounds-checked on decode",
+		"work": "serialized for evTimer; owner must be set and in the owner table",
+		"msg":  "serialized for evArrive",
 	})
 }
 
@@ -148,6 +147,22 @@ func TestSnapshotCoversMetricsFields(t *testing.T) {
 		"UnexpectedMax": "serialized",
 		"PostedMax":     "serialized",
 		"FabricBusy":    "serialized",
+	})
+}
+
+func TestSnapshotCoversOwnedFields(t *testing.T) {
+	requireFields(t, reflect.TypeOf(owned{}), map[string]string{
+		"owner": "serialized as an owner-table ID (0 = none); bounds-checked on decode",
+		"kind":  "serialized",
+		"arg":   "serialized",
+	})
+}
+
+func TestSnapshotCoversHoldFields(t *testing.T) {
+	requireFields(t, reflect.TypeOf(hold{}), map[string]string{
+		"start":  "serialized",
+		"reason": "serialized; bounds-checked against the restored reason table",
+		"open":   "serialized",
 	})
 }
 

@@ -17,36 +17,73 @@ import (
 	"checkpointsim/internal/snapshot"
 )
 
-// snapTestAgent is the smallest useful Resumable agent: a periodic owned
-// timer that seizes CPU on a rotating rank and draws from the engine RNG,
-// so its state (the firing count) and its pending timer both matter to the
-// remainder of the run.
+// snapTestAgent is a small Resumable agent that exercises every kind of
+// pending work: a periodic owned timer that seizes CPU on a rotating rank
+// and draws from the engine RNG, and — every few fires — an exchange that
+// holds and slows a rank until a control message's continuation runs, and
+// an open-ended seizure released by a later timer. Its state (the firing
+// count and the open handles) and its pending work all matter to the
+// remainder of the run. OnTimer tolerates any kind and argument, so fuzzed
+// snapshots that restore cleanly also run without panicking.
 type snapTestAgent struct {
 	ctx    *Context
 	period simtime.Duration
 	fires  int64
+	holds  []Handle // per rank: the gate of its exchange in flight
+	scales []Handle // per rank: the CPU scale of its exchange in flight
 }
+
+// snapTestAgent work kinds; all but snapFire take a rank argument.
+const (
+	snapFire      uint8 = iota
+	snapDelivered       // the rank's exchange message was processed
+	snapGranted         // the rank's open seizure got the CPU
+	snapRelease         // the rank's open seizure ends
+)
 
 func (a *snapTestAgent) Init(ctx *Context) {
 	a.ctx = ctx
-	ctx.AfterOwned(a.period, a, 0, 0)
+	a.holds = make([]Handle, ctx.NumRanks())
+	a.scales = make([]Handle, ctx.NumRanks())
+	ctx.AfterOwned(a.period, a, snapFire, 0)
 }
 
 func (a *snapTestAgent) OnTimer(kind uint8, arg int64) {
-	a.fires++
-	rank := int(a.fires) % a.ctx.NumRanks()
-	a.ctx.SeizeCPU(rank, simtime.Duration(500+a.ctx.Rand().Intn(2000)), "snaptest", nil)
-	if a.ctx.OpsRemaining() > 0 {
-		a.ctx.AfterOwned(a.period, a, 0, 0)
+	n := a.ctx.NumRanks()
+	rank := int(uint64(arg) % uint64(n))
+	switch kind {
+	case snapFire:
+		a.fires++
+		rank = int(a.fires) % n
+		a.ctx.SeizeCPU(rank, simtime.Duration(500+a.ctx.Rand().Intn(2000)), "snaptest", Call{})
+		if a.fires%3 == 0 && a.holds[rank] == 0 {
+			a.holds[rank] = a.ctx.HoldApp(rank, "snaphold")
+			a.scales[rank] = a.ctx.ScaleCPU(rank, 1.5)
+			a.ctx.SendControl(rank, (rank+1)%n, 64, Call{Owner: a, Kind: snapDelivered, Arg: int64(rank)})
+		}
+		if a.fires%4 == 0 {
+			a.ctx.SeizeCPUDynamic(rank, 300, "snapwrite", "snapwait",
+				Call{Owner: a, Kind: snapGranted, Arg: int64(rank)}, Call{})
+		}
+		if a.ctx.OpsRemaining() > 0 {
+			a.ctx.AfterOwned(a.period, a, snapFire, 0)
+		}
+	case snapDelivered:
+		a.ctx.Release(a.holds[rank])
+		a.ctx.Release(a.scales[rank])
+		a.holds[rank], a.scales[rank] = 0, 0
+	case snapGranted:
+		a.ctx.AfterOwned(simtime.Duration(200+a.ctx.Rand().Intn(400)), a, snapRelease, int64(rank))
+	case snapRelease:
+		a.ctx.ReleaseSeizure(rank)
 	}
 }
 
-func (a *snapTestAgent) Quiesced() bool                    { return true }
-func (a *snapTestAgent) EncodeState(enc *snapshot.Encoder) { enc.I64(a.fires) }
-func (a *snapTestAgent) DecodeState(ctx *Context, dec *snapshot.Decoder) error {
+func (a *snapTestAgent) SnapshotState(ctx *Context, c *snapshot.Codec) {
 	a.ctx = ctx
-	a.fires = dec.I64()
-	return dec.Err()
+	snapshot.Int(c, &a.fires)
+	snapshot.Slice(c, &a.holds, ctx.NumRanks())
+	snapshot.Slice(c, &a.scales, ctx.NumRanks())
 }
 
 // snapConfig builds the canonical test configuration for seed: a random
@@ -67,8 +104,8 @@ func snapConfig(seed uint64, collect func(Snapshot)) Config {
 	return cfg
 }
 
-// monolithicRun executes the run uninterrupted, capturing a snapshot at
-// every safe boundary (cadence 1) and the trace stream.
+// monolithicRun executes the run uninterrupted, capturing a snapshot after
+// every event (cadence 1) and the trace stream.
 func monolithicRun(t *testing.T, seed uint64) ([]Snapshot, []TraceEvent, *Result) {
 	t.Helper()
 	var snaps []Snapshot
@@ -83,8 +120,16 @@ func monolithicRun(t *testing.T, seed uint64) ([]Snapshot, []TraceEvent, *Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 {
-		t.Fatalf("seed %d: no safe boundary found in %d events", seed, res.Events)
+	// Every instant between two events is snapshot-able: one snapshot per
+	// event but the last.
+	if int64(len(snaps)) != res.Events-1 {
+		t.Fatalf("seed %d: %d snapshots over %d events, want one after every event but the last",
+			seed, len(snaps), res.Events)
+	}
+	for i, s := range snaps {
+		if s.Events != int64(i+1) {
+			t.Fatalf("seed %d: snapshot %d taken after event %d", seed, i, s.Events)
+		}
 	}
 	return snaps, trace, res
 }
@@ -95,8 +140,9 @@ func monolithicRun(t *testing.T, seed uint64) ([]Snapshot, []TraceEvent, *Result
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1234} {
 		snaps, trace, res := monolithicRun(t, seed)
-		// First, middle, and last boundary.
-		for _, i := range []int{0, len(snaps) / 2, len(snaps) - 1} {
+		// First, middle, and last snapshot, plus one taken with every kind of
+		// pending work live.
+		for _, i := range []int{0, len(snaps) / 2, len(snaps) - 1, liveIndex(t, seed)} {
 			s := snaps[i]
 			var suffix []TraceEvent
 			cfg := snapConfig(seed, nil)
@@ -133,6 +179,58 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// liveIndex returns the index of the first cadence-1 snapshot of seed's run
+// taken while a hold gate, a CPU scale, a control message carrying its
+// continuation and a granted open-ended seizure are all live.
+func liveIndex(t testing.TB, seed uint64) int {
+	t.Helper()
+	var eng *Engine
+	idx, n := -1, 0
+	cfg := snapConfig(seed, func(Snapshot) {
+		if idx < 0 && allPendingLive(eng) {
+			idx = n
+		}
+		n++
+	})
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if idx < 0 {
+		t.Fatalf("seed %d: no snapshot with every kind of pending work live", seed)
+	}
+	return idx
+}
+
+// allPendingLive reports whether e holds an open hold gate, a CPU scale, a
+// control message with a continuation, and a granted open-ended seizure.
+func allPendingLive(e *Engine) bool {
+	var held, scaled, ctl, open bool
+	scan := func(j *job) {
+		ctl = ctl || j.msg != nil && j.msg.deliver.owner != 0
+	}
+	for i := range e.ranks {
+		st := &e.ranks[i]
+		held = held || st.held > 0
+		scaled = scaled || len(st.scales) > 0
+		if st.running {
+			scan(&st.runningJob)
+			open = open || st.runningJob.kind == jobSeizeOpen
+		}
+		for k := st.ctlQ.head; k < len(st.ctlQ.items); k++ {
+			scan(&st.ctlQ.items[k])
+		}
+	}
+	e.queue.Items(func(_ simtime.Time, _ int, _ uint64, ev event) bool {
+		ctl = ctl || ev.kind == evArrive && ev.msg.deliver.owner != 0
+		return true
+	})
+	return held && scaled && ctl && open
 }
 
 // restoreInto builds a fresh engine for seed and restores blob into it.
@@ -284,6 +382,8 @@ func TestSnapshotCorruptionTable(t *testing.T) {
 // re-sealed behind the engine's real config digest (exercises every field
 // decoder and bounds check). The contract under fuzz: an error or a clean
 // restore, never a panic. A clean restore must then run without panicking.
+// One seed is taken with every kind of pending work live (see liveIndex),
+// so the hold, scale, continuation and open-seizure sections are fuzzed.
 //
 // Smoke-run beyond the seed corpus with:
 //
@@ -304,10 +404,17 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	digest := realPayload[:32]
+	live := snaps[liveIndex(f, seed)].Blob
+	_, livePayload, err := snapshot.Open(live)
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Add([]byte{})
 	f.Add(snaps[0].Blob)
 	f.Add(snaps[len(snaps)/2].Blob)
+	f.Add(live)
+	f.Add(append([]byte(nil), livePayload[32:]...))
 	f.Add(append([]byte(nil), realPayload...))
 	f.Add(append([]byte(nil), realPayload[32:]...)) // digest-stripped payload
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -35,7 +35,7 @@ import (
 // FormatVersion is the current snapshot format. Bump it on any layout
 // change; Open still succeeds on old blobs (the digest says the bytes are
 // intact) and the engine rejects the version mismatch with ErrVersion.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic identifies a sealed snapshot blob.
 const magic = "CKSNAP1\n"
@@ -352,4 +352,149 @@ func DecodeI64Slice[T ~int64 | ~int32 | ~int](d *Decoder, want int) []T {
 		out[i] = T(d.I64())
 	}
 	return out
+}
+
+// Codec walks one state layout in either direction: built over an Encoder
+// (Writer) it appends each field it is handed, built over a Decoder
+// (Reader) it reads each field back into place, with the Decoder's sticky
+// errors and bounds checks. Describing a layout once keeps its two
+// directions from drifting apart.
+type Codec struct {
+	enc *Encoder
+	dec *Decoder
+}
+
+// Writer returns a Codec that encodes into enc.
+func Writer(enc *Encoder) *Codec { return &Codec{enc: enc} }
+
+// Reader returns a Codec that decodes from dec.
+func Reader(dec *Decoder) *Codec { return &Codec{dec: dec} }
+
+// Decoding reports whether c reads (restores) rather than writes.
+func (c *Codec) Decoding() bool { return c.dec != nil }
+
+// Err returns the first decode failure, or nil (always nil when encoding).
+func (c *Codec) Err() error {
+	if c.dec == nil {
+		return nil
+	}
+	return c.dec.Err()
+}
+
+// Failf records a field-level ErrCorrupt while decoding; a no-op when
+// encoding, so layout code can validate unconditionally.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.dec != nil {
+		c.dec.Failf(format, args...)
+	}
+}
+
+// Bool walks a boolean.
+func (c *Codec) Bool(v *bool) {
+	if c.dec != nil {
+		*v = c.dec.Bool()
+	} else {
+		c.enc.Bool(*v)
+	}
+}
+
+// U8 walks one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.dec != nil {
+		*v = c.dec.U8()
+	} else {
+		c.enc.U8(*v)
+	}
+}
+
+// U64 walks an unsigned varint.
+func (c *Codec) U64(v *uint64) {
+	if c.dec != nil {
+		*v = c.dec.U64()
+	} else {
+		c.enc.U64(*v)
+	}
+}
+
+// Fix64 walks a fixed-8 uint64.
+func (c *Codec) Fix64(v *uint64) {
+	if c.dec != nil {
+		*v = c.dec.Fix64()
+	} else {
+		c.enc.Fix64(*v)
+	}
+}
+
+// F64 walks a float64, bit-exact.
+func (c *Codec) F64(v *float64) {
+	if c.dec != nil {
+		*v = c.dec.F64()
+	} else {
+		c.enc.F64(*v)
+	}
+}
+
+// Str walks a length-prefixed string.
+func (c *Codec) Str(v *string) {
+	if c.dec != nil {
+		*v = c.dec.Str()
+	} else {
+		c.enc.Str(*v)
+	}
+}
+
+// Len walks a collection length: encoding writes n and returns it;
+// decoding reads it back, rejecting a negative length or one longer than
+// the bytes left (every element takes at least one), and returns 0 on
+// error.
+func (c *Codec) Len(n int) int {
+	if c.dec == nil {
+		c.enc.Int(n)
+		return n
+	}
+	n = c.dec.Int()
+	if c.dec.Err() != nil {
+		return 0
+	}
+	if n < 0 || n > c.dec.Remaining() {
+		c.dec.Failf("length %d with %d bytes left", n, c.dec.Remaining())
+		return 0
+	}
+	return n
+}
+
+// Int walks any int-kinded value (times, durations, counters, IDs) as a
+// signed varint.
+func Int[T ~int64 | ~int32 | ~int](c *Codec, v *T) {
+	if c.dec != nil {
+		*v = T(c.dec.I64())
+	} else {
+		c.enc.I64(int64(*v))
+	}
+}
+
+// Slice walks a length-prefixed slice of an int-kinded type. want >= 0
+// pins the decoded length (slices sized by rank count); -1 accepts any.
+func Slice[T ~int64 | ~int32 | ~int](c *Codec, v *[]T, want int) {
+	if c.dec == nil {
+		EncodeI64Slice(c.enc, *v)
+		return
+	}
+	*v = DecodeI64Slice[T](c.dec, want)
+}
+
+// Section walks a length-prefixed nested section through fn. Decoding
+// returns fn's decode failure, or ErrCorrupt if fn leaves bytes unread — a
+// section longer than its consumer expects is as wrong as one too short.
+func (c *Codec) Section(fn func(*Codec)) error {
+	if c.dec == nil {
+		c.enc.Section(func(sub *Encoder) { fn(Writer(sub)) })
+		return nil
+	}
+	sub := c.dec.Section()
+	if c.dec.Err() != nil {
+		return nil
+	}
+	fn(Reader(sub))
+	return sub.Finish()
 }

@@ -196,3 +196,79 @@ func TestSealOpen(t *testing.T) {
 		t.Errorf("future version: v=%d err=%v", v, err)
 	}
 }
+
+// codecState is a layout walked by one function in both directions.
+type codecState struct {
+	ok    bool
+	b     uint8
+	seq   uint64
+	fix   uint64
+	f     float64
+	name  string
+	t     simtime.Time
+	list  []simtime.Duration
+	items []int
+	inner int64
+}
+
+func (s *codecState) walk(c *Codec) error {
+	c.Bool(&s.ok)
+	c.U8(&s.b)
+	c.U64(&s.seq)
+	c.Fix64(&s.fix)
+	c.F64(&s.f)
+	c.Str(&s.name)
+	Int(c, &s.t)
+	Slice(c, &s.list, 3)
+	if n := c.Len(len(s.items)); c.Decoding() {
+		s.items = make([]int, n)
+	}
+	for i := range s.items {
+		Int(c, &s.items[i])
+	}
+	return c.Section(func(sc *Codec) { Int(sc, &s.inner) })
+}
+
+// TestCodecRoundTrip: one walk function writes a state and reads it back
+// unchanged, and the reading side enforces lengths and section bounds.
+func TestCodecRoundTrip(t *testing.T) {
+	want := codecState{ok: true, b: 7, seq: math.MaxUint64, fix: 1 << 63, f: math.Copysign(0, -1),
+		name: "store", t: -5, list: []simtime.Duration{1, 2, 3}, items: []int{4, -5}, inner: 99}
+	var e Encoder
+	if err := want.walk(Writer(&e)); err != nil {
+		t.Fatal(err)
+	}
+	var got codecState
+	d := NewDecoder(e.Bytes())
+	if err := got.walk(Reader(d)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got.name != want.name || got.t != want.t || got.inner != want.inner || got.seq != want.seq ||
+		got.fix != want.fix || math.Float64bits(got.f) != math.Float64bits(want.f) || !got.ok || got.b != 7 ||
+		len(got.list) != 3 || got.list[2] != 3 || len(got.items) != 2 || got.items[1] != -5 {
+		t.Errorf("round trip: got %+v, want %+v", got, want)
+	}
+
+	// A length longer than the bytes left is corrupt, not an allocation.
+	var long Encoder
+	long.Int(1 << 40)
+	if n := Reader(NewDecoder(long.Bytes())).Len(0); n != 0 {
+		t.Errorf("overlong length decoded as %d", n)
+	}
+	// A section its consumer does not read to the end is corrupt.
+	var sec Encoder
+	Writer(&sec).Section(func(sc *Codec) { sc.Str(new(string)); sc.Str(new(string)) })
+	err := Reader(NewDecoder(sec.Bytes())).Section(func(sc *Codec) { sc.Str(new(string)) })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("half-read section: %v, want ErrCorrupt", err)
+	}
+	// Failf is a no-op when writing, so layouts can validate unconditionally.
+	w := Writer(&Encoder{})
+	w.Failf("ignored")
+	if w.Err() != nil || w.Decoding() {
+		t.Error("writer recorded a failure")
+	}
+}

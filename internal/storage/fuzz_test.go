@@ -3,6 +3,7 @@ package storage
 import (
 	"testing"
 
+	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
 
@@ -55,7 +56,7 @@ func runScenario(p Params, ws []fuzzWrite) []simtime.Time {
 	for i, w := range ws {
 		i, w := i, w
 		sched.At(w.at, func() {
-			s.Begin(w.rank, w.tier, w.bytes, func(end simtime.Time) { ends[i] = end })
+			s.Begin(w.rank, w.tier, w.bytes, sim.Call{Owner: recorder{sched, &ends[i]}})
 		})
 	}
 	sched.run()

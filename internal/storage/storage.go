@@ -15,9 +15,11 @@
 //
 // The store schedules its internal events through the Sched interface,
 // which *sim.Context satisfies: protocols bind the store to the running
-// simulation and route their writes through it (see
-// internal/checkpoint). A Store is single-run state — build a fresh one
-// per simulation.
+// simulation and route their writes through it (Write; see
+// internal/checkpoint). All of its pending work — completion timers, drain
+// continuations, writes awaiting their CPU grant — is plain data, so a
+// snapshot can capture the store mid-drain. A Store is single-run state —
+// build a fresh one per simulation.
 //
 // # Determinism
 //
@@ -68,8 +70,8 @@ func (t Tier) String() string {
 type Sched interface {
 	// Now returns the current simulated time.
 	Now() simtime.Time
-	// At schedules fn at absolute time t (>= Now).
-	At(t simtime.Time, fn func())
+	// AtOwned schedules o.OnTimer(kind, arg) at absolute time t (>= Now).
+	AtOwned(t simtime.Time, o sim.TimerOwner, kind uint8, arg int64)
 }
 
 // Marker is optionally implemented by the bound Sched (*sim.Context does):
@@ -131,7 +133,8 @@ func (p Params) ranksPerNode() int {
 	return p.RanksPerNode
 }
 
-// write is one in-flight drain.
+// write is one in-flight drain, or (in Store.waiting) one Write awaiting
+// its CPU grant.
 type write struct {
 	rank      int
 	node      int
@@ -139,8 +142,15 @@ type write struct {
 	remaining float64 // bytes left to drain
 	bytes     int64
 	start     simtime.Time
-	drained   func(end simtime.Time)
+	drained   sim.Call // runs when the last byte has left
 }
+
+// Store timer kinds (OnTimer).
+const (
+	storeTick    uint8 = iota // projected next completion; arg = generation
+	storeGranted              // a Write's CPU seizure was granted; arg = rank
+	storeDrained              // a Write's image drained; arg = rank
+)
 
 // Store arbitrates concurrent checkpoint writes. Build one per simulation
 // with New (or Unlimited) and bind it to the engine with Bind before — or
@@ -151,6 +161,9 @@ type Store struct {
 	// active writes in insertion order; rates are recomputed from the full
 	// set at every membership change.
 	writes []*write
+	// waiting holds Writes whose CPU seizure is not yet granted, in request
+	// order; a rank's seizures are granted in that order.
+	waiting []write
 	// nodeCount caches the number of active TierNode writes per node;
 	// globalCount the number of active TierGlobal writes.
 	nodeCount   map[int]int
@@ -270,52 +283,65 @@ func (s *Store) Bind(sc Sched) {
 	}
 }
 
-// Quiesced reports whether the store holds no in-flight drains. Pending
-// completion callbacks (write.drained) are closures, so the snapshot
-// boundary waits for the store to empty; superseded generation-guarded
-// timers may still sit in the queue, but on the owned-timer path those are
-// plain data and restore harmlessly.
-func (s *Store) Quiesced() bool { return len(s.writes) == 0 }
-
-// EncodeState serializes the store's persistent state. Only call when
-// Quiesced: in-flight writes carry completion closures and cannot
-// serialize. The membership caches (nodeCount, globalCount) are all zero at
-// quiescence and rebuild as writes join, so only the generation counter and
-// the accumulated stats travel.
-func (s *Store) EncodeState(enc *snapshot.Encoder) {
-	if len(s.writes) != 0 {
-		panic("storage: EncodeState with in-flight writes")
-	}
-	enc.U64(s.gen)
-	enc.I64(s.stats.Writes)
-	enc.I64(s.stats.Bytes)
-	enc.Dur(s.stats.WaitTime)
-	enc.Int(s.stats.PeakWriters)
-}
-
-// RestoreState rebinds the store to a (possibly different) scheduler and
-// reinitializes every mutable field from a stream written by EncodeState.
-// Protocols call it from their DecodeState; unlike Bind, it deliberately
+// SnapshotState walks the store's complete mutable state through c, the
+// in-flight drains (remaining bytes bit-exact) and the Writes awaiting
+// their grant included; the membership caches are rebuilt from the
+// restored writes. Protocols call it from their own SnapshotState. On
+// restore it rebinds the store to ctx — unlike Bind, it deliberately
 // overrides an existing binding, because the same Store object may have
 // been driven by the snapshotting engine before being restored into the
 // resuming one.
-func (s *Store) RestoreState(sc Sched, dec *snapshot.Decoder) error {
-	s.sched = sc
-	s.lastAt = sc.Now()
-	s.writes = nil
-	s.nodeCount = nil
-	s.globalCount = 0
-	s.gen = dec.U64()
-	s.stats = Stats{
-		Writes:      dec.I64(),
-		Bytes:       dec.I64(),
-		WaitTime:    dec.Dur(),
-		PeakWriters: dec.Int(),
-	}
-	if ctx, ok := sc.(*sim.Context); ok {
+func (s *Store) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
+	if c.Decoding() {
+		s.sched = ctx
 		ctx.OwnTimers("store", s)
+		s.nodeCount, s.globalCount = nil, 0
 	}
-	return dec.Err()
+	c.U64(&s.gen)
+	snapshot.Int(c, &s.stats.Writes)
+	snapshot.Int(c, &s.stats.Bytes)
+	snapshot.Int(c, &s.stats.WaitTime)
+	snapshot.Int(c, &s.stats.PeakWriters)
+	snapshot.Int(c, &s.lastAt)
+	if s.lastAt > ctx.Now() {
+		c.Failf("store clock %v ahead of the engine's %v", s.lastAt, ctx.Now())
+	}
+	if n := c.Len(len(s.writes)); c.Decoding() {
+		s.writes = make([]*write, n)
+		for i := range s.writes {
+			s.writes[i] = &write{}
+		}
+	}
+	for _, w := range s.writes {
+		s.snapshotWrite(ctx, c, w)
+		c.F64(&w.remaining)
+		snapshot.Int(c, &w.start)
+		ctx.SnapshotCall(c, &w.drained)
+		if !(w.remaining >= 0 && w.remaining <= float64(w.bytes)) || w.start > s.lastAt {
+			c.Failf("store write out of range")
+		}
+		if c.Decoding() {
+			s.join(w, +1)
+		}
+	}
+	if n := c.Len(len(s.waiting)); c.Decoding() {
+		s.waiting = make([]write, n)
+	}
+	for i := range s.waiting {
+		s.snapshotWrite(ctx, c, &s.waiting[i])
+	}
+}
+
+// snapshotWrite walks a write's identity, deriving its node.
+func (s *Store) snapshotWrite(ctx *sim.Context, c *snapshot.Codec, w *write) {
+	snapshot.Int(c, &w.rank)
+	c.U8((*uint8)(&w.tier))
+	snapshot.Int(c, &w.bytes)
+	if w.rank < 0 || w.rank >= ctx.NumRanks() || w.tier > TierNode || w.bytes < 0 {
+		c.Failf("store write out of range")
+		w.rank, w.tier = 0, TierGlobal
+	}
+	w.node = s.node(w.rank)
 }
 
 // node returns the node hosting rank.
@@ -328,12 +354,37 @@ func (s *Store) mark(rank int, name string, detail int64) {
 	}
 }
 
+// Write performs one checkpoint write of bytes from rank to tier as a CPU
+// seizure (Context.SeizeCPUDynamic): once the CPU is granted the image
+// drains under fair-share arbitration, the seizure lasts until the last
+// byte has left, and done then runs. The lone-writer part of the occupancy
+// is accounted under reason, the contention-induced excess under
+// waitReason.
+func (s *Store) Write(ctx *sim.Context, rank int, tier Tier, bytes int64, reason, waitReason string, done sim.Call) {
+	s.Bind(ctx)
+	s.waiting = append(s.waiting, write{rank: rank, node: s.node(rank), tier: tier, bytes: bytes})
+	ctx.SeizeCPUDynamic(rank, s.LoneDuration(tier, bytes), reason, waitReason,
+		sim.Call{Owner: s, Kind: storeGranted, Arg: int64(rank)}, done)
+}
+
+// grant starts draining rank's oldest waiting Write: the engine grants a
+// rank's seizures in request order.
+func (s *Store) grant(rank int) {
+	for i, w := range s.waiting {
+		if w.rank == rank {
+			s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
+			s.Begin(rank, w.tier, w.bytes, sim.Call{Owner: s, Kind: storeDrained, Arg: int64(rank)})
+			return
+		}
+	}
+}
+
 // Begin starts draining bytes written by rank to tier; drained runs exactly
-// once, with the completion time, when the last byte has left. Must be
+// once, at the completion time, when the last byte has left. Must be
 // called from inside an event callback of the bound scheduler. Writes to an
 // unconstrained tier complete after zero time (callers normally route those
 // through the legacy fixed-duration path instead).
-func (s *Store) Begin(rank int, tier Tier, bytes int64, drained func(end simtime.Time)) {
+func (s *Store) Begin(rank int, tier Tier, bytes int64, drained sim.Call) {
 	if s.sched == nil {
 		panic("storage: Begin before Bind")
 	}
@@ -434,32 +485,24 @@ func (s *Store) reschedule() {
 			minDt = dt
 		}
 	}
-	t := s.lastAt.Add(ceilSeconds(minDt))
-	if ctx, ok := s.sched.(*sim.Context); ok {
-		// Defunctionalized path: the pending completion is data (owner key
-		// "store", generation as the argument), so it serializes into
-		// snapshots — a superseded timer that outlives its writes would
-		// otherwise be an un-serializable closure blocking every boundary.
-		ctx.AtOwned(t, s, 0, int64(s.gen))
-		return
-	}
-	gen := s.gen
-	s.sched.At(t, func() {
-		if gen != s.gen {
-			return
-		}
-		s.onTimer(t)
-	})
+	s.sched.AtOwned(s.lastAt.Add(ceilSeconds(minDt)), s, storeTick, int64(s.gen))
 }
 
-// OnTimer receives the store's defunctionalized completion timers (arg is
-// the scheduling generation; stale generations are superseded no-ops). The
-// firing time is the scheduled time, i.e. the scheduler's current Now.
+// OnTimer receives the store's pending work: completion timers (arg is the
+// scheduling generation; stale generations are superseded no-ops, and the
+// firing time is the scheduler's current Now), and the grant and drain of
+// a Write's CPU seizure (arg is the rank).
 func (s *Store) OnTimer(kind uint8, arg int64) {
-	if uint64(arg) != s.gen {
-		return
+	switch kind {
+	case storeTick:
+		if uint64(arg) == s.gen {
+			s.onTimer(s.sched.Now())
+		}
+	case storeGranted:
+		s.grant(int(arg))
+	case storeDrained:
+		s.sched.(*sim.Context).ReleaseSeizure(int(arg))
 	}
-	s.onTimer(s.sched.Now())
 }
 
 // onTimer fires at the projected next completion: advance, retire every
@@ -488,8 +531,8 @@ func (s *Store) onTimer(t simtime.Time) {
 		if wait := t.Sub(w.start) - s.LoneDuration(w.tier, w.bytes); wait > 0 {
 			s.stats.WaitTime += wait
 		}
-		if w.drained != nil {
-			w.drained(t)
+		if d := w.drained; d.Owner != nil {
+			d.Owner.OnTimer(d.Kind, d.Arg)
 		}
 	}
 }

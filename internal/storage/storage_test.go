@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
 
@@ -31,6 +32,19 @@ func (f *fakeSched) At(t simtime.Time, fn func()) {
 	f.q = append(f.q, fakeEvent{t: t, seq: f.seq, fn: fn})
 	f.seq++
 }
+
+// AtOwned implements Sched.
+func (f *fakeSched) AtOwned(t simtime.Time, o sim.TimerOwner, kind uint8, arg int64) {
+	f.At(t, func() { o.OnTimer(kind, arg) })
+}
+
+// recorder is a drain continuation that stores the completion time.
+type recorder struct {
+	sched *fakeSched
+	out   *simtime.Time
+}
+
+func (r recorder) OnTimer(uint8, int64) { *r.out = r.sched.now }
 
 // run drains the queue to completion.
 func (f *fakeSched) run() {
@@ -118,7 +132,7 @@ func TestLoneDurationAndBytesFor(t *testing.T) {
 
 // begin starts a write and records its completion time in *out.
 func begin(s *Store, rank int, tier Tier, bytes int64, out *simtime.Time) {
-	s.Begin(rank, tier, bytes, func(end simtime.Time) { *out = end })
+	s.Begin(rank, tier, bytes, sim.Call{Owner: recorder{s.sched.(*fakeSched), out}})
 }
 
 func TestSoloWrite(t *testing.T) {
@@ -340,7 +354,7 @@ func TestBeginBeforeBindPanics(t *testing.T) {
 			t.Error("Begin before Bind did not panic")
 		}
 	}()
-	s.Begin(0, TierGlobal, 1, nil)
+	s.Begin(0, TierGlobal, 1, sim.Call{})
 }
 
 func TestTierString(t *testing.T) {
