@@ -25,6 +25,9 @@
 // must be a cache hit, and both response bodies must equal the local
 // bytes. A point that fails prints a FAIL line carrying its spec and
 // cache key — paste the spec into -repro to rerun exactly that point.
+// A 429 from a busy sweepd is backpressure, not a failure: the point
+// sleeps the advertised integer Retry-After and resubmits, so a bounded
+// queue or cluster slows the campaign instead of failing it.
 package main
 
 import (
@@ -45,6 +48,7 @@ import (
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/runner"
 	"checkpointsim/internal/service"
+	"checkpointsim/internal/stats"
 )
 
 func main() {
@@ -184,7 +188,7 @@ type pointResult struct {
 // locally, byte-compare the encoded results, and (with -server) twice
 // against the live sweepd, asserting the second response is a cache hit
 // and both bodies match the local bytes.
-func runPoint(cfg config, client *http.Client, sc exp.Scenario) pointResult {
+func runPoint(cfg config, client *sweepdClient, sc exp.Scenario) pointResult {
 	key := service.ScenarioCacheKey(cfg.version, sc, cfg.net)
 	fail := func(err error) pointResult {
 		return pointResult{line: fmt.Sprintf("FAIL %s key=%s: %v", sc.ID(), key, err), failed: true}
@@ -230,12 +234,12 @@ func runPoint(cfg config, client *http.Client, sc exp.Scenario) pointResult {
 // locally computed result — the campaign's end-to-end consistency check.
 // The first response may be computed or already cached (a warm server or a
 // schedule that repeats a scenario both produce legitimate first-hits).
-func verifyServer(cfg config, client *http.Client, sc exp.Scenario, local []byte) error {
-	first, _, err := postScenario(client, cfg.server, cfg.netName, sc)
+func verifyServer(cfg config, client *sweepdClient, sc exp.Scenario, local []byte) error {
+	first, _, err := client.postScenario(cfg.server, cfg.netName, sc)
 	if err != nil {
 		return fmt.Errorf("server run: %w", err)
 	}
-	second, source, err := postScenario(client, cfg.server, cfg.netName, sc)
+	second, source, err := client.postScenario(cfg.server, cfg.netName, sc)
 	if err != nil {
 		return fmt.Errorf("server rerun: %w", err)
 	}
@@ -251,32 +255,62 @@ func verifyServer(cfg config, client *http.Client, sc exp.Scenario, local []byte
 	return nil
 }
 
+// Backpressure: a sweepd with a full queue answers 429 with an integer
+// Retry-After. The point then sleeps the hint, capped at maxRetryWait so
+// a long hint slows the campaign instead of stalling it, and resubmits,
+// at most maxRetries times before the 429 fails the point.
+const (
+	maxRetries   = 20
+	maxRetryWait = 5 * time.Second
+)
+
+// sweepdClient posts scenarios to a live sweepd and counts the 429
+// back-offs it sat through. The count is wall-clock dependent, so it goes
+// only to the -summary file, never to stdout.
+type sweepdClient struct {
+	http    *http.Client
+	retries stats.Counter
+}
+
+func newSweepdClient() *sweepdClient {
+	return &sweepdClient{http: &http.Client{Timeout: 2 * time.Minute}}
+}
+
 // postScenario runs one scenario synchronously on the sweepd at base and
 // returns the response body and its X-Sweepd-Source ("computed"/"hit").
-func postScenario(client *http.Client, base, netName string, sc exp.Scenario) ([]byte, string, error) {
+func (c *sweepdClient) postScenario(base, netName string, sc exp.Scenario) ([]byte, string, error) {
 	body, err := json.Marshal(service.SweepRequest{Scenario: &sc, Net: netName})
 	if err != nil {
 		return nil, "", err
 	}
-	resp, err := client.Post(base+"/api/v1/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, "", err
+	for attempt := 0; ; attempt++ {
+		resp, err := c.http.Post(base+"/api/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, "", err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, "", err
+		}
+		if resp.StatusCode == http.StatusTooManyRequests && attempt < maxRetries {
+			if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs >= 0 {
+				c.retries.Inc()
+				time.Sleep(min(time.Duration(secs)*time.Second, maxRetryWait))
+				continue
+			}
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, "", fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+		}
+		return data, resp.Header.Get("X-Sweepd-Source"), nil
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-	}
-	return data, resp.Header.Get("X-Sweepd-Source"), nil
 }
 
 // runRepro runs a single scenario spec with the same verification as a
 // campaign point and prints its full tables.
 func runRepro(cfg config, sc exp.Scenario, out io.Writer) error {
-	res := runPoint(cfg, httpClient(), sc)
+	res := runPoint(cfg, newSweepdClient(), sc)
 	fmt.Fprintln(out, res.line)
 	for _, t := range res.tables {
 		t.Fprint(out)
@@ -293,7 +327,7 @@ func runRepro(cfg config, sc exp.Scenario, out io.Writer) error {
 // schedule order.
 func runCampaign(cfg config, out io.Writer) error {
 	start := time.Now()
-	client := httpClient()
+	client := newSweepdClient()
 	// -j is deliberately absent from the header: stdout must be identical
 	// at every worker count, so scheduling knobs never appear in it.
 	header := func(w io.Writer) {
@@ -351,7 +385,8 @@ func runCampaign(cfg config, out io.Writer) error {
 			sb.WriteString("\n")
 		}
 		fmt.Fprintf(&sb, "campaign: %d points, %d ok, %d failed\n", done, done-failed, failed)
-		fmt.Fprintf(&sb, "jobs: %d\nwall-clock: %v\n", cfg.jobs, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(&sb, "jobs: %d\nretries-429: %d\nwall-clock: %v\n",
+			cfg.jobs, client.retries.Value(), time.Since(start).Round(time.Millisecond))
 		if err := os.WriteFile(cfg.summary, []byte(sb.String()), 0o644); err != nil {
 			return err
 		}
@@ -361,8 +396,6 @@ func runCampaign(cfg config, out io.Writer) error {
 	}
 	return nil
 }
-
-func httpClient() *http.Client { return &http.Client{Timeout: 2 * time.Minute} }
 
 func orNone(s string) string {
 	if s == "" {

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,19 +86,99 @@ func TestCampaignAgainstServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full scenario simulations")
 	}
-	s := service.New(service.Config{Version: "dev", Timeout: time.Minute})
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		s.Close()
-	}()
-	out, err := runCmd(t, "-seed", "3", "-points", "3", "-server", ts.URL,
+	out, err := runCmd(t, "-seed", "3", "-points", "3", "-server", startServer(t),
 		"-workloads", "sweep,cg", "-scales", "8")
 	if err != nil {
 		t.Fatalf("campaign vs server: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "campaign: 3 points, 3 ok, 0 failed") {
 		t.Errorf("server-verified campaign not clean:\n%s", out)
+	}
+}
+
+// startServer brings up a live sweepd service whose keys match the
+// campaign's default -version.
+func startServer(t *testing.T) string {
+	t.Helper()
+	s := service.New(service.Config{Version: "dev", Timeout: time.Minute})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return ts.URL
+}
+
+// A 429 with an integer Retry-After slows the point instead of failing
+// it: the client sleeps the hint and resubmits, and the back-off is
+// counted in the summary file only, so stdout stays reproducible.
+func TestCampaignHonorsRetryAfter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full scenario simulations")
+	}
+	backend := startServer(t)
+	var throttled atomic.Bool
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !throttled.Swap(true) {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		resp, err := http.Post(backend+r.URL.Path, r.Header.Get("Content-Type"), r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		for _, h := range []string{"Content-Type", "X-Sweepd-Source"} {
+			if v := resp.Header.Get(h); v != "" {
+				w.Header().Set(h, v)
+			}
+		}
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer proxy.Close()
+
+	path := filepath.Join(t.TempDir(), "summary.txt")
+	out, err := runCmd(t, "-seed", "7", "-points", "1", "-j", "1", "-server", proxy.URL,
+		"-workloads", "sweep", "-scales", "8", "-summary", path)
+	if err != nil {
+		t.Fatalf("campaign under throttling: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "campaign: 1 points, 1 ok, 0 failed") {
+		t.Errorf("throttled point did not verify:\n%s", out)
+	}
+	if strings.Contains(out, "retries") {
+		t.Errorf("retry count leaked into stdout:\n%s", out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "retries-429: 1\n") {
+		t.Errorf("summary does not count the one 429:\n%s", data)
+	}
+}
+
+// A server that answers 200 with bytes that differ from the local run
+// fails the point: the campaign is a correctness harness first.
+func TestCampaignDetectsWrongServerBytes(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Sweepd-Source", "hit")
+		w.Write([]byte(`{"not":"a result"}`))
+	}))
+	defer ts.Close()
+	out, err := runCmd(t, "-seed", "7", "-points", "1", "-server", ts.URL,
+		"-workloads", "sweep", "-scales", "8")
+	if err == nil {
+		t.Fatalf("campaign accepted wrong server bytes:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL campaign:") || !strings.Contains(out, "local result differs from server result") {
+		t.Errorf("no byte-mismatch FAIL line in:\n%s", out)
+	}
+	if !strings.Contains(out, "campaign: 1 points, 0 ok, 1 failed") {
+		t.Errorf("mismatched point not counted as failed:\n%s", out)
 	}
 }
 

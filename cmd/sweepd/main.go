@@ -54,19 +54,32 @@ import (
 
 // Listener deadlines, the same for both roles. A client that never
 // finishes its request headers holds a connection for at most
-// headerTimeout; a healthy client sends them in well under a second. Idle
-// keep-alive connections close after idleTimeout, longer than the Go
-// client's 90 s default so that the client side normally closes first.
-// There is deliberately no write timeout: synchronous /api/v1/run calls
-// and SSE job streams legitimately stay open for minutes.
+// headerTimeout; a healthy client sends them in well under a second. A
+// client that sends its headers and then stalls its body is cut off once
+// readTimeout has passed since the request began. Bodies are capped at
+// 1 MiB for a request and 64 MiB for a snapshot blob, and a worker's
+// snapshot publisher gives up on its own after publishTimeout, so
+// readTimeout must exceed that client timeout: the server never cuts off
+// an upload its sender still considers alive. The deadline covers only
+// reading the request; net/http clears it once the body is read, so a
+// handler may run longer. Idle keep-alive connections close after
+// idleTimeout, longer than the Go client's 90 s default so that the
+// client side normally closes first. There is deliberately no write
+// timeout: synchronous /api/v1/run calls and SSE job streams
+// legitimately stay open for minutes.
 const (
 	headerTimeout = 5 * time.Second
+	readTimeout   = 15 * time.Second
 	idleTimeout   = 2 * time.Minute
+
+	// publishTimeout bounds one snapshot upload to the coordinator.
+	publishTimeout = 10 * time.Second
 )
 
 // newHTTPServer wraps h in a server with the listener deadlines.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout,
+		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 func main() {
@@ -283,7 +296,7 @@ type publishedBlob struct {
 func newSnapshotPublisher(url string) *snapshotPublisher {
 	p := &snapshotPublisher{
 		url:    url,
-		client: &http.Client{Timeout: 10 * time.Second},
+		client: &http.Client{Timeout: publishTimeout},
 		ch:     make(chan publishedBlob, 8),
 		done:   make(chan struct{}),
 	}

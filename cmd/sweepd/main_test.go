@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -338,6 +339,7 @@ func TestPartialHeaderConnectionClosed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the header deadline")
 	}
+	t.Parallel() // mostly waiting: overlap the two deadline tests
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -359,5 +361,72 @@ func TestPartialHeaderConnectionClosed(t *testing.T) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("connection with an unfinished header still open after %v", headerTimeout+5*time.Second)
+	}
+}
+
+// A client that sends its headers and then stalls its body is cut off
+// once readTimeout passes, while a request whose handler runs past that
+// deadline still completes with a live context: the deadline bounds
+// reading the request, not serving it.
+func TestStalledBodyCutOffLongHandlerCompletes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the whole-request read deadline")
+	}
+	t.Parallel() // mostly waiting: overlap the two deadline tests
+	if readTimeout <= publishTimeout {
+		t.Fatalf("readTimeout %v must exceed the snapshot publisher's %v client timeout", readTimeout, publishTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/stalled", func(w http.ResponseWriter, r *http.Request) {
+		if _, err := io.ReadAll(r.Body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		}
+	})
+	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
+		io.ReadAll(r.Body)
+		select {
+		case <-time.After(readTimeout + 2*time.Second):
+			io.WriteString(w, "done")
+		case <-r.Context().Done():
+			http.Error(w, "context cancelled", http.StatusInternalServerError)
+		}
+	})
+	srv := newHTTPServer(mux)
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	slow := make(chan string, 1)
+	go func() {
+		resp, err := http.Post("http://"+ln.Addr().String()+"/slow", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			slow <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		slow <- fmt.Sprintf("%d %s", resp.StatusCode, b)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /stalled HTTP/1.1\r\nHost: sweepd\r\nContent-Length: 100\r\n\r\n{"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(readTimeout + 5*time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection with a stalled body still open after %v", readTimeout+5*time.Second)
+	}
+
+	if got := <-slow; got != "200 done" {
+		t.Fatalf("handler running past the read deadline: got %q, want \"200 done\"", got)
 	}
 }

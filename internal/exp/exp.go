@@ -67,8 +67,8 @@ type Options struct {
 	Validate bool
 	// Events, when non-nil, accumulates the simulation events processed by
 	// every run the experiment performs (atomically — sweep points run on
-	// parallel workers). cmd/bench uses it to report events/sec. Telemetry,
-	// so it is not keyed.
+	// parallel workers). sweepd exports it as sweepd_sim_events_total, and
+	// perfbench derives events/sec from it. Telemetry, so it is not keyed.
 	Events *int64 `cache:"-"`
 	// Ctx, when non-nil, cancels the experiment cooperatively: once it is
 	// done, the sweep worker pool stops dequeuing points and the experiment
