@@ -28,6 +28,7 @@ import (
 	"checkpointsim/internal/failure"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/simtime"
+	"checkpointsim/internal/snapshot"
 	"checkpointsim/internal/timeline"
 	"checkpointsim/internal/validate"
 )
@@ -240,7 +241,7 @@ func run(args []string, out io.Writer) error {
 		cfg.SnapshotEvery = *snapEvery
 		cfg.OnSnapshot = func(s checkpointsim.Snapshot) {
 			name := filepath.Join(*snapDir, fmt.Sprintf("snap-%012d.ckpt", s.Events))
-			if werr := writeFileAtomic(name, s.Blob); werr != nil && snapErr == nil {
+			if werr := snapshot.WriteFile(name, s.Blob); werr != nil && snapErr == nil {
 				snapErr = fmt.Errorf("writing snapshot %s: %w", name, werr)
 			}
 			snapped++
@@ -383,30 +384,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "timeline:  %d records -> %s\n", len(timelineRows), *timelineCSV)
-	}
-	return nil
-}
-
-// writeFileAtomic writes data to name via a temp file and rename, so a
-// crash mid-write never leaves a truncated snapshot where a resumable one
-// is expected.
-func writeFileAtomic(name string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(name), filepath.Base(name)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), name); err != nil {
-		os.Remove(tmp.Name())
-		return err
 	}
 	return nil
 }

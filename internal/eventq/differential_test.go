@@ -9,17 +9,16 @@ import (
 	"checkpointsim/internal/simtime"
 )
 
-// refEvent / refHeap are a straightforward binary heap on the full
-// (t, prio, seq) key — the data structure the calendar queue replaced. The
-// differential tests below drive both implementations through identical
-// operation sequences and demand identical results, so any divergence in
-// the calendar queue's tiering (buckets, overflow, lane, rebuilds) from the
-// documented total order shows up as a concrete counterexample.
+// refEvent / refHeap are a textbook container/heap binary heap on the full
+// (t, seq) key. The differential tests below drive it and the queue through
+// identical operation sequences and demand identical results, so any
+// divergence of the queue's internals (4-ary sifts, the payload slot
+// arena) from the documented total order shows up as a concrete
+// counterexample.
 type refEvent struct {
-	t    simtime.Time
-	prio int
-	seq  uint64
-	v    int
+	t   simtime.Time
+	seq uint64
+	v   int
 }
 
 type refHeap struct {
@@ -33,9 +32,6 @@ func (h *refHeap) Less(i, j int) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
 	return a.seq < b.seq
 }
 func (h *refHeap) Swap(i, j int)      { h.evs[i], h.evs[j] = h.evs[j], h.evs[i] }
@@ -48,8 +44,8 @@ func (h *refHeap) Pop() interface{} {
 	return ev
 }
 
-func (h *refHeap) push(t simtime.Time, prio, v int) {
-	heap.Push(h, refEvent{t: t, prio: prio, seq: h.seq, v: v})
+func (h *refHeap) push(t simtime.Time, v int) {
+	heap.Push(h, refEvent{t: t, seq: h.seq, v: v})
 	h.seq++
 }
 
@@ -58,55 +54,54 @@ func (h *refHeap) pop() (simtime.Time, int) {
 	return ev.t, ev.v
 }
 
-// schedule generators covering the regimes the calendar queue tiers events
-// into: each returns the next (t, prio) to push given the current pop time.
+// schedule generators covering the regimes a simulation produces: each
+// returns the next time to push given the current pop time.
 var schedules = []struct {
 	name string
-	next func(r *rng.Source, now simtime.Time) (simtime.Time, int)
+	next func(r *rng.Source, now simtime.Time) simtime.Time
 }{
 	// Near-monotonic with small gaps: the common LogGOPS case, events land
 	// at or just ahead of the cursor.
-	{"near-monotonic", func(r *rng.Source, now simtime.Time) (simtime.Time, int) {
-		return now + simtime.Time(r.Intn(1000)), r.Intn(3)
+	{"near-monotonic", func(r *rng.Source, now simtime.Time) simtime.Time {
+		return now + simtime.Time(r.Intn(1000))
 	}},
-	// Same-timestamp clusters: exercises the lane and same-t tie ordering.
-	{"same-time-clusters", func(r *rng.Source, now simtime.Time) (simtime.Time, int) {
+	// Same-timestamp clusters: only the sequence orders most pops.
+	{"same-time-clusters", func(r *rng.Source, now simtime.Time) simtime.Time {
 		if r.Intn(4) > 0 {
-			return now, r.Intn(3)
+			return now
 		}
-		return now + simtime.Time(r.Intn(16)+1), r.Intn(3)
+		return now + simtime.Time(r.Intn(16)+1)
 	}},
-	// Bimodal near/far: failure-clock-style far-future pushes force events
-	// through the overflow heap and its migrations.
-	{"far-future-mix", func(r *rng.Source, now simtime.Time) (simtime.Time, int) {
+	// Bimodal near/far: failure-clock-style far-future pushes sit deep in
+	// the heap while near events churn above them.
+	{"far-future-mix", func(r *rng.Source, now simtime.Time) simtime.Time {
 		if r.Intn(8) == 0 {
-			return now + simtime.Time(1+r.Intn(1<<40)), r.Intn(3)
+			return now + simtime.Time(1+r.Intn(1<<40))
 		}
-		return now + simtime.Time(r.Intn(200)), r.Intn(3)
+		return now + simtime.Time(r.Intn(200))
 	}},
-	// Wide uniform spread: buckets fill out of order, forcing lazy sorts
-	// and unsorted-fallback appends.
-	{"uniform-wide", func(r *rng.Source, now simtime.Time) (simtime.Time, int) {
-		return now + simtime.Time(r.Intn(1<<20)), r.Intn(5)
+	// Wide uniform spread: pushes land anywhere in the heap.
+	{"uniform-wide", func(r *rng.Source, now simtime.Time) simtime.Time {
+		return now + simtime.Time(r.Intn(1<<20))
 	}},
-	// Extreme timestamps: vbClamp territory, including simtime.Infinity
-	// sentinels collapsing into a single virtual bucket.
-	{"extreme-times", func(r *rng.Source, now simtime.Time) (simtime.Time, int) {
+	// Extreme timestamps, including runs of simtime.Infinity sentinels that
+	// only the sequence component orders.
+	{"extreme-times", func(r *rng.Source, now simtime.Time) simtime.Time {
 		switch r.Intn(4) {
 		case 0:
-			return simtime.Infinity, r.Intn(3)
+			return simtime.Infinity
 		case 1:
-			return simtime.Infinity - simtime.Time(r.Intn(4)), r.Intn(3)
+			return simtime.Infinity - simtime.Time(r.Intn(4))
 		default:
-			return now + simtime.Time(r.Intn(100)), r.Intn(3)
+			return now + simtime.Time(r.Intn(100))
 		}
 	}},
 }
 
-// TestDifferentialSchedules drives the calendar queue and the reference
-// heap through identical interleaved push/pop sequences across every
-// schedule shape and demands identical (time, value) pop streams — which
-// pins the full (t, prio, seq) order, since values are unique.
+// TestDifferentialSchedules drives the queue and the reference heap
+// through identical interleaved push/pop sequences across every schedule
+// shape and demands identical (time, value) pop streams — which pins the
+// full (t, seq) order, since values are unique.
 func TestDifferentialSchedules(t *testing.T) {
 	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
@@ -119,12 +114,12 @@ func TestDifferentialSchedules(t *testing.T) {
 					if q.Len() != h.Len() {
 						t.Fatalf("seed %d step %d: Len %d vs %d", seed, i, q.Len(), h.Len())
 					}
-					// Bursts of pushes grow the population past rebuild
-					// thresholds; drain phases shrink it back.
+					// Bursts of pushes grow the population; drain phases
+					// shrink it back.
 					if q.Len() == 0 || r.Intn(100) < 55 {
-						tm, prio := sc.next(r, now)
-						q.PushPrio(tm, prio, i)
-						h.push(tm, prio, i)
+						tm := sc.next(r, now)
+						q.Push(tm, i)
+						h.push(tm, i)
 					} else {
 						t1, v1 := q.Pop()
 						t2, v2 := h.pop()
@@ -133,9 +128,6 @@ func TestDifferentialSchedules(t *testing.T) {
 								seed, i, t1, v1, t2, v2)
 						}
 						now = t1
-					}
-					if pt := q.PeekTime(); q.Len() > 0 && pt != h.evs[0].t {
-						t.Fatalf("seed %d step %d: PeekTime %d vs %d", seed, i, pt, h.evs[0].t)
 					}
 				}
 				for q.Len() > 0 {
@@ -153,19 +145,18 @@ func TestDifferentialSchedules(t *testing.T) {
 	}
 }
 
-// TestDifferentialAdversarial hits the hand-picked worst cases for a
-// calendar queue: strictly descending times (every push lands behind the
-// cursor), sawtooth bursts (alternating growth and drain across rebuild
-// thresholds), and a thin window with a dense far cluster (mass migration
-// out of the overflow heap).
+// TestDifferentialAdversarial hits hand-picked hard cases: strictly
+// descending times (every push sifts to the root), descending pairs with
+// pops interleaved, sawtooth bursts (alternating growth and drain), and a
+// sparse head over a dense far cluster.
 func TestDifferentialAdversarial(t *testing.T) {
-	run := func(t *testing.T, ops func(push func(simtime.Time, int), pop func())) {
+	run := func(t *testing.T, ops func(push func(simtime.Time), pop func())) {
 		var q Queue[int]
 		var h refHeap
 		n := 0
-		push := func(tm simtime.Time, prio int) {
-			q.PushPrio(tm, prio, n)
-			h.push(tm, prio, n)
+		push := func(tm simtime.Time) {
+			q.Push(tm, n)
+			h.push(tm, n)
 			n++
 		}
 		pop := func() {
@@ -188,22 +179,22 @@ func TestDifferentialAdversarial(t *testing.T) {
 	}
 
 	t.Run("descending", func(t *testing.T) {
-		run(t, func(push func(simtime.Time, int), pop func()) {
+		run(t, func(push func(simtime.Time), pop func()) {
 			for i := 0; i < 3000; i++ {
-				push(simtime.Time(3000-i)*1000, i%3)
+				push(simtime.Time(3000-i) * 1000)
 			}
 		})
 	})
 	t.Run("descending-interleaved", func(t *testing.T) {
-		// Pops anchor the cursor high, then later pushes land ever further
-		// behind it — each triggers the pre-window rebuild path.
-		run(t, func(push func(simtime.Time, int), pop func()) {
-			push(1<<30, 0)
+		// Pairs of adjacent times land ever earlier, each pair before the
+		// last, with pops interleaved.
+		run(t, func(push func(simtime.Time), pop func()) {
+			push(1 << 30)
 			pop()
 			for i := 0; i < 500; i++ {
 				base := simtime.Time(1<<30) + simtime.Time((500-i)*100000)
-				push(base, 0)
-				push(base+1, 1)
+				push(base)
+				push(base + 1)
 				if i%3 == 0 {
 					pop()
 				}
@@ -211,12 +202,12 @@ func TestDifferentialAdversarial(t *testing.T) {
 		})
 	})
 	t.Run("sawtooth", func(t *testing.T) {
-		run(t, func(push func(simtime.Time, int), pop func()) {
+		run(t, func(push func(simtime.Time), pop func()) {
 			tm := simtime.Time(0)
 			for cycle := 0; cycle < 6; cycle++ {
 				for i := 0; i < 400*(cycle+1); i++ {
 					tm += simtime.Time(i % 7)
-					push(tm, i%2)
+					push(tm)
 				}
 				for i := 0; i < 350*(cycle+1); i++ {
 					pop()
@@ -225,15 +216,15 @@ func TestDifferentialAdversarial(t *testing.T) {
 		})
 	})
 	t.Run("thin-window-dense-cluster", func(t *testing.T) {
-		run(t, func(push func(simtime.Time, int), pop func()) {
-			// A sparse head spreads the window wide, then a dense far
-			// cluster piles into overflow and migrates en masse.
+		run(t, func(push func(simtime.Time), pop func()) {
+			// A sparse head drains while a dense far cluster of
+			// heavily tied timestamps waits below it.
 			for i := 0; i < 64; i++ {
-				push(simtime.Time(i)<<30, 0)
+				push(simtime.Time(i) << 30)
 			}
 			far := simtime.Time(1) << 50
 			for i := 0; i < 2000; i++ {
-				push(far+simtime.Time(i%17), i%3)
+				push(far + simtime.Time(i%17))
 			}
 			for i := 0; i < 64; i++ {
 				pop()
@@ -242,65 +233,74 @@ func TestDifferentialAdversarial(t *testing.T) {
 	})
 }
 
-// TestDifferentialRestore round-trips the calendar queue through
-// Items/Load/SetSeq at a random mid-run point and then continues the
+// TestDifferentialRestore round-trips the queue through Items/Load/SetSeq
+// at a random mid-run point of every schedule and then continues the
 // differential run on the restored copy: the restore path must reproduce
 // the exact pop stream the reference heap produces, including ties decided
 // by sequence numbers assigned after the restore.
 func TestDifferentialRestore(t *testing.T) {
-	f := func(seed uint16, scIdx uint8) bool {
-		sc := schedules[int(scIdx)%len(schedules)]
-		r := rng.New(uint64(seed) + 3)
-		var q Queue[int]
-		var h refHeap
-		now := simtime.Time(0)
-		n := 1500
-		for i := 0; i < n; i++ {
-			if q.Len() == 0 || r.Intn(100) < 60 {
-				tm, prio := sc.next(r, now)
-				q.PushPrio(tm, prio, i)
-				h.push(tm, prio, i)
-			} else {
-				t1, _ := q.Pop()
-				h.pop()
-				now = t1
+	f := func(seed uint16) bool {
+		for _, sc := range schedules {
+			r := rng.New(uint64(seed) + 3)
+			var q Queue[int]
+			var h refHeap
+			now := simtime.Time(0)
+			n := 1500
+			for i := 0; i < n; i++ {
+				if q.Len() == 0 || r.Intn(100) < 60 {
+					tm := sc.next(r, now)
+					q.Push(tm, i)
+					h.push(tm, i)
+				} else {
+					t1, _ := q.Pop()
+					h.pop()
+					now = t1
+				}
 			}
-		}
 
-		// Snapshot and restore into a fresh queue mid-stream.
-		var restored Queue[int]
-		q.Items(func(tm simtime.Time, prio int, seq uint64, v int) bool {
-			restored.Load(tm, prio, seq, v)
-			return true
-		})
-		restored.SetSeq(q.Seq())
-
-		// The restored queue continues against the reference.
-		for i := 0; i < 800; i++ {
-			if restored.Len() != h.Len() {
-				t.Fatalf("seed %d: post-restore Len %d vs %d", seed, restored.Len(), h.Len())
+			// Snapshot and restore into a fresh queue mid-stream.
+			var restored Queue[int]
+			count := 0
+			q.Items(func(tm simtime.Time, seq uint64, v int) bool {
+				restored.Load(tm, seq, v)
+				count++
+				return true
+			})
+			if count != q.Len() {
+				t.Fatalf("%s seed %d: Items visited %d of %d events", sc.name, seed, count, q.Len())
 			}
-			if restored.Len() == 0 || r.Intn(100) < 40 {
-				tm, prio := sc.next(r, now)
-				restored.PushPrio(tm, prio, n+i)
-				h.push(tm, prio, n+i)
-			} else {
+			restored.SetSeq(q.Seq())
+
+			// The restored queue continues against the reference.
+			for i := 0; i < 800; i++ {
+				if restored.Len() != h.Len() {
+					t.Fatalf("%s seed %d: post-restore Len %d vs %d", sc.name, seed, restored.Len(), h.Len())
+				}
+				if restored.Len() == 0 || r.Intn(100) < 40 {
+					tm := sc.next(r, now)
+					restored.Push(tm, n+i)
+					h.push(tm, n+i)
+				} else {
+					t1, v1 := restored.Pop()
+					t2, v2 := h.pop()
+					if t1 != t2 || v1 != v2 {
+						t.Fatalf("%s seed %d: post-restore pop (%d,%d) vs (%d,%d)", sc.name, seed, t1, v1, t2, v2)
+					}
+					now = t1
+				}
+			}
+			for restored.Len() > 0 {
 				t1, v1 := restored.Pop()
 				t2, v2 := h.pop()
 				if t1 != t2 || v1 != v2 {
-					t.Fatalf("seed %d: post-restore pop (%d,%d) vs (%d,%d)", seed, t1, v1, t2, v2)
+					t.Fatalf("%s seed %d: drain pop (%d,%d) vs (%d,%d)", sc.name, seed, t1, v1, t2, v2)
 				}
-				now = t1
+			}
+			if h.Len() != 0 {
+				return false
 			}
 		}
-		for restored.Len() > 0 {
-			t1, v1 := restored.Pop()
-			t2, v2 := h.pop()
-			if t1 != t2 || v1 != v2 {
-				t.Fatalf("seed %d: drain pop (%d,%d) vs (%d,%d)", seed, t1, v1, t2, v2)
-			}
-		}
-		return h.Len() == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -315,11 +315,11 @@ func TestDifferentialRestore(t *testing.T) {
 // restored event it tied with.
 func TestLoadAdvancesSeq(t *testing.T) {
 	var q Queue[string]
-	q.Load(5, 0, 7, "restored")
+	q.Load(5, 7, "restored")
 	if got := q.Seq(); got != 8 {
 		t.Fatalf("Seq after Load(seq=7) = %d, want 8", got)
 	}
-	q.Push(5, "fresh") // same (t, prio): order must fall to sequence
+	q.Push(5, "fresh") // same t: order must fall to sequence
 	if _, v := q.Pop(); v != "restored" {
 		t.Fatalf("first pop = %q, want the restored event", v)
 	}
@@ -329,91 +329,8 @@ func TestLoadAdvancesSeq(t *testing.T) {
 
 	// Loading an older sequence than the counter must not move it backward.
 	// (The Push above consumed sequence 8, leaving the counter at 9.)
-	q.Load(9, 0, 2, "old")
+	q.Load(9, 2, "old")
 	if got := q.Seq(); got != 9 {
 		t.Fatalf("Seq after Load(seq=2) = %d, want 9 (unchanged)", got)
 	}
-}
-
-// TestCalendarSnapshotRoundTrip round-trips the queue via Items/Load/SetSeq
-// from each internal state the calendar tiers can be in — mid-bucket
-// consumption, populated overflow heap, active same-timestamp lane, and
-// post-resize geometry — mirroring the heap-era round-trip test but aimed
-// at the tier boundaries.
-func TestCalendarSnapshotRoundTrip(t *testing.T) {
-	roundTrip := func(t *testing.T, q *Queue[int]) {
-		var want []struct {
-			t simtime.Time
-			v int
-		}
-		var restored Queue[int]
-		count := 0
-		q.Items(func(tm simtime.Time, prio int, seq uint64, v int) bool {
-			restored.Load(tm, prio, seq, v)
-			count++
-			return true
-		})
-		if count != q.Len() {
-			t.Fatalf("Items visited %d of %d events", count, q.Len())
-		}
-		restored.SetSeq(q.Seq())
-		for q.Len() > 0 {
-			tm, v := q.Pop()
-			want = append(want, struct {
-				t simtime.Time
-				v int
-			}{tm, v})
-		}
-		for i, w := range want {
-			if restored.Len() == 0 {
-				t.Fatalf("restored queue ran out at %d of %d", i, len(want))
-			}
-			tm, v := restored.Pop()
-			if tm != w.t || v != w.v {
-				t.Fatalf("pop %d: (%d,%d) vs original (%d,%d)", i, tm, v, w.t, w.v)
-			}
-		}
-		if restored.Len() != 0 {
-			t.Fatalf("restored queue has %d extra events", restored.Len())
-		}
-	}
-
-	t.Run("mid-bucket", func(t *testing.T) {
-		var q Queue[int]
-		for i := 0; i < 40; i++ {
-			q.PushPrio(simtime.Time(i/4), i%3, i)
-		}
-		for i := 0; i < 13; i++ { // leave a bucket partially consumed
-			q.Pop()
-		}
-		roundTrip(t, &q)
-	})
-	t.Run("overflow-populated", func(t *testing.T) {
-		var q Queue[int]
-		q.Push(0, 0)
-		for i := 1; i <= 50; i++ { // far beyond the initial window
-			q.Push(simtime.Time(i)<<40, i)
-		}
-		roundTrip(t, &q)
-	})
-	t.Run("lane-active", func(t *testing.T) {
-		var q Queue[int]
-		q.Push(100, 0)
-		q.Push(200, 1)
-		now, _ := q.Pop()
-		for i := 2; i < 20; i++ { // same-t pushes land in the lane
-			q.PushPrio(now, 1, i)
-		}
-		roundTrip(t, &q)
-	})
-	t.Run("post-resize", func(t *testing.T) {
-		var q Queue[int]
-		for i := 0; i < 500; i++ { // population doubling forces rebuilds
-			q.PushPrio(simtime.Time(i*37%1000), i%4, i)
-		}
-		for i := 0; i < 450; i++ { // quartering forces the shrink path
-			q.Pop()
-		}
-		roundTrip(t, &q)
-	})
 }

@@ -1,138 +1,50 @@
-// Package eventq implements the priority queue at the heart of the
+// Package eventq implements the time-ordered event queue at the heart of the
 // discrete-event simulator.
 //
-// Events are ordered by (time, priority, sequence): earlier times first,
-// then lower priority values, then insertion order. The sequence component
-// makes the ordering total, which is what guarantees deterministic
-// simulation — two events at the same instant always pop in the order they
-// were scheduled, on every run and platform.
+// Events are ordered by (time, sequence): earlier times first, then
+// insertion order. The sequence component makes the ordering total, which
+// is what guarantees deterministic simulation — two events at the same
+// instant always pop in the order they were scheduled, on every run and
+// platform.
 //
-// Internally the queue is a calendar (bucket) queue, not a binary heap: an
-// event lands in the fixed-width time bucket covering its timestamp in O(1),
-// buckets are kept sorted by cheap in-place insertion (falling back to a
-// lazy sort on first pop when an insertion would shift too much), and
-// far-future events (failure clocks, heartbeat timers) wait in an overflow
-// tier outside the bucket window. LogGOPS simulations schedule
-// near-monotonic timestamps, so pushes land at or just ahead of the cursor
-// and both Push and Pop are O(1) amortized — against the O(log n) compare-
-// and-swap churn a heap pays per operation. The bucket width and ring size
-// re-derive from observed event density whenever the population doubles or
-// quarters, so the structure tracks the workload without tuning.
-//
-// The tiers move only 32-byte pointer-free keys: payloads are parked once
-// in a slot arena at push and read back exactly once at pop, so the
-// insertion shifts, lazy sorts, and heap swaps never copy payload bytes and
-// never trigger GC write barriers. None of this is visible in the API or
-// the pop order: the (t, prio, seq) total order is identical to the heap's,
-// byte for byte.
+// Internally the queue is a 4-ary min-heap of 24-byte pointer-free keys:
+// payloads are parked once in a slot arena at push and read back exactly
+// once at pop, so sift moves never copy payload bytes and never trigger GC
+// write barriers. Memory is bounded by the peak population: a steady-state
+// queue does not allocate.
 package eventq
 
-import (
-	"math/bits"
+import "checkpointsim/internal/simtime"
 
-	"checkpointsim/internal/simtime"
-)
-
-const (
-	// minBuckets is the ring-size floor and the initial ring size.
-	minBuckets = 64
-	// maxBuckets caps the ring so a rebuild never allocates absurdly.
-	maxBuckets = 1 << 20
-	// defaultShift is the bucket width before any density estimate exists:
-	// 2^12 ns ≈ 4.1 µs, the right ballpark for LogGOPS message latencies.
-	defaultShift = 12
-	// maxShift caps the bucket width at 2^48 ns ≈ 3.3 days per bucket.
-	maxShift = 48
-	// vbClamp bounds virtual bucket indices so window arithmetic cannot
-	// overflow: timestamps at or near simtime.Infinity collapse into one
-	// far-future virtual bucket, where full-key sorting still orders them
-	// exactly.
-	vbClamp = int64(1) << 60
-)
+// arity is the heap's branching factor: a 4-ary heap is half as deep as a
+// binary one, and a node's four children share one or two cache lines.
+const arity = 4
 
 // ref is one queued event's full ordering key plus the index of its payload
-// in the queue's slot arena. It is deliberately pointer-free: every tier
-// shuffles refs, so insertion shifts and heap swaps are plain memmoves with
-// no GC write barriers, and consumed slots need no zeroing.
+// in the queue's slot arena. It is deliberately pointer-free, so sifts are
+// plain word copies with no GC write barriers.
 type ref struct {
-	t    simtime.Time
-	prio int
-	seq  uint64
-	idx  int32
+	t   simtime.Time
+	seq uint64
+	idx int32
 }
 
-// less orders by time, then priority, then insertion sequence.
+// less orders by time, then insertion sequence.
 func less(a, b *ref) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
 	return a.seq < b.seq
 }
 
-// bucket is one calendar slot. items[pos:] are the live events. sorted
-// means items[pos:] is in (t, prio, seq) order — cleared when an
-// out-of-order append lands, re-established lazily by the first pop that
-// reaches the bucket.
-type bucket struct {
-	items  []ref
-	pos    int
-	sorted bool
-}
-
-// live returns the number of unconsumed events in the bucket.
-func (b *bucket) live() int { return len(b.items) - b.pos }
-
-// Queue is a calendar queue of events carrying payloads of type T.
+// Queue is a min-heap of events carrying payloads of type T.
 // The zero value is an empty, usable queue.
-//
-// Geometry: virtual bucket vb(t) = t >> shift (clamped to ±vbClamp). The
-// ring buckets[] covers the window [limVB-N, limVB) of N consecutive
-// virtual buckets, each mapping to slot vb&mask — distinct slots, because
-// the window is exactly N long. Every live near-tier event has
-// vb ∈ [curVB, limVB); events at vb ≥ limVB wait in overflow. The cursor
-// curVB is the lowest virtual bucket that may hold a live event: pops drain
-// the cursor bucket in sorted order, then advance; pushes behind the cursor
-// (legal, if rare) just move it back.
 type Queue[T any] struct {
-	buckets []bucket
-	mask    int64
-	shift   uint
-	curVB   int64 // pop cursor (virtual bucket index)
-	limVB   int64 // window end: near tier holds vb ∈ [limVB-N, limVB)
-	nNear   int   // live events in buckets
-	n       int   // live events total (buckets + overflow)
-	lastN   int   // population at the last geometry rebuild (hysteresis)
-
-	// overflow holds far-future events (vb ≥ limVB) as a binary min-heap
-	// on the full (t, prio, seq) key: O(log k) insert for the small
-	// far-future population, and migrations drain it in sorted order, so a
-	// thin window never forces a full re-sort.
-	overflow []ref
-
-	// scratch is the rebuild staging buffer, retained across rebuilds so a
-	// steady-state queue does not allocate.
-	scratch []ref
-
-	// lane is the same-timestamp fast path: simulations push many events
-	// at exactly the current simulation time (the timestamp of the last
-	// pop, laneT), and those arrive in ascending (prio, seq) order. Such
-	// pushes append here — no bucket routing, no binary search, no tail
-	// shift — and pops two-way-merge the lane head against the calendar
-	// tiers by full (t, prio, seq) key, so the pop order is exactly the
-	// total order regardless of which tier holds an event. lane[lanePos:]
-	// are the live entries, all at time laneT; laneOn is false until the
-	// first pop anchors laneT.
-	lane    []ref
-	lanePos int
-	laneT   simtime.Time
-	laneOn  bool
+	heap []ref
 
 	// vals is the payload slot arena refs point into; free lists the
-	// reusable slots. Payloads are written once at push, read and zeroed
-	// once at pop, and never move in between.
+	// reusable slots. Payloads are written once at push, read once at pop,
+	// and never move in between.
 	vals []T
 	free []int32
 
@@ -161,157 +73,73 @@ func (q *Queue[T]) takeVal(i int32) T {
 }
 
 // Len returns the number of queued events.
-func (q *Queue[T]) Len() int { return q.n + len(q.lane) - q.lanePos }
+func (q *Queue[T]) Len() int { return len(q.heap) }
 
-// Push schedules v at time t with priority 0.
-func (q *Queue[T]) Push(t simtime.Time, v T) { q.PushPrio(t, 0, v) }
-
-// PushPrio schedules v at time t with an explicit priority. Among events at
-// the same time, lower priorities pop first; ties break by insertion order.
-func (q *Queue[T]) PushPrio(t simtime.Time, prio int, v T) {
-	if q.laneOn && t == q.laneT {
-		if n := len(q.lane); n == q.lanePos {
-			q.lane = q.lane[:0]
-			q.lanePos = 0
-			q.lane = append(q.lane, ref{t: t, prio: prio, seq: q.seq, idx: q.putVal(v)})
-			q.seq++
-			return
-		} else if prio >= q.lane[n-1].prio { // same t; seq is always larger
-			q.lane = append(q.lane, ref{t: t, prio: prio, seq: q.seq, idx: q.putVal(v)})
-			q.seq++
-			return
-		}
-	}
-	q.pushItem(ref{t: t, prio: prio, seq: q.seq, idx: q.putVal(v)})
+// Push schedules v at time t. Among events at the same time, earlier
+// pushes pop first.
+func (q *Queue[T]) Push(t simtime.Time, v T) {
+	q.push(ref{t: t, seq: q.seq, idx: q.putVal(v)})
 	q.seq++
 }
 
-// laneHead returns the earliest lane entry, or nil when the lane is empty.
-func (q *Queue[T]) laneHead() *ref {
-	if q.lanePos < len(q.lane) {
-		return &q.lane[q.lanePos]
-	}
-	return nil
-}
-
 // Pop removes and returns the earliest event. It panics on an empty queue;
-// check Len first.
+// check Len first. The last leaf moves to the root and sifts down to the
+// smallest of each node's children.
 func (q *Queue[T]) Pop() (simtime.Time, T) {
-	b := q.front()
-	lh := q.laneHead()
-	if b == nil && lh == nil {
+	h := q.heap
+	if len(h) == 0 {
 		panic("eventq: Pop on empty queue")
 	}
-	var it ref
-	if b == nil || (lh != nil && less(lh, &b.items[b.pos])) {
-		it = *lh
-		q.lanePos++
-		if q.lanePos == len(q.lane) {
-			q.lane = q.lane[:0]
-			q.lanePos = 0
+	top := h[0]
+	n := len(h) - 1
+	it := h[n]
+	h = h[:n]
+	q.heap = h
+	if n > 0 {
+		i := 0
+		for {
+			c := arity*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j, end := c+1, min(c+arity, n); j < end; j++ {
+				if less(&h[j], &h[m]) {
+					m = j
+				}
+			}
+			if !less(&h[m], &it) {
+				break
+			}
+			h[i] = h[m]
+			i = m
 		}
-	} else {
-		it = b.items[b.pos]
-		b.pos++
-		if b.pos == len(b.items) {
-			b.items = b.items[:0]
-			b.pos = 0
-			b.sorted = true
-		}
-		q.nNear--
-		q.n--
-		// Shrink when the population quartered since the last rebuild: a
-		// sparse ring makes cursor scans pay for buckets that no longer
-		// exist.
-		if len(q.buckets) > minBuckets && q.n*4 < q.lastN {
-			q.rebuild(nil)
-		}
+		h[i] = it
 	}
-	// Anchor the same-timestamp lane at the new current time. The lane can
-	// only be non-empty here when the popped time differs from laneT: a
-	// push behind the cursor (handled by the rebuild path) made this pop
-	// earlier than the lane's timestamp. Flush the lane into the calendar
-	// tiers before moving the anchor, or later accepts would mix
-	// timestamps into it and break the head-only merge.
-	if it.t != q.laneT && q.lanePos < len(q.lane) {
-		for i := q.lanePos; i < len(q.lane); i++ {
-			q.pushItem(q.lane[i])
-		}
-		q.lane = q.lane[:0]
-		q.lanePos = 0
-	}
-	q.laneT = it.t
-	q.laneOn = true
-	return it.t, q.takeVal(it.idx)
-}
-
-// Peek returns the earliest event without removing it. ok is false when the
-// queue is empty.
-func (q *Queue[T]) Peek() (t simtime.Time, v T, ok bool) {
-	b := q.front()
-	lh := q.laneHead()
-	if b == nil && lh == nil {
-		return 0, v, false
-	}
-	if b == nil || (lh != nil && less(lh, &b.items[b.pos])) {
-		return lh.t, q.vals[lh.idx], true
-	}
-	it := &b.items[b.pos]
-	return it.t, q.vals[it.idx], true
-}
-
-// PeekTime returns the time of the earliest event, or simtime.Infinity when
-// the queue is empty.
-func (q *Queue[T]) PeekTime() simtime.Time {
-	b := q.front()
-	lh := q.laneHead()
-	if b == nil && lh == nil {
-		return simtime.Infinity
-	}
-	if b == nil || (lh != nil && less(lh, &b.items[b.pos])) {
-		return lh.t
-	}
-	return b.items[b.pos].t
+	return top.t, q.takeVal(top.idx)
 }
 
 // Items calls visit for every queued event with its full ordering key
-// (time, priority, insertion sequence), in unspecified (internal bucket)
-// order, until visit returns false. Snapshot encoding uses it to serialize
-// the queue without disturbing it; because the (t, prio, seq) triple
-// totally orders events, re-Loading the visited items reproduces the exact
-// pop sequence.
-func (q *Queue[T]) Items(visit func(t simtime.Time, prio int, seq uint64, v T) bool) {
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		for j := b.pos; j < len(b.items); j++ {
-			it := &b.items[j]
-			if !visit(it.t, it.prio, it.seq, q.vals[it.idx]) {
-				return
-			}
-		}
-	}
-	for i := range q.overflow {
-		it := &q.overflow[i]
-		if !visit(it.t, it.prio, it.seq, q.vals[it.idx]) {
-			return
-		}
-	}
-	for i := q.lanePos; i < len(q.lane); i++ {
-		it := &q.lane[i]
-		if !visit(it.t, it.prio, it.seq, q.vals[it.idx]) {
+// (time, insertion sequence), in unspecified order, until visit returns
+// false. Snapshot encoding uses it to serialize the queue without
+// disturbing it; because the (t, seq) pair totally orders events,
+// re-Loading the visited items reproduces the exact pop sequence.
+func (q *Queue[T]) Items(visit func(t simtime.Time, seq uint64, v T) bool) {
+	for _, it := range q.heap {
+		if !visit(it.t, it.seq, q.vals[it.idx]) {
 			return
 		}
 	}
 }
 
 // Load inserts an event with an explicit insertion sequence, bypassing the
-// queue's own counter. Restore paths use it to rebuild a serialized queue;
+// queue's own counter. Restore paths use it to reload a serialized queue;
 // pair it with SetSeq to position the counter exactly. Load itself advances
 // the counter to max(current, seq+1), so a caller that forgets SetSeq can
 // never be handed a duplicate sequence number — which would silently break
 // deterministic tie-ordering.
-func (q *Queue[T]) Load(t simtime.Time, prio int, seq uint64, v T) {
-	q.pushItem(ref{t: t, prio: prio, seq: seq, idx: q.putVal(v)})
+func (q *Queue[T]) Load(t simtime.Time, seq uint64, v T) {
+	q.push(ref{t: t, seq: seq, idx: q.putVal(v)})
 	if seq >= q.seq {
 		q.seq = seq + 1
 	}
@@ -325,18 +153,7 @@ func (q *Queue[T]) SetSeq(seq uint64) { q.seq = seq }
 
 // Clear discards all queued events while keeping the allocated capacity.
 func (q *Queue[T]) Clear() {
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		b.items = b.items[:0]
-		b.pos = 0
-		b.sorted = true
-	}
-	q.overflow = q.overflow[:0]
-	q.lane = q.lane[:0]
-	q.lanePos = 0
-	q.laneOn = false
-	q.nNear = 0
-	q.n = 0
+	q.heap = q.heap[:0]
 	var zero T
 	for i := range q.vals {
 		q.vals[i] = zero // release payloads for GC
@@ -345,376 +162,18 @@ func (q *Queue[T]) Clear() {
 	q.free = q.free[:0]
 }
 
-// --- internals ---
-
-// vbOf maps a timestamp to its virtual bucket index.
-func (q *Queue[T]) vbOf(t simtime.Time) int64 {
-	vb := int64(t) >> q.shift
-	if vb > vbClamp {
-		return vbClamp
-	}
-	if vb < -vbClamp {
-		return -vbClamp
-	}
-	return vb
-}
-
-// init sets up the initial geometry, anchored at the first event.
-func (q *Queue[T]) init(t simtime.Time) {
-	q.shift = defaultShift
-	q.buckets = newRing(minBuckets)
-	q.mask = minBuckets - 1
-	q.lastN = minBuckets
-	q.curVB = q.vbOf(t)
-	q.limVB = q.curVB + minBuckets
-}
-
-// newRing builds a bucket ring with every slot pre-sized from one shared
-// arena allocation: at target occupancy a bucket holds a handful of events,
-// and carving the slots out of a single backing array means ring setup
-// costs two allocations, not one per slot. A slot that outgrows its segment
-// reallocates independently via append.
-func newRing(size int) []bucket {
-	const seg = 8
-	ring := make([]bucket, size)
-	arena := make([]ref, size*seg)
-	for i := range ring {
-		ring[i].items = arena[i*seg : i*seg : (i+1)*seg]
-		ring[i].sorted = true
-	}
-	return ring
-}
-
-// pushItem routes one event into the near tier, the overflow tier, or — for
-// an event before the current window — a geometry rebuild around it.
-func (q *Queue[T]) pushItem(it ref) {
-	if q.buckets == nil {
-		q.init(it.t)
-	} else if q.n == 0 {
-		// Empty queue: re-anchor the (all-empty) window at the new event.
-		q.curVB = q.vbOf(it.t)
-		q.limVB = q.curVB + int64(len(q.buckets))
-	}
-	vb := q.vbOf(it.t)
-	switch {
-	case vb >= q.limVB:
-		q.ovPush(it)
-	case vb >= q.limVB-int64(len(q.buckets)):
-		q.placeNear(vb, it)
-		q.nNear++
-		if vb < q.curVB {
-			q.curVB = vb
-		}
-	default:
-		// Before the window start: rebuild around the new minimum. Rare —
-		// simulation time is near-monotonic — and O(n) when it happens.
-		q.rebuild(&it)
-		return
-	}
-	q.n++
-	// Re-derive the geometry whenever the population doubles since the
-	// last rebuild: the ring grows with the event count and the bucket
-	// width re-derives from the current density, whichever tier the
-	// pressure landed in. The doubling guard keeps rebuilds O(log n) over
-	// any run, so their O(n log n) staging sort amortizes away.
-	if q.n > 2*q.lastN {
-		q.rebuild(nil)
-	}
-}
-
-// maxInsertShift is the constant part of the bound on the memmove a sorted
-// in-place insertion may pay (the bound scales with bucket occupancy, see
-// placeNear). Inserts that would shift a longer tail instead append
-// unsorted and let the next pop's lazy sort absorb them, so a bulk
-// out-of-order load costs one O(k log k) sort rather than k O(k) shifts.
-const maxInsertShift = 32
-
-// placeNear places an event into its ring slot, keeping the slot sorted when
-// it cheaply can: appends at the tail and before-head inserts (which reuse
-// the consumed prefix slot) are O(1), a mid-bucket insert is a binary search
-// plus a bounded shift of pointer-free refs, and anything worse falls back
-// to an unsorted append for the lazy sort on first pop. Counters are the
-// caller's job.
-func (q *Queue[T]) placeNear(vb int64, it ref) {
-	b := &q.buckets[vb&q.mask]
-	if b.pos > 0 && len(b.items) == cap(b.items) {
-		// Compact the consumed prefix instead of growing past it.
-		k := copy(b.items, b.items[b.pos:])
-		b.items = b.items[:k]
-		b.pos = 0
-	}
-	n := len(b.items)
-	if n-b.pos == 0 {
-		b.items = b.items[:0]
-		b.pos = 0
-		b.sorted = true
-		b.items = append(b.items, it)
-		return
-	}
-	if !b.sorted || !less(&it, &b.items[n-1]) {
-		b.items = append(b.items, it)
-		return
-	}
-	if b.pos > 0 && less(&it, &b.items[b.pos]) {
-		b.pos--
-		b.items[b.pos] = it
-		return
-	}
-	lo, hi := b.pos, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if less(&b.items[mid], &it) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if n-lo <= maxInsertShift+(n-b.pos)/2 {
-		b.items = append(b.items, ref{})
-		copy(b.items[lo+1:], b.items[lo:n])
-		b.items[lo] = it
-		return
-	}
-	b.sorted = false
-	b.items = append(b.items, it)
-}
-
-// front returns the bucket whose head is the globally earliest event,
-// sorting it lazily and advancing the cursor over empty buckets; nil when
-// the calendar tiers are empty (the lane may still hold events). Pops and
-// peeks both start here.
-func (q *Queue[T]) front() *bucket {
-	for {
-		if q.nNear == 0 {
-			if len(q.overflow) == 0 {
-				return nil
-			}
-			q.migrate()
-			continue
-		}
-		b := &q.buckets[q.curVB&q.mask]
-		if b.live() == 0 {
-			q.curVB++
-			continue
-		}
-		if !b.sorted {
-			sortItems(b.items[b.pos:])
-			b.sorted = true
-		}
-		return b
-	}
-}
-
-// migrate re-anchors the window at the earliest overflow event and drains
-// every overflow event that now falls inside the window into the ring, in
-// sorted order (heap pops), so the receiving buckets stay sorted for free.
-// Called only when the near tier is empty; moves at least one event.
-func (q *Queue[T]) migrate() {
-	q.curVB = q.vbOf(q.overflow[0].t)
-	q.limVB = q.curVB + int64(len(q.buckets))
-	k := 0
-	for len(q.overflow) > 0 && q.vbOf(q.overflow[0].t) < q.limVB {
-		it := q.ovPop()
-		q.placeNear(q.vbOf(it.t), it)
-		k++
-	}
-	q.nNear += k
-}
-
-// ovPush inserts an event into the overflow min-heap. Pushing in ascending
-// key order (as rebuild does) costs one comparison per event.
-func (q *Queue[T]) ovPush(it ref) {
-	q.overflow = append(q.overflow, it)
-	h := q.overflow
+// push adds it to the heap and sifts it up.
+func (q *Queue[T]) push(it ref) {
+	q.heap = append(q.heap, it)
+	h := q.heap
 	i := len(h) - 1
 	for i > 0 {
-		p := (i - 1) / 2
-		if !less(&h[i], &h[p]) {
+		p := (i - 1) / arity
+		if !less(&it, &h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
-}
-
-// ovPop removes and returns the minimum overflow event.
-func (q *Queue[T]) ovPop() ref {
-	h := q.overflow
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	q.overflow = h
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= last {
-			break
-		}
-		m := l
-		if r := l + 1; r < last && less(&h[r], &h[l]) {
-			m = r
-		}
-		if !less(&h[m], &h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return top
-}
-
-// rebuild re-derives the geometry — ring size from the population, bucket
-// width from observed event density — and redistributes every live event
-// (plus extra, when a pre-window insert triggered the rebuild). O(n log n)
-// for the staging sort, amortized across the doubling/quartering that
-// triggered it.
-func (q *Queue[T]) rebuild(extra *ref) {
-	sc := q.scratch[:0]
-	for i := range q.buckets {
-		b := &q.buckets[i]
-		sc = append(sc, b.items[b.pos:]...)
-	}
-	sc = append(sc, q.overflow...)
-	if extra != nil {
-		sc = append(sc, *extra)
-	}
-	sortItems(sc)
-	cnt := len(sc)
-
-	// Ring size tracks the population; width tracks the local density at
-	// the head of the schedule — see densityShift.
-	size := minBuckets
-	for size < cnt && size < maxBuckets {
-		size <<= 1
-	}
-	if s, ok := densityShift(sc); ok {
-		q.shift = s
-	} else if q.shift == 0 {
-		q.shift = defaultShift
-	}
-	if len(q.buckets) != size {
-		q.buckets = newRing(size)
-	} else {
-		for i := range q.buckets {
-			b := &q.buckets[i]
-			b.items = b.items[:0]
-			b.pos = 0
-			b.sorted = true
-		}
-	}
-	q.mask = int64(size - 1)
-	q.overflow = q.overflow[:0]
-	q.nNear = 0
-	if cnt > 0 {
-		q.curVB = q.vbOf(sc[0].t)
-		q.limVB = q.curVB + int64(size)
-		for i := range sc {
-			vb := q.vbOf(sc[i].t)
-			if vb < q.limVB {
-				q.placeNear(vb, sc[i])
-				q.nNear++
-			} else {
-				q.ovPush(sc[i]) // ascending: one comparison each
-			}
-		}
-	} else {
-		q.curVB = 0
-		q.limVB = int64(size)
-	}
-	q.n = cnt
-	q.lastN = cnt
-	if q.lastN < minBuckets {
-		q.lastN = minBuckets
-	}
-	q.scratch = sc[:0]
-}
-
-// densityShift derives the bucket width (as a shift) from the gaps between
-// *distinct* timestamps among the earliest events of the sorted population:
-// width ∈ (gap, 2·gap], i.e. one to two distinct instants per bucket.
-// Sampling the head mirrors what the cursor is about to drain — LogGOPS
-// schedules are densest at the present — and skipping duplicate timestamps
-// matters because simulations fire whole ranks at the same instant: a
-// same-time cluster shares a bucket at any width, so letting zero gaps drag
-// the estimate down only thins the window for no occupancy gain. Events
-// beyond the resulting window belong to the overflow heap, which is exactly
-// what that tier is for. ok is false when the sample holds fewer than two
-// distinct timestamps; the caller keeps the previous width.
-func densityShift(sorted []ref) (uint, bool) {
-	k := len(sorted)
-	if k > 64 {
-		k = 64
-	}
-	if k < 2 {
-		return 0, false
-	}
-	distinct := 0
-	last := sorted[0].t
-	for i := 1; i < k; i++ {
-		if sorted[i].t != last {
-			distinct++
-			last = sorted[i].t
-		}
-	}
-	if distinct == 0 {
-		return 0, false
-	}
-	span := int64(sorted[k-1].t) - int64(sorted[0].t)
-	if span < 0 { // overflow of the sentinel range; treat as huge
-		span = int64(simtime.Infinity)
-	}
-	gap := span / int64(distinct)
-	shift := uint(bits.Len64(uint64(gap)))
-	if shift > maxShift {
-		shift = maxShift
-	}
-	return shift, true
-}
-
-// sortItems sorts by (t, prio, seq): insertion sort for the short runs a
-// bucket typically holds, in-place heapsort beyond that. Both are
-// allocation-free; stability is irrelevant because the key is total.
-func sortItems(a []ref) {
-	n := len(a)
-	if n < 2 {
-		return
-	}
-	if n <= 24 {
-		for i := 1; i < n; i++ {
-			it := a[i]
-			j := i - 1
-			for j >= 0 && less(&it, &a[j]) {
-				a[j+1] = a[j]
-				j--
-			}
-			a[j+1] = it
-		}
-		return
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(a, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		siftDown(a, 0, end)
-	}
-}
-
-// siftDown restores the max-heap property rooted at root within a[:n].
-func siftDown(a []ref, root, n int) {
-	for {
-		c := 2*root + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && less(&a[c], &a[c+1]) {
-			c++
-		}
-		if !less(&a[root], &a[c]) {
-			return
-		}
-		a[root], a[c] = a[c], a[root]
-		root = c
-	}
+	h[i] = it
 }

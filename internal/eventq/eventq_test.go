@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -13,12 +14,6 @@ func TestEmptyQueue(t *testing.T) {
 	var q Queue[int]
 	if q.Len() != 0 {
 		t.Error("new queue not empty")
-	}
-	if _, _, ok := q.Peek(); ok {
-		t.Error("Peek on empty returned ok")
-	}
-	if q.PeekTime() != simtime.Infinity {
-		t.Error("PeekTime on empty != Infinity")
 	}
 }
 
@@ -54,34 +49,6 @@ func TestFIFOAtSameTime(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-time events out of insertion order: got %d want %d", v, i)
 		}
-	}
-}
-
-func TestPriorityBeforeSequence(t *testing.T) {
-	var q Queue[string]
-	q.PushPrio(5, 1, "low-prio-first-inserted")
-	q.PushPrio(5, 0, "high-prio")
-	if _, v := q.Pop(); v != "high-prio" {
-		t.Errorf("priority not respected: got %q", v)
-	}
-	_, v := q.Pop()
-	if v != "low-prio-first-inserted" {
-		t.Errorf("second pop = %q", v)
-	}
-}
-
-func TestPeek(t *testing.T) {
-	var q Queue[int]
-	q.Push(7, 42)
-	tm, v, ok := q.Peek()
-	if !ok || tm != 7 || v != 42 {
-		t.Errorf("Peek = %v %v %v", tm, v, ok)
-	}
-	if q.Len() != 1 {
-		t.Error("Peek removed the event")
-	}
-	if q.PeekTime() != 7 {
-		t.Error("PeekTime wrong")
 	}
 }
 
@@ -224,9 +191,36 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 }
 
+// TestMemoryBoundedByPopulation runs BenchmarkPushPop's hold model — a
+// constant 1024 queued events, each pop pushed back under 1024 ns later —
+// and requires the queue to stop allocating once it holds its population:
+// 200k operations may allocate under 1 MB in total. A structure whose
+// internal state grows with the operation count rather than the population
+// fails here long before it runs a real simulation out of memory.
+func TestMemoryBoundedByPopulation(t *testing.T) {
+	r := rng.New(1)
+	var q Queue[int]
+	for i := 0; i < 1024; i++ {
+		q.Push(simtime.Time(r.Intn(1<<20)), i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200_000; i++ {
+		tm, v := q.Pop()
+		q.Push(tm+simtime.Time(r.Intn(1024)), v)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("200k hold operations at depth 1024 allocated %d bytes, want < 1 MB", grew)
+	}
+	if q.Len() != 1024 {
+		t.Errorf("Len = %d after the hold loop, want 1024", q.Len())
+	}
+}
+
 // TestItemsLoadRoundTrip drives the snapshot-support API: dumping a queue
-// via Items and rebuilding it with Load/SetSeq into a fresh queue must
-// reproduce the exact pop sequence — (time, priority, insertion order) all
+// via Items and reloading it with Load/SetSeq into a fresh queue must
+// reproduce the exact pop sequence — (time, insertion order) both
 // preserved — and leave the sequence counter positioned so future pushes
 // sort after every restored event.
 func TestItemsLoadRoundTrip(t *testing.T) {
@@ -235,9 +229,9 @@ func TestItemsLoadRoundTrip(t *testing.T) {
 		var q Queue[int]
 		n := r.Intn(64) + 1
 		for i := 0; i < n; i++ {
-			// Tight time/prio ranges force plenty of ties, so the sequence
+			// A tight time range forces plenty of ties, so the sequence
 			// component actually decides order.
-			q.PushPrio(simtime.Time(r.Intn(8)), r.Intn(3), i)
+			q.Push(simtime.Time(r.Intn(8)), i)
 		}
 		// Pop a few to move the heap away from pure insertion shape.
 		for i := 0; i < n/3; i++ {
@@ -251,8 +245,8 @@ func TestItemsLoadRoundTrip(t *testing.T) {
 			t.Fatal("Clear left items behind")
 		}
 		count := 0
-		q.Items(func(tm simtime.Time, prio int, seq uint64, v int) bool {
-			restored.Load(tm, prio, seq, v)
+		q.Items(func(tm simtime.Time, seq uint64, v int) bool {
+			restored.Load(tm, seq, v)
 			count++
 			return true
 		})
@@ -271,8 +265,8 @@ func TestItemsLoadRoundTrip(t *testing.T) {
 				t.Fatalf("length diverged: %d vs %d", q.Len(), restored.Len())
 			}
 			if step == 2 {
-				q.PushPrio(0, 1, 777)
-				restored.PushPrio(0, 1, 777)
+				q.Push(0, 777)
+				restored.Push(0, 777)
 			}
 			t1, v1 := q.Pop()
 			t2, v2 := restored.Pop()
@@ -294,7 +288,7 @@ func TestItemsEarlyStop(t *testing.T) {
 		q.Push(simtime.Time(i), i)
 	}
 	visits := 0
-	q.Items(func(simtime.Time, int, uint64, int) bool {
+	q.Items(func(simtime.Time, uint64, int) bool {
 		visits++
 		return visits < 3
 	})

@@ -18,7 +18,10 @@
 package goal
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"checkpointsim/internal/simtime"
@@ -94,6 +97,11 @@ type Program struct {
 	// (one per replication, possibly on parallel workers), so the O(ops)
 	// structural re-check is pure overhead after the first pass.
 	validated atomic.Bool
+
+	// digestOnce memoizes Digest on the program itself, for the same
+	// reason: a cached fingerprint lives and dies with its program.
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // RankOps returns the IDs of all operations bound to the given rank, in
@@ -224,6 +232,39 @@ func (p *Program) Validate() error {
 	}
 	p.validated.Store(true)
 	return nil
+}
+
+// Digest returns the SHA-256 fingerprint of everything in the program that
+// determines a simulation: the rank count and each op's kind, rank, peer,
+// tag, bytes, work and dependencies, in op order. Labels are cosmetic and
+// Outs is derived from Deps, so neither is hashed. The O(ops) hash runs
+// once per program; later calls return the memoized value. Mutating a
+// program after its first Digest is not supported.
+func (p *Program) Digest() [sha256.Size]byte {
+	p.digestOnce.Do(func() {
+		h := sha256.New()
+		var buf [binary.MaxVarintLen64]byte
+		word := func(v int64) {
+			h.Write(buf[:binary.PutVarint(buf[:], v)])
+		}
+		word(int64(p.NumRanks))
+		word(int64(len(p.Ops)))
+		for i := range p.Ops {
+			op := &p.Ops[i]
+			word(int64(op.Kind))
+			word(int64(op.Rank))
+			word(int64(op.Peer))
+			word(int64(op.Tag))
+			word(op.Bytes)
+			word(int64(op.Work))
+			word(int64(len(op.Deps)))
+			for _, d := range op.Deps {
+				word(int64(d))
+			}
+		}
+		h.Sum(p.digest[:0])
+	})
+	return p.digest
 }
 
 // checkAcyclic runs Kahn's algorithm over the dependency edges.

@@ -7,7 +7,6 @@
 package run
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 
 	"checkpointsim/internal/cache"
@@ -231,8 +230,10 @@ func (cfg Config) CacheFields() []cache.Field {
 	}
 	fields := cache.Fields(cfg)
 	if cfg.Program != nil {
-		// Two byte-different trace files that parse identically share a key.
-		sum := sha256.Sum256([]byte(goal.WriteString(cfg.Program)))
+		// The engine's own fingerprint: two programs that simulate
+		// identically (byte-different trace files that parse alike, or
+		// programs differing only in op labels) share a key.
+		sum := cfg.Program.Digest()
 		fields = append(fields, cache.F("program.digest", hex.EncodeToString(sum[:])))
 	}
 	return fields

@@ -3,6 +3,8 @@ package service
 import (
 	"os"
 	"path/filepath"
+
+	"checkpointsim/internal/snapshot"
 )
 
 // snapshotStore persists the latest mid-run simulator snapshot of each
@@ -43,25 +45,7 @@ func (st *snapshotStore) save(key string, blob []byte) error {
 	if err := os.MkdirAll(st.dir, 0o755); err != nil {
 		return err
 	}
-	name := st.path(key)
-	tmp, err := os.CreateTemp(st.dir, ".tmp-"+key+"-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), name); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return snapshot.WriteFile(st.path(key), blob)
 }
 
 // drop removes the persisted snapshot for key: once the job completes, its

@@ -19,12 +19,10 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/rng"
@@ -184,41 +182,6 @@ func (e *Engine) snapshot() {
 	})
 }
 
-// progDigests caches the per-program content digest: programs are immutable
-// and shared across the many engines of a sweep (one per replication and
-// per resume verification), so the O(ops) hash runs once per program.
-var progDigests sync.Map // *goal.Program → [sha256.Size]byte
-
-func programDigest(p *goal.Program) [sha256.Size]byte {
-	if d, ok := progDigests.Load(p); ok {
-		return d.([sha256.Size]byte)
-	}
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	word := func(v int64) {
-		h.Write(buf[:binary.PutVarint(buf[:], v)])
-	}
-	word(int64(p.NumRanks))
-	word(int64(len(p.Ops)))
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		word(int64(op.Kind))
-		word(int64(op.Rank))
-		word(int64(op.Peer))
-		word(int64(op.Tag))
-		word(op.Bytes)
-		word(int64(op.Work))
-		word(int64(len(op.Deps)))
-		for _, d := range op.Deps {
-			word(int64(d))
-		}
-	}
-	var d [sha256.Size]byte
-	h.Sum(d[:0])
-	progDigests.Store(p, d)
-	return d
-}
-
 // configDigest fingerprints everything that determines the simulation's
 // future evolution: seed, caps, network parameters, the program's content,
 // and the agent stack (by type, positionally — agent parameters beyond the
@@ -236,7 +199,7 @@ func (e *Engine) configDigest() [sha256.Size]byte {
 	enc.F64(e.net.OverheadPerByte)
 	enc.I64(e.net.RendezvousThreshold)
 	enc.F64(e.net.BisectionBytesPerSec)
-	pd := programDigest(e.prog)
+	pd := e.prog.Digest()
 	enc.Raw(pd[:])
 	enc.Int(len(e.cfg.Agents))
 	for _, a := range e.cfg.Agents {
@@ -379,9 +342,8 @@ func (e *Engine) codeRank(c *snapshot.Codec, st *rankState) {
 }
 
 // codeEvent walks one queued event with its ordering key.
-func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, prio *int, seq *uint64, ev *event) {
+func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, seq *uint64, ev *event) {
 	snapshot.Int(c, t)
-	snapshot.Int(c, prio)
 	c.U64(seq)
 	c.U8((*uint8)(&ev.kind))
 	switch ev.kind {
@@ -409,7 +371,7 @@ func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, prio *int, seq *u
 // per agent, and the event queue with each event's exact ordering key.
 //
 // The msgFree recycling pool is deliberately not serialized: it holds only
-// zeroed structs awaiting reuse, so a restored engine rebuilds it empty
+// zeroed structs awaiting reuse, so a restored engine starts it empty
 // with no observable effect (allocation count differs, simulation does
 // not). The exhaustive-field test in snapshot_fields_test.go documents
 // this exclusion.
@@ -466,8 +428,8 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 	c.U64(&qseq)
 	qn := c.Len(e.queue.Len())
 	if !c.Decoding() {
-		e.queue.Items(func(t simtime.Time, prio int, seq uint64, ev event) bool {
-			e.codeEvent(c, &t, &prio, &seq, &ev)
+		e.queue.Items(func(t simtime.Time, seq uint64, ev event) bool {
+			e.codeEvent(c, &t, &seq, &ev)
 			return true
 		})
 		return nil
@@ -475,14 +437,13 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 	e.queue.Clear()
 	for i := 0; i < qn && c.Err() == nil; i++ {
 		var t simtime.Time
-		var prio int
 		var seq uint64
 		var ev event
-		if e.codeEvent(c, &t, &prio, &seq, &ev); t < e.now || seq >= qseq {
+		if e.codeEvent(c, &t, &seq, &ev); t < e.now || seq >= qseq {
 			c.Failf("queue item key out of range")
 		}
 		if c.Err() == nil {
-			e.queue.Load(t, prio, seq, ev)
+			e.queue.Load(t, seq, ev)
 		}
 	}
 	e.queue.SetSeq(qseq)

@@ -9,8 +9,12 @@ package sim
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"checkpointsim/internal/goal"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/rng"
 	"checkpointsim/internal/simtime"
@@ -181,6 +185,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshottedProgramCollectable: snapshotting a run must not pin its
+// program. The snapshot config digest hashes the whole program, and a
+// memo of that hash kept anywhere but on the program itself (a global map
+// keyed by *goal.Program, say) keeps every program ever snapshotted
+// reachable for the life of the process — gigabytes over a sweep of large
+// runs.
+func TestSnapshottedProgramCollectable(t *testing.T) {
+	var collected atomic.Bool
+	func() {
+		snaps := 0
+		cfg := snapConfig(1, func(Snapshot) { snaps++ })
+		runtime.SetFinalizer(cfg.Program, func(*goal.Program) { collected.Store(true) })
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if snaps == 0 {
+			t.Fatal("the run took no snapshots")
+		}
+	}()
+	for i := 0; i < 100 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("the program of a finished, snapshotted run is still reachable after its engine was dropped")
+	}
+}
+
 // liveIndex returns the index of the first cadence-1 snapshot of seed's run
 // taken while a hold gate, a CPU scale, a control message carrying its
 // continuation and a granted open-ended seizure are all live.
@@ -226,7 +262,7 @@ func allPendingLive(e *Engine) bool {
 			scan(&st.ctlQ.items[k])
 		}
 	}
-	e.queue.Items(func(_ simtime.Time, _ int, _ uint64, ev event) bool {
+	e.queue.Items(func(_ simtime.Time, _ uint64, ev event) bool {
 		ctl = ctl || ev.kind == evArrive && ev.msg.deliver.owner != 0
 		return true
 	})

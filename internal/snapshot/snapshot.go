@@ -28,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 
 	"checkpointsim/internal/simtime"
 )
@@ -35,7 +37,7 @@ import (
 // FormatVersion is the current snapshot format. Bump it on any layout
 // change; Open still succeeds on old blobs (the digest says the bytes are
 // intact) and the engine rejects the version mismatch with ErrVersion.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // magic identifies a sealed snapshot blob.
 const magic = "CKSNAP1\n"
@@ -59,6 +61,32 @@ var (
 	// — an encoder/decoder bug, not storage damage.
 	ErrCorrupt = errors.New("snapshot: corrupt field")
 )
+
+// WriteFile writes data to name atomically: to a temp file in the same
+// directory, then a rename over name. A crash at any moment, mid-write
+// included, leaves either the previous file or the new one, never a
+// truncated blob where a resumable snapshot is expected. The temp file is
+// removed on every error path.
+func WriteFile(name string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(name), filepath.Base(name)+".tmp*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), name); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
 
 // Seal frames payload with the magic, the format version, and a SHA-256
 // digest over everything before the trailer.

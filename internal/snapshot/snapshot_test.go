@@ -3,6 +3,8 @@ package snapshot
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"checkpointsim/internal/simtime"
@@ -270,5 +272,33 @@ func TestCodecRoundTrip(t *testing.T) {
 	w.Failf("ignored")
 	if w.Err() != nil || w.Decoding() {
 		t.Error("writer recorded a failure")
+	}
+}
+
+// TestWriteFile: WriteFile replaces the target in one step and leaves no
+// temp file behind, on success and on failure.
+func TestWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	name := filepath.Join(dir, "a.ckpt")
+	for _, data := range []string{"first", "second, longer"} {
+		if err := WriteFile(name, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(name); err != nil || string(got) != data {
+			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		}
+	}
+	// The rename fails when the target is a non-empty directory.
+	if err := os.MkdirAll(filepath.Join(dir, "busy", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(filepath.Join(dir, "busy"), []byte("blob")); err == nil {
+		t.Fatal("WriteFile over a non-empty directory succeeded")
+	}
+	if err := WriteFile(filepath.Join(dir, "missing", "b.ckpt"), []byte("blob")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp*")); len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
 	}
 }
