@@ -109,7 +109,7 @@ func CriticalPath(p *Program, net network.Params) (simtime.Duration, []OpID) {
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, out := range p.Ops[id].Outs {
+		for _, out := range p.Outs(id) {
 			relax(out, id, 0)
 			indeg[out]--
 			if indeg[out] == 0 {

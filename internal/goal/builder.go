@@ -11,7 +11,11 @@ import (
 type Builder struct {
 	numRanks int
 	ops      []Op
+	edges    []edge // dependency edges in Requires order
 }
+
+// edge is one Requires pair: op must not start before dep completes.
+type edge struct{ op, dep OpID }
 
 // NewBuilder returns a Builder for a program with the given number of ranks.
 // It panics if numRanks is not positive.
@@ -28,18 +32,22 @@ func (b *Builder) NumRanks() int { return b.numRanks }
 // NumOps returns the number of operations added so far.
 func (b *Builder) NumOps() int { return len(b.ops) }
 
-// Grow reserves capacity for at least n additional operations. Generators
-// that can estimate their op count from the geometry call it once up front:
-// growing a 100k-op program by doubling re-copies every Op (a wide struct
-// with pointer fields) a dozen times, which shows up in trace-build time.
-// An overestimate only wastes capacity until Build.
+// Grow reserves capacity for at least n additional operations and twice as
+// many dependency edges (generated programs carry one to two per op).
+// Generators that can estimate their op count from the geometry call it
+// once up front, so a 100k-op program is not re-copied a dozen times while
+// doubling. An overestimate only wastes capacity until Build.
 func (b *Builder) Grow(n int) {
-	if n <= cap(b.ops)-len(b.ops) {
-		return
+	if n > cap(b.ops)-len(b.ops) {
+		ops := make([]Op, len(b.ops), len(b.ops)+n)
+		copy(ops, b.ops)
+		b.ops = ops
 	}
-	ops := make([]Op, len(b.ops), len(b.ops)+n)
-	copy(ops, b.ops)
-	b.ops = ops
+	if 2*n > cap(b.edges)-len(b.edges) {
+		edges := make([]edge, len(b.edges), len(b.edges)+2*n)
+		copy(edges, b.edges)
+		b.edges = edges
+	}
 }
 
 func (b *Builder) add(op Op) OpID {
@@ -76,32 +84,47 @@ func (b *Builder) Requires(op OpID, deps ...OpID) {
 		if d < 0 || int(d) >= len(b.ops) {
 			panic(fmt.Sprintf("goal: Requires dep %d unknown", d))
 		}
-		b.ops[op].Deps = append(b.ops[op].Deps, d)
+		b.edges = append(b.edges, edge{op, d})
 	}
-}
-
-// SetLabel attaches a symbolic label to an op (used by the text format).
-func (b *Builder) SetLabel(op OpID, label string) {
-	b.ops[op].Label = label
 }
 
 // Build validates the graph and returns the immutable Program.
 func (b *Builder) Build() (*Program, error) {
 	p := &Program{NumRanks: b.numRanks, Ops: b.ops}
-	b.ops = nil // the builder gives up ownership
-	// Deduplicate dependency lists, keeping first occurrences in order.
-	// Typical lists are a handful of entries (a join of a few forks), where
-	// a quadratic scan beats allocating a set; genuinely wide joins (a farm
-	// master collecting from every worker) fall back to one.
+	edges := b.edges
+	b.ops, b.edges = nil, nil // the builder gives up ownership
+	// Every op's Deps is a segment of one arena, filled by a stable
+	// counting sort of the Requires pairs: end[i] counts, then prefix-sums
+	// to op i's start, and the scatter advances it to op i's end.
+	end := make([]int32, len(p.Ops))
+	for _, e := range edges {
+		end[e.op]++
+	}
+	var sum int32
+	for i, n := range end {
+		end[i] = sum
+		sum += n
+	}
+	arena := make([]OpID, len(edges))
+	for _, e := range edges {
+		arena[end[e.op]] = e.dep
+		end[e.op]++
+	}
+	// Deduplicate each segment in place, keeping first occurrences in
+	// order. Typical lists are a handful of entries (a join of a few
+	// forks), where a quadratic scan beats allocating a set; genuinely wide
+	// joins (a farm master collecting from every worker) fall back to one.
+	var start int32
 	for i := range p.Ops {
-		op := &p.Ops[i]
-		if len(op.Deps) <= 1 {
+		seg := arena[start:end[i]:end[i]]
+		start = end[i]
+		if len(seg) == 0 {
 			continue
 		}
-		kept := op.Deps[:0]
-		if len(op.Deps) <= 32 {
+		kept := seg[:0]
+		if len(seg) <= 32 {
 		scan:
-			for _, d := range op.Deps {
+			for _, d := range seg {
 				for _, k := range kept {
 					if k == d {
 						continue scan
@@ -110,38 +133,20 @@ func (b *Builder) Build() (*Program, error) {
 				kept = append(kept, d)
 			}
 		} else {
-			seen := make(map[OpID]struct{}, len(op.Deps))
-			for _, d := range op.Deps {
+			seen := make(map[OpID]struct{}, len(seg))
+			for _, d := range seg {
 				if _, dup := seen[d]; !dup {
 					seen[d] = struct{}{}
 					kept = append(kept, d)
 				}
 			}
 		}
-		op.Deps = kept
+		p.Ops[i].Deps = kept
 	}
-	// Reverse edges and per-rank index, both carved from single counted
-	// arenas: a per-op append-with-growth here costs more allocations than
-	// the rest of Build combined.
-	outCnt := make([]int32, len(p.Ops))
-	total := 0
-	for i := range p.Ops {
-		for _, d := range p.Ops[i].Deps {
-			outCnt[d]++
-			total++
-		}
-	}
-	outArena := make([]OpID, 0, total)
-	for i := range p.Ops {
-		n := len(outArena)
-		outArena = outArena[:n+int(outCnt[i])]
-		p.Ops[i].Outs = outArena[n:n:len(outArena)]
-	}
-	for i := range p.Ops {
-		for _, d := range p.Ops[i].Deps {
-			p.Ops[d].Outs = append(p.Ops[d].Outs, OpID(i))
-		}
-	}
+	// The reverse edges and the per-rank index are likewise counted
+	// arenas, built once here and shared read-only by every engine (and
+	// by Widen's programs).
+	p.outs, p.outOff = reverseEdges(p.Ops)
 	rankCnt := make([]int32, p.NumRanks)
 	for i := range p.Ops {
 		rankCnt[p.Ops[i].Rank]++

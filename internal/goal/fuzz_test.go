@@ -66,6 +66,8 @@ func FuzzGOALText(f *testing.F) {
 		"num_ranks 2\nrank 0 {\n a: send 8b to 4294967297 tag 0\n}\n",
 		"num_ranks 2\nrank 0 {\n a: send 9223372036854775807k to 1 tag 0\n}\n",
 		"num_ranks 2\nrank 0 {\n a: calc 99999999999999999999y\n}\n",
+		"num_ranks 1\nrank 0 {\n a: calc 1us\n b: calc 2us\n a requires b\n}\n",
+		"num_ranks 1\nrank 0 {\n a: calc 1us\n b: calc 2us\n a requires b\n b requires a\n}\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

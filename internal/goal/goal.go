@@ -77,12 +77,10 @@ type Op struct {
 	Tag   int32            // send: tag; recv: tag or AnyTag
 	Bytes int64            // message size for send/recv
 	Work  simtime.Duration // computation time for calc
-	Label string           // optional symbolic label (from the text format)
 
 	// Deps lists operations that must complete before this one may start.
+	// In a built program it is a segment of one shared arena.
 	Deps []OpID
-	// Outs is the reverse adjacency: operations that depend on this one.
-	Outs []OpID
 }
 
 // Program is an immutable operation graph over NumRanks ranks.
@@ -91,6 +89,11 @@ type Program struct {
 	Ops      []Op
 
 	byRank [][]OpID // ops of each rank, in creation order
+
+	// outs[outOff[i]:outOff[i+1]] are the ops that depend on op i, in
+	// ascending ID order: the reverse of Deps in one counted arena.
+	outs   []OpID
+	outOff []int32
 
 	// validated memoizes a successful Validate. Programs are immutable once
 	// built, and experiment sweeps run the same program through many engines
@@ -110,6 +113,37 @@ func (p *Program) RankOps(rank int) []OpID { return p.byRank[rank] }
 
 // Op returns the operation with the given ID.
 func (p *Program) Op(id OpID) *Op { return &p.Ops[id] }
+
+// Outs returns the operations that depend on op id, in ascending ID order,
+// for a program made by Build or Widen. The returned slice must not be
+// modified.
+func (p *Program) Outs(id OpID) []OpID { return p.outs[p.outOff[id]:p.outOff[id+1]] }
+
+// reverseEdges inverts the Deps lists into one counted arena: the ops that
+// depend on op i are outs[off[i]:off[i+1]], in ascending ID order.
+func reverseEdges(ops []Op) (outs []OpID, off []int32) {
+	off = make([]int32, len(ops)+1)
+	for i := range ops {
+		for _, d := range ops[i].Deps {
+			off[d+1]++
+		}
+	}
+	for i := range ops {
+		off[i+1] += off[i]
+	}
+	// Scatter with off[d] as op d's cursor; afterwards it holds op d's
+	// end, which is op d+1's start, so one shift restores the offsets.
+	outs = make([]OpID, off[len(ops)])
+	for i := range ops {
+		for _, d := range ops[i].Deps {
+			outs[off[d]] = OpID(i)
+			off[d]++
+		}
+	}
+	copy(off[1:], off[:len(ops)])
+	off[0] = 0
+	return outs, off
+}
 
 // Stats summarizes a program.
 type Stats struct {
@@ -163,6 +197,11 @@ func (s Stats) String() string {
 // check is memoized — repeat calls (one per simulation of a shared program)
 // return immediately. Mutating a program after a successful Validate is not
 // supported.
+//
+// Acyclicity has a linear proof when every dependency points to a lower ID
+// (as all generated programs' do): ID order is then a topological order.
+// Only a program with a forward dependency, which parsed text can express,
+// pays for a full topological sort.
 func (p *Program) Validate() error {
 	if p.validated.Load() {
 		return nil
@@ -170,6 +209,7 @@ func (p *Program) Validate() error {
 	if p.NumRanks <= 0 {
 		return fmt.Errorf("goal: program has %d ranks", p.NumRanks)
 	}
+	forward := false
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		if op.ID != OpID(i) {
@@ -219,6 +259,7 @@ func (p *Program) Validate() error {
 			if d == op.ID {
 				return fmt.Errorf("goal: op %d depends on itself", i)
 			}
+			forward = forward || d > op.ID
 			if p.Ops[d].Rank != op.Rank {
 				// Cross-rank ordering must be expressed with messages; a
 				// bare dependency edge has no physical realization.
@@ -227,8 +268,10 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
-	if err := p.checkAcyclic(); err != nil {
-		return err
+	if forward {
+		if err := p.checkAcyclic(); err != nil {
+			return err
+		}
 	}
 	p.validated.Store(true)
 	return nil
@@ -236,8 +279,8 @@ func (p *Program) Validate() error {
 
 // Digest returns the SHA-256 fingerprint of everything in the program that
 // determines a simulation: the rank count and each op's kind, rank, peer,
-// tag, bytes, work and dependencies, in op order. Labels are cosmetic and
-// Outs is derived from Deps, so neither is hashed. The O(ops) hash runs
+// tag, bytes, work and dependencies, in op order. The reverse edges are
+// derived from Deps, so they are not hashed. The O(ops) hash runs
 // once per program; later calls return the memoized value. Mutating a
 // program after its first Digest is not supported.
 func (p *Program) Digest() [sha256.Size]byte {
@@ -267,8 +310,11 @@ func (p *Program) Digest() [sha256.Size]byte {
 	return p.digest
 }
 
-// checkAcyclic runs Kahn's algorithm over the dependency edges.
+// checkAcyclic runs Kahn's algorithm over the dependency edges. It inverts
+// Deps itself rather than reading p's reverse index, which a Program
+// assembled from bare ops does not have.
 func (p *Program) checkAcyclic() error {
+	outs, off := reverseEdges(p.Ops)
 	indeg := make([]int32, len(p.Ops))
 	for i := range p.Ops {
 		indeg[i] = int32(len(p.Ops[i].Deps))
@@ -284,7 +330,7 @@ func (p *Program) checkAcyclic() error {
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		for _, out := range p.Ops[id].Outs {
+		for _, out := range outs[off[id]:off[id+1]] {
 			indeg[out]--
 			if indeg[out] == 0 {
 				queue = append(queue, out)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"checkpointsim/internal/rng"
 	"checkpointsim/internal/simtime"
@@ -43,7 +44,7 @@ func TestBuilderBasics(t *testing.T) {
 	if len(p.Op(s).Deps) != 1 || p.Op(s).Deps[0] != c {
 		t.Error("dependency missing")
 	}
-	if len(p.Op(c).Outs) != 1 || p.Op(c).Outs[0] != s {
+	if outs := p.Outs(c); len(outs) != 1 || outs[0] != s {
 		t.Error("reverse edge missing")
 	}
 	if got := p.RankOps(0); len(got) != 2 {
@@ -74,8 +75,8 @@ func TestDuplicateDepsDeduplicated(t *testing.T) {
 	if len(p.Op(c).Deps) != 1 {
 		t.Errorf("deps not deduplicated: %v", p.Op(c).Deps)
 	}
-	if len(p.Op(a).Outs) != 1 {
-		t.Errorf("outs not deduplicated: %v", p.Op(a).Outs)
+	if len(p.Outs(a)) != 1 {
+		t.Errorf("outs not deduplicated: %v", p.Outs(a))
 	}
 }
 
@@ -402,9 +403,6 @@ rank 1 {
 	if p.Op(0).Work != 100*simtime.Microsecond {
 		t.Errorf("calc work = %v", p.Op(0).Work)
 	}
-	if p.Op(0).Label != "a" {
-		t.Errorf("label = %q", p.Op(0).Label)
-	}
 }
 
 func TestParseSizes(t *testing.T) {
@@ -509,5 +507,55 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 64 {
+		t.Errorf("goal.Op is %d bytes, want at most 64", n)
+	}
+}
+
+// TestDepsArenaOrder checks that Deps keep first occurrences in Requires
+// order across interleaved calls, and that Outs list dependents in
+// ascending ID order.
+func TestDepsArenaOrder(t *testing.T) {
+	b := NewBuilder(1)
+	a, x, y := b.Calc(0, 1), b.Calc(0, 1), b.Calc(0, 1)
+	c, d := b.Calc(0, 1), b.Calc(0, 1)
+	b.Requires(d, a)
+	b.Requires(c, y, a)
+	b.Requires(d, x, a)
+	b.Requires(c, a, x, y)
+	p := b.MustBuild()
+	same := func(got, want []OpID) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if got := p.Op(c).Deps; !same(got, []OpID{y, a, x}) {
+		t.Errorf("Deps(c) = %v, want [%d %d %d]", got, y, a, x)
+	}
+	if got := p.Op(d).Deps; !same(got, []OpID{a, x}) {
+		t.Errorf("Deps(d) = %v, want [%d %d]", got, a, x)
+	}
+	if got := p.Outs(a); !same(got, []OpID{c, d}) {
+		t.Errorf("Outs(a) = %v, want [%d %d]", got, c, d)
+	}
+	if got := p.Outs(c); len(got) != 0 {
+		t.Errorf("Outs(c) = %v, want none", got)
+	}
+	w, err := Widen(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Outs(x); !same(got, []OpID{c, d}) {
+		t.Errorf("widened Outs(x) = %v, want [%d %d]", got, c, d)
 	}
 }

@@ -139,7 +139,6 @@ func Parse(r io.Reader) (*Program, error) {
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			b.SetLabel(id, label)
 			labels[label] = id
 		}
 	}

@@ -17,7 +17,7 @@ func Widen(p *Program, numRanks int) (*Program, error) {
 	if numRanks == p.NumRanks {
 		return p, nil
 	}
-	w := &Program{NumRanks: numRanks, Ops: p.Ops}
+	w := &Program{NumRanks: numRanks, Ops: p.Ops, outs: p.outs, outOff: p.outOff}
 	w.byRank = make([][]OpID, numRanks)
 	copy(w.byRank, p.byRank)
 	if err := w.Validate(); err != nil {

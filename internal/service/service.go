@@ -243,14 +243,16 @@ func (s *Server) submit(jobCtx context.Context, req SweepRequest) (*Job, error) 
 }
 
 // worker drains the queue until Drain closes it. Jobs dequeued after the
-// drain began are rejected without running.
+// drain began are rejected without running. Every path counts a job's end
+// before finish wakes its waiter, so a client that reads /metrics after its
+// response always sees its own job.
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for job := range s.queue {
 		s.queueDepth.Add(-1)
 		if s.draining.Load() {
-			job.finish(StateRejected, nil, cache.Computed, errDraining)
 			s.jobsByEnd[StateRejected].Inc()
+			job.finish(StateRejected, nil, cache.Computed, errDraining)
 			continue
 		}
 		s.runJob(job)
@@ -267,8 +269,8 @@ func (s *Server) runJob(job *Job) {
 	s.running.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
-			job.finish(StateFailed, nil, cache.Computed, fmt.Errorf("%w: %v", errRunPanicked, r))
 			s.jobsByEnd[StateFailed].Inc()
+			job.finish(StateFailed, nil, cache.Computed, fmt.Errorf("%w: %v", errRunPanicked, r))
 		}
 		s.running.Add(-1)
 		s.inFlight.Done()
@@ -278,8 +280,8 @@ func (s *Server) runJob(job *Job) {
 
 	e, opts, key, err := job.Req.address(s.cfg.Version)
 	if err != nil { // unreachable: submit resolved once already
-		job.finish(StateFailed, nil, cache.Computed, err)
 		s.jobsByEnd[StateFailed].Inc()
+		job.finish(StateFailed, nil, cache.Computed, err)
 		return
 	}
 	val, src, err := s.cache.GetOrCompute(job.ctx, key, func(ctx context.Context) ([]byte, error) {
@@ -344,12 +346,12 @@ func (s *Server) runJob(job *Job) {
 
 	s.jobLat.Observe(time.Since(start).Seconds())
 	if err != nil {
-		job.finish(StateFailed, nil, src, err)
 		s.jobsByEnd[StateFailed].Inc()
+		job.finish(StateFailed, nil, src, err)
 		return
 	}
-	job.finish(StateDone, val, src, nil)
 	s.jobsByEnd[StateDone].Inc()
+	job.finish(StateDone, val, src, nil)
 }
 
 // retryAfterSeconds estimates how long a client should back off when the

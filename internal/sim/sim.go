@@ -348,25 +348,48 @@ type rankState struct {
 	seizedBusy  simtime.Duration // CPU time spent seized
 }
 
-// fifo is a slice-backed queue with an advancing head.
+// fifo is a ring-buffer queue: n items starting at buf[head], wrapping.
+// The buffer's length is zero or a power of two and doubles only when
+// full, so it never exceeds twice the deepest the queue has been — however
+// many items pass through a queue that never drains.
 type fifo[T any] struct {
-	items []T
-	head  int
+	buf  []T
+	head int
+	n    int
 }
 
-func (f *fifo[T]) push(v T) { f.items = append(f.items, v) }
-func (f *fifo[T]) empty() bool {
-	return f.head >= len(f.items)
-}
-func (f *fifo[T]) pop() T {
-	v := f.items[f.head]
-	var zero T
-	f.items[f.head] = zero
-	f.head++
-	if f.head == len(f.items) {
-		f.items = f.items[:0]
-		f.head = 0
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		f.grow(f.n + 1)
 	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+// grow reallocates the ring to hold at least want items, unwrapped.
+func (f *fifo[T]) grow(want int) {
+	size := 8
+	for size < want {
+		size *= 2
+	}
+	buf := make([]T, size)
+	k := copy(buf, f.buf[f.head:])
+	copy(buf[k:f.n], f.buf[:f.head])
+	f.buf, f.head = buf, 0
+}
+
+func (f *fifo[T]) empty() bool { return f.n == 0 }
+
+// at returns the i-th queued item, counting from the head.
+func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
+
+func (f *fifo[T]) pop() T {
+	p := &f.buf[f.head]
+	v := *p
+	var zero T
+	*p = zero
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	return v
 }
 
@@ -776,7 +799,7 @@ func (e *Engine) opDone(id goal.OpID) {
 	if e.now > st.finish {
 		st.finish = e.now
 	}
-	for _, out := range op.Outs {
+	for _, out := range e.prog.Outs(id) {
 		e.depsLeft[out]--
 		if e.depsLeft[out] == 0 {
 			e.activate(out)

@@ -261,13 +261,19 @@ func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
 	}
 }
 
+// codeFifo walks a queue's count, then its jobs head first; restoring sizes
+// the ring in one allocation.
 func (e *Engine) codeFifo(c *snapshot.Codec, f *fifo[job]) {
-	n := c.Len(len(f.items) - f.head)
+	n := c.Len(f.n)
 	if c.Decoding() {
-		*f = fifo[job]{items: make([]job, n)}
+		*f = fifo[job]{}
+		if n > 0 {
+			f.grow(n)
+			f.n = n
+		}
 	}
-	for i := f.head; i < f.head+n; i++ {
-		e.codeJob(c, &f.items[i])
+	for i := 0; i < n; i++ {
+		e.codeJob(c, f.at(i))
 	}
 }
 

@@ -258,8 +258,8 @@ func allPendingLive(e *Engine) bool {
 			scan(&st.runningJob)
 			open = open || st.runningJob.kind == jobSeizeOpen
 		}
-		for k := st.ctlQ.head; k < len(st.ctlQ.items); k++ {
-			scan(&st.ctlQ.items[k])
+		for k := 0; k < st.ctlQ.n; k++ {
+			scan(st.ctlQ.at(k))
 		}
 	}
 	e.queue.Items(func(_ simtime.Time, _ uint64, ev event) bool {

@@ -29,9 +29,9 @@ import (
 // on every capacity doubling. Estimates only need the right magnitude.
 func reserve(b *goal.Builder, est int) { b.Grow(est) }
 
-// allreduceOps roughly bounds the ops one tree allreduce adds: two sweeps
-// of sends/recvs plus join nodes, per rank, times the tree depth.
-func allreduceOps(ranks int) int { return 6 * ranks * (bits.Len(uint(ranks)) + 1) }
+// allreduceOps bounds the ops one recursive-doubling allreduce adds: a
+// send, a recv and a join per rank per exchange step, plus the fold.
+func allreduceOps(ranks int) int { return 3 * ranks * bits.Len(uint(ranks)) }
 
 // Base holds the parameters common to all workloads.
 type Base struct {
@@ -145,8 +145,25 @@ func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
 	}
 	px, py := Dims2(cfg.Ranks)
 	rankOf := func(x, y int) int { return y*px + x }
+	type d struct{ dx, dy int }
+	dirs := []d{{-1, 0}, {1, 0}, {0, -1}, {0, 1}}
+	nbrs := make([][]int32, cfg.Ranks) // each rank's halo neighbours
+	for rank := range nbrs {
+		x, y := rank%px, rank/px
+		for _, dd := range dirs {
+			nx, ny := x+dd.dx, y+dd.dy
+			if cfg.Periodic {
+				nx, ny = (nx+px)%px, (ny+py)%py
+			} else if nx < 0 || nx >= px || ny < 0 || ny >= py {
+				continue
+			}
+			if n := rankOf(nx, ny); n != rank { // periodic wrap on a 1-wide dim
+				nbrs[rank] = append(nbrs[rank], int32(n))
+			}
+		}
+	}
 	b := goal.NewBuilder(cfg.Ranks)
-	est := cfg.Iterations * cfg.Ranks * 10 // calc + ≤4 halo pairs + join
+	est := cfg.Iterations * haloOps(nbrs)
 	if cfg.ReduceEvery > 0 {
 		est += cfg.Iterations / cfg.ReduceEvery * allreduceOps(cfg.Ranks)
 	}
@@ -157,24 +174,7 @@ func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
 	}
 	r := cfg.computeSource()
 
-	neighbors := func(x, y int) []int {
-		var out []int
-		type d struct{ dx, dy int }
-		for _, dd := range []d{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
-			nx, ny := x+dd.dx, y+dd.dy
-			if cfg.Periodic {
-				nx, ny = (nx+px)%px, (ny+py)%py
-			} else if nx < 0 || nx >= px || ny < 0 || ny >= py {
-				continue
-			}
-			n := rankOf(nx, ny)
-			if n != rankOf(x, y) { // periodic wrap on a 1-wide dim
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-
+	forks := make([]goal.OpID, 0, 2*len(dirs))
 	for it := 0; it < cfg.Iterations; it++ {
 		for y := 0; y < py; y++ {
 			for x := 0; x < px; x++ {
@@ -185,12 +185,7 @@ func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
 					w = w.Scale(cfg.ComputeScale[rank])
 				}
 				s.Calc(w)
-				var forks []goal.OpID
-				for _, n := range neighbors(x, y) {
-					forks = append(forks,
-						s.Fork(goal.KindSend, int32(n), tagHalo, cfg.HaloBytes),
-						s.Fork(goal.KindRecv, int32(n), tagHalo, cfg.HaloBytes))
-				}
+				forks = haloForks(s, forks[:0], nbrs[rank], cfg.HaloBytes)
 				s.Join(forks...)
 			}
 		}
@@ -227,8 +222,25 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 	}
 	px, py, pz := Dims3(cfg.Ranks)
 	rankOf := func(x, y, z int) int { return (z*py+y)*px + x }
+	type d struct{ dx, dy, dz int }
+	dirs := []d{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
+	nbrs := make([][]int32, cfg.Ranks) // each rank's halo neighbours
+	for rank := range nbrs {
+		x, y, z := rank%px, rank/px%py, rank/(px*py)
+		for _, dd := range dirs {
+			nx, ny, nz := x+dd.dx, y+dd.dy, z+dd.dz
+			if cfg.Periodic {
+				nx, ny, nz = (nx+px)%px, (ny+py)%py, (nz+pz)%pz
+			} else if nx < 0 || nx >= px || ny < 0 || ny >= py || nz < 0 || nz >= pz {
+				continue
+			}
+			if n := rankOf(nx, ny, nz); n != rank {
+				nbrs[rank] = append(nbrs[rank], int32(n))
+			}
+		}
+	}
 	b := goal.NewBuilder(cfg.Ranks)
-	est := cfg.Iterations * cfg.Ranks * 14 // calc + ≤6 halo pairs + join
+	est := cfg.Iterations * haloOps(nbrs)
 	if cfg.ReduceEvery > 0 {
 		est += cfg.Iterations / cfg.ReduceEvery * allreduceOps(cfg.Ranks)
 	}
@@ -238,24 +250,7 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 		seqs[i] = b.Seq(i)
 	}
 	r := cfg.computeSource()
-	type d struct{ dx, dy, dz int }
-	dirs := []d{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
-	neighbors := func(x, y, z int) []int {
-		var out []int
-		for _, dd := range dirs {
-			nx, ny, nz := x+dd.dx, y+dd.dy, z+dd.dz
-			if cfg.Periodic {
-				nx, ny, nz = (nx+px)%px, (ny+py)%py, (nz+pz)%pz
-			} else if nx < 0 || nx >= px || ny < 0 || ny >= py || nz < 0 || nz >= pz {
-				continue
-			}
-			n := rankOf(nx, ny, nz)
-			if n != rankOf(x, y, z) {
-				out = append(out, n)
-			}
-		}
-		return out
-	}
+	forks := make([]goal.OpID, 0, 2*len(dirs))
 	for it := 0; it < cfg.Iterations; it++ {
 		for z := 0; z < pz; z++ {
 			for y := 0; y < py; y++ {
@@ -263,12 +258,7 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 					rank := rankOf(x, y, z)
 					s := seqs[rank]
 					s.Calc(cfg.draw(r))
-					var forks []goal.OpID
-					for _, n := range neighbors(x, y, z) {
-						forks = append(forks,
-							s.Fork(goal.KindSend, int32(n), tagHalo, cfg.HaloBytes),
-							s.Fork(goal.KindRecv, int32(n), tagHalo, cfg.HaloBytes))
-					}
+					forks = haloForks(s, forks[:0], nbrs[rank], cfg.HaloBytes)
 					s.Join(forks...)
 				}
 			}
@@ -285,6 +275,27 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 		}
 	}
 	return b.Build()
+}
+
+// haloOps counts the ops one stencil iteration adds: per rank a calc, a
+// send and a recv per neighbour, and the join.
+func haloOps(nbrs [][]int32) int {
+	n := 0
+	for _, l := range nbrs {
+		n += 2 + 2*len(l)
+	}
+	return n
+}
+
+// haloForks appends to forks a non-blocking send and recv with each
+// neighbour, forked off s's tail, and returns the extended slice.
+func haloForks(s *goal.Sequencer, forks []goal.OpID, nbrs []int32, bytes int64) []goal.OpID {
+	for _, n := range nbrs {
+		forks = append(forks,
+			s.Fork(goal.KindSend, n, tagHalo, bytes),
+			s.Fork(goal.KindRecv, n, tagHalo, bytes))
+	}
+	return forks
 }
 
 // SweepConfig configures a 2D wavefront sweep.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -403,6 +404,56 @@ func TestCriticalPathBoundsAllWorkloads(t *testing.T) {
 		}
 		if float64(r.Makespan) > 20*float64(cp) {
 			t.Errorf("%s: makespan %v implausibly far above bound %v", name, r.Makespan, cp)
+		}
+	}
+}
+
+// TestProgramDigestsPinned pins the Program.Digest of every registered
+// generator, and of the periodic stencils, at a small geometry. The digest
+// keys the result cache and the snapshot header, so a change to how a
+// generator lays out its ops or edges must show up here first.
+func TestProgramDigestsPinned(t *testing.T) {
+	b := Base{Ranks: 12, Iterations: 12, Compute: simtime.Millisecond, Jitter: 0.1, Seed: 1}
+	want := map[string]string{
+		"cg":        "71552c8a83f7d9988a2e9424d45eb3b2cdf3db7f1d8ae934253522addcb2ae91",
+		"ep":        "a2a9b7ed98bbf3c2f77f070a096ec0b6833a76512e21c3e1ffbe51a25d428a50",
+		"farm":      "c4e1335c279bec2431cf803f054d54054a60aedef12573a328d5ccf1983d9ef5",
+		"random":    "23c9a728638e6cb30b0c371424d1a557dd0577055a7756282c59d45cd95b38e3",
+		"stencil2d": "fe1d362806a4f2082bc98142fdd32ea53b0381e9951d769f062c89939669aebf",
+		"stencil3d": "6a084d16cd72b15487ecfd57ee9825c4e57d10b67b4cbf53aac9ec9844f5ba66",
+		"straggler": "aa6efd8b7d4abb8a63732eddf25e17b0f2ab6fe0818cd3b18f09c6f92311b913",
+		"sweep":     "68f9fabe45908044f4dbd05c86a243ac85b021885e4e118ade2f01976b594113",
+		"transpose": "d665cd976a2cea4ba307c69c4d3cd0fa934d234187e88598e0b71c0bd3827d83",
+	}
+	for _, name := range Names() {
+		p, err := FromName(name, CommonConfig{Base: b, Bytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", p.Digest()); got != want[name] {
+			t.Errorf("%s: digest %s, want %s", name, got, want[name])
+		}
+	}
+	periodic := []struct {
+		name  string
+		build func(Base) (*goal.Program, error)
+		want  string
+	}{
+		{"stencil2d periodic P=12", func(b Base) (*goal.Program, error) {
+			return Stencil2D(Stencil2DConfig{Base: b, HaloBytes: 64, Periodic: true, ReduceEvery: 2})
+		}, "4329cf97b293a314abc3b0f6df6d1745474c016fdbda8db17ea4ca34d0087587"},
+		{"stencil3d periodic P=27", func(b Base) (*goal.Program, error) {
+			b.Ranks = 27
+			return Stencil3D(Stencil3DConfig{Base: b, HaloBytes: 64, Periodic: true, ReduceEvery: 2})
+		}, "1b02087be4d6c3902c8f080be63325d97cd75d3a4736d0a0628223cff784bc05"},
+	}
+	for _, c := range periodic {
+		p, err := c.build(Base{Ranks: 12, Iterations: 5, Compute: simtime.Millisecond, Jitter: 0.1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", p.Digest()); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
 		}
 	}
 }
