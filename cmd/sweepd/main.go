@@ -14,7 +14,6 @@
 //	sweepd -cache-dir /var/lib/sweepd      # cache survives restarts
 //
 //	curl -s localhost:8080/api/v1/run -d '{"exp":"E1","quick":true}'
-//	curl -s localhost:8080/api/v1/jobs -d '{"exp":"E8"}'    # async
 //	curl -s localhost:8080/metrics
 //
 // Cluster roles (README.md "Running a cluster"): N ordinary sweepd
@@ -26,9 +25,10 @@
 //	sweepd -addr :8082 -cache-dir /data/w1 -coordinator-url http://localhost:8080 &
 //	sweepd -addr :8080 -coordinator -worker-urls http://localhost:8081,http://localhost:8082
 //
-// SIGINT/SIGTERM drain gracefully: submissions get 503, queued jobs are
-// rejected, running jobs finish (up to -drain-grace), then the listener
-// shuts down (and a -cache-dir log is synced closed).
+// SIGINT/SIGTERM drain gracefully: new requests get 503, waiting requests
+// are rejected with 503, running jobs finish (up to -drain-grace; a run
+// still going then is cancelled and answers 503), then the listener shuts
+// down (and a -cache-dir log is synced closed).
 package main
 
 import (
@@ -65,8 +65,8 @@ import (
 // handler may run longer. Idle keep-alive connections close after
 // idleTimeout, longer than the Go client's 90 s default so that the
 // client side normally closes first. There is deliberately no write
-// timeout: synchronous /api/v1/run calls and SSE job streams
-// legitimately stay open for minutes.
+// timeout: a synchronous /api/v1/run call legitimately stays open for
+// minutes.
 const (
 	headerTimeout = 5 * time.Second
 	readTimeout   = 15 * time.Second

@@ -352,111 +352,17 @@ func TestClusterPanickingRunNotRetried(t *testing.T) {
 	}
 }
 
-// TestClusterAsyncJobProxy: the async path through the coordinator —
-// submit returns a shard-prefixed id, status and result proxy through to
-// the owning worker, the result bytes match a local run, and the merged
-// job list carries the prefixed id.
-func TestClusterAsyncJobProxy(t *testing.T) {
-	c := newTestCluster(t, 2, Config{}, CoordinatorConfig{})
-	sc := exp.Scenario{Workload: "sweep", Ranks: 8, Protocol: "none",
-		FailureLaw: "none", Storage: "none", Noise: "none", Seed: 3}
-	ref := localScenarioBytes(t, sc)
-	wantWorker := c.workers[c.primaryFor(sc)].name
-
-	resp := postJSON(t, c.url()+"/api/v1/jobs", scenarioBody(sc))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, readBody(t, resp))
+// TestClusterHugeTimeoutStaysPut: a timeout_sec too large for a
+// time.Duration runs to completion on its shard instead of failing there
+// and walking the cluster through the dead-letter queue.
+func TestClusterHugeTimeoutStaysPut(t *testing.T) {
+	c := newTestCluster(t, 2, Config{}, CoordinatorConfig{MaxAttempts: 3})
+	resp := postJSON(t, c.url()+"/api/v1/run", `{"exp":"E1","quick":true,"timeout_sec":1e300}`)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", resp.StatusCode, body)
 	}
-	var sub submitResponse
-	if err := json.Unmarshal(readBody(t, resp), &sub); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(sub.ID, wantWorker+"-") {
-		t.Errorf("job id %q not prefixed with shard %q", sub.ID, wantWorker)
-	}
-
-	var body []byte
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(c.url() + sub.ResultURL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := readBody(t, resp)
-		if resp.StatusCode == http.StatusOK {
-			body = b
-			break
-		}
-		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("result: status %d: %s", resp.StatusCode, b)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !bytes.Equal(body, ref) {
-		t.Fatalf("proxied result differs from local run:\n--- proxied ---\n%s\n--- local ---\n%s", body, ref)
-	}
-
-	resp, err := http.Get(c.url() + "/api/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobs []JobStatus
-	if err := json.Unmarshal(readBody(t, resp), &jobs); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, j := range jobs {
-		if j.ID == sub.ID {
-			found = true
-			if j.State != StateDone {
-				t.Errorf("merged list shows %s state %q, want done", j.ID, j.State)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("merged job list missing %s: %+v", sub.ID, jobs)
-	}
-
-	// The SSE feed streams through the coordinator: a finished job emits
-	// its terminal transition and the worker closes the stream.
-	resp, err = http.Get(c.url() + "/api/v1/jobs/" + sub.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := readBody(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("events: status %d: %s", resp.StatusCode, events)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/event-stream") {
-		t.Errorf("events Content-Type = %q, want text/event-stream", ct)
-	}
-	if got := resp.Header.Get("X-Sweepd-Worker"); got != wantWorker {
-		t.Errorf("events X-Sweepd-Worker = %q, want %q", got, wantWorker)
-	}
-	if !strings.Contains(string(events), "done") {
-		t.Errorf("event stream missing the terminal transition:\n%s", events)
-	}
-	resp, err = http.Get(c.url() + "/api/v1/jobs/zz-j1/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("events for unknown shard: status %d, want 404", resp.StatusCode)
-	}
-
-	for _, bad := range []string{"zz-j1", "nodash", "w0-j999"} {
-		resp, err := http.Get(c.url() + "/api/v1/jobs/" + bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readBody(t, resp)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("job %q: status %d, want 404", bad, resp.StatusCode)
-		}
+	if metrics := scrape(t, c.url()+"/metrics"); !strings.Contains(metrics, "sweepd_coord_dlq_entered_total 0") {
+		t.Error("a huge timeout_sec entered the dead-letter queue")
 	}
 }
 

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
@@ -81,45 +80,19 @@ func TestConcurrentIdenticalRequestsSimulateOnce(t *testing.T) {
 	}
 }
 
-// Graceful shutdown: the in-flight job completes, the queued backlog is
-// rejected without running, and no new events are simulated for the
-// rejected jobs.
+// Graceful shutdown: the in-flight run completes with 200, the waiting
+// requests are rejected with 503 without running.
 func TestDrainCompletesInFlightRejectsQueued(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, Queue: 4})
 
-	submit := func(body string) submitResponse {
-		resp := postJSON(t, ts.URL+"/api/v1/jobs", body)
-		raw := readBody(t, resp)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %s: %d %s", body, resp.StatusCode, raw)
-		}
-		var sub submitResponse
-		if err := json.Unmarshal(raw, &sub); err != nil {
-			t.Fatal(err)
-		}
-		return sub
-	}
-
-	// Job A holds the lone worker (full-scale E5 runs for over a second,
+	// Run A holds the lone slot (full-scale E5 runs for over a second,
 	// long enough that the drain below reliably begins while it is still
-	// running); B and C wait in the queue behind it.
-	a := submit(`{"exp":"E5","seed":201}`)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + a.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := decodeStatus(t, readBody(t, resp)); st.State == StateRunning || st.State.terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job A never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	b := submit(`{"exp":"E1","quick":true,"seed":202}`)
-	c := submit(`{"exp":"E1","quick":true,"seed":203}`)
+	// running); B and C wait in line behind it.
+	a := runAsync(t, ts.URL, `{"exp":"E5","seed":201}`)
+	waitGauge(t, "running", &s.running, 1)
+	b := runAsync(t, ts.URL, `{"exp":"E1","quick":true,"seed":202}`)
+	c := runAsync(t, ts.URL, `{"exp":"E1","quick":true,"seed":203}`)
+	waitGauge(t, "queue depth", &s.queueDepth, 2)
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -127,60 +100,27 @@ func TestDrainCompletesInFlightRejectsQueued(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	stA := waitTerminal(t, ts.URL, a.ID, 5*time.Second)
-	if stA.State != StateDone {
-		t.Errorf("in-flight job A ended %s (%s), want done", stA.State, stA.Error)
+	if res := <-a; res.code != http.StatusOK {
+		t.Errorf("in-flight run A: %d %s, want 200", res.code, res.body)
 	}
-	for _, sub := range []submitResponse{b, c} {
-		st := waitTerminal(t, ts.URL, sub.ID, time.Second)
-		if st.State != StateRejected {
-			t.Errorf("queued job %s ended %s, want rejected", sub.ID, st.State)
+	for _, ch := range []<-chan runResult{b, c} {
+		if res := <-ch; res.code != http.StatusServiceUnavailable || !strings.Contains(string(res.body), "rejected") {
+			t.Errorf("waiting run: %d %s, want 503 rejected", res.code, res.body)
 		}
 	}
-
-	// A's result stays fetchable after the drain; rejected jobs have none.
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + a.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("result of completed job after drain: %d, want 200", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/api/v1/jobs/" + b.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("result of rejected job: %d, want 409", resp.StatusCode)
+	if got := s.jobsByEnd[jobRejected].Value(); got != 2 {
+		t.Errorf("%d jobs counted rejected, want 2", got)
 	}
 }
 
 // Drain with an expired context cancels whatever is still running instead
-// of hanging, and reports the context error.
+// of waiting it out, reports the context error, and the cut-loose run
+// answers 503 so that a coordinator re-dispatches it to a survivor.
 func TestDrainDeadlineCancelsRunning(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	// A full-scale E2 runs for several seconds — far past the drain grace.
-	resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E2","seed":204}`)
-	var sub submitResponse
-	if err := json.Unmarshal(readBody(t, resp), &sub); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r, err := http.Get(ts.URL + "/api/v1/jobs/" + sub.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := decodeStatus(t, readBody(t, r)); st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	run := runAsync(t, ts.URL, `{"exp":"E2","seed":204}`)
+	waitGauge(t, "running", &s.running, 1)
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -192,8 +132,7 @@ func TestDrainDeadlineCancelsRunning(t *testing.T) {
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("drain took %s despite a 50ms grace", took)
 	}
-	st := waitTerminal(t, ts.URL, sub.ID, 10*time.Second)
-	if st.State != StateFailed {
-		t.Errorf("cut-loose job ended %s, want failed", st.State)
+	if res := <-run; res.code != http.StatusServiceUnavailable {
+		t.Errorf("cut-loose run: %d %s, want 503", res.code, res.body)
 	}
 }

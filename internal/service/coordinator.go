@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -389,11 +388,6 @@ func (c *Coordinator) buildMux() *http.ServeMux {
 	h("GET /api/v1/experiments", handleExperiments)
 	h("GET /api/v1/workers", c.handleWorkers)
 	h("POST /api/v1/run", c.handleRunSync)
-	h("POST /api/v1/jobs", c.handleSubmit)
-	h("GET /api/v1/jobs", c.handleListJobs)
-	h("GET /api/v1/jobs/{id}", c.handleJobProxy)
-	h("GET /api/v1/jobs/{id}/result", c.handleJobProxy)
-	h("GET /api/v1/jobs/{id}/events", c.handleJobEvents)
 	h("GET /api/v1/dlq", c.handleDLQList)
 	h("POST /api/v1/dlq/{id}/requeue", c.handleDLQRequeue)
 	h("POST /api/v1/snapshots/{key}", c.handleSnapshotPut)
@@ -639,200 +633,6 @@ func (c *Coordinator) bodyWithResume(e *dlqEntry) (body []byte, withBlob bool) {
 		return b, false
 	}
 	return b, withBlob
-}
-
-// --- async job proxying ---
-
-// handleSubmit proxies POST /api/v1/jobs to the key's worker, with
-// immediate rank-order failover across survivors (no job has started, so
-// trying the next shard is free). The returned job ID is prefixed with
-// the worker name — "w1-j42" — which is all the routing state the
-// coordinator keeps: job status lives on the worker that owns it.
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "unreadable request body"})
-		return
-	}
-	req, err := decodeRequest(bytes.NewReader(body))
-	if err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	_, _, key, err := req.address(c.cfg.Version)
-	if err != nil {
-		writeRequestError(w, err)
-		return
-	}
-	ranked := cache.RankNodes(key, c.aliveNames())
-	var lastErr string
-	for i, name := range ranked {
-		ws := c.workerByName(name)
-		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.DispatchTimeout)
-		res, ferr := c.forward(ctx, ws, http.MethodPost, "/api/v1/jobs", body)
-		cancel()
-		if ferr != nil {
-			ws.setDead(ferr.Error())
-			lastErr = ferr.Error()
-			continue
-		}
-		if res.retryable() {
-			lastErr = fmt.Sprintf("worker %s: status %d", ws.name, res.code)
-			continue
-		}
-		if i > 0 {
-			c.failovers.Inc()
-		}
-		if res.code != http.StatusAccepted {
-			if res.code == http.StatusTooManyRequests {
-				res.header.Set("Retry-After", strconv.Itoa(c.retryAfterSeconds()))
-			}
-			relay(w, res)
-			return
-		}
-		var sub submitResponse
-		if jerr := json.Unmarshal(res.body, &sub); jerr != nil {
-			writeJSON(w, http.StatusBadGateway, errorBody{Error: "bad submit response from " + ws.name})
-			return
-		}
-		id := ws.name + "-" + sub.ID
-		w.Header().Set("X-Sweepd-Worker", ws.name)
-		writeJSON(w, http.StatusAccepted, submitResponse{
-			ID:        id,
-			StatusURL: "/api/v1/jobs/" + id,
-			ResultURL: "/api/v1/jobs/" + id + "/result",
-			EventsURL: "/api/v1/jobs/" + id + "/events",
-		})
-		return
-	}
-	if lastErr == "" {
-		lastErr = "no live workers"
-	}
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "cannot place job: " + lastErr})
-}
-
-// splitJobID resolves a coordinator job id "wN-jM" to its worker and the
-// worker-local id.
-func (c *Coordinator) splitJobID(id string) (*workerState, string, bool) {
-	name, rest, ok := strings.Cut(id, "-")
-	if !ok {
-		return nil, "", false
-	}
-	ws := c.workerByName(name)
-	if ws == nil {
-		return nil, "", false
-	}
-	return ws, rest, true
-}
-
-// handleJobProxy forwards job status and result reads verbatim. The
-// result body in particular is untouched: byte-identity end to end.
-func (c *Coordinator) handleJobProxy(w http.ResponseWriter, r *http.Request) {
-	ws, localID, ok := c.splitJobID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	path := strings.Replace(r.URL.Path, "/"+r.PathValue("id"), "/"+localID, 1)
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), c.cfg.DispatchTimeout)
-	defer cancel()
-	res, err := c.forward(ctx, ws, http.MethodGet, path, nil)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("worker %s unreachable: %v", ws.name, err)})
-		return
-	}
-	relay(w, res)
-}
-
-// handleJobEvents streams a worker's SSE feed through to the client.
-func (c *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	ws, localID, ok := c.splitJobID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, ws.url+"/api/v1/jobs/"+localID+"/events", nil)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error()})
-		return
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("worker %s unreachable: %v", ws.name, err)})
-		return
-	}
-	defer resp.Body.Close()
-	for _, k := range []string{"Content-Type", "Cache-Control"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.Header().Set("X-Sweepd-Worker", ws.name)
-	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 4096)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if rerr != nil {
-			return
-		}
-	}
-}
-
-// handleListJobs merges every live worker's job list, ids prefixed with
-// their shard. Dead workers' jobs are simply absent — their points are
-// either in the DLQ or already re-run elsewhere.
-func (c *Coordinator) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	type shardList struct {
-		name string
-		jobs []JobStatus
-	}
-	var mu sync.Mutex
-	var lists []shardList
-	var wg sync.WaitGroup
-	for _, ws := range c.workers {
-		if !ws.isAlive() {
-			continue
-		}
-		wg.Add(1)
-		go func(ws *workerState) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-			defer cancel()
-			res, err := c.forward(ctx, ws, http.MethodGet, "/api/v1/jobs", nil)
-			if err != nil || res.code != http.StatusOK {
-				return
-			}
-			var jobs []JobStatus
-			if json.Unmarshal(res.body, &jobs) != nil {
-				return
-			}
-			for i := range jobs {
-				jobs[i].ID = ws.name + "-" + jobs[i].ID
-			}
-			mu.Lock()
-			lists = append(lists, shardList{name: ws.name, jobs: jobs})
-			mu.Unlock()
-		}(ws)
-	}
-	wg.Wait()
-	sort.Slice(lists, func(i, j int) bool { return lists[i].name < lists[j].name })
-	merged := []JobStatus{}
-	for _, l := range lists {
-		merged = append(merged, l.jobs...)
-	}
-	writeJSON(w, http.StatusOK, merged)
 }
 
 // --- DLQ endpoints ---

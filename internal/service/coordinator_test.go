@@ -373,20 +373,6 @@ func TestCoordinatorDirectPassThrough(t *testing.T) {
 	}
 }
 
-// fakeJobsWorker is a fakeWorker whose scripted handler answers the async
-// submit endpoint instead of the sync run.
-func fakeJobsWorker(t *testing.T, jobs http.HandlerFunc) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, okHealth(0, 2, 0))
-	})
-	mux.HandleFunc("POST /api/v1/jobs", jobs)
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
-}
-
 // TestCoordinatorExperimentsCatalog: the catalog is a property of the
 // coordinator's build and answers even with every shard down.
 func TestCoordinatorExperimentsCatalog(t *testing.T) {
@@ -417,86 +403,6 @@ func TestCoordinatorExperimentsCatalog(t *testing.T) {
 		if !ids[want] {
 			t.Errorf("catalog missing %s: %v", want, ids)
 		}
-	}
-}
-
-// TestCoordinatorSubmitFailover: async submits fail over in rank order —
-// a shard that 500s is skipped, the next shard's 202 wins and the job id
-// carries that shard's prefix; when every shard fails the submit answers
-// 503 naming the last error.
-func TestCoordinatorSubmitFailover(t *testing.T) {
-	broken := fakeJobsWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "synthetic submit failure"})
-	})
-	healthy := fakeJobsWorker(t, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, submitResponse{ID: "j7", StatusURL: "/api/v1/jobs/j7"})
-	})
-	_, ts := newTestCoordinator(t, CoordinatorConfig{Workers: []string{broken.URL, healthy.URL}})
-
-	resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E1","quick":true}`)
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
-	}
-	var sub submitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if sub.ID != "w1-j7" {
-		t.Errorf("job id = %q, want w1-j7 (healthy shard's job, prefixed)", sub.ID)
-	}
-	if !strings.HasSuffix(sub.StatusURL, "/api/v1/jobs/w1-j7") {
-		t.Errorf("status url = %q, want the prefixed id", sub.StatusURL)
-	}
-
-	// Local validation still runs before any dispatch.
-	resp = postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E999"}`)
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown experiment submit: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestCoordinatorSubmitAllShardsFail: exhaustion answers 503, a shard
-// answering 202 with garbage answers 502, and a worker-side 429 passes
-// through with the cluster-wide Retry-After.
-func TestCoordinatorSubmitAllShardsFail(t *testing.T) {
-	cases := []struct {
-		name     string
-		handler  http.HandlerFunc
-		wantCode int
-		wantBody string
-	}{
-		{"all shards 500", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: "boom"})
-		}, http.StatusServiceUnavailable, "cannot place job"},
-		{"garbage 202", func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(http.StatusAccepted)
-			w.Write([]byte("not json"))
-		}, http.StatusBadGateway, "bad submit response"},
-		{"queue full passes through", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "job queue full"})
-		}, http.StatusTooManyRequests, "queue full"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			worker := fakeJobsWorker(t, tc.handler)
-			_, ts := newTestCoordinator(t, CoordinatorConfig{Workers: []string{worker.URL}})
-			resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E1","quick":true}`)
-			body := readBody(t, resp)
-			if resp.StatusCode != tc.wantCode {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.wantCode, body)
-			}
-			if !strings.Contains(string(body), tc.wantBody) {
-				t.Errorf("body %q missing %q", body, tc.wantBody)
-			}
-			if tc.wantCode == http.StatusTooManyRequests {
-				if ra := resp.Header.Get("Retry-After"); ra == "" {
-					t.Error("429 relayed without a Retry-After")
-				}
-			}
-		})
 	}
 }
 

@@ -1,13 +1,15 @@
-// Package service implements the sweepd HTTP service: experiment sweeps as
-// jobs over a bounded queue and worker pool, fronted by a content-addressed
-// result cache (internal/cache) and instrumented with internal/stats
-// metrics. cmd/sweepd is a thin flag-parsing wrapper around Server.
+// Package service implements the sweepd HTTP service: experiment sweeps
+// run by the handler of each POST /api/v1/run, a bounded number at a time
+// with a bounded wait line, fronted by a content-addressed result cache
+// (internal/cache) and instrumented with internal/stats metrics.
+// cmd/sweepd is a thin flag-parsing wrapper around Server and Coordinator.
 //
 // The request path is: decode+validate a SweepRequest, address it
-// (cache.Key over exp.Options.CacheFields), then either serve the cached
-// bytes, join an identical in-flight computation, or run the experiment on
-// a worker with the job's context threaded through the sweep pool. Full
-// queue returns 429 with Retry-After; a draining server returns 503.
+// (cache.Key over exp.Options.CacheFields), take a run slot, then either
+// serve the cached bytes, join an identical in-flight computation, or run
+// the experiment with the request's context threaded through the sweep
+// pool. A full wait line returns 429 with Retry-After; a draining server
+// returns 503.
 package service
 
 import (
@@ -24,9 +26,9 @@ import (
 	"checkpointsim/internal/storage"
 )
 
-// SweepRequest is the JSON body submitted to POST /api/v1/jobs and
-// /api/v1/run. Zero values mean "the default the CLI would use": seed 42,
-// full scale, default network preset, no storage model, no validation.
+// SweepRequest is the JSON body of POST /api/v1/run. Zero values mean
+// "the default the CLI would use": seed 42, full scale, default network
+// preset, no storage model, no validation.
 type SweepRequest struct {
 	// Exp is the experiment ID (E1–E19). Required unless Scenario is set.
 	Exp string `json:"exp,omitempty"`
@@ -177,14 +179,11 @@ func (req SweepRequest) address(version string) (exp.Experiment, exp.Options, st
 // and capped by the server default (a client may shorten the leash, never
 // lengthen it).
 func (req SweepRequest) timeout(def time.Duration) time.Duration {
-	if req.TimeoutSec <= 0 {
+	// Compare in seconds: a huge TimeoutSec would overflow a Duration.
+	if req.TimeoutSec <= 0 || req.TimeoutSec >= def.Seconds() {
 		return def
 	}
-	d := time.Duration(req.TimeoutSec * float64(time.Second))
-	if d > def {
-		return def
-	}
-	return d
+	return time.Duration(req.TimeoutSec * float64(time.Second))
 }
 
 // ScenarioExperiment wraps one campaign scenario as a synthetic experiment

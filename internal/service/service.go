@@ -18,14 +18,15 @@ import (
 
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/exp"
+	"checkpointsim/internal/runner"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/stats"
 )
 
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
-	// Queue is the bounded job-queue capacity beyond the workers
-	// themselves (default 64). A full queue sheds load: 429 + Retry-After.
+	// Queue is how many requests may wait for a run slot beyond the Workers
+	// running (default 64). A full queue sheds load: 429 + Retry-After.
 	Queue int
 	// Workers is the number of jobs executed concurrently (default 2).
 	// Each job additionally fans its sweep points across JobsPerRun cores,
@@ -48,9 +49,6 @@ type Config struct {
 	// Version tags cache keys with the code build (default "dev"): results
 	// cached by one build are invisible to another.
 	Version string
-	// MaxJobs caps the job registry; oldest terminal jobs are pruned
-	// (default 1024).
-	MaxJobs int
 	// SnapshotDir, when non-empty, persists mid-run simulator snapshots of
 	// scenario jobs to this directory (one atomically written file per
 	// job, keyed by cache key). A server restarted after a crash resumes a
@@ -89,9 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.Version == "" {
 		c.Version = "dev"
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 100_000
 	}
@@ -103,15 +98,16 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	cache *cache.Cache
-	reg   *registry
 	mux   *http.ServeMux
 	snaps *snapshotStore // nil unless Config.SnapshotDir is set
 
-	queueMu  sync.RWMutex // excludes submits while the queue closes
-	queue    chan *Job
-	draining atomic.Bool
-	workers  sync.WaitGroup
-	inFlight sync.WaitGroup
+	// Admission: a running request holds one of Workers slots, and up to
+	// Queue more wait for one. admitMu orders admission against Drain's
+	// start, so no inFlight.Add can race Drain's Wait.
+	admitMu  sync.Mutex
+	slots    chan struct{}
+	draining chan struct{}  // closed when Drain begins: wakes waiting requests
+	inFlight sync.WaitGroup // admitted requests, waiting or running
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -121,8 +117,8 @@ type Server struct {
 	// metrics
 	reqs        *httpMetrics
 	jobLat      *stats.LatencyHist
-	jobsByEnd   map[JobState]*stats.Counter
-	queueDepth  stats.Gauge
+	jobsByEnd   map[jobEnd]*stats.Counter
+	queueDepth  stats.Gauge // requests waiting for a slot
 	running     stats.Gauge
 	simEvents   stats.Counter
 	jobResumes  stats.Counter // scenario jobs resumed from a persisted snapshot
@@ -132,7 +128,30 @@ type Server struct {
 	started     time.Time
 }
 
-// New builds a server and starts its worker pool.
+// jobEnd labels how a job ended, in sweepd_jobs_total.
+type jobEnd string
+
+const (
+	jobDone     jobEnd = "done"     // result served
+	jobFailed   jobEnd = "failed"   // the run errored, timed out or was cancelled
+	jobRejected jobEnd = "rejected" // was waiting for a slot when Drain began; never ran
+)
+
+var (
+	// errQueueFull maps to 429 + Retry-After.
+	errQueueFull = errors.New("job queue full")
+	// errDraining maps to 503: the server is shutting down.
+	errDraining = errors.New("server draining")
+	// errRunPanicked marks a job whose run panicked. A panic is a property
+	// of the request, not of the worker, so such a failure is not retryable.
+	errRunPanicked = errors.New("run panicked")
+)
+
+// retryableHeader, set to "false" on a failed run's response, tells a
+// coordinator that re-dispatching the request cannot succeed.
+const retryableHeader = "X-Sweepd-Retryable"
+
+// New builds a server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -143,16 +162,16 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		cache:      c,
-		reg:        newRegistry(cfg.MaxJobs),
-		queue:      make(chan *Job, cfg.Queue),
+		slots:      make(chan struct{}, cfg.Workers),
+		draining:   make(chan struct{}),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		reqs:       newHTTPMetrics(),
 		jobLat:     stats.NewLatencyHist(1e-6, 3600, 240),
-		jobsByEnd: map[JobState]*stats.Counter{
-			StateDone:     new(stats.Counter),
-			StateFailed:   new(stats.Counter),
-			StateRejected: new(stats.Counter),
+		jobsByEnd: map[jobEnd]*stats.Counter{
+			jobDone:     new(stats.Counter),
+			jobFailed:   new(stats.Counter),
+			jobRejected: new(stats.Counter),
 		},
 		started: time.Now(),
 	}
@@ -160,10 +179,6 @@ func New(cfg Config) *Server {
 		s.snaps = newSnapshotStore(cfg.SnapshotDir)
 	}
 	s.mux = s.buildMux()
-	for w := 0; w < cfg.Workers; w++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -171,26 +186,32 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool {
+	select {
+	case <-s.draining:
+		return true
+	default:
+		return false
+	}
+}
 
-// Drain gracefully shuts the job pipeline down: new submissions get 503,
-// queued jobs are rejected, jobs already running finish (bounded by ctx —
-// when it expires remaining runs are cancelled and Drain returns its
-// error). Safe to call once; HTTP handlers stay mounted so clients can
-// still fetch results of completed jobs after the drain.
+// Drain gracefully shuts the run path down: new requests get 503, waiting
+// requests are rejected with 503, and runs already going finish (bounded
+// by ctx — when it expires the remaining runs are cancelled, answer 503,
+// and Drain returns ctx's error). Safe to call more than once; only the
+// first call waits.
 func (s *Server) Drain(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	s.admitMu.Lock()
+	if s.Draining() {
+		s.admitMu.Unlock()
 		return nil
 	}
-	// Close the queue under the write lock: submitters hold the read lock
-	// for the draining-check + send, so nobody can send on a closed chan.
-	s.queueMu.Lock()
-	close(s.queue)
-	s.queueMu.Unlock()
+	close(s.draining)
+	s.admitMu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
-		s.workers.Wait() // workers reject the queued backlog, finish running jobs
+		s.inFlight.Wait()
 		close(done)
 	}()
 	select {
@@ -214,48 +235,43 @@ func (s *Server) Close() {
 	s.cache.Close()
 }
 
-// submit validates, registers, and enqueues a job. jobCtx is the context
-// the run itself should inherit (the server base context for async jobs,
-// the request context for synchronous ones).
-func (s *Server) submit(jobCtx context.Context, req SweepRequest) (*Job, error) {
-	if _, _, err := req.resolve(); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(jobCtx, req.timeout(s.cfg.Timeout))
-	id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
-	job := newJob(id, req, ctx, cancel)
-
-	s.queueMu.RLock()
-	defer s.queueMu.RUnlock()
-	if s.draining.Load() {
-		cancel()
-		return nil, errDraining
+// admit lets a request in: onto a free run slot, else into the wait line
+// (waiting is true), else errQueueFull; errDraining once Drain has begun.
+// An admitted request counts in inFlight until its handler returns.
+func (s *Server) admit() (waiting bool, err error) {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.Draining() {
+		return false, errDraining
 	}
 	select {
-	case s.queue <- job:
-		s.queueDepth.Add(1)
-		s.reg.add(job)
-		return job, nil
+	case s.slots <- struct{}{}:
 	default:
-		cancel()
-		return nil, errQueueFull
+		if s.queueDepth.Value() >= int64(s.cfg.Queue) {
+			return false, errQueueFull
+		}
+		s.queueDepth.Add(1)
+		waiting = true
 	}
+	s.inFlight.Add(1)
+	return waiting, nil
 }
 
-// worker drains the queue until Drain closes it. Jobs dequeued after the
-// drain began are rejected without running. Every path counts a job's end
-// before finish wakes its waiter, so a client that reads /metrics after its
-// response always sees its own job.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for job := range s.queue {
-		s.queueDepth.Add(-1)
-		if s.draining.Load() {
-			s.jobsByEnd[StateRejected].Inc()
-			job.finish(StateRejected, nil, cache.Computed, errDraining)
-			continue
+// awaitSlot holds an admitted request in line until a run slot frees up.
+// It gives up with errDraining once Drain begins, or with ctx's error.
+func (s *Server) awaitSlot(ctx context.Context) error {
+	defer s.queueDepth.Add(-1)
+	select {
+	case s.slots <- struct{}{}:
+		if s.Draining() {
+			<-s.slots
+			return errDraining
 		}
-		s.runJob(job)
+		return nil
+	case <-s.draining:
+		return errDraining
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -263,33 +279,19 @@ func (s *Server) worker() {
 // run the experiment with the job's context threaded into the sweep
 // worker pool, concurrent identical request → wait and share. A panic in
 // the run fails only its job: the cache has already released the key, the
-// job ends failed with the panic text, and the worker goes on serving.
-func (s *Server) runJob(job *Job) {
-	s.inFlight.Add(1)
-	s.running.Add(1)
+// job fails with the panic text, and the server goes on serving.
+func (s *Server) runJob(ctx context.Context, req SweepRequest, e exp.Experiment, opts exp.Options, key string) (val []byte, src cache.Source, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.jobsByEnd[StateFailed].Inc()
-			job.finish(StateFailed, nil, cache.Computed, fmt.Errorf("%w: %v", errRunPanicked, r))
+			val, src, err = nil, cache.Computed, fmt.Errorf("%w: %v", errRunPanicked, r)
 		}
-		s.running.Add(-1)
-		s.inFlight.Done()
 	}()
-	job.setRunning()
-	start := time.Now()
-
-	e, opts, key, err := job.Req.address(s.cfg.Version)
-	if err != nil { // unreachable: submit resolved once already
-		s.jobsByEnd[StateFailed].Inc()
-		job.finish(StateFailed, nil, cache.Computed, err)
-		return
-	}
-	val, src, err := s.cache.GetOrCompute(job.ctx, key, func(ctx context.Context) ([]byte, error) {
+	return s.cache.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
 		var events int64
 		opts.Ctx = ctx
 		opts.Jobs = s.cfg.JobsPerRun
 		opts.Events = &events
-		if job.Req.Scenario != nil && (s.snaps != nil || s.cfg.PublishSnapshot != nil) {
+		if req.Scenario != nil && (s.snaps != nil || s.cfg.PublishSnapshot != nil) {
 			// Persist the latest snapshot as the simulation progresses; a
 			// server killed mid-run leaves the blob behind (and/or at the
 			// coordinator), and the next submission of this job (same key)
@@ -308,11 +310,11 @@ func (s *Server) runJob(job *Job) {
 				}
 			}
 		}
-		if job.Req.Scenario != nil {
+		if req.Scenario != nil {
 			// A blob shipped in the request (a coordinator re-dispatching a
 			// dead worker's job) outranks the local store: it is the most
 			// recent boundary anyone persisted for this key.
-			if blob := job.Req.Resume; blob != nil {
+			if blob := req.Resume; blob != nil {
 				opts.ResumeFrom = blob
 				s.jobResumes.Inc()
 			} else if s.snaps != nil {
@@ -343,20 +345,11 @@ func (s *Server) runJob(job *Job) {
 		}
 		return encodeResult(e, tables)
 	})
-
-	s.jobLat.Observe(time.Since(start).Seconds())
-	if err != nil {
-		s.jobsByEnd[StateFailed].Inc()
-		job.finish(StateFailed, nil, src, err)
-		return
-	}
-	s.jobsByEnd[StateDone].Inc()
-	job.finish(StateDone, val, src, nil)
 }
 
 // retryAfterSeconds estimates how long a client should back off when the
 // queue is full: the time for the backlog ahead of a retry to drain across
-// the worker pool, plus one slot for the retry itself, at the recent mean
+// the run slots, plus one slot for the retry itself, at the recent mean
 // job latency — (depth/workers + 1) × mean. A constant here under-advises
 // whenever the queue is deep (clients hammer a still-full queue) and
 // over-advises on an empty-but-bursty one. Clamped to [1, 60] seconds:
@@ -409,12 +402,7 @@ func (s *Server) buildMux() *http.ServeMux {
 	h("GET /healthz", s.handleHealthz)
 	h("GET /metrics", s.handleMetrics)
 	h("GET /api/v1/experiments", handleExperiments)
-	h("POST /api/v1/jobs", s.handleSubmit)
-	h("GET /api/v1/jobs", s.handleListJobs)
-	h("GET /api/v1/jobs/{id}", s.handleJobStatus)
-	h("GET /api/v1/jobs/{id}/result", s.handleJobResult)
-	h("GET /api/v1/jobs/{id}/events", s.handleJobEvents)
-	h("POST /api/v1/run", s.handleRunSync)
+	h("POST /api/v1/run", s.handleRun)
 	// Profiling: the standard pprof handlers, reachable at /debug/pprof/.
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -433,13 +421,6 @@ type statusRecorder struct {
 func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards streaming flushes (SSE) through the recorder.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // httpMetrics counts HTTP requests by (route, status) and observes their
@@ -563,8 +544,8 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 
 // Health is the /healthz body: liveness plus the load signals a
 // coordinator folds into its cross-shard Retry-After estimate. Depth and
-// capacity describe the job queue; MeanJobSeconds is 0 until a job has
-// completed.
+// capacity describe the line of requests waiting for a run slot;
+// MeanJobSeconds is 0 until a job has completed.
 type Health struct {
 	Status         string  `json:"status"` // "ok", or "draining" (with 503)
 	QueueDepth     int     `json:"queue_depth"`
@@ -585,7 +566,7 @@ func (s *Server) health() Health {
 	if mean := s.jobLat.Mean(); !math.IsNaN(mean) && mean > 0 {
 		h.MeanJobSeconds = mean
 	}
-	if s.draining.Load() {
+	if s.Draining() {
 		h.Status = "draining"
 	}
 	return h
@@ -616,73 +597,90 @@ func handleExperiments(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// submitResponse is the 202 body for POST /api/v1/jobs.
-type submitResponse struct {
-	ID        string `json:"id"`
-	StatusURL string `json:"status_url"`
-	ResultURL string `json:"result_url"`
-	EventsURL string `json:"events_url"`
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// handleRun runs one sweep request and answers with its result. The run
+// is the handler's own: it waits for a slot, runs under the request's
+// context (capped by the request timeout and cut by Drain's deadline), so
+// a client that disconnects cancels its sweep — unless a concurrent
+// identical request shares it, in which case that request's own wait
+// decides its fate. The job's end is counted before the response is
+// written, so a client that reads /metrics afterwards sees its own job.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRequest(r.Body)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
-	job, err := s.submit(s.baseCtx, req)
+	e, opts, key, err := req.address(s.cfg.Version)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitResponse{
-		ID:        job.ID,
-		StatusURL: "/api/v1/jobs/" + job.ID,
-		ResultURL: "/api/v1/jobs/" + job.ID + "/result",
-		EventsURL: "/api/v1/jobs/" + job.ID + "/events",
-	})
-}
+	id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
+	ctx, cancel := context.WithTimeout(r.Context(), req.timeout(s.cfg.Timeout))
+	defer cancel()
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	defer stop()
 
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.reg.list())
-}
-
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
+	waiting, err := s.admit()
+	if err != nil {
+		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, job.snapshot())
-}
-
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	raw, done := job.resultBytes()
-	if !done {
-		st := job.snapshot()
-		msg := fmt.Sprintf("job %s is %s, result not available", job.ID, st.State)
-		if st.Error != "" {
-			msg += ": " + st.Error
+	defer s.inFlight.Done()
+	if waiting {
+		if err := s.awaitSlot(ctx); err != nil {
+			end := jobFailed
+			if errors.Is(err, errDraining) {
+				end = jobRejected
+			}
+			s.jobsByEnd[end].Inc()
+			writeJobError(w, id, end, err)
+			return
 		}
-		writeJSON(w, http.StatusConflict, errorBody{Error: msg})
+	}
+
+	s.running.Add(1)
+	start := time.Now()
+	val, src, err := s.runJob(ctx, req, e, opts, key)
+	elapsed := time.Since(start)
+	s.running.Add(-1)
+	<-s.slots
+	s.jobLat.Observe(elapsed.Seconds())
+	if err != nil {
+		if ctx.Err() != nil && s.baseCtx.Err() != nil {
+			// Cut loose by a shutdown, not failed on its own merits:
+			// another shard can still serve it.
+			err = fmt.Errorf("%w: %v", errDraining, err)
+		}
+		s.jobsByEnd[jobFailed].Inc()
+		writeJobError(w, id, jobFailed, err)
 		return
 	}
-	s.writeResult(w, r, job, raw)
+	s.jobsByEnd[jobDone].Inc()
+	w.Header().Set("X-Sweepd-Job", id)
+	w.Header().Set("X-Sweepd-Source", src.String())
+	w.Header().Set("X-Sweepd-Elapsed-Ms", strconv.FormatFloat(float64(elapsed)/float64(time.Millisecond), 'f', 3, 64))
+	writeResult(w, r, val)
+}
+
+// writeJobError answers for a job that ended without a result: 503 when
+// a drain stopped it, else 500. A panicked run is marked non-retryable:
+// the same request would panic again anywhere.
+func writeJobError(w http.ResponseWriter, id string, end jobEnd, err error) {
+	code := http.StatusInternalServerError
+	if errors.Is(err, errDraining) {
+		code = http.StatusServiceUnavailable
+	}
+	if errors.Is(err, errRunPanicked) || errors.Is(err, runner.ErrPanicked) {
+		w.Header().Set(retryableHeader, "false")
+	}
+	writeJSON(w, code, errorBody{Error: fmt.Sprintf("job %s %s: %v", id, end, err)})
 }
 
 // writeResult serves stored result bytes in the requested format. JSON is
 // the stored bytes verbatim — the byte-identity the cache guarantees is
 // exactly what goes on the wire.
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, job *Job, raw []byte) {
-	st := job.snapshot()
-	w.Header().Set("X-Sweepd-Job", job.ID)
-	w.Header().Set("X-Sweepd-Source", st.Source)
-	w.Header().Set("X-Sweepd-Elapsed-Ms", strconv.FormatFloat(st.ElapsedMs, 'f', 3, 64))
+func writeResult(w http.ResponseWriter, r *http.Request, raw []byte) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		w.Header().Set("Content-Type", "application/json")
@@ -704,94 +702,6 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, job *Job, r
 	}
 }
 
-// handleJobEvents streams job state transitions as server-sent events
-// until the job is terminal or the client disconnects. Each event is
-// `event: state` with a JobStatus JSON payload; the terminal state is
-// always the last event.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	send := func(st JobStatus) {
-		payload, _ := json.Marshal(st)
-		fmt.Fprintf(w, "event: state\ndata: %s\n\n", payload)
-		flusher.Flush()
-	}
-	last := job.snapshot()
-	send(last)
-	if last.State.terminal() {
-		return
-	}
-	ticker := time.NewTicker(25 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-job.Done():
-			send(job.snapshot())
-			return
-		case <-ticker.C:
-			if st := job.snapshot(); st.State != last.State {
-				last = st
-				send(st)
-			}
-		}
-	}
-}
-
-// handleRunSync submits a job and waits for it, returning the result body
-// directly — the one-request path the CI smoke test and shell users take.
-// The run inherits the request context: a client that disconnects cancels
-// its in-flight sweep (unless a concurrent identical request shares it, in
-// which case that request's own wait decides its fate).
-func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r.Body)
-	if err != nil {
-		s.writeSubmitError(w, err)
-		return
-	}
-	job, err := s.submit(r.Context(), req)
-	if err != nil {
-		s.writeSubmitError(w, err)
-		return
-	}
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		// Client gone; the job context (derived from the request) is
-		// cancelled with it, aborting the sweep between points.
-		return
-	}
-	st := job.snapshot()
-	raw, done := job.resultBytes()
-	if !done {
-		code := http.StatusInternalServerError
-		if st.State == StateRejected {
-			code = http.StatusServiceUnavailable
-		}
-		if job.panicked() {
-			// The same request would panic again anywhere: tell a
-			// coordinator not to retry it on another shard.
-			w.Header().Set(retryableHeader, "false")
-		}
-		writeJSON(w, code, errorBody{Error: fmt.Sprintf("job %s %s: %s", job.ID, st.State, st.Error)})
-		return
-	}
-	s.writeResult(w, r, job, raw)
-}
-
 // handleMetrics renders Prometheus text exposition from internal/stats
 // primitives: request/job counters, queue and flight gauges, cache
 // effectiveness, and latency quantiles.
@@ -802,7 +712,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP sweepd_up Whether the service is accepting work (0 while draining).\n")
 	p("# TYPE sweepd_up gauge\n")
 	up := 1
-	if s.draining.Load() {
+	if s.Draining() {
 		up = 0
 	}
 	p("sweepd_up %d\n", up)
@@ -813,7 +723,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	p("# HELP sweepd_jobs_total Jobs by terminal state.\n")
 	p("# TYPE sweepd_jobs_total counter\n")
-	for _, st := range []JobState{StateDone, StateFailed, StateRejected} {
+	for _, st := range []jobEnd{jobDone, jobFailed, jobRejected} {
 		p("sweepd_jobs_total{state=%q} %d\n", string(st), s.jobsByEnd[st].Value())
 	}
 	p("# TYPE sweepd_queue_depth gauge\n")

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"checkpointsim/internal/stats"
 )
 
 // newTestServer builds a Server with test-friendly defaults plus the
@@ -26,8 +28,10 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
-		ts.Close()
+		// Close the server first: it cuts loose any run still in flight,
+		// and ts.Close waits for outstanding requests.
 		s.Close()
+		ts.Close()
 	})
 	return s, ts
 }
@@ -51,35 +55,41 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 	return b
 }
 
-// decodeStatus parses a JobStatus response.
-func decodeStatus(t *testing.T, data []byte) JobStatus {
+// waitGauge polls g until it reaches n.
+func waitGauge(t *testing.T, what string, g *stats.Gauge, n int64) {
 	t.Helper()
-	var st JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatalf("bad status body %s: %v", data, err)
+	deadline := time.Now().Add(10 * time.Second)
+	for g.Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s stuck at %d, want %d", what, g.Value(), n)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	return st
 }
 
-// waitTerminal polls a job's status endpoint until it reaches a terminal
-// state.
-func waitTerminal(t *testing.T, base, id string, within time.Duration) JobStatus {
+// runResult is the status and body of one /api/v1/run response.
+type runResult struct {
+	code int
+	body []byte
+}
+
+// runAsync POSTs body to /api/v1/run in the background; the returned
+// channel yields the response.
+func runAsync(t *testing.T, base, body string) <-chan runResult {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		resp, err := http.Get(base + "/api/v1/jobs/" + id)
+	out := make(chan runResult, 1)
+	go func() {
+		resp, err := http.Post(base+"/api/v1/run", "application/json", strings.NewReader(body))
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			out <- runResult{}
+			return
 		}
-		st := decodeStatus(t, readBody(t, resp))
-		if st.State.terminal() {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s after %s", id, st.State, within)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		out <- runResult{resp.StatusCode, b}
+	}()
+	return out
 }
 
 func TestHealthz(t *testing.T) {
@@ -122,38 +132,17 @@ func TestExperimentsList(t *testing.T) {
 	}
 }
 
-// Async happy path: submit, poll to done, fetch the result in all three
-// formats, and confirm the JSON round-trips through the wire types.
-func TestAsyncJobLifecycle(t *testing.T) {
+// A run answers in all three formats, and the JSON round-trips through
+// the wire types.
+func TestRunFormats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E1","quick":true}`)
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, body)
-	}
-	var sub submitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if sub.ID == "" || !strings.HasSuffix(sub.ResultURL, "/result") {
-		t.Fatalf("bad submit response: %+v", sub)
-	}
-
-	st := waitTerminal(t, ts.URL, sub.ID, 30*time.Second)
-	if st.State != StateDone {
-		t.Fatalf("job ended %s: %s", st.State, st.Error)
-	}
-	if st.Cached || st.Source != "computed" {
-		t.Errorf("first run reports cached=%v source=%q", st.Cached, st.Source)
-	}
-
-	resp, err := http.Get(ts.URL + sub.ResultURL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postJSON(t, ts.URL+"/api/v1/run", `{"exp":"E1","quick":true}`)
 	raw := readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result: %d %s", resp.StatusCode, raw)
+		t.Fatalf("run: %d %s", resp.StatusCode, raw)
+	}
+	if src := resp.Header.Get("X-Sweepd-Source"); src != "computed" {
+		t.Errorf("first run reports source %q, want computed", src)
 	}
 	res, err := decodeResult(raw)
 	if err != nil {
@@ -163,43 +152,21 @@ func TestAsyncJobLifecycle(t *testing.T) {
 		t.Fatalf("decoded result %s with %d tables", res.Exp, len(res.Tables))
 	}
 
-	resp, err = http.Get(ts.URL + sub.ResultURL + "?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postJSON(t, ts.URL+"/api/v1/run?format=text", `{"exp":"E1","quick":true}`)
 	text := string(readBody(t, resp))
 	if !strings.Contains(text, "### E1") || !strings.Contains(text, res.Tables[0].Title) {
 		t.Errorf("text rendering missing header or title:\n%s", text)
 	}
 
-	resp, err = http.Get(ts.URL + sub.ResultURL + "?format=csv")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postJSON(t, ts.URL+"/api/v1/run?format=csv", `{"exp":"E1","quick":true}`)
 	csvOut := string(readBody(t, resp))
 	if !strings.HasPrefix(csvOut, strings.Join(res.Tables[0].Cols, ",")) {
 		t.Errorf("csv rendering missing header row:\n%.200s", csvOut)
 	}
 
-	resp, err = http.Get(ts.URL + sub.ResultURL + "?format=yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp = postJSON(t, ts.URL+"/api/v1/run?format=yaml", `{"exp":"E1","quick":true}`)
 	if readBody(t, resp); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown format: %d, want 400", resp.StatusCode)
-	}
-
-	// The jobs listing includes the finished job.
-	resp, err = http.Get(ts.URL + "/api/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all []JobStatus
-	if err := json.Unmarshal(readBody(t, resp), &all); err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 1 || all[0].ID != sub.ID {
-		t.Errorf("job listing = %+v, want the one job", all)
 	}
 }
 
@@ -221,91 +188,33 @@ func TestSubmitErrorPaths(t *testing.T) {
 		{"bad storage", `{"exp":"E1","storage":{"aggregate_gbps":-1}}`, http.StatusBadRequest},
 		{"negative timeout", `{"exp":"E1","timeout_sec":-5}`, http.StatusBadRequest},
 	}
-	for _, endpoint := range []string{"/api/v1/jobs", "/api/v1/run"} {
-		for _, c := range cases {
-			resp := postJSON(t, ts.URL+endpoint, c.body)
-			body := readBody(t, resp)
-			if resp.StatusCode != c.want {
-				t.Errorf("%s %s: %d %s, want %d", endpoint, c.name, resp.StatusCode, body, c.want)
-			}
-			var eb errorBody
-			if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
-				t.Errorf("%s %s: error body %q lacks an error message", endpoint, c.name, body)
-			}
+	for _, c := range cases {
+		resp := postJSON(t, ts.URL+"/api/v1/run", c.body)
+		body := readBody(t, resp)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: %d %s, want %d", c.name, resp.StatusCode, body, c.want)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+			t.Errorf("%s: error body %q lacks an error message", c.name, body)
 		}
 	}
 }
 
-func TestUnknownJobRoutes(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	for _, path := range []string{"/api/v1/jobs/nope", "/api/v1/jobs/nope/result", "/api/v1/jobs/nope/events"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readBody(t, resp)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
-// Fetching the result of a still-running job answers 409 with the state.
-func TestResultBeforeDone(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	// Occupy the lone worker with a full-scale E2 (several seconds), then
-	// ask for its result immediately.
-	resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E2","seed":101}`)
-	var sub submitResponse
-	if err := json.Unmarshal(readBody(t, resp), &sub); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + sub.ResultURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("result of unfinished job: %d %s, want 409", resp.StatusCode, body)
-	}
-	s.Close() // cancel the sweep rather than waiting it out
-}
-
-// A full queue sheds load with 429 + Retry-After; capacity frees up once
-// the backlog drains.
+// A full queue sheds load with 429 + Retry-After.
 func TestQueueFullBackpressure(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Queue: 1})
-	// Worker seized by a long job (full E2), queue holds one more.
-	resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E2","seed":102}`)
-	var first submitResponse
-	if err := json.Unmarshal(readBody(t, resp), &first); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until it is actually running so the queue slot is free.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r, err := http.Get(ts.URL + "/api/v1/jobs/" + first.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := decodeStatus(t, readBody(t, r))
-		if st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("first job stuck in %s", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	resp = postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E1","quick":true,"seed":103}`)
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("queued job: %d, want 202", resp.StatusCode)
-	}
-	resp = postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E1","quick":true,"seed":104}`)
+	s, ts := newTestServer(t, Config{Workers: 1, Queue: 1})
+	// The lone slot is seized by a long run (full E2), the queue holds
+	// one more.
+	first := runAsync(t, ts.URL, `{"exp":"E2","seed":102}`)
+	waitGauge(t, "running", &s.running, 1)
+	second := runAsync(t, ts.URL, `{"exp":"E1","quick":true,"seed":103}`)
+	waitGauge(t, "queue depth", &s.queueDepth, 1)
+
+	resp := postJSON(t, ts.URL+"/api/v1/run", `{"exp":"E1","quick":true,"seed":104}`)
 	body := readBody(t, resp)
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-capacity submit: %d %s, want 429", resp.StatusCode, body)
+		t.Fatalf("over-capacity run: %d %s, want 429", resp.StatusCode, body)
 	}
 	// Retry-After must parse as non-negative integer seconds (RFC 9110
 	// delay-seconds) — a float or duration string breaks real clients.
@@ -314,12 +223,9 @@ func TestQueueFullBackpressure(t *testing.T) {
 	} else if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
 		t.Errorf("Retry-After %q does not parse as positive integer seconds", ra)
 	}
-	// Backpressure must also apply to the synchronous endpoint.
-	resp = postJSON(t, ts.URL+"/api/v1/run", `{"exp":"E1","quick":true,"seed":105}`)
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("sync run over capacity: %d, want 429", resp.StatusCode)
-	}
+	s.Close() // cancel the sweep rather than waiting it out
+	<-first
+	<-second
 }
 
 // retryAfterSeconds scales with the backlog: a deeper queue advises a
@@ -352,10 +258,10 @@ func TestRetryAfterTracksQueueDepth(t *testing.T) {
 	s.queueDepth.Set(0)
 }
 
-// A client that disconnects mid-run cancels its sweep: the job fails with
-// a context error long before the full-scale run could have finished.
+// A client that disconnects mid-run cancels its sweep: the job fails
+// instead of running the full-scale sweep to completion.
 func TestClientDisconnectCancelsRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/api/v1/run",
 		strings.NewReader(`{"exp":"E2","seed":106}`))
@@ -375,29 +281,17 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 		t.Fatal("cancelled request returned a response")
 	}
 
-	// The lone job must reach failed (context.Canceled) promptly — a
-	// full-scale E2 takes several seconds, so a fast terminal state proves
-	// cancellation propagated into the sweep pool rather than running out.
-	listDeadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + "/api/v1/jobs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var all []JobStatus
-		if err := json.Unmarshal(readBody(t, resp), &all); err != nil {
-			t.Fatal(err)
-		}
-		if len(all) == 1 && all[0].State.terminal() {
-			if all[0].State != StateFailed || !strings.Contains(all[0].Error, "context canceled") {
-				t.Fatalf("job ended %s (%s), want failed with context canceled", all[0].State, all[0].Error)
-			}
-			break
-		}
-		if time.Now().After(listDeadline) {
-			t.Fatal("job never reached a terminal state after client disconnect")
+	// The lone job must end failed, not done: cancellation propagated
+	// into the sweep pool rather than the run going on to completion.
+	deadline := time.Now().Add(15 * time.Second)
+	for s.jobsByEnd[jobFailed].Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never failed after client disconnect")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if done := s.jobsByEnd[jobDone].Value(); done != 0 {
+		t.Errorf("%d jobs done after the client disconnected, want 0", done)
 	}
 }
 
@@ -415,8 +309,25 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
-// Submissions during a drain answer 503 (and healthz flips), while
-// completed results stay fetchable.
+// A timeout_sec too large for a time.Duration is capped at the server
+// default, not overflowed into an already-expired deadline.
+func TestHugeTimeoutIsCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/api/v1/run", `{"exp":"E1","quick":true,"timeout_sec":1e300}`)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("run with timeout_sec 1e300: %d %s, want 200", resp.StatusCode, body)
+	}
+	for _, sec := range []float64{1e300, 9.3e9, 3600} {
+		if got := (SweepRequest{TimeoutSec: sec}).timeout(time.Minute); got != time.Minute {
+			t.Errorf("timeout_sec %g: %s, want the 1m cap", sec, got)
+		}
+	}
+	if got := (SweepRequest{TimeoutSec: 0.5}).timeout(time.Minute); got != 500*time.Millisecond {
+		t.Errorf("timeout_sec 0.5: %s, want 500ms", got)
+	}
+}
+
+// Runs requested during a drain answer 503, and healthz flips.
 func TestDrainRejectsNewWork(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// Complete one job first.
@@ -444,63 +355,13 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz while draining: %d, want 503", resp.StatusCode)
 	}
-	for _, endpoint := range []string{"/api/v1/jobs", "/api/v1/run"} {
-		resp := postJSON(t, ts.URL+endpoint, `{"exp":"E1","quick":true,"seed":109}`)
-		body := readBody(t, resp)
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("%s while draining: %d %s, want 503", endpoint, resp.StatusCode, body)
-		}
+	resp = postJSON(t, ts.URL+"/api/v1/run", `{"exp":"E1","quick":true,"seed":109}`)
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("run while draining: %d %s, want 503", resp.StatusCode, body)
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
-	}
-
-	// Finished results remain readable after the drain.
-	resp, err = http.Get(ts.URL + "/api/v1/jobs/j1/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := readBody(t, resp)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(warm, cold) {
-		t.Errorf("post-drain result fetch: %d, identical=%v", resp.StatusCode, bytes.Equal(warm, cold))
-	}
-}
-
-// SSE stream delivers state transitions and always ends on a terminal
-// state.
-func TestJobEventsStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"exp":"E1","quick":true,"seed":110}`)
-	var sub submitResponse
-	if err := json.Unmarshal(readBody(t, resp), &sub); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + sub.EventsURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	data := readBody(t, resp) // server closes the stream at the terminal event
-	events := []JobStatus{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if payload, ok := strings.CutPrefix(line, "data: "); ok {
-			events = append(events, decodeStatus(t, []byte(payload)))
-		}
-	}
-	if len(events) == 0 {
-		t.Fatalf("no events in stream:\n%s", data)
-	}
-	last := events[len(events)-1]
-	if last.State != StateDone {
-		t.Fatalf("stream ended on %s, want done (events: %+v)", last.State, events)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i-1].State.terminal() {
-			t.Errorf("event after terminal state: %+v", events)
-		}
 	}
 }
 
@@ -548,44 +409,11 @@ func TestMetricsAndPprof(t *testing.T) {
 // Config defaulting sanity.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Queue != 64 || c.Workers != 2 || c.CacheBytes != 256<<20 || c.Version != "dev" || c.MaxJobs != 1024 {
+	if c.Queue != 64 || c.Workers != 2 || c.CacheBytes != 256<<20 || c.Version != "dev" {
 		t.Errorf("defaults = %+v", c)
 	}
 	neg := Config{CacheBytes: -1}.withDefaults()
 	if neg.CacheBytes != -1 {
 		t.Errorf("negative cache budget (disable) overwritten: %d", neg.CacheBytes)
-	}
-}
-
-// The registry prunes only terminal jobs, oldest first.
-func TestRegistryPruning(t *testing.T) {
-	reg := newRegistry(2)
-	mk := func(id string, terminal bool) *Job {
-		j := newJob(id, SweepRequest{Exp: "E1"}, context.Background(), func() {})
-		if terminal {
-			j.finish(StateDone, nil, 0, nil)
-		}
-		return j
-	}
-	reg.add(mk("a", true))
-	reg.add(mk("b", false))
-	reg.add(mk("c", true))
-	if _, ok := reg.get("a"); ok {
-		t.Error("oldest terminal job not pruned")
-	}
-	for _, id := range []string{"b", "c"} {
-		if _, ok := reg.get(id); !ok {
-			t.Errorf("job %s pruned, want retained", id)
-		}
-	}
-	// A registry full of live jobs overshoots rather than dropping them.
-	reg2 := newRegistry(1)
-	reg2.add(mk("x", false))
-	reg2.add(mk("y", false))
-	if _, ok := reg2.get("x"); !ok {
-		t.Error("live job dropped by pruning")
-	}
-	if got := len(reg2.list()); got != 2 {
-		t.Errorf("listing %d jobs, want 2", got)
 	}
 }
