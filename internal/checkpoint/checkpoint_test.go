@@ -114,6 +114,21 @@ func TestCoordinatorTreeShape(t *testing.T) {
 	}
 }
 
+// TestCoordinatorChildrenAllocationFree: once the tree is laid out, asking
+// any member for its children allocates nothing.
+func TestCoordinatorChildrenAllocationFree(t *testing.T) {
+	c := &coordinator{members: make([]int, 64)}
+	c.children(0)
+	n := testing.AllocsPerRun(10, func() {
+		for i := range c.members {
+			c.children(i)
+		}
+	})
+	if n != 0 {
+		t.Errorf("children of all 64 members allocate %.1f times, want 0", n)
+	}
+}
+
 func TestNoneProtocol(t *testing.T) {
 	var p None
 	if p.Name() != "none" || p.Stats() != (Stats{}) || p.LastCheckpoint(3) != 0 {

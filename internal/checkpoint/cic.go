@@ -184,7 +184,13 @@ func (c *CIC) MessageMatched(src, dst int, bytes int64) {
 		return
 	}
 	m := q[0]
-	c.queues[key] = q[1:]
+	if len(q) == 1 {
+		// Rewind an emptied queue to its array's start, so the channel's
+		// next send appends in place instead of reallocating.
+		c.queues[key] = q[:0]
+	} else {
+		c.queues[key] = q[1:]
+	}
 	if m-c.idx[dst] < c.lag {
 		return
 	}

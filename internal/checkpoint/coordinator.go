@@ -35,6 +35,9 @@ type coordinator struct {
 	stats   *Stats
 	// onRound runs when a round fully completes.
 	onRound func(tick, end simtime.Time)
+	// kids and kidsAt are the tree's children lists (layoutTree).
+	kids   []int
+	kidsAt []int
 
 	// per-round state
 	active       bool
@@ -105,18 +108,35 @@ func (c *coordinator) onTimer(kind uint8, i int) {
 	}
 }
 
-// children returns the virtual indices of i's binomial-tree children.
+// children returns the virtual indices of i's binomial-tree children. The
+// tree is laid out once, on first use, so a round allocates nothing; each
+// list is its own window of the layout, so callers may hold several.
 func (c *coordinator) children(i int) []int {
+	if c.kidsAt == nil {
+		c.layoutTree()
+	}
+	lo, hi := c.kidsAt[i], c.kidsAt[i+1]
+	return c.kids[lo:hi:hi]
+}
+
+// layoutTree lists every member's children in kids, member i's at
+// kids[kidsAt[i]:kidsAt[i+1]]: i+1, i+2, i+4, … below i's lowest set bit
+// (any power of two for the root) and below the member count.
+func (c *coordinator) layoutTree() {
 	n := len(c.members)
-	var out []int
-	limit := i & -i // lsb; the root may add any power of two
-	if i == 0 {
-		limit = 1 << bits.Len(uint(n)) // effectively unbounded
+	c.kids = make([]int, 0, max(n-1, 0))
+	c.kidsAt = make([]int, n+1)
+	for i := 0; i < n; i++ {
+		c.kidsAt[i] = len(c.kids)
+		limit := i & -i // lsb; the root may add any power of two
+		if i == 0 {
+			limit = 1 << bits.Len(uint(n)) // effectively unbounded
+		}
+		for step := 1; step < limit && i+step < n; step <<= 1 {
+			c.kids = append(c.kids, i+step)
+		}
 	}
-	for step := 1; step < limit && i+step < n; step <<= 1 {
-		out = append(out, i+step)
-	}
-	return out
+	c.kidsAt[n] = len(c.kids)
 }
 
 // parent returns the virtual index of i's binomial-tree parent.

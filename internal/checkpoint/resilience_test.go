@@ -170,3 +170,23 @@ func TestCICLagThresholdDampsForcing(t *testing.T) {
 		t.Errorf("lag 4 forced %d checkpoints, more than lag 1's %d", f4, f1)
 	}
 }
+
+// TestCICSteadyChannelAllocationFree: a send matched before the channel's
+// next send — the common case — reuses the channel's piggyback queue, so
+// the cycle allocates nothing once the queue exists.
+func TestCICSteadyChannelAllocationFree(t *testing.T) {
+	cic, err := NewCIC(Params{Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond},
+		1, Staggered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cic.idx = make([]int64, 2) // equal indices: no match forces a checkpoint
+	cycle := func() {
+		cic.SendPenalty(0, 1, 64)
+		cic.MessageMatched(0, 1, 64)
+	}
+	cycle() // the channel's first send creates its queue
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a steady send-match cycle allocates %.1f times, want 0", n)
+	}
+}

@@ -154,6 +154,8 @@ func TestSnapshotCoversCoordinatorFields(t *testing.T) {
 		"members":       "rebuilt by the owning protocol's setup",
 		"stats":         "points into the owning protocol's serialized Stats",
 		"onRound":       "re-wired by setup",
+		"kids":          "derived tree layout, rebuilt on first use from the member count",
+		"kidsAt":        "derived tree layout, rebuilt on first use from the member count",
 		"active":        "serialized",
 		"tickTime":      "serialized",
 		"pendingDelay":  "serialized",

@@ -9,12 +9,15 @@
 //
 // Internally the queue is a 4-ary min-heap of 24-byte pointer-free keys:
 // payloads are parked once in a slot arena at push and read back exactly
-// once at pop, so sift moves never copy payload bytes and never trigger GC
-// write barriers. Memory is bounded by the peak population: a steady-state
-// queue does not allocate.
+// once at pop, so sift moves never copy payload bytes. Memory is bounded by
+// the peak population: a steady-state queue does not allocate.
 package eventq
 
-import "checkpointsim/internal/simtime"
+import (
+	"math/bits"
+
+	"checkpointsim/internal/simtime"
+)
 
 // arity is the heap's branching factor: a 4-ary heap is half as deep as a
 // binary one, and a node's four children share one or two cache lines.
@@ -29,12 +32,17 @@ type ref struct {
 	idx int32
 }
 
-// less orders by time, then insertion sequence.
+// signBit flips a time's sign so that signed order becomes unsigned order.
+const signBit = 1 << 63
+
+// less orders by time, then insertion sequence. It compares (t, seq) as one
+// 128-bit unsigned number, t in the high word with its sign bit flipped so
+// negative times still order first: a < b exactly when a - b borrows. The
+// borrow chain has no branch for the sift loops to mispredict.
 func less(a, b *ref) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.t)^signBit, uint64(b.t)^signBit, borrow)
+	return borrow != 0
 }
 
 // Queue is a min-heap of events carrying payloads of type T.
@@ -86,15 +94,15 @@ func (q *Queue[T]) Push(t simtime.Time, v T) {
 // check Len first. The last leaf moves to the root and sifts down to the
 // smallest of each node's children.
 func (q *Queue[T]) Pop() (simtime.Time, T) {
-	h := q.heap
-	if len(h) == 0 {
+	if len(q.heap) == 0 {
 		panic("eventq: Pop on empty queue")
 	}
-	top := h[0]
-	n := len(h) - 1
-	it := h[n]
-	h = h[:n]
-	q.heap = h
+	n := len(q.heap) - 1
+	top, it := q.heap[0], q.heap[n]
+	// Reslicing the field in place stores only its length: no GC write
+	// barrier on the slice's pointer.
+	q.heap = q.heap[:n]
+	h := q.heap
 	if n > 0 {
 		i := 0
 		for {

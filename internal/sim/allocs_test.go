@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"checkpointsim/internal/network"
 )
@@ -69,5 +71,37 @@ func TestResultOnlyAllocationsStayBounded(t *testing.T) {
 	// reintroducing per-event allocation.
 	if got > 200 {
 		t.Errorf("full run allocates %.0f times; expected bounded engine-construction cost", got)
+	}
+}
+
+// TestHotRecordsPointerFree pins the records the engine copies per event:
+// jobs and events stay small, and none of them, nor the slab records they
+// name, holds anything the GC must scan, so queue and ring copies need no
+// write barriers.
+func TestHotRecordsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(job{}); n > 16 {
+		t.Errorf("job is %d bytes, want at most 16", n)
+	}
+	if n := unsafe.Sizeof(event{}); n > 24 {
+		t.Errorf("event is %d bytes, want at most 24", n)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.String:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	for _, v := range []any{job{}, event{}, message{}, seizeRec{}} {
+		typ := reflect.TypeOf(v)
+		walk(typ.Name(), typ)
 	}
 }

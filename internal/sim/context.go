@@ -71,9 +71,10 @@ func (c *Context) SeizeCPU(rank int, d simtime.Duration, reason string, done Cal
 	if d < 0 {
 		panic(fmt.Sprintf("sim: SeizeCPU negative duration %v", d))
 	}
-	st := &c.eng.ranks[rank]
-	st.seizeQ.push(job{kind: jobSeize, cost: d, reason: c.eng.internReason(reason), done: c.eng.own(done)})
-	c.eng.dispatch(rank)
+	e := c.eng
+	s := e.newSeize(seizeRec{reason: e.internReason(reason), done: e.own(done)})
+	e.ranks[rank].seizeQ.push(job{kind: jobSeize, cost: d, arg: s})
+	e.dispatch(rank)
 }
 
 // SeizeCPUDynamic requests exclusive use of rank's CPU for an open-ended
@@ -100,11 +101,11 @@ func (c *Context) SeizeCPUDynamic(rank int, nominal simtime.Duration, reason, wa
 	if granted.Owner == nil {
 		panic("sim: SeizeCPUDynamic without a granted Call")
 	}
-	st := &c.eng.ranks[rank]
-	st.seizeQ.push(job{kind: jobSeizeOpen, cost: nominal,
-		reason: c.eng.internReason(reason), waitReason: c.eng.internReason(waitReason),
-		granted: c.eng.own(granted), done: c.eng.own(done)})
-	c.eng.dispatch(rank)
+	e := c.eng
+	s := e.newSeize(seizeRec{reason: e.internReason(reason), waitReason: e.internReason(waitReason),
+		granted: e.own(granted), done: e.own(done)})
+	e.ranks[rank].seizeQ.push(job{kind: jobSeizeOpen, cost: nominal, arg: s})
+	e.dispatch(rank)
 }
 
 // ReleaseSeizure ends the open-ended seizure (SeizeCPUDynamic) holding
@@ -119,7 +120,7 @@ func (c *Context) ReleaseSeizure(rank int) {
 		return
 	}
 	st.releasing = true
-	c.eng.queue.Push(c.eng.now, event{kind: evJobDone, rank: int32(rank)})
+	c.eng.queue.Push(c.eng.now, event{kind: evJobDone, id: int32(rank)})
 }
 
 // Mark emits a TracePhase record on the trace channel (a no-op when no
@@ -242,12 +243,11 @@ func (c *Context) SendControl(src, dst int, bytes int64, deliver Call) {
 	if bytes < 0 {
 		panic("sim: SendControl negative size")
 	}
-	m := c.eng.newMsg()
-	*m = message{kind: msgCtl, src: int32(src), dst: int32(dst), bytes: bytes,
-		wire: bytes, deliver: c.eng.own(deliver)}
-	st := &c.eng.ranks[src]
-	st.ctlQ.push(job{kind: jobCtlSend, cost: c.eng.net.SendCPU(bytes), msg: m})
-	c.eng.dispatch(src)
+	e := c.eng
+	m := e.newMsg(message{kind: msgCtl, src: int32(src), dst: int32(dst), bytes: bytes,
+		wire: bytes, deliver: e.own(deliver)})
+	e.ranks[src].ctlQ.push(job{kind: jobCtlSend, cost: e.net.SendCPU(bytes), arg: m})
+	e.dispatch(src)
 }
 
 // OpsRemaining returns the number of application operations not yet

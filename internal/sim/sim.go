@@ -194,20 +194,20 @@ func msgKindName(k msgKind) string {
 
 // traceKind maps job kinds to trace labels. Seize labels come from the
 // intern table, so emitting one performs no string concatenation.
-func (e *Engine) traceKind(j *job) (string, goal.OpID) {
+func (e *Engine) traceKind(j job) (string, goal.OpID) {
 	switch j.kind {
 	case jobCalc:
-		return "calc", j.op
+		return "calc", goal.OpID(j.arg)
 	case jobSendEager, jobSendRTS:
-		return "send", j.op
+		return "send", goal.OpID(j.arg)
 	case jobSendData:
-		return "send", j.msg.op
+		return "send", e.msgs[j.arg].op
 	case jobRecvDone:
-		return "recv", j.op
+		return "recv", goal.OpID(j.arg)
 	case jobCtlSend, jobCtlRecv:
 		return "ctl", goal.NoOp
 	case jobSeize, jobSeizeOpen:
-		return e.seizeLabels[j.reason], goal.NoOp
+		return e.seizeLabels[e.seizes[j.arg].reason], goal.NoOp
 	}
 	return "?", goal.NoOp
 }
@@ -220,11 +220,13 @@ const (
 	evTimer                 // agent timer callback
 )
 
+// event is one queued engine event. Like every record the engine copies
+// per event, it holds no pointer: a message is named by its slot in the
+// engine's message slab.
 type event struct {
 	kind evKind
-	rank int32 // evJobDone
+	id   int32 // evJobDone: the rank; evArrive: the message's slab slot
 	work owned // evTimer
-	msg  *message
 }
 
 // owned is one piece of pending agent work as plain data: a Call bound to
@@ -249,14 +251,15 @@ const (
 	msgCtl
 )
 
-// message is anything traversing the network.
+// message is anything traversing the network. Messages live in the
+// engine's slab (Engine.msgs) and are named by their int32 slot.
 type message struct {
-	kind     msgKind
 	id       int64 // trace identity, assigned at injection
+	bytes    int64 // payload size (app size carried for RTS/CTS bookkeeping)
+	wire     int64 // bytes that actually occupy NIC and wire
 	src, dst int32
 	tag      int32
-	bytes    int64     // payload size (app size carried for RTS/CTS bookkeeping)
-	wire     int64     // bytes that actually occupy NIC and wire
+	kind     msgKind
 	op       goal.OpID // originating send op (app messages)
 	recvOp   goal.OpID // matched recv op (CTS/data)
 	deliver  owned     // control messages: runs after receive processing
@@ -282,20 +285,32 @@ const (
 // string-keyed map updates; Result re-expands IDs to strings at the end.
 type reasonID int32
 
-// job is a unit of CPU occupancy on one rank. For an open-ended seizure
-// (jobSeizeOpen) cost is the nominal portion accounted under reason; the
-// occupancy lasts until Context.ReleaseSeizure and any excess is accounted
-// under waitReason.
+// job is a unit of CPU occupancy on one rank: 16 bytes of plain data, so
+// queueing and granting one copies two words and no pointer. What arg
+// names depends on kind:
+//
+//   - jobCalc, jobSendEager, jobSendRTS, jobRecvDone: the op's ID;
+//   - jobSendData, jobCtlSend, jobCtlRecv: the message's slot in Engine.msgs;
+//   - jobSeize, jobSeizeOpen: the seizure's slot in Engine.seizes.
+//
+// For an open-ended seizure (jobSeizeOpen) cost is the nominal portion
+// accounted under its reason; the occupancy lasts until
+// Context.ReleaseSeizure and any excess is accounted under its waitReason.
 type job struct {
-	kind   jobKind
-	cost   simtime.Duration
-	op     goal.OpID
-	msg    *message
-	reason reasonID // seizures: interned accounting key
-	done   owned    // seizures: runs at completion
-	// Open-ended seizures (jobSeizeOpen) only:
+	cost simtime.Duration
+	arg  int32
+	kind jobKind
+}
+
+// seizeRec holds the fields only a seizure uses, in the engine's seizure
+// slab (Engine.seizes). Its slot is freed when the seizure completes.
+type seizeRec struct {
+	reason reasonID // interned accounting key
+	// waitReason (open-ended seizures only) accounts the occupancy beyond
+	// the nominal cost.
 	waitReason reasonID
-	granted    owned // runs when the CPU is granted
+	done       owned // runs at completion
+	granted    owned // open-ended seizures only: runs when the CPU is granted
 }
 
 // hold is one HoldApp gate: its reason and the time it closed, so that the
@@ -336,7 +351,7 @@ type rankState struct {
 	scaledExtra simtime.Duration
 	nicFreeAt   simtime.Time
 	posted      []postedRecv
-	unexpected  []*message
+	unexpected  []int32 // message slots, in arrival order
 	// lastArrival enforces non-overtaking per destination: a flat slice
 	// indexed by dst rank, allocated lazily on this rank's first injection
 	// (so idle ranks cost nothing). The zero value is safe: arrival times
@@ -383,11 +398,10 @@ func (f *fifo[T]) empty() bool { return f.n == 0 }
 // at returns the i-th queued item, counting from the head.
 func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
 
+// pop removes the head item. The vacated slot keeps its bytes: queued
+// records are plain data, so there is nothing for the GC to release.
 func (f *fifo[T]) pop() T {
-	p := &f.buf[f.head]
-	v := *p
-	var zero T
-	*p = zero
+	v := f.buf[f.head]
 	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
 	return v
@@ -426,11 +440,18 @@ type Engine struct {
 	seizeCnt    []int64
 	heldTime    []simtime.Duration
 	heldCnt     []int64
-	// msgFree recycles message structs: every message has exactly one
-	// release point (matched, data delivery, control delivery), so the
-	// steady-state engine loop allocates none.
-	msgFree []*message
-	ran     bool
+	// msgs is the message slab: jobs, events and unexpected queues name a
+	// message by its slot. msgFree lists the free slots: every message has
+	// exactly one release point (matched, data delivery, control delivery),
+	// so the steady-state engine loop allocates none. The slab may grow in
+	// newMsg, so no &msgs[i] is held across a newMsg.
+	msgs    []message
+	msgFree []int32
+	// seizes is the seizure slab, with seizeFree its free slots; a seizure
+	// job names its record by slot.
+	seizes    []seizeRec
+	seizeFree []int32
+	ran       bool
 	// Owner registry (snapshot.go): owned work names its owner by a dense
 	// ID (index+1 into owners); ownerKeys holds each ID's stable string key
 	// so a snapshot's IDs are checked against the restoring engine's.
@@ -529,24 +550,41 @@ func (e *Engine) internReason(reason string) reasonID {
 	return id
 }
 
-// newMsg returns a zeroed message, reusing a recycled struct when one is
-// available. Callers assign every field they need via a composite literal.
-func (e *Engine) newMsg() *message {
+// newMsg stores m in the message slab, reusing a free slot when one is
+// available, and returns its slot.
+func (e *Engine) newMsg(m message) int32 {
 	if n := len(e.msgFree); n > 0 {
-		m := e.msgFree[n-1]
+		s := e.msgFree[n-1]
 		e.msgFree = e.msgFree[:n-1]
-		return m
+		e.msgs[s] = m
+		return s
 	}
-	return &message{}
+	e.msgs = append(e.msgs, m)
+	return int32(len(e.msgs) - 1)
 }
 
-// freeMsg recycles a message whose last reference is about to die. Each
-// message is released at exactly one point in its lifecycle: an application
-// message when it matches, a data message when its receive job is queued, a
-// control message after its delivery callback runs.
-func (e *Engine) freeMsg(m *message) {
-	*m = message{}
-	e.msgFree = append(e.msgFree, m)
+// freeMsg recycles a message slot whose last reference is about to die.
+// Each message is released at exactly one point in its lifecycle: an
+// application message when it matches, a data message when its receive job
+// is queued, a control message when its delivery callback runs.
+func (e *Engine) freeMsg(s int32) { e.msgFree = append(e.msgFree, s) }
+
+// newSeize stores r in the seizure slab and returns its slot.
+func (e *Engine) newSeize(r seizeRec) int32 {
+	if n := len(e.seizeFree); n > 0 {
+		s := e.seizeFree[n-1]
+		e.seizeFree = e.seizeFree[:n-1]
+		e.seizes[s] = r
+		return s
+	}
+	e.seizes = append(e.seizes, r)
+	return int32(len(e.seizes) - 1)
+}
+
+// takeSeize frees seizure slot s and returns its record.
+func (e *Engine) takeSeize(s int32) seizeRec {
+	e.seizeFree = append(e.seizeFree, s)
+	return e.seizes[s]
 }
 
 // ErrCapExceeded marks a run aborted by Config.MaxEvents or Config.MaxTime.
@@ -598,9 +636,9 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		switch ev.kind {
 		case evJobDone:
-			e.jobDone(int(ev.rank))
+			e.jobDone(int(ev.id))
 		case evArrive:
-			e.arrive(ev.msg)
+			e.arrive(ev.id)
 		case evTimer:
 			e.run(ev.work)
 		}
@@ -632,7 +670,7 @@ func (e *Engine) activate(id goal.OpID) {
 	st := &e.ranks[op.Rank]
 	switch op.Kind {
 	case goal.KindCalc:
-		st.appQ.push(job{kind: jobCalc, cost: op.Work, op: id})
+		st.appQ.push(job{kind: jobCalc, cost: op.Work, arg: int32(id)})
 		e.dispatch(int(op.Rank))
 	case goal.KindSend:
 		cost := e.net.SendCPU(op.Bytes)
@@ -646,7 +684,7 @@ func (e *Engine) activate(id goal.OpID) {
 		if !e.net.Eager(op.Bytes) {
 			kind = jobSendRTS
 		}
-		st.appQ.push(job{kind: kind, cost: cost, op: id})
+		st.appQ.push(job{kind: kind, cost: cost, arg: int32(id)})
 		e.dispatch(int(op.Rank))
 	case goal.KindRecv:
 		e.postRecv(id)
@@ -674,7 +712,7 @@ func (e *Engine) dispatch(rank int) {
 	st.runningJob = j
 	st.jobStart = e.now
 	if e.cfg.Trace != nil {
-		kind, op := e.traceKind(&j)
+		kind, op := e.traceKind(j)
 		e.emitTrace(TraceEvent{Type: TraceGrant, Rank: rank, Kind: kind,
 			Start: e.now, End: e.now, Op: op, Detail: int64(st.held)})
 	}
@@ -682,7 +720,7 @@ func (e *Engine) dispatch(rank int) {
 		// Open-ended seizure: the CPU is held until the agent calls
 		// ReleaseSeizure (typically when a shared-storage drain completes);
 		// no completion is scheduled up front.
-		e.run(j.granted)
+		e.run(e.seizes[j.arg].granted)
 		return
 	}
 	cost := j.cost
@@ -697,7 +735,7 @@ func (e *Engine) dispatch(rank int) {
 			cost = scaled
 		}
 	}
-	e.queue.Push(e.now.Add(cost), event{kind: evJobDone, rank: int32(rank)})
+	e.queue.Push(e.now.Add(cost), event{kind: evJobDone, id: int32(rank)})
 }
 
 // jobDone handles the completion of rank's running CPU job.
@@ -711,15 +749,16 @@ func (e *Engine) jobDone(rank int) {
 		if j.kind == jobSeizeOpen {
 			// Split the occupancy at the nominal boundary: the part any lone
 			// writer would pay, then the contention-induced wait.
+			sz := &e.seizes[j.arg]
 			split := st.jobStart.Add(simtime.MinDuration(j.cost, dur))
-			e.emitTrace(TraceEvent{Rank: rank, Kind: e.seizeLabels[j.reason],
+			e.emitTrace(TraceEvent{Rank: rank, Kind: e.seizeLabels[sz.reason],
 				Start: st.jobStart, End: split, Op: goal.NoOp})
 			if split < e.now {
-				e.emitTrace(TraceEvent{Rank: rank, Kind: e.seizeLabels[j.waitReason],
+				e.emitTrace(TraceEvent{Rank: rank, Kind: e.seizeLabels[sz.waitReason],
 					Start: split, End: e.now, Op: goal.NoOp})
 			}
 		} else {
-			kind, op := e.traceKind(&j)
+			kind, op := e.traceKind(j)
 			e.emitTrace(TraceEvent{Rank: rank, Kind: kind, Start: st.jobStart,
 				End: e.now, Op: op})
 		}
@@ -727,62 +766,66 @@ func (e *Engine) jobDone(rank int) {
 	switch j.kind {
 	case jobCalc:
 		st.busy += dur
-		e.opDone(j.op)
+		e.opDone(goal.OpID(j.arg))
 	case jobSendEager:
 		st.busy += dur
-		op := e.prog.Op(j.op)
-		m := e.newMsg()
-		*m = message{kind: msgEager, src: op.Rank, dst: op.Peer,
-			tag: op.Tag, bytes: op.Bytes, op: j.op}
-		e.inject(rank, m, op.Bytes)
+		id := goal.OpID(j.arg)
+		op := e.prog.Op(id)
+		e.inject(rank, e.newMsg(message{kind: msgEager, src: op.Rank, dst: op.Peer,
+			tag: op.Tag, bytes: op.Bytes, op: id}), op.Bytes)
 		e.metrics.AppMessages++
 		e.metrics.AppBytes += op.Bytes
-		e.opDone(j.op)
+		e.opDone(id)
 	case jobSendRTS:
 		st.busy += dur
-		op := e.prog.Op(j.op)
-		m := e.newMsg()
-		*m = message{kind: msgRTS, src: op.Rank, dst: op.Peer,
-			tag: op.Tag, bytes: op.Bytes, op: j.op}
-		e.inject(rank, m, 0)
+		id := goal.OpID(j.arg)
+		op := e.prog.Op(id)
+		e.inject(rank, e.newMsg(message{kind: msgRTS, src: op.Rank, dst: op.Peer,
+			tag: op.Tag, bytes: op.Bytes, op: id}), 0)
 		e.metrics.Rendezvous++
 	case jobSendData:
 		st.busy += dur
-		// j.msg is the carrier built at CTS arrival; it already holds the
-		// data message's routing and bookkeeping, so inject it directly.
-		m := j.msg
+		// The job's message is the carrier built at CTS arrival; it already
+		// holds the data message's routing and bookkeeping, so inject it
+		// directly.
+		m := &e.msgs[j.arg]
 		m.kind = msgData
-		e.inject(rank, m, m.bytes)
+		bytes, op := m.bytes, m.op
+		e.inject(rank, j.arg, bytes)
 		e.metrics.AppMessages++
-		e.metrics.AppBytes += m.bytes
-		e.opDone(m.op) // rendezvous send completes when data is pushed
+		e.metrics.AppBytes += bytes
+		e.opDone(op) // rendezvous send completes when data is pushed
 	case jobRecvDone:
 		st.busy += dur
-		e.opDone(j.op)
+		e.opDone(goal.OpID(j.arg))
 	case jobCtlSend:
 		st.ctlBusy += dur
-		e.inject(rank, j.msg, j.msg.wire)
+		wire := e.msgs[j.arg].wire
+		e.inject(rank, j.arg, wire)
 		e.metrics.CtlMessages++
-		e.metrics.CtlBytes += j.msg.wire
+		e.metrics.CtlBytes += wire
 	case jobCtlRecv:
 		st.ctlBusy += dur
-		e.run(j.msg.deliver)
-		e.freeMsg(j.msg)
+		deliver := e.msgs[j.arg].deliver
+		e.freeMsg(j.arg)
+		e.run(deliver)
 	case jobSeize:
 		st.seizedBusy += dur
-		e.seizeTime[j.reason] += dur
-		e.seizeCnt[j.reason]++
-		e.run(j.done)
+		sz := e.takeSeize(j.arg)
+		e.seizeTime[sz.reason] += dur
+		e.seizeCnt[sz.reason]++
+		e.run(sz.done)
 	case jobSeizeOpen:
 		st.seizedBusy += dur
+		sz := e.takeSeize(j.arg)
 		nominal := simtime.MinDuration(j.cost, dur)
-		e.seizeTime[j.reason] += nominal
-		e.seizeCnt[j.reason]++
+		e.seizeTime[sz.reason] += nominal
+		e.seizeCnt[sz.reason]++
 		if wait := dur - nominal; wait > 0 {
-			e.seizeTime[j.waitReason] += wait
-			e.seizeCnt[j.waitReason]++
+			e.seizeTime[sz.waitReason] += wait
+			e.seizeCnt[sz.waitReason]++
 		}
-		e.run(j.done)
+		e.run(sz.done)
 	}
 	e.dispatch(rank)
 }
@@ -809,8 +852,9 @@ func (e *Engine) opDone(id goal.OpID) {
 
 // inject places a message on rank's NIC and schedules its arrival. wireBytes
 // is the size used for wire and NIC occupancy (0 for bare envelopes).
-func (e *Engine) inject(rank int, m *message, wireBytes int64) {
+func (e *Engine) inject(rank int, s int32, wireBytes int64) {
 	st := &e.ranks[rank]
+	m := &e.msgs[s]
 	m.wire = wireBytes
 	e.nextMsgID++
 	m.id = e.nextMsgID
@@ -843,11 +887,12 @@ func (e *Engine) inject(rank int, m *message, wireBytes int64) {
 			Start: inj, End: arr, MsgID: m.id, Src: int(m.src), Dst: int(m.dst),
 			Tag: m.tag, Bytes: m.bytes, Wire: wireBytes, Op: m.op, RecvOp: m.recvOp})
 	}
-	e.queue.Push(arr, event{kind: evArrive, msg: m})
+	e.queue.Push(arr, event{kind: evArrive, id: s})
 }
 
-// arrive handles a message reaching its destination rank.
-func (e *Engine) arrive(m *message) {
+// arrive handles the message in slot s reaching its destination rank.
+func (e *Engine) arrive(s int32) {
+	m := &e.msgs[s]
 	st := &e.ranks[m.dst]
 	if e.cfg.Trace != nil {
 		e.emitTrace(TraceEvent{Type: TraceArrive, Rank: int(m.dst), Kind: msgKindName(m.kind),
@@ -859,15 +904,15 @@ func (e *Engine) arrive(m *message) {
 		if idx := e.matchPosted(st, m); idx >= 0 {
 			recvOp := st.posted[idx].op
 			st.posted = append(st.posted[:idx], st.posted[idx+1:]...)
-			e.matched(m, recvOp)
+			e.matched(s, recvOp)
 		} else {
-			st.unexpected = append(st.unexpected, m)
+			st.unexpected = append(st.unexpected, s)
 			if len(st.unexpected) > e.metrics.UnexpectedMax {
 				e.metrics.UnexpectedMax = len(st.unexpected)
 			}
 		}
 	case msgCTS:
-		// Back at the sender: push the data. The CTS struct itself becomes
+		// Back at the sender: push the data. The CTS slot itself becomes
 		// the data-message carrier — flip its direction in place; jobSendData
 		// completes the rebrand to msgData at injection time.
 		sender := int(m.dst)
@@ -875,22 +920,25 @@ func (e *Engine) arrive(m *message) {
 		e.ranks[sender].appQ.push(job{
 			kind: jobSendData,
 			cost: e.net.SendCPU(m.bytes), // o + (s-1)·O to push the payload
-			msg:  m,
+			arg:  s,
 		})
 		e.dispatch(sender)
 	case msgData:
 		recvRank := int(m.dst)
-		st.appQ.push(job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), op: m.recvOp})
-		e.freeMsg(m)
+		st.appQ.push(job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), arg: int32(m.recvOp)})
+		e.freeMsg(s)
 		e.dispatch(recvRank)
 	case msgCtl:
-		st.ctlQ.push(job{kind: jobCtlRecv, cost: e.net.RecvCPU(m.bytes), msg: m})
+		st.ctlQ.push(job{kind: jobCtlRecv, cost: e.net.RecvCPU(m.bytes), arg: s})
 		e.dispatch(int(m.dst))
 	}
 }
 
-// matched joins an application message with a posted receive.
-func (e *Engine) matched(m *message, recvOp goal.OpID) {
+// matched joins the application message in slot s with a posted receive.
+// It works on a copy of the message: match hooks may seize CPUs, whose
+// grants run agent code that can grow the slab.
+func (e *Engine) matched(s int32, recvOp goal.OpID) {
+	m := e.msgs[s]
 	e.metrics.Matches++
 	st := &e.ranks[m.dst]
 	if e.cfg.Trace != nil {
@@ -904,17 +952,16 @@ func (e *Engine) matched(m *message, recvOp goal.OpID) {
 	switch m.kind {
 	case msgEager:
 		recvRank := int(m.dst)
-		st.appQ.push(job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), op: recvOp})
-		e.freeMsg(m)
+		st.appQ.push(job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), arg: int32(recvOp)})
+		e.freeMsg(s)
 		e.dispatch(recvRank)
 	case msgRTS:
 		// Send CTS back to the data source; costs o on the receiver.
 		recvRank := int(m.dst)
-		cts := e.newMsg()
-		*cts = message{kind: msgCTS, src: m.dst, dst: m.src, tag: m.tag,
-			bytes: m.bytes, wire: 0, op: m.op, recvOp: recvOp}
-		e.freeMsg(m)
-		st.ctlQ.push(job{kind: jobCtlSend, cost: e.net.Overhead, msg: cts})
+		cts := e.newMsg(message{kind: msgCTS, src: m.dst, dst: m.src, tag: m.tag,
+			bytes: m.bytes, wire: 0, op: m.op, recvOp: recvOp})
+		e.freeMsg(s)
+		st.ctlQ.push(job{kind: jobCtlSend, cost: e.net.Overhead, arg: cts})
 		e.dispatch(recvRank)
 	default:
 		panic("sim: matched non-matchable message")
@@ -926,10 +973,10 @@ func (e *Engine) matched(m *message, recvOp goal.OpID) {
 func (e *Engine) postRecv(id goal.OpID) {
 	op := e.prog.Op(id)
 	st := &e.ranks[op.Rank]
-	for i, m := range st.unexpected {
-		if recvMatches(op, m) {
+	for i, s := range st.unexpected {
+		if recvMatches(op, &e.msgs[s]) {
 			st.unexpected = append(st.unexpected[:i], st.unexpected[i+1:]...)
-			e.matched(m, id)
+			e.matched(s, id)
 			return
 		}
 	}

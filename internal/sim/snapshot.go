@@ -228,6 +228,19 @@ func (e *Engine) codeMsg(c *snapshot.Codec, m *message) {
 	}
 }
 
+// codeMsgSlot walks the message in slot *s inline; decoding puts it in a
+// fresh slab slot.
+func (e *Engine) codeMsgSlot(c *snapshot.Codec, s *int32) {
+	if !c.Decoding() {
+		e.codeMsg(c, &e.msgs[*s])
+		return
+	}
+	var m message
+	if e.codeMsg(c, &m); c.Err() == nil {
+		*s = e.newMsg(m)
+	}
+}
+
 // validOp reports whether id names an op of the program (or NoOp, when
 // allowed).
 func (e *Engine) validOp(id goal.OpID, noOp bool) bool {
@@ -237,27 +250,57 @@ func (e *Engine) validOp(id goal.OpID, noOp bool) bool {
 // validReason reports whether id names an interned reason.
 func (e *Engine) validReason(id reasonID) bool { return id >= 0 && int(id) < len(e.reasons) }
 
-// codeJob walks a job, its message inline.
+// jobHasMsg reports whether a job of kind k names a message slot.
+func jobHasMsg(k jobKind) bool { return k == jobSendData || k == jobCtlSend || k == jobCtlRecv }
+
+// jobHasSeize reports whether a job of kind k names a seizure slot.
+func jobHasSeize(k jobKind) bool { return k == jobSeize || k == jobSeizeOpen }
+
+// codeJob walks a job in one flat layout for every kind: kind, cost, op,
+// the seizure fields, then a presence flag and the message inline. Fields
+// a kind does not use are written as zeros; decoding puts the message or
+// seizure record in a fresh slab slot.
 func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
-	c.U8((*uint8)(&j.kind))
-	snapshot.Int(c, &j.cost)
-	snapshot.Int(c, &j.op)
-	snapshot.Int(c, &j.reason)
-	e.codeOwned(c, &j.done)
-	snapshot.Int(c, &j.waitReason)
-	e.codeOwned(c, &j.granted)
-	hasMsg := j.msg != nil
-	c.Bool(&hasMsg)
-	if hasMsg {
-		if c.Decoding() {
-			j.msg = &message{}
-		}
-		e.codeMsg(c, j.msg)
+	var op goal.OpID
+	var sz seizeRec
+	var m message
+	kind := j.kind
+	switch {
+	case c.Decoding():
+	case jobHasMsg(kind):
+		m = e.msgs[j.arg]
+	case jobHasSeize(kind):
+		sz = e.seizes[j.arg]
+	default:
+		op = goal.OpID(j.arg)
 	}
-	if j.kind > jobSeizeOpen || !e.validOp(j.op, true) ||
-		!e.validReason(j.reason) && j.reason != 0 || !e.validReason(j.waitReason) && j.waitReason != 0 ||
-		(j.kind == jobSendData || j.kind == jobCtlSend || j.kind == jobCtlRecv) && j.msg == nil {
+	c.U8((*uint8)(&kind))
+	snapshot.Int(c, &j.cost)
+	snapshot.Int(c, &op)
+	snapshot.Int(c, &sz.reason)
+	e.codeOwned(c, &sz.done)
+	snapshot.Int(c, &sz.waitReason)
+	e.codeOwned(c, &sz.granted)
+	hasMsg := jobHasMsg(kind)
+	if c.Bool(&hasMsg); hasMsg {
+		e.codeMsg(c, &m)
+	}
+	if kind > jobSeizeOpen || !e.validOp(op, true) ||
+		!e.validReason(sz.reason) && sz.reason != 0 || !e.validReason(sz.waitReason) && sz.waitReason != 0 ||
+		hasMsg != jobHasMsg(kind) {
 		c.Failf("job fields out of range")
+	}
+	if !c.Decoding() || c.Err() != nil {
+		return
+	}
+	j.kind = kind
+	switch {
+	case hasMsg:
+		j.arg = e.newMsg(m)
+	case jobHasSeize(kind):
+		j.arg = e.newSeize(sz)
+	default:
+		j.arg = int32(op)
 	}
 }
 
@@ -329,13 +372,10 @@ func (e *Engine) codeRank(c *snapshot.Codec, st *rankState) {
 		}
 	}
 	if n := c.Len(len(st.unexpected)); c.Decoding() {
-		st.unexpected = make([]*message, n)
-		for i := range st.unexpected {
-			st.unexpected[i] = &message{}
-		}
+		st.unexpected = make([]int32, n)
 	}
-	for _, m := range st.unexpected {
-		e.codeMsg(c, m)
+	for i := range st.unexpected {
+		e.codeMsgSlot(c, &st.unexpected[i])
 	}
 	hasArrivals := st.lastArrival != nil
 	if c.Bool(&hasArrivals); hasArrivals {
@@ -354,14 +394,11 @@ func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, seq *uint64, ev *
 	c.U8((*uint8)(&ev.kind))
 	switch ev.kind {
 	case evJobDone:
-		if snapshot.Int(c, &ev.rank); ev.rank < 0 || int(ev.rank) >= len(e.ranks) {
+		if snapshot.Int(c, &ev.id); ev.id < 0 || int(ev.id) >= len(e.ranks) {
 			c.Failf("jobDone rank out of range")
 		}
 	case evArrive:
-		if c.Decoding() {
-			ev.msg = &message{}
-		}
-		e.codeMsg(c, ev.msg)
+		e.codeMsgSlot(c, &ev.id)
 	case evTimer:
 		if e.codeOwned(c, &ev.work); ev.work.owner == 0 {
 			c.Failf("timer without an owner")
@@ -376,11 +413,13 @@ func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, seq *uint64, ev *
 // accounting, the owner key table, every rank, one length-prefixed section
 // per agent, and the event queue with each event's exact ordering key.
 //
-// The msgFree recycling pool is deliberately not serialized: it holds only
-// zeroed structs awaiting reuse, so a restored engine starts it empty
-// with no observable effect (allocation count differs, simulation does
-// not). The exhaustive-field test in snapshot_fields_test.go documents
-// this exclusion.
+// The message and seizure slabs are not serialized as such: every live
+// slot is written inline where a job, event or unexpected queue names it,
+// and a restore fills fresh slots in decode order. Slot numbers never reach
+// results or traces, and the free lists hold only slots awaiting reuse, so
+// a restored engine starts them empty with no observable effect. The
+// exhaustive-field test in snapshot_fields_test.go documents these
+// exclusions.
 func (e *Engine) walk(c *snapshot.Codec) error {
 	snapshot.Int(c, &e.now)
 	snapshot.Int(c, &e.events)

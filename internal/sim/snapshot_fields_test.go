@@ -61,9 +61,15 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"seizeCnt":    "serialized with the reason table",
 		"heldTime":    "serialized with the reason table",
 		"heldCnt":     "serialized with the reason table",
-		"msgFree": "deliberately NOT serialized: the recycling pool holds only zeroed " +
-			"structs awaiting reuse; a restored engine rebuilds it empty with no " +
-			"observable effect on the simulation (see encodeSnapshot)",
+		"msgs": "not serialized as a slab: each live message is written inline where a " +
+			"job, event or unexpected queue names it; restore fills fresh slots in " +
+			"decode order, and slot numbers never reach results or traces (see walk)",
+		"msgFree": "deliberately NOT serialized: free slots awaiting reuse; a restored " +
+			"engine starts the list empty with no observable effect on the simulation",
+		"seizes": "not serialized as a slab: each live seizure record is written inline " +
+			"with the job naming it; restore fills fresh slots in decode order",
+		"seizeFree": "deliberately NOT serialized: free slots awaiting reuse; a restored " +
+			"engine starts the list empty with no observable effect on the simulation",
 		"ran": "runtime guard, not simulation state; doubles as the restore-failure poison",
 		"owners": "rebuilt at New/registration; restore reserves the blob's extra keys " +
 			"and checks every one was claimed by the time the agents decode",
@@ -101,13 +107,19 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 
 func TestSnapshotCoversJobFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(job{}), map[string]string{
-		"kind":       "serialized; bounds-checked on decode",
-		"cost":       "serialized",
-		"op":         "serialized; bounds-checked on decode",
-		"msg":        "serialized inline when present",
-		"reason":     "serialized; bounds-checked against the restored reason table",
+		"kind": "serialized; bounds-checked on decode",
+		"cost": "serialized",
+		"arg": "serialized by what it names: the op ID (bounds-checked), the message " +
+			"inline (present exactly for message kinds), or the seizure record's " +
+			"fields; decode allocates the slab slot",
+	})
+}
+
+func TestSnapshotCoversSeizeRecFields(t *testing.T) {
+	requireFields(t, reflect.TypeOf(seizeRec{}), map[string]string{
+		"reason":     "serialized with its job; bounds-checked against the restored reason table",
+		"waitReason": "serialized with its job; bounds-checked against the restored reason table",
 		"done":       "serialized owned work; owner bounds-checked against the owner table",
-		"waitReason": "serialized; bounds-checked against the restored reason table",
 		"granted":    "serialized owned work; owner bounds-checked against the owner table",
 	})
 }
@@ -130,9 +142,10 @@ func TestSnapshotCoversMessageFields(t *testing.T) {
 func TestSnapshotCoversEventFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(event{}), map[string]string{
 		"kind": "serialized; unknown kinds rejected on decode",
-		"rank": "serialized for evJobDone; bounds-checked on decode",
+		"id": "serialized for evJobDone as the rank (bounds-checked on decode); for " +
+			"evArrive the message in that slot is serialized inline and decode " +
+			"allocates a fresh slot",
 		"work": "serialized for evTimer; owner must be set and in the owner table",
-		"msg":  "serialized for evArrive",
 	})
 }
 

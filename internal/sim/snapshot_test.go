@@ -8,6 +8,9 @@ package sim
 // engine contract in isolation.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -248,7 +251,7 @@ func liveIndex(t testing.TB, seed uint64) int {
 func allPendingLive(e *Engine) bool {
 	var held, scaled, ctl, open bool
 	scan := func(j *job) {
-		ctl = ctl || j.msg != nil && j.msg.deliver.owner != 0
+		ctl = ctl || jobHasMsg(j.kind) && e.msgs[j.arg].deliver.owner != 0
 	}
 	for i := range e.ranks {
 		st := &e.ranks[i]
@@ -263,7 +266,7 @@ func allPendingLive(e *Engine) bool {
 		}
 	}
 	e.queue.Items(func(_ simtime.Time, _ uint64, ev event) bool {
-		ctl = ctl || ev.kind == evArrive && ev.msg.deliver.owner != 0
+		ctl = ctl || ev.kind == evArrive && e.msgs[ev.id].deliver.owner != 0
 		return true
 	})
 	return held && scaled && ctl && open
@@ -476,4 +479,64 @@ func FuzzSnapshotDecode(f *testing.F) {
 		tryRestore(snapshot.Seal(snapshot.FormatVersion, data))
 		tryRestore(snapshot.Seal(snapshot.FormatVersion, append(append([]byte(nil), digest...), data...)))
 	})
+}
+
+// pinnedSnapshotSHA is the SHA-256 of every cadence-1 blob of seed 1's
+// snapConfig run, each prefixed by its length. A change to the engine's
+// records that leaves this hash alone keeps the wire format, so
+// snapshot.FormatVersion needs no bump; a change that moves it must bump
+// the version and re-pin the hash.
+const pinnedSnapshotSHA = "49eb68cf0141b51acd1e769cc746b46e5936cecdd5865ea231b61333ee490ef6"
+
+// TestSnapshotBytesPinned hashes every snapshot of one run taken at cadence
+// 1. snapConfig's run holds every kind of pending work at some event (see
+// liveIndex): messages in flight and unexpected, control messages carrying
+// continuations, fixed and open-ended seizures queued and running.
+func TestSnapshotBytesPinned(t *testing.T) {
+	var eng *Engine
+	var blobs [][]byte
+	var jobKinds [jobSeizeOpen + 1]bool
+	unexpected := false
+	cfg := snapConfig(1, func(s Snapshot) {
+		blobs = append(blobs, s.Blob)
+		for i := range eng.ranks {
+			st := &eng.ranks[i]
+			if st.running {
+				jobKinds[st.runningJob.kind] = true
+			}
+			for _, q := range []*fifo[job]{&st.seizeQ, &st.ctlQ, &st.appQ} {
+				for k := 0; k < q.n; k++ {
+					jobKinds[q.at(k).kind] = true
+				}
+			}
+			unexpected = unexpected || len(st.unexpected) > 0
+		}
+	})
+	cfg.Trace = func(TraceEvent) {} // as monolithicRun: blobs carry the trace count
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for k, seen := range jobKinds {
+		if !seen {
+			t.Errorf("no snapshot holds a job of kind %d", k)
+		}
+	}
+	if !unexpected {
+		t.Error("no snapshot holds an unexpected message")
+	}
+	h := sha256.New()
+	var n [8]byte
+	for _, b := range blobs {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(b)))
+		h.Write(n[:])
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedSnapshotSHA {
+		t.Errorf("%d snapshot blobs hash to %s, pinned %s: the snapshot bytes changed",
+			len(blobs), got, pinnedSnapshotSHA)
+	}
 }
