@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"checkpointsim/internal/sim"
 )
 
 // stripLines drops output lines with any of the given prefixes, so runs
@@ -102,5 +105,36 @@ func TestResumeRejectsCorruptBlob(t *testing.T) {
 	var sb strings.Builder
 	if err := run(append(args, "-resume", bad), &sb); err == nil {
 		t.Fatal("resume from truncated blob succeeded")
+	}
+}
+
+// TestResumeRefusesOtherConfig: a snapshot resumes only the run that took
+// it. Changing the checkpoint interval and write time, or the noise
+// duration, between the snapshotting and the resuming run is refused with
+// the config-mismatch error instead of printing a result that belongs to
+// neither run.
+func TestResumeRefusesOtherConfig(t *testing.T) {
+	for name, tc := range map[string]struct{ base, changed []string }{
+		"protocol": {
+			base:    []string{"-interval", "5ms", "-write", "1ms"},
+			changed: []string{"-interval", "2ms", "-write", "3ms"},
+		},
+		"noise": {
+			base:    []string{"-noise-period", "2ms", "-noise-duration", "100us"},
+			changed: []string{"-noise-period", "2ms", "-noise-duration", "300us"},
+		},
+	} {
+		args := []string{"-ranks", "16", "-iters", "20", "-protocol", "coordinated"}
+		dir := t.TempDir()
+		capture(t, append(append(args, tc.base...), "-snapshot-every", "2000", "-snapshot-dir", dir)...)
+		blob := filepath.Join(dir, "snap-000000002000.ckpt")
+		if _, err := os.Stat(blob); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		err := run(append(append(args, tc.changed...), "-resume", blob), &sb)
+		if !errors.Is(err, sim.ErrConfigMismatch) {
+			t.Errorf("%s: resume under a changed config: %v, want ErrConfigMismatch; output:\n%s", name, err, sb.String())
+		}
 	}
 }

@@ -24,10 +24,10 @@ const diskLogName = "cache.log"
 // process trust the log: a truncated or bit-flipped record fails Open or
 // the decoder and degrades to a cold run, it is never served.
 func EncodeDiskRecord(key string, val []byte) []byte {
-	var e snapshot.Encoder
-	e.Str(key)
-	e.BytesLP(val)
-	return snapshot.Seal(DiskRecordVersion, e.Bytes())
+	c := snapshot.Writer()
+	c.Str(&key)
+	c.Blob(&val)
+	return snapshot.Seal(DiskRecordVersion, c.Bytes())
 }
 
 // DecodeDiskRecord verifies and decodes a sealed record back into its key
@@ -43,10 +43,10 @@ func DecodeDiskRecord(rec []byte) (key string, val []byte, err error) {
 		return "", nil, fmt.Errorf("%w: disk record version %d, want %d",
 			snapshot.ErrVersion, version, DiskRecordVersion)
 	}
-	d := snapshot.NewDecoder(payload)
-	key = d.Str()
-	val = d.BytesLP()
-	if err := d.Finish(); err != nil {
+	c := snapshot.Reader(payload)
+	c.Str(&key)
+	c.Blob(&val)
+	if err := c.Finish(); err != nil {
 		return "", nil, err
 	}
 	return key, val, nil

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,6 +40,22 @@ func TestDiskRecordRoundTrip(t *testing.T) {
 		if key != c.key || !bytes.Equal(val, c.val) {
 			t.Errorf("round trip of %q mutated record: key %q, %d bytes", c.key, key, len(val))
 		}
+	}
+}
+
+// TestDiskRecordBytesPinned pins the sealed record layout, so cache.log
+// files written by earlier builds stay readable: a change here needs a
+// DiskRecordVersion bump.
+func TestDiskRecordBytesPinned(t *testing.T) {
+	const want = "434b534e4150310a01093366326139632f45310f7b22726f7773223a5b312c325d7d0a" +
+		"62281be1415d16f0f32b42d2d7cfdf175379974aaafc53d3a7e4706e1bcd84f6"
+	key, val := "3f2a9c/E1", []byte("{\"rows\":[1,2]}\n")
+	rec := EncodeDiskRecord(key, val)
+	if got := hex.EncodeToString(rec); got != want {
+		t.Fatalf("record bytes changed:\n got %s\nwant %s", got, want)
+	}
+	if k, v, err := DecodeDiskRecord(rec); err != nil || k != key || !bytes.Equal(v, val) {
+		t.Fatalf("pinned record decodes as %q, %q, %v", k, v, err)
 	}
 }
 

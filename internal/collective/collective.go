@@ -44,19 +44,19 @@ func entryOf(entry []goal.OpID, rank int) goal.OpID {
 }
 
 // seqs builds one Sequencer per rank rooted at the entries.
-func seqs(b *goal.Builder, entry []goal.OpID) []*goal.Sequencer {
-	out := make([]*goal.Sequencer, b.NumRanks())
+func seqs(b *goal.Builder, entry []goal.OpID) []goal.Sequencer {
+	out := make([]goal.Sequencer, b.NumRanks())
 	for i := range out {
-		out[i] = b.SeqAfter(i, entryOf(entry, i))
+		out[i] = *b.SeqAfter(i, entryOf(entry, i))
 	}
 	return out
 }
 
 // exits collects the per-rank tails.
-func exits(ss []*goal.Sequencer) []goal.OpID {
+func exits(ss []goal.Sequencer) []goal.OpID {
 	out := make([]goal.OpID, len(ss))
-	for i, s := range ss {
-		out[i] = s.Last()
+	for i := range ss {
+		out[i] = ss[i].Last()
 	}
 	return out
 }
@@ -81,7 +81,7 @@ func Bcast(b *goal.Builder, root int, entry []goal.OpID, tag int, bytes int64) [
 	rounds := log2ceil(p)
 	for v := 0; v < p; v++ {
 		rank := (v + root) % p
-		s := ss[rank]
+		s := &ss[rank]
 		k := rounds // root "received" before round 0
 		if v != 0 {
 			lsb := v & -v
@@ -112,7 +112,7 @@ func Reduce(b *goal.Builder, root int, entry []goal.OpID, tag int, bytes int64) 
 	rounds := log2ceil(p)
 	for v := 0; v < p; v++ {
 		rank := (v + root) % p
-		s := ss[rank]
+		s := &ss[rank]
 		k := rounds
 		if v != 0 {
 			k = bits.TrailingZeros(uint(v))
@@ -166,7 +166,7 @@ func Allreduce(b *goal.Builder, entry []goal.OpID, tag int, bytes int64) []goal.
 		for m := 0; m < pof2; m++ {
 			rank := unmap(m)
 			partner := unmap(m ^ step)
-			s := ss[rank]
+			s := &ss[rank]
 			sd := s.Fork(goal.KindSend, int32(partner), int32(tag), bytes)
 			rv := s.Fork(goal.KindRecv, int32(partner), int32(tag), bytes)
 			s.Join(sd, rv)
@@ -220,7 +220,7 @@ func AllreduceRabenseifner(b *goal.Builder, entry []goal.OpID, tag int, bytes in
 		for m := 0; m < pof2; m++ {
 			rank := unmap(m)
 			partner := unmap(m ^ d)
-			s := ss[rank]
+			s := &ss[rank]
 			sd := s.Fork(goal.KindSend, int32(partner), int32(tag), chunk(d))
 			rv := s.Fork(goal.KindRecv, int32(partner), int32(tag), chunk(d))
 			s.Join(sd, rv)
@@ -254,7 +254,7 @@ func Barrier(b *goal.Builder, entry []goal.OpID, tag int) []goal.OpID {
 	const signalBytes = 1
 	for step := 1; step < p; step <<= 1 {
 		for i := 0; i < p; i++ {
-			s := ss[i]
+			s := &ss[i]
 			to := (i + step) % p
 			from := (i - step + p) % p
 			sd := s.Fork(goal.KindSend, int32(to), int32(tag), signalBytes)
@@ -274,7 +274,7 @@ func Allgather(b *goal.Builder, entry []goal.OpID, tag int, blockBytes int64) []
 	ss := seqs(b, entry)
 	for step := 0; step < p-1; step++ {
 		for i := 0; i < p; i++ {
-			s := ss[i]
+			s := &ss[i]
 			right := (i + 1) % p
 			left := (i - 1 + p) % p
 			sd := s.Fork(goal.KindSend, int32(right), int32(tag), blockBytes)
@@ -295,7 +295,7 @@ func Alltoall(b *goal.Builder, entry []goal.OpID, tag int, bytes int64) []goal.O
 	ss := seqs(b, entry)
 	for step := 1; step < p; step++ {
 		for i := 0; i < p; i++ {
-			s := ss[i]
+			s := &ss[i]
 			to := (i + step) % p
 			from := (i - step + p) % p
 			sd := s.Fork(goal.KindSend, int32(to), int32(tag), bytes)
@@ -331,7 +331,7 @@ func Gather(b *goal.Builder, root int, entry []goal.OpID, tag int, blockBytes in
 	}
 	for v := 0; v < p; v++ {
 		rank := (v + root) % p
-		s := ss[rank]
+		s := &ss[rank]
 		k := rounds
 		if v != 0 {
 			k = bits.TrailingZeros(uint(v))
@@ -373,7 +373,7 @@ func Scatter(b *goal.Builder, root int, entry []goal.OpID, tag int, blockBytes i
 	}
 	for v := 0; v < p; v++ {
 		rank := (v + root) % p
-		s := ss[rank]
+		s := &ss[rank]
 		k := rounds
 		if v != 0 {
 			lsb := v & -v

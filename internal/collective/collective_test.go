@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -384,4 +385,19 @@ func TestRabenseifnerTinyPayload(t *testing.T) {
 	b := goal.NewBuilder(8)
 	AllreduceRabenseifner(b, nil, 0, 1)
 	runProg(t, b.MustBuild())
+}
+
+// TestAllreduceAllocsIndependentOfRanks: into a builder with room for its
+// ops, a collective allocates only its per-call slices — the per-rank
+// sequencers are held by value, not one heap object per rank.
+func TestAllreduceAllocsIndependentOfRanks(t *testing.T) {
+	const runs = 5
+	allocs := func(p int) float64 {
+		b := goal.NewBuilder(p)
+		b.Grow((runs + 1) * 3 * p * bits.Len(uint(p)))
+		return testing.AllocsPerRun(runs, func() { Allreduce(b, nil, 0, 8) })
+	}
+	if a64, a128 := allocs(64), allocs(128); a64 != a128 {
+		t.Errorf("Allreduce allocs: %v at P=64, %v at P=128; want equal", a64, a128)
+	}
 }

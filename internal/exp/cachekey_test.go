@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -8,8 +9,12 @@ import (
 	"time"
 
 	"checkpointsim/internal/cache"
+	"checkpointsim/internal/checkpoint"
+	"checkpointsim/internal/failure"
 	"checkpointsim/internal/network"
+	"checkpointsim/internal/noise"
 	"checkpointsim/internal/run"
+	"checkpointsim/internal/sim"
 	"checkpointsim/internal/storage"
 	"checkpointsim/internal/workload"
 )
@@ -249,4 +254,94 @@ func TestCacheKeyCoversEveryLeaf(t *testing.T) {
 		map[string]any{"Program": prog})
 	checkKeyExact(t, func(o Options) string { return keyOf("E1", o) },
 		[]string{"Jobs", "Events", "Ctx", "Snapshots", "OnSnapshot", "ResumeFrom"}, nil)
+}
+
+// mutateLeaf sets f to a valid value different from its current one.
+func mutateLeaf(t *testing.T, name string, f reflect.Value) {
+	switch f.Kind() {
+	case reflect.Int, reflect.Int64:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint8, reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	case reflect.Float64:
+		if v := f.Float(); v != 0 {
+			f.SetFloat(2 * v)
+		} else {
+			f.SetFloat(0.5)
+		}
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.String:
+		alt := map[string]string{"Workload": "cg", "Protocol.Kind": "uncoordinated", "Protocol.Offset": "random"}
+		f.SetString(alt[name])
+	default:
+		t.Fatalf("%s: no mutation for %s", name, f.Type())
+	}
+}
+
+// A snapshot resumes only the run that took it: every keyed leaf of
+// run.Config, and the Program, is sealed into the blob, so resuming under
+// any other value fails with sim.ErrConfigMismatch instead of silently
+// simulating a run that belongs to neither configuration.
+func TestResumeRefusesEveryKeyedLeaf(t *testing.T) {
+	base := run.Config{
+		Workload: "stencil2d", Ranks: 4, Iterations: 6, Compute: ms(1), Jitter: 0.1, MsgBytes: 1024,
+		Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: ms(2), Write: ms(1) / 4},
+		Noise:    &noise.Config{Period: ms(1), Duration: ms(1) / 100},
+		Failures: &failure.Config{MTBF: 1000 * ms(1000), Restart: ms(1), ReplaySpeedup: 2},
+		Seed:     3,
+	}
+	var blob []byte
+	snap := base
+	snap.SnapshotEvery = 200
+	snap.OnSnapshot = func(s sim.Snapshot) {
+		if blob == nil {
+			blob = s.Blob
+		}
+	}
+	want, err := run.Run(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob == nil {
+		t.Fatal("the run took no snapshot")
+	}
+	resumed := base
+	resumed.ResumeFrom = blob
+	got, err := run.Run(resumed)
+	if err != nil {
+		t.Fatalf("resume under the unchanged config: %v", err)
+	}
+	if !bytes.Equal(got.CanonicalBytes(), want.CanonicalBytes()) {
+		t.Error("resume under the unchanged config diverged from the uninterrupted run")
+	}
+
+	// Every mutation is one Assemble accepts, so each leaf reaches the
+	// config digest rather than failing earlier.
+	prog, err := workload.FromName("cg", workload.CommonConfig{
+		Base: workload.Base{Ranks: 4, Iterations: 2, Compute: ms(1)}, Bytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range keyLeaves(reflect.TypeFor[run.Config](), "", nil) {
+		if l.tagged && l.name != "Program" {
+			continue
+		}
+		cfg := resumed
+		cfg.Noise, cfg.Failures = new(noise.Config), new(failure.Config)
+		*cfg.Noise, *cfg.Failures = *base.Noise, *base.Failures
+		f := leafAt(reflect.ValueOf(&cfg).Elem(), l.path)
+		if l.name == "Program" {
+			f.Set(reflect.ValueOf(prog))
+		} else {
+			mutateLeaf(t, l.name, f)
+		}
+		if _, err := cfg.Assemble(); err != nil {
+			t.Errorf("%s: Assemble refused the mutated config: %v", l.name, err)
+			continue
+		}
+		if _, err := run.Run(cfg); !errors.Is(err, sim.ErrConfigMismatch) {
+			t.Errorf("%s: resume under a different value: %v, want ErrConfigMismatch", l.name, err)
+		}
+	}
 }

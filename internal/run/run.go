@@ -111,7 +111,9 @@ type Assembly struct {
 // ranks are the application: the program is widened so each primary's
 // replicas are real simulated nodes. Agents run in the order protocol,
 // noise, failures. Trace and the snapshot settings are copied into the
-// sim.Config; ResumeFrom is left to the caller.
+// sim.Config, and its Identity is the config's canonical cache encoding, so
+// a snapshot resumes only under this exact config; ResumeFrom is left to
+// the caller.
 func (cfg Config) Assemble() (*Assembly, error) {
 	net := cfg.Net
 	if (net == network.Params{}) {
@@ -178,6 +180,7 @@ func (cfg Config) Assemble() (*Assembly, error) {
 		Trace:         cfg.Trace,
 		SnapshotEvery: cfg.SnapshotEvery,
 		OnSnapshot:    cfg.OnSnapshot,
+		Identity:      func() string { return cache.Canonical(cfg.CacheFields()) },
 	}
 	return a, nil
 }

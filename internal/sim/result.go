@@ -87,52 +87,45 @@ func (e *Engine) buildResult() *Result {
 // compares these to prove a resumed run's remainder is byte-identical to
 // the monolithic run's.
 func (r *Result) CanonicalBytes() []byte {
-	var enc snapshot.Encoder
-	enc.Time(r.Makespan)
-	snapshot.EncodeI64Slice(&enc, r.RankFinish)
-	snapshot.EncodeI64Slice(&enc, r.RankBusy)
-	snapshot.EncodeI64Slice(&enc, r.RankCtlBusy)
-	snapshot.EncodeI64Slice(&enc, r.RankSeized)
-	snapshot.EncodeI64Slice(&enc, r.RankScaledExtra)
-	durMap := func(m map[string]simtime.Duration) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		enc.Int(len(keys))
-		for _, k := range keys {
-			enc.Str(k)
-			enc.Dur(m[k])
-		}
+	c := snapshot.Writer()
+	snapshot.Int(c, &r.Makespan)
+	snapshot.Slice(c, &r.RankFinish, -1)
+	snapshot.Slice(c, &r.RankBusy, -1)
+	snapshot.Slice(c, &r.RankCtlBusy, -1)
+	snapshot.Slice(c, &r.RankSeized, -1)
+	snapshot.Slice(c, &r.RankScaledExtra, -1)
+	writeSorted(c, r.SeizedTime)
+	writeSorted(c, r.SeizedCount)
+	writeSorted(c, r.HeldTime)
+	writeSorted(c, r.HeldCount)
+	m := &r.Metrics
+	snapshot.Int(c, &m.AppMessages)
+	snapshot.Int(c, &m.AppBytes)
+	snapshot.Int(c, &m.CtlMessages)
+	snapshot.Int(c, &m.CtlBytes)
+	snapshot.Int(c, &m.Rendezvous)
+	snapshot.Int(c, &m.Matches)
+	snapshot.Int(c, &m.UnexpectedMax)
+	snapshot.Int(c, &m.PostedMax)
+	snapshot.Int(c, &m.FabricBusy)
+	snapshot.Int(c, &r.Events)
+	return c.Bytes()
+}
+
+// writeSorted writes a string-keyed map's length, then each key and value
+// in key order.
+func writeSorted[V simtime.Duration | int64](c *snapshot.Codec, m map[string]V) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	cntMap := func(m map[string]int64) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		enc.Int(len(keys))
-		for _, k := range keys {
-			enc.Str(k)
-			enc.I64(m[k])
-		}
+	sort.Strings(keys)
+	c.Len(len(keys))
+	for _, k := range keys {
+		v := m[k]
+		c.Str(&k)
+		snapshot.Int(c, &v)
 	}
-	durMap(r.SeizedTime)
-	cntMap(r.SeizedCount)
-	durMap(r.HeldTime)
-	cntMap(r.HeldCount)
-	enc.I64(r.Metrics.AppMessages)
-	enc.I64(r.Metrics.AppBytes)
-	enc.I64(r.Metrics.CtlMessages)
-	enc.I64(r.Metrics.CtlBytes)
-	enc.I64(r.Metrics.Rendezvous)
-	enc.I64(r.Metrics.Matches)
-	enc.Int(r.Metrics.UnexpectedMax)
-	enc.Int(r.Metrics.PostedMax)
-	enc.Dur(r.Metrics.FabricBusy)
-	enc.I64(r.Events)
-	return enc.Bytes()
 }
 
 // TotalSeized returns the CPU time seized across all ranks and reasons.

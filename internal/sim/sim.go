@@ -117,6 +117,13 @@ type Config struct {
 	// TraceEvent.Type == TraceCPU. The callback runs synchronously on the
 	// simulation's hot path; keep it cheap.
 	Trace func(TraceEvent)
+	// Identity, when non-nil, returns the canonical encoding of the
+	// configuration the engine was assembled from (protocol, noise,
+	// failure and storage parameters included). The config digest that
+	// every snapshot carries covers it, so a snapshot refuses to resume
+	// under any other configuration. It is called at most once, at the
+	// first snapshot or restore.
+	Identity func() string
 }
 
 // TraceType distinguishes the records flowing through Config.Trace. The
@@ -458,8 +465,9 @@ type Engine struct {
 	owners     []TimerOwner
 	ownerKeys  []string
 	ownerIDs   map[TimerOwner]int32
-	traceCount int64 // trace records emitted so far (resume suffix index)
-	restored   bool  // Run must skip Init/activation: state came from Restore
+	traceCount int64  // trace records emitted so far (resume suffix index)
+	restored   bool   // Run must skip Init/activation: state came from Restore
+	digest     []byte // config digest, computed at the first snapshot or restore
 	// ctx is the one Context agents see, at Init, snapshot and restore
 	// alike, so identity checks on it (storage.Store.Bind) hold.
 	ctx Context

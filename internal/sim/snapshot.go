@@ -184,28 +184,38 @@ func (e *Engine) snapshot() {
 
 // configDigest fingerprints everything that determines the simulation's
 // future evolution: seed, caps, network parameters, the program's content,
-// and the agent stack (by type, positionally — agent parameters beyond the
-// type are the caller's responsibility, which the exp/facade layers satisfy
-// by keying snapshots with their full cache-field identity).
-func (e *Engine) configDigest() [sha256.Size]byte {
-	var enc snapshot.Encoder
-	enc.Fix64(e.cfg.Seed)
-	enc.I64(e.cfg.MaxEvents)
-	enc.Time(e.cfg.MaxTime)
-	enc.Dur(e.net.Latency)
-	enc.Dur(e.net.Overhead)
-	enc.Dur(e.net.Gap)
-	enc.F64(e.net.GapPerByte)
-	enc.F64(e.net.OverheadPerByte)
-	enc.I64(e.net.RendezvousThreshold)
-	enc.F64(e.net.BisectionBytesPerSec)
-	pd := e.prog.Digest()
-	enc.Raw(pd[:])
-	enc.Int(len(e.cfg.Agents))
-	for _, a := range e.cfg.Agents {
-		enc.Str(fmt.Sprintf("%T", a))
+// the agent stack (by type, positionally) and, when Config.Identity is set,
+// the canonical encoding of the configuration that assembled the engine.
+// It is computed once, at the first snapshot or restore.
+func (e *Engine) configDigest() []byte {
+	if e.digest != nil {
+		return e.digest
 	}
-	return sha256.Sum256(enc.Bytes())
+	c := snapshot.Writer()
+	c.Fix64(&e.cfg.Seed)
+	snapshot.Int(c, &e.cfg.MaxEvents)
+	snapshot.Int(c, &e.cfg.MaxTime)
+	snapshot.Int(c, &e.net.Latency)
+	snapshot.Int(c, &e.net.Overhead)
+	snapshot.Int(c, &e.net.Gap)
+	c.F64(&e.net.GapPerByte)
+	c.F64(&e.net.OverheadPerByte)
+	snapshot.Int(c, &e.net.RendezvousThreshold)
+	c.F64(&e.net.BisectionBytesPerSec)
+	pd := e.prog.Digest()
+	c.Raw(pd[:])
+	c.Len(len(e.cfg.Agents))
+	for _, a := range e.cfg.Agents {
+		typ := fmt.Sprintf("%T", a)
+		c.Str(&typ)
+	}
+	if e.cfg.Identity != nil {
+		id := e.cfg.Identity()
+		c.Str(&id)
+	}
+	sum := sha256.Sum256(c.Bytes())
+	e.digest = sum[:]
+	return e.digest
 }
 
 // codeMsg walks a message.
@@ -221,8 +231,13 @@ func (e *Engine) codeMsg(c *snapshot.Codec, m *message) {
 	snapshot.Int(c, &m.recvOp)
 	e.codeOwned(c, &m.deliver)
 	n := int32(len(e.ranks))
+	// A rendezvous send completes when its data is pushed and a receive
+	// when its data is processed, so RTS and CTS name a pending send op, and
+	// CTS and data a pending receive op.
 	if m.kind > msgCtl || m.src < 0 || m.src >= n || m.dst < 0 || m.dst >= n ||
-		!e.validOp(m.op, true) || !e.validOp(m.recvOp, true) ||
+		!e.validOp(m.op) || !e.validOp(m.recvOp) ||
+		(m.kind == msgRTS || m.kind == msgCTS) && !e.claimOp(c, m.op) ||
+		(m.kind == msgCTS || m.kind == msgData) && !e.claimOp(c, m.recvOp) ||
 		(m.kind != msgCtl && m.deliver.owner != 0) {
 		c.Failf("message fields out of range")
 	}
@@ -241,10 +256,49 @@ func (e *Engine) codeMsgSlot(c *snapshot.Codec, s *int32) {
 	}
 }
 
-// validOp reports whether id names an op of the program (or NoOp, when
-// allowed).
-func (e *Engine) validOp(id goal.OpID, noOp bool) bool {
-	return noOp && id == goal.NoOp || id >= 0 && int(id) < len(e.prog.Ops)
+// validOp reports whether id names an op of the program or is NoOp.
+func (e *Engine) validOp(id goal.OpID) bool {
+	return id == goal.NoOp || id >= 0 && int(id) < len(e.prog.Ops)
+}
+
+// checkDeps fails decoding unless every dependency counter matches the
+// program: an open op waits on exactly its open dependencies, and a
+// completed op on none.
+func (e *Engine) checkDeps(c *snapshot.Codec) {
+	waiting := make([]int32, len(e.depsLeft))
+	for id, d := range e.depsLeft {
+		if d != -1 {
+			for _, out := range e.prog.Outs(goal.OpID(id)) {
+				waiting[out]++
+			}
+		}
+	}
+	for id, d := range e.depsLeft {
+		if d != waiting[id] && (d != -1 || waiting[id] != 0) {
+			c.Failf("dependency counter of op %d is %d, want %d", id, d, waiting[id])
+			return
+		}
+	}
+}
+
+// opClaimed marks, while decoding, an activated op that pending work
+// already names; walk resets it to 0 once everything is decoded.
+const opClaimed = -2
+
+// claimOp reports whether id names an activated op (dependency counter 0)
+// that no other pending work names, and claims it when decoding. Every
+// activated op is named exactly once — by its job, posted receive or
+// rendezvous message — until it completes, so a blob naming a completed,
+// unactivated or already-named op would have Run complete an op twice or
+// never.
+func (e *Engine) claimOp(c *snapshot.Codec, id goal.OpID) bool {
+	if id < 0 || int(id) >= len(e.depsLeft) || e.depsLeft[id] != 0 {
+		return false
+	}
+	if c.Decoding() {
+		e.depsLeft[id] = opClaimed
+	}
+	return true
 }
 
 // validReason reports whether id names an interned reason.
@@ -255,6 +309,11 @@ func jobHasMsg(k jobKind) bool { return k == jobSendData || k == jobCtlSend || k
 
 // jobHasSeize reports whether a job of kind k names a seizure slot.
 func jobHasSeize(k jobKind) bool { return k == jobSeize || k == jobSeizeOpen }
+
+// jobHasOp reports whether a job of kind k names an op.
+func jobHasOp(k jobKind) bool {
+	return k == jobCalc || k == jobSendEager || k == jobSendRTS || k == jobRecvDone
+}
 
 // codeJob walks a job in one flat layout for every kind: kind, cost, op,
 // the seizure fields, then a presence flag and the message inline. Fields
@@ -285,7 +344,8 @@ func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
 	if c.Bool(&hasMsg); hasMsg {
 		e.codeMsg(c, &m)
 	}
-	if kind > jobSeizeOpen || !e.validOp(op, true) ||
+	if kind > jobSeizeOpen || !e.validOp(op) ||
+		jobHasOp(kind) && !e.claimOp(c, op) ||
 		!e.validReason(sz.reason) && sz.reason != 0 || !e.validReason(sz.waitReason) && sz.waitReason != 0 ||
 		hasMsg != jobHasMsg(kind) {
 		c.Failf("job fields out of range")
@@ -367,7 +427,7 @@ func (e *Engine) codeRank(c *snapshot.Codec, st *rankState) {
 		st.posted = make([]postedRecv, n)
 	}
 	for i := range st.posted {
-		if snapshot.Int(c, &st.posted[i].op); !e.validOp(st.posted[i].op, false) {
+		if snapshot.Int(c, &st.posted[i].op); !e.claimOp(c, st.posted[i].op) {
 			c.Failf("posted op out of range")
 		}
 	}
@@ -419,7 +479,8 @@ func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, seq *uint64, ev *
 // results or traces, and the free lists hold only slots awaiting reuse, so
 // a restored engine starts them empty with no observable effect. The
 // exhaustive-field test in snapshot_fields_test.go documents these
-// exclusions.
+// exclusions. A restore checks that every activated op is named by exactly
+// one piece of pending work (see claimOp).
 func (e *Engine) walk(c *snapshot.Codec) error {
 	snapshot.Int(c, &e.now)
 	snapshot.Int(c, &e.events)
@@ -458,6 +519,9 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 			c.Failf("depsLeft out of range")
 		}
 	}
+	if c.Decoding() && c.Err() == nil {
+		e.checkDeps(c)
+	}
 	if open != e.opsLeft || e.opsLeft == 0 || e.events < 0 || e.now < 0 {
 		c.Failf("inconsistent progress counters")
 	}
@@ -480,6 +544,13 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 		return nil
 	}
 	e.queue.Clear()
+	// A running rank's job completes through exactly one queued jobDone,
+	// except an open-ended seizure that is not yet releasing.
+	pendingDone := make([]bool, len(e.ranks))
+	for i := range e.ranks {
+		st := &e.ranks[i]
+		pendingDone[i] = st.running && (st.runningJob.kind != jobSeizeOpen || st.releasing)
+	}
 	for i := 0; i < qn && c.Err() == nil; i++ {
 		var t simtime.Time
 		var seq uint64
@@ -487,11 +558,28 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 		if e.codeEvent(c, &t, &seq, &ev); t < e.now || seq >= qseq {
 			c.Failf("queue item key out of range")
 		}
+		if ev.kind == evJobDone && c.Err() == nil {
+			if !pendingDone[ev.id] {
+				c.Failf("jobDone for rank %d, which has no job to complete", ev.id)
+			}
+			pendingDone[ev.id] = false
+		}
 		if c.Err() == nil {
 			e.queue.Load(t, seq, ev)
 		}
 	}
 	e.queue.SetSeq(qseq)
+	if i := slices.Index(pendingDone, true); i >= 0 {
+		c.Failf("rank %d runs a job that never completes", i)
+	}
+	for id, d := range e.depsLeft {
+		switch d {
+		case opClaimed:
+			e.depsLeft[id] = 0
+		case 0:
+			c.Failf("activated op %d has no pending work", id)
+		}
+	}
 	return nil
 }
 
@@ -590,11 +678,10 @@ func (e *Engine) walkAgents(c *snapshot.Codec) error {
 // encodeSnapshot serializes the complete engine state at the current event
 // boundary.
 func (e *Engine) encodeSnapshot() []byte {
-	var enc snapshot.Encoder
-	digest := e.configDigest()
-	enc.Raw(digest[:])
-	e.walk(snapshot.Writer(&enc))
-	return snapshot.Seal(snapshot.FormatVersion, enc.Bytes())
+	c := snapshot.Writer()
+	c.Raw(e.configDigest())
+	e.walk(c)
+	return snapshot.Seal(snapshot.FormatVersion, c.Bytes())
 }
 
 // Restore loads a snapshot into an engine that has not yet run. The engine
@@ -633,15 +720,15 @@ func (e *Engine) Restore(blob []byte) (err error) {
 	if version != snapshot.FormatVersion {
 		return fmt.Errorf("%w: blob has %d, engine speaks %d", snapshot.ErrVersion, version, snapshot.FormatVersion)
 	}
-	dec := snapshot.NewDecoder(payload)
-	want := e.configDigest()
-	if got := dec.Raw(sha256.Size); dec.Err() == nil && !bytes.Equal(got, want[:]) {
+	c := snapshot.Reader(payload)
+	var got [sha256.Size]byte
+	if c.Raw(got[:]); c.Err() == nil && !bytes.Equal(got[:], e.configDigest()) {
 		return ErrConfigMismatch
 	}
-	if err := e.walk(snapshot.Reader(dec)); err != nil {
+	if err := e.walk(c); err != nil {
 		return err
 	}
-	if err := dec.Finish(); err != nil {
+	if err := c.Finish(); err != nil {
 		return err
 	}
 	e.restored = true

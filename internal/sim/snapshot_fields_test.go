@@ -78,6 +78,7 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"traceCount": "serialized scalar (anchors the resume trace suffix)",
 		"restored":   "runtime guard: tells Run to skip Init/activation",
 		"ctx":        "points back at the engine itself",
+		"digest":     "cache of the config digest, a function of the immutable cfg, prog and net",
 	})
 }
 
@@ -194,13 +195,14 @@ func TestSnapshotCoversConfigFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Config{}), map[string]string{
 		"Net":           "digest-covered (every parameter, see TestSnapshotCoversNetworkParams)",
 		"Program":       "digest-covered via content hash",
-		"Agents":        "digest-covered positionally by type; parameter identity is the caller's cache key",
+		"Agents":        "digest-covered positionally by type; their parameters through Identity",
 		"Seed":          "digest-covered",
 		"MaxEvents":     "digest-covered (caps change which runs error)",
 		"MaxTime":       "digest-covered (caps change which runs error)",
 		"SnapshotEvery": "pure observer, outside the digest: cadence never alters simulation state",
 		"OnSnapshot":    "pure observer, outside the digest",
 		"Trace":         "pure observer, outside the digest; traceCount keeps resume suffixes aligned",
+		"Identity":      "digest-covered: the assembling run configuration's canonical encoding",
 	})
 }
 

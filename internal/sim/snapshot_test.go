@@ -13,6 +13,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -415,6 +416,90 @@ func TestSnapshotCorruptionTable(t *testing.T) {
 	})
 }
 
+// corruptBlob restores seed's snapshots in turn until one has a rank r
+// running a calc job for which bad(e, r) corrupts the restored engine, and
+// returns that engine's snapshot: digest-intact, but describing a state
+// Run cannot finish.
+func corruptBlob(t testing.TB, seed uint64, bad func(e *Engine, r int) bool) []byte {
+	t.Helper()
+	var snaps []Snapshot
+	eng, err := New(snapConfig(seed, func(s Snapshot) { snaps = append(snaps, s) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range snaps {
+		e, err := New(snapConfig(seed, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Restore(s.Blob); err != nil {
+			t.Fatal(err)
+		}
+		for r := range e.ranks {
+			if st := &e.ranks[r]; st.running && st.runningJob.kind == jobCalc && bad(e, r) {
+				return e.encodeSnapshot()
+			}
+		}
+	}
+	t.Fatalf("seed %d: no snapshot to corrupt", seed)
+	return nil
+}
+
+// renameOp rewrites rank r's running op to the first other op whose
+// dependency counter satisfies want, or to NoOp when want is nil.
+func renameOp(want func(d int32) bool) func(*Engine, int) bool {
+	return func(e *Engine, r int) bool {
+		j := &e.ranks[r].runningJob
+		id := slices.IndexFunc(e.depsLeft, func(d int32) bool { return want != nil && want(d) })
+		if want != nil && (id < 0 || int32(id) == j.arg) {
+			return false
+		}
+		j.arg = int32(id) // -1 is goal.NoOp
+		return true
+	}
+}
+
+// TestRestoreRefusesBadOps: a running job naming NoOp, a completed op, an
+// op still waiting on its dependencies or an op that other pending work
+// already names, a dependency counter that disagrees with the program, or
+// a second completion queued for a running job, is corrupt — Restore fails
+// instead of handing Run an op it would index with -1, complete twice or
+// never complete.
+func TestRestoreRefusesBadOps(t *testing.T) {
+	const seed = 42
+	for name, bad := range map[string]func(*Engine, int) bool{
+		"noop":     renameOp(nil),
+		"finished": renameOp(func(d int32) bool { return d == -1 }),
+		"waiting":  renameOp(func(d int32) bool { return d > 0 }),
+		"named":    renameOp(func(d int32) bool { return d == 0 }),
+		"counter": func(e *Engine, _ int) bool {
+			id := slices.IndexFunc(e.depsLeft, func(d int32) bool { return d > 0 })
+			if id >= 0 {
+				e.depsLeft[id]++
+			}
+			return id >= 0
+		},
+		"done twice": func(e *Engine, r int) bool {
+			e.queue.Push(e.now, event{kind: evJobDone, id: int32(r)})
+			return true
+		},
+	} {
+		eng, err := New(snapConfig(seed, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Restore(corruptBlob(t, seed, bad)); !errors.Is(err, snapshot.ErrCorrupt) {
+			if err == nil {
+				_, err = eng.Run()
+			}
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzSnapshotDecode feeds arbitrary bytes to Engine.Restore through three
 // doors of increasing depth: the raw blob (exercises framing), the bytes
 // re-sealed as a payload (exercises the config-digest gate), and the bytes
@@ -456,6 +541,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(append([]byte(nil), livePayload[32:]...))
 	f.Add(append([]byte(nil), realPayload...))
 	f.Add(append([]byte(nil), realPayload[32:]...)) // digest-stripped payload
+	_, noOpPayload, err := snapshot.Open(corruptBlob(f, seed, renameOp(nil)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), noOpPayload[32:]...)) // a running job naming NoOp
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := func() *Engine {
 			e, err := New(snapConfig(seed, nil))

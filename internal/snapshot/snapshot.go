@@ -3,12 +3,13 @@
 // mid-run simulator state (see sim.Engine.Restore and DESIGN.md S25).
 //
 // The format is deliberately primitive — varint scalars appended to a flat
-// byte slice, length-prefixed nested sections — because the encoder runs on
+// byte slice, length-prefixed nested sections — because encoding runs on
 // the simulation hot path (a snapshot every few hundred thousand events)
-// and the decoder must be safe against arbitrary corruption: every read is
+// and decoding must be safe against arbitrary corruption: every read is
 // bounds-checked, errors are sticky, and a sealed blob carries a SHA-256
 // trailer over everything before it, so a truncated or bit-flipped snapshot
-// is rejected before any field reaches the engine.
+// is rejected before any field reaches the engine. One type, Codec, walks
+// the format in both directions.
 //
 // # Framing
 //
@@ -30,8 +31,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-
-	"checkpointsim/internal/simtime"
 )
 
 // FormatVersion is the current snapshot format. Bump it on any layout
@@ -120,355 +119,209 @@ func Open(blob []byte) (version uint64, payload []byte, err error) {
 	return version, body[len(magic)+n:], nil
 }
 
-// Encoder appends primitive values to a growing buffer. The zero value is
-// ready to use.
-type Encoder struct {
-	buf []byte
-}
-
-// Bytes returns the encoded buffer (aliased, not copied).
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
-
-// Bool appends a boolean as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-// U64 appends an unsigned varint.
-func (e *Encoder) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-
-// I64 appends a signed (zigzag) varint.
-func (e *Encoder) I64(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
-
-// Int appends an int as a signed varint.
-func (e *Encoder) Int(v int) { e.I64(int64(v)) }
-
-// F64 appends a float64 as fixed 8 little-endian bytes of its IEEE-754
-// representation, preserving every bit pattern (including -0 and NaNs).
-func (e *Encoder) F64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-// Fix64 appends a uint64 as fixed 8 little-endian bytes (RNG state words,
-// which varints would inflate).
-func (e *Encoder) Fix64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
-
-// Raw appends b verbatim with no length prefix (fixed-size digests).
-func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
-
-// Bytes appends a length-prefixed byte string.
-func (e *Encoder) BytesLP(b []byte) {
-	e.U64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Str appends a length-prefixed string.
-func (e *Encoder) Str(s string) {
-	e.U64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// Time appends a simulated timestamp.
-func (e *Encoder) Time(t simtime.Time) { e.I64(int64(t)) }
-
-// Dur appends a simulated duration.
-func (e *Encoder) Dur(d simtime.Duration) { e.I64(int64(d)) }
-
-// Section appends a length-prefixed nested section filled by fn, so the
-// decoder can verify the consumer reads exactly the bytes the producer
-// wrote (agent state sections).
-func (e *Encoder) Section(fn func(*Encoder)) {
-	var sub Encoder
-	fn(&sub)
-	e.BytesLP(sub.buf)
-}
-
-// Decoder reads values written by Encoder. Errors are sticky: after the
-// first failure every read returns a zero value and Err reports the cause,
-// so decode paths can defer error handling to a single check.
-type Decoder struct {
+// Codec walks one layout in either direction: a Writer appends each field
+// it is handed to a growing buffer and never writes through the pointer; a
+// Reader reads each field back into place from a byte slice. Describing a
+// layout once keeps its two directions from drifting apart. Decoding is
+// bounds-checked and its errors are sticky: after the first failure every
+// field decodes as its zero value and Err reports the cause, so a layout
+// can defer error handling to a single check.
+type Codec struct {
 	buf []byte
 	off int
 	err error
+	dec bool
 }
 
-// NewDecoder wraps b (aliased, not copied).
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+// Writer returns a Codec that encodes into a fresh buffer.
+func Writer() *Codec { return &Codec{} }
 
-// Err returns the first decode failure, or nil.
-func (d *Decoder) Err() error { return d.err }
+// Reader returns a Codec that decodes b in place (aliased, not copied).
+func Reader(b []byte) *Codec { return &Codec{buf: b, dec: true} }
 
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
+// Bytes returns the encoded buffer (aliased, not copied).
+func (c *Codec) Bytes() []byte { return c.buf }
+
+// Decoding reports whether c reads (restores) rather than writes.
+func (c *Codec) Decoding() bool { return c.dec }
+
+// Err returns the first decode failure, or nil (always nil when encoding).
+func (c *Codec) Err() error { return c.err }
 
 // Finish returns the sticky error, or ErrCorrupt when intact trailing bytes
-// remain — a section longer than its consumer expects is as wrong as one
+// remain — a layout longer than its consumer expects is as wrong as one
 // too short.
-func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
+func (c *Codec) Finish() error {
+	if c.err == nil && c.dec && c.off != len(c.buf) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(c.buf)-c.off)
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.off)
-	}
-	return nil
+	return c.err
 }
 
 // fail records the first error.
-func (d *Decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-// Failf records a formatted field-level ErrCorrupt, for consumers that
-// discover semantic inconsistencies (bad enum, length mismatch) beyond the
-// codec's structural checks.
-func (d *Decoder) Failf(format string, args ...any) {
-	d.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
-}
-
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.fail(ErrTruncated)
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-// Bool reads a boolean; any byte other than 0 or 1 is corrupt.
-func (d *Decoder) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.Failf("bool out of range")
-		return false
-	}
-}
-
-// U64 reads an unsigned varint.
-func (d *Decoder) U64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(fmt.Errorf("%w: uvarint", ErrTruncated))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// I64 reads a signed varint.
-func (d *Decoder) I64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(fmt.Errorf("%w: varint", ErrTruncated))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Int reads an int-sized signed varint.
-func (d *Decoder) Int() int { return int(d.I64()) }
-
-// F64 reads a fixed-8 float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.Fix64()) }
-
-// Fix64 reads a fixed-8 uint64.
-func (d *Decoder) Fix64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail(fmt.Errorf("%w: fixed64", ErrTruncated))
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-// Raw reads n verbatim bytes (aliased).
-func (d *Decoder) Raw(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+n > len(d.buf) {
-		d.fail(fmt.Errorf("%w: raw %d bytes", ErrTruncated, n))
-		return nil
-	}
-	v := d.buf[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
-// BytesLP reads a length-prefixed byte string (aliased).
-func (d *Decoder) BytesLP() []byte {
-	n := d.U64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail(fmt.Errorf("%w: byte string of %d with %d remaining", ErrTruncated, n, d.Remaining()))
-		return nil
-	}
-	return d.Raw(int(n))
-}
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.BytesLP()) }
-
-// Time reads a simulated timestamp.
-func (d *Decoder) Time() simtime.Time { return simtime.Time(d.I64()) }
-
-// Dur reads a simulated duration.
-func (d *Decoder) Dur() simtime.Duration { return simtime.Duration(d.I64()) }
-
-// Section reads a length-prefixed nested section as its own decoder.
-func (d *Decoder) Section() *Decoder { return NewDecoder(d.BytesLP()) }
-
-// EncodeI64Slice appends a length-prefixed slice of any int64-kinded type
-// (simtime.Time, simtime.Duration, int64, interned IDs).
-func EncodeI64Slice[T ~int64 | ~int32 | ~int](e *Encoder, v []T) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.I64(int64(x))
-	}
-}
-
-// DecodeI64Slice reads a slice written by EncodeI64Slice. want >= 0 pins the
-// expected length (slices sized by rank count); -1 accepts any. A nil slice
-// round-trips as empty.
-func DecodeI64Slice[T ~int64 | ~int32 | ~int](d *Decoder, want int) []T {
-	n := d.Int()
-	if d.Err() != nil {
-		return nil
-	}
-	if n < 0 || (want >= 0 && n != want) || n > d.Remaining() {
-		d.Failf("slice length %d (want %d, %d bytes remain)", n, want, d.Remaining())
-		return nil
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = T(d.I64())
-	}
-	return out
-}
-
-// Codec walks one state layout in either direction: built over an Encoder
-// (Writer) it appends each field it is handed, built over a Decoder
-// (Reader) it reads each field back into place, with the Decoder's sticky
-// errors and bounds checks. Describing a layout once keeps its two
-// directions from drifting apart.
-type Codec struct {
-	enc *Encoder
-	dec *Decoder
-}
-
-// Writer returns a Codec that encodes into enc.
-func Writer(enc *Encoder) *Codec { return &Codec{enc: enc} }
-
-// Reader returns a Codec that decodes from dec.
-func Reader(dec *Decoder) *Codec { return &Codec{dec: dec} }
-
-// Decoding reports whether c reads (restores) rather than writes.
-func (c *Codec) Decoding() bool { return c.dec != nil }
-
-// Err returns the first decode failure, or nil (always nil when encoding).
-func (c *Codec) Err() error {
-	if c.dec == nil {
-		return nil
-	}
-	return c.dec.Err()
-}
-
-// Failf records a field-level ErrCorrupt while decoding; a no-op when
+// Failf records a formatted field-level ErrCorrupt while decoding, for
+// layouts that discover semantic inconsistencies (bad enum, length
+// mismatch) beyond the codec's structural checks. It is a no-op when
 // encoding, so layout code can validate unconditionally.
 func (c *Codec) Failf(format string, args ...any) {
-	if c.dec != nil {
-		c.dec.Failf(format, args...)
+	if c.dec {
+		c.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
 	}
 }
 
-// Bool walks a boolean.
-func (c *Codec) Bool(v *bool) {
-	if c.dec != nil {
-		*v = c.dec.Bool()
-	} else {
-		c.enc.Bool(*v)
-	}
-}
+// remaining returns the number of unread bytes.
+func (c *Codec) remaining() int { return len(c.buf) - c.off }
 
 // U8 walks one byte.
 func (c *Codec) U8(v *uint8) {
-	if c.dec != nil {
-		*v = c.dec.U8()
-	} else {
-		c.enc.U8(*v)
+	switch {
+	case !c.dec:
+		c.buf = append(c.buf, *v)
+	case c.err == nil && c.off < len(c.buf):
+		*v = c.buf[c.off]
+		c.off++
+	default:
+		c.fail(ErrTruncated)
+		*v = 0
+	}
+}
+
+// Bool walks a boolean as one byte; decoding any byte other than 0 or 1 is
+// corrupt.
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	if c.U8(&b); c.dec {
+		if b > 1 {
+			c.Failf("bool out of range")
+		}
+		*v = b == 1
 	}
 }
 
 // U64 walks an unsigned varint.
 func (c *Codec) U64(v *uint64) {
-	if c.dec != nil {
-		*v = c.dec.U64()
-	} else {
-		c.enc.U64(*v)
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+		return
 	}
+	*v = 0
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Uvarint(c.buf[c.off:])
+	if n <= 0 {
+		c.fail(fmt.Errorf("%w: uvarint", ErrTruncated))
+		return
+	}
+	c.off += n
+	*v = x
 }
 
-// Fix64 walks a fixed-8 uint64.
+// i64 walks a signed (zigzag) varint.
+func (c *Codec) i64(v *int64) {
+	if !c.dec {
+		c.buf = binary.AppendVarint(c.buf, *v)
+		return
+	}
+	*v = 0
+	if c.err != nil {
+		return
+	}
+	x, n := binary.Varint(c.buf[c.off:])
+	if n <= 0 {
+		c.fail(fmt.Errorf("%w: varint", ErrTruncated))
+		return
+	}
+	c.off += n
+	*v = x
+}
+
+// Fix64 walks a uint64 as fixed 8 little-endian bytes (RNG state words,
+// which varints would inflate).
 func (c *Codec) Fix64(v *uint64) {
-	if c.dec != nil {
-		*v = c.dec.Fix64()
-	} else {
-		c.enc.Fix64(*v)
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+		return
+	}
+	*v = 0
+	if c.err != nil {
+		return
+	}
+	if c.remaining() < 8 {
+		c.fail(fmt.Errorf("%w: fixed64", ErrTruncated))
+		return
+	}
+	*v = binary.LittleEndian.Uint64(c.buf[c.off:])
+	c.off += 8
+}
+
+// F64 walks a float64 as the fixed 8 bytes of its IEEE-754 representation,
+// preserving every bit pattern (including -0 and NaN payloads).
+func (c *Codec) F64(v *float64) {
+	bits := math.Float64bits(*v)
+	if c.Fix64(&bits); c.dec {
+		*v = math.Float64frombits(bits)
 	}
 }
 
-// F64 walks a float64, bit-exact.
-func (c *Codec) F64(v *float64) {
-	if c.dec != nil {
-		*v = c.dec.F64()
-	} else {
-		c.enc.F64(*v)
+// Raw walks len(b) verbatim bytes with no length prefix (fixed-size
+// digests): encoding appends b, decoding fills it, and zeroes it after an
+// error.
+func (c *Codec) Raw(b []byte) {
+	if !c.dec {
+		c.buf = append(c.buf, b...)
+		return
 	}
+	if c.err == nil && c.remaining() < len(b) {
+		c.fail(fmt.Errorf("%w: raw %d bytes", ErrTruncated, len(b)))
+	}
+	if c.err != nil {
+		clear(b)
+		return
+	}
+	c.off += copy(b, c.buf[c.off:])
+}
+
+// Blob walks a length-prefixed byte string. Decoding aliases the input; a
+// length longer than the bytes left is ErrTruncated and allocates nothing.
+func (c *Codec) Blob(v *[]byte) {
+	n := uint64(len(*v))
+	c.U64(&n)
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	*v = nil
+	if c.err != nil {
+		return
+	}
+	if n > uint64(c.remaining()) {
+		c.fail(fmt.Errorf("%w: byte string of %d with %d remaining", ErrTruncated, n, c.remaining()))
+		return
+	}
+	*v = c.buf[c.off : c.off+int(n) : c.off+int(n)]
+	c.off += int(n)
 }
 
 // Str walks a length-prefixed string.
 func (c *Codec) Str(v *string) {
-	if c.dec != nil {
-		*v = c.dec.Str()
-	} else {
-		c.enc.Str(*v)
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(*v)))
+		c.buf = append(c.buf, *v...)
+		return
 	}
+	var b []byte
+	c.Blob(&b)
+	*v = string(b)
 }
 
 // Len walks a collection length: encoding writes n and returns it;
@@ -476,16 +329,11 @@ func (c *Codec) Str(v *string) {
 // the bytes left (every element takes at least one), and returns 0 on
 // error.
 func (c *Codec) Len(n int) int {
-	if c.dec == nil {
-		c.enc.Int(n)
-		return n
+	Int(c, &n)
+	if c.dec && c.err == nil && (n < 0 || n > c.remaining()) {
+		c.Failf("length %d with %d bytes left", n, c.remaining())
 	}
-	n = c.dec.Int()
-	if c.dec.Err() != nil {
-		return 0
-	}
-	if n < 0 || n > c.dec.Remaining() {
-		c.dec.Failf("length %d with %d bytes left", n, c.dec.Remaining())
+	if c.err != nil {
 		return 0
 	}
 	return n
@@ -494,35 +342,42 @@ func (c *Codec) Len(n int) int {
 // Int walks any int-kinded value (times, durations, counters, IDs) as a
 // signed varint.
 func Int[T ~int64 | ~int32 | ~int](c *Codec, v *T) {
-	if c.dec != nil {
-		*v = T(c.dec.I64())
-	} else {
-		c.enc.I64(int64(*v))
+	x := int64(*v)
+	if c.i64(&x); c.dec {
+		*v = T(x)
 	}
 }
 
 // Slice walks a length-prefixed slice of an int-kinded type. want >= 0
-// pins the decoded length (slices sized by rank count); -1 accepts any.
+// pins the decoded length (slices sized by rank count); -1 accepts any. A
+// nil slice decodes as empty.
 func Slice[T ~int64 | ~int32 | ~int](c *Codec, v *[]T, want int) {
-	if c.dec == nil {
-		EncodeI64Slice(c.enc, *v)
-		return
+	n := c.Len(len(*v))
+	if c.dec {
+		if want >= 0 && n != want {
+			c.Failf("slice length %d, want %d", n, want)
+			n = 0
+		}
+		*v = make([]T, n)
 	}
-	*v = DecodeI64Slice[T](c.dec, want)
+	for i := range *v {
+		Int(c, &(*v)[i])
+	}
 }
 
 // Section walks a length-prefixed nested section through fn. Decoding
 // returns fn's decode failure, or ErrCorrupt if fn leaves bytes unread — a
 // section longer than its consumer expects is as wrong as one too short.
 func (c *Codec) Section(fn func(*Codec)) error {
-	if c.dec == nil {
-		c.enc.Section(func(sub *Encoder) { fn(Writer(sub)) })
+	sub := &Codec{dec: c.dec}
+	if !c.dec {
+		fn(sub)
+		c.Blob(&sub.buf)
 		return nil
 	}
-	sub := c.dec.Section()
-	if c.dec.Err() != nil {
+	if c.Blob(&sub.buf); c.err != nil {
 		return nil
 	}
-	fn(Reader(sub))
+	fn(sub)
 	return sub.Finish()
 }

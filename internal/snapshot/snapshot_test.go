@@ -5,129 +5,163 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"checkpointsim/internal/simtime"
 )
 
-// TestPrimitiveRoundTrip drives every encoder primitive through its decoder
-// counterpart, including the values varint/zigzag/IEEE-754 edge on.
+// TestPrimitiveRoundTrip drives every primitive through a write and a read,
+// including the values varint/zigzag/IEEE-754 edge on.
 func TestPrimitiveRoundTrip(t *testing.T) {
-	var e Encoder
-	e.U8(0)
-	e.U8(255)
-	e.Bool(true)
-	e.Bool(false)
-	e.U64(0)
-	e.U64(math.MaxUint64)
-	e.I64(0)
-	e.I64(math.MinInt64)
-	e.I64(math.MaxInt64)
-	e.Int(-42)
-	e.F64(0)
-	e.F64(math.Copysign(0, -1))
-	e.F64(math.Inf(1))
-	e.F64(math.Float64frombits(0x7ff8000000000001)) // NaN with payload
-	e.Fix64(0xdeadbeefcafebabe)
-	e.Raw([]byte{1, 2, 3})
-	e.BytesLP(nil)
-	e.BytesLP([]byte("blob"))
-	e.Str("")
-	e.Str("reason:checkpoint")
-	e.Time(simtime.Time(123456789))
-	e.Dur(simtime.Duration(-5))
-
-	d := NewDecoder(e.Bytes())
-	check := func(name string, ok bool) {
-		t.Helper()
-		if !ok {
-			t.Errorf("%s did not round-trip (err=%v)", name, d.Err())
+	type prims struct {
+		u8       [2]uint8
+		bools    [2]bool
+		u64      [2]uint64
+		i64      [3]int64
+		i        int
+		f64      [4]float64
+		fix      uint64
+		raw      [3]byte
+		blobs    [2][]byte
+		strs     [2]string
+		time     simtime.Time
+		dur      simtime.Duration
+		i32, len int32
+	}
+	walk := func(c *Codec, p *prims) {
+		for i := range p.u8 {
+			c.U8(&p.u8[i])
+		}
+		for i := range p.bools {
+			c.Bool(&p.bools[i])
+		}
+		for i := range p.u64 {
+			c.U64(&p.u64[i])
+		}
+		for i := range p.i64 {
+			Int(c, &p.i64[i])
+		}
+		Int(c, &p.i)
+		for i := range p.f64 {
+			c.F64(&p.f64[i])
+		}
+		c.Fix64(&p.fix)
+		c.Raw(p.raw[:])
+		for i := range p.blobs {
+			c.Blob(&p.blobs[i])
+		}
+		for i := range p.strs {
+			c.Str(&p.strs[i])
+		}
+		Int(c, &p.time)
+		Int(c, &p.dur)
+		Int(c, &p.i32)
+		p.len = int32(c.Len(int(p.len)))
+	}
+	nan := math.Float64frombits(0x7ff8000000000001) // NaN with payload
+	want := prims{
+		u8:    [2]uint8{0, 255},
+		bools: [2]bool{true, false},
+		u64:   [2]uint64{0, math.MaxUint64},
+		i64:   [3]int64{0, math.MinInt64, math.MaxInt64},
+		i:     -42,
+		f64:   [4]float64{0, math.Copysign(0, -1), math.Inf(1), nan},
+		fix:   0xdeadbeefcafebabe,
+		raw:   [3]byte{1, 2, 3},
+		blobs: [2][]byte{nil, []byte("blob")},
+		strs:  [2]string{"", "reason:checkpoint"},
+		time:  123456789,
+		dur:   -5,
+		i32:   math.MinInt32,
+		len:   0,
+	}
+	w := Writer()
+	in := want
+	walk(w, &in)
+	if w.Finish() != nil || w.Err() != nil || w.Decoding() {
+		t.Fatalf("writer: err %v, decoding %v", w.Err(), w.Decoding())
+	}
+	var got prims
+	r := Reader(w.Bytes())
+	walk(r, &got)
+	if err := r.Finish(); err != nil {
+		t.Fatalf("Finish after exact consumption: %v", err)
+	}
+	for i, f := range got.f64 {
+		if math.Float64bits(f) != math.Float64bits(want.f64[i]) {
+			t.Errorf("f64[%d]: bits %#x, want %#x", i, math.Float64bits(f), math.Float64bits(want.f64[i]))
 		}
 	}
-	check("u8", d.U8() == 0)
-	check("u8 max", d.U8() == 255)
-	check("bool true", d.Bool() == true)
-	check("bool false", d.Bool() == false)
-	check("u64 zero", d.U64() == 0)
-	check("u64 max", d.U64() == math.MaxUint64)
-	check("i64 zero", d.I64() == 0)
-	check("i64 min", d.I64() == math.MinInt64)
-	check("i64 max", d.I64() == math.MaxInt64)
-	check("int", d.Int() == -42)
-	check("f64 zero", d.F64() == 0)
-	if v := d.F64(); !(v == 0 && math.Signbit(v)) {
-		t.Errorf("negative zero did not survive: %v", v)
+	got.f64, want.f64 = [4]float64{}, [4]float64{}
+	if len(got.blobs[0]) != 0 {
+		t.Errorf("nil byte string decoded as %q", got.blobs[0])
 	}
-	check("f64 inf", math.IsInf(d.F64(), 1))
-	if bits := math.Float64bits(d.F64()); bits != 0x7ff8000000000001 {
-		t.Errorf("NaN payload not preserved: %#x", bits)
-	}
-	check("fix64", d.Fix64() == 0xdeadbeefcafebabe)
-	check("raw", string(d.Raw(3)) == "\x01\x02\x03")
-	check("byteslp nil", len(d.BytesLP()) == 0)
-	check("byteslp", string(d.BytesLP()) == "blob")
-	check("str empty", d.Str() == "")
-	check("str", d.Str() == "reason:checkpoint")
-	check("time", d.Time() == simtime.Time(123456789))
-	check("dur", d.Dur() == simtime.Duration(-5))
-	if err := d.Finish(); err != nil {
-		t.Fatalf("Finish after exact consumption: %v", err)
+	got.blobs[0], want.blobs[0] = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestI64SliceRoundTrip(t *testing.T) {
-	var e Encoder
-	EncodeI64Slice(&e, []simtime.Time{1, 2, 3})
-	EncodeI64Slice[int64](&e, nil)
-	d := NewDecoder(e.Bytes())
-	got := DecodeI64Slice[simtime.Time](d, 3)
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("slice round-trip: %v (err %v)", got, d.Err())
+	times, none := []simtime.Time{1, 2, 3}, []int64(nil)
+	w := Writer()
+	Slice(w, &times, 3)
+	Slice(w, &none, -1)
+
+	var gotTimes []simtime.Time
+	var gotNone []int64
+	r := Reader(w.Bytes())
+	if Slice(r, &gotTimes, 3); !reflect.DeepEqual(gotTimes, times) {
+		t.Fatalf("slice round-trip: %v (err %v)", gotTimes, r.Err())
 	}
-	if ev := DecodeI64Slice[int64](d, -1); len(ev) != 0 || d.Err() != nil {
-		t.Fatalf("nil slice round-trip: %v (err %v)", ev, d.Err())
+	if Slice(r, &gotNone, -1); len(gotNone) != 0 || r.Err() != nil {
+		t.Fatalf("nil slice round-trip: %v (err %v)", gotNone, r.Err())
 	}
-	if err := d.Finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Pinned-length mismatch is corrupt, not silently accepted.
-	d = NewDecoder(e.Bytes())
-	if DecodeI64Slice[simtime.Time](d, 4); !errors.Is(d.Err(), ErrCorrupt) {
-		t.Errorf("length mismatch err = %v, want ErrCorrupt", d.Err())
+	r = Reader(w.Bytes())
+	if Slice(r, &gotTimes, 4); !errors.Is(r.Err(), ErrCorrupt) || len(gotTimes) != 0 {
+		t.Errorf("length mismatch: %v, err = %v, want ErrCorrupt", gotTimes, r.Err())
 	}
 }
 
-// TestStickyErrors: after the first failure every further read returns a
+// TestStickyErrors: after the first failure every further read yields a
 // zero value and the original error is retained.
 func TestStickyErrors(t *testing.T) {
-	d := NewDecoder([]byte{})
-	if v := d.U8(); v != 0 || !errors.Is(d.Err(), ErrTruncated) {
-		t.Fatalf("read past end: v=%d err=%v", v, d.Err())
+	r := Reader([]byte{})
+	v := uint8(9)
+	if r.U8(&v); v != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("read past end: v=%d err=%v", v, r.Err())
 	}
-	first := d.Err()
-	if d.I64() != 0 || d.Str() != "" || d.F64() != 0 || d.Raw(1) != nil {
-		t.Error("reads after failure returned non-zero values")
+	first := r.Err()
+	i, s, f, raw := int64(7), "x", 1.5, []byte{1}
+	Int(r, &i)
+	r.Str(&s)
+	r.F64(&f)
+	r.Raw(raw)
+	if i != 0 || s != "" || f != 0 || raw[0] != 0 {
+		t.Errorf("reads after failure returned non-zero values: %d %q %v %v", i, s, f, raw)
 	}
-	if d.Err() != first {
-		t.Errorf("first error not retained: %v -> %v", first, d.Err())
+	if r.Err() != first || r.Finish() != first {
+		t.Errorf("first error not retained: %v -> %v", first, r.Err())
 	}
 }
 
 func TestBoolOutOfRange(t *testing.T) {
-	d := NewDecoder([]byte{2})
-	if d.Bool(); !errors.Is(d.Err(), ErrCorrupt) {
-		t.Errorf("bool byte 2: err = %v, want ErrCorrupt", d.Err())
+	r := Reader([]byte{2})
+	if r.Bool(new(bool)); !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("bool byte 2: err = %v, want ErrCorrupt", r.Err())
 	}
 }
 
 func TestFinishTrailingBytes(t *testing.T) {
-	var e Encoder
-	e.U8(7)
-	e.U8(8)
-	d := NewDecoder(e.Bytes())
-	d.U8()
-	if err := d.Finish(); !errors.Is(err, ErrCorrupt) {
+	r := Reader([]byte{7, 8})
+	r.U8(new(uint8))
+	if err := r.Finish(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Finish with trailing bytes: %v, want ErrCorrupt", err)
 	}
 }
@@ -135,25 +169,33 @@ func TestFinishTrailingBytes(t *testing.T) {
 // TestBytesLPOverlongLength: a length prefix exceeding the remaining bytes
 // is truncation, and must not attempt a giant allocation.
 func TestBytesLPOverlongLength(t *testing.T) {
-	var e Encoder
-	e.U64(1 << 60)
-	d := NewDecoder(e.Bytes())
-	if b := d.BytesLP(); b != nil || !errors.Is(d.Err(), ErrTruncated) {
-		t.Errorf("overlong byte string: b=%v err=%v", b, d.Err())
+	w := Writer()
+	n := uint64(1 << 60)
+	w.U64(&n)
+	r := Reader(w.Bytes())
+	b := []byte("stale")
+	if r.Blob(&b); b != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("overlong byte string: b=%v err=%v", b, r.Err())
 	}
 }
 
+// TestSectionIsolation: a section's contents stay inside it, and a sibling
+// value after the section survives.
 func TestSectionIsolation(t *testing.T) {
-	var e Encoder
-	e.Section(func(sub *Encoder) { sub.I64(41); sub.Str("inner") })
-	e.I64(99)
-	d := NewDecoder(e.Bytes())
-	sub := d.Section()
-	if sub.I64() != 41 || sub.Str() != "inner" || sub.Finish() != nil {
-		t.Fatal("section contents did not round-trip")
+	inner, name, after := int64(41), "inner", int64(99)
+	w := Writer()
+	w.Section(func(sc *Codec) { Int(sc, &inner); sc.Str(&name) })
+	Int(w, &after)
+
+	var gotInner, gotAfter int64
+	var gotName string
+	r := Reader(w.Bytes())
+	if err := r.Section(func(sc *Codec) { Int(sc, &gotInner); sc.Str(&gotName) }); err != nil ||
+		gotInner != 41 || gotName != "inner" {
+		t.Fatalf("section contents did not round-trip: %d %q %v", gotInner, gotName, err)
 	}
-	if d.I64() != 99 || d.Finish() != nil {
-		t.Fatal("outer stream corrupted by section")
+	if Int(r, &gotAfter); gotAfter != 99 || r.Finish() != nil {
+		t.Fatalf("outer stream corrupted by section: %d %v", gotAfter, r.Finish())
 	}
 }
 
@@ -236,16 +278,16 @@ func (s *codecState) walk(c *Codec) error {
 func TestCodecRoundTrip(t *testing.T) {
 	want := codecState{ok: true, b: 7, seq: math.MaxUint64, fix: 1 << 63, f: math.Copysign(0, -1),
 		name: "store", t: -5, list: []simtime.Duration{1, 2, 3}, items: []int{4, -5}, inner: 99}
-	var e Encoder
-	if err := want.walk(Writer(&e)); err != nil {
+	w := Writer()
+	if err := want.walk(w); err != nil {
 		t.Fatal(err)
 	}
 	var got codecState
-	d := NewDecoder(e.Bytes())
-	if err := got.walk(Reader(d)); err != nil {
+	r := Reader(w.Bytes())
+	if err := got.walk(r); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if got.name != want.name || got.t != want.t || got.inner != want.inner || got.seq != want.seq ||
@@ -255,20 +297,20 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 
 	// A length longer than the bytes left is corrupt, not an allocation.
-	var long Encoder
-	long.Int(1 << 40)
-	if n := Reader(NewDecoder(long.Bytes())).Len(0); n != 0 {
-		t.Errorf("overlong length decoded as %d", n)
+	long := Writer()
+	long.Len(1 << 40)
+	if r := Reader(long.Bytes()); r.Len(0) != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("overlong length: err %v, want ErrCorrupt", r.Err())
 	}
 	// A section its consumer does not read to the end is corrupt.
-	var sec Encoder
-	Writer(&sec).Section(func(sc *Codec) { sc.Str(new(string)); sc.Str(new(string)) })
-	err := Reader(NewDecoder(sec.Bytes())).Section(func(sc *Codec) { sc.Str(new(string)) })
+	sec := Writer()
+	sec.Section(func(sc *Codec) { sc.Str(new(string)); sc.Str(new(string)) })
+	err := Reader(sec.Bytes()).Section(func(sc *Codec) { sc.Str(new(string)) })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("half-read section: %v, want ErrCorrupt", err)
 	}
 	// Failf is a no-op when writing, so layouts can validate unconditionally.
-	w := Writer(&Encoder{})
+	w = Writer()
 	w.Failf("ignored")
 	if w.Err() != nil || w.Decoding() {
 		t.Error("writer recorded a failure")

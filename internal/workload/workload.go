@@ -168,9 +168,9 @@ func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
 		est += cfg.Iterations / cfg.ReduceEvery * allreduceOps(cfg.Ranks)
 	}
 	reserve(b, est)
-	seqs := make([]*goal.Sequencer, cfg.Ranks)
+	seqs := make([]goal.Sequencer, cfg.Ranks)
 	for i := range seqs {
-		seqs[i] = b.Seq(i)
+		seqs[i] = *b.Seq(i)
 	}
 	r := cfg.computeSource()
 
@@ -179,7 +179,7 @@ func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
 		for y := 0; y < py; y++ {
 			for x := 0; x < px; x++ {
 				rank := rankOf(x, y)
-				s := seqs[rank]
+				s := &seqs[rank]
 				w := cfg.draw(r)
 				if cfg.ComputeScale != nil {
 					w = w.Scale(cfg.ComputeScale[rank])
@@ -191,12 +191,12 @@ func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
 		}
 		if cfg.ReduceEvery > 0 && (it+1)%cfg.ReduceEvery == 0 {
 			entries := make([]goal.OpID, cfg.Ranks)
-			for i, s := range seqs {
-				entries[i] = s.Last()
+			for i := range seqs {
+				entries[i] = seqs[i].Last()
 			}
 			exits := collective.Allreduce(b, entries, tagReduce, 8)
 			for i := range seqs {
-				seqs[i] = b.SeqAfter(i, exits[i])
+				seqs[i] = *b.SeqAfter(i, exits[i])
 			}
 		}
 	}
@@ -245,9 +245,9 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 		est += cfg.Iterations / cfg.ReduceEvery * allreduceOps(cfg.Ranks)
 	}
 	reserve(b, est)
-	seqs := make([]*goal.Sequencer, cfg.Ranks)
+	seqs := make([]goal.Sequencer, cfg.Ranks)
 	for i := range seqs {
-		seqs[i] = b.Seq(i)
+		seqs[i] = *b.Seq(i)
 	}
 	r := cfg.computeSource()
 	forks := make([]goal.OpID, 0, 2*len(dirs))
@@ -256,7 +256,7 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 			for y := 0; y < py; y++ {
 				for x := 0; x < px; x++ {
 					rank := rankOf(x, y, z)
-					s := seqs[rank]
+					s := &seqs[rank]
 					s.Calc(cfg.draw(r))
 					forks = haloForks(s, forks[:0], nbrs[rank], cfg.HaloBytes)
 					s.Join(forks...)
@@ -265,12 +265,12 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 		}
 		if cfg.ReduceEvery > 0 && (it+1)%cfg.ReduceEvery == 0 {
 			entries := make([]goal.OpID, cfg.Ranks)
-			for i, s := range seqs {
-				entries[i] = s.Last()
+			for i := range seqs {
+				entries[i] = seqs[i].Last()
 			}
 			exits := collective.Allreduce(b, entries, tagReduce, 8)
 			for i := range seqs {
-				seqs[i] = b.SeqAfter(i, exits[i])
+				seqs[i] = *b.SeqAfter(i, exits[i])
 			}
 		}
 	}
@@ -322,9 +322,9 @@ func Sweep(cfg SweepConfig) (*goal.Program, error) {
 	rankOf := func(x, y int) int { return y*px + x }
 	b := goal.NewBuilder(cfg.Ranks)
 	reserve(b, cfg.Iterations*cfg.Ranks*5) // ≤2 recvs + calc + ≤2 sends
-	seqs := make([]*goal.Sequencer, cfg.Ranks)
+	seqs := make([]goal.Sequencer, cfg.Ranks)
 	for i := range seqs {
-		seqs[i] = b.Seq(i)
+		seqs[i] = *b.Seq(i)
 	}
 	r := cfg.computeSource()
 	for it := 0; it < cfg.Iterations; it++ {
@@ -332,7 +332,7 @@ func Sweep(cfg SweepConfig) (*goal.Program, error) {
 		for y := 0; y < py; y++ {
 			for x := 0; x < px; x++ {
 				rank := rankOf(x, y)
-				s := seqs[rank]
+				s := &seqs[rank]
 				// Upwind receives.
 				if forward {
 					if x > 0 {
@@ -403,16 +403,16 @@ func CG(cfg CGConfig) (*goal.Program, error) {
 	p := cfg.Ranks
 	b := goal.NewBuilder(p)
 	reserve(b, cfg.Iterations*(p*6+cfg.DotsPerIter*allreduceOps(p)))
-	seqs := make([]*goal.Sequencer, p)
+	seqs := make([]goal.Sequencer, p)
 	for i := range seqs {
-		seqs[i] = b.Seq(i)
+		seqs[i] = *b.Seq(i)
 	}
 	r := cfg.computeSource()
 	for it := 0; it < cfg.Iterations; it++ {
 		// Halo with ring neighbors (1D decomposition of the matrix rows).
 		if p > 1 && cfg.HaloBytes > 0 {
 			for i := 0; i < p; i++ {
-				s := seqs[i]
+				s := &seqs[i]
 				right, left := (i+1)%p, (i-1+p)%p
 				var forks []goal.OpID
 				forks = append(forks,
@@ -426,17 +426,17 @@ func CG(cfg CGConfig) (*goal.Program, error) {
 				s.Join(forks...)
 			}
 		}
-		for _, s := range seqs {
-			s.Calc(cfg.draw(r))
+		for i := range seqs {
+			seqs[i].Calc(cfg.draw(r))
 		}
 		for d := 0; d < cfg.DotsPerIter; d++ {
 			entries := make([]goal.OpID, p)
-			for i, s := range seqs {
-				entries[i] = s.Last()
+			for i := range seqs {
+				entries[i] = seqs[i].Last()
 			}
 			exits := collective.Allreduce(b, entries, tagReduce+d, cfg.DotBytes)
 			for i := range seqs {
-				seqs[i] = b.SeqAfter(i, exits[i])
+				seqs[i] = *b.SeqAfter(i, exits[i])
 			}
 		}
 	}
@@ -463,23 +463,23 @@ func Transpose(cfg TransposeConfig) (*goal.Program, error) {
 	p := cfg.Ranks
 	b := goal.NewBuilder(p)
 	reserve(b, cfg.Iterations*p*(2*p+2)) // calc + pairwise exchange + join
-	seqs := make([]*goal.Sequencer, p)
+	seqs := make([]goal.Sequencer, p)
 	for i := range seqs {
-		seqs[i] = b.Seq(i)
+		seqs[i] = *b.Seq(i)
 	}
 	r := cfg.computeSource()
 	for it := 0; it < cfg.Iterations; it++ {
-		for _, s := range seqs {
-			s.Calc(cfg.draw(r))
+		for i := range seqs {
+			seqs[i].Calc(cfg.draw(r))
 		}
 		if p > 1 {
 			entries := make([]goal.OpID, p)
-			for i, s := range seqs {
-				entries[i] = s.Last()
+			for i := range seqs {
+				entries[i] = seqs[i].Last()
 			}
 			exits := collective.Alltoall(b, entries, tagPair, cfg.BlockBytes)
 			for i := range seqs {
-				seqs[i] = b.SeqAfter(i, exits[i])
+				seqs[i] = *b.SeqAfter(i, exits[i])
 			}
 		}
 	}
@@ -515,9 +515,9 @@ func Farm(cfg FarmConfig) (*goal.Program, error) {
 	b := goal.NewBuilder(p)
 	reserve(b, cfg.Iterations*(workers*5+4)) // dispatch+joins, 3 ops/worker, collect
 	master := b.Seq(0)
-	wseqs := make([]*goal.Sequencer, workers)
+	wseqs := make([]goal.Sequencer, workers)
 	for i := range wseqs {
-		wseqs[i] = b.Seq(i + 1)
+		wseqs[i] = *b.Seq(i + 1)
 	}
 	r := cfg.computeSource()
 	for it := 0; it < cfg.Iterations; it++ {
@@ -528,7 +528,8 @@ func Farm(cfg FarmConfig) (*goal.Program, error) {
 		}
 		master.Join(sends...)
 		// Workers compute and reply.
-		for _, s := range wseqs {
+		for i := range wseqs {
+			s := &wseqs[i]
 			s.Recv(0, tagFarm, cfg.TaskBytes)
 			s.Calc(cfg.draw(r))
 			s.Send(0, tagFarm+1, cfg.ResultBytes)
@@ -609,21 +610,21 @@ func RandomNeighbor(cfg RandomNeighborConfig) (*goal.Program, error) {
 	p := cfg.Ranks
 	b := goal.NewBuilder(p)
 	reserve(b, cfg.Iterations*p*(1+3*cfg.Pairings)) // calc + 2 forks + join per pairing
-	seqs := make([]*goal.Sequencer, p)
+	seqs := make([]goal.Sequencer, p)
 	for i := range seqs {
-		seqs[i] = b.Seq(i)
+		seqs[i] = *b.Seq(i)
 	}
 	jr := cfg.computeSource()
 	pr := rng.New(cfg.Seed).Split(0x99)
 	for it := 0; it < cfg.Iterations; it++ {
-		for _, s := range seqs {
-			s.Calc(cfg.draw(jr))
+		for i := range seqs {
+			seqs[i].Calc(cfg.draw(jr))
 		}
 		for k := 0; k < cfg.Pairings; k++ {
 			perm := pr.Perm(p)
 			for j := 0; j+1 < p; j += 2 {
 				a, c := perm[j], perm[j+1]
-				sa, sc := seqs[a], seqs[c]
+				sa, sc := &seqs[a], &seqs[c]
 				fa1 := sa.Fork(goal.KindSend, int32(c), tagPair, cfg.Bytes)
 				fa2 := sa.Fork(goal.KindRecv, int32(c), tagPair, cfg.Bytes)
 				sa.Join(fa1, fa2)
