@@ -285,5 +285,6 @@ func Workloads() []string { return workload.Names() }
 func DescribeWorkload(name string) string { return workload.Describe(name) }
 
 // Run executes one study point end to end: build the workload, attach the
-// protocol and injectors, simulate, and return the results.
+// protocol and injectors, restore ResumeFrom or check the trace when
+// Validate is set, simulate, and return the results.
 func Run(cfg RunConfig) (*RunResult, error) { return run.Run(cfg) }

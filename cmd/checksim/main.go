@@ -30,7 +30,6 @@ import (
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
 	"checkpointsim/internal/timeline"
-	"checkpointsim/internal/validate"
 )
 
 func main() {
@@ -221,14 +220,10 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	var chk *validate.Checker
-	if *validateRun {
-		if *resumeFile != "" {
-			return fmt.Errorf("-resume cannot be combined with -validate: the conformance checker needs the trace from t=0, which a resumed run does not replay")
-		}
-		chk = validate.New(netParams)
-		cfg.Trace = chk.Hook(cfg.Trace)
+	if *validateRun && *resumeFile != "" {
+		return fmt.Errorf("-resume cannot be combined with -validate: the conformance checker needs the trace from t=0, which a resumed run does not replay")
 	}
+	cfg.Validate = *validateRun
 	var snapped int
 	var snapErr error
 	if *snapEvery > 0 {
@@ -294,11 +289,6 @@ func run(args []string, out io.Writer) error {
 	if snapErr != nil {
 		return snapErr
 	}
-	if chk != nil {
-		if verr := chk.FinishRun(res.Result, res.Store, res.Protocol); verr != nil {
-			return verr
-		}
-	}
 	if cfg.Program != nil {
 		fmt.Fprintf(out, "workload:  trace %s@%s on %d ranks, %d ops\n",
 			traceName, traceDigest, cfg.Program.NumRanks, len(cfg.Program.Ops))
@@ -307,7 +297,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "protocol:  %s\n", res.Protocol.Name())
 	fmt.Fprint(out, res.Result)
-	if chk != nil {
+	if cfg.Validate {
 		fmt.Fprintln(out, "validate:  ok — trace conformance verified")
 	}
 	st := res.Protocol.Stats()

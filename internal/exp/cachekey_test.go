@@ -250,10 +250,10 @@ func TestCacheKeyCoversEveryLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKeyExact(t, func(c run.Config) string { return cache.Key("v", c.CacheFields()) },
-		[]string{"Program", "Protocol.TwoLevel.Store", "Trace", "SnapshotEvery", "OnSnapshot", "ResumeFrom"},
+		[]string{"Program", "Protocol.TwoLevel.Store", "Trace", "SnapshotEvery", "OnSnapshot", "ResumeFrom", "Validate"},
 		map[string]any{"Program": prog})
 	checkKeyExact(t, func(o Options) string { return keyOf("E1", o) },
-		[]string{"Jobs", "Events", "Ctx", "Snapshots", "OnSnapshot", "ResumeFrom"}, nil)
+		[]string{"Jobs", "Events", "Ctx", "Snapshots"}, nil)
 }
 
 // mutateLeaf sets f to a valid value different from its current one.
@@ -316,8 +316,10 @@ func TestResumeRefusesEveryKeyedLeaf(t *testing.T) {
 		t.Error("resume under the unchanged config diverged from the uninterrupted run")
 	}
 
-	// Every mutation is one Assemble accepts, so each leaf reaches the
-	// config digest rather than failing earlier.
+	// Every mutation is one a fresh run accepts, so each leaf reaches the
+	// config digest rather than failing earlier. The fresh run is capped at
+	// 1 ns: only its acceptance matters, and some mutations (a storage
+	// bandwidth of 0.5 B/s) would otherwise simulate for a long time.
 	prog, err := workload.FromName("cg", workload.CommonConfig{
 		Base: workload.Base{Ranks: 4, Iterations: 2, Compute: ms(1)}, Bytes: 64})
 	if err != nil {
@@ -336,8 +338,10 @@ func TestResumeRefusesEveryKeyedLeaf(t *testing.T) {
 		} else {
 			mutateLeaf(t, l.name, f)
 		}
-		if _, err := cfg.Assemble(); err != nil {
-			t.Errorf("%s: Assemble refused the mutated config: %v", l.name, err)
+		fresh := cfg
+		fresh.ResumeFrom, fresh.MaxTime = nil, 1
+		if _, err := run.Run(fresh); err != nil && !errors.Is(err, sim.ErrCapExceeded) {
+			t.Errorf("%s: a fresh run refused the mutated config: %v", l.name, err)
 			continue
 		}
 		if _, err := run.Run(cfg); !errors.Is(err, sim.ErrConfigMismatch) {

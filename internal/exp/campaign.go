@@ -357,9 +357,11 @@ var scenarioStorage = map[string]storage.Params{
 	"burst": {AggregateBytesPerSec: 2e9, NodeBytesPerSec: 4e9, RanksPerNode: 4},
 }
 
-// config describes the scenario as a run configuration; it is a pure
-// function of the (validated) scenario and the network.
-func (sc Scenario) config(net network.Params) run.Config {
+// Config describes the scenario as a run configuration; it is a pure
+// function of the (validated) scenario and the network. Validation is on:
+// campaign points are correctness probes, so unlike Options.Validate it is
+// not optional.
+func (sc Scenario) Config(net network.Params) run.Config {
 	proto := scenarioProtocols[sc.Protocol]
 	cfg := run.Config{
 		Workload:   sc.Workload,
@@ -373,6 +375,7 @@ func (sc Scenario) config(net network.Params) run.Config {
 		Protocol:   proto.cfg,
 		Seed:       sc.Seed,
 		MaxTime:    scenarioMaxTime,
+		Validate:   true,
 	}
 	if proto.cfg.Kind == checkpoint.KindReplication {
 		// Replication dedicates half the machine to replicas: the
@@ -406,25 +409,24 @@ func (sc Scenario) config(net network.Params) run.Config {
 }
 
 // Run executes the scenario through the full stack — workload, protocol,
-// storage, noise, failures — under the trace-conformance checker,
-// unconditionally: campaign points are correctness probes, so unlike
-// Options.Validate this is not optional. The returned table is one
-// metric/value row set, deterministic for equal (scenario, options).
+// storage, noise, failures — under the trace-conformance checker (see
+// Config), self-verifying its snapshots when o.SnapshotEvery is set. The
+// returned table is one metric/value row set, deterministic for equal
+// (scenario, options).
 func (sc Scenario) Run(o Options) ([]*report.Table, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := sc.config(o.net())
-	cfg.ResumeFrom = o.ResumeFrom
-	if o.SnapshotEvery > 0 && o.OnSnapshot != nil {
-		cfg.SnapshotEvery, cfg.OnSnapshot = o.SnapshotEvery, o.OnSnapshot
-	}
-	o.Validate = true
-	res, err := execute(o, cfg)
+	res, err := execute(o, sc.Config(o.net()))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", sc.ID(), err)
 	}
+	return sc.Tables(res), nil
+}
 
+// Tables renders a completed run of the scenario (a run of its Config) as
+// its metric/value table.
+func (sc Scenario) Tables(res *run.Result) []*report.Table {
 	st := res.Protocol.Stats()
 	t := report.NewTable("Campaign "+sc.ID(), "metric", "value")
 	t.AddRow("makespan_ns", strconv.FormatInt(int64(res.Makespan), 10))
@@ -445,7 +447,7 @@ func (sc Scenario) Run(o Options) ([]*report.Table, error) {
 	}
 	t.AddRow("failures", strconv.Itoa(len(res.FailureEvents)))
 	t.AddRow("validate", "ok")
-	return []*report.Table{t}, nil
+	return []*report.Table{t}
 }
 
 // CacheFields renders everything that determines the scenario's tables —
@@ -454,11 +456,8 @@ func (sc Scenario) Run(o Options) ([]*report.Table, error) {
 // Options.CacheFields. Validation is always on for scenarios, and Jobs/
 // Events/Ctx never change completed results, so none of them appear.
 func (sc Scenario) CacheFields(net network.Params) []cache.Field {
-	if (net == network.Params{}) {
-		net = network.DefaultParams()
-	}
 	return cache.Fields(struct {
 		Scenario Scenario
 		Net      network.Params
-	}{sc, net})
+	}{sc, net.OrDefault()})
 }

@@ -9,6 +9,7 @@ import (
 
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 )
 
 // render concatenates rendered tables, as cmd/sweep and the service do.
@@ -351,7 +352,8 @@ func TestCampaignResilienceScenariosRun(t *testing.T) {
 }
 
 // The protocol and storage tables are the campaign axes: every axis value
-// has exactly one row, and every row assembles into a runnable simulation.
+// has exactly one row, and every row runs (shortened to two iterations)
+// on a machine of the scenario's rank count.
 func TestScenarioTablesCoverAxes(t *testing.T) {
 	if len(scenarioProtocols) != len(CampaignProtocols) {
 		t.Errorf("%d protocol rows for %d axis values", len(scenarioProtocols), len(CampaignProtocols))
@@ -373,12 +375,14 @@ func TestScenarioTablesCoverAxes(t *testing.T) {
 			if p == "none" {
 				sc.FailureLaw = "none"
 			}
-			a, err := sc.config(DefaultOptions().Net).Assemble()
+			cfg := sc.Config(DefaultOptions().Net)
+			cfg.Iterations = 2
+			r, err := run.Run(cfg)
 			if err != nil {
 				t.Errorf("%s: %v", sc.ID(), err)
 				continue
 			}
-			if got := a.Sim.Program.NumRanks; got != sc.Ranks {
+			if got := len(r.RankFinish); got != sc.Ranks {
 				t.Errorf("%s: machine spans %d ranks, want %d", sc.ID(), got, sc.Ranks)
 			}
 		}

@@ -27,7 +27,6 @@ import (
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/storage"
-	"checkpointsim/internal/validate"
 	"checkpointsim/internal/workload"
 )
 
@@ -79,37 +78,20 @@ type Options struct {
 	// the rows of a completed run, only whether the run completes, so it is
 	// not keyed: a re-request at a different timeout still hits.
 	Ctx context.Context `cache:"-"`
-	// SnapshotEvery, when > 0, snapshots the complete state of every
-	// simulation after every SnapshotEvery-th event. For experiment sweeps
-	// (and for scenarios without OnSnapshot) this turns every run into its
-	// own crash–resume differential harness: each snapshot is restored into
-	// a fresh engine, the remainder of the run re-executes from the blob,
-	// and its result and trace suffix must be byte-identical to the
-	// uninterrupted run's — any divergence or decode failure fails the
-	// run. Verification multiplies work by roughly the
-	// snapshot count; meant for CI and debugging, not timing studies. Keyed
-	// for the same reason as Validate: a self-verifying run can fail.
+	// SnapshotEvery, when > 0, turns every simulation into its own
+	// crash–resume differential harness: the run snapshots its complete
+	// state after every SnapshotEvery-th event, each snapshot is restored
+	// into a freshly assembled run, the remainder re-executes from the
+	// blob, and its result and trace suffix must be byte-identical to the
+	// uninterrupted run's — any divergence or decode failure fails the run.
+	// Verification multiplies work by roughly the snapshot count; meant for
+	// CI and debugging, not timing studies. Keyed for the same reason as
+	// Validate: a self-verifying run can fail. (To stream snapshots or
+	// resume one simulation, set the run.Config fields of the same names.)
 	SnapshotEvery int64
 	// Snapshots, when non-nil, accumulates the snapshots taken (atomically —
 	// sweep points run on parallel workers). Telemetry, so it is not keyed.
 	Snapshots *int64 `cache:"-"`
-	// OnSnapshot, with SnapshotEvery > 0, switches single-simulation runs
-	// (Scenario.Run) from self-verification to streaming: each snapshot blob
-	// is handed to the callback for persistence, and the run is not
-	// re-executed. cmd/sweepd uses this to checkpoint long scenario jobs so
-	// a killed worker resumes instead of recomputing. Experiment sweeps
-	// ignore it and always self-verify. Mechanism, so it is not keyed.
-	OnSnapshot func(sim.Snapshot) `cache:"-"`
-	// ResumeFrom, when non-nil, starts a Scenario.Run from a snapshot blob
-	// instead of from scratch: the engine restores the blob and executes
-	// only the remainder. Determinism makes the completed result
-	// byte-identical to a never-interrupted run's (CI proves this over all
-	// experiments and campaign scenarios), so the resumed run inherits the
-	// full run's trace-conformance verdict; the suffix alone cannot be
-	// re-validated, since the checker needs the stream from t=0.
-	// Experiment sweeps (many simulations per run) reject it. Mechanism,
-	// so it is not keyed.
-	ResumeFrom []byte `cache:"-"`
 }
 
 // ctx returns the run's context, defaulting to Background.
@@ -125,12 +107,7 @@ func DefaultOptions() Options {
 	return Options{Net: network.DefaultParams(), Seed: 42}
 }
 
-func (o Options) net() network.Params {
-	if (o.Net == network.Params{}) {
-		return network.DefaultParams()
-	}
-	return o.Net
-}
+func (o Options) net() network.Params { return o.Net.OrDefault() }
 
 // Experiment couples an experiment ID to its runner. Bench names the
 // bench_test.go benchmark that exercises the experiment (cmd/sweep -list
@@ -191,87 +168,47 @@ func buildProg(name string, ranks, iters int, compute simtime.Duration, bytes in
 	})
 }
 
-// execute is the one executor behind every simulation this package runs:
-// it assembles cfg and runs it in the mode cfg and o select.
-//
-//   - cfg.ResumeFrom set: restore the blob and run only the remainder. The
-//     conformance checker needs the trace from t=0, so the suffix is not
-//     validated; determinism (proven by the crash–resume harness) transfers
-//     the uninterrupted run's verdict. Snapshots keep streaming when
-//     configured, so a second interruption resumes from even later.
-//   - cfg.OnSnapshot set: stream every snapshot to it.
-//   - o.SnapshotEvery alone: self-verify — record the trace and every
-//     snapshot, then replay the remainder from each (verifyResume).
-//
-// Only Scenario.Run sets cfg's snapshot and resume fields. An experiment
-// sweep runs many simulations, so it cannot resume from one blob: its
-// points reject o.ResumeFrom, ignore o.OnSnapshot and always self-verify.
-//
-// With o.Validate set the run streams through a trace-conformance checker
-// and FinishRun reconciles it against the result, the assembled store and
-// every agent; any violation is returned as an error. A capped run
-// (sim.ErrCapExceeded) is not validated: its error comes back with a
+// execute runs one simulation of a sweep through run.Run, validated when
+// o.Validate is set, and adds its events to o.Events. With o.SnapshotEvery
+// set it is the self-verify harness: it records the run's trace and every
+// snapshot, then replays the remainder from each (verifyResume). A capped
+// run (sim.ErrCapExceeded) is not validated: its error comes back with a
 // Result whose sim.Result is nil but whose protocol and failures are
 // readable.
 func execute(o Options, cfg run.Config) (*run.Result, error) {
-	if o.ResumeFrom != nil && cfg.ResumeFrom == nil {
-		return nil, fmt.Errorf("exp: ResumeFrom applies to single-simulation scenario runs, not experiment sweeps")
-	}
-	a, err := cfg.Assemble()
-	if err != nil {
-		return nil, err
-	}
-	scfg := a.Sim
-	var chk *validate.Checker
-	if o.Validate && cfg.ResumeFrom == nil {
-		chk = validate.New(scfg.Net)
-		scfg.Trace = chk.Hook(scfg.Trace)
+	cfg.Validate = cfg.Validate || o.Validate
+	if o.SnapshotEvery <= 0 {
+		r, err := run.Run(cfg)
+		o.count(r)
+		return r, err
 	}
 	var full []sim.TraceEvent
 	var snaps []sim.Snapshot
-	replay := o.SnapshotEvery > 0 && scfg.OnSnapshot == nil && cfg.ResumeFrom == nil
-	switch {
-	case scfg.OnSnapshot != nil && o.Snapshots != nil:
-		stream := scfg.OnSnapshot
-		scfg.OnSnapshot = func(s sim.Snapshot) {
-			atomic.AddInt64(o.Snapshots, 1)
-			stream(s)
+	mono := cfg
+	mono.Trace = func(ev sim.TraceEvent) {
+		full = append(full, ev)
+		if cfg.Trace != nil {
+			cfg.Trace(ev)
 		}
-	case replay:
-		inner := scfg.Trace
-		scfg.Trace = func(ev sim.TraceEvent) {
-			full = append(full, ev)
-			if inner != nil {
-				inner(ev)
-			}
-		}
-		scfg.SnapshotEvery = o.SnapshotEvery
-		scfg.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
 	}
-	eng, err := sim.New(scfg)
-	if err != nil {
+	mono.SnapshotEvery = o.SnapshotEvery
+	mono.OnSnapshot = func(s sim.Snapshot) { snaps = append(snaps, s) }
+	r, err := run.Run(mono)
+	o.count(r)
+	if err != nil && !errors.Is(err, sim.ErrCapExceeded) {
 		return nil, err
 	}
-	if cfg.ResumeFrom != nil {
-		if err := eng.Restore(cfg.ResumeFrom); err != nil {
-			return nil, fmt.Errorf("resume: %w", err)
-		}
+	if verr := verifyResume(cfg, snaps, full, r.Result, err, o.Snapshots); verr != nil {
+		return nil, verr
 	}
-	res, runErr := eng.Run()
-	if res != nil && o.Events != nil {
-		atomic.AddInt64(o.Events, res.Events)
+	return r, err
+}
+
+// count adds a completed run's events to o.Events.
+func (o Options) count(r *run.Result) {
+	if o.Events != nil && r != nil && r.Result != nil {
+		atomic.AddInt64(o.Events, r.Events)
 	}
-	if runErr == nil && chk != nil {
-		if err := chk.FinishRun(res, a.Store, scfg.Agents...); err != nil {
-			return nil, err
-		}
-	}
-	if replay {
-		if err := verifyResume(scfg, snaps, full, res, runErr, o.Snapshots); err != nil {
-			return nil, err
-		}
-	}
-	return a.Result(res), runErr
 }
 
 // executeCapped runs cfg through execute, treating a run aborted by its

@@ -4,8 +4,8 @@ package exp
 // simulation proves its own snapshots. The monolithic run (execute) records
 // its full trace and every snapshot (one after every SnapshotEvery-th
 // event — any event boundary can be snapshotted, mid-round included); then,
-// for each snapshot, a fresh engine restores the blob and runs the
-// remainder. The resumed run must reproduce the monolithic run
+// for each snapshot, run.Run assembles the run afresh, restores the blob
+// and runs the remainder. The resumed run must reproduce the monolithic run
 // byte-for-byte from the snapshot on: identical Result.CanonicalBytes, an
 // event-for-event identical trace suffix, and — when the monolithic run was
 // aborted by an event/time cap — the identical error. Any divergence is a correctness
@@ -17,16 +17,18 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/sim"
 )
 
 // verifyResume replays the run's remainder from each snapshot and compares
-// it against the monolithic run. cfg must be the monolithic run's config
-// (its Agents are reused: a restoring SnapshotState fully reinitializes
-// them). A capped monolithic run (runErr != nil, res == nil) is verified up
-// to the cap: the resumed run must fail with the identical error after
-// emitting the identical trace suffix.
-func verifyResume(cfg sim.Config, snaps []sim.Snapshot, full []sim.TraceEvent,
+// it against the monolithic run. cfg must be the monolithic run's config;
+// each replay is a fresh assembly (new protocol, store and injectors), so
+// the blob alone must carry every agent's state. A capped monolithic run
+// (runErr != nil, res == nil) is verified up to the cap: the resumed run
+// must fail with the identical error after emitting the identical trace
+// suffix.
+func verifyResume(cfg run.Config, snaps []sim.Snapshot, full []sim.TraceEvent,
 	res *sim.Result, runErr error, counter *int64) error {
 	if counter != nil && len(snaps) > 0 {
 		atomic.AddInt64(counter, int64(len(snaps)))
@@ -42,18 +44,10 @@ func verifyResume(cfg sim.Config, snaps []sim.Snapshot, full []sim.TraceEvent,
 				at, s.TraceEvents, len(full))
 		}
 		rcfg := cfg
-		rcfg.SnapshotEvery = 0
-		rcfg.OnSnapshot = nil
+		rcfg.ResumeFrom = s.Blob
 		var suffix []sim.TraceEvent
 		rcfg.Trace = func(ev sim.TraceEvent) { suffix = append(suffix, ev) }
-		eng, err := sim.New(rcfg)
-		if err != nil {
-			return fmt.Errorf("resume: %s: rebuild: %w", at, err)
-		}
-		if err := eng.Restore(s.Blob); err != nil {
-			return fmt.Errorf("resume: %s: restore: %w", at, err)
-		}
-		r2, err2 := eng.Run()
+		r2, err2 := run.Run(rcfg)
 		if runErr != nil {
 			if err2 == nil {
 				return fmt.Errorf("resume: %s: monolithic run failed (%v) but resumed run completed", at, runErr)

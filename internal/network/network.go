@@ -156,6 +156,15 @@ func DefaultParams() Params {
 	}
 }
 
+// OrDefault returns p, or DefaultParams when p is the zero value: every
+// configuration that leaves its network unset runs on the default one.
+func (p Params) OrDefault() Params {
+	if p == (Params{}) {
+		return DefaultParams()
+	}
+	return p
+}
+
 // CapabilityClassParams returns a parameter set for a capability-class MPP
 // (Blue Gene / Cray class: lower latency and overhead, higher bandwidth).
 // L = 2 µs, o = 0.5 µs, g = 1 µs, G = 0.15 ns/B (≈6.7 GB/s), S = 32 KiB.

@@ -1,13 +1,15 @@
 // Package run turns a declarative study point into a simulation: it owns
 // the assembly of a Config into a sim.Config (workload, replication
-// widening, store, protocol, noise and failure injectors) and the cache
-// identity of that Config. The root checkpointsim facade re-exports it, and
-// every simulation in internal/exp (experiment points and campaign
-// scenarios) is a Config, so every entry point builds a run the same way.
+// widening, store, protocol, noise and failure injectors), the cache
+// identity of that Config, and Run, the one executor that validates,
+// snapshots and resumes it. The root checkpointsim facade re-exports it,
+// and every simulation in internal/exp, cmd/sweepd and cmd/checksim is a
+// Config handed to Run, so every entry point executes a run the same way.
 package run
 
 import (
 	"encoding/hex"
+	"errors"
 
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/checkpoint"
@@ -18,6 +20,7 @@ import (
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/storage"
+	"checkpointsim/internal/validate"
 	"checkpointsim/internal/workload"
 )
 
@@ -81,6 +84,15 @@ type Config struct {
 	// run that took the snapshot (enforced via a config digest embedded in
 	// the blob). It is mechanism, not configuration, so it is not keyed.
 	ResumeFrom []byte `cache:"-"`
+	// Validate streams the run through a trace-conformance checker
+	// (internal/validate) and reconciles it against the result, the store
+	// and every agent; any violation fails the run. The checker needs the
+	// trace from t=0, so a resumed run (ResumeFrom set) is not checked: it
+	// inherits the uninterrupted run's verdict by determinism. Validation
+	// never changes a completed result, and a snapshot must resume under
+	// either value, so it is not keyed here; the result caches key it
+	// themselves (exp.Options.CacheFields, and scenarios always validate).
+	Validate bool `cache:"-"`
 }
 
 // Result bundles the simulation result with the protocol and injector
@@ -96,29 +108,24 @@ type Result struct {
 	FailureEvents []failure.Event
 }
 
-// Assembly is a Config turned into a ready-to-run simulation: the engine
+// assembly is a Config turned into a ready-to-run simulation: the engine
 // configuration plus the live protocol, store and failure injector, which
-// the caller reads back after the run. Its agents are single-simulation.
-type Assembly struct {
-	Sim      sim.Config
-	Protocol checkpoint.Protocol
-	Store    *storage.Store
-	Failures *failure.Injector
+// Run reads back after the run. Its agents are single-simulation.
+type assembly struct {
+	sim      sim.Config
+	protocol checkpoint.Protocol
+	store    *storage.Store
+	failures *failure.Injector
 }
 
-// Assemble builds the workload, attaches the protocol and injectors, and
+// assemble builds the workload, attaches the protocol and injectors, and
 // returns the simulation ready to run. For KindReplication the configured
 // ranks are the application: the program is widened so each primary's
 // replicas are real simulated nodes. Agents run in the order protocol,
 // noise, failures. Trace and the snapshot settings are copied into the
 // sim.Config, and its Identity is the config's canonical cache encoding, so
-// a snapshot resumes only under this exact config; ResumeFrom is left to
-// the caller.
-func (cfg Config) Assemble() (*Assembly, error) {
-	net := cfg.Net
-	if (net == network.Params{}) {
-		net = network.DefaultParams()
-	}
+// a snapshot resumes only under this exact config.
+func (cfg Config) assemble() (*assembly, error) {
 	prog := cfg.Program
 	if prog == nil {
 		var err error
@@ -147,17 +154,17 @@ func (cfg Config) Assemble() (*Assembly, error) {
 			return nil, err
 		}
 	}
-	a := &Assembly{}
+	a := &assembly{}
 	var err error
 	if (cfg.Storage != storage.Params{}) {
-		if a.Store, err = storage.New(cfg.Storage); err != nil {
+		if a.store, err = storage.New(cfg.Storage); err != nil {
 			return nil, err
 		}
 	}
-	if a.Protocol, err = cfg.Protocol.New(a.Store); err != nil {
+	if a.protocol, err = cfg.Protocol.New(a.store); err != nil {
 		return nil, err
 	}
-	agents := []sim.Agent{a.Protocol}
+	agents := []sim.Agent{a.protocol}
 	if cfg.Noise != nil {
 		inj, err := noise.NewInjector(*cfg.Noise)
 		if err != nil {
@@ -166,13 +173,13 @@ func (cfg Config) Assemble() (*Assembly, error) {
 		agents = append(agents, inj)
 	}
 	if cfg.Failures != nil {
-		if a.Failures, err = failure.NewInjector(*cfg.Failures, a.Protocol); err != nil {
+		if a.failures, err = failure.NewInjector(*cfg.Failures, a.protocol); err != nil {
 			return nil, err
 		}
-		agents = append(agents, a.Failures)
+		agents = append(agents, a.failures)
 	}
-	a.Sim = sim.Config{
-		Net:           net,
+	a.sim = sim.Config{
+		Net:           cfg.Net.OrDefault(),
 		Program:       prog,
 		Agents:        agents,
 		Seed:          cfg.Seed,
@@ -185,14 +192,25 @@ func (cfg Config) Assemble() (*Assembly, error) {
 	return a, nil
 }
 
-// Run executes one study point end to end: assemble, restore from
-// ResumeFrom when set, simulate, and return the results.
+// Run executes one study point end to end: assemble, attach the
+// trace-conformance checker when Validate is set on a run from t=0,
+// restore from ResumeFrom when set, simulate, and reconcile the checker
+// against the result, the store and every agent. It is the one executor
+// of every simulation the study runs. A run aborted by its cap returns
+// sim.ErrCapExceeded together with a Result whose sim.Result is nil but
+// whose protocol, store and failures are readable; such a run is not
+// validated.
 func Run(cfg Config) (*Result, error) {
-	a, err := cfg.Assemble()
+	a, err := cfg.assemble()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := sim.New(a.Sim)
+	var chk *validate.Checker
+	if cfg.Validate && cfg.ResumeFrom == nil {
+		chk = validate.New(a.sim.Net)
+		a.sim.Trace = chk.Hook(a.sim.Trace)
+	}
+	eng, err := sim.New(a.sim)
 	if err != nil {
 		return nil, err
 	}
@@ -202,21 +220,19 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	res, err := eng.Run()
-	if err != nil {
+	if err != nil && !errors.Is(err, sim.ErrCapExceeded) {
 		return nil, err
 	}
-	return a.Result(res), nil
-}
-
-// Result bundles an engine result with the assembly's protocol, store and
-// injected failures. res may be nil (a run aborted by its cap): the agents'
-// state stays readable.
-func (a *Assembly) Result(res *sim.Result) *Result {
-	out := &Result{Result: res, Protocol: a.Protocol, Store: a.Store}
-	if a.Failures != nil {
-		out.FailureEvents = a.Failures.Events()
+	if chk != nil && err == nil {
+		if verr := chk.FinishRun(res, a.store, a.sim.Agents...); verr != nil {
+			return nil, verr
+		}
 	}
-	return out
+	out := &Result{Result: res, Protocol: a.protocol, Store: a.store}
+	if a.failures != nil {
+		out.FailureEvents = a.failures.Events()
+	}
+	return out, err
 }
 
 // CacheFields renders the result-determining configuration of this study
@@ -228,9 +244,7 @@ func (a *Assembly) Result(res *sim.Result) *Result {
 // injected into Protocol.TwoLevel.Store is runtime state, not configuration,
 // so callers caching by these fields must configure storage declaratively.
 func (cfg Config) CacheFields() []cache.Field {
-	if (cfg.Net == network.Params{}) {
-		cfg.Net = network.DefaultParams()
-	}
+	cfg.Net = cfg.Net.OrDefault()
 	fields := cache.Fields(cfg)
 	if cfg.Program != nil {
 		// The engine's own fingerprint: two programs that simulate

@@ -99,8 +99,8 @@ func decodeRequest(r io.Reader) (SweepRequest, error) {
 
 // resolve validates the request and builds the experiment and fully
 // resolved options it describes (Jobs/Events/Ctx are the server's to set).
-// Scenario requests resolve to a synthetic experiment wrapping
-// Scenario.Run; address keys them by Scenario.CacheFields instead of
+// Scenario requests resolve to a synthetic experiment naming the
+// scenario; address keys them by Scenario.CacheFields instead of
 // Options.CacheFields.
 func (req SweepRequest) resolve() (exp.Experiment, exp.Options, error) {
 	var e exp.Experiment
@@ -186,15 +186,15 @@ func (req SweepRequest) timeout(def time.Duration) time.Duration {
 	return time.Duration(req.TimeoutSec * float64(time.Second))
 }
 
-// ScenarioExperiment wraps one campaign scenario as a synthetic experiment
-// so the job pipeline (run, encode, format) treats scenarios and named
-// experiments uniformly. The ID is the scenario's spec string.
+// ScenarioExperiment names one campaign scenario as a synthetic experiment
+// so the encode and format stages treat scenarios and named experiments
+// uniformly. The ID is the scenario's spec string. It has no Run: runJob
+// executes scenarios itself, through run.Run.
 func ScenarioExperiment(sc exp.Scenario) exp.Experiment {
 	return exp.Experiment{
 		ID:    sc.ID(),
 		Title: "Campaign scenario",
 		Desc:  "one point of the randomized scenario campaign",
-		Run:   sc.Run,
 	}
 }
 

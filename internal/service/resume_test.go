@@ -11,6 +11,7 @@ import (
 
 	"checkpointsim/internal/exp"
 	"checkpointsim/internal/network"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/sim"
 )
 
@@ -39,12 +40,12 @@ func runScenarioSync(t *testing.T, url string, sc exp.Scenario) []byte {
 func midRunBlob(t *testing.T, sc exp.Scenario) []byte {
 	t.Helper()
 	var blobs [][]byte
-	o := exp.DefaultOptions()
-	o.SnapshotEvery = resumeCadence
-	o.OnSnapshot = func(s sim.Snapshot) {
+	cfg := sc.Config(network.DefaultParams())
+	cfg.SnapshotEvery = resumeCadence
+	cfg.OnSnapshot = func(s sim.Snapshot) {
 		blobs = append(blobs, append([]byte(nil), s.Blob...))
 	}
-	if _, err := sc.Run(o); err != nil {
+	if _, err := run.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(blobs) == 0 {

@@ -18,6 +18,9 @@ import (
 
 	"checkpointsim/internal/cache"
 	"checkpointsim/internal/exp"
+	"checkpointsim/internal/network"
+	"checkpointsim/internal/report"
+	"checkpointsim/internal/run"
 	"checkpointsim/internal/runner"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/stats"
@@ -277,9 +280,10 @@ func (s *Server) awaitSlot(ctx context.Context) error {
 
 // runJob executes one job through the cache: hit → stored bytes, miss →
 // run the experiment with the job's context threaded into the sweep
-// worker pool, concurrent identical request → wait and share. A panic in
-// the run fails only its job: the cache has already released the key, the
-// job fails with the panic text, and the server goes on serving.
+// worker pool (a scenario runs as one simulation, see runScenario),
+// concurrent identical request → wait and share. A panic in the run fails
+// only its job: the cache has already released the key, the job fails with
+// the panic text, and the server goes on serving.
 func (s *Server) runJob(ctx context.Context, req SweepRequest, e exp.Experiment, opts exp.Options, key string) (val []byte, src cache.Source, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -287,64 +291,77 @@ func (s *Server) runJob(ctx context.Context, req SweepRequest, e exp.Experiment,
 		}
 	}()
 	return s.cache.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
-		var events int64
-		opts.Ctx = ctx
-		opts.Jobs = s.cfg.JobsPerRun
-		opts.Events = &events
-		if req.Scenario != nil && (s.snaps != nil || s.cfg.PublishSnapshot != nil) {
-			// Persist the latest snapshot as the simulation progresses; a
-			// server killed mid-run leaves the blob behind (and/or at the
-			// coordinator), and the next submission of this job (same key)
-			// resumes from it.
-			opts.SnapshotEvery = s.cfg.SnapshotEvery
-			opts.OnSnapshot = func(snap sim.Snapshot) {
-				if s.snaps != nil {
-					if serr := s.snaps.save(key, snap.Blob); serr != nil {
-						s.snapErrors.Inc()
-					} else {
-						s.snapsTaken.Inc()
-					}
-				}
-				if s.cfg.PublishSnapshot != nil {
-					s.cfg.PublishSnapshot(key, snap.Blob)
-				}
-			}
-		}
-		if req.Scenario != nil {
-			// A blob shipped in the request (a coordinator re-dispatching a
-			// dead worker's job) outranks the local store: it is the most
-			// recent boundary anyone persisted for this key.
-			if blob := req.Resume; blob != nil {
-				opts.ResumeFrom = blob
-				s.jobResumes.Inc()
-			} else if s.snaps != nil {
-				if blob := s.snaps.load(key); blob != nil {
-					opts.ResumeFrom = blob
-					s.jobResumes.Inc()
-				}
-			}
-		}
-		tables, err := e.Run(opts)
-		if err != nil && opts.ResumeFrom != nil && ctx.Err() == nil {
-			// The snapshot did not carry the run (corrupt blob, or written
-			// by an incompatible build): discard it and run cold. Resume is
-			// an optimization, never a dependency.
-			if s.snaps != nil {
-				s.snaps.drop(key)
-			}
-			s.coldRetries.Inc()
-			opts.ResumeFrom = nil
+		var tables []*report.Table
+		var err error
+		if sc := req.Scenario; sc != nil {
+			tables, err = s.runScenario(ctx, *sc, req.Resume, opts.Net, key)
+		} else {
+			var events int64
+			opts.Ctx = ctx
+			opts.Jobs = s.cfg.JobsPerRun
+			opts.Events = &events
 			tables, err = e.Run(opts)
+			s.simEvents.Add(events)
 		}
-		s.simEvents.Add(events)
 		if err != nil {
 			return nil, err
 		}
-		if s.snaps != nil && opts.SnapshotEvery > 0 {
-			s.snaps.drop(key)
-		}
 		return encodeResult(e, tables)
 	})
+}
+
+// runScenario runs one campaign scenario job through run.Run. With a
+// snapshot store or publisher it persists the latest snapshot as the
+// simulation progresses, so a server killed mid-run leaves the blob behind
+// (and/or at the coordinator), and the next submission of this job (same
+// key) resumes from it.
+func (s *Server) runScenario(ctx context.Context, sc exp.Scenario, resume []byte, net network.Params, key string) ([]*report.Table, error) {
+	cfg := sc.Config(net)
+	if s.snaps != nil || s.cfg.PublishSnapshot != nil {
+		cfg.SnapshotEvery = s.cfg.SnapshotEvery
+		cfg.OnSnapshot = func(snap sim.Snapshot) {
+			if s.snaps != nil {
+				if serr := s.snaps.save(key, snap.Blob); serr != nil {
+					s.snapErrors.Inc()
+				} else {
+					s.snapsTaken.Inc()
+				}
+			}
+			if s.cfg.PublishSnapshot != nil {
+				s.cfg.PublishSnapshot(key, snap.Blob)
+			}
+		}
+	}
+	// A blob shipped in the request (a coordinator re-dispatching a dead
+	// worker's job) outranks the local store: it is the most recent
+	// boundary anyone persisted for this key.
+	if resume == nil && s.snaps != nil {
+		resume = s.snaps.load(key)
+	}
+	if resume != nil {
+		cfg.ResumeFrom = resume
+		s.jobResumes.Inc()
+	}
+	res, err := run.Run(cfg)
+	if err != nil && cfg.ResumeFrom != nil && ctx.Err() == nil {
+		// The snapshot did not carry the run (corrupt blob, or written by
+		// an incompatible build): discard it and run cold. Resume is an
+		// optimization, never a dependency.
+		if s.snaps != nil {
+			s.snaps.drop(key)
+		}
+		s.coldRetries.Inc()
+		cfg.ResumeFrom = nil
+		res, err = run.Run(cfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", sc.ID(), err)
+	}
+	s.simEvents.Add(res.Events)
+	if s.snaps != nil {
+		s.snaps.drop(key)
+	}
+	return sc.Tables(res), nil
 }
 
 // retryAfterSeconds estimates how long a client should back off when the

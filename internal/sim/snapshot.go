@@ -344,7 +344,7 @@ func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
 	if c.Bool(&hasMsg); hasMsg {
 		e.codeMsg(c, &m)
 	}
-	if kind > jobSeizeOpen || !e.validOp(op) ||
+	if kind > jobSeizeOpen || j.cost < 0 || !e.validOp(op) ||
 		jobHasOp(kind) && !e.claimOp(c, op) ||
 		!e.validReason(sz.reason) && sz.reason != 0 || !e.validReason(sz.waitReason) && sz.waitReason != 0 ||
 		hasMsg != jobHasMsg(kind) {

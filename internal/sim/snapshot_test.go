@@ -464,10 +464,11 @@ func renameOp(want func(d int32) bool) func(*Engine, int) bool {
 
 // TestRestoreRefusesBadOps: a running job naming NoOp, a completed op, an
 // op still waiting on its dependencies or an op that other pending work
-// already names, a dependency counter that disagrees with the program, or
-// a second completion queued for a running job, is corrupt — Restore fails
-// instead of handing Run an op it would index with -1, complete twice or
-// never complete.
+// already names, a dependency counter that disagrees with the program, a
+// second completion queued for a running job, or a queued job with a
+// negative cost, is corrupt — Restore fails instead of handing Run an op
+// it would index with -1, complete twice or never complete, or a
+// completion before the present.
 func TestRestoreRefusesBadOps(t *testing.T) {
 	const seed = 42
 	for name, bad := range map[string]func(*Engine, int) bool{
@@ -485,6 +486,15 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 		"done twice": func(e *Engine, r int) bool {
 			e.queue.Push(e.now, event{kind: evJobDone, id: int32(r)})
 			return true
+		},
+		"negative cost": func(e *Engine, _ int) bool {
+			for i := range e.ranks {
+				if q := &e.ranks[i].appQ; q.n > 0 {
+					q.at(0).cost = -1
+					return true
+				}
+			}
+			return false
 		},
 	} {
 		eng, err := New(snapConfig(seed, nil))
@@ -508,14 +518,26 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 // restore, never a panic. A clean restore must then run without panicking.
 // One seed is taken with every kind of pending work live (see liveIndex),
 // so the hold, scale, continuation and open-seizure sections are fuzzed.
+// Every engine here is capped at fuzzMaxEvents, so an input that restores
+// cleanly but never finishes (its agent timers keep firing) costs
+// microseconds, not the seconds snapConfig's cap would allow.
 //
 // Smoke-run beyond the seed corpus with:
 //
 //	go test -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/sim
 func FuzzSnapshotDecode(f *testing.F) {
 	const seed = 42
+	// fuzzMaxEvents is ten times the 46 events of the uncorrupted run. The
+	// cap is hashed into the config digest, so the seeding run and every
+	// fuzzed engine share it.
+	const fuzzMaxEvents = 460
+	fuzzConfig := func(collect func(Snapshot)) Config {
+		cfg := snapConfig(seed, collect)
+		cfg.MaxEvents = fuzzMaxEvents
+		return cfg
+	}
 	var snaps []Snapshot
-	cfg := snapConfig(seed, func(s Snapshot) { snaps = append(snaps, s) })
+	cfg := fuzzConfig(func(s Snapshot) { snaps = append(snaps, s) })
 	eng, err := New(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -548,7 +570,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(append([]byte(nil), noOpPayload[32:]...)) // a running job naming NoOp
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := func() *Engine {
-			e, err := New(snapConfig(seed, nil))
+			e, err := New(fuzzConfig(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
