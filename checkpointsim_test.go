@@ -265,7 +265,7 @@ func TestEngineTraceHook(t *testing.T) {
 			widened++
 			continue
 		}
-		kinds[ev.Kind]++
+		kinds[ev.Kind.String()]++
 	}
 	if kinds["calc"] != 1 || kinds["send"] != 1 || kinds["recv"] != 1 {
 		t.Errorf("CPU trace kinds = %v", kinds)

@@ -213,7 +213,7 @@ func run(args []string, out io.Writer) error {
 			col.Add(ev)
 			if *timelineCSV != "" && ev.Type == checkpointsim.TraceCPU {
 				timelineRows = append(timelineRows, []string{
-					strconv.Itoa(ev.Rank), ev.Kind,
+					strconv.Itoa(ev.Rank), ev.Label(),
 					strconv.FormatInt(int64(ev.Start), 10),
 					strconv.FormatInt(int64(ev.End), 10),
 				})

@@ -67,6 +67,53 @@ func TestTimelineOutput(t *testing.T) {
 	}
 }
 
+// TestTimelineLabelsGolden pins the printed trace labels: the -timeline CSV
+// and the -gantt summary of one small run whose seizures carry every engine
+// reason (checkpoint, io-wait, noise, recovery) next to the calc, send,
+// recv and ctl jobs.
+func TestTimelineLabelsGolden(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "timeline.csv")
+	out := capture(t, "-workload", "stencil2d", "-ranks", "4", "-iters", "10",
+		"-compute", "200us", "-protocol", "coordinated", "-interval", "1ms", "-write", "100us",
+		"-noise-period", "700us", "-noise-duration", "20us", "-mtbf", "20ms", "-restart", "50us",
+		"-store-agg", "0.5", "-image-bytes", "100000", "-seed", "3", "-validate",
+		"-timeline", csv, "-gantt", "-gantt-width", "60")
+	rows, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][]byte{
+		"labels_gantt.golden": []byte(strings.ReplaceAll(out, csv, "timeline.csv")),
+		"labels_timeline.csv": rows,
+	}
+	for name, b := range got {
+		golden := filepath.Join("testdata", name)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden (regenerate with -update): %v", err)
+		}
+		if string(b) != string(want) {
+			t.Errorf("%s drifted from golden\n--- got ---\n%s--- want ---\n%s", name, b, want)
+		}
+	}
+	for _, label := range []string{"seize:checkpoint", "seize:io-wait", "seize:noise", "seize:recovery",
+		"calc", "send", "recv", "ctl"} {
+		if !strings.Contains(string(rows), ","+label+",") {
+			t.Errorf("timeline has no %s row", label)
+		}
+	}
+}
+
 func TestNetPresetAndBisection(t *testing.T) {
 	capture(t, "-workload", "transpose", "-ranks", "8", "-iters", "3",
 		"-net", "ethernet", "-bisection", "10")

@@ -208,3 +208,101 @@ func TestRunValidatedResume(t *testing.T) {
 		t.Error("validated resume diverged from the uninterrupted run")
 	}
 }
+
+// Every record of every protocol speaks the engine's typed vocabulary: CPU
+// and grant records carry a job kind, seize records an accounted reason,
+// message records a message kind, phase records a name, and no kind prints
+// as the fallback. Each run adds noise, failures and a contended store, so
+// every seize reason the agents use appears.
+func TestTraceVocabularyClosed(t *testing.T) {
+	tau, delta := 2*simtime.Millisecond, 200*simtime.Microsecond
+	logs := checkpoint.LogParams{Alpha: simtime.Microsecond, BetaNsPerByte: 0.05}
+	protocols := []struct {
+		cfg      checkpoint.Config
+		recovery failure.RecoveryKind
+	}{
+		{checkpoint.Config{Kind: checkpoint.KindNone}, failure.RollbackGlobal},
+		{checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: delta}, failure.RollbackGlobal},
+		{checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta,
+			Offset: "staggered", Logging: logs}, failure.ReplayLocal},
+		{checkpoint.Config{Kind: checkpoint.KindHierarchical, Interval: tau, Write: delta,
+			ClusterSize: 4, Logging: logs}, failure.RollbackCluster},
+		{checkpoint.Config{Kind: checkpoint.KindNonBlocking, Interval: tau, Write: delta,
+			Window: 4 * delta, Slowdown: 1.05}, failure.RollbackGlobal},
+		{checkpoint.Config{Kind: checkpoint.KindPartner, Interval: tau, Write: delta,
+			CkptBytes: 256 * 1024, Offset: "staggered"}, failure.RollbackGlobal},
+		{checkpoint.Config{Kind: checkpoint.KindTwoLevel, TwoLevel: checkpoint.TwoLevelParams{
+			LocalInterval: tau / 3, LocalWrite: delta / 10, GlobalInterval: tau, GlobalWrite: delta}},
+			failure.RecoverTwoLevel},
+		{checkpoint.Config{Kind: checkpoint.KindReplication, HeartbeatPeriod: tau / 2}, failure.TakeoverReplica},
+		{checkpoint.Config{Kind: checkpoint.KindCIC, Interval: tau, Write: delta, CICLag: 1,
+			Offset: "staggered"}, failure.RollbackGlobal},
+	}
+	reasons, phaseNames := map[string]bool{}, map[string]bool{}
+	for _, p := range protocols {
+		t.Run(string(p.cfg.Kind), func(t *testing.T) {
+			cfg := base()
+			cfg.Protocol = p.cfg
+			cfg.Protocol.Bytes = 200_000
+			cfg.Storage = storage.Params{AggregateBytesPerSec: 1e9}
+			cfg.Noise = &noise.Config{Period: 700 * simtime.Microsecond, Duration: 20 * simtime.Microsecond}
+			cfg.Failures = &failure.Config{MTBF: 40 * simtime.Millisecond, Restart: 100 * simtime.Microsecond,
+				Kind: p.recovery}
+			cfg.Validate = true
+			var seized, phases []sim.TraceEvent
+			cfg.Trace = func(ev sim.TraceEvent) {
+				switch ev.Type {
+				case sim.TraceCPU, sim.TraceGrant:
+					if ev.Kind.Class() == sim.ClassOther {
+						t.Errorf("CPU record with non-job kind %q", ev.Label())
+					}
+					if ev.Kind == sim.KindSeize {
+						seized = append(seized, ev)
+					}
+				case sim.TracePhase:
+					if ev.Kind != 0 || ev.Name == "" {
+						t.Errorf("phase record %+v: want the zero kind and a name", ev)
+					}
+					phases = append(phases, ev)
+				default:
+					switch ev.Kind {
+					case sim.KindEager, sim.KindRTS, sim.KindCTS, sim.KindData, sim.KindCtl:
+					default:
+						t.Errorf("message record with non-message kind %q", ev.Label())
+					}
+				}
+				if ev.Type != sim.TracePhase && ev.Kind.String() == "?" {
+					t.Errorf("record %+v prints its kind as the fallback", ev)
+				}
+			}
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seized) == 0 {
+				t.Error("no seize records despite noise")
+			}
+			for _, ev := range seized {
+				if _, ok := r.SeizedTime[ev.Name]; !ok {
+					t.Errorf("seize reason %q is not accounted in %v", ev.Name, r.SeizedTime)
+				}
+			}
+			for _, ev := range phases {
+				phaseNames[ev.Name] = true
+			}
+			for _, ev := range seized {
+				reasons[ev.Name] = true
+			}
+		})
+	}
+	for _, r := range []string{checkpoint.ReasonWrite, checkpoint.ReasonIOWait, noise.Reason, failure.Reason} {
+		if !reasons[r] {
+			t.Errorf("no run seized the CPU for %q; seen %v", r, reasons)
+		}
+	}
+	for _, name := range []string{"hold", "round-commit", "store-begin", "cic-basic", "rep-takeover"} {
+		if !phaseNames[name] {
+			t.Errorf("no run marked %q; seen %v", name, phaseNames)
+		}
+	}
+}

@@ -132,7 +132,7 @@ func (c *Context) Mark(rank int, name string, detail int64) {
 	if c.eng.cfg.Trace == nil {
 		return
 	}
-	c.eng.emitTrace(TraceEvent{Type: TracePhase, Rank: rank, Kind: name,
+	c.eng.emitTrace(TraceEvent{Type: TracePhase, Rank: rank, Name: name,
 		Start: c.eng.now, End: c.eng.now, Op: goal.NoOp, Detail: detail})
 }
 

@@ -131,17 +131,17 @@ func TestSeizeCPUDynamicTraceSplit(t *testing.T) {
 	}
 	var seize []TraceEvent
 	for _, ev := range events {
-		if ev.Type == TraceCPU && (ev.Kind == "seize:write" || ev.Kind == "seize:wait") {
+		if ev.Type == TraceCPU && ev.Kind == KindSeize && (ev.Name == "write" || ev.Name == "wait") {
 			seize = append(seize, ev)
 		}
 	}
 	if len(seize) != 2 {
 		t.Fatalf("seize trace events = %+v, want 2", seize)
 	}
-	if seize[0].Kind != "seize:write" || seize[0].Start != 0 || seize[0].End != 1000 {
+	if seize[0].Name != "write" || seize[0].Start != 0 || seize[0].End != 1000 {
 		t.Errorf("nominal event = %+v", seize[0])
 	}
-	if seize[1].Kind != "seize:wait" || seize[1].Start != 1000 || seize[1].End != 1500 {
+	if seize[1].Name != "wait" || seize[1].Start != 1000 || seize[1].End != 1500 {
 		t.Errorf("wait event = %+v", seize[1])
 	}
 }

@@ -114,7 +114,8 @@ type Config struct {
 	// message-injection, arrival, match, and phase-marker records (the raw
 	// material for trace-conformance validation — see internal/validate).
 	// Consumers that only care about CPU occupancies filter on
-	// TraceEvent.Type == TraceCPU. The callback runs synchronously on the
+	// TraceEvent.Type == TraceCPU. Kinds are typed and reasons interned,
+	// so no record allocates. The callback runs synchronously on the
 	// simulation's hot path; keep it cheap.
 	Trace func(TraceEvent)
 	// Identity, when non-nil, returns the canonical encoding of the
@@ -137,7 +138,7 @@ const (
 	// trace record, and the only type timeline/Gantt consumers care about.
 	TraceCPU TraceType = iota
 	// TraceGrant marks the instant a job is granted the CPU (Start == End).
-	// Kind and Op match the TraceCPU record(s) the job will emit when it
+	// Kind, Name and Op match the TraceCPU record(s) the job will emit when it
 	// completes. Grants let a validator check quiesce invariants in exact
 	// stream order: between a "hold" and its "hold-release" phase marker no
 	// application-class grant may appear on that rank.
@@ -157,18 +158,77 @@ const (
 	TraceMatch
 	// TracePhase is an agent- or subsystem-emitted marker (Start == End):
 	// hold gates, coordination round boundaries, checkpoint write and
-	// storage drain begin/end. Kind names the phase, Detail carries a
+	// storage drain begin/end. Name names the phase, Detail carries a
 	// phase-specific payload (bytes, round root, hold depth).
 	TracePhase
 )
+
+// TraceKind says what a CPU, grant or message record carries. It is the
+// closed set the engine itself knows; the open set of labels agents choose
+// (seize reasons, phase markers) lives in TraceEvent.Name. The zero value
+// names nothing: phase records leave it.
+type TraceKind uint8
+
+const (
+	KindCalc TraceKind = iota + 1 // job kinds of CPU and grant records
+	KindSend
+	KindRecv
+	KindCtl // also the message kind of control messages
+	KindSeize
+	KindEager // message kinds of NIC, inject, arrive and match records
+	KindRTS
+	KindCTS
+	KindData
+)
+
+// traceKindNames is the one name table: every printed kind comes from it.
+var traceKindNames = [...]string{KindCalc: "calc", KindSend: "send", KindRecv: "recv", KindCtl: "ctl",
+	KindSeize: "seize", KindEager: "eager", KindRTS: "rts", KindCTS: "cts", KindData: "data"}
+
+// String names the kind: "" for the zero kind, "?" for a value outside the
+// set.
+func (k TraceKind) String() string {
+	if int(k) < len(traceKindNames) {
+		return traceKindNames[k]
+	}
+	return "?"
+}
+
+// TraceClass says whose time a CPU occupancy is.
+type TraceClass uint8
+
+const (
+	ClassOther  TraceClass = iota // not a job kind
+	ClassApp                      // application work: calc, send, recv
+	ClassCtl                      // protocol control traffic
+	ClassSeized                   // CPU seized by an agent
+)
+
+// Class buckets a job kind by whose time it is.
+func (k TraceKind) Class() TraceClass {
+	switch k {
+	case KindCalc, KindSend, KindRecv:
+		return ClassApp
+	case KindCtl:
+		return ClassCtl
+	case KindSeize:
+		return ClassSeized
+	}
+	return ClassOther
+}
 
 // TraceEvent is one record on the trace channel. Which fields are
 // meaningful depends on Type; TraceCPU events populate exactly the fields
 // the original CPU-occupancy trace did.
 type TraceEvent struct {
-	Type       TraceType
-	Rank       int
-	Kind       string // CPU/grant: "calc", "send", "recv", "ctl", "seize:<reason>"; inject/arrive/match: message kind; phase: marker name
+	Type TraceType
+	// Kind is the job kind of CPU and grant records and the message kind
+	// of NIC, inject, arrive and match records; phase records leave it zero.
+	Kind TraceKind
+	Rank int
+	// Name is the agent's label: a seizure's reason on KindSeize records,
+	// the marker's name on phase records, empty otherwise.
+	Name       string
 	Start, End simtime.Time
 	Op         goal.OpID // NoOp for non-application jobs
 	// Message-event fields (TraceNIC, TraceInject, TraceArrive, TraceMatch):
@@ -182,41 +242,40 @@ type TraceEvent struct {
 	Detail int64
 }
 
-// msgKindName names a message kind for trace records.
-func msgKindName(k msgKind) string {
-	switch k {
-	case msgEager:
-		return "eager"
-	case msgRTS:
-		return "rts"
-	case msgCTS:
-		return "cts"
-	case msgData:
-		return "data"
-	case msgCtl:
-		return "ctl"
+// Label is the record's printed label: "seize:<reason>" for a seizure, the
+// marker's name for a phase record, and the kind's name otherwise.
+func (ev TraceEvent) Label() string {
+	switch ev.Kind {
+	case KindSeize:
+		return "seize:" + ev.Name
+	case 0:
+		return ev.Name
 	}
-	return "?"
+	return ev.Kind.String()
 }
 
-// traceKind maps job kinds to trace labels. Seize labels come from the
-// intern table, so emitting one performs no string concatenation.
-func (e *Engine) traceKind(j job) (string, goal.OpID) {
+// msgTraceKinds maps message kinds to trace kinds.
+var msgTraceKinds = [...]TraceKind{msgEager: KindEager, msgRTS: KindRTS, msgCTS: KindCTS,
+	msgData: KindData, msgCtl: KindCtl}
+
+// traceKind maps a job to its trace kind, its seize reason and the op it
+// serves. The reason is the interned string, so emitting one allocates
+// nothing.
+func (e *Engine) traceKind(j job) (TraceKind, string, goal.OpID) {
 	switch j.kind {
 	case jobCalc:
-		return "calc", goal.OpID(j.arg)
+		return KindCalc, "", goal.OpID(j.arg)
 	case jobSendEager, jobSendRTS:
-		return "send", goal.OpID(j.arg)
+		return KindSend, "", goal.OpID(j.arg)
 	case jobSendData:
-		return "send", e.msgs[j.arg].op
+		return KindSend, "", e.msgs[j.arg].op
 	case jobRecvDone:
-		return "recv", goal.OpID(j.arg)
+		return KindRecv, "", goal.OpID(j.arg)
 	case jobCtlSend, jobCtlRecv:
-		return "ctl", goal.NoOp
-	case jobSeize, jobSeizeOpen:
-		return e.seizeLabels[e.seizes[j.arg].reason], goal.NoOp
+		return KindCtl, "", goal.NoOp
+	default: // jobSeize, jobSeizeOpen
+		return KindSeize, e.reasons[e.seizes[j.arg].reason], goal.NoOp
 	}
-	return "?", goal.NoOp
 }
 
 type evKind uint8
@@ -440,13 +499,12 @@ type Engine struct {
 	// Interned seize/hold reason accounting: reasonIDs maps a reason string
 	// to its ID; the parallel slices below are indexed by that ID. The
 	// string keys reappear only at the Result boundary.
-	reasonIDs   map[string]reasonID
-	reasons     []string // id → reason
-	seizeLabels []string // id → "seize:" + reason, precomputed for traces
-	seizeTime   []simtime.Duration
-	seizeCnt    []int64
-	heldTime    []simtime.Duration
-	heldCnt     []int64
+	reasonIDs map[string]reasonID
+	reasons   []string // id → reason
+	seizeTime []simtime.Duration
+	seizeCnt  []int64
+	heldTime  []simtime.Duration
+	heldCnt   []int64
 	// msgs is the message slab: jobs, events and unexpected queues name a
 	// message by its slot. msgFree lists the free slots: every message has
 	// exactly one release point (matched, data delivery, control delivery),
@@ -539,10 +597,9 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // internReason maps a seize/hold reason string to its integer ID, creating
-// the accounting slots and the precomputed "seize:<reason>" trace label on
-// first use. Protocols use a handful of fixed reasons, so the table stays
-// tiny and the map is touched once per seize/hold *request*, never per
-// completion event.
+// the accounting slots on first use. Protocols use a handful of fixed
+// reasons, so the table stays tiny and the map is touched once per
+// seize/hold *request*, never per completion event.
 func (e *Engine) internReason(reason string) reasonID {
 	if id, ok := e.reasonIDs[reason]; ok {
 		return id
@@ -550,7 +607,6 @@ func (e *Engine) internReason(reason string) reasonID {
 	id := reasonID(len(e.reasons))
 	e.reasonIDs[reason] = id
 	e.reasons = append(e.reasons, reason)
-	e.seizeLabels = append(e.seizeLabels, "seize:"+reason)
 	e.seizeTime = append(e.seizeTime, 0)
 	e.seizeCnt = append(e.seizeCnt, 0)
 	e.heldTime = append(e.heldTime, 0)
@@ -720,8 +776,8 @@ func (e *Engine) dispatch(rank int) {
 	st.runningJob = j
 	st.jobStart = e.now
 	if e.cfg.Trace != nil {
-		kind, op := e.traceKind(j)
-		e.emitTrace(TraceEvent{Type: TraceGrant, Rank: rank, Kind: kind,
+		kind, name, op := e.traceKind(j)
+		e.emitTrace(TraceEvent{Type: TraceGrant, Kind: kind, Rank: rank, Name: name,
 			Start: e.now, End: e.now, Op: op, Detail: int64(st.held)})
 	}
 	if j.kind == jobSeizeOpen {
@@ -759,15 +815,15 @@ func (e *Engine) jobDone(rank int) {
 			// writer would pay, then the contention-induced wait.
 			sz := &e.seizes[j.arg]
 			split := st.jobStart.Add(simtime.MinDuration(j.cost, dur))
-			e.emitTrace(TraceEvent{Rank: rank, Kind: e.seizeLabels[sz.reason],
+			e.emitTrace(TraceEvent{Kind: KindSeize, Rank: rank, Name: e.reasons[sz.reason],
 				Start: st.jobStart, End: split, Op: goal.NoOp})
 			if split < e.now {
-				e.emitTrace(TraceEvent{Rank: rank, Kind: e.seizeLabels[sz.waitReason],
+				e.emitTrace(TraceEvent{Kind: KindSeize, Rank: rank, Name: e.reasons[sz.waitReason],
 					Start: split, End: e.now, Op: goal.NoOp})
 			}
 		} else {
-			kind, op := e.traceKind(j)
-			e.emitTrace(TraceEvent{Rank: rank, Kind: kind, Start: st.jobStart,
+			kind, name, op := e.traceKind(j)
+			e.emitTrace(TraceEvent{Kind: kind, Rank: rank, Name: name, Start: st.jobStart,
 				End: e.now, Op: op})
 		}
 	}
@@ -869,7 +925,7 @@ func (e *Engine) inject(rank int, s int32, wireBytes int64) {
 	inj := simtime.Max(e.now, st.nicFreeAt)
 	st.nicFreeAt = inj.Add(e.net.NIC(wireBytes))
 	if e.cfg.Trace != nil {
-		e.emitTrace(TraceEvent{Type: TraceNIC, Rank: rank, Kind: msgKindName(m.kind),
+		e.emitTrace(TraceEvent{Type: TraceNIC, Rank: rank, Kind: msgTraceKinds[m.kind],
 			Start: inj, End: st.nicFreeAt, MsgID: m.id,
 			Src: int(m.src), Dst: int(m.dst), Wire: wireBytes})
 	}
@@ -891,7 +947,7 @@ func (e *Engine) inject(rank int, s int32, wireBytes int64) {
 	}
 	st.lastArrival[m.dst] = arr
 	if e.cfg.Trace != nil {
-		e.emitTrace(TraceEvent{Type: TraceInject, Rank: rank, Kind: msgKindName(m.kind),
+		e.emitTrace(TraceEvent{Type: TraceInject, Rank: rank, Kind: msgTraceKinds[m.kind],
 			Start: inj, End: arr, MsgID: m.id, Src: int(m.src), Dst: int(m.dst),
 			Tag: m.tag, Bytes: m.bytes, Wire: wireBytes, Op: m.op, RecvOp: m.recvOp})
 	}
@@ -903,7 +959,7 @@ func (e *Engine) arrive(s int32) {
 	m := &e.msgs[s]
 	st := &e.ranks[m.dst]
 	if e.cfg.Trace != nil {
-		e.emitTrace(TraceEvent{Type: TraceArrive, Rank: int(m.dst), Kind: msgKindName(m.kind),
+		e.emitTrace(TraceEvent{Type: TraceArrive, Rank: int(m.dst), Kind: msgTraceKinds[m.kind],
 			Start: e.now, End: e.now, MsgID: m.id, Src: int(m.src), Dst: int(m.dst),
 			Tag: m.tag, Bytes: m.bytes, Wire: m.wire, Op: m.op, RecvOp: m.recvOp})
 	}
@@ -950,7 +1006,7 @@ func (e *Engine) matched(s int32, recvOp goal.OpID) {
 	e.metrics.Matches++
 	st := &e.ranks[m.dst]
 	if e.cfg.Trace != nil {
-		e.emitTrace(TraceEvent{Type: TraceMatch, Rank: int(m.dst), Kind: msgKindName(m.kind),
+		e.emitTrace(TraceEvent{Type: TraceMatch, Rank: int(m.dst), Kind: msgTraceKinds[m.kind],
 			Start: e.now, End: e.now, MsgID: m.id, Src: int(m.src), Dst: int(m.dst),
 			Tag: m.tag, Bytes: m.bytes, Op: m.op, RecvOp: recvOp})
 	}

@@ -606,13 +606,11 @@ func (e *Engine) walkReasons(c *snapshot.Codec) {
 		return
 	}
 	e.reasonIDs = make(map[string]reasonID, n)
-	e.seizeLabels = make([]string, n)
 	for id, reason := range e.reasons {
 		if _, dup := e.reasonIDs[reason]; dup {
 			c.Failf("duplicate reason %q", reason)
 		}
 		e.reasonIDs[reason] = reasonID(id)
-		e.seizeLabels[id] = "seize:" + reason
 	}
 }
 

@@ -39,28 +39,27 @@ func requireFields(t *testing.T, typ reflect.Type, handled map[string]string) {
 
 func TestSnapshotCoversEngineFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Engine{}), map[string]string{
-		"cfg":         "immutable configuration; fingerprinted into the blob's config digest",
-		"prog":        "immutable program; content-hashed into the config digest",
-		"net":         "immutable parameters; hashed field-by-field into the config digest",
-		"queue":       "serialized: seq counter plus every event with its exact (t,seq) key",
-		"now":         "serialized scalar",
-		"ranks":       "serialized per rank (encodeRank/decodeRank)",
-		"depsLeft":    "serialized; open-count cross-checked against opsLeft on restore",
-		"opsLeft":     "serialized scalar",
-		"hooks":       "rebuilt at New from the agent stack (agent types are digest-covered)",
-		"matchHooks":  "rebuilt at New from the agent stack (agent types are digest-covered)",
-		"rand":        "serialized: full 4-word xoshiro256** state",
-		"events":      "serialized scalar (restored counters keep resumed totals identical)",
-		"metrics":     "serialized field-by-field (see TestSnapshotCoversMetricsFields)",
-		"fabricFree":  "serialized scalar",
-		"nextMsgID":   "serialized scalar",
-		"reasonIDs":   "rebuilt on restore from the interned reason table",
-		"reasons":     "serialized in ID order so restored reasonIDs keep meaning",
-		"seizeLabels": "rebuilt on restore (derived: \"seize:\" + reason)",
-		"seizeTime":   "serialized with the reason table",
-		"seizeCnt":    "serialized with the reason table",
-		"heldTime":    "serialized with the reason table",
-		"heldCnt":     "serialized with the reason table",
+		"cfg":        "immutable configuration; fingerprinted into the blob's config digest",
+		"prog":       "immutable program; content-hashed into the config digest",
+		"net":        "immutable parameters; hashed field-by-field into the config digest",
+		"queue":      "serialized: seq counter plus every event with its exact (t,seq) key",
+		"now":        "serialized scalar",
+		"ranks":      "serialized per rank (encodeRank/decodeRank)",
+		"depsLeft":   "serialized; open-count cross-checked against opsLeft on restore",
+		"opsLeft":    "serialized scalar",
+		"hooks":      "rebuilt at New from the agent stack (agent types are digest-covered)",
+		"matchHooks": "rebuilt at New from the agent stack (agent types are digest-covered)",
+		"rand":       "serialized: full 4-word xoshiro256** state",
+		"events":     "serialized scalar (restored counters keep resumed totals identical)",
+		"metrics":    "serialized field-by-field (see TestSnapshotCoversMetricsFields)",
+		"fabricFree": "serialized scalar",
+		"nextMsgID":  "serialized scalar",
+		"reasonIDs":  "rebuilt on restore from the interned reason table",
+		"reasons":    "serialized in ID order so restored reasonIDs keep meaning",
+		"seizeTime":  "serialized with the reason table",
+		"seizeCnt":   "serialized with the reason table",
+		"heldTime":   "serialized with the reason table",
+		"heldCnt":    "serialized with the reason table",
 		"msgs": "not serialized as a slab: each live message is written inline where a " +
 			"job, event or unexpected queue names it; restore fills fresh slots in " +
 			"decode order, and slot numbers never reach results or traces (see walk)",

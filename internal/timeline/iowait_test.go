@@ -101,10 +101,10 @@ func TestGanttShowsIOWait(t *testing.T) {
 }
 
 func TestClassIOWait(t *testing.T) {
-	if class("seize:io-wait") != "iowait" {
+	if class(sim.TraceEvent{Kind: sim.KindSeize, Name: checkpoint.ReasonIOWait}) != "iowait" {
 		t.Error("seize:io-wait not classed as iowait")
 	}
-	if class("seize:checkpoint") != "seized" {
+	if class(sim.TraceEvent{Kind: sim.KindSeize, Name: checkpoint.ReasonWrite}) != "seized" {
 		t.Error("seize:checkpoint not classed as seized")
 	}
 }

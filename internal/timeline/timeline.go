@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
@@ -42,19 +43,17 @@ func (c *Collector) Events() []sim.TraceEvent { return c.events }
 // Ranks returns the number of ranks observed.
 func (c *Collector) Ranks() int { return c.ranks }
 
-// class buckets an event kind for reporting.
-func class(kind string) string {
-	switch {
-	case kind == "calc" || kind == "send" || kind == "recv":
+// class buckets a CPU record for reporting.
+func class(ev sim.TraceEvent) string {
+	switch ev.Kind.Class() {
+	case sim.ClassApp:
 		return "app"
-	case kind == "ctl":
+	case sim.ClassCtl:
 		return "ctl"
-	case kind == "seize:io-wait":
-		// The contention-induced excess of a shared-storage write
-		// (checkpoint.ReasonIOWait) — kept apart from productive seizure
-		// time so storage pressure is visible per rank.
-		return "iowait"
-	case strings.HasPrefix(kind, "seize:"):
+	case sim.ClassSeized:
+		if ev.Name == checkpoint.ReasonIOWait { // contended storage, kept apart per rank
+			return "iowait"
+		}
 		return "seized"
 	}
 	return "other"
@@ -67,7 +66,7 @@ type Utilization struct {
 	Ctl    simtime.Duration
 	Seized simtime.Duration
 	// IOWait is the rank's time stalled on contended shared storage (the
-	// "seize:io-wait" component of checkpoint writes).
+	// checkpoint.ReasonIOWait seizures of checkpoint writes).
 	IOWait simtime.Duration
 	Idle   simtime.Duration
 }
@@ -89,7 +88,7 @@ func (c *Collector) Utilization(makespan simtime.Time) []Utilization {
 	for _, ev := range c.events {
 		d := ev.End.Sub(ev.Start)
 		u := &out[ev.Rank]
-		switch class(ev.Kind) {
+		switch class(ev) {
 		case "app":
 			u.App += d
 		case "ctl":
@@ -115,8 +114,8 @@ func (c *Collector) Utilization(makespan simtime.Time) []Utilization {
 func (c *Collector) SeizedByReason() map[string]simtime.Duration {
 	out := make(map[string]simtime.Duration)
 	for _, ev := range c.events {
-		if strings.HasPrefix(ev.Kind, "seize:") {
-			out[strings.TrimPrefix(ev.Kind, "seize:")] += ev.End.Sub(ev.Start)
+		if ev.Kind == sim.KindSeize {
+			out[ev.Name] += ev.End.Sub(ev.Start)
 		}
 	}
 	return out
@@ -193,7 +192,7 @@ func (c *Collector) Gantt(w io.Writer, width int, makespan simtime.Time, maxRank
 			continue
 		}
 		var sym byte
-		switch class(ev.Kind) {
+		switch class(ev) {
 		case "app":
 			sym = '#'
 		case "ctl":

@@ -148,7 +148,7 @@ func TestGanttEmpty(t *testing.T) {
 
 // ioWaitRun drives coordinated (near-simultaneous) checkpoint writes
 // through a tight shared store, so the contention excess surfaces as
-// seize:io-wait trace events.
+// io-wait seizure trace events.
 func ioWaitRun(t *testing.T) (*Collector, *sim.Result) {
 	t.Helper()
 	prog, err := workload.Stencil2D(workload.Stencil2DConfig{
@@ -223,15 +223,16 @@ func TestNoIOWaitWithoutStore(t *testing.T) {
 }
 
 func TestClassBuckets(t *testing.T) {
-	cases := map[string]string{
-		"calc": "app", "send": "app", "recv": "app",
-		"ctl": "ctl", "seize:checkpoint": "seized", "seize:noise": "seized",
-		"seize:io-wait": "iowait",
-		"weird":         "other",
+	seize := func(reason string) sim.TraceEvent { return sim.TraceEvent{Kind: sim.KindSeize, Name: reason} }
+	cases := map[sim.TraceEvent]string{
+		{Kind: sim.KindCalc}: "app", {Kind: sim.KindSend}: "app", {Kind: sim.KindRecv}: "app",
+		{Kind: sim.KindCtl}: "ctl", seize(checkpoint.ReasonWrite): "seized", seize("noise"): "seized",
+		seize(checkpoint.ReasonIOWait): "iowait",
+		{Kind: sim.KindEager}:          "other",
 	}
-	for kind, want := range cases {
-		if got := class(kind); got != want {
-			t.Errorf("class(%q) = %q, want %q", kind, got, want)
+	for ev, want := range cases {
+		if got := class(ev); got != want {
+			t.Errorf("class(%q) = %q, want %q", ev.Label(), got, want)
 		}
 	}
 }

@@ -74,52 +74,19 @@ import (
 // maxViolations caps the violations retained; further ones only count.
 const maxViolations = 20
 
-// msgKind is a message kind, resolved from its trace label once at
-// injection.
-type msgKind uint8
-
-const (
-	kindOther msgKind = iota // a label the engine never emits
-	kindEager
-	kindRTS
-	kindCTS
-	kindData
-	kindCtl
-)
-
-// kindNames holds the engine's label for each known kind.
-var kindNames = [...]string{kindEager: "eager", kindRTS: "rts", kindCTS: "cts", kindData: "data", kindCtl: "ctl"}
-
-// parseKind resolves an injection's trace label.
-func parseKind(label string) msgKind {
-	switch label {
-	case "eager":
-		return kindEager
-	case "rts":
-		return kindRTS
-	case "cts":
-		return kindCTS
-	case "data":
-		return kindData
-	case "ctl":
-		return kindCtl
-	}
-	return kindOther
-}
-
 // msgState tracks one wire traversal from injection to match.
 type msgState struct {
 	arriveAt simtime.Time // scheduled arrival (TraceInject.End)
 	bytes    int64
 	src, dst int32
-	kind     msgKind
+	kind     sim.TraceKind
 	arrived  bool
 	matched  bool
 }
 
 // matchable reports whether m is an application send — an eager message
 // or a rendezvous request — which a receive must match.
-func (m *msgState) matchable() bool { return m.kind == kindEager || m.kind == kindRTS }
+func (m *msgState) matchable() bool { return m.kind == sim.KindEager || m.kind == sim.KindRTS }
 
 // recvState is one receive op's matching state.
 type recvState struct {
@@ -165,7 +132,8 @@ func (t *paged[T]) get(i int) *T {
 type rankState struct {
 	grantOpen bool // a grant has been seen (job granted at least once)
 	running   bool // granted with no completion segment yet
-	grantKind string
+	grantKind sim.TraceKind
+	grantName string
 	grantTime simtime.Time
 	segEnd    simtime.Time // end of the last completion segment
 	cpuEnd    simtime.Time // end of the last completed CPU occupancy
@@ -204,11 +172,8 @@ type Checker struct {
 	// 1, 2, 3..., and nMsgs have been injected so far.
 	msgs  paged[msgState]
 	nMsgs int64
-	// otherKinds keeps the label of each message injected with an unknown
-	// kind, for violation texts.
-	otherKinds map[int64]string
-	recvs      paged[recvState] // by OpID
-	clock      simtime.Time
+	recvs paged[recvState] // by OpID
+	clock simtime.Time
 
 	// Stream-derived counters, reconciled against Result.Metrics.
 	nMatches, nApp, nCtl, nRndzv int64
@@ -282,17 +247,9 @@ func (c *Checker) rank(i int) *rankState {
 	return &c.ranks[i]
 }
 
-// class buckets a CPU-event kind.
-func class(kind string) string {
-	switch {
-	case kind == "calc" || kind == "send" || kind == "recv":
-		return "app"
-	case kind == "ctl":
-		return "ctl"
-	case strings.HasPrefix(kind, "seize:"):
-		return "seized"
-	}
-	return "other"
+// grantLabel prints the kind the rank's last grant was for.
+func (st *rankState) grantLabel() string {
+	return sim.TraceEvent{Kind: st.grantKind, Name: st.grantName}.Label()
 }
 
 // Add consumes one trace event (in emission order — pass events in the
@@ -306,14 +263,6 @@ func (c *Checker) msg(id int64) *msgState {
 		return nil
 	}
 	return c.msgs.get(int(id - 1))
-}
-
-// kindName is the trace label message id was injected with.
-func (c *Checker) kindName(id int64, m *msgState) string {
-	if m.kind == kindOther {
-		return c.otherKinds[id]
-	}
-	return kindNames[m.kind]
 }
 
 func (c *Checker) add(ev *sim.TraceEvent) {
@@ -372,19 +321,19 @@ func (c *Checker) addGrant(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
 	if st.running {
 		c.fail("rank %d: grant of %q at %v while %q granted at %v has not completed",
-			ev.Rank, ev.Kind, ev.Start, st.grantKind, st.grantTime)
+			ev.Rank, ev.Label(), ev.Start, st.grantLabel(), st.grantTime)
 	}
 	if ev.Start < st.cpuEnd {
 		c.fail("rank %d: grant of %q at %v overlaps occupancy ending %v",
-			ev.Rank, ev.Kind, ev.Start, st.cpuEnd)
+			ev.Rank, ev.Label(), ev.Start, st.cpuEnd)
 	}
-	if class(ev.Kind) == "app" && st.holdDepth > 0 {
+	if ev.Kind.Class() == sim.ClassApp && st.holdDepth > 0 {
 		c.fail("rank %d: quiesce violation: app job %q granted at %v with %d hold gate(s) closed",
-			ev.Rank, ev.Kind, ev.Start, st.holdDepth)
+			ev.Rank, ev.Label(), ev.Start, st.holdDepth)
 	}
-	if class(ev.Kind) == "app" && st.cicPending > 0 {
+	if ev.Kind.Class() == sim.ClassApp && st.cicPending > 0 {
 		c.fail("rank %d: unforced Z-cycle: app job %q granted at %v with forced checkpoint (index %d) still due",
-			ev.Rank, ev.Kind, ev.Start, st.cicPending)
+			ev.Rank, ev.Label(), ev.Start, st.cicPending)
 	}
 	if ev.Detail != st.holdDepth {
 		c.fail("rank %d: grant at %v reports hold depth %d, stream says %d",
@@ -392,26 +341,26 @@ func (c *Checker) addGrant(ev *sim.TraceEvent) {
 	}
 	st.grantOpen = true
 	st.running = true
-	st.grantKind = ev.Kind
+	st.grantKind, st.grantName = ev.Kind, ev.Name
 	st.grantTime = ev.Start
 }
 
 func (c *Checker) addCPU(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
 	if ev.End < ev.Start {
-		c.fail("rank %d: CPU event %q with End %v < Start %v", ev.Rank, ev.Kind, ev.End, ev.Start)
+		c.fail("rank %d: CPU event %q with End %v < Start %v", ev.Rank, ev.Label(), ev.End, ev.Start)
 		return
 	}
 	if !st.grantOpen {
-		c.fail("rank %d: CPU completion %q at %v without a grant", ev.Rank, ev.Kind, ev.End)
+		c.fail("rank %d: CPU completion %q at %v without a grant", ev.Rank, ev.Label(), ev.End)
 	} else if st.running {
 		// First completion segment of the granted job.
 		if ev.Start != st.grantTime {
 			c.fail("rank %d: occupancy %q starts at %v, grant was at %v",
-				ev.Rank, ev.Kind, ev.Start, st.grantTime)
+				ev.Rank, ev.Label(), ev.Start, st.grantTime)
 		}
-		if ev.Kind != st.grantKind {
-			c.fail("rank %d: occupancy %q completes a grant for %q", ev.Rank, ev.Kind, st.grantKind)
+		if ev.Kind != st.grantKind || ev.Name != st.grantName {
+			c.fail("rank %d: occupancy %q completes a grant for %q", ev.Rank, ev.Label(), st.grantLabel())
 		}
 		st.running = false
 	} else {
@@ -419,32 +368,32 @@ func (c *Checker) addCPU(ev *sim.TraceEvent) {
 		// at the nominal boundary): must chain exactly.
 		if ev.Start != st.segEnd {
 			c.fail("rank %d: occupancy segment %q starts at %v, previous segment ended %v",
-				ev.Rank, ev.Kind, ev.Start, st.segEnd)
+				ev.Rank, ev.Label(), ev.Start, st.segEnd)
 		}
-		if !strings.HasPrefix(ev.Kind, "seize:") || !strings.HasPrefix(st.grantKind, "seize:") {
+		if ev.Kind != sim.KindSeize || st.grantKind != sim.KindSeize {
 			c.fail("rank %d: unexpected continuation segment %q after grant %q",
-				ev.Rank, ev.Kind, st.grantKind)
+				ev.Rank, ev.Label(), st.grantLabel())
 		}
 	}
 	st.segEnd = ev.End
 	st.cpuEnd = ev.End
 	d := ev.End.Sub(ev.Start)
-	switch class(ev.Kind) {
-	case "app":
+	switch ev.Kind.Class() {
+	case sim.ClassApp:
 		st.app += d
 		st.sawApp = true
 		if ev.End > st.maxAppEnd {
 			st.maxAppEnd = ev.End
 		}
-		if ev.Kind == "recv" && ev.Op != goal.NoOp {
+		if ev.Kind == sim.KindRecv && ev.Op != goal.NoOp {
 			c.checkRecvDone(ev)
 		}
-	case "ctl":
+	case sim.ClassCtl:
 		st.ctl += d
-	case "seized":
+	case sim.ClassSeized:
 		st.seized += d
 	default:
-		c.fail("rank %d: CPU event with unknown kind %q", ev.Rank, ev.Kind)
+		c.fail("rank %d: CPU event with unknown kind %q", ev.Rank, ev.Label())
 	}
 }
 
@@ -493,37 +442,29 @@ func (c *Checker) addInject(ev *sim.TraceEvent) {
 		return
 	}
 	if ev.Src < 0 || ev.Dst < 0 || ev.Src > math.MaxInt32 || ev.Dst > math.MaxInt32 {
-		c.fail("msg %d (%s %d->%d): endpoint is not a rank", ev.MsgID, ev.Kind, ev.Src, ev.Dst)
+		c.fail("msg %d (%s %d->%d): endpoint is not a rank", ev.MsgID, ev.Label(), ev.Src, ev.Dst)
 		return
 	}
 	if floor := ev.Start.Add(c.net.Wire(ev.Wire)); ev.End < floor {
 		c.fail("msg %d (%s %d->%d): arrival %v beats wire lower bound %v (depart %v + L+(s-1)G)",
-			ev.MsgID, ev.Kind, ev.Src, ev.Dst, ev.End, floor, ev.Start)
+			ev.MsgID, ev.Label(), ev.Src, ev.Dst, ev.End, floor, ev.Start)
 	}
-	kind := parseKind(ev.Kind)
 	*c.msgs.at(int(c.nMsgs)) = msgState{
 		arriveAt: ev.End, bytes: ev.Bytes,
-		src: int32(ev.Src), dst: int32(ev.Dst), kind: kind,
+		src: int32(ev.Src), dst: int32(ev.Dst), kind: ev.Kind,
 	}
 	c.nMsgs++
-	switch kind {
-	case kindEager:
+	switch ev.Kind {
+	case sim.KindEager, sim.KindData:
 		c.nApp++
 		c.appBytes += ev.Bytes
-	case kindData:
-		c.nApp++
-		c.appBytes += ev.Bytes
-	case kindRTS:
+	case sim.KindRTS:
 		c.nRndzv++
-	case kindCtl, kindCTS:
+	case sim.KindCtl, sim.KindCTS:
 		c.nCtl++
 		c.ctlBytes += ev.Wire
 	default:
-		if c.otherKinds == nil {
-			c.otherKinds = make(map[int64]string)
-		}
-		c.otherKinds[ev.MsgID] = ev.Kind
-		c.fail("msg %d injected with unknown kind %q", ev.MsgID, ev.Kind)
+		c.fail("msg %d injected with unknown kind %q", ev.MsgID, ev.Label())
 	}
 }
 
@@ -540,10 +481,10 @@ func (c *Checker) addArrive(ev *sim.TraceEvent) {
 	m.arrived = true
 	if ev.Start != m.arriveAt {
 		c.fail("msg %d (%s %d->%d): arrived at %v, injection scheduled %v",
-			ev.MsgID, c.kindName(ev.MsgID, m), m.src, m.dst, ev.Start, m.arriveAt)
+			ev.MsgID, m.kind, m.src, m.dst, ev.Start, m.arriveAt)
 	}
 	if ev.Rank != int(m.dst) {
-		c.fail("msg %d (%s %d->%d): arrived on rank %d", ev.MsgID, c.kindName(ev.MsgID, m), m.src, m.dst, ev.Rank)
+		c.fail("msg %d (%s %d->%d): arrived on rank %d", ev.MsgID, m.kind, m.src, m.dst, ev.Rank)
 	}
 	sender := c.rank(int(m.src))
 	if d := int(m.dst); d >= len(sender.chanLast) {
@@ -555,7 +496,7 @@ func (c *Checker) addArrive(ev *sim.TraceEvent) {
 			m.src, m.dst, ev.MsgID, ev.Start, last)
 	}
 	sender.chanLast[m.dst] = ev.Start
-	if m.kind == kindData {
+	if m.kind == sim.KindData {
 		// Rendezvous payload: the receive can complete once the data is in.
 		if r := c.recvOf(ev); r != nil {
 			c.readyRecv(ev, m, r)
@@ -579,7 +520,7 @@ func (c *Checker) addMatch(ev *sim.TraceEvent) {
 	}
 	m.matched = true
 	if !m.matchable() {
-		c.fail("msg %d: match of non-matchable kind %q", ev.MsgID, c.kindName(ev.MsgID, m))
+		c.fail("msg %d: match of non-matchable kind %q", ev.MsgID, m.kind)
 		return
 	}
 	if ev.Start < m.arriveAt {
@@ -593,7 +534,7 @@ func (c *Checker) addMatch(ev *sim.TraceEvent) {
 		c.fail("recv op %d matched a second message (msg %d)", ev.RecvOp, ev.MsgID)
 	}
 	r.seen = true
-	if m.kind == kindEager {
+	if m.kind == sim.KindEager {
 		c.readyRecv(ev, m, r)
 	}
 }
@@ -613,17 +554,17 @@ func (c *Checker) recvOf(ev *sim.TraceEvent) *recvState {
 // Only a matched receive can be readied.
 func (c *Checker) readyRecv(ev *sim.TraceEvent, m *msgState, r *recvState) {
 	if !r.seen {
-		c.fail("recv op %d readied by %s msg %d, but no message matched it", ev.RecvOp, kindNames[m.kind], ev.MsgID)
+		c.fail("recv op %d readied by %s msg %d, but no message matched it", ev.RecvOp, m.kind, ev.MsgID)
 	}
 	if r.ready {
-		c.fail("recv op %d readied twice (%s msg %d)", ev.RecvOp, kindNames[m.kind], ev.MsgID)
+		c.fail("recv op %d readied twice (%s msg %d)", ev.RecvOp, m.kind, ev.MsgID)
 	}
 	r.at, r.bytes, r.ready = ev.Start, m.bytes, true
 }
 
 func (c *Checker) addPhase(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
-	switch ev.Kind {
+	switch ev.Name {
 	case "hold":
 		st.holdDepth++
 		if ev.Detail != st.holdDepth {
@@ -662,11 +603,11 @@ func (c *Checker) addPhase(ev *sim.TraceEvent) {
 	case "cic-basic", "cic-forced":
 		if ev.Detail <= st.cicIdx {
 			c.fail("rank %d: checkpoint index not monotone: %s index %d at %v after index %d",
-				ev.Rank, ev.Kind, ev.Detail, ev.Start, st.cicIdx)
+				ev.Rank, ev.Name, ev.Detail, ev.Start, st.cicIdx)
 		}
 		st.cicIdx = ev.Detail
 		c.nCICWrites++
-		if ev.Kind == "cic-forced" {
+		if ev.Name == "cic-forced" {
 			c.nCICForced++
 			if st.cicPending == 0 {
 				c.fail("rank %d: forced checkpoint (index %d) at %v without a pending induction",
@@ -734,9 +675,9 @@ func (c *Checker) checkCommitBarrier(root int, size int64, at simtime.Time) {
 		if st.holdDepth <= 0 {
 			c.fail("round(root %d): member %d gate open at commit (%v)", root, m, at)
 		}
-		if st.running && class(st.grantKind) == "app" {
+		if st.running && st.grantKind.Class() == sim.ClassApp {
 			c.fail("round(root %d): member %d has app job %q (granted %v) in flight at commit (%v)",
-				root, m, st.grantKind, st.grantTime, at)
+				root, m, st.grantLabel(), st.grantTime, at)
 		}
 	}
 }
@@ -788,13 +729,13 @@ func (c *Checker) Finish(res *sim.Result) error {
 	for id := int64(1); id <= c.nMsgs; id++ {
 		m := c.msgs.get(int(id - 1))
 		if !m.arrived {
-			if m.kind != kindCtl {
-				c.fail("msg %d (%s %d->%d) never arrived", id, c.kindName(id, m), m.src, m.dst)
+			if m.kind != sim.KindCtl {
+				c.fail("msg %d (%s %d->%d) never arrived", id, m.kind, m.src, m.dst)
 			}
 			continue
 		}
 		if m.matchable() && !m.matched {
-			c.fail("orphan: msg %d (%s %d->%d) arrived but never matched", id, c.kindName(id, m), m.src, m.dst)
+			c.fail("orphan: msg %d (%s %d->%d) arrived but never matched", id, m.kind, m.src, m.dst)
 		}
 	}
 	for op := 0; op < len(c.recvs.dir)<<pageBits; op++ {

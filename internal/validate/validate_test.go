@@ -155,12 +155,12 @@ func TestCorruptedTraceRejected(t *testing.T) {
 		mut  func(events []sim.TraceEvent) []sim.TraceEvent
 	}{
 		{"stretch-cpu-occupancy", "RankBusy", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceCPU && ev.Kind == "calc" })
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceCPU && ev.Kind == sim.KindCalc })
 			evs[i].End += 1000
 			return evs
 		}},
 		{"drop-grant", "grant", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceGrant && ev.Kind == "calc" })
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceGrant && ev.Kind == sim.KindCalc })
 			return append(evs[:i], evs[i+1:]...)
 		}},
 		{"drop-match", "matches", func(evs []sim.TraceEvent) []sim.TraceEvent {
@@ -168,7 +168,7 @@ func TestCorruptedTraceRejected(t *testing.T) {
 			return append(evs[:i], evs[i+1:]...)
 		}},
 		{"drop-arrival", "arriv", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceArrive && ev.Kind == "eager" })
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceArrive && ev.Kind == sim.KindEager })
 			return append(evs[:i], evs[i+1:]...)
 		}},
 		{"duplicate-match", "twice", func(evs []sim.TraceEvent) []sim.TraceEvent {
@@ -190,18 +190,18 @@ func TestCorruptedTraceRejected(t *testing.T) {
 			return evs
 		}},
 		{"inflate-message-bytes", "app msgs", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceInject && ev.Kind == "eager" })
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TraceInject && ev.Kind == sim.KindEager })
 			evs[i].Bytes += 64
 			return evs
 		}},
 		{"hold-depth-mismatch", "depth", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Kind == "hold" })
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Name == "hold" })
 			evs[i].Detail++
 			return evs
 		}},
 		{"round-commit-out-of-order", "out of order", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Kind == "round-start" })
-			evs[i].Kind = "round-commit"
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Name == "round-start" })
+			evs[i].Name = "round-commit"
 			return evs
 		}},
 		{"negative-rank", "negative rank", func(evs []sim.TraceEvent) []sim.TraceEvent {
@@ -244,7 +244,7 @@ func TestViolationOrderStable(t *testing.T) {
 	base, res := coordinatedScenario(t)
 	var events []sim.TraceEvent
 	for _, ev := range base {
-		if ev.Type == sim.TraceArrive && ev.Kind == "cts" {
+		if ev.Type == sim.TraceArrive && ev.Kind == sim.KindCTS {
 			continue
 		}
 		events = append(events, ev)
@@ -280,7 +280,7 @@ func TestHookTeeAndViolationCap(t *testing.T) {
 	hook := c.Hook(func(sim.TraceEvent) { forwarded++ })
 	const n = 35
 	for i := 0; i < n; i++ {
-		hook(sim.TraceEvent{Type: sim.TraceCPU, Rank: -1, Kind: "calc"})
+		hook(sim.TraceEvent{Type: sim.TraceCPU, Rank: -1, Kind: sim.KindCalc})
 	}
 	if forwarded != n {
 		t.Errorf("forwarded %d of %d events to the wrapped consumer", forwarded, n)
@@ -300,7 +300,7 @@ func TestHookTeeAndViolationCap(t *testing.T) {
 		t.Errorf("fresh checker reports error: %v", err)
 	}
 	var nilTee *validate.Checker = validate.New(network.DefaultParams())
-	nilTee.Hook(nil)(sim.TraceEvent{Type: sim.TraceCPU, Rank: 0, Kind: "calc"})
+	nilTee.Hook(nil)(sim.TraceEvent{Type: sim.TraceCPU, Rank: 0, Kind: sim.KindCalc})
 	if err := nilTee.Finish(nil); err == nil {
 		t.Error("Finish(nil) accepted")
 	}
@@ -308,7 +308,7 @@ func TestHookTeeAndViolationCap(t *testing.T) {
 
 // phaseAt builds a synthetic storage phase marker.
 func phaseAt(rank int, name string, detail int64, at simtime.Time) sim.TraceEvent {
-	return sim.TraceEvent{Type: sim.TracePhase, Rank: rank, Kind: name,
+	return sim.TraceEvent{Type: sim.TracePhase, Rank: rank, Name: name,
 		Start: at, End: at, Op: goal.NoOp, Detail: detail}
 }
 
@@ -443,13 +443,13 @@ func FuzzValidateTrace(f *testing.F) {
 				ok = ev.Type == sim.TraceCPU
 			case 1: // drop an app grant: completion has no matching grant
 				ok = ev.Type == sim.TraceGrant &&
-					(ev.Kind == "calc" || ev.Kind == "send" || ev.Kind == "recv")
+					(ev.Kind == sim.KindCalc || ev.Kind == sim.KindSend || ev.Kind == sim.KindRecv)
 			case 2: // drop a match: match counter diverges from Metrics
 				ok = ev.Type == sim.TraceMatch
 			case 3: // drop a non-ctl arrival: message never arrives / matched unarrived
-				ok = ev.Type == sim.TraceArrive && ev.Kind != "ctl"
+				ok = ev.Type == sim.TraceArrive && ev.Kind != sim.KindCtl
 			case 4: // inflate an app payload: byte conservation breaks
-				ok = ev.Type == sim.TraceInject && (ev.Kind == "eager" || ev.Kind == "data")
+				ok = ev.Type == sim.TraceInject && (ev.Kind == sim.KindEager || ev.Kind == sim.KindData)
 			case 5: // shift an arrival off its scheduled time: causality breaks
 				ok = ev.Type == sim.TraceArrive
 			case 6: // renumber an injection, or repoint a match at another receive
@@ -627,7 +627,7 @@ func TestCorruptedReplicationRejected(t *testing.T) {
 		events := append([]sim.TraceEvent(nil), base...)
 		i := -1
 		for j, ev := range events {
-			if ev.Type == sim.TracePhase && ev.Kind == "rep-takeover" {
+			if ev.Type == sim.TracePhase && ev.Name == "rep-takeover" {
 				i = j
 				break
 			}
@@ -675,7 +675,7 @@ func TestCorruptedCICRejected(t *testing.T) {
 	}
 	find := func(events []sim.TraceEvent, kind string) int {
 		for i, ev := range events {
-			if ev.Type == sim.TracePhase && ev.Kind == kind {
+			if ev.Type == sim.TracePhase && ev.Name == kind {
 				return i
 			}
 		}
@@ -720,7 +720,7 @@ func TestCorruptedCICRejected(t *testing.T) {
 		// A forced checkpoint with no pending induction.
 		events := append([]sim.TraceEvent(nil), base...)
 		i := find(events, "cic-force-due")
-		events[i].Kind = "cic-basic" // the announcement disappears
+		events[i].Name = "cic-basic" // the announcement disappears
 		err := feed(events).Err()
 		if err == nil {
 			t.Fatal("unjustified forced checkpoint accepted")
