@@ -14,7 +14,9 @@
 package eventq
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"checkpointsim/internal/simtime"
 )
@@ -128,12 +130,17 @@ func (q *Queue[T]) Pop() (simtime.Time, T) {
 }
 
 // Items calls visit for every queued event with its full ordering key
-// (time, insertion sequence), in unspecified order, until visit returns
-// false. Snapshot encoding uses it to serialize the queue without
-// disturbing it; because the (t, seq) pair totally orders events,
-// re-Loading the visited items reproduces the exact pop sequence.
+// (time, insertion sequence), in pop order, until visit returns false.
+// Snapshot encoding uses it to serialize the queue without disturbing it:
+// the visit order depends on the queued keys alone, never on the heap's
+// layout, and because the (t, seq) pair totally orders events, re-Loading
+// the visited items in any order reproduces the exact pop sequence.
 func (q *Queue[T]) Items(visit func(t simtime.Time, seq uint64, v T) bool) {
-	for _, it := range q.heap {
+	refs := slices.Clone(q.heap)
+	slices.SortFunc(refs, func(a, b ref) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.seq, b.seq))
+	})
+	for _, it := range refs {
 		if !visit(it.t, it.seq, q.vals[it.idx]) {
 			return
 		}

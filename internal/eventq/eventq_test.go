@@ -218,11 +218,11 @@ func TestMemoryBoundedByPopulation(t *testing.T) {
 	}
 }
 
-// TestItemsLoadRoundTrip drives the snapshot-support API: dumping a queue
-// via Items and reloading it with Load/SetSeq into a fresh queue must
-// reproduce the exact pop sequence — (time, insertion order) both
-// preserved — and leave the sequence counter positioned so future pushes
-// sort after every restored event.
+// TestItemsLoadRoundTrip drives the snapshot-support API: Items must visit
+// in pop order, and reloading its items with Load/SetSeq into a fresh
+// queue must reproduce the exact pop sequence — (time, insertion order)
+// both preserved — and leave the sequence counter positioned so future
+// pushes sort after every restored event.
 func TestItemsLoadRoundTrip(t *testing.T) {
 	f := func(seed uint16) bool {
 		r := rng.New(uint64(seed))
@@ -245,7 +245,15 @@ func TestItemsLoadRoundTrip(t *testing.T) {
 			t.Fatal("Clear left items behind")
 		}
 		count := 0
+		var lastT simtime.Time
+		var lastSeq uint64
 		q.Items(func(tm simtime.Time, seq uint64, v int) bool {
+			// Pop order, whatever the heap's layout: a snapshot's bytes
+			// depend on the queued keys alone.
+			if count > 0 && (tm < lastT || tm == lastT && seq <= lastSeq) {
+				t.Fatalf("Items visited (%v, %d) after (%v, %d)", tm, seq, lastT, lastSeq)
+			}
+			lastT, lastSeq = tm, seq
 			restored.Load(tm, seq, v)
 			count++
 			return true

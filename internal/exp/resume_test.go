@@ -6,6 +6,7 @@ import (
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/failure"
+	"checkpointsim/internal/network"
 	"checkpointsim/internal/noise"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/run"
@@ -133,10 +134,10 @@ func TestCrashResumeCampaign(t *testing.T) {
 
 // TestResumeAtEveryEvent is the crash–resume harness at its finest grain:
 // one small run per protocol family, with the store both unconstrained and
-// bandwidth-limited (plus one run with failures and noise), snapshotted
-// after every single event — mid coordination round, mid control message,
-// mid storage drain — and every remainder replayed byte-identically from
-// its snapshot (verifyResume).
+// bandwidth-limited (plus one run with failures and noise, and one under a
+// shared-fabric model), snapshotted after every single event — mid
+// coordination round, mid control message, mid storage drain — and every
+// remainder replayed byte-identically from its snapshot (verifyResume).
 func TestResumeAtEveryEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash–resume differential suite is not short")
@@ -209,6 +210,17 @@ func TestResumeAtEveryEvent(t *testing.T) {
 	faulty.Failures = &failure.Config{MTBF: 8 * 500 * us, Restart: 20 * us, Kind: failure.RollbackGlobal}
 	faulty.MaxTime = simtime.Time(simtime.Second)
 	points = append(points, point{"coordinated/failures+noise", faulty})
+	// A shared fabric is the one model under which the engine keeps, and
+	// snapshots, per-channel arrival tables. A fabric faster than one link
+	// but queued behind 32KiB halos lets a later, smaller message catch up
+	// with one ahead of it on its channel, so the arrival clamp binds in
+	// this run and a restore that lost the tables would diverge.
+	fabric := base
+	fabric.Protocol = with(func(c *checkpoint.Config) { c.Kind = checkpoint.KindCoordinated })
+	fabric.MsgBytes = 32 << 10
+	fabric.Net = network.DefaultParams()
+	fabric.Net.BisectionBytesPerSec = 5e9
+	points = append(points, point{"coordinated/fabric", fabric})
 
 	for _, pt := range points {
 		pt := pt
@@ -226,6 +238,9 @@ func TestResumeAtEveryEvent(t *testing.T) {
 			}
 			if pt.cfg.Failures != nil && len(res.FailureEvents) == 0 {
 				t.Error("no failure injected; the run does not cover recovery")
+			}
+			if pt.cfg.Net.HasFabric() && res.Metrics.FabricBusy == 0 {
+				t.Error("no fabric occupancy; the run does not cover the fabric model")
 			}
 			// One snapshot after every event but the last: no instant is
 			// off limits.

@@ -70,10 +70,14 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// HasFabric reports whether the parameter set models a shared fabric
+// (BisectionBytesPerSec > 0).
+func (p Params) HasFabric() bool { return p.BisectionBytesPerSec > 0 }
+
 // FabricOccupancy returns how long a message of the given size occupies the
 // shared fabric, or 0 when the fabric is unconstrained.
 func (p Params) FabricOccupancy(bytes int64) simtime.Duration {
-	if p.BisectionBytesPerSec <= 0 || bytes <= 0 {
+	if !p.HasFabric() || bytes <= 0 {
 		return 0
 	}
 	return simtime.FromSeconds(float64(bytes) / p.BisectionBytesPerSec)

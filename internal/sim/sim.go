@@ -418,10 +418,15 @@ type rankState struct {
 	nicFreeAt   simtime.Time
 	posted      []postedRecv
 	unexpected  []int32 // message slots, in arrival order
-	// lastArrival enforces non-overtaking per destination: a flat slice
-	// indexed by dst rank, allocated lazily on this rank's first injection
-	// (so idle ranks cost nothing). The zero value is safe: arrival times
-	// are never negative, so an untouched slot never clamps.
+	// lastArrival holds, per destination rank, the latest arrival of a
+	// message this rank injected, and clamps later arrivals to it so every
+	// channel is non-overtaking. Only a fabric model needs it: under plain
+	// LogGOPS a message injected after one of s1 bytes leaves no earlier
+	// than g + (s1-1)G after it (NIC) and so arrives no earlier than its
+	// L + (s1-1)G arrival (Wire); only fabric queueing breaks that chain.
+	// So it is allocated, P entries, on the rank's first injection under a
+	// fabric model and stays nil otherwise. The zero value is safe: arrival
+	// times are never negative, so an untouched slot never clamps.
 	lastArrival []simtime.Time
 	finish      simtime.Time
 	busy        simtime.Duration // CPU time spent on application jobs
@@ -929,29 +934,42 @@ func (e *Engine) inject(rank int, s int32, wireBytes int64) {
 			Start: inj, End: st.nicFreeAt, MsgID: m.id,
 			Src: int(m.src), Dst: int(m.dst), Wire: wireBytes})
 	}
-	// Optional shared-fabric constraint: the message also serializes
-	// through the machine's bisection.
-	if occ := e.net.FabricOccupancy(wireBytes); occ > 0 {
-		start := simtime.Max(inj, e.fabricFree)
-		e.fabricFree = start.Add(occ)
-		e.metrics.FabricBusy += occ
-		inj = start
+	var arr simtime.Time
+	if e.net.HasFabric() {
+		inj, arr = e.crossFabric(st, m.dst, inj, wireBytes)
+	} else {
+		arr = inj.Add(e.net.Wire(wireBytes))
 	}
-	arr := inj.Add(e.net.Wire(wireBytes))
-	// Non-overtaking per (src, dst) channel.
-	if st.lastArrival == nil {
-		st.lastArrival = make([]simtime.Time, len(e.ranks))
-	}
-	if last := st.lastArrival[m.dst]; arr < last {
-		arr = last
-	}
-	st.lastArrival[m.dst] = arr
 	if e.cfg.Trace != nil {
 		e.emitTrace(TraceEvent{Type: TraceInject, Rank: rank, Kind: msgTraceKinds[m.kind],
 			Start: inj, End: arr, MsgID: m.id, Src: int(m.src), Dst: int(m.dst),
 			Tag: m.tag, Bytes: m.bytes, Wire: wireBytes, Op: m.op, RecvOp: m.recvOp})
 	}
 	e.queue.Push(arr, event{kind: evArrive, id: s})
+}
+
+// crossFabric serializes a message injected at inj through the shared
+// fabric and returns when it enters the fabric (inj if it occupies none)
+// and when it arrives at dst.
+// The fabric can delay a large message past a later, smaller one from the
+// same rank, so arrivals are clamped per (rank, dst) channel to keep every
+// channel non-overtaking.
+func (e *Engine) crossFabric(st *rankState, dst int32, inj simtime.Time, wireBytes int64) (start, arr simtime.Time) {
+	start = inj
+	if occ := e.net.FabricOccupancy(wireBytes); occ > 0 {
+		start = simtime.Max(inj, e.fabricFree)
+		e.fabricFree = start.Add(occ)
+		e.metrics.FabricBusy += occ
+	}
+	arr = start.Add(e.net.Wire(wireBytes))
+	if st.lastArrival == nil {
+		st.lastArrival = make([]simtime.Time, len(e.ranks))
+	}
+	if last := st.lastArrival[dst]; arr < last {
+		arr = last
+	}
+	st.lastArrival[dst] = arr
+	return start, arr
 }
 
 // arrive handles the message in slot s reaching its destination rank.

@@ -874,3 +874,92 @@ func TestFabricUnconstrainedForSmallMessages(t *testing.T) {
 		t.Errorf("tiny message accumulated fabric busy %v", r.Metrics.FabricBusy)
 	}
 }
+
+// clampProgram has rank 2 fill the fabric with 1MB while rank 0 sends a
+// 100KB message and then a 16B one to rank 1 on one tag. Queued behind the
+// 1MB transfer, the 100KB message enters the fabric long after its NIC
+// slot, while the 16B one, injected once the NIC frees, needs almost no
+// wire time: only the per-channel clamp keeps it behind the first.
+func clampProgram() *goal.Program {
+	b := goal.NewBuilder(4)
+	b.Send(2, 3, 0, 1<<20)
+	b.Recv(3, 2, 0, 1<<20)
+	s0 := b.Seq(0)
+	s0.Calc(50)
+	s0.Send(1, 0, 100<<10)
+	s0.Send(1, 0, 16)
+	s1 := b.Seq(1)
+	s1.Recv(0, 0, 100<<10)
+	s1.Recv(0, 0, 16)
+	return b.MustBuild()
+}
+
+// TestFabricClampKeepsChannelOrder: under a fabric model the arrival clamp
+// binds, so the 16B message arrives with, not before, the 100KB one ahead
+// of it on the channel.
+func TestFabricClampKeepsChannelOrder(t *testing.T) {
+	net := testNet()
+	net.BisectionBytesPerSec = 1e10 // 0.1 ns/B, ten times the link's G
+	var injects []TraceEvent
+	var arrivals []int64
+	e, err := New(Config{Net: net, Program: clampProgram(), Seed: 1, Trace: func(ev TraceEvent) {
+		if ev.Src == 0 && ev.Dst == 1 {
+			switch ev.Type {
+			case TraceInject:
+				injects = append(injects, ev)
+			case TraceArrive:
+				arrivals = append(arrivals, ev.MsgID)
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(injects) != 2 || len(arrivals) != 2 {
+		t.Fatalf("%d injections and %d arrivals on channel 0→1, want 2 each", len(injects), len(arrivals))
+	}
+	big, small := injects[0], injects[1]
+	if unclamped := small.Start.Add(net.Wire(small.Wire)); unclamped >= big.End {
+		t.Fatalf("16B message would arrive at %v, after the 100KB one at %v: the clamp cannot bind here",
+			unclamped, big.End)
+	}
+	if small.End != big.End {
+		t.Errorf("16B message arrives at %v, want %v (clamped to the 100KB arrival)", small.End, big.End)
+	}
+	if arrivals[0] != big.MsgID || arrivals[1] != small.MsgID {
+		t.Errorf("channel 0→1 delivered messages %v, want %d then %d", arrivals, big.MsgID, small.MsgID)
+	}
+	if e.ranks[0].lastArrival == nil {
+		t.Error("rank 0 injected under a fabric model but keeps no arrival table")
+	}
+}
+
+// TestFabricFreeKeepsNoArrivalTables: without a fabric model no arrival can
+// overtake another on its channel, so no rank keeps an arrival table.
+func TestFabricFreeKeepsNoArrivalTables(t *testing.T) {
+	for _, cfg := range []Config{
+		{Net: testNet(), Program: clampProgram(), Seed: 1},
+		snapConfig(1, nil),
+		snapConfig(42, nil),
+	} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.AppBytes == 0 {
+			t.Fatal("the run sent no messages")
+		}
+		for i := range e.ranks {
+			if e.ranks[i].lastArrival != nil {
+				t.Errorf("%d-rank run: rank %d keeps an arrival table without a fabric model", len(e.ranks), i)
+			}
+		}
+	}
+}

@@ -440,6 +440,12 @@ func (e *Engine) codeRank(c *snapshot.Codec, st *rankState) {
 	hasArrivals := st.lastArrival != nil
 	if c.Bool(&hasArrivals); hasArrivals {
 		snapshot.Slice(c, &st.lastArrival, len(e.ranks))
+		// Older blobs carry the tables on every engine. Without a fabric
+		// model they can never clamp, and dropping them keeps the restored
+		// engine's blobs equal to an uninterrupted run's.
+		if c.Decoding() && !e.net.HasFabric() {
+			st.lastArrival = nil
+		}
 	}
 	snapshot.Int(c, &st.finish)
 	snapshot.Int(c, &st.busy)

@@ -42,7 +42,7 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"cfg":        "immutable configuration; fingerprinted into the blob's config digest",
 		"prog":       "immutable program; content-hashed into the config digest",
 		"net":        "immutable parameters; hashed field-by-field into the config digest",
-		"queue":      "serialized: seq counter plus every event with its exact (t,seq) key",
+		"queue":      "serialized: seq counter plus every event with its exact (t,seq) key, in (t,seq) order",
 		"now":        "serialized scalar",
 		"ranks":      "serialized per rank (encodeRank/decodeRank)",
 		"depsLeft":   "serialized; open-count cross-checked against opsLeft on restore",
@@ -97,11 +97,13 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 		"nicFreeAt":   "serialized",
 		"posted":      "serialized (op IDs)",
 		"unexpected":  "serialized message-by-message",
-		"lastArrival": "serialized (presence flag + flat slice)",
-		"finish":      "serialized",
-		"busy":        "serialized",
-		"ctlBusy":     "serialized",
-		"seizedBusy":  "serialized",
+		"lastArrival": "serialized (presence flag + flat slice); kept only under a fabric " +
+			"model, the one model in which the clamp can bind (NIC serialization orders a " +
+			"channel's arrivals otherwise), so restore drops tables on a fabric-free engine",
+		"finish":     "serialized",
+		"busy":       "serialized",
+		"ctlBusy":    "serialized",
+		"seizedBusy": "serialized",
 	})
 }
 

@@ -8,10 +8,14 @@ package sim
 // engine contract in isolation.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -594,11 +598,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 }
 
 // pinnedSnapshotSHA is the SHA-256 of every cadence-1 blob of seed 1's
-// snapConfig run, each prefixed by its length. A change to the engine's
-// records that leaves this hash alone keeps the wire format, so
-// snapshot.FormatVersion needs no bump; a change that moves it must bump
-// the version and re-pin the hash.
-const pinnedSnapshotSHA = "49eb68cf0141b51acd1e769cc746b46e5936cecdd5865ea231b61333ee490ef6"
+// snapConfig run, each prefixed by its length. The hash moves whenever the
+// bytes written for a state move. A change of layout, which older blobs
+// cannot be read under, also bumps snapshot.FormatVersion; a change of
+// what is written within the same layout (the queue's visit order, a
+// presence-flagged table left out) only re-pins the hash, and
+// TestRestoreOlderBlobs proves that older blobs still resume.
+const pinnedSnapshotSHA = "f12c6c03b935b558c8096ee9d9b7b8275791fe7a090a113c5c887181ddec87af"
 
 // TestSnapshotBytesPinned hashes every snapshot of one run taken at cadence
 // 1. snapConfig's run holds every kind of pending work at some event (see
@@ -650,5 +656,65 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedSnapshotSHA {
 		t.Errorf("%d snapshot blobs hash to %s, pinned %s: the snapshot bytes changed",
 			len(blobs), got, pinnedSnapshotSHA)
+	}
+}
+
+// TestRestoreOlderBlobs restores FormatVersion 3 blobs written before the
+// queue was encoded in (t, seq) order and before arrival tables were kept
+// only under a fabric model. testdata/v3-heap-order-dense-tables holds
+// three of seed 1's snapConfig blobs from that encoder, each taken after
+// the event its name gives, with the queue in heap order and a table for
+// every rank that had sent. Each must resume to the uninterrupted run's
+// result, and the resumed engine's next blob must equal this encoder's
+// blob at that event: the old bytes still read, and none of them survives
+// into new blobs.
+func TestRestoreOlderBlobs(t *testing.T) {
+	snaps, _, want := monolithicRun(t, 1)
+	files, err := filepath.Glob("testdata/v3-heap-order-dense-tables/*.snap")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no older blobs found (%v)", err)
+	}
+	for _, f := range files {
+		var events int
+		if _, err := fmt.Sscanf(filepath.Base(f), "seed1-event%d.snap", &events); err != nil ||
+			events < 1 || events >= len(snaps) {
+			t.Fatalf("%s: name does not give an event inside the run (%v)", f, err)
+		}
+		blob, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(blob, snaps[events-1].Blob) {
+			t.Errorf("%s equals this encoder's blob at event %d: it no longer tests an older encoding", f, events)
+		}
+		var next []byte
+		cfg := snapConfig(1, func(s Snapshot) {
+			if next == nil {
+				next = s.Blob
+			}
+		})
+		cfg.Trace = func(TraceEvent) {} // as monolithicRun: blobs carry the trace count
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Restore(blob); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for i := range eng.ranks {
+			if eng.ranks[i].lastArrival != nil {
+				t.Errorf("%s: rank %d kept its arrival table on a fabric-free engine", f, i)
+			}
+		}
+		got, err := eng.Run()
+		if err != nil {
+			t.Fatalf("%s: resumed run: %v", f, err)
+		}
+		if !bytes.Equal(got.CanonicalBytes(), want.CanonicalBytes()) {
+			t.Errorf("%s: resumed result differs from the uninterrupted run's", f)
+		}
+		if !bytes.Equal(next, snaps[events].Blob) {
+			t.Errorf("%s: the resumed engine's blob at event %d differs from an uninterrupted run's", f, events+1)
+		}
 	}
 }
