@@ -79,36 +79,27 @@ type (
 	Result = sim.Result
 	// Agent is a protocol component attached to a simulation.
 	Agent = sim.Agent
-	// Protocol is a checkpointing strategy.
+	// Protocol is a checkpointing strategy; ProtocolConfig.New builds one.
 	Protocol = checkpoint.Protocol
-	// CheckpointParams are the protocol knobs (interval, write cost).
-	CheckpointParams = checkpoint.Params
 	// LogParams configure sender-based message logging.
 	LogParams = checkpoint.LogParams
 	// NoiseConfig configures OS-noise injection.
 	NoiseConfig = noise.Config
 	// FailureConfig configures failure injection and recovery.
 	FailureConfig = failure.Config
-	// NonBlockingParams extend CheckpointParams for asynchronous writes.
-	NonBlockingParams = checkpoint.NonBlockingParams
-	// PartnerParams configure diskless buddy checkpointing.
-	PartnerParams = checkpoint.PartnerParams
 	// IncrementalParams configure incremental writes.
 	IncrementalParams = checkpoint.IncrementalParams
 	// TwoLevelParams configure multilevel (SCR/FTI-class) checkpointing.
 	TwoLevelParams = checkpoint.TwoLevelParams
-	// ReplicationParams configure replication-based resilience.
-	ReplicationParams = checkpoint.ReplicationParams
 	// StorageParams configure the shared-storage model: aggregate parallel
 	// filesystem bandwidth, a per-writer cap, and per-node burst-buffer
 	// bandwidth. The zero value means no storage modelling (legacy
 	// fixed-duration writes).
 	StorageParams = storage.Params
 	// Store arbitrates concurrent checkpoint writers with fair-share
-	// semantics; protocols reference one through CheckpointParams.Store.
+	// semantics; a protocol writes through the one ProtocolConfig.New is
+	// given.
 	Store = storage.Store
-	// StorageTier selects which tier of a Store a write drains through.
-	StorageTier = storage.Tier
 	// TraceEvent is one record on the engine's trace channel (CPU
 	// occupancies plus grant/message/phase events; see sim.TraceEvent).
 	TraceEvent = sim.TraceEvent
@@ -146,14 +137,6 @@ const (
 	RecoverTakeover = failure.TakeoverReplica
 )
 
-// Storage tiers for StorageTier fields.
-const (
-	// TierGlobal is the shared parallel filesystem (the default tier).
-	TierGlobal = storage.TierGlobal
-	// TierNode is the node-local burst buffer, shared by co-located ranks.
-	TierNode = storage.TierNode
-)
-
 // DefaultNetwork returns the InfiniBand-class LogGOPS parameters used
 // throughout the experiments.
 func DefaultNetwork() NetworkParams { return network.DefaultParams() }
@@ -165,71 +148,6 @@ func NewStore(p StorageParams) (*Store, error) { return storage.New(p) }
 // UnlimitedStore returns a store with no bandwidth constraints — writes
 // through it are byte-identical to the legacy fixed-duration path.
 func UnlimitedStore() *Store { return storage.Unlimited() }
-
-// NewCoordinated builds the globally coordinated protocol.
-func NewCoordinated(p CheckpointParams) (Protocol, error) {
-	return checkpoint.NewCoordinated(p)
-}
-
-// NewUncoordinated builds the uncoordinated protocol with the named offset
-// policy ("aligned", "staggered", or "random") and logging tax.
-func NewUncoordinated(p CheckpointParams, offset string, log LogParams) (Protocol, error) {
-	pol, err := checkpoint.ParseOffsetPolicy(offset)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.NewUncoordinated(p, pol, log)
-}
-
-// NewHierarchical builds the hybrid protocol with the given cluster size.
-func NewHierarchical(p CheckpointParams, clusterSize int, log LogParams) (Protocol, error) {
-	return checkpoint.NewHierarchical(p, clusterSize, log)
-}
-
-// NewNonBlockingCoordinated builds the asynchronous (copy-on-write)
-// coordinated protocol.
-func NewNonBlockingCoordinated(p NonBlockingParams) (Protocol, error) {
-	return checkpoint.NewNonBlockingCoordinated(p)
-}
-
-// NewPartnerProtocol builds diskless partner (buddy) checkpointing.
-func NewPartnerProtocol(p PartnerParams) (Protocol, error) {
-	return checkpoint.NewPartner(p)
-}
-
-// NewTwoLevelProtocol builds multilevel (SCR/FTI-class) checkpointing.
-func NewTwoLevelProtocol(p TwoLevelParams) (Protocol, error) {
-	return checkpoint.NewTwoLevel(p)
-}
-
-// NewReplicationProtocol builds replication-based resilience. The program
-// must span (degree+1)× the application's ranks (see goal.Widen); Run does
-// this automatically for ProtoReplication.
-func NewReplicationProtocol(p ReplicationParams) (Protocol, error) {
-	return checkpoint.NewReplication(p)
-}
-
-// NewCICProtocol builds index-based communication-induced checkpointing
-// with the given index-lag threshold and offset policy ("aligned",
-// "staggered", or "random").
-func NewCICProtocol(p CheckpointParams, lag int, offset string) (Protocol, error) {
-	pol, err := checkpoint.ParseOffsetPolicy(offset)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.NewCIC(p, lag, pol)
-}
-
-// NewUncoordinatedIncremental builds the uncoordinated protocol with
-// incremental writes.
-func NewUncoordinatedIncremental(p CheckpointParams, offset string, log LogParams,
-	inc IncrementalParams) (Protocol, error) {
-	pol, err := checkpoint.ParseOffsetPolicy(offset)
-	if err != nil {
-		return nil, err
-	}
-	return checkpoint.NewUncoordinatedIncremental(p, pol, log, inc)
-}
 
 // CriticalPath computes the contention-free longest path through a program
 // under the given network parameters — a lower bound on any simulated
@@ -253,7 +171,10 @@ type (
 	// RunResult bundles the simulation result with the protocol and
 	// injector state of a Run.
 	RunResult = run.Result
-	// ProtocolConfig describes the checkpointing strategy of a Run.
+	// ProtocolConfig describes the checkpointing strategy of a Run. Its
+	// New method is the one way to build a protocol agent outside Run:
+	// ProtocolConfig{Kind: ProtoCoordinated, ...}.New(store), with a nil
+	// store for fixed-duration writes.
 	ProtocolConfig = checkpoint.Config
 	// ProtoKind selects a checkpointing protocol in ProtocolConfig.
 	ProtoKind = checkpoint.Kind

@@ -275,40 +275,34 @@ func TestEngineTraceHook(t *testing.T) {
 	}
 }
 
-// Every protocol constructor the facade exports must build its protocol
-// and drive a small simulation to completion as an engine agent.
+// Every protocol a ProtocolConfig describes must build through New and
+// drive a small simulation to completion as an engine agent.
 func TestProtocolConstructors(t *testing.T) {
-	p := CheckpointParams{Interval: 10 * Millisecond, Write: Millisecond}
 	lg := LogParams{Alpha: Microsecond, BetaNsPerByte: 0.01}
 	ctors := []struct {
-		name  string
-		build func() (Protocol, error)
+		name string
+		cfg  ProtocolConfig
 	}{
-		{"coordinated", func() (Protocol, error) { return NewCoordinated(p) }},
-		{"uncoordinated", func() (Protocol, error) { return NewUncoordinated(p, "staggered", lg) }},
-		{"hierarchical", func() (Protocol, error) { return NewHierarchical(p, 4, lg) }},
-		{"non-blocking", func() (Protocol, error) {
-			return NewNonBlockingCoordinated(NonBlockingParams{
-				Params: p, Window: 2 * Millisecond, Slowdown: 1.25})
-		}},
-		{"partner", func() (Protocol, error) {
-			return NewPartnerProtocol(PartnerParams{
-				Interval: 10 * Millisecond, SerializeTime: Millisecond / 10, CkptBytes: 1 << 16})
-		}},
-		{"two-level", func() (Protocol, error) {
-			return NewTwoLevelProtocol(TwoLevelParams{
-				LocalInterval: 5 * Millisecond, LocalWrite: Millisecond / 2,
-				GlobalInterval: 20 * Millisecond, GlobalWrite: 2 * Millisecond})
-		}},
-		{"incremental", func() (Protocol, error) {
-			return NewUncoordinatedIncremental(p, "aligned", lg,
-				IncrementalParams{FullEvery: 4, Fraction: 0.25})
-		}},
+		{"coordinated", ProtocolConfig{Kind: ProtoCoordinated, Interval: 10 * Millisecond, Write: Millisecond}},
+		{"uncoordinated", ProtocolConfig{Kind: ProtoUncoordinated, Interval: 10 * Millisecond,
+			Write: Millisecond, Offset: "staggered", Logging: lg}},
+		{"hierarchical", ProtocolConfig{Kind: ProtoHierarchical, Interval: 10 * Millisecond,
+			Write: Millisecond, ClusterSize: 4, Logging: lg}},
+		{"non-blocking", ProtocolConfig{Kind: ProtoNonBlocking, Interval: 10 * Millisecond,
+			Write: Millisecond, Window: 2 * Millisecond, Slowdown: 1.25}},
+		{"partner", ProtocolConfig{Kind: ProtoPartner, Interval: 10 * Millisecond,
+			Write: Millisecond / 10, CkptBytes: 1 << 16}},
+		{"two-level", ProtocolConfig{Kind: ProtoTwoLevel, TwoLevel: TwoLevelParams{
+			LocalInterval: 5 * Millisecond, LocalWrite: Millisecond / 2,
+			GlobalInterval: 20 * Millisecond, GlobalWrite: 2 * Millisecond}}},
+		{"incremental", ProtocolConfig{Kind: ProtoUncoordinated, Interval: 10 * Millisecond,
+			Write: Millisecond, Offset: "aligned", Logging: lg,
+			Incremental: IncrementalParams{FullEvery: 4, Fraction: 0.25}}},
 	}
 	for _, tc := range ctors {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			proto, err := tc.build()
+			proto, err := tc.cfg.New(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +342,7 @@ func TestProtocolConstructors(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NewUncoordinated(p, "sometimes", lg); err == nil {
+	if _, err := (ProtocolConfig{Kind: ProtoUncoordinated, Interval: Millisecond, Offset: "sometimes"}).New(nil); err == nil {
 		t.Error("bad offset policy accepted")
 	}
 }

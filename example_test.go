@@ -136,22 +136,19 @@ func Example_stencil() {
 	base := run()
 	fmt.Printf("%-24s %12v\n", "baseline", checkpointsim.Duration(base.Makespan))
 
-	params := checkpointsim.CheckpointParams{
-		Interval: 10 * checkpointsim.Millisecond,
-		Write:    checkpointsim.Millisecond,
+	// A ProtocolConfig builds each protocol agent; a nil store keeps the
+	// fixed-duration writes.
+	cfg := checkpointsim.ProtocolConfig{
+		Interval:    10 * checkpointsim.Millisecond,
+		Write:       checkpointsim.Millisecond,
+		Offset:      "staggered",
+		Logging:     checkpointsim.LogParams{Alpha: checkpointsim.Microsecond, BetaNsPerByte: 0.1},
+		ClusterSize: 8,
 	}
-	for _, mk := range []func() (checkpointsim.Protocol, error){
-		func() (checkpointsim.Protocol, error) { return checkpointsim.NewCoordinated(params) },
-		func() (checkpointsim.Protocol, error) {
-			return checkpointsim.NewUncoordinated(params, "staggered",
-				checkpointsim.LogParams{Alpha: checkpointsim.Microsecond, BetaNsPerByte: 0.1})
-		},
-		func() (checkpointsim.Protocol, error) {
-			return checkpointsim.NewHierarchical(params, 8,
-				checkpointsim.LogParams{Alpha: checkpointsim.Microsecond, BetaNsPerByte: 0.1})
-		},
-	} {
-		proto, err := mk()
+	for _, kind := range []checkpointsim.ProtoKind{checkpointsim.ProtoCoordinated,
+		checkpointsim.ProtoUncoordinated, checkpointsim.ProtoHierarchical} {
+		cfg.Kind = kind
+		proto, err := cfg.New(nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-// Package checkpoint implements the checkpointing protocols under study:
+// Package checkpoint implements the resilience protocols under study:
 //
 //   - Coordinated: a two-phase, binomial-tree coordination protocol. The
 //     coordinator quiesces every rank (request/ack sweep down and up the
@@ -18,6 +18,17 @@
 //     pay the logging tax — the standard hybrid design point between the
 //     two extremes.
 //
+//   - Non-blocking: the coordinated protocol without the quiesce phase; one
+//     trigger sweep starts a background write on every rank, which slows
+//     the application for the write's window instead of stopping it.
+//
+//   - Partner: diskless checkpointing on independent local timers; each
+//     rank serializes its state and ships the image to a partner rank's
+//     memory as a real network transfer.
+//
+//   - Two-level: frequent local checkpoints on aligned independent timers
+//     plus rare coordinated rounds to the parallel filesystem (SCR/FTI).
+//
 //   - Replication: every application rank is shadowed by dedicated replica
 //     ranks; sends are duplicated to the destination's replicas, primaries
 //     heartbeat their replicas, and a failed primary is absorbed by replica
@@ -28,6 +39,11 @@
 //     checkpoints advance a Lamport-style index piggybacked on every
 //     message, and a receiver lagging a message's index takes a forced
 //     checkpoint before processing it (the Z-path-free rule).
+//
+// A Config describes any of them, and Config.New builds it: that is the one
+// place a protocol kind becomes an agent. The independent per-rank timers
+// (rankTimer) and the binomial coordination tree (tree) each exist once and
+// are shared by the protocols that use them.
 //
 // All protocols implement Protocol: a sim.Agent plus introspection used by
 // the failure/recovery machinery and the experiment harness.
@@ -52,7 +68,9 @@ const (
 	ReasonIOWait = "io-wait"
 )
 
-// Params holds the knobs shared by all protocols.
+// Params is the interval, write and store of a checkpointing protocol.
+// Config.New derives it from a Config for every kind that writes
+// checkpoints; NewCoordinated takes one directly.
 type Params struct {
 	// Interval is the target time between checkpoints (τ). For coordinated
 	// protocols it is the time between round starts; rounds never overlap.
@@ -70,13 +88,11 @@ type Params struct {
 	// uncontended store writes keep the legacy duration. Ignored without a
 	// bandwidth-limited Store.
 	Bytes int64
-	// Store, when non-nil and bandwidth-limited on Tier, arbitrates
-	// checkpoint writes against every other concurrent writer (fair-share);
-	// nil or unlimited reproduces the legacy fixed-duration path
-	// byte-identically.
+	// Store, when non-nil and bandwidth-limited on the global tier,
+	// arbitrates checkpoint writes against every other concurrent writer
+	// (fair-share); nil or unlimited reproduces the legacy fixed-duration
+	// path byte-identically.
 	Store *storage.Store
-	// Tier selects the storage tier writes target (default TierGlobal).
-	Tier storage.Tier
 }
 
 // Validate checks the parameter set.
@@ -116,9 +132,9 @@ func storeWrite(ctx *sim.Context, st *storage.Store, tier storage.Tier, rank int
 	st.Write(ctx, rank, tier, bytes, ReasonWrite, ReasonIOWait, done)
 }
 
-// write routes one checkpoint write through p's store configuration.
+// write routes one checkpoint write through p's store to the global tier.
 func (p Params) write(ctx *sim.Context, rank int, done sim.Call) {
-	storeWrite(ctx, p.Store, p.Tier, rank, p.Write, p.Bytes, done)
+	storeWrite(ctx, p.Store, storage.TierGlobal, rank, p.Write, p.Bytes, done)
 }
 
 func (p Params) ctlBytes() int64 {

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +8,7 @@ import (
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
+	"checkpointsim/internal/storage"
 	"checkpointsim/internal/workload"
 )
 
@@ -48,6 +48,17 @@ func runWith(t *testing.T, prog *goal.Program, agents ...sim.Agent) *sim.Result 
 	return r
 }
 
+// mustNew builds c's protocol, writing through st, as its concrete type T,
+// or fails the test.
+func mustNew[T Protocol](t testing.TB, c Config, st *storage.Store) T {
+	t.Helper()
+	p, err := c.New(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(T)
+}
+
 func TestParamsValidate(t *testing.T) {
 	good := Params{Interval: simtime.Second, Write: simtime.Millisecond}
 	if err := good.Validate(); err != nil {
@@ -71,11 +82,7 @@ func TestParamsValidate(t *testing.T) {
 
 func TestCoordinatorTreeShape(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 16, 33} {
-		members := make([]int, n)
-		for i := range members {
-			members[i] = i
-		}
-		c := &coordinator{members: members}
+		c := &tree{n: n}
 		seen := make([]int, n)
 		depth := 0
 		var walk func(i, d int)
@@ -117,10 +124,10 @@ func TestCoordinatorTreeShape(t *testing.T) {
 // TestCoordinatorChildrenAllocationFree: once the tree is laid out, asking
 // any member for its children allocates nothing.
 func TestCoordinatorChildrenAllocationFree(t *testing.T) {
-	c := &coordinator{members: make([]int, 64)}
+	c := &tree{n: 64}
 	c.children(0)
 	n := testing.AllocsPerRun(10, func() {
-		for i := range c.members {
+		for i := range c.n {
 			c.children(i)
 		}
 	})
@@ -213,12 +220,9 @@ func TestCoordinatedRoundsDoNotOverlap(t *testing.T) {
 
 func TestUncoordinatedOffsets(t *testing.T) {
 	prog := ep(t, 8, 20, 10*simtime.Millisecond)
-	params := Params{Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond}
-	for _, pol := range []OffsetPolicy{Aligned, Staggered, Random} {
-		up, err := NewUncoordinated(params, pol, LogParams{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, pol := range []string{"aligned", "staggered", "random"} {
+		up := mustNew[*Uncoordinated](t, Config{Kind: KindUncoordinated,
+			Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond, Offset: pol}, nil)
 		r := runWith(t, prog, up)
 		st := up.Stats()
 		if st.Rounds != 0 {
@@ -235,7 +239,7 @@ func TestUncoordinatedOffsets(t *testing.T) {
 				t.Errorf("%v: rank %d has no checkpoint", pol, rank)
 			}
 		}
-		if !strings.HasPrefix(up.Name(), "uncoordinated-") {
+		if up.Name() != "uncoordinated-"+pol {
 			t.Errorf("name = %q", up.Name())
 		}
 	}
@@ -245,16 +249,18 @@ func TestStaggeredSpreadsCheckpoints(t *testing.T) {
 	// With staggering, per-rank last-checkpoint times must differ; aligned,
 	// on an EP workload, they coincide (no interference).
 	prog := ep(t, 8, 400, 250*simtime.Microsecond)
-	params := Params{Interval: 30 * simtime.Millisecond, Write: simtime.Microsecond}
+	c := Config{Kind: KindUncoordinated, Interval: 30 * simtime.Millisecond, Write: simtime.Microsecond,
+		Offset: "aligned"}
 
-	al, _ := NewUncoordinated(params, Aligned, LogParams{})
+	al := mustNew[*Uncoordinated](t, c, nil)
 	runWith(t, prog, al)
 	distinctAligned := map[simtime.Time]bool{}
 	for r := 0; r < 8; r++ {
 		distinctAligned[al.LastCheckpoint(r)] = true
 	}
 
-	stg, _ := NewUncoordinated(params, Staggered, LogParams{})
+	c.Offset = "staggered"
+	stg := mustNew[*Uncoordinated](t, c, nil)
 	runWith(t, ep(t, 8, 400, 250*simtime.Microsecond), stg)
 	distinctStaggered := map[simtime.Time]bool{}
 	for r := 0; r < 8; r++ {
@@ -269,9 +275,9 @@ func TestStaggeredSpreadsCheckpoints(t *testing.T) {
 }
 
 func TestRandomOffsetsDeterministicBySeed(t *testing.T) {
-	params := Params{Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond}
 	get := func() []simtime.Time {
-		up, _ := NewUncoordinated(params, Random, LogParams{})
+		up := mustNew[*Uncoordinated](t, Config{Kind: KindUncoordinated,
+			Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond, Offset: "random"}, nil)
 		runWith(t, ep(t, 8, 10, 10*simtime.Millisecond), up)
 		out := make([]simtime.Time, 8)
 		for r := range out {
@@ -290,12 +296,13 @@ func TestRandomOffsetsDeterministicBySeed(t *testing.T) {
 func TestLoggingPenaltyTaxesSends(t *testing.T) {
 	prog1 := stencil(t, 9, 10, simtime.Millisecond)
 	prog2 := stencil(t, 9, 10, simtime.Millisecond)
-	params := Params{Interval: simtime.Hour, Write: 0} // isolate logging cost
+	c := Config{Kind: KindUncoordinated, Interval: simtime.Hour, Offset: "aligned"} // isolate logging cost
 
-	noLog, _ := NewUncoordinated(params, Aligned, LogParams{})
+	noLog := mustNew[*Uncoordinated](t, c, nil)
 	rNo := runWith(t, prog1, noLog)
 
-	logged, _ := NewUncoordinated(params, Aligned, LogParams{Alpha: 10 * simtime.Microsecond, BetaNsPerByte: 1})
+	c.Logging = LogParams{Alpha: 10 * simtime.Microsecond, BetaNsPerByte: 1}
+	logged := mustNew[*Uncoordinated](t, c, nil)
 	rLog := runWith(t, prog2, logged)
 
 	st := logged.Stats()
@@ -316,14 +323,11 @@ func TestLoggingPenaltyTaxesSends(t *testing.T) {
 }
 
 func TestHierarchicalExtremes(t *testing.T) {
-	params := Params{Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond}
-	logp := LogParams{Alpha: simtime.Microsecond, BetaNsPerByte: 0.5}
+	c := Config{Kind: KindHierarchical, Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond,
+		Logging: LogParams{Alpha: simtime.Microsecond, BetaNsPerByte: 0.5}, ClusterSize: 16}
 
 	// Cluster size >= P: one cluster, nothing is logged.
-	all, err := NewHierarchical(params, 16, logp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := mustNew[*Hierarchical](t, c, nil)
 	runWith(t, stencil(t, 16, 60, simtime.Millisecond), all)
 	if st := all.Stats(); st.LoggedMessages != 0 {
 		t.Errorf("single cluster logged %d messages", st.LoggedMessages)
@@ -333,7 +337,8 @@ func TestHierarchicalExtremes(t *testing.T) {
 	}
 
 	// Cluster size 1: every message crosses clusters.
-	each, _ := NewHierarchical(params, 1, logp)
+	c.ClusterSize = 1
+	each := mustNew[*Hierarchical](t, c, nil)
 	r := runWith(t, stencil(t, 16, 60, simtime.Millisecond), each)
 	if st := each.Stats(); st.LoggedMessages != r.Metrics.AppMessages {
 		t.Errorf("cluster=1 logged %d of %d", st.LoggedMessages, r.Metrics.AppMessages)
@@ -344,12 +349,8 @@ func TestHierarchicalExtremes(t *testing.T) {
 }
 
 func TestHierarchicalMiddle(t *testing.T) {
-	params := Params{Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond}
-	logp := LogParams{Alpha: simtime.Microsecond}
-	h, err := NewHierarchical(params, 4, logp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := mustNew[*Hierarchical](t, Config{Kind: KindHierarchical, Interval: 20 * simtime.Millisecond,
+		Write: simtime.Millisecond, Logging: LogParams{Alpha: simtime.Microsecond}, ClusterSize: 4}, nil)
 	r := runWith(t, stencil(t, 16, 60, simtime.Millisecond), h)
 	st := h.Stats()
 	if st.Rounds == 0 || st.Writes == 0 {
@@ -376,41 +377,15 @@ func TestHierarchicalMiddle(t *testing.T) {
 	}
 }
 
-func TestConstructorValidation(t *testing.T) {
-	bad := Params{Interval: 0}
-	if _, err := NewCoordinated(bad); err == nil {
-		t.Error("bad coordinated accepted")
-	}
-	if _, err := NewUncoordinated(bad, Aligned, LogParams{}); err == nil {
-		t.Error("bad uncoordinated accepted")
-	}
-	good := Params{Interval: 1, Write: 1}
-	if _, err := NewUncoordinated(good, OffsetPolicy(9), LogParams{}); err == nil {
-		t.Error("bad policy accepted")
-	}
-	if _, err := NewUncoordinated(good, Aligned, LogParams{Alpha: -1}); err == nil {
-		t.Error("bad log alpha accepted")
-	}
-	if _, err := NewUncoordinated(good, Aligned, LogParams{BetaNsPerByte: -1}); err == nil {
-		t.Error("bad log beta accepted")
-	}
-	if _, err := NewHierarchical(good, 0, LogParams{}); err == nil {
-		t.Error("bad cluster size accepted")
-	}
-}
-
 func TestParseOffsetPolicy(t *testing.T) {
-	for _, p := range []OffsetPolicy{Aligned, Staggered, Random} {
-		got, err := ParseOffsetPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("round trip %v failed: %v %v", p, got, err)
+	for in, want := range map[string]string{"": "staggered", "aligned": "aligned",
+		"staggered": "staggered", "random": "random"} {
+		if got, err := (Config{Offset: in}).offset(); err != nil || got != want {
+			t.Errorf("offset %q resolves to %q, %v; want %q", in, got, err, want)
 		}
 	}
-	if _, err := ParseOffsetPolicy("bogus"); err == nil {
+	if _, err := (Config{Offset: "bogus"}).offset(); err == nil {
 		t.Error("bogus policy parsed")
-	}
-	if OffsetPolicy(9).String() == "" {
-		t.Error("unknown policy String empty")
 	}
 }
 
@@ -427,12 +402,14 @@ func TestQuickProtocolsComplete(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		params := Params{Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond}
+		c := Config{Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond,
+			Offset:  []string{"aligned", "staggered", "random"}[seed%3],
+			Logging: LogParams{Alpha: simtime.Microsecond}, ClusterSize: int(seed)%3 + 1}
 		var protos []Protocol
-		cp, _ := NewCoordinated(params)
-		up, _ := NewUncoordinated(params, OffsetPolicy(seed%3), LogParams{Alpha: simtime.Microsecond})
-		hp, _ := NewHierarchical(params, int(seed)%3+1, LogParams{Alpha: simtime.Microsecond})
-		protos = append(protos, cp, up, hp)
+		for _, k := range []Kind{KindCoordinated, KindUncoordinated, KindHierarchical} {
+			c.Kind = k
+			protos = append(protos, mustNew[Protocol](t, c, nil))
+		}
 		for _, p := range protos {
 			prog, err := workload.Stencil2D(workload.Stencil2DConfig{
 				Base:      workload.Base{Ranks: ranks, Iterations: 4, Compute: simtime.Millisecond, Seed: uint64(seed)},
@@ -449,7 +426,7 @@ func TestQuickProtocolsComplete(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if r.SeizedTime[ReasonWrite] != simtime.Duration(p.Stats().Writes)*params.Write {
+			if r.SeizedTime[ReasonWrite] != simtime.Duration(p.Stats().Writes)*c.Write {
 				return false
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
+	"checkpointsim/internal/storage"
 )
 
 // cicChan keys the per-channel queue of piggybacked checkpoint indices.
@@ -33,16 +34,17 @@ type cicChan struct {
 // match order equals send order per channel (tag-reordered wildcard
 // matching could mispair two in-flight indices on one channel, which at
 // worst shifts a forced checkpoint by one message).
+//
+// Each rank recovers from its most recent local checkpoint, basic or
+// forced: the rankTimer paces the basic ones, and forced ones commit to the
+// same recovery line.
 type CIC struct {
+	rankTimer
 	p      Params
 	lag    int64
-	policy OffsetPolicy
 	stats  Stats
 	ctx    *sim.Context
 	idx    []int64
-	fired  []simtime.Time // when each rank's in-flight basic checkpoint fired
-	last   []simtime.Time
-	busyAt []simtime.Duration
 	queues map[cicChan][]int64
 }
 
@@ -57,44 +59,30 @@ const (
 // cicArg packs a checkpoint index and a rank into one work argument.
 func cicArg(v int64, rank int) int64 { return v<<32 | int64(rank) }
 
-// NewCIC builds the protocol. lag is the index-lag threshold (default 1);
-// policy staggers the basic-checkpoint timers.
-func NewCIC(p Params, lag int, policy OffsetPolicy) (*CIC, error) {
+// newCIC builds KindCIC: CICLag is the index-lag threshold (default 1) and
+// Offset staggers the basic-checkpoint timers.
+func newCIC(cfg Config, st *storage.Store) (*CIC, error) {
+	off, err := cfg.offset()
+	if err != nil {
+		return nil, err
+	}
+	p := cfg.params(st)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if lag < 0 {
-		return nil, fmt.Errorf("checkpoint: negative CIC lag threshold %d", lag)
+	if cfg.CICLag < 0 {
+		return nil, fmt.Errorf("checkpoint: negative CIC lag threshold %d", cfg.CICLag)
 	}
-	if lag == 0 {
-		lag = 1
-	}
-	if policy > Random {
-		return nil, fmt.Errorf("checkpoint: bad offset policy %d", policy)
-	}
-	return &CIC{p: p, lag: int64(lag), policy: policy, queues: make(map[cicChan][]int64)}, nil
+	c := &CIC{p: p, lag: int64(max(cfg.CICLag, 1)), queues: make(map[cicChan][]int64)}
+	c.rankTimer = rankTimer{interval: p.Interval, offset: off, owner: c, due: cicFire}
+	return c, nil
 }
 
 // Init implements sim.Agent: start the basic-checkpoint timers.
 func (c *CIC) Init(ctx *sim.Context) {
 	c.ctx = ctx
-	n := ctx.NumRanks()
-	c.idx = make([]int64, n)
-	c.fired = make([]simtime.Time, n)
-	c.last = make([]simtime.Time, n)
-	c.busyAt = make([]simtime.Duration, n)
-	for r := 0; r < n; r++ {
-		var off simtime.Duration
-		switch c.policy {
-		case Aligned:
-			off = 0
-		case Staggered:
-			off = simtime.Duration(int64(c.p.Interval) * int64(r) / int64(n))
-		case Random:
-			off = simtime.Duration(ctx.Rand().Intn(int(c.p.Interval)))
-		}
-		ctx.AtOwned(simtime.Time(0).Add(c.p.Interval+off), c, cicFire, int64(r))
-	}
+	c.idx = make([]int64, ctx.NumRanks())
+	c.start(ctx)
 }
 
 // OnTimer implements sim.TimerOwner.
@@ -103,24 +91,20 @@ func (c *CIC) OnTimer(kind uint8, arg int64) {
 	case cicFire:
 		// One basic checkpoint: increment the rank's index and write.
 		rank := int(arg)
-		c.fired[rank] = c.ctx.Now()
+		c.fire(c.ctx, rank)
 		c.idx[rank]++
 		c.p.write(c.ctx, rank, sim.Call{Owner: c, Kind: cicBasicWritten, Arg: cicArg(c.idx[rank], rank)})
 	case cicBasicWritten:
 		v, rank := arg>>32, int(uint32(arg))
-		end := c.ctx.Now()
 		c.stats.Writes++
-		c.last[rank] = end
-		c.busyAt[rank] = c.ctx.RankBusy(rank)
+		c.commit(c.ctx, rank, c.ctx.RankBusy(rank))
 		c.ctx.Mark(rank, "cic-basic", v)
-		next := simtime.Max(c.fired[rank].Add(c.p.Interval), end)
-		c.ctx.AtOwned(next, c, cicFire, int64(rank))
+		c.rearm(c.ctx, rank)
 	case cicForcedWritten:
 		m, dst := arg>>32, int(uint32(arg))
 		c.stats.Writes++
 		c.stats.Forced++
-		c.last[dst] = c.ctx.Now()
-		c.busyAt[dst] = c.ctx.RankBusy(dst)
+		c.commit(c.ctx, dst, c.ctx.RankBusy(dst))
 		c.ctx.Mark(dst, "cic-forced", m)
 	}
 }
@@ -208,13 +192,6 @@ func (c *CIC) Name() string { return "cic" }
 
 // Stats implements Protocol.
 func (c *CIC) Stats() Stats { return c.stats }
-
-// LastCheckpoint implements Protocol: each rank recovers from its most
-// recent local checkpoint, basic or forced.
-func (c *CIC) LastCheckpoint(rank int) simtime.Time { return c.last[rank] }
-
-// ProgressAtCheckpoint implements Protocol.
-func (c *CIC) ProgressAtCheckpoint(rank int) simtime.Duration { return c.busyAt[rank] }
 
 var (
 	_ Protocol      = (*CIC)(nil)

@@ -29,9 +29,10 @@ const (
 	KindCIC Kind = "cic"
 )
 
-// Config describes a checkpointing strategy declaratively. New is the one
-// place a Kind becomes a Protocol: the facade, the campaign scenarios and
-// the trace suite all describe their protocols as Configs.
+// Config describes a checkpointing strategy declaratively, and New is the
+// one place a Kind becomes a Protocol: the facade, the run assembler, the
+// campaign scenarios and the trace suite all describe their protocols as
+// Configs. Each kind reads only the fields its comment names.
 type Config struct {
 	// Kind selects the protocol (default KindNone).
 	Kind Kind
@@ -40,7 +41,7 @@ type Config struct {
 	// Write is the per-rank checkpoint write time δ.
 	Write simtime.Duration
 	// Offset selects the uncoordinated, partner and CIC timer policy:
-	// "aligned", "staggered" (default), or "random".
+	// "aligned", "staggered" (default), or "random" (see rankTimer).
 	Offset string
 	// Logging is the sender-based message-logging tax (uncoordinated and
 	// hierarchical protocols).
@@ -65,7 +66,7 @@ type Config struct {
 	// for that kind).
 	TwoLevel TwoLevelParams
 	// ReplicaDegree is the replication protocol's replicas per application
-	// rank (KindReplication; default 1).
+	// rank (KindReplication; default 1, see Replicas).
 	ReplicaDegree int
 	// HeartbeatPeriod and HeartbeatBytes configure replication failure
 	// detection (KindReplication; defaults 1ms / 64 B).
@@ -79,49 +80,57 @@ type Config struct {
 	CICLag int
 }
 
-// New constructs the configured protocol, routing writes through st when it
-// is non-nil. Globally-writing protocols drain the global tier; the partner
-// serialize step and the two-level local level use the node tier. Protocols
-// are single-simulation: build a fresh one (and a fresh store) per run.
+// New validates the configured protocol and constructs it, routing writes
+// through st when it is non-nil. Globally-writing protocols drain the
+// global tier; the partner serialize step and the two-level local level
+// use the node tier. Protocols are single-simulation: build a fresh one
+// (and a fresh store) per run.
 func (c Config) New(st *storage.Store) (Protocol, error) {
-	off := Staggered
-	if c.Offset != "" && (c.Kind == KindUncoordinated || c.Kind == KindPartner || c.Kind == KindCIC) {
-		var err error
-		if off, err = ParseOffsetPolicy(c.Offset); err != nil {
-			return nil, err
-		}
-	}
-	params := Params{Interval: c.Interval, Write: c.Write, Bytes: c.Bytes, Store: st}
 	switch c.Kind {
 	case "", KindNone:
 		return None{}, nil
 	case KindCoordinated:
-		return NewCoordinated(params)
+		return NewCoordinated(c.params(st))
 	case KindUncoordinated:
-		if c.Incremental.FullEvery > 1 {
-			return NewUncoordinatedIncremental(params, off, c.Logging, c.Incremental)
-		}
-		return NewUncoordinated(params, off, c.Logging)
+		return newUncoordinated(c, st)
 	case KindHierarchical:
-		return NewHierarchical(params, c.ClusterSize, c.Logging)
+		return newHierarchical(c, st)
 	case KindNonBlocking:
-		return NewNonBlockingCoordinated(NonBlockingParams{
-			Params: params, Window: c.Window, Slowdown: c.Slowdown})
+		return newNonBlocking(c, st)
 	case KindTwoLevel:
-		tl := c.TwoLevel
-		if tl.Store == nil {
-			tl.Store = st
-		}
-		return NewTwoLevel(tl)
+		return newTwoLevel(c, st)
 	case KindPartner:
-		return NewPartner(PartnerParams{Interval: c.Interval, SerializeTime: c.Write,
-			CkptBytes: c.CkptBytes, Offsets: off, Store: st})
+		return newPartner(c, st)
 	case KindReplication:
-		return NewReplication(ReplicationParams{Degree: c.ReplicaDegree,
-			HeartbeatPeriod: c.HeartbeatPeriod, HeartbeatBytes: c.HeartbeatBytes,
-			TakeoverCost: c.TakeoverCost})
+		return newReplication(c)
 	case KindCIC:
-		return NewCIC(params, c.CICLag, off)
+		return newCIC(c, st)
 	}
 	return nil, fmt.Errorf("checkpoint: unknown protocol kind %q", c.Kind)
+}
+
+// params is the interval, write and image size of c with writes through st.
+func (c Config) params(st *storage.Store) Params {
+	return Params{Interval: c.Interval, Write: c.Write, Bytes: c.Bytes, Store: st}
+}
+
+// offset resolves Offset for the kinds on independent per-rank timers.
+func (c Config) offset() (string, error) {
+	switch c.Offset {
+	case "":
+		return "staggered", nil
+	case "aligned", "staggered", "random":
+		return c.Offset, nil
+	}
+	return "", fmt.Errorf("checkpoint: unknown offset policy %q", c.Offset)
+}
+
+// Replicas is the replication protocol's replicas per application rank:
+// ReplicaDegree, with zero meaning one. The run assembler widens the
+// program by it, and the protocol lays out its primaries by it.
+func (c Config) Replicas() (int, error) {
+	if c.ReplicaDegree < 0 {
+		return 0, fmt.Errorf("checkpoint: negative replica degree %d", c.ReplicaDegree)
+	}
+	return max(c.ReplicaDegree, 1), nil
 }

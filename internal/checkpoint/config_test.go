@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"math"
 	"testing"
 
 	"checkpointsim/internal/simtime"
@@ -29,8 +30,7 @@ func TestConfigNewOffsets(t *testing.T) {
 	}
 }
 
-// The store reaches the protocols that write through one: a two-level
-// config without its own store inherits the run's.
+// The store reaches the protocols that write through one.
 func TestConfigNewRoutesStore(t *testing.T) {
 	st := storage.Unlimited()
 	p, err := Config{Kind: KindTwoLevel, TwoLevel: TwoLevelParams{LocalInterval: simtime.Millisecond,
@@ -39,7 +39,89 @@ func TestConfigNewRoutesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.(*TwoLevel).p.Store; got != st {
+	if got := p.(*TwoLevel).st; got != st {
 		t.Errorf("two-level store = %p, want the run's %p", got, st)
+	}
+}
+
+// New rejects every Config it cannot run, whatever the kind, and accepts
+// a valid neighbour of each, resolving the defaults it documents.
+func TestConfigNewValidates(t *testing.T) {
+	ms := simtime.Millisecond
+	tl := TwoLevelParams{LocalInterval: 2 * ms, LocalWrite: ms / 10, GlobalInterval: 20 * ms, GlobalWrite: 2 * ms}
+	twoLevel := func(edit func(*TwoLevelParams)) Config {
+		p := tl
+		edit(&p)
+		return Config{Kind: KindTwoLevel, TwoLevel: p}
+	}
+	good := []Config{
+		{Kind: KindCoordinated, Interval: 10 * ms, Write: ms},
+		{Kind: KindUncoordinated, Interval: 10 * ms, Write: ms,
+			Incremental: IncrementalParams{FullEvery: 5, Fraction: 0.2}},
+		{Kind: KindHierarchical, Interval: 10 * ms, Write: ms, ClusterSize: 4},
+		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: 5 * ms, Slowdown: 1.25},
+		{Kind: KindPartner, Interval: 10 * ms, Write: ms / 10, CkptBytes: 1 << 20},
+		{Kind: KindTwoLevel, TwoLevel: tl},
+		{Kind: KindReplication},
+		{Kind: KindCIC, Interval: 10 * ms, Write: ms},
+	}
+	for _, c := range good {
+		if _, err := c.New(nil); err != nil {
+			t.Errorf("%s rejected: %v", c.Kind, err)
+		}
+	}
+	bad := []Config{
+		{Kind: KindCoordinated},
+		{Kind: KindCoordinated, Interval: 1, Write: -1},
+		{Kind: KindCoordinated, Interval: 1, Bytes: -1},
+		{Kind: KindUncoordinated},
+		{Kind: KindUncoordinated, Interval: 1, Write: 1, Logging: LogParams{Alpha: -1}},
+		{Kind: KindUncoordinated, Interval: 1, Write: 1, Logging: LogParams{BetaNsPerByte: -1}},
+		{Kind: KindUncoordinated, Interval: 1, Write: 1, Logging: LogParams{BetaNsPerByte: math.NaN()}},
+		{Kind: KindUncoordinated, Interval: 1, Write: 1, Incremental: IncrementalParams{FullEvery: 5}},
+		{Kind: KindUncoordinated, Interval: 1, Write: 1,
+			Incremental: IncrementalParams{FullEvery: 5, Fraction: 1.5}},
+		{Kind: KindHierarchical, Interval: 1, Write: 1},
+		{Kind: KindHierarchical, ClusterSize: 4},
+		{Kind: KindHierarchical, Interval: 1, Write: 1, ClusterSize: 4, Logging: LogParams{Alpha: -1}},
+		{Kind: KindNonBlocking, Window: 1, Slowdown: 1},
+		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: ms / 2, Slowdown: 1.25},
+		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: 5 * ms, Slowdown: 0.9},
+		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: 5 * ms, Slowdown: math.NaN()},
+		{Kind: KindPartner, CkptBytes: 1},
+		{Kind: KindPartner, Interval: 1, Write: -1, CkptBytes: 1},
+		{Kind: KindPartner, Interval: 1},
+		{Kind: KindPartner, Interval: 1, CkptBytes: -1},
+		twoLevel(func(p *TwoLevelParams) { p.LocalInterval = 0 }),
+		twoLevel(func(p *TwoLevelParams) { p.GlobalInterval = 0 }),
+		twoLevel(func(p *TwoLevelParams) { p.LocalWrite = -1 }),
+		twoLevel(func(p *TwoLevelParams) { p.GlobalWrite = -1 }),
+		twoLevel(func(p *TwoLevelParams) { p.LocalInterval = 10 * p.GlobalInterval }),
+		twoLevel(func(p *TwoLevelParams) { p.CtlBytes = -1 }),
+		twoLevel(func(p *TwoLevelParams) { p.GlobalBytes = -1 }),
+		{Kind: KindReplication, ReplicaDegree: -1},
+		{Kind: KindReplication, HeartbeatPeriod: -1},
+		{Kind: KindReplication, HeartbeatBytes: -1},
+		{Kind: KindReplication, TakeoverCost: -1},
+		{Kind: KindCIC},
+		{Kind: KindCIC, Interval: 1, Write: 1, CICLag: -1},
+		{Kind: "bogus"},
+	}
+	for i, c := range bad {
+		if _, err := c.New(nil); err == nil {
+			t.Errorf("bad config %d (%s) accepted: %+v", i, c.Kind, c)
+		}
+	}
+
+	rp := mustNew[*Replication](t, Config{Kind: KindReplication}, nil)
+	if rp.Degree() != 1 || rp.Name() != "replication" {
+		t.Errorf("default replication: degree %d, name %q", rp.Degree(), rp.Name())
+	}
+	if d, err := (Config{ReplicaDegree: 3}).Replicas(); err != nil || d != 3 {
+		t.Errorf("Replicas() of degree 3 = %d, %v", d, err)
+	}
+	cic := mustNew[*CIC](t, Config{Kind: KindCIC, Interval: 10 * ms, Write: ms}, nil)
+	if cic.LagThreshold() != 1 || cic.Name() != "cic" {
+		t.Errorf("default CIC: lag %d, name %q", cic.LagThreshold(), cic.Name())
 	}
 }

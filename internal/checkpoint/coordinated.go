@@ -32,7 +32,8 @@ type RoundRecord struct {
 }
 
 // NewCoordinated builds the protocol. The first round starts one Interval
-// into the run.
+// into the run. It is Config.New for KindCoordinated, kept exported for
+// callers that hold a Params rather than a Config.
 func NewCoordinated(p Params) (*Coordinated, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -50,11 +51,7 @@ func (c *Coordinated) Init(ctx *sim.Context) {
 // a restoring SnapshotState can rebuild it while the pending tick is
 // restored from the snapshotted event queue.
 func (c *Coordinated) setup(ctx *sim.Context) {
-	members := make([]int, ctx.NumRanks())
-	for i := range members {
-		members[i] = i
-	}
-	c.coord = newCoordinator(ctx, c.p, c, 0, members, &c.stats,
+	c.coord = newCoordinator(ctx, c.p, c, 0, 0, ctx.NumRanks(), &c.stats,
 		func(tick, end simtime.Time) {
 			c.lastLine = end
 			c.lineStart = tick

@@ -8,9 +8,10 @@ import (
 	"checkpointsim/internal/snapshot"
 )
 
-// coordinator runs the two-phase checkpoint rounds over one group of ranks
-// (the whole machine for Coordinated, one cluster for Hierarchical). Rounds
-// proceed through four sweeps of a binomial tree rooted at members[0]:
+// coordinator runs the two-phase checkpoint rounds over one contiguous
+// group of ranks (the whole machine for Coordinated and TwoLevel's global
+// level, one cluster for Hierarchical). Rounds proceed through four sweeps
+// of the binomial tree over the group, rooted at its first rank:
 //
 //	REQ  (down): close each member's application gate
 //	ACK  (up):   subtree fully quiesced
@@ -27,17 +28,15 @@ import (
 // low half. The in-flight round itself is the data in the fields, so a
 // snapshot can be taken mid-round.
 type coordinator struct {
-	ctx     *sim.Context
-	p       Params
-	owner   sim.TimerOwner
-	group   int64
-	members []int // actual rank ids; members[0] is the root
-	stats   *Stats
+	ctx   *sim.Context
+	p     Params
+	owner sim.TimerOwner
+	group int64
+	lo    int // the group's first rank: member i is rank lo+i
+	tree      // over the group's members
+	stats *Stats
 	// onRound runs when a round fully completes.
 	onRound func(tick, end simtime.Time)
-	// kids and kidsAt are the tree's children lists (layoutTree).
-	kids   []int
-	kidsAt []int
 
 	// per-round state
 	active       bool
@@ -66,16 +65,17 @@ const (
 	coordKinds
 )
 
-func newCoordinator(ctx *sim.Context, p Params, owner sim.TimerOwner, group int, members []int,
+// newCoordinator builds the coordinator of the n ranks from lo.
+func newCoordinator(ctx *sim.Context, p Params, owner sim.TimerOwner, group, lo, n int,
 	stats *Stats, onRound func(tick, end simtime.Time)) *coordinator {
 	return &coordinator{
-		ctx: ctx, p: p, owner: owner, group: int64(group), members: members, stats: stats,
+		ctx: ctx, p: p, owner: owner, group: int64(group), lo: lo, tree: tree{n: n}, stats: stats,
 		onRound:       onRound,
-		acksLeft:      make([]int, len(members)),
-		donesLeft:     make([]int, len(members)),
-		holds:         make([]sim.Handle, len(members)),
-		pendingBusy:   make([]simtime.Duration, len(members)),
-		committedBusy: make([]simtime.Duration, len(members)),
+		acksLeft:      make([]int, n),
+		donesLeft:     make([]int, n),
+		holds:         make([]sim.Handle, n),
+		pendingBusy:   make([]simtime.Duration, n),
+		committedBusy: make([]simtime.Duration, n),
 	}
 }
 
@@ -108,39 +108,47 @@ func (c *coordinator) onTimer(kind uint8, i int) {
 	}
 }
 
-// children returns the virtual indices of i's binomial-tree children. The
-// tree is laid out once, on first use, so a round allocates nothing; each
-// list is its own window of the layout, so callers may hold several.
-func (c *coordinator) children(i int) []int {
-	if c.kidsAt == nil {
-		c.layoutTree()
-	}
-	lo, hi := c.kidsAt[i], c.kidsAt[i+1]
-	return c.kids[lo:hi:hi]
+// tree is the binomial tree over the virtual indices 0..n-1, rooted at 0,
+// that the coordinated protocols sweep.
+type tree struct {
+	n int
+	// kids lists every index's children, i's at kids[kidsAt[i]:kidsAt[i+1]]
+	// (layout).
+	kids   []int
+	kidsAt []int
 }
 
-// layoutTree lists every member's children in kids, member i's at
-// kids[kidsAt[i]:kidsAt[i+1]]: i+1, i+2, i+4, … below i's lowest set bit
-// (any power of two for the root) and below the member count.
-func (c *coordinator) layoutTree() {
-	n := len(c.members)
-	c.kids = make([]int, 0, max(n-1, 0))
-	c.kidsAt = make([]int, n+1)
-	for i := 0; i < n; i++ {
-		c.kidsAt[i] = len(c.kids)
+// children returns the indices of i's children. The tree is laid out once,
+// on first use, so a round allocates nothing; each list is its own window
+// of the layout, so callers may hold several.
+func (t *tree) children(i int) []int {
+	if t.kidsAt == nil {
+		t.layout()
+	}
+	lo, hi := t.kidsAt[i], t.kidsAt[i+1]
+	return t.kids[lo:hi:hi]
+}
+
+// layout lists i's children as i+1, i+2, i+4, … below i's lowest set bit
+// (any power of two for the root) and below n.
+func (t *tree) layout() {
+	t.kids = make([]int, 0, max(t.n-1, 0))
+	t.kidsAt = make([]int, t.n+1)
+	for i := 0; i < t.n; i++ {
+		t.kidsAt[i] = len(t.kids)
 		limit := i & -i // lsb; the root may add any power of two
 		if i == 0 {
-			limit = 1 << bits.Len(uint(n)) // effectively unbounded
+			limit = 1 << bits.Len(uint(t.n)) // effectively unbounded
 		}
-		for step := 1; step < limit && i+step < n; step <<= 1 {
-			c.kids = append(c.kids, i+step)
+		for step := 1; step < limit && i+step < t.n; step <<= 1 {
+			t.kids = append(t.kids, i+step)
 		}
 	}
-	c.kidsAt[n] = len(c.kids)
+	t.kidsAt[t.n] = len(t.kids)
 }
 
-// parent returns the virtual index of i's binomial-tree parent.
-func (c *coordinator) parent(i int) int { return i - (i & -i) }
+// parent returns the index of i's parent: i with its lowest set bit clear.
+func (t *tree) parent(i int) int { return i - (i & -i) }
 
 // schedule arms the next round's tick.
 func (c *coordinator) schedule(t simtime.Time) {
@@ -150,7 +158,7 @@ func (c *coordinator) schedule(t simtime.Time) {
 // snapshotState walks the coordinator's state, any round in flight
 // included.
 func (c *coordinator) snapshotState(sc *snapshot.Codec) {
-	n := len(c.members)
+	n := c.n
 	sc.Bool(&c.active)
 	snapshot.Int(sc, &c.tickTime)
 	snapshot.Int(sc, &c.pendingDelay)
@@ -169,17 +177,17 @@ func (c *coordinator) tick() {
 	}
 	c.active = true
 	c.tickTime = c.ctx.Now()
-	c.ctx.Mark(c.members[0], "round-start", int64(len(c.members)))
+	c.ctx.Mark(c.lo, "round-start", int64(c.n))
 	c.handleReq(0)
 }
 
 func (c *coordinator) handleReq(i int) {
-	rank := c.members[i]
+	rank := c.lo + i
 	c.holds[i] = c.ctx.HoldApp(rank, ReasonCoord)
 	kids := c.children(i)
 	c.acksLeft[i] = len(kids)
 	for _, j := range kids {
-		c.ctx.SendControl(rank, c.members[j], c.p.ctlBytes(), c.call(coordReq, j))
+		c.ctx.SendControl(rank, c.lo+j, c.p.ctlBytes(), c.call(coordReq, j))
 	}
 	if len(kids) == 0 {
 		c.ackReady(i)
@@ -190,20 +198,20 @@ func (c *coordinator) handleReq(i int) {
 func (c *coordinator) ackReady(i int) {
 	if i == 0 {
 		c.pendingDelay = c.ctx.Now().Sub(c.tickTime)
-		c.ctx.Mark(c.members[0], "round-commit", int64(len(c.members)))
+		c.ctx.Mark(c.lo, "round-commit", int64(c.n))
 		c.handleCommit(0)
 		return
 	}
 	p := c.parent(i)
-	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(), c.call(coordAck, p))
+	c.ctx.SendControl(c.lo+i, c.lo+p, c.p.ctlBytes(), c.call(coordAck, p))
 }
 
 func (c *coordinator) handleCommit(i int) {
-	rank := c.members[i]
+	rank := c.lo + i
 	kids := c.children(i)
 	c.donesLeft[i] = len(kids) + 1 // children subtrees + own write
 	for _, j := range kids {
-		c.ctx.SendControl(rank, c.members[j], c.p.ctlBytes(), c.call(coordCommit, j))
+		c.ctx.SendControl(rank, c.lo+j, c.p.ctlBytes(), c.call(coordCommit, j))
 	}
 	c.p.write(c.ctx, rank, c.call(coordWritten, i))
 }
@@ -212,7 +220,7 @@ func (c *coordinator) handleCommit(i int) {
 // and report the subtree's progress.
 func (c *coordinator) written(i int) {
 	c.stats.Writes++
-	c.pendingBusy[i] = c.ctx.RankBusy(c.members[i])
+	c.pendingBusy[i] = c.ctx.RankBusy(c.lo + i)
 	c.ctx.Release(c.holds[i])
 	c.holds[i] = 0
 	c.doneReady(i)
@@ -226,7 +234,7 @@ func (c *coordinator) doneReady(i int) {
 	}
 	if i == 0 {
 		end := c.ctx.Now()
-		c.ctx.Mark(c.members[0], "round-end", int64(len(c.members)))
+		c.ctx.Mark(c.lo, "round-end", int64(c.n))
 		c.stats.Rounds++ // rounds and their delays count only when complete
 		c.stats.CoordDelay += c.pendingDelay
 		c.stats.RoundSpan += end.Sub(c.tickTime)
@@ -239,5 +247,5 @@ func (c *coordinator) doneReady(i int) {
 		return
 	}
 	p := c.parent(i)
-	c.ctx.SendControl(c.members[i], c.members[p], c.p.ctlBytes(), c.call(coordDone, p))
+	c.ctx.SendControl(c.lo+i, c.lo+p, c.p.ctlBytes(), c.call(coordDone, p))
 }

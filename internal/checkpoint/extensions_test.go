@@ -6,40 +6,10 @@ import (
 	"checkpointsim/internal/simtime"
 )
 
-func TestNonBlockingParamsValidate(t *testing.T) {
-	good := NonBlockingParams{
-		Params:   Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond},
-		Window:   5 * simtime.Millisecond,
-		Slowdown: 1.25,
-	}
-	if err := good.Validate(); err != nil {
-		t.Error(err)
-	}
-	bad := []NonBlockingParams{
-		{Params: Params{Interval: 0}, Window: 1, Slowdown: 1},
-		{Params: good.Params, Window: good.Write / 2, Slowdown: 1.25},
-		{Params: good.Params, Window: good.Window, Slowdown: 0.9},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
-		}
-		if _, err := NewNonBlockingCoordinated(p); err == nil {
-			t.Errorf("constructor accepted bad params %d", i)
-		}
-	}
-}
-
 func TestNonBlockingRunsWithoutGating(t *testing.T) {
-	params := NonBlockingParams{
-		Params:   Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond},
-		Window:   4 * simtime.Millisecond,
-		Slowdown: 1.25,
-	}
-	nb, err := NewNonBlockingCoordinated(params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nb := mustNew[*NonBlockingCoordinated](t, Config{Kind: KindNonBlocking,
+		Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond,
+		Window: 4 * simtime.Millisecond, Slowdown: 1.25}, nil)
 	r := runWith(t, stencil(t, 16, 60, simtime.Millisecond), nb)
 	st := nb.Stats()
 	if st.Rounds == 0 || st.Writes == 0 {
@@ -77,14 +47,15 @@ func TestNonBlockingRunsWithoutGating(t *testing.T) {
 func TestNonBlockingCheaperThanBlocking(t *testing.T) {
 	// With equal interval and write volume, the non-blocking variant should
 	// beat the blocking one on a coupled workload: no quiesce, no gate.
-	params := Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
+	c := Config{Kind: KindCoordinated, Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond,
+		Window: 8 * simtime.Millisecond, Slowdown: 1.25}
 	base := runWith(t, stencil(t, 16, 60, simtime.Millisecond))
 
-	cp, _ := NewCoordinated(params)
+	cp := mustNew[*Coordinated](t, c, nil)
 	rBlocking := runWith(t, stencil(t, 16, 60, simtime.Millisecond), cp)
 
-	nb, _ := NewNonBlockingCoordinated(NonBlockingParams{
-		Params: params, Window: 8 * simtime.Millisecond, Slowdown: 1.25})
+	c.Kind = KindNonBlocking
+	nb := mustNew[*NonBlockingCoordinated](t, c, nil)
 	rNB := runWith(t, stencil(t, 16, 60, simtime.Millisecond), nb)
 
 	ovB := rBlocking.OverheadPercent(base)
@@ -97,40 +68,10 @@ func TestNonBlockingCheaperThanBlocking(t *testing.T) {
 	}
 }
 
-func TestPartnerParamsValidate(t *testing.T) {
-	good := PartnerParams{Interval: 10 * simtime.Millisecond,
-		SerializeTime: 100 * simtime.Microsecond, CkptBytes: 1 << 20}
-	if err := good.Validate(); err != nil {
-		t.Error(err)
-	}
-	bad := []PartnerParams{
-		{Interval: 0, CkptBytes: 1},
-		{Interval: 1, SerializeTime: -1, CkptBytes: 1},
-		{Interval: 1, CkptBytes: 0},
-		{Interval: 1, CkptBytes: 1, Stride: -2},
-		{Interval: 1, CkptBytes: 1, Offsets: OffsetPolicy(9)},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
-		}
-		if _, err := NewPartner(p); err == nil {
-			t.Errorf("constructor accepted bad params %d", i)
-		}
-	}
-}
-
 func TestPartnerShipsCheckpoints(t *testing.T) {
-	params := PartnerParams{
-		Interval:      10 * simtime.Millisecond,
-		SerializeTime: 100 * simtime.Microsecond,
-		CkptBytes:     256 * 1024,
-		Offsets:       Staggered,
-	}
-	pt, err := NewPartner(params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Config{Kind: KindPartner, Interval: 10 * simtime.Millisecond,
+		Write: 100 * simtime.Microsecond, CkptBytes: 256 * 1024, Offset: "staggered"}
+	pt := mustNew[*Partner](t, c, nil)
 	r := runWith(t, stencil(t, 16, 60, simtime.Millisecond), pt)
 	st := pt.Stats()
 	if st.Writes == 0 {
@@ -140,7 +81,7 @@ func TestPartnerShipsCheckpoints(t *testing.T) {
 	if transfers != st.Writes {
 		t.Errorf("transfers %d != writes %d", transfers, st.Writes)
 	}
-	if bytes != transfers*params.CkptBytes {
+	if bytes != transfers*c.CkptBytes {
 		t.Errorf("shipped %d bytes over %d transfers", bytes, transfers)
 	}
 	// Transfers are real control traffic.
@@ -161,8 +102,8 @@ func TestPartnerShipsCheckpoints(t *testing.T) {
 }
 
 func TestPartnerDefaultStrideIsHalfMachine(t *testing.T) {
-	pt, _ := NewPartner(PartnerParams{Interval: simtime.Millisecond,
-		SerializeTime: 1, CkptBytes: 8})
+	pt := mustNew[*Partner](t, Config{Kind: KindPartner, Interval: simtime.Millisecond,
+		Write: 1, CkptBytes: 8}, nil)
 	runWith(t, ep(t, 8, 3, simtime.Millisecond), pt)
 	if got := pt.partner(1); got != 5 {
 		t.Errorf("partner(1) = %d, want 5", got)
@@ -173,8 +114,8 @@ func TestPartnerDefaultStrideIsHalfMachine(t *testing.T) {
 }
 
 func TestPartnerSingleRank(t *testing.T) {
-	pt, _ := NewPartner(PartnerParams{Interval: simtime.Millisecond,
-		SerializeTime: 1, CkptBytes: 8})
+	pt := mustNew[*Partner](t, Config{Kind: KindPartner, Interval: simtime.Millisecond,
+		Write: 1, CkptBytes: 8}, nil)
 	runWith(t, ep(t, 1, 5, simtime.Millisecond), pt)
 	if pt.Stats().Writes == 0 {
 		t.Error("single-rank partner never checkpointed")
@@ -194,24 +135,17 @@ func TestIncrementalParamsValidate(t *testing.T) {
 		{FullEvery: 5, Fraction: 0},
 		{FullEvery: 5, Fraction: 1.5},
 	}
-	p := Params{Interval: simtime.Millisecond, Write: 100 * simtime.Microsecond}
 	for i, ip := range bad {
 		if err := ip.Validate(); err == nil {
 			t.Errorf("bad params %d accepted", i)
-		}
-		if _, err := NewUncoordinatedIncremental(p, Aligned, LogParams{}, ip); err == nil {
-			t.Errorf("constructor accepted bad params %d", i)
 		}
 	}
 }
 
 func TestIncrementalWriteDurations(t *testing.T) {
-	p := Params{Interval: simtime.Millisecond, Write: 1000}
-	u, err := NewUncoordinatedIncremental(p, Aligned, LogParams{},
-		IncrementalParams{FullEvery: 4, Fraction: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Config{Kind: KindUncoordinated, Interval: simtime.Millisecond, Write: 1000,
+		Incremental: IncrementalParams{FullEvery: 4, Fraction: 0.25}}
+	u := mustNew[*Uncoordinated](t, c, nil)
 	// Writes 1..3 incremental, 4 full, 5..7 incremental, 8 full.
 	for n, want := range map[int64]simtime.Duration{
 		1: 250, 2: 250, 3: 250, 4: 1000, 5: 250, 8: 1000,
@@ -221,21 +155,23 @@ func TestIncrementalWriteDurations(t *testing.T) {
 		}
 	}
 	// Plain protocol always writes full.
-	plain, _ := NewUncoordinated(p, Aligned, LogParams{})
+	c.Incremental = IncrementalParams{}
+	plain := mustNew[*Uncoordinated](t, c, nil)
 	if plain.writeDuration(3) != 1000 {
 		t.Error("plain protocol write duration wrong")
 	}
 }
 
 func TestIncrementalReducesOverhead(t *testing.T) {
-	params := Params{Interval: 5 * simtime.Millisecond, Write: simtime.Millisecond}
+	c := Config{Kind: KindUncoordinated, Interval: 5 * simtime.Millisecond, Write: simtime.Millisecond,
+		Offset: "aligned"}
 	base := runWith(t, ep(t, 8, 60, simtime.Millisecond))
 
-	full, _ := NewUncoordinated(params, Aligned, LogParams{})
+	full := mustNew[*Uncoordinated](t, c, nil)
 	rFull := runWith(t, ep(t, 8, 60, simtime.Millisecond), full)
 
-	inc, _ := NewUncoordinatedIncremental(params, Aligned, LogParams{},
-		IncrementalParams{FullEvery: 5, Fraction: 0.2})
+	c.Incremental = IncrementalParams{FullEvery: 5, Fraction: 0.2}
+	inc := mustNew[*Uncoordinated](t, c, nil)
 	rInc := runWith(t, ep(t, 8, 60, simtime.Millisecond), inc)
 
 	if rInc.Makespan >= rFull.Makespan {
@@ -269,9 +205,6 @@ func TestTwoLevelParamsValidate(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad params %d accepted", i)
 		}
-		if _, err := NewTwoLevel(p); err == nil {
-			t.Errorf("constructor accepted bad params %d", i)
-		}
 	}
 }
 
@@ -280,10 +213,7 @@ func TestTwoLevelRuns(t *testing.T) {
 		LocalInterval: 2 * simtime.Millisecond, LocalWrite: 100 * simtime.Microsecond,
 		GlobalInterval: 20 * simtime.Millisecond, GlobalWrite: 2 * simtime.Millisecond,
 	}
-	tl, err := NewTwoLevel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := mustNew[*TwoLevel](t, Config{Kind: KindTwoLevel, TwoLevel: p}, nil)
 	runWith(t, stencil(t, 16, 60, simtime.Millisecond), tl)
 	local, global := tl.LevelWrites()
 	if local == 0 {
@@ -325,7 +255,7 @@ func TestTwoLevelLocalLineIsFresher(t *testing.T) {
 		LocalInterval: simtime.Millisecond, LocalWrite: 50 * simtime.Microsecond,
 		GlobalInterval: 10 * simtime.Millisecond, GlobalWrite: simtime.Millisecond,
 	}
-	tl, _ := NewTwoLevel(p)
+	tl := mustNew[*TwoLevel](t, Config{Kind: KindTwoLevel, TwoLevel: p}, nil)
 	runWith(t, stencil(t, 9, 40, simtime.Millisecond), tl)
 	fresher := 0
 	for r := 0; r < 9; r++ {

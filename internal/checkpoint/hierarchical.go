@@ -6,6 +6,7 @@ import (
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
+	"checkpointsim/internal/storage"
 )
 
 // Hierarchical is the hybrid protocol: ranks are partitioned into
@@ -19,7 +20,6 @@ type Hierarchical struct {
 	clusterSize int
 	log         LogParams
 	stats       Stats
-	numRanks    int
 	coords      []*coordinator
 	// lastLine[k] is the completion time of cluster k's last round;
 	// lineStart[k] its start.
@@ -27,18 +27,19 @@ type Hierarchical struct {
 	lineStart []simtime.Time
 }
 
-// NewHierarchical builds the protocol with the given cluster size.
-func NewHierarchical(p Params, clusterSize int, log LogParams) (*Hierarchical, error) {
+// newHierarchical builds KindHierarchical.
+func newHierarchical(c Config, st *storage.Store) (*Hierarchical, error) {
+	p := c.params(st)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := log.Validate(); err != nil {
+	if err := c.Logging.Validate(); err != nil {
 		return nil, err
 	}
-	if clusterSize <= 0 {
-		return nil, fmt.Errorf("checkpoint: cluster size %d", clusterSize)
+	if c.ClusterSize <= 0 {
+		return nil, fmt.Errorf("checkpoint: cluster size %d", c.ClusterSize)
 	}
-	return &Hierarchical{p: p, clusterSize: clusterSize, log: log}, nil
+	return &Hierarchical{p: p, clusterSize: c.ClusterSize, log: c.Logging}, nil
 }
 
 // cluster returns the cluster index of a rank.
@@ -58,22 +59,14 @@ func (h *Hierarchical) Init(ctx *sim.Context) {
 // setup builds the per-cluster coordinators without scheduling their rounds,
 // for both Init and a restoring SnapshotState.
 func (h *Hierarchical) setup(ctx *sim.Context) {
-	h.numRanks = ctx.NumRanks()
-	numClusters := (h.numRanks + h.clusterSize - 1) / h.clusterSize
+	n := ctx.NumRanks()
+	numClusters := (n + h.clusterSize - 1) / h.clusterSize
 	h.lastLine = make([]simtime.Time, numClusters)
 	h.lineStart = make([]simtime.Time, numClusters)
 	h.coords = make([]*coordinator, numClusters)
 	for k := 0; k < numClusters; k++ {
 		lo := k * h.clusterSize
-		hi := lo + h.clusterSize
-		if hi > h.numRanks {
-			hi = h.numRanks
-		}
-		members := make([]int, hi-lo)
-		for i := range members {
-			members[i] = lo + i
-		}
-		h.coords[k] = newCoordinator(ctx, h.p, h, k, members, &h.stats,
+		h.coords[k] = newCoordinator(ctx, h.p, h, k, lo, min(h.clusterSize, n-lo), &h.stats,
 			func(tick, end simtime.Time) {
 				h.lastLine[k] = end
 				h.lineStart[k] = tick
@@ -141,8 +134,8 @@ func (h *Hierarchical) LastCheckpoint(rank int) simtime.Time {
 // ProgressAtCheckpoint implements Protocol: the progress saved by the
 // rank's cluster's last completed round.
 func (h *Hierarchical) ProgressAtCheckpoint(rank int) simtime.Duration {
-	k := h.cluster(rank)
-	return h.coords[k].committedBusy[rank-k*h.clusterSize]
+	c := h.coords[h.cluster(rank)]
+	return c.committedBusy[rank-c.lo]
 }
 
 // LastLineStart returns the start of the last completed round of rank's
@@ -157,15 +150,10 @@ func (h *Hierarchical) ClusterSize() int { return h.clusterSize }
 // ClusterMembers returns the ranks sharing rank's cluster (including rank
 // itself) — the rollback unit for cluster-level recovery.
 func (h *Hierarchical) ClusterMembers(rank int) []int {
-	k := h.cluster(rank)
-	lo := k * h.clusterSize
-	hi := lo + h.clusterSize
-	if hi > h.numRanks {
-		hi = h.numRanks
-	}
-	out := make([]int, hi-lo)
+	c := h.coords[h.cluster(rank)]
+	out := make([]int, c.n)
 	for i := range out {
-		out[i] = lo + i
+		out[i] = c.lo + i
 	}
 	return out
 }

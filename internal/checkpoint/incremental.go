@@ -30,29 +30,13 @@ func (ip IncrementalParams) Validate() error {
 	return nil
 }
 
-// NewUncoordinatedIncremental builds the uncoordinated protocol with
-// incremental writes: rank timers and logging behave exactly as in
-// NewUncoordinated, but only every inc.FullEvery-th write pays the full
-// Params.Write; the others pay Write·inc.Fraction.
-//
-// Recovery from an incremental chain must restore the last full checkpoint
-// plus all increments since; we fold that into the unchanged restart cost
-// (the chain is bounded by FullEvery), so the performance side — the
-// dramatic reduction in write duty cycle — is what this variant isolates.
-func NewUncoordinatedIncremental(p Params, policy OffsetPolicy, log LogParams,
-	inc IncrementalParams) (*Uncoordinated, error) {
-	u, err := NewUncoordinated(p, policy, log)
-	if err != nil {
-		return nil, err
-	}
-	if err := inc.Validate(); err != nil {
-		return nil, err
-	}
-	u.inc = inc
-	return u, nil
-}
-
-// writeDuration returns the duration of rank's n-th write (1-based).
+// writeDuration returns the duration of rank's n-th write (1-based). With
+// incremental writes only every FullEvery-th write pays the full
+// Params.Write; the others pay Write·Fraction. Recovery from an incremental
+// chain must restore the last full checkpoint plus all increments since;
+// that folds into the unchanged restart cost (the chain is bounded by
+// FullEvery), so the performance side — the dramatic reduction in write
+// duty cycle — is what this variant isolates.
 func (u *Uncoordinated) writeDuration(n int64) simtime.Duration {
 	if u.inc.FullEvery <= 1 || u.inc.Fraction == 0 {
 		return u.p.Write

@@ -6,36 +6,8 @@ import (
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
+	"checkpointsim/internal/storage"
 )
-
-// NonBlockingParams extend Params for the asynchronous variant.
-type NonBlockingParams struct {
-	Params
-	// Window is the wall-clock span of the background write. The same
-	// checkpoint bytes that a blocking write would move in Params.Write
-	// are streamed out over this longer window while the application keeps
-	// running. Must be >= Write.
-	Window simtime.Duration
-	// Slowdown is the CPU interference factor (>= 1) the application
-	// suffers during the window: copy-on-write faults, cache pollution,
-	// and I/O contention from the background writer. 1.0 = free writes.
-	Slowdown float64
-}
-
-// Validate checks the parameter set.
-func (p NonBlockingParams) Validate() error {
-	if err := p.Params.Validate(); err != nil {
-		return err
-	}
-	if p.Window < p.Write {
-		return fmt.Errorf("checkpoint: non-blocking window %v < write time %v",
-			p.Window, p.Write)
-	}
-	if !(p.Slowdown >= 1) {
-		return fmt.Errorf("checkpoint: non-blocking slowdown %v < 1", p.Slowdown)
-	}
-	return nil
-}
 
 // NonBlockingCoordinated is the asynchronous variant of the coordinated
 // protocol: a single trigger sweep down the binomial tree starts a
@@ -52,9 +24,17 @@ func (p NonBlockingParams) Validate() error {
 // bound that isolates the coordination-and-interference component the
 // study cares about.
 type NonBlockingCoordinated struct {
-	p     NonBlockingParams
-	stats Stats
-	ctx   *sim.Context
+	p Params
+	// window is the wall-clock span of the background write: the bytes a
+	// blocking write would move in p.Write stream out over this longer
+	// window while the application keeps running.
+	window simtime.Duration
+	// slowdown is the CPU interference factor the application suffers
+	// during the window: copy-on-write faults, cache pollution, and I/O
+	// contention from the background writer. 1.0 = free writes.
+	slowdown float64
+	stats    Stats
+	ctx      *sim.Context
 
 	// The round in flight, all plain data so a snapshot can be taken at
 	// any event: per rank, the outstanding completions of its background
@@ -62,7 +42,7 @@ type NonBlockingCoordinated struct {
 	// CPU scale it imposes.
 	active    bool
 	tickTime  simtime.Time
-	tree      coordinator // used only for its children/parent shape
+	tree      tree
 	donesLeft []int
 	arrivals  []int
 	scales    []sim.Handle
@@ -80,12 +60,20 @@ const (
 	nbDone                 // a completion report reached rank arg
 )
 
-// NewNonBlockingCoordinated builds the protocol.
-func NewNonBlockingCoordinated(p NonBlockingParams) (*NonBlockingCoordinated, error) {
+// newNonBlocking builds KindNonBlocking: Window must be at least Write and
+// Slowdown at least 1.
+func newNonBlocking(c Config, st *storage.Store) (*NonBlockingCoordinated, error) {
+	p := c.params(st)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &NonBlockingCoordinated{p: p}, nil
+	if c.Window < p.Write {
+		return nil, fmt.Errorf("checkpoint: non-blocking window %v < write time %v", c.Window, p.Write)
+	}
+	if !(c.Slowdown >= 1) {
+		return nil, fmt.Errorf("checkpoint: non-blocking slowdown %v < 1", c.Slowdown)
+	}
+	return &NonBlockingCoordinated{p: p, window: c.Window, slowdown: c.Slowdown}, nil
 }
 
 // Init implements sim.Agent.
@@ -99,7 +87,7 @@ func (n *NonBlockingCoordinated) Init(ctx *sim.Context) {
 func (n *NonBlockingCoordinated) setup(ctx *sim.Context) {
 	n.ctx = ctx
 	p := ctx.NumRanks()
-	n.tree = coordinator{members: make([]int, p)}
+	n.tree = tree{n: p}
 	n.donesLeft = make([]int, p)
 	n.arrivals = make([]int, p)
 	n.scales = make([]sim.Handle, p)
@@ -125,11 +113,6 @@ func (n *NonBlockingCoordinated) OnTimer(kind uint8, arg int64) {
 	}
 }
 
-// children/parent reuse the binomial shape over virtual ranks 0..P-1.
-func (n *NonBlockingCoordinated) children(i int) []int { return n.tree.children(i) }
-
-func (n *NonBlockingCoordinated) parent(i int) int { return i - (i & -i) }
-
 func (n *NonBlockingCoordinated) tick() {
 	if n.active {
 		return
@@ -142,34 +125,34 @@ func (n *NonBlockingCoordinated) tick() {
 // trigger forwards the start marker down the tree and begins the local
 // background write.
 func (n *NonBlockingCoordinated) trigger(i int) {
-	kids := n.children(i)
+	kids := n.tree.children(i)
 	n.donesLeft[i] = len(kids) + 1
 	for _, j := range kids {
 		n.ctx.SendControl(i, j, n.p.ctlBytes(), sim.Call{Owner: n, Kind: nbTrigger, Arg: int64(j)})
 	}
-	if n.p.Slowdown > 1 {
-		n.scales[i] = n.ctx.ScaleCPU(i, n.p.Slowdown)
+	if n.slowdown > 1 {
+		n.scales[i] = n.ctx.ScaleCPU(i, n.slowdown)
 	}
 	arrive := sim.Call{Owner: n, Kind: nbArrive, Arg: int64(i)}
 	st := n.p.Store
-	if st == nil || !st.TierLimited(n.p.Tier) {
+	if st == nil || !st.TierLimited(storage.TierGlobal) {
 		n.arrivals[i] = 1
-		n.ctx.AfterOwned(n.p.Window, n, arrive.Kind, arrive.Arg)
+		n.ctx.AfterOwned(n.window, n, arrive.Kind, arrive.Arg)
 		return
 	}
 	// Bandwidth-limited store: the background writer drains the same bytes a
-	// blocking write would move in Params.Write, concurrently with every
+	// blocking write would move in p.Write, concurrently with every
 	// other writer in the machine. The write (and its interference window)
 	// ends when both the nominal window has elapsed and the drain completes —
 	// contention stretches the window, it never shrinks it.
 	st.Bind(n.ctx)
 	b := n.p.Bytes
 	if b <= 0 {
-		b = st.BytesFor(n.p.Tier, n.p.Write)
+		b = st.BytesFor(storage.TierGlobal, n.p.Write)
 	}
 	n.arrivals[i] = 2
-	st.Begin(i, n.p.Tier, b, arrive)
-	n.ctx.AfterOwned(n.p.Window, n, arrive.Kind, arrive.Arg)
+	st.Begin(i, storage.TierGlobal, b, arrive)
+	n.ctx.AfterOwned(n.window, n, arrive.Kind, arrive.Arg)
 }
 
 // finish ends rank i's background write: lift its interference and report.
@@ -196,7 +179,7 @@ func (n *NonBlockingCoordinated) done(i int) {
 		n.ctx.AtOwned(simtime.Max(n.tickTime.Add(n.p.Interval), end), n, nbTick, 0)
 		return
 	}
-	p := n.parent(i)
+	p := n.tree.parent(i)
 	n.ctx.SendControl(i, p, n.p.ctlBytes(), sim.Call{Owner: n, Kind: nbDone, Arg: int64(p)})
 }
 

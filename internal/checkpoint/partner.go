@@ -9,51 +9,6 @@ import (
 	"checkpointsim/internal/storage"
 )
 
-// PartnerParams configure diskless partner (buddy) checkpointing.
-type PartnerParams struct {
-	// Interval is the per-rank checkpoint interval.
-	Interval simtime.Duration
-	// SerializeTime is the local CPU seizure to snapshot the rank's state
-	// into a send buffer (the "write" analogue; no filesystem involved).
-	SerializeTime simtime.Duration
-	// CkptBytes is the checkpoint image size shipped to the partner. The
-	// transfer is a real message on the simulated network: it contends
-	// with application traffic for the sender's NIC and the partner's CPU.
-	CkptBytes int64
-	// Stride selects the partner: rank ^pairs with (rank + Stride) mod P.
-	// Zero defaults to P/2 (cross-machine pairing, the usual choice so
-	// that a cabinet-level failure does not take out both copies).
-	Stride int
-	// Offsets selects the timer policy, as for Uncoordinated.
-	Offsets OffsetPolicy
-	// Store, when non-nil and limited on the node tier, arbitrates the
-	// serialize step against co-located writers: the snapshot streams through
-	// the node-local burst buffer at its fair share of the node bandwidth.
-	// Nil (or an unconstrained node tier) keeps the legacy fixed
-	// SerializeTime seizure.
-	Store *storage.Store
-}
-
-// Validate checks the parameter set.
-func (p PartnerParams) Validate() error {
-	if p.Interval <= 0 {
-		return fmt.Errorf("checkpoint: non-positive interval %v", p.Interval)
-	}
-	if p.SerializeTime < 0 {
-		return fmt.Errorf("checkpoint: negative serialize time")
-	}
-	if p.CkptBytes <= 0 {
-		return fmt.Errorf("checkpoint: partner checkpoint needs a positive size")
-	}
-	if p.Stride < 0 {
-		return fmt.Errorf("checkpoint: negative partner stride")
-	}
-	if p.Offsets > Random {
-		return fmt.Errorf("checkpoint: bad offset policy %d", p.Offsets)
-	}
-	return nil
-}
-
 // Partner is uncoordinated diskless checkpointing to a partner node's
 // memory: each rank periodically serializes its state (a CPU seizure) and
 // ships the image to its partner as a real network transfer. There is no
@@ -66,16 +21,21 @@ func (p PartnerParams) Validate() error {
 // the checkpoint-commit path that experiment E12 compares against
 // local-write protocols.
 type Partner struct {
-	p     PartnerParams
+	// p holds the per-rank interval, the serialize time as Write (the
+	// "write" analogue; no filesystem involved), and the image size as
+	// Bytes. The image is a real message on the simulated network: it
+	// contends with application traffic for the sender's NIC and the
+	// partner's CPU. With a store limited on the node tier, the serialize
+	// step streams through the node-local burst buffer at its fair share.
+	p     Params
 	stats Stats
 	ctx   *sim.Context
-
-	// fired and progress hold each rank's checkpoint in flight: when its
-	// timer fired, and its application progress when serialized.
-	fired     []simtime.Time
+	// rankTimer paces each rank's checkpoints; its line commits when the
+	// partner has fully received the image.
+	rankTimer
+	// progress holds each in-flight checkpoint's application progress,
+	// taken when the rank's state was serialized.
 	progress  []simtime.Duration
-	last      []simtime.Time
-	busyAt    []simtime.Duration
 	shipped   int64 // total checkpoint bytes shipped
 	transfers int64
 }
@@ -87,47 +47,37 @@ const (
 	ptShipped                 // the partner has received the rank's image
 )
 
-// NewPartner builds the protocol.
-func NewPartner(p PartnerParams) (*Partner, error) {
+// newPartner builds KindPartner: Write is the serialize time and CkptBytes
+// the image size.
+func newPartner(c Config, st *storage.Store) (*Partner, error) {
+	off, err := c.offset()
+	if err != nil {
+		return nil, err
+	}
+	p := Params{Interval: c.Interval, Write: c.Write, Bytes: c.CkptBytes, Store: st}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Partner{p: p}, nil
+	if p.Bytes == 0 {
+		return nil, fmt.Errorf("checkpoint: partner checkpoint needs a positive size")
+	}
+	pt := &Partner{p: p}
+	pt.rankTimer = rankTimer{interval: p.Interval, offset: off, owner: pt, due: ptFire}
+	return pt, nil
 }
 
-// partner returns rank's buddy.
+// partner returns rank's buddy, half the machine away, so that a
+// cabinet-level failure does not take out both copies.
 func (pt *Partner) partner(rank int) int {
 	n := pt.ctx.NumRanks()
-	stride := pt.p.Stride
-	if stride == 0 {
-		stride = n / 2
-	}
-	if stride == 0 { // n == 1
-		return rank
-	}
-	return (rank + stride) % n
+	return (rank + n/2) % n
 }
 
 // Init implements sim.Agent.
 func (pt *Partner) Init(ctx *sim.Context) {
 	pt.ctx = ctx
-	n := ctx.NumRanks()
-	pt.fired = make([]simtime.Time, n)
-	pt.progress = make([]simtime.Duration, n)
-	pt.last = make([]simtime.Time, n)
-	pt.busyAt = make([]simtime.Duration, n)
-	for r := 0; r < n; r++ {
-		var off simtime.Duration
-		switch pt.p.Offsets {
-		case Aligned:
-			off = 0
-		case Staggered:
-			off = simtime.Duration(int64(pt.p.Interval) * int64(r) / int64(n))
-		case Random:
-			off = simtime.Duration(ctx.Rand().Intn(int(pt.p.Interval)))
-		}
-		ctx.AtOwned(simtime.Time(0).Add(pt.p.Interval+off), pt, ptFire, int64(r))
-	}
+	pt.progress = make([]simtime.Duration, ctx.NumRanks())
+	pt.start(ctx)
 }
 
 // OnTimer implements sim.TimerOwner.
@@ -135,33 +85,30 @@ func (pt *Partner) OnTimer(kind uint8, arg int64) {
 	rank := int(arg)
 	switch kind {
 	case ptFire:
-		pt.fired[rank] = pt.ctx.Now()
-		storeWrite(pt.ctx, pt.p.Store, storage.TierNode, rank, pt.p.SerializeTime, pt.p.CkptBytes,
+		pt.fire(pt.ctx, rank)
+		storeWrite(pt.ctx, pt.p.Store, storage.TierNode, rank, pt.p.Write, pt.p.Bytes,
 			sim.Call{Owner: pt, Kind: ptSerialized, Arg: arg})
 	case ptSerialized:
 		pt.progress[rank] = pt.ctx.RankBusy(rank)
 		buddy := pt.partner(rank)
 		if buddy == rank {
 			// Degenerate single-rank case: the local copy is the line.
-			pt.commit(rank)
+			pt.finish(rank)
 			return
 		}
-		pt.ctx.SendControl(rank, buddy, pt.p.CkptBytes, sim.Call{Owner: pt, Kind: ptShipped, Arg: arg})
+		pt.ctx.SendControl(rank, buddy, pt.p.Bytes, sim.Call{Owner: pt, Kind: ptShipped, Arg: arg})
 	case ptShipped:
-		pt.shipped += pt.p.CkptBytes
+		pt.shipped += pt.p.Bytes
 		pt.transfers++
-		pt.commit(rank)
+		pt.finish(rank)
 	}
 }
 
-// commit finalizes the rank's checkpoint in flight and arms the next timer.
-func (pt *Partner) commit(rank int) {
-	at := pt.ctx.Now()
+// finish commits the rank's checkpoint in flight and arms the next one.
+func (pt *Partner) finish(rank int) {
 	pt.stats.Writes++
-	pt.last[rank] = at
-	pt.busyAt[rank] = pt.progress[rank]
-	next := simtime.Max(pt.fired[rank].Add(pt.p.Interval), at)
-	pt.ctx.AtOwned(next, pt, ptFire, int64(rank))
+	pt.commit(pt.ctx, rank, pt.progress[rank])
+	pt.rearm(pt.ctx, rank)
 }
 
 // SnapshotState implements sim.Resumable.
@@ -183,15 +130,6 @@ func (pt *Partner) Name() string { return "partner" }
 
 // Stats implements Protocol.
 func (pt *Partner) Stats() Stats { return pt.stats }
-
-// LastCheckpoint implements Protocol: the time the partner finished
-// receiving the rank's latest image.
-func (pt *Partner) LastCheckpoint(rank int) simtime.Time { return pt.last[rank] }
-
-// ProgressAtCheckpoint implements Protocol.
-func (pt *Partner) ProgressAtCheckpoint(rank int) simtime.Duration {
-	return pt.busyAt[rank]
-}
 
 // Shipped returns the total bytes transferred to partners and the number of
 // completed transfers.

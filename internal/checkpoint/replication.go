@@ -1,76 +1,13 @@
 package checkpoint
 
 import (
+	"cmp"
 	"fmt"
 
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
 )
-
-// ReplicationParams configures replication-based resilience.
-type ReplicationParams struct {
-	// Degree is the number of replica ranks shadowing each application rank
-	// (default 1). A machine of N ranks runs N/(Degree+1) application
-	// ranks; the rest are replicas.
-	Degree int
-	// HeartbeatPeriod is the interval between primary→replica heartbeat
-	// control messages (default 1ms). A replica declares its primary dead
-	// when the heartbeat after the next scheduled one misses its slot, so
-	// the period bounds failure-detection latency.
-	HeartbeatPeriod simtime.Duration
-	// HeartbeatBytes is the heartbeat message size (default 64).
-	HeartbeatBytes int64
-	// TakeoverCost is the promotion cost a replica pays after detection —
-	// rewiring communicators and resuming from its live mirrored state
-	// (default 500µs).
-	TakeoverCost simtime.Duration
-}
-
-// Validate checks the parameter set.
-func (p ReplicationParams) Validate() error {
-	if p.Degree < 0 {
-		return fmt.Errorf("checkpoint: negative replica degree %d", p.Degree)
-	}
-	if p.HeartbeatPeriod < 0 {
-		return fmt.Errorf("checkpoint: negative heartbeat period %v", p.HeartbeatPeriod)
-	}
-	if p.HeartbeatBytes < 0 {
-		return fmt.Errorf("checkpoint: negative heartbeat size %d", p.HeartbeatBytes)
-	}
-	if p.TakeoverCost < 0 {
-		return fmt.Errorf("checkpoint: negative takeover cost %v", p.TakeoverCost)
-	}
-	return nil
-}
-
-func (p ReplicationParams) degree() int {
-	if p.Degree == 0 {
-		return 1
-	}
-	return p.Degree
-}
-
-func (p ReplicationParams) period() simtime.Duration {
-	if p.HeartbeatPeriod == 0 {
-		return simtime.Millisecond
-	}
-	return p.HeartbeatPeriod
-}
-
-func (p ReplicationParams) hbBytes() int64 {
-	if p.HeartbeatBytes == 0 {
-		return 64
-	}
-	return p.HeartbeatBytes
-}
-
-func (p ReplicationParams) takeover() simtime.Duration {
-	if p.TakeoverCost == 0 {
-		return 500 * simtime.Microsecond
-	}
-	return p.TakeoverCost
-}
 
 // Replication is replication-based resilience (the TeaMPI design point):
 // application rank r < A is shadowed by Degree dedicated replica ranks at
@@ -85,19 +22,40 @@ func (p ReplicationParams) takeover() simtime.Duration {
 // (Degree+1)× its size (goal.Widen), so equal-work comparisons against
 // checkpointing protocols are honest about the spare resources.
 type Replication struct {
-	p        ReplicationParams
+	degree int // replica ranks per application rank
+	// period is the interval between primary→replica heartbeat control
+	// messages of hbBytes each. A replica declares its primary dead when
+	// the heartbeat after the next scheduled one misses its slot, so the
+	// period bounds failure-detection latency.
+	period  simtime.Duration
+	hbBytes int64
+	// takeover is the promotion cost a replica pays after detection —
+	// rewiring communicators and resuming from its live mirrored state.
+	takeover simtime.Duration
 	stats    Stats
 	ctx      *sim.Context
 	app      int            // application (primary) ranks; replicas are >= app
 	nextBeat []simtime.Time // per-primary next scheduled heartbeat fire
 }
 
-// NewReplication builds the protocol.
-func NewReplication(p ReplicationParams) (*Replication, error) {
-	if err := p.Validate(); err != nil {
+// newReplication builds KindReplication, resolving the defaults of the
+// heartbeat period (1ms), heartbeat size (64 B) and takeover cost (500µs).
+func newReplication(c Config) (*Replication, error) {
+	degree, err := c.Replicas()
+	if err != nil {
 		return nil, err
 	}
-	return &Replication{p: p}, nil
+	if c.HeartbeatPeriod < 0 {
+		return nil, fmt.Errorf("checkpoint: negative heartbeat period %v", c.HeartbeatPeriod)
+	}
+	if c.HeartbeatBytes < 0 {
+		return nil, fmt.Errorf("checkpoint: negative heartbeat size %d", c.HeartbeatBytes)
+	}
+	if c.TakeoverCost < 0 {
+		return nil, fmt.Errorf("checkpoint: negative takeover cost %v", c.TakeoverCost)
+	}
+	return &Replication{degree: degree, period: cmp.Or(c.HeartbeatPeriod, simtime.Millisecond),
+		hbBytes: cmp.Or(c.HeartbeatBytes, 64), takeover: cmp.Or(c.TakeoverCost, 500*simtime.Microsecond)}, nil
 }
 
 // Init implements sim.Agent: lay out the primary/replica pairing and start
@@ -105,17 +63,16 @@ func NewReplication(p ReplicationParams) (*Replication, error) {
 func (rp *Replication) Init(ctx *sim.Context) {
 	rp.ctx = ctx
 	n := ctx.NumRanks()
-	g := rp.p.degree() + 1
+	g := rp.degree + 1
 	if n%g != 0 {
 		panic(fmt.Sprintf("checkpoint: replication degree %d needs a machine divisible by %d ranks, have %d (widen the program first)",
-			rp.p.degree(), g, n))
+			rp.degree, g, n))
 	}
 	rp.app = n / g
 	rp.nextBeat = make([]simtime.Time, rp.app)
-	period := rp.p.period()
 	for r := 0; r < rp.app; r++ {
-		off := simtime.Duration(int64(period) * int64(r) / int64(rp.app))
-		first := simtime.Time(0).Add(period + off)
+		off := simtime.Duration(int64(rp.period) * int64(r) / int64(rp.app))
+		first := simtime.Time(0).Add(rp.period + off)
 		rp.nextBeat[r] = first
 		ctx.AtOwned(first, rp, 0, int64(r))
 	}
@@ -131,11 +88,11 @@ func (rp *Replication) beat(rank int) {
 	if rp.ctx.OpsRemaining() == 0 {
 		return
 	}
-	for k := 1; k <= rp.p.degree(); k++ {
+	for k := 1; k <= rp.degree; k++ {
 		rp.stats.Heartbeats++
-		rp.ctx.SendControl(rank, rank+k*rp.app, rp.p.hbBytes(), sim.Call{})
+		rp.ctx.SendControl(rank, rank+k*rp.app, rp.hbBytes, sim.Call{})
 	}
-	next := rp.ctx.Now().Add(rp.p.period())
+	next := rp.ctx.Now().Add(rp.period)
 	rp.nextBeat[rank] = next
 	rp.ctx.AtOwned(next, rp, 0, int64(rank))
 }
@@ -145,9 +102,9 @@ func (rp *Replication) beat(rank int) {
 func (rp *Replication) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	rp.ctx = ctx
 	n := ctx.NumRanks()
-	g := rp.p.degree() + 1
+	g := rp.degree + 1
 	if n%g != 0 {
-		c.Failf("replication degree %d with %d ranks", rp.p.degree(), n)
+		c.Failf("replication degree %d with %d ranks", rp.degree, n)
 		return
 	}
 	rp.app = n / g
@@ -164,7 +121,7 @@ func (rp *Replication) SendPenalty(src, dst int, bytes int64) simtime.Duration {
 	if src >= rp.app || dst >= rp.app {
 		return 0
 	}
-	for k := 1; k <= rp.p.degree(); k++ {
+	for k := 1; k <= rp.degree; k++ {
 		rp.stats.MirroredMessages++
 		rp.stats.MirroredBytes += bytes
 		rp.ctx.SendControl(src, dst+k*rp.app, bytes, sim.Call{})
@@ -184,17 +141,17 @@ func (rp *Replication) Takeover(victim int, now simtime.Time) (rank int, cost si
 	}
 	// The replica declares the primary dead when the heartbeat after the
 	// next scheduled one misses its slot.
-	detect := rp.nextBeat[victim].Add(rp.p.period()).Sub(now)
+	detect := rp.nextBeat[victim].Add(rp.period).Sub(now)
 	if detect < 0 {
-		detect = rp.p.period()
+		detect = rp.period
 	}
 	rp.stats.Takeovers++
 	rp.ctx.Mark(victim, "rep-takeover", int64(victim))
-	return victim, detect + rp.p.takeover(), true
+	return victim, detect + rp.takeover, true
 }
 
 // Degree returns the configured replica degree (see validate.ReplicaMirror).
-func (rp *Replication) Degree() int { return rp.p.degree() }
+func (rp *Replication) Degree() int { return rp.degree }
 
 // AppRanks returns the number of application (primary) ranks; valid after
 // Init.

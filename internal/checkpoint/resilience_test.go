@@ -8,36 +8,6 @@ import (
 	"checkpointsim/internal/simtime"
 )
 
-func TestReplicationParamsValidate(t *testing.T) {
-	if err := (ReplicationParams{}).Validate(); err != nil {
-		t.Errorf("zero params rejected: %v", err)
-	}
-	bad := []ReplicationParams{
-		{Degree: -1},
-		{HeartbeatPeriod: -1},
-		{HeartbeatBytes: -1},
-		{TakeoverCost: -1},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d accepted", i)
-		}
-		if _, err := NewReplication(p); err == nil {
-			t.Errorf("constructor accepted bad params %d", i)
-		}
-	}
-	rp, err := NewReplication(ReplicationParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Degree() != 1 {
-		t.Errorf("default degree = %d, want 1", rp.Degree())
-	}
-	if rp.Name() != "replication" {
-		t.Errorf("name = %q", rp.Name())
-	}
-}
-
 // widened embeds a half-machine stencil in a full machine so the upper
 // ranks can serve as replicas.
 func widened(t *testing.T, app, machine, iters int) *goal.Program {
@@ -51,10 +21,7 @@ func widened(t *testing.T, app, machine, iters int) *goal.Program {
 }
 
 func TestReplicationMirrorsAndHeartbeats(t *testing.T) {
-	rp, err := NewReplication(ReplicationParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := mustNew[*Replication](t, Config{Kind: KindReplication}, nil)
 	r := runWith(t, widened(t, 8, 16, 40), rp)
 	st := rp.Stats()
 	if rp.AppRanks() != 8 {
@@ -86,10 +53,7 @@ func TestReplicationMirrorsAndHeartbeats(t *testing.T) {
 }
 
 func TestReplicationRequiresDivisibleMachine(t *testing.T) {
-	rp, err := NewReplication(ReplicationParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := mustNew[*Replication](t, Config{Kind: KindReplication}, nil)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -102,35 +66,14 @@ func TestReplicationRequiresDivisibleMachine(t *testing.T) {
 	runWith(t, stencil(t, 9, 5, simtime.Millisecond), rp)
 }
 
-func TestCICConstructorValidation(t *testing.T) {
-	params := Params{Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond}
-	if _, err := NewCIC(Params{}, 1, Staggered); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := NewCIC(params, -1, Staggered); err == nil {
-		t.Error("negative lag accepted")
-	}
-	if _, err := NewCIC(params, 1, Random+1); err == nil {
-		t.Error("bad offset policy accepted")
-	}
-	cic, err := NewCIC(params, 0, Staggered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cic.LagThreshold() != 1 {
-		t.Errorf("default lag = %d, want 1", cic.LagThreshold())
-	}
-	if cic.Name() != "cic" {
-		t.Errorf("name = %q", cic.Name())
-	}
+// cicConfig is CIC on staggered 2ms timers with the given lag threshold.
+func cicConfig(lag int) Config {
+	return Config{Kind: KindCIC, Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond,
+		Offset: "staggered", CICLag: lag}
 }
 
 func TestCICForcesOnLaggedIndex(t *testing.T) {
-	cic, err := NewCIC(Params{Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond},
-		1, Staggered)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cic := mustNew[*CIC](t, cicConfig(1), nil)
 	r := runWith(t, stencil(t, 16, 60, simtime.Millisecond), cic)
 	st := cic.Stats()
 	if st.Writes == 0 {
@@ -154,11 +97,7 @@ func TestCICForcesOnLaggedIndex(t *testing.T) {
 
 func TestCICLagThresholdDampsForcing(t *testing.T) {
 	forced := func(lag int) int64 {
-		cic, err := NewCIC(Params{Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond},
-			lag, Staggered)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cic := mustNew[*CIC](t, cicConfig(lag), nil)
 		runWith(t, stencil(t, 16, 60, simtime.Millisecond), cic)
 		return cic.Stats().Forced
 	}
@@ -175,11 +114,7 @@ func TestCICLagThresholdDampsForcing(t *testing.T) {
 // next send — the common case — reuses the channel's piggyback queue, so
 // the cycle allocates nothing once the queue exists.
 func TestCICSteadyChannelAllocationFree(t *testing.T) {
-	cic, err := NewCIC(Params{Interval: 2 * simtime.Millisecond, Write: 100 * simtime.Microsecond},
-		1, Staggered)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cic := mustNew[*CIC](t, cicConfig(1), nil)
 	cic.idx = make([]int64, 2) // equal indices: no match forces a checkpoint
 	cycle := func() {
 		cic.SendPenalty(0, 1, 64)

@@ -45,16 +45,28 @@ func TestSnapshotCoversCoordinatedFields(t *testing.T) {
 
 func TestSnapshotCoversUncoordinatedFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Uncoordinated{}), map[string]string{
-		"p":       "immutable parameters (Store state rides in the agent section)",
-		"policy":  "immutable configuration",
-		"log":     "immutable parameters",
-		"inc":     "immutable parameters",
-		"stats":   "serialized",
-		"fired":   "serialized (the fire time of each rank's write in flight)",
-		"last":    "serialized",
-		"busyAt":  "serialized",
-		"nwrites": "serialized",
-		"ctx":     "rebound when restoring",
+		"rankTimer": "its fired, last and busyAt serialized after stats (see rankTimer below)",
+		"p":         "immutable parameters (Store state rides in the agent section)",
+		"log":       "immutable parameters",
+		"inc":       "immutable parameters",
+		"stats":     "serialized",
+		"nwrites":   "serialized",
+		"ctx":       "rebound when restoring",
+	})
+}
+
+// TestSnapshotCoversRankTimerFields: the per-rank timer every protocol on
+// independent timers embeds. Each embedding protocol walks the three
+// per-rank slices itself, at its own place in its section.
+func TestSnapshotCoversRankTimerFields(t *testing.T) {
+	requireFields(t, reflect.TypeOf(rankTimer{}), map[string]string{
+		"interval": "immutable configuration",
+		"offset":   "immutable configuration",
+		"owner":    "re-wired by construction (the embedding protocol)",
+		"due":      "immutable (the embedding protocol's work kind)",
+		"fired":    "serialized (the fire time of each rank's checkpoint in flight)",
+		"last":     "serialized",
+		"busyAt":   "serialized",
 	})
 }
 
@@ -64,7 +76,6 @@ func TestSnapshotCoversHierarchicalFields(t *testing.T) {
 		"clusterSize": "immutable configuration",
 		"log":         "immutable parameters",
 		"stats":       "serialized",
-		"numRanks":    "recomputed by setup from the restoring engine",
 		"coords":      "rebuilt by setup; per-cluster cross-round state serialized in order",
 		"lastLine":    "serialized",
 		"lineStart":   "serialized",
@@ -74,6 +85,8 @@ func TestSnapshotCoversHierarchicalFields(t *testing.T) {
 func TestSnapshotCoversNonBlockingFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(NonBlockingCoordinated{}), map[string]string{
 		"p":             "immutable parameters (Store state rides in the agent section)",
+		"window":        "immutable configuration",
+		"slowdown":      "immutable configuration",
 		"stats":         "serialized",
 		"ctx":           "rebound when restoring (setup)",
 		"active":        "serialized (a round may be in flight)",
@@ -90,16 +103,13 @@ func TestSnapshotCoversNonBlockingFields(t *testing.T) {
 
 func TestSnapshotCoversCICFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(CIC{}), map[string]string{
-		"p":      "immutable parameters (Store state rides in the agent section)",
-		"lag":    "immutable configuration",
-		"policy": "immutable configuration",
-		"stats":  "serialized",
-		"ctx":    "rebound when restoring",
-		"idx":    "serialized",
-		"fired":  "serialized (the fire time of each rank's basic write in flight)",
-		"last":   "serialized",
-		"busyAt": "serialized",
-		"queues": "serialized in sorted channel order (map iteration must not leak into bytes)",
+		"rankTimer": "its fired, last and busyAt serialized after idx",
+		"p":         "immutable parameters (Store state rides in the agent section)",
+		"lag":       "immutable configuration",
+		"stats":     "serialized",
+		"ctx":       "rebound when restoring",
+		"idx":       "serialized",
+		"queues":    "serialized in sorted channel order (map iteration must not leak into bytes)",
 	})
 }
 
@@ -108,10 +118,8 @@ func TestSnapshotCoversPartnerFields(t *testing.T) {
 		"p":         "immutable parameters (Store state rides in the agent section)",
 		"stats":     "serialized",
 		"ctx":       "rebound when restoring",
-		"fired":     "serialized (the fire time of each rank's checkpoint in flight)",
+		"rankTimer": "its fired serialized before progress, its last and busyAt after it",
 		"progress":  "serialized (each in-flight checkpoint's saved progress)",
-		"last":      "serialized",
-		"busyAt":    "serialized",
 		"shipped":   "serialized",
 		"transfers": "serialized",
 	})
@@ -119,7 +127,10 @@ func TestSnapshotCoversPartnerFields(t *testing.T) {
 
 func TestSnapshotCoversReplicationFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Replication{}), map[string]string{
-		"p":        "immutable parameters",
+		"degree":   "immutable configuration",
+		"period":   "immutable configuration",
+		"hbBytes":  "immutable configuration",
+		"takeover": "immutable configuration",
 		"stats":    "serialized",
 		"ctx":      "rebound when restoring",
 		"app":      "recomputed when restoring (pure function of the configuration)",
@@ -129,13 +140,12 @@ func TestSnapshotCoversReplicationFields(t *testing.T) {
 
 func TestSnapshotCoversTwoLevelFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(TwoLevel{}), map[string]string{
-		"p":            "immutable parameters (Store state rides in the agent section)",
+		"p":            "immutable parameters",
+		"st":           "the store; its state rides in the agent section",
 		"stats":        "serialized",
 		"ctx":          "rebound when restoring (setup)",
 		"coord":        "rebuilt by setup; its state serialized via coordinator.encodeState",
-		"localFired":   "serialized (the fire time of each rank's local write in flight)",
-		"localLast":    "serialized",
-		"localBusyAt":  "serialized",
+		"local":        "the local level's fired, last and busyAt serialized after stats",
 		"globalLast":   "serialized",
 		"globalBusyAt": "serialized",
 		"localWrites":  "serialized",
@@ -151,11 +161,10 @@ func TestSnapshotCoversCoordinatorFields(t *testing.T) {
 		"p":             "immutable parameters",
 		"owner":         "re-wired by setup (the protocol routing the coordinator's work)",
 		"group":         "re-wired by setup",
-		"members":       "rebuilt by the owning protocol's setup",
+		"lo":            "re-wired by the owning protocol's setup",
+		"tree":          "rebuilt by setup from the member count; laid out on first use",
 		"stats":         "points into the owning protocol's serialized Stats",
 		"onRound":       "re-wired by setup",
-		"kids":          "derived tree layout, rebuilt on first use from the member count",
-		"kidsAt":        "derived tree layout, rebuilt on first use from the member count",
 		"active":        "serialized",
 		"tickTime":      "serialized",
 		"pendingDelay":  "serialized",

@@ -42,70 +42,26 @@ func TestUnlimitedStoreByteIdentical(t *testing.T) {
 	// Every protocol must produce the exact same result with no store and
 	// with the Unlimited store: same makespan, same seizure accounting, no
 	// io-wait.
-	base := Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond}
-	builds := map[string]func(st *storage.Store) sim.Agent{
-		"coordinated": func(st *storage.Store) sim.Agent {
-			p := base
-			p.Store = st
-			c, err := NewCoordinated(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		},
-		"uncoordinated-staggered": func(st *storage.Store) sim.Agent {
-			p := base
-			p.Store = st
-			u, err := NewUncoordinated(p, Staggered, LogParams{Alpha: 500})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return u
-		},
-		"uncoordinated-random-incremental": func(st *storage.Store) sim.Agent {
-			p := base
-			p.Store = st
-			u, err := NewUncoordinatedIncremental(p, Random, LogParams{},
-				IncrementalParams{FullEvery: 3, Fraction: 0.25})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return u
-		},
-		"nonblocking": func(st *storage.Store) sim.Agent {
-			p := NonBlockingParams{Params: base, Window: 4 * simtime.Millisecond, Slowdown: 1.1}
-			p.Store = st
-			n, err := NewNonBlockingCoordinated(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return n
-		},
-		"partner": func(st *storage.Store) sim.Agent {
-			pt, err := NewPartner(PartnerParams{Interval: 10 * simtime.Millisecond,
-				SerializeTime: simtime.Millisecond, CkptBytes: 1 << 16, Store: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return pt
-		},
-		"twolevel": func(st *storage.Store) sim.Agent {
-			tl, err := NewTwoLevel(TwoLevelParams{
-				LocalInterval: 5 * simtime.Millisecond, LocalWrite: 200 * simtime.Microsecond,
-				GlobalInterval: 20 * simtime.Millisecond, GlobalWrite: 2 * simtime.Millisecond,
-				Store: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tl
-		},
+	ms := simtime.Millisecond
+	configs := map[string]Config{
+		"coordinated": {Kind: KindCoordinated, Interval: 10 * ms, Write: ms},
+		"uncoordinated-staggered": {Kind: KindUncoordinated, Interval: 10 * ms, Write: ms,
+			Offset: "staggered", Logging: LogParams{Alpha: 500}},
+		"uncoordinated-random-incremental": {Kind: KindUncoordinated, Interval: 10 * ms, Write: ms,
+			Offset: "random", Incremental: IncrementalParams{FullEvery: 3, Fraction: 0.25}},
+		"nonblocking": {Kind: KindNonBlocking, Interval: 10 * ms, Write: ms,
+			Window: 4 * ms, Slowdown: 1.1},
+		"partner": {Kind: KindPartner, Interval: 10 * ms, Write: ms, CkptBytes: 1 << 16},
+		"twolevel": {Kind: KindTwoLevel, TwoLevel: TwoLevelParams{
+			LocalInterval: 5 * ms, LocalWrite: 200 * simtime.Microsecond,
+			GlobalInterval: 20 * ms, GlobalWrite: 2 * ms}},
 	}
-	for name, build := range builds {
-		build := build
+	for name, c := range configs {
+		c := c
 		t.Run(name, func(t *testing.T) {
 			prog := stencil(t, 8, 30, simtime.Millisecond)
-			legacy := runSeed(t, prog, 7, build(nil))
-			unlimited := runSeed(t, prog, 7, build(storage.Unlimited()))
+			legacy := runSeed(t, prog, 7, mustNew[Protocol](t, c, nil))
+			unlimited := runSeed(t, prog, 7, mustNew[Protocol](t, c, storage.Unlimited()))
 			if legacy.Makespan != unlimited.Makespan {
 				t.Errorf("makespan drifted: legacy %v, unlimited %v",
 					legacy.Makespan, unlimited.Makespan)
@@ -128,12 +84,8 @@ func TestCoordinatedContentionStretchesWrites(t *testing.T) {
 	// aggregate to 2 GB/s: each write drains at 0.25 GB/s, taking 4ms — 3ms
 	// of io-wait per write.
 	st := mustStore(t, storage.Params{AggregateBytesPerSec: 2e9, PerWriterBytesPerSec: 1e9})
-	p := Params{Interval: 20 * simtime.Millisecond, Write: simtime.Millisecond,
-		Bytes: 1e6, Store: st}
-	c, err := NewCoordinated(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNew[*Coordinated](t, Config{Kind: KindCoordinated, Interval: 20 * simtime.Millisecond,
+		Write: simtime.Millisecond, Bytes: 1e6}, st)
 	r := runSeed(t, ep(t, 8, 40, simtime.Millisecond), 7, c)
 	if c.Stats().Rounds == 0 {
 		t.Fatal("no coordinated rounds completed")
@@ -162,12 +114,8 @@ func TestStaggeredAvoidsContention(t *testing.T) {
 	// interval 16ms across 8 ranks -> 2ms apart) never overlap, so no
 	// io-wait accumulates at all.
 	st := mustStore(t, storage.Params{AggregateBytesPerSec: 2e9, PerWriterBytesPerSec: 1e9})
-	p := Params{Interval: 16 * simtime.Millisecond, Write: simtime.Millisecond,
-		Bytes: 1e6, Store: st}
-	u, err := NewUncoordinated(p, Staggered, LogParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := mustNew[*Uncoordinated](t, Config{Kind: KindUncoordinated, Interval: 16 * simtime.Millisecond,
+		Write: simtime.Millisecond, Bytes: 1e6, Offset: "staggered"}, st)
 	r := runSeed(t, ep(t, 8, 40, simtime.Millisecond), 7, u)
 	if u.Stats().Writes == 0 {
 		t.Fatal("no writes completed")
@@ -184,11 +132,8 @@ func TestBytesDerivedFromWriteDuration(t *testing.T) {
 	// Params.Bytes == 0: the image size comes from Write at the lone-writer
 	// rate, so a solo store write keeps the legacy duration exactly.
 	st := mustStore(t, storage.Params{AggregateBytesPerSec: 4e9})
-	p := Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond, Store: st}
-	u, err := NewUncoordinated(p, Staggered, LogParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := mustNew[*Uncoordinated](t, Config{Kind: KindUncoordinated, Interval: 10 * simtime.Millisecond,
+		Write: 2 * simtime.Millisecond, Offset: "staggered"}, st)
 	r := runSeed(t, ep(t, 2, 30, simtime.Millisecond), 7, u)
 	writes := r.SeizedCount[ReasonWrite]
 	if writes == 0 {
@@ -209,16 +154,9 @@ func TestNonBlockingDrainExtendsWindow(t *testing.T) {
 	// configuration finishes each round near the window length.
 	prog := ep(t, 8, 100, simtime.Millisecond)
 	build := func(st *storage.Store) *NonBlockingCoordinated {
-		p := NonBlockingParams{
-			Params: Params{Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond,
-				Bytes: 4e6, Store: st},
-			Window: 4 * simtime.Millisecond, Slowdown: 1.05,
-		}
-		n, err := NewNonBlockingCoordinated(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+		return mustNew[*NonBlockingCoordinated](t, Config{Kind: KindNonBlocking,
+			Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond, Bytes: 4e6,
+			Window: 4 * simtime.Millisecond, Slowdown: 1.05}, st)
 	}
 	fast := build(storage.Unlimited())
 	runSeed(t, prog, 7, fast)
@@ -239,13 +177,9 @@ func TestTwoLevelTiersIndependent(t *testing.T) {
 	// Node tier limited, global tier unlimited: local writes are aligned
 	// (they contend within a node), global writes keep the legacy duration.
 	st := mustStore(t, storage.Params{NodeBytesPerSec: 1e9, RanksPerNode: 4})
-	tl, err := NewTwoLevel(TwoLevelParams{
+	tl := mustNew[*TwoLevel](t, Config{Kind: KindTwoLevel, TwoLevel: TwoLevelParams{
 		LocalInterval: 5 * simtime.Millisecond, LocalWrite: 500 * simtime.Microsecond,
-		GlobalInterval: 25 * simtime.Millisecond, GlobalWrite: 2 * simtime.Millisecond,
-		Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
+		GlobalInterval: 25 * simtime.Millisecond, GlobalWrite: 2 * simtime.Millisecond}}, st)
 	r := runSeed(t, ep(t, 8, 60, simtime.Millisecond), 7, tl)
 	local, global := tl.LevelWrites()
 	if local == 0 || global == 0 {

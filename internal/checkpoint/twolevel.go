@@ -24,14 +24,6 @@ type TwoLevelParams struct {
 	GlobalWrite    simtime.Duration
 	// CtlBytes sizes the coordination control messages (default 64).
 	CtlBytes int64
-	// Store, when non-nil, routes both levels through the shared-storage
-	// model: local writes drain through the node-local burst buffer
-	// (TierNode), global rounds through the parallel filesystem
-	// (TierGlobal). Nil — or an unconstrained tier — keeps the legacy fixed
-	// durations for that level. It is runtime state, not configuration, so
-	// cache keys leave it out: key the storage parameters the store was
-	// built from instead.
-	Store *storage.Store `cache:"-"`
 	// LocalBytes and GlobalBytes size the per-level images; zero derives
 	// each from the level's write duration at the tier's lone-writer rate.
 	LocalBytes  int64
@@ -67,17 +59,19 @@ func (p TwoLevelParams) Validate() error {
 // failures fall through to the global line. The failure package's
 // RecoverTwoLevel discipline draws the severity and asks this protocol for
 // the matching recovery line.
+//
+// With a store, both levels write through the shared-storage model: local
+// writes drain through the node-local burst buffer (TierNode), global
+// rounds through the parallel filesystem (TierGlobal). An unconstrained
+// tier keeps the legacy fixed durations for that level.
 type TwoLevel struct {
 	p     TwoLevelParams
+	st    *storage.Store
 	stats Stats
 	ctx   *sim.Context
 
 	coord *coordinator // the global level
-
-	// local level
-	localFired  []simtime.Time // when each rank's in-flight local write fired
-	localLast   []simtime.Time
-	localBusyAt []simtime.Duration
+	local rankTimer    // the local level, on aligned timers
 	// global level (committed lines)
 	globalLast   simtime.Time
 	globalBusyAt []simtime.Duration
@@ -85,12 +79,14 @@ type TwoLevel struct {
 	globalWrites int64
 }
 
-// NewTwoLevel builds the protocol.
-func NewTwoLevel(p TwoLevelParams) (*TwoLevel, error) {
-	if err := p.Validate(); err != nil {
+// newTwoLevel builds KindTwoLevel from c.TwoLevel.
+func newTwoLevel(c Config, st *storage.Store) (*TwoLevel, error) {
+	if err := c.TwoLevel.Validate(); err != nil {
 		return nil, err
 	}
-	return &TwoLevel{p: p}, nil
+	tl := &TwoLevel{p: c.TwoLevel, st: st}
+	tl.local = rankTimer{interval: tl.p.LocalInterval, offset: "aligned", owner: tl, due: tlTimerLocal}
+	return tl, nil
 }
 
 // Work kinds of the local level (arg = rank); kinds below coordKinds are
@@ -103,11 +99,7 @@ const (
 // Init implements sim.Agent.
 func (tl *TwoLevel) Init(ctx *sim.Context) {
 	tl.setup(ctx)
-	n := ctx.NumRanks()
-	// Local level: aligned independent timers (consistent-set semantics).
-	for r := 0; r < n; r++ {
-		ctx.AtOwned(simtime.Time(0).Add(tl.p.LocalInterval), tl, tlTimerLocal, int64(r))
-	}
+	tl.local.start(ctx)
 	tl.coord.schedule(simtime.Time(0).Add(tl.p.GlobalInterval))
 }
 
@@ -116,19 +108,12 @@ func (tl *TwoLevel) Init(ctx *sim.Context) {
 func (tl *TwoLevel) setup(ctx *sim.Context) {
 	tl.ctx = ctx
 	n := ctx.NumRanks()
-	tl.localFired = make([]simtime.Time, n)
-	tl.localLast = make([]simtime.Time, n)
-	tl.localBusyAt = make([]simtime.Duration, n)
 	tl.globalBusyAt = make([]simtime.Duration, n)
 
 	// Global level: a full coordinated round.
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
 	gp := Params{Interval: tl.p.GlobalInterval, Write: tl.p.GlobalWrite, CtlBytes: tl.p.CtlBytes,
-		Store: tl.p.Store, Tier: storage.TierGlobal, Bytes: tl.p.GlobalBytes}
-	tl.coord = newCoordinator(ctx, gp, tl, 0, members, &tl.stats,
+		Store: tl.st, Bytes: tl.p.GlobalBytes}
+	tl.coord = newCoordinator(ctx, gp, tl, 0, 0, n, &tl.stats,
 		func(tick, end simtime.Time) {
 			tl.globalLast = end
 			copy(tl.globalBusyAt, tl.coord.committedBusy)
@@ -141,17 +126,15 @@ func (tl *TwoLevel) OnTimer(kind uint8, arg int64) {
 	switch kind {
 	case tlTimerLocal:
 		rank := int(arg)
-		tl.localFired[rank] = tl.ctx.Now()
-		storeWrite(tl.ctx, tl.p.Store, storage.TierNode, rank, tl.p.LocalWrite, tl.p.LocalBytes,
+		tl.local.fire(tl.ctx, rank)
+		storeWrite(tl.ctx, tl.st, storage.TierNode, rank, tl.p.LocalWrite, tl.p.LocalBytes,
 			sim.Call{Owner: tl, Kind: tlLocalWritten, Arg: arg})
 	case tlLocalWritten:
-		rank, end := int(arg), tl.ctx.Now()
+		rank := int(arg)
 		tl.stats.Writes++
 		tl.localWrites++
-		tl.localLast[rank] = end
-		tl.localBusyAt[rank] = tl.ctx.RankBusy(rank)
-		next := simtime.Max(tl.localFired[rank].Add(tl.p.LocalInterval), end)
-		tl.ctx.AtOwned(next, tl, tlTimerLocal, arg)
+		tl.local.commit(tl.ctx, rank, tl.ctx.RankBusy(rank))
+		tl.local.rearm(tl.ctx, rank)
 	default:
 		_, i := coordArg(arg)
 		tl.coord.onTimer(kind, i)
@@ -165,15 +148,15 @@ func (tl *TwoLevel) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	}
 	n := ctx.NumRanks()
 	codeStats(c, &tl.stats)
-	snapshot.Slice(c, &tl.localFired, n)
-	snapshot.Slice(c, &tl.localLast, n)
-	snapshot.Slice(c, &tl.localBusyAt, n)
+	snapshot.Slice(c, &tl.local.fired, n)
+	snapshot.Slice(c, &tl.local.last, n)
+	snapshot.Slice(c, &tl.local.busyAt, n)
 	snapshot.Int(c, &tl.globalLast)
 	snapshot.Slice(c, &tl.globalBusyAt, n)
 	snapshot.Int(c, &tl.localWrites)
 	snapshot.Int(c, &tl.globalWrites)
 	tl.coord.snapshotState(c)
-	codeStore(ctx, c, tl.p.Store)
+	codeStore(ctx, c, tl.st)
 }
 
 // Name implements Protocol.
@@ -186,13 +169,13 @@ func (tl *TwoLevel) Stats() Stats { return tl.stats }
 // LastCheckpoint implements Protocol: the freshest line covering the rank
 // (normally the local one).
 func (tl *TwoLevel) LastCheckpoint(rank int) simtime.Time {
-	return simtime.Max(tl.localLast[rank], tl.globalLast)
+	return simtime.Max(tl.local.last[rank], tl.globalLast)
 }
 
 // ProgressAtCheckpoint implements Protocol, matching LastCheckpoint.
 func (tl *TwoLevel) ProgressAtCheckpoint(rank int) simtime.Duration {
-	if tl.localLast[rank] >= tl.globalLast {
-		return tl.localBusyAt[rank]
+	if tl.local.last[rank] >= tl.globalLast {
+		return tl.local.busyAt[rank]
 	}
 	return tl.globalBusyAt[rank]
 }

@@ -7,50 +7,73 @@ import (
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
+	"checkpointsim/internal/storage"
 )
 
-// OffsetPolicy selects how uncoordinated per-rank checkpoint timers are
-// offset relative to each other.
-type OffsetPolicy uint8
-
-const (
-	// Aligned starts every rank's timer at the same phase — all ranks
-	// checkpoint (nearly) simultaneously, like a coordinated protocol
-	// without the coordination messages.
-	Aligned OffsetPolicy = iota
-	// Staggered spreads offsets evenly across the interval: rank r fires
-	// at phase r/P·Interval. At most ~1/P of the machine checkpoints at a
-	// time.
-	Staggered
-	// Random draws each rank's offset uniformly from [0, Interval).
-	Random
-)
-
-// String returns the lowercase policy name.
-func (o OffsetPolicy) String() string {
-	switch o {
-	case Aligned:
-		return "aligned"
-	case Staggered:
-		return "staggered"
-	case Random:
-		return "random"
-	}
-	return fmt.Sprintf("offset(%d)", uint8(o))
+// rankTimer is the independent per-rank checkpoint timer of the protocols
+// without coordination — Uncoordinated, Partner, CIC's basic checkpoints
+// and TwoLevel's local level — with each rank's local recovery line. Rank
+// r's first checkpoint is due one interval plus its offset into the run;
+// each later one is due an interval after the previous one fired, or when
+// that one commits if it commits later, so a rank never has two
+// checkpoints in flight.
+type rankTimer struct {
+	interval simtime.Duration
+	// offset is the timer policy. "aligned" starts every rank at the same
+	// phase, so all ranks checkpoint (nearly) together, like a coordinated
+	// protocol without the coordination messages. "staggered" fires rank r
+	// at phase r/P of the interval, so about 1/P of the machine
+	// checkpoints at a time. "random" draws each rank's phase uniformly
+	// from [0, interval).
+	offset string
+	owner  sim.TimerOwner
+	due    uint8              // owner's work kind for "rank arg's checkpoint is due"
+	fired  []simtime.Time     // when each rank's checkpoint in flight fired
+	last   []simtime.Time     // when each rank's last checkpoint committed
+	busyAt []simtime.Duration // each rank's progress that checkpoint saved
 }
 
-// ParseOffsetPolicy parses a policy name.
-func ParseOffsetPolicy(s string) (OffsetPolicy, error) {
-	switch s {
-	case "aligned":
-		return Aligned, nil
-	case "staggered":
-		return Staggered, nil
-	case "random":
-		return Random, nil
+// start allocates the per-rank state and arms every rank's first
+// checkpoint.
+func (t *rankTimer) start(ctx *sim.Context) {
+	n := ctx.NumRanks()
+	t.fired = make([]simtime.Time, n)
+	t.last = make([]simtime.Time, n)
+	t.busyAt = make([]simtime.Duration, n)
+	for r := 0; r < n; r++ {
+		var off simtime.Duration
+		switch t.offset {
+		case "staggered":
+			off = simtime.Duration(int64(t.interval) * int64(r) / int64(n))
+		case "random":
+			off = simtime.Duration(ctx.Rand().Intn(int(t.interval)))
+		}
+		ctx.AtOwned(simtime.Time(0).Add(t.interval+off), t.owner, t.due, int64(r))
 	}
-	return 0, fmt.Errorf("checkpoint: unknown offset policy %q", s)
 }
+
+// fire records that rank's checkpoint, due now, has begun.
+func (t *rankTimer) fire(ctx *sim.Context, rank int) { t.fired[rank] = ctx.Now() }
+
+// commit makes rank's checkpoint, which saved progress busy, its recovery
+// line as of now.
+func (t *rankTimer) commit(ctx *sim.Context, rank int, busy simtime.Duration) {
+	t.last[rank] = ctx.Now()
+	t.busyAt[rank] = busy
+}
+
+// rearm arms rank's next checkpoint once the last one fired has committed.
+func (t *rankTimer) rearm(ctx *sim.Context, rank int) {
+	ctx.AtOwned(simtime.Max(t.fired[rank].Add(t.interval), ctx.Now()), t.owner, t.due, int64(rank))
+}
+
+// LastCheckpoint implements Protocol: each rank recovers from its own most
+// recent local checkpoint.
+func (t *rankTimer) LastCheckpoint(rank int) simtime.Time { return t.last[rank] }
+
+// ProgressAtCheckpoint implements Protocol: the progress saved by the
+// rank's last local checkpoint.
+func (t *rankTimer) ProgressAtCheckpoint(rank int) simtime.Duration { return t.busyAt[rank] }
 
 // LogParams configures sender-based message logging.
 type LogParams struct {
@@ -82,18 +105,16 @@ func (l LogParams) penalty(bytes int64) simtime.Duration {
 // phase-shifted according to the offset policy; no control messages are
 // exchanged. Every application send is taxed with the logging penalty so
 // that, on failure, the failed rank alone can roll back and be replayed
-// from its partners' logs.
+// from its partners' logs. Each rank recovers from its own most recent
+// local checkpoint; message logs cover the rest.
 type Uncoordinated struct {
-	p      Params
-	policy OffsetPolicy
-	log    LogParams
+	rankTimer
+	p   Params
+	log LogParams
 	// inc, when FullEvery > 1, switches to incremental writes (see
-	// NewUncoordinatedIncremental).
+	// writeDuration).
 	inc     IncrementalParams
 	stats   Stats
-	fired   []simtime.Time // when each rank's in-flight write fired
-	last    []simtime.Time
-	busyAt  []simtime.Duration
 	nwrites []int64
 	ctx     *sim.Context
 }
@@ -104,40 +125,34 @@ const (
 	ucWritten              // the rank's write completed
 )
 
-// NewUncoordinated builds the protocol.
-func NewUncoordinated(p Params, policy OffsetPolicy, log LogParams) (*Uncoordinated, error) {
+// newUncoordinated builds KindUncoordinated.
+func newUncoordinated(c Config, st *storage.Store) (*Uncoordinated, error) {
+	off, err := c.offset()
+	if err != nil {
+		return nil, err
+	}
+	p := c.params(st)
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := log.Validate(); err != nil {
+	if err := c.Logging.Validate(); err != nil {
 		return nil, err
 	}
-	if policy > Random {
-		return nil, fmt.Errorf("checkpoint: bad offset policy %d", policy)
+	if c.Incremental.FullEvery > 1 {
+		if err := c.Incremental.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	return &Uncoordinated{p: p, policy: policy, log: log}, nil
+	u := &Uncoordinated{p: p, log: c.Logging, inc: c.Incremental}
+	u.rankTimer = rankTimer{interval: p.Interval, offset: off, owner: u, due: ucFire}
+	return u, nil
 }
 
 // Init implements sim.Agent.
 func (u *Uncoordinated) Init(ctx *sim.Context) {
 	u.ctx = ctx
-	n := ctx.NumRanks()
-	u.fired = make([]simtime.Time, n)
-	u.last = make([]simtime.Time, n)
-	u.busyAt = make([]simtime.Duration, n)
-	u.nwrites = make([]int64, n)
-	for r := 0; r < n; r++ {
-		var off simtime.Duration
-		switch u.policy {
-		case Aligned:
-			off = 0
-		case Staggered:
-			off = simtime.Duration(int64(u.p.Interval) * int64(r) / int64(n))
-		case Random:
-			off = simtime.Duration(ctx.Rand().Intn(int(u.p.Interval)))
-		}
-		ctx.AtOwned(simtime.Time(0).Add(u.p.Interval+off), u, ucFire, int64(r))
-	}
+	u.nwrites = make([]int64, ctx.NumRanks())
+	u.start(ctx)
 }
 
 // OnTimer implements sim.TimerOwner.
@@ -145,18 +160,15 @@ func (u *Uncoordinated) OnTimer(kind uint8, arg int64) {
 	rank := int(arg)
 	switch kind {
 	case ucFire:
-		u.fired[rank] = u.ctx.Now()
+		u.fire(u.ctx, rank)
 		u.nwrites[rank]++
 		n := u.nwrites[rank]
-		storeWrite(u.ctx, u.p.Store, u.p.Tier, rank, u.writeDuration(n), u.writeBytes(n),
+		storeWrite(u.ctx, u.p.Store, storage.TierGlobal, rank, u.writeDuration(n), u.writeBytes(n),
 			sim.Call{Owner: u, Kind: ucWritten, Arg: arg})
 	case ucWritten:
-		end := u.ctx.Now()
 		u.stats.Writes++
-		u.last[rank] = end
-		u.busyAt[rank] = u.ctx.RankBusy(rank)
-		next := simtime.Max(u.fired[rank].Add(u.p.Interval), end)
-		u.ctx.AtOwned(next, u, ucFire, arg)
+		u.commit(u.ctx, rank, u.ctx.RankBusy(rank))
+		u.rearm(u.ctx, rank)
 	}
 }
 
@@ -191,7 +203,7 @@ func (u *Uncoordinated) Taxed(src, dst int) bool { return true }
 
 // Name implements Protocol.
 func (u *Uncoordinated) Name() string {
-	name := "uncoordinated-" + u.policy.String()
+	name := "uncoordinated-" + u.offset
 	if u.inc.FullEvery > 1 {
 		name += "-incremental"
 	}
@@ -200,16 +212,6 @@ func (u *Uncoordinated) Name() string {
 
 // Stats implements Protocol.
 func (u *Uncoordinated) Stats() Stats { return u.stats }
-
-// LastCheckpoint implements Protocol: each rank recovers from its own most
-// recent local checkpoint (message logs cover the rest).
-func (u *Uncoordinated) LastCheckpoint(rank int) simtime.Time { return u.last[rank] }
-
-// ProgressAtCheckpoint implements Protocol: the progress saved by the
-// rank's last local checkpoint.
-func (u *Uncoordinated) ProgressAtCheckpoint(rank int) simtime.Duration {
-	return u.busyAt[rank]
-}
 
 var (
 	_ Protocol      = (*Uncoordinated)(nil)

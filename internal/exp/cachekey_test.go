@@ -250,7 +250,7 @@ func TestCacheKeyCoversEveryLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkKeyExact(t, func(c run.Config) string { return cache.Key("v", c.CacheFields()) },
-		[]string{"Program", "Protocol.TwoLevel.Store", "Trace", "SnapshotEvery", "OnSnapshot", "ResumeFrom", "Validate"},
+		[]string{"Program", "Trace", "SnapshotEvery", "OnSnapshot", "ResumeFrom", "Validate"},
 		map[string]any{"Program": prog})
 	checkKeyExact(t, func(o Options) string { return keyOf("E1", o) },
 		[]string{"Jobs", "Events", "Ctx", "Snapshots"}, nil)

@@ -58,6 +58,16 @@ func TestRecoveryKindString(t *testing.T) {
 	}
 }
 
+// mustProtocol builds c's protocol or fails the test.
+func mustProtocol(t *testing.T, c checkpoint.Config) checkpoint.Protocol {
+	t.Helper()
+	p, err := c.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // runFailure runs a stencil under the given protocol + failure config. The
 // MaxTime cap guards against parameter regimes where recovery cannot keep
 // up with the failure rate (a real phenomenon, but fatal to a test).
@@ -105,9 +115,8 @@ func TestGlobalRollbackHitsAllRanks(t *testing.T) {
 }
 
 func TestLocalReplayHitsOneRank(t *testing.T) {
-	params := checkpoint.Params{Interval: 5 * simtime.Millisecond, Write: 100 * simtime.Microsecond}
-	up, _ := checkpoint.NewUncoordinated(params, checkpoint.Staggered,
-		checkpoint.LogParams{Alpha: simtime.Microsecond})
+	up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: 5 * simtime.Millisecond,
+		Write: 100 * simtime.Microsecond, Offset: "staggered", Logging: checkpoint.LogParams{Alpha: simtime.Microsecond}})
 	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond,
 		ReplaySpeedup: 2, Kind: ReplayLocal}
 	r, inj := runFailure(t, cfg, up, 16)
@@ -135,7 +144,8 @@ func TestLocalReplayLosesLessWork(t *testing.T) {
 	cfgG := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: RollbackGlobal}
 	rG, injG := runFailure(t, cfgG, cp, 16)
 
-	up, _ := checkpoint.NewUncoordinated(params, checkpoint.Staggered, checkpoint.LogParams{})
+	up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: params.Interval,
+		Write: params.Write, Offset: "staggered"})
 	cfgL := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: ReplayLocal}
 	rL, injL := runFailure(t, cfgL, up, 16)
 
@@ -156,8 +166,8 @@ func TestLocalReplayLosesLessWork(t *testing.T) {
 }
 
 func TestWeibullShapeRuns(t *testing.T) {
-	params := checkpoint.Params{Interval: 5 * simtime.Millisecond, Write: 100 * simtime.Microsecond}
-	up, _ := checkpoint.NewUncoordinated(params, checkpoint.Random, checkpoint.LogParams{})
+	up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: 5 * simtime.Millisecond,
+		Write: 100 * simtime.Microsecond, Offset: "random"})
 	cfg := Config{MTBF: 200 * simtime.Millisecond, Shape: 0.7,
 		Restart: simtime.Millisecond, Kind: ReplayLocal}
 	_, inj := runFailure(t, cfg, up, 3)
@@ -166,8 +176,8 @@ func TestWeibullShapeRuns(t *testing.T) {
 
 func TestFailureDeterminism(t *testing.T) {
 	run := func() (simtime.Time, int) {
-		params := checkpoint.Params{Interval: 5 * simtime.Millisecond, Write: 100 * simtime.Microsecond}
-		up, _ := checkpoint.NewUncoordinated(params, checkpoint.Random, checkpoint.LogParams{})
+		up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: 5 * simtime.Millisecond,
+			Write: 100 * simtime.Microsecond, Offset: "random"})
 		cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: ReplayLocal}
 		r, inj := runFailure(t, cfg, up, 16)
 		return r.Makespan, len(inj.Events())
@@ -211,11 +221,8 @@ func TestFailureBeforeFirstCheckpointLosesEverything(t *testing.T) {
 }
 
 func TestClusterRollbackHitsOneCluster(t *testing.T) {
-	params := checkpoint.Params{Interval: 5 * simtime.Millisecond, Write: 100 * simtime.Microsecond}
-	hp, err := checkpoint.NewHierarchical(params, 4, checkpoint.LogParams{Alpha: simtime.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hp := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindHierarchical, Interval: 5 * simtime.Millisecond,
+		Write: 100 * simtime.Microsecond, ClusterSize: 4, Logging: checkpoint.LogParams{Alpha: simtime.Microsecond}})
 	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond,
 		ReplaySpeedup: 2, Kind: RollbackCluster}
 	r, inj := runFailure(t, cfg, hp, 16)
@@ -230,8 +237,8 @@ func TestClusterRollbackHitsOneCluster(t *testing.T) {
 }
 
 func TestClusterMembersShape(t *testing.T) {
-	params := checkpoint.Params{Interval: simtime.Millisecond, Write: 1}
-	hp, _ := checkpoint.NewHierarchical(params, 4, checkpoint.LogParams{})
+	hp := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindHierarchical, Interval: simtime.Millisecond,
+		Write: 1, ClusterSize: 4}).(*checkpoint.Hierarchical)
 	// Run once so the protocol learns the rank count.
 	prog := stencilProg(t, 10, 2)
 	e, _ := sim.New(sim.Config{Net: network.DefaultParams(), Program: prog,
@@ -270,10 +277,7 @@ func TestTwoLevelRecoveryDispatch(t *testing.T) {
 		LocalInterval: 2 * simtime.Millisecond, LocalWrite: 100 * simtime.Microsecond,
 		GlobalInterval: 10 * simtime.Millisecond, GlobalWrite: simtime.Millisecond,
 	}
-	tl, err := checkpoint.NewTwoLevel(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tl := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindTwoLevel, TwoLevel: tp})
 	cfg := Config{MTBF: 320 * simtime.Millisecond, Restart: 2 * simtime.Millisecond,
 		LocalRestart: 200 * simtime.Microsecond, LocalCoverage: 0.7,
 		Kind: RecoverTwoLevel}
@@ -324,13 +328,11 @@ func replicationProg(t *testing.T) *goal.Program {
 
 func runReplication(t *testing.T, cfg Config) (*sim.Result, *Injector, *checkpoint.Replication) {
 	t.Helper()
-	rp, err := checkpoint.NewReplication(checkpoint.ReplicationParams{
-		HeartbeatPeriod: 500 * simtime.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindReplication,
+		HeartbeatPeriod: 500 * simtime.Microsecond}).(*checkpoint.Replication)
 	var agents []sim.Agent
 	var inj *Injector
+	var err error
 	agents = append(agents, rp)
 	if cfg != (Config{}) {
 		inj, err = NewInjector(cfg, rp)

@@ -144,13 +144,11 @@ func (cfg Config) assemble() (*assembly, error) {
 		}
 	}
 	if cfg.Protocol.Kind == checkpoint.KindReplication {
-		d := cfg.Protocol.ReplicaDegree
-		if d <= 0 {
-			d = 1
-		}
-		var err error
-		prog, err = goal.Widen(prog, prog.NumRanks*(d+1))
+		d, err := cfg.Protocol.Replicas()
 		if err != nil {
+			return nil, err
+		}
+		if prog, err = goal.Widen(prog, prog.NumRanks*(d+1)); err != nil {
 			return nil, err
 		}
 	}
@@ -240,9 +238,7 @@ func Run(cfg Config) (*Result, error) {
 // version tag): equal field sets guarantee bit-identical Run results. It is
 // cache.Fields over the config with Net resolved to its default, plus the
 // digest of Program when one is set. Members tagged `cache:"-"` stay out of
-// the address for the reason given where they are declared. A live store
-// injected into Protocol.TwoLevel.Store is runtime state, not configuration,
-// so callers caching by these fields must configure storage declaratively.
+// the address for the reason given where they are declared.
 func (cfg Config) CacheFields() []cache.Field {
 	cfg.Net = cfg.Net.OrDefault()
 	fields := cache.Fields(cfg)

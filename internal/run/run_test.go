@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"checkpointsim/internal/checkpoint"
@@ -42,6 +43,11 @@ func TestAssembleWidensReplication(t *testing.T) {
 		if got := a.sim.Program.NumRanks; got != tc.want {
 			t.Errorf("degree %d: program has %d ranks, want %d", tc.degree, got, tc.want)
 		}
+	}
+	cfg := base()
+	cfg.Protocol = checkpoint.Config{Kind: checkpoint.KindReplication, ReplicaDegree: -1}
+	if _, err := cfg.assemble(); err == nil || !strings.Contains(err.Error(), "negative replica degree") {
+		t.Errorf("degree -1: err %v, want the degree refused before widening", err)
 	}
 	a, err := base().assemble()
 	if err != nil {

@@ -27,9 +27,8 @@ func contendedRun(t *testing.T) (*Collector, *sim.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := checkpoint.NewUncoordinated(checkpoint.Params{
-		Interval: 5 * simtime.Millisecond, Write: simtime.Millisecond,
-		Store: st}, checkpoint.Aligned, checkpoint.LogParams{})
+	cp, err := checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+		Interval: 5 * simtime.Millisecond, Write: simtime.Millisecond, Offset: "aligned"}.New(st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,12 +107,10 @@ func TestValidCoordinatedTracePasses(t *testing.T) {
 // An uncoordinated run with message logging must pass both the stream
 // checks and the logging reconciliation.
 func TestValidUncoordinatedLoggingPasses(t *testing.T) {
-	cp, err := checkpoint.NewUncoordinated(checkpoint.Params{
-		Interval: 700 * simtime.Microsecond,
-		Write:    100 * simtime.Microsecond,
-	}, checkpoint.Staggered, checkpoint.LogParams{
-		Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.01,
-	})
+	cp, err := checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+		Interval: 700 * simtime.Microsecond, Write: 100 * simtime.Microsecond, Offset: "staggered",
+		Logging: checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.01},
+	}.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,7 @@ func TestValidUncoordinatedLoggingPasses(t *testing.T) {
 	if err := c.Finish(res); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
-	if err := c.CheckLogging(cp); err != nil {
+	if err := c.CheckLogging(cp.(*checkpoint.Uncoordinated)); err != nil {
 		t.Fatalf("consistent logging rejected: %v", err)
 	}
 	if got := cp.Stats().LoggedMessages; got == 0 {
@@ -360,10 +358,10 @@ func (f fakeLogger) Stats() checkpoint.Stats { return f.stats }
 // A protocol whose accumulated logging counters drift from the traced
 // send set must be rejected.
 func TestCheckLoggingDetectsDrift(t *testing.T) {
-	cp, err := checkpoint.NewUncoordinated(checkpoint.Params{
-		Interval: 700 * simtime.Microsecond,
-		Write:    100 * simtime.Microsecond,
-	}, checkpoint.Aligned, checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond})
+	cp, err := checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+		Interval: 700 * simtime.Microsecond, Write: 100 * simtime.Microsecond, Offset: "aligned",
+		Logging: checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond},
+	}.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +385,7 @@ func TestCheckLoggingDetectsDrift(t *testing.T) {
 			}
 			st := cp.Stats()
 			doctor(&st)
-			if err := c.CheckLogging(fakeLogger{TaxedLogger: cp, stats: st}); err == nil {
+			if err := c.CheckLogging(fakeLogger{TaxedLogger: cp.(*checkpoint.Uncoordinated), stats: st}); err == nil {
 				t.Fatal("doctored logging stats accepted")
 			}
 		})
@@ -490,12 +488,12 @@ func FuzzValidateTrace(f *testing.F) {
 // ranks are replicas), failing often enough that takeovers occur.
 func replicationScenario(t testing.TB) (*checkpoint.Replication, []sim.TraceEvent, *sim.Result) {
 	t.Helper()
-	rp, err := checkpoint.NewReplication(checkpoint.ReplicationParams{
-		HeartbeatPeriod: 200 * simtime.Microsecond,
-	})
+	p, err := checkpoint.Config{Kind: checkpoint.KindReplication,
+		HeartbeatPeriod: 200 * simtime.Microsecond}.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rp := p.(*checkpoint.Replication)
 	inj, err := failure.NewInjector(failure.Config{
 		MTBF: 2 * simtime.Millisecond, Restart: 50 * simtime.Microsecond,
 		Kind: failure.TakeoverReplica,
@@ -518,13 +516,12 @@ func cicScenario(t testing.TB) (*checkpoint.CIC, []sim.TraceEvent, *sim.Result) 
 	t.Helper()
 	// The 1ms interval spreads the staggered offsets wide enough that rank
 	// indices diverge while messages are in flight — the lag-1 rule forces.
-	cic, err := checkpoint.NewCIC(checkpoint.Params{
-		Interval: simtime.Millisecond,
-		Write:    100 * simtime.Microsecond,
-	}, 1, checkpoint.Staggered)
+	p, err := checkpoint.Config{Kind: checkpoint.KindCIC, Interval: simtime.Millisecond,
+		Write: 100 * simtime.Microsecond, CICLag: 1, Offset: "staggered"}.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cic := p.(*checkpoint.CIC)
 	prog := ringProgram(4, 20, smallMsg, bigMsg, 50*simtime.Microsecond)
 	events, res := runTraced(t, network.DefaultParams(), prog, cic)
 	return cic, events, res

@@ -67,30 +67,36 @@ func TestRunCICFacade(t *testing.T) {
 	}
 }
 
-// The explicit constructors validate their inputs like the kind switch.
+// ProtocolConfig.New builds the resilience protocols and validates their
+// inputs.
 func TestResilienceProtocolConstructors(t *testing.T) {
-	rp, err := NewReplicationProtocol(ReplicationParams{})
+	rp, err := ProtocolConfig{Kind: ProtoReplication}.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rp.Name() != "replication" {
 		t.Errorf("name = %q", rp.Name())
 	}
-	if _, err := NewReplicationProtocol(ReplicationParams{Degree: -1}); err == nil {
+	if _, err := (ProtocolConfig{Kind: ProtoReplication, ReplicaDegree: -1}).New(nil); err == nil {
 		t.Error("negative degree accepted")
 	}
-	p := CheckpointParams{Interval: 2 * Millisecond, Write: 100 * Microsecond}
-	cic, err := NewCICProtocol(p, 1, "staggered")
+	c := ProtocolConfig{Kind: ProtoCIC, Interval: 2 * Millisecond, Write: 100 * Microsecond,
+		CICLag: 1, Offset: "staggered"}
+	cic, err := c.New(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cic.Name() != "cic" {
 		t.Errorf("name = %q", cic.Name())
 	}
-	if _, err := NewCICProtocol(p, 1, "sideways"); err == nil {
+	bad := c
+	bad.Offset = "sideways"
+	if _, err := bad.New(nil); err == nil {
 		t.Error("bad offset policy accepted")
 	}
-	if _, err := NewCICProtocol(CheckpointParams{}, 1, "staggered"); err == nil {
+	bad = c
+	bad.Interval = 0
+	if _, err := bad.New(nil); err == nil {
 		t.Error("zero interval accepted")
 	}
 }
