@@ -44,8 +44,25 @@ func TestConfigNewRoutesStore(t *testing.T) {
 	}
 }
 
-// New rejects every Config it cannot run, whatever the kind, and accepts
-// a valid neighbour of each, resolving the defaults it documents.
+// checkConfigs requires New to build every good Config and to reject
+// every bad one.
+func checkConfigs(t *testing.T, good, bad []Config) {
+	t.Helper()
+	for _, c := range good {
+		if _, err := c.New(nil); err != nil {
+			t.Errorf("%s rejected: %v", c.Kind, err)
+		}
+	}
+	for i, c := range bad {
+		if _, err := c.New(nil); err == nil {
+			t.Errorf("bad config %d (%s) accepted: %+v", i, c.Kind, c)
+		}
+	}
+}
+
+// New rejects every coordinated, two-level and unknown Config it cannot
+// run and accepts a valid neighbour of each; the other kinds have a test
+// of their own below.
 func TestConfigNewValidates(t *testing.T) {
 	ms := simtime.Millisecond
 	tl := TwoLevelParams{LocalInterval: 2 * ms, LocalWrite: ms / 10, GlobalInterval: 20 * ms, GlobalWrite: 2 * ms}
@@ -54,26 +71,33 @@ func TestConfigNewValidates(t *testing.T) {
 		edit(&p)
 		return Config{Kind: KindTwoLevel, TwoLevel: p}
 	}
-	good := []Config{
+	checkConfigs(t, []Config{
 		{Kind: KindCoordinated, Interval: 10 * ms, Write: ms},
-		{Kind: KindUncoordinated, Interval: 10 * ms, Write: ms,
-			Incremental: IncrementalParams{FullEvery: 5, Fraction: 0.2}},
-		{Kind: KindHierarchical, Interval: 10 * ms, Write: ms, ClusterSize: 4},
-		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: 5 * ms, Slowdown: 1.25},
-		{Kind: KindPartner, Interval: 10 * ms, Write: ms / 10, CkptBytes: 1 << 20},
 		{Kind: KindTwoLevel, TwoLevel: tl},
-		{Kind: KindReplication},
-		{Kind: KindCIC, Interval: 10 * ms, Write: ms},
-	}
-	for _, c := range good {
-		if _, err := c.New(nil); err != nil {
-			t.Errorf("%s rejected: %v", c.Kind, err)
-		}
-	}
-	bad := []Config{
+	}, []Config{
 		{Kind: KindCoordinated},
 		{Kind: KindCoordinated, Interval: 1, Write: -1},
 		{Kind: KindCoordinated, Interval: 1, Bytes: -1},
+		twoLevel(func(p *TwoLevelParams) { p.LocalInterval = 0 }),
+		twoLevel(func(p *TwoLevelParams) { p.GlobalInterval = 0 }),
+		twoLevel(func(p *TwoLevelParams) { p.LocalWrite = -1 }),
+		twoLevel(func(p *TwoLevelParams) { p.GlobalWrite = -1 }),
+		twoLevel(func(p *TwoLevelParams) { p.LocalInterval = 10 * p.GlobalInterval }),
+		twoLevel(func(p *TwoLevelParams) { p.CtlBytes = -1 }),
+		twoLevel(func(p *TwoLevelParams) { p.GlobalBytes = -1 }),
+		{Kind: "bogus"},
+	})
+}
+
+// Uncoordinated and hierarchical reject a zero interval, negative logging
+// costs, a bad incremental fraction and a missing cluster size.
+func TestConstructorValidation(t *testing.T) {
+	ms := simtime.Millisecond
+	checkConfigs(t, []Config{
+		{Kind: KindUncoordinated, Interval: 10 * ms, Write: ms,
+			Incremental: IncrementalParams{FullEvery: 5, Fraction: 0.2}},
+		{Kind: KindHierarchical, Interval: 10 * ms, Write: ms, ClusterSize: 4},
+	}, []Config{
 		{Kind: KindUncoordinated},
 		{Kind: KindUncoordinated, Interval: 1, Write: 1, Logging: LogParams{Alpha: -1}},
 		{Kind: KindUncoordinated, Interval: 1, Write: 1, Logging: LogParams{BetaNsPerByte: -1}},
@@ -84,35 +108,45 @@ func TestConfigNewValidates(t *testing.T) {
 		{Kind: KindHierarchical, Interval: 1, Write: 1},
 		{Kind: KindHierarchical, ClusterSize: 4},
 		{Kind: KindHierarchical, Interval: 1, Write: 1, ClusterSize: 4, Logging: LogParams{Alpha: -1}},
+	})
+}
+
+// Non-blocking rejects a zero interval, a window shorter than the write
+// and a slowdown below 1.
+func TestNonBlockingParamsValidate(t *testing.T) {
+	ms := simtime.Millisecond
+	checkConfigs(t, []Config{
+		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: 5 * ms, Slowdown: 1.25},
+	}, []Config{
 		{Kind: KindNonBlocking, Window: 1, Slowdown: 1},
 		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: ms / 2, Slowdown: 1.25},
 		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: 5 * ms, Slowdown: 0.9},
 		{Kind: KindNonBlocking, Interval: 10 * ms, Write: ms, Window: 5 * ms, Slowdown: math.NaN()},
+	})
+}
+
+// Partner rejects a zero interval, a negative serialize time and a
+// missing or negative image size.
+func TestPartnerParamsValidate(t *testing.T) {
+	ms := simtime.Millisecond
+	checkConfigs(t, []Config{
+		{Kind: KindPartner, Interval: 10 * ms, Write: ms / 10, CkptBytes: 1 << 20},
+	}, []Config{
 		{Kind: KindPartner, CkptBytes: 1},
 		{Kind: KindPartner, Interval: 1, Write: -1, CkptBytes: 1},
 		{Kind: KindPartner, Interval: 1},
 		{Kind: KindPartner, Interval: 1, CkptBytes: -1},
-		twoLevel(func(p *TwoLevelParams) { p.LocalInterval = 0 }),
-		twoLevel(func(p *TwoLevelParams) { p.GlobalInterval = 0 }),
-		twoLevel(func(p *TwoLevelParams) { p.LocalWrite = -1 }),
-		twoLevel(func(p *TwoLevelParams) { p.GlobalWrite = -1 }),
-		twoLevel(func(p *TwoLevelParams) { p.LocalInterval = 10 * p.GlobalInterval }),
-		twoLevel(func(p *TwoLevelParams) { p.CtlBytes = -1 }),
-		twoLevel(func(p *TwoLevelParams) { p.GlobalBytes = -1 }),
+	})
+}
+
+// Replication rejects negative fields and defaults to one replica.
+func TestReplicationParamsValidate(t *testing.T) {
+	checkConfigs(t, []Config{{Kind: KindReplication}}, []Config{
 		{Kind: KindReplication, ReplicaDegree: -1},
 		{Kind: KindReplication, HeartbeatPeriod: -1},
 		{Kind: KindReplication, HeartbeatBytes: -1},
 		{Kind: KindReplication, TakeoverCost: -1},
-		{Kind: KindCIC},
-		{Kind: KindCIC, Interval: 1, Write: 1, CICLag: -1},
-		{Kind: "bogus"},
-	}
-	for i, c := range bad {
-		if _, err := c.New(nil); err == nil {
-			t.Errorf("bad config %d (%s) accepted: %+v", i, c.Kind, c)
-		}
-	}
-
+	})
 	rp := mustNew[*Replication](t, Config{Kind: KindReplication}, nil)
 	if rp.Degree() != 1 || rp.Name() != "replication" {
 		t.Errorf("default replication: degree %d, name %q", rp.Degree(), rp.Name())
@@ -120,6 +154,16 @@ func TestConfigNewValidates(t *testing.T) {
 	if d, err := (Config{ReplicaDegree: 3}).Replicas(); err != nil || d != 3 {
 		t.Errorf("Replicas() of degree 3 = %d, %v", d, err)
 	}
+}
+
+// CIC rejects a zero interval and a negative lag, and defaults the lag
+// threshold to 1.
+func TestCICConstructorValidation(t *testing.T) {
+	ms := simtime.Millisecond
+	checkConfigs(t, []Config{{Kind: KindCIC, Interval: 10 * ms, Write: ms}}, []Config{
+		{Kind: KindCIC},
+		{Kind: KindCIC, Interval: 1, Write: 1, CICLag: -1},
+	})
 	cic := mustNew[*CIC](t, Config{Kind: KindCIC, Interval: 10 * ms, Write: ms}, nil)
 	if cic.LagThreshold() != 1 || cic.Name() != "cic" {
 		t.Errorf("default CIC: lag %d, name %q", cic.LagThreshold(), cic.Name())
