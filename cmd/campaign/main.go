@@ -79,50 +79,43 @@ type config struct {
 }
 
 func run(args []string, out io.Writer) error {
+	cfg := config{space: exp.DefaultCampaignSpace(), seed: 42, jobs: runtime.NumCPU(),
+		netName: "default", version: "dev"}
+	var repro string
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
-	var (
-		seed     = fs.Uint64("seed", 42, "campaign seed: determines the whole schedule")
-		points   = fs.Int("points", 0, "point budget (with -duration: a cap)")
-		duration = fs.Duration("duration", 0, "wall-clock budget; stops between chunks once exceeded")
-		jobs     = fs.Int("j", runtime.NumCPU(), "worker pool size (1 = serial); output is identical for every value")
-		netPre   = fs.String("net", "default", "network preset: default|capability|ethernet")
-		version  = fs.String("version", "dev", "cache-key code version tag; match the sweepd -version for keys to agree")
-		server   = fs.String("server", "", "base URL of a live sweepd; every point is verified against its cache")
-		repro    = fs.String("repro", "", "run one scenario spec (as printed in a campaign line) instead of a schedule")
-		summary  = fs.String("summary", "", "write a run summary (config, per-point lines, wall clock) to this file")
+	fs.Uint64Var(&cfg.seed, "seed", cfg.seed, "campaign seed: determines the whole schedule")
+	fs.IntVar(&cfg.points, "points", 0, "point budget (with -duration: a cap)")
+	fs.DurationVar(&cfg.duration, "duration", 0, "wall-clock budget; stops between chunks once exceeded")
+	fs.IntVar(&cfg.jobs, "j", cfg.jobs, "worker pool size (1 = serial); output is identical for every value")
+	fs.StringVar(&cfg.netName, "net", cfg.netName, "network preset: default|capability|ethernet")
+	fs.StringVar(&cfg.version, "version", cfg.version, "cache-key code version tag; match the sweepd -version for keys to agree")
+	fs.StringVar(&cfg.server, "server", "", "base URL of a live sweepd; every point is verified against its cache")
+	fs.StringVar(&repro, "repro", "", "run one scenario spec (as printed in a campaign line) instead of a schedule")
+	fs.StringVar(&cfg.summary, "summary", "", "write a run summary (config, per-point lines, wall clock) to this file")
 
-		workloads = fs.String("workloads", "", "workload axis override, comma separated")
-		scales    = fs.String("scales", "", "scale (ranks) axis override, comma separated")
-		protocols = fs.String("protocols", "", "protocol axis override, comma separated")
-		laws      = fs.String("failure-laws", "", "failure-law axis override, comma separated")
-		tiers     = fs.String("storage-tiers", "", "storage-tier axis override, comma separated")
-		noises    = fs.String("noise", "", "noise axis override, comma separated")
-	)
+	fs.Var((*axis)(&cfg.space.Workloads), "workloads", "workload axis override, comma separated")
+	fs.Var((*scaleAxis)(&cfg.space.Scales), "scales", "scale (ranks) axis override, comma separated")
+	fs.Var((*axis)(&cfg.space.Protocols), "protocols", "protocol axis override, comma separated")
+	fs.Var((*axis)(&cfg.space.FailureLaws), "failure-laws", "failure-law axis override, comma separated")
+	fs.Var((*axis)(&cfg.space.StorageTiers), "storage-tiers", "storage-tier axis override, comma separated")
+	fs.Var((*axis)(&cfg.space.NoiseLevels), "noise", "noise axis override, comma separated")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *jobs < 1 {
-		return fmt.Errorf("-j must be >= 1, have %d", *jobs)
+	if cfg.jobs < 1 {
+		return fmt.Errorf("-j must be >= 1, have %d", cfg.jobs)
 	}
-	cfg := config{
-		seed: *seed, points: *points, duration: *duration, jobs: *jobs,
-		netName: *netPre, version: *version, server: strings.TrimSuffix(*server, "/"),
-		summary: *summary,
-	}
+	cfg.server = strings.TrimSuffix(cfg.server, "/")
 	var err error
-	if cfg.net, err = network.Preset(*netPre); err != nil {
-		return err
-	}
-	cfg.space = exp.DefaultCampaignSpace()
-	if err := overrideSpace(&cfg.space, *workloads, *scales, *protocols, *laws, *tiers, *noises); err != nil {
+	if cfg.net, err = network.Preset(cfg.netName); err != nil {
 		return err
 	}
 	if err := cfg.space.Validate(); err != nil {
 		return err
 	}
 
-	if *repro != "" {
-		sc, err := exp.ParseScenario(*repro)
+	if repro != "" {
+		sc, err := exp.ParseScenario(repro)
 		if err != nil {
 			return err
 		}
@@ -134,44 +127,49 @@ func run(args []string, out io.Writer) error {
 	return runCampaign(cfg, out)
 }
 
-// overrideSpace applies non-empty CSV axis overrides to the default space.
-func overrideSpace(s *exp.CampaignSpace, workloads, scales, protocols, laws, tiers, noises string) error {
-	csv := func(v string) []string {
-		if v == "" {
-			return nil
-		}
-		parts := strings.Split(v, ",")
-		for i := range parts {
-			parts[i] = strings.TrimSpace(parts[i])
-		}
-		return parts
-	}
-	if v := csv(workloads); v != nil {
-		s.Workloads = v
-	}
-	if v := csv(scales); v != nil {
-		s.Scales = nil
-		for _, p := range v {
-			n, err := strconv.Atoi(p)
-			if err != nil {
-				return fmt.Errorf("bad -scales entry %q: %v", p, err)
-			}
-			s.Scales = append(s.Scales, n)
-		}
-	}
-	if v := csv(protocols); v != nil {
-		s.Protocols = v
-	}
-	if v := csv(laws); v != nil {
-		s.FailureLaws = v
-	}
-	if v := csv(tiers); v != nil {
-		s.StorageTiers = v
-	}
-	if v := csv(noises); v != nil {
-		s.NoiseLevels = v
+// axis is a campaign axis set from a comma-separated flag; an empty value
+// keeps the default axis.
+type axis []string
+
+func (a *axis) String() string { return strings.Join(*a, ",") }
+
+func (a *axis) Set(v string) error {
+	if parts := splitAxis(v); parts != nil {
+		*a = parts
 	}
 	return nil
+}
+
+// scaleAxis is the scale axis, set like axis.
+type scaleAxis []int
+
+func (s *scaleAxis) String() string { return joinInts(*s) }
+
+func (s *scaleAxis) Set(v string) error {
+	parts := splitAxis(v)
+	if parts == nil {
+		return nil
+	}
+	*s = nil
+	for _, p := range parts {
+		n, err := strconv.Atoi(p)
+		if err != nil {
+			return fmt.Errorf("bad -scales entry %q: %v", p, err)
+		}
+		*s = append(*s, n)
+	}
+	return nil
+}
+
+func splitAxis(v string) []string {
+	if v == "" {
+		return nil
+	}
+	parts := strings.Split(v, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
 }
 
 // pointResult is one executed point: its stdout line, the rendered tables

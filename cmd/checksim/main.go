@@ -40,178 +40,110 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("checksim", flag.ContinueOnError)
+	ms, us := simtime.Millisecond, simtime.Microsecond
+	cfg := checkpointsim.RunConfig{
+		Workload: "stencil2d", Ranks: 64, Iterations: 50, Compute: ms, MsgBytes: 4096,
+		Protocol: checkpointsim.ProtocolConfig{
+			Kind: "none", Interval: 10 * ms, Write: ms, Offset: "staggered",
+			ClusterSize: 8, Window: 4 * ms, Slowdown: 1.25, CkptBytes: 1 << 20,
+			TwoLevel:      checkpointsim.TwoLevelParams{LocalInterval: 2 * ms, LocalWrite: 100 * us},
+			Incremental:   checkpointsim.IncrementalParams{Fraction: 0.25},
+			ReplicaDegree: 1, HeartbeatPeriod: ms, TakeoverCost: 500 * us, CICLag: 1,
+		},
+		Noise:    &checkpointsim.NoiseConfig{Duration: 25 * us},
+		Failures: &checkpointsim.FailureConfig{Restart: ms},
+		Seed:     42,
+	}
+	p := &cfg.Protocol
 	var (
-		workloadName = fs.String("workload", "stencil2d", "workload name (-list to enumerate)")
-		traceFile    = fs.String("trace", "", "run this GOAL trace file instead of a generated workload (see cmd/tracegen)")
-		list         = fs.Bool("list", false, "list workloads and exit")
-		ranks        = fs.Int("ranks", 64, "number of ranks")
-		iters        = fs.Int("iters", 50, "iterations")
-		compute      = fs.String("compute", "1ms", "mean per-iteration compute")
-		jitter       = fs.Float64("jitter", 0, "relative compute jitter (stddev fraction)")
-		bytes        = fs.Int64("bytes", 4096, "dominant message size")
-		protocol     = fs.String("protocol", "none", "none|coordinated|uncoordinated|hierarchical|nonblocking|partner|twolevel|replication|cic")
-		interval     = fs.String("interval", "10ms", "checkpoint interval")
-		write        = fs.String("write", "1ms", "checkpoint write time")
-		offset       = fs.String("offset", "staggered", "uncoordinated offsets: aligned|staggered|random")
-		cluster      = fs.Int("cluster", 8, "hierarchical cluster size")
-		window       = fs.String("window", "4ms", "nonblocking: background write window")
-		slowdown     = fs.Float64("slowdown", 1.25, "nonblocking: interference factor during the window")
-		ckptBytes    = fs.Int64("ckpt-bytes", 1<<20, "partner: checkpoint image size")
-		localIv      = fs.String("local-interval", "2ms", "twolevel: local checkpoint interval")
-		localWr      = fs.String("local-write", "100us", "twolevel: local write time")
-		degree       = fs.Int("replica-degree", 1, "replication: replicas per application rank (machine grows to ranks*(degree+1))")
-		hbPeriod     = fs.String("hb-period", "1ms", "replication: heartbeat period (bounds failure-detection latency)")
-		takeover     = fs.String("takeover", "500us", "replication: replica promotion cost after detection")
-		cicLag       = fs.Int("cic-lag", 1, "cic: index-lag threshold forcing a checkpoint (1 = Z-path-free)")
-		incrEvery    = fs.Int("incr-every", 0, "uncoordinated: every k-th write is full, others incremental (0 = off)")
-		incrFrac     = fs.Float64("incr-fraction", 0.25, "uncoordinated: incremental write fraction of full")
-		logAlpha     = fs.String("log-alpha", "0", "per-message logging CPU cost")
-		logBeta      = fs.Float64("log-beta", 0, "per-byte logging cost (ns/B)")
-		noisePeriod  = fs.String("noise-period", "", "noise period (empty = no noise)")
-		noiseDur     = fs.String("noise-duration", "25us", "noise event duration")
-		mtbf         = fs.String("mtbf", "", "per-node MTBF (empty = no failures)")
-		restart      = fs.String("restart", "1ms", "failure restart cost")
-		recovery     = fs.String("recovery", "global", "failure recovery: global|local|takeover")
-		seed         = fs.Uint64("seed", 42, "random seed")
-		maxTime      = fs.String("max-time", "0", "abort after this much virtual time (0 = unlimited)")
-		netPreset    = fs.String("net", "default", "network preset: default|capability|ethernet")
-		bisection    = fs.Float64("bisection", 0, "bisection bandwidth in GB/s (0 = unconstrained)")
-		storeAgg     = fs.Float64("store-agg", 0, "aggregate PFS bandwidth in GB/s (0 = unconstrained)")
-		storeWriter  = fs.Float64("store-writer", 0, "per-writer PFS bandwidth cap in GB/s (0 = uncapped)")
-		storeNode    = fs.Float64("store-node", 0, "node-local burst-buffer bandwidth in GB/s (0 = unconstrained)")
-		ranksPerNode = fs.Int("ranks-per-node", 0, "ranks per node for the node storage tier (0 = 1)")
-		imageBytes   = fs.Int64("image-bytes", 0, "checkpoint image size drained through the store (0 = derive from -write)")
-		validateRun  = fs.Bool("validate", false, "run the simulation under the trace-conformance checker (internal/validate); invariant violations are fatal")
-		snapEvery    = fs.Int64("snapshot-every", 0, "snapshot the complete simulator state after every N events (0 = off; requires -snapshot-dir)")
-		snapDir      = fs.String("snapshot-dir", "", "directory receiving snapshot blobs (snap-<events>.ckpt, written atomically)")
-		resumeFile   = fs.String("resume", "", "resume from this snapshot blob instead of starting from t=0 (config must match the snapshotting run)")
-		timelineCSV  = fs.String("timeline", "", "write a per-job CPU timeline CSV to this file")
-		gantt        = fs.Bool("gantt", false, "print an ASCII Gantt chart and utilization summary")
-		ganttWidth   = fs.Int("gantt-width", 100, "Gantt chart width in columns")
+		traceFile, snapDir, resumeFile, timelineCSV string
+		netName                                     = "default"
+		list, gantt                                 bool
+		bisection                                   float64
+		ganttWidth                                  = 100
 	)
+	fs := flag.NewFlagSet("checksim", flag.ContinueOnError)
+	fs.StringVar(&cfg.Workload, "workload", cfg.Workload, "workload name (-list to enumerate)")
+	fs.StringVar(&traceFile, "trace", "", "run this GOAL trace file instead of a generated workload (see cmd/tracegen)")
+	fs.BoolVar(&list, "list", false, "list workloads and exit")
+	fs.IntVar(&cfg.Ranks, "ranks", cfg.Ranks, "number of ranks")
+	fs.IntVar(&cfg.Iterations, "iters", cfg.Iterations, "iterations")
+	fs.Var(&cfg.Compute, "compute", "mean per-iteration compute")
+	fs.Float64Var(&cfg.Jitter, "jitter", 0, "relative compute jitter (stddev fraction)")
+	fs.Int64Var(&cfg.MsgBytes, "bytes", cfg.MsgBytes, "dominant message size")
+	fs.StringVar((*string)(&p.Kind), "protocol", string(p.Kind), "none|coordinated|uncoordinated|hierarchical|nonblocking|partner|twolevel|replication|cic")
+	fs.Var(&p.Interval, "interval", "checkpoint interval")
+	fs.Var(&p.Write, "write", "checkpoint write time")
+	fs.StringVar(&p.Offset, "offset", p.Offset, "uncoordinated offsets: aligned|staggered|random")
+	fs.IntVar(&p.ClusterSize, "cluster", p.ClusterSize, "hierarchical cluster size")
+	fs.Var(&p.Window, "window", "nonblocking: background write window")
+	fs.Float64Var(&p.Slowdown, "slowdown", p.Slowdown, "nonblocking: interference factor during the window")
+	fs.Int64Var(&p.CkptBytes, "ckpt-bytes", p.CkptBytes, "partner: checkpoint image size")
+	fs.Var(&p.TwoLevel.LocalInterval, "local-interval", "twolevel: local checkpoint interval")
+	fs.Var(&p.TwoLevel.LocalWrite, "local-write", "twolevel: local write time")
+	fs.IntVar(&p.ReplicaDegree, "replica-degree", p.ReplicaDegree, "replication: replicas per application rank (machine grows to ranks*(degree+1))")
+	fs.Var(&p.HeartbeatPeriod, "hb-period", "replication: heartbeat period (bounds failure-detection latency)")
+	fs.Var(&p.TakeoverCost, "takeover", "replication: replica promotion cost after detection")
+	fs.IntVar(&p.CICLag, "cic-lag", p.CICLag, "cic: index-lag threshold forcing a checkpoint (1 = Z-path-free)")
+	fs.IntVar(&p.Incremental.FullEvery, "incr-every", 0, "uncoordinated: every k-th write is full, others incremental (0 = off)")
+	fs.Float64Var(&p.Incremental.Fraction, "incr-fraction", p.Incremental.Fraction, "uncoordinated: incremental write fraction of full")
+	fs.Var(&p.Logging.Alpha, "log-alpha", "per-message logging CPU cost")
+	fs.Float64Var(&p.Logging.BetaNsPerByte, "log-beta", 0, "per-byte logging cost (ns/B)")
+	fs.Var(&cfg.Noise.Period, "noise-period", "noise period (0 = no noise)")
+	fs.Var(&cfg.Noise.Duration, "noise-duration", "noise event duration")
+	fs.Var(&cfg.Failures.MTBF, "mtbf", "per-node MTBF (0 = no failures)")
+	fs.Var(&cfg.Failures.Restart, "restart", "failure restart cost")
+	fs.Func("recovery", "failure recovery: global|local|cluster|twolevel|takeover (default global)", func(s string) (err error) {
+		cfg.Failures.Kind, err = failure.ParseRecovery(s)
+		return err
+	})
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.Var((*simtime.Duration)(&cfg.MaxTime), "max-time", "abort after this much virtual time (0 = unlimited)")
+	fs.StringVar(&netName, "net", netName, "network preset: default|capability|ethernet")
+	fs.Float64Var(&bisection, "bisection", 0, "bisection bandwidth in GB/s (0 = unconstrained)")
+	cfg.Storage.BindFlags(fs)
+	fs.Int64Var(&p.Bytes, "image-bytes", 0, "checkpoint image size drained through the store (0 = derive from -write)")
+	fs.BoolVar(&cfg.Validate, "validate", false, "run the simulation under the trace-conformance checker (internal/validate); invariant violations are fatal")
+	fs.Int64Var(&cfg.SnapshotEvery, "snapshot-every", 0, "snapshot the complete simulator state after every N events (0 = off; requires -snapshot-dir)")
+	fs.StringVar(&snapDir, "snapshot-dir", "", "directory receiving snapshot blobs (snap-<events>.ckpt, written atomically)")
+	fs.StringVar(&resumeFile, "resume", "", "resume from this snapshot blob instead of starting from t=0 (config must match the snapshotting run)")
+	fs.StringVar(&timelineCSV, "timeline", "", "write a per-job CPU timeline CSV to this file")
+	fs.BoolVar(&gantt, "gantt", false, "print an ASCII Gantt chart and utilization summary")
+	fs.IntVar(&ganttWidth, "gantt-width", ganttWidth, "Gantt chart width in columns")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *list {
+	if list {
 		for _, w := range checkpointsim.Workloads() {
 			fmt.Fprintf(out, "%-12s %s\n", w, checkpointsim.DescribeWorkload(w))
 		}
 		return nil
 	}
 
-	parse := func(s string) (simtime.Duration, error) { return simtime.ParseDuration(s) }
-	comp, err := parse(*compute)
-	if err != nil {
+	var err error
+	if cfg.Net, err = network.Preset(netName); err != nil {
 		return err
 	}
-	iv, err := parse(*interval)
-	if err != nil {
-		return err
+	cfg.Net.BisectionBytesPerSec = bisection * 1e9
+	p.TwoLevel.GlobalInterval, p.TwoLevel.GlobalWrite = p.Interval, p.Write
+	if cfg.Noise.Period == 0 {
+		cfg.Noise = nil
 	}
-	wr, err := parse(*write)
-	if err != nil {
-		return err
-	}
-	la, err := parse(*logAlpha)
-	if err != nil {
-		return err
-	}
-	mt, err := parse(*maxTime)
-	if err != nil {
-		return err
-	}
-	win, err := parse(*window)
-	if err != nil {
-		return err
-	}
-	liv, err := parse(*localIv)
-	if err != nil {
-		return err
-	}
-	lwr, err := parse(*localWr)
-	if err != nil {
-		return err
-	}
-	hb, err := parse(*hbPeriod)
-	if err != nil {
-		return err
-	}
-	tk, err := parse(*takeover)
-	if err != nil {
-		return err
-	}
-
-	netParams, err := network.Preset(*netPreset)
-	if err != nil {
-		return err
-	}
-	if *bisection < 0 {
-		return fmt.Errorf("negative bisection bandwidth")
-	}
-	netParams.BisectionBytesPerSec = *bisection * 1e9
-	if *storeAgg < 0 || *storeWriter < 0 || *storeNode < 0 {
-		return fmt.Errorf("negative storage bandwidth")
-	}
-
-	cfg := checkpointsim.RunConfig{
-		Workload: *workloadName,
-		Net:      netParams,
-		Storage: checkpointsim.StorageParams{
-			AggregateBytesPerSec: *storeAgg * 1e9,
-			PerWriterBytesPerSec: *storeWriter * 1e9,
-			NodeBytesPerSec:      *storeNode * 1e9,
-			RanksPerNode:         *ranksPerNode,
-		},
-		Ranks:      *ranks,
-		Iterations: *iters,
-		Compute:    comp,
-		Jitter:     *jitter,
-		MsgBytes:   *bytes,
-		Protocol: checkpointsim.ProtocolConfig{
-			Kind:        checkpointsim.ProtoKind(*protocol),
-			Interval:    iv,
-			Write:       wr,
-			Offset:      *offset,
-			Logging:     checkpointsim.LogParams{Alpha: la, BetaNsPerByte: *logBeta},
-			ClusterSize: *cluster,
-			Window:      win,
-			Slowdown:    *slowdown,
-			CkptBytes:   *ckptBytes,
-			Bytes:       *imageBytes,
-			TwoLevel: checkpointsim.TwoLevelParams{
-				LocalInterval:  liv,
-				LocalWrite:     lwr,
-				GlobalInterval: iv,
-				GlobalWrite:    wr,
-			},
-			Incremental: checkpointsim.IncrementalParams{
-				FullEvery: *incrEvery,
-				Fraction:  *incrFrac,
-			},
-			ReplicaDegree:   *degree,
-			HeartbeatPeriod: hb,
-			TakeoverCost:    tk,
-			CICLag:          *cicLag,
-		},
-		Seed:    *seed,
-		MaxTime: simtime.Time(mt),
+	if cfg.Failures.MTBF == 0 {
+		cfg.Failures = nil
 	}
 	var traceName, traceDigest string
-	if *traceFile != "" {
-		prog, name, digest, err := exp.LoadTraceFile(*traceFile)
-		if err != nil {
+	if traceFile != "" {
+		if cfg.Program, traceName, traceDigest, err = exp.LoadTraceFile(traceFile); err != nil {
 			return err
 		}
-		cfg.Program = prog
-		traceName, traceDigest = name, digest
 	}
 	var timelineRows [][]string
 	col := timeline.NewCollector()
-	if *timelineCSV != "" || *gantt {
+	if timelineCSV != "" || gantt {
 		cfg.Trace = func(ev checkpointsim.TraceEvent) {
 			col.Add(ev)
-			if *timelineCSV != "" && ev.Type == checkpointsim.TraceCPU {
+			if timelineCSV != "" && ev.Type == checkpointsim.TraceCPU {
 				timelineRows = append(timelineRows, []string{
 					strconv.Itoa(ev.Rank), ev.Label(),
 					strconv.FormatInt(int64(ev.Start), 10),
@@ -220,66 +152,30 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	if *validateRun && *resumeFile != "" {
+	if cfg.Validate && resumeFile != "" {
 		return fmt.Errorf("-resume cannot be combined with -validate: the conformance checker needs the trace from t=0, which a resumed run does not replay")
 	}
-	cfg.Validate = *validateRun
 	var snapped int
 	var snapErr error
-	if *snapEvery > 0 {
-		if *snapDir == "" {
+	if cfg.SnapshotEvery > 0 {
+		if snapDir == "" {
 			return fmt.Errorf("-snapshot-every requires -snapshot-dir")
 		}
-		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
+		if err := os.MkdirAll(snapDir, 0o755); err != nil {
 			return err
 		}
-		cfg.SnapshotEvery = *snapEvery
 		cfg.OnSnapshot = func(s checkpointsim.Snapshot) {
-			name := filepath.Join(*snapDir, fmt.Sprintf("snap-%012d.ckpt", s.Events))
+			name := filepath.Join(snapDir, fmt.Sprintf("snap-%012d.ckpt", s.Events))
 			if werr := snapshot.WriteFile(name, s.Blob); werr != nil && snapErr == nil {
 				snapErr = fmt.Errorf("writing snapshot %s: %w", name, werr)
 			}
 			snapped++
 		}
 	}
-	if *resumeFile != "" {
-		blob, rerr := os.ReadFile(*resumeFile)
-		if rerr != nil {
-			return rerr
-		}
-		cfg.ResumeFrom = blob
-	}
-	if *noisePeriod != "" {
-		np, err := parse(*noisePeriod)
-		if err != nil {
+	if resumeFile != "" {
+		if cfg.ResumeFrom, err = os.ReadFile(resumeFile); err != nil {
 			return err
 		}
-		nd, err := parse(*noiseDur)
-		if err != nil {
-			return err
-		}
-		cfg.Noise = &checkpointsim.NoiseConfig{Period: np, Duration: nd}
-	}
-	if *mtbf != "" {
-		m, err := parse(*mtbf)
-		if err != nil {
-			return err
-		}
-		rs, err := parse(*restart)
-		if err != nil {
-			return err
-		}
-		kind := failure.RollbackGlobal
-		switch *recovery {
-		case "global":
-		case "local":
-			kind = failure.ReplayLocal
-		case "takeover":
-			kind = failure.TakeoverReplica
-		default:
-			return fmt.Errorf("unknown recovery %q", *recovery)
-		}
-		cfg.Failures = &checkpointsim.FailureConfig{MTBF: m, Restart: rs, Kind: kind}
 	}
 
 	res, err := checkpointsim.Run(cfg)
@@ -293,7 +189,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "workload:  trace %s@%s on %d ranks, %d ops\n",
 			traceName, traceDigest, cfg.Program.NumRanks, len(cfg.Program.Ops))
 	} else {
-		fmt.Fprintf(out, "workload:  %s on %d ranks, %d iterations\n", *workloadName, *ranks, *iters)
+		fmt.Fprintf(out, "workload:  %s on %d ranks, %d iterations\n", cfg.Workload, cfg.Ranks, cfg.Iterations)
 	}
 	fmt.Fprintf(out, "protocol:  %s\n", res.Protocol.Name())
 	fmt.Fprint(out, res.Result)
@@ -347,17 +243,17 @@ func run(args []string, out io.Writer) error {
 			fins[len(fins)-1].Sub(fins[0]))
 	}
 	if snapped > 0 {
-		fmt.Fprintf(out, "snapshots: %d written to %s\n", snapped, *snapDir)
+		fmt.Fprintf(out, "snapshots: %d written to %s\n", snapped, snapDir)
 	}
-	if *resumeFile != "" {
-		fmt.Fprintf(out, "resumed:   from %s\n", *resumeFile)
+	if resumeFile != "" {
+		fmt.Fprintf(out, "resumed:   from %s\n", resumeFile)
 	}
-	if *gantt {
+	if gantt {
 		col.PrintSummary(out, res.Makespan)
-		col.Gantt(out, *ganttWidth, res.Makespan, 32)
+		col.Gantt(out, ganttWidth, res.Makespan, 32)
 	}
-	if *timelineCSV != "" {
-		f, err := os.Create(*timelineCSV)
+	if timelineCSV != "" {
+		f, err := os.Create(timelineCSV)
 		if err != nil {
 			return err
 		}
@@ -373,7 +269,7 @@ func run(args []string, out io.Writer) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "timeline:  %d records -> %s\n", len(timelineRows), *timelineCSV)
+		fmt.Fprintf(out, "timeline:  %d records -> %s\n", len(timelineRows), timelineCSV)
 	}
 	return nil
 }

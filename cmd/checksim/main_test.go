@@ -224,3 +224,21 @@ func TestExtendedProtocolFlags(t *testing.T) {
 		}
 	}
 }
+
+// Every failure.RecoveryKind is reachable from -recovery: the cluster
+// rollback of the hierarchical protocol and the two-level recovery run
+// validated and report their failures.
+func TestRecoveryKinds(t *testing.T) {
+	for _, c := range [][]string{
+		{"-protocol", "hierarchical", "-cluster", "4", "-recovery", "cluster"},
+		{"-protocol", "twolevel", "-recovery", "twolevel"},
+	} {
+		args := append([]string{"-workload", "cg", "-ranks", "16", "-iters", "30",
+			"-interval", "4ms", "-write", "200us", "-log-alpha", "1us",
+			"-mtbf", "300ms", "-seed", "3", "-validate"}, c...)
+		out := capture(t, args...)
+		if !strings.Contains(out, "failures:") || !strings.Contains(out, "validate:  ok") {
+			t.Errorf("%v: no validated failures reported:\n%s", c, out)
+		}
+	}
+}

@@ -31,13 +31,14 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	compute := simtime.Millisecond
 	fs := flag.NewFlagSet("goalviz", flag.ContinueOnError)
+	fs.Var(&compute, "compute", "per-iteration compute (for -workload)")
 	var (
 		workloadName = fs.String("workload", "", "built-in workload to inspect")
 		in           = fs.String("in", "", "read a textual GOAL program instead")
 		ranks        = fs.Int("ranks", 16, "ranks (for -workload)")
 		iters        = fs.Int("iters", 2, "iterations (for -workload)")
-		compute      = fs.String("compute", "1ms", "per-iteration compute (for -workload)")
 		bytes        = fs.Int64("bytes", 4096, "message size (for -workload)")
 		seed         = fs.Uint64("seed", 42, "workload seed")
 		dotPath      = fs.String("dot", "", "write Graphviz to this file")
@@ -61,13 +62,10 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	case *workloadName != "":
-		comp, err := simtime.ParseDuration(*compute)
-		if err != nil {
-			return err
-		}
+		var err error
 		prog, err = workload.FromName(*workloadName, workload.CommonConfig{
 			Base: workload.Base{Ranks: *ranks, Iterations: *iters,
-				Compute: comp, Seed: *seed},
+				Compute: compute, Seed: *seed},
 			Bytes: *bytes,
 		})
 		if err != nil {

@@ -38,60 +38,48 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	o := exp.DefaultOptions()
+	o.Jobs = runtime.NumCPU()
 	var (
-		which    = fs.String("exp", "all", `experiment ids, comma separated, or "all"`)
-		quick    = fs.Bool("quick", false, "reduced sweeps (bench/CI scale)")
-		seed     = fs.Uint64("seed", 42, "random seed")
-		jobs     = fs.Int("j", runtime.NumCPU(), "worker pool size per experiment (1 = serial)")
-		csvDir   = fs.String("csv", "", "also write each table as CSV into this directory")
-		netPre   = fs.String("net", "default", "network preset: default|capability|ethernet")
-		timings  = fs.Bool("timings", true, "print per-experiment wall-clock lines")
-		validate = fs.Bool("validate", false, "run every simulation under the trace-conformance checker (internal/validate); any invariant violation aborts the sweep")
-		list     = fs.Bool("list", false, "list experiments (id, title, bench, description) and exit")
-
-		storeAgg     = fs.Float64("store-agg", 0, "aggregate PFS bandwidth in GB/s (0 = unconstrained)")
-		storeWriter  = fs.Float64("store-writer", 0, "per-writer PFS bandwidth cap in GB/s (0 = uncapped)")
-		storeNode    = fs.Float64("store-node", 0, "node-local burst-buffer bandwidth in GB/s (0 = unconstrained)")
-		ranksPerNode = fs.Int("ranks-per-node", 0, "ranks per node for the node storage tier (0 = 1)")
+		which, csvDir, netName = "all", "", "default"
+		timings, list          = true, false
 	)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.StringVar(&which, "exp", which, `experiment ids, comma separated, or "all"`)
+	fs.BoolVar(&o.Quick, "quick", false, "reduced sweeps (bench/CI scale)")
+	fs.Uint64Var(&o.Seed, "seed", o.Seed, "random seed")
+	fs.IntVar(&o.Jobs, "j", o.Jobs, "worker pool size per experiment (1 = serial)")
+	fs.StringVar(&csvDir, "csv", "", "also write each table as CSV into this directory")
+	fs.StringVar(&netName, "net", netName, "network preset: default|capability|ethernet")
+	fs.BoolVar(&timings, "timings", timings, "print per-experiment wall-clock lines")
+	fs.BoolVar(&o.Validate, "validate", false, "run every simulation under the trace-conformance checker (internal/validate); any invariant violation aborts the sweep")
+	fs.BoolVar(&list, "list", false, "list experiments (id, title, bench, description) and exit")
+	o.Storage.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *list {
+	if list {
 		for _, e := range exp.All() {
 			fmt.Fprintf(out, "%-4s %-28s %-26s %s\n", e.ID, e.Title, e.Bench, e.Desc)
 		}
 		return nil
 	}
-	if *jobs < 1 {
-		return fmt.Errorf("-j must be >= 1, have %d", *jobs)
-	}
-
-	o := exp.DefaultOptions()
-	o.Quick = *quick
-	o.Seed = *seed
-	o.Jobs = *jobs
-	o.Validate = *validate
-	o.Storage = storage.Params{
-		AggregateBytesPerSec: *storeAgg * 1e9,
-		PerWriterBytesPerSec: *storeWriter * 1e9,
-		NodeBytesPerSec:      *storeNode * 1e9,
-		RanksPerNode:         *ranksPerNode,
+	if o.Jobs < 1 {
+		return fmt.Errorf("-j must be >= 1, have %d", o.Jobs)
 	}
 	if err := o.Storage.Validate(); err != nil {
 		return err
 	}
 	var err error
-	if o.Net, err = network.Preset(*netPre); err != nil {
+	if o.Net, err = network.Preset(netName); err != nil {
 		return err
 	}
 
 	var selected []exp.Experiment
-	if *which == "all" {
+	if which == "all" {
 		selected = exp.All()
 	} else {
-		for _, id := range strings.Split(*which, ",") {
+		for _, id := range strings.Split(which, ",") {
 			e, ok := exp.ByID(strings.TrimSpace(id))
 			if !ok {
 				return fmt.Errorf("unknown experiment %q", id)
@@ -100,8 +88,8 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+	if csvDir != "" {
+		if err := os.MkdirAll(csvDir, 0o755); err != nil {
 			return err
 		}
 	}
@@ -129,9 +117,9 @@ func run(args []string, out io.Writer) error {
 		for ti, t := range tables {
 			t.Fprint(out)
 			fmt.Fprintln(out)
-			if *csvDir != "" {
+			if csvDir != "" {
 				name := fmt.Sprintf("%s_%d.csv", strings.ToLower(e.ID), ti)
-				f, err := os.Create(filepath.Join(*csvDir, name))
+				f, err := os.Create(filepath.Join(csvDir, name))
 				if err != nil {
 					return err
 				}
@@ -144,7 +132,7 @@ func run(args []string, out io.Writer) error {
 				}
 			}
 		}
-		if *timings {
+		if timings {
 			fmt.Fprintf(out, "(%s took %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 		} else {
 			fmt.Fprintln(out)

@@ -93,112 +93,104 @@ func main() {
 // non-nil, receives the bound address once the listener is up (tests use
 // it to avoid port races).
 func run(args []string, out io.Writer, ready chan<- string) error {
-	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	cfg := service.Config{Workers: 2, Queue: 64, Timeout: 10 * time.Minute}
+	ccfg := service.CoordinatorConfig{MaxAttempts: 5, RetryBase: 250 * time.Millisecond}
 	var (
-		addr       = fs.String("addr", ":8080", "listen address")
-		workers    = fs.Int("workers", 2, "concurrent jobs (each fans its sweep across -jobs cores)")
-		jobsPerRun = fs.Int("jobs", 0, "sweep worker pool per job (0 = all cores)")
-		queue      = fs.Int("queue", 64, "job queue capacity; a full queue answers 429 + Retry-After")
-		cacheMB    = fs.Int64("cache-mb", 256, "result cache budget in MiB (0 disables caching)")
-		cacheDir   = fs.String("cache-dir", "", "persist the result cache as an append-only sealed log in this directory; warm results survive restarts (replaces the in-memory store; -cache-mb becomes the log budget)")
-		timeout    = fs.Duration("timeout", 10*time.Minute, "default and maximum per-job runtime")
-		drainGrace = fs.Duration("drain-grace", 30*time.Second, "how long a shutdown signal waits for running jobs")
-		version    = fs.String("version", "", "cache-key code version tag (default: VCS revision from build info, else \"dev\")")
-		snapDir    = fs.String("snapshot-dir", "", "persist mid-run snapshots of scenario jobs here; a restarted server resumes resubmitted jobs from the last boundary (empty = off)")
-		snapEvery  = fs.Int64("snapshot-every", 0, "event cadence for scenario-job snapshots (0 = default 100000; needs -snapshot-dir or -coordinator-url)")
-
-		// Cluster roles.
-		coordinator = fs.Bool("coordinator", false, "serve as the cluster coordinator (requires -worker-urls; job flags above do not apply)")
-		workerURLs  = fs.String("worker-urls", "", "comma-separated worker base URLs the coordinator shards across (order fixes shard names w0..wN)")
-		coordURL    = fs.String("coordinator-url", "", "worker role: publish mid-run scenario snapshots to this coordinator, so a killed worker's job resumes on a peer from its last boundary")
-		dlqAttempts = fs.Int("dlq-attempts", 5, "coordinator: dead-letter retries before a failed point parks for manual requeue")
-		retryBase   = fs.Duration("retry-base", 250*time.Millisecond, "coordinator: first dead-letter backoff, doubling per attempt")
+		addr, cacheDir, version, coordURL = ":8080", "", "", ""
+		cacheMB                           = int64(256)
+		drainGrace                        = 30 * time.Second
+		coordinator                       bool
 	)
+	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	fs.StringVar(&addr, "addr", addr, "listen address")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "concurrent jobs (each fans its sweep across -jobs cores)")
+	fs.IntVar(&cfg.JobsPerRun, "jobs", 0, "sweep worker pool per job (0 = all cores)")
+	fs.IntVar(&cfg.Queue, "queue", cfg.Queue, "job queue capacity; a full queue answers 429 + Retry-After")
+	fs.Int64Var(&cacheMB, "cache-mb", cacheMB, "result cache budget in MiB (0 disables caching)")
+	fs.StringVar(&cacheDir, "cache-dir", "", "persist the result cache as an append-only sealed log in this directory; warm results survive restarts (replaces the in-memory store; -cache-mb becomes the log budget)")
+	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "default and maximum per-job runtime")
+	fs.DurationVar(&drainGrace, "drain-grace", drainGrace, "how long a shutdown signal waits for running jobs")
+	fs.StringVar(&version, "version", "", "cache-key code version tag (default: VCS revision from build info, else \"dev\")")
+	fs.StringVar(&cfg.SnapshotDir, "snapshot-dir", "", "persist mid-run snapshots of scenario jobs here; a restarted server resumes resubmitted jobs from the last boundary (empty = off)")
+	fs.Int64Var(&cfg.SnapshotEvery, "snapshot-every", 0, "event cadence for scenario-job snapshots (0 = default 100000; needs -snapshot-dir or -coordinator-url)")
+
+	// Cluster roles.
+	fs.BoolVar(&coordinator, "coordinator", false, "serve as the cluster coordinator (requires -worker-urls; job flags above do not apply)")
+	fs.Func("worker-urls", "comma-separated worker base URLs the coordinator shards across (order fixes shard names w0..wN)", func(v string) error {
+		ccfg.Workers = nil
+		for _, u := range strings.Split(v, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				ccfg.Workers = append(ccfg.Workers, u)
+			}
+		}
+		return nil
+	})
+	fs.StringVar(&coordURL, "coordinator-url", "", "worker role: publish mid-run scenario snapshots to this coordinator, so a killed worker's job resumes on a peer from its last boundary")
+	fs.IntVar(&ccfg.MaxAttempts, "dlq-attempts", ccfg.MaxAttempts, "coordinator: dead-letter retries before a failed point parks for manual requeue")
+	fs.DurationVar(&ccfg.RetryBase, "retry-base", ccfg.RetryBase, "coordinator: first dead-letter backoff, doubling per attempt")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	logger := log.New(out, "sweepd: ", log.LstdFlags)
 
-	if *coordinator {
-		if *coordURL != "" {
+	if coordinator {
+		if coordURL != "" {
 			return fmt.Errorf("-coordinator and -coordinator-url are different roles; pick one")
 		}
-		return runCoordinator(*addr, *workerURLs, resolveVersion(*version), *dlqAttempts, *retryBase, out, ready)
+		if len(ccfg.Workers) == 0 {
+			return fmt.Errorf("-coordinator requires -worker-urls")
+		}
+		ccfg.Version = resolveVersion(version)
+		coord, err := service.NewCoordinator(ccfg)
+		if err != nil {
+			return err
+		}
+		defer coord.Close()
+		return serve(addr, coord.Handler(), ready, func(a net.Addr) {
+			logger.Printf("coordinating %d workers on %s (dlq-attempts=%d retry-base=%s)",
+				len(ccfg.Workers), a, ccfg.MaxAttempts, ccfg.RetryBase)
+		}, func(got os.Signal) {
+			logger.Printf("received %s, shutting down", got)
+		})
 	}
-	if *workerURLs != "" {
+	if len(ccfg.Workers) > 0 {
 		return fmt.Errorf("-worker-urls only applies with -coordinator")
 	}
 
-	cacheBytes := *cacheMB << 20
-	if *cacheMB == 0 {
-		cacheBytes = -1 // Config treats 0 as "default"; negative disables
+	cfg.CacheBytes = cacheMB << 20
+	if cacheMB == 0 {
+		cfg.CacheBytes = -1 // Config treats 0 as "default"; negative disables
 	}
-	if *snapEvery > 0 && *snapDir == "" && *coordURL == "" {
+	if cfg.SnapshotEvery > 0 && cfg.SnapshotDir == "" && coordURL == "" {
 		return fmt.Errorf("-snapshot-every requires -snapshot-dir or -coordinator-url")
 	}
-	cfg := service.Config{
-		Queue:         *queue,
-		Workers:       *workers,
-		JobsPerRun:    *jobsPerRun,
-		CacheBytes:    cacheBytes,
-		Timeout:       *timeout,
-		Version:       resolveVersion(*version),
-		SnapshotDir:   *snapDir,
-		SnapshotEvery: *snapEvery,
-	}
-	if *cacheDir != "" {
-		st, err := cache.NewDiskStore(*cacheDir, cacheBytes)
+	cfg.Version = resolveVersion(version)
+	if cacheDir != "" {
+		st, err := cache.NewDiskStore(cacheDir, cfg.CacheBytes)
 		if err != nil {
 			return fmt.Errorf("opening -cache-dir: %w", err)
 		}
 		cfg.CacheStore = st
 	}
 	var pub *snapshotPublisher
-	if *coordURL != "" {
-		pub = newSnapshotPublisher(strings.TrimRight(*coordURL, "/"))
+	if coordURL != "" {
+		pub = newSnapshotPublisher(strings.TrimRight(coordURL, "/"))
 		cfg.PublishSnapshot = pub.publish
 	}
 	srv := service.New(cfg)
-
-	// Catch shutdown signals before listening: a signal that lands once
-	// ready is announced must drain the server, not kill the process.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := newHTTPServer(srv.Handler())
-	logger := log.New(out, "sweepd: ", log.LstdFlags)
-	logger.Printf("serving on %s (workers=%d queue=%d cache=%dMiB timeout=%s)",
-		ln.Addr(), *workers, *queue, *cacheMB, *timeout)
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	errc := make(chan error, 1)
-	go func() {
-		if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
+	err := serve(addr, srv.Handler(), ready, func(a net.Addr) {
+		logger.Printf("serving on %s (workers=%d queue=%d cache=%dMiB timeout=%s)",
+			a, cfg.Workers, cfg.Queue, cacheMB, cfg.Timeout)
+	}, func(got os.Signal) {
+		logger.Printf("received %s, draining (grace %s)", got, drainGrace)
+		drainCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
+		defer cancel()
+		if err := srv.Drain(drainCtx); err != nil {
+			logger.Printf("drain incomplete: %v (running jobs cancelled)", err)
 		}
-	}()
-
-	select {
-	case err := <-errc:
+	})
+	if err != nil {
 		srv.Close()
-		return err
-	case got := <-sig:
-		logger.Printf("received %s, draining (grace %s)", got, *drainGrace)
-	}
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-	defer cancel()
-	if err := srv.Drain(drainCtx); err != nil {
-		logger.Printf("drain incomplete: %v (running jobs cancelled)", err)
-	}
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		return err
 	}
 	if pub != nil {
@@ -213,41 +205,22 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	return nil
 }
 
-// runCoordinator serves the coordinator role: no local simulation, just
-// sharded proxying, the dead-letter queue, and snapshot blob shipping.
-func runCoordinator(addr, workerURLs, version string, dlqAttempts int, retryBase time.Duration, out io.Writer, ready chan<- string) error {
-	var urls []string
-	for _, u := range strings.Split(workerURLs, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	if len(urls) == 0 {
-		return fmt.Errorf("-coordinator requires -worker-urls")
-	}
-	coord, err := service.NewCoordinator(service.CoordinatorConfig{
-		Workers:     urls,
-		Version:     version,
-		MaxAttempts: dlqAttempts,
-		RetryBase:   retryBase,
-	})
-	if err != nil {
-		return err
-	}
-
-	// As in run: the signal handler is in place before ready is announced.
+// serve is the one serving sequence of both roles. It installs the
+// shutdown-signal handler before listening, so a signal that lands once
+// ready is announced winds the server down instead of killing the
+// process; then it listens on addr, calls announce with the bound address,
+// sends it to ready when non-nil, and serves h. A serve error returns at
+// once. A signal calls stop, then shuts the listener down.
+func serve(addr string, h http.Handler, ready chan<- string, announce func(net.Addr), stop func(os.Signal)) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		coord.Close()
 		return err
 	}
-	httpSrv := newHTTPServer(coord.Handler())
-	logger := log.New(out, "sweepd: ", log.LstdFlags)
-	logger.Printf("coordinating %d workers on %s (dlq-attempts=%d retry-base=%s)",
-		len(urls), ln.Addr(), dlqAttempts, retryBase)
+	httpSrv := newHTTPServer(h)
+	announce(ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -258,22 +231,15 @@ func runCoordinator(addr, workerURLs, version string, dlqAttempts int, retryBase
 			errc <- err
 		}
 	}()
-
 	select {
 	case err := <-errc:
-		coord.Close()
 		return err
 	case got := <-sig:
-		logger.Printf("received %s, shutting down", got)
+		stop(got)
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		coord.Close()
-		return err
-	}
-	coord.Close()
-	return nil
+	return httpSrv.Shutdown(shutCtx)
 }
 
 // snapshotPublisher ships scenario snapshots to the coordinator off the

@@ -58,17 +58,21 @@ func newReplication(c Config) (*Replication, error) {
 		hbBytes: cmp.Or(c.HeartbeatBytes, 64), takeover: cmp.Or(c.TakeoverCost, 500*simtime.Microsecond)}, nil
 }
 
+// CheckRanks implements sim.RankChecker: the machine must hold degree+1
+// copies of every application rank, as run.Config widens it.
+func (rp *Replication) CheckRanks(n int) error {
+	if g := rp.degree + 1; n%g != 0 {
+		return fmt.Errorf("checkpoint: replication degree %d needs a machine divisible by %d ranks, have %d (widen the program first)",
+			rp.degree, g, n)
+	}
+	return nil
+}
+
 // Init implements sim.Agent: lay out the primary/replica pairing and start
 // the staggered heartbeat timers.
 func (rp *Replication) Init(ctx *sim.Context) {
 	rp.ctx = ctx
-	n := ctx.NumRanks()
-	g := rp.degree + 1
-	if n%g != 0 {
-		panic(fmt.Sprintf("checkpoint: replication degree %d needs a machine divisible by %d ranks, have %d (widen the program first)",
-			rp.degree, g, n))
-	}
-	rp.app = n / g
+	rp.app = ctx.NumRanks() / (rp.degree + 1)
 	rp.nextBeat = make([]simtime.Time, rp.app)
 	for r := 0; r < rp.app; r++ {
 		off := simtime.Duration(int64(rp.period) * int64(r) / int64(rp.app))

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"checkpointsim/internal/goal"
+	"checkpointsim/internal/network"
+	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
 
@@ -54,16 +56,14 @@ func TestReplicationMirrorsAndHeartbeats(t *testing.T) {
 
 func TestReplicationRequiresDivisibleMachine(t *testing.T) {
 	rp := mustNew[*Replication](t, Config{Kind: KindReplication}, nil)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("indivisible machine accepted")
-		}
-		if !strings.Contains(r.(string), "divisible") {
-			t.Errorf("panic %v does not explain divisibility", r)
-		}
-	}()
-	runWith(t, stencil(t, 9, 5, simtime.Millisecond), rp)
+	_, err := sim.New(sim.Config{Net: network.DefaultParams(),
+		Program: stencil(t, 9, 5, simtime.Millisecond), Agents: []sim.Agent{rp}})
+	if err == nil {
+		t.Fatal("indivisible machine accepted")
+	}
+	if !strings.Contains(err.Error(), "divisible") {
+		t.Errorf("error %v does not explain divisibility", err)
+	}
 }
 
 // cicConfig is CIC on staggered 2ms timers with the given lag threshold.

@@ -20,6 +20,7 @@ package failure
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/sim"
@@ -71,6 +72,26 @@ func (k RecoveryKind) String() string {
 		return "replica-takeover"
 	}
 	return fmt.Sprintf("recovery(%d)", uint8(k))
+}
+
+// recoveryNames are the names ParseRecovery accepts, indexed by kind.
+var recoveryNames = [...]string{
+	RollbackGlobal:  "global",
+	ReplayLocal:     "local",
+	RollbackCluster: "cluster",
+	RecoverTwoLevel: "twolevel",
+	TakeoverReplica: "takeover",
+}
+
+// ParseRecovery returns the recovery kind a command line names: one of
+// global, local, cluster, twolevel or takeover.
+func ParseRecovery(name string) (RecoveryKind, error) {
+	for k, n := range recoveryNames {
+		if n == name {
+			return RecoveryKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown recovery %q (want %s)", name, strings.Join(recoveryNames[:], "|"))
 }
 
 // Config describes the failure process and recovery costs.

@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"strings"
 	"testing"
 
 	"checkpointsim/internal/checkpoint"
@@ -396,5 +397,19 @@ func TestTakeoverRequiresReplicaProtocol(t *testing.T) {
 	}
 	if TakeoverReplica.String() != "replica-takeover" {
 		t.Errorf("kind name %q", TakeoverReplica.String())
+	}
+}
+
+// ParseRecovery names every kind, and an unknown name lists them all.
+func TestParseRecovery(t *testing.T) {
+	for name, want := range map[string]RecoveryKind{"global": RollbackGlobal, "local": ReplayLocal,
+		"cluster": RollbackCluster, "twolevel": RecoverTwoLevel, "takeover": TakeoverReplica} {
+		if got, err := ParseRecovery(name); err != nil || got != want {
+			t.Errorf("ParseRecovery(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := ParseRecovery("global-rollback")
+	if err == nil || !strings.Contains(err.Error(), "global|local|cluster|twolevel|takeover") {
+		t.Errorf("unknown name: error %v does not list the accepted names", err)
 	}
 }

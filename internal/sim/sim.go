@@ -84,6 +84,13 @@ type MatchHook interface {
 	MessageMatched(src, dst int, bytes int64)
 }
 
+// RankChecker is implemented by agents that run only on some machine
+// sizes. New asks each one to accept the program's rank count, so a machine
+// the agent cannot run on is an error before any event is processed.
+type RankChecker interface {
+	CheckRanks(n int) error
+}
+
 // Config describes one simulation.
 type Config struct {
 	// Net is the LogGOPS parameter set.
@@ -585,6 +592,11 @@ func New(cfg Config) (*Engine, error) {
 		}
 		if h, ok := a.(MatchHook); ok {
 			e.matchHooks = append(e.matchHooks, h)
+		}
+		if c, ok := a.(RankChecker); ok {
+			if err := c.CheckRanks(cfg.Program.NumRanks); err != nil {
+				return nil, err
+			}
 		}
 		if cfg.SnapshotEvery > 0 {
 			if _, ok := a.(Resumable); !ok {

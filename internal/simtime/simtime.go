@@ -213,6 +213,17 @@ func ParseDuration(s string) (Duration, error) {
 	return d, nil
 }
 
+// Set parses s with ParseDuration into d, so a *Duration is a flag.Value:
+// a command binds a duration flag straight to the field it sets.
+func (d *Duration) Set(s string) error {
+	v, err := ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	*d = v
+	return nil
+}
+
 // Max returns the larger of a and b.
 func Max(a, b Time) Time {
 	if a > b {

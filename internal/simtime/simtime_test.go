@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"flag"
+	"io"
 	"math"
 	"testing"
 	"testing/quick"
@@ -226,5 +228,29 @@ func TestQuickStringParse(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A *Duration is a flag.Value: the flag keeps the field's value as its
+// default, parses with ParseDuration, and rejects what ParseDuration does.
+func TestDurationFlag(t *testing.T) {
+	d, untouched := 10*Millisecond, 3*Second
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Var(&d, "d", "")
+	fs.Var(&untouched, "u", "")
+	if err := fs.Parse([]string{"-d", "2.5us"}); err != nil {
+		t.Fatal(err)
+	}
+	if d != 2500*Nanosecond || untouched != 3*Second {
+		t.Errorf("d = %v, untouched = %v", d, untouched)
+	}
+	if got := fs.Lookup("u").DefValue; got != "3s" {
+		t.Errorf("default renders as %q", got)
+	}
+	for _, bad := range []string{"", "bogus", "3 parsecs"} {
+		if err := fs.Parse([]string{"-d", bad}); err == nil {
+			t.Errorf("-d %q accepted", bad)
+		}
 	}
 }

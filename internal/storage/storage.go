@@ -33,8 +33,10 @@
 package storage
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"strconv"
 
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
@@ -124,6 +126,30 @@ func (p Params) String() string {
 	return fmt.Sprintf("storage{agg=%s writer=%s node=%s ranks/node=%d}",
 		gb(p.AggregateBytesPerSec), gb(p.PerWriterBytesPerSec),
 		gb(p.NodeBytesPerSec), p.ranksPerNode())
+}
+
+// BindFlags registers the flags that set p on fs: -store-agg, -store-writer
+// and -store-node in GB/s, and -ranks-per-node. p's current values are the
+// defaults.
+func (p *Params) BindFlags(fs *flag.FlagSet) {
+	fs.Var((*gbPerSec)(&p.AggregateBytesPerSec), "store-agg", "aggregate PFS bandwidth in GB/s (0 = unconstrained)")
+	fs.Var((*gbPerSec)(&p.PerWriterBytesPerSec), "store-writer", "per-writer PFS bandwidth cap in GB/s (0 = uncapped)")
+	fs.Var((*gbPerSec)(&p.NodeBytesPerSec), "store-node", "node-local burst-buffer bandwidth in GB/s (0 = unconstrained)")
+	fs.IntVar(&p.RanksPerNode, "ranks-per-node", p.RanksPerNode, "ranks per node for the node storage tier (0 = 1)")
+}
+
+// gbPerSec is a bandwidth in bytes/s that a flag reads and prints in GB/s.
+type gbPerSec float64
+
+func (g *gbPerSec) String() string { return strconv.FormatFloat(float64(*g)/1e9, 'g', -1, 64) }
+
+func (g *gbPerSec) Set(s string) error {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return err
+	}
+	*g = gbPerSec(v * 1e9)
+	return nil
 }
 
 func (p Params) ranksPerNode() int {

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"sort"
 	"testing"
 
@@ -399,5 +401,27 @@ func TestManyWritersConservation(t *testing.T) {
 	}
 	if got := s.Stats().Bytes; got != 32e6 {
 		t.Errorf("drained bytes = %d, want 32e6", got)
+	}
+}
+
+// BindFlags reads bandwidths in GB/s into the bytes/s fields and keeps the
+// current values as defaults.
+func TestBindFlags(t *testing.T) {
+	p := Params{NodeBytesPerSec: 4e9}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	p.BindFlags(fs)
+	if got := fs.Lookup("store-node").DefValue; got != "4" {
+		t.Errorf("-store-node default renders as %q, want 4", got)
+	}
+	if err := fs.Parse([]string{"-store-agg", "2", "-store-writer", "0.3", "-ranks-per-node", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	want := Params{AggregateBytesPerSec: 2e9, PerWriterBytesPerSec: 0.3 * 1e9, NodeBytesPerSec: 4e9, RanksPerNode: 8}
+	if p != want {
+		t.Errorf("bound %+v, want %+v", p, want)
+	}
+	if err := fs.Parse([]string{"-store-agg", "fast"}); err == nil {
+		t.Error("-store-agg fast accepted")
 	}
 }

@@ -1,6 +1,9 @@
 package checkpointsim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Run widens the machine for ProtoReplication: the configured ranks are
 // the application, and each primary gets a live replica node. Takeover
@@ -98,5 +101,31 @@ func TestResilienceProtocolConstructors(t *testing.T) {
 	bad.Interval = 0
 	if _, err := bad.New(nil); err == nil {
 		t.Error("zero interval accepted")
+	}
+}
+
+// A library caller that hands NewEngine a replication protocol and an
+// unwidened machine gets an error naming the divisibility rule, not a
+// panic from Run.
+func TestNewEngineRefusesIndivisibleReplication(t *testing.T) {
+	b := NewBuilder(9)
+	for r := 0; r < 9; r++ {
+		b.Calc(r, Millisecond)
+	}
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ProtocolConfig{Kind: ProtoReplication}.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(SimConfig{Net: DefaultNetwork(), Program: prog, Agents: []Agent{p}})
+	if err == nil {
+		eng.Run()
+		t.Fatal("9 ranks accepted for replication degree 1")
+	}
+	if !strings.Contains(err.Error(), "divisible") {
+		t.Errorf("error %v does not explain divisibility", err)
 	}
 }
