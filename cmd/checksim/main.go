@@ -234,8 +234,13 @@ func run(args []string, out io.Writer) error {
 				simtime.Duration(ev.Time), ev.Rank, ev.LostWork, ev.Recovery)
 		}
 	}
-	// Per-rank spread of finish times (synchronization skew).
-	fins := append([]simtime.Time(nil), res.RankFinish...)
+	// Per-rank spread of finish times (synchronization skew), over the
+	// application's ranks: replication's spare ranks carry no work.
+	fins := res.RankFinish
+	if rp, ok := res.Protocol.(interface{ AppRanks() int }); ok {
+		fins = fins[:rp.AppRanks()]
+	}
+	fins = append([]simtime.Time(nil), fins...)
 	sort.Slice(fins, func(i, j int) bool { return fins[i] < fins[j] })
 	if len(fins) > 1 {
 		fmt.Fprintf(out, "finish skew: first %v, last %v (spread %v)\n",

@@ -131,6 +131,10 @@ func Reduce(b *goal.Builder, root int, entry []goal.OpID, tag int, bytes int64) 
 	return exits(ss)
 }
 
+// ReduceOps is the number of ops Reduce adds on p ranks: a send and a recv
+// per message.
+func ReduceOps(p int) int { return 2 * (p - 1) }
+
 // Allreduce builds a recursive-doubling allreduce of bytes. For
 // non-power-of-two P it applies the standard fold: the first 2·(P-pof2)
 // ranks pair up, odd members hand their contribution to their even partner
@@ -178,6 +182,17 @@ func Allreduce(b *goal.Builder, entry []goal.OpID, tag int, bytes int64) []goal.
 		ss[i+1].Recv(int32(i), int32(tag), bytes)
 	}
 	return exits(ss)
+}
+
+// AllreduceOps is the number of ops Allreduce adds on p ranks: a send and a
+// recv per fold and unfold message, and per exchange step a send, a recv
+// and a join on each of the pof2 participants.
+func AllreduceOps(p int) int {
+	if p <= 1 {
+		return 0
+	}
+	pof2 := 1 << (bits.Len(uint(p)) - 1)
+	return 4*(p-pof2) + 3*pof2*(bits.Len(uint(pof2))-1)
 }
 
 // AllreduceRabenseifner builds Rabenseifner's allreduce: a recursive-halving
@@ -305,6 +320,10 @@ func Alltoall(b *goal.Builder, entry []goal.OpID, tag int, bytes int64) []goal.O
 	}
 	return exits(ss)
 }
+
+// AlltoallOps is the number of ops Alltoall adds on p ranks: a send, a recv
+// and a join per rank per step.
+func AlltoallOps(p int) int { return 3 * p * (p - 1) }
 
 // Gather builds a binomial-tree gather to root. Inner messages carry whole
 // subtrees, so sizes grow toward the root: the child at offset 2^j sends

@@ -401,3 +401,30 @@ func TestAllreduceAllocsIndependentOfRanks(t *testing.T) {
 		t.Errorf("Allreduce allocs: %v at P=64, %v at P=128; want equal", a64, a128)
 	}
 }
+
+// TestOpCounts checks each op-count function against the ops its collective
+// actually adds, across power-of-two and folded rank counts.
+func TestOpCounts(t *testing.T) {
+	cases := []struct {
+		name  string
+		count func(int) int
+		build func(*goal.Builder, []goal.OpID)
+	}{
+		{"Reduce", ReduceOps, func(b *goal.Builder, e []goal.OpID) { Reduce(b, 0, e, 1, 8) }},
+		{"Allreduce", AllreduceOps, func(b *goal.Builder, e []goal.OpID) { Allreduce(b, e, 1, 8) }},
+		{"Alltoall", AlltoallOps, func(b *goal.Builder, e []goal.OpID) { Alltoall(b, e, 1, 8) }},
+	}
+	for _, c := range cases {
+		for p := 1; p <= 70; p++ {
+			b := goal.NewBuilder(p)
+			entry := make([]goal.OpID, p)
+			for i := range entry {
+				entry[i] = b.Calc(i, 1)
+			}
+			c.build(b, entry)
+			if got, want := b.NumOps()-p, c.count(p); got != want {
+				t.Errorf("%s P=%d: added %d ops, count says %d", c.name, p, got, want)
+			}
+		}
+	}
+}

@@ -11,7 +11,8 @@ import (
 type Builder struct {
 	numRanks int
 	ops      []Op
-	edges    []edge // dependency edges in Requires order
+	edges    []edge  // dependency edges in Requires order
+	rankOps  []int32 // ops added on each in-range rank
 }
 
 // edge is one Requires pair: op must not start before dep completes.
@@ -23,7 +24,7 @@ func NewBuilder(numRanks int) *Builder {
 	if numRanks <= 0 {
 		panic(fmt.Sprintf("goal: NewBuilder(%d)", numRanks))
 	}
-	return &Builder{numRanks: numRanks}
+	return &Builder{numRanks: numRanks, rankOps: make([]int32, numRanks)}
 }
 
 // NumRanks returns the rank count the builder was created with.
@@ -34,9 +35,10 @@ func (b *Builder) NumOps() int { return len(b.ops) }
 
 // Grow reserves capacity for at least n additional operations and twice as
 // many dependency edges (generated programs carry one to two per op).
-// Generators that can estimate their op count from the geometry call it
-// once up front, so a 100k-op program is not re-copied a dozen times while
-// doubling. An overestimate only wastes capacity until Build.
+// Generators that can count their ops from the geometry call it once up
+// front, so a 100k-op program is not re-copied a dozen times while
+// doubling. The op table becomes the program's, so an overestimate wastes
+// its capacity for the program's lifetime.
 func (b *Builder) Grow(n int) {
 	if n > cap(b.ops)-len(b.ops) {
 		ops := make([]Op, len(b.ops), len(b.ops)+n)
@@ -52,6 +54,9 @@ func (b *Builder) Grow(n int) {
 
 func (b *Builder) add(op Op) OpID {
 	op.ID = OpID(len(b.ops))
+	if uint(op.Rank) < uint(b.numRanks) { // Build reports a bad rank
+		b.rankOps[op.Rank]++
+	}
 	b.ops = append(b.ops, op)
 	return op.ID
 }
@@ -88,11 +93,15 @@ func (b *Builder) Requires(op OpID, deps ...OpID) {
 	}
 }
 
-// Build validates the graph and returns the immutable Program.
+// Build validates the graph and returns the immutable Program, marked
+// validated. It reads the op table once: each op is checked as Validate
+// checks it, its dependencies are deduplicated, its reverse edges counted
+// and its ID filed under its rank, all in one pass.
 func (b *Builder) Build() (*Program, error) {
 	p := &Program{NumRanks: b.numRanks, Ops: b.ops}
-	edges := b.edges
-	b.ops, b.edges = nil, nil // the builder gives up ownership
+	edges, rankEnd := b.edges, b.rankOps
+	// The builder gives up ownership and starts over empty.
+	b.ops, b.edges, b.rankOps = nil, nil, make([]int32, b.numRanks)
 	// Every op's Deps is a segment of one arena, filled by a stable
 	// counting sort of the Requires pairs: end[i] counts, then prefix-sums
 	// to op i's start, and the scatter advances it to op i's end.
@@ -110,18 +119,28 @@ func (b *Builder) Build() (*Program, error) {
 		arena[end[e.op]] = e.dep
 		end[e.op]++
 	}
-	// Deduplicate each segment in place, keeping first occurrences in
-	// order. Typical lists are a handful of entries (a join of a few
-	// forks), where a quadratic scan beats allocating a set; genuinely wide
-	// joins (a farm master collecting from every worker) fall back to one.
-	var start int32
+	// The per-rank index is one counted arena: rank r's IDs fill
+	// rankIDs[rankEnd[r-1]:rankEnd[r]], with rankEnd[r] as its cursor.
+	rankIDs := make([]OpID, len(p.Ops))
+	sum = 0
+	for r, n := range rankEnd {
+		rankEnd[r] = sum
+		sum += n
+	}
+	outOff := make([]int32, len(p.Ops)+1)
+	// Each op's deduplicated deps move to the front of the arena, after
+	// the previous op's, keeping first occurrences in order: kept ends at
+	// or before the segment it reads from. Typical lists are a handful of
+	// entries (a join of a few forks), where a quadratic scan beats
+	// allocating a set; genuinely wide joins (a farm master collecting
+	// from every worker) fall back to one. end[i] becomes the end of op
+	// i's compacted segment.
+	var start, w int32
+	forward := false
 	for i := range p.Ops {
-		seg := arena[start:end[i]:end[i]]
+		seg := arena[start:end[i]]
 		start = end[i]
-		if len(seg) == 0 {
-			continue
-		}
-		kept := seg[:0]
+		kept := arena[w:w]
 		if len(seg) <= 32 {
 		scan:
 			for _, d := range seg {
@@ -141,30 +160,54 @@ func (b *Builder) Build() (*Program, error) {
 				}
 			}
 		}
-		p.Ops[i].Deps = kept
-	}
-	// The reverse edges and the per-rank index are likewise counted
-	// arenas, built once here and shared read-only by every engine (and
-	// by Widen's programs).
-	p.outs, p.outOff = reverseEdges(p.Ops)
-	rankCnt := make([]int32, p.NumRanks)
-	for i := range p.Ops {
-		rankCnt[p.Ops[i].Rank]++
-	}
-	rankArena := make([]OpID, 0, len(p.Ops))
-	p.byRank = make([][]OpID, p.NumRanks)
-	for r := range p.byRank {
-		n := len(rankArena)
-		rankArena = rankArena[:n+int(rankCnt[r])]
-		p.byRank[r] = rankArena[n:n:len(rankArena)]
-	}
-	for i := range p.Ops {
+		if len(kept) > 0 {
+			p.Ops[i].Deps = kept[:len(kept):len(kept)]
+		}
+		w += int32(len(kept))
+		end[i] = w
+		fwd, err := checkOp(p.Ops, i, p.NumRanks)
+		if err != nil {
+			return nil, err
+		}
+		forward = forward || fwd
+		for _, d := range kept {
+			outOff[d+1]++
+		}
 		r := p.Ops[i].Rank
-		p.byRank[r] = append(p.byRank[r], OpID(i))
+		rankIDs[rankEnd[r]] = OpID(i)
+		rankEnd[r]++
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	// The reverse edges are a counted arena too, scattered from the
+	// compacted deps without reading the ops again: outs[outOff[d]:...]
+	// uses outOff[d] as op d's cursor, which afterwards holds op d's end,
+	// op d+1's start, so one shift restores the offsets.
+	for i := range p.Ops {
+		outOff[i+1] += outOff[i]
 	}
+	outs := make([]OpID, w)
+	start = 0
+	for i := range p.Ops {
+		for _, d := range arena[start:end[i]] {
+			outs[outOff[d]] = OpID(i)
+			outOff[d]++
+		}
+		start = end[i]
+	}
+	copy(outOff[1:], outOff[:len(p.Ops)])
+	outOff[0] = 0
+	p.outs, p.outOff = outs, outOff
+	p.byRank = make([][]OpID, p.NumRanks)
+	start = 0
+	for r, e := range rankEnd {
+		p.byRank[r] = rankIDs[start:e:e]
+		start = e
+	}
+	if forward {
+		if err := checkAcyclic(len(p.Ops), outs, outOff); err != nil {
+			return nil, err
+		}
+	}
+	p.validated.Store(true)
 	return p, nil
 }
 

@@ -195,8 +195,8 @@ func (s Stats) String() string {
 // Validate checks structural invariants: rank and peer bounds, non-negative
 // sizes and durations, dependency IDs in range, acyclicity. A successful
 // check is memoized — repeat calls (one per simulation of a shared program)
-// return immediately. Mutating a program after a successful Validate is not
-// supported.
+// return immediately, and Build marks the programs it makes. Mutating a
+// program after a successful Validate is not supported.
 //
 // Acyclicity has a linear proof when every dependency points to a lower ID
 // (as all generated programs' do): ID order is then a topological order.
@@ -211,65 +211,15 @@ func (p *Program) Validate() error {
 	}
 	forward := false
 	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.ID != OpID(i) {
-			return fmt.Errorf("goal: op %d has ID %d", i, op.ID)
+		fwd, err := checkOp(p.Ops, i, p.NumRanks)
+		if err != nil {
+			return err
 		}
-		if op.Rank < 0 || int(op.Rank) >= p.NumRanks {
-			return fmt.Errorf("goal: op %d rank %d out of range [0,%d)", i, op.Rank, p.NumRanks)
-		}
-		switch op.Kind {
-		case KindSend:
-			if op.Peer < 0 || int(op.Peer) >= p.NumRanks {
-				return fmt.Errorf("goal: send op %d peer %d out of range", i, op.Peer)
-			}
-			if op.Peer == op.Rank {
-				return fmt.Errorf("goal: send op %d is a self-send", i)
-			}
-			if op.Bytes < 0 {
-				return fmt.Errorf("goal: send op %d negative size", i)
-			}
-			if op.Tag < 0 {
-				return fmt.Errorf("goal: send op %d negative tag", i)
-			}
-		case KindRecv:
-			if op.Peer != AnySource && (op.Peer < 0 || int(op.Peer) >= p.NumRanks) {
-				return fmt.Errorf("goal: recv op %d peer %d out of range", i, op.Peer)
-			}
-			if op.Peer == op.Rank {
-				return fmt.Errorf("goal: recv op %d is a self-recv", i)
-			}
-			if op.Bytes < 0 {
-				return fmt.Errorf("goal: recv op %d negative size", i)
-			}
-			if op.Tag != AnyTag && op.Tag < 0 {
-				return fmt.Errorf("goal: recv op %d negative tag", i)
-			}
-		case KindCalc:
-			if op.Work < 0 {
-				return fmt.Errorf("goal: calc op %d negative work", i)
-			}
-		default:
-			return fmt.Errorf("goal: op %d has unknown kind %d", i, op.Kind)
-		}
-		for _, d := range op.Deps {
-			if d < 0 || int(d) >= len(p.Ops) {
-				return fmt.Errorf("goal: op %d dep %d out of range", i, d)
-			}
-			if d == op.ID {
-				return fmt.Errorf("goal: op %d depends on itself", i)
-			}
-			forward = forward || d > op.ID
-			if p.Ops[d].Rank != op.Rank {
-				// Cross-rank ordering must be expressed with messages; a
-				// bare dependency edge has no physical realization.
-				return fmt.Errorf("goal: op %d (rank %d) depends on op %d (rank %d): cross-rank deps are not allowed",
-					i, op.Rank, d, p.Ops[d].Rank)
-			}
-		}
+		forward = forward || fwd
 	}
 	if forward {
-		if err := p.checkAcyclic(); err != nil {
+		outs, off := reverseEdges(p.Ops)
+		if err := checkAcyclic(len(p.Ops), outs, off); err != nil {
 			return err
 		}
 	}
@@ -277,49 +227,126 @@ func (p *Program) Validate() error {
 	return nil
 }
 
+// checkOp checks op i of ops on its own and against its dependencies: its
+// ID, its rank, its kind's peer, tag, size and work bounds, and that each
+// dependency is in range, not itself, and on the same rank. It reports
+// whether the op depends on a later one, which only a topological sort can
+// clear. Validate and Build both check each op through it.
+func checkOp(ops []Op, i, numRanks int) (forward bool, err error) {
+	op := &ops[i]
+	if op.ID != OpID(i) {
+		return false, fmt.Errorf("goal: op %d has ID %d", i, op.ID)
+	}
+	if op.Rank < 0 || int(op.Rank) >= numRanks {
+		return false, fmt.Errorf("goal: op %d rank %d out of range [0,%d)", i, op.Rank, numRanks)
+	}
+	switch op.Kind {
+	case KindSend:
+		if op.Peer < 0 || int(op.Peer) >= numRanks {
+			return false, fmt.Errorf("goal: send op %d peer %d out of range", i, op.Peer)
+		}
+		if op.Peer == op.Rank {
+			return false, fmt.Errorf("goal: send op %d is a self-send", i)
+		}
+		if op.Bytes < 0 {
+			return false, fmt.Errorf("goal: send op %d negative size", i)
+		}
+		if op.Tag < 0 {
+			return false, fmt.Errorf("goal: send op %d negative tag", i)
+		}
+	case KindRecv:
+		if op.Peer != AnySource && (op.Peer < 0 || int(op.Peer) >= numRanks) {
+			return false, fmt.Errorf("goal: recv op %d peer %d out of range", i, op.Peer)
+		}
+		if op.Peer == op.Rank {
+			return false, fmt.Errorf("goal: recv op %d is a self-recv", i)
+		}
+		if op.Bytes < 0 {
+			return false, fmt.Errorf("goal: recv op %d negative size", i)
+		}
+		if op.Tag != AnyTag && op.Tag < 0 {
+			return false, fmt.Errorf("goal: recv op %d negative tag", i)
+		}
+	case KindCalc:
+		if op.Work < 0 {
+			return false, fmt.Errorf("goal: calc op %d negative work", i)
+		}
+	default:
+		return false, fmt.Errorf("goal: op %d has unknown kind %d", i, op.Kind)
+	}
+	for _, d := range op.Deps {
+		if d < 0 || int(d) >= len(ops) {
+			return false, fmt.Errorf("goal: op %d dep %d out of range", i, d)
+		}
+		if d == op.ID {
+			return false, fmt.Errorf("goal: op %d depends on itself", i)
+		}
+		forward = forward || d > op.ID
+		if ops[d].Rank != op.Rank {
+			// Cross-rank ordering must be expressed with messages; a
+			// bare dependency edge has no physical realization.
+			return false, fmt.Errorf("goal: op %d (rank %d) depends on op %d (rank %d): cross-rank deps are not allowed",
+				i, op.Rank, d, ops[d].Rank)
+		}
+	}
+	return forward, nil
+}
+
+// digestBlock is the size of the buffer Digest encodes into before each
+// write to the hash: one call per block instead of one per word.
+const digestBlock = 64 << 10
+
 // Digest returns the SHA-256 fingerprint of everything in the program that
 // determines a simulation: the rank count and each op's kind, rank, peer,
-// tag, bytes, work and dependencies, in op order. The reverse edges are
-// derived from Deps, so they are not hashed. The O(ops) hash runs
-// once per program; later calls return the memoized value. Mutating a
-// program after its first Digest is not supported.
+// tag, bytes, work and dependencies, in op order, each as a zigzag varint.
+// The reverse edges are derived from Deps, so they are not hashed. The
+// O(ops) hash runs once per program; later calls return the memoized value.
+// Mutating a program after its first Digest is not supported.
 func (p *Program) Digest() [sha256.Size]byte {
 	p.digestOnce.Do(func() {
 		h := sha256.New()
-		var buf [binary.MaxVarintLen64]byte
-		word := func(v int64) {
-			h.Write(buf[:binary.PutVarint(buf[:], v)])
-		}
-		word(int64(p.NumRanks))
-		word(int64(len(p.Ops)))
+		// The varints are appended to one buffer and hashed a block at a
+		// time. The buffer is flushed once it passes digestBlock, checked
+		// before each op's seven words and before each dependency, so it
+		// never outgrows its capacity.
+		buf := make([]byte, 0, digestBlock+7*binary.MaxVarintLen64)
+		buf = binary.AppendVarint(buf, int64(p.NumRanks))
+		buf = binary.AppendVarint(buf, int64(len(p.Ops)))
 		for i := range p.Ops {
+			if len(buf) > digestBlock {
+				h.Write(buf)
+				buf = buf[:0]
+			}
 			op := &p.Ops[i]
-			word(int64(op.Kind))
-			word(int64(op.Rank))
-			word(int64(op.Peer))
-			word(int64(op.Tag))
-			word(op.Bytes)
-			word(int64(op.Work))
-			word(int64(len(op.Deps)))
+			buf = binary.AppendVarint(buf, int64(op.Kind))
+			buf = binary.AppendVarint(buf, int64(op.Rank))
+			buf = binary.AppendVarint(buf, int64(op.Peer))
+			buf = binary.AppendVarint(buf, int64(op.Tag))
+			buf = binary.AppendVarint(buf, op.Bytes)
+			buf = binary.AppendVarint(buf, int64(op.Work))
+			buf = binary.AppendVarint(buf, int64(len(op.Deps)))
 			for _, d := range op.Deps {
-				word(int64(d))
+				if len(buf) > digestBlock {
+					h.Write(buf)
+					buf = buf[:0]
+				}
+				buf = binary.AppendVarint(buf, int64(d))
 			}
 		}
+		h.Write(buf)
 		h.Sum(p.digest[:0])
 	})
 	return p.digest
 }
 
-// checkAcyclic runs Kahn's algorithm over the dependency edges. It inverts
-// Deps itself rather than reading p's reverse index, which a Program
-// assembled from bare ops does not have.
-func (p *Program) checkAcyclic() error {
-	outs, off := reverseEdges(p.Ops)
-	indeg := make([]int32, len(p.Ops))
-	for i := range p.Ops {
-		indeg[i] = int32(len(p.Ops[i].Deps))
+// checkAcyclic runs Kahn's algorithm over n ops whose reverse edges are
+// outs[off[i]:off[i+1]]; the in-degrees are the edge counts per target.
+func checkAcyclic(n int, outs []OpID, off []int32) error {
+	indeg := make([]int32, n)
+	for _, out := range outs {
+		indeg[out]++
 	}
-	queue := make([]OpID, 0, len(p.Ops))
+	queue := make([]OpID, 0, n)
 	for i := range indeg {
 		if indeg[i] == 0 {
 			queue = append(queue, OpID(i))
@@ -337,9 +364,9 @@ func (p *Program) checkAcyclic() error {
 			}
 		}
 	}
-	if seen != len(p.Ops) {
+	if seen != n {
 		return fmt.Errorf("goal: dependency graph has a cycle (%d of %d ops reachable)",
-			seen, len(p.Ops))
+			seen, n)
 	}
 	return nil
 }

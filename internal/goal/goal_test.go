@@ -138,6 +138,92 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestBuildAgreesWithValidate builds each of Validate's error cases
+// through a Builder and checks that Build reports exactly what Validate
+// reports for the same ops assembled by hand: the two share one per-op
+// check. A case with GOAL text also parses it, through the same Build.
+func TestBuildAgreesWithValidate(t *testing.T) {
+	calc := func(rank int32, work simtime.Duration, deps ...OpID) Op {
+		return Op{Kind: KindCalc, Rank: rank, Work: work, Deps: deps}
+	}
+	msg := func(k Kind, rank, peer, tag int32, bytes int64) Op {
+		return Op{Kind: k, Rank: rank, Peer: peer, Tag: tag, Bytes: bytes}
+	}
+	cases := []struct {
+		name  string
+		ranks int
+		ops   []Op
+		text  string
+		want  string
+	}{
+		{"valid", 2, []Op{calc(0, 1), msg(KindSend, 0, 1, 0, 8), msg(KindRecv, 1, 0, 0, 8)}, "", ""},
+		{"bad rank", 4, []Op{calc(7, 1)}, "",
+			"goal: op 0 rank 7 out of range [0,4)"},
+		{"negative rank", 4, []Op{calc(0, 1), calc(-1, 1)}, "",
+			"goal: op 1 rank -1 out of range [0,4)"},
+		{"send peer out of range", 2, []Op{msg(KindSend, 0, 5, 0, 8)}, "",
+			"goal: send op 0 peer 5 out of range"},
+		{"recv peer out of range", 2, []Op{msg(KindRecv, 1, -2, 0, 8)}, "",
+			"goal: recv op 0 peer -2 out of range"},
+		{"self-send", 2, []Op{msg(KindSend, 0, 0, 0, 8)}, "",
+			"goal: send op 0 is a self-send"},
+		{"self-recv", 2, []Op{msg(KindRecv, 1, 1, 0, 8)}, "",
+			"goal: recv op 0 is a self-recv"},
+		{"negative send size", 2, []Op{msg(KindSend, 0, 1, 0, -8)}, "",
+			"goal: send op 0 negative size"},
+		{"negative recv size", 2, []Op{msg(KindRecv, 1, 0, 0, -8)}, "",
+			"goal: recv op 0 negative size"},
+		{"negative send tag", 2, []Op{msg(KindSend, 0, 1, -3, 8)}, "",
+			"goal: send op 0 negative tag"},
+		{"negative recv tag", 2, []Op{msg(KindRecv, 1, 0, -3, 8)}, "",
+			"goal: recv op 0 negative tag"},
+		{"negative work", 1, []Op{calc(0, -1)}, "",
+			"goal: calc op 0 negative work"},
+		{"unknown kind", 1, []Op{{Kind: 9}}, "",
+			"goal: op 0 has unknown kind 9"},
+		{"self dep", 1, []Op{calc(0, 1), calc(0, 1, 1)}, "",
+			"goal: op 1 depends on itself"},
+		{"cross-rank dep", 2, []Op{calc(0, 1), calc(1, 1, 0)}, "",
+			"goal: op 1 (rank 1) depends on op 0 (rank 0): cross-rank deps are not allowed"},
+		{"cycle", 1, []Op{calc(0, simtime.Microsecond, 1), calc(0, simtime.Microsecond, 0)},
+			"num_ranks 1\nrank 0 {\n a: calc 1us\n b: calc 1us\n a requires b\n b requires a\n}\n",
+			"goal: dependency graph has a cycle (0 of 2 ops reachable)"},
+	}
+	errString := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, c := range cases {
+		b := NewBuilder(c.ranks)
+		bare := make([]Op, len(c.ops))
+		for i, op := range c.ops {
+			op.Deps = nil
+			b.add(op)
+			bare[i] = c.ops[i]
+			bare[i].ID = OpID(i)
+		}
+		for i, op := range c.ops {
+			if len(op.Deps) > 0 {
+				b.Requires(OpID(i), op.Deps...)
+			}
+		}
+		_, err := b.Build()
+		if got := errString(err); got != c.want {
+			t.Errorf("%s: Build error %q, want %q", c.name, got, c.want)
+		}
+		if got := errString((&Program{NumRanks: c.ranks, Ops: bare}).Validate()); got != c.want {
+			t.Errorf("%s: Validate error %q, want %q", c.name, got, c.want)
+		}
+		if c.text != "" {
+			if _, err := ParseString(c.text); errString(err) != c.want {
+				t.Errorf("%s: Parse error %q, want %q", c.name, errString(err), c.want)
+			}
+		}
+	}
+}
+
 func TestRequiresPanicsOnUnknown(t *testing.T) {
 	b := NewBuilder(1)
 	id := b.Calc(0, 1)
@@ -557,5 +643,18 @@ func TestDepsArenaOrder(t *testing.T) {
 	}
 	if got := w.Outs(x); !same(got, []OpID{c, d}) {
 		t.Errorf("widened Outs(x) = %v, want [%d %d]", got, c, d)
+	}
+}
+
+// TestBuilderReuse checks that a builder starts over empty after Build, so
+// ops added afterwards make a second program of their own.
+func TestBuilderReuse(t *testing.T) {
+	b := NewBuilder(2)
+	b.Calc(1, 1)
+	b.MustBuild()
+	id := b.Calc(0, 2)
+	p := b.MustBuild()
+	if len(p.Ops) != 1 || id != 0 || len(p.RankOps(0)) != 1 || len(p.RankOps(1)) != 0 {
+		t.Errorf("second program: %d ops, ranks %v %v", len(p.Ops), p.RankOps(0), p.RankOps(1))
 	}
 }

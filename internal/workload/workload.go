@@ -16,7 +16,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"checkpointsim/internal/collective"
 	"checkpointsim/internal/goal"
@@ -24,14 +23,11 @@ import (
 	"checkpointsim/internal/simtime"
 )
 
-// reserve pre-sizes the builder from the generator's op-count estimate, so
-// trace construction appends into place instead of re-copying the op table
-// on every capacity doubling. Estimates only need the right magnitude.
-func reserve(b *goal.Builder, est int) { b.Grow(est) }
-
-// allreduceOps bounds the ops one recursive-doubling allreduce adds: a
-// send, a recv and a join per rank per exchange step, plus the fold.
-func allreduceOps(ranks int) int { return 3 * ranks * bits.Len(uint(ranks)) }
+// reserve pre-sizes the builder to the number of ops the generator is about
+// to add, counted from its geometry and the collectives' own op counts, so
+// the op table is allocated once, appended into place, and not larger than
+// the program: every generator reserves within 5% of what it builds.
+func reserve(b *goal.Builder, ops int) { b.Grow(ops) }
 
 // Base holds the parameters common to all workloads.
 type Base struct {
@@ -165,7 +161,7 @@ func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
 	b := goal.NewBuilder(cfg.Ranks)
 	est := cfg.Iterations * haloOps(nbrs)
 	if cfg.ReduceEvery > 0 {
-		est += cfg.Iterations / cfg.ReduceEvery * allreduceOps(cfg.Ranks)
+		est += cfg.Iterations / cfg.ReduceEvery * collective.AllreduceOps(cfg.Ranks)
 	}
 	reserve(b, est)
 	seqs := make([]goal.Sequencer, cfg.Ranks)
@@ -242,7 +238,7 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 	b := goal.NewBuilder(cfg.Ranks)
 	est := cfg.Iterations * haloOps(nbrs)
 	if cfg.ReduceEvery > 0 {
-		est += cfg.Iterations / cfg.ReduceEvery * allreduceOps(cfg.Ranks)
+		est += cfg.Iterations / cfg.ReduceEvery * collective.AllreduceOps(cfg.Ranks)
 	}
 	reserve(b, est)
 	seqs := make([]goal.Sequencer, cfg.Ranks)
@@ -277,12 +273,15 @@ func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
 	return b.Build()
 }
 
-// haloOps counts the ops one stencil iteration adds: per rank a calc, a
-// send and a recv per neighbour, and the join.
+// haloOps counts the ops one stencil iteration adds: per rank a calc and,
+// if it has neighbours, a send and a recv per neighbour and the join.
 func haloOps(nbrs [][]int32) int {
 	n := 0
 	for _, l := range nbrs {
-		n += 2 + 2*len(l)
+		n++
+		if len(l) > 0 {
+			n += 1 + 2*len(l)
+		}
 	}
 	return n
 }
@@ -321,7 +320,9 @@ func Sweep(cfg SweepConfig) (*goal.Program, error) {
 	px, py := Dims2(cfg.Ranks)
 	rankOf := func(x, y int) int { return y*px + x }
 	b := goal.NewBuilder(cfg.Ranks)
-	reserve(b, cfg.Iterations*cfg.Ranks*5) // ≤2 recvs + calc + ≤2 sends
+	// Per iteration a calc per rank, and a send and a recv per grid edge in
+	// each of the two directions.
+	reserve(b, cfg.Iterations*(cfg.Ranks+2*((px-1)*py+px*(py-1))))
 	seqs := make([]goal.Sequencer, cfg.Ranks)
 	for i := range seqs {
 		seqs[i] = *b.Seq(i)
@@ -402,7 +403,14 @@ func CG(cfg CGConfig) (*goal.Program, error) {
 	}
 	p := cfg.Ranks
 	b := goal.NewBuilder(p)
-	reserve(b, cfg.Iterations*(p*6+cfg.DotsPerIter*allreduceOps(p)))
+	perIter := p + cfg.DotsPerIter*collective.AllreduceOps(p) // calcs, dots
+	switch {
+	case p > 2 && cfg.HaloBytes > 0:
+		perIter += 5 * p // two send/recv pairs and a join per rank
+	case p == 2 && cfg.HaloBytes > 0:
+		perIter += 3 * p // one pair and a join
+	}
+	reserve(b, cfg.Iterations*perIter)
 	seqs := make([]goal.Sequencer, p)
 	for i := range seqs {
 		seqs[i] = *b.Seq(i)
@@ -462,7 +470,7 @@ func Transpose(cfg TransposeConfig) (*goal.Program, error) {
 	}
 	p := cfg.Ranks
 	b := goal.NewBuilder(p)
-	reserve(b, cfg.Iterations*p*(2*p+2)) // calc + pairwise exchange + join
+	reserve(b, cfg.Iterations*(p+collective.AlltoallOps(p))) // calcs, transpose
 	seqs := make([]goal.Sequencer, p)
 	for i := range seqs {
 		seqs[i] = *b.Seq(i)
@@ -513,7 +521,9 @@ func Farm(cfg FarmConfig) (*goal.Program, error) {
 	p := cfg.Ranks
 	workers := p - 1
 	b := goal.NewBuilder(p)
-	reserve(b, cfg.Iterations*(workers*5+4)) // dispatch+joins, 3 ops/worker, collect
+	// Per round a send, a recv and three worker ops per worker, the two
+	// joins and the aggregation.
+	reserve(b, cfg.Iterations*(workers*5+3))
 	master := b.Seq(0)
 	wseqs := make([]goal.Sequencer, workers)
 	for i := range wseqs {
@@ -568,7 +578,7 @@ func EP(cfg EPConfig) (*goal.Program, error) {
 		cfg.FinalReduceBytes = 8
 	}
 	b := goal.NewBuilder(cfg.Ranks)
-	reserve(b, cfg.Iterations*cfg.Ranks+allreduceOps(cfg.Ranks))
+	reserve(b, cfg.Iterations*cfg.Ranks+collective.ReduceOps(cfg.Ranks))
 	entries := make([]goal.OpID, cfg.Ranks)
 	r := cfg.computeSource()
 	for i := 0; i < cfg.Ranks; i++ {
@@ -609,7 +619,9 @@ func RandomNeighbor(cfg RandomNeighborConfig) (*goal.Program, error) {
 	}
 	p := cfg.Ranks
 	b := goal.NewBuilder(p)
-	reserve(b, cfg.Iterations*p*(1+3*cfg.Pairings)) // calc + 2 forks + join per pairing
+	// Per iteration a calc per rank, and per pairing two forks and a join
+	// on each matched rank.
+	reserve(b, cfg.Iterations*(p+6*cfg.Pairings*(p/2)))
 	seqs := make([]goal.Sequencer, p)
 	for i := range seqs {
 		seqs[i] = *b.Seq(i)

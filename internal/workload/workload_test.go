@@ -457,3 +457,45 @@ func TestProgramDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestReservationsFit checks that every generator reserves its op table to
+// fit: the table is allocated once (a re-grow would leave spare capacity
+// of a quarter or more) and holds at most 5% more ops than it built.
+func TestReservationsFit(t *testing.T) {
+	check := func(name string, p *goal.Program, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n, c := len(p.Ops), cap(p.Ops)
+		if c < n || float64(c) > 1.05*float64(n) {
+			t.Errorf("%s: %d ops in a table of capacity %d (%.2fx)", name, n, c, float64(c)/float64(n))
+		}
+	}
+	for _, name := range Names() {
+		for _, ranks := range []int{8, 16, 32, 64} {
+			p, err := FromName(name, CommonConfig{Base: base(ranks, 12), Bytes: 1024})
+			check(fmt.Sprintf("%s P=%d", name, ranks), p, err)
+		}
+	}
+	p, err := FromName("stencil2d", CommonConfig{Base: base(2048, 10), Bytes: 4096})
+	check("stencil2d P=2048", p, err)
+}
+
+// BenchmarkBuildProgram builds and fingerprints the P=2048 stencil of the
+// scale_resume benchmark: one million ops through the builder, the one-pass
+// Build and Digest.
+func BenchmarkBuildProgram(b *testing.B) {
+	cfg := CommonConfig{
+		Base:  Base{Ranks: 2048, Iterations: 40, Compute: simtime.Millisecond, Jitter: 0.1, Seed: 1},
+		Bytes: 4096,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := FromName("stencil2d", cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Digest()
+	}
+}
