@@ -12,9 +12,9 @@ import (
 // refEvent / refHeap are a textbook container/heap binary heap on the full
 // (t, seq) key. The differential tests below drive it and the queue through
 // identical operation sequences and demand identical results, so any
-// divergence of the queue's internals (4-ary sifts, the payload slot
-// arena) from the documented total order shows up as a concrete
-// counterexample.
+// divergence of the queue's internals (bucket refills, the node slab and
+// its free list, the behind-the-cursor heap) from the documented total
+// order shows up as a concrete counterexample.
 type refEvent struct {
 	t   simtime.Time
 	seq uint64
@@ -95,6 +95,16 @@ var schedules = []struct {
 		default:
 			return now + simtime.Time(r.Intn(100))
 		}
+	}},
+	// Behind the cursor: now and then a push lands before the last popped
+	// time. A simulation never makes one, but the queue stays an exact
+	// (t, seq) priority queue, so these wait in its fallback heap and must
+	// still pop in order, ahead of everything queued at or after the cursor.
+	{"behind-the-cursor", func(r *rng.Source, now simtime.Time) simtime.Time {
+		if r.Intn(6) == 0 {
+			return now - simtime.Time(1+r.Intn(1000))
+		}
+		return now + simtime.Time(r.Intn(1000))
 	}},
 }
 

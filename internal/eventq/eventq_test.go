@@ -307,3 +307,110 @@ func TestItemsEarlyStop(t *testing.T) {
 		t.Errorf("Items disturbed the queue: %d items left", q.Len())
 	}
 }
+
+// TestSameTimeCascade holds 1024 events at one instant and pushes each
+// popped event straight back at that instant: 200k operations must pop in
+// strict FIFO order and allocate under 1 MB in total. This is the shape that
+// let the old calendar queue grow with the operation count rather than the
+// population.
+func TestSameTimeCascade(t *testing.T) {
+	var q Queue[int]
+	for i := 0; i < 1024; i++ {
+		q.Push(7, i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200_000; i++ {
+		tm, v := q.Pop()
+		if tm != 7 || v != i%1024 {
+			t.Fatalf("op %d popped (%d, %d), want (7, %d)", i, tm, v, i%1024)
+		}
+		q.Push(7, v)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("200k same-time operations at depth 1024 allocated %d bytes, want < 1 MB", grew)
+	}
+	if q.Len() != 1024 {
+		t.Errorf("Len = %d after the cascade, want 1024", q.Len())
+	}
+}
+
+// TestLoadEqualTimesAnyOrder pins Load's contract that a restore may load
+// events in any order: events tied on time pop by sequence whatever order
+// they were loaded in. Blobs written before the queue was encoded sorted
+// store it unsorted, and restoring them depends on this. The test loads
+// ties behind an earlier event into a fresh queue, then ties at exactly the
+// last popped time, then a whole queue's items in a random order.
+func TestLoadEqualTimesAnyOrder(t *testing.T) {
+	r := rng.New(5)
+	expect := func(q *Queue[int], tm simtime.Time, seqs int) {
+		t.Helper()
+		for s := 1; s <= seqs; s++ {
+			if gt, v := q.Pop(); gt != tm || v != s {
+				t.Fatalf("popped (%d, seq %d), want (%d, seq %d)", gt, v, tm, s)
+			}
+		}
+	}
+
+	var q Queue[int]
+	for _, p := range r.Perm(16) {
+		q.Load(100, uint64(p+1), p+1) // the payload is the sequence
+	}
+	q.Load(50, 99, 0)
+	if tm, v := q.Pop(); tm != 50 || v != 0 {
+		t.Fatalf("popped (%d, %d), want the earlier event (50, 0)", tm, v)
+	}
+	expect(&q, 100, 16)
+
+	// The queue last popped time 100: these ties load straight into the
+	// bucket it pops from.
+	q.Load(300, 50, 50)
+	for _, p := range r.Perm(16) {
+		q.Load(100, uint64(p+1), p+1)
+	}
+	expect(&q, 100, 16)
+	if tm, v := q.Pop(); tm != 300 || v != 50 || q.Len() != 0 {
+		t.Fatalf("popped (%d, %d) with %d left, want (300, 50) last", tm, v, q.Len())
+	}
+
+	// A whole queue, dense in ties, reloaded in a random order pops exactly
+	// as the original does, fresh pushes included.
+	var orig, restored Queue[int]
+	for i := 0; i < 2000; i++ {
+		orig.Push(simtime.Time(1000+r.Intn(32)), i)
+	}
+	for i := 0; i < 500; i++ {
+		tm, v := orig.Pop()
+		orig.Push(tm+simtime.Time(r.Intn(4)), v)
+	}
+	type item struct {
+		t   simtime.Time
+		seq uint64
+		v   int
+	}
+	var items []item
+	orig.Items(func(tm simtime.Time, seq uint64, v int) bool {
+		items = append(items, item{tm, seq, v})
+		return true
+	})
+	for _, p := range r.Perm(len(items)) {
+		restored.Load(items[p].t, items[p].seq, items[p].v)
+	}
+	restored.SetSeq(orig.Seq())
+	for step := 0; orig.Len() > 0; step++ {
+		if step%7 == 0 {
+			tm := simtime.Time(1000 + r.Intn(64))
+			orig.Push(tm, -step)
+			restored.Push(tm, -step)
+		}
+		t1, v1 := orig.Pop()
+		t2, v2 := restored.Pop()
+		if t1 != t2 || v1 != v2 {
+			t.Fatalf("pop %d diverged: (%d, %d) vs (%d, %d)", step, t1, v1, t2, v2)
+		}
+	}
+	if restored.Len() != 0 {
+		t.Fatalf("restored queue has %d leftover events", restored.Len())
+	}
+}

@@ -658,3 +658,39 @@ func TestBuilderReuse(t *testing.T) {
 		t.Errorf("second program: %d ops, ranks %v %v", len(p.Ops), p.RankOps(0), p.RankOps(1))
 	}
 }
+
+// TestWidenCarriesValidation checks both ways into Widen. A program that
+// Build validated widens without a second pass over its ops and stays
+// marked validated. A hand-assembled program that was never validated is
+// checked in full: a bad op fails, and a good one comes back validated.
+func TestWidenCarriesValidation(t *testing.T) {
+	b := NewBuilder(2)
+	c := b.Calc(0, 1)
+	b.Send(0, 1, 0, 8)
+	b.Recv(1, 0, 0, 8)
+	p := b.MustBuild()
+	// Programs are immutable once built; breaking one op behind Build's
+	// back makes a second pass over the ops observable as an error.
+	p.Ops[c].Work = -1
+	w, err := Widen(p, 4)
+	if err != nil {
+		t.Fatalf("Widen re-checked a validated program's ops: %v", err)
+	}
+	if !w.validated.Load() {
+		t.Error("widening a validated program lost its validated mark")
+	}
+
+	bad := &Program{NumRanks: 1, Ops: []Op{{Kind: KindCalc, Work: -1}}}
+	if _, err := Widen(bad, 2); err == nil || err.Error() != "goal: calc op 0 negative work" {
+		t.Errorf("Widen of a never-validated bad program: err %v, want the negative work", err)
+	}
+	good := &Program{NumRanks: 1, Ops: []Op{{Kind: KindCalc, Work: 1}}}
+	w, err = Widen(good, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.validated.Load() || good.validated.Load() {
+		t.Errorf("validated marks: widened %v, original %v; want true, false",
+			w.validated.Load(), good.validated.Load())
+	}
+}

@@ -10,6 +10,9 @@ import "fmt"
 // so the spare ranks' CPUs and NICs are real contended resources rather
 // than bookkeeping. The returned program shares op storage with p (both are
 // immutable); widening to the same size returns p itself.
+//
+// Raising NumRanks turns no valid op invalid, so a program widened from a
+// validated p is validated too; only a never-validated p is checked here.
 func Widen(p *Program, numRanks int) (*Program, error) {
 	if numRanks < p.NumRanks {
 		return nil, fmt.Errorf("goal: cannot widen %d-rank program to %d ranks", p.NumRanks, numRanks)
@@ -20,7 +23,9 @@ func Widen(p *Program, numRanks int) (*Program, error) {
 	w := &Program{NumRanks: numRanks, Ops: p.Ops, outs: p.outs, outOff: p.outOff}
 	w.byRank = make([][]OpID, numRanks)
 	copy(w.byRank, p.byRank)
-	if err := w.Validate(); err != nil {
+	if p.validated.Load() {
+		w.validated.Store(true)
+	} else if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	return w, nil
