@@ -5,11 +5,11 @@
 // the rest of the internal/workload suite, at parameterized scales.
 //
 // The emitted traces feed the trace-ingest path: cmd/checksim -trace runs
-// one through a chosen protocol stack, exp.TraceExperiment sweeps the
-// protocol suite over it, and cmd/campaign's corpus goldens pin its
-// results. Equal flags always emit byte-identical traces (workload
-// generators are seeded), so traces are safe to regenerate instead of
-// archive.
+// one through a chosen protocol stack. The committed corpus is also swept
+// through the protocol suite by exp.TraceExperiment, which only its
+// corpus-golden test runs; no command offers that sweep. Equal flags always
+// emit byte-identical traces (workload generators are seeded), so traces
+// are safe to regenerate instead of archive.
 //
 // Usage:
 //

@@ -24,23 +24,3 @@ func PickNode(key string, nodes []string) string {
 	}
 	return best
 }
-
-// RankNodes orders the node set by descending rendezvous score for key:
-// RankNodes(key, nodes)[0] == PickNode(key, nodes), and dropping the
-// primary promotes the next-ranked node. The coordinator uses the ranking
-// to fail a job over deterministically when its primary shard is dead.
-func RankNodes(key string, nodes []string) []string {
-	out := append([]string(nil), nodes...)
-	// Selection by repeated PickNode keeps one scoring definition; node
-	// sets are small (a handful of workers), so O(n²) is irrelevant.
-	for i := 0; i < len(out); i++ {
-		winner := PickNode(key, out[i:])
-		for j := i; j < len(out); j++ {
-			if out[j] == winner {
-				out[i], out[j] = out[j], out[i]
-				break
-			}
-		}
-	}
-	return out
-}

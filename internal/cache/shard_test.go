@@ -62,26 +62,31 @@ func TestPickNodeEmpty(t *testing.T) {
 	}
 }
 
-// RankNodes heads with PickNode's winner and behaves as iterated removal:
-// dropping the primary promotes exactly the second-ranked node.
-func TestRankNodesFailoverOrder(t *testing.T) {
+// Failing over by dropping the dead primary and picking again walks the
+// nodes in one order per key: each promoted node beats every node still
+// behind it, so the next-ranked shard wins whichever of the others are
+// also gone. The coordinator's dead-shard failover relies on this.
+func TestPickNodeFailoverOrder(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		ranked := RankNodes(key, clusterNodes)
-		if len(ranked) != len(clusterNodes) {
-			t.Fatalf("ranking lost nodes: %v", ranked)
-		}
-		if ranked[0] != PickNode(key, clusterNodes) {
-			t.Fatalf("key %s: ranked[0]=%s != PickNode=%s", key, ranked[0], PickNode(key, clusterNodes))
-		}
-		var without []string
-		for _, n := range clusterNodes {
-			if n != ranked[0] {
-				without = append(without, n)
+		alive := append([]string(nil), clusterNodes...)
+		for len(alive) > 0 {
+			winner := PickNode(key, alive)
+			var rest []string
+			for _, n := range alive {
+				if n != winner {
+					rest = append(rest, n)
+				}
 			}
-		}
-		if ranked[1] != PickNode(key, without) {
-			t.Fatalf("key %s: ranked[1]=%s is not the failover winner %s", key, ranked[1], PickNode(key, without))
+			if len(rest) != len(alive)-1 {
+				t.Fatalf("key %s: winner %s is not one of %v", key, winner, alive)
+			}
+			for _, n := range rest {
+				if got := PickNode(key, []string{n, winner}); got != winner {
+					t.Fatalf("key %s: %s won over %v but loses to %s alone", key, winner, alive, n)
+				}
+			}
+			alive = rest
 		}
 	}
 }

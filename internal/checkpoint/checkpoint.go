@@ -184,10 +184,6 @@ type Protocol interface {
 	Name() string
 	// Stats returns the accumulated protocol counters.
 	Stats() Stats
-	// LastCheckpoint returns the time of the most recent checkpoint that
-	// covers the given rank's state (the recovery line a failure of that
-	// rank would roll back to). Zero if no checkpoint completed yet.
-	LastCheckpoint(rank int) simtime.Time
 	// ProgressAtCheckpoint returns the rank's application progress
 	// (cumulative busy time, see sim.Context.RankBusy) captured when its
 	// last covering checkpoint completed. Recovery rework for a failure of
@@ -207,9 +203,6 @@ func (None) Name() string { return "none" }
 
 // Stats implements Protocol.
 func (None) Stats() Stats { return Stats{} }
-
-// LastCheckpoint implements Protocol; there is never a checkpoint.
-func (None) LastCheckpoint(int) simtime.Time { return 0 }
 
 // ProgressAtCheckpoint implements Protocol; with no checkpoints, all
 // progress is lost on failure.

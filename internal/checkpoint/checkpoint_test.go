@@ -138,7 +138,7 @@ func TestCoordinatorChildrenAllocationFree(t *testing.T) {
 
 func TestNoneProtocol(t *testing.T) {
 	var p None
-	if p.Name() != "none" || p.Stats() != (Stats{}) || p.LastCheckpoint(3) != 0 {
+	if p.Name() != "none" || p.Stats() != (Stats{}) {
 		t.Error("None misbehaves")
 	}
 	r := runWith(t, ep(t, 4, 3, simtime.Millisecond), p)
@@ -171,14 +171,14 @@ func TestCoordinatedBasics(t *testing.T) {
 	if st.CoordDelay <= 0 || st.RoundSpan < st.CoordDelay {
 		t.Errorf("coord delay %v, round span %v", st.CoordDelay, st.RoundSpan)
 	}
-	if cp.LastCheckpoint(0) == 0 || cp.LastCheckpoint(0) != cp.LastCheckpoint(7) {
+	if cp.lastLine == 0 {
 		t.Error("global recovery line wrong")
 	}
-	if cp.LastLineStart() >= cp.LastCheckpoint(0) {
+	if cp.lineStart >= cp.lastLine {
 		t.Error("line start not before line end")
 	}
-	if len(cp.Rounds()) != int(st.Rounds) {
-		t.Errorf("round records = %d, rounds = %d", len(cp.Rounds()), st.Rounds)
+	if len(cp.rounds) != int(st.Rounds) {
+		t.Errorf("round records = %d, rounds = %d", len(cp.rounds), st.Rounds)
 	}
 	// Engine-side accounting.
 	if got := r.SeizedTime[ReasonWrite]; got != simtime.Duration(st.Writes)*params.Write {
@@ -202,7 +202,7 @@ func TestCoordinatedRoundsDoNotOverlap(t *testing.T) {
 	params := Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
 	cp, _ := NewCoordinated(params)
 	runWith(t, prog, cp)
-	rounds := cp.Rounds()
+	rounds := cp.rounds
 	if len(rounds) < 3 {
 		t.Fatalf("only %d rounds", len(rounds))
 	}
@@ -235,7 +235,7 @@ func TestUncoordinatedOffsets(t *testing.T) {
 			t.Errorf("%v: uncoordinated sent control messages", pol)
 		}
 		for rank := 0; rank < 8; rank++ {
-			if up.LastCheckpoint(rank) == 0 {
+			if up.last[rank] == 0 {
 				t.Errorf("%v: rank %d has no checkpoint", pol, rank)
 			}
 		}
@@ -256,7 +256,7 @@ func TestStaggeredSpreadsCheckpoints(t *testing.T) {
 	runWith(t, prog, al)
 	distinctAligned := map[simtime.Time]bool{}
 	for r := 0; r < 8; r++ {
-		distinctAligned[al.LastCheckpoint(r)] = true
+		distinctAligned[al.last[r]] = true
 	}
 
 	c.Offset = "staggered"
@@ -264,7 +264,7 @@ func TestStaggeredSpreadsCheckpoints(t *testing.T) {
 	runWith(t, ep(t, 8, 400, 250*simtime.Microsecond), stg)
 	distinctStaggered := map[simtime.Time]bool{}
 	for r := 0; r < 8; r++ {
-		distinctStaggered[stg.LastCheckpoint(r)] = true
+		distinctStaggered[stg.last[r]] = true
 	}
 	if len(distinctAligned) != 1 {
 		t.Errorf("aligned EP checkpoints not aligned: %d distinct", len(distinctAligned))
@@ -281,7 +281,7 @@ func TestRandomOffsetsDeterministicBySeed(t *testing.T) {
 		runWith(t, ep(t, 8, 10, 10*simtime.Millisecond), up)
 		out := make([]simtime.Time, 8)
 		for r := range out {
-			out[r] = up.LastCheckpoint(r)
+			out[r] = up.last[r]
 		}
 		return out
 	}
@@ -360,19 +360,20 @@ func TestHierarchicalMiddle(t *testing.T) {
 		t.Errorf("logged %d of %d: should be a strict subset", st.LoggedMessages, r.Metrics.AppMessages)
 	}
 	for rank := 0; rank < 16; rank++ {
-		if h.LastCheckpoint(rank) == 0 {
+		k := h.cluster(rank)
+		if h.lastLine[k] == 0 {
 			t.Errorf("rank %d has no cluster checkpoint", rank)
 		}
-		if h.LastLineStart(rank) >= h.LastCheckpoint(rank) {
+		if h.lineStart[k] >= h.lastLine[k] {
 			t.Errorf("rank %d line start after end", rank)
 		}
 	}
-	if h.Name() != "hierarchical-4" || h.ClusterSize() != 4 {
-		t.Errorf("identity wrong: %s %d", h.Name(), h.ClusterSize())
+	if h.Name() != "hierarchical-4" || h.clusterSize != 4 {
+		t.Errorf("identity wrong: %s %d", h.Name(), h.clusterSize)
 	}
 	// Ranks in the same cluster share a line; a rank in another cluster
 	// (staggered) generally does not.
-	if h.LastCheckpoint(0) != h.LastCheckpoint(3) {
+	if h.lastLine[h.cluster(0)] != h.lastLine[h.cluster(3)] {
 		t.Error("cluster members disagree on recovery line")
 	}
 }

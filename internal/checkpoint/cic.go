@@ -20,8 +20,9 @@ type cicChan struct {
 // rank keeps a Lamport-style checkpoint index, incremented by basic
 // checkpoints on an independent local timer and piggybacked on every
 // application message. When a receiver's index lags a message's piggybacked
-// index by at least LagThreshold, it takes a forced checkpoint — before the
-// message is processed — and adopts the sender's index. Threshold 1 is the
+// index by at least the lag threshold (Config.CICLag), it takes a forced
+// checkpoint — before the message is processed — and adopts the sender's
+// index. Threshold 1 is the
 // classic Z-path-free rule: no sequence of messages can thread checkpoints
 // into a useless (Z-cycle) recovery line, so a consistent global state
 // always exists without any coordination messages. Larger thresholds trade
@@ -182,10 +183,6 @@ func (c *CIC) MessageMatched(src, dst int, bytes int64) {
 	c.ctx.Mark(dst, "cic-force-due", m)
 	c.p.write(c.ctx, dst, sim.Call{Owner: c, Kind: cicForcedWritten, Arg: cicArg(m, dst)})
 }
-
-// LagThreshold returns the configured index-lag threshold (see
-// validate.CICIntrospect).
-func (c *CIC) LagThreshold() int { return int(c.lag) }
 
 // Name implements Protocol.
 func (c *CIC) Name() string { return "cic" }

@@ -165,7 +165,7 @@ func TestCICConstructorValidation(t *testing.T) {
 		{Kind: KindCIC, Interval: 1, Write: 1, CICLag: -1},
 	})
 	cic := mustNew[*CIC](t, Config{Kind: KindCIC, Interval: 10 * ms, Write: ms}, nil)
-	if cic.LagThreshold() != 1 || cic.Name() != "cic" {
-		t.Errorf("default CIC: lag %d, name %q", cic.LagThreshold(), cic.Name())
+	if cic.lag != 1 || cic.Name() != "cic" {
+		t.Errorf("default CIC: lag %d, name %q", cic.lag, cic.Name())
 	}
 }

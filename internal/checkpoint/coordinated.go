@@ -84,10 +84,6 @@ func (c *Coordinated) Name() string { return "coordinated" }
 // Stats implements Protocol.
 func (c *Coordinated) Stats() Stats { return c.stats }
 
-// LastCheckpoint implements Protocol: every rank is covered by the last
-// completed global line.
-func (c *Coordinated) LastCheckpoint(int) simtime.Time { return c.lastLine }
-
 // ProgressAtCheckpoint implements Protocol: the rank's application progress
 // saved by the last completed global line.
 func (c *Coordinated) ProgressAtCheckpoint(rank int) simtime.Duration {
@@ -96,13 +92,6 @@ func (c *Coordinated) ProgressAtCheckpoint(rank int) simtime.Duration {
 	}
 	return c.coord.committedBusy[rank]
 }
-
-// LastLineStart returns the start time of the last completed round; on a
-// rollback, all work after this instant is lost.
-func (c *Coordinated) LastLineStart() simtime.Time { return c.lineStart }
-
-// Rounds returns the completed round records.
-func (c *Coordinated) Rounds() []RoundRecord { return c.rounds }
 
 var (
 	_ Protocol      = (*Coordinated)(nil)

@@ -31,7 +31,7 @@ func TestNonBlockingRunsWithoutGating(t *testing.T) {
 	if extra == 0 {
 		t.Error("no interference recorded despite slowdown > 1")
 	}
-	if nb.LastCheckpoint(0) == 0 {
+	if nb.lastLine == 0 {
 		t.Error("no recovery line committed")
 	}
 	for rank := 0; rank < 16; rank++ {
@@ -89,7 +89,7 @@ func TestPartnerShipsCheckpoints(t *testing.T) {
 		t.Errorf("ctl bytes %d < shipped %d", r.Metrics.CtlBytes, bytes)
 	}
 	for rank := 0; rank < 16; rank++ {
-		if pt.LastCheckpoint(rank) == 0 {
+		if pt.last[rank] == 0 {
 			t.Errorf("rank %d has no committed image", rank)
 		}
 		if pt.ProgressAtCheckpoint(rank) == 0 {
@@ -232,11 +232,12 @@ func TestTwoLevelRuns(t *testing.T) {
 		t.Error("no global rounds")
 	}
 	for r := 0; r < 16; r++ {
-		if tl.LastCheckpoint(r) == 0 {
+		line := simtime.Max(tl.local.last[r], tl.globalLast)
+		if line == 0 {
 			t.Errorf("rank %d uncovered", r)
 		}
 		// The freshest line is at least as fresh as the global one.
-		if tl.LastCheckpoint(r) < tl.GlobalCheckpoint() {
+		if line < tl.globalLast {
 			t.Errorf("rank %d line older than global", r)
 		}
 		if tl.ProgressAtCheckpoint(r) < tl.GlobalProgressAt(r) {
@@ -259,7 +260,7 @@ func TestTwoLevelLocalLineIsFresher(t *testing.T) {
 	runWith(t, stencil(t, 9, 40, simtime.Millisecond), tl)
 	fresher := 0
 	for r := 0; r < 9; r++ {
-		if tl.LastCheckpoint(r) > tl.GlobalCheckpoint() {
+		if tl.local.last[r] > tl.globalLast {
 			fresher++
 		}
 	}

@@ -125,27 +125,12 @@ func (h *Hierarchical) Name() string {
 // Stats implements Protocol.
 func (h *Hierarchical) Stats() Stats { return h.stats }
 
-// LastCheckpoint implements Protocol: a rank recovers from its cluster's
-// last completed round.
-func (h *Hierarchical) LastCheckpoint(rank int) simtime.Time {
-	return h.lastLine[h.cluster(rank)]
-}
-
 // ProgressAtCheckpoint implements Protocol: the progress saved by the
 // rank's cluster's last completed round.
 func (h *Hierarchical) ProgressAtCheckpoint(rank int) simtime.Duration {
 	c := h.coords[h.cluster(rank)]
 	return c.committedBusy[rank-c.lo]
 }
-
-// LastLineStart returns the start of the last completed round of rank's
-// cluster.
-func (h *Hierarchical) LastLineStart(rank int) simtime.Time {
-	return h.lineStart[h.cluster(rank)]
-}
-
-// ClusterSize returns the configured cluster size.
-func (h *Hierarchical) ClusterSize() int { return h.clusterSize }
 
 // ClusterMembers returns the ranks sharing rank's cluster (including rank
 // itself) — the rollback unit for cluster-level recovery.

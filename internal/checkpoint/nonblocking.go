@@ -189,9 +189,6 @@ func (n *NonBlockingCoordinated) Name() string { return "nonblocking-coordinated
 // Stats implements Protocol.
 func (n *NonBlockingCoordinated) Stats() Stats { return n.stats }
 
-// LastCheckpoint implements Protocol.
-func (n *NonBlockingCoordinated) LastCheckpoint(int) simtime.Time { return n.lastLine }
-
 // ProgressAtCheckpoint implements Protocol.
 //
 // The background write captures the rank's state as of the *start* of the

@@ -167,10 +167,6 @@ func (rp *Replication) Name() string { return "replication" }
 // Stats implements Protocol.
 func (rp *Replication) Stats() Stats { return rp.stats }
 
-// LastCheckpoint implements Protocol: replication keeps no checkpoints —
-// the replica's live state is always current.
-func (rp *Replication) LastCheckpoint(int) simtime.Time { return 0 }
-
 // ProgressAtCheckpoint implements Protocol: the replica mirrors all
 // progress, so nothing is ever lost.
 func (rp *Replication) ProgressAtCheckpoint(rank int) simtime.Duration {

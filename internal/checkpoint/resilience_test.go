@@ -49,9 +49,6 @@ func TestReplicationMirrorsAndHeartbeats(t *testing.T) {
 	if st.Writes != 0 {
 		t.Errorf("replication wrote %d checkpoints, wants none", st.Writes)
 	}
-	if rp.LastCheckpoint(0) != 0 {
-		t.Error("replication reports a checkpoint line")
-	}
 }
 
 func TestReplicationRequiresDivisibleMachine(t *testing.T) {
@@ -86,7 +83,7 @@ func TestCICForcesOnLaggedIndex(t *testing.T) {
 		t.Errorf("forced %d > total writes %d", st.Forced, st.Writes)
 	}
 	for rank := 0; rank < 16; rank++ {
-		if cic.LastCheckpoint(rank) == 0 {
+		if cic.last[rank] == 0 {
 			t.Errorf("rank %d has no recovery line", rank)
 		}
 	}

@@ -166,22 +166,14 @@ func (tl *TwoLevel) Name() string { return "twolevel" }
 // global rounds.
 func (tl *TwoLevel) Stats() Stats { return tl.stats }
 
-// LastCheckpoint implements Protocol: the freshest line covering the rank
-// (normally the local one).
-func (tl *TwoLevel) LastCheckpoint(rank int) simtime.Time {
-	return simtime.Max(tl.local.last[rank], tl.globalLast)
-}
-
-// ProgressAtCheckpoint implements Protocol, matching LastCheckpoint.
+// ProgressAtCheckpoint implements Protocol: the progress saved by the
+// freshest line covering the rank (normally the local one).
 func (tl *TwoLevel) ProgressAtCheckpoint(rank int) simtime.Duration {
 	if tl.local.last[rank] >= tl.globalLast {
 		return tl.local.busyAt[rank]
 	}
 	return tl.globalBusyAt[rank]
 }
-
-// GlobalCheckpoint returns the last committed global line time.
-func (tl *TwoLevel) GlobalCheckpoint() simtime.Time { return tl.globalLast }
 
 // GlobalProgressAt returns the rank's progress saved by the global line.
 func (tl *TwoLevel) GlobalProgressAt(rank int) simtime.Duration {

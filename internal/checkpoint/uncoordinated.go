@@ -67,10 +67,6 @@ func (t *rankTimer) rearm(ctx *sim.Context, rank int) {
 	ctx.AtOwned(simtime.Max(t.fired[rank].Add(t.interval), ctx.Now()), t.owner, t.due, int64(rank))
 }
 
-// LastCheckpoint implements Protocol: each rank recovers from its own most
-// recent local checkpoint.
-func (t *rankTimer) LastCheckpoint(rank int) simtime.Time { return t.last[rank] }
-
 // ProgressAtCheckpoint implements Protocol: the progress saved by the
 // rank's last local checkpoint.
 func (t *rankTimer) ProgressAtCheckpoint(rank int) simtime.Duration { return t.busyAt[rank] }

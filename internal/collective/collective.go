@@ -195,67 +195,6 @@ func AllreduceOps(p int) int {
 	return 4*(p-pof2) + 3*pof2*(bits.Len(uint(pof2))-1)
 }
 
-// AllreduceRabenseifner builds Rabenseifner's allreduce: a recursive-halving
-// reduce-scatter followed by a recursive-doubling allgather. Per-rank
-// traffic is 2·bytes·(P−1)/P instead of recursive doubling's bytes·log2(P),
-// which is why MPI libraries switch to it for large payloads. Non-power-of-
-// two P uses the same fold as Allreduce. Message count is
-// 2·pof2·log2(pof2) + 2·(P−pof2).
-func AllreduceRabenseifner(b *goal.Builder, entry []goal.OpID, tag int, bytes int64) []goal.OpID {
-	validate(b, entry, bytes)
-	p := b.NumRanks()
-	ss := seqs(b, entry)
-	if p == 1 {
-		return exits(ss)
-	}
-	pof2 := 1 << (bits.Len(uint(p)) - 1)
-	if pof2 > p {
-		pof2 >>= 1
-	}
-	rem := p - pof2
-	for i := 0; i < 2*rem; i += 2 {
-		ss[i+1].Send(i, tag, bytes)
-		ss[i].Recv(int32(i+1), int32(tag), bytes)
-	}
-	unmap := func(m int) int {
-		if m < rem {
-			return 2 * m
-		}
-		return m + rem
-	}
-	// chunk returns the exchanged size at XOR distance d, at least 1 byte.
-	chunk := func(d int) int64 {
-		sz := bytes * int64(d) / int64(pof2)
-		if sz < 1 {
-			sz = 1
-		}
-		return sz
-	}
-	exchange := func(d int) {
-		for m := 0; m < pof2; m++ {
-			rank := unmap(m)
-			partner := unmap(m ^ d)
-			s := &ss[rank]
-			sd := s.Fork(goal.KindSend, int32(partner), int32(tag), chunk(d))
-			rv := s.Fork(goal.KindRecv, int32(partner), int32(tag), chunk(d))
-			s.Join(sd, rv)
-		}
-	}
-	// Reduce-scatter: halving sizes, shrinking distances.
-	for d := pof2 / 2; d >= 1; d >>= 1 {
-		exchange(d)
-	}
-	// Allgather: doubling sizes, growing distances.
-	for d := 1; d < pof2; d <<= 1 {
-		exchange(d)
-	}
-	for i := 0; i < 2*rem; i += 2 {
-		ss[i].Send(i+1, tag, bytes)
-		ss[i+1].Recv(int32(i), int32(tag), bytes)
-	}
-	return exits(ss)
-}
-
 // Barrier builds a dissemination barrier: ceil(log2 P) rounds in which rank
 // i signals (i + 2^k) mod P and waits for (i - 2^k) mod P. No rank's exit
 // can precede any rank's entry — the property that makes it a barrier.

@@ -71,7 +71,8 @@ func LoadTraceFile(path string) (*goal.Program, string, string, error) {
 // hierarchical, non-blocking, and partner checkpointing, all derived from
 // the trace's own baseline makespan so the suite scales with the trace.
 // The ID is "trace:<name>@<digest>", so Options.CacheFields stays exact:
-// different trace bytes can never share a cache entry.
+// different trace bytes can never share a cache entry. No command runs it;
+// the corpus-golden test (trace_test.go) does.
 func TraceExperiment(name string, prog *goal.Program, digest string) Experiment {
 	id := "trace:" + name + "@" + digest
 	return Experiment{

@@ -198,11 +198,10 @@ type ClusterProtocol interface {
 }
 
 // TwoLevelProtocol is the extra capability RecoverTwoLevel needs: a
-// protocol exposing its global (severe-failure) recovery line alongside the
-// default (local) one.
+// protocol exposing the progress its global (severe-failure) recovery line
+// saved alongside the default (local) one.
 type TwoLevelProtocol interface {
 	checkpoint.Protocol
-	GlobalCheckpoint() simtime.Time
 	GlobalProgressAt(rank int) simtime.Duration
 }
 
@@ -393,25 +392,6 @@ func (f *Injector) fail() {
 
 // Events returns the injected failures in order.
 func (f *Injector) Events() []Event { return f.evts }
-
-// TotalLost returns the total discarded work.
-func (f *Injector) TotalLost() simtime.Duration {
-	var t simtime.Duration
-	for _, e := range f.evts {
-		t += e.LostWork
-	}
-	return t
-}
-
-// TotalRecovery returns the total recovery seizure charged (per affected
-// rank; a global rollback charges this to every rank).
-func (f *Injector) TotalRecovery() simtime.Duration {
-	var t simtime.Duration
-	for _, e := range f.evts {
-		t += e.Recovery
-	}
-	return t
-}
 
 var (
 	_ sim.Agent     = (*Injector)(nil)

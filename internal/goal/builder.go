@@ -30,9 +30,6 @@ func NewBuilder(numRanks int) *Builder {
 // NumRanks returns the rank count the builder was created with.
 func (b *Builder) NumRanks() int { return b.numRanks }
 
-// NumOps returns the number of operations added so far.
-func (b *Builder) NumOps() int { return len(b.ops) }
-
 // Grow reserves capacity for at least n additional operations and twice as
 // many dependency edges (generated programs carry one to two per op).
 // Generators that can count their ops from the geometry call it once up
@@ -303,6 +300,3 @@ func (s *Sequencer) Fork(kind Kind, peer int32, tag int32, bytes int64) OpID {
 
 // Last returns the current tail of the sequence (NoOp when empty).
 func (s *Sequencer) Last() OpID { return s.last }
-
-// Rank returns the rank this sequencer appends to.
-func (s *Sequencer) Rank() int { return s.rank }

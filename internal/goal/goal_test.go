@@ -308,7 +308,7 @@ func TestCheckBalanced(t *testing.T) {
 func TestSequencer(t *testing.T) {
 	b := NewBuilder(2)
 	s := b.Seq(0)
-	if s.Last() != NoOp || s.Rank() != 0 {
+	if s.Last() != NoOp || s.rank != 0 {
 		t.Error("fresh sequencer state wrong")
 	}
 	c1 := s.Calc(10)

@@ -11,7 +11,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -63,33 +62,6 @@ func Efficiency(delta, r, mtbf, tau float64) float64 {
 		return math.NaN()
 	}
 	return 1 / t
-}
-
-// OptimalIntervalNumeric finds the runtime-minimizing interval by golden-
-// section search over [lo, hi] (seconds). It exists to validate the closed
-// forms and to handle regimes where Daly's expansion degrades.
-func OptimalIntervalNumeric(delta, r, mtbf, lo, hi float64) float64 {
-	if !(lo > 0) || !(hi > lo) {
-		return math.NaN()
-	}
-	f := func(tau float64) float64 { return ExpectedRuntime(1, delta, r, mtbf, tau) }
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := f(c), f(d)
-	for i := 0; i < 200 && (b-a) > 1e-9*(1+b); i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
 }
 
 // SystemMTBF returns the machine MTBF given per-node MTBF and node count.
@@ -189,18 +161,6 @@ func UncoordinatedEfficiency(pr ProtocolProjection) float64 {
 	}
 	eff := Efficiency(pr.Write, pr.Restart, m*sp, tau)
 	return eff / (1 + pr.LogOverhead)
-}
-
-// Crossover reports whether the uncoordinated projection beats the
-// coordinated one at the given point.
-func Crossover(pr ProtocolProjection) bool {
-	return UncoordinatedEfficiency(pr) > CoordinatedEfficiency(pr)
-}
-
-// String renders a projection point for reports.
-func (pr ProtocolProjection) String() string {
-	return fmt.Sprintf("P=%d θ=%.3gs δ=%.3gs R=%.3gs coord=%.3gs log=%.3g",
-		pr.Nodes, pr.NodeMTBF, pr.Write, pr.Restart, pr.CoordDelay, pr.LogOverhead)
 }
 
 // TwoLevelIntervals returns the per-level checkpoint intervals for a

@@ -122,22 +122,6 @@ func (p Params) Eager(bytes int64) bool {
 	return p.RendezvousThreshold == 0 || bytes < p.RendezvousThreshold
 }
 
-// PingPong returns the model's half-round-trip time for an eager message:
-// the classic o + L + (s-1)·G + o. Used for validation against closed forms.
-func (p Params) PingPong(bytes int64) simtime.Duration {
-	return p.Overhead + p.Wire(bytes) + p.Overhead +
-		2*perByte(p.OverheadPerByte, bytes)
-}
-
-// Bandwidth returns the asymptotic wire bandwidth in bytes/second implied by
-// G, or +Inf when G is zero.
-func (p Params) Bandwidth() float64 {
-	if p.GapPerByte == 0 {
-		return math.Inf(1)
-	}
-	return 1e9 / p.GapPerByte
-}
-
 // String renders the parameter set compactly.
 func (p Params) String() string {
 	return fmt.Sprintf("LogGOPS{L=%v o=%v g=%v G=%.3gns/B O=%.3gns/B S=%dB}",

@@ -87,19 +87,10 @@ func TestPingPongClosedForm(t *testing.T) {
 	want := 2*p.Overhead + p.Latency +
 		simtime.Duration(math.Round(p.GapPerByte*float64(s-1))) +
 		simtime.Duration(math.Round(p.OverheadPerByte*float64(s-1)))*2
-	if got := p.PingPong(s); got != want {
-		t.Errorf("PingPong(8) = %v, want %v", got, want)
-	}
-}
-
-func TestBandwidth(t *testing.T) {
-	p := Params{GapPerByte: 0.5}
-	if got := p.Bandwidth(); got != 2e9 {
-		t.Errorf("Bandwidth = %v, want 2e9", got)
-	}
-	p.GapPerByte = 0
-	if !math.IsInf(p.Bandwidth(), 1) {
-		t.Error("zero G should give infinite bandwidth")
+	// An eager message's half round trip is its send CPU, wire and
+	// receive CPU costs in sequence.
+	if got := p.SendCPU(s) + p.Wire(s) + p.RecvCPU(s); got != want {
+		t.Errorf("half round trip of 8 B = %v, want %v", got, want)
 	}
 }
 
@@ -153,8 +144,7 @@ func TestQuickMonotoneInSize(t *testing.T) {
 		return p.SendCPU(x) <= p.SendCPU(y) &&
 			p.RecvCPU(x) <= p.RecvCPU(y) &&
 			p.NIC(x) <= p.NIC(y) &&
-			p.Wire(x) <= p.Wire(y) &&
-			p.PingPong(x) <= p.PingPong(y)
+			p.Wire(x) <= p.Wire(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -47,11 +47,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DutyCycle returns the fraction of CPU time the source steals.
-func (c Config) DutyCycle() float64 {
-	return float64(c.Duration) / float64(c.Period)
-}
-
 // Injector is the sim.Agent that injects the configured noise.
 type Injector struct {
 	cfg    Config
@@ -103,12 +98,6 @@ func (n *Injector) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	snapshot.Int(c, &n.events)
 	snapshot.Int(c, &n.stolen)
 }
-
-// Events returns the number of noise events injected.
-func (n *Injector) Events() int64 { return n.events }
-
-// Stolen returns the total CPU time injected across all ranks.
-func (n *Injector) Stolen() simtime.Duration { return n.stolen }
 
 var (
 	_ sim.Agent     = (*Injector)(nil)

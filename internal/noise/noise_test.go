@@ -1,7 +1,6 @@
 package noise
 
 import (
-	"math"
 	"testing"
 
 	"checkpointsim/internal/goal"
@@ -15,9 +14,6 @@ func TestConfigValidate(t *testing.T) {
 	good := Config{Period: simtime.Millisecond, Duration: 25 * simtime.Microsecond}
 	if err := good.Validate(); err != nil {
 		t.Error(err)
-	}
-	if got := good.DutyCycle(); math.Abs(got-0.025) > 1e-12 {
-		t.Errorf("duty cycle = %v", got)
 	}
 	bad := []Config{
 		{Period: 0, Duration: 1},
@@ -78,11 +74,11 @@ func TestNoiseSlowsEPByDutyCycle(t *testing.T) {
 	if slow < 1.05 || slow > 1.20 {
 		t.Errorf("EP slowdown %v, want ~1.11", slow)
 	}
-	if inj.Events() == 0 || inj.Stolen() == 0 {
+	if inj.events == 0 || inj.stolen == 0 {
 		t.Error("no noise recorded")
 	}
-	if r.SeizedTime[Reason] != inj.Stolen() {
-		t.Errorf("engine seized %v, injector claims %v", r.SeizedTime[Reason], inj.Stolen())
+	if r.SeizedTime[Reason] != inj.stolen {
+		t.Errorf("engine seized %v, injector claims %v", r.SeizedTime[Reason], inj.stolen)
 	}
 }
 
@@ -101,8 +97,8 @@ func TestPoissonNoiseRuns(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Events() < 50 {
-		t.Errorf("only %d Poisson events over ~50ms x 4 ranks at 1kHz", inj.Events())
+	if inj.events < 50 {
+		t.Errorf("only %d Poisson events over ~50ms x 4 ranks at 1kHz", inj.events)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package rng provides a small, fast, deterministic random number generator
-// and the distributions the simulator needs (uniform, exponential, Weibull,
-// normal, Poisson).
+// and the distributions the simulator needs (uniform on [0, 1), exponential,
+// Weibull, normal, and random permutations).
 //
 // The simulator must be bit-for-bit reproducible from a seed, independent of
 // Go version, so we implement xoshiro256** seeded via splitmix64 rather than
@@ -139,11 +139,6 @@ func (r *Source) Float64Open() float64 {
 	}
 }
 
-// Uniform returns a uniform float64 in [lo, hi).
-func (r *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Exp returns an exponentially distributed value with the given mean
 // (mean = 1/rate). It panics if mean <= 0.
 func (r *Source) Exp(mean float64) float64 {
@@ -185,35 +180,6 @@ func (r *Source) TruncNormal(mean, stddev, lo float64) float64 {
 	return lo
 }
 
-// Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and normal approximation above 500 (where
-// Knuth's product underflows and the approximation error is negligible).
-func (r *Source) Poisson(mean float64) int {
-	if mean < 0 {
-		panic("rng: Poisson with negative mean")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 500 {
-		v := r.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	limit := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0, n) (Fisher-Yates).
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -225,13 +191,4 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomly permutes the first n elements using the provided swap
-// function (Fisher-Yates).
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

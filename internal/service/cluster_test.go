@@ -275,10 +275,10 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	if !bytes.Equal(out.body, ref) {
 		t.Fatalf("recovered bytes differ from single-process run:\n--- recovered ---\n%s\n--- local ---\n%s", out.body, ref)
 	}
-	if n := c.workers[survivor].srv.JobResumes(); n != 1 {
+	if n := c.workers[survivor].srv.jobResumes.Value(); n != 1 {
 		t.Errorf("survivor JobResumes = %d, want 1 (should have resumed from the shipped blob)", n)
 	}
-	if n := c.workers[survivor].srv.ColdRetries(); n != 0 {
+	if n := c.workers[survivor].srv.coldRetries.Value(); n != 0 {
 		t.Errorf("survivor ColdRetries = %d, want 0 (the shipped blob should have restored)", n)
 	}
 

@@ -290,8 +290,8 @@ func (c *Coordinator) workerByName(name string) *workerState {
 
 // pickAlive rendezvous-hashes key over the live worker set. Restricting
 // the candidate set to survivors is what makes failover automatic: the
-// highest-weight survivor for a key is exactly RankNodes' next choice
-// after the dead primary, so only the dead worker's keys move.
+// highest-weight survivor for a key is the next-ranked node after the dead
+// primary, so only the dead worker's keys move.
 func (c *Coordinator) pickAlive(key string) *workerState {
 	name := cache.PickNode(key, c.aliveNames())
 	if name == "" {

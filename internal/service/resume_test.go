@@ -67,13 +67,13 @@ func TestScenarioSnapshotLifecycle(t *testing.T) {
 	if !bytes.Equal(got, cold) {
 		t.Fatalf("snapshotting changed the result:\n--- snapshotting ---\n%s\n--- cold ---\n%s", got, cold)
 	}
-	if n := snapSrv.SnapshotsTaken(); n == 0 {
+	if n := snapSrv.snapsTaken.Value(); n == 0 {
 		t.Error("no snapshots persisted during the run")
 	}
-	if n := snapSrv.JobResumes(); n != 0 {
+	if n := snapSrv.jobResumes.Value(); n != 0 {
 		t.Errorf("fresh run counted %d resumes", n)
 	}
-	if n := snapSrv.ColdRetries(); n != 0 {
+	if n := snapSrv.coldRetries.Value(); n != 0 {
 		t.Errorf("fresh run counted %d cold retries", n)
 	}
 	left, _ := filepath.Glob(filepath.Join(dir, "*"))
@@ -110,10 +110,10 @@ func TestKillAndResumeScenario(t *testing.T) {
 	if !bytes.Equal(got, cold) {
 		t.Fatalf("resumed result diverged from cold run:\n--- resumed ---\n%s\n--- cold ---\n%s", got, cold)
 	}
-	if n := srv.JobResumes(); n != 1 {
+	if n := srv.jobResumes.Value(); n != 1 {
 		t.Errorf("JobResumes = %d, want 1", n)
 	}
-	if n := srv.ColdRetries(); n != 0 {
+	if n := srv.coldRetries.Value(); n != 0 {
 		t.Errorf("ColdRetries = %d, want 0 (the snapshot should have restored)", n)
 	}
 	// The resumed engine restores its event counter from the snapshot, so
@@ -147,10 +147,10 @@ func TestResumeCorruptSnapshotFallsBackCold(t *testing.T) {
 	if !bytes.Equal(got, cold) {
 		t.Fatalf("cold-fallback result diverged:\n--- fallback ---\n%s\n--- cold ---\n%s", got, cold)
 	}
-	if n := srv.JobResumes(); n != 1 {
+	if n := srv.jobResumes.Value(); n != 1 {
 		t.Errorf("JobResumes = %d, want 1 (the resume was attempted)", n)
 	}
-	if n := srv.ColdRetries(); n != 1 {
+	if n := srv.coldRetries.Value(); n != 1 {
 		t.Errorf("ColdRetries = %d, want 1", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, key+".ckpt")); !os.IsNotExist(err) {
@@ -176,11 +176,11 @@ func TestColdRetriesCountExactlyOncePerFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		runScenarioSync(t, ts.URL, sc)
-		if n := srv.ColdRetries(); n != int64(i+1) {
+		if n := srv.coldRetries.Value(); n != int64(i+1) {
 			t.Fatalf("after fallback %d: ColdRetries = %d, want %d", i+1, n, i+1)
 		}
 	}
-	if n := srv.JobResumes(); n != 2 {
+	if n := srv.jobResumes.Value(); n != 2 {
 		t.Errorf("JobResumes = %d, want 2 (both restores were attempted)", n)
 	}
 
@@ -205,7 +205,7 @@ func TestExperimentJobsNotSnapshotted(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
 	}
-	if n := srv.SnapshotsTaken(); n != 0 {
+	if n := srv.snapsTaken.Value(); n != 0 {
 		t.Errorf("experiment sweep persisted %d snapshots", n)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "*"))

@@ -397,18 +397,6 @@ func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 // dedup tests assert.
 func (s *Server) SimEvents() int64 { return s.simEvents.Value() }
 
-// JobResumes returns how many scenario jobs resumed from a persisted
-// snapshot instead of running from t=0.
-func (s *Server) JobResumes() int64 { return s.jobResumes.Value() }
-
-// SnapshotsTaken returns how many job snapshots were persisted to
-// Config.SnapshotDir.
-func (s *Server) SnapshotsTaken() int64 { return s.snapsTaken.Value() }
-
-// ColdRetries returns how many resume attempts fell back to a cold run
-// because the persisted snapshot failed to restore.
-func (s *Server) ColdRetries() int64 { return s.coldRetries.Value() }
-
 // --- HTTP layer ---
 
 func (s *Server) buildMux() *http.ServeMux {

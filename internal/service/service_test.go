@@ -243,19 +243,20 @@ func TestRetryAfterTracksQueueDepth(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.jobLat.Observe(2.0)
 	}
-	s.queueDepth.Set(0)
+	setDepth := func(n int64) { s.queueDepth.Add(n - s.queueDepth.Value()) }
+	setDepth(0)
 	if got := s.retryAfterSeconds(); got != 2 {
 		t.Errorf("empty queue: Retry-After %d, want 2", got)
 	}
-	s.queueDepth.Set(6)
+	setDepth(6)
 	if got := s.retryAfterSeconds(); got != 8 {
 		t.Errorf("depth 6, 2 workers: Retry-After %d, want (6/2+1)*2 = 8", got)
 	}
-	s.queueDepth.Set(1000) // pathological backlog hits the ceiling
+	setDepth(1000) // pathological backlog hits the ceiling
 	if got := s.retryAfterSeconds(); got != 60 {
 		t.Errorf("deep queue: Retry-After %d, want clamp 60", got)
 	}
-	s.queueDepth.Set(0)
+	setDepth(0)
 }
 
 // A client that disconnects mid-run cancels its sweep: the job fails

@@ -254,13 +254,6 @@ func (c *Context) SendControl(src, dst int, bytes int64, deliver Call) {
 // completed. Agents may use it to stop periodic activity near the end.
 func (c *Context) OpsRemaining() int { return c.eng.opsLeft }
 
-// RankProgress returns the completion time of the most recently finished
-// application op on rank (zero if none yet). Protocols use it to reason
-// about how far a rank has progressed.
-func (c *Context) RankProgress(rank int) simtime.Time {
-	return c.eng.ranks[rank].finish
-}
-
 // RankBusy returns the cumulative application CPU time rank has executed so
 // far — its useful progress. Recovery models use deltas of this (progress
 // since the last recovery line) as the rework a rollback discards; wall

@@ -570,8 +570,8 @@ func TestContextIntrospection(t *testing.T) {
 		nr = ctx.NumRanks()
 		at(ctx, 250, func() {
 			ops = ctx.OpsRemaining()
-			if ctx.RankProgress(0) != 100 {
-				t.Errorf("RankProgress(0) = %v", ctx.RankProgress(0))
+			if got := ctx.eng.ranks[0].finish; got != 100 {
+				t.Errorf("rank 0 finish = %v", got)
 			}
 			if ctx.Rand() == nil {
 				t.Error("nil Rand")

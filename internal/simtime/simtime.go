@@ -58,23 +58,11 @@ func (t Time) Add(d Duration) Time {
 // Sub returns the duration t - u.
 func (t Time) Sub(u Time) Duration { return Duration(int64(t) - int64(u)) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
-// Seconds returns the time as a float64 second count.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
 // String formats the time with an adaptive unit, e.g. "1.234ms".
 func (t Time) String() string { return Duration(t).String() }
 
 // Seconds returns the duration as a float64 second count.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Microseconds returns the duration as a float64 microsecond count.
-func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
 
 // Scale returns d multiplied by the dimensionless factor f, rounding to the
 // nearest nanosecond and saturating at Forever.
@@ -226,22 +214,6 @@ func (d *Duration) Set(s string) error {
 
 // Max returns the larger of a and b.
 func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxDuration returns the larger of a and b.
-func MaxDuration(a, b Duration) Duration {
 	if a > b {
 		return a
 	}

@@ -28,9 +28,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // The zero value is ready.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add shifts the value by n (may be negative).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 

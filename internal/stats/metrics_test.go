@@ -34,7 +34,7 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.v.Store(10)
 	g.Add(-3)
 	g.Add(1)
 	if got := g.Value(); got != 8 {

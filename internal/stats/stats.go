@@ -1,14 +1,10 @@
 // Package stats provides the summary statistics used by the experiment
-// harness: means, variances, percentiles, confidence intervals, histograms,
-// and least-squares fits. It works on float64 slices and on streaming
-// accumulators, all allocation-conscious and dependency-free.
+// harness and the sweep service: means, variances, confidence intervals,
+// histograms and their quantiles, and the service's counters and gauges.
+// It works on float64 slices and is dependency-free.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
 func Mean(xs []float64) float64 {
@@ -40,92 +36,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It copies and sorts its input; use
-// Percentiles for several cuts of the same data. NaN for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// Percentiles returns the requested percentiles of xs with a single sort.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(xs) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // tCrit95 holds the two-sided 95% Student-t critical values for 1..29
 // degrees of freedom. Beyond that the normal approximation (1.96) is within
 // 2% and CI95 falls back to it.
@@ -150,159 +60,6 @@ func CI95(xs []float64) float64 {
 		z = tCrit95[df-1]
 	}
 	return z * StdDev(xs) / math.Sqrt(float64(n))
-}
-
-// Summary holds the one-pass description of a sample.
-type Summary struct {
-	N              int
-	Mean, Std      float64
-	Min, Max       float64
-	P25, P50, P75  float64
-	P95, P99, P999 float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		nan := math.NaN()
-		s.Mean, s.Std, s.Min, s.Max = nan, nan, nan, nan
-		s.P25, s.P50, s.P75, s.P95, s.P99, s.P999 = nan, nan, nan, nan, nan, nan
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.Std = StdDev(xs)
-	ps := Percentiles(xs, 0, 25, 50, 75, 95, 99, 99.9, 100)
-	s.Min, s.P25, s.P50, s.P75, s.P95, s.P99, s.P999, s.Max =
-		ps[0], ps[1], ps[2], ps[3], ps[4], ps[5], ps[6], ps[7]
-	return s
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p99=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.P50, s.P99, s.Max)
-}
-
-// Accumulator is a streaming mean/variance accumulator (Welford's method),
-// suitable for long simulations where retaining every sample is wasteful.
-// The zero value is ready to use.
-type Accumulator struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add incorporates x into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-}
-
-// N returns the number of samples added.
-func (a *Accumulator) N() int64 { return a.n }
-
-// Mean returns the running mean (NaN if empty).
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.mean
-}
-
-// Variance returns the running unbiased variance (NaN if n < 2).
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return math.NaN()
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the running standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest sample seen (NaN if empty).
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest sample seen (NaN if empty).
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
-}
-
-// Merge combines another accumulator into a (parallel reduction).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += d * float64(b.n) / float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
-// LinearFit returns the least-squares slope and intercept of y over x, plus
-// the coefficient of determination R². It panics if len(x) != len(y) and
-// returns NaNs for fewer than two points. Constant x (a degenerate one-point
-// or flat sweep) has no defined slope; rather than dividing by zero and
-// poisoning downstream report columns with NaNs, the fit degrades to the
-// horizontal line through the data: slope 0, intercept mean(y), R² 0.
-func LinearFit(x, y []float64) (slope, intercept, r2 float64) {
-	if len(x) != len(y) {
-		panic("stats: LinearFit length mismatch")
-	}
-	if len(x) < 2 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return 0, my, 0
-	}
-	slope = sxy / sxx
-	intercept = my - slope*mx
-	if syy == 0 {
-		r2 = 1
-	} else {
-		r2 = sxy * sxy / (sxx * syy)
-	}
-	return slope, intercept, r2
 }
 
 // Histogram is a fixed-width-bin histogram over [Lo, Hi); samples outside
@@ -338,9 +95,6 @@ func (h *Histogram) Add(x float64) {
 		h.Bins[i]++
 	}
 }
-
-// N returns the total number of samples added (including out-of-range).
-func (h *Histogram) N() int64 { return h.n }
 
 // BinCenter returns the center value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {

@@ -222,8 +222,8 @@ func New(p Params) (*Store, error) {
 }
 
 // Unlimited returns a store with no bandwidth constraints — the legacy
-// fixed-duration write path. Protocols detect it via IsUnlimited/TierLimited
-// and reproduce pre-storage results byte-identically.
+// fixed-duration write path. Protocols detect it via TierLimited and
+// reproduce pre-storage results byte-identically.
 func Unlimited() *Store { return &Store{} }
 
 // Params returns the store's parameter set.
@@ -231,11 +231,6 @@ func (s *Store) Params() Params { return s.p }
 
 // Stats returns the accumulated counters.
 func (s *Store) Stats() Stats { return s.stats }
-
-// IsUnlimited reports whether no tier imposes any constraint.
-func (s *Store) IsUnlimited() bool {
-	return !s.TierLimited(TierGlobal) && !s.TierLimited(TierNode)
-}
 
 // TierLimited reports whether writes to the given tier face a finite
 // bandwidth. Unconstrained tiers take the legacy fixed-duration path.

@@ -89,14 +89,14 @@ func TestParamsValidate(t *testing.T) {
 
 func TestUnlimitedPredicates(t *testing.T) {
 	u := Unlimited()
-	if !u.IsUnlimited() || u.TierLimited(TierGlobal) || u.TierLimited(TierNode) {
+	if u.TierLimited(TierGlobal) || u.TierLimited(TierNode) {
 		t.Error("Unlimited store reports constraints")
 	}
 	s, err := New(Params{AggregateBytesPerSec: gbps(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.IsUnlimited() || !s.TierLimited(TierGlobal) {
+	if !s.TierLimited(TierGlobal) {
 		t.Error("aggregate-limited store not global-limited")
 	}
 	if s.TierLimited(TierNode) {

@@ -37,12 +37,6 @@ func (c *Collector) Add(ev sim.TraceEvent) {
 	}
 }
 
-// Events returns the recorded events in completion order.
-func (c *Collector) Events() []sim.TraceEvent { return c.events }
-
-// Ranks returns the number of ranks observed.
-func (c *Collector) Ranks() int { return c.ranks }
-
 // class buckets a CPU record for reporting.
 func class(ev sim.TraceEvent) string {
 	switch ev.Kind.Class() {

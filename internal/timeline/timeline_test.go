@@ -45,10 +45,10 @@ func traceRun(t *testing.T) (*Collector, *sim.Result) {
 
 func TestCollectorGathersEverything(t *testing.T) {
 	col, r := traceRun(t)
-	if col.Ranks() != 4 {
-		t.Errorf("ranks = %d", col.Ranks())
+	if col.ranks != 4 {
+		t.Errorf("ranks = %d", col.ranks)
 	}
-	if len(col.Events()) == 0 {
+	if len(col.events) == 0 {
 		t.Fatal("no events")
 	}
 	// Aggregate app time must match the engine's own accounting.
@@ -254,8 +254,8 @@ func TestSmallGoalProgramTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(col.Events()) != 3 { // calc, send, recv
-		t.Errorf("events = %d", len(col.Events()))
+	if len(col.events) != 3 { // calc, send, recv
+		t.Errorf("events = %d", len(col.events))
 	}
 	us := col.Utilization(r.Makespan)
 	if us[0].App <= us[1].App {

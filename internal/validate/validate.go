@@ -217,9 +217,6 @@ func (c *Checker) fail(format string, args ...any) {
 	c.violations = append(c.violations, fmt.Sprintf(format, args...))
 }
 
-// Violations returns the retained violation messages.
-func (c *Checker) Violations() []string { return c.violations }
-
 // Err returns nil when no violation was recorded, or one error
 // summarizing all of them.
 func (c *Checker) Err() error {
@@ -251,10 +248,6 @@ func (c *Checker) rank(i int) *rankState {
 func (st *rankState) grantLabel() string {
 	return sim.TraceEvent{Kind: st.grantKind, Name: st.grantName}.Label()
 }
-
-// Add consumes one trace event (in emission order — pass events in the
-// exact sequence the engine produced them).
-func (c *Checker) Add(ev sim.TraceEvent) { c.add(&ev) }
 
 // msg returns the state of message id, or nil when no injection record
 // named it.
@@ -860,11 +853,10 @@ func (c *Checker) CheckReplication(p ReplicaMirror) error {
 	return c.Err()
 }
 
-// CICIntrospect is the introspection surface of a communication-induced
-// checkpointing protocol.
+// CICIntrospect is the introspection surface CheckCIC reads from a
+// communication-induced checkpointing protocol.
 type CICIntrospect interface {
 	Stats() checkpoint.Stats
-	LagThreshold() int
 }
 
 // CheckCIC reconciles the protocol's checkpoint counters against the
@@ -886,8 +878,9 @@ func (c *Checker) CheckCIC(p CICIntrospect) error {
 
 // FinishRun is the complete post-run conformance check: Finish against the
 // engine's result, CheckStorage when st is non-nil, then CheckLogging,
-// CheckReplication and CheckCIC for every agent exposing the matching
-// introspection surface. It returns the first failing step's error.
+// CheckReplication for every agent exposing the matching introspection
+// surface, and CheckCIC for every CIC protocol. It returns the first
+// failing step's error.
 func (c *Checker) FinishRun(res *sim.Result, st *storage.Store, agents ...sim.Agent) error {
 	if err := c.Finish(res); err != nil {
 		return err
@@ -908,7 +901,7 @@ func (c *Checker) FinishRun(res *sim.Result, st *storage.Store, agents ...sim.Ag
 				return err
 			}
 		}
-		if ci, ok := a.(CICIntrospect); ok {
+		if ci, ok := a.(*checkpoint.CIC); ok {
 			if err := c.CheckCIC(ci); err != nil {
 				return err
 			}
