@@ -31,16 +31,19 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	compute := simtime.Millisecond
+	cfg := workload.CommonConfig{
+		Base:  workload.Base{Ranks: 16, Iterations: 2, Compute: simtime.Millisecond, Seed: 42},
+		Bytes: 4096,
+	}
 	fs := flag.NewFlagSet("goalviz", flag.ContinueOnError)
-	fs.Var(&compute, "compute", "per-iteration compute (for -workload)")
+	fs.IntVar(&cfg.Ranks, "ranks", cfg.Ranks, "ranks (for -workload)")
+	fs.IntVar(&cfg.Iterations, "iters", cfg.Iterations, "iterations (for -workload)")
+	fs.Var(&cfg.Compute, "compute", "per-iteration compute (for -workload)")
+	fs.Int64Var(&cfg.Bytes, "bytes", cfg.Bytes, "message size (for -workload)")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "workload seed")
 	var (
 		workloadName = fs.String("workload", "", "built-in workload to inspect")
 		in           = fs.String("in", "", "read a textual GOAL program instead")
-		ranks        = fs.Int("ranks", 16, "ranks (for -workload)")
-		iters        = fs.Int("iters", 2, "iterations (for -workload)")
-		bytes        = fs.Int64("bytes", 4096, "message size (for -workload)")
-		seed         = fs.Uint64("seed", 42, "workload seed")
 		dotPath      = fs.String("dot", "", "write Graphviz to this file")
 		text         = fs.Bool("text", false, "print the canonical GOAL text")
 		simulate     = fs.Bool("simulate", false, "also simulate and compare against the critical path")
@@ -63,11 +66,7 @@ func run(args []string, out io.Writer) error {
 		}
 	case *workloadName != "":
 		var err error
-		prog, err = workload.FromName(*workloadName, workload.CommonConfig{
-			Base: workload.Base{Ranks: *ranks, Iterations: *iters,
-				Compute: compute, Seed: *seed},
-			Bytes: *bytes,
-		})
+		prog, err = workload.FromName(*workloadName, cfg)
 		if err != nil {
 			return err
 		}
@@ -101,7 +100,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *simulate {
-		eng, err := sim.New(sim.Config{Net: net, Program: prog, Seed: *seed})
+		eng, err := sim.New(sim.Config{Net: net, Program: prog, Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}

@@ -38,17 +38,20 @@ import (
 var corpusSpecs = []struct {
 	name     string
 	workload string
-	ranks    int
-	iters    int
-	compute  simtime.Duration
-	jitter   float64
-	bytes    int64
-	seed     uint64
+	cfg      workload.CommonConfig
 }{
-	{"stencil2d_p16", "stencil2d", 16, 6, 500 * simtime.Microsecond, 0.1, 4096, 42},
-	{"sweep_p16", "sweep", 16, 4, 300 * simtime.Microsecond, 0, 2048, 42},
-	{"cg_p16", "cg", 16, 6, 400 * simtime.Microsecond, 0, 1024, 42},
-	{"transpose_p8", "transpose", 8, 5, 500 * simtime.Microsecond, 0.05, 8192, 42},
+	{"stencil2d_p16", "stencil2d", workload.CommonConfig{
+		Base:  workload.Base{Ranks: 16, Iterations: 6, Compute: 500 * simtime.Microsecond, Jitter: 0.1, Seed: 42},
+		Bytes: 4096}},
+	{"sweep_p16", "sweep", workload.CommonConfig{
+		Base:  workload.Base{Ranks: 16, Iterations: 4, Compute: 300 * simtime.Microsecond, Seed: 42},
+		Bytes: 2048}},
+	{"cg_p16", "cg", workload.CommonConfig{
+		Base:  workload.Base{Ranks: 16, Iterations: 6, Compute: 400 * simtime.Microsecond, Seed: 42},
+		Bytes: 1024}},
+	{"transpose_p8", "transpose", workload.CommonConfig{
+		Base:  workload.Base{Ranks: 8, Iterations: 5, Compute: 500 * simtime.Microsecond, Jitter: 0.05, Seed: 42},
+		Bytes: 8192}},
 }
 
 func main() {
@@ -59,17 +62,20 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
-	compute := 500 * simtime.Microsecond
+	cfg := workload.CommonConfig{
+		Base:  workload.Base{Ranks: 16, Iterations: 10, Compute: 500 * simtime.Microsecond, Seed: 42},
+		Bytes: 4096,
+	}
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
-	fs.Var(&compute, "compute", "mean per-iteration compute")
+	fs.IntVar(&cfg.Ranks, "ranks", cfg.Ranks, "number of ranks")
+	fs.IntVar(&cfg.Iterations, "iters", cfg.Iterations, "iterations")
+	fs.Var(&cfg.Compute, "compute", "mean per-iteration compute")
+	fs.Float64Var(&cfg.Jitter, "jitter", cfg.Jitter, "relative compute jitter (stddev fraction)")
+	fs.Int64Var(&cfg.Bytes, "bytes", cfg.Bytes, "dominant message size")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "seed for jittered/randomized skeletons")
 	var (
 		name   = fs.String("workload", "stencil2d", "workload skeleton (-list to enumerate)")
 		list   = fs.Bool("list", false, "list workloads and exit")
-		ranks  = fs.Int("ranks", 16, "number of ranks")
-		iters  = fs.Int("iters", 10, "iterations")
-		jitter = fs.Float64("jitter", 0, "relative compute jitter (stddev fraction)")
-		bytes  = fs.Int64("bytes", 4096, "dominant message size")
-		seed   = fs.Uint64("seed", 42, "seed for jittered/randomized skeletons")
 		output = fs.String("o", "", "output file (default stdout)")
 		corpus = fs.String("corpus", "", "write the standard trace corpus into this directory and exit")
 	)
@@ -85,7 +91,7 @@ func run(args []string, out io.Writer) error {
 	if *corpus != "" {
 		return writeCorpus(*corpus, out)
 	}
-	text, err := generate(*name, *ranks, *iters, compute, *jitter, *bytes, *seed)
+	text, err := generate(*name, cfg)
 	if err != nil {
 		return err
 	}
@@ -99,24 +105,14 @@ func run(args []string, out io.Writer) error {
 // generate builds the named workload and serializes it with a provenance
 // header. The header records the exact regeneration command so a committed
 // trace is never a mystery artifact.
-func generate(name string, ranks, iters int, compute simtime.Duration, jitter float64, bytes int64, seed uint64) (string, error) {
-	prog, err := workload.FromName(name, workload.CommonConfig{
-		Base: workload.Base{
-			Ranks:      ranks,
-			Iterations: iters,
-			Compute:    compute,
-			Jitter:     jitter,
-			Seed:       seed,
-		},
-		Bytes: bytes,
-	})
+func generate(name string, cfg workload.CommonConfig) (string, error) {
+	prog, err := workload.FromName(name, cfg)
 	if err != nil {
 		return "", err
 	}
-	st := prog.Stats()
 	header := fmt.Sprintf(
 		"# tracegen -workload %s -ranks %d -iters %d -compute %v -jitter %g -bytes %d -seed %d\n# %v\n",
-		name, ranks, iters, compute, jitter, bytes, seed, st)
+		name, cfg.Ranks, cfg.Iterations, cfg.Compute, cfg.Jitter, cfg.Bytes, cfg.Seed, prog.Stats())
 	return header + goal.WriteString(prog), nil
 }
 
@@ -126,7 +122,7 @@ func writeCorpus(dir string, out io.Writer) error {
 		return err
 	}
 	for _, s := range corpusSpecs {
-		text, err := generate(s.workload, s.ranks, s.iters, s.compute, s.jitter, s.bytes, s.seed)
+		text, err := generate(s.workload, s.cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
 		}

@@ -14,9 +14,9 @@ import (
 
 func stencil(t *testing.T, ranks, iters int, compute simtime.Duration) *goal.Program {
 	t.Helper()
-	p, err := workload.Stencil2D(workload.Stencil2DConfig{
-		Base:      workload.Base{Ranks: ranks, Iterations: iters, Compute: compute, Seed: 1},
-		HaloBytes: 1024,
+	p, err := workload.FromName("stencil2d", workload.CommonConfig{
+		Base:  workload.Base{Ranks: ranks, Iterations: iters, Compute: compute, Seed: 1},
+		Bytes: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func stencil(t *testing.T, ranks, iters int, compute simtime.Duration) *goal.Pro
 
 func ep(t *testing.T, ranks, iters int, compute simtime.Duration) *goal.Program {
 	t.Helper()
-	p, err := workload.EP(workload.EPConfig{
+	p, err := workload.FromName("ep", workload.CommonConfig{
 		Base: workload.Base{Ranks: ranks, Iterations: iters, Compute: compute, Seed: 1},
 	})
 	if err != nil {
@@ -396,9 +396,9 @@ func TestParseOffsetPolicy(t *testing.T) {
 func TestQuickProtocolsComplete(t *testing.T) {
 	f := func(seed uint8) bool {
 		ranks := int(seed)%6 + 2
-		prog, err := workload.Stencil2D(workload.Stencil2DConfig{
-			Base:      workload.Base{Ranks: ranks, Iterations: 4, Compute: simtime.Millisecond, Seed: uint64(seed)},
-			HaloBytes: 512,
+		prog, err := workload.FromName("stencil2d", workload.CommonConfig{
+			Base:  workload.Base{Ranks: ranks, Iterations: 4, Compute: simtime.Millisecond, Seed: uint64(seed)},
+			Bytes: 512,
 		})
 		if err != nil {
 			return false
@@ -412,9 +412,9 @@ func TestQuickProtocolsComplete(t *testing.T) {
 			protos = append(protos, mustNew[Protocol](t, c, nil))
 		}
 		for _, p := range protos {
-			prog, err := workload.Stencil2D(workload.Stencil2DConfig{
-				Base:      workload.Base{Ranks: ranks, Iterations: 4, Compute: simtime.Millisecond, Seed: uint64(seed)},
-				HaloBytes: 512,
+			prog, err := workload.FromName("stencil2d", workload.CommonConfig{
+				Base:  workload.Base{Ranks: ranks, Iterations: 4, Compute: simtime.Millisecond, Seed: uint64(seed)},
+				Bytes: 512,
 			})
 			if err != nil {
 				return false

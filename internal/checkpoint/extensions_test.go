@@ -232,13 +232,12 @@ func TestTwoLevelRuns(t *testing.T) {
 		t.Error("no global rounds")
 	}
 	for r := 0; r < 16; r++ {
-		line := simtime.Max(tl.local.last[r], tl.globalLast)
-		if line == 0 {
-			t.Errorf("rank %d uncovered", r)
-		}
-		// The freshest line is at least as fresh as the global one.
-		if line < tl.globalLast {
-			t.Errorf("rank %d line older than global", r)
+		// The local level commits every 2 ms against the global level's
+		// 20 ms, so every rank ends with a local line fresher than the
+		// last global one.
+		if tl.local.last[r] <= tl.globalLast {
+			t.Errorf("rank %d local line %v not fresher than global %v",
+				r, tl.local.last[r], tl.globalLast)
 		}
 		if tl.ProgressAtCheckpoint(r) < tl.GlobalProgressAt(r) {
 			t.Errorf("rank %d local progress behind global", r)

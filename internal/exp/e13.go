@@ -32,13 +32,11 @@ func E13Straggler(o Options) ([]*report.Table, error) {
 	err := sweep(t, o, "E13", factors, func(i int, f float64) (rows, error) {
 		sd := pointSeed(o, "E13", i)
 		// One program serves the baseline and every protocol run.
-		prog, err := workload.Straggler(workload.StragglerConfig{
+		prog, err := workload.Straggler(workload.CommonConfig{
 			Base: workload.Base{Ranks: ranks, Iterations: iters,
 				Compute: simtime.Millisecond, Seed: sd},
-			HaloBytes: 4096,
-			Factor:    f,
-			SlowRank:  ranks / 2,
-		})
+			Bytes: 4096,
+		}, ranks/2, f)
 		if err != nil {
 			return nil, err
 		}

@@ -14,9 +14,9 @@ import (
 
 func stencilProg(t *testing.T, ranks, iters int) *goal.Program {
 	t.Helper()
-	p, err := workload.Stencil2D(workload.Stencil2DConfig{
-		Base:      workload.Base{Ranks: ranks, Iterations: iters, Compute: simtime.Millisecond, Seed: 1},
-		HaloBytes: 1024,
+	p, err := workload.FromName("stencil2d", workload.CommonConfig{
+		Base:  workload.Base{Ranks: ranks, Iterations: iters, Compute: simtime.Millisecond, Seed: 1},
+		Bytes: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

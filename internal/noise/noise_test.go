@@ -33,7 +33,7 @@ func TestConfigValidate(t *testing.T) {
 
 func epProg(t *testing.T, ranks, iters int, compute simtime.Duration) *goal.Program {
 	t.Helper()
-	p, err := workload.EP(workload.EPConfig{
+	p, err := workload.FromName("ep", workload.CommonConfig{
 		Base: workload.Base{Ranks: ranks, Iterations: iters, Compute: compute, Seed: 1},
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // into its nominal (checkpoint) part and a contention (io-wait) part.
 func contendedRun(t *testing.T) (*Collector, *sim.Result) {
 	t.Helper()
-	prog, err := workload.EP(workload.EPConfig{
+	prog, err := workload.FromName("ep", workload.CommonConfig{
 		Base: workload.Base{Ranks: 4, Iterations: 20, Compute: simtime.Millisecond, Seed: 1},
 	})
 	if err != nil {

@@ -16,9 +16,9 @@ import (
 // traceRun simulates a small checkpointed stencil through a collector.
 func traceRun(t *testing.T) (*Collector, *sim.Result) {
 	t.Helper()
-	prog, err := workload.Stencil2D(workload.Stencil2DConfig{
-		Base:      workload.Base{Ranks: 4, Iterations: 10, Compute: simtime.Millisecond, Seed: 1},
-		HaloBytes: 1024,
+	prog, err := workload.FromName("stencil2d", workload.CommonConfig{
+		Base:  workload.Base{Ranks: 4, Iterations: 10, Compute: simtime.Millisecond, Seed: 1},
+		Bytes: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,9 +151,9 @@ func TestGanttEmpty(t *testing.T) {
 // io-wait seizure trace events.
 func ioWaitRun(t *testing.T) (*Collector, *sim.Result) {
 	t.Helper()
-	prog, err := workload.Stencil2D(workload.Stencil2DConfig{
-		Base:      workload.Base{Ranks: 4, Iterations: 10, Compute: simtime.Millisecond, Seed: 1},
-		HaloBytes: 1024,
+	prog, err := workload.FromName("stencil2d", workload.CommonConfig{
+		Base:  workload.Base{Ranks: 4, Iterations: 10, Compute: simtime.Millisecond, Seed: 1},
+		Bytes: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

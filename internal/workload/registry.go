@@ -7,48 +7,20 @@ import (
 	"checkpointsim/internal/goal"
 )
 
-// CommonConfig is the parameter set the CLI tools expose; each named
-// workload maps it onto its own configuration with sensible defaults.
-type CommonConfig struct {
-	Base
-	// Bytes is the dominant message size (halo/block/task as appropriate).
-	Bytes int64
-}
-
-// builderFunc adapts a workload constructor to the common config.
-type builderFunc func(CommonConfig) (*goal.Program, error)
-
 var registry = map[string]struct {
-	build builderFunc
+	build func(CommonConfig) (*goal.Program, error)
 	doc   string
 }{
-	"stencil2d": {func(c CommonConfig) (*goal.Program, error) {
-		return Stencil2D(Stencil2DConfig{Base: c.Base, HaloBytes: c.Bytes, ReduceEvery: 10})
-	}, "5-point 2D halo exchange + periodic residual allreduce"},
-	"stencil3d": {func(c CommonConfig) (*goal.Program, error) {
-		return Stencil3D(Stencil3DConfig{Base: c.Base, HaloBytes: c.Bytes, ReduceEvery: 10})
-	}, "7-point 3D halo exchange + periodic residual allreduce"},
-	"sweep": {func(c CommonConfig) (*goal.Program, error) {
-		return Sweep(SweepConfig{Base: c.Base, EdgeBytes: c.Bytes})
-	}, "2D wavefront sweep, alternating corners"},
-	"cg": {func(c CommonConfig) (*goal.Program, error) {
-		return CG(CGConfig{Base: c.Base, HaloBytes: c.Bytes, DotsPerIter: 2})
-	}, "CG/HPCCG class: ring halo + 2 allreduces per iteration"},
-	"transpose": {func(c CommonConfig) (*goal.Program, error) {
-		return Transpose(TransposeConfig{Base: c.Base, BlockBytes: c.Bytes})
-	}, "FFT class: alltoall transpose every iteration"},
-	"farm": {func(c CommonConfig) (*goal.Program, error) {
-		return Farm(FarmConfig{Base: c.Base, TaskBytes: c.Bytes, ResultBytes: c.Bytes})
-	}, "bulk-synchronous master-worker farm"},
-	"ep": {func(c CommonConfig) (*goal.Program, error) {
-		return EP(EPConfig{Base: c.Base})
-	}, "embarrassingly parallel + final reduce (control case)"},
-	"random": {func(c CommonConfig) (*goal.Program, error) {
-		return RandomNeighbor(RandomNeighborConfig{Base: c.Base, Pairings: 2, Bytes: c.Bytes})
-	}, "random pairwise exchanges (unstructured mesh class)"},
-	"straggler": {func(c CommonConfig) (*goal.Program, error) {
-		return Straggler(StragglerConfig{Base: c.Base, HaloBytes: c.Bytes, Factor: 2})
-	}, "2D stencil with one rank computing 2x slower (static imbalance)"},
+	"stencil2d": {stencil2D, "5-point 2D halo exchange + periodic residual allreduce"},
+	"stencil3d": {stencil3D, "7-point 3D halo exchange + periodic residual allreduce"},
+	"sweep":     {sweep, "2D wavefront sweep, alternating corners"},
+	"cg":        {cg, "CG/HPCCG class: ring halo + 2 allreduces per iteration"},
+	"transpose": {transpose, "FFT class: alltoall transpose every iteration"},
+	"farm":      {farm, "bulk-synchronous master-worker farm"},
+	"ep":        {ep, "embarrassingly parallel + final reduce (control case)"},
+	"random":    {randomNeighbor, "random pairwise exchanges (unstructured mesh class)"},
+	"straggler": {func(c CommonConfig) (*goal.Program, error) { return straggler(c, 0, 2) },
+		"2D stencil with one rank computing 2x slower (static imbalance)"},
 }
 
 // Names returns the registered workload names, sorted.
@@ -64,11 +36,14 @@ func Names() []string {
 // Describe returns the one-line description of a workload name.
 func Describe(name string) string { return registry[name].doc }
 
-// FromName builds the named workload from the common configuration.
+// FromName validates the configuration and builds the named workload.
 func FromName(name string, cfg CommonConfig) (*goal.Program, error) {
 	e, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown workload %q (have %v)", name, Names())
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	return e.build(cfg)
 }

@@ -11,6 +11,12 @@
 // with what message sizes — and that is reproduced exactly. Per-iteration
 // compute is a parameter, optionally jittered with a seeded, truncated
 // normal distribution to model load imbalance.
+//
+// A CommonConfig is the whole description of a workload: each generator
+// fixes the rest of its shape (see the constants below). Every generator
+// pre-sizes its builder (goal.Builder.Grow) to the ops it is about to add,
+// counted from its geometry and the collectives' own op counts, so the op
+// table is allocated once and holds at most 5% more ops than it builds.
 package workload
 
 import (
@@ -22,12 +28,6 @@ import (
 	"checkpointsim/internal/rng"
 	"checkpointsim/internal/simtime"
 )
-
-// reserve pre-sizes the builder to the number of ops the generator is about
-// to add, counted from its geometry and the collectives' own op counts, so
-// the op table is allocated once, appended into place, and not larger than
-// the program: every generator reserves within 5% of what it builds.
-func reserve(b *goal.Builder, ops int) { b.Grow(ops) }
 
 // Base holds the parameters common to all workloads.
 type Base struct {
@@ -44,18 +44,27 @@ type Base struct {
 	Seed uint64
 }
 
-func (b Base) validate() error {
-	if b.Ranks <= 0 {
-		return fmt.Errorf("workload: %d ranks", b.Ranks)
-	}
-	if b.Iterations <= 0 {
-		return fmt.Errorf("workload: %d iterations", b.Iterations)
-	}
-	if b.Compute < 0 {
+// CommonConfig describes a workload: the parameters every generator shares
+// and the dominant message size.
+type CommonConfig struct {
+	Base
+	// Bytes is the dominant message size: the halo, wavefront edge,
+	// transpose block, farm task and result, or pairwise exchange.
+	Bytes int64
+}
+
+func (c CommonConfig) validate() error {
+	switch {
+	case c.Ranks <= 0:
+		return fmt.Errorf("workload: %d ranks", c.Ranks)
+	case c.Iterations <= 0:
+		return fmt.Errorf("workload: %d iterations", c.Iterations)
+	case c.Compute < 0:
 		return fmt.Errorf("workload: negative compute")
-	}
-	if b.Jitter < 0 || math.IsNaN(b.Jitter) {
-		return fmt.Errorf("workload: bad jitter %v", b.Jitter)
+	case !(c.Jitter >= 0) || math.IsInf(c.Jitter, 1):
+		return fmt.Errorf("workload: bad jitter %v", c.Jitter)
+	case c.Bytes < 0:
+		return fmt.Errorf("workload: negative message size %d", c.Bytes)
 	}
 	return nil
 }
@@ -72,9 +81,22 @@ func (b Base) draw(r *rng.Source) simtime.Duration {
 	return simtime.Duration(v)
 }
 
-// Dims2 factors p into the most square (px, py) grid with px·py = p and
+// The fixed parts of each skeleton's shape.
+const (
+	// reduceEvery is the stencils' cadence of a residual/dt allreduce.
+	reduceEvery = 10
+	// dotsPerIter is the number of CG dot-product allreduces per iteration.
+	dotsPerIter = 2
+	// pairings is the number of random matchings drawn per iteration.
+	pairings = 2
+	// scalarBytes is the payload of a reduced scalar: the stencils'
+	// residual, CG's dot products and EP's final result.
+	scalarBytes = 8
+)
+
+// dims2 factors p into the most square (px, py) grid with px·py = p and
 // px >= py.
-func Dims2(p int) (px, py int) {
+func dims2(p int) (px, py int) {
 	py = int(math.Sqrt(float64(p)))
 	for py > 1 && p%py != 0 {
 		py--
@@ -82,14 +104,13 @@ func Dims2(p int) (px, py int) {
 	return p / py, py
 }
 
-// Dims3 factors p into the most cubic (px, py, pz) with px ≥ py ≥ pz.
-func Dims3(p int) (px, py, pz int) {
+// dims3 factors p into the most cubic (px, py, pz) with px ≥ py ≥ pz.
+func dims3(p int) (px, py, pz int) {
 	pz = int(math.Cbrt(float64(p)))
 	for pz > 1 && p%pz != 0 {
 		pz--
 	}
-	rest := p / pz
-	px, py = Dims2(rest)
+	px, py = dims2(p / pz)
 	return px, py, pz
 }
 
@@ -103,171 +124,101 @@ const (
 	tagFinal  = 600
 )
 
-// Stencil2DConfig configures a 2D halo-exchange stencil.
-type Stencil2DConfig struct {
-	Base
-	// HaloBytes is the per-neighbor halo message size.
-	HaloBytes int64
-	// Periodic selects periodic (torus) boundaries; otherwise edge ranks
-	// have fewer neighbors.
-	Periodic bool
-	// ReduceEvery inserts an 8-byte allreduce (a residual/dt check) every
-	// this many iterations; 0 disables it.
-	ReduceEvery int
-	// ComputeScale optionally multiplies each rank's per-iteration compute
-	// (nil = uniform). Length must equal Ranks. Models static load
-	// imbalance: stragglers, hotspots, heterogeneous nodes.
-	ComputeScale []float64
-}
-
-// Stencil2D builds a 5-point 2D halo-exchange stencil on the most square
-// rank grid: each iteration computes, then exchanges halos with up to four
-// neighbors via non-blocking send/recv pairs joined before the next step.
-func Stencil2D(cfg Stencil2DConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.HaloBytes < 0 {
-		return nil, fmt.Errorf("workload: negative halo size")
-	}
-	if cfg.ComputeScale != nil && len(cfg.ComputeScale) != cfg.Ranks {
-		return nil, fmt.Errorf("workload: ComputeScale has %d entries for %d ranks",
-			len(cfg.ComputeScale), cfg.Ranks)
-	}
-	for _, f := range cfg.ComputeScale {
-		if f < 0 || math.IsNaN(f) {
-			return nil, fmt.Errorf("workload: bad compute scale %v", f)
-		}
-	}
-	px, py := Dims2(cfg.Ranks)
-	rankOf := func(x, y int) int { return y*px + x }
-	type d struct{ dx, dy int }
-	dirs := []d{{-1, 0}, {1, 0}, {0, -1}, {0, 1}}
-	nbrs := make([][]int32, cfg.Ranks) // each rank's halo neighbours
-	for rank := range nbrs {
-		x, y := rank%px, rank/px
-		for _, dd := range dirs {
-			nx, ny := x+dd.dx, y+dd.dy
-			if cfg.Periodic {
-				nx, ny = (nx+px)%px, (ny+py)%py
-			} else if nx < 0 || nx >= px || ny < 0 || ny >= py {
-				continue
-			}
-			if n := rankOf(nx, ny); n != rank { // periodic wrap on a 1-wide dim
-				nbrs[rank] = append(nbrs[rank], int32(n))
-			}
-		}
-	}
-	b := goal.NewBuilder(cfg.Ranks)
-	est := cfg.Iterations * haloOps(nbrs)
-	if cfg.ReduceEvery > 0 {
-		est += cfg.Iterations / cfg.ReduceEvery * collective.AllreduceOps(cfg.Ranks)
-	}
-	reserve(b, est)
-	seqs := make([]goal.Sequencer, cfg.Ranks)
+// rankSeqs returns an empty sequencer for each of the builder's ranks.
+func rankSeqs(b *goal.Builder) []goal.Sequencer {
+	seqs := make([]goal.Sequencer, b.NumRanks())
 	for i := range seqs {
 		seqs[i] = *b.Seq(i)
 	}
-	r := cfg.computeSource()
-
-	forks := make([]goal.OpID, 0, 2*len(dirs))
-	for it := 0; it < cfg.Iterations; it++ {
-		for y := 0; y < py; y++ {
-			for x := 0; x < px; x++ {
-				rank := rankOf(x, y)
-				s := &seqs[rank]
-				w := cfg.draw(r)
-				if cfg.ComputeScale != nil {
-					w = w.Scale(cfg.ComputeScale[rank])
-				}
-				s.Calc(w)
-				forks = haloForks(s, forks[:0], nbrs[rank], cfg.HaloBytes)
-				s.Join(forks...)
-			}
-		}
-		if cfg.ReduceEvery > 0 && (it+1)%cfg.ReduceEvery == 0 {
-			entries := make([]goal.OpID, cfg.Ranks)
-			for i := range seqs {
-				entries[i] = seqs[i].Last()
-			}
-			exits := collective.Allreduce(b, entries, tagReduce, 8)
-			for i := range seqs {
-				seqs[i] = *b.SeqAfter(i, exits[i])
-			}
-		}
-	}
-	return b.Build()
+	return seqs
 }
 
-// Stencil3DConfig configures a 3D halo-exchange stencil.
-type Stencil3DConfig struct {
-	Base
-	HaloBytes   int64
-	Periodic    bool
-	ReduceEvery int
-}
-
-// Stencil3D builds a 7-point 3D halo-exchange stencil (up to six
-// neighbors per rank) on the most cubic rank grid.
-func Stencil3D(cfg Stencil3DConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.HaloBytes < 0 {
-		return nil, fmt.Errorf("workload: negative halo size")
-	}
-	px, py, pz := Dims3(cfg.Ranks)
-	rankOf := func(x, y, z int) int { return (z*py+y)*px + x }
-	type d struct{ dx, dy, dz int }
-	dirs := []d{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
-	nbrs := make([][]int32, cfg.Ranks) // each rank's halo neighbours
-	for rank := range nbrs {
-		x, y, z := rank%px, rank/px%py, rank/(px*py)
-		for _, dd := range dirs {
-			nx, ny, nz := x+dd.dx, y+dd.dy, z+dd.dz
-			if cfg.Periodic {
-				nx, ny, nz = (nx+px)%px, (ny+py)%py, (nz+pz)%pz
-			} else if nx < 0 || nx >= px || ny < 0 || ny >= py || nz < 0 || nz >= pz {
-				continue
-			}
-			if n := rankOf(nx, ny, nz); n != rank {
-				nbrs[rank] = append(nbrs[rank], int32(n))
-			}
-		}
-	}
-	b := goal.NewBuilder(cfg.Ranks)
-	est := cfg.Iterations * haloOps(nbrs)
-	if cfg.ReduceEvery > 0 {
-		est += cfg.Iterations / cfg.ReduceEvery * collective.AllreduceOps(cfg.Ranks)
-	}
-	reserve(b, est)
-	seqs := make([]goal.Sequencer, cfg.Ranks)
+// collect runs a collective over the tails of every rank's sequence and
+// continues each sequence from that rank's exit.
+func collect(b *goal.Builder, seqs []goal.Sequencer,
+	coll func(*goal.Builder, []goal.OpID, int, int64) []goal.OpID, tag int, bytes int64) {
+	entries := make([]goal.OpID, len(seqs))
 	for i := range seqs {
-		seqs[i] = *b.Seq(i)
+		entries[i] = seqs[i].Last()
 	}
-	r := cfg.computeSource()
-	forks := make([]goal.OpID, 0, 2*len(dirs))
-	for it := 0; it < cfg.Iterations; it++ {
-		for z := 0; z < pz; z++ {
-			for y := 0; y < py; y++ {
-				for x := 0; x < px; x++ {
-					rank := rankOf(x, y, z)
-					s := &seqs[rank]
-					s.Calc(cfg.draw(r))
-					forks = haloForks(s, forks[:0], nbrs[rank], cfg.HaloBytes)
-					s.Join(forks...)
-				}
+	for i, exit := range coll(b, entries, tag, bytes) {
+		seqs[i] = *b.SeqAfter(i, exit)
+	}
+}
+
+// gridNeighbors lists each rank's face neighbours on a non-periodic grid
+// with the given extents, the first dimension varying fastest: for each
+// dimension in turn, the lower neighbour then the upper one.
+func gridNeighbors(dims ...int) [][]int32 {
+	p := 1
+	for _, d := range dims {
+		p *= d
+	}
+	nbrs := make([][]int32, p)
+	for rank := range nbrs {
+		rest, stride := rank, 1
+		for _, d := range dims {
+			at := rest % d
+			if at > 0 {
+				nbrs[rank] = append(nbrs[rank], int32(rank-stride))
 			}
+			if at < d-1 {
+				nbrs[rank] = append(nbrs[rank], int32(rank+stride))
+			}
+			rest /= d
+			stride *= d
 		}
-		if cfg.ReduceEvery > 0 && (it+1)%cfg.ReduceEvery == 0 {
-			entries := make([]goal.OpID, cfg.Ranks)
-			for i := range seqs {
-				entries[i] = seqs[i].Last()
+	}
+	return nbrs
+}
+
+// stencil2D builds a 5-point 2D halo-exchange stencil on the most square
+// rank grid, with a residual allreduce every reduceEvery iterations.
+func stencil2D(c CommonConfig) (*goal.Program, error) {
+	return stencil(c, gridNeighbors(dims2(c.Ranks)), nil, true)
+}
+
+// stencil3D builds a 7-point 3D halo-exchange stencil (up to six
+// neighbours per rank) on the most cubic rank grid, with a residual
+// allreduce every reduceEvery iterations.
+func stencil3D(c CommonConfig) (*goal.Program, error) {
+	px, py, pz := dims3(c.Ranks)
+	return stencil(c, gridNeighbors(px, py, pz), nil, true)
+}
+
+// stencil builds a halo exchange over the given neighbour lists: each
+// iteration every rank computes, then exchanges halos with its neighbours
+// via non-blocking send/recv pairs joined before the next step. A non-nil
+// scale multiplies each rank's compute (static load imbalance); reduce adds
+// the residual allreduce.
+func stencil(c CommonConfig, nbrs [][]int32, scale []float64, reduce bool) (*goal.Program, error) {
+	b := goal.NewBuilder(c.Ranks)
+	est := c.Iterations * haloOps(nbrs)
+	if reduce {
+		est += c.Iterations / reduceEvery * collective.AllreduceOps(c.Ranks)
+	}
+	b.Grow(est)
+	seqs := rankSeqs(b)
+	r := c.computeSource()
+	forks := make([]goal.OpID, 0, 6*2)
+	for it := 0; it < c.Iterations; it++ {
+		for rank := range seqs {
+			s := &seqs[rank]
+			w := c.draw(r)
+			if scale != nil {
+				w = w.Scale(scale[rank])
 			}
-			exits := collective.Allreduce(b, entries, tagReduce, 8)
-			for i := range seqs {
-				seqs[i] = *b.SeqAfter(i, exits[i])
+			s.Calc(w)
+			forks = forks[:0]
+			for _, n := range nbrs[rank] {
+				forks = append(forks,
+					s.Fork(goal.KindSend, n, tagHalo, c.Bytes),
+					s.Fork(goal.KindRecv, n, tagHalo, c.Bytes))
 			}
+			s.Join(forks...)
+		}
+		if reduce && (it+1)%reduceEvery == 0 {
+			collect(b, seqs, collective.Allreduce, tagReduce, scalarBytes)
 		}
 	}
 	return b.Build()
@@ -286,85 +237,57 @@ func haloOps(nbrs [][]int32) int {
 	return n
 }
 
-// haloForks appends to forks a non-blocking send and recv with each
-// neighbour, forked off s's tail, and returns the extended slice.
-func haloForks(s *goal.Sequencer, forks []goal.OpID, nbrs []int32, bytes int64) []goal.OpID {
-	for _, n := range nbrs {
-		forks = append(forks,
-			s.Fork(goal.KindSend, n, tagHalo, bytes),
-			s.Fork(goal.KindRecv, n, tagHalo, bytes))
-	}
-	return forks
-}
-
-// SweepConfig configures a 2D wavefront sweep.
-type SweepConfig struct {
-	Base
-	// EdgeBytes is the size of the wavefront messages.
-	EdgeBytes int64
-}
-
-// Sweep builds a wavefront computation in the style of Sweep3D/PARTISN:
+// sweep builds a wavefront computation in the style of Sweep3D/PARTISN:
 // ranks form a 2D grid, each sweep starts in one corner and propagates
 // diagonally — a rank computes only after receiving from its upwind
 // neighbors, then feeds its downwind neighbors. Sweeps alternate between
 // the southwest and northeast corners. The long dependency chains make this
 // the most delay-sensitive skeleton in the suite.
-func Sweep(cfg SweepConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.EdgeBytes < 0 {
-		return nil, fmt.Errorf("workload: negative edge size")
-	}
-	px, py := Dims2(cfg.Ranks)
+func sweep(c CommonConfig) (*goal.Program, error) {
+	px, py := dims2(c.Ranks)
 	rankOf := func(x, y int) int { return y*px + x }
-	b := goal.NewBuilder(cfg.Ranks)
+	b := goal.NewBuilder(c.Ranks)
 	// Per iteration a calc per rank, and a send and a recv per grid edge in
 	// each of the two directions.
-	reserve(b, cfg.Iterations*(cfg.Ranks+2*((px-1)*py+px*(py-1))))
-	seqs := make([]goal.Sequencer, cfg.Ranks)
-	for i := range seqs {
-		seqs[i] = *b.Seq(i)
-	}
-	r := cfg.computeSource()
-	for it := 0; it < cfg.Iterations; it++ {
+	b.Grow(c.Iterations * (c.Ranks + 2*((px-1)*py+px*(py-1))))
+	seqs := rankSeqs(b)
+	r := c.computeSource()
+	for it := 0; it < c.Iterations; it++ {
 		forward := it%2 == 0
 		for y := 0; y < py; y++ {
 			for x := 0; x < px; x++ {
-				rank := rankOf(x, y)
-				s := &seqs[rank]
+				s := &seqs[rankOf(x, y)]
 				// Upwind receives.
 				if forward {
 					if x > 0 {
-						s.Recv(int32(rankOf(x-1, y)), tagSweep, cfg.EdgeBytes)
+						s.Recv(int32(rankOf(x-1, y)), tagSweep, c.Bytes)
 					}
 					if y > 0 {
-						s.Recv(int32(rankOf(x, y-1)), tagSweep, cfg.EdgeBytes)
+						s.Recv(int32(rankOf(x, y-1)), tagSweep, c.Bytes)
 					}
 				} else {
 					if x < px-1 {
-						s.Recv(int32(rankOf(x+1, y)), tagSweep, cfg.EdgeBytes)
+						s.Recv(int32(rankOf(x+1, y)), tagSweep, c.Bytes)
 					}
 					if y < py-1 {
-						s.Recv(int32(rankOf(x, y+1)), tagSweep, cfg.EdgeBytes)
+						s.Recv(int32(rankOf(x, y+1)), tagSweep, c.Bytes)
 					}
 				}
-				s.Calc(cfg.draw(r))
+				s.Calc(c.draw(r))
 				// Downwind sends.
 				if forward {
 					if x < px-1 {
-						s.Send(rankOf(x+1, y), tagSweep, cfg.EdgeBytes)
+						s.Send(rankOf(x+1, y), tagSweep, c.Bytes)
 					}
 					if y < py-1 {
-						s.Send(rankOf(x, y+1), tagSweep, cfg.EdgeBytes)
+						s.Send(rankOf(x, y+1), tagSweep, c.Bytes)
 					}
 				} else {
 					if x > 0 {
-						s.Send(rankOf(x-1, y), tagSweep, cfg.EdgeBytes)
+						s.Send(rankOf(x-1, y), tagSweep, c.Bytes)
 					}
 					if y > 0 {
-						s.Send(rankOf(x, y-1), tagSweep, cfg.EdgeBytes)
+						s.Send(rankOf(x, y-1), tagSweep, c.Bytes)
 					}
 				}
 			}
@@ -373,320 +296,197 @@ func Sweep(cfg SweepConfig) (*goal.Program, error) {
 	return b.Build()
 }
 
-// CGConfig configures an allreduce-dominated iterative solver skeleton.
-type CGConfig struct {
-	Base
-	// HaloBytes is the sparse-matvec halo exchange size (ring neighbors).
-	HaloBytes int64
-	// DotBytes is the allreduce payload (8 for a scalar dot product).
-	DotBytes int64
-	// DotsPerIter is the number of allreduces per iteration (CG does 2).
-	DotsPerIter int
-}
-
-// CG builds an HPCCG/CG-class skeleton: each iteration does a halo exchange
-// with ring neighbors (the sparse matrix-vector product), a computation,
-// and DotsPerIter small allreduces (the dot products). Latency-bound at
-// scale: the allreduces synchronize all ranks every iteration.
-func CG(cfg CGConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.HaloBytes < 0 || cfg.DotBytes < 0 {
-		return nil, fmt.Errorf("workload: negative message size")
-	}
-	if cfg.DotsPerIter <= 0 {
-		cfg.DotsPerIter = 2
-	}
-	if cfg.DotBytes == 0 {
-		cfg.DotBytes = 8
-	}
-	p := cfg.Ranks
+// cg builds an HPCCG/CG-class skeleton: each iteration does a halo exchange
+// of Bytes with ring neighbors (the sparse matrix-vector product; none when
+// Bytes is 0), a computation, and dotsPerIter scalar allreduces (the dot
+// products). Latency-bound at scale: the allreduces synchronize all ranks
+// every iteration.
+func cg(c CommonConfig) (*goal.Program, error) {
+	p := c.Ranks
 	b := goal.NewBuilder(p)
-	perIter := p + cfg.DotsPerIter*collective.AllreduceOps(p) // calcs, dots
+	perIter := p + dotsPerIter*collective.AllreduceOps(p) // calcs, dots
 	switch {
-	case p > 2 && cfg.HaloBytes > 0:
+	case p > 2 && c.Bytes > 0:
 		perIter += 5 * p // two send/recv pairs and a join per rank
-	case p == 2 && cfg.HaloBytes > 0:
+	case p == 2 && c.Bytes > 0:
 		perIter += 3 * p // one pair and a join
 	}
-	reserve(b, cfg.Iterations*perIter)
-	seqs := make([]goal.Sequencer, p)
-	for i := range seqs {
-		seqs[i] = *b.Seq(i)
-	}
-	r := cfg.computeSource()
-	for it := 0; it < cfg.Iterations; it++ {
+	b.Grow(c.Iterations * perIter)
+	seqs := rankSeqs(b)
+	r := c.computeSource()
+	for it := 0; it < c.Iterations; it++ {
 		// Halo with ring neighbors (1D decomposition of the matrix rows).
-		if p > 1 && cfg.HaloBytes > 0 {
+		if p > 1 && c.Bytes > 0 {
 			for i := 0; i < p; i++ {
 				s := &seqs[i]
 				right, left := (i+1)%p, (i-1+p)%p
-				var forks []goal.OpID
-				forks = append(forks,
-					s.Fork(goal.KindSend, int32(right), tagHalo, cfg.HaloBytes),
-					s.Fork(goal.KindRecv, int32(left), tagHalo, cfg.HaloBytes))
+				forks := []goal.OpID{
+					s.Fork(goal.KindSend, int32(right), tagHalo, c.Bytes),
+					s.Fork(goal.KindRecv, int32(left), tagHalo, c.Bytes)}
 				if p > 2 {
 					forks = append(forks,
-						s.Fork(goal.KindSend, int32(left), tagHalo, cfg.HaloBytes),
-						s.Fork(goal.KindRecv, int32(right), tagHalo, cfg.HaloBytes))
+						s.Fork(goal.KindSend, int32(left), tagHalo, c.Bytes),
+						s.Fork(goal.KindRecv, int32(right), tagHalo, c.Bytes))
 				}
 				s.Join(forks...)
 			}
 		}
 		for i := range seqs {
-			seqs[i].Calc(cfg.draw(r))
+			seqs[i].Calc(c.draw(r))
 		}
-		for d := 0; d < cfg.DotsPerIter; d++ {
-			entries := make([]goal.OpID, p)
-			for i := range seqs {
-				entries[i] = seqs[i].Last()
-			}
-			exits := collective.Allreduce(b, entries, tagReduce+d, cfg.DotBytes)
-			for i := range seqs {
-				seqs[i] = *b.SeqAfter(i, exits[i])
-			}
+		for d := 0; d < dotsPerIter; d++ {
+			collect(b, seqs, collective.Allreduce, tagReduce+d, scalarBytes)
 		}
 	}
 	return b.Build()
 }
 
-// TransposeConfig configures an alltoall-dominated (FFT-class) skeleton.
-type TransposeConfig struct {
-	Base
-	// BlockBytes is the per-pair alltoall message size.
-	BlockBytes int64
-}
-
-// Transpose builds an FFT-class skeleton: each iteration computes and then
-// performs a full alltoall (the distributed transpose). Bandwidth-bound and
-// maximally coupled: every rank waits on every other rank every iteration.
-func Transpose(cfg TransposeConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.BlockBytes < 0 {
-		return nil, fmt.Errorf("workload: negative block size")
-	}
-	p := cfg.Ranks
+// transpose builds an FFT-class skeleton: each iteration computes and then
+// performs a full alltoall of Bytes per pair (the distributed transpose).
+// Bandwidth-bound and maximally coupled: every rank waits on every other
+// rank every iteration.
+func transpose(c CommonConfig) (*goal.Program, error) {
+	p := c.Ranks
 	b := goal.NewBuilder(p)
-	reserve(b, cfg.Iterations*(p+collective.AlltoallOps(p))) // calcs, transpose
-	seqs := make([]goal.Sequencer, p)
-	for i := range seqs {
-		seqs[i] = *b.Seq(i)
-	}
-	r := cfg.computeSource()
-	for it := 0; it < cfg.Iterations; it++ {
+	b.Grow(c.Iterations * (p + collective.AlltoallOps(p))) // calcs, transpose
+	seqs := rankSeqs(b)
+	r := c.computeSource()
+	for it := 0; it < c.Iterations; it++ {
 		for i := range seqs {
-			seqs[i].Calc(cfg.draw(r))
+			seqs[i].Calc(c.draw(r))
 		}
 		if p > 1 {
-			entries := make([]goal.OpID, p)
-			for i := range seqs {
-				entries[i] = seqs[i].Last()
-			}
-			exits := collective.Alltoall(b, entries, tagPair, cfg.BlockBytes)
-			for i := range seqs {
-				seqs[i] = *b.SeqAfter(i, exits[i])
-			}
+			collect(b, seqs, collective.Alltoall, tagPair, c.Bytes)
 		}
 	}
 	return b.Build()
 }
 
-// FarmConfig configures a bulk-synchronous master–worker farm.
-type FarmConfig struct {
-	Base
-	// TaskBytes is the master→worker task message size.
-	TaskBytes int64
-	// ResultBytes is the worker→master result size.
-	ResultBytes int64
-}
-
-// Farm builds a master–worker farm: each round, rank 0 sends a task to
+// farm builds a master–worker farm: each round, rank 0 sends a task to
 // every worker, workers compute (with jitter — the source of imbalance) and
 // return results, which the master collects with AnySource receives (any
-// completion order) before dispatching the next round. The master is a
-// serialization point: delay on any worker stalls the whole next round.
-func Farm(cfg FarmConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Ranks < 2 {
+// completion order) before dispatching the next round. Tasks and results
+// are both Bytes. The master is a serialization point: delay on any worker
+// stalls the whole next round.
+func farm(c CommonConfig) (*goal.Program, error) {
+	if c.Ranks < 2 {
 		return nil, fmt.Errorf("workload: farm needs at least 2 ranks")
 	}
-	if cfg.TaskBytes < 0 || cfg.ResultBytes < 0 {
-		return nil, fmt.Errorf("workload: negative message size")
-	}
-	p := cfg.Ranks
+	p := c.Ranks
 	workers := p - 1
 	b := goal.NewBuilder(p)
 	// Per round a send, a recv and three worker ops per worker, the two
 	// joins and the aggregation.
-	reserve(b, cfg.Iterations*(workers*5+3))
-	master := b.Seq(0)
-	wseqs := make([]goal.Sequencer, workers)
-	for i := range wseqs {
-		wseqs[i] = *b.Seq(i + 1)
-	}
-	r := cfg.computeSource()
-	for it := 0; it < cfg.Iterations; it++ {
+	b.Grow(c.Iterations * (workers*5 + 3))
+	seqs := rankSeqs(b)
+	master, wseqs := &seqs[0], seqs[1:]
+	r := c.computeSource()
+	for it := 0; it < c.Iterations; it++ {
 		// Dispatch: tasks go out back to back.
 		var sends []goal.OpID
 		for w := 0; w < workers; w++ {
-			sends = append(sends, master.Fork(goal.KindSend, int32(w+1), tagFarm, cfg.TaskBytes))
+			sends = append(sends, master.Fork(goal.KindSend, int32(w+1), tagFarm, c.Bytes))
 		}
 		master.Join(sends...)
 		// Workers compute and reply.
 		for i := range wseqs {
 			s := &wseqs[i]
-			s.Recv(0, tagFarm, cfg.TaskBytes)
-			s.Calc(cfg.draw(r))
-			s.Send(0, tagFarm+1, cfg.ResultBytes)
+			s.Recv(0, tagFarm, c.Bytes)
+			s.Calc(c.draw(r))
+			s.Send(0, tagFarm+1, c.Bytes)
 		}
 		// Collect in any order.
 		var recvs []goal.OpID
 		for w := 0; w < workers; w++ {
-			recvs = append(recvs, master.Fork(goal.KindRecv, goal.AnySource, tagFarm+1, cfg.ResultBytes))
+			recvs = append(recvs, master.Fork(goal.KindRecv, goal.AnySource, tagFarm+1, c.Bytes))
 		}
 		master.Join(recvs...)
-		master.Calc(cfg.draw(r) / simtime.Duration(workers+1)) // cheap aggregation
+		master.Calc(c.draw(r) / simtime.Duration(workers+1)) // cheap aggregation
 	}
 	return b.Build()
 }
 
-// EPConfig configures the embarrassingly parallel baseline.
-type EPConfig struct {
-	Base
-	// FinalReduceBytes is the size of the single final reduction (0 for
-	// a one-shot 8-byte result).
-	FinalReduceBytes int64
-}
-
-// EP builds the embarrassingly parallel baseline: pure computation per
-// iteration, one reduction at the very end. Its only coupling is the final
-// reduce, so checkpoint delays cannot propagate — the control case for
-// every propagation experiment.
-func EP(cfg EPConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.FinalReduceBytes < 0 {
-		return nil, fmt.Errorf("workload: negative reduce size")
-	}
-	if cfg.FinalReduceBytes == 0 {
-		cfg.FinalReduceBytes = 8
-	}
-	b := goal.NewBuilder(cfg.Ranks)
-	reserve(b, cfg.Iterations*cfg.Ranks+collective.ReduceOps(cfg.Ranks))
-	entries := make([]goal.OpID, cfg.Ranks)
-	r := cfg.computeSource()
-	for i := 0; i < cfg.Ranks; i++ {
+// ep builds the embarrassingly parallel baseline: pure computation per
+// iteration, one scalar reduction at the very end (Bytes is unused). Its
+// only coupling is the final reduce, so checkpoint delays cannot propagate
+// — the control case for every propagation experiment.
+func ep(c CommonConfig) (*goal.Program, error) {
+	b := goal.NewBuilder(c.Ranks)
+	b.Grow(c.Iterations*c.Ranks + collective.ReduceOps(c.Ranks))
+	entries := make([]goal.OpID, c.Ranks)
+	r := c.computeSource()
+	for i := 0; i < c.Ranks; i++ {
 		s := b.Seq(i)
-		for it := 0; it < cfg.Iterations; it++ {
-			s.Calc(cfg.draw(r))
+		for it := 0; it < c.Iterations; it++ {
+			s.Calc(c.draw(r))
 		}
 		entries[i] = s.Last()
 	}
-	if cfg.Ranks > 1 {
-		collective.Reduce(b, 0, entries, tagFinal, cfg.FinalReduceBytes)
+	if c.Ranks > 1 {
+		collective.Reduce(b, 0, entries, tagFinal, scalarBytes)
 	}
 	return b.Build()
 }
 
-// RandomNeighborConfig configures the random-pairing workload.
-type RandomNeighborConfig struct {
-	Base
-	// Pairings is the number of random pairings per iteration.
-	Pairings int
-	// Bytes is the per-exchange message size.
-	Bytes int64
-}
-
-// RandomNeighbor builds an unstructured communication pattern: every
-// iteration draws Pairings random perfect matchings of the ranks (seeded,
-// deterministic) and each pair exchanges messages. Models unstructured-mesh
-// and particle codes whose neighbor sets have no exploitable geometry.
-func RandomNeighbor(cfg RandomNeighborConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Pairings <= 0 {
-		cfg.Pairings = 1
-	}
-	if cfg.Bytes < 0 {
-		return nil, fmt.Errorf("workload: negative message size")
-	}
-	p := cfg.Ranks
+// randomNeighbor builds an unstructured communication pattern: every
+// iteration draws pairings random perfect matchings of the ranks (seeded,
+// deterministic) and each pair exchanges Bytes both ways. Models
+// unstructured-mesh and particle codes whose neighbor sets have no
+// exploitable geometry.
+func randomNeighbor(c CommonConfig) (*goal.Program, error) {
+	p := c.Ranks
 	b := goal.NewBuilder(p)
 	// Per iteration a calc per rank, and per pairing two forks and a join
 	// on each matched rank.
-	reserve(b, cfg.Iterations*(p+6*cfg.Pairings*(p/2)))
-	seqs := make([]goal.Sequencer, p)
-	for i := range seqs {
-		seqs[i] = *b.Seq(i)
-	}
-	jr := cfg.computeSource()
-	pr := rng.New(cfg.Seed).Split(0x99)
-	for it := 0; it < cfg.Iterations; it++ {
+	b.Grow(c.Iterations * (p + 6*pairings*(p/2)))
+	seqs := rankSeqs(b)
+	jr := c.computeSource()
+	pr := rng.New(c.Seed).Split(0x99)
+	for it := 0; it < c.Iterations; it++ {
 		for i := range seqs {
-			seqs[i].Calc(cfg.draw(jr))
+			seqs[i].Calc(c.draw(jr))
 		}
-		for k := 0; k < cfg.Pairings; k++ {
+		for k := 0; k < pairings; k++ {
 			perm := pr.Perm(p)
 			for j := 0; j+1 < p; j += 2 {
-				a, c := perm[j], perm[j+1]
-				sa, sc := &seqs[a], &seqs[c]
-				fa1 := sa.Fork(goal.KindSend, int32(c), tagPair, cfg.Bytes)
-				fa2 := sa.Fork(goal.KindRecv, int32(c), tagPair, cfg.Bytes)
+				a, e := perm[j], perm[j+1]
+				sa, se := &seqs[a], &seqs[e]
+				fa1 := sa.Fork(goal.KindSend, int32(e), tagPair, c.Bytes)
+				fa2 := sa.Fork(goal.KindRecv, int32(e), tagPair, c.Bytes)
 				sa.Join(fa1, fa2)
-				fc1 := sc.Fork(goal.KindSend, int32(a), tagPair, cfg.Bytes)
-				fc2 := sc.Fork(goal.KindRecv, int32(a), tagPair, cfg.Bytes)
-				sc.Join(fc1, fc2)
+				fe1 := se.Fork(goal.KindSend, int32(a), tagPair, c.Bytes)
+				fe2 := se.Fork(goal.KindRecv, int32(a), tagPair, c.Bytes)
+				se.Join(fe1, fe2)
 			}
 		}
 	}
 	return b.Build()
 }
 
-// StragglerConfig configures a stencil with one persistently slow rank.
-type StragglerConfig struct {
-	Base
-	HaloBytes int64
-	// SlowRank is the straggling rank (clamped into range).
-	SlowRank int
-	// Factor multiplies the straggler's compute (>= 1).
-	Factor float64
-}
-
-// Straggler builds a 2D stencil in which one rank computes Factor× slower
-// every iteration — the static-imbalance counterpart of noise injection.
-// With a communicating workload the whole machine runs at the straggler's
-// pace; experiment E13 measures how checkpointing protocols interact with
-// that (a coordinated round inherits the straggler's lateness, an aligned
-// uncoordinated write hides inside the others' wait time).
-func Straggler(cfg StragglerConfig) (*goal.Program, error) {
-	if err := cfg.validate(); err != nil {
+// Straggler builds a 2D stencil without the residual allreduce in which
+// rank slow (clamped into range) computes factor× slower every iteration —
+// the static-imbalance counterpart of noise injection. With a communicating
+// workload the whole machine runs at the straggler's pace; experiment E13
+// measures how checkpointing protocols interact with that (a coordinated
+// round inherits the straggler's lateness, an aligned uncoordinated write
+// hides inside the others' wait time).
+func Straggler(c CommonConfig, slow int, factor float64) (*goal.Program, error) {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Factor < 1 || math.IsNaN(cfg.Factor) {
-		return nil, fmt.Errorf("workload: straggler factor %v < 1", cfg.Factor)
+	return straggler(c, slow, factor)
+}
+
+// straggler is Straggler on an already validated configuration.
+func straggler(c CommonConfig, slow int, factor float64) (*goal.Program, error) {
+	if !(factor >= 1) {
+		return nil, fmt.Errorf("workload: straggler factor %v < 1", factor)
 	}
-	slow := cfg.SlowRank
-	if slow < 0 {
-		slow = 0
-	}
-	if slow >= cfg.Ranks {
-		slow = cfg.Ranks - 1
-	}
-	scale := make([]float64, cfg.Ranks)
+	slow = min(max(slow, 0), c.Ranks-1)
+	scale := make([]float64, c.Ranks)
 	for i := range scale {
 		scale[i] = 1
 	}
-	scale[slow] = cfg.Factor
-	return Stencil2D(Stencil2DConfig{
-		Base:         cfg.Base,
-		HaloBytes:    cfg.HaloBytes,
-		ComputeScale: scale,
-	})
+	scale[slow] = factor
+	return stencil(c, gridNeighbors(dims2(c.Ranks)), scale, false)
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +15,12 @@ import (
 
 func base(ranks, iters int) Base {
 	return Base{Ranks: ranks, Iterations: iters, Compute: 50 * simtime.Microsecond, Seed: 1}
+}
+
+// build builds the named workload at base(ranks, iters) with bytes-sized
+// messages.
+func build(name string, ranks, iters int, bytes int64) (*goal.Program, error) {
+	return FromName(name, CommonConfig{Base: base(ranks, iters), Bytes: bytes})
 }
 
 func mustRun(t *testing.T, p *goal.Program, err error) *sim.Result {
@@ -43,33 +51,33 @@ func TestDims2(t *testing.T) {
 		16: {4, 4}, 36: {6, 6}, 7: {7, 1}, 64: {8, 8},
 	}
 	for p, want := range cases {
-		px, py := Dims2(p)
+		px, py := dims2(p)
 		if px*py != p || px < py {
-			t.Errorf("Dims2(%d) = %d,%d invalid", p, px, py)
+			t.Errorf("dims2(%d) = %d,%d invalid", p, px, py)
 		}
 		if px != want[0] || py != want[1] {
-			t.Errorf("Dims2(%d) = %d,%d, want %v", p, px, py, want)
+			t.Errorf("dims2(%d) = %d,%d, want %v", p, px, py, want)
 		}
 	}
 }
 
 func TestDims3(t *testing.T) {
 	for _, p := range []int{1, 2, 8, 12, 27, 64, 100, 7} {
-		px, py, pz := Dims3(p)
+		px, py, pz := dims3(p)
 		if px*py*pz != p {
-			t.Errorf("Dims3(%d) = %d,%d,%d does not multiply out", p, px, py, pz)
+			t.Errorf("dims3(%d) = %d,%d,%d does not multiply out", p, px, py, pz)
 		}
 		if px < py || py < pz {
-			t.Errorf("Dims3(%d) = %d,%d,%d not ordered", p, px, py, pz)
+			t.Errorf("dims3(%d) = %d,%d,%d not ordered", p, px, py, pz)
 		}
 	}
-	if px, py, pz := Dims3(27); px != 3 || py != 3 || pz != 3 {
-		t.Errorf("Dims3(27) = %d,%d,%d", px, py, pz)
+	if px, py, pz := dims3(27); px != 3 || py != 3 || pz != 3 {
+		t.Errorf("dims3(27) = %d,%d,%d", px, py, pz)
 	}
 }
 
 func TestStencil2DShape(t *testing.T) {
-	p, err := Stencil2D(Stencil2DConfig{Base: base(16, 3), HaloBytes: 1024})
+	p, err := build("stencil2d", 16, 3, 1024)
 	r := mustRun(t, p, err)
 	// 4x4 grid, non-periodic: interior halo links = px(py-1)+py(px-1) = 24
 	// edges, 2 messages each per iteration.
@@ -79,30 +87,32 @@ func TestStencil2DShape(t *testing.T) {
 	}
 }
 
-func TestStencil2DPeriodic(t *testing.T) {
-	p, err := Stencil2D(Stencil2DConfig{Base: base(16, 2), HaloBytes: 64, Periodic: true})
-	r := mustRun(t, p, err)
-	// Torus: every rank has exactly 4 neighbors: 16*4 messages per iter.
-	want := int64(2 * 16 * 4)
-	if r.Metrics.AppMessages != want {
-		t.Errorf("messages = %d, want %d", r.Metrics.AppMessages, want)
-	}
-}
-
 func TestStencil2DReduceEvery(t *testing.T) {
-	pNo, err := Stencil2D(Stencil2DConfig{Base: base(8, 4), HaloBytes: 64})
-	rNo := mustRun(t, pNo, err)
-	pRed, err := Stencil2D(Stencil2DConfig{Base: base(8, 4), HaloBytes: 64, ReduceEvery: 2})
-	rRed := mustRun(t, pRed, err)
-	if rRed.Metrics.AppMessages <= rNo.Metrics.AppMessages {
-		t.Error("ReduceEvery added no messages")
+	// The stencils add an allreduce (64 messages at P=16, a power of two)
+	// after every tenth iteration, on top of 48 halo messages per
+	// iteration on the 4x4 grid; the straggler's stencil has none.
+	for _, c := range []struct {
+		name  string
+		iters int
+		want  int64
+	}{
+		{"stencil2d", 9, 9 * 48},
+		{"stencil2d", 10, 10*48 + 64},
+		{"stencil2d", 25, 25*48 + 2*64},
+		{"straggler", 25, 25 * 48},
+	} {
+		p, err := build(c.name, 16, c.iters, 64)
+		if r := mustRun(t, p, err); r.Metrics.AppMessages != c.want {
+			t.Errorf("%s, %d iterations: messages = %d, want %d",
+				c.name, c.iters, r.Metrics.AppMessages, c.want)
+		}
 	}
 }
 
 func TestStencil2DMinimumWork(t *testing.T) {
 	// Makespan is at least iterations * compute.
-	cfg := Stencil2DConfig{Base: base(9, 5), HaloBytes: 512}
-	p, err := Stencil2D(cfg)
+	cfg := CommonConfig{Base: base(9, 5), Bytes: 512}
+	p, err := FromName("stencil2d", cfg)
 	r := mustRun(t, p, err)
 	min := simtime.Time(int64(cfg.Iterations) * int64(cfg.Compute))
 	if r.Makespan < min {
@@ -111,17 +121,18 @@ func TestStencil2DMinimumWork(t *testing.T) {
 }
 
 func TestStencil3DShape(t *testing.T) {
-	p, err := Stencil3D(Stencil3DConfig{Base: base(27, 2), HaloBytes: 256, Periodic: true})
+	p, err := build("stencil3d", 27, 2, 256)
 	r := mustRun(t, p, err)
-	// 3x3x3 torus: 6 neighbors each.
-	want := int64(2 * 27 * 6)
+	// 3x3x3 grid: along each of 3 dimensions, 3x3 rows of 2 links; 2
+	// messages per link per iteration, 2 iterations.
+	want := int64(3 * (3 * 3 * 2) * 2 * 2)
 	if r.Metrics.AppMessages != want {
 		t.Errorf("messages = %d, want %d", r.Metrics.AppMessages, want)
 	}
 }
 
 func TestStencil3DNonPeriodic(t *testing.T) {
-	p, err := Stencil3D(Stencil3DConfig{Base: base(8, 2), HaloBytes: 256})
+	p, err := build("stencil3d", 8, 2, 256)
 	r := mustRun(t, p, err)
 	// 2x2x2: each rank has 3 neighbors: 8*3 = 24 msgs/iter.
 	if want := int64(2 * 24); r.Metrics.AppMessages != want {
@@ -132,8 +143,8 @@ func TestStencil3DNonPeriodic(t *testing.T) {
 func TestSweepWavefrontOrdering(t *testing.T) {
 	// In a forward sweep, the far corner cannot finish before the serial
 	// chain of upwind computations.
-	cfg := SweepConfig{Base: base(16, 1), EdgeBytes: 128}
-	p, err := Sweep(cfg)
+	cfg := CommonConfig{Base: base(16, 1), Bytes: 128}
+	p, err := FromName("sweep", cfg)
 	r := mustRun(t, p, err)
 	// 4x4 grid: the last corner is 7 hops of compute deep (diagonal).
 	minDepth := simtime.Time(7 * int64(cfg.Compute))
@@ -148,7 +159,7 @@ func TestSweepWavefrontOrdering(t *testing.T) {
 }
 
 func TestSweepAlternatesDirection(t *testing.T) {
-	p, err := Sweep(SweepConfig{Base: base(4, 2), EdgeBytes: 64})
+	p, err := build("sweep", 4, 2, 64)
 	r := mustRun(t, p, err)
 	// Both sweeps complete; 2x2 grid has 4 edges * 2 sweeps.
 	if want := int64(8); r.Metrics.AppMessages != want {
@@ -157,7 +168,7 @@ func TestSweepAlternatesDirection(t *testing.T) {
 }
 
 func TestCGShape(t *testing.T) {
-	p, err := CG(CGConfig{Base: base(8, 3), HaloBytes: 2048, DotsPerIter: 2})
+	p, err := build("cg", 8, 3, 2048)
 	r := mustRun(t, p, err)
 	// Per iteration: 8 ranks * 2 ring sends + 2 allreduces (24 msgs each
 	// for P=8 power of two).
@@ -168,12 +179,16 @@ func TestCGShape(t *testing.T) {
 }
 
 func TestCGDefaults(t *testing.T) {
-	p, err := CG(CGConfig{Base: base(4, 2)}) // zero dot bytes/dots default
-	mustRun(t, p, err)
+	// Zero Bytes drops the ring halo: only the two dot products (8
+	// messages each at P=4) communicate.
+	p, err := build("cg", 4, 2, 0)
+	if r := mustRun(t, p, err); r.Metrics.AppMessages != 2*2*8 {
+		t.Errorf("messages = %d, want %d", r.Metrics.AppMessages, 2*2*8)
+	}
 }
 
 func TestCGTwoRanks(t *testing.T) {
-	p, err := CG(CGConfig{Base: base(2, 2), HaloBytes: 64})
+	p, err := build("cg", 2, 2, 64)
 	r := mustRun(t, p, err)
 	if r.Metrics.AppMessages == 0 {
 		t.Error("no messages in 2-rank CG")
@@ -181,7 +196,7 @@ func TestCGTwoRanks(t *testing.T) {
 }
 
 func TestTransposeShape(t *testing.T) {
-	p, err := Transpose(TransposeConfig{Base: base(6, 2), BlockBytes: 512})
+	p, err := build("transpose", 6, 2, 512)
 	r := mustRun(t, p, err)
 	if want := int64(2 * 6 * 5); r.Metrics.AppMessages != want {
 		t.Errorf("messages = %d, want %d", r.Metrics.AppMessages, want)
@@ -189,7 +204,7 @@ func TestTransposeShape(t *testing.T) {
 }
 
 func TestFarmShape(t *testing.T) {
-	p, err := Farm(FarmConfig{Base: base(5, 3), TaskBytes: 256, ResultBytes: 1024})
+	p, err := build("farm", 5, 3, 256)
 	r := mustRun(t, p, err)
 	// Per round: 4 tasks + 4 results.
 	if want := int64(3 * 8); r.Metrics.AppMessages != want {
@@ -198,13 +213,13 @@ func TestFarmShape(t *testing.T) {
 }
 
 func TestFarmNeedsTwoRanks(t *testing.T) {
-	if _, err := Farm(FarmConfig{Base: base(1, 1)}); err == nil {
+	if _, err := build("farm", 1, 1, 0); err == nil {
 		t.Error("1-rank farm accepted")
 	}
 }
 
 func TestEPHasNoCouplingUntilEnd(t *testing.T) {
-	p, err := EP(EPConfig{Base: base(8, 4)})
+	p, err := build("ep", 8, 4, 0)
 	r := mustRun(t, p, err)
 	if want := int64(7); r.Metrics.AppMessages != want {
 		t.Errorf("messages = %d, want %d (final reduce only)", r.Metrics.AppMessages, want)
@@ -212,7 +227,7 @@ func TestEPHasNoCouplingUntilEnd(t *testing.T) {
 }
 
 func TestEPSingleRank(t *testing.T) {
-	p, err := EP(EPConfig{Base: base(1, 3)})
+	p, err := build("ep", 1, 3, 0)
 	r := mustRun(t, p, err)
 	if r.Metrics.AppMessages != 0 {
 		t.Error("single-rank EP sent messages")
@@ -223,9 +238,9 @@ func TestEPSingleRank(t *testing.T) {
 }
 
 func TestRandomNeighborDeterministicBySeed(t *testing.T) {
-	cfg := RandomNeighborConfig{Base: base(9, 3), Pairings: 2, Bytes: 256}
-	p1, err1 := RandomNeighbor(cfg)
-	p2, err2 := RandomNeighbor(cfg)
+	cfg := CommonConfig{Base: base(9, 3), Bytes: 256}
+	p1, err1 := FromName("random", cfg)
+	p2, err2 := FromName("random", cfg)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -233,7 +248,7 @@ func TestRandomNeighborDeterministicBySeed(t *testing.T) {
 		t.Error("same seed produced different programs")
 	}
 	cfg.Seed = 2
-	p3, _ := RandomNeighbor(cfg)
+	p3, _ := FromName("random", cfg)
 	if goal.WriteString(p1) == goal.WriteString(p3) {
 		t.Error("different seeds produced identical programs")
 	}
@@ -241,19 +256,19 @@ func TestRandomNeighborDeterministicBySeed(t *testing.T) {
 }
 
 func TestRandomNeighborOddRanks(t *testing.T) {
-	p, err := RandomNeighbor(RandomNeighborConfig{Base: base(7, 2), Pairings: 1, Bytes: 64})
+	p, err := build("random", 7, 2, 64)
 	r := mustRun(t, p, err)
-	// 3 pairs per pairing, 2 msgs per pair, 2 iterations.
-	if want := int64(2 * 3 * 2); r.Metrics.AppMessages != want {
+	// 3 pairs per pairing, 2 msgs per pair, 2 pairings, 2 iterations.
+	if want := int64(2 * 2 * 3 * 2); r.Metrics.AppMessages != want {
 		t.Errorf("messages = %d, want %d", r.Metrics.AppMessages, want)
 	}
 }
 
 func TestJitterChangesProgramNotStructure(t *testing.T) {
-	flat, _ := Stencil2D(Stencil2DConfig{Base: base(4, 2), HaloBytes: 64})
-	jit, err := Stencil2D(Stencil2DConfig{
-		Base:      Base{Ranks: 4, Iterations: 2, Compute: 50 * simtime.Microsecond, Jitter: 0.2, Seed: 3},
-		HaloBytes: 64,
+	flat, _ := build("stencil2d", 4, 2, 64)
+	jit, err := FromName("stencil2d", CommonConfig{
+		Base:  Base{Ranks: 4, Iterations: 2, Compute: 50 * simtime.Microsecond, Jitter: 0.2, Seed: 3},
+		Bytes: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,18 +290,39 @@ func TestValidationErrors(t *testing.T) {
 		{Ranks: 1, Iterations: 1, Compute: 1, Jitter: -0.5},
 	}
 	for i, b := range bad {
-		if _, err := Stencil2D(Stencil2DConfig{Base: b}); err == nil {
+		if _, err := FromName("stencil2d", CommonConfig{Base: b}); err == nil {
 			t.Errorf("bad base %d accepted", i)
 		}
 	}
-	if _, err := Stencil2D(Stencil2DConfig{Base: base(4, 1), HaloBytes: -1}); err == nil {
-		t.Error("negative halo accepted")
+	for _, name := range []string{"stencil2d", "sweep", "transpose"} {
+		if _, err := build(name, 4, 1, -1); err == nil {
+			t.Errorf("%s: negative message size accepted", name)
+		}
 	}
-	if _, err := Sweep(SweepConfig{Base: base(4, 1), EdgeBytes: -1}); err == nil {
-		t.Error("negative edge accepted")
+}
+
+// TestFromNameRejectsBadInput checks that every workload refuses a
+// negative message size and a non-finite or negative jitter up front, with
+// a workload error, rather than building a program the simulator rejects.
+func TestFromNameRejectsBadInput(t *testing.T) {
+	bad := map[string]CommonConfig{
+		"negative bytes": {Base: base(8, 2), Bytes: -1},
+		"NaN jitter":     {Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond, Jitter: math.NaN()}},
+		"+Inf jitter":    {Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond, Jitter: math.Inf(1)}},
+		"-Inf jitter":    {Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond, Jitter: math.Inf(-1)}},
 	}
-	if _, err := Transpose(TransposeConfig{Base: base(4, 1), BlockBytes: -1}); err == nil {
-		t.Error("negative block accepted")
+	for _, name := range Names() {
+		for what, cfg := range bad {
+			_, err := FromName(name, cfg)
+			if err == nil || !strings.HasPrefix(err.Error(), "workload: ") {
+				t.Errorf("%s with %s: err = %v, want a workload error", name, what, err)
+			}
+		}
+	}
+	for what, cfg := range bad {
+		if _, err := Straggler(cfg, 0, 2); err == nil {
+			t.Errorf("Straggler with %s accepted", what)
+		}
 	}
 }
 
@@ -342,9 +378,10 @@ func TestQuickAllWorkloadsRun(t *testing.T) {
 }
 
 func TestStragglerSlowsMachine(t *testing.T) {
-	balanced, err := Straggler(StragglerConfig{Base: base(16, 10), HaloBytes: 1024, Factor: 1})
+	cfg := CommonConfig{Base: base(16, 10), Bytes: 1024}
+	balanced, err := Straggler(cfg, 0, 1)
 	rBal := mustRun(t, balanced, err)
-	slowed, err := Straggler(StragglerConfig{Base: base(16, 10), HaloBytes: 1024, Factor: 3, SlowRank: 5})
+	slowed, err := Straggler(cfg, 5, 3)
 	rSlow := mustRun(t, slowed, err)
 	// With a coupled stencil, the whole machine runs at the straggler's
 	// pace: makespan ≈ factor × balanced.
@@ -355,23 +392,17 @@ func TestStragglerSlowsMachine(t *testing.T) {
 }
 
 func TestStragglerValidation(t *testing.T) {
-	if _, err := Straggler(StragglerConfig{Base: base(4, 2), Factor: 0.5}); err == nil {
-		t.Error("factor < 1 accepted")
+	cfg := CommonConfig{Base: base(4, 2), Bytes: 64}
+	for _, f := range []float64{0.5, -1, math.NaN()} {
+		if _, err := Straggler(cfg, 0, f); err == nil {
+			t.Errorf("factor %v accepted", f)
+		}
 	}
 	// Out-of-range slow ranks clamp rather than fail.
-	p, err := Straggler(StragglerConfig{Base: base(4, 2), HaloBytes: 64, Factor: 2, SlowRank: 99})
+	p, err := Straggler(cfg, 99, 2)
 	mustRun(t, p, err)
-	p, err = Straggler(StragglerConfig{Base: base(4, 2), HaloBytes: 64, Factor: 2, SlowRank: -1})
+	p, err = Straggler(cfg, -1, 2)
 	mustRun(t, p, err)
-}
-
-func TestComputeScaleValidation(t *testing.T) {
-	if _, err := Stencil2D(Stencil2DConfig{Base: base(4, 2), ComputeScale: []float64{1, 2}}); err == nil {
-		t.Error("wrong-length scale accepted")
-	}
-	if _, err := Stencil2D(Stencil2DConfig{Base: base(2, 2), ComputeScale: []float64{1, -1}}); err == nil {
-		t.Error("negative scale accepted")
-	}
 }
 
 // Cross-check: for every registered workload, the contention-free critical
@@ -409,9 +440,10 @@ func TestCriticalPathBoundsAllWorkloads(t *testing.T) {
 }
 
 // TestProgramDigestsPinned pins the Program.Digest of every registered
-// generator, and of the periodic stencils, at a small geometry. The digest
-// keys the result cache and the snapshot header, so a change to how a
-// generator lays out its ops or edges must show up here first.
+// generator at a small geometry, and of E13's straggler (rank P/2 slowed
+// by each of its factors) at both of its geometries. The digest keys the
+// result cache and the snapshot header, so a change to how a generator
+// lays out its ops or edges must show up here first.
 func TestProgramDigestsPinned(t *testing.T) {
 	b := Base{Ranks: 12, Iterations: 12, Compute: simtime.Millisecond, Jitter: 0.1, Seed: 1}
 	want := map[string]string{
@@ -434,26 +466,26 @@ func TestProgramDigestsPinned(t *testing.T) {
 			t.Errorf("%s: digest %s, want %s", name, got, want[name])
 		}
 	}
-	periodic := []struct {
-		name  string
-		build func(Base) (*goal.Program, error)
-		want  string
+	stragglers := []struct {
+		ranks, iters int
+		factor       float64
+		want         string
 	}{
-		{"stencil2d periodic P=12", func(b Base) (*goal.Program, error) {
-			return Stencil2D(Stencil2DConfig{Base: b, HaloBytes: 64, Periodic: true, ReduceEvery: 2})
-		}, "4329cf97b293a314abc3b0f6df6d1745474c016fdbda8db17ea4ca34d0087587"},
-		{"stencil3d periodic P=27", func(b Base) (*goal.Program, error) {
-			b.Ranks = 27
-			return Stencil3D(Stencil3DConfig{Base: b, HaloBytes: 64, Periodic: true, ReduceEvery: 2})
-		}, "1b02087be4d6c3902c8f080be63325d97cd75d3a4736d0a0628223cff784bc05"},
+		{16, 25, 1, "bde0a1afa77140b84f0d19facb5ca64557c60b89ebbb8092457e1b509b04b53d"},
+		{16, 25, 2, "aa9f80d92ad652c6c97950d975278cc352ec6fe0dfaaa6bae7a2211289342be6"},
+		{64, 60, 1.5, "c10e53cb35da802267990d594d25ddc5f5ab77db42494a29323b80fa1d721314"},
+		{64, 60, 4, "2bbff93e0ba91475a4191741a666219f89393aabf06a60c931afbb7bcf715567"},
 	}
-	for _, c := range periodic {
-		p, err := c.build(Base{Ranks: 12, Iterations: 5, Compute: simtime.Millisecond, Jitter: 0.1, Seed: 1})
+	for _, c := range stragglers {
+		p, err := Straggler(CommonConfig{
+			Base:  Base{Ranks: c.ranks, Iterations: c.iters, Compute: simtime.Millisecond, Seed: 1},
+			Bytes: 4096,
+		}, c.ranks/2, c.factor)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", p.Digest()); got != c.want {
-			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+			t.Errorf("straggler P=%d x%v: digest %s, want %s", c.ranks, c.factor, got, c.want)
 		}
 	}
 }
