@@ -9,7 +9,7 @@ import (
 	"checkpointsim/internal/workload"
 )
 
-// Validate proves acyclicity in one pass when every dependency points to a
+// Build proves acyclicity in one pass when every dependency points to a
 // lower op ID, and falls back to a topological sort otherwise. These tests
 // pin both paths and the shapes of program each one sees.
 
@@ -45,7 +45,7 @@ func TestValidateForwardAcyclic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := p.Op(0).Deps; len(d) != 1 || d[0] != 2 {
+	if d := p.Deps(0); len(d) != 1 || d[0] != 2 {
 		t.Fatalf("op 0 deps = %v, want [2]", d)
 	}
 	if outs := p.Outs(2); len(outs) != 1 || outs[0] != 0 {
@@ -78,7 +78,7 @@ func TestGeneratorsEmitBackwardDeps(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range p.Ops {
-			for _, d := range p.Ops[i].Deps {
+			for _, d := range p.Deps(goal.OpID(i)) {
 				if d > goal.OpID(i) {
 					t.Fatalf("%s: op %d depends on later op %d", name, i, d)
 				}
@@ -88,9 +88,10 @@ func TestGeneratorsEmitBackwardDeps(t *testing.T) {
 }
 
 // TestValidateBareOps validates Programs assembled from built programs'
-// ops alone, with no reverse or per-rank index — the shape a benchmark
-// uses to re-time Validate past the built program's memo — on both paths
-// and from several goroutines at once, as sweep workers share a program.
+// ops alone, with no dependencies and no reverse or per-rank index — the
+// shape a benchmark uses to re-time Validate past the built program's memo
+// — from several goroutines at once, as sweep workers share a program, and
+// checks that such a program reports no dependencies rather than panic.
 // Run it under -race.
 func TestValidateBareOps(t *testing.T) {
 	fwd, err := goal.ParseString(forwardAcyclic)
@@ -122,4 +123,10 @@ func TestValidateBareOps(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for _, p := range progs {
+		if st := p.Stats(); st.NumDeps != 0 || len(p.Deps(0)) != 0 {
+			t.Errorf("bare program reports %d deps, op 0 %v", st.NumDeps, p.Deps(0))
+		}
+		p.Digest()
+	}
 }

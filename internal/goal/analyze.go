@@ -36,13 +36,13 @@ func CriticalPath(p *Program, net network.Params) (simtime.Duration, []OpID) {
 		switch op.Kind {
 		case KindSend:
 			ch := channel{op.Rank, op.Peer, op.Tag}
-			sends[ch] = append(sends[ch], op.ID)
+			sends[ch] = append(sends[ch], OpID(i))
 		case KindRecv:
 			if op.Peer == AnySource || op.Tag == AnyTag {
 				continue
 			}
 			ch := channel{op.Peer, op.Rank, op.Tag}
-			recvs[ch] = append(recvs[ch], op.ID)
+			recvs[ch] = append(recvs[ch], OpID(i))
 		}
 	}
 	// msgEdge[recvOp] = matching send op (NoOp if none).
@@ -72,7 +72,7 @@ func CriticalPath(p *Program, net network.Params) (simtime.Duration, []OpID) {
 	// Longest-path DP over a topological order (deps + message edges).
 	indeg := make([]int32, n)
 	for i := range p.Ops {
-		indeg[i] = int32(len(p.Ops[i].Deps))
+		indeg[i] = int32(len(p.Deps(OpID(i))))
 		if msgEdge[i] != NoOp {
 			indeg[i]++
 		}
@@ -184,7 +184,7 @@ func WriteDOT(w io.Writer, p *Program) error {
 		fmt.Fprintln(bw, "  }")
 	}
 	for i := range p.Ops {
-		for _, d := range p.Ops[i].Deps {
+		for _, d := range p.Deps(OpID(i)) {
 			fmt.Fprintf(bw, "  o%d -> o%d;\n", d, i)
 		}
 	}
@@ -195,7 +195,7 @@ func WriteDOT(w io.Writer, p *Program) error {
 		op := &p.Ops[i]
 		if op.Kind == KindSend {
 			ch := channel{op.Rank, op.Peer, op.Tag}
-			sends[ch] = append(sends[ch], op.ID)
+			sends[ch] = append(sends[ch], OpID(i))
 		}
 	}
 	taken := make(map[channel]int)
@@ -207,7 +207,7 @@ func WriteDOT(w io.Writer, p *Program) error {
 		ch := channel{op.Peer, op.Rank, op.Tag}
 		k := taken[ch]
 		if k < len(sends[ch]) {
-			fmt.Fprintf(bw, "  o%d -> o%d [style=dashed, color=blue];\n", sends[ch][k], op.ID)
+			fmt.Fprintf(bw, "  o%d -> o%d [style=dashed, color=blue];\n", sends[ch][k], i)
 			taken[ch] = k + 1
 		}
 	}

@@ -50,12 +50,11 @@ func (b *Builder) Grow(n int) {
 }
 
 func (b *Builder) add(op Op) OpID {
-	op.ID = OpID(len(b.ops))
 	if uint(op.Rank) < uint(b.numRanks) { // Build reports a bad rank
 		b.rankOps[op.Rank]++
 	}
 	b.ops = append(b.ops, op)
-	return op.ID
+	return OpID(len(b.ops) - 1)
 }
 
 // Calc adds a computation of the given duration on rank.
@@ -92,17 +91,20 @@ func (b *Builder) Requires(op OpID, deps ...OpID) {
 
 // Build validates the graph and returns the immutable Program, marked
 // validated. It reads the op table once: each op is checked as Validate
-// checks it, its dependencies are deduplicated, its reverse edges counted
-// and its ID filed under its rank, all in one pass.
+// checks it, its dependencies are deduplicated and checked, its reverse
+// edges counted and its ID filed under its rank, all in one pass.
 func (b *Builder) Build() (*Program, error) {
 	p := &Program{NumRanks: b.numRanks, Ops: b.ops}
 	edges, rankEnd := b.edges, b.rankOps
 	// The builder gives up ownership and starts over empty.
 	b.ops, b.edges, b.rankOps = nil, nil, make([]int32, b.numRanks)
-	// Every op's Deps is a segment of one arena, filled by a stable
+	// Every op's deps are a segment of one arena, filled by a stable
 	// counting sort of the Requires pairs: end[i] counts, then prefix-sums
-	// to op i's start, and the scatter advances it to op i's end.
-	end := make([]int32, len(p.Ops))
+	// to op i's start, and the scatter advances it to op i's end. end is
+	// depOff[1:], so once the segments are compacted below, depOff[0] = 0
+	// and depOff[i+1] = end[i] are the program's dependency offsets.
+	depOff := make([]int32, len(p.Ops)+1)
+	end := depOff[1:]
 	for _, e := range edges {
 		end[e.op]++
 	}
@@ -157,12 +159,9 @@ func (b *Builder) Build() (*Program, error) {
 				}
 			}
 		}
-		if len(kept) > 0 {
-			p.Ops[i].Deps = kept[:len(kept):len(kept)]
-		}
 		w += int32(len(kept))
 		end[i] = w
-		fwd, err := checkOp(p.Ops, i, p.NumRanks)
+		fwd, err := checkOp(p.Ops, kept, i, p.NumRanks)
 		if err != nil {
 			return nil, err
 		}
@@ -192,6 +191,7 @@ func (b *Builder) Build() (*Program, error) {
 	}
 	copy(outOff[1:], outOff[:len(p.Ops)])
 	outOff[0] = 0
+	p.deps, p.depOff = arena[:w:w], depOff
 	p.outs, p.outOff = outs, outOff
 	p.byRank = make([][]OpID, p.NumRanks)
 	start = 0

@@ -13,13 +13,13 @@ func samePrograms(p, q *Program) bool {
 	if p.NumRanks != q.NumRanks || len(p.Ops) != len(q.Ops) {
 		return false
 	}
-	localDeps := func(prog *Program, ids []OpID, op *Op) []int {
+	localDeps := func(prog *Program, ids []OpID, id OpID) []int {
 		local := make(map[OpID]int, len(ids))
 		for k, id := range ids {
 			local[id] = k
 		}
-		out := make([]int, 0, len(op.Deps))
-		for _, d := range op.Deps {
+		out := make([]int, 0, len(prog.Deps(id)))
+		for _, d := range prog.Deps(id) {
 			out = append(out, local[d])
 		}
 		sort.Ints(out)
@@ -36,7 +36,7 @@ func samePrograms(p, q *Program) bool {
 				po.Bytes != qo.Bytes || po.Work != qo.Work {
 				return false
 			}
-			pd, qd := localDeps(p, pids, po), localDeps(q, qids, qo)
+			pd, qd := localDeps(p, pids, pids[k]), localDeps(q, qids, qids[k])
 			if len(pd) != len(qd) {
 				return false
 			}

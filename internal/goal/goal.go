@@ -68,30 +68,34 @@ type OpID int32
 // NoOp is the invalid OpID.
 const NoOp OpID = -1
 
-// Op is a single operation in the dependency graph.
+// Op is a single operation in the dependency graph. Its ID is its index in
+// Program.Ops and its dependencies live in the program (Program.Deps), so
+// an Op is 32 bytes and holds no pointer: two fit in a cache line, and the
+// garbage collector does not scan an op table.
 type Op struct {
-	ID    OpID
 	Kind  Kind
 	Rank  int32
 	Peer  int32            // send: destination; recv: source or AnySource
 	Tag   int32            // send: tag; recv: tag or AnyTag
 	Bytes int64            // message size for send/recv
 	Work  simtime.Duration // computation time for calc
-
-	// Deps lists operations that must complete before this one may start.
-	// In a built program it is a segment of one shared arena.
-	Deps []OpID
 }
 
-// Program is an immutable operation graph over NumRanks ranks.
+// Program is an immutable operation graph over NumRanks ranks. Build and
+// Widen make whole programs. A Program assembled from bare ops (NumRanks
+// and Ops alone) has no dependencies: Validate checks its ops, Deps is
+// empty, and it has no per-rank or reverse index.
 type Program struct {
 	NumRanks int
 	Ops      []Op
 
 	byRank [][]OpID // ops of each rank, in creation order
 
-	// outs[outOff[i]:outOff[i+1]] are the ops that depend on op i, in
-	// ascending ID order: the reverse of Deps in one counted arena.
+	// deps[depOff[i]:depOff[i+1]] are the ops op i depends on, and
+	// outs[outOff[i]:outOff[i+1]] the ops that depend on op i, in
+	// ascending ID order: two counted arenas, each the other's reverse.
+	deps   []OpID
+	depOff []int32
 	outs   []OpID
 	outOff []int32
 
@@ -114,36 +118,22 @@ func (p *Program) RankOps(rank int) []OpID { return p.byRank[rank] }
 // Op returns the operation with the given ID.
 func (p *Program) Op(id OpID) *Op { return &p.Ops[id] }
 
+// Deps returns the operations that must complete before op id may start:
+// its Requires, deduplicated to their first occurrences, in Requires order.
+// A Program assembled from bare ops has none. The returned slice must not
+// be modified.
+func (p *Program) Deps(id OpID) []OpID {
+	if p.depOff == nil {
+		return nil
+	}
+	lo, hi := p.depOff[id], p.depOff[id+1]
+	return p.deps[lo:hi:hi]
+}
+
 // Outs returns the operations that depend on op id, in ascending ID order,
 // for a program made by Build or Widen. The returned slice must not be
 // modified.
 func (p *Program) Outs(id OpID) []OpID { return p.outs[p.outOff[id]:p.outOff[id+1]] }
-
-// reverseEdges inverts the Deps lists into one counted arena: the ops that
-// depend on op i are outs[off[i]:off[i+1]], in ascending ID order.
-func reverseEdges(ops []Op) (outs []OpID, off []int32) {
-	off = make([]int32, len(ops)+1)
-	for i := range ops {
-		for _, d := range ops[i].Deps {
-			off[d+1]++
-		}
-	}
-	for i := range ops {
-		off[i+1] += off[i]
-	}
-	// Scatter with off[d] as op d's cursor; afterwards it holds op d's
-	// end, which is op d+1's start, so one shift restores the offsets.
-	outs = make([]OpID, off[len(ops)])
-	for i := range ops {
-		for _, d := range ops[i].Deps {
-			outs[off[d]] = OpID(i)
-			off[d]++
-		}
-	}
-	copy(off[1:], off[:len(ops)])
-	off[0] = 0
-	return outs, off
-}
 
 // Stats summarizes a program.
 type Stats struct {
@@ -160,11 +150,10 @@ type Stats struct {
 
 // Stats computes summary statistics for the program.
 func (p *Program) Stats() Stats {
-	s := Stats{NumRanks: p.NumRanks, NumOps: len(p.Ops)}
+	s := Stats{NumRanks: p.NumRanks, NumOps: len(p.Ops), NumDeps: len(p.deps)}
 	perRank := make([]simtime.Duration, p.NumRanks)
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		s.NumDeps += len(op.Deps)
 		switch op.Kind {
 		case KindCalc:
 			s.NumCalc++
@@ -192,16 +181,16 @@ func (s Stats) String() string {
 		s.TotalSent, s.TotalWork)
 }
 
-// Validate checks structural invariants: rank and peer bounds, non-negative
-// sizes and durations, dependency IDs in range, acyclicity. A successful
-// check is memoized — repeat calls (one per simulation of a shared program)
-// return immediately, and Build marks the programs it makes. Mutating a
+// Validate checks each op's structural invariants: rank and peer bounds,
+// non-negative sizes and durations, a known kind. A successful check is
+// memoized — repeat calls (one per simulation of a shared program) return
+// immediately, and Build and Widen mark the programs they make. Mutating a
 // program after a successful Validate is not supported.
 //
-// Acyclicity has a linear proof when every dependency points to a lower ID
-// (as all generated programs' do): ID order is then a topological order.
-// Only a program with a forward dependency, which parsed text can express,
-// pays for a full topological sort.
+// Validate checks no dependencies. They reach a program only through
+// Requires, which admits only existing ops, and Build, which checks that
+// each is on its op's rank and that they are acyclic; the programs Build
+// does not make are assembled from bare ops, which have none.
 func (p *Program) Validate() error {
 	if p.validated.Load() {
 		return nil
@@ -209,17 +198,8 @@ func (p *Program) Validate() error {
 	if p.NumRanks <= 0 {
 		return fmt.Errorf("goal: program has %d ranks", p.NumRanks)
 	}
-	forward := false
 	for i := range p.Ops {
-		fwd, err := checkOp(p.Ops, i, p.NumRanks)
-		if err != nil {
-			return err
-		}
-		forward = forward || fwd
-	}
-	if forward {
-		outs, off := reverseEdges(p.Ops)
-		if err := checkAcyclic(len(p.Ops), outs, off); err != nil {
+		if _, err := checkOp(p.Ops, nil, i, p.NumRanks); err != nil {
 			return err
 		}
 	}
@@ -227,16 +207,13 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// checkOp checks op i of ops on its own and against its dependencies: its
-// ID, its rank, its kind's peer, tag, size and work bounds, and that each
-// dependency is in range, not itself, and on the same rank. It reports
+// checkOp checks op i of ops on its own and against deps, its
+// dependencies: its rank, its kind's peer, tag, size and work bounds, and
+// that no dependency is the op itself or on another rank. It reports
 // whether the op depends on a later one, which only a topological sort can
 // clear. Validate and Build both check each op through it.
-func checkOp(ops []Op, i, numRanks int) (forward bool, err error) {
+func checkOp(ops []Op, deps []OpID, i, numRanks int) (forward bool, err error) {
 	op := &ops[i]
-	if op.ID != OpID(i) {
-		return false, fmt.Errorf("goal: op %d has ID %d", i, op.ID)
-	}
 	if op.Rank < 0 || int(op.Rank) >= numRanks {
 		return false, fmt.Errorf("goal: op %d rank %d out of range [0,%d)", i, op.Rank, numRanks)
 	}
@@ -274,14 +251,12 @@ func checkOp(ops []Op, i, numRanks int) (forward bool, err error) {
 	default:
 		return false, fmt.Errorf("goal: op %d has unknown kind %d", i, op.Kind)
 	}
-	for _, d := range op.Deps {
-		if d < 0 || int(d) >= len(ops) {
-			return false, fmt.Errorf("goal: op %d dep %d out of range", i, d)
-		}
-		if d == op.ID {
+	// Requires admits only ops that exist, so every d is in range.
+	for _, d := range deps {
+		if d == OpID(i) {
 			return false, fmt.Errorf("goal: op %d depends on itself", i)
 		}
-		forward = forward || d > op.ID
+		forward = forward || d > OpID(i)
 		if ops[d].Rank != op.Rank {
 			// Cross-rank ordering must be expressed with messages; a
 			// bare dependency edge has no physical realization.
@@ -298,10 +273,11 @@ const digestBlock = 64 << 10
 
 // Digest returns the SHA-256 fingerprint of everything in the program that
 // determines a simulation: the rank count and each op's kind, rank, peer,
-// tag, bytes, work and dependencies, in op order, each as a zigzag varint.
-// The reverse edges are derived from Deps, so they are not hashed. The
-// O(ops) hash runs once per program; later calls return the memoized value.
-// Mutating a program after its first Digest is not supported.
+// tag, bytes, work, dependency count and dependencies, in op order, each as
+// a zigzag varint. The reverse edges are derived from the dependencies, so
+// they are not hashed. The O(ops) hash runs once per program; later calls
+// return the memoized value. Mutating a program after its first Digest is
+// not supported.
 func (p *Program) Digest() [sha256.Size]byte {
 	p.digestOnce.Do(func() {
 		h := sha256.New()
@@ -324,8 +300,9 @@ func (p *Program) Digest() [sha256.Size]byte {
 			buf = binary.AppendVarint(buf, int64(op.Tag))
 			buf = binary.AppendVarint(buf, op.Bytes)
 			buf = binary.AppendVarint(buf, int64(op.Work))
-			buf = binary.AppendVarint(buf, int64(len(op.Deps)))
-			for _, d := range op.Deps {
+			deps := p.Deps(OpID(i))
+			buf = binary.AppendVarint(buf, int64(len(deps)))
+			for _, d := range deps {
 				if len(buf) > digestBlock {
 					h.Write(buf)
 					buf = buf[:0]

@@ -1,6 +1,8 @@
 package goal
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,7 +43,7 @@ func TestBuilderBasics(t *testing.T) {
 	if got := p.Op(r); got.Kind != KindRecv || got.Peer != 0 {
 		t.Errorf("recv op = %+v", got)
 	}
-	if len(p.Op(s).Deps) != 1 || p.Op(s).Deps[0] != c {
+	if d := p.Deps(s); len(d) != 1 || d[0] != c {
 		t.Error("dependency missing")
 	}
 	if outs := p.Outs(c); len(outs) != 1 || outs[0] != s {
@@ -72,8 +74,8 @@ func TestDuplicateDepsDeduplicated(t *testing.T) {
 	b.Requires(c, a)
 	b.Requires(c, a)
 	p := b.MustBuild()
-	if len(p.Op(c).Deps) != 1 {
-		t.Errorf("deps not deduplicated: %v", p.Op(c).Deps)
+	if len(p.Deps(c)) != 1 {
+		t.Errorf("deps not deduplicated: %v", p.Deps(c))
 	}
 	if len(p.Outs(a)) != 1 {
 		t.Errorf("outs not deduplicated: %v", p.Outs(a))
@@ -140,52 +142,62 @@ func TestValidateRejects(t *testing.T) {
 
 // TestBuildAgreesWithValidate builds each of Validate's error cases
 // through a Builder and checks that Build reports exactly what Validate
-// reports for the same ops assembled by hand: the two share one per-op
-// check. A case with GOAL text also parses it, through the same Build.
+// reports for the same ops assembled by hand — a bare op table, as
+// perfbench's goal.validate probe times: the two share one per-op check.
+// Dependencies reach a program only through Requires, so the dependency
+// cases are Build's alone; their bare ops are valid. A case with GOAL text
+// also parses it, through the same Build.
 func TestBuildAgreesWithValidate(t *testing.T) {
-	calc := func(rank int32, work simtime.Duration, deps ...OpID) Op {
-		return Op{Kind: KindCalc, Rank: rank, Work: work, Deps: deps}
+	calc := func(rank int32, work simtime.Duration) Op {
+		return Op{Kind: KindCalc, Rank: rank, Work: work}
 	}
 	msg := func(k Kind, rank, peer, tag int32, bytes int64) Op {
 		return Op{Kind: k, Rank: rank, Peer: peer, Tag: tag, Bytes: bytes}
 	}
+	// requires is one Requires call: op must follow deps.
+	type requires struct {
+		op   OpID
+		deps []OpID
+	}
 	cases := []struct {
-		name  string
-		ranks int
-		ops   []Op
-		text  string
-		want  string
+		name     string
+		ranks    int
+		ops      []Op
+		requires []requires
+		text     string
+		want     string
 	}{
-		{"valid", 2, []Op{calc(0, 1), msg(KindSend, 0, 1, 0, 8), msg(KindRecv, 1, 0, 0, 8)}, "", ""},
-		{"bad rank", 4, []Op{calc(7, 1)}, "",
+		{"valid", 2, []Op{calc(0, 1), msg(KindSend, 0, 1, 0, 8), msg(KindRecv, 1, 0, 0, 8)}, nil, "", ""},
+		{"bad rank", 4, []Op{calc(7, 1)}, nil, "",
 			"goal: op 0 rank 7 out of range [0,4)"},
-		{"negative rank", 4, []Op{calc(0, 1), calc(-1, 1)}, "",
+		{"negative rank", 4, []Op{calc(0, 1), calc(-1, 1)}, nil, "",
 			"goal: op 1 rank -1 out of range [0,4)"},
-		{"send peer out of range", 2, []Op{msg(KindSend, 0, 5, 0, 8)}, "",
+		{"send peer out of range", 2, []Op{msg(KindSend, 0, 5, 0, 8)}, nil, "",
 			"goal: send op 0 peer 5 out of range"},
-		{"recv peer out of range", 2, []Op{msg(KindRecv, 1, -2, 0, 8)}, "",
+		{"recv peer out of range", 2, []Op{msg(KindRecv, 1, -2, 0, 8)}, nil, "",
 			"goal: recv op 0 peer -2 out of range"},
-		{"self-send", 2, []Op{msg(KindSend, 0, 0, 0, 8)}, "",
+		{"self-send", 2, []Op{msg(KindSend, 0, 0, 0, 8)}, nil, "",
 			"goal: send op 0 is a self-send"},
-		{"self-recv", 2, []Op{msg(KindRecv, 1, 1, 0, 8)}, "",
+		{"self-recv", 2, []Op{msg(KindRecv, 1, 1, 0, 8)}, nil, "",
 			"goal: recv op 0 is a self-recv"},
-		{"negative send size", 2, []Op{msg(KindSend, 0, 1, 0, -8)}, "",
+		{"negative send size", 2, []Op{msg(KindSend, 0, 1, 0, -8)}, nil, "",
 			"goal: send op 0 negative size"},
-		{"negative recv size", 2, []Op{msg(KindRecv, 1, 0, 0, -8)}, "",
+		{"negative recv size", 2, []Op{msg(KindRecv, 1, 0, 0, -8)}, nil, "",
 			"goal: recv op 0 negative size"},
-		{"negative send tag", 2, []Op{msg(KindSend, 0, 1, -3, 8)}, "",
+		{"negative send tag", 2, []Op{msg(KindSend, 0, 1, -3, 8)}, nil, "",
 			"goal: send op 0 negative tag"},
-		{"negative recv tag", 2, []Op{msg(KindRecv, 1, 0, -3, 8)}, "",
+		{"negative recv tag", 2, []Op{msg(KindRecv, 1, 0, -3, 8)}, nil, "",
 			"goal: recv op 0 negative tag"},
-		{"negative work", 1, []Op{calc(0, -1)}, "",
+		{"negative work", 1, []Op{calc(0, -1)}, nil, "",
 			"goal: calc op 0 negative work"},
-		{"unknown kind", 1, []Op{{Kind: 9}}, "",
+		{"unknown kind", 1, []Op{{Kind: 9}}, nil, "",
 			"goal: op 0 has unknown kind 9"},
-		{"self dep", 1, []Op{calc(0, 1), calc(0, 1, 1)}, "",
+		{"self dep", 1, []Op{calc(0, 1), calc(0, 1)}, []requires{{1, []OpID{1}}}, "",
 			"goal: op 1 depends on itself"},
-		{"cross-rank dep", 2, []Op{calc(0, 1), calc(1, 1, 0)}, "",
+		{"cross-rank dep", 2, []Op{calc(0, 1), calc(1, 1)}, []requires{{1, []OpID{0}}}, "",
 			"goal: op 1 (rank 1) depends on op 0 (rank 0): cross-rank deps are not allowed"},
-		{"cycle", 1, []Op{calc(0, simtime.Microsecond, 1), calc(0, simtime.Microsecond, 0)},
+		{"cycle", 1, []Op{calc(0, simtime.Microsecond), calc(0, simtime.Microsecond)},
+			[]requires{{0, []OpID{1}}, {1, []OpID{0}}},
 			"num_ranks 1\nrank 0 {\n a: calc 1us\n b: calc 1us\n a requires b\n b requires a\n}\n",
 			"goal: dependency graph has a cycle (0 of 2 ops reachable)"},
 	}
@@ -197,24 +209,23 @@ func TestBuildAgreesWithValidate(t *testing.T) {
 	}
 	for _, c := range cases {
 		b := NewBuilder(c.ranks)
-		bare := make([]Op, len(c.ops))
-		for i, op := range c.ops {
-			op.Deps = nil
+		for _, op := range c.ops {
 			b.add(op)
-			bare[i] = c.ops[i]
-			bare[i].ID = OpID(i)
 		}
-		for i, op := range c.ops {
-			if len(op.Deps) > 0 {
-				b.Requires(OpID(i), op.Deps...)
-			}
+		for _, r := range c.requires {
+			b.Requires(r.op, r.deps...)
 		}
 		_, err := b.Build()
 		if got := errString(err); got != c.want {
 			t.Errorf("%s: Build error %q, want %q", c.name, got, c.want)
 		}
-		if got := errString((&Program{NumRanks: c.ranks, Ops: bare}).Validate()); got != c.want {
-			t.Errorf("%s: Validate error %q, want %q", c.name, got, c.want)
+		wantBare := c.want
+		if len(c.requires) > 0 {
+			wantBare = ""
+		}
+		bare := &Program{NumRanks: c.ranks, Ops: append([]Op(nil), c.ops...)}
+		if got := errString(bare.Validate()); got != wantBare {
+			t.Errorf("%s: Validate error %q, want %q", c.name, got, wantBare)
 		}
 		if c.text != "" {
 			if _, err := ParseString(c.text); errString(err) != c.want {
@@ -317,13 +328,13 @@ func TestSequencer(t *testing.T) {
 	b.Seq(1).Recv(0, 0, 8)
 	b.Send(1, 0, 0, 8)
 	p := b.MustBuild()
-	if len(p.Op(c1).Deps) != 0 {
+	if len(p.Deps(c1)) != 0 {
 		t.Error("first op should have no deps")
 	}
-	if d := p.Op(sd).Deps; len(d) != 1 || d[0] != c1 {
+	if d := p.Deps(sd); len(d) != 1 || d[0] != c1 {
 		t.Errorf("send deps = %v", d)
 	}
-	if d := p.Op(rv).Deps; len(d) != 1 || d[0] != sd {
+	if d := p.Deps(rv); len(d) != 1 || d[0] != sd {
 		t.Errorf("recv deps = %v", d)
 	}
 }
@@ -340,15 +351,15 @@ func TestSequencerForkJoin(t *testing.T) {
 	b.Send(1, 0, 0, 8)
 	p := b.MustBuild()
 	// Forks depend on c but not on each other.
-	if d := p.Op(f1).Deps; len(d) != 1 || d[0] != c {
+	if d := p.Deps(f1); len(d) != 1 || d[0] != c {
 		t.Errorf("fork1 deps = %v", d)
 	}
-	if d := p.Op(f2).Deps; len(d) != 1 || d[0] != c {
+	if d := p.Deps(f2); len(d) != 1 || d[0] != c {
 		t.Errorf("fork2 deps = %v", d)
 	}
 	// Tail transitively depends on both forks through the join node.
-	join := p.Op(tail).Deps[0]
-	jd := p.Op(join).Deps
+	join := p.Deps(tail)[0]
+	jd := p.Deps(join)
 	has := func(id OpID) bool {
 		for _, d := range jd {
 			if d == id {
@@ -387,7 +398,7 @@ func TestSeqAfter(t *testing.T) {
 	s := b.SeqAfter(0, root)
 	c := s.Calc(2)
 	p := b.MustBuild()
-	if d := p.Op(c).Deps; len(d) != 1 || d[0] != root {
+	if d := p.Deps(c); len(d) != 1 || d[0] != root {
 		t.Errorf("SeqAfter deps = %v", d)
 	}
 }
@@ -427,6 +438,83 @@ func TestQuickRandomProgramsValidate(t *testing.T) {
 		return p.Stats().NumOps == 50
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: in a program built from random Requires calls — interleaved
+// across ops, repeating deps, pointing forward and backward, some wider
+// than the dedup's linear scan — Deps(id) is the first-occurrence dedup of
+// op id's Requires in call order, and Outs is exactly its inverse, in
+// ascending ID order.
+func TestQuickDepsMatchRequires(t *testing.T) {
+	f := func(seed uint32) bool {
+		r := rng.New(uint64(seed))
+		n := r.Intn(3) + 1
+		nops := r.Intn(80) + 1
+		b := NewBuilder(n)
+		rank := make([]int, nops)
+		for i := range rank {
+			rank[i] = r.Intn(n)
+			b.Calc(rank[i], simtime.Duration(r.Intn(100)))
+		}
+		// An op may depend only on a same-rank op of lower priority, which
+		// keeps the graph acyclic while IDs point either way.
+		prio := r.Perm(nops)
+		eligible := func(op, d OpID) bool { return rank[d] == rank[op] && prio[d] < prio[op] }
+		want := make([][]OpID, nops)
+		for k := r.Intn(4*nops) + 1; k > 0; k-- {
+			op := OpID(r.Intn(nops))
+			var deps []OpID
+			switch {
+			case r.Intn(10) == 0: // a wide join, every candidate twice
+				for _, i := range append(r.Perm(nops), r.Perm(nops)...) {
+					if eligible(op, OpID(i)) {
+						deps = append(deps, OpID(i))
+					}
+				}
+			case len(want[op]) > 0 && r.Intn(3) == 0: // a repeat
+				deps = append(deps, want[op][r.Intn(len(want[op]))])
+			default:
+				for m := r.Intn(4); m >= 0; m-- {
+					if d := OpID(r.Intn(nops)); eligible(op, d) {
+						deps = append(deps, d)
+					}
+				}
+			}
+			b.Requires(op, deps...)
+			for _, d := range deps {
+				if !slices.Contains(want[op], d) {
+					want[op] = append(want[op], d)
+				}
+			}
+		}
+		p, err := b.Build()
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		outs := make([][]OpID, nops)
+		total := 0
+		for i := range want {
+			if !slices.Equal(p.Deps(OpID(i)), want[i]) {
+				t.Logf("seed %d: Deps(%d) = %v, want %v", seed, i, p.Deps(OpID(i)), want[i])
+				return false
+			}
+			for _, d := range want[i] {
+				outs[d] = append(outs[d], OpID(i))
+			}
+			total += len(want[i])
+		}
+		for i := range outs {
+			if !slices.Equal(p.Outs(OpID(i)), outs[i]) {
+				t.Logf("seed %d: Outs(%d) = %v, want %v", seed, i, p.Outs(OpID(i)), outs[i])
+				return false
+			}
+		}
+		return p.Stats().NumDeps == total
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -483,7 +571,7 @@ rank 1 {
 	if st.NumOps != 3 || st.NumCalc != 1 || st.NumSend != 1 || st.NumRecv != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if p.Op(1).Kind != KindSend || len(p.Op(1).Deps) != 1 {
+	if p.Op(1).Kind != KindSend || len(p.Deps(1)) != 1 {
 		t.Errorf("dep not parsed: %+v", p.Op(1))
 	}
 	if p.Op(0).Work != 100*simtime.Microsecond {
@@ -596,13 +684,36 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpSize pins the op table's layout: 32-byte ops, two to a cache
+// line, with no pointer for the garbage collector to scan.
 func TestOpSize(t *testing.T) {
-	if n := unsafe.Sizeof(Op{}); n > 64 {
-		t.Errorf("goal.Op is %d bytes, want at most 64", n)
+	if n := unsafe.Sizeof(Op{}); n != 32 {
+		t.Errorf("goal.Op is %d bytes, want 32", n)
+	}
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !pointerFree(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return pointerFree(typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+			return false
+		}
+		return true
+	}
+	if !pointerFree(reflect.TypeOf(Op{})) {
+		t.Error("goal.Op holds a pointer")
 	}
 }
 
-// TestDepsArenaOrder checks that Deps keep first occurrences in Requires
+// TestDepsArenaOrder checks that Deps keeps first occurrences in Requires
 // order across interleaved calls, and that Outs list dependents in
 // ascending ID order.
 func TestDepsArenaOrder(t *testing.T) {
@@ -625,10 +736,10 @@ func TestDepsArenaOrder(t *testing.T) {
 		}
 		return true
 	}
-	if got := p.Op(c).Deps; !same(got, []OpID{y, a, x}) {
+	if got := p.Deps(c); !same(got, []OpID{y, a, x}) {
 		t.Errorf("Deps(c) = %v, want [%d %d %d]", got, y, a, x)
 	}
-	if got := p.Op(d).Deps; !same(got, []OpID{a, x}) {
+	if got := p.Deps(d); !same(got, []OpID{a, x}) {
 		t.Errorf("Deps(d) = %v, want [%d %d]", got, a, x)
 	}
 	if got := p.Outs(a); !same(got, []OpID{c, d}) {
@@ -643,6 +754,9 @@ func TestDepsArenaOrder(t *testing.T) {
 	}
 	if got := w.Outs(x); !same(got, []OpID{c, d}) {
 		t.Errorf("widened Outs(x) = %v, want [%d %d]", got, c, d)
+	}
+	if got := w.Deps(c); !same(got, []OpID{y, a, x}) {
+		t.Errorf("widened Deps(c) = %v, want [%d %d %d]", got, y, a, x)
 	}
 }
 

@@ -262,9 +262,9 @@ func parseSize(s string) (int64, error) {
 // global op IDs — is what makes the output canonical: parsing renumbers
 // operations in the order rank blocks appear, so only a rank-relative
 // naming survives parse → serialize unchanged. Dependencies are intra-rank
-// (Program.Validate enforces it), so every dep has a local label. The
-// output parses back to a structurally identical program, and serializing
-// that program reproduces the output byte-for-byte.
+// (Build enforces it), so every dep has a local label. The output parses
+// back to a structurally identical program, and serializing that program
+// reproduces the output byte-for-byte.
 func Write(w io.Writer, p *Program) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "num_ranks %d\n", p.NumRanks)
@@ -297,12 +297,12 @@ func Write(w io.Writer, p *Program) error {
 			}
 		}
 		for k, id := range ids {
-			op := p.Op(id)
-			if len(op.Deps) == 0 {
+			opDeps := p.Deps(id)
+			if len(opDeps) == 0 {
 				continue
 			}
-			deps := make([]int, 0, len(op.Deps))
-			for _, d := range op.Deps {
+			deps := make([]int, 0, len(opDeps))
+			for _, d := range opDeps {
 				deps = append(deps, local[d])
 			}
 			sort.Ints(deps)

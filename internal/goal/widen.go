@@ -20,7 +20,8 @@ func Widen(p *Program, numRanks int) (*Program, error) {
 	if numRanks == p.NumRanks {
 		return p, nil
 	}
-	w := &Program{NumRanks: numRanks, Ops: p.Ops, outs: p.outs, outOff: p.outOff}
+	w := &Program{NumRanks: numRanks, Ops: p.Ops, deps: p.deps, depOff: p.depOff,
+		outs: p.outs, outOff: p.outOff}
 	w.byRank = make([][]OpID, numRanks)
 	copy(w.byRank, p.byRank)
 	if p.validated.Load() {

@@ -158,6 +158,11 @@ func (r *Source) Weibull(scale, shape float64) float64 {
 	return scale * math.Pow(-math.Log(r.Float64Open()), 1/shape)
 }
 
+// NormalBound bounds the standard deviate Normal draws: its smallest
+// uniform input is 2^-53, so |z| <= sqrt(-2 ln 2^-53) ≈ 8.5717. A draw is
+// never farther than NormalBound·stddev from the mean.
+const NormalBound = 8.58
+
 // Normal returns a normally distributed value with the given mean and
 // standard deviation, via the Box-Muller transform (polar discarded branch
 // omitted deliberately: one trig call keeps the consumption of the stream

@@ -688,7 +688,7 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		// Activate all initially-ready operations.
 		for i := range e.prog.Ops {
-			e.depsLeft[i] = int32(len(e.prog.Ops[i].Deps))
+			e.depsLeft[i] = int32(len(e.prog.Deps(goal.OpID(i))))
 		}
 		for i := range e.prog.Ops {
 			if e.depsLeft[i] == 0 {
@@ -847,7 +847,7 @@ func (e *Engine) jobDone(rank int) {
 	switch j.kind {
 	case jobCalc:
 		st.busy += dur
-		e.opDone(goal.OpID(j.arg))
+		e.opDone(rank, goal.OpID(j.arg))
 	case jobSendEager:
 		st.busy += dur
 		id := goal.OpID(j.arg)
@@ -856,7 +856,7 @@ func (e *Engine) jobDone(rank int) {
 			tag: op.Tag, bytes: op.Bytes, op: id}), op.Bytes)
 		e.metrics.AppMessages++
 		e.metrics.AppBytes += op.Bytes
-		e.opDone(id)
+		e.opDone(rank, id)
 	case jobSendRTS:
 		st.busy += dur
 		id := goal.OpID(j.arg)
@@ -875,10 +875,10 @@ func (e *Engine) jobDone(rank int) {
 		e.inject(rank, j.arg, bytes)
 		e.metrics.AppMessages++
 		e.metrics.AppBytes += bytes
-		e.opDone(op) // rendezvous send completes when data is pushed
+		e.opDone(rank, op) // rendezvous send completes when data is pushed
 	case jobRecvDone:
 		st.busy += dur
-		e.opDone(goal.OpID(j.arg))
+		e.opDone(rank, goal.OpID(j.arg))
 	case jobCtlSend:
 		st.ctlBusy += dur
 		wire := e.msgs[j.arg].wire
@@ -911,15 +911,15 @@ func (e *Engine) jobDone(rank int) {
 	e.dispatch(rank)
 }
 
-// opDone marks an application operation complete and releases dependents.
-func (e *Engine) opDone(id goal.OpID) {
+// opDone marks an application operation complete on rank, the rank its
+// job ran on (always the op's own), and releases dependents.
+func (e *Engine) opDone(rank int, id goal.OpID) {
 	if e.depsLeft[id] == -1 {
 		panic("sim: op completed twice")
 	}
 	e.depsLeft[id] = -1
 	e.opsLeft--
-	op := e.prog.Op(id)
-	st := &e.ranks[op.Rank]
+	st := &e.ranks[rank]
 	if e.now > st.finish {
 		st.finish = e.now
 	}

@@ -261,6 +261,11 @@ func (e *Engine) validOp(id goal.OpID) bool {
 	return id == goal.NoOp || id >= 0 && int(id) < len(e.prog.Ops)
 }
 
+// onRank reports whether id names an op of the program bound to rank.
+func (e *Engine) onRank(id goal.OpID, rank int) bool {
+	return id >= 0 && int(id) < len(e.prog.Ops) && int(e.prog.Ops[id].Rank) == rank
+}
+
 // checkDeps fails decoding unless every dependency counter matches the
 // program: an open op waits on exactly its open dependencies, and a
 // completed op on none.
@@ -318,8 +323,9 @@ func jobHasOp(k jobKind) bool {
 // codeJob walks a job in one flat layout for every kind: kind, cost, op,
 // the seizure fields, then a presence flag and the message inline. Fields
 // a kind does not use are written as zeros; decoding puts the message or
-// seizure record in a fresh slab slot.
-func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
+// seizure record in a fresh slab slot. A job that completes an op must sit
+// on the op's own rank, since completing it credits the rank it ran on.
+func (e *Engine) codeJob(c *snapshot.Codec, rank int, j *job) {
 	var op goal.OpID
 	var sz seizeRec
 	var m message
@@ -345,7 +351,8 @@ func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
 		e.codeMsg(c, &m)
 	}
 	if kind > jobSeizeOpen || j.cost < 0 || !e.validOp(op) ||
-		jobHasOp(kind) && !e.claimOp(c, op) ||
+		jobHasOp(kind) && (!e.claimOp(c, op) || !e.onRank(op, rank)) ||
+		kind == jobSendData && !e.onRank(m.op, rank) ||
 		!e.validReason(sz.reason) && sz.reason != 0 || !e.validReason(sz.waitReason) && sz.waitReason != 0 ||
 		hasMsg != jobHasMsg(kind) {
 		c.Failf("job fields out of range")
@@ -366,7 +373,7 @@ func (e *Engine) codeJob(c *snapshot.Codec, j *job) {
 
 // codeFifo walks a queue's count, then its jobs head first; restoring sizes
 // the ring in one allocation.
-func (e *Engine) codeFifo(c *snapshot.Codec, f *fifo[job]) {
+func (e *Engine) codeFifo(c *snapshot.Codec, rank int, f *fifo[job]) {
 	n := c.Len(f.n)
 	if c.Decoding() {
 		*f = fifo[job]{}
@@ -376,28 +383,28 @@ func (e *Engine) codeFifo(c *snapshot.Codec, f *fifo[job]) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		e.codeJob(c, f.at(i))
+		e.codeJob(c, rank, f.at(i))
 	}
 }
 
 // codeRank walks one rank's state; restoring derives held from the open
 // holds.
-func (e *Engine) codeRank(c *snapshot.Codec, st *rankState) {
+func (e *Engine) codeRank(c *snapshot.Codec, rank int, st *rankState) {
 	if c.Decoding() {
 		*st = rankState{}
 	}
 	c.Bool(&st.running)
 	if st.running {
-		e.codeJob(c, &st.runningJob)
+		e.codeJob(c, rank, &st.runningJob)
 		snapshot.Int(c, &st.jobStart)
 		c.Bool(&st.releasing)
 	}
 	if st.jobStart > e.now || st.releasing && st.runningJob.kind != jobSeizeOpen {
 		c.Failf("running job out of range")
 	}
-	e.codeFifo(c, &st.seizeQ)
-	e.codeFifo(c, &st.ctlQ)
-	e.codeFifo(c, &st.appQ)
+	e.codeFifo(c, rank, &st.seizeQ)
+	e.codeFifo(c, rank, &st.ctlQ)
+	e.codeFifo(c, rank, &st.appQ)
 	if n := c.Len(len(st.holds)); c.Decoding() {
 		st.holds = make([]hold, n)
 	}
@@ -534,7 +541,7 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 	e.walkReasons(c)
 	e.walkOwnerKeys(c)
 	for i := range e.ranks {
-		e.codeRank(c, &e.ranks[i])
+		e.codeRank(c, i, &e.ranks[i])
 	}
 	if err := e.walkAgents(c); err != nil {
 		return err

@@ -467,12 +467,13 @@ func renameOp(want func(d int32) bool) func(*Engine, int) bool {
 }
 
 // TestRestoreRefusesBadOps: a running job naming NoOp, a completed op, an
-// op still waiting on its dependencies or an op that other pending work
-// already names, a dependency counter that disagrees with the program, a
-// second completion queued for a running job, or a queued job with a
-// negative cost, is corrupt — Restore fails instead of handing Run an op
-// it would index with -1, complete twice or never complete, or a
-// completion before the present.
+// op still waiting on its dependencies, an op that other pending work
+// already names or an op of another rank, a dependency counter that
+// disagrees with the program, a second completion queued for a running
+// job, or a queued job with a negative cost, is corrupt — Restore fails
+// instead of handing Run an op it would index with -1, complete twice,
+// never complete or credit to the wrong rank, or a completion before the
+// present.
 func TestRestoreRefusesBadOps(t *testing.T) {
 	const seed = 42
 	for name, bad := range map[string]func(*Engine, int) bool{
@@ -480,6 +481,16 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 		"finished": renameOp(func(d int32) bool { return d == -1 }),
 		"waiting":  renameOp(func(d int32) bool { return d > 0 }),
 		"named":    renameOp(func(d int32) bool { return d == 0 }),
+		"wrong rank": func(e *Engine, r int) bool {
+			for r2 := range e.ranks {
+				if st := &e.ranks[r2]; r2 != r && st.running && st.runningJob.kind == jobCalc {
+					a, b := &e.ranks[r].runningJob, &st.runningJob
+					a.arg, b.arg = b.arg, a.arg
+					return true
+				}
+			}
+			return false
+		},
 		"counter": func(e *Engine, _ int) bool {
 			id := slices.IndexFunc(e.depsLeft, func(d int32) bool { return d > 0 })
 			if id >= 0 {

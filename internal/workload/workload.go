@@ -63,6 +63,9 @@ func (c CommonConfig) validate() error {
 		return fmt.Errorf("workload: negative compute")
 	case !(c.Jitter >= 0) || math.IsInf(c.Jitter, 1):
 		return fmt.Errorf("workload: bad jitter %v", c.Jitter)
+	case float64(c.Compute)*(1+rng.NormalBound*c.Jitter) >= 1<<63:
+		// Some draw could pass the int64 range of a simtime.Duration.
+		return fmt.Errorf("workload: jitter %v overflows compute %v", c.Jitter, c.Compute)
 	case c.Bytes < 0:
 		return fmt.Errorf("workload: negative message size %d", c.Bytes)
 	}

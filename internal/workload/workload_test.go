@@ -3,12 +3,14 @@ package workload
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/network"
+	"checkpointsim/internal/rng"
 	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 )
@@ -302,14 +304,16 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestFromNameRejectsBadInput checks that every workload refuses a
-// negative message size and a non-finite or negative jitter up front, with
-// a workload error, rather than building a program the simulator rejects.
+// negative message size and a non-finite, negative or overflowing jitter up
+// front, with a workload error, rather than building a program the
+// simulator rejects; and that the largest jitter it admits builds.
 func TestFromNameRejectsBadInput(t *testing.T) {
 	bad := map[string]CommonConfig{
 		"negative bytes": {Base: base(8, 2), Bytes: -1},
 		"NaN jitter":     {Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond, Jitter: math.NaN()}},
 		"+Inf jitter":    {Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond, Jitter: math.Inf(1)}},
 		"-Inf jitter":    {Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond, Jitter: math.Inf(-1)}},
+		"huge jitter":    {Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond, Jitter: 1e300}},
 	}
 	for _, name := range Names() {
 		for what, cfg := range bad {
@@ -322,6 +326,13 @@ func TestFromNameRejectsBadInput(t *testing.T) {
 	for what, cfg := range bad {
 		if _, err := Straggler(cfg, 0, 2); err == nil {
 			t.Errorf("Straggler with %s accepted", what)
+		}
+	}
+	edge := CommonConfig{Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond,
+		Jitter: 0.99 * (math.MaxInt64/float64(simtime.Millisecond) - 1) / rng.NormalBound}}
+	for _, name := range Names() {
+		if _, err := FromName(name, edge); err != nil {
+			t.Errorf("%s with jitter %g: %v", name, edge.Jitter, err)
 		}
 	}
 }
@@ -512,6 +523,34 @@ func TestReservationsFit(t *testing.T) {
 	}
 	p, err := FromName("stencil2d", CommonConfig{Base: base(2048, 10), Bytes: 4096})
 	check("stencil2d P=2048", p, err)
+}
+
+// TestBuildMemoryPerOp bounds what building the P=2048 stencil of the
+// scale_resume benchmark allocates: about a million ops, each a 32-byte op
+// plus its share of the edge list, the dependency and reverse arenas and
+// their offsets, and the per-rank index. A 64-byte op with a slice header
+// for its dependencies allocated about 107 B per op.
+func TestBuildMemoryPerOp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a million-op program")
+	}
+	cfg := CommonConfig{
+		Base:  Base{Ranks: 2048, Iterations: 40, Compute: simtime.Millisecond, Jitter: 0.1, Seed: 1},
+		Bytes: 4096,
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	p, err := FromName("stencil2d", cfg)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(p.Ops))
+	t.Logf("%d ops, %.1f B per op", len(p.Ops), perOp)
+	if perOp > 85 {
+		t.Errorf("building %d ops allocated %.1f B per op, want at most 85", len(p.Ops), perOp)
+	}
 }
 
 // BenchmarkBuildProgram builds and fingerprints the P=2048 stencil of the
