@@ -22,7 +22,7 @@ func E1Validation(o Options) ([]*report.Table, error) {
 		"bytes", "protocol", "sim", "model", "err%")
 	sizes := pick(o, []int64{8, 512, 4096, 32 * 1024, 256 * 1024, 1 << 20},
 		[]int64{8, 4096, 256 * 1024})
-	err := sweep(pt, o, "E1a", sizes, func(i int, s int64) (rows, error) {
+	err := sweep(pt, o, "E1a", sizes, func(sd uint64, s int64) (rows, error) {
 		b := goal.NewBuilder(2)
 		b.Send(0, 1, 0, s)
 		b.Recv(1, 0, 0, s)
@@ -30,7 +30,7 @@ func E1Validation(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := execute(o, run.Config{Net: net, Program: prog, Seed: pointSeed(o, "E1a", i)})
+		r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +60,7 @@ func E1Validation(o Options) ([]*report.Table, error) {
 	scales := pick(o, []int{4, 16, 64, 256, 1024}, []int{4, 16, 64})
 	const cb = 8
 	hop := net.SendCPU(cb) + net.Wire(cb) + net.RecvCPU(cb)
-	err = sweep(ct, o, "E1b", scales, func(i, p int) (rows, error) {
+	err = sweep(ct, o, "E1b", scales, func(sd uint64, p int) (rows, error) {
 		type mk struct {
 			name  string
 			build func(b *goal.Builder)
@@ -86,7 +86,7 @@ func E1Validation(o Options) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: pointSeed(o, "E1b", i)})
+			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd})
 			if err != nil {
 				return nil, err
 			}

@@ -22,13 +22,12 @@ func E10Hierarchical(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E10: hierarchical cluster-size sweep (τ=10ms, δ=1ms, log β=0.2)",
 		"workload", "cluster", "overhead%", "logged-frac", "rounds", "ctl-msgs")
-	err := sweep(t, o, "E10", workloads, func(i int, w string) (rows, error) {
-		sd := pointSeed(o, "E10", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+	err := sweep(t, o, "E10", workloads, func(sd uint64, w string) (rows, error) {
+		prog, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
@@ -37,8 +36,7 @@ func E10Hierarchical(o Options) ([]*report.Table, error) {
 			if c > ranks {
 				continue
 			}
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			r, ov, err := tw.run(run.Config{
 				Protocol: checkpoint.Config{Kind: checkpoint.KindHierarchical,
 					Interval: 10 * simtime.Millisecond, Write: simtime.Millisecond,
 					ClusterSize: c, Logging: logp}})
@@ -50,7 +48,7 @@ func E10Hierarchical(o Options) ([]*report.Table, error) {
 			if r.Metrics.AppMessages > 0 {
 				frac = float64(st.LoggedMessages) / float64(r.Metrics.AppMessages)
 			}
-			rs.add(w, c, overheadPct(r, rBase), frac, st.Rounds, r.Metrics.CtlMessages)
+			rs.add(w, c, ov, frac, st.Rounds, r.Metrics.CtlMessages)
 		}
 		return rs, nil
 	})

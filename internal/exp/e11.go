@@ -23,26 +23,24 @@ func E11NonBlocking(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E11: blocking vs non-blocking coordinated (τ=10ms, δ=2ms)",
 		"workload", "protocol", "window", "slowdown", "overhead%", "rounds")
-	err := sweep(t, o, "E11", workloads, func(i int, w string) (rows, error) {
-		sd := pointSeed(o, "E11", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+	err := sweep(t, o, "E11", workloads, func(sd uint64, w string) (rows, error) {
+		prog, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
 
-		// Blocking reference. Same spec and seed as base: reuse the
-		// immutable program.
-		r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+		// Blocking reference.
+		r, ov, err := tw.run(run.Config{
 			Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: delta}})
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		rs.add(w, "blocking", "-", "-", overheadPct(r, rBase), r.Protocol.Stats().Rounds)
+		rs.add(w, "blocking", "-", "-", ov, r.Protocol.Stats().Rounds)
 
 		type variant struct {
 			window   simtime.Duration
@@ -57,14 +55,14 @@ func E11NonBlocking(o Options) ([]*report.Table, error) {
 			},
 			[]variant{{4 * simtime.Millisecond, 1.25}})
 		for _, v := range variants {
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			r, ov, err := tw.run(run.Config{
 				Protocol: checkpoint.Config{Kind: checkpoint.KindNonBlocking, Interval: tau,
 					Write: delta, Window: v.window, Slowdown: v.slowdown}})
 			if err != nil {
 				return nil, err
 			}
 			rs.add(w, "non-blocking", v.window.String(), v.slowdown,
-				overheadPct(r, rBase), r.Protocol.Stats().Rounds)
+				ov, r.Protocol.Stats().Rounds)
 		}
 		return rs, nil
 	})

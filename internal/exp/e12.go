@@ -28,13 +28,12 @@ func E12Partner(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E12: local-write vs partner (diskless) checkpointing, τ=10ms",
 		"workload", "image", "protocol", "overhead%", "writes", "net-MB-shipped")
-	err := sweep(t, o, "E12", workloads, func(i int, w string) (rows, error) {
-		sd := pointSeed(o, "E12", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+	err := sweep(t, o, "E12", workloads, func(sd uint64, w string) (rows, error) {
+		prog, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
@@ -42,26 +41,25 @@ func E12Partner(o Options) ([]*report.Table, error) {
 		for _, size := range sizes {
 			writeDur := simtime.FromSeconds(float64(size) / fsBytesPerSec)
 
-			// Local write: exclusive seizure sized by PFS bandwidth. Same
-			// spec and seed as base: reuse the immutable program.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			// Local write: exclusive seizure sized by PFS bandwidth.
+			r, ov, err := tw.run(run.Config{
 				Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
 					Interval: interval, Write: writeDur}})
 			if err != nil {
 				return nil, err
 			}
-			rs.add(w, size, "local-write", overheadPct(r, rBase), r.Protocol.Stats().Writes, 0.0)
+			rs.add(w, size, "local-write", ov, r.Protocol.Stats().Writes, 0.0)
 
 			// Partner: short serialize seizure (memcpy is ~10x the PFS rate)
 			// + real network transfer.
-			r2, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			r2, ov2, err := tw.run(run.Config{
 				Protocol: checkpoint.Config{Kind: checkpoint.KindPartner,
 					Interval: interval, Write: writeDur / 10, CkptBytes: size}})
 			if err != nil {
 				return nil, err
 			}
 			shipped, _ := r2.Protocol.(*checkpoint.Partner).Shipped()
-			rs.add(w, size, "partner", overheadPct(r2, rBase), r2.Protocol.Stats().Writes,
+			rs.add(w, size, "partner", ov2, r2.Protocol.Stats().Writes,
 				float64(shipped)/(1<<20))
 		}
 		return rs, nil

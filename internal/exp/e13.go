@@ -29,9 +29,7 @@ func E13Straggler(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E13: checkpointing under a straggler (τ=10ms, δ=2ms)",
 		"straggler-x", "protocol", "makespan", "overhead-vs-own-baseline%")
-	err := sweep(t, o, "E13", factors, func(i int, f float64) (rows, error) {
-		sd := pointSeed(o, "E13", i)
-		// One program serves the baseline and every protocol run.
+	err := sweep(t, o, "E13", factors, func(sd uint64, f float64) (rows, error) {
 		prog, err := workload.Straggler(workload.CommonConfig{
 			Base: workload.Base{Ranks: ranks, Iterations: iters,
 				Compute: simtime.Millisecond, Seed: sd},
@@ -40,18 +38,17 @@ func E13Straggler(o Options) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		for _, proto := range protos {
-			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd, Protocol: proto})
+			r, ov, err := tw.run(run.Config{Protocol: proto})
 			if err != nil {
 				return nil, err
 			}
-			rs.add(f, r.Protocol.Name(), simtime.Duration(r.Makespan).String(),
-				overheadPct(r, rBase))
+			rs.add(f, r.Protocol.Name(), simtime.Duration(r.Makespan).String(), ov)
 		}
 		return rs, nil
 	})

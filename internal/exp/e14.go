@@ -27,8 +27,7 @@ func E14Fabric(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E14: partner checkpointing under fabric contention (transpose, 1MiB images)",
 		"bisection-GB/s", "baseline-makespan", "protocol", "overhead%", "fabric-busy")
-	err := sweep(t, o, "E14", bisections, func(i int, bis float64) (rows, error) {
-		sd := pointSeed(o, "E14", i)
+	err := sweep(t, o, "E14", bisections, func(sd uint64, bis float64) (rows, error) {
 		net := o.net()
 		net.BisectionBytesPerSec = bis
 		label := "inf"
@@ -36,36 +35,34 @@ func E14Fabric(o Options) ([]*report.Table, error) {
 			label = report.Cell(bis / 1e9)
 		}
 
-		base, err := buildProg("transpose", ranks, iters, ms(1), 32*1024, sd)
+		prog, err := buildProg("transpose", ranks, iters, ms(1), 32*1024, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
+		baseSpan := simtime.Duration(tw.base.Makespan).String()
 		var rs rows
 
-		// Local writes: no extra fabric traffic. Same spec and seed as base:
-		// reuse the immutable program.
-		r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+		// Local writes: no extra fabric traffic.
+		r, ov, err := tw.run(run.Config{
 			Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
 				Interval: interval, Write: writeDur}})
 		if err != nil {
 			return nil, err
 		}
-		rs.add(label, simtime.Duration(rBase.Makespan).String(), "local-write",
-			overheadPct(r, rBase), r.Metrics.FabricBusy.String())
+		rs.add(label, baseSpan, "local-write", ov, r.Metrics.FabricBusy.String())
 
 		// Partner: images compete for the bisection.
-		r2, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+		r2, ov2, err := tw.run(run.Config{
 			Protocol: checkpoint.Config{Kind: checkpoint.KindPartner,
 				Interval: interval, Write: writeDur / 10, CkptBytes: image}})
 		if err != nil {
 			return nil, err
 		}
-		rs.add(label, simtime.Duration(rBase.Makespan).String(), "partner",
-			overheadPct(r2, rBase), r2.Metrics.FabricBusy.String())
+		rs.add(label, baseSpan, "partner", ov2, r2.Metrics.FabricBusy.String())
 		return rs, nil
 	})
 	if err != nil {

@@ -27,26 +27,22 @@ func E15Resonance(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E15: noise-shape resonance at fixed 2.5% duty cycle",
 		"workload", "period", "event-duration", "overhead%", "amplification")
-	err := sweep(t, o, "E15", workloads, func(i int, w string) (rows, error) {
-		sd := pointSeed(o, "E15", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+	err := sweep(t, o, "E15", workloads, func(sd uint64, w string) (rows, error) {
+		prog, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		for _, period := range periods {
 			dur := period.Scale(duty)
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
-				Noise: &noise.Config{Period: period, Duration: dur}})
+			_, ov, err := tw.run(run.Config{Noise: &noise.Config{Period: period, Duration: dur}})
 			if err != nil {
 				return nil, err
 			}
-			ov := overheadPct(r, rBase)
 			rs.add(w, period.String(), dur.String(), ov, ov/(duty*100))
 		}
 		return rs, nil

@@ -13,7 +13,9 @@ import (
 // multilevel (SCR/FTI-class) protocol: frequent cheap local checkpoints
 // backed by rare expensive global ones. The win depends on what fraction of
 // failures the local level can serve — the sweep axis. The single-level
-// reference is sweep point 0; each coverage level is its own point.
+// reference is sweep point 0; each coverage level is its own point. Every
+// point runs on one shared twin: the jitter-free stencil2d program and its
+// agent-free baseline are the same at every seed.
 func E16TwoLevel(o Options) ([]*report.Table, error) {
 	net := o.net()
 	ranks := pick(o, 64, 16)
@@ -33,11 +35,11 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 	t := report.NewTable("E16: single-level vs two-level checkpointing under failures",
 		"local-coverage", "protocol", "τ_L/τ_G", "failures", "makespan", "overhead%", "writes(L/G)")
 
-	base, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
+	prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
 	if err != nil {
 		return nil, errf("E16", err)
 	}
-	rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: o.Seed})
+	tw, err := newTwin(o, net, prog, o.Seed)
 	if err != nil {
 		return nil, errf("E16", err)
 	}
@@ -51,25 +53,20 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 		points = append(points, pt{cov: cov})
 	}
 
-	err = sweep(t, o, "E16", points, func(i int, p pt) (rows, error) {
-		sd := pointSeed(o, "E16", i)
-		prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
-		if err != nil {
-			return nil, err
-		}
-		cfg := run.Config{Net: net, Program: prog, Seed: sd, MaxTime: simtime.Time(300 * simtime.Second)}
+	err = sweep(t, o, "E16", points, func(sd uint64, p pt) (rows, error) {
+		cfg := run.Config{MaxTime: simtime.Time(300 * simtime.Second)}
 		var rs rows
 		if p.single {
 			// Single-level reference: coordinated at the Daly-optimal interval.
 			cfg.Protocol = checkpoint.Config{Kind: checkpoint.KindCoordinated,
 				Interval: tauG, Write: globalWrite}
 			cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}
-			rG, err := execute(o, cfg)
+			rG, ov, err := tw.at(sd).run(cfg)
 			if err != nil {
 				return nil, err
 			}
 			rs.add("-", "single-level", "-/"+tauG.String(), len(rG.FailureEvents),
-				simtime.Duration(rG.Makespan).String(), overheadPct(rG, rBase),
+				simtime.Duration(rG.Makespan).String(), ov,
 				report.Cell(rG.Protocol.Stats().Writes))
 			return rs, nil
 		}
@@ -87,13 +84,13 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 		cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart,
 			LocalRestart: restart / 10, LocalCoverage: p.cov,
 			Kind: failure.RecoverTwoLevel}
-		r, err := execute(o, cfg)
+		r, ov, err := tw.at(sd).run(cfg)
 		if err != nil {
 			return nil, err
 		}
 		local, global := r.Protocol.(*checkpoint.TwoLevel).LevelWrites()
 		rs.add(p.cov, "two-level", tauL.String()+"/"+tauGL.String(), len(r.FailureEvents),
-			simtime.Duration(r.Makespan).String(), overheadPct(r, rBase),
+			simtime.Duration(r.Makespan).String(), ov,
 			report.Cell(local)+"/"+report.Cell(global))
 		return rs, nil
 	})

@@ -6,7 +6,6 @@ import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/run"
-	"checkpointsim/internal/runner"
 	"checkpointsim/internal/simtime"
 )
 
@@ -80,20 +79,19 @@ func e17Grid(o Options) ([][]e17Cell, error) {
 		p   int
 		agg float64
 	}
-	var points []point
+	var grid []point
 	for _, p := range scales {
 		for _, agg := range aggs {
-			points = append(points, point{p, agg})
+			grid = append(grid, point{p, agg})
 		}
 	}
 
-	return runner.MapCtx(o.ctx(), o.Jobs, points, func(i int, pt point) ([]e17Cell, error) {
-		sd := pointSeed(o, "E17", i)
-		base, err := buildProg("ep", pt.p, iters, grain, 4096, sd)
+	return points(o, "E17", grid, func(sd uint64, pt point) ([]e17Cell, error) {
+		prog, err := buildProg("ep", pt.p, iters, grain, 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
@@ -103,10 +101,7 @@ func e17Grid(o Options) ([][]e17Cell, error) {
 		sp.PerWriterBytesPerSec = writerCap
 		cells := make([]e17Cell, 0, len(protos))
 		for _, proto := range protos {
-			// Identical spec and seed — the base program serves every
-			// protocol variant of this cell.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
-				Storage: sp, Protocol: proto.cfg})
+			r, ov, err := tw.run(run.Config{Storage: sp, Protocol: proto.cfg})
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +109,7 @@ func e17Grid(o Options) ([][]e17Cell, error) {
 				P:        pt.p,
 				Agg:      pt.agg,
 				Protocol: proto.name,
-				Overhead: overheadPct(r, rBase),
+				Overhead: ov,
 				IOWait:   r.SeizedTime[checkpoint.ReasonIOWait],
 				Writes:   r.Protocol.Stats().Writes,
 			})

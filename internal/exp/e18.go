@@ -6,7 +6,6 @@ import (
 	"checkpointsim/internal/model"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/run"
-	"checkpointsim/internal/runner"
 	"checkpointsim/internal/simtime"
 )
 
@@ -76,15 +75,14 @@ func e18Grid(o Options) ([]e18Cell, error) {
 	)
 	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.1}
 
-	var points []e18Point
+	var grid []e18Point
 	for _, p := range scales {
 		for _, m := range mtbfs {
-			points = append(points, e18Point{ranks: p, mtbf: m})
+			grid = append(grid, e18Point{ranks: p, mtbf: m})
 		}
 	}
 
-	cells, err := runner.MapCtx(o.ctx(), o.Jobs, points, func(i int, pt e18Point) (e18Cell, error) {
-		sd := pointSeed(o, "E18", i)
+	cells, err := points(o, "E18", grid, func(sd uint64, pt e18Point) (e18Cell, error) {
 		p := pt.ranks
 		sys := float64(pt.mtbf.Seconds()) / float64(p)
 		tau := simtime.FromSeconds(model.DalyInterval(write.Seconds(), sys))

@@ -6,7 +6,6 @@ import (
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/report"
 	"checkpointsim/internal/run"
-	"checkpointsim/internal/runner"
 	"checkpointsim/internal/simtime"
 )
 
@@ -71,27 +70,26 @@ func e19Grid(o Options) ([]e19Cell, error) {
 		grain = 500 * simtime.Microsecond
 	)
 
-	out, err := runner.MapCtx(o.ctx(), o.Jobs, workloads, func(i int, wl string) ([]e19Cell, error) {
-		sd := pointSeed(o, "E19", i)
+	out, err := points(o, "E19", workloads, func(sd uint64, wl string) ([]e19Cell, error) {
 		prog, err := buildProg(wl, ranks, iters, grain, 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
 		// Communication intensity: application messages per rank per
 		// checkpoint interval, measured on the protocol-free run.
-		intervals := float64(rBase.Makespan) / float64(tau)
+		intervals := float64(tw.base.Makespan) / float64(tau)
 		msgsPerTau := 0.0
 		if intervals > 0 {
-			msgsPerTau = float64(rBase.Metrics.AppMessages) / float64(ranks) / intervals
+			msgsPerTau = float64(tw.base.Metrics.AppMessages) / float64(ranks) / intervals
 		}
 
 		var cells []e19Cell
 		for _, lag := range lags {
-			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd, Storage: o.Storage,
+			r, _, err := tw.run(run.Config{Storage: o.Storage,
 				Protocol: checkpoint.Config{Kind: checkpoint.KindCIC, Interval: tau, Write: write,
 					CICLag: lag}})
 			if err != nil {
@@ -105,7 +103,7 @@ func e19Grid(o Options) ([]e19Cell, error) {
 				basic:      st.Writes - st.Forced,
 				forced:     st.Forced,
 				makespan:   r.Makespan,
-				base:       rBase.Makespan,
+				base:       tw.base.Makespan,
 			})
 		}
 		return cells, nil

@@ -29,27 +29,23 @@ func E2Propagation(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E2: slowdown from local interruptions (noise period 10ms, random phase)",
 		"workload", "duty%", "slowdown", "overhead%", "amplification")
-	err := sweep(t, o, "E2", workloads, func(i int, w string) (rows, error) {
-		sd := pointSeed(o, "E2", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+	err := sweep(t, o, "E2", workloads, func(sd uint64, w string) (rows, error) {
+		prog, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		for _, duty := range duties {
-			// The program is a pure function of its spec and immutable once
-			// built: reuse base instead of rebuilding it per duty cycle.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			r, ov, err := tw.run(run.Config{
 				Noise: &noise.Config{Period: period, Duration: period.Scale(duty)}})
 			if err != nil {
 				return nil, err
 			}
-			ov := overheadPct(r, rBase)
-			rs.add(w, duty*100, r.Slowdown(rBase.Result), ov, ov/(duty*100))
+			rs.add(w, duty*100, r.Slowdown(tw.base.Result), ov, ov/(duty*100))
 		}
 		return rs, nil
 	})

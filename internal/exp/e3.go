@@ -21,8 +21,7 @@ func E3Coordination(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E3: coordinated round cost vs scale (stencil2d, 0.5ms ops)",
 		"P", "rounds", "quiesce/round", "tree-model", "sync-idle", "span/round", "ctl-msgs")
-	err := sweep(t, o, "E3", scales, func(i, p int) (rows, error) {
-		sd := pointSeed(o, "E3", i)
+	err := sweep(t, o, "E3", scales, func(sd uint64, p int) (rows, error) {
 		prog, err := buildProg("stencil2d", p, pick(o, 80, 30), 500*simtime.Microsecond, 4096, sd)
 		if err != nil {
 			return nil, err

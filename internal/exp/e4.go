@@ -42,27 +42,24 @@ func E4WeakScaling(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E4: failure-free checkpoint overhead vs scale (τ=10ms, δ=1ms)",
 		"workload", "P", "protocol", "makespan", "overhead%", "writes")
-	err := sweep(t, o, "E4", points, func(i int, c cell) (rows, error) {
-		sd := pointSeed(o, "E4", i)
-		base, err := buildProg(c.w, c.p, iters, ms(1), 4096, sd)
+	err := sweep(t, o, "E4", points, func(sd uint64, c cell) (rows, error) {
+		prog, err := buildProg(c.w, c.p, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
-		rs.add(c.w, c.p, "none", simtime.Duration(rBase.Makespan).String(), 0.0, 0)
+		rs.add(c.w, c.p, "none", simtime.Duration(tw.base.Makespan).String(), 0.0, 0)
 		for _, proto := range protos {
-			// Identical spec and seed — reuse the base program per protocol.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
-				Storage: o.Storage, Protocol: proto})
+			r, ov, err := tw.run(run.Config{Storage: o.Storage, Protocol: proto})
 			if err != nil {
 				return nil, err
 			}
 			rs.add(c.w, c.p, r.Protocol.Name(), simtime.Duration(r.Makespan).String(),
-				overheadPct(r, rBase), r.Protocol.Stats().Writes)
+				ov, r.Protocol.Stats().Writes)
 		}
 		return rs, nil
 	})

@@ -29,13 +29,12 @@ func E5Logging(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E5: message-logging overhead (no checkpoint writes)",
 		"workload", "msg-bytes", "alpha", "beta(ns/B)", "overhead%", "logged-msgs", "logged-MB")
-	err := sweep(t, o, "E5", wls, func(i int, w wl) (rows, error) {
-		sd := pointSeed(o, "E5", i)
-		base, err := buildProg(w.name, ranks, iters, ms(1), w.bytes, sd)
+	err := sweep(t, o, "E5", wls, func(sd uint64, w wl) (rows, error) {
+		prog, err := buildProg(w.name, ranks, iters, ms(1), w.bytes, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
@@ -45,15 +44,14 @@ func E5Logging(o Options) ([]*report.Table, error) {
 				if a == 0 && b == 0 {
 					continue
 				}
-				// Same spec and seed as base: reuse the immutable program.
-				r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+				r, ov, err := tw.run(run.Config{
 					Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
 						Interval: simtime.Hour, Logging: checkpoint.LogParams{Alpha: a, BetaNsPerByte: b}}})
 				if err != nil {
 					return nil, err
 				}
 				st := r.Protocol.Stats()
-				rs.add(w.name, w.bytes, a.String(), b, overheadPct(r, rBase),
+				rs.add(w.name, w.bytes, a.String(), b, ov,
 					st.LoggedMessages, float64(st.LoggedBytes)/(1<<20))
 			}
 		}

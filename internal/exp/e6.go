@@ -20,8 +20,9 @@ import (
 //
 // One sweep point = one τ/τ_Daly factor. Unlike the other experiments the
 // replication seeds are deliberately shared across points (common random
-// numbers: every factor sees the same failure clocks), so the point index
-// keys nothing here — determinism still holds because the seeds are fixed.
+// numbers: every factor sees the same failure clocks), so the point's own
+// seed keys nothing here — determinism still holds because the seeds are
+// fixed. One twin serves every replication of every factor.
 func E6Interval(o Options) ([]*report.Table, error) {
 	net := o.net()
 	const (
@@ -44,25 +45,23 @@ func E6Interval(o Options) ([]*report.Table, error) {
 	t.AddNote("τ_Daly = %.1fms, τ_Young = %.1fms", tauDaly*1000, tauYoung*1000)
 
 	// Failure-free useful time for the model's Ts, shared by every point.
-	base, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
+	prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
 	if err != nil {
 		return nil, errf("E6", err)
 	}
-	rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: o.Seed})
+	tw, err := newTwin(o, net, prog, o.Seed)
 	if err != nil {
 		return nil, errf("E6", err)
 	}
-	ts := simtime.Duration(rBase.Makespan).Seconds()
+	ts := simtime.Duration(tw.base.Makespan).Seconds()
 
-	err = sweep(t, o, "E6", factors, func(_ int, f float64) (rows, error) {
+	err = sweep(t, o, "E6", factors, func(_ uint64, f float64) (rows, error) {
 		tau := simtime.FromSeconds(tauDaly * f)
 		var spans []float64
 		var roundSpanSum simtime.Duration
 		var roundCount int64
 		for _, seed := range seeds {
-			// The program depends only on o.Seed, not the replication seed:
-			// every replication of every factor reuses the base build.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: seed,
+			r, _, err := tw.at(seed).run(run.Config{
 				MaxTime: simtime.Time(120 * simtime.Second),
 				Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated,
 					Interval: tau, Write: write},

@@ -17,7 +17,8 @@ import (
 // One sweep point = one MTBF; all three protocol runs in a point share the
 // point's RNG stream, so they see identical failure clocks and differ only
 // in victims and recovery costs. The failure-free baseline is agent-free
-// and therefore seed-insensitive; it is computed once and shared.
+// and therefore seed-insensitive, and the jitter-free stencil2d program is
+// the same at every seed: one twin serves every point.
 func E7Recovery(o Options) ([]*report.Table, error) {
 	net := o.net()
 	ranks := pick(o, 64, 16)
@@ -34,27 +35,20 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 	t := report.NewTable("E7: runtime under failures vs per-node MTBF (stencil2d)",
 		"node-MTBF", "protocol", "τ", "failures", "makespan", "overhead%", "lost-work")
 
-	base, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
+	prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, o.Seed)
 	if err != nil {
 		return nil, errf("E7", err)
 	}
-	rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: o.Seed})
+	tw, err := newTwin(o, net, prog, o.Seed)
 	if err != nil {
 		return nil, errf("E7", err)
 	}
 
-	err = sweep(t, o, "E7", mtbfs, func(i int, mtbf simtime.Duration) (rows, error) {
-		sd := pointSeed(o, "E7", i)
+	err = sweep(t, o, "E7", mtbfs, func(sd uint64, mtbf simtime.Duration) (rows, error) {
 		sys := float64(mtbf.Seconds()) / float64(ranks)
 		tau := simtime.FromSeconds(model.DalyInterval(write.Seconds(), sys))
 		if tau <= 0 {
 			tau = write * 2
-		}
-		// One program serves all three protocol runs of this point: the spec
-		// and seed are identical and engines never mutate a program.
-		prog, err := buildProg("stencil2d", ranks, iters, ms(1), 4096, sd)
-		if err != nil {
-			return nil, err
 		}
 		protos := []struct {
 			label    string
@@ -71,7 +65,7 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 		}
 		var rs rows
 		for _, p := range protos {
-			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: sd,
+			r, ov, err := tw.at(sd).run(run.Config{
 				MaxTime: simtime.Time(300 * simtime.Second), Protocol: p.proto,
 				Failures: &failure.Config{MTBF: mtbf, Restart: restart,
 					ReplaySpeedup: 2, Kind: p.recovery}})
@@ -83,7 +77,7 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 				lost += ev.LostWork
 			}
 			rs.add(mtbf.String(), p.label, tau.String(), len(r.FailureEvents),
-				simtime.Duration(r.Makespan).String(), overheadPct(r, rBase), lost.String())
+				simtime.Duration(r.Makespan).String(), ov, lost.String())
 		}
 		return rs, nil
 	})

@@ -42,8 +42,7 @@ func E8Crossover(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E8a: simulated crossover grid (stencil2d, δ=2ms, θ=4s/node)",
 		"P", "beta(ns/B)", "coord-makespan", "uncoord-makespan", "sim-winner")
-	err := sweep(t, o, "E8", scales, func(i int, p int) (rows, error) {
-		sd := pointSeed(o, "E8", i)
+	err := sweep(t, o, "E8", scales, func(sd uint64, p int) (rows, error) {
 		sys := mtbf.Seconds() / float64(p)
 		tau := simtime.FromSeconds(model.DalyInterval(write.Seconds(), sys))
 

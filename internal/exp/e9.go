@@ -21,26 +21,24 @@ func E9Stagger(o Options) ([]*report.Table, error) {
 
 	t := report.NewTable("E9: uncoordinated offset policy ablation (δ/τ = 20%, no logging)",
 		"workload", "policy", "overhead%", "writes")
-	err := sweep(t, o, "E9", workloads, func(i int, w string) (rows, error) {
-		sd := pointSeed(o, "E9", i)
-		base, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
+	err := sweep(t, o, "E9", workloads, func(sd uint64, w string) (rows, error) {
+		prog, err := buildProg(w, ranks, iters, ms(1), 4096, sd)
 		if err != nil {
 			return nil, err
 		}
-		rBase, err := execute(o, run.Config{Net: net, Program: base, Seed: sd})
+		tw, err := newTwin(o, net, prog, sd)
 		if err != nil {
 			return nil, err
 		}
 		var rs rows
 		for _, pol := range []string{"aligned", "staggered", "random"} {
-			// Same spec and seed as base: reuse the immutable program.
-			r, err := execute(o, run.Config{Net: net, Program: base, Seed: sd,
+			r, ov, err := tw.run(run.Config{
 				Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated,
 					Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond, Offset: pol}})
 			if err != nil {
 				return nil, err
 			}
-			rs.add(w, pol, overheadPct(r, rBase), r.Protocol.Stats().Writes)
+			rs.add(w, pol, ov, r.Protocol.Stats().Writes)
 		}
 		return rs, nil
 	})

@@ -4,11 +4,13 @@
 // experiment index; EXPERIMENTS.md records measured outputs.
 //
 // Every experiment enumerates its sweep as a slice of independent points
-// fanned across Options.Jobs workers by internal/runner. A point derives
-// its RNG stream from the sweep seed, the experiment ID, and its own index
-// (pointSeed), and rows merge in submission order, so rendered tables are
-// bit-for-bit identical at any worker count — enforced by
-// determinism_test.go against committed golden files.
+// fanned across Options.Jobs workers by internal/runner (points). Each
+// point is handed its own seed, derived from the sweep seed, the
+// experiment ID and its index, and rows merge in submission order, so
+// rendered tables are bit-for-bit identical at any worker count — enforced
+// by determinism_test.go against committed golden files. A point measures
+// each protocol variant against its twin, the same program run on the
+// same network and seed without checkpointing.
 package exp
 
 import (
@@ -233,9 +235,44 @@ func cappedCell(makespan simtime.Time, capped bool) string {
 	return simtime.Duration(makespan).String()
 }
 
-// overheadPct computes the relative makespan increase in percent.
-func overheadPct(r, base *run.Result) float64 {
-	return r.OverheadPercent(base.Result)
+// twin is a sweep point's protocol-free baseline: the program run on the
+// point's network and seed with no protocol, noise or failures. Every
+// variant of the point runs through it, so the (variant, twin) pair the
+// overhead compares is formed in one place.
+type twin struct {
+	o    Options
+	cfg  run.Config
+	base *run.Result
+}
+
+// newTwin runs the protocol-free baseline of prog once.
+func newTwin(o Options, net network.Params, prog *goal.Program, seed uint64) (twin, error) {
+	cfg := run.Config{Net: net, Program: prog, Seed: seed}
+	base, err := execute(o, cfg)
+	if err != nil {
+		return twin{}, err
+	}
+	return twin{o, cfg, base}, nil
+}
+
+// at returns the twin with its variants run at seed. The baseline draws
+// nothing random, so it is seed-free and shared: E6, E7, E16 and the
+// trace suite run it once for every point.
+func (tw twin) at(seed uint64) twin {
+	tw.cfg.Seed = seed
+	return tw
+}
+
+// run executes variant v on the twin's network, program and seed, and
+// returns its result and its makespan increase over the baseline in
+// percent.
+func (tw twin) run(v run.Config) (*run.Result, float64, error) {
+	v.Net, v.Program, v.Seed = tw.cfg.Net, tw.cfg.Program, tw.cfg.Seed
+	r, err := execute(tw.o, v)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, r.OverheadPercent(tw.base.Result), nil
 }
 
 // pick returns quick when o.Quick, else full.
@@ -255,12 +292,20 @@ type rows []row
 // add appends a row built from cells.
 func (rs *rows) add(cells ...any) { *rs = append(*rs, row(cells)) }
 
-// sweep fans the points of one experiment across o.Jobs workers and merges
-// each point's rows into t in submission order, so the rendered table is
-// identical at any parallelism. fn must be self-contained: anything random
-// it does should key off pointSeed(o, id, i).
-func sweep[P any](t *report.Table, o Options, id string, points []P, fn func(i int, p P) (rows, error)) error {
-	out, err := runner.MapCtx(o.ctx(), o.Jobs, points, fn)
+// points fans ps across o.Jobs workers and returns fn's results in
+// submission order. fn must be self-contained: anything random it does
+// keys off sd, the point's own seed (pointSeed).
+func points[P, R any](o Options, id string, ps []P, fn func(sd uint64, p P) (R, error)) ([]R, error) {
+	return runner.MapCtx(o.ctx(), o.Jobs, ps, func(i int, p P) (R, error) {
+		return fn(pointSeed(o, id, i), p)
+	})
+}
+
+// sweep runs the points of one experiment and merges each point's rows
+// into t in submission order, so the rendered table is identical at any
+// parallelism.
+func sweep[P any](t *report.Table, o Options, id string, ps []P, fn func(sd uint64, p P) (rows, error)) error {
+	out, err := points(o, id, ps, fn)
 	if err != nil {
 		return errf(id, err)
 	}

@@ -107,18 +107,17 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 	if err := o.Storage.Validate(); err != nil {
 		return nil, errf(id, err)
 	}
-	net := o.net()
-	base, err := execute(o, run.Config{Net: net, Program: prog, Seed: o.Seed})
+	tw, err := newTwin(o, o.net(), prog, o.Seed)
 	if err != nil {
 		return nil, errf(id, err)
 	}
-	tau, delta := traceInterval(base.Makespan)
+	tau, delta := traceInterval(tw.base.Makespan)
 	logp := checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.05}
 
 	t := report.NewTable("Trace "+name+": protocol suite",
 		"protocol", "makespan", "overhead%", "rounds", "writes", "logged")
 
-	// The baseline row reuses the run above; every other point builds its
+	// The baseline row reuses the twin's run; every other point builds its
 	// protocol fresh (agents are single-simulation) over its own store
 	// (stores arbitrate within one engine).
 	type pt struct {
@@ -141,20 +140,19 @@ func runTrace(o Options, id, name string, prog *goal.Program) ([]*report.Table, 
 			Interval: tau, Write: delta, CkptBytes: 256 * 1024}},
 	}
 
-	err = sweep(t, o, id, points, func(i int, p pt) (rows, error) {
+	err = sweep(t, o, id, points, func(sd uint64, p pt) (rows, error) {
 		var rs rows
 		if p.cfg.Kind == "" {
-			rs.add("baseline", simtime.Duration(base.Makespan).String(), 0.0,
+			rs.add("baseline", simtime.Duration(tw.base.Makespan).String(), 0.0,
 				int64(0), int64(0), int64(0))
 			return rs, nil
 		}
-		r, err := execute(o, run.Config{Net: net, Program: prog, Seed: pointSeed(o, id, i),
-			Storage: o.Storage, Protocol: p.cfg})
+		r, ov, err := tw.at(sd).run(run.Config{Storage: o.Storage, Protocol: p.cfg})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
 		s := r.Protocol.Stats()
-		rs.add(p.name, simtime.Duration(r.Makespan).String(), overheadPct(r, base),
+		rs.add(p.name, simtime.Duration(r.Makespan).String(), ov,
 			s.Rounds, s.Writes, s.LoggedMessages)
 		return rs, nil
 	})

@@ -482,8 +482,14 @@ func Straggler(c CommonConfig, slow int, factor float64) (*goal.Program, error) 
 
 // straggler is Straggler on an already validated configuration.
 func straggler(c CommonConfig, slow int, factor float64) (*goal.Program, error) {
-	if !(factor >= 1) {
+	switch {
+	case !(factor >= 1):
 		return nil, fmt.Errorf("workload: straggler factor %v < 1", factor)
+	case math.IsInf(factor, 1) || float64(c.Compute)*factor*(1+rng.NormalBound*c.Jitter) >= 1<<63:
+		// The slow rank's work would saturate at simtime.Forever: the bound
+		// validate puts on jitter, scaled by the factor.
+		return nil, fmt.Errorf("workload: straggler factor %v with jitter %v overflows compute %v",
+			factor, c.Jitter, c.Compute)
 	}
 	slow = min(max(slow, 0), c.Ranks-1)
 	scale := make([]float64, c.Ranks)

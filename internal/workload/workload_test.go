@@ -330,10 +330,22 @@ func TestFromNameRejectsBadInput(t *testing.T) {
 	}
 	edge := CommonConfig{Base: Base{Ranks: 8, Iterations: 2, Compute: simtime.Millisecond,
 		Jitter: 0.99 * (math.MaxInt64/float64(simtime.Millisecond) - 1) / rng.NormalBound}}
+	// The registry's straggler doubles one rank's compute, so its largest
+	// admitted jitter is the one that keeps 2·Compute in range, and
+	// validate's edge overflows it.
+	slowEdge := edge
+	slowEdge.Jitter = 0.99 * (math.MaxInt64/float64(2*simtime.Millisecond) - 1) / rng.NormalBound
 	for _, name := range Names() {
-		if _, err := FromName(name, edge); err != nil {
-			t.Errorf("%s with jitter %g: %v", name, edge.Jitter, err)
+		c := edge
+		if name == "straggler" {
+			c = slowEdge
 		}
+		if _, err := FromName(name, c); err != nil {
+			t.Errorf("%s with jitter %g: %v", name, c.Jitter, err)
+		}
+	}
+	if _, err := FromName("straggler", edge); err == nil || !strings.HasPrefix(err.Error(), "workload: ") {
+		t.Errorf("straggler with jitter %g: err = %v, want a workload error", edge.Jitter, err)
 	}
 }
 
@@ -404,10 +416,16 @@ func TestStragglerSlowsMachine(t *testing.T) {
 
 func TestStragglerValidation(t *testing.T) {
 	cfg := CommonConfig{Base: base(4, 2), Bytes: 64}
-	for _, f := range []float64{0.5, -1, math.NaN()} {
+	for _, f := range []float64{0.5, -1, math.NaN(), math.Inf(1), 1e300} {
 		if _, err := Straggler(cfg, 0, f); err == nil {
 			t.Errorf("factor %v accepted", f)
 		}
+	}
+	// +Inf is refused even when zero compute keeps the product finite.
+	idle := cfg
+	idle.Compute = 0
+	if _, err := Straggler(idle, 0, math.Inf(1)); err == nil {
+		t.Error("factor +Inf accepted at zero compute")
 	}
 	// Out-of-range slow ranks clamp rather than fail.
 	p, err := Straggler(cfg, 99, 2)
