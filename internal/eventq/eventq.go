@@ -9,13 +9,14 @@
 //
 // Internally the queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
 // Tarjan, "Faster algorithms for the shortest path problem", JACM 1990). A
-// simulation's clock never runs backwards, so every pushed event lies at or
-// after the last popped time. An event waits in the bucket named by the
-// highest bit in which its time differs from that time; bucket 0 holds the
-// events at exactly that time, in sequence order, and a pop takes its head.
-// Only when bucket 0 runs dry does a pop refill it, by relinking the lowest
-// non-empty bucket's events into lower buckets: an event moves down at most
-// 64 times in its life, and no pop sifts.
+// simulation's clock never runs backwards, so every event must lie at or
+// after the last popped time; the queue panics on one that does not. An
+// event waits in the bucket named by the highest bit in which its time
+// differs from that time; bucket 0 holds the events at exactly that time,
+// in sequence order, and a pop takes its head. Only when bucket 0 runs dry
+// does a pop refill it, by relinking the lowest non-empty bucket's events
+// into lower buckets: an event moves down at most 64 times in its life,
+// and no pop sifts.
 // Buckets are linked lists threaded through one node slab with its own free
 // list, so memory is bounded by the peak population: a steady-state queue
 // does not allocate.
@@ -61,15 +62,6 @@ type Queue[T any] struct {
 	buckets [65]bucket
 	mask    uint64
 	last    uint64
-	// unsorted records that bucket 0 took an event whose sequence is below
-	// its tail's; the next pop restores sequence order.
-	unsorted bool
-
-	// behind is a binary min-heap of events pushed before last. A
-	// simulation never makes one; it keeps the queue an exact (t, seq)
-	// priority queue for any caller. Its events are all earlier than every
-	// bucketed event, so it drains first.
-	behind []int32
 
 	n   int
 	seq uint64
@@ -79,7 +71,7 @@ type Queue[T any] struct {
 func (q *Queue[T]) Len() int { return q.n }
 
 // Push schedules v at time t. Among events at the same time, earlier
-// pushes pop first.
+// pushes pop first. It panics if t lies before the last popped time.
 func (q *Queue[T]) Push(t simtime.Time, v T) {
 	q.insert(uint64(t)^signBit, q.seq, v)
 	q.seq++
@@ -88,19 +80,12 @@ func (q *Queue[T]) Push(t simtime.Time, v T) {
 // Pop removes and returns the earliest event. It panics on an empty queue;
 // check Len first.
 func (q *Queue[T]) Pop() (simtime.Time, T) {
-	if len(q.behind) > 0 {
-		return q.popBehind()
-	}
 	i := q.buckets[0].head
 	if i == 0 {
 		if q.mask == 0 {
 			panic("eventq: Pop on empty queue")
 		}
 		q.refill()
-		i = q.buckets[0].head
-	}
-	if q.unsorted {
-		q.sortFirst()
 		i = q.buckets[0].head
 	}
 	nd := &q.nodes[i]
@@ -113,34 +98,35 @@ func (q *Queue[T]) Pop() (simtime.Time, T) {
 }
 
 // Items calls visit for every queued event with its full ordering key
-// (time, insertion sequence), in pop order, until visit returns false.
-// Snapshot encoding uses it to serialize the queue without disturbing it:
-// the visit order depends on the queued keys alone, never on the buckets'
-// layout, and because the (t, seq) pair totally orders events, re-Loading
-// the visited items in any order reproduces the exact pop sequence.
-func (q *Queue[T]) Items(visit func(t simtime.Time, seq uint64, v T) bool) {
+// (time, insertion sequence), in pop order. Snapshot encoding uses it to
+// serialize the queue without disturbing it: the visit order depends on
+// the queued keys alone, never on the buckets' layout, and re-Loading the
+// visited items in that order reproduces the exact pop sequence.
+func (q *Queue[T]) Items(visit func(t simtime.Time, seq uint64, v T)) {
 	idx := make([]int32, 0, q.n)
-	idx = append(idx, q.behind...)
 	for b := range q.buckets {
 		for i := q.buckets[b].head; i != 0; i = q.nodes[i].next {
 			idx = append(idx, i)
 		}
 	}
-	slices.SortFunc(idx, q.compare)
+	slices.SortFunc(idx, func(a, b int32) int {
+		x, y := &q.nodes[a], &q.nodes[b]
+		return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.seq, y.seq))
+	})
 	for _, i := range idx {
 		nd := &q.nodes[i]
-		if !visit(simtime.Time(nd.key^signBit), nd.seq, nd.val) {
-			return
-		}
+		visit(simtime.Time(nd.key^signBit), nd.seq, nd.val)
 	}
 }
 
 // Load inserts an event with an explicit insertion sequence, bypassing the
-// queue's own counter. Restore paths use it to reload a serialized queue,
-// in any order; pair it with SetSeq to position the counter exactly. Load
-// itself advances the counter to max(current, seq+1), so a caller that
-// forgets SetSeq can never be handed a duplicate sequence number — which
-// would silently break deterministic tie-ordering.
+// queue's own counter. Restore paths use it to reload a serialized queue
+// in (time, sequence) order; events tied on time must arrive in sequence
+// order, and the queue panics when it finds two that did not. Pair it with
+// SetSeq to position the counter exactly. Load itself advances the counter
+// to max(current, seq+1), so a caller that forgets SetSeq can never be
+// handed a duplicate sequence number — which would silently break
+// deterministic tie-ordering.
 func (q *Queue[T]) Load(t simtime.Time, seq uint64, v T) {
 	q.insert(uint64(t)^signBit, seq, v)
 	if seq >= q.seq {
@@ -154,34 +140,22 @@ func (q *Queue[T]) Seq() uint64 { return q.seq }
 // SetSeq sets the next insertion sequence number (snapshot restore).
 func (q *Queue[T]) SetSeq(seq uint64) { q.seq = seq }
 
-// Clear discards all queued events while keeping the allocated capacity.
-// The next event may lie at any time, as in a new queue.
-func (q *Queue[T]) Clear() {
-	clear(q.nodes) // release payloads for GC
-	q.nodes = q.nodes[:0]
-	q.free = 0
-	q.buckets = [65]bucket{}
-	q.mask, q.last, q.unsorted = 0, 0, false
-	q.behind = q.behind[:0]
-	q.n = 0
-}
-
 // insert queues v under (key, seq).
 func (q *Queue[T]) insert(key, seq uint64, v T) {
+	if key < q.last {
+		panic("eventq: event before the last popped time")
+	}
 	i := q.alloc()
 	nd := &q.nodes[i]
 	nd.key, nd.seq, nd.next, nd.val = key, seq, 0, v
 	q.n++
-	if key < q.last {
-		q.pushBehind(i)
-		return
-	}
 	q.link(i, key, seq)
 }
 
 // link appends node i to the bucket its key names. Pushes carry rising
 // sequence numbers, so appending keeps bucket 0 in sequence order; only a
-// Load (or a SetSeq back in time) can break it, and link flags that.
+// Load out of order (or a SetSeq back in time) can break it, and link
+// panics on that.
 func (q *Queue[T]) link(i int32, key, seq uint64) {
 	d := bits.Len64(key ^ q.last)
 	b := &q.buckets[d]
@@ -191,11 +165,11 @@ func (q *Queue[T]) link(i int32, key, seq uint64) {
 		q.mask |= signBit >> (64 - d)
 	} else {
 		tail := &q.nodes[b.tail]
+		if d == 0 && seq < tail.seq {
+			panic("eventq: events tied on time out of sequence order")
+		}
 		tail.next = i
 		b.min = min(b.min, key)
-		if d == 0 && seq < tail.seq {
-			q.unsorted = true
-		}
 	}
 	b.tail = i
 }
@@ -221,22 +195,6 @@ func (q *Queue[T]) refill() {
 	}
 }
 
-// sortFirst puts bucket 0, whose events all lie at one time, back in
-// sequence order.
-func (q *Queue[T]) sortFirst() {
-	q.unsorted = false
-	var s []int32
-	for i := q.buckets[0].head; i != 0; i = q.nodes[i].next {
-		s = append(s, i)
-	}
-	slices.SortFunc(s, func(a, b int32) int { return cmp.Compare(q.nodes[a].seq, q.nodes[b].seq) })
-	for k, i := range s[:len(s)-1] {
-		q.nodes[i].next = s[k+1]
-	}
-	q.nodes[s[len(s)-1]].next = 0
-	q.buckets[0].head, q.buckets[0].tail = s[0], s[len(s)-1]
-}
-
 // alloc takes a node from the free list, or grows the slab by one.
 func (q *Queue[T]) alloc() int32 {
 	if i := q.free; i != 0 {
@@ -255,56 +213,4 @@ func (q *Queue[T]) release(i int32) {
 	q.nodes[i].next = q.free
 	q.free = i
 	q.n--
-}
-
-// compare orders two nodes by (key, seq).
-func (q *Queue[T]) compare(a, b int32) int {
-	x, y := &q.nodes[a], &q.nodes[b]
-	return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.seq, y.seq))
-}
-
-// pushBehind adds node i to the behind heap and sifts it up.
-func (q *Queue[T]) pushBehind(i int32) {
-	q.behind = append(q.behind, i)
-	h := q.behind
-	c := len(h) - 1
-	for c > 0 {
-		p := (c - 1) / 2
-		if q.compare(i, h[p]) >= 0 {
-			break
-		}
-		h[c] = h[p]
-		c = p
-	}
-	h[c] = i
-}
-
-// popBehind removes the behind heap's earliest event.
-func (q *Queue[T]) popBehind() (simtime.Time, T) {
-	h := q.behind
-	top, n := h[0], len(h)-1
-	it := h[n]
-	h = h[:n]
-	q.behind = h
-	p := 0
-	for {
-		c := 2*p + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q.compare(h[c+1], h[c]) < 0 {
-			c++
-		}
-		if q.compare(h[c], it) >= 0 {
-			break
-		}
-		h[p] = h[c]
-		p = c
-	}
-	if n > 0 {
-		h[p] = it
-	}
-	nd := &q.nodes[top]
-	q.release(top)
-	return simtime.Time(nd.key ^ signBit), nd.val
 }

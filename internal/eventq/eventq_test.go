@@ -27,6 +27,49 @@ func TestPopPanicsOnEmpty(t *testing.T) {
 	q.Pop()
 }
 
+// TestPushBeforeLastPopPanics pins the monotone contract: once an event at
+// time 20 has popped, a push at 19 panics, and a push at 20 does not.
+func TestPushBeforeLastPopPanics(t *testing.T) {
+	var q Queue[int]
+	q.Push(10, 0)
+	q.Push(20, 1)
+	q.Push(30, 2)
+	q.Pop()
+	q.Pop()
+	q.Push(20, 3)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Push before the last popped time did not panic")
+			}
+		}()
+		q.Push(19, 4)
+	}()
+	for _, want := range []int{3, 2} {
+		if _, v := q.Pop(); v != want {
+			t.Fatalf("popped %d, want %d", v, want)
+		}
+	}
+	if q.Len() != 0 {
+		t.Errorf("Len = %d after draining, want 0", q.Len())
+	}
+}
+
+// TestLoadTiesOutOfOrderPanics: events tied on time must be loaded in
+// sequence order. Loaded the other way round, they reach the head out of
+// order, and the queue panics instead of popping them in load order.
+func TestLoadTiesOutOfOrderPanics(t *testing.T) {
+	var q Queue[int]
+	q.Load(5, 2, 2)
+	q.Load(5, 1, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("ties loaded in descending sequence order did not panic")
+		}
+	}()
+	q.Pop()
+}
+
 func TestOrderingByTime(t *testing.T) {
 	var q Queue[string]
 	q.Push(30, "c")
@@ -49,23 +92,6 @@ func TestFIFOAtSameTime(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-time events out of insertion order: got %d want %d", v, i)
 		}
-	}
-}
-
-func TestClear(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 10; i++ {
-		q.Push(simtime.Time(i), i)
-	}
-	q.Clear()
-	if q.Len() != 0 {
-		t.Error("Clear did not empty")
-	}
-	// Still usable and still ordered after Clear (sequence keeps rising).
-	q.Push(2, 2)
-	q.Push(1, 1)
-	if _, v := q.Pop(); v != 1 {
-		t.Error("queue broken after Clear")
 	}
 }
 
@@ -148,11 +174,13 @@ func TestQuickDeterministic(t *testing.T) {
 			r := rng.New(uint64(seed))
 			var q Queue[int]
 			var out []int
+			var now simtime.Time
 			for i := 0; i < 200; i++ {
 				if q.Len() == 0 || r.Float64() < 0.5 {
-					q.Push(simtime.Time(r.Intn(50)), i)
+					q.Push(now+simtime.Time(r.Intn(50)), i)
 				} else {
-					_, v := q.Pop()
+					var v int
+					now, v = q.Pop()
 					out = append(out, v)
 				}
 			}
@@ -219,10 +247,10 @@ func TestMemoryBoundedByPopulation(t *testing.T) {
 }
 
 // TestItemsLoadRoundTrip drives the snapshot-support API: Items must visit
-// in pop order, and reloading its items with Load/SetSeq into a fresh
-// queue must reproduce the exact pop sequence — (time, insertion order)
-// both preserved — and leave the sequence counter positioned so future
-// pushes sort after every restored event.
+// in pop order, and reloading its items in that order with Load/SetSeq into
+// a fresh queue must reproduce the exact pop sequence — (time, insertion
+// order) both preserved — and leave the sequence counter positioned so
+// future pushes sort after every restored event.
 func TestItemsLoadRoundTrip(t *testing.T) {
 	f := func(seed uint16) bool {
 		r := rng.New(uint64(seed))
@@ -234,20 +262,16 @@ func TestItemsLoadRoundTrip(t *testing.T) {
 			q.Push(simtime.Time(r.Intn(8)), i)
 		}
 		// Pop a few to move the heap away from pure insertion shape.
+		var now simtime.Time
 		for i := 0; i < n/3; i++ {
-			q.Pop()
+			now, _ = q.Pop()
 		}
 
 		var restored Queue[int]
-		restored.Push(999, -1) // pre-existing content must not survive Clear
-		restored.Clear()
-		if restored.Len() != 0 {
-			t.Fatal("Clear left items behind")
-		}
 		count := 0
 		var lastT simtime.Time
 		var lastSeq uint64
-		q.Items(func(tm simtime.Time, seq uint64, v int) bool {
+		q.Items(func(tm simtime.Time, seq uint64, v int) {
 			// Pop order, whatever the heap's layout: a snapshot's bytes
 			// depend on the queued keys alone.
 			if count > 0 && (tm < lastT || tm == lastT && seq <= lastSeq) {
@@ -256,7 +280,6 @@ func TestItemsLoadRoundTrip(t *testing.T) {
 			lastT, lastSeq = tm, seq
 			restored.Load(tm, seq, v)
 			count++
-			return true
 		})
 		if count != q.Len() {
 			t.Fatalf("Items visited %d of %d items", count, q.Len())
@@ -273,38 +296,20 @@ func TestItemsLoadRoundTrip(t *testing.T) {
 				t.Fatalf("length diverged: %d vs %d", q.Len(), restored.Len())
 			}
 			if step == 2 {
-				q.Push(0, 777)
-				restored.Push(0, 777)
+				q.Push(now, 777)
+				restored.Push(now, 777)
 			}
 			t1, v1 := q.Pop()
 			t2, v2 := restored.Pop()
 			if t1 != t2 || v1 != v2 {
 				t.Fatalf("pop %d diverged: (%v,%v) vs (%v,%v)", step, t1, v1, t2, v2)
 			}
+			now = t1
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestItemsEarlyStop: a visitor returning false stops the walk.
-func TestItemsEarlyStop(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 10; i++ {
-		q.Push(simtime.Time(i), i)
-	}
-	visits := 0
-	q.Items(func(simtime.Time, uint64, int) bool {
-		visits++
-		return visits < 3
-	})
-	if visits != 3 {
-		t.Errorf("visited %d items after stopping at 3", visits)
-	}
-	if q.Len() != 10 {
-		t.Errorf("Items disturbed the queue: %d items left", q.Len())
 	}
 }
 
@@ -333,84 +338,5 @@ func TestSameTimeCascade(t *testing.T) {
 	}
 	if q.Len() != 1024 {
 		t.Errorf("Len = %d after the cascade, want 1024", q.Len())
-	}
-}
-
-// TestLoadEqualTimesAnyOrder pins Load's contract that a restore may load
-// events in any order: events tied on time pop by sequence whatever order
-// they were loaded in. Blobs written before the queue was encoded sorted
-// store it unsorted, and restoring them depends on this. The test loads
-// ties behind an earlier event into a fresh queue, then ties at exactly the
-// last popped time, then a whole queue's items in a random order.
-func TestLoadEqualTimesAnyOrder(t *testing.T) {
-	r := rng.New(5)
-	expect := func(q *Queue[int], tm simtime.Time, seqs int) {
-		t.Helper()
-		for s := 1; s <= seqs; s++ {
-			if gt, v := q.Pop(); gt != tm || v != s {
-				t.Fatalf("popped (%d, seq %d), want (%d, seq %d)", gt, v, tm, s)
-			}
-		}
-	}
-
-	var q Queue[int]
-	for _, p := range r.Perm(16) {
-		q.Load(100, uint64(p+1), p+1) // the payload is the sequence
-	}
-	q.Load(50, 99, 0)
-	if tm, v := q.Pop(); tm != 50 || v != 0 {
-		t.Fatalf("popped (%d, %d), want the earlier event (50, 0)", tm, v)
-	}
-	expect(&q, 100, 16)
-
-	// The queue last popped time 100: these ties load straight into the
-	// bucket it pops from.
-	q.Load(300, 50, 50)
-	for _, p := range r.Perm(16) {
-		q.Load(100, uint64(p+1), p+1)
-	}
-	expect(&q, 100, 16)
-	if tm, v := q.Pop(); tm != 300 || v != 50 || q.Len() != 0 {
-		t.Fatalf("popped (%d, %d) with %d left, want (300, 50) last", tm, v, q.Len())
-	}
-
-	// A whole queue, dense in ties, reloaded in a random order pops exactly
-	// as the original does, fresh pushes included.
-	var orig, restored Queue[int]
-	for i := 0; i < 2000; i++ {
-		orig.Push(simtime.Time(1000+r.Intn(32)), i)
-	}
-	for i := 0; i < 500; i++ {
-		tm, v := orig.Pop()
-		orig.Push(tm+simtime.Time(r.Intn(4)), v)
-	}
-	type item struct {
-		t   simtime.Time
-		seq uint64
-		v   int
-	}
-	var items []item
-	orig.Items(func(tm simtime.Time, seq uint64, v int) bool {
-		items = append(items, item{tm, seq, v})
-		return true
-	})
-	for _, p := range r.Perm(len(items)) {
-		restored.Load(items[p].t, items[p].seq, items[p].v)
-	}
-	restored.SetSeq(orig.Seq())
-	for step := 0; orig.Len() > 0; step++ {
-		if step%7 == 0 {
-			tm := simtime.Time(1000 + r.Intn(64))
-			orig.Push(tm, -step)
-			restored.Push(tm, -step)
-		}
-		t1, v1 := orig.Pop()
-		t2, v2 := restored.Pop()
-		if t1 != t2 || v1 != v2 {
-			t.Fatalf("pop %d diverged: (%d, %d) vs (%d, %d)", step, t1, v1, t2, v2)
-		}
-	}
-	if restored.Len() != 0 {
-		t.Fatalf("restored queue has %d leftover events", restored.Len())
 	}
 }

@@ -208,21 +208,14 @@ func ParseScenario(spec string) (Scenario, error) {
 // Validate checks a single scenario the way CampaignSpace.Validate checks
 // axes — a scenario arriving over the service API is untrusted input.
 func (sc Scenario) Validate() error {
-	s := CampaignSpace{
+	return CampaignSpace{
 		Workloads:    []string{sc.Workload},
 		Scales:       []int{sc.Ranks},
 		Protocols:    []string{sc.Protocol},
 		FailureLaws:  []string{sc.FailureLaw},
 		StorageTiers: []string{sc.Storage},
 		NoiseLevels:  []string{sc.Noise},
-	}
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if sc.FailureLaw != "none" && sc.Protocol == "none" {
-		return fmt.Errorf("campaign: scenario injects %s failures with no checkpoint protocol", sc.FailureLaw)
-	}
-	return nil
+	}.Validate()
 }
 
 // campaignLabel namespaces campaign scheduling in the global seed-derivation

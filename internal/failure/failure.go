@@ -300,25 +300,48 @@ func (f *Injector) rework(rank int) simtime.Duration {
 	return f.ctx.RankBusy(rank) - f.proto.ProgressAtCheckpoint(rank)
 }
 
+// rollback rolls ranks (every rank when ranks is nil) back after victim
+// failed: each seizes its CPU for restart plus its rework, the rework
+// replayed at the speedup when replay is set, and the recorded event
+// carries the critical path, the largest rework.
+func (f *Injector) rollback(victim int, ranks []int, rework func(rank int) simtime.Duration,
+	restart simtime.Duration, replay bool) {
+	n := len(ranks)
+	if ranks == nil {
+		n = f.ctx.NumRanks()
+	}
+	rank := func(i int) int {
+		if ranks == nil {
+			return i
+		}
+		return ranks[i]
+	}
+	redo := func(w simtime.Duration) simtime.Duration {
+		if replay {
+			return w.Scale(1 / f.cfg.speedup())
+		}
+		return w
+	}
+	var maxRework simtime.Duration
+	for i := 0; i < n; i++ {
+		maxRework = max(maxRework, rework(rank(i)))
+	}
+	for i := 0; i < n; i++ {
+		r := rank(i)
+		f.ctx.SeizeCPU(r, restart+redo(rework(r)), Reason, sim.Call{})
+	}
+	f.evts = append(f.evts, Event{Time: f.ctx.Now(), Rank: victim,
+		LostWork: maxRework, Recovery: restart + redo(maxRework)})
+}
+
 func (f *Injector) fail() {
 	now := f.ctx.Now()
 	victim := f.ctx.Rand().Intn(f.ctx.NumRanks())
 	switch f.cfg.Kind {
 	case RollbackGlobal:
 		// Every rank rolls back to the last global line and re-executes its
-		// own progress since then; the recorded event carries the critical
-		// path (the maximum rework).
-		var maxRework simtime.Duration
-		for r := 0; r < f.ctx.NumRanks(); r++ {
-			if w := f.rework(r); w > maxRework {
-				maxRework = w
-			}
-		}
-		for r := 0; r < f.ctx.NumRanks(); r++ {
-			f.ctx.SeizeCPU(r, f.cfg.Restart+f.rework(r), Reason, sim.Call{})
-		}
-		f.evts = append(f.evts, Event{Time: now, Rank: victim,
-			LostWork: maxRework, Recovery: f.cfg.Restart + maxRework})
+		// own progress since then.
+		f.rollback(victim, nil, f.rework, f.cfg.Restart, false)
 	case ReplayLocal:
 		// Only the victim rolls back, to its own last checkpoint, and
 		// replays at a speedup because logged messages are ready.
@@ -329,50 +352,17 @@ func (f *Injector) fail() {
 	case RollbackCluster:
 		// The victim's whole cluster rolls back to its cluster line and
 		// re-executes together, replaying inter-cluster messages from logs.
-		members := f.proto.(ClusterProtocol).ClusterMembers(victim)
-		var maxRework simtime.Duration
-		for _, r := range members {
-			if w := f.rework(r); w > maxRework {
-				maxRework = w
-			}
-		}
-		for _, r := range members {
-			f.ctx.SeizeCPU(r, f.cfg.Restart+f.rework(r).Scale(1/f.cfg.speedup()), Reason, sim.Call{})
-		}
-		f.evts = append(f.evts, Event{Time: now, Rank: victim,
-			LostWork: maxRework, Recovery: f.cfg.Restart + maxRework.Scale(1/f.cfg.speedup())})
+		f.rollback(victim, f.proto.(ClusterProtocol).ClusterMembers(victim), f.rework, f.cfg.Restart, true)
 	case RecoverTwoLevel:
 		// Severity draw: local-level recovery covers most failures; the
 		// rest fall through to the global line.
 		tl := f.proto.(TwoLevelProtocol)
-		n := f.ctx.NumRanks()
 		if f.ctx.Rand().Float64() < f.cfg.localCoverage() {
-			var maxRework simtime.Duration
-			for r := 0; r < n; r++ {
-				if w := f.rework(r); w > maxRework {
-					maxRework = w
-				}
-			}
-			for r := 0; r < n; r++ {
-				f.ctx.SeizeCPU(r, f.cfg.localRestart()+f.rework(r), Reason, sim.Call{})
-			}
-			f.evts = append(f.evts, Event{Time: now, Rank: victim,
-				LostWork: maxRework, Recovery: f.cfg.localRestart() + maxRework})
+			f.rollback(victim, nil, f.rework, f.cfg.localRestart(), false)
 		} else {
-			reworkG := func(r int) simtime.Duration {
+			f.rollback(victim, nil, func(r int) simtime.Duration {
 				return f.ctx.RankBusy(r) - tl.GlobalProgressAt(r)
-			}
-			var maxRework simtime.Duration
-			for r := 0; r < n; r++ {
-				if w := reworkG(r); w > maxRework {
-					maxRework = w
-				}
-			}
-			for r := 0; r < n; r++ {
-				f.ctx.SeizeCPU(r, f.cfg.Restart+reworkG(r), Reason, sim.Call{})
-			}
-			f.evts = append(f.evts, Event{Time: now, Rank: victim,
-				LostWork: maxRework, Recovery: f.cfg.Restart + maxRework})
+			}, f.cfg.Restart, false)
 		}
 	case TakeoverReplica:
 		// No rollback ever: a failed primary stalls for detection plus

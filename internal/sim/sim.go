@@ -702,9 +702,6 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, e.deadlockError()
 		}
 		t, ev := e.queue.Pop()
-		if t < e.now {
-			panic("sim: time went backwards")
-		}
 		e.now = t
 		e.events++
 		if e.events > e.cfg.MaxEvents {

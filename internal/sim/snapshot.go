@@ -18,6 +18,7 @@ package sim
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -550,13 +551,11 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 	c.U64(&qseq)
 	qn := c.Len(e.queue.Len())
 	if !c.Decoding() {
-		e.queue.Items(func(t simtime.Time, seq uint64, ev event) bool {
+		e.queue.Items(func(t simtime.Time, seq uint64, ev event) {
 			e.codeEvent(c, &t, &seq, &ev)
-			return true
 		})
 		return nil
 	}
-	e.queue.Clear()
 	// A running rank's job completes through exactly one queued jobDone,
 	// except an open-ended seizure that is not yet releasing.
 	pendingDone := make([]bool, len(e.ranks))
@@ -564,21 +563,36 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 		st := &e.ranks[i]
 		pendingDone[i] = st.running && (st.runningJob.kind != jobSeizeOpen || st.releasing)
 	}
+	type item struct {
+		t   simtime.Time
+		seq uint64
+		ev  event
+	}
+	items := make([]item, qn)
 	for i := 0; i < qn && c.Err() == nil; i++ {
-		var t simtime.Time
-		var seq uint64
-		var ev event
-		if e.codeEvent(c, &t, &seq, &ev); t < e.now || seq >= qseq {
+		it := &items[i]
+		if e.codeEvent(c, &it.t, &it.seq, &it.ev); it.t < e.now || it.seq >= qseq {
 			c.Failf("queue item key out of range")
 		}
-		if ev.kind == evJobDone && c.Err() == nil {
-			if !pendingDone[ev.id] {
-				c.Failf("jobDone for rank %d, which has no job to complete", ev.id)
+		if it.ev.kind == evJobDone && c.Err() == nil {
+			if !pendingDone[it.ev.id] {
+				c.Failf("jobDone for rank %d, which has no job to complete", it.ev.id)
 			}
-			pendingDone[ev.id] = false
+			pendingDone[it.ev.id] = false
+		}
+	}
+	// Blobs written before the queue was encoded in (t, seq) order hold it
+	// in heap order, and the queue takes events tied on time only in
+	// sequence order: sort once, then load.
+	slices.SortFunc(items, func(a, b item) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.seq, b.seq))
+	})
+	for i, it := range items {
+		if i > 0 && it.t == items[i-1].t && it.seq == items[i-1].seq {
+			c.Failf("queue item (%v, %d) duplicated", it.t, it.seq)
 		}
 		if c.Err() == nil {
-			e.queue.Load(t, seq, ev)
+			e.queue.Load(it.t, it.seq, it.ev)
 		}
 	}
 	e.queue.SetSeq(qseq)

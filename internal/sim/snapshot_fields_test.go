@@ -42,7 +42,7 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"cfg":        "immutable configuration; fingerprinted into the blob's config digest",
 		"prog":       "immutable program; content-hashed into the config digest",
 		"net":        "immutable parameters; hashed field-by-field into the config digest",
-		"queue":      "serialized: seq counter plus every event with its exact (t,seq) key, in (t,seq) order",
+		"queue":      "serialized: seq counter plus every event with its exact (t,seq) key, in (t,seq) order; restore sorts and refuses a duplicated key",
 		"now":        "serialized scalar",
 		"ranks":      "serialized per rank (encodeRank/decodeRank)",
 		"depsLeft":   "serialized; open-count cross-checked against opsLeft on restore",

@@ -66,7 +66,7 @@ func (a *snapTestAgent) OnTimer(kind uint8, arg int64) {
 	switch kind {
 	case snapFire:
 		a.fires++
-		rank = int(a.fires) % n
+		rank = int(uint64(a.fires) % uint64(n))
 		a.ctx.SeizeCPU(rank, simtime.Duration(500+a.ctx.Rand().Intn(2000)), "snaptest", Call{})
 		if a.fires%3 == 0 && a.holds[rank] == 0 {
 			a.holds[rank] = a.ctx.HoldApp(rank, "snaphold")
@@ -270,9 +270,8 @@ func allPendingLive(e *Engine) bool {
 			scan(st.ctlQ.at(k))
 		}
 	}
-	e.queue.Items(func(_ simtime.Time, _ uint64, ev event) bool {
+	e.queue.Items(func(_ simtime.Time, _ uint64, ev event) {
 		ctl = ctl || ev.kind == evArrive && e.msgs[ev.id].deliver.owner != 0
-		return true
 	})
 	return held && scaled && ctl && open
 }
@@ -583,6 +582,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), noOpPayload[32:]...)) // a running job naming NoOp
+	mid, err := New(fuzzConfig(nil))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := mid.Restore(snaps[len(snaps)/2].Blob); err != nil {
+		f.Fatal(err)
+	}
+	_, dupPayload, err := snapshot.Open(requeue(f, mid, duplicateTimer))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), dupPayload[32:]...)) // one queued timer twice
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := func() *Engine {
 			e, err := New(fuzzConfig(nil))
@@ -727,5 +738,131 @@ func TestRestoreOlderBlobs(t *testing.T) {
 		if !bytes.Equal(next, snaps[events].Blob) {
 			t.Errorf("%s: the resumed engine's blob at event %d differs from an uninterrupted run's", f, events+1)
 		}
+	}
+}
+
+// requeue re-encodes e's snapshot with its queue section rewritten:
+// reorder receives each queued event and its encoding in (t, seq) order
+// and returns the encodings to write, whose count replaces the queue's
+// length. It builds the blobs another encoder, or a corrupt one, would
+// have written for the same state.
+func requeue(t testing.TB, e *Engine, reorder func(evs []event, enc [][]byte) [][]byte) []byte {
+	t.Helper()
+	_, payload, err := snapshot.Open(e.encodeSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []event
+	var enc [][]byte
+	var items []byte
+	e.queue.Items(func(tm simtime.Time, seq uint64, ev event) {
+		c := snapshot.Writer()
+		e.codeEvent(c, &tm, &seq, &ev)
+		evs, enc = append(evs, ev), append(enc, c.Bytes())
+		items = append(items, c.Bytes()...)
+	})
+	n := snapshot.Writer()
+	n.Len(len(enc))
+	section := append(n.Bytes(), items...)
+	if !bytes.HasSuffix(payload, section) {
+		t.Fatal("the payload does not end with the queue section")
+	}
+	out := reorder(evs, enc)
+	w := snapshot.Writer()
+	w.Len(len(out))
+	body := append(append([]byte(nil), payload[:len(payload)-len(section)]...), w.Bytes()...)
+	for _, b := range out {
+		body = append(body, b...)
+	}
+	return snapshot.Seal(snapshot.FormatVersion, body)
+}
+
+// duplicateTimer writes the queue with its first timer event twice.
+func duplicateTimer(evs []event, enc [][]byte) [][]byte {
+	i := slices.IndexFunc(evs, func(ev event) bool { return ev.kind == evTimer })
+	if i < 0 {
+		return enc
+	}
+	return slices.Insert(slices.Clone(enc), i, enc[i])
+}
+
+// TestRestoreQueueTiesDescending restores a re-sealed blob whose queue
+// lists its events in descending (t, seq) order, so events tied on time
+// come in descending sequence order, as a heap-order encoder could write
+// them. The decoder puts them back in (t, seq) order: the run finishes
+// with the uninterrupted run's result. Ties are rare in snapConfig's
+// random programs; seed 80 is the first whose run queues two events at one
+// time.
+func TestRestoreQueueTiesDescending(t *testing.T) {
+	const seed = 80
+	var eng *Engine
+	var blob []byte
+	cfg := snapConfig(seed, func(Snapshot) {
+		if blob != nil {
+			return
+		}
+		tied := false
+		var lastT simtime.Time
+		n := 0
+		eng.queue.Items(func(tm simtime.Time, _ uint64, _ event) {
+			tied = tied || n > 0 && tm == lastT
+			lastT = tm
+			n++
+		})
+		if tied {
+			blob = requeue(t, eng, func(_ []event, enc [][]byte) [][]byte {
+				out := slices.Clone(enc)
+				slices.Reverse(out)
+				return out
+			})
+		}
+	})
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob == nil {
+		t.Fatal("no snapshot queues two events at one time")
+	}
+	resumed, err := New(snapConfig(seed, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.CanonicalBytes(), want.CanonicalBytes()) {
+		t.Error("resumed result differs from the uninterrupted run's")
+	}
+}
+
+// TestRestoreRefusesDuplicateQueueItem: a blob whose queue holds one timer
+// event twice, under one (t, seq) key, is corrupt — Restore fails instead
+// of firing the timer twice.
+func TestRestoreRefusesDuplicateQueueItem(t *testing.T) {
+	const seed = 42
+	snaps, _, _ := monolithicRun(t, seed)
+	e, err := New(snapConfig(seed, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(snaps[len(snaps)/2].Blob); err != nil {
+		t.Fatal(err)
+	}
+	blob := requeue(t, e, duplicateTimer)
+	fresh, err := New(snapConfig(seed, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(blob); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("duplicated queue item: %v, want ErrCorrupt", err)
 	}
 }
