@@ -85,7 +85,10 @@ type (
 	LogParams = checkpoint.LogParams
 	// NoiseConfig configures OS-noise injection.
 	NoiseConfig = noise.Config
-	// FailureConfig configures failure injection and recovery.
+	// FailureConfig configures failure injection and the recovery costs;
+	// the protocol picks the recovery discipline (global rollback,
+	// single-rank replay, cluster rollback, level dispatch or replica
+	// takeover; see failure.NewInjector).
 	FailureConfig = failure.Config
 	// IncrementalParams configure incremental writes.
 	IncrementalParams = checkpoint.IncrementalParams
@@ -110,8 +113,6 @@ type (
 	// TraceType discriminates trace records; consumers that only want CPU
 	// occupancies filter on TraceCPU.
 	TraceType = sim.TraceType
-	// RecoveryKind selects the failure-recovery discipline.
-	RecoveryKind = failure.RecoveryKind
 	// FailureEvent records one injected failure.
 	FailureEvent = failure.Event
 )
@@ -120,22 +121,6 @@ type (
 // only type the timeline/Gantt consumers use (see sim.TraceType for the
 // full set).
 const TraceCPU = sim.TraceCPU
-
-// Recovery disciplines for FailureConfig.Kind.
-const (
-	// RecoverGlobal rolls the whole machine back to the last global line.
-	RecoverGlobal = failure.RollbackGlobal
-	// RecoverLocal replays only the failed rank from message logs.
-	RecoverLocal = failure.ReplayLocal
-	// RecoverCluster rolls back the failed rank's cluster (hierarchical).
-	RecoverCluster = failure.RollbackCluster
-	// RecoverTwoLevel dispatches on failure severity between the local and
-	// global levels of a two-level protocol.
-	RecoverTwoLevel = failure.RecoverTwoLevel
-	// RecoverTakeover absorbs failures by replica takeover (replication
-	// protocol): detection plus promotion, never lost work.
-	RecoverTakeover = failure.TakeoverReplica
-)
 
 // DefaultNetwork returns the InfiniBand-class LogGOPS parameters used
 // throughout the experiments.
@@ -192,8 +177,8 @@ const (
 	// ProtoReplication runs replication-based resilience: the Ranks
 	// application ranks are embedded in a machine of
 	// Ranks·(ReplicaDegree+1) simulated nodes whose extra ranks mirror the
-	// primaries (Run widens the program automatically). Pair with
-	// RecoverTakeover failures.
+	// primaries (Run widens the program automatically). Its failures
+	// recover by replica takeover.
 	ProtoReplication = checkpoint.KindReplication
 	// ProtoCIC runs index-based communication-induced checkpointing.
 	ProtoCIC = checkpoint.KindCIC

@@ -81,7 +81,7 @@ func TestRunWithNoiseAndFailures(t *testing.T) {
 			Write:    200 * Microsecond,
 		},
 		Noise:    &NoiseConfig{Period: 10 * Millisecond, Duration: 100 * Microsecond},
-		Failures: &FailureConfig{MTBF: 640 * Millisecond, Restart: Millisecond, Kind: RecoverLocal},
+		Failures: &FailureConfig{MTBF: 640 * Millisecond, Restart: Millisecond},
 		Seed:     16,
 		MaxTime:  Time(30 * Second),
 	})

@@ -24,7 +24,7 @@ var cliCases = []struct {
 		"-protocol", "uncoordinated", "-offset", "random", "-interval", "5ms", "-write", "200us",
 		"-log-alpha", "1us", "-log-beta", "0.2", "-incr-every", "3", "-incr-fraction", "0.5",
 		"-noise-period", "5ms", "-noise-duration", "50us",
-		"-mtbf", "640ms", "-restart", "2ms", "-recovery", "local",
+		"-mtbf", "640ms", "-restart", "2ms",
 		"-seed", "16", "-max-time", "30s"}},
 	{"hierarchical", []string{"-workload", "stencil2d", "-ranks", "16", "-iters", "20",
 		"-protocol", "hierarchical", "-cluster", "4", "-interval", "4ms", "-write", "300us",
@@ -40,7 +40,7 @@ var cliCases = []struct {
 		"-local-interval", "1ms", "-local-write", "50us", "-store-node", "2", "-image-bytes", "100000"}},
 	{"replication_takeover", []string{"-workload", "cg", "-ranks", "8", "-iters", "20",
 		"-protocol", "replication", "-replica-degree", "2", "-hb-period", "500us", "-takeover", "200us",
-		"-mtbf", "200ms", "-restart", "1ms", "-recovery", "takeover", "-seed", "5"}},
+		"-mtbf", "200ms", "-restart", "1ms", "-seed", "5"}},
 	{"cic_validated", []string{"-workload", "stencil2d", "-ranks", "16", "-iters", "30",
 		"-protocol", "cic", "-cic-lag", "2", "-interval", "2ms", "-write", "100us", "-validate"}},
 	{"cap_exceeded", []string{"-workload", "cg", "-ranks", "16", "-iters", "50", "-max-time", "1ms"}},

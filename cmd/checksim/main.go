@@ -10,22 +10,19 @@
 //
 //	checksim -workload cg -ranks 64 -protocol uncoordinated -offset staggered \
 //	         -interval 10ms -write 1ms -log-alpha 1us -log-beta 0.2 \
-//	         -mtbf 4s -restart 2ms -recovery local
+//	         -mtbf 4s -restart 2ms
 package main
 
 import (
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 
 	"checkpointsim"
 	"checkpointsim/internal/exp"
-	"checkpointsim/internal/failure"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
@@ -93,10 +90,6 @@ func run(args []string, out io.Writer) error {
 	fs.Var(&cfg.Noise.Duration, "noise-duration", "noise event duration")
 	fs.Var(&cfg.Failures.MTBF, "mtbf", "per-node MTBF (0 = no failures)")
 	fs.Var(&cfg.Failures.Restart, "restart", "failure restart cost")
-	fs.Func("recovery", "failure recovery: global|local|cluster|twolevel|takeover (default global)", func(s string) (err error) {
-		cfg.Failures.Kind, err = failure.ParseRecovery(s)
-		return err
-	})
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	fs.Var((*simtime.Duration)(&cfg.MaxTime), "max-time", "abort after this much virtual time (0 = unlimited)")
 	fs.StringVar(&netName, "net", netName, "network preset: default|capability|ethernet")
@@ -138,19 +131,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	var timelineRows [][]string
 	col := timeline.NewCollector()
 	if timelineCSV != "" || gantt {
-		cfg.Trace = func(ev checkpointsim.TraceEvent) {
-			col.Add(ev)
-			if timelineCSV != "" && ev.Type == checkpointsim.TraceCPU {
-				timelineRows = append(timelineRows, []string{
-					strconv.Itoa(ev.Rank), ev.Label(),
-					strconv.FormatInt(int64(ev.Start), 10),
-					strconv.FormatInt(int64(ev.End), 10),
-				})
-			}
-		}
+		cfg.Trace = col.Add
 	}
 	if cfg.Validate && resumeFile != "" {
 		return fmt.Errorf("-resume cannot be combined with -validate: the conformance checker needs the trace from t=0, which a resumed run does not replay")
@@ -262,19 +245,14 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cw := csv.NewWriter(f)
-		if err := cw.Write([]string{"rank", "kind", "start_ns", "end_ns"}); err != nil {
-			f.Close()
+		n, err := col.WriteCSV(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
-		if err := cw.WriteAll(timelineRows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "timeline:  %d records -> %s\n", len(timelineRows), timelineCSV)
+		fmt.Fprintf(out, "timeline:  %d records -> %s\n", n, timelineCSV)
 	}
 	return nil
 }

@@ -39,7 +39,7 @@ func TestRunWithFailuresAndNoise(t *testing.T) {
 	out := capture(t, "-workload", "stencil2d", "-ranks", "16", "-iters", "30",
 		"-protocol", "uncoordinated", "-offset", "staggered",
 		"-interval", "5ms", "-write", "200us", "-log-alpha", "1us",
-		"-mtbf", "640ms", "-recovery", "local",
+		"-mtbf", "640ms",
 		"-noise-period", "5ms", "-noise-duration", "50us",
 		"-seed", "16", "-max-time", "30s")
 	if !strings.Contains(out, "failures:") {
@@ -136,7 +136,6 @@ func TestBadFlagValues(t *testing.T) {
 		{"-max-time", "ww"},
 		{"-mtbf", "bogus"},
 		{"-mtbf", "1s", "-restart", "bogus"},
-		{"-mtbf", "1s", "-recovery", "bogus"},
 		{"-noise-period", "bogus"},
 		{"-workload", "nonexistent"},
 	}
@@ -225,13 +224,13 @@ func TestExtendedProtocolFlags(t *testing.T) {
 	}
 }
 
-// Every failure.RecoveryKind is reachable from -recovery: the cluster
-// rollback of the hierarchical protocol and the two-level recovery run
-// validated and report their failures.
+// Hierarchical and two-level failures validate with no recovery named:
+// the protocol picks its cluster rollback or level dispatch, and the run
+// reports its failures.
 func TestRecoveryKinds(t *testing.T) {
 	for _, c := range [][]string{
-		{"-protocol", "hierarchical", "-cluster", "4", "-recovery", "cluster"},
-		{"-protocol", "twolevel", "-recovery", "twolevel"},
+		{"-protocol", "hierarchical", "-cluster", "4"},
+		{"-protocol", "twolevel"},
 	} {
 		args := append([]string{"-workload", "cg", "-ranks", "16", "-iters", "30",
 			"-interval", "4ms", "-write", "200us", "-log-alpha", "1us",

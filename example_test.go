@@ -198,9 +198,7 @@ func Example_failures() {
 	coord.Protocol = checkpointsim.ProtocolConfig{
 		Kind: checkpointsim.ProtoCoordinated, Interval: interval, Write: write,
 	}
-	coord.Failures = &checkpointsim.FailureConfig{
-		MTBF: mtbf, Restart: restart, Kind: checkpointsim.RecoverGlobal,
-	}
+	coord.Failures = &checkpointsim.FailureConfig{MTBF: mtbf, Restart: restart}
 	rc, err := checkpointsim.Run(coord)
 	if err != nil {
 		log.Fatal(err)
@@ -213,9 +211,7 @@ func Example_failures() {
 		Offset:  "staggered",
 		Logging: checkpointsim.LogParams{Alpha: 500 * checkpointsim.Nanosecond, BetaNsPerByte: 0.1},
 	}
-	unc.Failures = &checkpointsim.FailureConfig{
-		MTBF: mtbf, Restart: restart, ReplaySpeedup: 2, Kind: checkpointsim.RecoverLocal,
-	}
+	unc.Failures = &checkpointsim.FailureConfig{MTBF: mtbf, Restart: restart}
 	ru, err := checkpointsim.Run(unc)
 	if err != nil {
 		log.Fatal(err)
@@ -278,7 +274,7 @@ func Example_crossover() {
 			sys := (4 * checkpointsim.Second).Seconds() / float64(p)
 			tau := checkpointsim.Duration(model.DalyInterval(0.002, sys) * 1e9)
 
-			mk := func(kind checkpointsim.ProtoKind, rkind checkpointsim.RecoveryKind, b float64) checkpointsim.Duration {
+			mk := func(kind checkpointsim.ProtoKind, b float64) checkpointsim.Duration {
 				cfg := checkpointsim.RunConfig{
 					Workload:   "stencil2d",
 					Ranks:      p,
@@ -293,10 +289,8 @@ func Example_crossover() {
 						Logging:  checkpointsim.LogParams{BetaNsPerByte: b},
 					},
 					Failures: &checkpointsim.FailureConfig{
-						MTBF:          4 * checkpointsim.Second,
-						Restart:       2 * checkpointsim.Millisecond,
-						ReplaySpeedup: 2,
-						Kind:          rkind,
+						MTBF:    4 * checkpointsim.Second,
+						Restart: 2 * checkpointsim.Millisecond,
 					},
 					Seed:    9,
 					MaxTime: checkpointsim.Time(120 * checkpointsim.Second),
@@ -308,8 +302,8 @@ func Example_crossover() {
 				return checkpointsim.Duration(r.Makespan)
 			}
 
-			coord := mk(checkpointsim.ProtoCoordinated, checkpointsim.RecoverGlobal, 0)
-			unc := mk(checkpointsim.ProtoUncoordinated, checkpointsim.RecoverLocal, beta)
+			coord := mk(checkpointsim.ProtoCoordinated, 0)
+			unc := mk(checkpointsim.ProtoUncoordinated, beta)
 			winner := "coordinated"
 			if unc < coord {
 				winner = "uncoordinated"
@@ -389,9 +383,7 @@ func Example_multilevel() {
 		Failures: &checkpointsim.FailureConfig{
 			MTBF:          4 * checkpointsim.Second, // per node
 			Restart:       2 * checkpointsim.Millisecond,
-			LocalRestart:  200 * checkpointsim.Microsecond,
 			LocalCoverage: 0.9,
-			Kind:          checkpointsim.RecoverTwoLevel,
 		},
 		Trace:   col.Add,
 		Seed:    16,

@@ -22,8 +22,8 @@ const (
 	// KindReplication runs replication-based resilience: the program's
 	// ranks are the application, embedded in a machine of
 	// ranks·(ReplicaDegree+1) simulated nodes whose extra ranks mirror the
-	// primaries (the run assembler widens the program automatically). Pair
-	// with failure.TakeoverReplica failures.
+	// primaries (the run assembler widens the program automatically). Its
+	// failures recover by replica takeover.
 	KindReplication Kind = "replication"
 	// KindCIC runs index-based communication-induced checkpointing.
 	KindCIC Kind = "cic"

@@ -56,9 +56,9 @@ func (p TwoLevelParams) Validate() error {
 // coordinated round writes a rare, expensive global checkpoint to stable
 // storage. Most failures (a process crash whose node survives, or whose
 // partner copy is intact) recover from the local level; only severe
-// failures fall through to the global line. The failure package's
-// RecoverTwoLevel discipline draws the severity and asks this protocol for
-// the matching recovery line.
+// failures fall through to the global line. The failure package's level
+// dispatch draws the severity and asks this protocol for the matching
+// recovery line.
 //
 // With a store, both levels write through the shared-storage model: local
 // writes drain through the node-local burst buffer (TierNode), global

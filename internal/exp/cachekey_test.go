@@ -288,7 +288,7 @@ func TestResumeRefusesEveryKeyedLeaf(t *testing.T) {
 		Workload: "stencil2d", Ranks: 4, Iterations: 6, Compute: ms(1), Jitter: 0.1, MsgBytes: 1024,
 		Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: ms(2), Write: ms(1) / 4},
 		Noise:    &noise.Config{Period: ms(1), Duration: ms(1) / 100},
-		Failures: &failure.Config{MTBF: 1000 * ms(1000), Restart: ms(1), ReplaySpeedup: 2},
+		Failures: &failure.Config{MTBF: 1000 * ms(1000), Restart: ms(1)},
 		Seed:     3,
 	}
 	var blob []byte

@@ -291,54 +291,38 @@ const (
 )
 
 // scenarioProtocols is the campaign's protocol table: each protocol axis
-// value's checkpoint configuration and the recovery discipline its
-// failures use — replay from logs where logging exists, cluster rollback
-// for the hierarchical protocol, two-level dispatch for the two-level one,
-// replica takeover for replication, global rollback otherwise.
-var scenarioProtocols = map[string]scenarioProtocol{
-	"none": {checkpoint.Config{Kind: checkpoint.KindNone}, failure.RollbackGlobal},
-	"coordinated": {checkpoint.Config{Kind: checkpoint.KindCoordinated,
-		Interval: scenarioTau, Write: scenarioDelta}, failure.RollbackGlobal},
-	"uncoord-aligned": {checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+// value's checkpoint configuration. Each protocol's failures recover the
+// way it dictates (see failure.NewInjector).
+var scenarioProtocols = map[string]checkpoint.Config{
+	"none": {Kind: checkpoint.KindNone},
+	"coordinated": {Kind: checkpoint.KindCoordinated,
+		Interval: scenarioTau, Write: scenarioDelta},
+	"uncoord-aligned": {Kind: checkpoint.KindUncoordinated,
 		Interval: scenarioTau, Write: scenarioDelta, Offset: "aligned", Logging: scenarioLog},
-		failure.ReplayLocal},
-	"uncoord-staggered": {checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+	"uncoord-staggered": {Kind: checkpoint.KindUncoordinated,
 		Interval: scenarioTau, Write: scenarioDelta, Offset: "staggered", Logging: scenarioLog},
-		failure.ReplayLocal},
-	"uncoord-random": {checkpoint.Config{Kind: checkpoint.KindUncoordinated,
+	"uncoord-random": {Kind: checkpoint.KindUncoordinated,
 		Interval: scenarioTau, Write: scenarioDelta, Offset: "random", Logging: scenarioLog},
-		failure.ReplayLocal},
-	"hierarchical": {checkpoint.Config{Kind: checkpoint.KindHierarchical,
+	"hierarchical": {Kind: checkpoint.KindHierarchical,
 		Interval: scenarioTau, Write: scenarioDelta, ClusterSize: 4, Logging: scenarioLog},
-		failure.RollbackCluster},
-	"nonblocking": {checkpoint.Config{Kind: checkpoint.KindNonBlocking,
+	"nonblocking": {Kind: checkpoint.KindNonBlocking,
 		Interval: scenarioTau, Write: scenarioDelta, Window: 4 * scenarioDelta, Slowdown: 1.05},
-		failure.RollbackGlobal},
-	"partner": {checkpoint.Config{Kind: checkpoint.KindPartner,
+	"partner": {Kind: checkpoint.KindPartner,
 		Interval: scenarioTau, Write: scenarioDelta, CkptBytes: 256 * 1024, Offset: "staggered"},
-		failure.RollbackGlobal},
-	"twolevel": {checkpoint.Config{Kind: checkpoint.KindTwoLevel,
+	"twolevel": {Kind: checkpoint.KindTwoLevel,
 		TwoLevel: checkpoint.TwoLevelParams{
 			LocalInterval: scenarioTau / 3, LocalWrite: scenarioDelta / 10,
 			GlobalInterval: scenarioTau, GlobalWrite: scenarioDelta}},
-		failure.RecoverTwoLevel},
 	// Degree 1, heartbeats at τ/2 so detection latency stays well under the
 	// failure interarrival time at every campaign scale.
-	"replication": {checkpoint.Config{Kind: checkpoint.KindReplication,
-		HeartbeatPeriod: scenarioTau / 2}, failure.TakeoverReplica},
-	"cic": {checkpoint.Config{Kind: checkpoint.KindCIC,
+	"replication": {Kind: checkpoint.KindReplication,
+		HeartbeatPeriod: scenarioTau / 2},
+	"cic": {Kind: checkpoint.KindCIC,
 		Interval: scenarioTau, Write: scenarioDelta, CICLag: 1, Offset: "staggered"},
-		failure.RollbackGlobal},
 }
 
 // scenarioLog is the sender-based logging tax of the logging protocols.
 var scenarioLog = checkpoint.LogParams{Alpha: 500 * simtime.Nanosecond, BetaNsPerByte: 0.05}
-
-// scenarioProtocol is one row of scenarioProtocols.
-type scenarioProtocol struct {
-	cfg      checkpoint.Config
-	recovery failure.RecoveryKind
-}
 
 // scenarioStorage maps each storage-tier axis value to its store
 // parameters: "pfs" is a deliberately tight parallel filesystem (the whole
@@ -365,12 +349,12 @@ func (sc Scenario) Config(net network.Params) run.Config {
 		MsgBytes:   scenarioBytes,
 		Net:        net,
 		Storage:    scenarioStorage[sc.Storage],
-		Protocol:   proto.cfg,
+		Protocol:   proto,
 		Seed:       sc.Seed,
 		MaxTime:    scenarioMaxTime,
 		Validate:   true,
 	}
-	if proto.cfg.Kind == checkpoint.KindReplication {
+	if proto.Kind == checkpoint.KindReplication {
 		// Replication dedicates half the machine to replicas: the
 		// application runs on Ranks/2 ranks for twice the iterations (equal
 		// total work), and the assembler widens it back to Ranks.
@@ -383,14 +367,12 @@ func (sc Scenario) Config(net network.Params) run.Config {
 		f := &failure.Config{
 			MTBF:    simtime.Duration(sc.Ranks) * 10 * simtime.Millisecond,
 			Restart: simtime.Millisecond,
-			Kind:    proto.recovery,
 		}
 		if sc.FailureLaw == "weibull" {
 			f.Shape = 0.7 // infant mortality, as the study's failure logs show
 		}
-		if f.Kind == failure.RecoverTwoLevel {
+		if proto.Kind == checkpoint.KindTwoLevel {
 			f.LocalCoverage = 0.8
-			f.LocalRestart = f.Restart / 10
 		}
 		cfg.Failures = f
 	}

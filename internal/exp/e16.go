@@ -60,7 +60,7 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 			// Single-level reference: coordinated at the Daly-optimal interval.
 			cfg.Protocol = checkpoint.Config{Kind: checkpoint.KindCoordinated,
 				Interval: tauG, Write: globalWrite}
-			cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}
+			cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart}
 			rG, ov, err := tw.at(sd).run(cfg)
 			if err != nil {
 				return nil, err
@@ -81,9 +81,7 @@ func E16TwoLevel(o Options) ([]*report.Table, error) {
 				LocalInterval: tauL, LocalWrite: localWrite,
 				GlobalInterval: tauGL, GlobalWrite: globalWrite,
 			}}
-		cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart,
-			LocalRestart: restart / 10, LocalCoverage: p.cov,
-			Kind: failure.RecoverTwoLevel}
+		cfg.Failures = &failure.Config{MTBF: mtbf, Restart: restart, LocalCoverage: p.cov}
 		r, ov, err := tw.at(sd).run(cfg)
 		if err != nil {
 			return nil, err

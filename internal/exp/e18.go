@@ -120,7 +120,7 @@ func e18Grid(o Options) ([]e18Cell, error) {
 		cell.coord, cell.capC, rC, err = executeCapped(o, run.Config{Net: net, Program: prog, Seed: sd,
 			MaxTime:  e18Cap,
 			Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: write},
-			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart, Kind: failure.RollbackGlobal}})
+			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart}})
 		if err != nil {
 			return e18Cell{}, err
 		}
@@ -131,8 +131,7 @@ func e18Grid(o Options) ([]e18Cell, error) {
 			MaxTime: e18Cap,
 			Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: tau,
 				Write: write, Logging: logp},
-			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart, ReplaySpeedup: 2,
-				Kind: failure.ReplayLocal}})
+			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart}})
 		if err != nil {
 			return e18Cell{}, err
 		}
@@ -140,7 +139,7 @@ func e18Grid(o Options) ([]e18Cell, error) {
 		// Replication: replica takeover instead of rollback.
 		cell.repl, cell.capR, _, err = executeCapped(o, run.Config{Net: net, Program: half, Seed: sd,
 			MaxTime: e18Cap, Protocol: replication,
-			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart, Kind: failure.TakeoverReplica}})
+			Failures: &failure.Config{MTBF: pt.mtbf, Restart: restart}})
 		if err != nil {
 			return e18Cell{}, err
 		}

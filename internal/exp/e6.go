@@ -65,8 +65,7 @@ func E6Interval(o Options) ([]*report.Table, error) {
 				MaxTime: simtime.Time(120 * simtime.Second),
 				Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated,
 					Interval: tau, Write: write},
-				Failures: &failure.Config{MTBF: nodeMTBF, Restart: restart,
-					Kind: failure.RollbackGlobal}})
+				Failures: &failure.Config{MTBF: nodeMTBF, Restart: restart}})
 			if err != nil {
 				return nil, err
 			}

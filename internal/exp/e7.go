@@ -51,24 +51,22 @@ func E7Recovery(o Options) ([]*report.Table, error) {
 			tau = write * 2
 		}
 		protos := []struct {
-			label    string
-			proto    checkpoint.Config
-			recovery failure.RecoveryKind
+			label string
+			proto checkpoint.Config
 		}{
 			{"coordinated+rollback", checkpoint.Config{Kind: checkpoint.KindCoordinated,
-				Interval: tau, Write: write}, failure.RollbackGlobal},
+				Interval: tau, Write: write}},
 			{"uncoordinated+replay", checkpoint.Config{Kind: checkpoint.KindUncoordinated,
-				Interval: tau, Write: write, Logging: logp}, failure.ReplayLocal},
+				Interval: tau, Write: write, Logging: logp}},
 			// Hierarchical + cluster rollback: the middle ground.
 			{"hierarchical+cluster", checkpoint.Config{Kind: checkpoint.KindHierarchical,
-				Interval: tau, Write: write, ClusterSize: ranks / 8, Logging: logp}, failure.RollbackCluster},
+				Interval: tau, Write: write, ClusterSize: ranks / 8, Logging: logp}},
 		}
 		var rs rows
 		for _, p := range protos {
 			r, ov, err := tw.at(sd).run(run.Config{
 				MaxTime: simtime.Time(300 * simtime.Second), Protocol: p.proto,
-				Failures: &failure.Config{MTBF: mtbf, Restart: restart,
-					ReplaySpeedup: 2, Kind: p.recovery}})
+				Failures: &failure.Config{MTBF: mtbf, Restart: restart}})
 			if err != nil {
 				return nil, err
 			}

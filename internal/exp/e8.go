@@ -57,7 +57,7 @@ func E8Crossover(o Options) ([]*report.Table, error) {
 		mkC, capC, _, err := executeCapped(o, run.Config{Net: net, Program: prog, Seed: sd,
 			MaxTime: capT, Storage: o.Storage,
 			Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: write},
-			Failures: &failure.Config{MTBF: mtbf, Restart: restart, Kind: failure.RollbackGlobal}})
+			Failures: &failure.Config{MTBF: mtbf, Restart: restart}})
 		if err != nil {
 			return nil, err
 		}
@@ -68,8 +68,7 @@ func E8Crossover(o Options) ([]*report.Table, error) {
 				MaxTime: capT, Storage: o.Storage,
 				Protocol: checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: tau,
 					Write: write, Logging: checkpoint.LogParams{BetaNsPerByte: beta}},
-				Failures: &failure.Config{MTBF: mtbf, Restart: restart, ReplaySpeedup: 2,
-					Kind: failure.ReplayLocal}})
+				Failures: &failure.Config{MTBF: mtbf, Restart: restart}})
 			if err != nil {
 				return nil, err
 			}

@@ -142,7 +142,7 @@ func TestSimulatedOptimumNearDaly(t *testing.T) {
 			r, err := execute(o, run.Config{Net: net, Program: prog, Seed: seed,
 				MaxTime:  simtime.Time(300 * simtime.Second),
 				Protocol: checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: write},
-				Failures: &failure.Config{MTBF: nodeMTBF, Restart: restart, Kind: failure.RollbackGlobal}})
+				Failures: &failure.Config{MTBF: nodeMTBF, Restart: restart}})
 			if err != nil {
 				t.Fatal(err)
 			}

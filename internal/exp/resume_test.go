@@ -207,7 +207,7 @@ func TestResumeAtEveryEvent(t *testing.T) {
 	faulty.Protocol = with(func(c *checkpoint.Config) { c.Kind = checkpoint.KindCoordinated })
 	faulty.Storage = stores[1].p
 	faulty.Noise = &noise.Config{Period: 200 * us, Duration: 5 * us, Poisson: true}
-	faulty.Failures = &failure.Config{MTBF: 8 * 500 * us, Restart: 20 * us, Kind: failure.RollbackGlobal}
+	faulty.Failures = &failure.Config{MTBF: 8 * 500 * us, Restart: 20 * us}
 	faulty.MaxTime = simtime.Time(simtime.Second)
 	points = append(points, point{"coordinated/failures+noise", faulty})
 	// A shared fabric is the one model under which the engine keeps, and

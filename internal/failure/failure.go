@@ -1,17 +1,29 @@
 // Package failure injects node failures into a simulation and models the
-// two recovery disciplines whose contrast drives the protocol comparison:
+// recovery that follows each one. The protocol picks the recovery
+// discipline (see NewInjector), because what a failure costs is exactly
+// what the protocol comparison measures:
 //
-//   - RollbackGlobal (coordinated checkpointing): every rank rolls back to
-//     the last global recovery line. All ranks pay the restart cost plus
-//     re-execution of everything since the line started.
+//   - global rollback (coordinated checkpointing and every protocol
+//     without a finer line): every rank rolls back to its last committed
+//     checkpoint and pays the restart cost plus re-execution of its
+//     progress since then.
 //
-//   - ReplayLocal (uncoordinated/hierarchical with message logging): only
-//     the failed rank rolls back, to its own most recent checkpoint, and
-//     replays from its partners' message logs — faster than real time
-//     because logged messages are already available. Every other rank keeps
-//     computing until it actually needs a message from the recovering rank;
-//     the simulator's dependency graph provides that stall propagation for
-//     free, which is precisely the effect under study.
+//   - single-rank replay (uncoordinated with sender-based message
+//     logging): only the failed rank rolls back, to its own most recent
+//     checkpoint, and replays from its partners' message logs — faster than
+//     real time because logged messages are already available. Every other
+//     rank keeps computing until it actually needs a message from the
+//     recovering rank; the simulator's dependency graph provides that stall
+//     propagation for free, which is precisely the effect under study.
+//
+//   - cluster rollback (hierarchical): the failed rank's cluster rolls
+//     back together, replaying logged inter-cluster messages.
+//
+//   - level dispatch (two-level): most failures restart from the fast
+//     local level, the rest fall through to the global line.
+//
+//   - replica takeover (replication): a failed primary stalls only for
+//     detection plus promotion, and no work is ever lost.
 //
 // Failures arrive as a Poisson (or Weibull-renewal) process over the whole
 // machine with per-node MTBF θ (system rate P/θ); the victim is uniform.
@@ -20,7 +32,6 @@ package failure
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/sim"
@@ -31,69 +42,6 @@ import (
 // Reason is the accounting key recovery seizures appear under.
 const Reason = "recovery"
 
-// RecoveryKind selects the rollback discipline.
-type RecoveryKind uint8
-
-const (
-	// RollbackGlobal rolls the whole machine back to the last global line.
-	RollbackGlobal RecoveryKind = iota
-	// ReplayLocal rolls back and replays only the failed rank.
-	ReplayLocal
-	// RollbackCluster rolls back the failed rank's cluster (hierarchical
-	// protocols): cluster members re-execute together, replaying logged
-	// inter-cluster messages at the replay speedup. Requires a protocol
-	// implementing ClusterMembers.
-	RollbackCluster
-	// RecoverTwoLevel dispatches on failure severity: with probability
-	// LocalCoverage the machine restarts from the fast local level
-	// (LocalRestart + rework since the local line); otherwise it falls
-	// through to the global line (Restart + rework since the global line).
-	// Requires a checkpoint.TwoLevel-style protocol.
-	RecoverTwoLevel
-	// TakeoverReplica hands failures to a replication protocol: a failed
-	// primary stalls only for heartbeat detection plus replica promotion —
-	// no work is ever lost — and a failed spare replica costs nothing.
-	// Requires a protocol implementing ReplicaProtocol.
-	TakeoverReplica
-)
-
-// String names the recovery kind.
-func (k RecoveryKind) String() string {
-	switch k {
-	case RollbackGlobal:
-		return "global-rollback"
-	case ReplayLocal:
-		return "local-replay"
-	case RollbackCluster:
-		return "cluster-rollback"
-	case RecoverTwoLevel:
-		return "two-level"
-	case TakeoverReplica:
-		return "replica-takeover"
-	}
-	return fmt.Sprintf("recovery(%d)", uint8(k))
-}
-
-// recoveryNames are the names ParseRecovery accepts, indexed by kind.
-var recoveryNames = [...]string{
-	RollbackGlobal:  "global",
-	ReplayLocal:     "local",
-	RollbackCluster: "cluster",
-	RecoverTwoLevel: "twolevel",
-	TakeoverReplica: "takeover",
-}
-
-// ParseRecovery returns the recovery kind a command line names: one of
-// global, local, cluster, twolevel or takeover.
-func ParseRecovery(name string) (RecoveryKind, error) {
-	for k, n := range recoveryNames {
-		if n == name {
-			return RecoveryKind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown recovery %q (want %s)", name, strings.Join(recoveryNames[:], "|"))
-}
-
 // Config describes the failure process and recovery costs.
 type Config struct {
 	// MTBF is the per-node mean time between failures.
@@ -101,21 +49,17 @@ type Config struct {
 	// Shape is the Weibull shape of inter-failure gaps (1 = exponential,
 	// <1 = infant mortality). Zero defaults to 1.
 	Shape float64
-	// Restart is the fixed cost of restarting and reading the checkpoint.
+	// Restart is the fixed cost of restarting and reading the checkpoint;
+	// a two-level protocol's fast local level restarts in Restart/10.
 	Restart simtime.Duration
-	// ReplaySpeedup is how much faster than real time a rank replays
-	// logged execution (>= 1; typical values 1.5–3 in the literature).
-	// Only used by ReplayLocal. Zero defaults to 2.
-	ReplaySpeedup float64
-	// Kind selects the recovery discipline.
-	Kind RecoveryKind
 	// LocalCoverage is the probability a failure is recoverable from the
-	// fast local level (RecoverTwoLevel only). Zero defaults to 0.9.
+	// fast local level (two-level protocols only). Zero defaults to 0.9.
 	LocalCoverage float64
-	// LocalRestart is the fast-level restart cost (RecoverTwoLevel only).
-	// Zero defaults to Restart/10.
-	LocalRestart simtime.Duration
 }
+
+// replaySpeedup is how much faster than real time a rank replays logged
+// execution (typical values 1.5–3 in the literature).
+const replaySpeedup float64 = 2
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -128,20 +72,8 @@ func (c Config) Validate() error {
 	if c.Restart < 0 {
 		return fmt.Errorf("failure: negative restart cost")
 	}
-	if c.ReplaySpeedup < 0 || math.IsNaN(c.ReplaySpeedup) {
-		return fmt.Errorf("failure: bad replay speedup %v", c.ReplaySpeedup)
-	}
-	if c.ReplaySpeedup != 0 && c.ReplaySpeedup < 1 {
-		return fmt.Errorf("failure: replay speedup %v < 1", c.ReplaySpeedup)
-	}
-	if c.Kind > TakeoverReplica {
-		return fmt.Errorf("failure: unknown recovery kind %d", c.Kind)
-	}
 	if c.LocalCoverage < 0 || c.LocalCoverage > 1 || math.IsNaN(c.LocalCoverage) {
 		return fmt.Errorf("failure: local coverage %v outside [0,1]", c.LocalCoverage)
-	}
-	if c.LocalRestart < 0 {
-		return fmt.Errorf("failure: negative local restart")
 	}
 	return nil
 }
@@ -153,25 +85,11 @@ func (c Config) localCoverage() float64 {
 	return c.LocalCoverage
 }
 
-func (c Config) localRestart() simtime.Duration {
-	if c.LocalRestart == 0 {
-		return c.Restart / 10
-	}
-	return c.LocalRestart
-}
-
 func (c Config) shape() float64 {
 	if c.Shape == 0 {
 		return 1
 	}
 	return c.Shape
-}
-
-func (c Config) speedup() float64 {
-	if c.ReplaySpeedup == 0 {
-		return 2
-	}
-	return c.ReplaySpeedup
 }
 
 // Event records one injected failure.
@@ -184,28 +102,41 @@ type Event struct {
 
 // Injector is the sim.Agent that injects failures and applies recovery.
 type Injector struct {
-	cfg   Config
-	proto checkpoint.Protocol
-	ctx   *sim.Context
-	evts  []Event
+	cfg      Config
+	proto    checkpoint.Protocol
+	recovery recovery
+	ctx      *sim.Context
+	evts     []Event
 }
 
-// ClusterProtocol is the extra capability RollbackCluster needs: protocols
-// that can name a rank's rollback unit.
+// recovery is the discipline an Injector applies, chosen by NewInjector
+// from its protocol's capabilities.
+type recovery uint8
+
+const (
+	rollbackGlobal recovery = iota
+	replayLocal
+	rollbackCluster
+	recoverTwoLevel
+	takeoverReplica
+)
+
+// ClusterProtocol is the capability cluster rollback needs: protocols that
+// can name a rank's rollback unit.
 type ClusterProtocol interface {
 	checkpoint.Protocol
 	ClusterMembers(rank int) []int
 }
 
-// TwoLevelProtocol is the extra capability RecoverTwoLevel needs: a
-// protocol exposing the progress its global (severe-failure) recovery line
-// saved alongside the default (local) one.
+// TwoLevelProtocol is the capability level dispatch needs: a protocol
+// exposing the progress its global (severe-failure) recovery line saved
+// alongside the default (local) one.
 type TwoLevelProtocol interface {
 	checkpoint.Protocol
 	GlobalProgressAt(rank int) simtime.Duration
 }
 
-// ReplicaProtocol is the extra capability TakeoverReplica needs: a protocol
+// ReplicaProtocol is the capability replica takeover needs: a protocol
 // that absorbs a rank failure by replica takeover. Takeover returns the
 // logical rank that stalls, the CPU seizure modeling detection plus
 // promotion, and whether the failure stalls the application at all (a
@@ -216,7 +147,11 @@ type ReplicaProtocol interface {
 }
 
 // NewInjector builds a failure injector coupled to the protocol that
-// defines the recovery lines.
+// defines the recovery lines. The protocol's capabilities pick the
+// recovery, first match wins: a ReplicaProtocol gets replica takeover, a
+// TwoLevelProtocol level dispatch, a ClusterProtocol cluster rollback, a
+// protocol keeping message logs single-rank replay, and any other protocol
+// a global rollback.
 func NewInjector(cfg Config, proto checkpoint.Protocol) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -224,25 +159,18 @@ func NewInjector(cfg Config, proto checkpoint.Protocol) (*Injector, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("failure: nil protocol")
 	}
-	if cfg.Kind == RollbackCluster {
-		if _, ok := proto.(ClusterProtocol); !ok {
-			return nil, fmt.Errorf("failure: cluster rollback needs a protocol with ClusterMembers (have %s)",
-				proto.Name())
-		}
+	f := &Injector{cfg: cfg, proto: proto}
+	switch proto.(type) {
+	case ReplicaProtocol:
+		f.recovery = takeoverReplica
+	case TwoLevelProtocol:
+		f.recovery = recoverTwoLevel
+	case ClusterProtocol:
+		f.recovery = rollbackCluster
+	case interface{ LogConfig() checkpoint.LogParams }:
+		f.recovery = replayLocal
 	}
-	if cfg.Kind == RecoverTwoLevel {
-		if _, ok := proto.(TwoLevelProtocol); !ok {
-			return nil, fmt.Errorf("failure: two-level recovery needs a two-level protocol (have %s)",
-				proto.Name())
-		}
-	}
-	if cfg.Kind == TakeoverReplica {
-		if _, ok := proto.(ReplicaProtocol); !ok {
-			return nil, fmt.Errorf("failure: replica takeover needs a replication protocol (have %s)",
-				proto.Name())
-		}
-	}
-	return &Injector{cfg: cfg, proto: proto}, nil
+	return f, nil
 }
 
 // Init implements sim.Agent.
@@ -318,7 +246,7 @@ func (f *Injector) rollback(victim int, ranks []int, rework func(rank int) simti
 	}
 	redo := func(w simtime.Duration) simtime.Duration {
 		if replay {
-			return w.Scale(1 / f.cfg.speedup())
+			return w.Scale(1 / replaySpeedup)
 		}
 		return w
 	}
@@ -337,34 +265,34 @@ func (f *Injector) rollback(victim int, ranks []int, rework func(rank int) simti
 func (f *Injector) fail() {
 	now := f.ctx.Now()
 	victim := f.ctx.Rand().Intn(f.ctx.NumRanks())
-	switch f.cfg.Kind {
-	case RollbackGlobal:
+	switch f.recovery {
+	case rollbackGlobal:
 		// Every rank rolls back to the last global line and re-executes its
 		// own progress since then.
 		f.rollback(victim, nil, f.rework, f.cfg.Restart, false)
-	case ReplayLocal:
+	case replayLocal:
 		// Only the victim rolls back, to its own last checkpoint, and
 		// replays at a speedup because logged messages are ready.
 		lost := f.rework(victim)
-		rec := f.cfg.Restart + lost.Scale(1/f.cfg.speedup())
+		rec := f.cfg.Restart + lost.Scale(1/replaySpeedup)
 		f.evts = append(f.evts, Event{Time: now, Rank: victim, LostWork: lost, Recovery: rec})
 		f.ctx.SeizeCPU(victim, rec, Reason, sim.Call{})
-	case RollbackCluster:
+	case rollbackCluster:
 		// The victim's whole cluster rolls back to its cluster line and
 		// re-executes together, replaying inter-cluster messages from logs.
 		f.rollback(victim, f.proto.(ClusterProtocol).ClusterMembers(victim), f.rework, f.cfg.Restart, true)
-	case RecoverTwoLevel:
+	case recoverTwoLevel:
 		// Severity draw: local-level recovery covers most failures; the
 		// rest fall through to the global line.
 		tl := f.proto.(TwoLevelProtocol)
 		if f.ctx.Rand().Float64() < f.cfg.localCoverage() {
-			f.rollback(victim, nil, f.rework, f.cfg.localRestart(), false)
+			f.rollback(victim, nil, f.rework, f.cfg.Restart/10, false)
 		} else {
 			f.rollback(victim, nil, func(r int) simtime.Duration {
 				return f.ctx.RankBusy(r) - tl.GlobalProgressAt(r)
 			}, f.cfg.Restart, false)
 		}
-	case TakeoverReplica:
+	case takeoverReplica:
 		// No rollback ever: a failed primary stalls for detection plus
 		// promotion while its replica takes over with all progress intact;
 		// a failed spare replica is absorbed for free.

@@ -1,7 +1,7 @@
 package failure
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"checkpointsim/internal/checkpoint"
@@ -34,8 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{MTBF: -1},
 		{MTBF: 1, Shape: -1},
 		{MTBF: 1, Restart: -1},
-		{MTBF: 1, ReplaySpeedup: 0.5},
-		{MTBF: 1, Kind: RecoveryKind(9)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -47,15 +45,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := NewInjector(good, nil); err == nil {
 		t.Error("NewInjector accepted nil protocol")
-	}
-}
-
-func TestRecoveryKindString(t *testing.T) {
-	if RollbackGlobal.String() != "global-rollback" || ReplayLocal.String() != "local-replay" {
-		t.Error("kind names wrong")
-	}
-	if RecoveryKind(9).String() == "" {
-		t.Error("unknown kind empty")
 	}
 }
 
@@ -74,7 +63,12 @@ func mustProtocol(t *testing.T, c checkpoint.Config) checkpoint.Protocol {
 // up with the failure rate (a real phenomenon, but fatal to a test).
 func runFailure(t *testing.T, cfg Config, proto checkpoint.Protocol, seed uint64) (*sim.Result, *Injector) {
 	t.Helper()
-	prog := stencilProg(t, 16, 40)
+	return runProgram(t, stencilProg(t, 16, 40), cfg, proto, seed)
+}
+
+// runProgram runs prog under the given protocol + failure config.
+func runProgram(t *testing.T, prog *goal.Program, cfg Config, proto checkpoint.Protocol, seed uint64) (*sim.Result, *Injector) {
+	t.Helper()
 	inj, err := NewInjector(cfg, proto)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +90,7 @@ func TestGlobalRollbackHitsAllRanks(t *testing.T) {
 	cp, _ := checkpoint.NewCoordinated(params)
 	// MTBF chosen so failures land mid-run but recovery keeps up (~50ms app
 	// on 16 ranks: system MTBF = 640ms/16 = 40ms); seed 16 yields several.
-	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: RollbackGlobal}
+	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond}
 	r, inj := runFailure(t, cfg, cp, 16)
 	if len(inj.Events()) == 0 {
 		t.Fatal("no failures injected")
@@ -118,8 +112,7 @@ func TestGlobalRollbackHitsAllRanks(t *testing.T) {
 func TestLocalReplayHitsOneRank(t *testing.T) {
 	up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: 5 * simtime.Millisecond,
 		Write: 100 * simtime.Microsecond, Offset: "staggered", Logging: checkpoint.LogParams{Alpha: simtime.Microsecond}})
-	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond,
-		ReplaySpeedup: 2, Kind: ReplayLocal}
+	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond}
 	r, inj := runFailure(t, cfg, up, 16)
 	if len(inj.Events()) == 0 {
 		t.Fatal("no failures injected")
@@ -142,12 +135,12 @@ func TestLocalReplayLosesLessWork(t *testing.T) {
 	// one, and only one rank loses it).
 	params := checkpoint.Params{Interval: 5 * simtime.Millisecond, Write: 100 * simtime.Microsecond}
 	cp, _ := checkpoint.NewCoordinated(params)
-	cfgG := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: RollbackGlobal}
+	cfgG := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond}
 	rG, injG := runFailure(t, cfgG, cp, 16)
 
 	up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: params.Interval,
 		Write: params.Write, Offset: "staggered"})
-	cfgL := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: ReplayLocal}
+	cfgL := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond}
 	rL, injL := runFailure(t, cfgL, up, 16)
 
 	if len(injG.Events()) == 0 || len(injL.Events()) == 0 {
@@ -170,8 +163,7 @@ func TestLocalReplayLosesLessWork(t *testing.T) {
 func TestWeibullShapeRuns(t *testing.T) {
 	up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: 5 * simtime.Millisecond,
 		Write: 100 * simtime.Microsecond, Offset: "random"})
-	cfg := Config{MTBF: 200 * simtime.Millisecond, Shape: 0.7,
-		Restart: simtime.Millisecond, Kind: ReplayLocal}
+	cfg := Config{MTBF: 200 * simtime.Millisecond, Shape: 0.7, Restart: simtime.Millisecond}
 	_, inj := runFailure(t, cfg, up, 3)
 	_ = inj // Weibull arrivals may or may not fire in-window; completing is the test
 }
@@ -180,7 +172,7 @@ func TestFailureDeterminism(t *testing.T) {
 	run := func() (simtime.Time, int) {
 		up := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: 5 * simtime.Millisecond,
 			Write: 100 * simtime.Microsecond, Offset: "random"})
-		cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: ReplayLocal}
+		cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond}
 		r, inj := runFailure(t, cfg, up, 16)
 		return r.Makespan, len(inj.Events())
 	}
@@ -198,7 +190,7 @@ func TestFailureBeforeFirstCheckpointLosesEverything(t *testing.T) {
 	// regardless of whether the app completed.
 	params := checkpoint.Params{Interval: simtime.Hour, Write: simtime.Millisecond}
 	cp, _ := checkpoint.NewCoordinated(params)
-	cfg := Config{MTBF: 160 * simtime.Millisecond, Restart: simtime.Millisecond, Kind: RollbackGlobal}
+	cfg := Config{MTBF: 160 * simtime.Millisecond, Restart: simtime.Millisecond}
 	prog := stencilProg(t, 16, 40)
 	inj, err := NewInjector(cfg, cp)
 	if err != nil {
@@ -225,8 +217,7 @@ func TestFailureBeforeFirstCheckpointLosesEverything(t *testing.T) {
 func TestClusterRollbackHitsOneCluster(t *testing.T) {
 	hp := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindHierarchical, Interval: 5 * simtime.Millisecond,
 		Write: 100 * simtime.Microsecond, ClusterSize: 4, Logging: checkpoint.LogParams{Alpha: simtime.Microsecond}})
-	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond,
-		ReplaySpeedup: 2, Kind: RollbackCluster}
+	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond}
 	r, inj := runFailure(t, cfg, hp, 16)
 	if len(inj.Events()) == 0 {
 		t.Fatal("no failures injected")
@@ -265,24 +256,13 @@ func TestClusterMembersShape(t *testing.T) {
 	}
 }
 
-func TestClusterRollbackRequiresClusterProtocol(t *testing.T) {
-	params := checkpoint.Params{Interval: simtime.Millisecond, Write: 1}
-	cp, _ := checkpoint.NewCoordinated(params)
-	cfg := Config{MTBF: simtime.Second, Kind: RollbackCluster}
-	if _, err := NewInjector(cfg, cp); err == nil {
-		t.Error("cluster rollback accepted a protocol without clusters")
-	}
-}
-
 func TestTwoLevelRecoveryDispatch(t *testing.T) {
 	tp := checkpoint.TwoLevelParams{
 		LocalInterval: 2 * simtime.Millisecond, LocalWrite: 100 * simtime.Microsecond,
 		GlobalInterval: 10 * simtime.Millisecond, GlobalWrite: simtime.Millisecond,
 	}
 	tl := mustProtocol(t, checkpoint.Config{Kind: checkpoint.KindTwoLevel, TwoLevel: tp})
-	cfg := Config{MTBF: 320 * simtime.Millisecond, Restart: 2 * simtime.Millisecond,
-		LocalRestart: 200 * simtime.Microsecond, LocalCoverage: 0.7,
-		Kind: RecoverTwoLevel}
+	cfg := Config{MTBF: 320 * simtime.Millisecond, Restart: 2 * simtime.Millisecond, LocalCoverage: 0.7}
 	r, inj := runFailure(t, cfg, tl, 16)
 	if len(inj.Events()) == 0 {
 		t.Fatal("no failures injected")
@@ -294,20 +274,10 @@ func TestTwoLevelRecoveryDispatch(t *testing.T) {
 	}
 }
 
-func TestTwoLevelRecoveryRequiresTwoLevelProtocol(t *testing.T) {
-	params := checkpoint.Params{Interval: simtime.Millisecond, Write: 1}
-	cp, _ := checkpoint.NewCoordinated(params)
-	cfg := Config{MTBF: simtime.Second, Kind: RecoverTwoLevel}
-	if _, err := NewInjector(cfg, cp); err == nil {
-		t.Error("two-level recovery accepted a single-level protocol")
-	}
-}
-
 func TestTwoLevelConfigValidation(t *testing.T) {
 	bad := []Config{
 		{MTBF: 1, LocalCoverage: -0.1},
 		{MTBF: 1, LocalCoverage: 1.5},
-		{MTBF: 1, LocalRestart: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -360,8 +330,7 @@ func runReplication(t *testing.T, cfg Config) (*sim.Result, *Injector, *checkpoi
 // to the failure-free replication layout.
 func TestReplicaTakeoverLosesNoWork(t *testing.T) {
 	rFree, _, _ := runReplication(t, Config{})
-	cfg := Config{MTBF: 40 * simtime.Millisecond, Restart: 100 * simtime.Microsecond,
-		Kind: TakeoverReplica}
+	cfg := Config{MTBF: 40 * simtime.Millisecond, Restart: 100 * simtime.Microsecond}
 	r, inj, rp := runReplication(t, cfg)
 	if len(inj.Events()) == 0 {
 		t.Fatal("no failures injected — takeover semantics untested")
@@ -387,31 +356,69 @@ func TestReplicaTakeoverLosesNoWork(t *testing.T) {
 	}
 }
 
-// The takeover recovery kind demands a protocol that can absorb failures.
-func TestTakeoverRequiresReplicaProtocol(t *testing.T) {
-	cp, _ := checkpoint.NewCoordinated(checkpoint.Params{
-		Interval: 5 * simtime.Millisecond, Write: 100 * simtime.Microsecond})
-	cfg := Config{MTBF: 640 * simtime.Millisecond, Restart: simtime.Millisecond,
-		Kind: TakeoverReplica}
-	if _, err := NewInjector(cfg, cp); err == nil {
-		t.Fatal("takeover recovery accepted a non-replica protocol")
-	}
-	if TakeoverReplica.String() != "replica-takeover" {
-		t.Errorf("kind name %q", TakeoverReplica.String())
-	}
-}
-
-// ParseRecovery names every kind, and an unknown name lists them all.
-func TestParseRecovery(t *testing.T) {
-	for name, want := range map[string]RecoveryKind{"global": RollbackGlobal, "local": ReplayLocal,
-		"cluster": RollbackCluster, "twolevel": RecoverTwoLevel, "takeover": TakeoverReplica} {
-		if got, err := ParseRecovery(name); err != nil || got != want {
-			t.Errorf("ParseRecovery(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	_, err := ParseRecovery("global-rollback")
-	if err == nil || !strings.Contains(err.Error(), "global|local|cluster|twolevel|takeover") {
-		t.Errorf("unknown name: error %v does not list the accepted names", err)
+// The protocol picks the recovery. Every kind checkpoint.Config.New builds
+// (KindNone builds checkpoint.None{}) runs with only MTBF and Restart set,
+// and its discipline shows in its effect: a global rollback seizes all 16
+// ranks per failure, a replay only the victim, a cluster rollback the
+// victim's 4 cluster members, level dispatch all 16 ranks but restarts
+// some failures from the local level in Restart/10, and replica takeover
+// loses no work and stalls one rank per primary taken over.
+func TestRecoveryFollowsProtocol(t *testing.T) {
+	ms, us := simtime.Millisecond, simtime.Microsecond
+	logs := checkpoint.LogParams{Alpha: us}
+	const takeover = 0
+	for _, c := range []struct {
+		proto      checkpoint.Config
+		perFailure int64 // recovery seizures per failure, or takeover
+	}{
+		{checkpoint.Config{Kind: checkpoint.KindNone}, 16},
+		{checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: 5 * ms, Write: 100 * us}, 16},
+		{checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: 5 * ms, Write: 100 * us,
+			Logging: logs}, 1},
+		{checkpoint.Config{Kind: checkpoint.KindHierarchical, Interval: 5 * ms, Write: 100 * us,
+			ClusterSize: 4, Logging: logs}, 4},
+		{checkpoint.Config{Kind: checkpoint.KindNonBlocking, Interval: 5 * ms, Write: 100 * us,
+			Window: 400 * us, Slowdown: 1.05}, 16},
+		{checkpoint.Config{Kind: checkpoint.KindPartner, Interval: 5 * ms, Write: 100 * us,
+			CkptBytes: 64 * 1024}, 16},
+		{checkpoint.Config{Kind: checkpoint.KindTwoLevel, TwoLevel: checkpoint.TwoLevelParams{
+			LocalInterval: 2 * ms, LocalWrite: 100 * us, GlobalInterval: 10 * ms, GlobalWrite: ms}}, 16},
+		{checkpoint.Config{Kind: checkpoint.KindReplication, HeartbeatPeriod: 500 * us}, takeover},
+		{checkpoint.Config{Kind: checkpoint.KindCIC, Interval: 5 * ms, Write: 100 * us}, 16},
+	} {
+		t.Run(string(c.proto.Kind), func(t *testing.T) {
+			cfg := Config{MTBF: 320 * ms, Restart: ms}
+			prog := stencilProg(t, 16, 40)
+			if c.proto.Kind == checkpoint.KindReplication {
+				prog = replicationProg(t)
+			}
+			proto := mustProtocol(t, c.proto)
+			r, inj := runProgram(t, prog, cfg, proto, 16)
+			evts := inj.Events()
+			if len(evts) == 0 {
+				t.Fatal("no failures injected")
+			}
+			if c.perFailure == takeover {
+				for _, ev := range evts {
+					if ev.LostWork != 0 {
+						t.Errorf("failure at %v lost %v work under replica takeover",
+							simtime.Duration(ev.Time), ev.LostWork)
+					}
+				}
+				if got, want := r.SeizedCount[Reason], proto.Stats().Takeovers; got != want {
+					t.Errorf("recovery seizures = %d, want one per takeover (%d)", got, want)
+				}
+				return
+			}
+			if got, want := r.SeizedCount[Reason], int64(len(evts))*c.perFailure; got != want {
+				t.Errorf("recovery seizures = %d, want %d failures x %d ranks", got, len(evts), c.perFailure)
+			}
+			if c.proto.Kind == checkpoint.KindTwoLevel && !slices.ContainsFunc(evts, func(ev Event) bool {
+				return ev.Recovery-ev.LostWork == cfg.Restart/10
+			}) {
+				t.Error("no failure restarted from the local level")
+			}
+		})
 	}
 }
 

@@ -223,37 +223,32 @@ func TestRunValidatedResume(t *testing.T) {
 func TestTraceVocabularyClosed(t *testing.T) {
 	tau, delta := 2*simtime.Millisecond, 200*simtime.Microsecond
 	logs := checkpoint.LogParams{Alpha: simtime.Microsecond, BetaNsPerByte: 0.05}
-	protocols := []struct {
-		cfg      checkpoint.Config
-		recovery failure.RecoveryKind
-	}{
-		{checkpoint.Config{Kind: checkpoint.KindNone}, failure.RollbackGlobal},
-		{checkpoint.Config{Kind: checkpoint.KindCoordinated, Interval: tau, Write: delta}, failure.RollbackGlobal},
-		{checkpoint.Config{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta,
-			Offset: "staggered", Logging: logs}, failure.ReplayLocal},
-		{checkpoint.Config{Kind: checkpoint.KindHierarchical, Interval: tau, Write: delta,
-			ClusterSize: 4, Logging: logs}, failure.RollbackCluster},
-		{checkpoint.Config{Kind: checkpoint.KindNonBlocking, Interval: tau, Write: delta,
-			Window: 4 * delta, Slowdown: 1.05}, failure.RollbackGlobal},
-		{checkpoint.Config{Kind: checkpoint.KindPartner, Interval: tau, Write: delta,
-			CkptBytes: 256 * 1024, Offset: "staggered"}, failure.RollbackGlobal},
-		{checkpoint.Config{Kind: checkpoint.KindTwoLevel, TwoLevel: checkpoint.TwoLevelParams{
+	protocols := []checkpoint.Config{
+		{Kind: checkpoint.KindNone},
+		{Kind: checkpoint.KindCoordinated, Interval: tau, Write: delta},
+		{Kind: checkpoint.KindUncoordinated, Interval: tau, Write: delta,
+			Offset: "staggered", Logging: logs},
+		{Kind: checkpoint.KindHierarchical, Interval: tau, Write: delta,
+			ClusterSize: 4, Logging: logs},
+		{Kind: checkpoint.KindNonBlocking, Interval: tau, Write: delta,
+			Window: 4 * delta, Slowdown: 1.05},
+		{Kind: checkpoint.KindPartner, Interval: tau, Write: delta,
+			CkptBytes: 256 * 1024, Offset: "staggered"},
+		{Kind: checkpoint.KindTwoLevel, TwoLevel: checkpoint.TwoLevelParams{
 			LocalInterval: tau / 3, LocalWrite: delta / 10, GlobalInterval: tau, GlobalWrite: delta}},
-			failure.RecoverTwoLevel},
-		{checkpoint.Config{Kind: checkpoint.KindReplication, HeartbeatPeriod: tau / 2}, failure.TakeoverReplica},
-		{checkpoint.Config{Kind: checkpoint.KindCIC, Interval: tau, Write: delta, CICLag: 1,
-			Offset: "staggered"}, failure.RollbackGlobal},
+		{Kind: checkpoint.KindReplication, HeartbeatPeriod: tau / 2},
+		{Kind: checkpoint.KindCIC, Interval: tau, Write: delta, CICLag: 1,
+			Offset: "staggered"},
 	}
 	reasons, phaseNames := map[string]bool{}, map[string]bool{}
 	for _, p := range protocols {
-		t.Run(string(p.cfg.Kind), func(t *testing.T) {
+		t.Run(string(p.Kind), func(t *testing.T) {
 			cfg := base()
-			cfg.Protocol = p.cfg
+			cfg.Protocol = p
 			cfg.Protocol.Bytes = 200_000
 			cfg.Storage = storage.Params{AggregateBytesPerSec: 1e9}
 			cfg.Noise = &noise.Config{Period: 700 * simtime.Microsecond, Duration: 20 * simtime.Microsecond}
-			cfg.Failures = &failure.Config{MTBF: 40 * simtime.Millisecond, Restart: 100 * simtime.Microsecond,
-				Kind: p.recovery}
+			cfg.Failures = &failure.Config{MTBF: 40 * simtime.Millisecond, Restart: 100 * simtime.Microsecond}
 			cfg.Validate = true
 			var seized, phases []sim.TraceEvent
 			cfg.Trace = func(ev sim.TraceEvent) {

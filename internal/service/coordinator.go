@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -466,17 +465,7 @@ func (c *Coordinator) retryAfterSeconds() int {
 		}
 		ws.mu.Unlock()
 	}
-	if workers == 0 || mean <= 0 {
-		return 1
-	}
-	secs := math.Ceil((float64(depth)/float64(workers) + 1) * mean)
-	if secs < 1 {
-		return 1
-	}
-	if secs > 60 {
-		return 60
-	}
-	return int(secs)
+	return retryAfter(depth, workers, mean)
 }
 
 // handleRunSync is the cluster's synchronous run path. Happy path: one

@@ -364,29 +364,27 @@ func (s *Server) runScenario(ctx context.Context, sc exp.Scenario, resume []byte
 	return sc.Tables(res), nil
 }
 
-// retryAfterSeconds estimates how long a client should back off when the
-// queue is full: the time for the backlog ahead of a retry to drain across
-// the run slots, plus one slot for the retry itself, at the recent mean
-// job latency — (depth/workers + 1) × mean. A constant here under-advises
-// whenever the queue is deep (clients hammer a still-full queue) and
-// over-advises on an empty-but-bursty one. Clamped to [1, 60] seconds:
+// retryAfter estimates how long, in seconds, a client should back off
+// when the queue is full: the time for the depth jobs ahead of a retry to
+// drain across workers run slots, plus one slot for the retry itself, at
+// mean seconds per job — ⌈(depth/workers + 1) × mean⌉. A constant here
+// under-advises whenever the queue is deep (clients hammer a still-full
+// queue) and over-advises on an empty-but-bursty one. Clamped to [1, 60]:
 // Retry-After is a hint, not a reservation, and an hour-long backoff would
-// outlive most clients. With no completed jobs yet there is no latency
-// estimate, so the floor applies.
+// outlive most clients. With no workers or no latency estimate (no
+// completed jobs yet: a NaN or zero mean) the floor applies.
+func retryAfter(depth, workers int, mean float64) int {
+	if workers <= 0 || !(mean > 0) {
+		return 1
+	}
+	secs := math.Ceil((float64(depth)/float64(workers) + 1) * mean)
+	return int(min(max(secs, 1), 60))
+}
+
+// retryAfterSeconds is this worker's Retry-After advice: its own queue
+// depth and run slots at its recent mean job latency.
 func (s *Server) retryAfterSeconds() int {
-	mean := s.jobLat.Mean()
-	if math.IsNaN(mean) || mean <= 0 {
-		return 1
-	}
-	backlog := float64(s.queueDepth.Value())/float64(s.cfg.Workers) + 1
-	secs := math.Ceil(backlog * mean)
-	if secs < 1 {
-		return 1
-	}
-	if secs > 60 {
-		return 60
-	}
-	return int(secs)
+	return retryAfter(int(s.queueDepth.Value()), s.cfg.Workers, s.jobLat.Mean())
 }
 
 // CacheStats exposes the result cache counters (tests and cmd/sweepd logs).

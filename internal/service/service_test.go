@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -257,6 +258,33 @@ func TestRetryAfterTracksQueueDepth(t *testing.T) {
 		t.Errorf("deep queue: Retry-After %d, want clamp 60", got)
 	}
 	setDepth(0)
+}
+
+// retryAfter, the one formula behind the worker's and the coordinator's
+// Retry-After: no run slots or no latency estimate (zero, negative or the
+// NaN mean of an empty latency window) gives the floor, and the result is
+// ⌈(depth/workers + 1) × mean⌉ clamped to [1, 60].
+func TestRetryAfterFormula(t *testing.T) {
+	for _, c := range []struct {
+		depth, workers int
+		mean           float64
+		want           int
+	}{
+		{4, 0, 2, 1},
+		{4, -1, 2, 1},
+		{4, 2, 0, 1},
+		{4, 2, -1, 1},
+		{4, 2, math.NaN(), 1},
+		{0, 4, 0.1, 1},
+		{6, 2, 2, 8},
+		{1, 2, 1.1, 2},
+		{1000, 2, 2, 60},
+		{0, 1, math.Inf(1), 60},
+	} {
+		if got := retryAfter(c.depth, c.workers, c.mean); got != c.want {
+			t.Errorf("retryAfter(%d, %d, %v) = %d, want %d", c.depth, c.workers, c.mean, got, c.want)
+		}
+	}
 }
 
 // A client that disconnects mid-run cancels its sweep: the job fails

@@ -5,9 +5,11 @@
 package timeline
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"checkpointsim/internal/checkpoint"
@@ -35,6 +37,24 @@ func (c *Collector) Add(ev sim.TraceEvent) {
 	if ev.Rank+1 > c.ranks {
 		c.ranks = ev.Rank + 1
 	}
+}
+
+// WriteCSV writes the collected CPU records to w as CSV, one
+// rank,kind,start_ns,end_ns row each in trace order under a header row,
+// and returns the number of records written.
+func (c *Collector) WriteCSV(w io.Writer) (int, error) {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"rank", "kind", "start_ns", "end_ns"}); err != nil {
+		return 0, err
+	}
+	for i, ev := range c.events {
+		if err := cw.Write([]string{strconv.Itoa(ev.Rank), ev.Label(),
+			strconv.FormatInt(int64(ev.Start), 10), strconv.FormatInt(int64(ev.End), 10)}); err != nil {
+			return i, err
+		}
+	}
+	cw.Flush()
+	return len(c.events), cw.Error()
 }
 
 // class buckets a CPU record for reporting.

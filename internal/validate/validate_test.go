@@ -495,7 +495,6 @@ func replicationScenario(t testing.TB) (*checkpoint.Replication, []sim.TraceEven
 	rp := p.(*checkpoint.Replication)
 	inj, err := failure.NewInjector(failure.Config{
 		MTBF: 2 * simtime.Millisecond, Restart: 50 * simtime.Microsecond,
-		Kind: failure.TakeoverReplica,
 	}, rp)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestRunReplicationFacade(t *testing.T) {
 		MsgBytes:   2048,
 		Seed:       16,
 		Protocol:   ProtocolConfig{Kind: ProtoReplication},
-		Failures:   &FailureConfig{MTBF: 40 * Millisecond, Restart: 100 * Microsecond, Kind: RecoverTakeover},
+		Failures:   &FailureConfig{MTBF: 40 * Millisecond, Restart: 100 * Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
