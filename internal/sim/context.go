@@ -73,7 +73,7 @@ func (c *Context) SeizeCPU(rank int, d simtime.Duration, reason string, done Cal
 	}
 	e := c.eng
 	s := e.newSeize(seizeRec{reason: e.internReason(reason), done: e.own(done)})
-	e.ranks[rank].seizeQ.push(job{kind: jobSeize, cost: d, arg: s})
+	e.jobs.push(&e.ranks[rank].seizeQ, job{kind: jobSeize, cost: d, arg: s})
 	e.dispatch(rank)
 }
 
@@ -104,7 +104,7 @@ func (c *Context) SeizeCPUDynamic(rank int, nominal simtime.Duration, reason, wa
 	e := c.eng
 	s := e.newSeize(seizeRec{reason: e.internReason(reason), waitReason: e.internReason(waitReason),
 		granted: e.own(granted), done: e.own(done)})
-	e.ranks[rank].seizeQ.push(job{kind: jobSeizeOpen, cost: nominal, arg: s})
+	e.jobs.push(&e.ranks[rank].seizeQ, job{kind: jobSeizeOpen, cost: nominal, arg: s})
 	e.dispatch(rank)
 }
 
@@ -161,11 +161,12 @@ func (c *Context) HoldApp(rank int, reason string) Handle {
 	if rank < 0 || rank >= len(c.eng.ranks) {
 		panic(fmt.Sprintf("sim: HoldApp rank %d out of range", rank))
 	}
+	sd := c.eng.sideOf(rank)
+	sd.holds = append(sd.holds, hold{start: c.eng.now, reason: c.eng.internReason(reason), open: true})
 	st := &c.eng.ranks[rank]
-	st.holds = append(st.holds, hold{start: c.eng.now, reason: c.eng.internReason(reason), open: true})
 	st.held++
 	c.Mark(rank, "hold", int64(st.held))
-	return handle(rank, len(st.holds)-1, false)
+	return handle(rank, len(sd.holds)-1, false)
 }
 
 // ScaleCPU slows rank's CPU by the given factor (> 1): every job granted
@@ -183,9 +184,10 @@ func (c *Context) ScaleCPU(rank int, factor float64) Handle {
 	if !(factor >= 1) { // also rejects NaN
 		panic(fmt.Sprintf("sim: ScaleCPU factor %v < 1", factor))
 	}
-	st := &c.eng.ranks[rank]
-	st.scales = append(st.scales, factor)
-	return handle(rank, len(st.scales)-1, true)
+	sd := c.eng.sideOf(rank)
+	sd.scales = append(sd.scales, factor)
+	c.eng.ranks[rank].scaled = true
+	return handle(rank, len(sd.scales)-1, true)
 }
 
 // Release reopens the HoldApp gate or removes the ScaleCPU factor h names.
@@ -194,29 +196,30 @@ func (c *Context) ScaleCPU(rank int, factor float64) Handle {
 // could have reused its slot, so owners zero their copy on release.
 func (c *Context) Release(h Handle) {
 	rank, slot := int(h>>32), int(uint32(h)>>1)-1
-	if rank < 0 || rank >= len(c.eng.ranks) || slot < 0 {
-		return
+	if rank < 0 || rank >= len(c.eng.side) || slot < 0 {
+		return // no Handle was issued before the side data exists
 	}
-	st := &c.eng.ranks[rank]
+	sd, st := &c.eng.side[rank], &c.eng.ranks[rank]
 	if h&1 == 1 {
-		if slot >= len(st.scales) {
+		if slot >= len(sd.scales) {
 			return
 		}
 		// Neutralize rather than delete: later handles hold later slots.
 		// Compact fully-neutral tails so long runs don't accumulate slots.
-		st.scales[slot] = 1
-		for len(st.scales) > 0 && st.scales[len(st.scales)-1] == 1 {
-			st.scales = st.scales[:len(st.scales)-1]
+		sd.scales[slot] = 1
+		for len(sd.scales) > 0 && sd.scales[len(sd.scales)-1] == 1 {
+			sd.scales = sd.scales[:len(sd.scales)-1]
 		}
+		st.scaled = len(sd.scales) > 0
 		return
 	}
-	if slot >= len(st.holds) || !st.holds[slot].open {
+	if slot >= len(sd.holds) || !sd.holds[slot].open {
 		return
 	}
-	hd := st.holds[slot]
-	st.holds[slot].open = false
-	for len(st.holds) > 0 && !st.holds[len(st.holds)-1].open {
-		st.holds = st.holds[:len(st.holds)-1]
+	hd := sd.holds[slot]
+	sd.holds[slot].open = false
+	for len(sd.holds) > 0 && !sd.holds[len(sd.holds)-1].open {
+		sd.holds = sd.holds[:len(sd.holds)-1]
 	}
 	st.held--
 	c.Mark(rank, "hold-release", int64(st.held))
@@ -246,7 +249,7 @@ func (c *Context) SendControl(src, dst int, bytes int64, deliver Call) {
 	e := c.eng
 	m := e.newMsg(message{kind: msgCtl, src: int32(src), dst: int32(dst), bytes: bytes,
 		wire: bytes, deliver: e.own(deliver)})
-	e.ranks[src].ctlQ.push(job{kind: jobCtlSend, cost: e.net.SendCPU(bytes), arg: m})
+	e.jobs.push(&e.ranks[src].ctlQ, job{kind: jobCtlSend, cost: e.net.SendCPU(bytes), arg: m})
 	e.dispatch(src)
 }
 

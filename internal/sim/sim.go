@@ -394,37 +394,56 @@ type hold struct {
 	open   bool
 }
 
-// postedRecv is a receive waiting for a matching message.
+// postedRecv is a receive waiting for a matching message. It carries the
+// op's peer and tag, so matching reads no op record.
 type postedRecv struct {
-	op goal.OpID
+	op        goal.OpID
+	peer, tag int32
 }
 
+// rankState is one rank's hot state: two cache lines. The first holds
+// everything dispatch and jobDone read on every event; the second the
+// unexpected queue, the queue depths and the rank's clocks and counters.
+// The rank's queues are lists threaded through the engine's slabs, and the
+// data only the hold, scale, release and fabric paths touch lives in
+// Engine.side.
 type rankState struct {
-	running    bool
 	runningJob job
 	jobStart   simtime.Time
 	// Three CPU queues, granted in this order: service seizures (checkpoint
 	// writes, recovery, noise), then control/progress traffic, then — only
 	// when no hold gate is closed — application work.
-	seizeQ fifo[job]
-	ctlQ   fifo[job]
-	appQ   fifo[job]
-	// holds are the HoldApp gates, indexed by Handle slot; held counts the
-	// open ones, and application jobs are not granted the CPU while
-	// held > 0.
+	seizeQ, ctlQ, appQ list
+	posted             list // posted receives, in post order
+	// held counts the open HoldApp gates; application jobs are not granted
+	// the CPU while held > 0.
+	held    int32
+	running bool
+	// releasing is set once the running open-ended seizure has been
+	// released: its completion event is queued.
+	releasing bool
+	// scaled is set while the rank has ScaleCPU factors in force.
+	scaled bool
+
+	unexpected           list // unexpected message slots, in arrival order
+	postedN, unexpectedN int32
+	nicFreeAt            simtime.Time
+	finish               simtime.Time
+	busy                 simtime.Duration // CPU time spent on application jobs
+	ctlBusy              simtime.Duration // CPU time spent on control processing
+	seizedBusy           simtime.Duration // CPU time spent seized
+	scaledExtra          simtime.Duration
+}
+
+// rankSide is the rank data only the hold, scale, release and fabric paths
+// touch; Engine.side holds it, allocated at the first use.
+type rankSide struct {
+	// holds are the HoldApp gates, indexed by Handle slot.
 	holds []hold
-	held  int
 	// scales holds active ScaleCPU factors, indexed by Handle slot
 	// (released slots are neutral 1s); their product multiplies the cost of
 	// every non-seizure job at grant time.
 	scales []float64
-	// releasing is set once the running open-ended seizure has been
-	// released: its completion event is queued.
-	releasing   bool
-	scaledExtra simtime.Duration
-	nicFreeAt   simtime.Time
-	posted      []postedRecv
-	unexpected  []int32 // message slots, in arrival order
 	// lastArrival holds, per destination rank, the latest arrival of a
 	// message this rank injected, and clamps later arrivals to it so every
 	// channel is non-overtaking. Only a fabric model needs it: under plain
@@ -435,54 +454,79 @@ type rankState struct {
 	// fabric model and stays nil otherwise. The zero value is safe: arrival
 	// times are never negative, so an untouched slot never clamps.
 	lastArrival []simtime.Time
-	finish      simtime.Time
-	busy        simtime.Duration // CPU time spent on application jobs
-	ctlBusy     simtime.Duration // CPU time spent on control processing
-	seizedBusy  simtime.Duration // CPU time spent seized
 }
 
-// fifo is a ring-buffer queue: n items starting at buf[head], wrapping.
-// The buffer's length is zero or a power of two and doubles only when
-// full, so it never exceeds twice the deepest the queue has been — however
-// many items pass through a queue that never drains.
-type fifo[T any] struct {
-	buf  []T
-	head int
-	n    int
+// list is a FIFO threaded through one of the engine's slabs: the slots of
+// its first and last nodes, 0 when empty.
+type list struct{ head, tail int32 }
+
+func (l list) empty() bool { return l.head == 0 }
+
+// slabNode is one list item; next links it to the item behind it, or to
+// the next free node once unlinked.
+type slabNode[T any] struct {
+	val  T
+	next int32
 }
 
-func (f *fifo[T]) push(v T) {
-	if f.n == len(f.buf) {
-		f.grow(f.n + 1)
+// slab is a pool of list nodes that every rank's lists share, in the style
+// of eventq's node slab: slot 0 is the nil link, and unlinked nodes form a
+// LIFO free list, so the slab holds at most twice the nodes its lists have
+// held at once. A push may grow the slab, so no pointer into it is held
+// across a push.
+type slab[T any] struct {
+	nodes []slabNode[T]
+	used  int32 // the highest slot ever taken
+	free  int32
+	// first is how many nodes the first push makes room for (at least 16),
+	// so an engine that never queues pays nothing and one sized from its
+	// program skips the early doublings.
+	first int
+}
+
+// push appends v to l.
+func (s *slab[T]) push(l *list, v T) {
+	i := s.free
+	if i != 0 {
+		s.free = s.nodes[i].next
+	} else {
+		// Slot 0 is the nil link, so the first push takes slot 1. A full
+		// slab doubles, so one that reaches n nodes has copied fewer than
+		// n of them; appending node by node would grow by a quarter past
+		// 256 and copy about four times as many.
+		s.used++
+		if int(s.used) >= len(s.nodes) {
+			s.nodes = append(s.nodes, make([]slabNode[T], max(len(s.nodes), s.first, 16))...)
+		}
+		i = s.used
 	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
-	f.n++
-}
-
-// grow reallocates the ring to hold at least want items, unwrapped.
-func (f *fifo[T]) grow(want int) {
-	size := 8
-	for size < want {
-		size *= 2
+	s.nodes[i] = slabNode[T]{val: v}
+	if l.tail == 0 {
+		l.head = i
+	} else {
+		s.nodes[l.tail].next = i
 	}
-	buf := make([]T, size)
-	k := copy(buf, f.buf[f.head:])
-	copy(buf[k:f.n], f.buf[:f.head])
-	f.buf, f.head = buf, 0
+	l.tail = i
 }
 
-func (f *fifo[T]) empty() bool { return f.n == 0 }
+// pop unlinks and returns l's head; l must not be empty.
+func (s *slab[T]) pop(l *list) T { return s.unlink(l, 0, l.head) }
 
-// at returns the i-th queued item, counting from the head.
-func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
-
-// pop removes the head item. The vacated slot keeps its bytes: queued
-// records are plain data, so there is nothing for the GC to release.
-func (f *fifo[T]) pop() T {
-	v := f.buf[f.head]
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return v
+// unlink removes node i from l, where prev is the node before it (0 for
+// the head), and returns its value. The node keeps its bytes: items are
+// plain data, so there is nothing for the GC to release.
+func (s *slab[T]) unlink(l *list, prev, i int32) T {
+	n := &s.nodes[i]
+	if prev == 0 {
+		l.head = n.next
+	} else {
+		s.nodes[prev].next = n.next
+	}
+	if l.tail == i {
+		l.tail = prev
+	}
+	n.next, s.free = s.free, i
+	return n.val
 }
 
 // Context is the API surface the engine exposes to agents. It is the engine
@@ -499,6 +543,7 @@ type Engine struct {
 	queue      eventq.Queue[event]
 	now        simtime.Time
 	ranks      []rankState
+	side       []rankSide // per rank, allocated at the first hold, scale or fabric crossing
 	depsLeft   []int32
 	opsLeft    int
 	hooks      []SendHook
@@ -528,7 +573,13 @@ type Engine struct {
 	// job names its record by slot.
 	seizes    []seizeRec
 	seizeFree []int32
-	ran       bool
+	// The rank lists' slabs: every rank's seize, control and application
+	// queues thread through jobs, its posted receives through posts and
+	// its unexpected message slots through unexps.
+	jobs   slab[job]
+	posts  slab[postedRecv]
+	unexps slab[int32]
+	ran    bool
 	// Owner registry (snapshot.go): owned work names its owner by a dense
 	// ID (index+1 into owners); ownerKeys holds each ID's stable string key
 	// so a snapshot's IDs are checked against the restoring engine's.
@@ -582,6 +633,9 @@ func New(cfg Config) (*Engine, error) {
 		rand:      rng.New(cfg.Seed),
 		reasonIDs: make(map[string]reasonID),
 	}
+	// A rank queues about two jobs and posts about one receive at its
+	// busiest (the quick suite's engines at P = 8 to 64).
+	e.jobs.first, e.posts.first = 2*cfg.Program.NumRanks+1, cfg.Program.NumRanks+1
 	e.ctx.eng = e
 	if cfg.SnapshotEvery > 0 && cfg.OnSnapshot == nil {
 		return nil, fmt.Errorf("sim: SnapshotEvery set without OnSnapshot")
@@ -748,7 +802,7 @@ func (e *Engine) activate(id goal.OpID) {
 	st := &e.ranks[op.Rank]
 	switch op.Kind {
 	case goal.KindCalc:
-		st.appQ.push(job{kind: jobCalc, cost: op.Work, arg: int32(id)})
+		e.jobs.push(&st.appQ, job{kind: jobCalc, cost: op.Work, arg: int32(id)})
 		e.dispatch(int(op.Rank))
 	case goal.KindSend:
 		cost := e.net.SendCPU(op.Bytes)
@@ -762,7 +816,7 @@ func (e *Engine) activate(id goal.OpID) {
 		if !e.net.Eager(op.Bytes) {
 			kind = jobSendRTS
 		}
-		st.appQ.push(job{kind: kind, cost: cost, arg: int32(id)})
+		e.jobs.push(&st.appQ, job{kind: kind, cost: cost, arg: int32(id)})
 		e.dispatch(int(op.Rank))
 	case goal.KindRecv:
 		e.postRecv(id)
@@ -778,11 +832,11 @@ func (e *Engine) dispatch(rank int) {
 	var j job
 	switch {
 	case !st.seizeQ.empty():
-		j = st.seizeQ.pop()
+		j = e.jobs.pop(&st.seizeQ)
 	case !st.ctlQ.empty():
-		j = st.ctlQ.pop()
+		j = e.jobs.pop(&st.ctlQ)
 	case st.held == 0 && !st.appQ.empty():
-		j = st.appQ.pop()
+		j = e.jobs.pop(&st.appQ)
 	default:
 		return
 	}
@@ -802,9 +856,9 @@ func (e *Engine) dispatch(rank int) {
 		return
 	}
 	cost := j.cost
-	if j.kind != jobSeize && len(st.scales) > 0 {
+	if j.kind != jobSeize && st.scaled {
 		f := 1.0
-		for _, sc := range st.scales {
+		for _, sc := range e.side[rank].scales {
 			f *= sc
 		}
 		if f != 1 {
@@ -945,7 +999,7 @@ func (e *Engine) inject(rank int, s int32, wireBytes int64) {
 	}
 	var arr simtime.Time
 	if e.net.HasFabric() {
-		inj, arr = e.crossFabric(st, m.dst, inj, wireBytes)
+		inj, arr = e.crossFabric(rank, m.dst, inj, wireBytes)
 	} else {
 		arr = inj.Add(e.net.Wire(wireBytes))
 	}
@@ -963,7 +1017,7 @@ func (e *Engine) inject(rank int, s int32, wireBytes int64) {
 // The fabric can delay a large message past a later, smaller one from the
 // same rank, so arrivals are clamped per (rank, dst) channel to keep every
 // channel non-overtaking.
-func (e *Engine) crossFabric(st *rankState, dst int32, inj simtime.Time, wireBytes int64) (start, arr simtime.Time) {
+func (e *Engine) crossFabric(rank int, dst int32, inj simtime.Time, wireBytes int64) (start, arr simtime.Time) {
 	start = inj
 	if occ := e.net.FabricOccupancy(wireBytes); occ > 0 {
 		start = simtime.Max(inj, e.fabricFree)
@@ -971,14 +1025,23 @@ func (e *Engine) crossFabric(st *rankState, dst int32, inj simtime.Time, wireByt
 		e.metrics.FabricBusy += occ
 	}
 	arr = start.Add(e.net.Wire(wireBytes))
-	if st.lastArrival == nil {
-		st.lastArrival = make([]simtime.Time, len(e.ranks))
+	sd := e.sideOf(rank)
+	if sd.lastArrival == nil {
+		sd.lastArrival = make([]simtime.Time, len(e.ranks))
 	}
-	if last := st.lastArrival[dst]; arr < last {
+	if last := sd.lastArrival[dst]; arr < last {
 		arr = last
 	}
-	st.lastArrival[dst] = arr
+	sd.lastArrival[dst] = arr
 	return start, arr
+}
+
+// sideOf returns rank's side data, allocating every rank's on first use.
+func (e *Engine) sideOf(rank int) *rankSide {
+	if e.side == nil {
+		e.side = make([]rankSide, len(e.ranks))
+	}
+	return &e.side[rank]
 }
 
 // arrive handles the message in slot s reaching its destination rank.
@@ -992,14 +1055,14 @@ func (e *Engine) arrive(s int32) {
 	}
 	switch m.kind {
 	case msgEager, msgRTS:
-		if idx := e.matchPosted(st, m); idx >= 0 {
-			recvOp := st.posted[idx].op
-			st.posted = append(st.posted[:idx], st.posted[idx+1:]...)
+		if prev, i := e.matchPosted(st, m); i != 0 {
+			recvOp := e.posts.unlink(&st.posted, prev, i).op
+			st.postedN--
 			e.matched(s, recvOp)
 		} else {
-			st.unexpected = append(st.unexpected, s)
-			if len(st.unexpected) > e.metrics.UnexpectedMax {
-				e.metrics.UnexpectedMax = len(st.unexpected)
+			e.unexps.push(&st.unexpected, s)
+			if st.unexpectedN++; int(st.unexpectedN) > e.metrics.UnexpectedMax {
+				e.metrics.UnexpectedMax = int(st.unexpectedN)
 			}
 		}
 	case msgCTS:
@@ -1008,7 +1071,7 @@ func (e *Engine) arrive(s int32) {
 		// completes the rebrand to msgData at injection time.
 		sender := int(m.dst)
 		m.src, m.dst = m.dst, m.src
-		e.ranks[sender].appQ.push(job{
+		e.jobs.push(&e.ranks[sender].appQ, job{
 			kind: jobSendData,
 			cost: e.net.SendCPU(m.bytes), // o + (s-1)·O to push the payload
 			arg:  s,
@@ -1016,11 +1079,11 @@ func (e *Engine) arrive(s int32) {
 		e.dispatch(sender)
 	case msgData:
 		recvRank := int(m.dst)
-		st.appQ.push(job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), arg: int32(m.recvOp)})
+		e.jobs.push(&st.appQ, job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), arg: int32(m.recvOp)})
 		e.freeMsg(s)
 		e.dispatch(recvRank)
 	case msgCtl:
-		st.ctlQ.push(job{kind: jobCtlRecv, cost: e.net.RecvCPU(m.bytes), arg: s})
+		e.jobs.push(&st.ctlQ, job{kind: jobCtlRecv, cost: e.net.RecvCPU(m.bytes), arg: s})
 		e.dispatch(int(m.dst))
 	}
 }
@@ -1043,7 +1106,7 @@ func (e *Engine) matched(s int32, recvOp goal.OpID) {
 	switch m.kind {
 	case msgEager:
 		recvRank := int(m.dst)
-		st.appQ.push(job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), arg: int32(recvOp)})
+		e.jobs.push(&st.appQ, job{kind: jobRecvDone, cost: e.net.RecvCPU(m.bytes), arg: int32(recvOp)})
 		e.freeMsg(s)
 		e.dispatch(recvRank)
 	case msgRTS:
@@ -1052,7 +1115,7 @@ func (e *Engine) matched(s int32, recvOp goal.OpID) {
 		cts := e.newMsg(message{kind: msgCTS, src: m.dst, dst: m.src, tag: m.tag,
 			bytes: m.bytes, wire: 0, op: m.op, recvOp: recvOp})
 		e.freeMsg(s)
-		st.ctlQ.push(job{kind: jobCtlSend, cost: e.net.Overhead, arg: cts})
+		e.jobs.push(&st.ctlQ, job{kind: jobCtlSend, cost: e.net.Overhead, arg: cts})
 		e.dispatch(recvRank)
 	default:
 		panic("sim: matched non-matchable message")
@@ -1064,36 +1127,32 @@ func (e *Engine) matched(s int32, recvOp goal.OpID) {
 func (e *Engine) postRecv(id goal.OpID) {
 	op := e.prog.Op(id)
 	st := &e.ranks[op.Rank]
-	for i, s := range st.unexpected {
-		if recvMatches(op, &e.msgs[s]) {
-			st.unexpected = append(st.unexpected[:i], st.unexpected[i+1:]...)
+	for prev, i := int32(0), st.unexpected.head; i != 0; prev, i = i, e.unexps.nodes[i].next {
+		if s := e.unexps.nodes[i].val; recvMatches(op.Peer, op.Tag, &e.msgs[s]) {
+			e.unexps.unlink(&st.unexpected, prev, i)
+			st.unexpectedN--
 			e.matched(s, id)
 			return
 		}
 	}
-	st.posted = append(st.posted, postedRecv{op: id})
-	if len(st.posted) > e.metrics.PostedMax {
-		e.metrics.PostedMax = len(st.posted)
+	e.posts.push(&st.posted, postedRecv{op: id, peer: op.Peer, tag: op.Tag})
+	if st.postedN++; int(st.postedN) > e.metrics.PostedMax {
+		e.metrics.PostedMax = int(st.postedN)
 	}
 }
 
-// matchPosted finds the first posted receive matching m, in post order.
-func (e *Engine) matchPosted(st *rankState, m *message) int {
-	for i := range st.posted {
-		if recvMatches(e.prog.Op(st.posted[i].op), m) {
-			return i
+// matchPosted finds the first posted receive matching m, in post order,
+// and returns its node and the node before it; i is 0 when none matches.
+func (e *Engine) matchPosted(st *rankState, m *message) (prev, i int32) {
+	for i = st.posted.head; i != 0; prev, i = i, e.posts.nodes[i].next {
+		if p := &e.posts.nodes[i].val; recvMatches(p.peer, p.tag, m) {
+			return prev, i
 		}
 	}
-	return -1
+	return 0, 0
 }
 
-// recvMatches applies MPI matching rules.
-func recvMatches(recv *goal.Op, m *message) bool {
-	if recv.Peer != goal.AnySource && recv.Peer != m.src {
-		return false
-	}
-	if recv.Tag != goal.AnyTag && recv.Tag != m.tag {
-		return false
-	}
-	return true
+// recvMatches applies MPI matching rules to a receive of peer and tag.
+func recvMatches(peer, tag int32, m *message) bool {
+	return (peer == goal.AnySource || peer == m.src) && (tag == goal.AnyTag || tag == m.tag)
 }

@@ -932,7 +932,7 @@ func TestFabricClampKeepsChannelOrder(t *testing.T) {
 	if arrivals[0] != big.MsgID || arrivals[1] != small.MsgID {
 		t.Errorf("channel 0→1 delivered messages %v, want %d then %d", arrivals, big.MsgID, small.MsgID)
 	}
-	if e.ranks[0].lastArrival == nil {
+	if e.side == nil || e.side[0].lastArrival == nil {
 		t.Error("rank 0 injected under a fabric model but keeps no arrival table")
 	}
 }
@@ -956,8 +956,8 @@ func TestFabricFreeKeepsNoArrivalTables(t *testing.T) {
 		if res.Metrics.AppBytes == 0 {
 			t.Fatal("the run sent no messages")
 		}
-		for i := range e.ranks {
-			if e.ranks[i].lastArrival != nil {
+		for i := range e.side {
+			if e.side[i].lastArrival != nil {
 				t.Errorf("%d-rank run: rank %d keeps an arrival table without a fabric model", len(e.ranks), i)
 			}
 		}

@@ -372,27 +372,39 @@ func (e *Engine) codeJob(c *snapshot.Codec, rank int, j *job) {
 	}
 }
 
-// codeFifo walks a queue's count, then its jobs head first; restoring sizes
-// the ring in one allocation.
-func (e *Engine) codeFifo(c *snapshot.Codec, rank int, f *fifo[job]) {
-	n := c.Len(f.n)
-	if c.Decoding() {
-		*f = fifo[job]{}
-		if n > 0 {
-			f.grow(n)
-			f.n = n
-		}
+// codeJobs walks a job queue's count, then its jobs head first; restoring
+// rebuilds the list in the job slab.
+func (e *Engine) codeJobs(c *snapshot.Codec, rank int, l *list) {
+	n := 0
+	for i := l.head; i != 0; i = e.jobs.nodes[i].next {
+		n++
 	}
-	for i := 0; i < n; i++ {
-		e.codeJob(c, rank, f.at(i))
+	n = c.Len(n)
+	if !c.Decoding() {
+		for i := l.head; i != 0; i = e.jobs.nodes[i].next {
+			e.codeJob(c, rank, &e.jobs.nodes[i].val)
+		}
+		return
+	}
+	for k := 0; k < n && c.Err() == nil; k++ {
+		var j job
+		e.codeJob(c, rank, &j)
+		e.jobs.push(l, j)
 	}
 }
 
-// codeRank walks one rank's state; restoring derives held from the open
-// holds.
+// codeRank walks one rank's state, its side data included. Restoring
+// rebuilds its lists in decode order, derives held, scaled and the queue
+// depths, and each posted receive's peer and tag from its op. A posted
+// receive must be a receive op of the rank, and an unexpected message an
+// eager or RTS message sent to it, or Run would match what no receive
+// waits for.
 func (e *Engine) codeRank(c *snapshot.Codec, rank int, st *rankState) {
+	var sd rankSide
 	if c.Decoding() {
 		*st = rankState{}
+	} else if e.side != nil {
+		sd = e.side[rank]
 	}
 	c.Bool(&st.running)
 	if st.running {
@@ -403,14 +415,14 @@ func (e *Engine) codeRank(c *snapshot.Codec, rank int, st *rankState) {
 	if st.jobStart > e.now || st.releasing && st.runningJob.kind != jobSeizeOpen {
 		c.Failf("running job out of range")
 	}
-	e.codeFifo(c, rank, &st.seizeQ)
-	e.codeFifo(c, rank, &st.ctlQ)
-	e.codeFifo(c, rank, &st.appQ)
-	if n := c.Len(len(st.holds)); c.Decoding() {
-		st.holds = make([]hold, n)
+	e.codeJobs(c, rank, &st.seizeQ)
+	e.codeJobs(c, rank, &st.ctlQ)
+	e.codeJobs(c, rank, &st.appQ)
+	if n := c.Len(len(sd.holds)); c.Decoding() && n > 0 {
+		sd.holds = make([]hold, n)
 	}
-	for i := range st.holds {
-		h := &st.holds[i]
+	for i := range sd.holds {
+		h := &sd.holds[i]
 		snapshot.Int(c, &h.start)
 		snapshot.Int(c, &h.reason)
 		c.Bool(&h.open)
@@ -421,44 +433,64 @@ func (e *Engine) codeRank(c *snapshot.Codec, rank int, st *rankState) {
 			st.held++
 		}
 	}
-	if n := c.Len(len(st.scales)); c.Decoding() {
-		st.scales = make([]float64, n)
+	if n := c.Len(len(sd.scales)); c.Decoding() && n > 0 {
+		sd.scales = make([]float64, n)
+		st.scaled = true
 	}
-	for i := range st.scales {
-		if c.F64(&st.scales[i]); !(st.scales[i] >= 1) || math.IsInf(st.scales[i], 1) {
-			c.Failf("scale factor %v out of range", st.scales[i])
+	for i := range sd.scales {
+		if c.F64(&sd.scales[i]); !(sd.scales[i] >= 1) || math.IsInf(sd.scales[i], 1) {
+			c.Failf("scale factor %v out of range", sd.scales[i])
 		}
 	}
 	snapshot.Int(c, &st.scaledExtra)
 	snapshot.Int(c, &st.nicFreeAt)
-	if n := c.Len(len(st.posted)); c.Decoding() {
-		st.posted = make([]postedRecv, n)
-	}
-	for i := range st.posted {
-		if snapshot.Int(c, &st.posted[i].op); !e.claimOp(c, st.posted[i].op) {
-			c.Failf("posted op out of range")
+	n := c.Len(int(st.postedN))
+	for k, i := 0, st.posted.head; k < n && c.Err() == nil; k++ {
+		var p postedRecv
+		if !c.Decoding() {
+			p, i = e.posts.nodes[i].val, e.posts.nodes[i].next
+		}
+		snapshot.Int(c, &p.op)
+		if !e.onRank(p.op, rank) || e.prog.Ops[p.op].Kind != goal.KindRecv || !e.claimOp(c, p.op) {
+			c.Failf("posted op %d is not a pending receive of rank %d", p.op, rank)
+		} else if c.Decoding() {
+			op := e.prog.Op(p.op)
+			p.peer, p.tag = op.Peer, op.Tag
+			e.posts.push(&st.posted, p)
+			st.postedN++
 		}
 	}
-	if n := c.Len(len(st.unexpected)); c.Decoding() {
-		st.unexpected = make([]int32, n)
+	n = c.Len(int(st.unexpectedN))
+	for k, i := 0, st.unexpected.head; k < n && c.Err() == nil; k++ {
+		var m message
+		if !c.Decoding() {
+			m, i = e.msgs[e.unexps.nodes[i].val], e.unexps.nodes[i].next
+		}
+		e.codeMsg(c, &m)
+		if m.kind != msgEager && m.kind != msgRTS || int(m.dst) != rank {
+			c.Failf("unexpected message is not an eager or RTS message to rank %d", rank)
+		} else if c.Decoding() && c.Err() == nil {
+			e.unexps.push(&st.unexpected, e.newMsg(m))
+			st.unexpectedN++
+		}
 	}
-	for i := range st.unexpected {
-		e.codeMsgSlot(c, &st.unexpected[i])
-	}
-	hasArrivals := st.lastArrival != nil
+	hasArrivals := sd.lastArrival != nil
 	if c.Bool(&hasArrivals); hasArrivals {
-		snapshot.Slice(c, &st.lastArrival, len(e.ranks))
+		snapshot.Slice(c, &sd.lastArrival, len(e.ranks))
 		// Older blobs carry the tables on every engine. Without a fabric
 		// model they can never clamp, and dropping them keeps the restored
 		// engine's blobs equal to an uninterrupted run's.
 		if c.Decoding() && !e.net.HasFabric() {
-			st.lastArrival = nil
+			sd.lastArrival = nil
 		}
 	}
 	snapshot.Int(c, &st.finish)
 	snapshot.Int(c, &st.busy)
 	snapshot.Int(c, &st.ctlBusy)
 	snapshot.Int(c, &st.seizedBusy)
+	if c.Decoding() && (sd.holds != nil || sd.scales != nil || sd.lastArrival != nil) {
+		*e.sideOf(rank) = sd
+	}
 }
 
 // codeEvent walks one queued event with its ordering key.

@@ -39,12 +39,14 @@ func requireFields(t *testing.T, typ reflect.Type, handled map[string]string) {
 
 func TestSnapshotCoversEngineFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Engine{}), map[string]string{
-		"cfg":        "immutable configuration; fingerprinted into the blob's config digest",
-		"prog":       "immutable program; content-hashed into the config digest",
-		"net":        "immutable parameters; hashed field-by-field into the config digest",
-		"queue":      "serialized: seq counter plus every event with its exact (t,seq) key, in (t,seq) order; restore sorts and refuses a duplicated key",
-		"now":        "serialized scalar",
-		"ranks":      "serialized per rank (encodeRank/decodeRank)",
+		"cfg":   "immutable configuration; fingerprinted into the blob's config digest",
+		"prog":  "immutable program; content-hashed into the config digest",
+		"net":   "immutable parameters; hashed field-by-field into the config digest",
+		"queue": "serialized: seq counter plus every event with its exact (t,seq) key, in (t,seq) order; restore sorts and refuses a duplicated key",
+		"now":   "serialized scalar",
+		"ranks": "serialized per rank (codeRank)",
+		"side": "serialized per rank with its rank state (codeRank); restore allocates it " +
+			"only when some rank has holds, scales or an arrival table",
 		"depsLeft":   "serialized; open-count cross-checked against opsLeft on restore",
 		"opsLeft":    "serialized scalar",
 		"hooks":      "rebuilt at New from the agent stack (agent types are digest-covered)",
@@ -69,6 +71,12 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 			"with the job naming it; restore fills fresh slots in decode order",
 		"seizeFree": "deliberately NOT serialized: free slots awaiting reuse; a restored " +
 			"engine starts the list empty with no observable effect on the simulation",
+		"jobs": "not serialized; rebuilt in decode order: each rank's queues are written " +
+			"job by job, head first, and restore pushes them back into a fresh slab",
+		"posts": "not serialized; rebuilt in decode order: each rank's posted receives " +
+			"are written as op IDs in post order, and restore pushes them back",
+		"unexps": "not serialized; rebuilt in decode order: each rank's unexpected messages " +
+			"are written inline in arrival order, and restore pushes fresh slots back",
 		"ran": "runtime guard, not simulation state; doubles as the restore-failure poison",
 		"owners": "rebuilt at New/registration; restore reserves the blob's extra keys " +
 			"and checks every one was claimed by the time the agents decode",
@@ -86,24 +94,34 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 		"running":     "serialized",
 		"runningJob":  "serialized when running",
 		"jobStart":    "serialized when running",
-		"seizeQ":      "serialized job-by-job",
-		"ctlQ":        "serialized job-by-job",
-		"appQ":        "serialized job-by-job",
-		"holds":       "serialized (start, reason, open); reasons bounds-checked",
-		"held":        "recomputed on restore from the open holds",
-		"scales":      "serialized bit-exact; factors bounds-checked",
+		"seizeQ":      "serialized job-by-job, head first; the list is rebuilt in decode order",
+		"ctlQ":        "serialized job-by-job, head first; the list is rebuilt in decode order",
+		"appQ":        "serialized job-by-job, head first; the list is rebuilt in decode order",
+		"held":        "derived on restore from the open holds",
+		"scaled":      "derived on restore from the scale factors",
 		"releasing":   "serialized when running; only valid on an open-ended seizure",
 		"scaledExtra": "serialized",
 		"nicFreeAt":   "serialized",
-		"posted":      "serialized (op IDs)",
-		"unexpected":  "serialized message-by-message",
+		"posted": "serialized as op IDs in post order; each must be a receive op of the " +
+			"rank; the list is rebuilt in decode order",
+		"unexpected": "serialized message-by-message in arrival order; each must be an eager " +
+			"or RTS message to the rank; the list is rebuilt in decode order",
+		"postedN":     "derived on restore from the posted receives",
+		"unexpectedN": "derived on restore from the unexpected messages",
+		"finish":      "serialized",
+		"busy":        "serialized",
+		"ctlBusy":     "serialized",
+		"seizedBusy":  "serialized",
+	})
+}
+
+func TestSnapshotCoversRankSideFields(t *testing.T) {
+	requireFields(t, reflect.TypeOf(rankSide{}), map[string]string{
+		"holds":  "serialized (start, reason, open); reasons bounds-checked",
+		"scales": "serialized bit-exact; factors bounds-checked",
 		"lastArrival": "serialized (presence flag + flat slice); kept only under a fabric " +
 			"model, the one model in which the clamp can bind (NIC serialization orders a " +
 			"channel's arrivals otherwise), so restore drops tables on a fabric-free engine",
-		"finish":     "serialized",
-		"busy":       "serialized",
-		"ctlBusy":    "serialized",
-		"seizedBusy": "serialized",
 	})
 }
 
@@ -183,7 +201,9 @@ func TestSnapshotCoversHoldFields(t *testing.T) {
 
 func TestSnapshotCoversPostedRecvFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(postedRecv{}), map[string]string{
-		"op": "serialized",
+		"op":   "serialized",
+		"peer": "derived from the op on restore",
+		"tag":  "derived from the op on restore",
 	})
 }
 

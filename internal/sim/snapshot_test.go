@@ -261,13 +261,13 @@ func allPendingLive(e *Engine) bool {
 	for i := range e.ranks {
 		st := &e.ranks[i]
 		held = held || st.held > 0
-		scaled = scaled || len(st.scales) > 0
+		scaled = scaled || st.scaled
 		if st.running {
 			scan(&st.runningJob)
 			open = open || st.runningJob.kind == jobSeizeOpen
 		}
-		for k := 0; k < st.ctlQ.n; k++ {
-			scan(st.ctlQ.at(k))
+		for _, j := range queued(&e.jobs, st.ctlQ) {
+			scan(&j)
 		}
 	}
 	e.queue.Items(func(_ simtime.Time, _ uint64, ev event) {
@@ -469,10 +469,12 @@ func renameOp(want func(d int32) bool) func(*Engine, int) bool {
 // op still waiting on its dependencies, an op that other pending work
 // already names or an op of another rank, a dependency counter that
 // disagrees with the program, a second completion queued for a running
-// job, or a queued job with a negative cost, is corrupt — Restore fails
-// instead of handing Run an op it would index with -1, complete twice,
-// never complete or credit to the wrong rank, or a completion before the
-// present.
+// job, a queued job with a negative cost, a posted receive or unexpected
+// message in another rank's list, or an unexpected message that no
+// receive can match, is corrupt — Restore fails instead of handing Run an
+// op it would index with -1, complete twice, never complete or credit to
+// the wrong rank, a completion before the present, or a match it cannot
+// make.
 func TestRestoreRefusesBadOps(t *testing.T) {
 	const seed = 42
 	for name, bad := range map[string]func(*Engine, int) bool{
@@ -501,10 +503,41 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 			e.queue.Push(e.now, event{kind: evJobDone, id: int32(r)})
 			return true
 		},
+		"posted elsewhere": func(e *Engine, _ int) bool {
+			for i := range e.ranks {
+				if from, to := &e.ranks[i], &e.ranks[(i+1)%len(e.ranks)]; !from.posted.empty() {
+					e.posts.push(&to.posted, e.posts.pop(&from.posted))
+					from.postedN--
+					to.postedN++
+					return true
+				}
+			}
+			return false
+		},
+		"unexpected elsewhere": func(e *Engine, _ int) bool {
+			for i := range e.ranks {
+				if from, to := &e.ranks[i], &e.ranks[(i+1)%len(e.ranks)]; !from.unexpected.empty() {
+					e.unexps.push(&to.unexpected, e.unexps.pop(&from.unexpected))
+					from.unexpectedN--
+					to.unexpectedN++
+					return true
+				}
+			}
+			return false
+		},
+		"unexpected control": func(e *Engine, _ int) bool {
+			for i := range e.ranks {
+				if q := e.ranks[i].unexpected; !q.empty() {
+					e.msgs[e.unexps.nodes[q.head].val].kind = msgCtl
+					return true
+				}
+			}
+			return false
+		},
 		"negative cost": func(e *Engine, _ int) bool {
 			for i := range e.ranks {
-				if q := &e.ranks[i].appQ; q.n > 0 {
-					q.at(0).cost = -1
+				if q := e.ranks[i].appQ; !q.empty() {
+					e.jobs.nodes[q.head].val.cost = -1
 					return true
 				}
 			}
@@ -644,12 +677,12 @@ func TestSnapshotBytesPinned(t *testing.T) {
 			if st.running {
 				jobKinds[st.runningJob.kind] = true
 			}
-			for _, q := range []*fifo[job]{&st.seizeQ, &st.ctlQ, &st.appQ} {
-				for k := 0; k < q.n; k++ {
-					jobKinds[q.at(k).kind] = true
+			for _, q := range []list{st.seizeQ, st.ctlQ, st.appQ} {
+				for _, j := range queued(&eng.jobs, q) {
+					jobKinds[j.kind] = true
 				}
 			}
-			unexpected = unexpected || len(st.unexpected) > 0
+			unexpected = unexpected || !st.unexpected.empty()
 		}
 	})
 	cfg.Trace = func(TraceEvent) {} // as monolithicRun: blobs carry the trace count
@@ -723,8 +756,8 @@ func TestRestoreOlderBlobs(t *testing.T) {
 		if err := eng.Restore(blob); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		for i := range eng.ranks {
-			if eng.ranks[i].lastArrival != nil {
+		for i := range eng.side {
+			if eng.side[i].lastArrival != nil {
 				t.Errorf("%s: rank %d kept its arrival table on a fabric-free engine", f, i)
 			}
 		}
