@@ -55,7 +55,6 @@ func TestRunConfigCacheFields(t *testing.T) {
 		"failures":       func(c *RunConfig) { c.Failures = &FailureConfig{MTBF: Hour} },
 		"replica degree": func(c *RunConfig) { c.Protocol.ReplicaDegree = 2 },
 		"hb period":      func(c *RunConfig) { c.Protocol.HeartbeatPeriod = 2 * Millisecond },
-		"hb bytes":       func(c *RunConfig) { c.Protocol.HeartbeatBytes = 128 },
 		"takeover cost":  func(c *RunConfig) { c.Protocol.TakeoverCost = Millisecond },
 		"cic lag":        func(c *RunConfig) { c.Protocol.CICLag = 3 },
 	}

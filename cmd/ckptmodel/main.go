@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) error {
 			NodeMTBF:      theta.Seconds(),
 			Write:         delta.Seconds(),
 			Restart:       r.Seconds(),
-			CoordDelay:    model.CoordinationDelay(p, net, 64),
+			CoordDelay:    model.CoordinationDelay(p, net),
 			LogOverhead:   *logOv,
 			ReplaySpeedup: *replay,
 		}

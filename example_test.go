@@ -323,7 +323,7 @@ func Example_crossover() {
 				NodeMTBF:    5 * 365.25 * 86400,
 				Write:       60,
 				Restart:     120,
-				CoordDelay:  model.CoordinationDelay(p, net, 64),
+				CoordDelay:  model.CoordinationDelay(p, net),
 				LogOverhead: lo,
 			}
 			ce, ue := model.CoordinatedEfficiency(pr), model.UncoordinatedEfficiency(pr)

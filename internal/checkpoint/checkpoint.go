@@ -68,6 +68,11 @@ const (
 	ReasonIOWait = "io-wait"
 )
 
+// ControlBytes is the size of one coordination control message: every
+// request, ack, commit and done of a coordinated, non-blocking or
+// two-level round, and the message model.CoordinationDelay prices.
+const ControlBytes = 64
+
 // Params is the interval, write and store of a checkpointing protocol.
 // Config.New derives it from a Config for every kind that writes
 // checkpoints; NewCoordinated takes one directly.
@@ -81,8 +86,6 @@ type Params struct {
 	// lone writer moves in Write, and contention stretches the actual
 	// occupancy beyond it.
 	Write simtime.Duration
-	// CtlBytes is the size of coordination control messages (default 64).
-	CtlBytes int64
 	// Bytes is the checkpoint image size written through the Store. Zero
 	// derives it from Write at the target tier's lone-writer rate, so
 	// uncontended store writes keep the legacy duration. Ignored without a
@@ -102,9 +105,6 @@ func (p Params) Validate() error {
 	}
 	if p.Write < 0 {
 		return fmt.Errorf("checkpoint: negative write time %v", p.Write)
-	}
-	if p.CtlBytes < 0 {
-		return fmt.Errorf("checkpoint: negative control size %d", p.CtlBytes)
 	}
 	if p.Bytes < 0 {
 		return fmt.Errorf("checkpoint: negative checkpoint size %d", p.Bytes)
@@ -135,13 +135,6 @@ func storeWrite(ctx *sim.Context, st *storage.Store, tier storage.Tier, rank int
 // write routes one checkpoint write through p's store to the global tier.
 func (p Params) write(ctx *sim.Context, rank int, done sim.Call) {
 	storeWrite(ctx, p.Store, storage.TierGlobal, rank, p.Write, p.Bytes, done)
-}
-
-func (p Params) ctlBytes() int64 {
-	if p.CtlBytes == 0 {
-		return 64
-	}
-	return p.CtlBytes
 }
 
 // Stats accumulates protocol-level counters during a run.

@@ -68,15 +68,11 @@ func TestParamsValidate(t *testing.T) {
 		{Interval: 0, Write: 1},
 		{Interval: -1, Write: 1},
 		{Interval: 1, Write: -1},
-		{Interval: 1, Write: 1, CtlBytes: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("bad params %d accepted", i)
 		}
-	}
-	if good.ctlBytes() != 64 {
-		t.Errorf("default ctl bytes = %d", good.ctlBytes())
 	}
 }
 

@@ -57,6 +57,14 @@ const (
 	cicForcedWritten              // a forced write completed
 )
 
+// Phase markers of CIC, each with the checkpoint index as detail. A write's
+// marker is emitted when the write completes.
+const (
+	MarkCICBasic    = "cic-basic"     // a basic checkpoint was written
+	MarkCICForced   = "cic-forced"    // a forced checkpoint was written
+	MarkCICForceDue = "cic-force-due" // a receive forced a checkpoint
+)
+
 // cicArg packs a checkpoint index and a rank into one work argument.
 func cicArg(v int64, rank int) int64 { return v<<32 | int64(rank) }
 
@@ -99,14 +107,14 @@ func (c *CIC) OnTimer(kind uint8, arg int64) {
 		v, rank := arg>>32, int(uint32(arg))
 		c.stats.Writes++
 		c.commit(c.ctx, rank, c.ctx.RankBusy(rank))
-		c.ctx.Mark(rank, "cic-basic", v)
+		c.ctx.Mark(rank, MarkCICBasic, v)
 		c.rearm(c.ctx, rank)
 	case cicForcedWritten:
 		m, dst := arg>>32, int(uint32(arg))
 		c.stats.Writes++
 		c.stats.Forced++
 		c.commit(c.ctx, dst, c.ctx.RankBusy(dst))
-		c.ctx.Mark(dst, "cic-forced", m)
+		c.ctx.Mark(dst, MarkCICForced, m)
 	}
 }
 
@@ -180,7 +188,7 @@ func (c *CIC) MessageMatched(src, dst int, bytes int64) {
 		return
 	}
 	c.idx[dst] = m
-	c.ctx.Mark(dst, "cic-force-due", m)
+	c.ctx.Mark(dst, MarkCICForceDue, m)
 	c.p.write(c.ctx, dst, sim.Call{Owner: c, Kind: cicForcedWritten, Arg: cicArg(m, dst)})
 }
 

@@ -68,10 +68,9 @@ type Config struct {
 	// ReplicaDegree is the replication protocol's replicas per application
 	// rank (KindReplication; default 1, see Replicas).
 	ReplicaDegree int
-	// HeartbeatPeriod and HeartbeatBytes configure replication failure
-	// detection (KindReplication; defaults 1ms / 64 B).
+	// HeartbeatPeriod is the replication protocol's heartbeat period,
+	// which bounds failure-detection latency (KindReplication; default 1ms).
 	HeartbeatPeriod simtime.Duration
-	HeartbeatBytes  int64
 	// TakeoverCost is the replica-promotion cost after detection
 	// (KindReplication; default 500µs).
 	TakeoverCost simtime.Duration

@@ -83,8 +83,6 @@ func TestConfigNewValidates(t *testing.T) {
 		twoLevel(func(p *TwoLevelParams) { p.LocalWrite = -1 }),
 		twoLevel(func(p *TwoLevelParams) { p.GlobalWrite = -1 }),
 		twoLevel(func(p *TwoLevelParams) { p.LocalInterval = 10 * p.GlobalInterval }),
-		twoLevel(func(p *TwoLevelParams) { p.CtlBytes = -1 }),
-		twoLevel(func(p *TwoLevelParams) { p.GlobalBytes = -1 }),
 		{Kind: "bogus"},
 	})
 }
@@ -144,7 +142,6 @@ func TestReplicationParamsValidate(t *testing.T) {
 	checkConfigs(t, []Config{{Kind: KindReplication}}, []Config{
 		{Kind: KindReplication, ReplicaDegree: -1},
 		{Kind: KindReplication, HeartbeatPeriod: -1},
-		{Kind: KindReplication, HeartbeatBytes: -1},
 		{Kind: KindReplication, TakeoverCost: -1},
 	})
 	rp := mustNew[*Replication](t, Config{Kind: KindReplication}, nil)

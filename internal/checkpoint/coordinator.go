@@ -65,6 +65,14 @@ const (
 	coordKinds
 )
 
+// Phase markers of a coordinated round, emitted on the group's root with
+// the group size as detail.
+const (
+	MarkRoundStart  = "round-start"  // the REQ sweep begins
+	MarkRoundCommit = "round-commit" // every member is quiesced
+	MarkRoundEnd    = "round-end"    // every member has written
+)
+
 // newCoordinator builds the coordinator of the n ranks from lo.
 func newCoordinator(ctx *sim.Context, p Params, owner sim.TimerOwner, group, lo, n int,
 	stats *Stats, onRound func(tick, end simtime.Time)) *coordinator {
@@ -177,7 +185,7 @@ func (c *coordinator) tick() {
 	}
 	c.active = true
 	c.tickTime = c.ctx.Now()
-	c.ctx.Mark(c.lo, "round-start", int64(c.n))
+	c.ctx.Mark(c.lo, MarkRoundStart, int64(c.n))
 	c.handleReq(0)
 }
 
@@ -187,7 +195,7 @@ func (c *coordinator) handleReq(i int) {
 	kids := c.children(i)
 	c.acksLeft[i] = len(kids)
 	for _, j := range kids {
-		c.ctx.SendControl(rank, c.lo+j, c.p.ctlBytes(), c.call(coordReq, j))
+		c.ctx.SendControl(rank, c.lo+j, ControlBytes, c.call(coordReq, j))
 	}
 	if len(kids) == 0 {
 		c.ackReady(i)
@@ -198,12 +206,12 @@ func (c *coordinator) handleReq(i int) {
 func (c *coordinator) ackReady(i int) {
 	if i == 0 {
 		c.pendingDelay = c.ctx.Now().Sub(c.tickTime)
-		c.ctx.Mark(c.lo, "round-commit", int64(c.n))
+		c.ctx.Mark(c.lo, MarkRoundCommit, int64(c.n))
 		c.handleCommit(0)
 		return
 	}
 	p := c.parent(i)
-	c.ctx.SendControl(c.lo+i, c.lo+p, c.p.ctlBytes(), c.call(coordAck, p))
+	c.ctx.SendControl(c.lo+i, c.lo+p, ControlBytes, c.call(coordAck, p))
 }
 
 func (c *coordinator) handleCommit(i int) {
@@ -211,7 +219,7 @@ func (c *coordinator) handleCommit(i int) {
 	kids := c.children(i)
 	c.donesLeft[i] = len(kids) + 1 // children subtrees + own write
 	for _, j := range kids {
-		c.ctx.SendControl(rank, c.lo+j, c.p.ctlBytes(), c.call(coordCommit, j))
+		c.ctx.SendControl(rank, c.lo+j, ControlBytes, c.call(coordCommit, j))
 	}
 	c.p.write(c.ctx, rank, c.call(coordWritten, i))
 }
@@ -234,7 +242,7 @@ func (c *coordinator) doneReady(i int) {
 	}
 	if i == 0 {
 		end := c.ctx.Now()
-		c.ctx.Mark(c.lo, "round-end", int64(c.n))
+		c.ctx.Mark(c.lo, MarkRoundEnd, int64(c.n))
 		c.stats.Rounds++ // rounds and their delays count only when complete
 		c.stats.CoordDelay += c.pendingDelay
 		c.stats.RoundSpan += end.Sub(c.tickTime)
@@ -247,5 +255,5 @@ func (c *coordinator) doneReady(i int) {
 		return
 	}
 	p := c.parent(i)
-	c.ctx.SendControl(c.lo+i, c.lo+p, c.p.ctlBytes(), c.call(coordDone, p))
+	c.ctx.SendControl(c.lo+i, c.lo+p, ControlBytes, c.call(coordDone, p))
 }

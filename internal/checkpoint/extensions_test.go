@@ -199,7 +199,6 @@ func TestTwoLevelParamsValidate(t *testing.T) {
 		{LocalInterval: 1, GlobalInterval: 1, LocalWrite: -1},
 		{LocalInterval: 1, GlobalInterval: 1, GlobalWrite: -1},
 		{LocalInterval: 10, GlobalInterval: 1}, // inverted levels
-		{LocalInterval: 1, GlobalInterval: 1, CtlBytes: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

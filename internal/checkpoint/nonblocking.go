@@ -128,7 +128,7 @@ func (n *NonBlockingCoordinated) trigger(i int) {
 	kids := n.tree.children(i)
 	n.donesLeft[i] = len(kids) + 1
 	for _, j := range kids {
-		n.ctx.SendControl(i, j, n.p.ctlBytes(), sim.Call{Owner: n, Kind: nbTrigger, Arg: int64(j)})
+		n.ctx.SendControl(i, j, ControlBytes, sim.Call{Owner: n, Kind: nbTrigger, Arg: int64(j)})
 	}
 	if n.slowdown > 1 {
 		n.scales[i] = n.ctx.ScaleCPU(i, n.slowdown)
@@ -180,7 +180,7 @@ func (n *NonBlockingCoordinated) done(i int) {
 		return
 	}
 	p := n.tree.parent(i)
-	n.ctx.SendControl(i, p, n.p.ctlBytes(), sim.Call{Owner: n, Kind: nbDone, Arg: int64(p)})
+	n.ctx.SendControl(i, p, ControlBytes, sim.Call{Owner: n, Kind: nbDone, Arg: int64(p)})
 }
 
 // Name implements Protocol.

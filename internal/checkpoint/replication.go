@@ -24,11 +24,10 @@ import (
 type Replication struct {
 	degree int // replica ranks per application rank
 	// period is the interval between primary→replica heartbeat control
-	// messages of hbBytes each. A replica declares its primary dead when
-	// the heartbeat after the next scheduled one misses its slot, so the
-	// period bounds failure-detection latency.
-	period  simtime.Duration
-	hbBytes int64
+	// messages of heartbeatBytes each. A replica declares its primary dead
+	// when the heartbeat after the next scheduled one misses its slot, so
+	// the period bounds failure-detection latency.
+	period simtime.Duration
 	// takeover is the promotion cost a replica pays after detection —
 	// rewiring communicators and resuming from its live mirrored state.
 	takeover simtime.Duration
@@ -38,8 +37,15 @@ type Replication struct {
 	nextBeat []simtime.Time // per-primary next scheduled heartbeat fire
 }
 
+// heartbeatBytes is the size of one primary→replica heartbeat.
+const heartbeatBytes = 64
+
+// MarkRepTakeover is the phase marker of a replica taking over its failed
+// primary; detail is the primary's rank.
+const MarkRepTakeover = "rep-takeover"
+
 // newReplication builds KindReplication, resolving the defaults of the
-// heartbeat period (1ms), heartbeat size (64 B) and takeover cost (500µs).
+// heartbeat period (1ms) and takeover cost (500µs).
 func newReplication(c Config) (*Replication, error) {
 	degree, err := c.Replicas()
 	if err != nil {
@@ -48,14 +54,11 @@ func newReplication(c Config) (*Replication, error) {
 	if c.HeartbeatPeriod < 0 {
 		return nil, fmt.Errorf("checkpoint: negative heartbeat period %v", c.HeartbeatPeriod)
 	}
-	if c.HeartbeatBytes < 0 {
-		return nil, fmt.Errorf("checkpoint: negative heartbeat size %d", c.HeartbeatBytes)
-	}
 	if c.TakeoverCost < 0 {
 		return nil, fmt.Errorf("checkpoint: negative takeover cost %v", c.TakeoverCost)
 	}
 	return &Replication{degree: degree, period: cmp.Or(c.HeartbeatPeriod, simtime.Millisecond),
-		hbBytes: cmp.Or(c.HeartbeatBytes, 64), takeover: cmp.Or(c.TakeoverCost, 500*simtime.Microsecond)}, nil
+		takeover: cmp.Or(c.TakeoverCost, 500*simtime.Microsecond)}, nil
 }
 
 // CheckRanks implements sim.RankChecker: the machine must hold degree+1
@@ -94,7 +97,7 @@ func (rp *Replication) beat(rank int) {
 	}
 	for k := 1; k <= rp.degree; k++ {
 		rp.stats.Heartbeats++
-		rp.ctx.SendControl(rank, rank+k*rp.app, rp.hbBytes, sim.Call{})
+		rp.ctx.SendControl(rank, rank+k*rp.app, heartbeatBytes, sim.Call{})
 	}
 	next := rp.ctx.Now().Add(rp.period)
 	rp.nextBeat[rank] = next
@@ -150,7 +153,7 @@ func (rp *Replication) Takeover(victim int, now simtime.Time) (rank int, cost si
 		detect = rp.period
 	}
 	rp.stats.Takeovers++
-	rp.ctx.Mark(victim, "rep-takeover", int64(victim))
+	rp.ctx.Mark(victim, MarkRepTakeover, int64(victim))
 	return victim, detect + rp.takeover, true
 }
 

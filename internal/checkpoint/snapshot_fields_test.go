@@ -129,7 +129,6 @@ func TestSnapshotCoversReplicationFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Replication{}), map[string]string{
 		"degree":   "immutable configuration",
 		"period":   "immutable configuration",
-		"hbBytes":  "immutable configuration",
 		"takeover": "immutable configuration",
 		"stats":    "serialized",
 		"ctx":      "rebound when restoring",

@@ -203,8 +203,4 @@ func TestParamsValidateStorageFields(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("negative Bytes accepted")
 	}
-	tp := TwoLevelParams{LocalInterval: 1, GlobalInterval: 2, LocalBytes: -1}
-	if err := tp.Validate(); err == nil {
-		t.Error("negative LocalBytes accepted")
-	}
 }

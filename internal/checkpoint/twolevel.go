@@ -22,12 +22,6 @@ type TwoLevelParams struct {
 	// coordinated parallel-filesystem checkpoints (full two-phase rounds).
 	GlobalInterval simtime.Duration
 	GlobalWrite    simtime.Duration
-	// CtlBytes sizes the coordination control messages (default 64).
-	CtlBytes int64
-	// LocalBytes and GlobalBytes size the per-level images; zero derives
-	// each from the level's write duration at the tier's lone-writer rate.
-	LocalBytes  int64
-	GlobalBytes int64
 }
 
 // Validate checks the parameter set.
@@ -41,12 +35,6 @@ func (p TwoLevelParams) Validate() error {
 	if p.LocalInterval > p.GlobalInterval {
 		return fmt.Errorf("checkpoint: local interval %v > global interval %v (levels inverted)",
 			p.LocalInterval, p.GlobalInterval)
-	}
-	if p.CtlBytes < 0 {
-		return fmt.Errorf("checkpoint: negative control size")
-	}
-	if p.LocalBytes < 0 || p.GlobalBytes < 0 {
-		return fmt.Errorf("checkpoint: negative checkpoint size")
 	}
 	return nil
 }
@@ -111,8 +99,7 @@ func (tl *TwoLevel) setup(ctx *sim.Context) {
 	tl.globalBusyAt = make([]simtime.Duration, n)
 
 	// Global level: a full coordinated round.
-	gp := Params{Interval: tl.p.GlobalInterval, Write: tl.p.GlobalWrite, CtlBytes: tl.p.CtlBytes,
-		Store: tl.st, Bytes: tl.p.GlobalBytes}
+	gp := Params{Interval: tl.p.GlobalInterval, Write: tl.p.GlobalWrite, Store: tl.st}
 	tl.coord = newCoordinator(ctx, gp, tl, 0, 0, n, &tl.stats,
 		func(tick, end simtime.Time) {
 			tl.globalLast = end
@@ -127,7 +114,7 @@ func (tl *TwoLevel) OnTimer(kind uint8, arg int64) {
 	case tlTimerLocal:
 		rank := int(arg)
 		tl.local.fire(tl.ctx, rank)
-		storeWrite(tl.ctx, tl.st, storage.TierNode, rank, tl.p.LocalWrite, tl.p.LocalBytes,
+		storeWrite(tl.ctx, tl.st, storage.TierNode, rank, tl.p.LocalWrite, 0,
 			sim.Call{Owner: tl, Kind: tlLocalWritten, Arg: arg})
 	case tlLocalWritten:
 		rank := int(arg)

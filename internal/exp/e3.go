@@ -38,9 +38,9 @@ func E3Coordination(o Options) ([]*report.Table, error) {
 		}
 		quiesce := st.CoordDelay / simtime.Duration(st.Rounds)
 		span := st.RoundSpan / simtime.Duration(st.Rounds)
-		// The REQ+ACK sweep covers 2·depth hops of default-size (64 B)
-		// control messages on an idle machine.
-		treeModel := simtime.FromSeconds(model.CoordinationDelay(p, net, 64))
+		// The REQ+ACK sweep covers 2·depth hops of control messages on an
+		// idle machine.
+		treeModel := simtime.FromSeconds(model.CoordinationDelay(p, net))
 		idle := quiesce - treeModel
 		rs.add(p, st.Rounds, quiesce.String(), treeModel.String(), idle.String(),
 			span.String(), r.Metrics.CtlMessages)

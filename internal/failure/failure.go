@@ -42,6 +42,10 @@ import (
 // Reason is the accounting key recovery seizures appear under.
 const Reason = "recovery"
 
+// MarkRepFailure is the phase marker of a failure under replication,
+// emitted before the takeover; detail is the failed rank.
+const MarkRepFailure = "rep-failure"
+
 // Config describes the failure process and recovery costs.
 type Config struct {
 	// MTBF is the per-node mean time between failures.
@@ -296,7 +300,7 @@ func (f *Injector) fail() {
 		// No rollback ever: a failed primary stalls for detection plus
 		// promotion while its replica takes over with all progress intact;
 		// a failed spare replica is absorbed for free.
-		f.ctx.Mark(victim, "rep-failure", int64(victim))
+		f.ctx.Mark(victim, MarkRepFailure, int64(victim))
 		rank, cost, stalls := f.proto.(ReplicaProtocol).Takeover(victim, now)
 		if stalls {
 			f.ctx.SeizeCPU(rank, cost, Reason, sim.Call{})

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 
+	"checkpointsim/internal/checkpoint"
 	"checkpointsim/internal/network"
 )
 
@@ -98,13 +99,14 @@ func TreeDepth(p int) int {
 
 // CoordinationDelay returns the closed-form minimum latency of one
 // two-sweep (request + ack) coordination pass over a binomial tree of p
-// ranks with control messages of ctlBytes, on an otherwise idle machine:
-// 2·depth hops, each costing SendCPU + Wire + RecvCPU. Synchronization
-// idling (waiting for ranks to reach an op boundary) comes on top of this —
-// that gap is exactly what experiment E3 measures.
-func CoordinationDelay(p int, net network.Params, ctlBytes int64) float64 {
+// ranks with control messages of checkpoint.ControlBytes, on an otherwise
+// idle machine: 2·depth hops, each costing SendCPU + Wire + RecvCPU.
+// Synchronization idling (waiting for ranks to reach an op boundary) comes
+// on top of this — that gap is exactly what experiment E3 measures.
+func CoordinationDelay(p int, net network.Params) float64 {
+	const b = checkpoint.ControlBytes
 	depth := TreeDepth(p)
-	hop := net.SendCPU(ctlBytes) + net.Wire(ctlBytes) + net.RecvCPU(ctlBytes)
+	hop := net.SendCPU(b) + net.Wire(b) + net.RecvCPU(b)
 	return 2 * float64(depth) * hop.Seconds()
 }
 

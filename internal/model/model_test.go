@@ -133,15 +133,15 @@ func TestTreeDepth(t *testing.T) {
 
 func TestCoordinationDelayGrowsLogarithmically(t *testing.T) {
 	net := network.DefaultParams()
-	d64 := CoordinationDelay(64, net, 64)
-	d4096 := CoordinationDelay(4096, net, 64)
+	d64 := CoordinationDelay(64, net)
+	d4096 := CoordinationDelay(4096, net)
 	if d64 <= 0 {
 		t.Fatal("zero coordination delay")
 	}
 	if ratio := d4096 / d64; math.Abs(ratio-2.0) > 0.01 {
 		t.Errorf("coordination 4096/64 ratio = %v, want 2 (12/6 tree depth)", ratio)
 	}
-	if CoordinationDelay(1, net, 64) != 0 {
+	if CoordinationDelay(1, net) != 0 {
 		t.Error("single rank needs no coordination")
 	}
 }

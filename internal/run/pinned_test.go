@@ -20,15 +20,15 @@ import (
 // any such change. A change of layout also bumps snapshot.FormatVersion;
 // a change of what is written within one layout only re-pins.
 var pinnedProtocolSHA = map[checkpoint.Kind]string{
-	checkpoint.KindNone:          "7b076ed4946dc39efbe52d17467d214b5e13dc8c37448d322132b1543a39e54d",
-	checkpoint.KindCoordinated:   "ed672aa3e9d3265833abfbea0f8420b2d4a435d40118e42ce4f99cf6977e06aa",
-	checkpoint.KindUncoordinated: "91b2156ffa4d49f78a7047108fb675d09db64fedd4998fe5fc2d67b8bed35a01",
-	checkpoint.KindHierarchical:  "086fdd122adb6ee63cec7736e069d0b4533364b8ccc1680981f13898333c24ff",
-	checkpoint.KindNonBlocking:   "9d9b0f06fbe89c0227dd58d23b9bfe3477a7c43733e146cf0fb1726ff14f5855",
-	checkpoint.KindPartner:       "20d075593f38d9581ab685b17f2e3ff6bb0ce1887c300db18e08ecb54a719ee2",
-	checkpoint.KindTwoLevel:      "521534ece455ccff64411d521354ba93d77ddbe42b9c7fce9b20bfe1200c2512",
-	checkpoint.KindReplication:   "fc93c0e0e7e5ed1616b46a84e447d8266529ceb41e200db594123214acba12c4",
-	checkpoint.KindCIC:           "4b2f4de5212bd050c7140618a6a255c81deaedb880a2ac144fef23bd3e3a300c",
+	checkpoint.KindNone:          "312c4b3dbc878bb20f9e378c0f8ef1f2db5cd3199c273ef5644059ff9648c255",
+	checkpoint.KindCoordinated:   "1d55ab9b0187bde5cc2a9bfb0b3c3273d5caf3de693a992bae58c3d92e7c7c88",
+	checkpoint.KindUncoordinated: "d3b410b07e86031a1fab272286c7acd898f147a0e7b00de141b02176c5514769",
+	checkpoint.KindHierarchical:  "ca7f8f237f23a5685b9b7dcf9a2f953021c6142e0de2fd71061bdba015df3d23",
+	checkpoint.KindNonBlocking:   "bce88a02b2333dd6cdac0ff503d6b5e8b02b593562d7208974bf881d65126089",
+	checkpoint.KindPartner:       "e4b93946822ac11187e344c8acb6dd3e4462925dc7c4a9f6537ebcd891fb3c54",
+	checkpoint.KindTwoLevel:      "41608155a244e76efa7efa8b4330ede2de629d83ae0db146f1372ee842c1ec27",
+	checkpoint.KindReplication:   "4e81acc20d222fe29e1d11c07d44a58c8e85c0eed0a1c217326aaa8f5f490e56",
+	checkpoint.KindCIC:           "c8bd47af03b787d93e448ea2b98fdb3c1b8e4cddcac4555ac8adf728b5e9e763",
 }
 
 // pinnedProtocolRun is a small stencil run of kind with a snapshot every

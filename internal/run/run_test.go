@@ -301,7 +301,8 @@ func TestTraceVocabularyClosed(t *testing.T) {
 			t.Errorf("no run seized the CPU for %q; seen %v", r, reasons)
 		}
 	}
-	for _, name := range []string{"hold", "round-commit", "store-begin", "cic-basic", "rep-takeover"} {
+	for _, name := range []string{sim.MarkHold, checkpoint.MarkRoundCommit, storage.MarkStoreBegin,
+		checkpoint.MarkCICBasic, checkpoint.MarkRepTakeover} {
 		if !phaseNames[name] {
 			t.Errorf("no run marked %q; seen %v", name, phaseNames)
 		}

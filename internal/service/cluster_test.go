@@ -227,7 +227,6 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	target := scenarios[0]
 	victim := c.primaryFor(target)
 	survivor := 1 - victim
-	key := ScenarioCacheKey("test", target, network.DefaultParams())
 	ref := localScenarioBytes(t, target)
 
 	// Launch the target point through the coordinator.
@@ -254,12 +253,8 @@ func TestClusterKillWorkerMidCampaign(t *testing.T) {
 	// the coordinator, then pull the trigger.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		resp, err := http.Get(c.url() + "/api/v1/snapshots/" + key)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
+		if !strings.Contains(scrape(t, c.url()+"/metrics"), "sweepd_coord_snapshots_stored_total 0\n") {
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("victim never published a snapshot blob")

@@ -49,9 +49,7 @@ type Coordinator struct {
 
 	workers []*workerState // fixed membership; liveness varies
 
-	blobMu    sync.Mutex
-	blobs     map[string][]byte
-	blobOrder []string // key insertion order, for cap eviction
+	blobs *cache.MemStore // published snapshot blobs by cache key
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -89,18 +87,17 @@ type CoordinatorConfig struct {
 	// RetryBase is the first dead-letter backoff; attempt n waits
 	// RetryBase×2^(n-1) (default 250ms).
 	RetryBase time.Duration
-	// RetryCap bounds a single backoff wait (default 10s).
-	RetryCap time.Duration
 	// MaxAttempts bounds dead-letter retries before parking (default 5).
 	MaxAttempts int
-	// DispatchTimeout caps one proxied request (default 15m — above the
-	// workers' own 10m job timeout, so the worker's verdict arrives).
-	DispatchTimeout time.Duration
-	// MaxBlobs caps retained snapshot blobs, one per cache key, evicting
-	// the oldest key (default 64). Blobs are recovery hints; evicting one
-	// costs a cold rerun, never correctness.
-	MaxBlobs int
 }
+
+const (
+	// maxRetryDelay bounds a single dead-letter backoff wait.
+	maxRetryDelay = 10 * time.Second
+	// dispatchTimeout caps one proxied request: above the workers' own 10m
+	// job timeout, so the worker's verdict arrives.
+	dispatchTimeout = 15 * time.Minute
+)
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.Version == "" {
@@ -115,17 +112,8 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.RetryBase <= 0 {
 		c.RetryBase = 250 * time.Millisecond
 	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 10 * time.Second
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 5
-	}
-	if c.DispatchTimeout <= 0 {
-		c.DispatchTimeout = 15 * time.Minute
-	}
-	if c.MaxBlobs <= 0 {
-		c.MaxBlobs = 64
 	}
 	return c
 }
@@ -180,7 +168,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:        cfg,
 		client:     cfg.Client,
 		q:          newDLQ(),
-		blobs:      make(map[string][]byte),
+		blobs:      cache.NewMemStore(maxBlobBytes),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		reqs:       newHTTPMetrics(),
@@ -390,7 +378,6 @@ func (c *Coordinator) buildMux() *http.ServeMux {
 	h("GET /api/v1/dlq", c.handleDLQList)
 	h("POST /api/v1/dlq/{id}/requeue", c.handleDLQRequeue)
 	h("POST /api/v1/snapshots/{key}", c.handleSnapshotPut)
-	h("GET /api/v1/snapshots/{key}", c.handleSnapshotGet)
 	return mux
 }
 
@@ -499,7 +486,7 @@ func (c *Coordinator) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		if q := r.URL.RawQuery; q != "" {
 			path += "?" + q
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.DispatchTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), dispatchTimeout)
 		res, ferr := c.forward(ctx, ws, http.MethodPost, path, body)
 		cancel()
 		if ferr == nil && !res.retryable() {
@@ -559,8 +546,8 @@ func (c *Coordinator) retryLoop(e *dlqEntry) {
 			break
 		}
 		delay := c.cfg.RetryBase << (attempt - 1)
-		if delay > c.cfg.RetryCap || delay <= 0 {
-			delay = c.cfg.RetryCap
+		if delay > maxRetryDelay || delay <= 0 {
+			delay = maxRetryDelay
 		}
 		e.noteAttempt(attempt, time.Now().Add(delay))
 		select {
@@ -579,7 +566,7 @@ func (c *Coordinator) retryLoop(e *dlqEntry) {
 		if withBlob {
 			c.resumeShipped.Inc()
 		}
-		ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.DispatchTimeout)
+		ctx, cancel := context.WithTimeout(c.baseCtx, dispatchTimeout)
 		res, err := c.forward(ctx, ws, http.MethodPost, "/api/v1/run", body)
 		cancel()
 		if err != nil {
@@ -611,7 +598,7 @@ func (c *Coordinator) retryLoop(e *dlqEntry) {
 func (c *Coordinator) bodyWithResume(e *dlqEntry) (body []byte, withBlob bool) {
 	req := e.req
 	if req.Scenario != nil {
-		if blob := c.blobFor(e.key); blob != nil {
+		if blob, ok := c.blobs.Get(e.key); ok {
 			req.Resume = blob
 			withBlob = true
 		}
@@ -645,48 +632,23 @@ func (c *Coordinator) handleDLQRequeue(w http.ResponseWriter, r *http.Request) {
 
 // --- snapshot blob shipping ---
 
-// maxBlobBytes bounds one published snapshot blob.
+// maxBlobBytes bounds one published snapshot blob and all of them
+// together.
 const maxBlobBytes = 64 << 20
 
 // handleSnapshotPut ingests a worker's mid-run snapshot for a cache key,
-// latest-wins. The store is a bounded map, not a database: blobs exist
-// to cut recovery time, and the oldest key is evicted past the cap.
+// latest-wins. Blobs exist to cut recovery time, so the store is an LRU
+// under maxBlobBytes: evicting a blob costs a cold rerun, never
+// correctness.
 func (c *Coordinator) handleSnapshotPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
 	blob, err := io.ReadAll(io.LimitReader(r.Body, maxBlobBytes+1))
 	if err != nil || len(blob) == 0 || len(blob) > maxBlobBytes {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad snapshot blob"})
 		return
 	}
-	c.blobMu.Lock()
-	if _, exists := c.blobs[key]; !exists {
-		c.blobOrder = append(c.blobOrder, key)
-		for len(c.blobOrder) > c.cfg.MaxBlobs {
-			oldest := c.blobOrder[0]
-			c.blobOrder = c.blobOrder[1:]
-			delete(c.blobs, oldest)
-		}
-	}
-	c.blobs[key] = blob
-	c.blobMu.Unlock()
+	c.blobs.Put(r.PathValue("key"), blob)
 	c.blobsStored.Inc()
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Coordinator) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	blob := c.blobFor(r.PathValue("key"))
-	if blob == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no snapshot for key"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
-}
-
-func (c *Coordinator) blobFor(key string) []byte {
-	c.blobMu.Lock()
-	defer c.blobMu.Unlock()
-	return c.blobs[key]
 }
 
 // --- metrics ---
@@ -746,11 +708,8 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP sweepd_coord_resume_shipped_total DLQ re-dispatches that carried a snapshot blob for mid-run resume.\n")
 	p("# TYPE sweepd_coord_resume_shipped_total counter\n")
 	p("sweepd_coord_resume_shipped_total %d\n", c.resumeShipped.Value())
-	c.blobMu.Lock()
-	nblobs := len(c.blobs)
-	c.blobMu.Unlock()
 	p("# TYPE sweepd_coord_snapshot_blobs gauge\n")
-	p("sweepd_coord_snapshot_blobs %d\n", nblobs)
+	p("sweepd_coord_snapshot_blobs %d\n", c.blobs.Stats().Entries)
 
 	writeLatency(p, "sweepd_coord_http_request_duration_seconds", c.reqs.lat)
 }

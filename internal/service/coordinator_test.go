@@ -284,61 +284,62 @@ func TestCoordinatorValidatesLocally(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSnapshotBlobs: publish/fetch round trip, latest-wins per
-// key, 404 for unknown keys, and cap eviction of the oldest key.
+// putBlob publishes blob under key to the coordinator's snapshot route.
+func putBlob(t *testing.T, c *Coordinator, key string, blob []byte) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/snapshots/"+key,
+		bytes.NewReader(blob)))
+	return rec.Code
+}
+
+// TestCoordinatorSnapshotBlobs: a published blob is stored under its key,
+// latest-wins, and an empty blob is refused.
 func TestCoordinatorSnapshotBlobs(t *testing.T) {
 	worker := fakeWorker(t, okHealth(0, 2, 0), nil)
-	_, ts := newTestCoordinator(t, CoordinatorConfig{Workers: []string{worker.URL}, MaxBlobs: 2})
+	c, _ := newTestCoordinator(t, CoordinatorConfig{Workers: []string{worker.URL}})
 
-	put := func(key, blob string) int {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/api/v1/snapshots/"+key, "application/octet-stream",
-			strings.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		readBody(t, resp)
-		return resp.StatusCode
-	}
-	get := func(key string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/api/v1/snapshots/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := readBody(t, resp)
-		return resp.StatusCode, string(body)
-	}
-
-	if code := put("k1", "blob-one"); code != http.StatusNoContent {
+	if code := putBlob(t, c, "k1", []byte("blob-one")); code != http.StatusNoContent {
 		t.Fatalf("put: status %d", code)
 	}
-	if code, body := get("k1"); code != http.StatusOK || body != "blob-one" {
-		t.Errorf("get k1 = %d %q, want 200 blob-one", code, body)
-	}
-	if code := put("k1", "blob-one-v2"); code != http.StatusNoContent {
+	if code := putBlob(t, c, "k1", []byte("blob-one-v2")); code != http.StatusNoContent {
 		t.Fatalf("overwrite: status %d", code)
 	}
-	if _, body := get("k1"); body != "blob-one-v2" {
-		t.Errorf("latest-wins violated: got %q", body)
+	if blob, ok := c.blobs.Get("k1"); !ok || string(blob) != "blob-one-v2" {
+		t.Errorf("latest-wins violated: got %q, resident %v", blob, ok)
 	}
-	if code, _ := get("missing"); code != http.StatusNotFound {
-		t.Errorf("unknown key: status %d, want 404", code)
-	}
-	if code := put("k2", ""); code != http.StatusBadRequest {
+	if code := putBlob(t, c, "k2", nil); code != http.StatusBadRequest {
 		t.Errorf("empty blob: status %d, want 400", code)
 	}
-
-	// Cap is 2 keys: adding k2 and k3 evicts k1, the oldest.
-	put("k2", "blob-two")
-	put("k3", "blob-three")
-	if code, _ := get("k1"); code != http.StatusNotFound {
-		t.Errorf("k1 survived past the blob cap: status %d", code)
+	if _, ok := c.blobs.Get("k2"); ok {
+		t.Error("empty blob stored")
 	}
-	for key, want := range map[string]string{"k2": "blob-two", "k3": "blob-three"} {
-		if _, body := get(key); body != want {
-			t.Errorf("get %s = %q, want %q", key, body, want)
+}
+
+// TestCoordinatorBlobMemoryBound: two blobs of just over half the budget
+// under distinct keys cannot both stay resident; the older is evicted, so
+// published snapshots never hold more than maxBlobBytes of memory.
+func TestCoordinatorBlobMemoryBound(t *testing.T) {
+	worker := fakeWorker(t, okHealth(0, 2, 0), nil)
+	c, ts := newTestCoordinator(t, CoordinatorConfig{Workers: []string{worker.URL}})
+
+	blob := make([]byte, maxBlobBytes/2+1)
+	for _, key := range []string{"old", "new"} {
+		if code := putBlob(t, c, key, blob); code != http.StatusNoContent {
+			t.Fatalf("put %s: status %d", key, code)
 		}
+	}
+	if st := c.blobs.Stats(); st.Bytes > maxBlobBytes {
+		t.Errorf("resident blob bytes %d exceed the %d budget", st.Bytes, maxBlobBytes)
+	}
+	if _, ok := c.blobs.Get("old"); ok {
+		t.Error("older blob still resident past the budget")
+	}
+	if _, ok := c.blobs.Get("new"); !ok {
+		t.Error("newest blob evicted")
+	}
+	if m := scrape(t, ts.URL+"/metrics"); !strings.Contains(m, "sweepd_coord_snapshot_blobs 1\n") {
+		t.Error("metrics do not report exactly one resident blob")
 	}
 }
 

@@ -170,7 +170,7 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		reqs:       newHTTPMetrics(),
-		jobLat:     stats.NewLatencyHist(1e-6, 3600, 240),
+		jobLat:     stats.NewLatencyHist(),
 		jobsByEnd: map[jobEnd]*stats.Counter{
 			jobDone:     new(stats.Counter),
 			jobFailed:   new(stats.Counter),
@@ -436,7 +436,7 @@ type httpMetrics struct {
 }
 
 func newHTTPMetrics() *httpMetrics {
-	return &httpMetrics{counts: make(map[string]*stats.Counter), lat: stats.NewLatencyHist(1e-6, 3600, 240)}
+	return &httpMetrics{counts: make(map[string]*stats.Counter), lat: stats.NewLatencyHist()}
 }
 
 // instrument wraps the handler for route pattern with the accounting.

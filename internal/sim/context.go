@@ -123,6 +123,13 @@ func (c *Context) ReleaseSeizure(rank int) {
 	c.eng.queue.Push(c.eng.now, event{kind: evJobDone, id: int32(rank)})
 }
 
+// Phase markers the engine emits through Mark. Detail is the rank's gate
+// depth after the change.
+const (
+	MarkHold        = "hold"         // HoldApp closed a gate
+	MarkHoldRelease = "hold-release" // Release reopened one
+)
+
 // Mark emits a TracePhase record on the trace channel (a no-op when no
 // trace is attached). Agents and subsystems use it to expose protocol
 // phases — coordination round boundaries, checkpoint write windows,
@@ -165,7 +172,7 @@ func (c *Context) HoldApp(rank int, reason string) Handle {
 	sd.holds = append(sd.holds, hold{start: c.eng.now, reason: c.eng.internReason(reason), open: true})
 	st := &c.eng.ranks[rank]
 	st.held++
-	c.Mark(rank, "hold", int64(st.held))
+	c.Mark(rank, MarkHold, int64(st.held))
 	return handle(rank, len(sd.holds)-1, false)
 }
 
@@ -222,7 +229,7 @@ func (c *Context) Release(h Handle) {
 		sd.holds = sd.holds[:len(sd.holds)-1]
 	}
 	st.held--
-	c.Mark(rank, "hold-release", int64(st.held))
+	c.Mark(rank, MarkHoldRelease, int64(st.held))
 	c.eng.heldTime[hd.reason] += c.eng.now.Sub(hd.start)
 	c.eng.heldCnt[hd.reason]++
 	c.eng.dispatch(rank)

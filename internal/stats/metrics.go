@@ -36,7 +36,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // LatencyHist is a concurrency-safe latency histogram with quantile
 // export. Observations are seconds; internally they are binned on a log10
-// axis over [Lo, Hi] so the same instrument resolves sub-millisecond cache
+// axis over [1µs, 1h] so the same instrument resolves sub-millisecond cache
 // hits and minute-long full sweeps — a fixed-width axis at that dynamic
 // range would pile every fast observation into one bin. Out-of-range
 // observations clamp into the histogram's Under/Over buckets, which the
@@ -48,13 +48,10 @@ type LatencyHist struct {
 	count int64
 }
 
-// NewLatencyHist creates a histogram spanning [lo, hi] seconds with nbins
-// logarithmic bins. Bounds must be positive with lo < hi.
-func NewLatencyHist(lo, hi float64, nbins int) *LatencyHist {
-	if !(lo > 0) || !(hi > lo) {
-		panic("stats: latency histogram bounds must satisfy 0 < lo < hi")
-	}
-	return &LatencyHist{h: NewHistogram(math.Log10(lo), math.Log10(hi), nbins)}
+// NewLatencyHist creates an empty histogram of 240 logarithmic bins,
+// about 25 per decade.
+func NewLatencyHist() *LatencyHist {
+	return &LatencyHist{h: NewHistogram(math.Log10(1e-6), math.Log10(3600), 240)}
 }
 
 // Observe records one latency in seconds. Non-positive and NaN

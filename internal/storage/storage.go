@@ -76,8 +76,15 @@ type Sched interface {
 	AtOwned(t simtime.Time, o sim.TimerOwner, kind uint8, arg int64)
 }
 
+// Phase markers the store emits on a write's start and on its drain; detail
+// is the write's byte count.
+const (
+	MarkStoreBegin = "store-begin"
+	MarkStoreEnd   = "store-end"
+)
+
 // Marker is optionally implemented by the bound Sched (*sim.Context does):
-// when present, the store emits "store-begin"/"store-end" phase markers on
+// when present, the store emits MarkStoreBegin/MarkStoreEnd phase markers on
 // the trace channel, carrying the write's byte count, so a trace validator
 // can check that every byte written is eventually drained. Fake schedulers
 // in tests need not implement it.
@@ -419,7 +426,7 @@ func (s *Store) Begin(rank int, tier Tier, bytes int64, drained sim.Call) {
 		remaining: float64(bytes), bytes: bytes, start: now, drained: drained,
 	}
 	s.writes = append(s.writes, w)
-	s.mark(rank, "store-begin", bytes)
+	s.mark(rank, MarkStoreBegin, bytes)
 	s.join(w, +1)
 	if n := len(s.writes); n > s.stats.PeakWriters {
 		s.stats.PeakWriters = n
@@ -546,7 +553,7 @@ func (s *Store) onTimer(t simtime.Time) {
 	s.writes = kept
 	s.reschedule()
 	for _, w := range done {
-		s.mark(w.rank, "store-end", w.bytes)
+		s.mark(w.rank, MarkStoreEnd, w.bytes)
 		s.stats.Writes++
 		s.stats.Bytes += w.bytes
 		if wait := t.Sub(w.start) - s.LoneDuration(w.tier, w.bytes); wait > 0 {

@@ -64,6 +64,7 @@ import (
 	"strings"
 
 	"checkpointsim/internal/checkpoint"
+	"checkpointsim/internal/failure"
 	"checkpointsim/internal/goal"
 	"checkpointsim/internal/network"
 	"checkpointsim/internal/sim"
@@ -558,13 +559,13 @@ func (c *Checker) readyRecv(ev *sim.TraceEvent, m *msgState, r *recvState) {
 func (c *Checker) addPhase(ev *sim.TraceEvent) {
 	st := c.rank(ev.Rank)
 	switch ev.Name {
-	case "hold":
+	case sim.MarkHold:
 		st.holdDepth++
 		if ev.Detail != st.holdDepth {
 			c.fail("rank %d: hold at %v reports depth %d, stream says %d",
 				ev.Rank, ev.Start, ev.Detail, st.holdDepth)
 		}
-	case "hold-release":
+	case sim.MarkHoldRelease:
 		st.holdDepth--
 		if st.holdDepth < 0 {
 			c.fail("rank %d: hold-release at %v without a matching hold", ev.Rank, ev.Start)
@@ -573,34 +574,34 @@ func (c *Checker) addPhase(ev *sim.TraceEvent) {
 			c.fail("rank %d: hold-release at %v reports depth %d, stream says %d",
 				ev.Rank, ev.Start, ev.Detail, st.holdDepth)
 		}
-	case "round-start":
+	case checkpoint.MarkRoundStart:
 		if st.roundPhase != 0 {
 			c.fail("root %d: round-start at %v inside an unfinished round (phase %d)",
 				ev.Rank, ev.Start, st.roundPhase)
 		}
 		st.roundPhase = 1
 		st.roundSize = ev.Detail
-	case "round-commit":
+	case checkpoint.MarkRoundCommit:
 		if st.roundPhase != 1 {
 			c.fail("root %d: round-commit at %v out of order (phase %d)",
 				ev.Rank, ev.Start, st.roundPhase)
 		}
 		st.roundPhase = 2
 		c.checkCommitBarrier(ev.Rank, st.roundSize, ev.Start)
-	case "round-end":
+	case checkpoint.MarkRoundEnd:
 		if st.roundPhase != 2 {
 			c.fail("root %d: round-end at %v out of order (phase %d)",
 				ev.Rank, ev.Start, st.roundPhase)
 		}
 		st.roundPhase = 0
-	case "cic-basic", "cic-forced":
+	case checkpoint.MarkCICBasic, checkpoint.MarkCICForced:
 		if ev.Detail <= st.cicIdx {
 			c.fail("rank %d: checkpoint index not monotone: %s index %d at %v after index %d",
 				ev.Rank, ev.Name, ev.Detail, ev.Start, st.cicIdx)
 		}
 		st.cicIdx = ev.Detail
 		c.nCICWrites++
-		if ev.Name == "cic-forced" {
+		if ev.Name == checkpoint.MarkCICForced {
 			c.nCICForced++
 			if st.cicPending == 0 {
 				c.fail("rank %d: forced checkpoint (index %d) at %v without a pending induction",
@@ -609,7 +610,7 @@ func (c *Checker) addPhase(ev *sim.TraceEvent) {
 				st.cicPending = 0
 			}
 		}
-	case "cic-force-due":
+	case checkpoint.MarkCICForceDue:
 		if ev.Detail <= st.cicIdx {
 			c.fail("rank %d: forced checkpoint due for index %d at %v, but the rank's index is already %d",
 				ev.Rank, ev.Detail, ev.Start, st.cicIdx)
@@ -617,12 +618,12 @@ func (c *Checker) addPhase(ev *sim.TraceEvent) {
 		if ev.Detail > st.cicPending {
 			st.cicPending = ev.Detail
 		}
-	case "rep-failure":
+	case failure.MarkRepFailure:
 		if c.takeoverPending == nil {
 			c.takeoverPending = make(map[int]int)
 		}
 		c.takeoverPending[int(ev.Detail)]++
-	case "rep-takeover":
+	case checkpoint.MarkRepTakeover:
 		c.nTakeovers++
 		v := int(ev.Detail)
 		if c.takeoverPending[v] == 0 {
@@ -631,11 +632,11 @@ func (c *Checker) addPhase(ev *sim.TraceEvent) {
 		} else {
 			c.takeoverPending[v]--
 		}
-	case "store-begin":
+	case storage.MarkStoreBegin:
 		st.storeQ = append(st.storeQ, ev.Detail)
 		c.storeBegun++
 		c.storeBegunBytes += ev.Detail
-	case "store-end":
+	case storage.MarkStoreEnd:
 		c.storeEnded++
 		c.storeEndedBytes += ev.Detail
 		if len(st.storeQ) == 0 {
@@ -853,20 +854,13 @@ func (c *Checker) CheckReplication(p ReplicaMirror) error {
 	return c.Err()
 }
 
-// CICIntrospect is the introspection surface CheckCIC reads from a
-// communication-induced checkpointing protocol.
-type CICIntrospect interface {
-	Stats() checkpoint.Stats
-}
-
-// CheckCIC reconciles the protocol's checkpoint counters against the
+// CheckCIC reconciles a CIC protocol's checkpoint counters against the
 // marker stream: completed writes against "cic-basic"/"cic-forced" markers
 // and forced writes against "cic-forced" alone (both are emitted at write
 // completion, so in-flight writes at exit cancel exactly). The streaming
 // checks already enforced index monotonicity and forced-checkpoint
 // justification per rank. Call after the run.
-func (c *Checker) CheckCIC(p CICIntrospect) error {
-	st := p.Stats()
+func (c *Checker) CheckCIC(st checkpoint.Stats) error {
 	if st.Writes != c.nCICWrites {
 		c.fail("cic: protocol wrote %d checkpoints, trace shows %d markers", st.Writes, c.nCICWrites)
 	}
@@ -902,7 +896,7 @@ func (c *Checker) FinishRun(res *sim.Result, st *storage.Store, agents ...sim.Ag
 			}
 		}
 		if ci, ok := a.(*checkpoint.CIC); ok {
-			if err := c.CheckCIC(ci); err != nil {
+			if err := c.CheckCIC(ci.Stats()); err != nil {
 				return err
 			}
 		}

@@ -197,13 +197,13 @@ func TestCorruptedTraceRejected(t *testing.T) {
 			return evs
 		}},
 		{"hold-depth-mismatch", "depth", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Name == "hold" })
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Name == sim.MarkHold })
 			evs[i].Detail++
 			return evs
 		}},
 		{"round-commit-out-of-order", "out of order", func(evs []sim.TraceEvent) []sim.TraceEvent {
-			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Name == "round-start" })
-			evs[i].Name = "round-commit"
+			i := find(func(ev sim.TraceEvent) bool { return ev.Type == sim.TracePhase && ev.Name == checkpoint.MarkRoundStart })
+			evs[i].Name = checkpoint.MarkRoundCommit
 			return evs
 		}},
 		{"negative-rank", "negative rank", func(evs []sim.TraceEvent) []sim.TraceEvent {
@@ -320,11 +320,11 @@ func TestCheckStorage(t *testing.T) {
 	net := network.DefaultParams()
 	feed := func() *validate.Checker {
 		return feedChecker(net,
-			phaseAt(0, "store-begin", 100, 10),
-			phaseAt(1, "store-begin", 200, 10),
-			phaseAt(0, "store-end", 100, 50),
-			phaseAt(1, "store-end", 200, 60),
-			phaseAt(0, "store-begin", 300, 70)) // still in flight: fine
+			phaseAt(0, storage.MarkStoreBegin, 100, 10),
+			phaseAt(1, storage.MarkStoreBegin, 200, 10),
+			phaseAt(0, storage.MarkStoreEnd, 100, 50),
+			phaseAt(1, storage.MarkStoreEnd, 200, 60),
+			phaseAt(0, storage.MarkStoreBegin, 300, 70)) // still in flight: fine
 	}
 	if err := feed().CheckStorage(storage.Stats{Writes: 2, Bytes: 300}); err != nil {
 		t.Fatalf("consistent storage rejected: %v", err)
@@ -337,13 +337,13 @@ func TestCheckStorage(t *testing.T) {
 	}
 
 	c := feedChecker(net,
-		phaseAt(0, "store-begin", 100, 10),
-		phaseAt(0, "store-end", 80, 50)) // FIFO pairing broken
+		phaseAt(0, storage.MarkStoreBegin, 100, 10),
+		phaseAt(0, storage.MarkStoreEnd, 80, 50)) // FIFO pairing broken
 	if err := c.Err(); err == nil {
 		t.Fatal("mismatched drain size accepted")
 	}
 
-	c = feedChecker(net, phaseAt(0, "store-end", 80, 50))
+	c = feedChecker(net, phaseAt(0, storage.MarkStoreEnd, 80, 50))
 	if err := c.Err(); err == nil {
 		t.Fatal("store-end with no write in flight accepted")
 	}
@@ -555,7 +555,7 @@ func TestValidCICTracePasses(t *testing.T) {
 	if err := c.Finish(res); err != nil {
 		t.Fatalf("valid CIC trace rejected: %v", err)
 	}
-	if err := c.CheckCIC(cic); err != nil {
+	if err := c.CheckCIC(cic.Stats()); err != nil {
 		t.Fatalf("consistent CIC rejected: %v", err)
 	}
 	if cic.Stats().Forced == 0 {
@@ -570,14 +570,6 @@ type fakeReplica struct {
 }
 
 func (f fakeReplica) Stats() checkpoint.Stats { return f.stats }
-
-// fakeCIC doctors a real CIC protocol's stats.
-type fakeCIC struct {
-	validate.CICIntrospect
-	stats checkpoint.Stats
-}
-
-func (f fakeCIC) Stats() checkpoint.Stats { return f.stats }
 
 // Each targeted corruption of the replication-family invariants must be
 // rejected with a violation naming the right family.
@@ -610,7 +602,7 @@ func TestCorruptedReplicationRejected(t *testing.T) {
 		events := append([]sim.TraceEvent(nil), base...)
 		i := -1
 		for j, ev := range events {
-			if ev.Type == sim.TracePhase && ev.Name == "rep-takeover" {
+			if ev.Type == sim.TracePhase && ev.Name == checkpoint.MarkRepTakeover {
 				i = j
 				break
 			}
@@ -663,7 +655,7 @@ func TestCorruptedCICRejected(t *testing.T) {
 	t.Run("non-monotone-index", func(t *testing.T) {
 		// Replay a checkpoint index the rank has already completed.
 		events := append([]sim.TraceEvent(nil), base...)
-		i := find(events, "cic-basic")
+		i := find(events, checkpoint.MarkCICBasic)
 		dup := events[i]
 		events = append(events, sim.TraceEvent{})
 		copy(events[i+1:], events[i:])
@@ -682,7 +674,7 @@ func TestCorruptedCICRejected(t *testing.T) {
 		// never honored, so the rank's next application grant closes a
 		// Z-cycle.
 		events := append([]sim.TraceEvent(nil), base...)
-		i := find(events, "cic-forced")
+		i := find(events, checkpoint.MarkCICForced)
 		events = append(events[:i], events[i+1:]...)
 		err := feed(events).Err()
 		if err == nil {
@@ -696,8 +688,8 @@ func TestCorruptedCICRejected(t *testing.T) {
 	t.Run("unjustified-forced", func(t *testing.T) {
 		// A forced checkpoint with no pending induction.
 		events := append([]sim.TraceEvent(nil), base...)
-		i := find(events, "cic-force-due")
-		events[i].Name = "cic-basic" // the announcement disappears
+		i := find(events, checkpoint.MarkCICForceDue)
+		events[i].Name = checkpoint.MarkCICBasic // the announcement disappears
 		err := feed(events).Err()
 		if err == nil {
 			t.Fatal("unjustified forced checkpoint accepted")
@@ -712,7 +704,7 @@ func TestCorruptedCICRejected(t *testing.T) {
 		}
 		st := cic.Stats()
 		st.Forced++
-		err := c.CheckCIC(fakeCIC{CICIntrospect: cic, stats: st})
+		err := c.CheckCIC(st)
 		if err == nil {
 			t.Fatal("forced-count drift accepted")
 		}
