@@ -199,6 +199,7 @@ func TestSnapshotCoversStorageFields(t *testing.T) {
 		"p":           "immutable parameters",
 		"sched":       "rebound when restoring",
 		"writes":      "serialized write-by-write",
+		"done":        "scratch buffer, empty between timer callbacks",
 		"waiting":     "serialized (rank, tier, bytes) in request order",
 		"nodeCount":   "membership cache, rebuilt from the restored writes",
 		"globalCount": "membership cache, rebuilt from the restored writes",
@@ -210,7 +211,7 @@ func TestSnapshotCoversStorageFields(t *testing.T) {
 	if !ok {
 		t.Fatal("storage.Store lost its writes field")
 	}
-	requireFields(t, wr.Type.Elem().Elem(), map[string]string{
+	requireFields(t, wr.Type.Elem(), map[string]string{
 		"rank":      "serialized; bounds-checked on restore",
 		"node":      "derived from rank on restore",
 		"tier":      "serialized; bounds-checked on restore",

@@ -61,8 +61,9 @@ func (p Params) Validate() error {
 	if p.RendezvousThreshold < 0 {
 		return fmt.Errorf("network: negative rendezvous threshold")
 	}
-	if math.IsNaN(p.GapPerByte) || math.IsNaN(p.OverheadPerByte) {
-		return fmt.Errorf("network: NaN per-byte parameter")
+	if math.IsNaN(p.GapPerByte) || math.IsNaN(p.OverheadPerByte) ||
+		math.IsInf(p.GapPerByte, 0) || math.IsInf(p.OverheadPerByte, 0) {
+		return fmt.Errorf("network: non-finite per-byte parameter")
 	}
 	if p.BisectionBytesPerSec < 0 || math.IsNaN(p.BisectionBytesPerSec) {
 		return fmt.Errorf("network: bad bisection bandwidth %v", p.BisectionBytesPerSec)
@@ -85,12 +86,12 @@ func (p Params) FabricOccupancy(bytes int64) simtime.Duration {
 
 // perByte converts a float ns/byte rate applied to n bytes into a Duration.
 // LogGP charges (s-1) per-byte units for an s-byte message: the first byte
-// is covered by L / o / g.
+// is covered by L / o / g, so messages of at most one byte charge nothing.
+// It is branch-free so that the four cost methods below stay within the
+// compiler's inlining budget: every message pays for them. Validate keeps
+// rate finite and non-negative, so rate·0 is 0.
 func perByte(rate float64, bytes int64) simtime.Duration {
-	if bytes <= 1 || rate == 0 {
-		return 0
-	}
-	return simtime.Duration(math.Round(rate * float64(bytes-1)))
+	return simtime.Duration(math.Round(rate * float64(max(bytes, 1)-1)))
 }
 
 // SendCPU returns the sender CPU time for a message of the given size:

@@ -23,6 +23,8 @@ func TestValidate(t *testing.T) {
 		{OverheadPerByte: -0.5},
 		{RendezvousThreshold: -1},
 		{GapPerByte: math.NaN()},
+		{GapPerByte: math.Inf(1)},
+		{OverheadPerByte: math.Inf(1)},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -44,6 +46,27 @@ func TestPerByteChargesSMinusOne(t *testing.T) {
 	// Zero-size message behaves like one byte.
 	if got := p.Wire(0); got != 0 {
 		t.Errorf("Wire(0) = %v", got)
+	}
+}
+
+// The branch-free perByte must charge exactly what the guarded form
+// charges for every rate Validate accepts, at and around the one-byte
+// boundary and across the sizes the study sends.
+func TestPerByteMatchesGuardedForm(t *testing.T) {
+	guarded := func(rate float64, bytes int64) simtime.Duration {
+		if bytes <= 1 || rate == 0 {
+			return 0
+		}
+		return simtime.Duration(math.Round(rate * float64(bytes-1)))
+	}
+	rates := []float64{0, 0.02, 0.1, 0.15, 0.3, 0.5, 1, 1.0 / 3, 7.77, math.MaxFloat64}
+	sizes := []int64{math.MinInt64, -1 << 40, -1, 0, 1, 2, 3, 63, 64, 1023, 4096, 65535, 65536, 1 << 30, math.MaxInt64}
+	for _, r := range rates {
+		for _, b := range sizes {
+			if got, want := perByte(r, b), guarded(r, b); got != want {
+				t.Errorf("perByte(%v, %d) = %d, guarded form %d", r, b, got, want)
+			}
+		}
 	}
 }
 

@@ -72,6 +72,8 @@ func (t Tier) String() string {
 type Sched interface {
 	// Now returns the current simulated time.
 	Now() simtime.Time
+	// NumRanks returns the number of ranks, which sizes the per-node state.
+	NumRanks() int
 	// AtOwned schedules o.OnTimer(kind, arg) at absolute time t (>= Now).
 	AtOwned(t simtime.Time, o sim.TimerOwner, kind uint8, arg int64)
 }
@@ -191,15 +193,19 @@ const (
 type Store struct {
 	p     Params
 	sched Sched
-	// active writes in insertion order; rates are recomputed from the full
-	// set at every membership change.
-	writes []*write
+	// active writes in insertion order, held by value so that a drain
+	// allocates nothing once the slice has grown to the peak writer count;
+	// rates are recomputed from the full set at every membership change.
+	writes []write
+	// done is onTimer's reused buffer of the writes a tick retires.
+	done []write
 	// waiting holds Writes whose CPU seizure is not yet granted, in request
 	// order; a rank's seizures are granted in that order.
 	waiting []write
-	// nodeCount caches the number of active TierNode writes per node;
-	// globalCount the number of active TierGlobal writes.
-	nodeCount   map[int]int
+	// nodeCount caches the number of active TierNode writes per node (sized
+	// at Bind to the simulation's nodes); globalCount the number of active
+	// TierGlobal writes.
+	nodeCount   []int
 	globalCount int
 	lastAt      simtime.Time // time writes were last advanced to
 	gen         uint64       // invalidates superseded completion timers
@@ -306,9 +312,16 @@ func (s *Store) Bind(sc Sched) {
 	}
 	s.sched = sc
 	s.lastAt = sc.Now()
+	s.sizeNodes()
 	if ctx, ok := sc.(*sim.Context); ok {
 		ctx.OwnTimers("store", s)
 	}
+}
+
+// sizeNodes zeroes the per-node membership counts, one for each node of
+// the bound scheduler's ranks.
+func (s *Store) sizeNodes() {
+	s.nodeCount = make([]int, s.node(s.sched.NumRanks()-1)+1)
 }
 
 // SnapshotState walks the store's complete mutable state through c, the
@@ -323,7 +336,8 @@ func (s *Store) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	if c.Decoding() {
 		s.sched = ctx
 		ctx.OwnTimers("store", s)
-		s.nodeCount, s.globalCount = nil, 0
+		s.sizeNodes()
+		s.globalCount = 0
 	}
 	c.U64(&s.gen)
 	snapshot.Int(c, &s.stats.Writes)
@@ -335,12 +349,10 @@ func (s *Store) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 		c.Failf("store clock %v ahead of the engine's %v", s.lastAt, ctx.Now())
 	}
 	if n := c.Len(len(s.writes)); c.Decoding() {
-		s.writes = make([]*write, n)
-		for i := range s.writes {
-			s.writes[i] = &write{}
-		}
+		s.writes = make([]write, n)
 	}
-	for _, w := range s.writes {
+	for i := range s.writes {
+		w := &s.writes[i]
 		s.snapshotWrite(ctx, c, w)
 		c.F64(&w.remaining)
 		snapshot.Int(c, &w.start)
@@ -421,13 +433,12 @@ func (s *Store) Begin(rank int, tier Tier, bytes int64, drained sim.Call) {
 	}
 	now := s.sched.Now()
 	s.advance(now)
-	w := &write{
+	s.writes = append(s.writes, write{
 		rank: rank, node: s.node(rank), tier: tier,
 		remaining: float64(bytes), bytes: bytes, start: now, drained: drained,
-	}
-	s.writes = append(s.writes, w)
+	})
 	s.mark(rank, MarkStoreBegin, bytes)
-	s.join(w, +1)
+	s.join(&s.writes[len(s.writes)-1], +1)
 	if n := len(s.writes); n > s.stats.PeakWriters {
 		s.stats.PeakWriters = n
 	}
@@ -437,9 +448,6 @@ func (s *Store) Begin(rank int, tier Tier, bytes int64, drained sim.Call) {
 // join updates the membership counts by delta for w's resource.
 func (s *Store) join(w *write, delta int) {
 	if w.tier == TierNode {
-		if s.nodeCount == nil {
-			s.nodeCount = make(map[int]int)
-		}
 		s.nodeCount[w.node] += delta
 	} else {
 		s.globalCount += delta
@@ -469,7 +477,8 @@ func (s *Store) rate(w *write) float64 {
 // by the current (unchanged since lastAt) membership.
 func (s *Store) advance(now simtime.Time) {
 	dt := now.Sub(s.lastAt).Seconds()
-	for _, w := range s.writes {
+	for i := range s.writes {
+		w := &s.writes[i]
 		r := s.rate(w)
 		if math.IsInf(r, 1) {
 			// Unconstrained tier: the write drains instantly even across a
@@ -501,7 +510,8 @@ func (s *Store) reschedule() {
 		return
 	}
 	minDt := math.Inf(1)
-	for _, w := range s.writes {
+	for i := range s.writes {
+		w := &s.writes[i]
 		r := s.rate(w)
 		var dt float64
 		if math.IsInf(r, 1) || w.remaining <= completionEps {
@@ -534,25 +544,27 @@ func (s *Store) OnTimer(kind uint8, arg int64) {
 }
 
 // onTimer fires at the projected next completion: advance, retire every
-// drained write, recompute shares for the survivors.
+// drained write, recompute shares for the survivors. The retired writes are
+// copied into the reused done buffer before any drained callback runs, so
+// a callback may Begin new writes; the buffer is detached meanwhile, so
+// even a nested tick could not overwrite it.
 func (s *Store) onTimer(t simtime.Time) {
 	s.advance(t)
-	var done []*write
+	done := s.done[:0]
+	s.done = nil
 	kept := s.writes[:0]
 	for _, w := range s.writes {
 		if w.remaining <= completionEps {
 			done = append(done, w)
-			s.join(w, -1)
+			s.join(&w, -1)
 		} else {
 			kept = append(kept, w)
 		}
 	}
-	for i := len(kept); i < len(s.writes); i++ {
-		s.writes[i] = nil
-	}
 	s.writes = kept
 	s.reschedule()
-	for _, w := range done {
+	for i := range done {
+		w := &done[i]
 		s.mark(w.rank, MarkStoreEnd, w.bytes)
 		s.stats.Writes++
 		s.stats.Bytes += w.bytes
@@ -563,6 +575,7 @@ func (s *Store) onTimer(t simtime.Time) {
 			d.Owner.OnTimer(d.Kind, d.Arg)
 		}
 	}
+	s.done = done
 }
 
 // ceilSeconds converts a float64 second count to a Duration, rounding up so

@@ -27,6 +27,9 @@ type fakeEvent struct {
 
 func (f *fakeSched) Now() simtime.Time { return f.now }
 
+// NumRanks implements Sched: enough ranks for every test's writers.
+func (f *fakeSched) NumRanks() int { return 64 }
+
 func (f *fakeSched) At(t simtime.Time, fn func()) {
 	if t < f.now {
 		panic(fmt.Sprintf("fakeSched: At(%v) in the past (now %v)", t, f.now))

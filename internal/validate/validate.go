@@ -45,22 +45,31 @@
 //     absorbs each injected failure by at most one takeover
 //     ("rep-failure"/"rep-takeover" pairing; CheckReplication).
 //
-// A Checker is single-run state: build one per simulation with New, feed
-// it every trace event (Hook adapts it to sim.Config.Trace), then call
-// Finish with the run's Result. Violations accumulate (capped) and are
-// reported together by Err in the order found — streaming checks in
-// stream order, end-of-run scans in rank and ID order — so replaying a
-// stream reports the same violations.
+// A Checker is single-run state: build one per simulation with New, hand
+// it the run's agents with Watch, feed it every trace event (Hook adapts
+// it to sim.Config.Trace), then call Finish with the run's Result.
+// Violations accumulate (capped) and are reported together by Err in the
+// order found — streaming checks in stream order, end-of-run scans in rank
+// and ID order — so replaying a stream reports the same violations.
 //
-// The state is dense, indexed by the IDs the engine hands out: messages
-// by MsgID and receives by OpID in paged tables, channels in a per-sender
-// slice by destination. Checking allocates no memory per message beyond
-// one page per 1024 messages or ops.
+// Memory follows the messages and receives in flight. A message's state
+// (32 B) lives in a 1024-entry page from its injection until it settles —
+// arrived, and matched or not matchable — and a page whose messages have
+// all settled is reused for later IDs. A settled ID keeps one byte, its
+// kind and whether it was matched: all that the duplicate-arrival,
+// duplicate-match and non-matchable-match checks read. A receive keeps one
+// bit per op (matched or not), and its availability time and payload only
+// from readiness to completion; channels are kept for the (src, dst) pairs
+// that carry traffic. The taxed and mirrored sends that CheckLogging and
+// CheckReplication reconcile are summed at injection. Checking allocates
+// nothing per message beyond the settled byte and the growth of its tables
+// to the peak in flight.
 package validate
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"checkpointsim/internal/checkpoint"
@@ -74,60 +83,6 @@ import (
 
 // maxViolations caps the violations retained; further ones only count.
 const maxViolations = 20
-
-// msgState tracks one wire traversal from injection to match.
-type msgState struct {
-	arriveAt simtime.Time // scheduled arrival (TraceInject.End)
-	bytes    int64
-	src, dst int32
-	kind     sim.TraceKind
-	arrived  bool
-	matched  bool
-}
-
-// matchable reports whether m is an application send — an eager message
-// or a rendezvous request — which a receive must match.
-func (m *msgState) matchable() bool { return m.kind == sim.KindEager || m.kind == sim.KindRTS }
-
-// recvState is one receive op's matching state.
-type recvState struct {
-	at    simtime.Time // when the matched message became available
-	bytes int64        // its payload
-	ready bool         // available and not yet completed
-	seen  bool         // an application message matched this receive
-}
-
-// pageBits sizes the pages of the checker's ID-indexed tables: 1024
-// entries each.
-const pageBits = 10
-
-// paged is a table indexed by dense non-negative IDs. A page is allocated
-// the first time one of its IDs is touched, so growing the table copies
-// only the page directory, never the entries.
-type paged[T any] struct {
-	dir []*[1 << pageBits]T
-}
-
-// at returns entry i (i >= 0), allocating its page on first touch.
-func (t *paged[T]) at(i int) *T {
-	p := i >> pageBits
-	for len(t.dir) <= p {
-		t.dir = append(t.dir, nil)
-	}
-	if t.dir[p] == nil {
-		t.dir[p] = new([1 << pageBits]T)
-	}
-	return &t.dir[p][i&(1<<pageBits-1)]
-}
-
-// get returns entry i, or nil when its page was never touched.
-func (t *paged[T]) get(i int) *T {
-	p := i >> pageBits
-	if i < 0 || p >= len(t.dir) || t.dir[p] == nil {
-		return nil
-	}
-	return &t.dir[p][i&(1<<pageBits-1)]
-}
 
 // rankState is the per-rank streaming state.
 type rankState struct {
@@ -157,11 +112,7 @@ type rankState struct {
 	roundSize  int64
 
 	// FIFO of in-flight shared-storage writes (bytes), begin-to-end.
-	storeQ []int64
-
-	// chanLast[dst] is the latest arrival on the channel from this rank
-	// to dst.
-	chanLast []simtime.Time
+	storeQ fifo
 }
 
 // Checker verifies trace conformance for one simulation run.
@@ -169,12 +120,19 @@ type Checker struct {
 	net network.Params
 
 	ranks []rankState
-	// msgs holds message id at entry id-1: the engine numbers injections
-	// 1, 2, 3..., and nMsgs have been injected so far.
-	msgs  paged[msgState]
+	// msgs holds the messages in flight by ID: the engine numbers
+	// injections 1, 2, 3..., and nMsgs have been injected so far.
+	msgs  msgTable
 	nMsgs int64
-	recvs paged[recvState] // by OpID
-	clock simtime.Time
+	// seen has bit op set once an application message matched receive op;
+	// ready holds a matched receive's availability from readiness to
+	// completion, by OpID.
+	seen  []uint64
+	ready table[ready]
+	// chanLast holds the latest arrival on each channel that carried one,
+	// keyed src<<32 | dst.
+	chanLast table[simtime.Time]
+	clock    simtime.Time
 
 	// Stream-derived counters, reconciled against Result.Metrics.
 	nMatches, nApp, nCtl, nRndzv int64
@@ -189,6 +147,17 @@ type Checker struct {
 	nTakeovers             int64
 	nCICWrites, nCICForced int64
 
+	// The watched agents (Watch) and the application sends they are
+	// reconciled against, summed at injection: the sends logger taxes, and
+	// the primary-to-primary sends mirror duplicates (counted once each).
+	cic                    *checkpoint.CIC
+	logger                 TaxedLogger
+	logCfg                 checkpoint.LogParams
+	logMsgs, logBytes      int64
+	logPenalty             simtime.Duration
+	mirror                 ReplicaMirror
+	mirrorMsgs, mirrorSize int64
+
 	violations []string
 	dropped    int64
 }
@@ -196,6 +165,25 @@ type Checker struct {
 // New builds a checker for one run under the given network parameters.
 func New(net network.Params) *Checker {
 	return &Checker{net: net}
+}
+
+// Watch hands the checker the run's agents before the run, so that the
+// application sends CheckLogging and CheckReplication reconcile are summed
+// as they are injected, and FinishRun reconciles the agents exposing a
+// checkable surface. A run has one protocol, so the last agent exposing a
+// surface is the one watched.
+func (c *Checker) Watch(agents ...sim.Agent) {
+	for _, a := range agents {
+		if tl, ok := a.(TaxedLogger); ok {
+			c.logger, c.logCfg = tl, tl.LogConfig()
+		}
+		if rm, ok := a.(ReplicaMirror); ok {
+			c.mirror = rm
+		}
+		if ci, ok := a.(*checkpoint.CIC); ok {
+			c.cic = ci
+		}
+	}
 }
 
 // Hook returns a sim.Config.Trace callback feeding the checker and then
@@ -250,13 +238,14 @@ func (st *rankState) grantLabel() string {
 	return sim.TraceEvent{Kind: st.grantKind, Name: st.grantName}.Label()
 }
 
-// msg returns the state of message id, or nil when no injection record
-// named it.
-func (c *Checker) msg(id int64) *msgState {
-	if id < 1 || id > c.nMsgs {
-		return nil
+// injected reports whether an injection record named message id.
+func (c *Checker) injected(id int64) bool { return id >= 1 && id <= c.nMsgs }
+
+// settle retires message id once no later record needs its full state.
+func (c *Checker) settle(id int64, m *msgState) {
+	if m.settled() {
+		c.msgs.retire(int(id-1), m)
 	}
-	return c.msgs.get(int(id - 1))
 }
 
 func (c *Checker) add(ev *sim.TraceEvent) {
@@ -395,13 +384,17 @@ func (c *Checker) addCPU(ev *sim.TraceEvent) {
 // processing starts no earlier than the message became available and lasts
 // at least o + (s-1)·O.
 func (c *Checker) checkRecvDone(ev *sim.TraceEvent) {
-	r := c.recvs.get(int(ev.Op))
-	if r == nil || !r.ready {
+	i := -1
+	if ev.Op >= 0 {
+		i = c.ready.find(uint64(ev.Op))
+	}
+	if i < 0 {
 		c.fail("rank %d: recv op %d completed at %v with no matched message",
 			ev.Rank, ev.Op, ev.End)
 		return
 	}
-	r.ready = false
+	r := c.ready.slots[i].val
+	c.ready.del(i)
 	if ev.Start < r.at {
 		c.fail("rank %d: recv op %d processing starts %v before its message was available at %v",
 			ev.Rank, ev.Op, ev.Start, r.at)
@@ -443,7 +436,7 @@ func (c *Checker) addInject(ev *sim.TraceEvent) {
 		c.fail("msg %d (%s %d->%d): arrival %v beats wire lower bound %v (depart %v + L+(s-1)G)",
 			ev.MsgID, ev.Label(), ev.Src, ev.Dst, ev.End, floor, ev.Start)
 	}
-	*c.msgs.at(int(c.nMsgs)) = msgState{
+	*c.msgs.add() = msgState{
 		arriveAt: ev.End, bytes: ev.Bytes,
 		src: int32(ev.Src), dst: int32(ev.Dst), kind: ev.Kind,
 	}
@@ -452,8 +445,12 @@ func (c *Checker) addInject(ev *sim.TraceEvent) {
 	case sim.KindEager, sim.KindData:
 		c.nApp++
 		c.appBytes += ev.Bytes
+		if ev.Kind == sim.KindEager {
+			c.sumSend(ev)
+		}
 	case sim.KindRTS:
 		c.nRndzv++
+		c.sumSend(ev)
 	case sim.KindCtl, sim.KindCTS:
 		c.nCtl++
 		c.ctlBytes += ev.Wire
@@ -462,13 +459,29 @@ func (c *Checker) addInject(ev *sim.TraceEvent) {
 	}
 }
 
+// sumSend adds the application send ev injects to the sums of the watched
+// logger and mirror.
+func (c *Checker) sumSend(ev *sim.TraceEvent) {
+	if c.logger != nil && c.logger.Taxed(ev.Src, ev.Dst) {
+		c.logMsgs++
+		c.logBytes += ev.Bytes
+		c.logPenalty += c.logCfg.Alpha + simtime.Duration(math.Round(c.logCfg.BetaNsPerByte*float64(ev.Bytes)))
+	}
+	if c.mirror != nil {
+		if app := c.mirror.AppRanks(); ev.Src < app && ev.Dst < app {
+			c.mirrorMsgs++
+			c.mirrorSize += ev.Bytes
+		}
+	}
+}
+
 func (c *Checker) addArrive(ev *sim.TraceEvent) {
-	m := c.msg(ev.MsgID)
-	if m == nil {
+	if !c.injected(ev.MsgID) {
 		c.fail("msg %d arrived at %v without an injection record", ev.MsgID, ev.Start)
 		return
 	}
-	if m.arrived {
+	m := c.msgs.live(int(ev.MsgID - 1))
+	if m == nil || m.arrived {
 		c.fail("msg %d arrived twice", ev.MsgID)
 		return
 	}
@@ -480,29 +493,29 @@ func (c *Checker) addArrive(ev *sim.TraceEvent) {
 	if ev.Rank != int(m.dst) {
 		c.fail("msg %d (%s %d->%d): arrived on rank %d", ev.MsgID, m.kind, m.src, m.dst, ev.Rank)
 	}
-	sender := c.rank(int(m.src))
-	if d := int(m.dst); d >= len(sender.chanLast) {
-		n := max(d+1, len(c.ranks))
-		sender.chanLast = append(sender.chanLast, make([]simtime.Time, n-len(sender.chanLast))...)
-	}
-	if last := sender.chanLast[m.dst]; ev.Start < last {
+	c.rank(int(m.src)) // the sender counts among the ranks the trace names
+	last, _ := c.chanLast.put(uint64(m.src)<<32 | uint64(m.dst))
+	if ev.Start < *last {
 		c.fail("channel %d->%d: overtaking: msg %d arrives %v after a %v arrival",
-			m.src, m.dst, ev.MsgID, ev.Start, last)
+			m.src, m.dst, ev.MsgID, ev.Start, *last)
 	}
-	sender.chanLast[m.dst] = ev.Start
-	if m.kind == sim.KindData {
+	*last = ev.Start
+	if m.kind == sim.KindData && c.validRecv(ev) {
 		// Rendezvous payload: the receive can complete once the data is in.
-		if r := c.recvOf(ev); r != nil {
-			c.readyRecv(ev, m, r)
-		}
+		c.readyRecv(ev, m)
 	}
+	c.settle(ev.MsgID, m)
 }
 
 func (c *Checker) addMatch(ev *sim.TraceEvent) {
 	c.nMatches++
-	m := c.msg(ev.MsgID)
-	if m == nil {
+	if !c.injected(ev.MsgID) {
 		c.fail("match of unknown msg %d at %v", ev.MsgID, ev.Start)
+		return
+	}
+	m := c.msgs.live(int(ev.MsgID - 1))
+	if m == nil {
+		c.matchRetired(ev)
 		return
 	}
 	if !m.arrived {
@@ -515,45 +528,71 @@ func (c *Checker) addMatch(ev *sim.TraceEvent) {
 	m.matched = true
 	if !m.matchable() {
 		c.fail("msg %d: match of non-matchable kind %q", ev.MsgID, m.kind)
-		return
+	} else {
+		if ev.Start < m.arriveAt {
+			c.fail("msg %d matched at %v before its arrival %v", ev.MsgID, ev.Start, m.arriveAt)
+		}
+		if c.validRecv(ev) {
+			if c.matchedRecv(ev.RecvOp) {
+				c.fail("recv op %d matched a second message (msg %d)", ev.RecvOp, ev.MsgID)
+			}
+			if m.kind == sim.KindEager {
+				c.readyRecv(ev, m)
+			}
+		}
 	}
-	if ev.Start < m.arriveAt {
-		c.fail("msg %d matched at %v before its arrival %v", ev.MsgID, ev.Start, m.arriveAt)
-	}
-	r := c.recvOf(ev)
-	if r == nil {
-		return
-	}
-	if r.seen {
-		c.fail("recv op %d matched a second message (msg %d)", ev.RecvOp, ev.MsgID)
-	}
-	r.seen = true
-	if m.kind == sim.KindEager {
-		c.readyRecv(ev, m, r)
-	}
+	c.settle(ev.MsgID, m)
 }
 
-// recvOf returns the state of the receive ev names, or nil (flagged) when
-// ev names no valid op.
-func (c *Checker) recvOf(ev *sim.TraceEvent) *recvState {
+// matchRetired checks a match of a message that has settled: it arrived,
+// and it was matched already (every matchable one was) or is not
+// matchable.
+func (c *Checker) matchRetired(ev *sim.TraceEvent) {
+	b := &c.msgs.retired[ev.MsgID-1]
+	if *b&retiredMatched != 0 {
+		c.fail("msg %d matched twice", ev.MsgID)
+		return
+	}
+	*b |= retiredMatched
+	c.fail("msg %d: match of non-matchable kind %q", ev.MsgID, sim.TraceKind(*b&retiredKind))
+}
+
+// validRecv reports whether ev names a valid receive op, flagging it when
+// not.
+func (c *Checker) validRecv(ev *sim.TraceEvent) bool {
 	if ev.RecvOp < 0 {
 		c.fail("msg %d names invalid recv op %d", ev.MsgID, ev.RecvOp)
-		return nil
+		return false
 	}
-	return c.recvs.at(int(ev.RecvOp))
+	return true
 }
 
-// readyRecv records that receive r, the one ev names, can complete:
+// matchedRecv marks receive op (a valid one) as matched by an application
+// message and reports whether it already was.
+func (c *Checker) matchedRecv(op goal.OpID) bool {
+	w, bit := int(op>>6), uint64(1)<<(op&63)
+	if w >= len(c.seen) {
+		// Grow by at least 1024 ops' worth, doubling beyond.
+		c.seen = append(c.seen, make([]uint64, max(w+1-len(c.seen), 16))...)
+	}
+	was := c.seen[w]&bit != 0
+	c.seen[w] |= bit
+	return was
+}
+
+// readyRecv records that the receive ev names (a valid op) can complete:
 // message m, whose arrival or match ev is, became available at ev.Start.
 // Only a matched receive can be readied.
-func (c *Checker) readyRecv(ev *sim.TraceEvent, m *msgState, r *recvState) {
-	if !r.seen {
+func (c *Checker) readyRecv(ev *sim.TraceEvent, m *msgState) {
+	op := ev.RecvOp
+	if w := int(op >> 6); w >= len(c.seen) || c.seen[w]&(1<<(op&63)) == 0 {
 		c.fail("recv op %d readied by %s msg %d, but no message matched it", ev.RecvOp, m.kind, ev.MsgID)
 	}
-	if r.ready {
+	r, fresh := c.ready.put(uint64(op))
+	if !fresh {
 		c.fail("recv op %d readied twice (%s msg %d)", ev.RecvOp, m.kind, ev.MsgID)
 	}
-	r.at, r.bytes, r.ready = ev.Start, m.bytes, true
+	*r = ready{at: ev.Start, bytes: m.bytes}
 }
 
 func (c *Checker) addPhase(ev *sim.TraceEvent) {
@@ -633,22 +672,23 @@ func (c *Checker) addPhase(ev *sim.TraceEvent) {
 			c.takeoverPending[v]--
 		}
 	case storage.MarkStoreBegin:
-		st.storeQ = append(st.storeQ, ev.Detail)
+		st.storeQ.push(ev.Detail)
 		c.storeBegun++
 		c.storeBegunBytes += ev.Detail
 	case storage.MarkStoreEnd:
 		c.storeEnded++
 		c.storeEndedBytes += ev.Detail
-		if len(st.storeQ) == 0 {
+		oldest, ok := st.storeQ.front()
+		if !ok {
 			c.fail("rank %d: store-end of %d B at %v with no write in flight",
 				ev.Rank, ev.Detail, ev.Start)
 			return
 		}
-		if st.storeQ[0] != ev.Detail {
+		if oldest != ev.Detail {
 			c.fail("rank %d: store-end drained %d B, oldest in-flight write wrote %d B",
-				ev.Rank, ev.Detail, st.storeQ[0])
+				ev.Rank, ev.Detail, oldest)
 		}
-		st.storeQ = st.storeQ[1:]
+		st.storeQ.pop()
 	}
 }
 
@@ -720,22 +760,27 @@ func (c *Checker) Finish(res *sim.Result) error {
 	if sawApp && maxApp != res.Makespan {
 		c.fail("last app occupancy ends %v, makespan is %v", maxApp, res.Makespan)
 	}
-	for id := int64(1); id <= c.nMsgs; id++ {
-		m := c.msgs.get(int(id - 1))
-		if !m.arrived {
-			if m.kind != sim.KindCtl {
-				c.fail("msg %d (%s %d->%d) never arrived", id, m.kind, m.src, m.dst)
-			}
+	// Only messages still in flight can fail these; settled ones are
+	// arrived and matched or not matchable.
+	for p, pg := range c.msgs.dir {
+		if pg == nil {
 			continue
 		}
-		if m.matchable() && !m.matched {
-			c.fail("orphan: msg %d (%s %d->%d) arrived but never matched", id, m.kind, m.src, m.dst)
+		for i := p << pageBits; i < min((p+1)<<pageBits, int(c.nMsgs)); i++ {
+			if m := c.msgs.live(i); m != nil {
+				c.checkUnsettled(int64(i+1), m)
+			}
 		}
 	}
-	for op := 0; op < len(c.recvs.dir)<<pageBits; op++ {
-		if r := c.recvs.get(op); r != nil && r.ready {
-			c.fail("recv op %d matched a message but never completed", op)
+	var unfinished []uint64
+	for _, e := range c.ready.slots {
+		if e.key != 0 {
+			unfinished = append(unfinished, e.key-1)
 		}
+	}
+	slices.Sort(unfinished)
+	for _, op := range unfinished {
+		c.fail("recv op %d matched a message but never completed", op)
 	}
 	mt := res.Metrics
 	if c.nApp != mt.AppMessages || c.appBytes != mt.AppBytes {
@@ -753,6 +798,21 @@ func (c *Checker) Finish(res *sim.Result) error {
 		c.fail("traced %d matches, metrics say %d", c.nMatches, mt.Matches)
 	}
 	return c.Err()
+}
+
+// checkUnsettled flags message id, still in flight at the end of the run,
+// unless the engine legitimately left it there: a control message may be
+// undelivered at exit.
+func (c *Checker) checkUnsettled(id int64, m *msgState) {
+	if !m.arrived {
+		if m.kind != sim.KindCtl {
+			c.fail("msg %d (%s %d->%d) never arrived", id, m.kind, m.src, m.dst)
+		}
+		return
+	}
+	if m.matchable() && !m.matched {
+		c.fail("orphan: msg %d (%s %d->%d) arrived but never matched", id, m.kind, m.src, m.dst)
+	}
 }
 
 // CheckStorage reconciles the store's counters against the trace: every
@@ -784,31 +844,25 @@ type TaxedLogger interface {
 // CheckLogging recomputes the sender-based logging charge from the traced
 // application sends — α + round(β·bytes) on exactly the sends the policy
 // taxes — and requires the protocol's accumulated counters to match
-// exactly. Call after the run (the send set is complete at Finish time).
+// exactly. p is the logger given to Watch before the run (or a view of
+// its stats), whose sends the checker summed as they were injected. Call
+// after the run.
 func (c *Checker) CheckLogging(p TaxedLogger) error {
-	lp := p.LogConfig()
-	var nMsgs, nBytes int64
-	var penalty simtime.Duration
-	for i := 0; i < int(c.nMsgs); i++ {
-		s := c.msgs.get(i)
-		if !s.matchable() || !p.Taxed(int(s.src), int(s.dst)) {
-			continue
-		}
-		nMsgs++
-		nBytes += s.bytes
-		penalty += lp.Alpha + simtime.Duration(math.Round(lp.BetaNsPerByte*float64(s.bytes)))
+	if c.logger == nil {
+		c.fail("logging: no logger was watched, so no taxed sends were summed")
+		return c.Err()
 	}
 	st := p.Stats()
-	if st.LoggedMessages != nMsgs {
+	if st.LoggedMessages != c.logMsgs {
 		c.fail("logging: protocol charged %d messages, trace says %d taxed sends",
-			st.LoggedMessages, nMsgs)
+			st.LoggedMessages, c.logMsgs)
 	}
-	if st.LoggedBytes != nBytes {
-		c.fail("logging: protocol logged %d B, trace says %d B", st.LoggedBytes, nBytes)
+	if st.LoggedBytes != c.logBytes {
+		c.fail("logging: protocol logged %d B, trace says %d B", st.LoggedBytes, c.logBytes)
 	}
-	if st.LogPenalty != penalty {
+	if st.LogPenalty != c.logPenalty {
 		c.fail("logging: protocol charged %v CPU, α+β·bytes over taxed sends is %v",
-			st.LogPenalty, penalty)
+			st.LogPenalty, c.logPenalty)
 	}
 	return c.Err()
 }
@@ -826,20 +880,17 @@ type ReplicaMirror interface {
 // exactly Degree replicas — and requires the protocol's counters to match,
 // along with takeover exclusivity: the protocol's absorbed-takeover count
 // must equal the traced "rep-takeover" markers (each of which the streaming
-// check already paired against a distinct "rep-failure"). Call after the
+// check already paired against a distinct "rep-failure"). p is the
+// protocol given to Watch before the run (or a view of its stats), whose
+// primary sends the checker summed as they were injected. Call after the
 // run.
 func (c *Checker) CheckReplication(p ReplicaMirror) error {
-	d := int64(p.Degree())
-	app := p.AppRanks()
-	var nMsgs, nBytes int64
-	for i := 0; i < int(c.nMsgs); i++ {
-		s := c.msgs.get(i)
-		if !s.matchable() || int(s.src) >= app || int(s.dst) >= app {
-			continue
-		}
-		nMsgs += d
-		nBytes += d * s.bytes
+	if c.mirror == nil {
+		c.fail("replication: no mirror was watched, so no primary sends were summed")
+		return c.Err()
 	}
+	d := int64(p.Degree())
+	nMsgs, nBytes := d*c.mirrorMsgs, d*c.mirrorSize
 	st := p.Stats()
 	if st.MirroredMessages != nMsgs {
 		c.fail("replication: protocol mirrored %d messages, trace requires %d (degree %d over primary sends)",
@@ -872,10 +923,9 @@ func (c *Checker) CheckCIC(st checkpoint.Stats) error {
 
 // FinishRun is the complete post-run conformance check: Finish against the
 // engine's result, CheckStorage when st is non-nil, then CheckLogging,
-// CheckReplication for every agent exposing the matching introspection
-// surface, and CheckCIC for every CIC protocol. It returns the first
-// failing step's error.
-func (c *Checker) FinishRun(res *sim.Result, st *storage.Store, agents ...sim.Agent) error {
+// CheckReplication and CheckCIC for the watched agents exposing the
+// matching surface. It returns the first failing step's error.
+func (c *Checker) FinishRun(res *sim.Result, st *storage.Store) error {
 	if err := c.Finish(res); err != nil {
 		return err
 	}
@@ -884,22 +934,18 @@ func (c *Checker) FinishRun(res *sim.Result, st *storage.Store, agents ...sim.Ag
 			return err
 		}
 	}
-	for _, a := range agents {
-		if tl, ok := a.(TaxedLogger); ok {
-			if err := c.CheckLogging(tl); err != nil {
-				return err
-			}
+	if c.logger != nil {
+		if err := c.CheckLogging(c.logger); err != nil {
+			return err
 		}
-		if rm, ok := a.(ReplicaMirror); ok {
-			if err := c.CheckReplication(rm); err != nil {
-				return err
-			}
+	}
+	if c.mirror != nil {
+		if err := c.CheckReplication(c.mirror); err != nil {
+			return err
 		}
-		if ci, ok := a.(*checkpoint.CIC); ok {
-			if err := c.CheckCIC(ci.Stats()); err != nil {
-				return err
-			}
-		}
+	}
+	if c.cic != nil {
+		return c.CheckCIC(c.cic.Stats())
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package validate_test
 
 import (
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -73,7 +74,14 @@ func replay(net network.Params, events []sim.TraceEvent, res *sim.Result) error 
 // feedChecker returns a fresh checker that has consumed events through
 // Hook, the callback the engine delivers them to.
 func feedChecker(net network.Params, events ...sim.TraceEvent) *validate.Checker {
+	return feedWatched(net, nil, events...)
+}
+
+// feedWatched is feedChecker for a checker handed the run's agents first,
+// as run.Run hands them, so that it sums their sends while it consumes.
+func feedWatched(net network.Params, agents []sim.Agent, events ...sim.TraceEvent) *validate.Checker {
 	c := validate.New(net)
+	c.Watch(agents...)
 	hook := c.Hook(nil)
 	for _, ev := range events {
 		hook(ev)
@@ -125,7 +133,7 @@ func TestValidUncoordinatedLoggingPasses(t *testing.T) {
 	prog := ringProgram(4, 20, smallMsg, bigMsg, 50*simtime.Microsecond)
 	events, res := runTraced(t, net, prog, cp)
 
-	c := feedChecker(net, events...)
+	c := feedWatched(net, []sim.Agent{cp}, events...)
 	if err := c.Finish(res); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
@@ -273,6 +281,78 @@ func TestViolationOrderStable(t *testing.T) {
 	}
 }
 
+// Records that name a message long after it settled — a second arrival, a
+// second match, a match of a rendezvous payload or of a control message —
+// and a match naming a receive that already completed each report the
+// violation a checker keeping every message's full state reports, in
+// stream order.
+func TestLateRecordsForSettledMessages(t *testing.T) {
+	net := network.DefaultParams()
+	base, _ := coordinatedScenario(t)
+	var end simtime.Time
+	first := map[sim.TraceKind]int64{}
+	arrived := map[int64]bool{}
+	var eagerMatch sim.TraceEvent
+	for _, ev := range base {
+		end = max(end, ev.Start, ev.End)
+		switch ev.Type {
+		case sim.TraceInject:
+			if first[ev.Kind] == 0 {
+				first[ev.Kind] = ev.MsgID
+			}
+		case sim.TraceArrive:
+			arrived[ev.MsgID] = true
+		case sim.TraceMatch:
+			if ev.Kind == sim.KindEager && eagerMatch.MsgID == 0 {
+				eagerMatch = ev
+			}
+		}
+	}
+	eager, data, ctl := eagerMatch.MsgID, first[sim.KindData], first[sim.KindCtl]
+	if eager == 0 || data == 0 || ctl == 0 || !arrived[eager] || !arrived[data] || !arrived[ctl] {
+		t.Fatalf("scenario lacks an arrived eager (%d), data (%d) or control (%d) message", eager, data, ctl)
+	}
+	late := func(ev sim.TraceEvent, id int64) sim.TraceEvent {
+		ev.Start, ev.End, ev.MsgID = end, end, id
+		return ev
+	}
+	arrive := sim.TraceEvent{Type: sim.TraceArrive, Kind: sim.KindEager, Rank: eagerMatch.Rank, Op: goal.NoOp}
+	// A fresh eager message whose match names the receive eager completed.
+	next := int64(0)
+	for _, ev := range base {
+		if ev.Type == sim.TraceInject {
+			next = max(next, ev.MsgID+1)
+		}
+	}
+	fresh := sim.TraceEvent{Type: sim.TraceInject, Kind: sim.KindEager, Rank: 0, Op: goal.NoOp,
+		MsgID: next, Src: 0, Dst: 1, Bytes: smallMsg, Wire: smallMsg,
+		Start: end, End: end.Add(net.Wire(smallMsg))}
+	freshArrive := sim.TraceEvent{Type: sim.TraceArrive, Kind: sim.KindEager, Rank: 1, Op: goal.NoOp,
+		MsgID: next, Start: fresh.End, End: fresh.End}
+	freshMatch := freshArrive
+	freshMatch.Type, freshMatch.RecvOp = sim.TraceMatch, eagerMatch.RecvOp
+
+	events := append(append([]sim.TraceEvent(nil), base...),
+		late(arrive, eager),
+		late(eagerMatch, eager),
+		late(eagerMatch, data),
+		late(eagerMatch, data),
+		late(eagerMatch, ctl),
+		fresh, freshArrive, freshMatch)
+	err := feedChecker(net, events...).Err()
+	want := fmt.Sprintf("validate: 6 violation(s):"+
+		"\n  - msg %d arrived twice"+
+		"\n  - msg %d matched twice"+
+		"\n  - msg %d: match of non-matchable kind \"data\""+
+		"\n  - msg %d matched twice"+
+		"\n  - msg %d: match of non-matchable kind \"ctl\""+
+		"\n  - recv op %d matched a second message (msg %d)",
+		eager, eager, data, data, ctl, eagerMatch.RecvOp, next)
+	if err == nil || err.Error() != want {
+		t.Errorf("late records report\n%v\nwant\n%s", err, want)
+	}
+}
+
 // Hook must tee events to the wrapped consumer, and the violation list
 // must cap (keeping a count of the overflow) instead of growing without
 // bound on a badly broken stream.
@@ -378,7 +458,7 @@ func TestCheckLoggingDetectsDrift(t *testing.T) {
 	} {
 		doctor := doctor
 		t.Run(name, func(t *testing.T) {
-			c := feedChecker(net, events...)
+			c := feedWatched(net, []sim.Agent{cp}, events...)
 			if err := c.Finish(res); err != nil {
 				t.Fatalf("valid trace rejected: %v", err)
 			}
@@ -389,6 +469,14 @@ func TestCheckLoggingDetectsDrift(t *testing.T) {
 			}
 		})
 	}
+	t.Run("unwatched", func(t *testing.T) {
+		// Without Watch no taxed send was summed, so there is nothing to
+		// reconcile against.
+		err := feedChecker(net, events...).CheckLogging(cp.(*checkpoint.Uncoordinated))
+		if err == nil || !strings.Contains(err.Error(), "no logger was watched") {
+			t.Fatalf("logging check of an unwatched run reported %v", err)
+		}
+	})
 }
 
 // fuzzBase caches one recorded run for the fuzz target.
@@ -530,7 +618,7 @@ func cicScenario(t testing.TB) (*checkpoint.CIC, []sim.TraceEvent, *sim.Result) 
 func TestValidReplicationTracePasses(t *testing.T) {
 	rp, events, res := replicationScenario(t)
 	net := network.DefaultParams()
-	c := feedChecker(net, events...)
+	c := feedWatched(net, []sim.Agent{rp}, events...)
 	if err := c.Finish(res); err != nil {
 		t.Fatalf("valid replication trace rejected: %v", err)
 	}
@@ -576,7 +664,9 @@ func (f fakeReplica) Stats() checkpoint.Stats { return f.stats }
 func TestCorruptedReplicationRejected(t *testing.T) {
 	rp, base, res := replicationScenario(t)
 	net := network.DefaultParams()
-	feed := func(events []sim.TraceEvent) *validate.Checker { return feedChecker(net, events...) }
+	feed := func(events []sim.TraceEvent) *validate.Checker {
+		return feedWatched(net, []sim.Agent{rp}, events...)
+	}
 
 	t.Run("dropped-mirror", func(t *testing.T) {
 		// The protocol claims one fewer mirrored message than the traced
