@@ -18,9 +18,10 @@
 //     pay the logging tax — the standard hybrid design point between the
 //     two extremes.
 //
-//   - Non-blocking: the coordinated protocol without the quiesce phase; one
-//     trigger sweep starts a background write on every rank, which slows
-//     the application for the write's window instead of stopping it.
+//   - Non-blocking: the coordinated protocol without the quiesce phase; the
+//     shared coordinator's COMMIT sweep starts a background write on every
+//     rank, which slows the application for the write's window instead of
+//     stopping it, and the DONE sweep commits the round's line.
 //
 //   - Partner: diskless checkpointing on independent local timers; each
 //     rank serializes its state and ships the image to a partner rank's
@@ -42,8 +43,13 @@
 //
 // A Config describes any of them, and Config.New builds it: that is the one
 // place a protocol kind becomes an agent. The independent per-rank timers
-// (rankTimer) and the binomial coordination tree (tree) each exist once and
-// are shared by the protocols that use them.
+// (rankTimer) and the coordination round over a binomial tree
+// (coordinator) each exist once and are shared by the protocols that use
+// them: one coordinator round serves Coordinated, NonBlockingCoordinated,
+// each Hierarchical cluster and TwoLevel's global level. A protocol keeps
+// only the state its rounds and its recovery read — per rank, the progress
+// its last line saved, and when that line was taken — and snapshots all of
+// it.
 //
 // All protocols implement Protocol: a sim.Agent plus introspection used by
 // the failure/recovery machinery and the experiment harness.

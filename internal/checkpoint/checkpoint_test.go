@@ -48,6 +48,27 @@ func runWith(t *testing.T, prog *goal.Program, agents ...sim.Agent) *sim.Result 
 	return r
 }
 
+// runMarked runs prog under agents like runWith and returns, per phase
+// marker name, the times the marker was emitted, in order.
+func runMarked(t *testing.T, prog *goal.Program, agents ...sim.Agent) (*sim.Result, map[string][]simtime.Time) {
+	t.Helper()
+	marks := make(map[string][]simtime.Time)
+	e, err := sim.New(sim.Config{Net: network.DefaultParams(), Program: prog, Agents: agents, Seed: 7,
+		Trace: func(ev sim.TraceEvent) {
+			if ev.Type == sim.TracePhase {
+				marks[ev.Name] = append(marks[ev.Name], ev.Start)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, marks
+}
+
 // mustNew builds c's protocol, writing through st, as its concrete type T,
 // or fails the test.
 func mustNew[T Protocol](t testing.TB, c Config, st *storage.Store) T {
@@ -167,14 +188,13 @@ func TestCoordinatedBasics(t *testing.T) {
 	if st.CoordDelay <= 0 || st.RoundSpan < st.CoordDelay {
 		t.Errorf("coord delay %v, round span %v", st.CoordDelay, st.RoundSpan)
 	}
-	if cp.lastLine == 0 {
-		t.Error("global recovery line wrong")
+	if cp.coord.lineAt == 0 || cp.coord.lineAt > r.Makespan {
+		t.Errorf("global recovery line at %v, makespan %v", cp.coord.lineAt, r.Makespan)
 	}
-	if cp.lineStart >= cp.lastLine {
-		t.Error("line start not before line end")
-	}
-	if len(cp.rounds) != int(st.Rounds) {
-		t.Errorf("round records = %d, rounds = %d", len(cp.rounds), st.Rounds)
+	for rank := 0; rank < 8; rank++ {
+		if cp.ProgressAtCheckpoint(rank) == 0 {
+			t.Errorf("rank %d has no progress saved by the global line", rank)
+		}
 	}
 	// Engine-side accounting.
 	if got := r.SeizedTime[ReasonWrite]; got != simtime.Duration(st.Writes)*params.Write {
@@ -197,19 +217,66 @@ func TestCoordinatedRoundsDoNotOverlap(t *testing.T) {
 	prog := stencil(t, 9, 40, 5*simtime.Millisecond)
 	params := Params{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond}
 	cp, _ := NewCoordinated(params)
-	runWith(t, prog, cp)
-	rounds := cp.rounds
-	if len(rounds) < 3 {
-		t.Fatalf("only %d rounds", len(rounds))
+	_, marks := runMarked(t, prog, cp)
+	starts, ends := marks[MarkRoundStart], marks[MarkRoundEnd]
+	if len(ends) < 3 {
+		t.Fatalf("only %d rounds", len(ends))
 	}
-	for i := 1; i < len(rounds); i++ {
-		if rounds[i].Start < rounds[i-1].End {
+	// Every completed round ended; at most one more was cut off by the end
+	// of the run.
+	if int64(len(ends)) != cp.Stats().Rounds || len(starts) < len(ends) || len(starts) > len(ends)+1 {
+		t.Fatalf("%d round starts and %d ends for %d rounds", len(starts), len(ends), cp.Stats().Rounds)
+	}
+	for i := 1; i < len(starts); i++ {
+		if starts[i] < ends[i-1] {
 			t.Errorf("round %d starts at %v before round %d ends at %v",
-				i, rounds[i].Start, i-1, rounds[i-1].End)
+				i, starts[i], i-1, ends[i-1])
 		}
-		if rounds[i].Start < rounds[i-1].Start.Add(params.Interval) {
+		if starts[i] < starts[i-1].Add(params.Interval) {
 			t.Errorf("round %d starts %v after %v, before one interval elapsed",
-				i, rounds[i].Start, rounds[i-1].Start)
+				i, starts[i], starts[i-1])
+		}
+	}
+	if last := ends[len(ends)-1]; cp.coord.lineAt != last {
+		t.Errorf("recovery line at %v, last round ended at %v", cp.coord.lineAt, last)
+	}
+}
+
+// TestCoordinationMessages counts the control traffic of blocking and
+// non-blocking rounds on one program: a blocking round sweeps the tree
+// four times (REQ, ACK, COMMIT, DONE), a non-blocking one twice (COMMIT,
+// DONE), each sweep one message per non-root member; a round cut off by
+// the end of the run sends part of its messages. Only blocking rounds
+// gate the application or mark their phases.
+func TestCoordinationMessages(t *testing.T) {
+	const ranks = 9
+	c := Config{Interval: 10 * simtime.Millisecond, Write: 2 * simtime.Millisecond,
+		Window: 4 * simtime.Millisecond, Slowdown: 1.25}
+	for _, tc := range []struct {
+		kind Kind
+		k    int64
+	}{{KindCoordinated, 4}, {KindNonBlocking, 2}} {
+		c.Kind = tc.kind
+		p, err := c.New(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, marks := runMarked(t, stencil(t, ranks, 40, 5*simtime.Millisecond), p)
+		rounds := p.Stats().Rounds
+		if rounds < 3 {
+			t.Fatalf("%s: only %d rounds", tc.kind, rounds)
+		}
+		lo, hi := tc.k*(ranks-1)*rounds, tc.k*(ranks-1)*(rounds+1)
+		if got := r.Metrics.CtlMessages; got < lo || got > hi {
+			t.Errorf("%s: %d control messages for %d rounds, want %d..%d", tc.kind, got, rounds, lo, hi)
+		}
+		if tc.kind != KindNonBlocking {
+			continue
+		}
+		for _, m := range []string{MarkRoundStart, MarkRoundCommit, MarkRoundEnd, sim.MarkHold, sim.MarkHoldRelease} {
+			if n := len(marks[m]); n != 0 {
+				t.Errorf("%s: %d %q markers", tc.kind, n, m)
+			}
 		}
 	}
 }
@@ -356,21 +423,18 @@ func TestHierarchicalMiddle(t *testing.T) {
 		t.Errorf("logged %d of %d: should be a strict subset", st.LoggedMessages, r.Metrics.AppMessages)
 	}
 	for rank := 0; rank < 16; rank++ {
-		k := h.cluster(rank)
-		if h.lastLine[k] == 0 {
+		if h.coords[h.cluster(rank)].lineAt == 0 || h.ProgressAtCheckpoint(rank) == 0 {
 			t.Errorf("rank %d has no cluster checkpoint", rank)
-		}
-		if h.lineStart[k] >= h.lastLine[k] {
-			t.Errorf("rank %d line start after end", rank)
 		}
 	}
 	if h.Name() != "hierarchical-4" || h.clusterSize != 4 {
 		t.Errorf("identity wrong: %s %d", h.Name(), h.clusterSize)
 	}
-	// Ranks in the same cluster share a line; a rank in another cluster
-	// (staggered) generally does not.
-	if h.lastLine[h.cluster(0)] != h.lastLine[h.cluster(3)] {
-		t.Error("cluster members disagree on recovery line")
+	// Clusters run staggered schedules, so no two share a recovery line.
+	for k := 1; k < len(h.coords); k++ {
+		if h.coords[k].lineAt == h.coords[k-1].lineAt {
+			t.Errorf("clusters %d and %d share the recovery line %v", k-1, k, h.coords[k].lineAt)
+		}
 	}
 }
 

@@ -126,9 +126,7 @@ func (c *CIC) SnapshotState(ctx *sim.Context, sc *snapshot.Codec) {
 	n := ctx.NumRanks()
 	codeStats(sc, &c.stats)
 	snapshot.Slice(sc, &c.idx, n)
-	snapshot.Slice(sc, &c.fired, n)
-	snapshot.Slice(sc, &c.last, n)
-	snapshot.Slice(sc, &c.busyAt, n)
+	c.rankTimer.snapshotState(sc, n)
 	keys := make([]cicChan, 0, len(c.queues))
 	for k := range c.queues {
 		keys = append(keys, k)

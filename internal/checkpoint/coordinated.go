@@ -17,18 +17,6 @@ type Coordinated struct {
 	p     Params
 	stats Stats
 	coord *coordinator
-	// lastLine is the completion time of the most recent full round — the
-	// global recovery line.
-	lastLine simtime.Time
-	// lineStart is the start time of that round: on rollback, work since
-	// lineStart is lost (the conservative bound used by recovery).
-	lineStart simtime.Time
-	rounds    []RoundRecord
-}
-
-// RoundRecord describes one completed coordinated round.
-type RoundRecord struct {
-	Start, End simtime.Time
 }
 
 // NewCoordinated builds the protocol. The first round starts one Interval
@@ -51,12 +39,7 @@ func (c *Coordinated) Init(ctx *sim.Context) {
 // a restoring SnapshotState can rebuild it while the pending tick is
 // restored from the snapshotted event queue.
 func (c *Coordinated) setup(ctx *sim.Context) {
-	c.coord = newCoordinator(ctx, c.p, c, 0, 0, ctx.NumRanks(), &c.stats,
-		func(tick, end simtime.Time) {
-			c.lastLine = end
-			c.lineStart = tick
-			c.rounds = append(c.rounds, RoundRecord{Start: tick, End: end})
-		})
+	c.coord = newCoordinator(ctx, c.p, c, 0, 0, ctx.NumRanks(), &c.stats)
 }
 
 // OnTimer implements sim.TimerOwner: all pending work is the coordinator's.
@@ -71,9 +54,6 @@ func (c *Coordinated) SnapshotState(ctx *sim.Context, sc *snapshot.Codec) {
 		c.setup(ctx)
 	}
 	codeStats(sc, &c.stats)
-	snapshot.Int(sc, &c.lastLine)
-	snapshot.Int(sc, &c.lineStart)
-	codeRounds(sc, &c.rounds)
 	c.coord.snapshotState(sc)
 	codeStore(ctx, sc, c.p.Store)
 }

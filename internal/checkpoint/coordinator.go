@@ -9,14 +9,20 @@ import (
 )
 
 // coordinator runs the two-phase checkpoint rounds over one contiguous
-// group of ranks (the whole machine for Coordinated and TwoLevel's global
-// level, one cluster for Hierarchical). Rounds proceed through four sweeps
-// of the binomial tree over the group, rooted at its first rank:
+// group of ranks (the whole machine for Coordinated, NonBlockingCoordinated
+// and TwoLevel's global level, one cluster for Hierarchical). Rounds
+// proceed through four sweeps of the binomial tree over the group, rooted
+// at its first rank:
 //
 //	REQ  (down): close each member's application gate
 //	ACK  (up):   subtree fully quiesced
 //	COMMIT (down): write the checkpoint (CPU seizure), reopen the gate
 //	DONE (up):   subtree fully written
+//
+// With async set (non-blocking checkpointing), a round skips the quiesce:
+// it starts with the COMMIT sweep, each member's COMMIT starts async's
+// background write instead of a seizure, and the protocol calls written
+// when that write completes. Such rounds emit no phase markers.
 //
 // All sweeps are control messages through the simulated network. Rounds
 // never overlap: the next round starts Interval after the previous round's
@@ -35,8 +41,8 @@ type coordinator struct {
 	lo    int // the group's first rank: member i is rank lo+i
 	tree      // over the group's members
 	stats *Stats
-	// onRound runs when a round fully completes.
-	onRound func(tick, end simtime.Time)
+	// async, when set, starts member i's background write at its COMMIT.
+	async func(i int)
 
 	// per-round state
 	active       bool
@@ -50,6 +56,9 @@ type coordinator struct {
 	// progress a rollback of this group restores.
 	pendingBusy   []simtime.Duration
 	committedBusy []simtime.Duration
+	// lineAt is when the last completed round ended: the group's recovery
+	// line.
+	lineAt simtime.Time
 }
 
 // Coordinator work kinds. Protocols embedding a coordinator route kinds
@@ -65,8 +74,8 @@ const (
 	coordKinds
 )
 
-// Phase markers of a coordinated round, emitted on the group's root with
-// the group size as detail.
+// Phase markers of a blocking coordinated round, emitted on the group's
+// root with the group size as detail.
 const (
 	MarkRoundStart  = "round-start"  // the REQ sweep begins
 	MarkRoundCommit = "round-commit" // every member is quiesced
@@ -75,10 +84,9 @@ const (
 
 // newCoordinator builds the coordinator of the n ranks from lo.
 func newCoordinator(ctx *sim.Context, p Params, owner sim.TimerOwner, group, lo, n int,
-	stats *Stats, onRound func(tick, end simtime.Time)) *coordinator {
+	stats *Stats) *coordinator {
 	return &coordinator{
 		ctx: ctx, p: p, owner: owner, group: int64(group), lo: lo, tree: tree{n: n}, stats: stats,
-		onRound:       onRound,
 		acksLeft:      make([]int, n),
 		donesLeft:     make([]int, n),
 		holds:         make([]sim.Handle, n),
@@ -175,6 +183,7 @@ func (c *coordinator) snapshotState(sc *snapshot.Codec) {
 	snapshot.Slice(sc, &c.holds, n)
 	snapshot.Slice(sc, &c.pendingBusy, n)
 	snapshot.Slice(sc, &c.committedBusy, n)
+	snapshot.Int(sc, &c.lineAt)
 }
 
 func (c *coordinator) tick() {
@@ -185,6 +194,10 @@ func (c *coordinator) tick() {
 	}
 	c.active = true
 	c.tickTime = c.ctx.Now()
+	if c.async != nil {
+		c.handleCommit(0)
+		return
+	}
 	c.ctx.Mark(c.lo, MarkRoundStart, int64(c.n))
 	c.handleReq(0)
 }
@@ -221,11 +234,15 @@ func (c *coordinator) handleCommit(i int) {
 	for _, j := range kids {
 		c.ctx.SendControl(rank, c.lo+j, ControlBytes, c.call(coordCommit, j))
 	}
+	if c.async != nil {
+		c.async(i)
+		return
+	}
 	c.p.write(c.ctx, rank, c.call(coordWritten, i))
 }
 
 // written runs when member i's checkpoint write completes: reopen its gate
-// and report the subtree's progress.
+// (a non-blocking round closed none) and report the subtree's progress.
 func (c *coordinator) written(i int) {
 	c.stats.Writes++
 	c.pendingBusy[i] = c.ctx.RankBusy(c.lo + i)
@@ -242,15 +259,15 @@ func (c *coordinator) doneReady(i int) {
 	}
 	if i == 0 {
 		end := c.ctx.Now()
-		c.ctx.Mark(c.lo, MarkRoundEnd, int64(c.n))
+		if c.async == nil {
+			c.ctx.Mark(c.lo, MarkRoundEnd, int64(c.n))
+		}
 		c.stats.Rounds++ // rounds and their delays count only when complete
 		c.stats.CoordDelay += c.pendingDelay
 		c.stats.RoundSpan += end.Sub(c.tickTime)
 		copy(c.committedBusy, c.pendingBusy)
+		c.lineAt = end
 		c.active = false
-		if c.onRound != nil {
-			c.onRound(c.tickTime, end)
-		}
 		c.schedule(simtime.Max(c.tickTime.Add(c.p.Interval), end))
 		return
 	}

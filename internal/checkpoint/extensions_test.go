@@ -31,7 +31,7 @@ func TestNonBlockingRunsWithoutGating(t *testing.T) {
 	if extra == 0 {
 		t.Error("no interference recorded despite slowdown > 1")
 	}
-	if nb.lastLine == 0 {
+	if nb.coord.lineAt == 0 {
 		t.Error("no recovery line committed")
 	}
 	for rank := 0; rank < 16; rank++ {
@@ -234,9 +234,9 @@ func TestTwoLevelRuns(t *testing.T) {
 		// The local level commits every 2 ms against the global level's
 		// 20 ms, so every rank ends with a local line fresher than the
 		// last global one.
-		if tl.local.last[r] <= tl.globalLast {
+		if tl.local.last[r] <= tl.coord.lineAt {
 			t.Errorf("rank %d local line %v not fresher than global %v",
-				r, tl.local.last[r], tl.globalLast)
+				r, tl.local.last[r], tl.coord.lineAt)
 		}
 		if tl.ProgressAtCheckpoint(r) < tl.GlobalProgressAt(r) {
 			t.Errorf("rank %d local progress behind global", r)
@@ -258,7 +258,7 @@ func TestTwoLevelLocalLineIsFresher(t *testing.T) {
 	runWith(t, stencil(t, 9, 40, simtime.Millisecond), tl)
 	fresher := 0
 	for r := 0; r < 9; r++ {
-		if tl.local.last[r] > tl.globalLast {
+		if tl.local.last[r] > tl.coord.lineAt {
 			fresher++
 		}
 	}

@@ -21,10 +21,6 @@ type Hierarchical struct {
 	log         LogParams
 	stats       Stats
 	coords      []*coordinator
-	// lastLine[k] is the completion time of cluster k's last round;
-	// lineStart[k] its start.
-	lastLine  []simtime.Time
-	lineStart []simtime.Time
 }
 
 // newHierarchical builds KindHierarchical.
@@ -61,16 +57,10 @@ func (h *Hierarchical) Init(ctx *sim.Context) {
 func (h *Hierarchical) setup(ctx *sim.Context) {
 	n := ctx.NumRanks()
 	numClusters := (n + h.clusterSize - 1) / h.clusterSize
-	h.lastLine = make([]simtime.Time, numClusters)
-	h.lineStart = make([]simtime.Time, numClusters)
 	h.coords = make([]*coordinator, numClusters)
 	for k := 0; k < numClusters; k++ {
 		lo := k * h.clusterSize
-		h.coords[k] = newCoordinator(ctx, h.p, h, k, lo, min(h.clusterSize, n-lo), &h.stats,
-			func(tick, end simtime.Time) {
-				h.lastLine[k] = end
-				h.lineStart[k] = tick
-			})
+		h.coords[k] = newCoordinator(ctx, h.p, h, k, lo, min(h.clusterSize, n-lo), &h.stats)
 	}
 }
 
@@ -87,8 +77,6 @@ func (h *Hierarchical) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 		h.setup(ctx)
 	}
 	codeStats(c, &h.stats)
-	snapshot.Slice(c, &h.lastLine, len(h.coords))
-	snapshot.Slice(c, &h.lineStart, len(h.coords))
 	for _, k := range h.coords {
 		k.snapshotState(c)
 	}

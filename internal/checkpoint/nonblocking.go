@@ -10,12 +10,12 @@ import (
 )
 
 // NonBlockingCoordinated is the asynchronous variant of the coordinated
-// protocol: a single trigger sweep down the binomial tree starts a
-// background checkpoint write on every rank — no quiesce phase, no
-// application gate. Each rank's application runs throughout, slowed by the
-// configured interference factor for the duration of the write window, and
-// reports completion up the tree. The round's recovery line commits when
-// the root has every report.
+// protocol: the shared coordinator with the quiesce skipped. A single
+// COMMIT sweep down the binomial tree starts a background checkpoint write
+// on every rank — no application gate. Each rank's application runs
+// throughout, slowed by the configured interference factor for the
+// duration of the write window, and reports completion up the tree. The
+// round's recovery line commits when the root has every report.
 //
 // This models copy-on-write / diskless asynchronous checkpointing. Real
 // implementations must also capture in-flight messages to make the line
@@ -35,30 +35,18 @@ type NonBlockingCoordinated struct {
 	slowdown float64
 	stats    Stats
 	ctx      *sim.Context
+	coord    *coordinator
 
-	// The round in flight, all plain data so a snapshot can be taken at
-	// any event: per rank, the outstanding completions of its background
-	// write (the window, plus the drain when a store is limited) and the
-	// CPU scale it imposes.
-	active    bool
-	tickTime  simtime.Time
-	tree      tree
-	donesLeft []int
-	arrivals  []int
-	scales    []sim.Handle
-	// pendingBusy/committedBusy mirror coordinator's line bookkeeping.
-	pendingBusy   []simtime.Duration
-	committedBusy []simtime.Duration
-	lastLine      simtime.Time
+	// The writes in flight, per rank: the outstanding completions of its
+	// background write (the window, plus the drain when a store is
+	// limited) and the CPU scale it imposes.
+	arrivals []int
+	scales   []sim.Handle
 }
 
-// Work kinds; arg is a rank except for the tick.
-const (
-	nbTick    uint8 = iota // the next round starts
-	nbTrigger              // the start marker reached rank arg
-	nbArrive               // one completion of rank arg's background write
-	nbDone                 // a completion report reached rank arg
-)
+// nbArrive is one completion of member arg's background write; kinds below
+// coordKinds are the coordinator's.
+const nbArrive = coordKinds
 
 // newNonBlocking builds KindNonBlocking: Window must be at least Write and
 // Slowdown at least 1.
@@ -79,7 +67,7 @@ func newNonBlocking(c Config, st *storage.Store) (*NonBlockingCoordinated, error
 // Init implements sim.Agent.
 func (n *NonBlockingCoordinated) Init(ctx *sim.Context) {
 	n.setup(ctx)
-	ctx.AtOwned(simtime.Time(0).Add(n.p.Interval), n, nbTick, 0)
+	n.coord.schedule(simtime.Time(0).Add(n.p.Interval))
 }
 
 // setup allocates run state without scheduling, for Init and a restoring
@@ -87,100 +75,51 @@ func (n *NonBlockingCoordinated) Init(ctx *sim.Context) {
 func (n *NonBlockingCoordinated) setup(ctx *sim.Context) {
 	n.ctx = ctx
 	p := ctx.NumRanks()
-	n.tree = tree{n: p}
-	n.donesLeft = make([]int, p)
+	n.coord = newCoordinator(ctx, n.p, n, 0, 0, p, &n.stats)
+	n.coord.async = n.begin
 	n.arrivals = make([]int, p)
 	n.scales = make([]sim.Handle, p)
-	n.pendingBusy = make([]simtime.Duration, p)
-	n.committedBusy = make([]simtime.Duration, p)
 }
 
 // OnTimer implements sim.TimerOwner.
 func (n *NonBlockingCoordinated) OnTimer(kind uint8, arg int64) {
-	i := int(arg)
-	switch kind {
-	case nbTick:
-		n.tick()
-	case nbTrigger:
-		n.trigger(i)
-	case nbArrive:
-		n.arrivals[i]--
-		if n.arrivals[i] == 0 {
-			n.finish(i)
-		}
-	case nbDone:
-		n.done(i)
-	}
-}
-
-func (n *NonBlockingCoordinated) tick() {
-	if n.active {
+	_, i := coordArg(arg)
+	if kind != nbArrive {
+		n.coord.onTimer(kind, i)
 		return
 	}
-	n.active = true
-	n.tickTime = n.ctx.Now()
-	n.trigger(0)
+	n.arrivals[i]--
+	if n.arrivals[i] == 0 {
+		// The write is complete: lift its interference and report.
+		n.ctx.Release(n.scales[i])
+		n.scales[i] = 0
+		n.coord.written(i)
+	}
 }
 
-// trigger forwards the start marker down the tree and begins the local
-// background write.
-func (n *NonBlockingCoordinated) trigger(i int) {
-	kids := n.tree.children(i)
-	n.donesLeft[i] = len(kids) + 1
-	for _, j := range kids {
-		n.ctx.SendControl(i, j, ControlBytes, sim.Call{Owner: n, Kind: nbTrigger, Arg: int64(j)})
-	}
+// begin starts rank i's background write at its COMMIT.
+func (n *NonBlockingCoordinated) begin(i int) {
 	if n.slowdown > 1 {
 		n.scales[i] = n.ctx.ScaleCPU(i, n.slowdown)
 	}
-	arrive := sim.Call{Owner: n, Kind: nbArrive, Arg: int64(i)}
-	st := n.p.Store
-	if st == nil || !st.TierLimited(storage.TierGlobal) {
-		n.arrivals[i] = 1
-		n.ctx.AfterOwned(n.window, n, arrive.Kind, arrive.Arg)
-		return
+	arrive := n.coord.call(nbArrive, i)
+	n.arrivals[i] = 1
+	if st := n.p.Store; st != nil && st.TierLimited(storage.TierGlobal) {
+		// Bandwidth-limited store: the background writer drains the same
+		// bytes a blocking write would move in p.Write, concurrently with
+		// every other writer in the machine. The write (and its
+		// interference window) ends when both the nominal window has
+		// elapsed and the drain completes — contention stretches the
+		// window, it never shrinks it.
+		st.Bind(n.ctx)
+		b := n.p.Bytes
+		if b <= 0 {
+			b = st.BytesFor(storage.TierGlobal, n.p.Write)
+		}
+		n.arrivals[i] = 2
+		st.Begin(i, storage.TierGlobal, b, arrive)
 	}
-	// Bandwidth-limited store: the background writer drains the same bytes a
-	// blocking write would move in p.Write, concurrently with every
-	// other writer in the machine. The write (and its interference window)
-	// ends when both the nominal window has elapsed and the drain completes —
-	// contention stretches the window, it never shrinks it.
-	st.Bind(n.ctx)
-	b := n.p.Bytes
-	if b <= 0 {
-		b = st.BytesFor(storage.TierGlobal, n.p.Write)
-	}
-	n.arrivals[i] = 2
-	st.Begin(i, storage.TierGlobal, b, arrive)
 	n.ctx.AfterOwned(n.window, n, arrive.Kind, arrive.Arg)
-}
-
-// finish ends rank i's background write: lift its interference and report.
-func (n *NonBlockingCoordinated) finish(i int) {
-	n.ctx.Release(n.scales[i])
-	n.scales[i] = 0
-	n.stats.Writes++
-	n.pendingBusy[i] = n.ctx.RankBusy(i)
-	n.done(i)
-}
-
-func (n *NonBlockingCoordinated) done(i int) {
-	n.donesLeft[i]--
-	if n.donesLeft[i] > 0 {
-		return
-	}
-	if i == 0 {
-		end := n.ctx.Now()
-		n.stats.Rounds++
-		n.stats.RoundSpan += end.Sub(n.tickTime)
-		copy(n.committedBusy, n.pendingBusy)
-		n.lastLine = end
-		n.active = false
-		n.ctx.AtOwned(simtime.Max(n.tickTime.Add(n.p.Interval), end), n, nbTick, 0)
-		return
-	}
-	p := n.tree.parent(i)
-	n.ctx.SendControl(i, p, ControlBytes, sim.Call{Owner: n, Kind: nbDone, Arg: int64(p)})
 }
 
 // Name implements Protocol.
@@ -196,7 +135,7 @@ func (n *NonBlockingCoordinated) Stats() Stats { return n.stats }
 // end; the difference only makes recovery estimates slightly optimistic
 // about saved progress, bounded by one window of work.
 func (n *NonBlockingCoordinated) ProgressAtCheckpoint(rank int) simtime.Duration {
-	return n.committedBusy[rank]
+	return n.coord.committedBusy[rank]
 }
 
 // SnapshotState implements sim.Resumable, round in flight included.
@@ -206,14 +145,9 @@ func (n *NonBlockingCoordinated) SnapshotState(ctx *sim.Context, c *snapshot.Cod
 	}
 	p := ctx.NumRanks()
 	codeStats(c, &n.stats)
-	c.Bool(&n.active)
-	snapshot.Int(c, &n.tickTime)
-	snapshot.Slice(c, &n.donesLeft, p)
+	n.coord.snapshotState(c)
 	snapshot.Slice(c, &n.arrivals, p)
 	snapshot.Slice(c, &n.scales, p)
-	snapshot.Slice(c, &n.pendingBusy, p)
-	snapshot.Slice(c, &n.committedBusy, p)
-	snapshot.Int(c, &n.lastLine)
 	codeStore(ctx, c, n.p.Store)
 }
 

@@ -116,10 +116,8 @@ func (pt *Partner) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	pt.ctx = ctx
 	n := ctx.NumRanks()
 	codeStats(c, &pt.stats)
-	snapshot.Slice(c, &pt.fired, n)
+	pt.rankTimer.snapshotState(c, n)
 	snapshot.Slice(c, &pt.progress, n)
-	snapshot.Slice(c, &pt.last, n)
-	snapshot.Slice(c, &pt.busyAt, n)
 	snapshot.Int(c, &pt.shipped)
 	snapshot.Int(c, &pt.transfers)
 	codeStore(ctx, c, pt.p.Store)

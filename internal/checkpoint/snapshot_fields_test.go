@@ -34,18 +34,15 @@ func requireFields(t *testing.T, typ reflect.Type, handled map[string]string) {
 
 func TestSnapshotCoversCoordinatedFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Coordinated{}), map[string]string{
-		"p":         "immutable parameters (its Store's mutable state rides in the agent section)",
-		"stats":     "serialized (encodeStats)",
-		"coord":     "rebuilt by setup; cross-round state serialized via coordinator.encodeState",
-		"lastLine":  "serialized",
-		"lineStart": "serialized",
-		"rounds":    "serialized (encodeRounds)",
+		"p":     "immutable parameters (its Store's mutable state rides in the agent section)",
+		"stats": "serialized (codeStats)",
+		"coord": "rebuilt by setup; its state serialized via coordinator.snapshotState",
 	})
 }
 
 func TestSnapshotCoversUncoordinatedFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Uncoordinated{}), map[string]string{
-		"rankTimer": "its fired, last and busyAt serialized after stats (see rankTimer below)",
+		"rankTimer": "serialized after stats (rankTimer.snapshotState)",
 		"p":         "immutable parameters (Store state rides in the agent section)",
 		"log":       "immutable parameters",
 		"inc":       "immutable parameters",
@@ -56,8 +53,8 @@ func TestSnapshotCoversUncoordinatedFields(t *testing.T) {
 }
 
 // TestSnapshotCoversRankTimerFields: the per-rank timer every protocol on
-// independent timers embeds. Each embedding protocol walks the three
-// per-rank slices itself, at its own place in its section.
+// independent timers embeds. rankTimer.snapshotState walks the three
+// per-rank slices, at the place each embedding protocol calls it.
 func TestSnapshotCoversRankTimerFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(rankTimer{}), map[string]string{
 		"interval": "immutable configuration",
@@ -76,34 +73,26 @@ func TestSnapshotCoversHierarchicalFields(t *testing.T) {
 		"clusterSize": "immutable configuration",
 		"log":         "immutable parameters",
 		"stats":       "serialized",
-		"coords":      "rebuilt by setup; per-cluster cross-round state serialized in order",
-		"lastLine":    "serialized",
-		"lineStart":   "serialized",
+		"coords":      "rebuilt by setup; each cluster's coordinator.snapshotState in order",
 	})
 }
 
 func TestSnapshotCoversNonBlockingFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(NonBlockingCoordinated{}), map[string]string{
-		"p":             "immutable parameters (Store state rides in the agent section)",
-		"window":        "immutable configuration",
-		"slowdown":      "immutable configuration",
-		"stats":         "serialized",
-		"ctx":           "rebound when restoring (setup)",
-		"active":        "serialized (a round may be in flight)",
-		"tickTime":      "serialized",
-		"tree":          "rebuilt by setup (shape is a pure function of rank count)",
-		"donesLeft":     "serialized",
-		"arrivals":      "serialized (outstanding window/drain completions per rank)",
-		"scales":        "serialized (CPU-scale handles of the writes in flight)",
-		"pendingBusy":   "serialized",
-		"committedBusy": "serialized",
-		"lastLine":      "serialized",
+		"p":        "immutable parameters (Store state rides in the agent section)",
+		"window":   "immutable configuration",
+		"slowdown": "immutable configuration",
+		"stats":    "serialized",
+		"ctx":      "rebound when restoring (setup)",
+		"coord":    "rebuilt by setup; its state, any round in flight included, serialized via coordinator.snapshotState",
+		"arrivals": "serialized (outstanding window/drain completions per rank)",
+		"scales":   "serialized (CPU-scale handles of the writes in flight)",
 	})
 }
 
 func TestSnapshotCoversCICFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(CIC{}), map[string]string{
-		"rankTimer": "its fired, last and busyAt serialized after idx",
+		"rankTimer": "serialized after idx (rankTimer.snapshotState)",
 		"p":         "immutable parameters (Store state rides in the agent section)",
 		"lag":       "immutable configuration",
 		"stats":     "serialized",
@@ -118,7 +107,7 @@ func TestSnapshotCoversPartnerFields(t *testing.T) {
 		"p":         "immutable parameters (Store state rides in the agent section)",
 		"stats":     "serialized",
 		"ctx":       "rebound when restoring",
-		"rankTimer": "its fired serialized before progress, its last and busyAt after it",
+		"rankTimer": "serialized after stats (rankTimer.snapshotState), before progress",
 		"progress":  "serialized (each in-flight checkpoint's saved progress)",
 		"shipped":   "serialized",
 		"transfers": "serialized",
@@ -139,16 +128,13 @@ func TestSnapshotCoversReplicationFields(t *testing.T) {
 
 func TestSnapshotCoversTwoLevelFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(TwoLevel{}), map[string]string{
-		"p":            "immutable parameters",
-		"st":           "the store; its state rides in the agent section",
-		"stats":        "serialized",
-		"ctx":          "rebound when restoring (setup)",
-		"coord":        "rebuilt by setup; its state serialized via coordinator.encodeState",
-		"local":        "the local level's fired, last and busyAt serialized after stats",
-		"globalLast":   "serialized",
-		"globalBusyAt": "serialized",
-		"localWrites":  "serialized",
-		"globalWrites": "serialized",
+		"p":           "immutable parameters",
+		"st":          "the store; its state rides in the agent section",
+		"stats":       "serialized",
+		"ctx":         "rebound when restoring (setup)",
+		"coord":       "rebuilt by setup; its state serialized via coordinator.snapshotState",
+		"local":       "serialized after stats (rankTimer.snapshotState)",
+		"localWrites": "serialized",
 	})
 }
 
@@ -163,7 +149,7 @@ func TestSnapshotCoversCoordinatorFields(t *testing.T) {
 		"lo":            "re-wired by the owning protocol's setup",
 		"tree":          "rebuilt by setup from the member count; laid out on first use",
 		"stats":         "points into the owning protocol's serialized Stats",
-		"onRound":       "re-wired by setup",
+		"async":         "re-wired by setup (the non-blocking protocol's background write)",
 		"active":        "serialized",
 		"tickTime":      "serialized",
 		"pendingDelay":  "serialized",
@@ -172,23 +158,24 @@ func TestSnapshotCoversCoordinatorFields(t *testing.T) {
 		"holds":         "serialized (hold-gate handles of the round in flight)",
 		"pendingBusy":   "serialized",
 		"committedBusy": "serialized (the committed recovery line)",
+		"lineAt":        "serialized (when the committed line was taken)",
 	})
 }
 
 func TestSnapshotCoversStatsFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(Stats{}), map[string]string{
-		"Rounds":           "serialized (encodeStats)",
-		"Writes":           "serialized (encodeStats)",
-		"CoordDelay":       "serialized (encodeStats)",
-		"RoundSpan":        "serialized (encodeStats)",
-		"LoggedMessages":   "serialized (encodeStats)",
-		"LoggedBytes":      "serialized (encodeStats)",
-		"LogPenalty":       "serialized (encodeStats)",
-		"Forced":           "serialized (encodeStats)",
-		"MirroredMessages": "serialized (encodeStats)",
-		"MirroredBytes":    "serialized (encodeStats)",
-		"Heartbeats":       "serialized (encodeStats)",
-		"Takeovers":        "serialized (encodeStats)",
+		"Rounds":           "serialized (codeStats)",
+		"Writes":           "serialized (codeStats)",
+		"CoordDelay":       "serialized (codeStats)",
+		"RoundSpan":        "serialized (codeStats)",
+		"LoggedMessages":   "serialized (codeStats)",
+		"LoggedBytes":      "serialized (codeStats)",
+		"LogPenalty":       "serialized (codeStats)",
+		"Forced":           "serialized (codeStats)",
+		"MirroredMessages": "serialized (codeStats)",
+		"MirroredBytes":    "serialized (codeStats)",
+		"Heartbeats":       "serialized (codeStats)",
+		"Takeovers":        "serialized (codeStats)",
 	})
 }
 

@@ -41,17 +41,6 @@ func codeStore(ctx *sim.Context, c *snapshot.Codec, st *storage.Store) {
 	}
 }
 
-// codeRounds walks completed-round records.
-func codeRounds(c *snapshot.Codec, rounds *[]RoundRecord) {
-	if n := c.Len(len(*rounds)); c.Decoding() {
-		*rounds = make([]RoundRecord, n)
-	}
-	for i := range *rounds {
-		snapshot.Int(c, &(*rounds)[i].Start)
-		snapshot.Int(c, &(*rounds)[i].End)
-	}
-}
-
 // None has no mutable state at all.
 
 // SnapshotState implements sim.Resumable.

@@ -58,13 +58,9 @@ type TwoLevel struct {
 	stats Stats
 	ctx   *sim.Context
 
-	coord *coordinator // the global level
-	local rankTimer    // the local level, on aligned timers
-	// global level (committed lines)
-	globalLast   simtime.Time
-	globalBusyAt []simtime.Duration
-	localWrites  int64
-	globalWrites int64
+	coord       *coordinator // the global level
+	local       rankTimer    // the local level, on aligned timers
+	localWrites int64
 }
 
 // newTwoLevel builds KindTwoLevel from c.TwoLevel.
@@ -95,17 +91,9 @@ func (tl *TwoLevel) Init(ctx *sim.Context) {
 // without scheduling anything, for both Init and a restoring SnapshotState.
 func (tl *TwoLevel) setup(ctx *sim.Context) {
 	tl.ctx = ctx
-	n := ctx.NumRanks()
-	tl.globalBusyAt = make([]simtime.Duration, n)
-
 	// Global level: a full coordinated round.
 	gp := Params{Interval: tl.p.GlobalInterval, Write: tl.p.GlobalWrite, Store: tl.st}
-	tl.coord = newCoordinator(ctx, gp, tl, 0, 0, n, &tl.stats,
-		func(tick, end simtime.Time) {
-			tl.globalLast = end
-			copy(tl.globalBusyAt, tl.coord.committedBusy)
-			tl.globalWrites += int64(n)
-		})
+	tl.coord = newCoordinator(ctx, gp, tl, 0, 0, ctx.NumRanks(), &tl.stats)
 }
 
 // OnTimer implements sim.TimerOwner.
@@ -133,15 +121,9 @@ func (tl *TwoLevel) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	if c.Decoding() {
 		tl.setup(ctx)
 	}
-	n := ctx.NumRanks()
 	codeStats(c, &tl.stats)
-	snapshot.Slice(c, &tl.local.fired, n)
-	snapshot.Slice(c, &tl.local.last, n)
-	snapshot.Slice(c, &tl.local.busyAt, n)
-	snapshot.Int(c, &tl.globalLast)
-	snapshot.Slice(c, &tl.globalBusyAt, n)
+	tl.local.snapshotState(c, ctx.NumRanks())
 	snapshot.Int(c, &tl.localWrites)
-	snapshot.Int(c, &tl.globalWrites)
 	tl.coord.snapshotState(c)
 	codeStore(ctx, c, tl.st)
 }
@@ -156,20 +138,21 @@ func (tl *TwoLevel) Stats() Stats { return tl.stats }
 // ProgressAtCheckpoint implements Protocol: the progress saved by the
 // freshest line covering the rank (normally the local one).
 func (tl *TwoLevel) ProgressAtCheckpoint(rank int) simtime.Duration {
-	if tl.local.last[rank] >= tl.globalLast {
+	if tl.local.last[rank] >= tl.coord.lineAt {
 		return tl.local.busyAt[rank]
 	}
-	return tl.globalBusyAt[rank]
+	return tl.GlobalProgressAt(rank)
 }
 
 // GlobalProgressAt returns the rank's progress saved by the global line.
 func (tl *TwoLevel) GlobalProgressAt(rank int) simtime.Duration {
-	return tl.globalBusyAt[rank]
+	return tl.coord.committedBusy[rank]
 }
 
-// LevelWrites returns the per-level write counts (local, global).
+// LevelWrites returns the per-level write counts (local, global); the
+// global count covers completed rounds only.
 func (tl *TwoLevel) LevelWrites() (local, global int64) {
-	return tl.localWrites, tl.globalWrites
+	return tl.localWrites, tl.stats.Rounds * int64(tl.coord.n)
 }
 
 var (

@@ -67,6 +67,13 @@ func (t *rankTimer) rearm(ctx *sim.Context, rank int) {
 	ctx.AtOwned(simtime.Max(t.fired[rank].Add(t.interval), ctx.Now()), t.owner, t.due, int64(rank))
 }
 
+// snapshotState walks the n ranks' fire times and recovery lines.
+func (t *rankTimer) snapshotState(c *snapshot.Codec, n int) {
+	snapshot.Slice(c, &t.fired, n)
+	snapshot.Slice(c, &t.last, n)
+	snapshot.Slice(c, &t.busyAt, n)
+}
+
 // ProgressAtCheckpoint implements Protocol: the progress saved by the
 // rank's last local checkpoint.
 func (t *rankTimer) ProgressAtCheckpoint(rank int) simtime.Duration { return t.busyAt[rank] }
@@ -174,9 +181,7 @@ func (u *Uncoordinated) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	u.ctx = ctx
 	n := ctx.NumRanks()
 	codeStats(c, &u.stats)
-	snapshot.Slice(c, &u.fired, n)
-	snapshot.Slice(c, &u.last, n)
-	snapshot.Slice(c, &u.busyAt, n)
+	u.rankTimer.snapshotState(c, n)
 	snapshot.Slice(c, &u.nwrites, n)
 	codeStore(ctx, c, u.p.Store)
 }

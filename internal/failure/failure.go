@@ -277,10 +277,7 @@ func (f *Injector) fail() {
 	case replayLocal:
 		// Only the victim rolls back, to its own last checkpoint, and
 		// replays at a speedup because logged messages are ready.
-		lost := f.rework(victim)
-		rec := f.cfg.Restart + lost.Scale(1/replaySpeedup)
-		f.evts = append(f.evts, Event{Time: now, Rank: victim, LostWork: lost, Recovery: rec})
-		f.ctx.SeizeCPU(victim, rec, Reason, sim.Call{})
+		f.rollback(victim, []int{victim}, f.rework, f.cfg.Restart, true)
 	case rollbackCluster:
 		// The victim's whole cluster rolls back to its cluster line and
 		// re-executes together, replaying inter-cluster messages from logs.

@@ -15,20 +15,20 @@ import (
 // pinnedProtocolSHA is, per protocol kind, the SHA-256 of every blob of
 // pinnedProtocolRun, each prefixed by its length. A protocol's agent
 // section is a fixed sequence of fields with no names, so reordering two
-// fields of the same length (Partner's fired, progress, last and busyAt
+// fields of the same length (Partner's fired, last, busyAt and progress
 // slices, say) still decodes, into the wrong fields. These hashes move on
 // any such change. A change of layout also bumps snapshot.FormatVersion;
 // a change of what is written within one layout only re-pins.
 var pinnedProtocolSHA = map[checkpoint.Kind]string{
-	checkpoint.KindNone:          "312c4b3dbc878bb20f9e378c0f8ef1f2db5cd3199c273ef5644059ff9648c255",
-	checkpoint.KindCoordinated:   "1d55ab9b0187bde5cc2a9bfb0b3c3273d5caf3de693a992bae58c3d92e7c7c88",
-	checkpoint.KindUncoordinated: "d3b410b07e86031a1fab272286c7acd898f147a0e7b00de141b02176c5514769",
-	checkpoint.KindHierarchical:  "ca7f8f237f23a5685b9b7dcf9a2f953021c6142e0de2fd71061bdba015df3d23",
-	checkpoint.KindNonBlocking:   "bce88a02b2333dd6cdac0ff503d6b5e8b02b593562d7208974bf881d65126089",
-	checkpoint.KindPartner:       "e4b93946822ac11187e344c8acb6dd3e4462925dc7c4a9f6537ebcd891fb3c54",
-	checkpoint.KindTwoLevel:      "41608155a244e76efa7efa8b4330ede2de629d83ae0db146f1372ee842c1ec27",
-	checkpoint.KindReplication:   "4e81acc20d222fe29e1d11c07d44a58c8e85c0eed0a1c217326aaa8f5f490e56",
-	checkpoint.KindCIC:           "c8bd47af03b787d93e448ea2b98fdb3c1b8e4cddcac4555ac8adf728b5e9e763",
+	checkpoint.KindNone:          "b8ee93c65d2746e83567863009c2b51256c431b4ec45550ba3f56b66eeebd580",
+	checkpoint.KindCoordinated:   "8f88314fd37a169727a59b0e940611e1a1c1278590ed14a51e87e958da83266b",
+	checkpoint.KindUncoordinated: "02614b86e303fc3b8e1d214743b4e7ec9f0b074299a93bbd286955fe06038949",
+	checkpoint.KindHierarchical:  "cff4225d2ad83c18df0adae0031bd46a8a66815fa4b16be9ba8721f0b0afe2c7",
+	checkpoint.KindNonBlocking:   "8ea6a238e77e89e9eaa9e03cbfda380b3e36965fd027428cbc7f9df3ae74dddc",
+	checkpoint.KindPartner:       "561b7522f1ef54b687e3d86fbc605a0ce226cbc1391cc6bf01fcb7b2a989a574",
+	checkpoint.KindTwoLevel:      "2cf867c4c55fbb732c8e594f7aa60008f6287fafe7c887d7477b9a3091cc3eb5",
+	checkpoint.KindReplication:   "7219dc2c28ddcf70e277b1ef2ed92dbf7114f1dc2e66280c3ef041026137693b",
+	checkpoint.KindCIC:           "f15138e1c483af01893b69808b73f40ee6218aef9b31caeb5118d1078b7b7d5f",
 }
 
 // pinnedProtocolRun is a small stencil run of kind with a snapshot every

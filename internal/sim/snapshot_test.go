@@ -659,7 +659,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // what is written within the same layout (the queue's visit order, a
 // presence-flagged table left out) only re-pins the hash, and
 // TestRestoreOlderBlobs proves that older blobs still resume.
-const pinnedSnapshotSHA = "f12c6c03b935b558c8096ee9d9b7b8275791fe7a090a113c5c887181ddec87af"
+const pinnedSnapshotSHA = "e620fca745e539d36b2451d0dd91dc92d48ca6b341e8dd7e30c2191a841a9424"
 
 // TestSnapshotBytesPinned hashes every snapshot of one run taken at cadence
 // 1. snapConfig's run holds every kind of pending work at some event (see
@@ -719,10 +719,12 @@ func TestSnapshotBytesPinned(t *testing.T) {
 // only under a fabric model. testdata/v3-heap-order-dense-tables holds
 // three of seed 1's snapConfig blobs from that encoder, each taken after
 // the event its name gives, with the queue in heap order and a table for
-// every rank that had sent. Each must resume to the uninterrupted run's
-// result, and the resumed engine's next blob must equal this encoder's
-// blob at that event: the old bytes still read, and none of them survives
-// into new blobs.
+// every rank that had sent. Version 4 changed only the protocols' agent
+// sections, so each blob as written is refused with ErrVersion, and its
+// payload, re-sealed under FormatVersion, must resume to the uninterrupted
+// run's result, and the resumed engine's next blob must equal this
+// encoder's blob at that event: the old engine bytes still read, and none
+// of them survives into new blobs.
 func TestRestoreOlderBlobs(t *testing.T) {
 	snaps, _, want := monolithicRun(t, 1)
 	files, err := filepath.Glob("testdata/v3-heap-order-dense-tables/*.snap")
@@ -739,8 +741,12 @@ func TestRestoreOlderBlobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes.Equal(blob, snaps[events-1].Blob) {
-			t.Errorf("%s equals this encoder's blob at event %d: it no longer tests an older encoding", f, events)
+		version, payload, err := snapshot.Open(blob)
+		if err != nil || version != 3 {
+			t.Fatalf("%s: version %d (%v), want an intact version 3 blob", f, version, err)
+		}
+		if _, cur, _ := snapshot.Open(snaps[events-1].Blob); bytes.Equal(payload, cur) {
+			t.Errorf("%s equals this encoder's payload at event %d: it no longer tests an older encoding", f, events)
 		}
 		var next []byte
 		cfg := snapConfig(1, func(s Snapshot) {
@@ -749,11 +755,16 @@ func TestRestoreOlderBlobs(t *testing.T) {
 			}
 		})
 		cfg.Trace = func(TraceEvent) {} // as monolithicRun: blobs carry the trace count
+		if eng, err := New(cfg); err != nil {
+			t.Fatal(err)
+		} else if err := eng.Restore(blob); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("%s: restore as written: %v, want ErrVersion", f, err)
+		}
 		eng, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Restore(blob); err != nil {
+		if err := eng.Restore(snapshot.Seal(snapshot.FormatVersion, payload)); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
 		for i := range eng.side {
