@@ -74,9 +74,10 @@ const (
 	ReasonIOWait = "io-wait"
 )
 
-// ControlBytes is the size of one coordination control message: every
-// request, ack, commit and done of a coordinated, non-blocking or
-// two-level round, and the message model.CoordinationDelay prices.
+// ControlBytes is the size of one control message: every request, ack,
+// commit and done of a coordinated, non-blocking or two-level round, every
+// primary→replica heartbeat of replication, and the message
+// model.CoordinationDelay prices.
 const ControlBytes = 64
 
 // Params is the interval, write and store of a checkpointing protocol.

@@ -50,7 +50,6 @@ type coordinator struct {
 	pendingDelay simtime.Duration // coordination delay of the in-flight round
 	acksLeft     []int
 	donesLeft    []int
-	holds        []sim.Handle // each member's application gate while closed
 	// pendingBusy snapshots each member's application progress at its write;
 	// committedBusy is the snapshot of the last *completed* round — the
 	// progress a rollback of this group restores.
@@ -89,7 +88,6 @@ func newCoordinator(ctx *sim.Context, p Params, owner sim.TimerOwner, group, lo,
 		ctx: ctx, p: p, owner: owner, group: int64(group), lo: lo, tree: tree{n: n}, stats: stats,
 		acksLeft:      make([]int, n),
 		donesLeft:     make([]int, n),
-		holds:         make([]sim.Handle, n),
 		pendingBusy:   make([]simtime.Duration, n),
 		committedBusy: make([]simtime.Duration, n),
 	}
@@ -180,7 +178,6 @@ func (c *coordinator) snapshotState(sc *snapshot.Codec) {
 	snapshot.Int(sc, &c.pendingDelay)
 	snapshot.Slice(sc, &c.acksLeft, n)
 	snapshot.Slice(sc, &c.donesLeft, n)
-	snapshot.Slice(sc, &c.holds, n)
 	snapshot.Slice(sc, &c.pendingBusy, n)
 	snapshot.Slice(sc, &c.committedBusy, n)
 	snapshot.Int(sc, &c.lineAt)
@@ -204,7 +201,7 @@ func (c *coordinator) tick() {
 
 func (c *coordinator) handleReq(i int) {
 	rank := c.lo + i
-	c.holds[i] = c.ctx.HoldApp(rank, ReasonCoord)
+	c.ctx.HoldApp(rank, ReasonCoord)
 	kids := c.children(i)
 	c.acksLeft[i] = len(kids)
 	for _, j := range kids {
@@ -246,8 +243,7 @@ func (c *coordinator) handleCommit(i int) {
 func (c *coordinator) written(i int) {
 	c.stats.Writes++
 	c.pendingBusy[i] = c.ctx.RankBusy(c.lo + i)
-	c.ctx.Release(c.holds[i])
-	c.holds[i] = 0
+	c.ctx.ReleaseHold(c.lo + i)
 	c.doneReady(i)
 }
 

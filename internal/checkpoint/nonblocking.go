@@ -37,11 +37,10 @@ type NonBlockingCoordinated struct {
 	ctx      *sim.Context
 	coord    *coordinator
 
-	// The writes in flight, per rank: the outstanding completions of its
-	// background write (the window, plus the drain when a store is
-	// limited) and the CPU scale it imposes.
+	// arrivals holds, per rank, the outstanding completions of its
+	// background write in flight: the window, plus the drain when a store
+	// is limited.
 	arrivals []int
-	scales   []sim.Handle
 }
 
 // nbArrive is one completion of member arg's background write; kinds below
@@ -78,7 +77,6 @@ func (n *NonBlockingCoordinated) setup(ctx *sim.Context) {
 	n.coord = newCoordinator(ctx, n.p, n, 0, 0, p, &n.stats)
 	n.coord.async = n.begin
 	n.arrivals = make([]int, p)
-	n.scales = make([]sim.Handle, p)
 }
 
 // OnTimer implements sim.TimerOwner.
@@ -91,8 +89,7 @@ func (n *NonBlockingCoordinated) OnTimer(kind uint8, arg int64) {
 	n.arrivals[i]--
 	if n.arrivals[i] == 0 {
 		// The write is complete: lift its interference and report.
-		n.ctx.Release(n.scales[i])
-		n.scales[i] = 0
+		n.ctx.ReleaseScale(i)
 		n.coord.written(i)
 	}
 }
@@ -100,7 +97,7 @@ func (n *NonBlockingCoordinated) OnTimer(kind uint8, arg int64) {
 // begin starts rank i's background write at its COMMIT.
 func (n *NonBlockingCoordinated) begin(i int) {
 	if n.slowdown > 1 {
-		n.scales[i] = n.ctx.ScaleCPU(i, n.slowdown)
+		n.ctx.ScaleCPU(i, n.slowdown)
 	}
 	arrive := n.coord.call(nbArrive, i)
 	n.arrivals[i] = 1
@@ -147,7 +144,6 @@ func (n *NonBlockingCoordinated) SnapshotState(ctx *sim.Context, c *snapshot.Cod
 	codeStats(c, &n.stats)
 	n.coord.snapshotState(c)
 	snapshot.Slice(c, &n.arrivals, p)
-	snapshot.Slice(c, &n.scales, p)
 	codeStore(ctx, c, n.p.Store)
 }
 

@@ -36,8 +36,7 @@ type Partner struct {
 	// progress holds each in-flight checkpoint's application progress,
 	// taken when the rank's state was serialized.
 	progress  []simtime.Duration
-	shipped   int64 // total checkpoint bytes shipped
-	transfers int64
+	transfers int64 // completed image transfers
 }
 
 // Work kinds; arg is the rank.
@@ -98,7 +97,6 @@ func (pt *Partner) OnTimer(kind uint8, arg int64) {
 		}
 		pt.ctx.SendControl(rank, buddy, pt.p.Bytes, sim.Call{Owner: pt, Kind: ptShipped, Arg: arg})
 	case ptShipped:
-		pt.shipped += pt.p.Bytes
 		pt.transfers++
 		pt.finish(rank)
 	}
@@ -118,7 +116,6 @@ func (pt *Partner) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	codeStats(c, &pt.stats)
 	pt.rankTimer.snapshotState(c, n)
 	snapshot.Slice(c, &pt.progress, n)
-	snapshot.Int(c, &pt.shipped)
 	snapshot.Int(c, &pt.transfers)
 	codeStore(ctx, c, pt.p.Store)
 }
@@ -132,7 +129,7 @@ func (pt *Partner) Stats() Stats { return pt.stats }
 // Shipped returns the total bytes transferred to partners and the number of
 // completed transfers.
 func (pt *Partner) Shipped() (bytes int64, transfers int64) {
-	return pt.shipped, pt.transfers
+	return pt.transfers * pt.p.Bytes, pt.transfers
 }
 
 var (

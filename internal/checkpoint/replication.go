@@ -23,10 +23,10 @@ import (
 // checkpointing protocols are honest about the spare resources.
 type Replication struct {
 	degree int // replica ranks per application rank
-	// period is the interval between primary→replica heartbeat control
-	// messages of heartbeatBytes each. A replica declares its primary dead
-	// when the heartbeat after the next scheduled one misses its slot, so
-	// the period bounds failure-detection latency.
+	// period is the interval between primary→replica heartbeats, control
+	// messages the size of a coordination round's. A replica declares its
+	// primary dead when the heartbeat after the next scheduled one misses
+	// its slot, so the period bounds failure-detection latency.
 	period simtime.Duration
 	// takeover is the promotion cost a replica pays after detection —
 	// rewiring communicators and resuming from its live mirrored state.
@@ -36,9 +36,6 @@ type Replication struct {
 	app      int            // application (primary) ranks; replicas are >= app
 	nextBeat []simtime.Time // per-primary next scheduled heartbeat fire
 }
-
-// heartbeatBytes is the size of one primary→replica heartbeat.
-const heartbeatBytes = 64
 
 // MarkRepTakeover is the phase marker of a replica taking over its failed
 // primary; detail is the primary's rank.
@@ -97,7 +94,7 @@ func (rp *Replication) beat(rank int) {
 	}
 	for k := 1; k <= rp.degree; k++ {
 		rp.stats.Heartbeats++
-		rp.ctx.SendControl(rank, rank+k*rp.app, heartbeatBytes, sim.Call{})
+		rp.ctx.SendControl(rank, rank+k*rp.app, ControlBytes, sim.Call{})
 	}
 	next := rp.ctx.Now().Add(rp.period)
 	rp.nextBeat[rank] = next

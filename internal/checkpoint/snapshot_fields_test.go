@@ -86,7 +86,6 @@ func TestSnapshotCoversNonBlockingFields(t *testing.T) {
 		"ctx":      "rebound when restoring (setup)",
 		"coord":    "rebuilt by setup; its state, any round in flight included, serialized via coordinator.snapshotState",
 		"arrivals": "serialized (outstanding window/drain completions per rank)",
-		"scales":   "serialized (CPU-scale handles of the writes in flight)",
 	})
 }
 
@@ -109,8 +108,7 @@ func TestSnapshotCoversPartnerFields(t *testing.T) {
 		"ctx":       "rebound when restoring",
 		"rankTimer": "serialized after stats (rankTimer.snapshotState), before progress",
 		"progress":  "serialized (each in-flight checkpoint's saved progress)",
-		"shipped":   "serialized",
-		"transfers": "serialized",
+		"transfers": "serialized (the shipped bytes are transfers × p.Bytes)",
 	})
 }
 
@@ -155,7 +153,6 @@ func TestSnapshotCoversCoordinatorFields(t *testing.T) {
 		"pendingDelay":  "serialized",
 		"acksLeft":      "serialized",
 		"donesLeft":     "serialized",
-		"holds":         "serialized (hold-gate handles of the round in flight)",
 		"pendingBusy":   "serialized",
 		"committedBusy": "serialized (the committed recovery line)",
 		"lineAt":        "serialized (when the committed line was taken)",

@@ -20,15 +20,15 @@ import (
 // any such change. A change of layout also bumps snapshot.FormatVersion;
 // a change of what is written within one layout only re-pins.
 var pinnedProtocolSHA = map[checkpoint.Kind]string{
-	checkpoint.KindNone:          "b8ee93c65d2746e83567863009c2b51256c431b4ec45550ba3f56b66eeebd580",
-	checkpoint.KindCoordinated:   "8f88314fd37a169727a59b0e940611e1a1c1278590ed14a51e87e958da83266b",
-	checkpoint.KindUncoordinated: "02614b86e303fc3b8e1d214743b4e7ec9f0b074299a93bbd286955fe06038949",
-	checkpoint.KindHierarchical:  "cff4225d2ad83c18df0adae0031bd46a8a66815fa4b16be9ba8721f0b0afe2c7",
-	checkpoint.KindNonBlocking:   "8ea6a238e77e89e9eaa9e03cbfda380b3e36965fd027428cbc7f9df3ae74dddc",
-	checkpoint.KindPartner:       "561b7522f1ef54b687e3d86fbc605a0ce226cbc1391cc6bf01fcb7b2a989a574",
-	checkpoint.KindTwoLevel:      "2cf867c4c55fbb732c8e594f7aa60008f6287fafe7c887d7477b9a3091cc3eb5",
-	checkpoint.KindReplication:   "7219dc2c28ddcf70e277b1ef2ed92dbf7114f1dc2e66280c3ef041026137693b",
-	checkpoint.KindCIC:           "f15138e1c483af01893b69808b73f40ee6218aef9b31caeb5118d1078b7b7d5f",
+	checkpoint.KindNone:          "a5f9120bfbec235f222164a564185503c0b4d9871df6ea654dd81be672b6cfd0",
+	checkpoint.KindCoordinated:   "1ab940351953729d5464a805a86e1b61f03fde0e336a958505c3ee431cea72c4",
+	checkpoint.KindUncoordinated: "6392bfcea336d724a8771ab2d2dbe02b833d50268f958f4f403230817ccefc75",
+	checkpoint.KindHierarchical:  "a04fec7876fc0314b798bc679261aa4a2d62905bfc3378b9642e544dbfe3fde0",
+	checkpoint.KindNonBlocking:   "fae4052272a3ef9b7218d7487565b444c6a180d60b8035c5508412f7b9349378",
+	checkpoint.KindPartner:       "cf0a6b4f4cf34b56f6403eb7d547c9595d4e20c0ac0c50ee06382aaefa13276d",
+	checkpoint.KindTwoLevel:      "3fb0ef79f47f4e1e878688df017212e25542cd1c5de747e95576ae73fd35af56",
+	checkpoint.KindReplication:   "77cf94131100b33f0eb3f51fe1886a3d85ba4d9607ee639703457e4f07141648",
+	checkpoint.KindCIC:           "f9dade9afc44cd74249857d75e1fe29f13d962c869b39df1584d7583fc6720d6",
 }
 
 // pinnedProtocolRun is a small stencil run of kind with a snapshot every

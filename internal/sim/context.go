@@ -17,6 +17,15 @@ func (c *Context) Now() simtime.Time { return c.eng.now }
 // NumRanks returns the number of ranks in the simulated application.
 func (c *Context) NumRanks() int { return c.eng.prog.NumRanks }
 
+// rank returns rank's state, panicking in op's name when rank is out of
+// range.
+func (c *Context) rank(op string, rank int) *rankState {
+	if rank < 0 || rank >= len(c.eng.ranks) {
+		panic(fmt.Sprintf("sim: %s rank %d out of range", op, rank))
+	}
+	return &c.eng.ranks[rank]
+}
+
 // Rand returns the simulation's deterministic random source. Agents must
 // draw from it only inside event callbacks (Init, timers, deliveries), where
 // the total event order makes consumption deterministic.
@@ -65,15 +74,13 @@ func (c *Context) AfterOwned(d simtime.Duration, o TimerOwner, kind uint8, arg i
 // injected noise: the rank stops making application progress and the
 // resulting delay reaches other ranks only through message dependencies.
 func (c *Context) SeizeCPU(rank int, d simtime.Duration, reason string, done Call) {
-	if rank < 0 || rank >= len(c.eng.ranks) {
-		panic(fmt.Sprintf("sim: SeizeCPU rank %d out of range", rank))
-	}
+	st := c.rank("SeizeCPU", rank)
 	if d < 0 {
 		panic(fmt.Sprintf("sim: SeizeCPU negative duration %v", d))
 	}
 	e := c.eng
 	s := e.newSeize(seizeRec{reason: e.internReason(reason), done: e.own(done)})
-	e.jobs.push(&e.ranks[rank].seizeQ, job{kind: jobSeize, cost: d, arg: s})
+	e.jobs.push(&st.seizeQ, job{kind: jobSeize, cost: d, arg: s})
 	e.dispatch(rank)
 }
 
@@ -92,9 +99,7 @@ func (c *Context) SeizeCPU(rank int, d simtime.Duration, reason string, done Cal
 // completion time (the zero Call for none).
 func (c *Context) SeizeCPUDynamic(rank int, nominal simtime.Duration, reason, waitReason string,
 	granted, done Call) {
-	if rank < 0 || rank >= len(c.eng.ranks) {
-		panic(fmt.Sprintf("sim: SeizeCPUDynamic rank %d out of range", rank))
-	}
+	st := c.rank("SeizeCPUDynamic", rank)
 	if nominal < 0 {
 		panic(fmt.Sprintf("sim: SeizeCPUDynamic negative nominal %v", nominal))
 	}
@@ -104,7 +109,7 @@ func (c *Context) SeizeCPUDynamic(rank int, nominal simtime.Duration, reason, wa
 	e := c.eng
 	s := e.newSeize(seizeRec{reason: e.internReason(reason), waitReason: e.internReason(waitReason),
 		granted: e.own(granted), done: e.own(done)})
-	e.jobs.push(&e.ranks[rank].seizeQ, job{kind: jobSeizeOpen, cost: nominal, arg: s})
+	e.jobs.push(&st.seizeQ, job{kind: jobSeizeOpen, cost: nominal, arg: s})
 	e.dispatch(rank)
 }
 
@@ -112,10 +117,7 @@ func (c *Context) SeizeCPUDynamic(rank int, nominal simtime.Duration, reason, wa
 // rank's CPU, at the current time. It is a no-op when no such seizure runs
 // or it was already released.
 func (c *Context) ReleaseSeizure(rank int) {
-	if rank < 0 || rank >= len(c.eng.ranks) {
-		panic(fmt.Sprintf("sim: ReleaseSeizure rank %d out of range", rank))
-	}
-	st := &c.eng.ranks[rank]
+	st := c.rank("ReleaseSeizure", rank)
 	if !st.running || st.runningJob.kind != jobSeizeOpen || st.releasing {
 		return
 	}
@@ -124,10 +126,10 @@ func (c *Context) ReleaseSeizure(rank int) {
 }
 
 // Phase markers the engine emits through Mark. Detail is the rank's gate
-// depth after the change.
+// depth after the change: 1 on close, 0 on release.
 const (
-	MarkHold        = "hold"         // HoldApp closed a gate
-	MarkHoldRelease = "hold-release" // Release reopened one
+	MarkHold        = "hold"         // HoldApp closed the gate
+	MarkHoldRelease = "hold-release" // ReleaseHold reopened it
 )
 
 // Mark emits a TracePhase record on the trace channel (a no-op when no
@@ -136,6 +138,7 @@ const (
 // storage drains — to trace consumers such as the conformance validator.
 // name identifies the phase; detail carries a phase-specific payload.
 func (c *Context) Mark(rank int, name string, detail int64) {
+	c.rank("Mark", rank)
 	if c.eng.cfg.Trace == nil {
 		return
 	}
@@ -143,96 +146,62 @@ func (c *Context) Mark(rank int, name string, detail int64) {
 		Start: c.eng.now, End: c.eng.now, Op: goal.NoOp, Detail: detail})
 }
 
-// Handle names one open HoldApp gate or ScaleCPU factor. It is plain data
-// — agents keep it in their state and serialize it as an int64 — and is
-// handed back with Context.Release. The zero Handle names nothing.
-type Handle int64
-
-// handle packs (rank, slot, kind) so that the zero Handle is never issued.
-func handle(rank, slot int, scale bool) Handle {
-	h := Handle(rank)<<32 | Handle(slot+1)<<1
-	if scale {
-		h |= 1
+// HoldApp closes rank's application gate: no new application job
+// (compute, send, receive processing) is granted the CPU until
+// ReleaseHold(rank). Control traffic and seizures still flow — this models
+// a checkpoint daemon quiescing the application while the MPI progress
+// engine keeps servicing protocol messages. A rank has at most one gate:
+// closing a closed gate panics. Held time is accounted in Result.HeldTime
+// under the given reason, measured from hold to release.
+func (c *Context) HoldApp(rank int, reason string) {
+	st := c.rank("HoldApp", rank)
+	if st.held {
+		panic(fmt.Sprintf("sim: HoldApp rank %d already held", rank))
 	}
-	return h
+	c.eng.sideOf(rank).hold = hold{start: c.eng.now, reason: c.eng.internReason(reason)}
+	st.held = true
+	c.Mark(rank, MarkHold, 1)
 }
 
-// HoldApp closes a gate on rank's application progress: no new application
-// job (compute, send, receive processing) is granted the CPU until the
-// returned Handle is released. Control traffic and seizures still flow —
-// this models a checkpoint daemon quiescing the application while the MPI
-// progress engine keeps servicing protocol messages. Holds nest. Held time
-// is accounted in Result.HeldTime under the given reason, measured from
-// hold to release.
-func (c *Context) HoldApp(rank int, reason string) Handle {
-	if rank < 0 || rank >= len(c.eng.ranks) {
-		panic(fmt.Sprintf("sim: HoldApp rank %d out of range", rank))
-	}
-	sd := c.eng.sideOf(rank)
-	sd.holds = append(sd.holds, hold{start: c.eng.now, reason: c.eng.internReason(reason), open: true})
-	st := &c.eng.ranks[rank]
-	st.held++
-	c.Mark(rank, MarkHold, int64(st.held))
-	return handle(rank, len(sd.holds)-1, false)
-}
-
-// ScaleCPU slows rank's CPU by the given factor (> 1): every job granted
-// while the scale is active costs factor× its nominal time, except service
-// seizures (whose durations are absolute). This models background
-// interference — copy-on-write faults and I/O from an asynchronous
-// checkpoint write, a polluted cache, a co-scheduled daemon — as opposed to
-// SeizeCPU's full interruptions. Scales nest multiplicatively; releasing
-// the returned Handle removes this contribution. The extra time is
-// accounted per rank in Result.RankScaledExtra.
-func (c *Context) ScaleCPU(rank int, factor float64) Handle {
-	if rank < 0 || rank >= len(c.eng.ranks) {
-		panic(fmt.Sprintf("sim: ScaleCPU rank %d out of range", rank))
-	}
-	if !(factor >= 1) { // also rejects NaN
-		panic(fmt.Sprintf("sim: ScaleCPU factor %v < 1", factor))
-	}
-	sd := c.eng.sideOf(rank)
-	sd.scales = append(sd.scales, factor)
-	c.eng.ranks[rank].scaled = true
-	return handle(rank, len(sd.scales)-1, true)
-}
-
-// Release reopens the HoldApp gate or removes the ScaleCPU factor h names.
-// Releasing the zero Handle, or one already released, is a no-op; a Handle
-// must not be released after a later HoldApp/ScaleCPU on the same rank
-// could have reused its slot, so owners zero their copy on release.
-func (c *Context) Release(h Handle) {
-	rank, slot := int(h>>32), int(uint32(h)>>1)-1
-	if rank < 0 || rank >= len(c.eng.side) || slot < 0 {
-		return // no Handle was issued before the side data exists
-	}
-	sd, st := &c.eng.side[rank], &c.eng.ranks[rank]
-	if h&1 == 1 {
-		if slot >= len(sd.scales) {
-			return
-		}
-		// Neutralize rather than delete: later handles hold later slots.
-		// Compact fully-neutral tails so long runs don't accumulate slots.
-		sd.scales[slot] = 1
-		for len(sd.scales) > 0 && sd.scales[len(sd.scales)-1] == 1 {
-			sd.scales = sd.scales[:len(sd.scales)-1]
-		}
-		st.scaled = len(sd.scales) > 0
+// ReleaseHold reopens rank's application gate. It is a no-op when the gate
+// is open.
+func (c *Context) ReleaseHold(rank int) {
+	st := c.rank("ReleaseHold", rank)
+	if !st.held {
 		return
 	}
-	if slot >= len(sd.holds) || !sd.holds[slot].open {
-		return
-	}
-	hd := sd.holds[slot]
-	sd.holds[slot].open = false
-	for len(sd.holds) > 0 && !sd.holds[len(sd.holds)-1].open {
-		sd.holds = sd.holds[:len(sd.holds)-1]
-	}
-	st.held--
-	c.Mark(rank, MarkHoldRelease, int64(st.held))
+	st.held = false
+	c.Mark(rank, MarkHoldRelease, 0)
+	hd := c.eng.side[rank].hold
 	c.eng.heldTime[hd.reason] += c.eng.now.Sub(hd.start)
 	c.eng.heldCnt[hd.reason]++
 	c.eng.dispatch(rank)
+}
+
+// ScaleCPU slows rank's CPU by the given factor (>= 1): every job granted
+// until ReleaseScale(rank) costs factor× its nominal time, except service
+// seizures (whose durations are absolute). This models background
+// interference — copy-on-write faults and I/O from an asynchronous
+// checkpoint write, a polluted cache, a co-scheduled daemon — as opposed to
+// SeizeCPU's full interruptions. A rank has at most one factor: scaling a
+// scaled rank panics. The extra time is accounted per rank in
+// Result.RankScaledExtra.
+func (c *Context) ScaleCPU(rank int, factor float64) {
+	st := c.rank("ScaleCPU", rank)
+	if !(factor >= 1) { // also rejects NaN
+		panic(fmt.Sprintf("sim: ScaleCPU factor %v < 1", factor))
+	}
+	if st.scaled {
+		panic(fmt.Sprintf("sim: ScaleCPU rank %d already scaled", rank))
+	}
+	c.eng.sideOf(rank).scale = factor
+	st.scaled = true
+}
+
+// ReleaseScale removes rank's CPU factor. It is a no-op when the rank is
+// not scaled.
+func (c *Context) ReleaseScale(rank int) {
+	c.rank("ReleaseScale", rank).scaled = false
 }
 
 // SendControl sends a protocol control message of the given size from src
@@ -243,10 +212,8 @@ func (c *Context) Release(h Handle) {
 // application work for both CPUs and the sender NIC — coordination is never
 // free.
 func (c *Context) SendControl(src, dst int, bytes int64, deliver Call) {
-	n := len(c.eng.ranks)
-	if src < 0 || src >= n || dst < 0 || dst >= n {
-		panic(fmt.Sprintf("sim: SendControl %d->%d out of range", src, dst))
-	}
+	st := c.rank("SendControl", src)
+	c.rank("SendControl", dst)
 	if src == dst {
 		panic("sim: SendControl to self")
 	}
@@ -256,7 +223,7 @@ func (c *Context) SendControl(src, dst int, bytes int64, deliver Call) {
 	e := c.eng
 	m := e.newMsg(message{kind: msgCtl, src: int32(src), dst: int32(dst), bytes: bytes,
 		wire: bytes, deliver: e.own(deliver)})
-	e.jobs.push(&e.ranks[src].ctlQ, job{kind: jobCtlSend, cost: e.net.SendCPU(bytes), arg: m})
+	e.jobs.push(&st.ctlQ, job{kind: jobCtlSend, cost: e.net.SendCPU(bytes), arg: m})
 	e.dispatch(src)
 }
 
@@ -270,5 +237,5 @@ func (c *Context) OpsRemaining() int { return c.eng.opsLeft }
 // time would overcount by including checkpoint writes, coordination, and
 // prior recoveries, which are not re-executed.
 func (c *Context) RankBusy(rank int) simtime.Duration {
-	return c.eng.ranks[rank].busy
+	return c.rank("RankBusy", rank).busy
 }

@@ -7,6 +7,7 @@ package sim
 // control traffic) feeds into them.
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +62,8 @@ func randomProgram(r *rng.Source) *goal.Program {
 // chaosAgent applies random (but deterministic, seeded) perturbations:
 // seizures, app gates, CPU scaling, and control chatter. Each perturbation
 // is one planned action, started and ended by the agent's own owned work.
+// A rank has one gate and one CPU factor, so a hold or scale that finds
+// its rank's already taken by an earlier action is skipped.
 type chaosAgent struct {
 	seed    uint64
 	ctx     *Context
@@ -74,7 +77,7 @@ type chaosAction struct {
 	dst  int              // chaosControl
 	d    simtime.Duration // seizure length, or how long a hold/scale lasts
 	f    float64          // chaosScale factor
-	h    Handle           // the open hold or scale
+	open bool             // the hold or scale is in force
 }
 
 // chaosAgent action kinds; OnTimer kind chaosEnd ends action arg's hold or
@@ -119,17 +122,28 @@ func (a *chaosAgent) OnTimer(kind uint8, arg int64) {
 	switch kind {
 	case chaosSeize:
 		a.ctx.SeizeCPU(act.rank, act.d, "chaos", Call{})
-	case chaosHold:
-		act.h = a.ctx.HoldApp(act.rank, "chaos")
-		a.ctx.AfterOwned(act.d, a, chaosEnd, arg)
-	case chaosScale:
-		act.h = a.ctx.ScaleCPU(act.rank, act.f)
+	case chaosHold, chaosScale:
+		if slices.ContainsFunc(a.actions, func(b chaosAction) bool {
+			return b.open && b.kind == kind && b.rank == act.rank
+		}) {
+			return
+		}
+		act.open = true
+		if kind == chaosHold {
+			a.ctx.HoldApp(act.rank, "chaos")
+		} else {
+			a.ctx.ScaleCPU(act.rank, act.f)
+		}
 		a.ctx.AfterOwned(act.d, a, chaosEnd, arg)
 	case chaosControl:
 		a.ctx.SendControl(act.rank, act.dst, 32, Call{})
 	case chaosEnd:
-		a.ctx.Release(act.h)
-		act.h = 0
+		act.open = false
+		if act.kind == chaosHold {
+			a.ctx.ReleaseHold(act.rank)
+		} else {
+			a.ctx.ReleaseScale(act.rank)
+		}
 	}
 }
 

@@ -386,12 +386,11 @@ type seizeRec struct {
 	granted    owned // open-ended seizures only: runs when the CPU is granted
 }
 
-// hold is one HoldApp gate: its reason and the time it closed, so that the
-// held time is accounted at release.
+// hold is a rank's HoldApp gate: its reason and the time it closed, so
+// that the held time is accounted at release.
 type hold struct {
 	start  simtime.Time
 	reason reasonID
-	open   bool
 }
 
 // postedRecv is a receive waiting for a matching message. It carries the
@@ -415,14 +414,14 @@ type rankState struct {
 	// when no hold gate is closed — application work.
 	seizeQ, ctlQ, appQ list
 	posted             list // posted receives, in post order
-	// held counts the open HoldApp gates; application jobs are not granted
-	// the CPU while held > 0.
-	held    int32
+	// held is set while the rank's HoldApp gate is closed; application
+	// jobs are not granted the CPU then.
+	held    bool
 	running bool
 	// releasing is set once the running open-ended seizure has been
 	// released: its completion event is queued.
 	releasing bool
-	// scaled is set while the rank has ScaleCPU factors in force.
+	// scaled is set while the rank has a ScaleCPU factor in force.
 	scaled bool
 
 	unexpected           list // unexpected message slots, in arrival order
@@ -438,12 +437,11 @@ type rankState struct {
 // rankSide is the rank data only the hold, scale, release and fabric paths
 // touch; Engine.side holds it, allocated at the first use.
 type rankSide struct {
-	// holds are the HoldApp gates, indexed by Handle slot.
-	holds []hold
-	// scales holds active ScaleCPU factors, indexed by Handle slot
-	// (released slots are neutral 1s); their product multiplies the cost of
-	// every non-seizure job at grant time.
-	scales []float64
+	// hold is the rank's HoldApp gate while rankState.held is set.
+	hold hold
+	// scale is the rank's ScaleCPU factor while rankState.scaled is set; it
+	// multiplies the cost of every non-seizure job at grant time.
+	scale float64
 	// lastArrival holds, per destination rank, the latest arrival of a
 	// message this rank injected, and clamps later arrivals to it so every
 	// channel is non-overtaking. Only a fabric model needs it: under plain
@@ -835,7 +833,7 @@ func (e *Engine) dispatch(rank int) {
 		j = e.jobs.pop(&st.seizeQ)
 	case !st.ctlQ.empty():
 		j = e.jobs.pop(&st.ctlQ)
-	case st.held == 0 && !st.appQ.empty():
+	case !st.held && !st.appQ.empty():
 		j = e.jobs.pop(&st.appQ)
 	default:
 		return
@@ -845,8 +843,12 @@ func (e *Engine) dispatch(rank int) {
 	st.jobStart = e.now
 	if e.cfg.Trace != nil {
 		kind, name, op := e.traceKind(j)
+		var depth int64
+		if st.held {
+			depth = 1
+		}
 		e.emitTrace(TraceEvent{Type: TraceGrant, Kind: kind, Rank: rank, Name: name,
-			Start: e.now, End: e.now, Op: op, Detail: int64(st.held)})
+			Start: e.now, End: e.now, Op: op, Detail: depth})
 	}
 	if j.kind == jobSeizeOpen {
 		// Open-ended seizure: the CPU is held until the agent calls
@@ -857,15 +859,8 @@ func (e *Engine) dispatch(rank int) {
 	}
 	cost := j.cost
 	if j.kind != jobSeize && st.scaled {
-		f := 1.0
-		for _, sc := range e.side[rank].scales {
-			f *= sc
-		}
-		if f != 1 {
-			scaled := j.cost.Scale(f)
-			st.scaledExtra += scaled - j.cost
-			cost = scaled
-		}
+		cost = j.cost.Scale(e.side[rank].scale)
+		st.scaledExtra += cost - j.cost
 	}
 	e.queue.Push(e.now.Add(cost), event{kind: evJobDone, id: int32(rank)})
 }

@@ -539,24 +539,31 @@ func TestContextPanics(t *testing.T) {
 		func(ctx *Context) { ctx.SendControl(0, 0, 1, Call{}) },
 		func(ctx *Context) { ctx.SendControl(0, 9, 1, Call{}) },
 		func(ctx *Context) { ctx.SendControl(0, 1, -1, Call{}) },
+		func(ctx *Context) { ctx.HoldApp(5, "x") },
+		func(ctx *Context) { ctx.ReleaseHold(5) },
+		func(ctx *Context) { ctx.ReleaseHold(-1) },
+		func(ctx *Context) { ctx.ReleaseScale(5) },
+		func(ctx *Context) { ctx.ReleaseScale(-1) },
 	}
+	prog := b.MustBuild()
 	for i, f := range cases {
-		f := f
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			a := &fnAgent{init: f}
-			e, err := New(Config{Net: testNet(), Program: b.MustBuild(), Agents: []Agent{a}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = e.Run()
-			_ = err
-		}()
+		if !panics(t, prog, f) {
+			t.Errorf("case %d: no panic", i)
+		}
 	}
+}
+
+// panics reports whether running prog with an agent whose Init is init
+// panics.
+func panics(t *testing.T, prog *goal.Program, init func(ctx *Context)) (panicked bool) {
+	t.Helper()
+	defer func() { panicked = recover() != nil }()
+	e, err := New(Config{Net: testNet(), Program: prog, Agents: []Agent{&fnAgent{init: init}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = e.Run()
+	return false
 }
 
 func TestContextIntrospection(t *testing.T) {
@@ -704,10 +711,10 @@ func TestScaleCPUSlowsJobs(t *testing.T) {
 	s.Calc(1000)
 	s.Calc(1000)
 	a := &fnAgent{init: func(ctx *Context) {
-		h := ctx.ScaleCPU(0, 2.0)
+		ctx.ScaleCPU(0, 2.0)
 		// Restore after the first op has been granted (at t=0) and before
 		// the second is granted: the first costs 2000, the second 1000.
-		at(ctx, 2000, func() { ctx.Release(h) })
+		at(ctx, 2000, func() { ctx.ReleaseScale(0) })
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if r.Makespan != 3000 {
@@ -718,16 +725,25 @@ func TestScaleCPUSlowsJobs(t *testing.T) {
 	}
 }
 
-func TestScaleCPUNests(t *testing.T) {
+// TestScaleCPUTwicePanics: a rank has at most one CPU factor, so a second
+// ScaleCPU before ReleaseScale panics; after it, the rank scales again.
+func TestScaleCPUTwicePanics(t *testing.T) {
 	b := goal.NewBuilder(1)
 	b.Calc(0, 1000)
-	a := &fnAgent{init: func(ctx *Context) {
+	prog := b.MustBuild()
+	if !panics(t, prog, func(ctx *Context) {
 		ctx.ScaleCPU(0, 2.0)
 		ctx.ScaleCPU(0, 1.5)
-	}}
-	r := run(t, testNet(), b.MustBuild(), a)
-	if r.Makespan != 3000 {
-		t.Errorf("makespan = %v, want 3000 (factor 3.0)", r.Makespan)
+	}) {
+		t.Error("a second ScaleCPU on a scaled rank did not panic")
+	}
+	r := run(t, testNet(), prog, &fnAgent{init: func(ctx *Context) {
+		ctx.ScaleCPU(0, 2.0)
+		ctx.ReleaseScale(0)
+		ctx.ScaleCPU(0, 1.5)
+	}})
+	if r.Makespan != 1500 {
+		t.Errorf("makespan = %v, want 1500 (the second factor alone)", r.Makespan)
 	}
 }
 
@@ -746,14 +762,14 @@ func TestScaleCPUDoesNotAffectSeizures(t *testing.T) {
 }
 
 func TestScaleCPURestoreIdempotent(t *testing.T) {
-	b := goal.NewBuilder(1)
-	s := b.Seq(0)
-	s.Calc(1000)
+	b := goal.NewBuilder(2)
+	b.Calc(0, 1000)
+	b.Calc(1, 1000)
 	a := &fnAgent{init: func(ctx *Context) {
-		h := ctx.ScaleCPU(0, 2)
-		ctx.Release(h)
-		ctx.Release(h) // double restore must not underflow or panic
-		ctx.Release(0) // the zero Handle names nothing
+		ctx.ScaleCPU(0, 2)
+		ctx.ReleaseScale(0)
+		ctx.ReleaseScale(0) // a double release must not panic
+		ctx.ReleaseScale(1) // nor a release on a rank never scaled
 	}}
 	r := run(t, testNet(), b.MustBuild(), a)
 	if r.Makespan != 1000 {
@@ -764,24 +780,14 @@ func TestScaleCPURestoreIdempotent(t *testing.T) {
 func TestScaleCPUPanics(t *testing.T) {
 	b := goal.NewBuilder(1)
 	b.Calc(0, 10)
+	prog := b.MustBuild()
 	for i, f := range []func(ctx *Context){
 		func(ctx *Context) { ctx.ScaleCPU(5, 2) },
 		func(ctx *Context) { ctx.ScaleCPU(0, 0.5) },
 	} {
-		f := f
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
-			}()
-			a := &fnAgent{init: f}
-			e, err := New(Config{Net: testNet(), Program: b.MustBuild(), Agents: []Agent{a}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _ = e.Run()
-		}()
+		if !panics(t, prog, f) {
+			t.Errorf("case %d: no panic", i)
+		}
 	}
 }
 
@@ -793,9 +799,9 @@ func TestHoldAppGatesOnlyAppWork(t *testing.T) {
 	b.Calc(1, 1000000)
 	var delivered simtime.Time
 	a := &fnAgent{init: func(ctx *Context) {
-		h := ctx.HoldApp(0, "gate")
+		ctx.HoldApp(0, "gate")
 		ctx.SendControl(1, 0, 4, call(ctx, func() { delivered = ctx.Now() }))
-		at(ctx, 500000, func() { ctx.Release(h) })
+		at(ctx, 500000, func() { ctx.ReleaseHold(0) })
 	}}
 	r := run(t, net, b.MustBuild(), a)
 	want := simtime.Time(0).Add(net.SendCPU(4)).Add(net.Wire(4)).Add(net.RecvCPU(4))
@@ -814,18 +820,25 @@ func TestHoldAppGatesOnlyAppWork(t *testing.T) {
 	}
 }
 
-func TestHoldAppNests(t *testing.T) {
+// TestHoldAppTwicePanics: a rank has at most one gate, so a second HoldApp
+// before ReleaseHold panics, while a second ReleaseHold is a no-op.
+func TestHoldAppTwicePanics(t *testing.T) {
 	b := goal.NewBuilder(1)
 	b.Calc(0, 100)
-	a := &fnAgent{init: func(ctx *Context) {
-		h1 := ctx.HoldApp(0, "a")
-		h2 := ctx.HoldApp(0, "b")
-		at(ctx, 1000, func() { ctx.Release(h1) })
-		at(ctx, 2000, func() { ctx.Release(h2); ctx.Release(h1) })
-	}}
-	r := run(t, testNet(), b.MustBuild(), a)
-	if r.Makespan != 2100 {
-		t.Errorf("makespan = %v, want 2100 (released at the outermost)", r.Makespan)
+	prog := b.MustBuild()
+	if !panics(t, prog, func(ctx *Context) {
+		ctx.HoldApp(0, "a")
+		ctx.HoldApp(0, "b")
+	}) {
+		t.Error("a second HoldApp on a held rank did not panic")
+	}
+	r := run(t, testNet(), prog, &fnAgent{init: func(ctx *Context) {
+		ctx.HoldApp(0, "a")
+		at(ctx, 1000, func() { ctx.ReleaseHold(0); ctx.ReleaseHold(0) })
+	}})
+	if r.Makespan != 1100 || r.HeldTime["a"] != 1000 || r.HeldCount["a"] != 1 {
+		t.Errorf("makespan %v, held %v over %d gates; want 1100, 1000 over 1",
+			r.Makespan, r.HeldTime["a"], r.HeldCount["a"])
 	}
 }
 

@@ -4,10 +4,10 @@ package sim
 //
 // Every piece of pending work is plain data: timers, seizure completions
 // and grants, control-message deliveries are all owned records (owner,
-// kind, arg) that OnTimer dispatches, and hold gates and CPU scales are
-// rank data named by Handles. So every instant between two events can be
-// snapshotted — mid coordination round, mid storage drain — with no
-// special cases.
+// kind, arg) that OnTimer dispatches, and a rank's hold gate and CPU
+// factor are rank data that agents address by the rank. So every instant
+// between two events can be snapshotted — mid coordination round, mid
+// storage drain — with no special cases.
 //
 // A snapshot is byte-exact: restoring it into a fresh engine built from an
 // identical Config reproduces the remainder of the run bit-for-bit —
@@ -394,8 +394,9 @@ func (e *Engine) codeJobs(c *snapshot.Codec, rank int, l *list) {
 }
 
 // codeRank walks one rank's state, its side data included. Restoring
-// rebuilds its lists in decode order, derives held, scaled and the queue
-// depths, and each posted receive's peer and tag from its op. A posted
+// rebuilds its lists in decode order, derives the queue depths, and each
+// posted receive's peer and tag from its op. Arrival tables exist only
+// under a fabric model, so a fabric-free engine refuses one. A posted
 // receive must be a receive op of the rank, and an unexpected message an
 // eager or RTS message sent to it, or Run would match what no receive
 // waits for.
@@ -418,28 +419,16 @@ func (e *Engine) codeRank(c *snapshot.Codec, rank int, st *rankState) {
 	e.codeJobs(c, rank, &st.seizeQ)
 	e.codeJobs(c, rank, &st.ctlQ)
 	e.codeJobs(c, rank, &st.appQ)
-	if n := c.Len(len(sd.holds)); c.Decoding() && n > 0 {
-		sd.holds = make([]hold, n)
-	}
-	for i := range sd.holds {
-		h := &sd.holds[i]
-		snapshot.Int(c, &h.start)
-		snapshot.Int(c, &h.reason)
-		c.Bool(&h.open)
-		if h.start > e.now || !e.validReason(h.reason) {
+	if c.Bool(&st.held); st.held {
+		snapshot.Int(c, &sd.hold.start)
+		snapshot.Int(c, &sd.hold.reason)
+		if sd.hold.start > e.now || !e.validReason(sd.hold.reason) {
 			c.Failf("hold out of range")
 		}
-		if c.Decoding() && h.open {
-			st.held++
-		}
 	}
-	if n := c.Len(len(sd.scales)); c.Decoding() && n > 0 {
-		sd.scales = make([]float64, n)
-		st.scaled = true
-	}
-	for i := range sd.scales {
-		if c.F64(&sd.scales[i]); !(sd.scales[i] >= 1) || math.IsInf(sd.scales[i], 1) {
-			c.Failf("scale factor %v out of range", sd.scales[i])
+	if c.Bool(&st.scaled); st.scaled {
+		if c.F64(&sd.scale); !(sd.scale >= 1) || math.IsInf(sd.scale, 1) {
+			c.Failf("scale factor %v out of range", sd.scale)
 		}
 	}
 	snapshot.Int(c, &st.scaledExtra)
@@ -476,19 +465,16 @@ func (e *Engine) codeRank(c *snapshot.Codec, rank int, st *rankState) {
 	}
 	hasArrivals := sd.lastArrival != nil
 	if c.Bool(&hasArrivals); hasArrivals {
-		snapshot.Slice(c, &sd.lastArrival, len(e.ranks))
-		// Older blobs carry the tables on every engine. Without a fabric
-		// model they can never clamp, and dropping them keeps the restored
-		// engine's blobs equal to an uninterrupted run's.
-		if c.Decoding() && !e.net.HasFabric() {
-			sd.lastArrival = nil
+		if !e.net.HasFabric() {
+			c.Failf("arrival table on a fabric-free engine")
 		}
+		snapshot.Slice(c, &sd.lastArrival, len(e.ranks))
 	}
 	snapshot.Int(c, &st.finish)
 	snapshot.Int(c, &st.busy)
 	snapshot.Int(c, &st.ctlBusy)
 	snapshot.Int(c, &st.seizedBusy)
-	if c.Decoding() && (sd.holds != nil || sd.scales != nil || sd.lastArrival != nil) {
+	if c.Decoding() && (st.held || st.scaled || sd.lastArrival != nil) {
 		*e.sideOf(rank) = sd
 	}
 }

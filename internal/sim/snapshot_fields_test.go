@@ -97,8 +97,8 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 		"seizeQ":      "serialized job-by-job, head first; the list is rebuilt in decode order",
 		"ctlQ":        "serialized job-by-job, head first; the list is rebuilt in decode order",
 		"appQ":        "serialized job-by-job, head first; the list is rebuilt in decode order",
-		"held":        "derived on restore from the open holds",
-		"scaled":      "derived on restore from the scale factors",
+		"held":        "serialized; the gate's start and reason follow when set",
+		"scaled":      "serialized; the factor follows when set",
 		"releasing":   "serialized when running; only valid on an open-ended seizure",
 		"scaledExtra": "serialized",
 		"nicFreeAt":   "serialized",
@@ -117,11 +117,11 @@ func TestSnapshotCoversRankStateFields(t *testing.T) {
 
 func TestSnapshotCoversRankSideFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(rankSide{}), map[string]string{
-		"holds":  "serialized (start, reason, open); reasons bounds-checked",
-		"scales": "serialized bit-exact; factors bounds-checked",
+		"hold":  "serialized (start, reason) while the rank is held; reason bounds-checked",
+		"scale": "serialized bit-exact while the rank is scaled; bounds-checked",
 		"lastArrival": "serialized (presence flag + flat slice); kept only under a fabric " +
 			"model, the one model in which the clamp can bind (NIC serialization orders a " +
-			"channel's arrivals otherwise), so restore drops tables on a fabric-free engine",
+			"channel's arrivals otherwise), so a fabric-free engine refuses a table",
 	})
 }
 
@@ -195,7 +195,6 @@ func TestSnapshotCoversHoldFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(hold{}), map[string]string{
 		"start":  "serialized",
 		"reason": "serialized; bounds-checked against the restored reason table",
-		"open":   "serialized",
 	})
 }
 

@@ -13,9 +13,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -34,15 +31,14 @@ import (
 // and draws from the engine RNG, and — every few fires — an exchange that
 // holds and slows a rank until a control message's continuation runs, and
 // an open-ended seizure released by a later timer. Its state (the firing
-// count and the open handles) and its pending work all matter to the
-// remainder of the run. OnTimer tolerates any kind and argument, so fuzzed
-// snapshots that restore cleanly also run without panicking.
+// count) and its pending work all matter to the remainder of the run. It
+// reads whether a rank's exchange is in flight from the rank's gate and
+// factor, so OnTimer tolerates any kind and argument, and fuzzed snapshots
+// that restore cleanly also run without panicking.
 type snapTestAgent struct {
 	ctx    *Context
 	period simtime.Duration
 	fires  int64
-	holds  []Handle // per rank: the gate of its exchange in flight
-	scales []Handle // per rank: the CPU scale of its exchange in flight
 }
 
 // snapTestAgent work kinds; all but snapFire take a rank argument.
@@ -55,8 +51,6 @@ const (
 
 func (a *snapTestAgent) Init(ctx *Context) {
 	a.ctx = ctx
-	a.holds = make([]Handle, ctx.NumRanks())
-	a.scales = make([]Handle, ctx.NumRanks())
 	ctx.AfterOwned(a.period, a, snapFire, 0)
 }
 
@@ -68,9 +62,9 @@ func (a *snapTestAgent) OnTimer(kind uint8, arg int64) {
 		a.fires++
 		rank = int(uint64(a.fires) % uint64(n))
 		a.ctx.SeizeCPU(rank, simtime.Duration(500+a.ctx.Rand().Intn(2000)), "snaptest", Call{})
-		if a.fires%3 == 0 && a.holds[rank] == 0 {
-			a.holds[rank] = a.ctx.HoldApp(rank, "snaphold")
-			a.scales[rank] = a.ctx.ScaleCPU(rank, 1.5)
+		if st := &a.ctx.eng.ranks[rank]; a.fires%3 == 0 && !st.held && !st.scaled {
+			a.ctx.HoldApp(rank, "snaphold")
+			a.ctx.ScaleCPU(rank, 1.5)
 			a.ctx.SendControl(rank, (rank+1)%n, 64, Call{Owner: a, Kind: snapDelivered, Arg: int64(rank)})
 		}
 		if a.fires%4 == 0 {
@@ -81,9 +75,8 @@ func (a *snapTestAgent) OnTimer(kind uint8, arg int64) {
 			a.ctx.AfterOwned(a.period, a, snapFire, 0)
 		}
 	case snapDelivered:
-		a.ctx.Release(a.holds[rank])
-		a.ctx.Release(a.scales[rank])
-		a.holds[rank], a.scales[rank] = 0, 0
+		a.ctx.ReleaseHold(rank)
+		a.ctx.ReleaseScale(rank)
 	case snapGranted:
 		a.ctx.AfterOwned(simtime.Duration(200+a.ctx.Rand().Intn(400)), a, snapRelease, int64(rank))
 	case snapRelease:
@@ -94,8 +87,6 @@ func (a *snapTestAgent) OnTimer(kind uint8, arg int64) {
 func (a *snapTestAgent) SnapshotState(ctx *Context, c *snapshot.Codec) {
 	a.ctx = ctx
 	snapshot.Int(c, &a.fires)
-	snapshot.Slice(c, &a.holds, ctx.NumRanks())
-	snapshot.Slice(c, &a.scales, ctx.NumRanks())
 }
 
 // snapConfig builds the canonical test configuration for seed: a random
@@ -260,7 +251,7 @@ func allPendingLive(e *Engine) bool {
 	}
 	for i := range e.ranks {
 		st := &e.ranks[i]
-		held = held || st.held > 0
+		held = held || st.held
 		scaled = scaled || st.scaled
 		if st.running {
 			scan(&st.runningJob)
@@ -354,6 +345,12 @@ func TestSnapshotCorruptionTable(t *testing.T) {
 		bad := snapshot.Seal(snapshot.FormatVersion+1, payload)
 		if err := restoreInto(t, seed, bad); !errors.Is(err, snapshot.ErrVersion) {
 			t.Errorf("future format version: %v, want ErrVersion", err)
+		}
+		// Older blobs are not read at all, not even a current payload
+		// under the previous version's seal.
+		old := snapshot.Seal(snapshot.FormatVersion-1, payload)
+		if err := restoreInto(t, seed, old); !errors.Is(err, snapshot.ErrVersion) {
+			t.Errorf("previous format version: %v, want ErrVersion", err)
 		}
 	})
 
@@ -474,7 +471,8 @@ func renameOp(want func(d int32) bool) func(*Engine, int) bool {
 // receive can match, is corrupt — Restore fails instead of handing Run an
 // op it would index with -1, complete twice, never complete or credit to
 // the wrong rank, a completion before the present, or a match it cannot
-// make.
+// make. So is an arrival table on a fabric-free engine, the one kind of
+// side data such an engine never keeps.
 func TestRestoreRefusesBadOps(t *testing.T) {
 	const seed = 42
 	for name, bad := range map[string]func(*Engine, int) bool{
@@ -542,6 +540,10 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 				}
 			}
 			return false
+		},
+		"arrival table": func(e *Engine, r int) bool {
+			e.sideOf(r).lastArrival = make([]simtime.Time, len(e.ranks))
+			return true
 		},
 	} {
 		eng, err := New(snapConfig(seed, nil))
@@ -657,9 +659,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 // bytes written for a state move. A change of layout, which older blobs
 // cannot be read under, also bumps snapshot.FormatVersion; a change of
 // what is written within the same layout (the queue's visit order, a
-// presence-flagged table left out) only re-pins the hash, and
-// TestRestoreOlderBlobs proves that older blobs still resume.
-const pinnedSnapshotSHA = "e620fca745e539d36b2451d0dd91dc92d48ca6b341e8dd7e30c2191a841a9424"
+// presence-flagged table left out) only re-pins the hash.
+const pinnedSnapshotSHA = "9df2aacca0633ec5f682e5a8244ded015304c3148dc158661b073d1ca63fa758"
 
 // TestSnapshotBytesPinned hashes every snapshot of one run taken at cadence
 // 1. snapConfig's run holds every kind of pending work at some event (see
@@ -711,77 +712,6 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedSnapshotSHA {
 		t.Errorf("%d snapshot blobs hash to %s, pinned %s: the snapshot bytes changed",
 			len(blobs), got, pinnedSnapshotSHA)
-	}
-}
-
-// TestRestoreOlderBlobs restores FormatVersion 3 blobs written before the
-// queue was encoded in (t, seq) order and before arrival tables were kept
-// only under a fabric model. testdata/v3-heap-order-dense-tables holds
-// three of seed 1's snapConfig blobs from that encoder, each taken after
-// the event its name gives, with the queue in heap order and a table for
-// every rank that had sent. Version 4 changed only the protocols' agent
-// sections, so each blob as written is refused with ErrVersion, and its
-// payload, re-sealed under FormatVersion, must resume to the uninterrupted
-// run's result, and the resumed engine's next blob must equal this
-// encoder's blob at that event: the old engine bytes still read, and none
-// of them survives into new blobs.
-func TestRestoreOlderBlobs(t *testing.T) {
-	snaps, _, want := monolithicRun(t, 1)
-	files, err := filepath.Glob("testdata/v3-heap-order-dense-tables/*.snap")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no older blobs found (%v)", err)
-	}
-	for _, f := range files {
-		var events int
-		if _, err := fmt.Sscanf(filepath.Base(f), "seed1-event%d.snap", &events); err != nil ||
-			events < 1 || events >= len(snaps) {
-			t.Fatalf("%s: name does not give an event inside the run (%v)", f, err)
-		}
-		blob, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		version, payload, err := snapshot.Open(blob)
-		if err != nil || version != 3 {
-			t.Fatalf("%s: version %d (%v), want an intact version 3 blob", f, version, err)
-		}
-		if _, cur, _ := snapshot.Open(snaps[events-1].Blob); bytes.Equal(payload, cur) {
-			t.Errorf("%s equals this encoder's payload at event %d: it no longer tests an older encoding", f, events)
-		}
-		var next []byte
-		cfg := snapConfig(1, func(s Snapshot) {
-			if next == nil {
-				next = s.Blob
-			}
-		})
-		cfg.Trace = func(TraceEvent) {} // as monolithicRun: blobs carry the trace count
-		if eng, err := New(cfg); err != nil {
-			t.Fatal(err)
-		} else if err := eng.Restore(blob); !errors.Is(err, snapshot.ErrVersion) {
-			t.Errorf("%s: restore as written: %v, want ErrVersion", f, err)
-		}
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Restore(snapshot.Seal(snapshot.FormatVersion, payload)); err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		for i := range eng.side {
-			if eng.side[i].lastArrival != nil {
-				t.Errorf("%s: rank %d kept its arrival table on a fabric-free engine", f, i)
-			}
-		}
-		got, err := eng.Run()
-		if err != nil {
-			t.Fatalf("%s: resumed run: %v", f, err)
-		}
-		if !bytes.Equal(got.CanonicalBytes(), want.CanonicalBytes()) {
-			t.Errorf("%s: resumed result differs from the uninterrupted run's", f)
-		}
-		if !bytes.Equal(next, snaps[events].Blob) {
-			t.Errorf("%s: the resumed engine's blob at event %d differs from an uninterrupted run's", f, events+1)
-		}
 	}
 }
 
