@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,11 +24,17 @@ import (
 
 	"checkpointsim"
 	"checkpointsim/internal/exp"
+	"checkpointsim/internal/goal"
 	"checkpointsim/internal/network"
+	"checkpointsim/internal/sim"
 	"checkpointsim/internal/simtime"
 	"checkpointsim/internal/snapshot"
 	"checkpointsim/internal/timeline"
 )
+
+// failureCapFactor is the multiple of the critical path at which a run with
+// failures and no -max-time stops.
+const failureCapFactor = 1000
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -91,7 +98,7 @@ func run(args []string, out io.Writer) error {
 	fs.Var(&cfg.Failures.MTBF, "mtbf", "per-node MTBF (0 = no failures)")
 	fs.Var(&cfg.Failures.Restart, "restart", "failure restart cost")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
-	fs.Var((*simtime.Duration)(&cfg.MaxTime), "max-time", "abort after this much virtual time (0 = unlimited)")
+	fs.Var((*simtime.Duration)(&cfg.MaxTime), "max-time", fmt.Sprintf("abort after this much virtual time (0 = unlimited, or %d× the critical path with -mtbf)", failureCapFactor))
 	fs.StringVar(&netName, "net", netName, "network preset: default|capability|ethernet")
 	fs.Float64Var(&bisection, "bisection", 0, "bisection bandwidth in GB/s (0 = unconstrained)")
 	cfg.Storage.BindFlags(fs)
@@ -131,6 +138,18 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
+	// Failures the machine cannot outrun would simulate forever, so a run
+	// with failures and no -max-time stops at a multiple of its
+	// contention-free makespan.
+	var failureCap simtime.Duration
+	if cfg.Failures != nil && cfg.MaxTime == 0 {
+		if cfg.Program, err = cfg.BuildProgram(); err != nil {
+			return err
+		}
+		cp, _ := goal.CriticalPath(cfg.Program, cfg.Net)
+		failureCap = cp.Scale(failureCapFactor)
+		cfg.MaxTime = simtime.Time(failureCap)
+	}
 	col := timeline.NewCollector()
 	if timelineCSV != "" || gantt {
 		cfg.Trace = col.Add
@@ -162,13 +181,17 @@ func run(args []string, out io.Writer) error {
 	}
 
 	res, err := checkpointsim.Run(cfg)
+	if errors.Is(err, sim.ErrCapExceeded) && failureCap > 0 {
+		return fmt.Errorf("%w: failures without -max-time cap a run at %d× its critical path, %v",
+			err, failureCapFactor, failureCap)
+	}
 	if err != nil {
 		return err
 	}
 	if snapErr != nil {
 		return snapErr
 	}
-	if cfg.Program != nil {
+	if traceFile != "" {
 		fmt.Fprintf(out, "workload:  trace %s@%s on %d ranks, %d ops\n",
 			traceName, traceDigest, cfg.Program.NumRanks, len(cfg.Program.Ops))
 	} else {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"checkpointsim"
 )
 
 func capture(t *testing.T, args ...string) string {
@@ -221,6 +225,31 @@ func TestExtendedProtocolFlags(t *testing.T) {
 		if err := run(c, &sb); err == nil {
 			t.Errorf("args %v accepted", c)
 		}
+	}
+}
+
+// TestFailureCapWithoutMaxTime: a failure rate the machine cannot outrun
+// (a system MTBF of 2.5 ms against the 1 ms default restart plus rework)
+// never finishes, so with no -max-time checksim stops it at
+// failureCapFactor times its critical path and names that bound, within
+// a few seconds.
+func TestFailureCapWithoutMaxTime(t *testing.T) {
+	prog, err := checkpointsim.RunConfig{Workload: "cg", Ranks: 16, Iterations: 10,
+		Compute: checkpointsim.Millisecond, MsgBytes: 4096, Seed: 42}.BuildProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, _ := checkpointsim.CriticalPath(prog, checkpointsim.DefaultNetwork())
+	bound := cp.Scale(failureCapFactor)
+	start := time.Now()
+	err = run([]string{"-workload", "cg", "-ranks", "16", "-iters", "10", "-protocol", "coordinated",
+		"-interval", "2ms", "-mtbf", "40ms", "-validate"}, new(strings.Builder))
+	if err == nil || !strings.Contains(err.Error(), "cap exceeded") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%v passed", bound)) {
+		t.Fatalf("run: %v, want the time cap exceeded at %v", err, bound)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("the capped run took %v", d)
 	}
 }
 

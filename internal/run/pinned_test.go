@@ -20,15 +20,15 @@ import (
 // any such change. A change of layout also bumps snapshot.FormatVersion;
 // a change of what is written within one layout only re-pins.
 var pinnedProtocolSHA = map[checkpoint.Kind]string{
-	checkpoint.KindNone:          "a5f9120bfbec235f222164a564185503c0b4d9871df6ea654dd81be672b6cfd0",
-	checkpoint.KindCoordinated:   "1ab940351953729d5464a805a86e1b61f03fde0e336a958505c3ee431cea72c4",
-	checkpoint.KindUncoordinated: "6392bfcea336d724a8771ab2d2dbe02b833d50268f958f4f403230817ccefc75",
-	checkpoint.KindHierarchical:  "a04fec7876fc0314b798bc679261aa4a2d62905bfc3378b9642e544dbfe3fde0",
-	checkpoint.KindNonBlocking:   "fae4052272a3ef9b7218d7487565b444c6a180d60b8035c5508412f7b9349378",
-	checkpoint.KindPartner:       "cf0a6b4f4cf34b56f6403eb7d547c9595d4e20c0ac0c50ee06382aaefa13276d",
-	checkpoint.KindTwoLevel:      "3fb0ef79f47f4e1e878688df017212e25542cd1c5de747e95576ae73fd35af56",
-	checkpoint.KindReplication:   "77cf94131100b33f0eb3f51fe1886a3d85ba4d9607ee639703457e4f07141648",
-	checkpoint.KindCIC:           "f9dade9afc44cd74249857d75e1fe29f13d962c869b39df1584d7583fc6720d6",
+	checkpoint.KindNone:          "82862dbef7a53f77aa63a57dbd1b674dbeb53018784a9be90d30ce17276aed66",
+	checkpoint.KindCoordinated:   "668b3873b63b9108db4858b7f50fb51e62587f171d62f158b92dd8557cadc75b",
+	checkpoint.KindUncoordinated: "d8d7553e77146b2e06410a2b287b183af636fa5edd96e099eac09534a6dc2167",
+	checkpoint.KindHierarchical:  "7f56c725eba9297bcb9c787b721f7dfed4958eeebd8d482809efe9b13e2a77a7",
+	checkpoint.KindNonBlocking:   "37868be5e7f827d057934699df7c36be2581c11db34bfc666e4359205e28fdef",
+	checkpoint.KindPartner:       "3b858782ae11f8a83c0a1fae4e6b54fdc565b5f9c77becb8dd519af79acebc06",
+	checkpoint.KindTwoLevel:      "38d1d791b6cdfe35e890c94e1c9ccf3d0b8c100e3c42f49432c68d02b40bb70d",
+	checkpoint.KindReplication:   "7ec89ba3e7c72ecda932e82d8d796e6968e5f086550c25a19688cdc30e89f9b2",
+	checkpoint.KindCIC:           "0798df0a5261ec2f84a6a19674e74ac8ce2263e5a3e990f020955df9f95575ec",
 }
 
 // pinnedProtocolRun is a small stencil run of kind with a snapshot every

@@ -126,22 +126,9 @@ type assembly struct {
 // sim.Config, and its Identity is the config's canonical cache encoding, so
 // a snapshot resumes only under this exact config.
 func (cfg Config) assemble() (*assembly, error) {
-	prog := cfg.Program
-	if prog == nil {
-		var err error
-		prog, err = workload.FromName(cfg.Workload, workload.CommonConfig{
-			Base: workload.Base{
-				Ranks:      cfg.Ranks,
-				Iterations: cfg.Iterations,
-				Compute:    cfg.Compute,
-				Jitter:     cfg.Jitter,
-				Seed:       cfg.Seed,
-			},
-			Bytes: cfg.MsgBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
+	prog, err := cfg.BuildProgram()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Protocol.Kind == checkpoint.KindReplication {
 		d, err := cfg.Protocol.Replicas()
@@ -153,7 +140,6 @@ func (cfg Config) assemble() (*assembly, error) {
 		}
 	}
 	a := &assembly{}
-	var err error
 	if (cfg.Storage != storage.Params{}) {
 		if a.store, err = storage.New(cfg.Storage); err != nil {
 			return nil, err
@@ -188,6 +174,25 @@ func (cfg Config) assemble() (*assembly, error) {
 		Identity:      func() string { return cache.Canonical(cfg.CacheFields()) },
 	}
 	return a, nil
+}
+
+// BuildProgram returns the application the config runs before any
+// replication widening: Program when set, else the named workload built
+// from the shape fields.
+func (cfg Config) BuildProgram() (*goal.Program, error) {
+	if cfg.Program != nil {
+		return cfg.Program, nil
+	}
+	return workload.FromName(cfg.Workload, workload.CommonConfig{
+		Base: workload.Base{
+			Ranks:      cfg.Ranks,
+			Iterations: cfg.Iterations,
+			Compute:    cfg.Compute,
+			Jitter:     cfg.Jitter,
+			Seed:       cfg.Seed,
+		},
+		Bytes: cfg.MsgBytes,
+	})
 }
 
 // Run executes one study point end to end: assemble, attach the

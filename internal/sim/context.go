@@ -31,14 +31,14 @@ func (c *Context) rank(op string, rank int) *rankState {
 // the total event order makes consumption deterministic.
 func (c *Context) Rand() *rng.Source { return c.eng.rand }
 
-// OwnTimers registers o as a timer owner under a stable string key, so that
-// it can own timers and Calls. Agents are registered automatically at New
-// under "agent:<index>"; subsystems that are not agents (the shared storage
-// arbiter) register themselves when they bind to the simulation.
-// Registration is idempotent for the same (key, owner) pair; reusing a key
-// for a different owner panics — keys are the identity snapshots check.
-func (c *Context) OwnTimers(key string, o TimerOwner) {
-	c.eng.registerOwner(key, o)
+// OwnTimers registers o as a timer owner, so that it can own timers and
+// Calls; registering it again is a no-op. Owned work names its owner by
+// registration order, so owners register in a fixed order: the agents,
+// automatically at New in stack order, then at most one subsystem that is
+// not an agent, the shared storage arbiter, which registers when its
+// protocol binds it and again while its protocol's state is restored.
+func (c *Context) OwnTimers(o TimerOwner) {
+	c.eng.registerOwner(o)
 }
 
 // AtOwned schedules a timer: at absolute time t, o.OnTimer(kind, arg) runs.

@@ -303,7 +303,7 @@ type event struct {
 }
 
 // owned is one piece of pending agent work as plain data: a Call bound to
-// its owner's registration ID. Running it invokes
+// its owner's position in the owner table. Running it invokes
 // owners[owner-1].OnTimer(kind, arg); the zero value (owner 0) is "no
 // work". Timers, completion callbacks, control-message deliveries and
 // seizure grants all take this one form, so every instant between two
@@ -578,12 +578,9 @@ type Engine struct {
 	posts  slab[postedRecv]
 	unexps slab[int32]
 	ran    bool
-	// Owner registry (snapshot.go): owned work names its owner by a dense
-	// ID (index+1 into owners); ownerKeys holds each ID's stable string key
-	// so a snapshot's IDs are checked against the restoring engine's.
+	// owners are the timer owners in registration order (see OwnTimers):
+	// owned work names its owner by position, index+1.
 	owners     []TimerOwner
-	ownerKeys  []string
-	ownerIDs   map[TimerOwner]int32
 	traceCount int64  // trace records emitted so far (resume suffix index)
 	restored   bool   // Run must skip Init/activation: state came from Restore
 	digest     []byte // config digest, computed at the first snapshot or restore
@@ -655,11 +652,11 @@ func New(cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("sim: SnapshotEvery set but agent %d (%T) is not Resumable", i, a)
 			}
 		}
-		// Agents own their timers under a stable positional key, so a
-		// snapshot taken by one engine resolves in another built from the
-		// same Config (agent order is part of the config digest).
+		// Agents own their timers in stack order, which the config digest
+		// seals, so a snapshot's owner positions resolve in any engine
+		// built from the same Config.
 		if o, ok := a.(TimerOwner); ok {
-			e.registerOwner(fmt.Sprintf("agent:%d", i), o)
+			e.registerOwner(o)
 		}
 	}
 	return e, nil

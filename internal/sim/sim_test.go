@@ -377,14 +377,14 @@ func (c *closures) OnTimer(_ uint8, arg int64) { c.fns[arg]() }
 // Call.
 func call(ctx *Context, fn func()) Call {
 	var c *closures
-	for i, k := range ctx.eng.ownerKeys {
-		if k == "test:closures" {
-			c = ctx.eng.owners[i].(*closures)
+	for _, o := range ctx.eng.owners {
+		if cl, ok := o.(*closures); ok {
+			c = cl
 		}
 	}
 	if c == nil {
 		c = &closures{}
-		ctx.OwnTimers("test:closures", c)
+		ctx.OwnTimers(c)
 	}
 	c.fns = append(c.fns, fn)
 	return Call{Owner: c, Arg: int64(len(c.fns) - 1)}

@@ -9,6 +9,17 @@ package sim
 // between two events can be snapshotted — mid coordination round, mid
 // storage drain — with no special cases.
 //
+// Owned work names its owner by position in the engine's owner table,
+// which holds the timer owners in a fixed registration order: the agents,
+// in stack order, at New, then at most one store, bound by its protocol.
+// The config digest seals the agent stack and, through Config.Identity,
+// the storage parameters, so an engine built from the same Config
+// registers the same owners at the same positions and the blob names none
+// of them. The walk decodes the agent sections before the ranks and the
+// queue, so on restore the store has registered, while its protocol
+// decodes, before any owned work can name it; past the owners registered
+// so far, an owner position is corrupt.
+//
 // A snapshot is byte-exact: restoring it into a fresh engine built from an
 // identical Config reproduces the remainder of the run bit-for-bit —
 // results, traces, RNG draws, event order. A digest of the Config travels
@@ -35,7 +46,9 @@ import (
 // Context.AtOwned fires as OnTimer(kind, arg) at exactly its scheduled time,
 // and a Call runs the same way when its event completes, so the owner reads
 // the time from Context.Now. Because pending work is plain data, it
-// survives snapshot/restore in its exact queue position.
+// survives snapshot/restore in its exact queue position. An engine knows
+// its owners by registration order: the agents at New, in stack order,
+// then at most one more, the store a protocol binds (Context.OwnTimers).
 type TimerOwner interface {
 	OnTimer(kind uint8, arg int64)
 }
@@ -94,45 +107,24 @@ func (e *Engine) emitTrace(ev TraceEvent) {
 	e.cfg.Trace(ev)
 }
 
-// registerOwner binds a TimerOwner to its stable string key. Idempotent for
-// the same pair; a key collision or re-keying panics — the key is the
-// identity snapshots check, so it must be unique and stable. A key that a
-// restored snapshot reserved (Restore) is claimed by its owner here.
-func (e *Engine) registerOwner(key string, o TimerOwner) {
-	if id, ok := e.ownerIDs[o]; ok {
-		if e.ownerKeys[id-1] != key {
-			panic(fmt.Sprintf("sim: TimerOwner already registered as %q, re-registered as %q", e.ownerKeys[id-1], key))
-		}
-		return
+// registerOwner appends o to the owner table; registering it again is a
+// no-op.
+func (e *Engine) registerOwner(o TimerOwner) {
+	if !slices.Contains(e.owners, o) {
+		e.owners = append(e.owners, o)
 	}
-	if e.ownerIDs == nil {
-		e.ownerIDs = make(map[TimerOwner]int32)
-	}
-	for i, k := range e.ownerKeys {
-		if k == key {
-			if e.owners[i] != nil {
-				panic(fmt.Sprintf("sim: timer-owner key %q already registered to a different owner", key))
-			}
-			e.owners[i] = o
-			e.ownerIDs[o] = int32(i + 1)
-			return
-		}
-	}
-	e.owners = append(e.owners, o)
-	e.ownerKeys = append(e.ownerKeys, key)
-	e.ownerIDs[o] = int32(len(e.owners))
 }
 
-// own binds a Call to its owner's registration ID.
+// own binds a Call to its owner's position in the owner table.
 func (e *Engine) own(c Call) owned {
 	if c.Owner == nil {
 		return owned{}
 	}
-	id, ok := e.ownerIDs[c.Owner]
-	if !ok {
+	i := slices.Index(e.owners, c.Owner)
+	if i < 0 {
 		panic(fmt.Sprintf("sim: Call on unregistered TimerOwner %T", c.Owner))
 	}
-	return owned{owner: id, kind: c.Kind, arg: c.Arg}
+	return owned{owner: int32(i + 1), kind: c.Kind, arg: c.Arg}
 }
 
 // run executes a piece of owned work now; the zero owned does nothing.
@@ -142,33 +134,28 @@ func (e *Engine) run(w owned) {
 	}
 }
 
-// codeOwned walks owned work, checking its owner against the owner table
-// (which precedes everything that references it).
+// codeOwned walks owned work, checking its owner against the owners
+// registered so far (see the file header).
 func (e *Engine) codeOwned(c *snapshot.Codec, w *owned) {
 	snapshot.Int(c, &w.owner)
 	c.U8(&w.kind)
 	snapshot.Int(c, &w.arg)
-	if w.owner < 0 || int(w.owner) > len(e.ownerKeys) {
+	if w.owner < 0 || int(w.owner) > len(e.owners) {
 		c.Failf("work owner %d out of range", w.owner)
 		*w = owned{}
 	}
 }
 
 // SnapshotCall walks a Call held in an agent's state (a pending storage
-// drain, say), naming its owner by registration. On restore the owner must
-// already be registered (agents always are).
+// drain, say), naming its owner by position. On restore the owner must
+// already be registered: agents always are, and the store registers before
+// it decodes its Calls.
 func (c *Context) SnapshotCall(sc *snapshot.Codec, call *Call) {
 	w := c.eng.own(*call)
-	c.eng.codeOwned(sc, &w)
-	if !sc.Decoding() {
-		return
-	}
-	*call = Call{}
-	if w.owner != 0 {
-		if o := c.eng.owners[w.owner-1]; o != nil {
-			*call = Call{Owner: o, Kind: w.kind, Arg: w.arg}
-		} else {
-			sc.Failf("call owner %q not registered yet", c.eng.ownerKeys[w.owner-1])
+	if c.eng.codeOwned(sc, &w); sc.Decoding() {
+		*call = Call{}
+		if w.owner != 0 {
+			*call = Call{Owner: c.eng.owners[w.owner-1], Kind: w.kind, Arg: w.arg}
 		}
 	}
 }
@@ -502,8 +489,11 @@ func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, seq *uint64, ev *
 
 // walk runs the complete engine state, after the config digest, through c:
 // scalars, RNG, metrics, dependency counters, the reason table with its
-// accounting, the owner key table, every rank, one length-prefixed section
-// per agent, and the event queue with each event's exact ordering key.
+// accounting, one length-prefixed section per agent, every rank, and the
+// event queue with each event's exact ordering key. The agent sections
+// come first so that the store registers before any owned work names it
+// (see the file header); agent decoders read only Now, NumRanks and
+// SnapshotCall, never rank state.
 //
 // The message and seizure slabs are not serialized as such: every live
 // slot is written inline where a job, event or unexpected queue names it,
@@ -558,12 +548,11 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 		c.Failf("inconsistent progress counters")
 	}
 	e.walkReasons(c)
-	e.walkOwnerKeys(c)
-	for i := range e.ranks {
-		e.codeRank(c, i, &e.ranks[i])
-	}
 	if err := e.walkAgents(c); err != nil {
 		return err
+	}
+	for i := range e.ranks {
+		e.codeRank(c, i, &e.ranks[i])
 	}
 	qseq := e.queue.Seq()
 	c.U64(&qseq)
@@ -659,45 +648,8 @@ func (e *Engine) walkReasons(c *snapshot.Codec) {
 	}
 }
 
-// walkOwnerKeys runs the owner key table in ID order: every piece of owned
-// work after it names its owner by ID. On restore the owners New
-// registered (the agents) must match the blob's prefix; keys past it are
-// reserved for owners that register while the agents decode (the shared
-// store), so the blob's owner IDs are this engine's.
-func (e *Engine) walkOwnerKeys(c *snapshot.Codec) {
-	keys := e.ownerKeys
-	n := c.Len(len(keys))
-	if c.Decoding() {
-		keys = make([]string, n)
-	}
-	for i := range keys {
-		c.Str(&keys[i])
-	}
-	if !c.Decoding() || c.Err() != nil {
-		return
-	}
-	if n < len(e.ownerKeys) {
-		c.Failf("snapshot has %d timer owners, engine registered %d", n, len(e.ownerKeys))
-		return
-	}
-	for i, key := range keys {
-		switch {
-		case i < len(e.ownerKeys):
-			if e.ownerKeys[i] != key {
-				c.Failf("timer owner %d is %q in the snapshot, %q here", i, key, e.ownerKeys[i])
-			}
-		case slices.Contains(e.ownerKeys, key):
-			c.Failf("duplicate timer owner %q", key)
-		default:
-			e.owners = append(e.owners, nil)
-			e.ownerKeys = append(e.ownerKeys, key)
-		}
-	}
-}
-
 // walkAgents runs one length-prefixed section per agent in stack order. A
-// restore checks each section is consumed exactly, and that every owner
-// key reserved by walkOwnerKeys was claimed.
+// restore checks each section is consumed exactly.
 func (e *Engine) walkAgents(c *snapshot.Codec) error {
 	if n := c.Len(len(e.cfg.Agents)); n != len(e.cfg.Agents) {
 		c.Failf("agent count %d, engine has %d", n, len(e.cfg.Agents))
@@ -708,11 +660,6 @@ func (e *Engine) walkAgents(c *snapshot.Codec) error {
 		}
 		if err := c.Section(func(sc *snapshot.Codec) { a.(Resumable).SnapshotState(&e.ctx, sc) }); err != nil {
 			return fmt.Errorf("sim: agent %d (%T) restore: %w", i, a, err)
-		}
-	}
-	for i, o := range e.owners {
-		if o == nil {
-			c.Failf("timer owner %q not registered in restoring engine", e.ownerKeys[i])
 		}
 	}
 	return nil

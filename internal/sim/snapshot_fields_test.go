@@ -78,10 +78,8 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"unexps": "not serialized; rebuilt in decode order: each rank's unexpected messages " +
 			"are written inline in arrival order, and restore pushes fresh slots back",
 		"ran": "runtime guard, not simulation state; doubles as the restore-failure poison",
-		"owners": "rebuilt at New/registration; restore reserves the blob's extra keys " +
-			"and checks every one was claimed by the time the agents decode",
-		"ownerKeys":  "serialized as the owner key table; restore checks the registered prefix",
-		"ownerIDs":   "rebuilt at New/registration",
+		"owners": "not serialized; rebuilt in registration order: the agents at New, " +
+			"the store while its protocol's section decodes, before the ranks and the queue",
 		"traceCount": "serialized scalar (anchors the resume trace suffix)",
 		"restored":   "runtime guard: tells Run to skip Init/activation",
 		"ctx":        "points back at the engine itself",
@@ -139,8 +137,8 @@ func TestSnapshotCoversSeizeRecFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(seizeRec{}), map[string]string{
 		"reason":     "serialized with its job; bounds-checked against the restored reason table",
 		"waitReason": "serialized with its job; bounds-checked against the restored reason table",
-		"done":       "serialized owned work; owner bounds-checked against the owner table",
-		"granted":    "serialized owned work; owner bounds-checked against the owner table",
+		"done":       "serialized owned work; owner bounds-checked against the registered owners",
+		"granted":    "serialized owned work; owner bounds-checked against the registered owners",
 	})
 }
 
@@ -165,7 +163,7 @@ func TestSnapshotCoversEventFields(t *testing.T) {
 		"id": "serialized for evJobDone as the rank (bounds-checked on decode); for " +
 			"evArrive the message in that slot is serialized inline and decode " +
 			"allocates a fresh slot",
-		"work": "serialized for evTimer; owner must be set and in the owner table",
+		"work": "serialized for evTimer; owner must be set and registered",
 	})
 }
 
@@ -185,7 +183,7 @@ func TestSnapshotCoversMetricsFields(t *testing.T) {
 
 func TestSnapshotCoversOwnedFields(t *testing.T) {
 	requireFields(t, reflect.TypeOf(owned{}), map[string]string{
-		"owner": "serialized as an owner-table ID (0 = none); bounds-checked on decode",
+		"owner": "serialized as the owner's registration position (0 = none); bounds-checked on decode",
 		"kind":  "serialized",
 		"arg":   "serialized",
 	})

@@ -402,6 +402,79 @@ func TestSnapshotCorruptionTable(t *testing.T) {
 		}
 	})
 
+	t.Run("owner-past-owners", func(t *testing.T) {
+		// Owned work names its owner by position, so a position past the
+		// restoring engine's owners is refused wherever owned work decodes:
+		// a seizure's grant and completion, a control message's delivery
+		// and a queued timer. Each blob comes from an engine that registered
+		// one owner more than the restoring engine does. A store's drained
+		// Call decodes through SnapshotCall; see internal/storage
+		// TestRestoreRefusesDrainPastOwners.
+		seizure := func(e *Engine) *seizeRec {
+			for i := range e.ranks {
+				st := &e.ranks[i]
+				if st.running && jobHasSeize(st.runningJob.kind) {
+					return &e.seizes[st.runningJob.arg]
+				}
+				if q := queued(&e.jobs, st.seizeQ); len(q) > 0 {
+					return &e.seizes[q[0].arg]
+				}
+			}
+			return nil
+		}
+		for name, bad := range map[string]func(e *Engine, id int32) bool{
+			"granted": func(e *Engine, id int32) bool {
+				sz := seizure(e)
+				if sz != nil {
+					sz.granted.owner = id
+				}
+				return sz != nil
+			},
+			"done": func(e *Engine, id int32) bool {
+				sz := seizure(e)
+				if sz != nil {
+					sz.done.owner = id
+				}
+				return sz != nil
+			},
+			"deliver": func(e *Engine, id int32) bool {
+				found := false
+				e.queue.Items(func(_ simtime.Time, _ uint64, ev event) {
+					if !found && ev.kind == evArrive && e.msgs[ev.id].kind == msgCtl {
+						e.msgs[ev.id].deliver.owner, found = id, true
+					}
+				})
+				return found
+			},
+			"timer": func(e *Engine, id int32) bool {
+				e.queue.Push(e.now, event{kind: evTimer, work: owned{owner: id}})
+				return true
+			},
+		} {
+			var corrupt []byte
+			for _, s := range snaps {
+				e, err := New(snapConfig(seed, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Restore(s.Blob); err != nil {
+					t.Fatal(err)
+				}
+				e.ctx.OwnTimers(&closures{})
+				if bad(e, int32(len(e.owners))) {
+					corrupt = e.encodeSnapshot()
+					break
+				}
+			}
+			if corrupt == nil {
+				t.Fatalf("%s: no snapshot to corrupt", name)
+			}
+			if err := restoreInto(t, seed, corrupt); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("%s: owner past the registered owners: %v, want ErrCorrupt", name, err)
+			}
+		}
+	})
+
 	t.Run("poisoned-after-failure", func(t *testing.T) {
 		eng, err := New(snapConfig(seed, nil))
 		if err != nil {
@@ -460,6 +533,17 @@ func renameOp(want func(d int32) bool) func(*Engine, int) bool {
 		j.arg = int32(id) // -1 is goal.NoOp
 		return true
 	}
+}
+
+// negativeCost gives the first queued application job a negative cost.
+func negativeCost(e *Engine, _ int) bool {
+	for i := range e.ranks {
+		if q := e.ranks[i].appQ; !q.empty() {
+			e.jobs.nodes[q.head].val.cost = -1
+			return true
+		}
+	}
+	return false
 }
 
 // TestRestoreRefusesBadOps: a running job naming NoOp, a completed op, an
@@ -532,15 +616,7 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 			}
 			return false
 		},
-		"negative cost": func(e *Engine, _ int) bool {
-			for i := range e.ranks {
-				if q := e.ranks[i].appQ; !q.empty() {
-					e.jobs.nodes[q.head].val.cost = -1
-					return true
-				}
-			}
-			return false
-		},
+		"negative cost": negativeCost,
 		"arrival table": func(e *Engine, r int) bool {
 			e.sideOf(r).lastArrival = make([]simtime.Time, len(e.ranks))
 			return true
@@ -629,6 +705,17 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), dupPayload[32:]...)) // one queued timer twice
+	_, negCostPayload, err := snapshot.Open(corruptBlob(f, seed, negativeCost))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), negCostPayload[32:]...)) // a queued job with a negative cost
+	mid.cfg.Agents[0].(*snapTestAgent).fires = -100
+	_, negFiresPayload, err := snapshot.Open(mid.encodeSnapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), negFiresPayload[32:]...)) // an agent whose fire count is negative
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := func() *Engine {
 			e, err := New(fuzzConfig(nil))
@@ -660,7 +747,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // cannot be read under, also bumps snapshot.FormatVersion; a change of
 // what is written within the same layout (the queue's visit order, a
 // presence-flagged table left out) only re-pins the hash.
-const pinnedSnapshotSHA = "9df2aacca0633ec5f682e5a8244ded015304c3148dc158661b073d1ca63fa758"
+const pinnedSnapshotSHA = "f1eba01120d7f2c94eb1366b311badd49de2710c5d078fffa54cd26ea9637bb8"
 
 // TestSnapshotBytesPinned hashes every snapshot of one run taken at cadence
 // 1. snapConfig's run holds every kind of pending work at some event (see

@@ -14,14 +14,19 @@ import (
 // of its ranks: every drained Write starts the rank's next, until left
 // writes per rank have completed. Even ranks write to the node tier, odd
 // ranks to the global tier, so both arbitration paths see joins and leaves.
+// extra, when set, is registered as a timer owner at Init, before the store.
 type writeLoop struct {
-	s    *Store
-	ctx  *sim.Context
-	left []int
+	s     *Store
+	ctx   *sim.Context
+	left  []int
+	extra sim.TimerOwner
 }
 
 func (w *writeLoop) Init(ctx *sim.Context) {
 	w.ctx = ctx
+	if w.extra != nil {
+		ctx.OwnTimers(w.extra)
+	}
 	for r := range w.left {
 		w.OnTimer(0, int64(r))
 	}

@@ -314,7 +314,7 @@ func (s *Store) Bind(sc Sched) {
 	s.lastAt = sc.Now()
 	s.sizeNodes()
 	if ctx, ok := sc.(*sim.Context); ok {
-		ctx.OwnTimers("store", s)
+		ctx.OwnTimers(s)
 	}
 }
 
@@ -335,7 +335,7 @@ func (s *Store) sizeNodes() {
 func (s *Store) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
 	if c.Decoding() {
 		s.sched = ctx
-		ctx.OwnTimers("store", s)
+		ctx.OwnTimers(s)
 		s.sizeNodes()
 		s.globalCount = 0
 	}
