@@ -96,7 +96,8 @@ func (h *Hierarchical) SendPenalty(src, dst int, bytes int64) simtime.Duration {
 	return d
 }
 
-// LogConfig returns the logging parameter set (see validate.TaxedLogger).
+// LogConfig returns the logging parameter set, which the trace checker
+// (internal/validate) recomputes the logging charge with.
 func (h *Hierarchical) LogConfig() LogParams { return h.log }
 
 // Taxed reports whether a src→dst application send pays the logging tax:

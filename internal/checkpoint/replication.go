@@ -154,7 +154,8 @@ func (rp *Replication) Takeover(victim int, now simtime.Time) (rank int, cost si
 	return victim, detect + rp.takeover, true
 }
 
-// Degree returns the configured replica degree (see validate.ReplicaMirror).
+// Degree returns the configured replica degree, which the trace checker
+// (internal/validate) multiplies the traced primary sends by.
 func (rp *Replication) Degree() int { return rp.degree }
 
 // AppRanks returns the number of application (primary) ranks; valid after

@@ -195,7 +195,8 @@ func (u *Uncoordinated) SendPenalty(src, dst int, bytes int64) simtime.Duration 
 	return d
 }
 
-// LogConfig returns the logging parameter set (see validate.TaxedLogger).
+// LogConfig returns the logging parameter set, which the trace checker
+// (internal/validate) recomputes the logging charge with.
 func (u *Uncoordinated) LogConfig() LogParams { return u.log }
 
 // Taxed reports whether a src→dst application send pays the logging tax:

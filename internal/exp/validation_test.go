@@ -39,7 +39,7 @@ func TestValidatedQuickSweepMatchesGolden(t *testing.T) {
 }
 
 // Under validation, every experiment that writes through Options.Storage
-// passes its store to the post-run check, so CheckStorage reconciles the
+// hands its store to the trace checker, whose Finish reconciles the
 // store's drain accounting against the trace of each run. With a
 // constrained store the validated tables must equal the unvalidated ones,
 // and the ones that keep the template's aggregate bandwidth must differ

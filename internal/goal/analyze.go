@@ -162,8 +162,7 @@ func WriteDOT(w io.Writer, p *Program) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "digraph program {")
 	fmt.Fprintln(bw, "  rankdir=TB; node [shape=box, fontsize=10];")
-	for rank := 0; rank < p.NumRanks; rank++ {
-		ids := p.RankOps(rank)
+	for rank, ids := range p.rankOps() {
 		if len(ids) == 0 {
 			continue
 		}

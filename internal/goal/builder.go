@@ -11,8 +11,7 @@ import (
 type Builder struct {
 	numRanks int
 	ops      []Op
-	edges    []edge  // dependency edges in Requires order
-	rankOps  []int32 // ops added on each in-range rank
+	edges    []edge // dependency edges in Requires order
 }
 
 // edge is one Requires pair: op must not start before dep completes.
@@ -24,7 +23,7 @@ func NewBuilder(numRanks int) *Builder {
 	if numRanks <= 0 {
 		panic(fmt.Sprintf("goal: NewBuilder(%d)", numRanks))
 	}
-	return &Builder{numRanks: numRanks, rankOps: make([]int32, numRanks)}
+	return &Builder{numRanks: numRanks}
 }
 
 // NumRanks returns the rank count the builder was created with.
@@ -50,9 +49,6 @@ func (b *Builder) Grow(n int) {
 }
 
 func (b *Builder) add(op Op) OpID {
-	if uint(op.Rank) < uint(b.numRanks) { // Build reports a bad rank
-		b.rankOps[op.Rank]++
-	}
 	b.ops = append(b.ops, op)
 	return OpID(len(b.ops) - 1)
 }
@@ -91,13 +87,13 @@ func (b *Builder) Requires(op OpID, deps ...OpID) {
 
 // Build validates the graph and returns the immutable Program, marked
 // validated. It reads the op table once: each op is checked as Validate
-// checks it, its dependencies are deduplicated and checked, its reverse
-// edges counted and its ID filed under its rank, all in one pass.
+// checks it, its dependencies are deduplicated and checked and its reverse
+// edges counted, all in one pass.
 func (b *Builder) Build() (*Program, error) {
 	p := &Program{NumRanks: b.numRanks, Ops: b.ops}
-	edges, rankEnd := b.edges, b.rankOps
+	edges := b.edges
 	// The builder gives up ownership and starts over empty.
-	b.ops, b.edges, b.rankOps = nil, nil, make([]int32, b.numRanks)
+	b.ops, b.edges = nil, nil
 	// Every op's deps are a segment of one arena, filled by a stable
 	// counting sort of the Requires pairs: end[i] counts, then prefix-sums
 	// to op i's start, and the scatter advances it to op i's end. end is
@@ -117,14 +113,6 @@ func (b *Builder) Build() (*Program, error) {
 	for _, e := range edges {
 		arena[end[e.op]] = e.dep
 		end[e.op]++
-	}
-	// The per-rank index is one counted arena: rank r's IDs fill
-	// rankIDs[rankEnd[r-1]:rankEnd[r]], with rankEnd[r] as its cursor.
-	rankIDs := make([]OpID, len(p.Ops))
-	sum = 0
-	for r, n := range rankEnd {
-		rankEnd[r] = sum
-		sum += n
 	}
 	outOff := make([]int32, len(p.Ops)+1)
 	// Each op's deduplicated deps move to the front of the arena, after
@@ -169,9 +157,6 @@ func (b *Builder) Build() (*Program, error) {
 		for _, d := range kept {
 			outOff[d+1]++
 		}
-		r := p.Ops[i].Rank
-		rankIDs[rankEnd[r]] = OpID(i)
-		rankEnd[r]++
 	}
 	// The reverse edges are a counted arena too, scattered from the
 	// compacted deps without reading the ops again: outs[outOff[d]:...]
@@ -193,12 +178,6 @@ func (b *Builder) Build() (*Program, error) {
 	outOff[0] = 0
 	p.deps, p.depOff = arena[:w:w], depOff
 	p.outs, p.outOff = outs, outOff
-	p.byRank = make([][]OpID, p.NumRanks)
-	start = 0
-	for r, e := range rankEnd {
-		p.byRank[r] = rankIDs[start:e:e]
-		start = e
-	}
 	if forward {
 		if err := checkAcyclic(len(p.Ops), outs, outOff); err != nil {
 			return nil, err

@@ -25,8 +25,9 @@ func samePrograms(p, q *Program) bool {
 		sort.Ints(out)
 		return out
 	}
-	for rank := 0; rank < p.NumRanks; rank++ {
-		pids, qids := p.RankOps(rank), q.RankOps(rank)
+	pr, qr := p.rankOps(), q.rankOps()
+	for rank := range pr {
+		pids, qids := pr[rank], qr[rank]
 		if len(pids) != len(qids) {
 			return false
 		}

@@ -83,13 +83,11 @@ type Op struct {
 
 // Program is an immutable operation graph over NumRanks ranks. Build and
 // Widen make whole programs. A Program assembled from bare ops (NumRanks
-// and Ops alone) has no dependencies: Validate checks its ops, Deps is
-// empty, and it has no per-rank or reverse index.
+// and Ops alone) has no dependencies: Validate checks its ops, and Deps
+// and Outs are empty.
 type Program struct {
 	NumRanks int
 	Ops      []Op
-
-	byRank [][]OpID // ops of each rank, in creation order
 
 	// deps[depOff[i]:depOff[i+1]] are the ops op i depends on, and
 	// outs[outOff[i]:outOff[i+1]] the ops that depend on op i, in
@@ -111,9 +109,26 @@ type Program struct {
 	digest     [sha256.Size]byte
 }
 
-// RankOps returns the IDs of all operations bound to the given rank, in
-// creation order. The returned slice must not be modified.
-func (p *Program) RankOps(rank int) []OpID { return p.byRank[rank] }
+// rankOps groups the op IDs by rank in one counting pass: element r holds
+// rank r's ops in ID order, which is the order they were created in.
+func (p *Program) rankOps() [][]OpID {
+	n := make([]int, p.NumRanks)
+	for i := range p.Ops {
+		n[p.Ops[i].Rank]++
+	}
+	ids := make([]OpID, len(p.Ops))
+	byRank := make([][]OpID, p.NumRanks)
+	start := 0
+	for r, k := range n {
+		byRank[r] = ids[start : start : start+k]
+		start += k
+	}
+	for i := range p.Ops {
+		r := p.Ops[i].Rank
+		byRank[r] = append(byRank[r], OpID(i))
+	}
+	return byRank
+}
 
 // Op returns the operation with the given ID.
 func (p *Program) Op(id OpID) *Op { return &p.Ops[id] }
@@ -130,10 +145,15 @@ func (p *Program) Deps(id OpID) []OpID {
 	return p.deps[lo:hi:hi]
 }
 
-// Outs returns the operations that depend on op id, in ascending ID order,
-// for a program made by Build or Widen. The returned slice must not be
-// modified.
-func (p *Program) Outs(id OpID) []OpID { return p.outs[p.outOff[id]:p.outOff[id+1]] }
+// Outs returns the operations that depend on op id, in ascending ID order.
+// A Program assembled from bare ops has none. The returned slice must not
+// be modified.
+func (p *Program) Outs(id OpID) []OpID {
+	if p.outOff == nil {
+		return nil
+	}
+	return p.outs[p.outOff[id]:p.outOff[id+1]]
+}
 
 // Stats summarizes a program.
 type Stats struct {

@@ -49,11 +49,12 @@ func TestBuilderBasics(t *testing.T) {
 	if outs := p.Outs(c); len(outs) != 1 || outs[0] != s {
 		t.Error("reverse edge missing")
 	}
-	if got := p.RankOps(0); len(got) != 2 {
-		t.Errorf("RankOps(0) = %v", got)
+	byRank := p.rankOps()
+	if got := byRank[0]; len(got) != 2 {
+		t.Errorf("rankOps()[0] = %v", got)
 	}
-	if got := p.RankOps(1); len(got) != 1 || got[0] != r {
-		t.Errorf("RankOps(1) = %v", got)
+	if got := byRank[1]; len(got) != 1 || got[0] != r {
+		t.Errorf("rankOps()[1] = %v", got)
 	}
 }
 
@@ -768,8 +769,8 @@ func TestBuilderReuse(t *testing.T) {
 	b.MustBuild()
 	id := b.Calc(0, 2)
 	p := b.MustBuild()
-	if len(p.Ops) != 1 || id != 0 || len(p.RankOps(0)) != 1 || len(p.RankOps(1)) != 0 {
-		t.Errorf("second program: %d ops, ranks %v %v", len(p.Ops), p.RankOps(0), p.RankOps(1))
+	if byRank := p.rankOps(); len(p.Ops) != 1 || id != 0 || len(byRank[0]) != 1 || len(byRank[1]) != 0 {
+		t.Errorf("second program: %d ops, ranks %v", len(p.Ops), byRank)
 	}
 }
 

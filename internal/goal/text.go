@@ -268,8 +268,7 @@ func parseSize(s string) (int64, error) {
 func Write(w io.Writer, p *Program) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "num_ranks %d\n", p.NumRanks)
-	for rank := 0; rank < p.NumRanks; rank++ {
-		ids := p.RankOps(rank)
+	for rank, ids := range p.rankOps() {
 		if len(ids) == 0 {
 			continue
 		}

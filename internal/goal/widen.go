@@ -22,8 +22,6 @@ func Widen(p *Program, numRanks int) (*Program, error) {
 	}
 	w := &Program{NumRanks: numRanks, Ops: p.Ops, deps: p.deps, depOff: p.depOff,
 		outs: p.outs, outOff: p.outOff}
-	w.byRank = make([][]OpID, numRanks)
-	copy(w.byRank, p.byRank)
 	if p.validated.Load() {
 		w.validated.Store(true)
 	} else if err := w.Validate(); err != nil {

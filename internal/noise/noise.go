@@ -49,10 +49,8 @@ func (c Config) Validate() error {
 
 // Injector is the sim.Agent that injects the configured noise.
 type Injector struct {
-	cfg    Config
-	ctx    *sim.Context
-	events int64
-	stolen simtime.Duration
+	cfg Config
+	ctx *sim.Context
 }
 
 // NewInjector builds a noise injector.
@@ -77,8 +75,6 @@ func (n *Injector) Init(ctx *sim.Context) {
 func (n *Injector) OnTimer(_ uint8, arg int64) { n.fire(int(arg)) }
 
 func (n *Injector) fire(rank int) {
-	n.events++
-	n.stolen += n.cfg.Duration
 	n.ctx.SeizeCPU(rank, n.cfg.Duration, Reason, sim.Call{})
 	var gap simtime.Duration
 	if n.cfg.Poisson {
@@ -92,11 +88,10 @@ func (n *Injector) fire(rank int) {
 	n.ctx.AfterOwned(gap, n, 0, int64(rank))
 }
 
-// SnapshotState implements sim.Resumable.
-func (n *Injector) SnapshotState(ctx *sim.Context, c *snapshot.Codec) {
+// SnapshotState implements sim.Resumable. The injector's state is its
+// pending timers, which the engine's queue carries; it writes nothing.
+func (n *Injector) SnapshotState(ctx *sim.Context, _ *snapshot.Codec) {
 	n.ctx = ctx
-	snapshot.Int(c, &n.events)
-	snapshot.Int(c, &n.stolen)
 }
 
 var (

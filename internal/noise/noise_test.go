@@ -74,11 +74,11 @@ func TestNoiseSlowsEPByDutyCycle(t *testing.T) {
 	if slow < 1.05 || slow > 1.20 {
 		t.Errorf("EP slowdown %v, want ~1.11", slow)
 	}
-	if inj.events == 0 || inj.stolen == 0 {
-		t.Error("no noise recorded")
+	if r.SeizedCount[Reason] == 0 {
+		t.Fatal("no noise recorded")
 	}
-	if r.SeizedTime[Reason] != inj.stolen {
-		t.Errorf("engine seized %v, injector claims %v", r.SeizedTime[Reason], inj.stolen)
+	if want := simtime.Duration(r.SeizedCount[Reason]) * cfg.Duration; r.SeizedTime[Reason] != want {
+		t.Errorf("engine seized %v over %d events, want %v", r.SeizedTime[Reason], r.SeizedCount[Reason], want)
 	}
 }
 
@@ -94,11 +94,12 @@ func TestPoissonNoiseRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(); err != nil {
+	r, err := e.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.events < 50 {
-		t.Errorf("only %d Poisson events over ~50ms x 4 ranks at 1kHz", inj.events)
+	if n := r.SeizedCount[Reason]; n < 50 {
+		t.Errorf("only %d Poisson events over ~50ms x 4 ranks at 1kHz", n)
 	}
 }
 

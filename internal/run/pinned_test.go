@@ -20,15 +20,15 @@ import (
 // any such change. A change of layout also bumps snapshot.FormatVersion;
 // a change of what is written within one layout only re-pins.
 var pinnedProtocolSHA = map[checkpoint.Kind]string{
-	checkpoint.KindNone:          "82862dbef7a53f77aa63a57dbd1b674dbeb53018784a9be90d30ce17276aed66",
-	checkpoint.KindCoordinated:   "668b3873b63b9108db4858b7f50fb51e62587f171d62f158b92dd8557cadc75b",
-	checkpoint.KindUncoordinated: "d8d7553e77146b2e06410a2b287b183af636fa5edd96e099eac09534a6dc2167",
-	checkpoint.KindHierarchical:  "7f56c725eba9297bcb9c787b721f7dfed4958eeebd8d482809efe9b13e2a77a7",
-	checkpoint.KindNonBlocking:   "37868be5e7f827d057934699df7c36be2581c11db34bfc666e4359205e28fdef",
-	checkpoint.KindPartner:       "3b858782ae11f8a83c0a1fae4e6b54fdc565b5f9c77becb8dd519af79acebc06",
-	checkpoint.KindTwoLevel:      "38d1d791b6cdfe35e890c94e1c9ccf3d0b8c100e3c42f49432c68d02b40bb70d",
-	checkpoint.KindReplication:   "7ec89ba3e7c72ecda932e82d8d796e6968e5f086550c25a19688cdc30e89f9b2",
-	checkpoint.KindCIC:           "0798df0a5261ec2f84a6a19674e74ac8ce2263e5a3e990f020955df9f95575ec",
+	checkpoint.KindNone:          "b39ae3fce96140b3cb5f5d141d5a16858bd84c3706037a5b7d70a24c3a9856ec",
+	checkpoint.KindCoordinated:   "a6b1cf2aa3c0c6f2808428cead2297ee7e6c0db3e4577b703e544ea21aba32f8",
+	checkpoint.KindUncoordinated: "dec10998bb82c9f5f48fe09b3ad78b2eb712f0fc37744a3d40e3c0fa926e6726",
+	checkpoint.KindHierarchical:  "22fe2f11c7b808f68c0a8ba1ed7194c9f7b9aca1d9d5871db66ac8b249084ae2",
+	checkpoint.KindNonBlocking:   "4572a7501a2bb25e990d0be3be6cce9bdef8c35f9d7e205182a042a1c7a9c5e0",
+	checkpoint.KindPartner:       "12ceb7b11bf682020710490ad17e6ef482cf916302312f88a5e012dc1d221b07",
+	checkpoint.KindTwoLevel:      "cff981d2dab0863dfa9089f41a4a9c72a0deb01edf511a36e74dc14d400be8e0",
+	checkpoint.KindReplication:   "218f973a295042fd6788ec1b3f1bd6d835005ae3ac91811505419f02a9f2e55f",
+	checkpoint.KindCIC:           "3eb00bfd60db5472f7d892d933ea2fa04db923e1775d0501a568b038bcbf18c7",
 }
 
 // pinnedProtocolRun is a small stencil run of kind with a snapshot every

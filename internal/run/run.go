@@ -211,7 +211,7 @@ func Run(cfg Config) (*Result, error) {
 	var chk *validate.Checker
 	if cfg.Validate && cfg.ResumeFrom == nil {
 		chk = validate.New(a.sim.Net)
-		chk.Watch(a.sim.Agents...)
+		chk.Watch(a.store, a.sim.Agents...)
 		a.sim.Trace = chk.Hook(a.sim.Trace)
 	}
 	eng, err := sim.New(a.sim)
@@ -228,7 +228,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if chk != nil && err == nil {
-		if verr := chk.FinishRun(res, a.store); verr != nil {
+		if verr := chk.Finish(res); verr != nil {
 			return nil, verr
 		}
 	}

@@ -51,6 +51,28 @@ func TestCalcChain(t *testing.T) {
 	}
 }
 
+// A program assembled from bare ops, with no dependency or reverse index,
+// writes as text, parses back, and runs as it is.
+func TestBareProgramWritesAndRuns(t *testing.T) {
+	bare := &goal.Program{NumRanks: 2, Ops: []goal.Op{{Kind: goal.KindCalc, Rank: 0, Work: 5}}}
+	if err := bare.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	text := goal.WriteString(bare)
+	if want := "num_ranks 2\nrank 0 {\n  o0: calc 5ns\n}\n"; text != want {
+		t.Errorf("bare program writes as %q, want %q", text, want)
+	}
+	parsed, err := goal.ParseString(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*goal.Program{bare, parsed} {
+		if r := run(t, testNet(), p); r.Makespan != 5 || r.RankBusy[0] != 5 {
+			t.Errorf("makespan %v, rank 0 busy %v, want 5 and 5", r.Makespan, r.RankBusy[0])
+		}
+	}
+}
+
 func TestIndependentCalcsSerialize(t *testing.T) {
 	// Two independent calcs on one rank share the CPU.
 	b := goal.NewBuilder(1)

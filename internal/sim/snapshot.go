@@ -588,9 +588,10 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 			pendingDone[it.ev.id] = false
 		}
 	}
-	// Blobs written before the queue was encoded in (t, seq) order hold it
-	// in heap order, and the queue takes events tied on time only in
-	// sequence order: sort once, then load.
+	// The engine writes the queue in (t, seq) order, but a crafted blob's
+	// order is not to be trusted, and Queue.Load panics on events tied on
+	// time loaded out of sequence order: sort once, refuse duplicates, then
+	// load.
 	slices.SortFunc(items, func(a, b item) int {
 		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.seq, b.seq))
 	})

@@ -36,7 +36,7 @@ import (
 // FormatVersion is the current snapshot format. Bump it on any layout
 // change; Open still succeeds on old blobs (the digest says the bytes are
 // intact) and the engine rejects the version mismatch with ErrVersion.
-const FormatVersion = 6
+const FormatVersion = 7
 
 // magic identifies a sealed snapshot blob.
 const magic = "CKSNAP1\n"

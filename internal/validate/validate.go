@@ -35,22 +35,25 @@
 //     closed and no application job is mid-flight (groups of ≥ 2 ranks),
 //     and round markers follow the start → commit → end state machine.
 //     Uncoordinated/hierarchical logging charges α + round(β·bytes) on
-//     exactly the senders the policy taxes (CheckLogging). CIC checkpoint
-//     indices are strictly monotone per rank, every announced forced
-//     checkpoint ("cic-force-due") completes before the rank's next
+//     exactly the senders the policy taxes. CIC checkpoint indices are
+//     strictly monotone per rank, every announced forced checkpoint
+//     ("cic-force-due") completes before the rank's next
 //     application-class grant (no unforced Z-cycle), and forced writes are
 //     justified by a pending induction; protocol counters reconcile against
-//     the marker stream (CheckCIC). Replication mirrors every
-//     primary-to-primary application send to exactly degree replicas and
-//     absorbs each injected failure by at most one takeover
-//     ("rep-failure"/"rep-takeover" pairing; CheckReplication).
+//     the marker stream. Replication mirrors every primary-to-primary
+//     application send to exactly degree replicas and absorbs each
+//     injected failure by at most one takeover ("rep-failure"/"rep-takeover"
+//     pairing).
 //
-// A Checker is single-run state: build one per simulation with New, hand
-// it the run's agents with Watch, feed it every trace event (Hook adapts
-// it to sim.Config.Trace), then call Finish with the run's Result.
-// Violations accumulate (capped) and are reported together by Err in the
-// order found — streaming checks in stream order, end-of-run scans in rank
-// and ID order — so replaying a stream reports the same violations.
+// A Checker is single-run state with one lifecycle: build one per
+// simulation with New, hand it the run's store and agents with Watch, feed
+// it every trace event (Hook adapts it to sim.Config.Trace), then call
+// Finish with the run's Result, which checks the stream against the result
+// and, if that passes, reconciles the store and the watched protocol's
+// counters against the stream. Violations accumulate (capped) and are
+// reported together by Err in the order found — streaming checks in stream
+// order, end-of-run scans in rank and ID order — so replaying a stream
+// reports the same violations.
 //
 // Memory follows the messages and receives in flight. A message's state
 // (32 B) lives in a 1024-entry page from its injection until it settles —
@@ -60,10 +63,9 @@
 // duplicate-match and non-matchable-match checks read. A receive keeps one
 // bit per op (matched or not), and its availability time and payload only
 // from readiness to completion; channels are kept for the (src, dst) pairs
-// that carry traffic. The taxed and mirrored sends that CheckLogging and
-// CheckReplication reconcile are summed at injection. Checking allocates
-// nothing per message beyond the settled byte and the growth of its tables
-// to the peak in flight.
+// that carry traffic. The taxed and mirrored sends that Finish reconciles
+// are summed at injection. Checking allocates nothing per message beyond
+// the settled byte and the growth of its tables to the peak in flight.
 package validate
 
 import (
@@ -147,15 +149,17 @@ type Checker struct {
 	nTakeovers             int64
 	nCICWrites, nCICForced int64
 
-	// The watched agents (Watch) and the application sends they are
-	// reconciled against, summed at injection: the sends logger taxes, and
-	// the primary-to-primary sends mirror duplicates (counted once each).
+	// The watched store and agents (Watch) and the application sends they
+	// are reconciled against, summed at injection: the sends logger taxes,
+	// and the primary-to-primary sends mirror duplicates (counted once
+	// each).
+	store                  *storage.Store
 	cic                    *checkpoint.CIC
-	logger                 TaxedLogger
+	logger                 taxedLogger
 	logCfg                 checkpoint.LogParams
 	logMsgs, logBytes      int64
 	logPenalty             simtime.Duration
-	mirror                 ReplicaMirror
+	mirror                 replicaMirror
 	mirrorMsgs, mirrorSize int64
 
 	violations []string
@@ -167,17 +171,19 @@ func New(net network.Params) *Checker {
 	return &Checker{net: net}
 }
 
-// Watch hands the checker the run's agents before the run, so that the
-// application sends CheckLogging and CheckReplication reconcile are summed
-// as they are injected, and FinishRun reconciles the agents exposing a
-// checkable surface. A run has one protocol, so the last agent exposing a
-// surface is the one watched.
-func (c *Checker) Watch(agents ...sim.Agent) {
+// Watch hands the checker the run's store (nil when it has none) and its
+// agents before the run, so that the application sends the logging and
+// replication reconciliations read are summed as they are injected, and
+// Finish reconciles the store and the agents exposing a checkable surface.
+// A run has one protocol, so the last agent exposing a surface is the one
+// watched.
+func (c *Checker) Watch(st *storage.Store, agents ...sim.Agent) {
+	c.store = st
 	for _, a := range agents {
-		if tl, ok := a.(TaxedLogger); ok {
+		if tl, ok := a.(taxedLogger); ok {
 			c.logger, c.logCfg = tl, tl.LogConfig()
 		}
-		if rm, ok := a.(ReplicaMirror); ok {
+		if rm, ok := a.(replicaMirror); ok {
 			c.mirror = rm
 		}
 		if ci, ok := a.(*checkpoint.CIC); ok {
@@ -716,11 +722,13 @@ func (c *Checker) checkCommitBarrier(root int, size int64, at simtime.Time) {
 	}
 }
 
-// Finish runs the end-of-run checks against the engine's Result and
-// returns Err(). In-flight work the engine legitimately truncates when the
-// last application op completes — a running control job, unreleased hold
-// gates, an undrained storage write, an undelivered control message — is
-// not flagged.
+// Finish runs the end-of-run checks against the engine's Result and, only
+// if every check so far passed, reconciles what Watch recorded, stopping at
+// the first step that fails: the store, then the logger, the mirror and
+// the CIC protocol. It returns Err(). In-flight work the engine
+// legitimately truncates when the last application op completes — a
+// running control job, unreleased hold gates, an undrained storage write,
+// an undelivered control message — is not flagged.
 func (c *Checker) Finish(res *sim.Result) error {
 	if res == nil {
 		c.fail("Finish called with nil result")
@@ -797,6 +805,18 @@ func (c *Checker) Finish(res *sim.Result) error {
 	if c.nMatches != mt.Matches {
 		c.fail("traced %d matches, metrics say %d", c.nMatches, mt.Matches)
 	}
+	if len(c.violations) == 0 && c.store != nil {
+		c.checkStorage()
+	}
+	if len(c.violations) == 0 && c.logger != nil {
+		c.checkLogging()
+	}
+	if len(c.violations) == 0 && c.mirror != nil {
+		c.checkReplication()
+	}
+	if len(c.violations) == 0 && c.cic != nil {
+		c.checkCIC()
+	}
 	return c.Err()
 }
 
@@ -815,44 +835,34 @@ func (c *Checker) checkUnsettled(id int64, m *msgState) {
 	}
 }
 
-// CheckStorage reconciles the store's counters against the trace: every
-// byte the store reports drained must correspond to a traced
+// checkStorage reconciles the watched store's counters against the trace:
+// every byte the store reports drained must correspond to a traced
 // store-begin/store-end pair (writes still in flight at exit excepted).
-func (c *Checker) CheckStorage(ss storage.Stats) error {
+func (c *Checker) checkStorage() {
+	ss := c.store.Stats()
 	if ss.Writes != c.storeEnded {
 		c.fail("store reports %d completed writes, trace saw %d", ss.Writes, c.storeEnded)
 	}
 	if ss.Bytes != c.storeEndedBytes {
 		c.fail("store reports %d B drained, trace saw %d B", ss.Bytes, c.storeEndedBytes)
 	}
-	inFlight := c.storeBegun - c.storeEnded
-	if inFlight < 0 {
-		c.fail("more store-end (%d) than store-begin (%d) markers", c.storeEnded, c.storeBegun)
-	}
-	return c.Err()
 }
 
-// TaxedLogger is the introspection surface of a logging protocol
+// taxedLogger is the introspection surface of a logging protocol
 // (Uncoordinated, Hierarchical): its accumulated stats, its logging
 // parameters, and its taxing policy.
-type TaxedLogger interface {
+type taxedLogger interface {
 	Stats() checkpoint.Stats
 	LogConfig() checkpoint.LogParams
 	Taxed(src, dst int) bool
 }
 
-// CheckLogging recomputes the sender-based logging charge from the traced
-// application sends — α + round(β·bytes) on exactly the sends the policy
-// taxes — and requires the protocol's accumulated counters to match
-// exactly. p is the logger given to Watch before the run (or a view of
-// its stats), whose sends the checker summed as they were injected. Call
-// after the run.
-func (c *Checker) CheckLogging(p TaxedLogger) error {
-	if c.logger == nil {
-		c.fail("logging: no logger was watched, so no taxed sends were summed")
-		return c.Err()
-	}
-	st := p.Stats()
+// checkLogging requires the watched logger's accumulated counters to equal
+// the sender-based logging charge recomputed from the traced application
+// sends: α + round(β·bytes) on exactly the sends the policy taxes, summed
+// as they were injected.
+func (c *Checker) checkLogging() {
+	st := c.logger.Stats()
 	if st.LoggedMessages != c.logMsgs {
 		c.fail("logging: protocol charged %d messages, trace says %d taxed sends",
 			st.LoggedMessages, c.logMsgs)
@@ -864,34 +874,26 @@ func (c *Checker) CheckLogging(p TaxedLogger) error {
 		c.fail("logging: protocol charged %v CPU, α+β·bytes over taxed sends is %v",
 			st.LogPenalty, c.logPenalty)
 	}
-	return c.Err()
 }
 
-// ReplicaMirror is the introspection surface of a replication protocol: its
+// replicaMirror is the introspection surface of a replication protocol: its
 // accumulated stats, replica degree, and primary/replica split.
-type ReplicaMirror interface {
+type replicaMirror interface {
 	Stats() checkpoint.Stats
 	Degree() int
 	AppRanks() int
 }
 
-// CheckReplication recomputes replica-pair mirroring from the traced
-// application sends — every primary→primary send must be duplicated to
-// exactly Degree replicas — and requires the protocol's counters to match,
-// along with takeover exclusivity: the protocol's absorbed-takeover count
-// must equal the traced "rep-takeover" markers (each of which the streaming
-// check already paired against a distinct "rep-failure"). p is the
-// protocol given to Watch before the run (or a view of its stats), whose
-// primary sends the checker summed as they were injected. Call after the
-// run.
-func (c *Checker) CheckReplication(p ReplicaMirror) error {
-	if c.mirror == nil {
-		c.fail("replication: no mirror was watched, so no primary sends were summed")
-		return c.Err()
-	}
-	d := int64(p.Degree())
+// checkReplication requires the watched mirror's counters to equal the
+// replica-pair mirroring recomputed from the traced application sends —
+// every primary→primary send duplicated to exactly Degree replicas — and
+// checks takeover exclusivity: the protocol's absorbed-takeover count must
+// equal the traced "rep-takeover" markers (each of which the streaming
+// check already paired against a distinct "rep-failure").
+func (c *Checker) checkReplication() {
+	d := int64(c.mirror.Degree())
 	nMsgs, nBytes := d*c.mirrorMsgs, d*c.mirrorSize
-	st := p.Stats()
+	st := c.mirror.Stats()
 	if st.MirroredMessages != nMsgs {
 		c.fail("replication: protocol mirrored %d messages, trace requires %d (degree %d over primary sends)",
 			st.MirroredMessages, nMsgs, d)
@@ -902,50 +904,20 @@ func (c *Checker) CheckReplication(p ReplicaMirror) error {
 	if st.Takeovers != c.nTakeovers {
 		c.fail("replication: protocol absorbed %d takeovers, trace shows %d", st.Takeovers, c.nTakeovers)
 	}
-	return c.Err()
 }
 
-// CheckCIC reconciles a CIC protocol's checkpoint counters against the
-// marker stream: completed writes against "cic-basic"/"cic-forced" markers
-// and forced writes against "cic-forced" alone (both are emitted at write
-// completion, so in-flight writes at exit cancel exactly). The streaming
-// checks already enforced index monotonicity and forced-checkpoint
-// justification per rank. Call after the run.
-func (c *Checker) CheckCIC(st checkpoint.Stats) error {
+// checkCIC reconciles the watched CIC protocol's checkpoint counters
+// against the marker stream: completed writes against
+// "cic-basic"/"cic-forced" markers and forced writes against "cic-forced"
+// alone (both are emitted at write completion, so in-flight writes at exit
+// cancel exactly). The streaming checks already enforced index
+// monotonicity and forced-checkpoint justification per rank.
+func (c *Checker) checkCIC() {
+	st := c.cic.Stats()
 	if st.Writes != c.nCICWrites {
 		c.fail("cic: protocol wrote %d checkpoints, trace shows %d markers", st.Writes, c.nCICWrites)
 	}
 	if st.Forced != c.nCICForced {
 		c.fail("cic: protocol forced %d checkpoints, trace shows %d markers", st.Forced, c.nCICForced)
 	}
-	return c.Err()
-}
-
-// FinishRun is the complete post-run conformance check: Finish against the
-// engine's result, CheckStorage when st is non-nil, then CheckLogging,
-// CheckReplication and CheckCIC for the watched agents exposing the
-// matching surface. It returns the first failing step's error.
-func (c *Checker) FinishRun(res *sim.Result, st *storage.Store) error {
-	if err := c.Finish(res); err != nil {
-		return err
-	}
-	if st != nil {
-		if err := c.CheckStorage(st.Stats()); err != nil {
-			return err
-		}
-	}
-	if c.logger != nil {
-		if err := c.CheckLogging(c.logger); err != nil {
-			return err
-		}
-	}
-	if c.mirror != nil {
-		if err := c.CheckReplication(c.mirror); err != nil {
-			return err
-		}
-	}
-	if c.cic != nil {
-		return c.CheckCIC(c.cic.Stats())
-	}
-	return nil
 }

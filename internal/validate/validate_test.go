@@ -74,14 +74,15 @@ func replay(net network.Params, events []sim.TraceEvent, res *sim.Result) error 
 // feedChecker returns a fresh checker that has consumed events through
 // Hook, the callback the engine delivers them to.
 func feedChecker(net network.Params, events ...sim.TraceEvent) *validate.Checker {
-	return feedWatched(net, nil, events...)
+	return feedWatched(net, nil, nil, events...)
 }
 
-// feedWatched is feedChecker for a checker handed the run's agents first,
-// as run.Run hands them, so that it sums their sends while it consumes.
-func feedWatched(net network.Params, agents []sim.Agent, events ...sim.TraceEvent) *validate.Checker {
+// feedWatched is feedChecker for a checker handed the run's store and
+// agents first, as run.Run hands them, so that it sums their sends while
+// it consumes and Finish reconciles them.
+func feedWatched(net network.Params, st *storage.Store, agents []sim.Agent, events ...sim.TraceEvent) *validate.Checker {
 	c := validate.New(net)
-	c.Watch(agents...)
+	c.Watch(st, agents...)
 	hook := c.Hook(nil)
 	for _, ev := range events {
 		hook(ev)
@@ -133,12 +134,8 @@ func TestValidUncoordinatedLoggingPasses(t *testing.T) {
 	prog := ringProgram(4, 20, smallMsg, bigMsg, 50*simtime.Microsecond)
 	events, res := runTraced(t, net, prog, cp)
 
-	c := feedWatched(net, []sim.Agent{cp}, events...)
-	if err := c.Finish(res); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
-	}
-	if err := c.CheckLogging(cp.(*checkpoint.Uncoordinated)); err != nil {
-		t.Fatalf("consistent logging rejected: %v", err)
+	if err := feedWatched(net, nil, []sim.Agent{cp}, events...).Finish(res); err != nil {
+		t.Fatalf("valid trace or consistent logging rejected: %v", err)
 	}
 	if got := cp.Stats().LoggedMessages; got == 0 {
 		t.Fatal("scenario logged no messages — logging check was vacuous")
@@ -394,27 +391,57 @@ func phaseAt(rank int, name string, detail int64, at simtime.Time) sim.TraceEven
 		Start: at, End: at, Op: goal.NoOp, Detail: detail}
 }
 
-// CheckStorage reconciles the store's counters against traced
-// begin/end pairs: consistent counters pass, every drift is flagged.
+// The storage reconciliation holds the store's counters against traced
+// begin/end pairs: a real limited-store run passes, a drain the trace lost
+// and bytes the trace misstates are flagged, and so is a broken per-rank
+// FIFO pairing of the markers themselves.
 func TestCheckStorage(t *testing.T) {
 	net := network.DefaultParams()
-	feed := func() *validate.Checker {
-		return feedChecker(net,
-			phaseAt(0, storage.MarkStoreBegin, 100, 10),
-			phaseAt(1, storage.MarkStoreBegin, 200, 10),
-			phaseAt(0, storage.MarkStoreEnd, 100, 50),
-			phaseAt(1, storage.MarkStoreEnd, 200, 60),
-			phaseAt(0, storage.MarkStoreBegin, 300, 70)) // still in flight: fine
+	cic, st, base, res := cicScenario(t)
+	if st.Stats().Writes == 0 {
+		t.Fatal("scenario drained no store write — storage check was vacuous")
 	}
-	if err := feed().CheckStorage(storage.Stats{Writes: 2, Bytes: 300}); err != nil {
+	finish := func(events []sim.TraceEvent) error {
+		return feedWatched(net, st, []sim.Agent{cic}, events...).Finish(res)
+	}
+	if err := finish(base); err != nil {
 		t.Fatalf("consistent storage rejected: %v", err)
 	}
-	if err := feed().CheckStorage(storage.Stats{Writes: 3, Bytes: 300}); err == nil {
-		t.Fatal("write-count drift accepted")
-	}
-	if err := feed().CheckStorage(storage.Stats{Writes: 2, Bytes: 299}); err == nil {
-		t.Fatal("byte drift accepted")
-	}
+
+	t.Run("lost-drain", func(t *testing.T) {
+		// Drop the last store-end marker: its write looks in flight at
+		// exit, which the stream allows, but the store counts it drained.
+		events := append([]sim.TraceEvent(nil), base...)
+		i := -1
+		for j, ev := range events {
+			if ev.Type == sim.TracePhase && ev.Name == storage.MarkStoreEnd {
+				i = j
+			}
+		}
+		if i < 0 {
+			t.Fatal("scenario has no store-end marker")
+		}
+		events = append(events[:i], events[i+1:]...)
+		err := finish(events)
+		if err == nil || !strings.Contains(err.Error(), "completed writes, trace saw") {
+			t.Fatalf("lost drain reported %v", err)
+		}
+	})
+
+	t.Run("misstated-bytes", func(t *testing.T) {
+		// Inflate every write by one byte at both ends: the FIFO pairing
+		// holds, but the drained bytes no longer match the store's.
+		events := append([]sim.TraceEvent(nil), base...)
+		for j, ev := range events {
+			if ev.Type == sim.TracePhase && (ev.Name == storage.MarkStoreBegin || ev.Name == storage.MarkStoreEnd) {
+				events[j].Detail++
+			}
+		}
+		err := finish(events)
+		if err == nil || !strings.Contains(err.Error(), "B drained, trace saw") {
+			t.Fatalf("misstated drain bytes reported %v", err)
+		}
+	})
 
 	c := feedChecker(net,
 		phaseAt(0, storage.MarkStoreBegin, 100, 10),
@@ -429,9 +456,9 @@ func TestCheckStorage(t *testing.T) {
 	}
 }
 
-// fakeLogger wraps a real protocol's policy but reports doctored stats.
+// fakeLogger is a real logging protocol reporting doctored stats.
 type fakeLogger struct {
-	validate.TaxedLogger
+	*checkpoint.Uncoordinated
 	stats checkpoint.Stats
 }
 
@@ -458,25 +485,15 @@ func TestCheckLoggingDetectsDrift(t *testing.T) {
 	} {
 		doctor := doctor
 		t.Run(name, func(t *testing.T) {
-			c := feedWatched(net, []sim.Agent{cp}, events...)
-			if err := c.Finish(res); err != nil {
-				t.Fatalf("valid trace rejected: %v", err)
-			}
 			st := cp.Stats()
 			doctor(&st)
-			if err := c.CheckLogging(fakeLogger{TaxedLogger: cp.(*checkpoint.Uncoordinated), stats: st}); err == nil {
-				t.Fatal("doctored logging stats accepted")
+			fake := fakeLogger{Uncoordinated: cp.(*checkpoint.Uncoordinated), stats: st}
+			err := feedWatched(net, nil, []sim.Agent{fake}, events...).Finish(res)
+			if err == nil || !strings.Contains(err.Error(), "logging: protocol") {
+				t.Fatalf("doctored logging stats reported %v", err)
 			}
 		})
 	}
-	t.Run("unwatched", func(t *testing.T) {
-		// Without Watch no taxed send was summed, so there is nothing to
-		// reconcile against.
-		err := feedChecker(net, events...).CheckLogging(cp.(*checkpoint.Uncoordinated))
-		if err == nil || !strings.Contains(err.Error(), "no logger was watched") {
-			t.Fatalf("logging check of an unwatched run reported %v", err)
-		}
-	})
 }
 
 // fuzzBase caches one recorded run for the fuzz target.
@@ -596,21 +613,26 @@ func replicationScenario(t testing.TB) (*checkpoint.Replication, []sim.TraceEven
 	return rp, events, res
 }
 
-// cicScenario records a CIC run on a ring busy enough that the lag-1 rule
-// forces checkpoints.
-func cicScenario(t testing.TB) (*checkpoint.CIC, []sim.TraceEvent, *sim.Result) {
+// cicScenario records a CIC run whose checkpoints drain through a
+// bandwidth-limited store, on a ring busy enough that the lag-1 rule forces
+// checkpoints.
+func cicScenario(t testing.TB) (*checkpoint.CIC, *storage.Store, []sim.TraceEvent, *sim.Result) {
 	t.Helper()
+	st, err := storage.New(storage.Params{AggregateBytesPerSec: 1e9, PerWriterBytesPerSec: 4e8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The 1ms interval spreads the staggered offsets wide enough that rank
 	// indices diverge while messages are in flight — the lag-1 rule forces.
 	p, err := checkpoint.Config{Kind: checkpoint.KindCIC, Interval: simtime.Millisecond,
-		Write: 100 * simtime.Microsecond, CICLag: 1, Offset: "staggered"}.New(nil)
+		Write: 100 * simtime.Microsecond, CICLag: 1, Offset: "staggered"}.New(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cic := p.(*checkpoint.CIC)
 	prog := ringProgram(4, 20, smallMsg, bigMsg, 50*simtime.Microsecond)
 	events, res := runTraced(t, network.DefaultParams(), prog, cic)
-	return cic, events, res
+	return cic, st, events, res
 }
 
 // A real replication run must pass the stream checks and the mirror/takeover
@@ -618,12 +640,8 @@ func cicScenario(t testing.TB) (*checkpoint.CIC, []sim.TraceEvent, *sim.Result) 
 func TestValidReplicationTracePasses(t *testing.T) {
 	rp, events, res := replicationScenario(t)
 	net := network.DefaultParams()
-	c := feedWatched(net, []sim.Agent{rp}, events...)
-	if err := c.Finish(res); err != nil {
+	if err := feedWatched(net, nil, []sim.Agent{rp}, events...).Finish(res); err != nil {
 		t.Fatalf("valid replication trace rejected: %v", err)
-	}
-	if err := c.CheckReplication(rp); err != nil {
-		t.Fatalf("consistent replication rejected: %v", err)
 	}
 	st := rp.Stats()
 	if st.MirroredMessages == 0 {
@@ -634,26 +652,22 @@ func TestValidReplicationTracePasses(t *testing.T) {
 	}
 }
 
-// A real CIC run must pass the stream checks and the counter
-// reconciliation, and the scenario must actually force checkpoints.
+// A real CIC run must pass the stream checks and the store and counter
+// reconciliations, and the scenario must actually force checkpoints.
 func TestValidCICTracePasses(t *testing.T) {
-	cic, events, res := cicScenario(t)
+	cic, st, events, res := cicScenario(t)
 	net := network.DefaultParams()
-	c := feedChecker(net, events...)
-	if err := c.Finish(res); err != nil {
+	if err := feedWatched(net, st, []sim.Agent{cic}, events...).Finish(res); err != nil {
 		t.Fatalf("valid CIC trace rejected: %v", err)
-	}
-	if err := c.CheckCIC(cic.Stats()); err != nil {
-		t.Fatalf("consistent CIC rejected: %v", err)
 	}
 	if cic.Stats().Forced == 0 {
 		t.Fatal("scenario forced no checkpoints — Z-cycle check was vacuous")
 	}
 }
 
-// fakeReplica doctors a real replication protocol's stats.
+// fakeReplica is a real replication protocol reporting doctored stats.
 type fakeReplica struct {
-	validate.ReplicaMirror
+	*checkpoint.Replication
 	stats checkpoint.Stats
 }
 
@@ -665,20 +679,20 @@ func TestCorruptedReplicationRejected(t *testing.T) {
 	rp, base, res := replicationScenario(t)
 	net := network.DefaultParams()
 	feed := func(events []sim.TraceEvent) *validate.Checker {
-		return feedWatched(net, []sim.Agent{rp}, events...)
+		return feedWatched(net, nil, []sim.Agent{rp}, events...)
+	}
+	doctored := func(st checkpoint.Stats) error {
+		fake := fakeReplica{Replication: rp, stats: st}
+		return feedWatched(net, nil, []sim.Agent{fake}, base...).Finish(res)
 	}
 
 	t.Run("dropped-mirror", func(t *testing.T) {
 		// The protocol claims one fewer mirrored message than the traced
 		// primary→primary sends require.
-		c := feed(base)
-		if err := c.Finish(res); err != nil {
-			t.Fatalf("valid trace rejected: %v", err)
-		}
 		st := rp.Stats()
 		st.MirroredMessages--
 		st.MirroredBytes -= smallMsg
-		err := c.CheckReplication(fakeReplica{ReplicaMirror: rp, stats: st})
+		err := doctored(st)
 		if err == nil {
 			t.Fatal("dropped replica mirror accepted")
 		}
@@ -714,14 +728,10 @@ func TestCorruptedReplicationRejected(t *testing.T) {
 
 	t.Run("takeover-drift", func(t *testing.T) {
 		// The protocol claims more absorbed takeovers than the trace shows.
-		c := feed(base)
-		if err := c.Finish(res); err != nil {
-			t.Fatalf("valid trace rejected: %v", err)
-		}
 		st := rp.Stats()
 		st.Takeovers++
-		if err := c.CheckReplication(fakeReplica{ReplicaMirror: rp, stats: st}); err == nil {
-			t.Fatal("takeover-count drift accepted")
+		if err := doctored(st); err == nil || !strings.Contains(err.Error(), "takeovers, trace shows") {
+			t.Fatalf("takeover-count drift reported %v", err)
 		}
 	})
 }
@@ -729,9 +739,11 @@ func TestCorruptedReplicationRejected(t *testing.T) {
 // Each targeted corruption of the CIC-family invariants must be rejected
 // with a violation naming the right family.
 func TestCorruptedCICRejected(t *testing.T) {
-	cic, base, res := cicScenario(t)
+	cic, st, base, res := cicScenario(t)
 	net := network.DefaultParams()
-	feed := func(events []sim.TraceEvent) *validate.Checker { return feedChecker(net, events...) }
+	feed := func(events []sim.TraceEvent) *validate.Checker {
+		return feedWatched(net, st, []sim.Agent{cic}, events...)
+	}
 	find := func(events []sim.TraceEvent, kind string) int {
 		for i, ev := range events {
 			if ev.Type == sim.TracePhase && ev.Name == kind {
@@ -787,19 +799,29 @@ func TestCorruptedCICRejected(t *testing.T) {
 	})
 
 	t.Run("write-count-drift", func(t *testing.T) {
-		// The protocol claims more forced writes than the marker stream.
-		c := feed(base)
-		if err := c.Finish(res); err != nil {
-			t.Fatalf("valid trace rejected: %v", err)
+		// Drop the first forced-checkpoint completion together with the
+		// announcements it honored: the stream stays consistent, but the
+		// protocol counts one more write, and one more forced write, than
+		// the markers show.
+		events := append([]sim.TraceEvent(nil), base...)
+		i := find(events, checkpoint.MarkCICForced)
+		rank, idx := events[i].Rank, events[i].Detail
+		var kept []sim.TraceEvent
+		for j, ev := range events {
+			announced := j < i && ev.Type == sim.TracePhase && ev.Rank == rank &&
+				ev.Name == checkpoint.MarkCICForceDue && ev.Detail <= idx
+			if j != i && !announced {
+				kept = append(kept, ev)
+			}
 		}
-		st := cic.Stats()
-		st.Forced++
-		err := c.CheckCIC(st)
+		err := feed(kept).Finish(res)
 		if err == nil {
 			t.Fatal("forced-count drift accepted")
 		}
-		if !strings.Contains(err.Error(), "forced") {
-			t.Errorf("violation %q does not mention forced writes", err)
+		for _, want := range []string{"cic: protocol wrote", "cic: protocol forced"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("violation %q does not mention %q", err, want)
+			}
 		}
 	})
 }
