@@ -20,15 +20,15 @@ import (
 // any such change. A change of layout also bumps snapshot.FormatVersion;
 // a change of what is written within one layout only re-pins.
 var pinnedProtocolSHA = map[checkpoint.Kind]string{
-	checkpoint.KindNone:          "b39ae3fce96140b3cb5f5d141d5a16858bd84c3706037a5b7d70a24c3a9856ec",
-	checkpoint.KindCoordinated:   "a6b1cf2aa3c0c6f2808428cead2297ee7e6c0db3e4577b703e544ea21aba32f8",
-	checkpoint.KindUncoordinated: "dec10998bb82c9f5f48fe09b3ad78b2eb712f0fc37744a3d40e3c0fa926e6726",
-	checkpoint.KindHierarchical:  "22fe2f11c7b808f68c0a8ba1ed7194c9f7b9aca1d9d5871db66ac8b249084ae2",
-	checkpoint.KindNonBlocking:   "4572a7501a2bb25e990d0be3be6cce9bdef8c35f9d7e205182a042a1c7a9c5e0",
-	checkpoint.KindPartner:       "12ceb7b11bf682020710490ad17e6ef482cf916302312f88a5e012dc1d221b07",
-	checkpoint.KindTwoLevel:      "cff981d2dab0863dfa9089f41a4a9c72a0deb01edf511a36e74dc14d400be8e0",
-	checkpoint.KindReplication:   "218f973a295042fd6788ec1b3f1bd6d835005ae3ac91811505419f02a9f2e55f",
-	checkpoint.KindCIC:           "3eb00bfd60db5472f7d892d933ea2fa04db923e1775d0501a568b038bcbf18c7",
+	checkpoint.KindNone:          "ebace4f77ebe144f9f1678d32b3bfb433886cd96ce355c5b82ea1681b564387f",
+	checkpoint.KindCoordinated:   "fdd3bc5a90906315baa09142e6b8b6dc5db0767c7d14e68ce11aa609e0ac76c7",
+	checkpoint.KindUncoordinated: "1c2d67d32391394f9d452e04c1f1b4e7f1a3656ef8a8dfa859aba5422effa690",
+	checkpoint.KindHierarchical:  "522a02a0cfdcf55db20759e643462e939c50911c5e9c58107a698ced8c79b74f",
+	checkpoint.KindNonBlocking:   "552a0cc015c161d4edd1046860bbf97e1fd9d902344a204c093636c919ff135d",
+	checkpoint.KindPartner:       "27719570287009db93200d69f176e270635ad5c32269d09aafe458742840911c",
+	checkpoint.KindTwoLevel:      "7fd4948ba2feeb9728b12efc7ddb44ad8b6fbd78be8f5765e069f68024429bbd",
+	checkpoint.KindReplication:   "79c2445547d02873a7eaa48a731e53f484b411fe251a8ce27a2f05003f97868d",
+	checkpoint.KindCIC:           "536ec8232ce6ef1c3fa008f1822c66207ad87f8e930574a49161f1a08937498c",
 }
 
 // pinnedProtocolRun is a small stencil run of kind with a snapshot every

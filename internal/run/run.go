@@ -176,6 +176,14 @@ func (cfg Config) assemble() (*assembly, error) {
 	return a, nil
 }
 
+// checker returns a trace checker watching the assembled run's store (nil
+// when it has none) and its agents, so Finish reconciles them too.
+func (a *assembly) checker() *validate.Checker {
+	chk := validate.New(a.sim.Net)
+	chk.Watch(a.store, a.sim.Agents...)
+	return chk
+}
+
 // BuildProgram returns the application the config runs before any
 // replication widening: Program when set, else the named workload built
 // from the shape fields.
@@ -210,8 +218,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var chk *validate.Checker
 	if cfg.Validate && cfg.ResumeFrom == nil {
-		chk = validate.New(a.sim.Net)
-		chk.Watch(a.store, a.sim.Agents...)
+		chk = a.checker()
 		a.sim.Trace = chk.Hook(a.sim.Trace)
 	}
 	eng, err := sim.New(a.sim)

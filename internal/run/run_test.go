@@ -85,6 +85,53 @@ func TestAssembleStore(t *testing.T) {
 	}
 }
 
+// The checker a validated run attaches watches the run's store: a trace
+// that lost its last store-end marker passes every streaming check (the
+// write looks in flight at exit) but not the reconciliation with the
+// store's drained writes.
+func TestCheckerWatchesStore(t *testing.T) {
+	cfg := base()
+	cfg.Storage = storage.Params{AggregateBytesPerSec: 1e9, PerWriterBytesPerSec: 4e8}
+	a, err := cfg.assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace []sim.TraceEvent
+	a.sim.Trace = func(ev sim.TraceEvent) { trace = append(trace, ev) }
+	eng, err := sim.New(a.sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	for i, ev := range trace {
+		if ev.Type == sim.TracePhase && ev.Name == storage.MarkStoreEnd {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatal("the run drained no store write")
+	}
+	finish := func(events []sim.TraceEvent) error {
+		chk := a.checker()
+		feed := chk.Hook(nil)
+		for _, ev := range events {
+			feed(ev)
+		}
+		return chk.Finish(res)
+	}
+	if err := finish(trace); err != nil {
+		t.Fatalf("the run's own trace: %v", err)
+	}
+	err = finish(append(trace[:last:last], trace[last+1:]...))
+	if err == nil || !strings.Contains(err.Error(), "completed writes, trace saw") {
+		t.Errorf("trace without its last store-end: %v, want the store's writes unreconciled", err)
+	}
+}
+
 func TestAssembleRejectsInvalidStorage(t *testing.T) {
 	for _, st := range []storage.Params{
 		{AggregateBytesPerSec: -1},

@@ -542,7 +542,7 @@ type Engine struct {
 	now        simtime.Time
 	ranks      []rankState
 	side       []rankSide // per rank, allocated at the first hold, scale or fabric crossing
-	depsLeft   []int32
+	depsLeft   []int32    // open dependencies per op; -1 once the op completed
 	opsLeft    int
 	hooks      []SendHook
 	matchHooks []MatchHook
@@ -778,7 +778,7 @@ func (e *Engine) Run() (*Result, error) {
 
 func (e *Engine) deadlockError() error {
 	for i := range e.prog.Ops {
-		if e.depsLeft[i] >= 0 && !e.opDoneFlag(goal.OpID(i)) {
+		if e.depsLeft[i] >= 0 {
 			op := e.prog.Op(goal.OpID(i))
 			return fmt.Errorf("sim: deadlock at t=%v with %d ops left; first stuck op: rank %d %s peer=%d tag=%d",
 				e.now, e.opsLeft, op.Rank, op.Kind, op.Peer, op.Tag)
@@ -786,10 +786,6 @@ func (e *Engine) deadlockError() error {
 	}
 	return fmt.Errorf("sim: deadlock at t=%v with %d ops left", e.now, e.opsLeft)
 }
-
-// opDoneFlag reports whether op has completed. depsLeft is set to -1 on
-// completion so the deadlock report can identify stuck ops.
-func (e *Engine) opDoneFlag(id goal.OpID) bool { return e.depsLeft[id] == -1 }
 
 // activate runs when an op's dependencies are all satisfied.
 func (e *Engine) activate(id goal.OpID) {

@@ -254,24 +254,40 @@ func (e *Engine) onRank(id goal.OpID, rank int) bool {
 	return id >= 0 && int(id) < len(e.prog.Ops) && int(e.prog.Ops[id].Rank) == rank
 }
 
-// checkDeps fails decoding unless every dependency counter matches the
-// program: an open op waits on exactly its open dependencies, and a
-// completed op on none.
-func (e *Engine) checkDeps(c *snapshot.Codec) {
-	waiting := make([]int32, len(e.depsLeft))
+// walkDeps walks the op completion bitmap and returns the number of open
+// ops. A restore derives every counter in place from the bitmap and the
+// program (the engine's are 0 until it runs), and refuses a completed op
+// with an open dependency or a bit past the last op.
+func (e *Engine) walkDeps(c *snapshot.Codec) (open int) {
+	n := len(e.depsLeft)
+	done := make([]byte, (n+7)/8)
 	for id, d := range e.depsLeft {
-		if d != -1 {
-			for _, out := range e.prog.Outs(goal.OpID(id)) {
-				waiting[out]++
+		if d == -1 {
+			done[id/8] |= 1 << (id % 8)
+		}
+	}
+	if c.Raw(done); n%8 != 0 && done[n/8]>>(n%8) != 0 {
+		c.Failf("completion bits past the last op")
+	}
+	isDone := func(id goal.OpID) bool { return done[id/8]>>(id%8)&1 == 1 }
+	for id := range goal.OpID(n) {
+		if isDone(id) {
+			e.depsLeft[id] = -1 // already so when encoding
+			continue
+		}
+		open++
+		if !c.Decoding() {
+			continue
+		}
+		for _, out := range e.prog.Outs(id) {
+			if isDone(out) {
+				c.Failf("op %d completed before its dependency %d", out, id)
+				return open
 			}
+			e.depsLeft[out]++
 		}
 	}
-	for id, d := range e.depsLeft {
-		if d != waiting[id] && (d != -1 || waiting[id] != 0) {
-			c.Failf("dependency counter of op %d is %d, want %d", id, d, waiting[id])
-			return
-		}
-	}
+	return open
 }
 
 // opClaimed marks, while decoding, an activated op that pending work
@@ -488,7 +504,7 @@ func (e *Engine) codeEvent(c *snapshot.Codec, t *simtime.Time, seq *uint64, ev *
 }
 
 // walk runs the complete engine state, after the config digest, through c:
-// scalars, RNG, metrics, dependency counters, the reason table with its
+// scalars, RNG, metrics, the op completion bitmap, the reason table with its
 // accounting, one length-prefixed section per agent, every rank, and the
 // event queue with each event's exact ordering key. The agent sections
 // come first so that the store registers before any owned work names it
@@ -532,19 +548,7 @@ func (e *Engine) walk(c *snapshot.Codec) error {
 	snapshot.Int(c, &m.UnexpectedMax)
 	snapshot.Int(c, &m.PostedMax)
 	snapshot.Int(c, &m.FabricBusy)
-	snapshot.Slice(c, &e.depsLeft, len(e.prog.Ops))
-	open := 0
-	for _, d := range e.depsLeft {
-		if d >= 0 {
-			open++
-		} else if d != -1 {
-			c.Failf("depsLeft out of range")
-		}
-	}
-	if c.Decoding() && c.Err() == nil {
-		e.checkDeps(c)
-	}
-	if open != e.opsLeft || e.opsLeft == 0 || e.events < 0 || e.now < 0 {
+	if open := e.walkDeps(c); open != e.opsLeft || e.opsLeft == 0 || e.events < 0 || e.now < 0 {
 		c.Failf("inconsistent progress counters")
 	}
 	e.walkReasons(c)

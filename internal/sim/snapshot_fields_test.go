@@ -47,7 +47,7 @@ func TestSnapshotCoversEngineFields(t *testing.T) {
 		"ranks": "serialized per rank (codeRank)",
 		"side": "serialized per rank with its rank state (codeRank); restore allocates it " +
 			"only when some rank has holds, scales or an arrival table",
-		"depsLeft":   "serialized; open-count cross-checked against opsLeft on restore",
+		"depsLeft":   "written as a completion bitmap; counters derived on restore",
 		"opsLeft":    "serialized scalar",
 		"hooks":      "rebuilt at New from the agent stack (agent types are digest-covered)",
 		"matchHooks": "rebuilt at New from the agent stack (agent types are digest-covered)",

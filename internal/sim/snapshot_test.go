@@ -535,6 +535,12 @@ func renameOp(want func(d int32) bool) func(*Engine, int) bool {
 	}
 }
 
+// doneTwice queues a second completion for rank r's running job.
+func doneTwice(e *Engine, r int) bool {
+	e.queue.Push(e.now, event{kind: evJobDone, id: int32(r)})
+	return true
+}
+
 // negativeCost gives the first queued application job a negative cost.
 func negativeCost(e *Engine, _ int) bool {
 	for i := range e.ranks {
@@ -548,9 +554,9 @@ func negativeCost(e *Engine, _ int) bool {
 
 // TestRestoreRefusesBadOps: a running job naming NoOp, a completed op, an
 // op still waiting on its dependencies, an op that other pending work
-// already names or an op of another rank, a dependency counter that
-// disagrees with the program, a second completion queued for a running
-// job, a queued job with a negative cost, a posted receive or unexpected
+// already names or an op of another rank, an op completed while one of its
+// dependencies is open, a completion bit past the last op, a second
+// completion queued for a running job, a queued job with a negative cost, a posted receive or unexpected
 // message in another rank's list, or an unexpected message that no
 // receive can match, is corrupt — Restore fails instead of handing Run an
 // op it would index with -1, complete twice, never complete or credit to
@@ -558,7 +564,18 @@ func negativeCost(e *Engine, _ int) bool {
 // make. So is an arrival table on a fabric-free engine, the one kind of
 // side data such an engine never keeps.
 func TestRestoreRefusesBadOps(t *testing.T) {
-	const seed = 42
+	refused := func(name string, seed uint64, bad func(*Engine, int) bool) {
+		eng, err := New(snapConfig(seed, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Restore(corruptBlob(t, seed, bad)); !errors.Is(err, snapshot.ErrCorrupt) {
+			if err == nil {
+				_, err = eng.Run()
+			}
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
 	for name, bad := range map[string]func(*Engine, int) bool{
 		"noop":     renameOp(nil),
 		"finished": renameOp(func(d int32) bool { return d == -1 }),
@@ -574,17 +591,20 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 			}
 			return false
 		},
-		"counter": func(e *Engine, _ int) bool {
+		"done before its dependency": func(e *Engine, _ int) bool {
+			// An op that nothing depends on, so only its own open
+			// dependency tells it was never run.
 			id := slices.IndexFunc(e.depsLeft, func(d int32) bool { return d > 0 })
-			if id >= 0 {
-				e.depsLeft[id]++
+			for ; id >= 0 && id < len(e.depsLeft); id++ {
+				if e.depsLeft[id] > 0 && len(e.prog.Outs(goal.OpID(id))) == 0 {
+					e.depsLeft[id] = -1
+					e.opsLeft--
+					return true
+				}
 			}
-			return id >= 0
+			return false
 		},
-		"done twice": func(e *Engine, r int) bool {
-			e.queue.Push(e.now, event{kind: evJobDone, id: int32(r)})
-			return true
-		},
+		"done twice": doneTwice,
 		"posted elsewhere": func(e *Engine, _ int) bool {
 			for i := range e.ranks {
 				if from, to := &e.ranks[i], &e.ranks[(i+1)%len(e.ranks)]; !from.posted.empty() {
@@ -622,17 +642,18 @@ func TestRestoreRefusesBadOps(t *testing.T) {
 			return true
 		},
 	} {
-		eng, err := New(snapConfig(seed, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Restore(corruptBlob(t, seed, bad)); !errors.Is(err, snapshot.ErrCorrupt) {
-			if err == nil {
-				_, err = eng.Run()
-			}
-			t.Errorf("%s: %v, want ErrCorrupt", name, err)
-		}
+		refused(name, 42, bad)
 	}
+	// Seed 42's 16 ops fill the completion bitmap exactly; seed 1's 84 leave
+	// four bits of its last byte past the last op. Setting one writes a
+	// completed op past the last.
+	refused("bits past the last op", 1, func(e *Engine, _ int) bool {
+		if len(e.depsLeft)%8 == 0 {
+			return false
+		}
+		e.depsLeft = append(e.depsLeft, -1)
+		return true
+	})
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to Engine.Restore through three
@@ -716,6 +737,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), negFiresPayload[32:]...)) // an agent whose fire count is negative
+	_, twicePayload, err := snapshot.Open(corruptBlob(f, seed, doneTwice))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), twicePayload[32:]...)) // a running job completed twice
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := func() *Engine {
 			e, err := New(fuzzConfig(nil))
@@ -747,7 +773,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 // cannot be read under, also bumps snapshot.FormatVersion; a change of
 // what is written within the same layout (the queue's visit order, a
 // presence-flagged table left out) only re-pins the hash.
-const pinnedSnapshotSHA = "dd79be5fc623f657cb415ec07b065df4bf6f05c03b148b4e912c9d0334fa608a"
+const pinnedSnapshotSHA = "40c9163aa52ddeaaddd1e978cc08ff14a6d9382d2243f1449e999d4225af0751"
 
 // TestSnapshotBytesPinned hashes every snapshot of one run taken at cadence
 // 1. snapConfig's run holds every kind of pending work at some event (see
@@ -925,5 +951,45 @@ func TestRestoreRefusesDuplicateQueueItem(t *testing.T) {
 	}
 	if err := fresh.Restore(blob); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Errorf("duplicated queue item: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotSizeFollowsState: a snapshot's size follows the state in
+// flight, not the run's length. Halfway through stencil2d at P=64, four
+// times the iterations may add only a completion bit per extra op and 8
+// bytes a rank (wider times and counters); a varint per op would add about
+// a byte per extra op.
+func TestSnapshotSizeFollowsState(t *testing.T) {
+	const p = 64
+	midRun := func(iters int) (blob []byte, ops int) {
+		prog := stencil(t, p, iters)
+		cfg := Config{Net: network.DefaultParams(), Program: prog, Seed: 1}
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SnapshotEvery = res.Events / 2
+		cfg.OnSnapshot = func(s Snapshot) {
+			if blob == nil {
+				blob = s.Blob
+			}
+		}
+		if eng, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return blob, len(prog.Ops)
+	}
+	short, shortOps := midRun(10)
+	long, longOps := midRun(40)
+	if grew, limit := len(long)-len(short), (longOps-shortOps)/8+8*p; grew > limit {
+		t.Errorf("mid-run blob grew %d B (%d → %d) for %d more ops; want at most %d",
+			grew, len(short), len(long), longOps-shortOps, limit)
 	}
 }

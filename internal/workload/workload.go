@@ -323,15 +323,16 @@ func cg(c CommonConfig) (*goal.Program, error) {
 			for i := 0; i < p; i++ {
 				s := &seqs[i]
 				right, left := (i+1)%p, (i-1+p)%p
-				forks := []goal.OpID{
+				forks := [4]goal.OpID{
 					s.Fork(goal.KindSend, int32(right), tagHalo, c.Bytes),
 					s.Fork(goal.KindRecv, int32(left), tagHalo, c.Bytes)}
+				n := 2
 				if p > 2 {
-					forks = append(forks,
-						s.Fork(goal.KindSend, int32(left), tagHalo, c.Bytes),
-						s.Fork(goal.KindRecv, int32(right), tagHalo, c.Bytes))
+					forks[2] = s.Fork(goal.KindSend, int32(left), tagHalo, c.Bytes)
+					forks[3] = s.Fork(goal.KindRecv, int32(right), tagHalo, c.Bytes)
+					n = 4
 				}
-				s.Join(forks...)
+				s.Join(forks[:n]...)
 			}
 		}
 		for i := range seqs {
@@ -384,13 +385,13 @@ func farm(c CommonConfig) (*goal.Program, error) {
 	seqs := rankSeqs(b)
 	master, wseqs := &seqs[0], seqs[1:]
 	r := c.computeSource()
+	forks := make([]goal.OpID, workers) // one round's sends, then its receives
 	for it := 0; it < c.Iterations; it++ {
 		// Dispatch: tasks go out back to back.
-		var sends []goal.OpID
-		for w := 0; w < workers; w++ {
-			sends = append(sends, master.Fork(goal.KindSend, int32(w+1), tagFarm, c.Bytes))
+		for w := range forks {
+			forks[w] = master.Fork(goal.KindSend, int32(w+1), tagFarm, c.Bytes)
 		}
-		master.Join(sends...)
+		master.Join(forks...)
 		// Workers compute and reply.
 		for i := range wseqs {
 			s := &wseqs[i]
@@ -399,11 +400,10 @@ func farm(c CommonConfig) (*goal.Program, error) {
 			s.Send(0, tagFarm+1, c.Bytes)
 		}
 		// Collect in any order.
-		var recvs []goal.OpID
-		for w := 0; w < workers; w++ {
-			recvs = append(recvs, master.Fork(goal.KindRecv, goal.AnySource, tagFarm+1, c.Bytes))
+		for w := range forks {
+			forks[w] = master.Fork(goal.KindRecv, goal.AnySource, tagFarm+1, c.Bytes)
 		}
-		master.Join(recvs...)
+		master.Join(forks...)
 		master.Calc(c.draw(r) / simtime.Duration(workers+1)) // cheap aggregation
 	}
 	return b.Build()

@@ -571,6 +571,29 @@ func TestBuildMemoryPerOp(t *testing.T) {
 	}
 }
 
+// TestBuildAllocsPerIteration: farm allocates as much at 40 iterations as
+// at 10, and what cg allocates per extra iteration does not grow with the
+// rank count, since only its allreduces allocate (a few slices a call).
+// When cg's halo join list and farm's send and receive lists grew on the
+// heap, cg allocated once per rank per iteration and farm a few times per
+// iteration.
+func TestBuildAllocsPerIteration(t *testing.T) {
+	allocs := func(name string, p, iters int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := build(name, p, iters, 1024); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs("farm", 16, 10), allocs("farm", 16, 40); long != short {
+		t.Errorf("farm at P=16 allocates %.0f times at 10 iterations, %.0f at 40", short, long)
+	}
+	perIter := func(p int) float64 { return (allocs("cg", p, 40) - allocs("cg", p, 10)) / 30 }
+	if small, large := perIter(4), perIter(16); large != small {
+		t.Errorf("cg allocates %.1f times per iteration at P=4, %.1f at P=16", small, large)
+	}
+}
+
 // BenchmarkBuildProgram builds and fingerprints the P=2048 stencil of the
 // scale_resume benchmark: one million ops through the builder, the one-pass
 // Build and Digest.
